@@ -1401,16 +1401,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.nova.fs import FSError
     from repro.tenant import QuotaExceeded
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    # ENOSPC-style UX: one structured line on stderr, non-zero exit,
+    # never a traceback.
     except QuotaExceeded as exc:
-        # ENOSPC-style UX: one structured line on stderr, non-zero exit,
-        # never a traceback.
         print(f"quota exceeded: {exc}", file=sys.stderr)
-        return 1
+    except FSError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

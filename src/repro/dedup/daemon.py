@@ -48,7 +48,27 @@ from repro.nova.entries import (
 from repro.nova.layout import PAGE_SIZE
 from repro.obs import RegistryStats
 
-__all__ = ["DedupDaemon", "DaemonStats", "NodeTask"]
+__all__ = ["DedupDaemon", "DaemonStats", "NodeTask", "append_redirects"]
+
+
+def append_redirects(fs, ino: int, cache, targets, cpu: int) -> list[tuple]:
+    """Algorithm 1 steps 4–5, shared with the reverse-dedup relocator.
+
+    One ``in_process`` single-page write entry per ``(pgoff, block)``
+    target, all committed by one atomic tail update.  The caller settles
+    the counts, completes the flags and repoints the radix tree.
+    """
+    if not targets:
+        return []
+    appended = fs._append_and_commit(ino, cache, (
+        WriteEntry(file_pgoff=pgoff, num_pages=1, block=block,
+                   size_after=cache.inode.size, ino=ino,
+                   mtime=int(fs.clock.now_ns),
+                   dedupe_flag=DEDUPE_IN_PROCESS)
+        for pgoff, block in targets), cpu)
+    for addr, _we in appended:
+        fs.note_dedup_pending(addr)
+    return appended
 
 
 class DaemonStats(RegistryStats):
@@ -268,25 +288,9 @@ class DedupDaemon:
         node, cache, cpu = task.node, task.cache, task.cpu
         dups = [r for r in task.recs if r.is_dup]
 
-        # Step 4: append redirecting write entries for the duplicates.
-        new_entries: list[tuple[int, WriteEntry]] = []
-        if dups:
-            tail = cache.tail
-            for rec in dups:
-                we = WriteEntry(
-                    file_pgoff=rec.pgoff, num_pages=1, block=rec.canonical,
-                    size_after=cache.inode.size, ino=node.ino,
-                    mtime=int(fs.clock.now_ns),
-                    dedupe_flag=DEDUPE_IN_PROCESS,
-                )
-                addr, tail = fs.log.append(node.ino, tail, we.pack(), cpu)
-                new_entries.append((addr, we))
-                fs.note_dedup_pending(addr)
-            # Step 5: one atomic tail update commits every new entry.
-            fs.log.commit(node.ino, tail)
-            cache.tail = tail
-            cache.inode.log_tail = tail
-            cache.entry_count += len(new_entries)
+        # Steps 4+5: redirecting entries for the duplicates, one commit.
+        new_entries = append_redirects(
+            fs, node.ino, cache, [(r.pgoff, r.canonical) for r in dups], cpu)
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
         # Step 6: settle the counts — one atomic store per entry-page.

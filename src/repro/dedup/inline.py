@@ -24,194 +24,90 @@ from typing import Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.fact import FactFull
-from repro.nova.entries import (
-    DEDUPE_COMPLETE,
-    DEDUPE_IN_PROCESS,
-    WriteEntry,
-)
-from repro.nova.fs import NoSpace
+from repro.nova.entries import DEDUPE_COMPLETE, DEDUPE_IN_PROCESS
+from repro.nova.fs import NovaFS, _Placed
 from repro.nova.layout import PAGE_SIZE
-from repro.pm.allocator import AllocError
+from repro.nova.radix import extend_runs
 
 __all__ = ["InlineDedupFS", "AdaptiveInlineFS"]
 
 
-@dataclass
-class _Decision:
-    pgoff: int
-    content: bytes
-    is_dup: bool
-    canonical: Optional[int] = None   # device page for duplicates
-    fact_idx: Optional[int] = None    # staged-UC entry (strong variant)
-    fp: Optional[bytes] = None
-    weak: Optional[int] = None        # CRC32 (adaptive variant)
-    new_block: Optional[int] = None   # assigned device page for uniques
-
-
 class InlineDedupFS(DeNovaFS):
-    """DeNova-Inline: strong-fingerprint dedup in the critical write path."""
+    """DeNova-Inline: strong-fingerprint dedup in the critical write path.
+
+    The write is :meth:`NovaFS._write_pipeline` with two stages swapped
+    in: *place* classifies every page before anything is stored (the
+    inline property) and *settle* commits the staged counts.
+    """
 
     variant_name = "DeNova-Inline"
+
+    # benchmarks/e2e/trace.py patches this boundary via vars(InlineDedupFS).
+    write = NovaFS.write
 
     def on_write_committed(self, ino, entry_addr, entry, cpu) -> None:
         """Inline dedup leaves nothing for a background daemon."""
 
-    def initial_dedupe_flag(self) -> int:  # unused: write() is overridden
-        return DEDUPE_COMPLETE
+    def initial_dedupe_flag(self) -> int:
+        """Entries commit ``in_process``; :meth:`_settle_pages` completes
+        them once the counts are in — the §V-C recovery contract."""
+        return DEDUPE_IN_PROCESS
 
     # -- per-page classification (overridden by the adaptive variant) ------
 
-    def _classify(self, pgoff: int, content: bytes) -> _Decision:
+    def _classify(self, content: bytes, placed: _Placed):
+        """``(canonical block | None, key for _register_unique)``; a
+        duplicate's count is staged here."""
         fp = self.fingerprinter.strong(content)
         res = self.fact.lookup(fp)
-        if res.found is not None:
-            self.fact.inc_uc(res.found.idx)
-            return _Decision(pgoff, content, is_dup=True,
-                             canonical=res.found.block,
-                             fact_idx=res.found.idx, fp=fp)
-        return _Decision(pgoff, content, is_dup=False, fp=fp)
+        if res.found is None:
+            return None, fp
+        self.fact.inc_uc(res.found.idx)
+        placed.staged.append(res.found.idx)
+        return res.found.block, fp
 
-    def _register_unique(self, dec: _Decision) -> None:
+    def _register_unique(self, fp, block: int, placed: _Placed) -> None:
         try:
-            dec.fact_idx = self.fact.insert(dec.fp, dec.new_block)
+            placed.staged.append(self.fact.insert(fp, block))
         except FactFull:
-            dec.fact_idx = None  # stored un-deduplicated
+            pass  # stored un-deduplicated
 
-    def _commit_meta(self, decisions: list[_Decision]) -> None:
-        for dec in decisions:
-            if dec.fact_idx is not None:
-                self.fact.commit_uc(dec.fact_idx)
+    # -- the two pipeline stages ---------------------------------------------
 
-    # -- the inline write path ---------------------------------------------------
+    def _place_pages(self, placed: _Placed, pg_first: int, buf: bytearray,
+                     cpu: int) -> None:
+        """Duplicate pages are never written — their single-page runs
+        point at the canonical pages; uniques are stored one by one and
+        registered immediately (so a later identical page of the same
+        write deduplicates too), coalescing into a run while both the
+        file offset and the device page advance by one."""
+        for i in range(len(buf) // PAGE_SIZE):
+            pgoff = pg_first + i
+            content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
+            block, key = self._classify(content, placed)
+            if block is not None:
+                placed.runs.append([pgoff, block, 1])
+                continue
+            block = self.allocator.alloc(1, cpu)
+            placed.fresh.append((block, 1))
+            self.dev.write(block * PAGE_SIZE, content, nt=True)
+            self._register_unique(key, block, placed)
+            extend_runs(placed.runs, pgoff, block)
 
-    def write(self, ino: int, offset: int, data: bytes, cpu: int = 0) -> int:
-        """CoW write with the dedup pipeline inlined before storage.
+    def _unplace_pages(self, placed: _Placed, cpu: int) -> None:
+        for idx in placed.staged:
+            self.fact.discard_uc(idx)
+        for block, _count in placed.fresh:
+            ent = self.fact.entry_for_block(block)
+            if ent is not None:
+                self.fact.remove(ent.idx)
+        super()._unplace_pages(placed, cpu)
 
-        Duplicate pages are never written — their write entries point at
-        the existing canonical pages; unique pages are batched into
-        contiguous runs.  One atomic tail update commits the whole write.
-        """
-        self._check_mounted()
-        if offset < 0:
-            raise ValueError("negative offset")
-        if not data:
-            return 0
-        if self._stage_or_drain(ino, offset, data, cpu):
-            # Absorbed: fingerprinting runs when the record destages
-            # through this same path — "inline" relative to the destage,
-            # off the caller's critical path.
-            return len(data)
-        with self.obs.span("fs.write", ino=ino):
-            return self._inline_write(ino, offset, data, cpu)
-
-    def _inline_write(self, ino: int, offset: int, data: bytes,
-                      cpu: int) -> int:
-        self.clock.advance(self.cpu_model.syscall_ns)
-        cache = self._file_cache(ino, for_write=True)
-        self.counters["writes"] += 1
-
-        pg_first = offset // PAGE_SIZE
-        pg_last = (offset + len(data) - 1) // PAGE_SIZE
-        npages = pg_last - pg_first + 1
-
-        # Tenant quota: logical pages, so the gross check covers the
-        # whole write even when every page deduplicates — dedup savings
-        # accrue to the operator, never to the tenant's quota.
-        self.tenants.check_pages(ino, npages)
-
-        # Assemble final page contents (head/tail merge), then classify
-        # each page before anything is stored — the inline property.
-        buf = bytearray(npages * PAGE_SIZE)
-        head_pad = offset - pg_first * PAGE_SIZE
-        if head_pad:
-            buf[:head_pad] = self._read_page(cache, pg_first)[:head_pad]
-        tail_end = offset + len(data) - pg_first * PAGE_SIZE
-        if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
-            buf[tail_end:] = self._read_page(cache, pg_last)[
-                tail_end % PAGE_SIZE:]
-        buf[head_pad:tail_end] = data
-
-        # Sequential per-page pass: classify, and store+register uniques
-        # immediately so a later identical page in the same write hits
-        # the just-inserted metadata (intra-write duplicates dedup too).
-        decisions: list[_Decision] = []
-        try:
-            for i in range(npages):
-                content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
-                dec = self._classify(pg_first + i, content)
-                if not dec.is_dup:
-                    dec.new_block = self.allocator.alloc(1, cpu)
-                    self.dev.write(dec.new_block * PAGE_SIZE, content,
-                                   nt=True)
-                    self._register_unique(dec)
-                decisions.append(dec)
-        except AllocError as exc:
-            # Roll back: nothing was published (no tail update yet).
-            for dec in decisions:
-                if dec.is_dup and dec.fact_idx is not None:
-                    self.fact.discard_uc(dec.fact_idx)
-                elif dec.new_block is not None:
-                    if dec.fact_idx is not None:
-                        self.fact.discard_uc(dec.fact_idx)
-                        self.fact.remove(dec.fact_idx)
-                    self.allocator.free(dec.new_block, 1, cpu)
-            raise NoSpace(str(exc)) from None
-
-        # Build write entries: consecutive uniques (in file order *and*
-        # device order) coalesce; each duplicate is a single-page entry.
-        new_size = max(cache.inode.size, offset + len(data))
-        mtime = int(self.clock.now_ns)
-        entries: list[WriteEntry] = []
-        for dec in decisions:
-            if dec.is_dup:
-                entries.append(WriteEntry(
-                    file_pgoff=dec.pgoff, num_pages=1, block=dec.canonical,
-                    size_after=new_size, ino=ino, mtime=mtime,
-                    dedupe_flag=DEDUPE_IN_PROCESS))
-            else:
-                last = entries[-1] if entries else None
-                if (last is not None
-                        and last.file_pgoff + last.num_pages == dec.pgoff
-                        and last.block + last.num_pages == dec.new_block):
-                    last.num_pages += 1
-                else:
-                    entries.append(WriteEntry(
-                        file_pgoff=dec.pgoff, num_pages=1,
-                        block=dec.new_block, size_after=new_size, ino=ino,
-                        mtime=mtime, dedupe_flag=DEDUPE_IN_PROCESS))
-
-        head, first_tail = self.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        tail = cache.tail
-        appended: list[tuple[int, WriteEntry]] = []
-        for we in entries:
-            addr, tail = self.log.append(ino, tail, we.pack(), cpu)
-            appended.append((addr, we))
-        self.log.commit(ino, tail)  # the single atomic commit point
-        cache.tail = tail
-        cache.inode.log_tail = tail
-        cache.entry_count += len(appended)
-        cache.inode.size = new_size
-        cache.inode.mtime = mtime
-
-        # Settle metadata counts, then mark the entries complete.
-        self._commit_meta(decisions)
-        for addr, _we in appended:
+    def _settle_pages(self, placed: _Placed, appended: list[tuple]) -> None:
+        for idx in placed.staged:
+            self.fact.commit_uc(idx)
+        for addr, _entry in appended:
             self.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-
-        # Radix update + RFC-checked reclaim of displaced pages.
-        net_mapped = 0
-        for addr, we in appended:
-            displaced = cache.index.install(addr, we)
-            net_mapped += we.num_pages - displaced.total_pages
-            if displaced.total_pages:
-                self.counters["overwrite_pages"] += displaced.total_pages
-            self._note_dead_entries(cache, displaced)
-            self.reclaim_extents(displaced.extents, cpu)
-        self.tenants.account_pages(ino, net_mapped)
-        return len(data)
 
 
 @dataclass
@@ -251,12 +147,12 @@ class AdaptiveInlineFS(InlineDedupFS):
             self.dev.model.write_cost(self.META_RECORD_BYTES)
             + self.dev.model.clwb_ns + self.dev.model.sfence_ns)
 
-    def _classify(self, pgoff: int, content: bytes) -> _Decision:
+    def _classify(self, content: bytes, placed: _Placed):
         weak = self.fingerprinter.weak(content)  # T_fw, always
         candidates = self._weak_index.get(weak)
         if not candidates:
             self.adaptive_stats["weak_misses"] += 1
-            return _Decision(pgoff, content, is_dup=False, weak=weak)
+            return None, (weak, None)
         self.adaptive_stats["weak_hits"] += 1
         strong = self.fingerprinter.strong(content)  # T_f on collision
         for rec in candidates:
@@ -270,19 +166,20 @@ class AdaptiveInlineFS(InlineDedupFS):
                 self.adaptive_stats["confirmed_dups"] += 1
                 rec.rfc += 1
                 self._meta_write_cost()
-                return _Decision(pgoff, content, is_dup=True,
-                                 canonical=rec.block, fp=strong, weak=weak)
-        return _Decision(pgoff, content, is_dup=False, fp=strong, weak=weak)
+                return rec.block, None
+        return None, (weak, strong)
 
-    def _register_unique(self, dec: _Decision) -> None:
-        weak = dec.weak
-        rec = _MetaRec(weak=weak, block=dec.new_block, strong=dec.fp, rfc=1)
+    def _register_unique(self, key, block: int, placed: _Placed) -> None:
+        weak, strong = key
+        rec = _MetaRec(weak=weak, block=block, strong=strong, rfc=1)
         self._weak_index.setdefault(weak, []).append(rec)
-        self._by_block[dec.new_block] = rec
+        self._by_block[block] = rec
         self._meta_write_cost()
 
-    def _commit_meta(self, decisions: list[_Decision]) -> None:
-        """Counts were settled eagerly in the DRAM table."""
+    def _unplace_pages(self, placed: _Placed, cpu: int) -> None:
+        """Counts settle eagerly in the DRAM table (``placed.staged``
+        stays empty), so un-placing a page *is* dropping a reference."""
+        self.reclaim_extents(((b, n) for _pgoff, b, n in placed.runs), cpu)
 
     def reclaim_extents(self, extents, cpu: int) -> None:
         """Reclaim against the DRAM metadata table instead of FACT."""

@@ -9,9 +9,11 @@ then the model.  Four outcomes:
   fraction of deliberately invalid ops to exercise exactly this);
 * one side rejects what the other accepts — :class:`OracleDivergence`.
 
-Resource exhaustion on the real side (``NoSpace``/``AllocError``/
-``FactFull``) is not a divergence — the model has no space accounting —
-it deterministically *stops* the sequence early instead.
+Resource exhaustion on the real side (``NoSpace``/``FactFull``) is not a
+divergence — the model has no space accounting — it deterministically
+*stops* the sequence early instead.  A raw allocator ``AllocError`` is
+not on that list: every FS op owes its caller a typed, rolled-back
+``NoSpace``, so one escaping is reported as an ``exception`` violation.
 
 Crash checking replays the sequence under
 :func:`repro.failure.injector.sweep_crash_points` in all four
@@ -40,7 +42,6 @@ from repro.nova.entries import DEDUPE_IN_PROCESS, WriteEntry, decode_entry
 from repro.nova.fs import FSError, NoSpace
 from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK, ROOT_INO
 from repro.nova.layout import PAGE_SIZE
-from repro.pm.allocator import AllocError
 from repro.pm.device import CrashRequested, PMDevice
 from repro.pm.latency import DRAM
 from repro.pm.clock import SimClock
@@ -50,7 +51,7 @@ __all__ = ["FuzzConfig", "Violation", "CaseResult", "OracleDivergence",
            "apply_op", "run_case", "fs_namespace", "flags_converged",
            "full_equivalence_check", "prefix_equivalence_check", "make_fs"]
 
-_RESOURCE_ERRORS = (NoSpace, AllocError, FactFull)
+_RESOURCE_ERRORS = (NoSpace, FactFull)
 
 
 class OracleDivergence(AssertionError):

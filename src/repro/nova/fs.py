@@ -118,6 +118,15 @@ class InodeCache:
     #: :class:`CacheMap` hydrates them on first access.
 
 
+@dataclass
+class _Placed:
+    """What the *place* stage of one write did — and a rollback undoes."""
+
+    runs: list = field(default_factory=list)    # [pgoff, block, count]
+    fresh: list = field(default_factory=list)   # (block, count) allocated
+    staged: list = field(default_factory=list)  # inline: FACT idxs with a UC
+
+
 class CacheMap(dict):
     """``ino -> InodeCache`` map with lazy log hydration.
 
@@ -442,7 +451,7 @@ class NovaFS:
         cache = self.caches[ino]
         entry = SymlinkEntry(target=target, ino=ino,
                              mtime=int(self.clock.now_ns))
-        self._append_and_commit(ino, cache, entry.pack(), cpu)
+        self._append_and_commit(ino, cache, [entry], cpu)
         cache.symlink_target = target
         self._append_dentry(pino, name, ino, valid=1, cpu=cpu)
         return ino
@@ -471,7 +480,7 @@ class NovaFS:
         parent = self.caches[parent_ino]
         entry = DentryEntry(name=name, ino=ino, valid=valid,
                             mtime=int(self.clock.now_ns))
-        self._append_and_commit(parent_ino, parent, entry.pack(), cpu)
+        self._append_and_commit(parent_ino, parent, [entry], cpu)
         self.clock.advance(self.cpu_model.dram_touch_ns)
         if valid:
             changed = parent.dentries.get(name) != ino
@@ -486,18 +495,35 @@ class NovaFS:
                 and child.inode.itype == ITYPE_DIR):
             parent.inode.links += 1 if valid else -1
 
-    def _append_and_commit(self, ino: int, cache: InodeCache, raw: bytes,
-                           cpu: int) -> int:
-        head, first_tail = self.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        addr, new_tail = self.log.append(ino, cache.tail, raw, cpu)
-        self.log.commit(ino, new_tail)
-        cache.tail = new_tail
-        cache.inode.log_tail = new_tail
-        cache.entry_count += 1
-        return addr
+    def _append_and_commit(self, ino: int, cache: InodeCache,
+                           entries: Iterable, cpu: int) -> list[tuple]:
+        """The one log-commit primitive: N appends, one atomic tail update.
+
+        ``entries`` is consumed lazily — each entry is built only once the
+        previous append has been charged, so a generator may stamp
+        ``clock.now_ns`` per entry.  Returns ``[(addr, entry)]``.  A log
+        page that cannot be allocated raises :class:`NoSpace` with the
+        committed tail (and the DRAM cache) untouched: entries past the
+        tail are invisible to readers and to recovery.
+        """
+        appended = []
+        try:
+            head, first_tail = self.log.ensure_log(
+                ino, cache.inode.log_head, cpu)
+            if cache.inode.log_head == 0:
+                cache.inode.log_head = head
+                cache.tail = first_tail
+            tail = cache.tail
+            for entry in entries:
+                addr, tail = self.log.append(ino, tail, entry.pack(), cpu)
+                appended.append((addr, entry))
+        except AllocError as exc:
+            raise NoSpace(str(exc)) from None
+        self.log.commit(ino, tail)
+        cache.tail = tail
+        cache.inode.log_tail = tail
+        cache.entry_count += len(appended)
+        return appended
 
     def _new_inode(self, itype: int, cpu: int,
                    parent: Optional[int] = None) -> int:
@@ -734,21 +760,10 @@ class NovaFS:
         if spino == dpino:
             # One directory log: two appends, one atomic tail commit.
             parent = self.caches[spino]
-            head, first_tail = self.log.ensure_log(
-                spino, parent.inode.log_head, cpu)
-            if parent.inode.log_head == 0:
-                parent.inode.log_head = head
-                parent.tail = first_tail
-            tail = parent.tail
-            for entry in (DentryEntry(name=dname, ino=ino, valid=1,
-                                      mtime=mtime),
-                          DentryEntry(name=sname, ino=ino, valid=0,
-                                      mtime=mtime)):
-                _addr, tail = self.log.append(spino, tail, entry.pack(), cpu)
-            self.log.commit(spino, tail)
-            parent.tail = tail
-            parent.inode.log_tail = tail
-            parent.entry_count += 2
+            self._append_and_commit(spino, parent, [
+                DentryEntry(name=dname, ino=ino, valid=1, mtime=mtime),
+                DentryEntry(name=sname, ino=ino, valid=0, mtime=mtime),
+            ], cpu)
             self.clock.advance(2 * self.cpu_model.dram_touch_ns)
             parent.dentries[dname] = ino
             parent.dentries.pop(sname, None)
@@ -805,10 +820,10 @@ class NovaFS:
             # The body is going away with its last link — destaging the
             # records would only write pages we free on the next line.
             self.staging.discard_ino(ino)
-        displaced = cache.index.clear()
-        self.tenants.account_pages(ino, -displaced.total_pages)
+        # The log dies with the body: no point tracking its dead entries.
+        self._retire_displaced(ino, cache, cache.index.clear(), cpu,
+                               gc_log=False)
         self.tenants.note_inode_freed(ino)
-        self.reclaim_extents(displaced.extents, cpu)
         for page in list(self.log.iter_pages(cache.inode.log_head)):
             self.allocator.free(page, 1, cpu)
         self.itable.release(ino)
@@ -850,8 +865,8 @@ class NovaFS:
         with self.obs.span("fs.write", ino=ino,
                            pages=(offset + len(data) - 1) // PAGE_SIZE
                            - offset // PAGE_SIZE + 1):
-            displaced = self._write_locked(ino, offset, data, cpu)
-        if displaced.total_pages:
+            overwritten = self._write_pipeline(ino, offset, data, cpu)
+        if overwritten:
             self._h_overwrite.observe(self.clock.charged_ns - t0)
         return len(data)
 
@@ -875,8 +890,18 @@ class NovaFS:
             st.drain_ino(ino, cpu)
         return False
 
-    def _write_locked(self, ino: int, offset: int, data: bytes,
-                      cpu: int) -> Displaced:
+    def _write_pipeline(self, ino: int, offset: int, data: bytes,
+                        cpu: int) -> int:
+        """The one write body (Fig. 1); returns the pages it displaced.
+
+        admit → assemble → *place* → commit → *settle* → install + retire
+        → ``on_write_committed``.  Variants differ only in the two
+        starred hooks (and the ``initial_dedupe_flag`` / ``reclaim_extents``
+        / ``on_write_committed`` hooks they already had).  Nothing is
+        visible before the tail commit, so ENOSPC anywhere up to it —
+        data pages or a log page — has one rollback: :meth:`_unplace_pages`,
+        and no tenant charge.
+        """
         self.clock.advance(self.cpu_model.syscall_ns)
         cache = self._file_cache(ino, for_write=True)
         self.counters["writes"] += 1
@@ -885,61 +910,67 @@ class NovaFS:
         pg_last = (offset + len(data) - 1) // PAGE_SIZE
         npages = pg_last - pg_first + 1
 
-        # Step 1: allocate new pages; assemble their content.  The quota
-        # check precedes the allocation (check, act, then account — a
-        # failed alloc must not leak a tenant charge) and is gross: CoW
-        # needs the full allocation to exist before the displaced pages
-        # are known.
+        # Admit.  The quota check is gross and logical (check, act, then
+        # account): CoW needs the full allocation before the displaced
+        # pages are known, and pages that deduplicate still count —
+        # dedup savings accrue to the operator, never to the tenant.
         self.tenants.check_pages(ino, npages)
-        try:
-            block = self.allocator.alloc(npages, cpu)
-        except AllocError as exc:
-            raise NoSpace(str(exc)) from None
+
+        # Assemble the final page contents (head/tail merge).
         buf = bytearray(npages * PAGE_SIZE)
         head_pad = offset - pg_first * PAGE_SIZE
         if head_pad:
-            old = self._read_page(cache, pg_first)
-            buf[:head_pad] = old[:head_pad]
+            buf[:head_pad] = self._read_page(cache, pg_first)[:head_pad]
         tail_end = offset + len(data) - pg_first * PAGE_SIZE
         if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
-            old = self._read_page(cache, pg_last)
-            buf[tail_end:] = old[tail_end % PAGE_SIZE:]
+            buf[tail_end:] = self._read_page(cache, pg_last)[
+                tail_end % PAGE_SIZE:]
         buf[head_pad:tail_end] = data
-        self.dev.write(block * PAGE_SIZE, bytes(buf), nt=True)
 
-        # Step 2: append the write entry (data + entry fence together).
+        placed = _Placed()
         new_size = max(cache.inode.size, offset + len(data))
-        entry = WriteEntry(
-            file_pgoff=pg_first, num_pages=npages, block=block,
-            size_after=new_size, ino=ino, mtime=int(self.clock.now_ns),
-            dedupe_flag=self.initial_dedupe_flag(),
-        )
-        head, first_tail = self.log.ensure_log(ino, cache.inode.log_head, cpu)
-        if cache.inode.log_head == 0:
-            cache.inode.log_head = head
-            cache.tail = first_tail
-        addr, new_tail = self.log.append(ino, cache.tail, entry.pack(), cpu)
-
-        # Step 3: atomic tail update — the commit point.
-        self.log.commit(ino, new_tail)
-        cache.tail = new_tail
-        cache.inode.log_tail = new_tail
-        cache.entry_count += 1
+        try:
+            # Place the pages, then commit one entry per run: data and
+            # entries are fenced together, the tail update is the commit.
+            self._place_pages(placed, pg_first, buf, cpu)
+            mtime = int(self.clock.now_ns)
+            flag = self.initial_dedupe_flag()
+            appended = self._append_and_commit(ino, cache, [
+                WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
+                           size_after=new_size, ino=ino, mtime=mtime,
+                           dedupe_flag=flag)
+                for pgoff, block, count in placed.runs], cpu)
+        except (AllocError, NoSpace) as exc:
+            self._unplace_pages(placed, cpu)
+            raise NoSpace(str(exc)) from None
         cache.inode.size = new_size
-        cache.inode.mtime = entry.mtime
+        cache.inode.mtime = mtime
+        self._settle_pages(placed, appended)
 
-        # Step 4: radix tree update.
-        displaced = cache.index.install(addr, entry)
-        self.tenants.account_pages(ino, npages - displaced.total_pages)
-        if displaced.total_pages:
-            self.counters["overwrite_pages"] += displaced.total_pages
-        self._note_dead_entries(cache, displaced)
+        # Radix update; displaced pages are charged back, their entries
+        # noted dead and the pages reclaimed (RFC-aware in DeNova).
+        overwritten = 0
+        for addr, entry in appended:
+            displaced = cache.index.install(addr, entry)
+            overwritten += displaced.total_pages
+            if displaced.total_pages:
+                self.counters["overwrite_pages"] += displaced.total_pages
+            self._retire_displaced(ino, cache, displaced, cpu,
+                                   mapped=entry.num_pages)
+        for addr, entry in appended:
+            self.on_write_committed(ino, addr, entry, cpu)
+        return overwritten
 
-        # Step 5: reclaim obsolete pages (RFC-aware in DeNova).
+    def _retire_displaced(self, ino: int, cache: InodeCache,
+                          displaced: Displaced, cpu: int, mapped: int = 0,
+                          gc_log: bool = True) -> None:
+        """Retire what an index update displaced: charge the tenant the
+        net (``mapped`` new mappings minus the displaced ones), note the
+        dead log entries, reclaim the pages."""
+        self.tenants.account_pages(ino, mapped - displaced.total_pages)
+        if gc_log:
+            self._note_dead_entries(cache, displaced)
         self.reclaim_extents(displaced.extents, cpu)
-
-        self.on_write_committed(ino, addr, entry, cpu)
-        return displaced
 
     def read(self, ino: int, offset: int, length: int, cpu: int = 0) -> bytes:
         """Read up to ``length`` bytes (short at EOF; holes read as zeros)."""
@@ -988,14 +1019,12 @@ class NovaFS:
         cache = self._file_cache(ino, for_write=True)
         entry = SetattrEntry(ino=ino, new_size=size,
                              mtime=int(self.clock.now_ns))
-        self._append_and_commit(ino, cache, entry.pack(), cpu)
+        self._append_and_commit(ino, cache, [entry], cpu)
         shrunk = size < cache.inode.size
         if shrunk:
             keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
-            displaced = cache.index.truncate_pages(keep)
-            self.tenants.account_pages(ino, -displaced.total_pages)
-            self._note_dead_entries(cache, displaced)
-            self.reclaim_extents(displaced.extents, cpu)
+            self._retire_displaced(ino, cache,
+                                   cache.index.truncate_pages(keep), cpu)
         cache.inode.size = size
         cache.inode.mtime = entry.mtime
         # POSIX: bytes past the new EOF must read as zeros if the file
@@ -1205,6 +1234,29 @@ class NovaFS:
         return decode_entry(self.dev.read(addr, ENTRY_SIZE))
 
     # ------------------------------------------------------------------ hooks
+
+    def _place_pages(self, placed: _Placed, pg_first: int, buf: bytearray,
+                     cpu: int) -> None:
+        """Pipeline stage *place*: store ``buf`` and describe where.
+
+        Fills ``placed`` as it goes, so the pipeline can undo a placement
+        that ran out of space half way.  Plain NOVA: one contiguous
+        allocation, one non-temporal store, one run.
+        """
+        npages = len(buf) // PAGE_SIZE
+        block = self.allocator.alloc(npages, cpu)
+        placed.fresh.append((block, npages))
+        self.dev.write(block * PAGE_SIZE, bytes(buf), nt=True)
+        placed.runs.append([pg_first, block, npages])
+
+    def _unplace_pages(self, placed: _Placed, cpu: int) -> None:
+        """Undo :meth:`_place_pages` for a write that never committed."""
+        for block, count in placed.fresh:
+            self.allocator.free(block, count, cpu)
+
+    def _settle_pages(self, placed: _Placed, appended: list[tuple]) -> None:
+        """Pipeline stage *settle*, run right after the tail commit:
+        inline dedup settles its staged counts and completes the flags."""
 
     def initial_dedupe_flag(self) -> int:
         """Plain NOVA marks writes complete: nothing will dedup them."""

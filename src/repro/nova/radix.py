@@ -23,7 +23,7 @@ from repro.nova.entries import WriteEntry
 from repro.pm.clock import SimClock
 from repro.pm.latency import CpuModel
 
-__all__ = ["FileIndex", "Displaced"]
+__all__ = ["FileIndex", "Displaced", "extend_runs"]
 
 
 @dataclass
@@ -139,12 +139,7 @@ class FileIndex:
         for pgoff in self.mapped_offsets:
             self._clock.advance(self._cpu.dram_touch_ns)
             _addr, entry = self._slots[pgoff]
-            block = entry.block_for(pgoff)
-            if runs and runs[-1][0] + runs[-1][2] == pgoff \
-                    and runs[-1][1] + runs[-1][2] == block:
-                runs[-1][2] += 1
-            else:
-                runs.append([pgoff, block, 1])
+            extend_runs(runs, pgoff, entry.block_for(pgoff))
         return [tuple(r) for r in runs]
 
     def referenced_pages(self) -> set[int]:
@@ -153,6 +148,16 @@ class FileIndex:
             entry.block_for(pgoff)
             for pgoff, (_addr, entry) in self._slots.items()
         }
+
+
+def extend_runs(runs: list[list[int]], pgoff: int, block: int) -> None:
+    """Add one page to ``[pgoff, block, count]`` runs: the last run grows
+    while both the file offset and the device page advance by one."""
+    if runs and runs[-1][0] + runs[-1][2] == pgoff \
+            and runs[-1][1] + runs[-1][2] == block:
+        runs[-1][2] += 1
+    else:
+        runs.append([pgoff, block, 1])
 
 
 def _group(pages: list[int]) -> list[tuple[int, int]]:

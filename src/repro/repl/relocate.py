@@ -49,11 +49,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from repro.nova.entries import (
-    DEDUPE_COMPLETE,
-    DEDUPE_IN_PROCESS,
-    WriteEntry,
-)
+from repro.dedup.daemon import append_redirects
+from repro.nova.entries import DEDUPE_COMPLETE
 from repro.nova.fs import ino_cpu
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
@@ -119,18 +116,8 @@ def _redirect_ref(fs, ino: int, pgoff: int, new_block: int) -> None:
     in the same FACT entry, whose block field the caller retargets.
     """
     cache = fs.caches[ino]
-    cpu = ino_cpu(ino, fs.cpus)
-    we = WriteEntry(
-        file_pgoff=pgoff, num_pages=1, block=new_block,
-        size_after=cache.inode.size, ino=ino,
-        mtime=int(fs.clock.now_ns), dedupe_flag=DEDUPE_IN_PROCESS,
-    )
-    addr, tail = fs.log.append(ino, cache.tail, we.pack(), cpu)
-    fs.note_dedup_pending(addr)
-    fs.log.commit(ino, tail)
-    cache.tail = tail
-    cache.inode.log_tail = tail
-    cache.entry_count += 1
+    (addr, we), = append_redirects(fs, ino, cache, [(pgoff, new_block)],
+                                   ino_cpu(ino, fs.cpus))
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
     fs.note_dedup_done(addr)
     displaced = cache.index.redirect(pgoff, addr, we)

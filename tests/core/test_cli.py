@@ -40,6 +40,17 @@ class TestLifecycle:
         assert main(["get", image, "/data", str(dst)]) == 0
         assert dst.read_bytes() == payload
 
+    def test_put_into_full_image_is_one_error_line(self, tmp_path, capsys):
+        img = str(tmp_path / "tiny.img")
+        assert main(["mkfs", img, "--pages", "256", "--inodes", "16"]) == 0
+        big = tmp_path / "big.bin"
+        big.write_bytes(bytes(2 << 20))
+        capsys.readouterr()
+        assert main(["put", img, "/big", str(big)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NoSpace: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_put_overwrites(self, image, tmp_path):
         a = tmp_path / "a"
         a.write_bytes(b"version one, long " * 100)
