@@ -925,71 +925,21 @@ def cmd_repl(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    """Differential crash-consistency fuzzing (no image file needed)."""
-    from repro.fuzz import FuzzConfig, FuzzRunner, GenConfig
+    """Crash-consistency fuzzing (no image file needed)."""
+    from repro.fuzz import (FuzzConfig, FuzzRunner, GenConfig,
+                            run_backup_case, run_repl_case)
 
-    if args.backup:
-        from repro.fuzz import run_backup_case
-
-        cases = max(1, args.ops // max(1, args.seq_ops))
-        results = []
-        for i in range(cases):
-            cfg = FuzzConfig(seed=args.seed + i, seq_ops=args.seq_ops,
-                             budget=args.budget, pages=args.pages,
-                             alpha=args.alpha)
-            results.append(run_backup_case(cfg))
-        points = sum(r.crash_points for r in results)
-        violations = [v for r in results for v in r.violations]
-        if args.json:
-            print(json.dumps({
-                "seed": args.seed,
-                "cases": cases,
-                "crash_points": points,
-                "records": sum(r.records for r in results),
-                "violations": [str(v) for v in violations],
-            }, indent=2))
-        else:
-            verdict = "CLEAN" if not violations else "FAILURES"
-            print(f"{verdict}: {cases} ingest sweeps, "
-                  f"{points} crash points checked, "
-                  f"{len(violations)} violations")
-            for v in violations:
-                print(f"  {v}")
-        return 0 if not violations else 1
-
-    if args.repl:
-        # Dedicated replication-pipeline sweep: recv staging cursors +
-        # relocation intent journals enter the crash window (the
-        # differential campaign below hosts relocate/restore ops too,
-        # via repro.fuzz.repl.repl_gen_config).
-        from repro.fuzz import run_repl_case
-
-        cases = max(1, args.ops // max(1, args.seq_ops))
-        results = []
-        for i in range(cases):
-            cfg = FuzzConfig(seed=args.seed + i, seq_ops=args.seq_ops,
-                             budget=args.budget, pages=args.pages,
-                             alpha=args.alpha)
-            results.append(run_repl_case(cfg))
-        points = sum(r.crash_points for r in results)
-        violations = [v for r in results for v in r.violations]
-        if args.json:
-            print(json.dumps({
-                "seed": args.seed,
-                "cases": cases,
-                "crash_points": points,
-                "records": sum(r.records for r in results),
-                "violations": [str(v) for v in violations],
-            }, indent=2))
-        else:
-            verdict = "CLEAN" if not violations else "FAILURES"
-            print(f"{verdict}: {cases} repl sweeps, "
-                  f"{points} crash points checked, "
-                  f"{len(violations)} violations")
-            for v in violations:
-                print(f"  {v}")
-        return 0 if not violations else 1
-
+    # The scenario: a two-image pipeline sweep, or the differential
+    # campaign (which hosts relocate/restore ops too, via
+    # repro.fuzz.pipeline.repl_gen_config).
+    pipeline, noun = ((run_backup_case, "ingest sweeps") if args.backup
+                      else (run_repl_case, "repl sweeps") if args.repl
+                      else (None, "sequences"))
+    if pipeline and (args.clients != 1 or args.tenants != 1 or args.corpus
+                     or args.replay_corpus):
+        args.usage_error("--backup/--repl generate their own single-stream "
+                         "sequences: --clients, --tenants, --corpus and "
+                         "--replay-corpus do not apply")
     cfg = FuzzConfig(seed=args.seed, total_ops=args.ops,
                      seq_ops=args.seq_ops, budget=args.budget,
                      pages=args.pages, alpha=args.alpha,
@@ -999,7 +949,9 @@ def cmd_fuzz(args) -> int:
     runner = FuzzRunner(cfg, gen_cfg=GenConfig(alpha=args.alpha),
                         shrink_failures=not args.no_shrink,
                         log=lambda msg: print(f"  {msg}", file=sys.stderr))
-    if args.replay_corpus:
+    if pipeline:
+        result = runner.run_pipeline(pipeline)
+    elif args.replay_corpus:
         result = runner.replay_corpus()
     else:
         result = runner.run()
@@ -1024,7 +976,7 @@ def cmd_fuzz(args) -> int:
     else:
         print(format_table(snapshot, title=f"fuzz seed={cfg.seed}"))
         verdict = "CLEAN" if result.ok else "FAILURES"
-        print(f"{verdict}: {result.sequences} sequences, "
+        print(f"{verdict}: {result.sequences} {noun}, "
               f"{result.ops_applied} ops applied, "
               f"{result.crash_points} crash points checked, "
               f"{len(result.failures)} violations")
@@ -1390,7 +1342,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep crashes through the replication pipeline "
                         "(recv cursors + relocation intent journals)")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(fn=cmd_fuzz)
+    s.set_defaults(fn=cmd_fuzz, usage_error=s.error)
 
     s = sub.add_parser("bench-model", help="print the Eq. 1-5 numbers")
     s.add_argument("--size", type=int, default=4096)

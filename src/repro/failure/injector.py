@@ -26,7 +26,7 @@ import numpy as np
 from repro.pm.device import CrashRequested, PMDevice
 
 __all__ = ["count_persist_events", "run_with_crash", "sweep_crash_points",
-           "CrashOutcome"]
+           "CrashOutcome", "CrashCheckFailed"]
 
 
 @dataclass
@@ -37,6 +37,16 @@ class CrashOutcome:
     phase: str
     crashed: bool          # False: scenario finished before reaching point
     dev: PMDevice
+
+
+class CrashCheckFailed(AssertionError):
+    """``check`` rejected the state recovered from one crash point."""
+
+    def __init__(self, point: int, phase: str, mode: str, cause: Exception):
+        super().__init__(
+            f"recovery check failed after crash at persistence "
+            f"event #{point} ({phase}-commit, mode={mode}): {cause}")
+        self.point, self.phase, self.mode = point, phase, mode
 
 
 def count_persist_events(build: Callable[[], tuple[PMDevice, Callable]]
@@ -103,15 +113,20 @@ def sweep_crash_points(
     max_points: Optional[int] = None,
     stride: int = 1,
     seed: int = 0,
+    total: Optional[int] = None,
 ) -> int:
     """Crash at every persistence event and verify recovery each time.
 
     ``check(dev, point, phase)`` must raise (e.g. ``AssertionError``) on
-    any consistency violation; it receives the recovered device.
+    any consistency violation; it receives the recovered device, and its
+    failure surfaces as :class:`CrashCheckFailed` naming the crash point.
     ``stride`` subsamples points for long scenarios; ``max_points`` caps
-    the sweep.  Returns the number of crash points actually exercised.
+    the sweep; ``total`` is the scenario's persist-event count when the
+    caller already has it (a caller sweeping several modes counts once).
+    Returns the number of crash points actually exercised.
     """
-    total = count_persist_events(build)
+    if total is None:
+        total = count_persist_events(build)
     if max_points is not None:
         total = min(total, max_points)
     tested = 0
@@ -124,9 +139,6 @@ def sweep_crash_points(
             try:
                 check(outcome.dev, point, phase)
             except Exception as exc:
-                raise AssertionError(
-                    f"recovery check failed after crash at persistence "
-                    f"event #{point} ({phase}-commit, mode={mode}): {exc}"
-                ) from exc
+                raise CrashCheckFailed(point, phase, mode, exc) from exc
             tested += 1
     return tested

@@ -1,5 +1,4 @@
-"""The differential checker: real filesystem vs. model oracle, with and
-without injected crashes.
+"""The differential checker and the crash-sweep engine.
 
 Protocol per operation (``apply_op``): the real filesystem runs first,
 then the model.  Four outcomes:
@@ -15,26 +14,31 @@ divergence — the model has no space accounting — it deterministically
 not on that list: every FS op owes its caller a typed, rolled-back
 ``NoSpace``, so one escaping is reported as an ``exception`` violation.
 
-Crash checking replays the sequence under
+Crash checking is one loop, :func:`sweep_case`, for every
+:class:`Scenario`: it replays the scenario's workload under
 :func:`repro.failure.injector.sweep_crash_points` in all four
-(phase, mode) combinations.  A progress cell stashed on the device
-records how many ops committed before the crash; the recovered state
-must then be *pointwise between* the model states M_k and M_{k+1}: each
-path's recovered descriptor equals its descriptor in one of the two
-adjacent model states, paths identical in both must survive, and
-`check_fs_invariants` plus dedupe-flag convergence must hold before and
-after a post-recovery drain.
+(phase, mode) combinations and holds each recovery mount to
+`check_fs_invariants` plus dedupe-flag convergence before and after a
+post-recovery drain, with the scenario's own oracle in between.  For the
+differential scenario the engine's progress count says how many ops
+committed before the crash, and the recovered state must be *pointwise
+between* the model states M_k and M_{k+1}: each path's recovered
+descriptor equals its descriptor in one of the two adjacent model
+states, and paths identical in both must survive.  The two-image
+backup/replication pipelines are the scenarios of
+:mod:`repro.fuzz.pipeline`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.fact import FactFull
 from repro.dedup.hybrid import HybridDeNovaFS
-from repro.failure.injector import count_persist_events, sweep_crash_points
+from repro.failure.injector import (count_persist_events, run_with_crash,
+                                    sweep_crash_points)
 from repro.failure.invariants import InvariantViolation, check_fs_invariants
 from repro.fuzz.gen import apply_to_model, model_after
 from repro.fuzz.model import ModelError, ModelFS
@@ -48,8 +52,10 @@ from repro.pm.clock import SimClock
 from repro.workloads.trace import TraceOp, apply_trace_op
 
 __all__ = ["FuzzConfig", "Violation", "CaseResult", "OracleDivergence",
-           "apply_op", "run_case", "fs_namespace", "flags_converged",
-           "full_equivalence_check", "prefix_equivalence_check", "make_fs"]
+           "Scenario", "sweep_case", "differential_scenario",
+           "nested_scenario", "apply_op", "run_case", "fs_namespace",
+           "flags_converged", "full_equivalence_check",
+           "prefix_equivalence_check", "make_fs"]
 
 _RESOURCE_ERRORS = (NoSpace, FactFull)
 
@@ -112,10 +118,16 @@ class Violation:
 
 @dataclass
 class CaseResult:
+    """Outcome of one case, whichever scenario it swept."""
+
     violations: list = field(default_factory=list)
     ops_applied: int = 0
     ops_skipped: int = 0
     crash_points: int = 0
+    # Pipeline scenarios only: what was sent between the two images.
+    snapshots: tuple = ()
+    stream_bytes: int = 0
+    records: int = 0
 
     @property
     def ok(self) -> bool:
@@ -400,6 +412,134 @@ def prefix_equivalence_check(fs, mk: ModelFS, mk1: ModelFS) -> None:
                 f"{_short(allowed[-1]) if len(allowed) > 1 else '-'}")
 
 
+# ---------------------------------------------------------------- the engine
+
+
+@dataclass
+class Scenario:
+    """All the sweep engine does not know about what it sweeps.
+
+    ``build(tick)`` makes a fresh device and returns ``(dev, workload)``;
+    ``workload()`` is what gets torn, and calls ``tick()`` once per step
+    it completes so the engine knows how far it got before the crash.
+    ``oracle(fs, progress)`` raises if the recovered, invariant-clean
+    ``fs`` is not a legal outcome of a crash after ``progress`` steps.
+    """
+
+    build: Callable[[Callable[[], None]], tuple]
+    oracle: Callable[[object, int], None]
+
+
+def sweep_case(scenario: Scenario, cfg: FuzzConfig,
+               result: Optional[CaseResult] = None) -> CaseResult:
+    """The crash sweep: every scenario's persist events, torn and checked.
+
+    Counts the scenario's persist events once, turns ``cfg.budget`` into
+    a stride over them, and crashes the workload at each sampled event
+    in every (mode, phase).  After each crash: recovery mount,
+    ``check_fs_invariants``, the scenario's oracle, then daemon drain +
+    weak-block settle, invariants again, and dedupe-flag convergence.
+    Every failed point becomes one ``Violation`` naming it.
+    """
+    result = result if result is not None else CaseResult()
+    combos = len(cfg.modes) * len(cfg.phases)
+    if not combos or cfg.budget <= 0:
+        return result
+    progress = [0]
+
+    def tick() -> None:
+        progress[0] += 1
+
+    def build():
+        progress[0] = 0
+        return scenario.build(tick)
+
+    def check(dev, point, phase):
+        result.crash_points += 1
+        rec = _fs_cls(cfg).mount(dev, cpus=cfg.cpus)
+        try:
+            check_fs_invariants(rec)
+            scenario.oracle(rec, progress[0])
+            rec.daemon.drain()
+            _settle(rec)  # hybrid: exercise lazy FACT insert post-recovery
+            check_fs_invariants(rec)
+            if not flags_converged(rec):
+                raise InvariantViolation(
+                    "in_process entries survive recovery + drain")
+        except Exception as exc:
+            if getattr(exc, "flight_dump", None) is None:
+                exc.flight_dump = rec.obs.flight.dump(reason="fuzz:sweep")
+            raise
+
+    total = count_persist_events(build)
+    per_combo = max(1, cfg.budget // combos)
+    stride = max(1, total // per_combo)
+    for mode in cfg.modes:
+        try:
+            sweep_crash_points(build, check, phases=cfg.phases, mode=mode,
+                               stride=stride, seed=cfg.seed, total=total)
+        except AssertionError as exc:
+            result.violations.append(Violation(
+                kind="invariant", detail=str(exc), stage="sweep",
+                point=getattr(exc, "point", None),
+                phase=getattr(exc, "phase", None), mode=mode,
+                flight=getattr(exc.__cause__, "flight_dump", None)))
+    return result
+
+
+# ---------------------------------------------------------------- scenarios
+
+
+def differential_scenario(ops: list[TraceOp], cfg: FuzzConfig) -> Scenario:
+    """Tear the op sequence itself; a crash after ``k`` committed ops
+    must recover pointwise between the model states M_k and M_k+1."""
+    model_cache: dict[int, ModelFS] = {}
+
+    def model_at(k: int) -> ModelFS:
+        k = max(0, min(k, len(ops)))
+        if k not in model_cache:
+            model_cache[k] = model_after(ops[:k])
+        return model_cache[k]
+
+    def build(tick):
+        case_fs = make_fs(cfg)
+
+        def workload():
+            f, m = case_fs, ModelFS()
+            for op in ops:
+                f, status = apply_op(f, m, op)
+                tick()
+                if status == "stop":
+                    break
+            f.daemon.drain()
+            # Clean unmount persists the DWQ save area and the remount
+            # checkpoint — sweeping past the drain tears every
+            # checkpoint persist event too (recovery must fall back to
+            # the full scan when the header or payload is incomplete).
+            f.unmount()
+
+        return case_fs.dev, workload
+
+    def oracle(rec, k):
+        prefix_equivalence_check(rec, model_at(k), model_at(k + 1))
+
+    return Scenario(build, oracle)
+
+
+def nested_scenario(outer: Scenario, cfg: FuzzConfig, point: int,
+                    phase: str = "post", mode: str = "discard") -> Scenario:
+    """Tear the *recovery mount* of an image ``outer`` left crashed at
+    one point: recovery must be idempotent, so whatever a second mount
+    recovers owes ``outer``'s oracle exactly what the first one did."""
+
+    def build(tick):
+        dev = run_with_crash(lambda: outer.build(tick), point, phase=phase,
+                             mode=mode, seed=cfg.seed).dev
+        return dev, lambda: _fs_cls(cfg).mount(dev, cpus=cfg.cpus)
+
+    return Scenario(build, outer.oracle)
+
+
 # ---------------------------------------------------------------- the case
 
 
@@ -449,66 +589,5 @@ def run_case(ops: list[TraceOp], cfg: Optional[FuzzConfig] = None,
 
     if not sweep:
         return result
-
-    # ---- crash sweeps: all (phase, mode) combos, budget-limited -------
-    run_ops = ops[:stop_at]
-    model_cache: dict[int, ModelFS] = {}
-
-    def model_at(k: int) -> ModelFS:
-        k = max(0, min(k, len(run_ops)))
-        if k not in model_cache:
-            model_cache[k] = model_after(run_ops[:k])
-        return model_cache[k]
-
-    def build():
-        case_fs = make_fs(cfg)
-        state = {"fs": case_fs, "progress": 0}
-        case_fs.dev._fuzz_state = state
-
-        def scenario():
-            f = state["fs"]
-            m = ModelFS()
-            for op in run_ops:
-                f, status = apply_op(f, m, op)
-                state["fs"] = f
-                state["progress"] += 1
-                if status == "stop":
-                    break
-            f.daemon.drain()
-            # Clean unmount persists the DWQ save area and the remount
-            # checkpoint — sweeping past the drain tears every
-            # checkpoint persist event too (recovery must fall back to
-            # the full scan when the header or payload is incomplete).
-            f.unmount()
-
-        return case_fs.dev, scenario
-
-    def check(dev, point, phase):
-        result.crash_points += 1
-        k = dev._fuzz_state["progress"]
-        rec = _fs_cls(cfg).mount(dev, cpus=cfg.cpus)
-        check_fs_invariants(rec)
-        prefix_equivalence_check(rec, model_at(k), model_at(k + 1))
-        rec.daemon.drain()
-        _settle(rec)  # hybrid: exercise lazy FACT insert post-recovery
-        check_fs_invariants(rec)
-        if not flags_converged(rec):
-            raise InvariantViolation(
-                "in_process entries survive recovery + drain")
-
-    combos = [(p, m) for m in cfg.modes for p in cfg.phases]
-    if combos and cfg.budget > 0:
-        total = count_persist_events(build)
-        per_combo = max(1, cfg.budget // len(combos))
-        stride = max(1, total // per_combo)
-        for mode in cfg.modes:
-            try:
-                sweep_crash_points(
-                    build, check, phases=cfg.phases, mode=mode,
-                    stride=stride, seed=cfg.seed)
-            except AssertionError as exc:
-                result.violations.append(Violation(
-                    kind="invariant", detail=str(exc), stage="sweep",
-                    mode=mode,
-                    flight=getattr(exc, "flight_dump", None)))
-    return result
+    # ---- crash sweep: all (phase, mode) combos, budget-limited --------
+    return sweep_case(differential_scenario(ops[:stop_at], cfg), cfg, result)

@@ -5,9 +5,11 @@ generated sequences (each on its own stream so sequences are
 independent yet reproducible), differential-checks every sequence with
 :func:`repro.fuzz.diff.run_case`, shrinks any failure to a minimal
 reproducer, and optionally writes reproducers to a corpus directory as
-JSON-lines traces.  Progress and cost are tracked on a
-:class:`repro.obs.MetricsRegistry` so the CLI can print the same table
-and Prometheus text every other subsystem uses.
+JSON-lines traces.  :meth:`FuzzRunner.run_pipeline` is the same
+campaign over cases that generate their own sequence (the two-image
+sweeps of :mod:`repro.fuzz.pipeline`).  Progress and cost are tracked
+on a :class:`repro.obs.MetricsRegistry` so the CLI can print the same
+table and Prometheus text every other subsystem uses.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.fuzz.diff import FuzzConfig, Violation, run_case
@@ -117,10 +119,24 @@ class FuzzRunner:
             stream += 1
         return result
 
-    def run_sequence(self, ops: list[TraceOp], stream: int,
-                     result: CampaignResult) -> Optional[Failure]:
+    def run_pipeline(self, case_fn) -> CampaignResult:
+        """One ``case_fn(cfg)`` per ``seq_ops`` of the op budget, on
+        seeds ``seed, seed + 1, ...``; nothing to shrink or persist."""
+        cfg = self.cfg
+        result = CampaignResult()
+        for i in range(max(1, cfg.total_ops // max(1, cfg.seq_ops))):
+            result.ops_generated += cfg.seq_ops
+            failure = self._check(
+                lambda: case_fn(replace(cfg, seed=cfg.seed + i)), i, result)
+            if failure is not None:
+                result.failures.append(failure)
+        return result
+
+    def _check(self, case_fn, stream: int,
+               result: CampaignResult) -> Optional[Failure]:
+        """Run one case, account for it; a Failure if it was not clean."""
         t0 = time.perf_counter()
-        case = run_case(ops, self.cfg)
+        case = case_fn()
         self.h_case.observe(time.perf_counter() - t0)
         self.m_sequences.inc()
         self.m_ops.inc(case.ops_applied)
@@ -136,10 +152,16 @@ class FuzzRunner:
         self.m_violations.inc(len(case.violations))
         violation = case.violations[0]
         self.log(f"stream {stream}: {violation}")
-        failure = Failure(stream=stream, violation=violation, ops=list(ops))
-        failure.reduced = self._shrink(ops) if self.shrink_failures \
-            else list(ops)
-        failure.repro_path = self._persist(failure)
+        return Failure(stream=stream, violation=violation)
+
+    def run_sequence(self, ops: list[TraceOp], stream: int,
+                     result: CampaignResult) -> Optional[Failure]:
+        failure = self._check(lambda: run_case(ops, self.cfg), stream, result)
+        if failure is not None:
+            failure.ops = list(ops)
+            failure.reduced = self._shrink(ops) if self.shrink_failures \
+                else list(ops)
+            failure.repro_path = self._persist(failure)
         return failure
 
     # ------------------------------------------------------------ plumbing

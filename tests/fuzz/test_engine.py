@@ -1,0 +1,144 @@
+"""The one sweep engine: violation fields, one counting pass, structure."""
+
+import ast
+import pathlib
+
+import pytest
+
+import repro
+import repro.fuzz.diff as diff
+from repro.fuzz.diff import (FuzzConfig, Scenario, differential_scenario,
+                             sweep_case)
+from repro.workloads.trace import TraceOp
+
+OPS = [TraceOp(op="create", path=f"/f{i}") for i in range(3)]
+
+
+class _Boom(Exception):
+    pass
+
+
+MODES, PHASES = ("discard", "torn"), ("pre", "post")
+
+
+@pytest.mark.parametrize("target", [(3, "post", "torn"), (1, "pre", "torn"),
+                                    (2, "post", "discard")])
+def test_violation_names_the_crash_point(target):
+    """A toy oracle that rejects one chosen (point, phase, mode): the
+    engine turns it into exactly one Violation carrying those three and
+    a flight dump, abandons that mode, and still sweeps the other."""
+    cfg = FuzzConfig(seed=0, budget=10 ** 6, modes=MODES, phases=PHASES)
+    build = differential_scenario(OPS, cfg).build
+    clean = sweep_case(Scenario(build, lambda rec, progress: None), cfg)
+    assert clean.ok
+    n = clean.crash_points // 4          # stride 1: every event, 4 combos
+
+    # The engine visits modes outermost, then phases, then points 1..n.
+    point, phase, mode = target
+    index = ((MODES.index(mode) * 2 + PHASES.index(phase)) * n) + point - 1
+    progress_seen = []
+
+    def oracle(rec, progress):
+        progress_seen.append(progress)
+        if len(progress_seen) - 1 == index:
+            raise _Boom("toy oracle tripped")
+
+    res = sweep_case(Scenario(build, oracle), cfg)
+    assert len(res.violations) == 1
+    v = res.violations[0]
+    assert (v.point, v.phase, v.mode) == target
+    assert (v.stage, v.kind) == ("sweep", "invariant")
+    assert "toy oracle tripped" in v.detail
+    assert f"crash@{point} ({phase}-commit, mode={mode})" in str(v)
+    assert v.flight["reason"] == "fuzz:sweep"
+    # The failing point is counted; a failed discard mode does not stop
+    # the torn one.
+    rest = 2 * n if mode == "discard" else 0
+    assert res.crash_points == len(progress_seen) == index + 1 + rest
+    # Engine-held progress: ticks of the torn workload, 0..len(OPS).
+    assert min(progress_seen) == 0 and max(progress_seen) == len(OPS)
+
+
+def test_two_modes_count_persist_events_once(monkeypatch):
+    """A 2-mode case runs the counting pass once, not once per mode (and
+    not a third time inside each sweep)."""
+    import repro.failure.injector as injector
+
+    calls = []
+    real = injector.count_persist_events
+
+    def counting(build):
+        calls.append(1)
+        return real(build)
+
+    monkeypatch.setattr(injector, "count_persist_events", counting)
+    monkeypatch.setattr(diff, "count_persist_events", counting)
+    cfg = FuzzConfig(seed=0, budget=8, modes=("discard", "torn"))
+    res = sweep_case(differential_scenario(OPS, cfg), cfg)
+    assert res.ok and res.crash_points > 0
+    assert len(calls) == 1
+
+
+def test_pipeline_violation_carries_location(monkeypatch):
+    """The pipeline scenario reports through the same engine: make its
+    oracle see staging residue and the Violation has point/phase/mode
+    and a flight dump, which the old backup/repl runners never filled."""
+    import repro.fuzz.pipeline as pipeline
+
+    def with_residue(fs):
+        return {**diff.fs_namespace(fs), "/.backup_stage/x": ("dir",)}
+
+    cfg = FuzzConfig(seed=2, seq_ops=24, budget=8, modes=("discard",),
+                     phases=("post",))
+    case = pipeline.prepare_pipeline_case(cfg, ("fz",))
+    monkeypatch.setattr(pipeline, "fs_namespace", with_residue)
+    res = sweep_case(pipeline.pipeline_scenario(case, cfg, ("fz",), False),
+                     cfg)
+    v, = res.violations
+    assert (v.point, v.phase, v.mode) == (1, "post", "discard")
+    assert "staging residue" in v.detail and v.flight is not None
+    assert res.crash_points == 1
+
+
+# ------------------------------------------------------------------ structure
+
+_SRC = pathlib.Path(repro.__file__).parent
+_INJECTOR = {"count_persist_events", "run_with_crash", "sweep_crash_points"}
+_ENGINE = {"failure/injector.py", "fuzz/diff.py"}
+
+
+def _calls(tree, names):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in names:
+                yield name, node.lineno
+
+
+def test_one_sweep_engine():
+    """The injector is driven from one place.  A new crash sweep is a
+    ``Scenario`` handed to ``sweep_case``, not a fourth copy of the
+    count → stride → mode × phase loop."""
+    sites = []
+    for path in sorted(_SRC.rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        for name, line in _calls(ast.parse(path.read_text()), _INJECTOR):
+            sites.append((rel, name, line))
+    stray = [s for s in sites if s[0] not in _ENGINE]
+    assert not stray, f"crash injection outside the sweep engine: {stray}"
+
+    # Inside the engine module: one function counts and sweeps.
+    tree = ast.parse((_SRC / "fuzz/diff.py").read_text())
+    owners = {}
+    for fn in [n for n in tree.body if isinstance(n, ast.FunctionDef)]:
+        for name, _line in _calls(fn, _INJECTOR):
+            owners.setdefault(name, []).append(fn.name)
+    assert owners == {"count_persist_events": ["sweep_case"],
+                      "sweep_crash_points": ["sweep_case"],
+                      "run_with_crash": ["nested_scenario"]}, owners
+    mode_loops = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.For)
+        and ast.unparse(node.iter) == "cfg.modes"]
+    assert mode_loops == ["sweep_case"], mode_loops

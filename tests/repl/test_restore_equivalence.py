@@ -68,13 +68,11 @@ class TestRelocationCrashSweep:
 
         def build():
             src, dst, _b, _names = build_chain_pair(3)
-            state = {"fs": dst}
-            dst.dev._fuzz_state = state
 
             def scenario():
-                out = relocate_latest(state["fs"])
+                out = relocate_latest(dst)
                 assert out["done"]
-                state["fs"].unmount()
+                dst.unmount()
 
             return dst.dev, scenario
 
