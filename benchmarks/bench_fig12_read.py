@@ -15,14 +15,14 @@ from _common import emit, rel
 from repro.analysis import render_table
 from repro.core import Config, Variant, make_fs
 from repro.workloads import DataGenerator
-from repro.workloads.runner import SimContext
+from repro.conc import ConcurrentVFS
 
 FILE_PAGES = 64          # scaled stand-in for the paper's 4 GB files
 PAGE = 4096
 
 
 def setup(variant):
-    fs, _dd = make_fs(variant, Config(device_pages=8192, max_inodes=64))
+    fs, dd = make_fs(variant, Config(device_pages=8192, max_inodes=64))
     gen = DataGenerator(alpha=0.0, seed=13)
     data = gen.file_data(FILE_PAGES * PAGE)
     a = fs.create("/A")
@@ -33,26 +33,25 @@ def setup(variant):
         fs.daemon.drain()      # "plenty of time for the DD to finish"
         shared = fs.space_stats()
         assert shared["physical_pages"] == FILE_PAGES  # fully shared
-    return fs, a, b
+    return fs, dd, a, b
 
 
 def measure(variant, mixed: bool) -> float:
     """Simulated read throughput (MB/s) of the B-reader thread."""
-    fs, a, b = setup(variant)
-    ctx = SimContext(fs)
+    fs, dd, a, b = setup(variant)
+    vfs = ConcurrentVFS(fs)
     done = {}
 
     def reader():
-        t0 = ctx.eng.now
+        t0 = vfs.eng.now
         moved = 0
         for _ in range(4):  # several passes over B
             for pg in range(FILE_PAGES):
-                def _read(pg=pg):
-                    return fs.read(b, pg * PAGE, PAGE)
-
-                _, _cost = yield from ctx.op(_read, ino=b)
+                yield from vfs.op(
+                    lambda pg=pg: fs.read(b, pg * PAGE, PAGE),
+                    "reader-B", ino=b, ino_mode="r")
                 moved += PAGE
-        done["ns"] = ctx.eng.now - t0
+        done["ns"] = vfs.eng.now - t0
         done["bytes"] = moved
 
     def other_thread():
@@ -60,19 +59,19 @@ def measure(variant, mixed: bool) -> float:
         for _ in range(2):
             for pg in range(FILE_PAGES):
                 if mixed:
-                    data = gen.file_data(PAGE)
-
-                    def _op(pg=pg, data=data):
-                        return fs.write(a, pg * PAGE, data)
+                    yield from vfs.write(
+                        lambda pg=pg, data=gen.file_data(PAGE):
+                            fs.write(a, pg * PAGE, data),
+                        "thread-A", a)
                 else:
-                    def _op(pg=pg):
-                        return fs.read(a, pg * PAGE, PAGE)
+                    yield from vfs.op(
+                        lambda pg=pg: fs.read(a, pg * PAGE, PAGE),
+                        "thread-A", ino=a, ino_mode="r")
 
-                yield from ctx.op(_op, ino=a)
-
-    ctx.eng.process(reader(), name="reader-B")
-    ctx.eng.process(other_thread(), name="thread-A")
-    ctx.eng.run()
+    # The dedup pool runs beside both threads (dd is the variant's drive
+    # policy): the overwrites of A enqueue DWQ nodes it works off.
+    vfs.run([vfs.client(reader(), name="reader-B"),
+             vfs.client(other_thread(), name="thread-A")], dd)
     return (done["bytes"] / (1 << 20)) / (done["ns"] / 1e9)
 
 
@@ -102,8 +101,8 @@ def test_fig12_read_throughput(benchmark):
 
 
 def test_reads_never_touch_fact(benchmark):
-    fs, a, b = benchmark.pedantic(lambda: setup(Variant.IMMEDIATE),
-                                  rounds=1, iterations=1)
+    fs, _dd, a, b = benchmark.pedantic(lambda: setup(Variant.IMMEDIATE),
+                                       rounds=1, iterations=1)
     lookups_before = fs.fact.stats["lookups"]
     reads_before = fs.dev.stats.reads
     for pg in range(FILE_PAGES):
@@ -115,7 +114,7 @@ def test_reads_never_touch_fact(benchmark):
 def test_mixed_workload_cow_isolation(benchmark):
     """Overwriting A never perturbs B's bytes (shared pages are CoW'd)."""
     def run():
-        fs, a, b = setup(Variant.IMMEDIATE)
+        fs, _dd, a, b = setup(Variant.IMMEDIATE)
         before = fs.read(b, 0, FILE_PAGES * PAGE)
         gen = DataGenerator(alpha=0.0, seed=5, stream=9)
         fs.write(a, 0, gen.file_data(FILE_PAGES * PAGE))

@@ -51,8 +51,21 @@ def _image_fs_class(dev):
     return DeNovaFS
 
 
+class CLIError(Exception):
+    """A failure the user caused: ``main`` prints one ``error:`` line."""
+
+
+def _load_device(image: str) -> PMDevice:
+    try:
+        return PMDevice.load_image(image, clock=SimClock())
+    except OSError as exc:
+        raise CLIError(f"{image}: {exc.strerror}") from None
+    except ValueError as exc:   # bad magic, unknown model, truncated
+        raise CLIError(str(exc)) from None
+
+
 def _open_fs(image: str, **mount_kw):
-    dev = PMDevice.load_image(image, clock=SimClock())
+    dev = _load_device(image)
     fs = _image_fs_class(dev).mount(dev, **mount_kw)
     # SLO alerts / invariant trips during this invocation dump the
     # flight recorder next to the image automatically.
@@ -532,7 +545,7 @@ def cmd_tenant(args) -> int:
 
 
 def cmd_crash(args) -> int:
-    dev = PMDevice.load_image(args.image, clock=SimClock())
+    dev = _load_device(args.image)
     fs = _image_fs_class(dev).mount(dev)
     # Leave some work in flight so the crash is interesting, then pull
     # the plug without unmounting.
@@ -555,11 +568,7 @@ _FORCED_MODE = {name: mode for mode, name in MODE_NAMES.items()}
 
 
 def cmd_workload(args) -> int:
-    from repro.workloads import DDMode, run_workload, small_file_job
-
     fs = _open_fs(args.image)
-    if args.tenants:
-        return _run_fleet_workload(fs, args)
     if args.dedup_mode != "auto":
         if not hasattr(fs, "force_mode"):
             print(f"--dedup-mode {args.dedup_mode} needs an image "
@@ -577,10 +586,35 @@ def cmd_workload(args) -> int:
             print(f"--staging: {exc} (reformat with a staging region)",
                   file=sys.stderr)
             return 1
-    dd = (DDMode.immediate() if hasattr(fs, "daemon") else DDMode.none())
+    print(_run_fleet_workload(fs, args) if args.tenants
+          else _run_flat_workload(fs, args))
+    if args.trace_out:
+        # The span ring dies with this process; export the concurrent
+        # run's causal trace (writer/worker/shard lanes) while we have it.
+        with open(args.trace_out, "w") as fh:
+            json.dump(to_chrome_trace(list(fs.obs.tracer.events)), fh,
+                      indent=1)
+        print(f"chrome trace written to {args.trace_out}")
+    _close(fs, args.image)
+    return 0
+
+
+def _staging_rows(fs) -> list:
+    st = fs.staging.stats()
+    return [["staging absorbed",
+             f"{st['absorbed']} writes + {st['absorbed_creates']} "
+             f"creates ({st['absorbed_bytes']} B)"],
+            ["staging destaged/fallbacks",
+             f"{st['destaged']}/{st['fallbacks']}"]]
+
+
+def _run_flat_workload(fs, args) -> str:
+    """``workload``: N fio threads on one flat file set."""
+    from repro.workloads import run_workload, small_file_job
+
     spec = small_file_job(nfiles=args.files, dup_ratio=args.dup,
                           threads=args.threads, seed=args.seed)
-    res = run_workload(fs, spec, dd=dd, workers=args.workers)
+    res = run_workload(fs, spec, workers=args.workers)
     rows = [["files", res.files_done],
             ["throughput MB/s (sim)", round(res.throughput_mb_s, 1)],
             ["files/s (sim)", round(res.files_per_s)],
@@ -590,14 +624,9 @@ def cmd_workload(args) -> int:
             ["dwq steals", res.steals],
             ["writer stalls", res.stalls],
             ["space saving", f"{res.space.get('space_saving', 0):.1%}"]]
-    if args.staging and fs.staging is not None:
-        st = fs.staging.stats()
-        rows += [["staging absorbed",
-                  f"{st['absorbed']} writes + {st['absorbed_creates']} "
-                  f"creates ({st['absorbed_bytes']} B)"],
-                 ["staging destaged/fallbacks",
-                  f"{st['destaged']}/{st['fallbacks']}"],
-                 ["staging destage records", res.destage_records]]
+    if args.staging:
+        rows += _staging_rows(fs) + [["staging destage records",
+                                      res.destage_records]]
     hy = res.space.get("hybrid")
     if hy:
         rows += [["hybrid modes",
@@ -612,31 +641,20 @@ def cmd_workload(args) -> int:
         rows.append([f"t{t} p50/p95/p99 us",
                      "/".join(f"{lat[k] / 1000:.1f}"
                               for k in ("p50_ns", "p95_ns", "p99_ns"))])
-    print(render_table(["metric", "value"], rows,
-                       title=f"workload on {args.image}"))
-    if args.trace_out:
-        # The span ring dies with this process; export the concurrent
-        # run's causal trace (writer/worker/shard lanes) while we have it.
-        with open(args.trace_out, "w") as fh:
-            json.dump(to_chrome_trace(list(fs.obs.tracer.events)), fh,
-                      indent=1)
-        print(f"chrome trace written to {args.trace_out}")
-    _close(fs, args.image)
-    return 0
+    return render_table(["metric", "value"], rows,
+                        title=f"workload on {args.image}")
 
 
-def _run_fleet_workload(fs, args) -> int:
+def _run_fleet_workload(fs, args) -> str:
     """``workload --tenants N``: the multi-tenant fleet scenario."""
-    from repro.workloads import DDMode
     from repro.workloads.fleet import FleetSpec, run_fleet
 
-    dd = (DDMode.immediate() if hasattr(fs, "daemon") else DDMode.none())
     spec = FleetSpec(tenants=args.tenants, base_files=args.files,
                      dup_ratio=args.dup, seed=args.seed,
                      noisy_tenant=args.noisy,
                      noisy_burst_files=(args.files if args.noisy is not None
                                         else 0))
-    res = run_fleet(fs, spec, dd=dd, workers=args.workers,
+    res = run_fleet(fs, spec, workers=args.workers,
                     max_shard_depth=8, qos=args.qos)
     rows = []
     for name, st in sorted(res.per_tenant.items()):
@@ -644,14 +662,15 @@ def _run_fleet_workload(fs, args) -> int:
                      "/".join(f"{st[k] / 1000:.1f}"
                               for k in ("p50_ns", "p95_ns", "p99_ns")),
                      res.quota_failures.get(name, 0)])
-    print(render_table(
+    table = render_table(
         ["tenant", "files", "bytes", "p50/p95/p99 us", "quota fails"],
         rows,
         title=f"fleet on {args.image} "
               f"(qos={'on' if args.qos else 'off'}, "
-              f"stalls={res.stalls})"))
-    _close(fs, args.image)
-    return 0
+              f"stalls={res.stalls})")
+    if args.staging:
+        table += "\n" + "\n".join(f"{k}: {v}" for k, v in _staging_rows(fs))
+    return table
 
 
 def cmd_tree(args) -> int:
@@ -1004,6 +1023,13 @@ def cmd_bench_model(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="repro",
                                 description=__doc__.split("\n\n")[0])
@@ -1128,10 +1154,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("workload", help="run a fio-like workload")
     s.add_argument("image")
-    s.add_argument("--files", type=int, default=100)
+    s.add_argument("--files", type=_positive_int, default=100)
     s.add_argument("--dup", type=float, default=0.5)
-    s.add_argument("--threads", type=int, default=1)
-    s.add_argument("--workers", type=int, default=1,
+    s.add_argument("--threads", type=_positive_int, default=1)
+    s.add_argument("--workers", type=_positive_int, default=1,
                    help="dedup worker pool size (1 = the paper's daemon)")
     s.add_argument("--seed", type=int, default=42)
     s.add_argument("--dedup-mode", default="auto", choices=DEDUP_MODES,
@@ -1365,6 +1391,8 @@ def main(argv=None) -> int:
         print(f"quota exceeded: {exc}", file=sys.stderr)
     except FSError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except CLIError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     return 1
 
 

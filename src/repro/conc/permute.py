@@ -95,9 +95,9 @@ def run_permutations(make_fs: Callable[[], tuple],
     ``make_fs() -> (fs, dd)`` builds a fresh filesystem per run (the
     :func:`repro.core.make_fs` contract); ``client_gen(vfs, tid)``
     yields one client's op generator.  Each seed gets its own
-    ConcurrentVFS with schedule jitter; after clients finish the worker
-    pool drains, the optional ``check`` callback runs (invariants), and
-    the logical digest is recorded.
+    ConcurrentVFS with schedule jitter and one :meth:`ConcurrentVFS.run`
+    (clients, then the worker pool drains); then the optional ``check``
+    callback runs (invariants) and the logical digest is recorded.
     """
     report = PermutationReport()
     for seed in seeds:
@@ -107,21 +107,7 @@ def run_permutations(make_fs: Callable[[], tuple],
                             max_shard_depth=max_shard_depth)
         procs = [vfs.client(client_gen(vfs, t), name=f"client-{t}")
                  for t in range(clients)]
-        worker_procs = []
-        if dd is not None and dd.kind != "none" and vfs.sdwq is not None:
-            worker_procs = vfs.start_workers(dd)
-
-        def _coordinator():
-            yield vfs.eng.all_of(procs)
-            vfs.stop_workers()
-            if worker_procs:
-                yield vfs.eng.all_of(worker_procs)
-
-        coord = vfs.eng.process(_coordinator(), name="coordinator")
-        vfs.eng.run()
-        if not coord.triggered:
-            raise RuntimeError(f"seed {seed}: schedule deadlocked")
-        fs.clock.sync_to(max(fs.clock.now_ns, vfs.now_ns))
+        vfs.run(procs, dd)
         if check is not None:
             check(fs)
         report.seeds.append(seed)

@@ -1,9 +1,14 @@
 """ConcurrentVFS — N simulated clients against one filesystem.
 
 The front-end of the concurrency subsystem: it owns the DES engine, the
-lock hierarchy, the sharded DWQ, and the dedup worker pool, and exposes
-one primitive — :meth:`op` — that runs a synchronous filesystem call as
-a properly locked, cost-accounted simulated-time operation.
+lock hierarchy, the sharded DWQ, and the dedup and destage pools, and
+exposes three things a workload driver composes: :meth:`op` runs a
+synchronous filesystem call as a properly locked, cost-accounted
+simulated-time operation; :meth:`write` is an ``op`` that may enqueue
+DWQ nodes (admission, the tenant's DWQ-share reservation, the worker
+kick); :meth:`run` drives client processes to completion beside the
+pools.  Nothing outside this module admits, releases a reservation,
+starts a pool or runs the engine (``tests/conc/test_driver.py``).
 
 Lock hierarchy (acquisition must follow this order; the
 :class:`~repro.conc.lockorder.LockOrderValidator` enforces it at
@@ -58,42 +63,49 @@ WAIT_BUCKETS_NS = (
 )
 
 
+#: Oversubscription cost per queued waiter on a bandwidth-slot hand-off.
+BW_QUEUE_PENALTY_NS = 120.0
+
+#: Contention penalty of the ino / shard / bucket locks.  Namespace
+#: updates (inode allocation + parent-dir dentry append) serialize
+#: harder than data writes — the ns lock carries 6× this — which is why
+#: create-dominated small-file workloads peak at fewer threads than
+#: large-file ones (the paper's Fig. 9: 2 vs 8).
+LOCK_PENALTY_NS = 60.0
+
+#: Per-create coherence cost for each *other* live client: shared
+#: inode-table and directory cache lines ping-pong between cores.
+NAMESPACE_COHERENCE_NS = 1500.0
+
+#: Destage workers are DES-clock driven: each polls its share of pending
+#: inodes this often, so destage lag is bounded and deterministic.
+DESTAGE_POLL_NS = 200_000.0
+
+#: Slab-occupancy fraction above which a destage worker drains an inode
+#: before being told to stop (lazy, pressure-driven).
+DESTAGE_HIGH_WATER = 0.5
+
+
 class ConcurrentVFS:
     """Concurrency front-end for one mounted filesystem."""
 
     def __init__(self, fs, *, bw_slots: int = 4,
-                 bw_queue_penalty_ns: float = 120.0,
-                 lock_penalty_ns: float = 60.0,
-                 namespace_coherence_ns: float = 1500.0,
                  workers: int = 1,
                  shards: Optional[int] = None,
                  max_shard_depth: Optional[int] = None,
-                 validate_lock_order: bool = True,
                  jitter_seed: Optional[int] = None,
                  jitter_ns: float = 2000.0,
                  qos: bool = False,
-                 qos_op_rate_per_s: Optional[float] = None,
-                 qos_burst: Optional[float] = None):
+                 qos_op_rate_per_s: Optional[float] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.fs = fs
         self.eng = Engine(obs=getattr(fs, "obs", None))
         self.base_ns = fs.clock.now_ns
         self.bw = Resource(self.eng, bw_slots)
-        self.bw_queue_penalty_ns = bw_queue_penalty_ns
-        self.lock_penalty_ns = lock_penalty_ns
-        # Namespace updates (inode allocation + parent-dir dentry append)
-        # serialize harder than data writes; small-file workloads are
-        # create-dominated, which is why their throughput peaks at fewer
-        # threads than large-file workloads (the paper's Fig. 9: 2 vs 8).
         self.ns_lock = RWLock(self.eng,
-                              contention_penalty_ns=6 * lock_penalty_ns)
-        # Per-create coherence cost added for each *other* live client:
-        # shared inode-table and directory cache lines ping-pong between
-        # cores.  Measured from the live-client gauge, not assumed from
-        # the spec — a client that finished early stops taxing the rest.
-        self.namespace_coherence_ns = namespace_coherence_ns
-        self.validator = LockOrderValidator(enabled=validate_lock_order)
+                              contention_penalty_ns=6 * LOCK_PENALTY_NS)
+        self.validator = LockOrderValidator()
         self._ino_locks: dict[int, RWLock] = {}
         self._bucket_locks: dict[int, Lock] = {}
         self.live_clients = 0
@@ -102,18 +114,9 @@ class ConcurrentVFS:
         self.worker_busy_ns = 0.0
         self._worker_wakes: list = []
         self._stop = False
-        # Staging destage pool (started on demand; see
-        # start_destage_workers).  Workers are DES-clock driven: each
-        # polls its share of pending inodes every destage_poll_ns of
-        # simulated time, so destage lag is bounded and deterministic.
-        self.destage_poll_ns = 200_000.0
-        #: Slab-occupancy fraction above which a destage worker drains
-        #: an inode before being told to stop (lazy, pressure-driven).
-        self.destage_high_water = 0.5
         self.destage_records = 0
         self.destage_busy_ns = 0.0
         self._stop_destage = False
-        self._destage_pool = 0
         self._jitter = (random.Random(f"repro.conc:{jitter_seed}")
                         if jitter_seed is not None else None)
         self._jitter_ns = jitter_ns
@@ -131,7 +134,7 @@ class ConcurrentVFS:
             fs.dwq = sdwq
             self.sdwq = sdwq
             self._shard_locks = [
-                Lock(self.eng, contention_penalty_ns=lock_penalty_ns)
+                Lock(self.eng, contention_penalty_ns=LOCK_PENALTY_NS)
                 for _ in range(nshards)]
             self._space_waiters = [[] for _ in range(nshards)]
 
@@ -145,8 +148,7 @@ class ConcurrentVFS:
             self.qos = TenantQoS(self.eng, getattr(fs, "tenants", None),
                                  bw_slots=bw_slots,
                                  dwq_capacity=dwq_cap,
-                                 op_rate_per_s=qos_op_rate_per_s,
-                                 burst=qos_burst)
+                                 op_rate_per_s=qos_op_rate_per_s)
 
         # ---- contention metrics ----
         obs = getattr(fs, "obs", None)
@@ -184,7 +186,7 @@ class ConcurrentVFS:
         lock = self._ino_locks.get(ino)
         if lock is None:
             lock = RWLock(self.eng,
-                          contention_penalty_ns=self.lock_penalty_ns)
+                          contention_penalty_ns=LOCK_PENALTY_NS)
             self._ino_locks[ino] = lock
         return lock
 
@@ -192,7 +194,7 @@ class ConcurrentVFS:
         lock = self._bucket_locks.get(bucket)
         if lock is None:
             lock = Lock(self.eng,
-                        contention_penalty_ns=self.lock_penalty_ns)
+                        contention_penalty_ns=LOCK_PENALTY_NS)
             self._bucket_locks[bucket] = lock
         return lock
 
@@ -203,8 +205,20 @@ class ConcurrentVFS:
             help=f"client {tid} op latency (lock waits + modelled cost)")
 
     def coherence_tax_ns(self) -> float:
-        """Per-create coherence cost, measured from live clients."""
-        return self.namespace_coherence_ns * max(0, self.live_clients - 1)
+        """Per-create coherence cost, measured from the live-client
+        gauge, not assumed from the spec — a client that finished early
+        stops taxing the rest."""
+        return NAMESPACE_COHERENCE_NS * max(0, self.live_clients - 1)
+
+    def create_tax_ns(self) -> float:
+        """What a *foreground* create pays of it.  A staged create
+        appends to a per-slab staging line instead of the shared inode
+        table + directory log, so the tax moves to the destage worker
+        (which pays it in the background, where the persistent
+        namespace update actually happens)."""
+        if getattr(self.fs, "staging_enabled", False):
+            return 0.0
+        return self.coherence_tax_ns()
 
     # ------------------------------------------------------------ op core
 
@@ -280,7 +294,7 @@ class ConcurrentVFS:
                 if waiting:
                     # Oversubscription coherence/queuing cost: grows with
                     # how crowded the controller was.
-                    penalty = self.bw_queue_penalty_ns * (1 + queued_behind)
+                    penalty = BW_QUEUE_PENALTY_NS * (1 + queued_behind)
             try:
                 fs = self.fs
                 fs.clock.sync_to(max(fs.clock.now_ns, self.now_ns))
@@ -321,6 +335,10 @@ class ConcurrentVFS:
     def admit(self, ino: int, holder: str, tenant: Optional[int] = None):
         """Backpressure gate: stall while the target DWQ shard is full.
 
+        Called by :meth:`write` only — it returns whether it reserved a
+        slot of the tenant's DWQ share, and :meth:`write` is the one
+        place that knows how to hand that slot back.
+
         A no-op when the queue is unbounded (``max_shard_depth=None``,
         the paper's semantics) or the filesystem has no DWQ.  With QoS
         active and a tenant attached, the write additionally stalls
@@ -331,7 +349,7 @@ class ConcurrentVFS:
         """
         sdwq = self.sdwq
         if sdwq is None or sdwq.max_depth is None:
-            return
+            return False
         qos = self.qos
         s = sdwq.shard_of(ino)
         # Both conditions re-checked together after every wait: a writer
@@ -360,11 +378,12 @@ class ConcurrentVFS:
                 self._h_stall.observe(self.eng.now - t0)
                 continue
             break
-        if qos is not None and tenant is not None:
-            # Count the node this write is about to enqueue against the
-            # tenant's share.  A write that fails after admit must undo
-            # this via qos.note_cancelled.
-            qos.note_enqueued(tenant)
+        if qos is None or tenant is None:
+            return False
+        # Count the node this write is about to enqueue against the
+        # tenant's share.
+        qos.note_enqueued(tenant)
+        return True
 
     def _signal_space(self, s: int) -> None:
         if self._space_waiters:
@@ -372,6 +391,52 @@ class ConcurrentVFS:
             for ev in waiters:
                 if not ev.triggered:
                     ev.succeed()
+
+    def write(self, fn: Callable[[], object], holder: str, ino: int, *,
+              ns_mode: Optional[str] = None, extra_ns=0.0,
+              record=None, tenant: Optional[int] = None):
+        """One admitted write: ``fn`` may enqueue DWQ nodes for ``ino``.
+
+        The whole client-side protocol, in its only home: :meth:`admit`
+        (shard backpressure + the tenant's DWQ-share reservation) →
+        :meth:`op` under ``ino`` exclusive and a bandwidth slot → settle
+        the reservation → :meth:`kick_workers`.  The reservation is
+        consumed by the node ``fn`` enqueues and released by the worker
+        that finishes it; a write that enqueued nothing (hybrid inline
+        completion) or raised (quota) would leak it until ``over_share``
+        wedged the tenant, so it is handed back here, exactly once.
+        ``fn`` runs with no engine yield inside, so the DWQ's
+        enqueued-counter delta around it is exact.
+
+        ``record`` observes the client-perceived latency: admission
+        stall + op.  Generator protocol, like :meth:`op`:
+        ``result, cost_ns = yield from vfs.write(...)`` — ``cost_ns`` is
+        the op's modelled cost alone (what think time scales with).
+        """
+        t0 = self.eng.now
+        reserved = yield from self.admit(ino, holder, tenant)
+        sdwq = self.sdwq
+        queued = 0
+
+        def _counted():
+            nonlocal queued
+            before = sdwq.enqueued
+            try:
+                return fn()
+            finally:
+                queued = sdwq.enqueued - before
+
+        try:
+            result, cost = yield from self.op(
+                _counted if reserved else fn, holder, ns_mode=ns_mode,
+                ino=ino, extra_ns=extra_ns, tenant=tenant)
+        finally:
+            if reserved and not queued:
+                self.qos.note_cancelled(tenant)
+        if record is not None:
+            record.observe(self.eng.now - t0)
+        self.kick_workers()
+        return result, cost
 
     # ------------------------------------------------------------ clients
 
@@ -387,43 +452,78 @@ class ConcurrentVFS:
 
         return self.eng.process(_tracked(), name=name or "client")
 
+    def run(self, clients: list[Process], dd, *, destage_workers: int = 1,
+            watchdog=None) -> tuple[float, float]:
+        """Run ``clients`` to completion beside the background pools.
+
+        The whole run protocol, in its only home: start the dedup pool
+        (``dd`` is the drive policy, :class:`repro.workloads.DDMode`;
+        a policy other than ``none`` on a filesystem with no dedup
+        daemon is an error), then the destage pool when the filesystem
+        has staging enabled, then the optional SLO ``watchdog``; wait
+        for the clients; drain destage *before* telling the dedup pool
+        to stop — destaged writes enqueue DWQ nodes it must still see;
+        raise if anything never finished; sync the filesystem clock to
+        the engine.  Returns ``(foreground_ns, total_ns)``: the clients'
+        span and the span until the pools drained too.
+        """
+        eng = self.eng
+        self._stop = self._stop_destage = False
+        workers = self._start_workers(dd) if dd.kind != "none" else []
+        destagers = (self._start_destage_workers(destage_workers)
+                     if getattr(self.fs, "staging_enabled", False) else [])
+        if watchdog is not None:
+            eng.process(watchdog.run(eng, base_ns=self.base_ns),
+                        name="slo-watchdog")
+
+        def _coordinator():
+            yield eng.all_of(clients)
+            foreground_ns = eng.now
+            self._stop_destage = True  # drain the backlog, then exit
+            if destagers:
+                yield eng.all_of(destagers)
+            self._stop = True          # exit once the queue drains
+            self.kick_workers()
+            if workers:
+                yield eng.all_of(workers)
+            if watchdog is not None:
+                watchdog.stop = True   # one final check, then it exits
+            return foreground_ns, eng.now
+
+        coord = eng.process(_coordinator(), name="coordinator")
+        eng.run()
+        if not coord.triggered:
+            raise RuntimeError("run deadlocked: coordinator never finished")
+        self.fs.clock.sync_to(max(self.fs.clock.now_ns, self.now_ns))
+        return coord.value
+
     # ------------------------------------------------------------ worker pool
 
-    def start_workers(self, dd) -> list[Process]:
-        """Launch the dedup worker pool.
-
-        ``dd`` carries the drive policy (duck-typed ``kind`` /
-        ``interval_ms`` / ``batch`` — :class:`repro.workloads.DDMode`):
-        immediate workers sleep until kicked and then drain; delayed
-        workers wake every ``interval_ms`` for up to ``batch`` nodes
-        (split across the pool).
-        """
+    def _start_workers(self, dd) -> list[Process]:
+        """Launch the dedup worker pool: immediate workers sleep until
+        kicked and then drain; delayed workers wake every
+        ``interval_ms`` for up to ``batch`` nodes (split across the
+        pool)."""
         if self.sdwq is None:
-            raise ValueError("filesystem has no DWQ to work on")
+            raise ValueError(f"{type(self.fs).__name__} has no dedup daemon")
         nshards = self.sdwq.nshards
         w = min(self.workers, nshards)
         self._worker_wakes = [None] * w
-        self._stop = False
         own = [[s for s in range(nshards) if s % w == i] for i in range(w)]
         return [self.eng.process(self._worker_proc(i, own[i], dd),
                                  name=f"dedup-worker-{i}")
                 for i in range(w)]
 
-    def stop_workers(self) -> None:
-        """Ask the pool to exit once the queue drains."""
-        self._stop = True
-        self.kick_workers()
-
     def kick_workers(self) -> None:
         """Wake every idle worker (new work, or stop requested)."""
-        for i, ev in enumerate(self._worker_wakes):
+        for ev in self._worker_wakes:
             if ev is not None and not ev.triggered:
                 ev.succeed()
 
     # ------------------------------------------------------------ destage pool
 
-    def start_destage_workers(self, n: int = 1) -> list[Process]:
-        """Launch the staging destage pool (staging-enabled fs only).
+    def _start_destage_workers(self, n: int) -> list[Process]:
+        """Launch the staging destage pool.
 
         Each worker owns the pending inodes with ``ino % n == wid`` —
         the same partition the slabs use, so two workers never contend
@@ -432,22 +532,12 @@ class ConcurrentVFS:
         destaged writes enqueue flow to the dedup pool exactly like a
         foreground writer's would (admission control included).
         """
-        st = getattr(self.fs, "staging", None)
-        if st is None:
-            raise ValueError("filesystem has no staging region")
         n = max(1, int(n))
-        self._stop_destage = False
-        self._destage_pool = n
         return [self.eng.process(self._destage_proc(i, n),
                                  name=f"destage-{i}")
                 for i in range(n)]
 
-    def stop_destage_workers(self) -> None:
-        """Ask the destage pool to drain its backlog and exit."""
-        self._stop_destage = True
-
     def _destage_proc(self, wid: int, pool: int):
-        eng = self.eng
         st = self.fs.staging
         holder = f"destage-{wid}"
         while True:
@@ -466,32 +556,24 @@ class ConcurrentVFS:
                 # completely full slab rejects the append and the writer
                 # goes direct.
                 inos = [i for i in mine
-                        if st.slab_fill(i) >= self.destage_high_water]
+                        if st.slab_fill(i) >= DESTAGE_HIGH_WATER]
                 if not inos:
-                    yield eng.timeout(self.destage_poll_ns)
+                    yield self.eng.timeout(DESTAGE_POLL_NS)
                     continue
             for ino in inos:
-                if self.sdwq is not None:
-                    # The destaged writes enqueue DWQ nodes like any
-                    # writer; respect shard backpressure before, not
-                    # after, the burst.
-                    yield from self.admit(ino, holder)
                 # A staged *create* destages a dentry append into the
                 # parent directory: that is namespace work and pays the
                 # same ns-lock + coherence bill a foreground create
                 # would — just off the foreground's critical path.
                 needs_ns = st.has_pending_create(ino)
-                n, cost = yield from self.op(
+                n, cost = yield from self.write(
                     lambda ino=ino: st.drain_ino(ino,
                                                  cpu=ino % self.fs.cpus),
-                    holder, ns_mode="w" if needs_ns else None,
-                    ino=ino, use_bw=True,
+                    holder, ino, ns_mode="w" if needs_ns else None,
                     extra_ns=(self.coherence_tax_ns if needs_ns
                               else 0.0))
                 self.destage_records += n
                 self.destage_busy_ns += cost
-            if self.sdwq is not None:
-                self.kick_workers()
 
     def _pick_shard(self, own: list[int]) -> tuple[Optional[int], bool]:
         """(shard, is_steal): oldest-head own shard, else longest other.

@@ -81,7 +81,7 @@ def _diurnal_factor(spec: FleetSpec, now_ns: float) -> float:
 
 
 def _tenant_writer(cvfs: ConcurrentVFS, fs, spec: FleetSpec, i: int,
-                   tid: int, result: FleetResult, has_daemon: bool,
+                   tid: int, result: FleetResult,
                    sub: int = 0, nsubs: int = 1):
     """One tenant client process: write files, churn, maybe misbehave.
 
@@ -112,66 +112,32 @@ def _tenant_writer(cvfs: ConcurrentVFS, fs, spec: FleetSpec, i: int,
     def _one_file(fidx: int, data: bytes):
         """Create + write one file; returns its io ns (or None on quota)."""
         path = f"/t/{name}/f{fidx}"
-        file_io = 0.0
 
-        def _create(path=path):
+        def _create():
             if fs.exists(path):
                 return fs.lookup(path)
             return fs.create(path)
 
         try:
-            ino, cost = yield from cvfs.op(
-                _create, holder, ns_mode="w", use_bw=True,
-                extra_ns=cvfs.coherence_tax_ns, record=lat, tenant=tid)
+            ino, create_ns = yield from cvfs.op(
+                _create, holder, ns_mode="w",
+                extra_ns=cvfs.create_tax_ns, record=lat, tenant=tid)
+            ops.inc()
+            # The recorded write latency is client-perceived — it
+            # includes the DWQ admission stall, which is exactly what a
+            # noisy neighbor inflates, so it lands in the histogram the
+            # isolation baseline reads.
+            _, write_ns = yield from cvfs.write(
+                lambda: fs.write(ino, 0, data, cpu=cpu), holder, ino,
+                record=lat, tenant=tid)
         except QuotaExceeded:
             result.quota_failures[name] = \
                 result.quota_failures.get(name, 0) + 1
             return None
-        ops.inc()
-        file_io += cost
-
-        # admit() reserves one DWQ-share slot; the slot is consumed by
-        # the node fs.write enqueues and released when a worker finishes
-        # it.  A write that enqueues nothing (hybrid inline completion,
-        # or a quota failure) must release the reservation itself or the
-        # tenant's outstanding count leaks until over_share() wedges it.
-        # fs.write runs atomically in simulated time (no engine yields
-        # inside fn), so the enqueued-counter delta is exact.
-        has_dwq = hasattr(fs, "dwq")
-        enq = {"n": 1}
-
-        def _write(ino=ino, data=data):
-            before = fs.dwq.enqueued if has_dwq else 0
-            r = fs.write(ino, 0, data, cpu=cpu)
-            if has_dwq:
-                enq["n"] = fs.dwq.enqueued - before
-            return r
-
-        # The client-perceived write latency includes the DWQ admission
-        # stall — that stall is exactly what a noisy neighbor inflates,
-        # so it must land in the histogram the isolation baseline reads.
-        t_adm = eng.now
-        yield from cvfs.admit(ino, holder, tenant=tid)
-        try:
-            _, cost = yield from cvfs.op(_write, holder, ino=ino,
-                                         tenant=tid)
-        except QuotaExceeded:
-            # The admitted DWQ slot will never see its node; release it.
-            if cvfs.qos is not None:
-                cvfs.qos.note_cancelled(tid)
-            result.quota_failures[name] = \
-                result.quota_failures.get(name, 0) + 1
-            return None
-        if cvfs.qos is not None and enq["n"] == 0:
-            cvfs.qos.note_cancelled(tid)  # inline-completed: no node
-        lat.observe(eng.now - t_adm)
         ops.inc()
         written.inc(len(data))
-        file_io += cost
         stats["bytes"] += len(data)
-        if has_daemon:
-            cvfs.kick_workers()
-        return file_io
+        return create_ns + write_ns
 
     my_done: list[int] = []
     for fidx in range(sub, nfiles, nsubs):
@@ -248,7 +214,6 @@ def run_fleet(fs, spec: FleetSpec, dd: Optional[DDMode] = None,
                          shards=shards, max_shard_depth=max_shard_depth,
                          jitter_seed=jitter_seed, qos=qos,
                          qos_op_rate_per_s=qos_op_rate_per_s)
-    has_daemon = dd.kind != "none" and hasattr(fs, "daemon")
     clients = []
     for i in range(spec.tenants):
         name = spec.tenant_name(i)
@@ -258,24 +223,9 @@ def run_fleet(fs, spec: FleetSpec, dd: Optional[DDMode] = None,
         for sub in range(nsubs):
             clients.append(cvfs.client(
                 _tenant_writer(cvfs, fs, spec, i, tids[i], result,
-                               has_daemon, sub=sub, nsubs=nsubs),
+                               sub=sub, nsubs=nsubs),
                 name=f"tenant-{name}.{sub}"))
-    worker_procs = cvfs.start_workers(dd) if has_daemon else []
-
-    def _coordinator():
-        yield cvfs.eng.all_of(clients)
-        result.foreground_ns = cvfs.eng.now
-        cvfs.stop_workers()
-        if worker_procs:
-            yield cvfs.eng.all_of(worker_procs)
-        result.total_ns = cvfs.eng.now
-
-    coord = cvfs.eng.process(_coordinator(), name="fleet-coordinator")
-    cvfs.eng.run()
-    if not coord.triggered:
-        raise RuntimeError("fleet run deadlocked: coordinator never "
-                           "finished")
-    fs.clock.sync_to(max(fs.clock.now_ns, cvfs.now_ns))
+    result.foreground_ns, result.total_ns = cvfs.run(clients, dd)
 
     for i in range(spec.tenants):
         name = spec.tenant_name(i)

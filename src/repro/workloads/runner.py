@@ -25,21 +25,19 @@ the paper measures).  Contention model (the paper's Fig. 9 shape):
 
 The dedup pool is driven by ``DDMode.immediate()`` (sleep until kicked,
 then drain) or ``DDMode.delayed(n_ms, m)`` (every n ms, up to m nodes
-split across the pool).  :class:`SimContext` remains for single-process
-drive paths (read-side benchmarks) that predate repro.conc.
+split across the pool).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.conc.vfs import ConcurrentVFS
-from repro.sim import Engine, Lock, Resource
 from repro.workloads.datagen import DataGenerator
 from repro.workloads.fio import JobSpec, Mode
 
-__all__ = ["DDMode", "RunResult", "SimContext", "run_workload"]
+__all__ = ["DDMode", "RunResult", "run_workload"]
 
 MS = 1_000_000.0  # ns per millisecond
 
@@ -122,172 +120,45 @@ class RunResult:
         return self.io_ns / self.files_done / 1000.0
 
 
-class SimContext:
-    """Engine + shared-resource bundle for driving one filesystem."""
-
-    def __init__(self, fs, bw_slots: int = 4,
-                 bw_queue_penalty_ns: float = 120.0,
-                 lock_penalty_ns: float = 60.0):
-        self.fs = fs
-        self.eng = Engine(obs=getattr(fs, "obs", None))
-        self.base_ns = fs.clock.now_ns
-        self.bw = Resource(self.eng, bw_slots)
-        self.bw_queue_penalty_ns = bw_queue_penalty_ns
-        self.dwq_lock = Lock(self.eng, contention_penalty_ns=lock_penalty_ns)
-        # Namespace updates (inode allocation + parent-dir dentry append)
-        # serialize harder than data writes; small-file workloads are
-        # create-dominated, which is why their throughput peaks at fewer
-        # threads than large-file workloads (the paper's Fig. 9: 2 vs 8).
-        self.namespace_lock = Lock(self.eng,
-                                   contention_penalty_ns=6 * lock_penalty_ns)
-        # Per-create coherence cost added for each *other* active thread:
-        # shared inode-table and directory cache lines ping-pong between
-        # cores, a per-thread tax the DES locks alone cannot express.
-        self.namespace_coherence_ns = 1500.0
-        self._ino_locks: dict[int, Lock] = {}
-        self.lock_penalty_ns = lock_penalty_ns
-
-    @property
-    def now_ns(self) -> float:
-        return self.base_ns + self.eng.now
-
-    def ino_lock(self, ino: int) -> Lock:
-        lock = self._ino_locks.get(ino)
-        if lock is None:
-            lock = Lock(self.eng, contention_penalty_ns=self.lock_penalty_ns)
-            self._ino_locks[ino] = lock
-        return lock
-
-    def op(self, fn: Callable[[], object], ino: Optional[int] = None,
-           use_bw: bool = True, extra_lock: Optional[Lock] = None,
-           extra_ns: float = 0.0):
-        """Run one filesystem call as a simulated-time operation.
-
-        ``extra_ns`` adds modelled overhead the filesystem itself cannot
-        see (cross-core coherence traffic on shared DRAM structures).
-        Generator protocol: ``result, cost_ns = yield from ctx.op(...)``.
-        """
-        lock = self.ino_lock(ino) if ino is not None else None
-        if lock is not None:
-            yield lock.acquire()
-        if extra_lock is not None:
-            yield extra_lock.acquire()
-        try:
-            penalty = 0.0
-            if use_bw:
-                waiting = self.bw.in_use >= self.bw.capacity
-                queued_behind = len(self.bw._waiters)
-                yield self.bw.request()
-                if waiting:
-                    # Oversubscription coherence/queuing cost: grows with
-                    # how crowded the controller was.
-                    penalty = self.bw_queue_penalty_ns * (1 + queued_behind)
-            try:
-                self.fs.clock.sync_to(max(self.fs.clock.now_ns, self.now_ns))
-                with self.fs.clock.capture() as cap:
-                    result = fn()
-                cost = cap.total_ns + penalty + extra_ns
-                if cost > 0:
-                    yield self.eng.timeout(cost)
-            finally:
-                if use_bw:
-                    self.bw.release()
-        finally:
-            if extra_lock is not None:
-                extra_lock.release()
-            if lock is not None:
-                lock.release()
-        return result, cost
-
-
 def _writer(cvfs: ConcurrentVFS, fs, spec: JobSpec, tid: int,
-            gen: DataGenerator, result: RunResult, mode_has_daemon: bool,
-            inos: list):
+            gen: DataGenerator, result: RunResult, inos: list):
     """One fio job thread (a ConcurrentVFS client generator)."""
     my_files = range(tid, spec.nfiles, spec.threads)
     holder = f"writer-{tid}"
     lat = cvfs.client_latency_histogram(tid)
-    # A staged create appends to a per-slab staging line instead of the
-    # shared inode table + directory log, so the cross-core coherence
-    # tax moves to the destage worker (which pays it in the background,
-    # where the persistent namespace update actually happens).
-    create_tax = (0.0 if getattr(fs, "staging_enabled", False)
-                  else cvfs.coherence_tax_ns)
+    # Thread 0 is the writer in the mixed workload (Fig. 12's second
+    # experiment); the rest measure read throughput.
+    reads = spec.mode == Mode.READ or (spec.mode == Mode.READWRITE
+                                       and tid != 0)
+    chunk = spec.io_chunk or spec.file_size
     io_ns = 0.0
     think_ns = 0.0
     bytes_moved = 0
     start = cvfs.eng.now
     for i in my_files:
-        path = f"/t{tid}/f{i}"
         file_io_ns = 0.0
         if spec.mode == Mode.WRITE:
-            data = gen.file_data(spec.file_size)
-
-            def _create(path=path):
-                return fs.create(path)
-
             ino, cost = yield from cvfs.op(
-                _create, holder, ns_mode="w", use_bw=True,
-                extra_ns=create_tax, record=lat)
+                lambda path=f"/t{tid}/f{i}": fs.create(path), holder,
+                ns_mode="w", extra_ns=cvfs.create_tax_ns, record=lat)
             file_io_ns += cost
             inos[i] = ino
-            chunk = spec.io_chunk or spec.file_size
-            for off in range(0, spec.file_size, chunk):
-                piece = data[off:off + chunk]
-
-                def _write(ino=ino, off=off, piece=piece):
-                    return fs.write(ino, off, piece, cpu=tid)
-
-                yield from cvfs.admit(ino, holder)
-                _, cost = yield from cvfs.op(_write, holder, ino=ino,
-                                             record=lat)
-                file_io_ns += cost
-                bytes_moved += len(piece)
-            if mode_has_daemon:
-                cvfs.kick_workers()
-        elif spec.mode == Mode.OVERWRITE:
-            ino = inos[i]
-            data = gen.file_data(spec.file_size)
-
-            def _write(ino=ino, data=data):
-                return fs.write(ino, 0, data, cpu=tid)
-
-            yield from cvfs.admit(ino, holder)
-            _, cost = yield from cvfs.op(_write, holder, ino=ino,
-                                         record=lat)
-            file_io_ns += cost
-            bytes_moved += spec.file_size
-            if mode_has_daemon:
-                cvfs.kick_workers()
-        elif spec.mode == Mode.READ or (spec.mode == Mode.READWRITE
-                                        and tid != 0):
-            ino = inos[i]
-
-            def _read(ino=ino):
-                return fs.read(ino, 0, spec.file_size, cpu=tid)
-
-            _, cost = yield from cvfs.op(_read, holder, ino=ino,
-                                         ino_mode="r", record=lat)
-            file_io_ns += cost
-            bytes_moved += spec.file_size
-        elif spec.mode == Mode.READWRITE:
-            # Thread 0 is the writer in the mixed workload (Fig. 12's
-            # second experiment); the rest measure read throughput.
-            ino = inos[i]
-            data = gen.file_data(spec.file_size)
-
-            def _write(ino=ino, data=data):
-                return fs.write(ino, 0, data, cpu=tid)
-
-            yield from cvfs.admit(ino, holder)
-            _, cost = yield from cvfs.op(_write, holder, ino=ino,
-                                         record=lat)
-            file_io_ns += cost
-            bytes_moved += spec.file_size
-            if mode_has_daemon:
-                cvfs.kick_workers()
         else:
-            raise ValueError(f"unsupported mode {spec.mode}")
+            ino = inos[i]
+        if reads:
+            _, cost = yield from cvfs.op(
+                lambda ino=ino: fs.read(ino, 0, spec.file_size, cpu=tid),
+                holder, ino=ino, ino_mode="r", record=lat)
+            file_io_ns += cost
+        else:
+            data = gen.file_data(spec.file_size)
+            for off in range(0, spec.file_size, chunk):
+                _, cost = yield from cvfs.write(
+                    lambda ino=ino, off=off, piece=data[off:off + chunk]:
+                        fs.write(ino, off, piece, cpu=tid),
+                    holder, ino, record=lat)
+                file_io_ns += cost
+        bytes_moved += spec.file_size
         io_ns += file_io_ns
         if spec.think_ratio > 0:
             # §V-B1: 0.1 ms of think time per 0.1 ms of I/O time.
@@ -327,7 +198,7 @@ def prepopulate(fs, spec: JobSpec, drain: bool = True) -> list[int]:
 
 def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
                  bw_slots: int = 4, inos: Optional[list[int]] = None,
-                 drain_before: bool = True, workers: int = 1,
+                 workers: int = 1,
                  shards: Optional[int] = None,
                  max_shard_depth: Optional[int] = None,
                  jitter_seed: Optional[int] = None,
@@ -357,15 +228,13 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
     """
     if dd is None:
         dd = DDMode.immediate() if hasattr(fs, "daemon") else DDMode.none()
-    if dd.kind != "none" and not hasattr(fs, "daemon"):
-        raise ValueError(f"{type(fs).__name__} has no dedup daemon")
     result = RunResult(spec=spec, dd=str(dd), workers=workers)
     result.per_thread_ns = [0.0] * spec.threads
     result.per_thread_bytes = [0] * spec.threads
 
     if spec.mode in (Mode.OVERWRITE, Mode.READ, Mode.READWRITE):
         if inos is None:
-            inos = prepopulate(fs, spec, drain=drain_before)
+            inos = prepopulate(fs, spec)
     else:
         inos = [0] * spec.nfiles
         for t in range(spec.threads):
@@ -382,50 +251,22 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
                           stream=stream_base + t)
             for t in range(spec.threads)]
 
-    has_daemon = dd.kind != "none"
-
     writers = [
-        cvfs.client(
-            _writer(cvfs, fs, spec, t, gens[t], result, has_daemon, inos),
-            name=f"writer-{t}")
+        cvfs.client(_writer(cvfs, fs, spec, t, gens[t], result, inos),
+                    name=f"writer-{t}")
         for t in range(spec.threads)
     ]
-    worker_procs = cvfs.start_workers(dd) if has_daemon else []
-    # Staged small writes are destaged by a background pool while the
-    # writers run; throughput is still the writers' wall span, so the
-    # absorption win shows up as foreground time, and the destage cost
-    # as background time (like the dedup daemon's).
-    destage_procs = (cvfs.start_destage_workers(destage_workers)
-                     if getattr(fs, "staging_enabled", False) else [])
-
     watchdog = None
     if slo is not None and hasattr(fs, "obs"):
         from repro.obs import SLOWatchdog
         watchdog = SLOWatchdog(fs.obs, slo, interval_ns=slo_interval_ns)
-        cvfs.eng.process(watchdog.run(cvfs.eng, base_ns=cvfs.base_ns),
-                         name="slo-watchdog")
+    # Staged small writes are destaged by a background pool while the
+    # writers run; throughput is still the writers' wall span, so the
+    # absorption win shows up as foreground time, and the destage cost
+    # as background time (like the dedup daemon's).
+    result.foreground_ns, result.total_ns = cvfs.run(
+        writers, dd, destage_workers=destage_workers, watchdog=watchdog)
 
-    def _coordinator():
-        yield cvfs.eng.all_of(writers)
-        result.foreground_ns = cvfs.eng.now
-        # Destage first: its writes enqueue DWQ nodes the dedup pool
-        # must still see before it is told to stop.
-        cvfs.stop_destage_workers()
-        if destage_procs:
-            yield cvfs.eng.all_of(destage_procs)
-        cvfs.stop_workers()
-        if worker_procs:
-            yield cvfs.eng.all_of(worker_procs)
-        result.total_ns = cvfs.eng.now
-        if watchdog is not None:
-            watchdog.stop = True  # one final check, then the process exits
-
-    coord = cvfs.eng.process(_coordinator(), name="coordinator")
-    cvfs.eng.run()
-    if not coord.triggered:
-        raise RuntimeError("workload deadlocked: coordinator never finished")
-
-    fs.clock.sync_to(max(fs.clock.now_ns, cvfs.now_ns))
     result.dd_busy_ns = cvfs.worker_busy_ns
     result.dd_nodes = cvfs.worker_nodes
     result.destage_records = cvfs.destage_records

@@ -51,20 +51,16 @@ def mixed_client(vfs, tid, nfiles=6, dup_ratio=0.6):
             ino, _ = yield from vfs.op(
                 lambda p=f"/p{tid}/f{i}": fs.create(p), holder, ns_mode="w")
             inos.append(ino)
-            yield from vfs.admit(ino, holder)
-            yield from vfs.op(
+            yield from vfs.write(
                 lambda ino=ino, d=data: fs.write(ino, 0, d, cpu=tid),
-                holder, ino=ino)
-            vfs.kick_workers()
+                holder, ino)
         for ino in inos:
             yield from vfs.op(
                 lambda ino=ino: fs.read(ino, 0, PAGE_SIZE, cpu=tid),
                 holder, ino=ino, ino_mode="r")
         redo = gen.file_data(PAGE_SIZE)
-        yield from vfs.op(
-            lambda: fs.write(inos[0], 0, redo, cpu=tid), holder,
-            ino=inos[0])
-        vfs.kick_workers()
+        yield from vfs.write(
+            lambda: fs.write(inos[0], 0, redo, cpu=tid), holder, inos[0])
 
     return body()
 

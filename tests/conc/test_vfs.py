@@ -77,8 +77,12 @@ class TestBackpressure:
         assert res.stalls > 0          # admission control actually engaged
         assert res.dd_nodes == 30      # ...and nothing was lost to it
         assert len(fs.dwq) == 0
-        assert (res.metrics["histograms"]["conc.stall_ns"]["count"]
-                == res.stalls)
+        hists = res.metrics["histograms"]
+        assert hists["conc.stall_ns"]["count"] == res.stalls
+        # Client-perceived latency: the admission stalls are inside the
+        # recorded window, not beside it.
+        assert sum(hists[f"conc.t{t}.op_latency_ns"]["sum"]
+                   for t in range(2)) >= hists["conc.stall_ns"]["sum"] > 0
 
     def test_unbounded_depth_never_stalls(self):
         fs, dd = build(Variant.IMMEDIATE)

@@ -207,3 +207,56 @@ class TestFuzzCommand:
                    "--corpus", str(corpus), "--replay-corpus"])
         assert rc == 0
         assert "CLEAN" in capsys.readouterr().out
+
+
+class TestErrorContract:
+    """One line on stderr + an exit code, never a traceback."""
+
+    #: Subcommands that open an image, with the arguments after it.
+    OPENERS = [("ls", ["/"]), ("stats", []), ("fsck", []), ("crash", []),
+               ("workload", ["--files", "4"]), ("tree", [])]
+
+    @pytest.mark.parametrize("cmd,rest", OPENERS)
+    @pytest.mark.parametrize("kind", ["missing", "not-an-image"])
+    def test_unopenable_image(self, cmd, rest, kind, tmp_path, capsys):
+        path = tmp_path / "x.img"
+        if kind == "not-an-image":
+            path.write_bytes(b"just some bytes, not a device image")
+        assert main([cmd, str(path), *rest]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--threads", "--files", "--workers"])
+    def test_workload_rejects_non_positive_counts(self, flag, image,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["workload", image, flag, "0"])
+        assert exit_.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+
+class TestFleetWorkloadHonoursEveryFlag:
+    """``workload --tenants N`` used to return before ``--dedup-mode``,
+    ``--staging`` and ``--trace-out`` were looked at."""
+
+    FLEET = ["--tenants", "2", "--files", "6"]
+
+    def test_dedup_mode_needs_a_hybrid_image(self, image, capsys):
+        assert main(["workload", image, *self.FLEET,
+                     "--dedup-mode", "hybrid-inline"]) == 1
+        assert "needs an image formatted with --variant denova-hybrid" \
+            in capsys.readouterr().err
+
+    def test_staging_absorbs_and_trace_is_written(self, tmp_path, capsys):
+        import json as _json
+
+        img = str(tmp_path / "fleet.img")
+        trace = tmp_path / "fleet-trace.json"
+        assert main(["mkfs", img, "--pages", "4096", "--inodes", "256"]) == 0
+        assert main(["workload", img, *self.FLEET, "--staging",
+                     "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "staging absorbed: 0 writes + 9 creates" in out
+        assert _json.loads(trace.read_text())["traceEvents"]
+        assert main(["fsck", img]) == 0

@@ -1,15 +1,13 @@
-"""QoS outstanding-node accounting: the charge taken in admit() must be
-released exactly once no matter what happens to the write afterwards.
+"""QoS outstanding-node accounting at fleet scale.
 
-Three regression scenarios, all of which used to wedge a tenant by
-leaking ``TenantQoS.outstanding`` until ``over_share()`` was permanently
-true and every later ``admit()`` waited on an event nobody fires:
+The release-exactly-once rule itself (processed / unlinked while queued
+/ inline completion / quota failure) is pinned on the write op in
+``tests/conc/test_driver.py``.  Here, the scenarios that need several
+clients, any of which used to wedge a tenant by leaking
+``TenantQoS.outstanding`` until ``over_share()`` was permanently true:
 
-* the file is **unlinked while its node is still queued** (fleet churn)
-  — completion must use the tenant id stamped on the node at enqueue
-  time, because ``tenant_of(ino)`` is already None;
-* the write **enqueues no node at all** (hybrid inline completion) —
-  the writer must hand the reservation back;
+* a whole fleet whose writes **enqueue no node at all** (hybrid inline
+  completion) must finish;
 * several writers of one tenant pass the share check **concurrently**
   — admit must re-check after every wait so the share is never
   overshot (each overshoot is a slot the workers never give back to
@@ -33,52 +31,6 @@ def build_fs(variant=Variant.DELAYED, cpus=2):
     fs, _ = make_fs(variant,
                     Config(device_pages=4096, max_inodes=256, cpus=cpus))
     return fs
-
-
-class TestUnlinkedNodeAccounting:
-    def test_unlink_before_drain_releases_outstanding(self):
-        """A node whose inode dies while queued still credits its tenant."""
-        fs = build_fs()
-        tid = fs.tenant_create("tn0").tid
-        cvfs = ConcurrentVFS(fs, bw_slots=2, workers=1, qos=True,
-                             max_shard_depth=8)
-        data = b"\xae" * PAGE_SIZE
-        state = {}
-
-        def client():
-            holder = "c0"
-            ino, _ = yield from cvfs.op(
-                lambda: fs.create("/t/tn0/f"), holder, ns_mode="w",
-                tenant=tid)
-            yield from cvfs.admit(ino, holder, tenant=tid)
-            yield from cvfs.op(lambda: fs.write(ino, 0, data, cpu=0),
-                               holder, ino=ino, tenant=tid)
-            yield from cvfs.op(lambda: fs.unlink("/t/tn0/f"), holder,
-                               ns_mode="w", ino=ino, tenant=tid)
-            state["ino"] = ino
-
-        p = cvfs.client(client(), name="c0")
-
-        def coord():
-            yield cvfs.eng.all_of([p])
-            # Client done: the write's node is queued, the inode is gone.
-            assert cvfs.qos.outstanding.get(tid) == 1
-            nodes = fs.dwq.snapshot()
-            assert len(nodes) == 1
-            # The regression scenario: live ownership is already popped,
-            # only the enqueue-time stamp still knows the tenant.
-            assert fs.tenants.tenant_of(state["ino"]) is None
-            assert nodes[0].tid == tid
-            wp = cvfs.start_workers(DDMode.immediate())
-            cvfs.stop_workers()
-            yield cvfs.eng.all_of(wp)
-
-        c = cvfs.eng.process(coord(), name="coord")
-        cvfs.eng.run()
-        assert c.triggered
-        assert cvfs.qos.outstanding.get(tid, 0) == 0
-        assert not cvfs.qos.over_share(tid)
-        assert not cvfs.qos.dwq_waiters
 
 
 class TestInlineCompletionAccounting:
@@ -125,25 +77,14 @@ class TestShareNeverOvershot:
                     ino, _ = yield from cvfs.op(
                         lambda p=f"/t/busy/f{i}_{k}": fs.create(p),
                         holder, ns_mode="w", tenant=busy)
-                    yield from cvfs.admit(ino, holder, tenant=busy)
-                    yield from cvfs.op(
+                    yield from cvfs.write(
                         lambda ino=ino, d=data: fs.write(ino, 0, d, cpu=i),
-                        holder, ino=ino, tenant=busy)
-                    cvfs.kick_workers()
+                        holder, ino, tenant=busy)
 
             return body()
 
-        procs = [cvfs.client(client(i), name=f"b{i}") for i in range(4)]
-        wp = cvfs.start_workers(DDMode.immediate())
-
-        def coord():
-            yield cvfs.eng.all_of(procs)
-            cvfs.stop_workers()
-            yield cvfs.eng.all_of(wp)
-
-        c = cvfs.eng.process(coord(), name="coord")
-        cvfs.eng.run()
-        assert c.triggered, "run deadlocked"
+        cvfs.run([cvfs.client(client(i), name=f"b{i}") for i in range(4)],
+                 DDMode.immediate())
         assert peak["v"] <= share, \
             f"tenant exceeded its DWQ share: {peak['v']} > {share}"
         assert cvfs.qos.outstanding.get(busy, 0) == 0
@@ -171,15 +112,8 @@ class TestGateCoversUntenanted:
                     lambda p=f"/x{k}": fs.create(p), "plain",
                     ns_mode="w")   # no tenant attached
 
-        procs = [cvfs.client(tenant_client(), name="t0"),
-                 cvfs.client(plain_client(), name="plain")]
-
-        def coord():
-            yield cvfs.eng.all_of(procs)
-
-        c = cvfs.eng.process(coord(), name="coord")
-        cvfs.eng.run()
-        assert c.triggered
+        cvfs.run([cvfs.client(tenant_client(), name="t0"),
+                  cvfs.client(plain_client(), name="plain")], DDMode.none())
         log = cvfs.qos.gate.admission_log
         assert log.count(UNTENANTED) == 3
         assert log.count(tid) == 3

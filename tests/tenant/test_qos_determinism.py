@@ -122,26 +122,14 @@ def qos_run(seed: int, workers: int):
                 ino, _ = yield from cvfs.op(
                     lambda p=f"/t/{n}/f{k}": fs.create(p), holder,
                     ns_mode="w", tenant=tid)
-                yield from cvfs.admit(ino, holder, tenant=tid)
-                yield from cvfs.op(
+                yield from cvfs.write(
                     lambda ino=ino, d=data: fs.write(ino, 0, d, cpu=i),
-                    holder, ino=ino, tenant=tid)
-                cvfs.kick_workers()
+                    holder, ino, tenant=tid)
 
         return body()
 
-    procs = [cvfs.client(client(n, i), name=f"c-{n}")
-             for i, n in enumerate(names)]
-    wp = cvfs.start_workers(DDMode.immediate())
-
-    def coord():
-        yield cvfs.eng.all_of(procs)
-        cvfs.stop_workers()
-        yield cvfs.eng.all_of(wp)
-
-    c = cvfs.eng.process(coord(), name="coord")
-    cvfs.eng.run()
-    assert c.triggered, "qos run deadlocked"
+    cvfs.run([cvfs.client(client(n, i), name=f"c-{n}")
+              for i, n in enumerate(names)], DDMode.immediate())
     return (fs_state_digest(fs), Counter(cvfs.qos.gate.admission_log),
             fs.tenant_stats(), cvfs.eng.now)
 
