@@ -1393,6 +1393,9 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:   # host side: a missing source, an unwritable dest
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
     return 1
 
 

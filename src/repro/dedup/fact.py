@@ -506,12 +506,21 @@ class FACT:
         slot free, which is only true for a freshly-formatted FACT.
         Returns the number of free IAA slots.
         """
-        arr = self._scan()
-        self._iaa_free = [
-            idx for idx in range(self.total - 1, self.daa_size - 1, -1)
-            if arr["block"][idx] == 0
-        ]
+        free = np.flatnonzero(self._scan()["block"][self.daa_size:] == 0)
+        self._iaa_free = (free[::-1] + self.daa_size).tolist()  # high first
         return len(self._iaa_free)
+
+    def _active_heads(self, arr: np.ndarray) -> list[int]:
+        """DAA heads of a scanned table with anything to walk or check.
+
+        A head whose ``block``, ``next`` and ``prev`` are all zero is an
+        empty chain with no commit flag: the whole-table passes have
+        nothing to verify, repair or count there, and almost every head
+        of a 2^n-entry DAA is one.
+        """
+        heads = arr[:self.daa_size]
+        return np.flatnonzero((heads["block"] != 0) | (heads["next"] != 0)
+                              | (heads["prev"] != 0)).tolist()
 
     def restore_iaa_free(self, occupied) -> int:
         """Restore the IAA free list from a checkpointed occupancy set.
@@ -544,17 +553,18 @@ class FACT:
                                                  self.total * ENTRY),
                             dtype=_SCAN_DTYPE)
         valid = arr["block"] != 0
+        nxt = arr["next"]
         daa_used = int(valid[:self.daa_size].sum())
         iaa_used = int(valid[self.daa_size:].sum())
         lengths = []
-        for head in range(self.daa_size):
-            if valid[head] or arr["next"][head]:
+        for head in self._active_heads(arr):
+            if valid[head] or nxt[head]:
                 n = 0
                 idx = head
                 while idx >= 0:
                     if valid[idx]:
                         n += 1
-                    idx = int(arr["next"][idx]) - 1
+                    idx = int(nxt[idx]) - 1
                 lengths.append(n)
         return {
             "daa_used": daa_used,
@@ -584,14 +594,14 @@ class FACT:
                   "prevs_fixed": 0, "deletes_cleared": 0}
         arr = self._scan()
         # Pass 1: reorder recovery on chains whose commit flag is set.
-        for head in range(self.daa_size):
-            if arr["prev"][head] != 0:
-                recover_reorder(self, head)
-                report["reorders_recovered"] += 1
+        for head in np.flatnonzero(arr["prev"][:self.daa_size]).tolist():
+            recover_reorder(self, head)
+            report["reorders_recovered"] += 1
         arr = self._scan()
+        prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
         # Pass 2: canonicalize prev links; collect linked IAA slots.
         linked: set[int] = set()
-        for head in range(self.daa_size):
+        for head in self._active_heads(arr):
             prev_idx = -1
             idx = head
             hops = 0
@@ -601,38 +611,35 @@ class FACT:
                 if idx != head:
                     linked.add(idx)
                 want = 0 if idx == head else prev_idx + 1
-                if int(arr["prev"][idx]) != want:
+                if int(prev[idx]) != want:
                     self._write_u64(idx, _OFF_PREV, want)
                     report["prevs_fixed"] += 1
                 prev_idx = idx
-                idx = int(arr["next"][idx]) - 1
+                idx = int(nxt[idx]) - 1
                 hops += 1
         # Pass 3: orphan IAA slots (valid, never linked).
-        for idx in range(self.daa_size, self.total):
-            if arr["block"][idx] != 0 and idx not in linked:
-                block = int(arr["block"][idx])
+        valid_iaa = np.flatnonzero(blocks[self.daa_size:]) + self.daa_size
+        for idx in valid_iaa.tolist():
+            if idx not in linked:
+                block = int(blocks[idx])
                 # Clear the orphan's delete pointer only if it points here.
                 if self._read_u64(block, _OFF_DELETE) == idx + 1:
                     self.clear_delete(block)
                     report["deletes_cleared"] += 1
                 self._write_fields(idx, 0, 0, -1, -1, bytes(FP_BYTES))
                 report["orphans_zeroed"] += 1
-        # Pass 4: delete-pointer validation.
+        # Pass 4: delete-pointer validation.  (A scan is a table-sized
+        # copy: let go of the last one before taking the next.)
+        del arr, prev, nxt, blocks
         arr = self._scan()
-        for slot in range(self.total):
-            val = int(arr["delete"][slot])
-            if val == 0:
-                continue
-            tgt = val - 1
-            if (tgt >= self.total or arr["block"][tgt] != slot):
+        deletes, blocks = arr["delete"], arr["block"]
+        for slot in np.flatnonzero(deletes).tolist():
+            tgt = int(deletes[slot]) - 1
+            if tgt >= self.total or blocks[tgt] != slot:
                 self.clear_delete(slot)
                 report["deletes_cleared"] += 1
         # Pass 5: volatile free list.
-        arr = self._scan()
-        self._iaa_free = [
-            idx for idx in range(self.total - 1, self.daa_size - 1, -1)
-            if arr["block"][idx] == 0
-        ]
+        self.rebuild_iaa_free()
         return report
 
     def discard_all_uc(self) -> int:
@@ -660,9 +667,10 @@ class FACT:
         arr = np.frombuffer(self.dev.read_silent(self.base,
                                                  self.total * ENTRY),
                             dtype=_SCAN_DTYPE)
+        prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
         linked: set[int] = set()
-        for head in range(self.daa_size):
-            if int(arr["prev"][head]) != 0:
+        for head in self._active_heads(arr):
+            if int(prev[head]) != 0:
                 raise FactCorruption(
                     f"head {head}: reorder commit flag left set")
             prev_idx = -1
@@ -679,14 +687,14 @@ class FACT:
                         raise FactCorruption(
                             f"slot {idx} linked from two chains")
                     linked.add(idx)
-                    if arr["block"][idx] == 0:
+                    if blocks[idx] == 0:
                         raise FactCorruption(
                             f"chain {head} links invalid slot {idx}")
-                    if int(arr["prev"][idx]) != prev_idx + 1:
+                    if int(prev[idx]) != prev_idx + 1:
                         raise FactCorruption(
-                            f"slot {idx}: prev={int(arr['prev'][idx]) - 1} "
+                            f"slot {idx}: prev={int(prev[idx]) - 1} "
                             f"but chain predecessor is {prev_idx}")
-                if arr["block"][idx] != 0:
+                if blocks[idx] != 0:
                     raw = self.dev.read_silent(self.addr(idx), ENTRY)
                     fp = raw[_OFF_FP:_OFF_FP + FP_BYTES]
                     if fp_prefix(fp, self.prefix_bits) != head:
@@ -694,16 +702,18 @@ class FACT:
                             f"slot {idx} in chain {head} has prefix "
                             f"{fp_prefix(fp, self.prefix_bits)}")
                 prev_idx = idx
-                idx = int(arr["next"][idx]) - 1
+                idx = int(nxt[idx]) - 1
                 hops += 1
         # Every valid IAA slot is reachable from exactly one chain.
-        for idx in range(self.daa_size, self.total):
-            if arr["block"][idx] != 0 and idx not in linked:
+        valid = np.flatnonzero(blocks).tolist()
+        for idx in valid:
+            if idx >= self.daa_size and idx not in linked:
                 raise FactCorruption(f"valid IAA slot {idx} is unreachable")
         # Delete pointers of valid entries resolve to themselves.
-        for idx in np.nonzero(arr["block"])[0]:
-            block = int(arr["block"][int(idx)])
-            if int(arr["delete"][block]) != int(idx) + 1:
+        deletes = arr["delete"]
+        for idx in valid:
+            block = int(blocks[idx])
+            if int(deletes[block]) != idx + 1:
                 raise FactCorruption(
-                    f"entry {int(idx)} (block {block}): delete pointer "
-                    f"is {int(arr['delete'][block]) - 1}")
+                    f"entry {idx} (block {block}): delete pointer "
+                    f"is {int(deletes[block]) - 1}")

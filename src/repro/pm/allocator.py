@@ -13,10 +13,17 @@ reconstructs it from the in-use page bitmap.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["PageAllocator", "AllocError", "Extent"]
+
+
+_START = attrgetter("start")
 
 
 class AllocError(Exception):
@@ -36,24 +43,42 @@ class Extent:
 
 
 class PageAllocator:
-    """Extent-based per-CPU free lists over page numbers ``[lo, hi)``."""
+    """Extent-based per-CPU free lists over page numbers ``[lo, hi)``.
+
+    Each CPU's list is two parallel ``int`` lists (``starts``, ``counts``)
+    kept sorted by start and disjoint — the flat-array stand-in for the
+    red-black tree of ranges NOVA keeps per CPU.  On such a list only the
+    extent that begins at or before a page can contain it, so
+    :meth:`is_free`, the double-free check of :meth:`free` and its insert
+    position are one ``bisect`` probe per list: O(cpus · log n) for *n*
+    free extents.  :meth:`alloc` stays a first-fit scan (the order pages
+    are handed out in is part of every image), and the free-page totals
+    are running counters.
+    """
 
     def __init__(self, lo: int, hi: int, cpus: int = 1):
         if hi <= lo:
             raise ValueError("empty page range")
         if cpus < 1:
             raise ValueError("cpus must be >= 1")
-        self.lo = lo
-        self.hi = hi
-        self.cpus = cpus
-        self._lists: list[list[Extent]] = [[] for _ in range(cpus)]
         total = hi - lo
         share = total // cpus
+        lists: list[list[Extent]] = []
         for cpu in range(cpus):
-            start = lo + cpu * share
             count = share if cpu < cpus - 1 else total - cpu * share
-            if count:
-                self._lists[cpu].append(Extent(start, count))
+            lists.append([Extent(lo + cpu * share, count)] if count else [])
+        self._reset(lo, hi, lists)
+
+    def _reset(self, lo: int, hi: int, lists: list[list[Extent]]) -> None:
+        """Install ``lists`` (one per CPU, each sorted by start, disjoint)."""
+        self.lo = lo
+        self.hi = hi
+        self.cpus = len(lists)
+        self._starts: list[list[int]] = [[e.start for e in lst]
+                                         for lst in lists]
+        self._counts: list[list[int]] = [[e.count for e in lst]
+                                         for lst in lists]
+        self._free: list[int] = [sum(counts) for counts in self._counts]
         self.allocs = 0
         self.frees = 0
         self.steals = 0
@@ -80,18 +105,34 @@ class PageAllocator:
 
     @property
     def free_pages(self) -> int:
-        return sum(e.count for lst in self._lists for e in lst)
+        return sum(self._free)
 
     def free_pages_on(self, cpu: int) -> int:
-        return sum(e.count for e in self._lists[cpu])
+        return self._free[cpu]
 
     def largest_extent(self) -> int:
-        sizes = [e.count for lst in self._lists for e in lst]
-        return max(sizes) if sizes else 0
+        return max((max(counts) for counts in self._counts if counts),
+                   default=0)
+
+    def _overlap(self, cpu: int, start: int, end: int) -> Optional[int]:
+        """Index of the first extent on ``cpu``'s list meeting ``[start, end)``.
+
+        Extents are sorted and disjoint, so the only candidates are the
+        last one beginning at or before ``start`` and the one after it.
+        """
+        starts = self._starts[cpu]
+        i = bisect_right(starts, start)
+        if i and starts[i - 1] + self._counts[cpu][i - 1] > start:
+            return i - 1
+        if i < len(starts) and starts[i] < end:
+            return i
+        return None
 
     def is_free(self, page: int) -> bool:
-        return any(e.start <= page < e.end
-                   for lst in self._lists for e in lst)
+        for cpu in range(self.cpus):
+            if self._overlap(cpu, page, page + 1) is not None:
+                return True
+        return False
 
     def home_cpu(self, page: int) -> int:
         """CPU owning ``page`` under the static mkfs partition.
@@ -109,7 +150,8 @@ class PageAllocator:
 
     def free_extents(self) -> list[list[Extent]]:
         """Per-CPU free lists as plain extent lists (checkpoint snapshot)."""
-        return [list(lst) for lst in self._lists]
+        return [[Extent(s, c) for s, c in zip(starts, counts)]
+                for starts, counts in zip(self._starts, self._counts)]
 
     # -- allocation ------------------------------------------------------------
 
@@ -149,14 +191,21 @@ class PageAllocator:
         return start
 
     def _take_from(self, cpu: int, count: int) -> Optional[int]:
-        lst = self._lists[cpu]
-        for i, ext in enumerate(lst):
-            if ext.count >= count:
-                if ext.count == count:
-                    lst.pop(i)
+        """Carve ``count`` pages off the first extent of ``cpu`` that fits."""
+        if self._free[cpu] < count:
+            return None
+        counts = self._counts[cpu]
+        for i, have in enumerate(counts):
+            if have >= count:
+                starts = self._starts[cpu]
+                start = starts[i]
+                if have == count:
+                    del starts[i], counts[i]
                 else:
-                    lst[i] = Extent(ext.start + count, ext.count - count)
-                return ext.start
+                    starts[i] = start + count
+                    counts[i] = have - count
+                self._free[cpu] -= count
+                return start
         return None
 
     # -- free --------------------------------------------------------------------
@@ -165,36 +214,33 @@ class PageAllocator:
         """Return ``[start, start+count)`` to ``cpu``'s list, merging extents."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        if start < self.lo or start + count > self.hi:
-            raise ValueError(f"free of [{start}, {start + count}) outside range")
+        end = start + count
+        if start < self.lo or end > self.hi:
+            raise ValueError(f"free of [{start}, {end}) outside range")
         cpu %= self.cpus
-        lst = self._lists[cpu]
         # Overlap check against every list: double frees corrupt filesystems
         # silently, so fail loudly here instead.
-        for other in self._lists:
-            for ext in other:
-                if start < ext.end and ext.start < start + count:
-                    raise ValueError(
-                        f"double free: [{start}, {start + count}) overlaps "
-                        f"free extent [{ext.start}, {ext.end})"
-                    )
+        for other in range(self.cpus):
+            hit = self._overlap(other, start, end)
+            if hit is not None:
+                ext_start = self._starts[other][hit]
+                raise ValueError(
+                    f"double free: [{start}, {end}) overlaps free extent "
+                    f"[{ext_start}, {ext_start + self._counts[other][hit]})"
+                )
         self.frees += 1
-        # Insert sorted by start, then merge with neighbours.
-        idx = 0
-        while idx < len(lst) and lst[idx].start < start:
-            idx += 1
-        lst.insert(idx, Extent(start, count))
-        self._merge_around(lst, idx)
-
-    @staticmethod
-    def _merge_around(lst: list[Extent], idx: int) -> None:
-        if idx + 1 < len(lst) and lst[idx].end == lst[idx + 1].start:
-            lst[idx] = Extent(lst[idx].start, lst[idx].count + lst[idx + 1].count)
-            lst.pop(idx + 1)
-        if idx > 0 and lst[idx - 1].end == lst[idx].start:
-            lst[idx - 1] = Extent(lst[idx - 1].start,
-                                  lst[idx - 1].count + lst[idx].count)
-            lst.pop(idx)
+        self._free[cpu] += count
+        # Insert sorted by start, merging with the neighbours it touches.
+        starts, counts = self._starts[cpu], self._counts[cpu]
+        i = bisect_right(starts, start)
+        if i < len(starts) and starts[i] == end:
+            count += counts[i]
+            del starts[i], counts[i]
+        if i and starts[i - 1] + counts[i - 1] == start:
+            counts[i - 1] += count
+        else:
+            starts.insert(i, start)
+            counts.insert(i, count)
 
     # -- recovery ---------------------------------------------------------------
 
@@ -206,27 +252,13 @@ class PageAllocator:
         ``in_use`` is indexable by page number; truthy means occupied.
         Free runs are distributed round-robin across CPUs to re-balance.
         """
-        alloc = cls.__new__(cls)
-        alloc.lo, alloc.hi, alloc.cpus = lo, hi, cpus
-        alloc._lists = [[] for _ in range(cpus)]
-        alloc.allocs = alloc.frees = alloc.steals = 0
-        run_start: Optional[int] = None
-        runs: list[Extent] = []
-        for page in range(lo, hi):
-            if not in_use[page]:
-                if run_start is None:
-                    run_start = page
-            elif run_start is not None:
-                runs.append(Extent(run_start, page - run_start))
-                run_start = None
-        if run_start is not None:
-            runs.append(Extent(run_start, hi - run_start))
-        for i, ext in enumerate(runs):
-            alloc._lists[i % cpus].append(ext)
-        for lst in alloc._lists:
-            lst.sort(key=lambda e: e.start)
-        alloc.alloc_log = None
-        return alloc
+        used = np.ones(hi - lo + 2, dtype=bool)  # occupied sentinels
+        used[1:-1] = in_use[lo:hi]
+        # A run starts where used falls to free and ends where it rises.
+        edges = np.flatnonzero(np.diff(used)) + lo
+        runs = [Extent(s, e - s) for s, e in
+                zip(edges[::2].tolist(), edges[1::2].tolist())]
+        return cls._round_robin(lo, hi, runs, cpus)
 
     @classmethod
     def from_free_lists(cls, lo: int, hi: int,
@@ -238,19 +270,18 @@ class PageAllocator:
         extents are redistributed round-robin, mirroring
         :meth:`from_bitmap`'s re-balancing.
         """
-        alloc = cls.__new__(cls)
-        alloc.lo, alloc.hi, alloc.cpus = lo, hi, cpus
-        alloc._lists = [[] for _ in range(cpus)]
-        alloc.allocs = alloc.frees = alloc.steals = 0
-        alloc.alloc_log = None
-        if len(lists) == cpus:
-            for cpu, lst in enumerate(lists):
-                alloc._lists[cpu] = sorted(lst, key=lambda e: e.start)
-        else:
+        if len(lists) != cpus:
             flat = sorted((e for lst in lists for e in lst),
-                          key=lambda e: e.start)
-            for i, ext in enumerate(flat):
-                alloc._lists[i % cpus].append(ext)
-            for lst in alloc._lists:
-                lst.sort(key=lambda e: e.start)
+                          key=_START)
+            return cls._round_robin(lo, hi, flat, cpus)
+        alloc = cls.__new__(cls)
+        alloc._reset(lo, hi, [sorted(lst, key=_START) for lst in lists])
+        return alloc
+
+    @classmethod
+    def _round_robin(cls, lo: int, hi: int, runs: list[Extent], cpus: int
+                     ) -> "PageAllocator":
+        """Deal ``runs`` (sorted by start) out to ``cpus`` lists in turn."""
+        alloc = cls.__new__(cls)
+        alloc._reset(lo, hi, [runs[cpu::cpus] for cpu in range(cpus)])
         return alloc

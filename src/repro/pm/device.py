@@ -21,13 +21,21 @@ tested under both.
 
 Implementation notes (per the HPC guides: views over copies, vectorized
 bulk paths): logical content lives in one NumPy ``uint8`` array; only
-*dirty* lines carry a shadow copy of their durable content, so bulk writes
-stay O(bytes touched) with no full-device copies.
+*volatile* lines carry a shadow copy of their durable content, so bulk
+writes stay O(bytes touched) with no full-device copies.  Volatility is
+tracked per cache line but *updated per run*: a store snapshots the
+durable content of every line it covers in one slice of the line-typed
+view of the array and moves the run between the ``dirty`` / ``flushing``
+sets with one set operation; a fence that leaves nothing dirty drops the
+whole shadow at once; a crash restores all volatile lines in one scatter.
+The shadow's key order is the order lines first became volatile — the
+order ``crash("torn")`` draws its random words in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +47,11 @@ __all__ = ["PMDevice", "PMStats", "CrashRequested", "CACHELINE"]
 
 CACHELINE = 64
 _WORD = 8
+_WORDS_PER_LINE = CACHELINE // _WORD
+_LINE = np.dtype(f"V{CACHELINE}")  # one cache line as one array element
+
+# Exhaust an iterator at C speed (the itertools "consume" recipe).
+_consume = deque(maxlen=0).extend
 
 
 class CrashRequested(Exception):
@@ -101,8 +114,14 @@ class PMDevice:
         self.stats = PMStats()
         self.hooks = PMHooks()
         self._mem = np.zeros(size, dtype=np.uint8)
+        # The same buffer (views, no second copy of the device): as a
+        # memoryview, whose slices move bytes without building an array
+        # per access, and as one element per cache line.
+        self._bytes = memoryview(self._mem)
+        self._mem_lines = self._mem.view(_LINE)
         # line index -> durable content of that line (bytes), present only
-        # while the line has non-durable stores.
+        # while the line has non-durable stores: its keys are always
+        # exactly ``_dirty | _flushing``.
         self._shadow: dict[int, bytes] = {}
         self._dirty: set[int] = set()     # stored, not yet clwb'd
         self._flushing: set[int] = set()  # clwb'd / nt-stored, not yet fenced
@@ -122,12 +141,15 @@ class PMDevice:
     def _lines(self, addr: int, n: int) -> range:
         return range(addr // CACHELINE, (addr + n - 1) // CACHELINE + 1)
 
-    def _shadow_lines(self, addr: int, n: int) -> None:
-        """Snapshot durable content of lines about to be dirtied."""
-        for line in self._lines(addr, n):
-            if line not in self._shadow:
-                start = line * CACHELINE
-                self._shadow[line] = self._mem[start:start + CACHELINE].tobytes()
+    def _volatile_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The device as rows of words, one row per line; the volatile
+        lines' row numbers; and those lines' durable content as rows."""
+        words = self._mem.view(np.uint64).reshape(-1, _WORDS_PER_LINE)
+        lines = np.fromiter(self._shadow, dtype=np.intp,
+                            count=len(self._shadow))
+        durable = np.frombuffer(b"".join(self._shadow.values()),
+                                dtype=np.uint64)
+        return words, lines, durable.reshape(-1, _WORDS_PER_LINE)
 
     # -- data path -------------------------------------------------------------
 
@@ -137,13 +159,13 @@ class PMDevice:
         self.stats.reads += 1
         self.stats.bytes_read += n
         self.clock.advance(self.model.read_cost(n))
-        return self._mem[addr:addr + n].tobytes()
+        return self._bytes[addr:addr + n].tobytes()
 
     def read_silent(self, addr: int, n: int) -> bytes:
         """Read without charging cost (debug/verification use only)."""
         if addr < 0 or n < 0 or addr + n > self.size:
             raise ValueError("out of bounds")
-        return self._mem[addr:addr + n].tobytes()
+        return self._bytes[addr:addr + n].tobytes()
 
     def write(self, addr: int, data: bytes | bytearray | memoryview,
               nt: bool = False) -> None:
@@ -159,13 +181,16 @@ class PMDevice:
         self._check_range(addr, n)
         self.stats.writes += 1
         self.stats.bytes_written += n
-        self._shadow_lines(addr, n)
-        # frombuffer is zero-copy over bytes; only re-materialize other
-        # buffer types (profiled hot path — see the HPC guides).
+        lines = self._lines(addr, n)
+        # Snapshot the run's durable content in one slice; lines that are
+        # already volatile keep their older (durable) snapshot.
+        _consume(map(self._shadow.setdefault, lines,
+                     self._mem_lines[lines.start:lines.stop].tolist()))
+        # A memoryview slice takes bytes as they are; only re-materialize
+        # other buffer types (profiled hot path — see the HPC guides).
         if not isinstance(data, bytes):
             data = bytes(data)
-        self._mem[addr:addr + n] = np.frombuffer(data, dtype=np.uint8)
-        lines = self._lines(addr, n)
+        self._bytes[addr:addr + n] = data
         if nt:
             self.stats.nt_writes += 1
             self._flushing.update(lines)
@@ -196,12 +221,16 @@ class PMDevice:
     def clwb(self, addr: int, n: int = CACHELINE) -> None:
         """Initiate write-back of every cache line covering ``[addr, addr+n)``."""
         self._check_range(addr, n)
-        for line in self._lines(addr, n):
-            self.stats.clwbs += 1
-            self.clock.advance(self.model.clwb_ns)
-            if line in self._dirty:
-                self._dirty.discard(line)
-                self._flushing.add(line)
+        lines = self._lines(addr, n)
+        self.stats.clwbs += len(lines)
+        # One charge per line: the accumulators are floats, so n adds of
+        # clwb_ns are not one add of n * clwb_ns.
+        advance, clwb_ns = self.clock.advance, self.model.clwb_ns
+        for _ in lines:
+            advance(clwb_ns)
+        written_back = self._dirty.intersection(lines)
+        self._dirty -= written_back
+        self._flushing |= written_back
 
     def sfence(self) -> None:
         """Drain pending write-backs; everything clwb'd/nt-stored is durable."""
@@ -214,10 +243,13 @@ class PMDevice:
         count = self.stats.sfences
         if self.hooks.on_persist is not None:
             self.hooks.on_persist(count, self)
-        for line in self._flushing:
-            self._shadow.pop(line, None)
-            if self._wear is not None:
-                self._wear[line] += 1
+        if self._dirty:
+            _consume(map(self._shadow.__delitem__, self._flushing))
+        else:
+            self._shadow.clear()
+        if self._wear is not None:
+            self._wear[np.fromiter(self._flushing, dtype=np.intp,
+                                   count=len(self._flushing))] += 1
         self.stats.lines_persisted += len(self._flushing)
         self._flushing.clear()
         if self.hooks.on_persist_done is not None:
@@ -266,22 +298,16 @@ class PMDevice:
         if mode == "torn" and rng is None:
             rng = np.random.default_rng(0)
         self.stats.crashes += 1
-        for line, durable in self._shadow.items():
-            start = line * CACHELINE
-            if mode == "discard":
-                self._mem[start:start + CACHELINE] = np.frombuffer(
-                    durable, dtype=np.uint8)
-            else:
-                old = np.frombuffer(durable, dtype=np.uint8).copy()
-                new = self._mem[start:start + CACHELINE].copy()
-                keep_new = rng.integers(0, 2, size=CACHELINE // _WORD,
-                                        dtype=np.uint8).astype(bool)
-                mixed = old
-                for w in range(CACHELINE // _WORD):
-                    if keep_new[w]:
-                        mixed[w * _WORD:(w + 1) * _WORD] = \
-                            new[w * _WORD:(w + 1) * _WORD]
-                self._mem[start:start + CACHELINE] = mixed
+        if self._shadow:
+            words, lines, survives = self._volatile_words()
+            if mode == "torn":
+                # One draw of a line's eight words per volatile line, in
+                # the order the lines first became volatile.
+                keep_new = np.array(
+                    [rng.integers(0, 2, size=_WORDS_PER_LINE, dtype=np.uint8)
+                     for _ in lines], dtype=bool)
+                survives = np.where(keep_new, words[lines], survives)
+            words[lines] = survives
         self._shadow.clear()
         self._dirty.clear()
         self._flushing.clear()
@@ -308,13 +334,10 @@ class PMDevice:
         """
         import struct as _struct
 
-        volatile = {line: self._mem[line * CACHELINE:(line + 1) * CACHELINE]
-                    .copy() for line in self._shadow}
         # Temporarily roll back to durable content for the dump.
-        for line, durable in self._shadow.items():
-            start = line * CACHELINE
-            self._mem[start:start + CACHELINE] = np.frombuffer(
-                durable, dtype=np.uint8)
+        words, lines, durable = self._volatile_words()
+        volatile = words[lines]
+        words[lines] = durable
         try:
             name = self.model.name.encode()
             with open(path, "wb") as fh:
@@ -323,9 +346,7 @@ class PMDevice:
                 fh.write(name)
                 self._mem.tofile(fh)
         finally:
-            for line, content in volatile.items():
-                start = line * CACHELINE
-                self._mem[start:start + CACHELINE] = content
+            words[lines] = volatile
 
     @classmethod
     def load_image(cls, path, clock: Optional[SimClock] = None,

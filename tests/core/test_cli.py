@@ -227,6 +227,24 @@ class TestErrorContract:
         assert err.startswith(f"error: {path}: ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_put_from_missing_source(self, image, tmp_path, capsys):
+        src = tmp_path / "no-such-file.bin"
+        assert main(["put", image, "/x", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: No such file or directory\n"
+        assert main(["ls", image, "/"]) == 0   # and /x was not created
+        assert "x" not in capsys.readouterr().out.split()
+
+    def test_get_to_unwritable_destination(self, image, tmp_path, capsys):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"payload")
+        assert main(["put", image, "/data", str(src)]) == 0
+        capsys.readouterr()
+        dest = tmp_path / "no-such-dir" / "out.bin"
+        assert main(["get", image, "/data", str(dest)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dest}: No such file or directory\n"
+
     @pytest.mark.parametrize("flag", ["--threads", "--files", "--workers"])
     def test_workload_rejects_non_positive_counts(self, flag, image,
                                                   capsys):

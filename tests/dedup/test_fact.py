@@ -271,6 +271,51 @@ class TestCheckChains:
             fact.check_chains()
 
 
+class TestWholeTablePassesSkipOnlyEmptyHeads:
+    """The passes walk the heads with a non-zero block, next or prev; a
+    head is skipped only when all three are zero."""
+
+    def test_commit_flag_on_an_otherwise_empty_head(self, fact):
+        fact.insert(mkfp(30, 0), 100)
+        fact._write_u64(77, 16, 5)          # prev of empty head 77
+        with pytest.raises(FactCorruption, match="head 77: reorder commit"):
+            fact.check_chains()
+
+    def test_invalid_head_with_a_chain_behind_it(self, fact):
+        head = fact.insert(mkfp(30, 0), 100)
+        i2 = fact.insert(mkfp(30, 1), 101)
+        i3 = fact.insert(mkfp(30, 2), 102)
+        for idx in (head, i2, i3):
+            fact.commit_uc(idx)
+        fact.dec_rfc(head)
+        fact.remove(head)                   # block 0, next still set
+        fact.check_chains()
+        assert fact.occupancy()["max_chain"] == 2
+        fact._write_u64(i3, 16, 99)         # corrupt prev two hops in
+        with pytest.raises(FactCorruption, match=f"slot {i3}: prev=98"):
+            fact.check_chains()
+        assert fact.structural_recover()["prevs_fixed"] == 1
+        fact.check_chains()
+
+    def test_repairs_are_written_in_ascending_head_order(self, fact):
+        second = {}
+        for i, prefix in enumerate((90, 20, 55)):
+            fact.insert(mkfp(prefix, 0), 60 + i)
+            second[prefix] = fact.insert(mkfp(prefix, 1), 70 + i)
+        for idx in second.values():
+            fact._write_u64(idx, 16, 99)    # stale prev in three chains
+        repairs = []
+        write_u64 = fact._write_u64
+        fact._write_u64 = lambda idx, off, val: (
+            repairs.append((idx, off, val)), write_u64(idx, off, val))[1]
+        assert fact.structural_recover()["prevs_fixed"] == 3
+        assert repairs == [(second[p], 16, p + 1) for p in (20, 55, 90)]
+        assert fact._iaa_free == [
+            idx for idx in range(fact.total - 1, fact.daa_size - 1, -1)
+            if fact.read_entry(idx).block == 0]
+        fact.check_chains()
+
+
 class TestCrashSafety:
     def test_insert_is_published_by_link(self, fact):
         """Crash between slot write and chain link leaves an orphan the
