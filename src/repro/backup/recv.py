@@ -45,7 +45,6 @@ tree it describes.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from repro.backup.diff import BackupError
@@ -57,7 +56,8 @@ from repro.backup.stream import (
 )
 from repro.dedup.fact import FactFull
 from repro.dedup.reflink import SNAPSHOT_DIR, materialise_shared
-from repro.nova.fs import FSError, FileExists, NoSpace, ino_cpu
+from repro.nova import persist
+from repro.nova.fs import FileExists, NoSpace, ino_cpu
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import extend_runs
@@ -85,35 +85,6 @@ def _cursor_path(name: str, sid: str) -> str:
     return _stage_path(name, sid) + ".cursor"
 
 
-def _present(fs, path: str) -> bool:
-    """Existence without following a final symlink (exists() would)."""
-    try:
-        fs.lookup(path, follow=False)
-        return True
-    except FSError:
-        return False
-
-
-def _write_small(fs, path: str, data: bytes) -> None:
-    if not _present(fs, path):
-        fs.create(path)
-    ino = fs.lookup(path, follow=False)
-    fs.truncate(ino, 0)
-    if data:
-        fs.write(ino, 0, data)
-
-
-def _read_cursor(fs, path: str) -> Optional[dict]:
-    if not _present(fs, path):
-        return None
-    ino = fs.lookup(path, follow=False)
-    try:
-        cur = json.loads(fs.read(ino, 0, fs.stat(ino).size).decode())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    return cur if isinstance(cur, dict) else None
-
-
 def staged_ingests(fs) -> list[dict]:
     """Every staged (uncommitted) ingest with its cursor state.
 
@@ -123,14 +94,14 @@ def staged_ingests(fs) -> list[dict]:
     definition).
     """
     out = []
-    if not _present(fs, STAGE_DIR):
+    if not persist.lexists(fs, STAGE_DIR):
         return out
     for entry in sorted(fs.listdir(STAGE_DIR)):
         path = f"{STAGE_DIR}/{entry}"
         ino = fs.lookup(path, follow=False)
         if fs.caches[ino].inode.itype != ITYPE_DIR:
             continue
-        cur = _read_cursor(fs, path + ".cursor") or {}
+        cur = persist.read_state(fs, path + ".cursor") or {}
         out.append({
             "snapshot": cur.get("snapshot", entry.rsplit("@", 1)[0]),
             "stage": path,
@@ -147,12 +118,12 @@ def stage_cursor(fs, name: str) -> Optional[dict]:
     Stages are keyed by ``name@stream12``, so this scans the staging
     directory for a cursor whose recorded snapshot matches.
     """
-    if not _present(fs, STAGE_DIR):
+    if not persist.lexists(fs, STAGE_DIR):
         return None
     for entry in sorted(fs.listdir(STAGE_DIR)):
         if not entry.endswith(".cursor"):
             continue
-        cur = _read_cursor(fs, f"{STAGE_DIR}/{entry}")
+        cur = persist.read_state(fs, f"{STAGE_DIR}/{entry}")
         if cur is not None and cur.get("snapshot") == name:
             return cur
     return None
@@ -197,7 +168,7 @@ def rollback_staging(fs, torn_only: bool = False) -> dict:
     rolled-back ingest leaves no trace in the table.
     """
     out = {"stages": 0, "files": 0, "cursors": 0, "kept": 0}
-    if not _present(fs, STAGE_DIR):
+    if not persist.lexists(fs, STAGE_DIR):
         return out
     entries = list(fs.listdir(STAGE_DIR))
     dirs = []
@@ -212,7 +183,7 @@ def rollback_staging(fs, torn_only: bool = False) -> dict:
     for entry in sorted(dirs):
         path = f"{STAGE_DIR}/{entry}"
         cname = f"{entry}.cursor"
-        cur = _read_cursor(fs, f"{STAGE_DIR}/{cname}")
+        cur = persist.read_state(fs, f"{STAGE_DIR}/{cname}")
         if torn_only and cur is not None and cur.get("active") is False:
             out["kept"] += 1
             cursors.discard(cname)
@@ -226,8 +197,7 @@ def rollback_staging(fs, torn_only: bool = False) -> dict:
     for cname in sorted(cursors):  # cursors with no stage: always stray
         fs.unlink(f"{STAGE_DIR}/{cname}")
         out["cursors"] += 1
-    if not fs.listdir(STAGE_DIR):
-        fs.rmdir(STAGE_DIR)
+    persist.prune_dir(fs, STAGE_DIR)
     return out
 
 
@@ -331,10 +301,10 @@ def receive_backup(fs, stream, resume: bool = True,
         name = manifest["snapshot"]
         sid = manifest["stream_id"]
         dst = f"{SNAPSHOT_DIR}/{name}"
-        if _present(fs, dst):
+        if persist.lexists(fs, dst):
             raise FileExists(dst)
 
-        if not _present(fs, STAGE_DIR):
+        if not persist.lexists(fs, STAGE_DIR):
             fs.mkdir(STAGE_DIR)
         stage = _stage_path(name, sid)
         cpath = _cursor_path(name, sid)
@@ -346,26 +316,26 @@ def receive_backup(fs, stream, resume: bool = True,
         for ing in staged_ingests(fs):
             if ing["snapshot"] == name and ing["stage"] != stage:
                 _teardown(fs, ing["stage"])
-                if _present(fs, ing["stage"] + ".cursor"):
+                if persist.lexists(fs, ing["stage"] + ".cursor"):
                     fs.unlink(ing["stage"] + ".cursor")
 
         resumed = False
-        if _present(fs, stage):
-            cur = _read_cursor(fs, cpath) if resume else None
+        if persist.lexists(fs, stage):
+            cur = persist.read_state(fs, cpath) if resume else None
             if cur is not None and cur.get("stream_id") == sid:
                 resumed = True
             else:
                 # resume=False, or a garbled cursor: start fresh.
                 _teardown(fs, stage)
-                if _present(fs, cpath):
+                if persist.lexists(fs, cpath):
                     fs.unlink(cpath)
-        if not _present(fs, stage):
+        if not persist.lexists(fs, stage):
             fs.mkdir(stage)
 
         def write_cursor(applied: int, active: bool) -> None:
-            _write_small(fs, cpath, json.dumps(
-                {"stream_id": sid, "snapshot": name,
-                 "applied": applied, "active": active}).encode())
+            persist.write_state(fs, cpath, {
+                "stream_id": sid, "snapshot": name,
+                "applied": applied, "active": active})
 
         # Dirty-mark the stage before touching it: a crash from here on
         # is a torn ingest and the unclean-mount fsck removes the stage.
@@ -383,7 +353,7 @@ def receive_backup(fs, stream, resume: bool = True,
             for ent in manifest["tree"]:
                 kind, relpath = ent[0], ent[1]
                 path = f"{stage}/{relpath}"
-                if _present(fs, path):
+                if persist.lexists(fs, path):
                     skipped += 1  # published by an interrupted run
                     continue
                 if max_entries is not None and applied >= max_entries:
@@ -403,12 +373,10 @@ def receive_backup(fs, stream, resume: bool = True,
                 write_cursor(applied + skipped, True)
             committed = False
             if not stopped:
-                if not _present(fs, SNAPSHOT_DIR):
+                if not persist.lexists(fs, SNAPSHOT_DIR):
                     fs.mkdir(SNAPSHOT_DIR)
                 fs.rename(stage, dst)  # THE commit flag (journal)
-                fs.unlink(cpath)
-                if not fs.listdir(STAGE_DIR):
-                    fs.rmdir(STAGE_DIR)
+                persist.remove_state(fs, cpath)
                 committed = True
             else:
                 # Clean pause: the stage holds only fully-committed

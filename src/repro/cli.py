@@ -459,10 +459,7 @@ def cmd_scrub(args) -> int:
         return 1
     code = 0
     if args.cursor:
-        if args.deep:
-            fs._verify_cursor = args.cursor
-        else:
-            fs._scrub_cursor = args.cursor
+        fs.cursors.set("deep_verify" if args.deep else "scrub", args.cursor)
     if args.deep:
         rep = fs.deep_verify(budget=args.budget)
         if not rep["clean"]:
@@ -1138,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scrub", help="budgeted, resumable FACT "
                                      "maintenance sweep")
     s.add_argument("image")
-    s.add_argument("--budget", type=int, default=None,
+    s.add_argument("--budget", type=_positive_int, default=None,
                    help="examine at most N FACT entries (default: all)")
     s.add_argument("--cursor", type=int, default=0,
                    help="resume from a previous run's next_cursor")
@@ -1309,7 +1306,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = rsub.add_parser("relocate", help="reverse-dedup pass: make the "
                                          "newest snapshot sequential")
     r.add_argument("image")
-    r.add_argument("--budget", type=int, default=None,
+    r.add_argument("--budget", type=_positive_int, default=None,
                    help="max pages moved this call (resumes next call)")
     r.add_argument("--json", action="store_true")
     r.set_defaults(fn=cmd_repl)

@@ -27,6 +27,7 @@ from repro.dedup.fingerprint import Fingerprinter
 from repro.nova.entries import DEDUPE_NEEDED, WriteEntry
 from repro.nova.fs import NovaFS
 from repro.nova.layout import PAGE_SIZE, Geometry
+from repro.nova.persist import SweepCursors
 from repro.obs import CounterView
 from repro.pm.device import PMDevice
 
@@ -51,21 +52,17 @@ class DeNovaFS(NovaFS):
         self.dwq.tenant_resolver = self.tenants.tenant_of
         self.daemon = DedupDaemon(self)
         self._pending_pages: Counter[int] = Counter()  # log page -> entries
-        # Resumable maintenance cursors (budgeted scrub / deep_verify).
-        self._scrub_cursor = 0
-        self._verify_cursor = 0
+        # Volatile resume points of the budgeted background passes.
+        self.cursors = SweepCursors(self.obs.registry, {
+            "scrub": "dedup.scrub_cursor",
+            "deep_verify": "dedup.verify_cursor",
+            "relocate": "repl.relocate_cursor"})
         self.maint_counters = CounterView(self.obs.registry, {
             "scrub_examined": "dedup.scrub_examined_total",
             "scrub_removed": "dedup.scrub_entries_removed_total",
             "scrub_pages_freed": "dedup.scrub_pages_freed_total",
             "verify_checked": "dedup.verify_pages_checked_total",
         })
-        self.obs.registry.gauge_fn(
-            "dedup.scrub_cursor", lambda: self._scrub_cursor,
-            help="FACT index the next budgeted scrub resumes from")
-        self.obs.registry.gauge_fn(
-            "dedup.verify_cursor", lambda: self._verify_cursor,
-            help="FACT index the next budgeted deep_verify resumes from")
         self.backup_counters = CounterView(self.obs.registry, {
             # send: records/bytes written to a stream file
             "send_records": "backup.send_records_total",
@@ -268,9 +265,8 @@ class DeNovaFS(NovaFS):
         """
         from repro.dedup.recovery import scrub
         with self.obs.span("dedup.scrub", budget=budget or 0,
-                           cursor=self._scrub_cursor):
-            out = scrub(self, budget=budget, cursor=self._scrub_cursor)
-        self._scrub_cursor = 0 if out["done"] else out["next_cursor"]
+                           cursor=self.cursors.get("scrub")):
+            out = scrub(self, budget)
         self.maint_counters["scrub_examined"] += out["examined"]
         self.maint_counters["scrub_removed"] += out["entries_removed"]
         self.maint_counters["scrub_pages_freed"] += out["pages_freed"]
@@ -283,10 +279,8 @@ class DeNovaFS(NovaFS):
         """
         from repro.dedup.recovery import deep_verify
         with self.obs.span("dedup.deep_verify", budget=budget or 0,
-                           cursor=self._verify_cursor):
-            out = deep_verify(self, budget=budget,
-                              cursor=self._verify_cursor)
-        self._verify_cursor = 0 if out["done"] else out["next_cursor"]
+                           cursor=self.cursors.get("deep_verify")):
+            out = deep_verify(self, budget)
         self.maint_counters["verify_checked"] += out["checked"]
         return out
 

@@ -160,7 +160,7 @@ def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
 
 
-def deep_verify(fs, budget: int | None = None, cursor: int = 0) -> dict:
+def deep_verify(fs, budget: int | None = None) -> dict:
     """Integrity audit: every canonical page must match its fingerprint.
 
     FACT stores the full SHA-1 of each deduplicated block, which makes
@@ -169,39 +169,29 @@ def deep_verify(fs, budget: int | None = None, cursor: int = 0) -> dict:
     media (or a bug) corrupted a page that multiple files may share —
     exactly the blast radius dedup amplifies, hence the audit.
 
-    ``budget`` bounds how many entries one call examines; ``cursor``
-    resumes from a previous call's ``next_cursor`` (FACT index), so the
-    audit can amortize across idle slices instead of stopping the world.
+    ``budget`` bounds how many entries one call examines; the next call
+    resumes from this one's ``next_cursor`` (a FACT index), so the audit
+    can amortize across idle slices instead of stopping the world.
 
     Returns counts and the list of corrupt (idx, block) pairs.  Cost is
     charged (one page read + one SHA-1 per entry), so callers can also
     use it to budget a background integrity-scrub schedule.
     """
-    from repro.nova.layout import PAGE_SIZE
-
-    checked = 0
     corrupt: list[tuple[int, int]] = []
-    next_cursor = cursor
-    done = True
-    for idx, ent in sorted(fs.fact.live_entries().items()):
-        if idx < cursor:
-            continue
-        if budget is not None and checked >= budget:
-            done = False
-            break
+
+    def visit(idx, ent) -> int:
         data = fs.dev.read(ent.block * PAGE_SIZE, PAGE_SIZE)
-        digest = fs.fingerprinter.strong(data)
-        checked += 1
-        next_cursor = idx + 1
-        if digest != ent.fp:
+        if fs.fingerprinter.strong(data) != ent.fp:
             corrupt.append((idx, ent.block))
-    if done:
-        next_cursor = 0
+        return 1
+
+    checked, next_cursor, done = fs.cursors.run(
+        "deep_verify", sorted(fs.fact.live_entries().items()), visit, budget)
     return {"checked": checked, "corrupt": corrupt, "clean": not corrupt,
             "examined": checked, "next_cursor": next_cursor, "done": done}
 
 
-def scrub(fs, budget: int | None = None, cursor: int = 0) -> dict:
+def scrub(fs, budget: int | None = None) -> dict:
     """The §V-C2 background thread: retire FACT entries no file uses.
 
     Builds the actual reference count per block from every file's radix
@@ -212,8 +202,8 @@ def scrub(fs, budget: int | None = None, cursor: int = 0) -> dict:
 
     Reclaimed pages go back to their *home* CPU's free list (the static
     partition owner) — not CPU 0 — so a large reclaim does not skew the
-    per-CPU lists.  ``budget``/``cursor`` bound and resume the sweep
-    exactly like :func:`deep_verify`.
+    per-CPU lists.  ``budget`` bounds and resumes the sweep exactly like
+    :func:`deep_verify`.
     """
     refs: Counter[int] = Counter()
     for cache in fs.caches.values():
@@ -222,35 +212,26 @@ def scrub(fs, budget: int | None = None, cursor: int = 0) -> dict:
         for pgoff, (_a, entry) in cache.index._slots.items():
             refs[entry.block_for(pgoff)] += 1
 
-    removed = 0
-    pages_freed = 0
-    overcounted = 0
-    examined = 0
-    next_cursor = cursor
-    done = True
-    for idx, ent in sorted(fs.fact.live_entries().items()):
-        if idx < cursor:
-            continue
-        if budget is not None and examined >= budget:
-            done = False
-            break
-        examined += 1
-        next_cursor = idx + 1
+    tally = {"entries_removed": 0, "pages_freed": 0,
+             "overcounted_remaining": 0}
+
+    def visit(idx, ent) -> int:
         actual = refs.get(ent.block, 0)
         if actual == 0:
             counts = fs.fact._read_u64(idx, 0)
             if counts:
                 fs.fact._write_u64(idx, 0, 0)
             fs.fact.remove(idx)
-            removed += 1
+            tally["entries_removed"] += 1
             if not fs.allocator.is_free(ent.block):
                 fs.allocator.free(ent.block, 1,
                                   fs.allocator.home_cpu(ent.block))
-                pages_freed += 1
+                tally["pages_freed"] += 1
         elif ent.refcount > actual:
-            overcounted += 1
-    if done:
-        next_cursor = 0
-    return {"entries_removed": removed, "pages_freed": pages_freed,
-            "overcounted_remaining": overcounted, "examined": examined,
-            "next_cursor": next_cursor, "done": done}
+            tally["overcounted_remaining"] += 1
+        return 1
+
+    examined, next_cursor, done = fs.cursors.run(
+        "scrub", sorted(fs.fact.live_entries().items()), visit, budget)
+    return {**tally, "examined": examined, "next_cursor": next_cursor,
+            "done": done}

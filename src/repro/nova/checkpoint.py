@@ -13,32 +13,31 @@ everything the full-scan recovery would otherwise rebuild:
   list restores without a FACT scan) and the saved-DWQ length for
   cross-validation against the superblock.
 
-Failure atomicity: the payload is persisted first, then a 32-byte
-header carrying ``(magic, generation, payload_len, crc)``.  The
-generation is the mount epoch at write time — every mount bumps the
-epoch, so a checkpoint can never be replayed twice; the CRC covers the
-payload *and* the header fields, so any torn write (header or payload)
-fails validation and the mount falls back to the full scan.  The
-checkpoint is advisory: losing it costs time, never correctness.
+Failure atomicity (:class:`repro.nova.persist.SlotRecord`): the payload
+is persisted first, then a 32-byte header carrying ``(magic,
+generation, payload_len, crc)``.  The generation is the mount epoch at
+write time — every mount bumps the epoch, so a checkpoint can never be
+replayed twice; the CRC covers the payload *and* the header fields, so
+any torn write (header or payload) fails validation and the mount falls
+back to the full scan.  The checkpoint is advisory: losing it costs
+time, never correctness.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.persist import SlotRecord
 from repro.pm.allocator import Extent
 
 __all__ = ["Checkpoint", "write_checkpoint", "load_checkpoint",
-           "invalidate_checkpoint", "CKPT_MAGIC"]
+           "CKPT_MAGIC"]
 
 CKPT_MAGIC = 0x544B_4843_414F_4E44  # "DNOACHKT"
 CKPT_VERSION = 1
 
-_HDR_FMT = "<QQQQ"          # magic, generation, payload_len, crc32
-_HDR_BYTES = struct.calcsize(_HDR_FMT)
 _PAYLOAD_OFF = 64           # payload starts one cache line after header
 
 _FIXED_FMT = "<IIQ"         # version, cpus, dwq_count
@@ -90,6 +89,16 @@ def _pack_payload(fs) -> bytes:
     return b"".join(parts)
 
 
+def _record(fs):
+    """The checkpoint region as a one-slot record (None: no region)."""
+    geo = fs.geo
+    if not geo.ckpt_page:
+        return None
+    return SlotRecord(fs.dev, geo.ckpt_page * PAGE_SIZE,
+                      geo.ckpt_pages * PAGE_SIZE, magic=CKPT_MAGIC,
+                      payload_off=_PAYLOAD_OFF)
+
+
 def write_checkpoint(fs) -> bool:
     """Persist a checkpoint for the current clean state.
 
@@ -97,35 +106,15 @@ def write_checkpoint(fs) -> bool:
     device has no checkpoint region or the snapshot does not fit —
     callers treat that as "no fast remount", never as an error.
     """
-    geo = fs.geo
-    if not geo.ckpt_page:
+    rec = _record(fs)
+    if rec is None:
         return False
-    base = geo.ckpt_page * PAGE_SIZE
-    limit = geo.ckpt_pages * PAGE_SIZE
     payload = _pack_payload(fs)
-    if _PAYLOAD_OFF + len(payload) > limit:
-        invalidate_checkpoint(fs)
+    if len(payload) > rec.capacity:
+        rec.invalidate()
         return False
-    gen = int(fs.sb.epoch)
-    crc = zlib.crc32(payload + struct.pack("<QQ", gen, len(payload)))
-    dev = fs.dev
-    # Payload first, header (with CRC) last: a crash between the two
-    # leaves a header that fails validation against the new payload.
-    dev.write(base + _PAYLOAD_OFF, payload, nt=True)
-    dev.persist(base + _PAYLOAD_OFF, len(payload))
-    dev.write(base, struct.pack(_HDR_FMT, CKPT_MAGIC, gen, len(payload),
-                                crc), nt=False)
-    dev.persist(base, _HDR_BYTES)
+    rec.store(int(fs.sb.epoch), payload)
     return True
-
-
-def invalidate_checkpoint(fs) -> None:
-    """Zero the header so a stale checkpoint can never validate."""
-    if not fs.geo.ckpt_page:
-        return
-    base = fs.geo.ckpt_page * PAGE_SIZE
-    fs.dev.zero_range(base, _HDR_BYTES)
-    fs.dev.persist(base, _HDR_BYTES)
 
 
 def load_checkpoint(fs):
@@ -135,20 +124,11 @@ def load_checkpoint(fs):
     generation (stale), CRC mismatch (torn), truncated payload, or a
     DWQ length that disagrees with the superblock.
     """
-    geo = fs.geo
-    if not geo.ckpt_page:
+    rec = _record(fs)
+    found = rec.load() if rec is not None else None
+    if found is None or found[0] != int(fs.sb.epoch):
         return None
-    base = geo.ckpt_page * PAGE_SIZE
-    limit = geo.ckpt_pages * PAGE_SIZE
-    magic, gen, length, crc = struct.unpack(
-        _HDR_FMT, fs.dev.read(base, _HDR_BYTES))
-    if magic != CKPT_MAGIC or gen != int(fs.sb.epoch):
-        return None
-    if length == 0 or _PAYLOAD_OFF + length > limit:
-        return None
-    payload = fs.dev.read(base + _PAYLOAD_OFF, length)
-    if zlib.crc32(payload + struct.pack("<QQ", gen, length)) != crc:
-        return None
+    gen, payload = found
     try:
         ck = _unpack_payload(payload, gen)
     except (struct.error, ValueError):

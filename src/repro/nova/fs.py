@@ -55,8 +55,8 @@ from repro.pm.allocator import AllocError, PageAllocator
 from repro.pm.device import PMDevice
 
 __all__ = ["NovaFS", "FSError", "FileNotFound", "FileExists", "NoSpace",
-           "NotADirectory", "IsADirectory", "DirectoryNotEmpty", "Stat",
-           "InodeCache"]
+           "NotADirectory", "IsADirectory", "DirectoryNotEmpty",
+           "CorruptImage", "Stat", "InodeCache"]
 
 
 class FSError(Exception):
@@ -89,6 +89,10 @@ class DirectoryNotEmpty(FSError):
 
 class ReadOnlyFile(FSError):
     """Write/truncate attempted on an immutable (snapshot) file."""
+
+
+class CorruptImage(FSError):
+    """Persisted state fails a sanity bound no crash can violate."""
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.nova.entries import MAX_NAME
+from repro.nova.fs import CorruptImage
 from repro.nova.layout import PAGE_SIZE, Geometry
 from repro.pm.device import PMDevice
 
@@ -101,7 +102,7 @@ class Journal:
         if count > MAX_RECORDS:
             # Torn commit-word cannot happen (atomic store); a bad count
             # means media corruption — fail loudly rather than misapply.
-            raise RuntimeError(f"journal count {count} exceeds capacity")
+            raise CorruptImage(f"journal count {count} exceeds capacity")
         raw = self.dev.read(self.base + _HEADER, count * _REC_SIZE)
         return [JournalRecord.unpack(raw[i * _REC_SIZE:(i + 1) * _REC_SIZE])
                 for i in range(count)]

@@ -106,6 +106,8 @@ _TOMB_FLAG = 1
 #: ``u64 parent_ino`` + the leaf name (the SplitFS-style whole-op
 #: absorption — metadata ops stage alongside the data they precede).
 _CREATE_OFF = (1 << 64) - 1
+_FRAME_HDR = struct.Struct("<IIQQQ")       # magic, length, ino, offset, seq
+_FRAME_TAIL = struct.Struct("<II")         # crc, pad (tombstone word)
 
 
 def _align64(n: int) -> int:
@@ -263,6 +265,43 @@ class StagingLog:
 
     # ------------------------------------------------------------ absorb
 
+    def _slab_for(self, ino: int, payload_len: int) -> Optional[_Slab]:
+        """The slab ``ino`` stages into, if one more frame fits."""
+        if payload_len > self.max_payload:
+            return None
+        slab = self._slabs[ino % self.nslabs]
+        if (slab.write_off + _align64(_REC_HDR + payload_len) + len(_TERM)
+                > slab.end):
+            self._c_fallback.inc()
+            if self.on_pressure is not None:
+                self.on_pressure()
+            return None
+        return slab
+
+    def _append(self, slab: _Slab, ino: int, offset: int, payload: bytes,
+                **shadow) -> None:
+        """The commit point: one NT-store, one fence.  A crash before
+        the fence leaves a torn/invalid record — the op never happened;
+        after it, replay applies the op."""
+        seq = slab.next_seq
+        slab.next_seq += 1
+        hdr = _FRAME_HDR.pack(_REC_MAGIC, len(payload), ino, offset, seq)
+        crc = zlib.crc32(hdr + payload) & 0xFFFFFFFF
+        frame = hdr + _FRAME_TAIL.pack(crc, 0) + payload
+        frame += bytes(_align64(len(frame)) - len(frame))
+        addr = slab.write_off
+        self.dev.write(addr, frame + _TERM, nt=True)
+        self.dev.sfence()
+        slab.write_off += len(frame)
+
+        rec = _Rec(ino=ino, offset=offset, length=len(payload),
+                   data=bytes(payload), seq=seq,
+                   stage_ns=self.fs.clock.now_ns,
+                   trace_id=self.fs.obs.tracer.current_trace_id,
+                   addr=addr, crc=crc, **shadow)
+        slab.recs.append(rec)
+        self._by_ino.setdefault(ino, []).append(rec)
+
     def try_stage(self, ino: int, offset: int, data: bytes) -> bool:
         """Absorb one small write; False means the caller must fall back.
 
@@ -272,14 +311,8 @@ class StagingLog:
         """
         fs = self.fs
         cache = fs._file_cache(ino, for_write=True)
-        if len(data) > self.max_payload:
-            return False
-        rec_size = _align64(_REC_HDR + len(data))
-        slab = self._slabs[ino % self.nslabs]
-        if slab.write_off + rec_size + len(_TERM) > slab.end:
-            self._c_fallback.inc()
-            if self.on_pressure is not None:
-                self.on_pressure()
+        slab = self._slab_for(ino, len(data))
+        if slab is None:
             return False
 
         with fs.obs.span("staging.absorb", ino=ino, bytes=len(data)):
@@ -300,28 +333,7 @@ class StagingLog:
                 if cache.index.block_of(pgoff) is None:
                     pending.add(pgoff)
 
-            seq = slab.next_seq
-            slab.next_seq += 1
-            hdr = struct.pack("<IIQQQ", _REC_MAGIC, len(data), ino,
-                              offset, seq)
-            crc = zlib.crc32(hdr + data) & 0xFFFFFFFF
-            rec = hdr + struct.pack("<II", crc, 0) + data
-            rec += bytes(rec_size - len(rec)) + _TERM
-            # The commit point: one NT-store, one fence.  A crash before
-            # the fence leaves a torn/invalid record — the write never
-            # happened; after it, replay applies the write.
-            addr = slab.write_off
-            self.dev.write(addr, rec, nt=True)
-            self.dev.sfence()
-            slab.write_off += rec_size
-
-            shadow = _Rec(ino=ino, offset=offset, length=len(data),
-                          data=bytes(data), seq=seq,
-                          stage_ns=fs.clock.now_ns,
-                          trace_id=fs.obs.tracer.current_trace_id,
-                          addr=addr, crc=crc)
-            slab.recs.append(shadow)
-            self._by_ino.setdefault(ino, []).append(shadow)
+            self._append(slab, ino, offset, data)
             new_size = max(cache.inode.size, offset + len(data))
             cache.inode.size = new_size
             cache.inode.mtime = int(fs.clock.now_ns)
@@ -340,39 +352,13 @@ class StagingLog:
         at destage, in the same inode-then-dentry order as a direct
         create, so the orphan-collection contract is unchanged.
         """
-        fs = self.fs
         payload = struct.pack("<Q", parent_ino) + name.encode()
-        if len(payload) > self.max_payload:
+        slab = self._slab_for(ino, len(payload))
+        if slab is None:
             return False
-        rec_size = _align64(_REC_HDR + len(payload))
-        slab = self._slabs[ino % self.nslabs]
-        if slab.write_off + rec_size + len(_TERM) > slab.end:
-            self._c_fallback.inc()
-            if self.on_pressure is not None:
-                self.on_pressure()
-            return False
-
-        with fs.obs.span("staging.absorb", ino=ino, kind="create"):
-            seq = slab.next_seq
-            slab.next_seq += 1
-            hdr = struct.pack("<IIQQQ", _REC_MAGIC, len(payload), ino,
-                              _CREATE_OFF, seq)
-            crc = zlib.crc32(hdr + payload) & 0xFFFFFFFF
-            rec = hdr + struct.pack("<II", crc, 0) + payload
-            rec += bytes(rec_size - len(rec)) + _TERM
-            addr = slab.write_off
-            self.dev.write(addr, rec, nt=True)
-            self.dev.sfence()
-            slab.write_off += rec_size
-
-            shadow = _Rec(ino=ino, offset=_CREATE_OFF,
-                          length=len(payload), data=payload, seq=seq,
-                          stage_ns=fs.clock.now_ns,
-                          trace_id=fs.obs.tracer.current_trace_id,
-                          kind="create", parent_ino=parent_ino, name=name,
-                          addr=addr, crc=crc)
-            slab.recs.append(shadow)
-            self._by_ino.setdefault(ino, []).append(shadow)
+        with self.fs.obs.span("staging.absorb", ino=ino, kind="create"):
+            self._append(slab, ino, _CREATE_OFF, payload, kind="create",
+                         parent_ino=parent_ino, name=name)
             self._c_created.inc()
         return True
 
@@ -551,17 +537,17 @@ class StagingLog:
         candidates: list[tuple[int, int, bytes, int]] = []
         while pos + _REC_HDR <= slab.end:
             hdr = dev.read(pos, _REC_HDR)
-            magic, length, ino, offset, seq = struct.unpack_from(
-                "<IIQQQ", hdr, 0)
+            magic, length, ino, offset, seq = _FRAME_HDR.unpack_from(hdr, 0)
             if magic != _REC_MAGIC or length == 0 \
                     or length > self.max_payload:
                 break
-            rec_size = _align64(_REC_HDR + length)
-            if pos + rec_size > slab.end or seq <= prev_seq:
-                break
+            size = _align64(_REC_HDR + length)
+            if pos + size > slab.end or seq <= prev_seq:
+                break  # a previous slab generation's leftover
             payload = dev.read(pos + _REC_HDR, length)
-            crc, pad = struct.unpack_from("<II", hdr, 32)
-            if zlib.crc32(hdr[:32] + payload) & 0xFFFFFFFF != crc:
+            crc, pad = _FRAME_TAIL.unpack_from(hdr, _FRAME_HDR.size)
+            if zlib.crc32(hdr[:_FRAME_HDR.size] + payload) \
+                    & 0xFFFFFFFF != crc:
                 break  # torn append: the write never committed
             stats["scanned"] += 1
             prev_seq = seq
@@ -571,7 +557,7 @@ class StagingLog:
                 # conflicting op proceeded; replaying them would clobber
                 # that op's newer state.
                 candidates.append((ino, offset, payload, seq))
-            pos += rec_size
+            pos += size
         if candidates:
             # Span only when there is real replay work: a clean mount's
             # scan must leave no observability trace behind.

@@ -17,10 +17,9 @@ root namespace byte-identical for workloads that never replicate.
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
-from repro.nova.fs import FSError
+from repro.nova import persist
 
 __all__ = ["REPL_DIR", "record_chain", "chain_info", "chain_table",
            "set_layout", "forget_chain"]
@@ -35,46 +34,16 @@ def _chain_path(name: str) -> str:
     return f"{REPL_DIR}/{name}.chain"
 
 
-def _present(fs, path: str) -> bool:
-    try:
-        fs.lookup(path, follow=False)
-        return True
-    except FSError:
-        return False
-
-
-def _write_small(fs, path: str, data: bytes) -> None:
-    if not _present(fs, path):
-        fs.create(path)
-    ino = fs.lookup(path, follow=False)
-    fs.truncate(ino, 0)
-    if data:
-        fs.write(ino, 0, data)
-
-
-def _read_json(fs, path: str) -> Optional[dict]:
-    if not _present(fs, path):
-        return None
-    ino = fs.lookup(path, follow=False)
-    try:
-        out = json.loads(fs.read(ino, 0, fs.stat(ino).size).decode())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    return out if isinstance(out, dict) else None
-
-
 def record_chain(fs, name: str, parent: Optional[str] = None,
                  layout: str = LAYOUT_FORWARD) -> None:
     """Record lineage for snapshot ``name`` (recv commit hook)."""
-    if not _present(fs, REPL_DIR):
-        fs.mkdir(REPL_DIR)
-    _write_small(fs, _chain_path(name), json.dumps(
-        {"parent": parent, "layout": layout}).encode())
+    persist.write_state(fs, _chain_path(name),
+                        {"parent": parent, "layout": layout}, mkparent=True)
 
 
 def chain_info(fs, name: str) -> Optional[dict]:
     """``{"parent", "layout"}`` for ``name`` (None if never recorded)."""
-    return _read_json(fs, _chain_path(name))
+    return persist.read_state(fs, _chain_path(name))
 
 
 def set_layout(fs, name: str, layout: str) -> bool:
@@ -86,18 +55,14 @@ def set_layout(fs, name: str, layout: str) -> bool:
     info = chain_info(fs, name)
     if info is None:
         return False
-    _write_small(fs, _chain_path(name), json.dumps(
-        {"parent": info.get("parent"), "layout": layout}).encode())
+    persist.write_state(fs, _chain_path(name),
+                        {"parent": info.get("parent"), "layout": layout})
     return True
 
 
 def forget_chain(fs, name: str) -> None:
     """Drop ``name``'s chain metadata (snapshot deletion hook)."""
-    path = _chain_path(name)
-    if _present(fs, path):
-        fs.unlink(path)
-    if _present(fs, REPL_DIR) and not fs.listdir(REPL_DIR):
-        fs.rmdir(REPL_DIR)
+    persist.remove_state(fs, _chain_path(name), missing_ok=True)
 
 
 def chain_table(fs) -> list[dict]:

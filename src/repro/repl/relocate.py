@@ -46,22 +46,17 @@ RevDedup case — has no such conflict.
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from typing import Optional
 
 from repro.dedup.daemon import append_redirects
+from repro.nova import persist
 from repro.nova.entries import DEDUPE_COMPLETE
 from repro.nova.fs import ino_cpu
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.pm.allocator import AllocError
-from repro.repl.chain import (
-    LAYOUT_REVERSE,
-    REPL_DIR,
-    _present,
-    _write_small,
-    set_layout,
-)
+from repro.repl.chain import LAYOUT_REVERSE, REPL_DIR, set_layout
 
 __all__ = ["INTENT_PATH", "relocate_latest", "replay_intents",
            "latest_snapshot"]
@@ -135,20 +130,18 @@ def _min_runs(mapped: list[int]) -> int:
     return segs
 
 
-def _relocate_file(fs, path: str, placed: set[int]) -> dict:
+def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
     """Sequentialize one file of the newest snapshot.
 
-    Returns ``{"moved": n}`` (0 = already sequential) or
-    ``{"skipped": reason}``.  ``placed`` accumulates blocks this pass
-    already assigned a home — first owner wins.
+    Returns the pages moved (0 = already sequential, or skipped for
+    ENOSPC) and counts them into ``tally``.  ``placed`` accumulates
+    blocks this pass already assigned a home — first owner wins.
     """
     ino = fs.lookup(path, follow=False)
     cache = fs.caches[ino]
     mapped = cache.index.mapped_offsets
-    if not mapped:
-        return {"moved": 0}
-    if len(cache.index.physical_runs()) <= _min_runs(mapped):
-        return {"moved": 0}
+    if not mapped or len(cache.index.physical_runs()) <= _min_runs(mapped):
+        return 0
     cpu = ino_cpu(ino, fs.cpus)
 
     # Plan: mapped page i of this file lands at newstart + i; a block
@@ -158,7 +151,8 @@ def _relocate_file(fs, path: str, placed: set[int]) -> dict:
     try:
         newstart = fs.allocator.alloc(len(mapped), cpu)
     except AllocError:
-        return {"skipped": "enospc"}
+        tally["skipped_enospc"] += 1
+        return 0
     moves: list[dict] = []    # {"old", "new", "idx"}
     assigned: set[int] = set()
     unused: list[int] = []
@@ -172,14 +166,12 @@ def _relocate_file(fs, path: str, placed: set[int]) -> dict:
                       "idx": ent.idx if ent is not None else None})
     if not moves:
         fs.allocator.free(newstart, len(mapped), cpu)
-        return {"moved": 0}
+        return 0
 
     # Journal the whole batch before touching anything (step 2); the
     # file write persists through the normal data path, so a crash
     # mid-journal leaves garbled JSON = a never-started batch.
-    if not _present(fs, REPL_DIR):
-        fs.mkdir(REPL_DIR)
-    _write_small(fs, INTENT_PATH, json.dumps(moves).encode())
+    persist.write_state(fs, INTENT_PATH, moves, mkparent=True)
 
     refs = _block_refs(fs, {m["old"] for m in moves})
     for m in moves:
@@ -196,7 +188,9 @@ def _relocate_file(fs, path: str, placed: set[int]) -> dict:
     for page in unused:
         fs.allocator.free(page, 1, cpu)
     fs.unlink(INTENT_PATH)
-    return {"moved": len(moves)}
+    tally["pages_moved"] += len(moves)
+    tally["files_moved"] += 1
+    return len(moves)
 
 
 def relocate_latest(fs, budget: Optional[int] = None) -> dict:
@@ -215,41 +209,25 @@ def relocate_latest(fs, budget: Optional[int] = None) -> dict:
         return {"snapshot": None, "done": True, "pages_moved": 0,
                 "files_examined": 0, "files_moved": 0,
                 "skipped_enospc": 0, "next_cursor": 0}
-    cursor_name, cursor = getattr(fs, "_relocate_cursor", (None, 0))
-    if cursor_name != name:
-        cursor = 0
     files = _walk_files(fs, f"{SNAPSHOT_DIR}/{name}")
-    moved = files_moved = examined = enospc = 0
+    tally = Counter(pages_moved=0, files_moved=0, skipped_enospc=0)
     placed: set[int] = set()
     with fs.obs.span("repl.relocate", snapshot=name, budget=budget or 0,
-                     cursor=cursor):
-        while cursor < len(files):
-            if budget is not None and moved >= budget:
-                break
-            out = _relocate_file(fs, files[cursor], placed)
-            examined += 1
-            cursor += 1
-            if out.get("skipped") == "enospc":
-                enospc += 1
-            elif out["moved"]:
-                moved += out["moved"]
-                files_moved += 1
-    done = cursor >= len(files)
-    fs._relocate_cursor = (None, 0) if done else (name, cursor)
+                     cursor=fs.cursors.get("relocate", name)):
+        examined, next_cursor, done = fs.cursors.run(
+            "relocate", enumerate(files),
+            lambda _pos, path: _relocate_file(fs, path, placed, tally),
+            budget, tag=name)
     if done:
         set_layout(fs, name, LAYOUT_REVERSE)
     # Local-only chains record no metadata: don't leave an empty /.repl
     # behind once every intent journal is retired.
-    if _present(fs, REPL_DIR) and not fs.listdir(REPL_DIR):
-        fs.rmdir(REPL_DIR)
-    counters = getattr(fs, "repl_counters", None)
-    if counters is not None:
-        counters["pages_relocated"] += moved
-        counters["files_sequentialized"] += files_moved
-        counters["relocate_skipped_enospc"] += enospc
-    return {"snapshot": name, "done": done, "pages_moved": moved,
-            "files_examined": examined, "files_moved": files_moved,
-            "skipped_enospc": enospc, "next_cursor": 0 if done else cursor}
+    persist.prune_dir(fs, REPL_DIR, missing_ok=True)
+    fs.repl_counters["pages_relocated"] += tally["pages_moved"]
+    fs.repl_counters["files_sequentialized"] += tally["files_moved"]
+    fs.repl_counters["relocate_skipped_enospc"] += tally["skipped_enospc"]
+    return {"snapshot": name, "done": done, "files_examined": examined,
+            "next_cursor": next_cursor, **tally}
 
 
 def replay_intents(fs) -> int:
@@ -260,7 +238,8 @@ def replay_intents(fs) -> int:
     docstring); the journal is then dropped.  Returns moves settled
     forward (0 = nothing to do / batch discarded).
     """
-    intents = _read_json_list(fs)
+    # A torn journal write reads as an empty batch: it never started.
+    intents = persist.read_state(fs, INTENT_PATH, list, torn=[])
     if intents is None:
         return 0
     settled = 0
@@ -285,18 +264,5 @@ def replay_intents(fs) -> int:
             # pinned and are free already.
             fs.allocator.free(old, 1, fs.allocator.home_cpu(old))
         settled += 1
-    fs.unlink(INTENT_PATH)
-    if not fs.listdir(REPL_DIR):
-        fs.rmdir(REPL_DIR)
+    persist.remove_state(fs, INTENT_PATH)
     return settled
-
-
-def _read_json_list(fs) -> Optional[list]:
-    if not _present(fs, INTENT_PATH):
-        return None
-    ino = fs.lookup(INTENT_PATH, follow=False)
-    try:
-        out = json.loads(fs.read(ino, 0, fs.stat(ino).size).decode())
-    except (ValueError, UnicodeDecodeError):
-        return []  # torn journal write: the batch never started
-    return out if isinstance(out, list) else []

@@ -3,12 +3,12 @@
 Two one-page A/B slots inside the region placed by
 :class:`repro.nova.layout.Geometry` (``tenant_page``/``tenant_pages``).
 A save serializes the whole table and writes it to the slot the last
-valid save did *not* use, payload first, header (with the CRC) last —
-the same header-last discipline as the clean-unmount checkpoint, so a
-crash at any persist boundary leaves the previous slot's table intact
-and the loader simply picks the valid slot with the highest sequence
-number.  Every ``dev.persist`` this module issues is therefore a crash
-point the fuzz sweep replays and checks.
+valid save did *not* use, as a header-last
+:class:`repro.nova.persist.SlotRecord` (the clean-unmount checkpoint's
+discipline), so a crash at any persist boundary leaves the previous
+slot's table intact and the loader simply picks the valid slot with the
+highest sequence number.  Every ``dev.persist`` a save issues is
+therefore a crash point the fuzz sweep replays and checks.
 
 Record format (little-endian)::
 
@@ -21,18 +21,16 @@ Quotas are logical: a zero quota means "unlimited" for that resource.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.persist import SlotRecord
 
 __all__ = ["TenantInfo", "TenantRegistry", "MAX_TENANT_NAME"]
 
 TENANT_MAGIC = 0x544E_414E_4554_2121  # "!!TENANT" little-endian flavour
 MAX_TENANT_NAME = 47
 
-_HDR_FMT = "<QQQQ"          # magic, seq, payload_len, crc32
-_HDR_BYTES = struct.calcsize(_HDR_FMT)
 _REC_FIXED = "<IIQQB"
 _REC_FIXED_BYTES = struct.calcsize(_REC_FIXED)
 
@@ -54,9 +52,10 @@ class TenantRegistry:
     def __init__(self, dev, tenant_page: int, tenant_pages: int):
         if tenant_pages < 2:
             raise ValueError("tenant registry needs two slot pages")
-        self.dev = dev
         self.base = tenant_page * PAGE_SIZE
         self.slot_bytes = (tenant_pages // 2) * PAGE_SIZE
+        self._record = SlotRecord(dev, self.base, self.slot_bytes,
+                                  magic=TENANT_MAGIC, slots=2)
         self.tenants: dict[int, TenantInfo] = {}
         self.by_name: dict[str, int] = {}
         self.seq = 0
@@ -135,51 +134,20 @@ class TenantRegistry:
 
     def save(self) -> None:
         """Write the table to the inactive slot, header last."""
-        payload = self._pack()
-        if _HDR_BYTES + len(payload) > self.slot_bytes:
-            raise ValueError(
-                f"tenant table ({len(payload)} B) exceeds slot size")
-        seq = self.seq + 1
-        slot = self.base + (seq % 2) * self.slot_bytes
-        crc = zlib.crc32(payload + struct.pack("<QQ", seq, len(payload)))
-        dev = self.dev
-        if payload:
-            dev.write(slot + _HDR_BYTES, payload, nt=True)
-            dev.persist(slot + _HDR_BYTES, len(payload))
-        dev.write(slot, struct.pack(_HDR_FMT, TENANT_MAGIC, seq,
-                                    len(payload), crc))
-        dev.persist(slot, _HDR_BYTES)
-        self.seq = seq
+        self._record.store(self.seq + 1, self._pack())
+        self.seq += 1
 
     def load(self) -> None:
         """Rebuild the table from the newest valid slot (if any)."""
-        best_seq = 0
-        best_payload = None
-        for i in (0, 1):
-            slot = self.base + i * self.slot_bytes
-            magic, seq, length, crc = struct.unpack(
-                _HDR_FMT, self.dev.read(slot, _HDR_BYTES))
-            if magic != TENANT_MAGIC or seq == 0:
-                continue
-            if _HDR_BYTES + length > self.slot_bytes:
-                continue
-            payload = self.dev.read(slot + _HDR_BYTES, length)
-            if zlib.crc32(payload
-                          + struct.pack("<QQ", seq, length)) != crc:
-                continue
-            if seq > best_seq:
-                best_seq, best_payload = seq, payload
         self.tenants.clear()
         self.by_name.clear()
-        self.seq = best_seq
-        if best_payload is None:
-            return
+        self.seq, payload = self._record.load() or (0, b"")
         off = 0
-        while off < len(best_payload):
+        while off < len(payload):
             tid, weight, qp, qi, nlen = struct.unpack_from(
-                _REC_FIXED, best_payload, off)
+                _REC_FIXED, payload, off)
             off += _REC_FIXED_BYTES
-            name = best_payload[off:off + nlen].decode()
+            name = payload[off:off + nlen].decode()
             off += nlen
             info = TenantInfo(tid=tid, name=name, quota_pages=qp,
                               quota_inodes=qi, weight=weight)

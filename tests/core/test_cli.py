@@ -253,6 +253,39 @@ class TestErrorContract:
         assert exit_.value.code == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["scrub", "{img}"],
+                                      ["scrub", "{img}", "--deep"],
+                                      ["repl", "relocate", "{img}"]])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budgeted_passes_reject_non_positive_budgets(self, argv, budget,
+                                                         image, capsys):
+        """A budget below 1 examined nothing and reported done=False
+        forever — an idle loop for any cron-style caller."""
+        with pytest.raises(SystemExit) as exit_:
+            main([arg.format(img=image) for arg in argv]
+                 + [f"--budget={budget}"])
+        assert exit_.value.code == 2
+        assert "argument --budget: must be >= 1" in capsys.readouterr().err
+
+    def test_corrupt_journal_count_is_one_error_line(self, image, capsys):
+        """state=1/count=999 in the rename journal is media corruption
+        (no crash can produce it); fsck must report it, not trace."""
+        from repro.nova.layout import PAGE_SIZE, Superblock
+
+        assert main(["crash", image]) == 0   # next mount runs the redo pass
+        dev = PMDevice.load_image(image, clock=SimClock())
+        journal = Superblock(dev).load_geometry().journal_page * PAGE_SIZE
+        raw = bytearray(open(image, "rb").read())
+        media = len(raw) - dev.size          # image-file header length
+        raw[media + journal:media + journal + 16] = (
+            (1).to_bytes(8, "little") + (999).to_bytes(8, "little"))
+        open(image, "wb").write(bytes(raw))
+        capsys.readouterr()
+        assert main(["fsck", image]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: CorruptImage: journal count 999")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestFleetWorkloadHonoursEveryFlag:
     """``workload --tenants N`` used to return before ``--dedup-mode``,

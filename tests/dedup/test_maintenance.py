@@ -107,18 +107,29 @@ class TestBudgetedMaintenance:
                 break
         assert examined == total
         assert rounds == math.ceil(total / 2)
-        assert fs._scrub_cursor == 0  # sweep completed -> cursor reset
+        assert fs.cursors.get("scrub") == 0  # sweep completed -> cursor reset
 
     def test_budgeted_deep_verify_resumes(self):
         fs = self._populated()
         total = len(fs.fact.live_entries())
         rep1 = fs.deep_verify(budget=total - 1)
         assert not rep1["done"]
-        assert fs._verify_cursor == rep1["next_cursor"] > 0
+        assert fs.cursors.get("deep_verify") == rep1["next_cursor"] > 0
         rep2 = fs.deep_verify(budget=total)
         assert rep2["done"] and rep2["clean"]
         assert rep1["checked"] + rep2["checked"] == total
-        assert fs._verify_cursor == 0
+        assert fs.cursors.get("deep_verify") == 0
+
+    @pytest.mark.parametrize("budget", (0, -1))
+    def test_budget_below_one_is_rejected(self, budget):
+        """``examined >= budget`` held before the first entry, so such a
+        call examined nothing and reported done=False — forever."""
+        fs = self._populated()
+        fs.snapshot("s1")
+        for sweep in (fs.scrub, fs.deep_verify, fs.relocate):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                sweep(budget=budget)
+        assert fs.scrub(budget=1)["examined"] == 1
 
     def test_unbudgeted_call_sweeps_everything(self):
         fs = self._populated()

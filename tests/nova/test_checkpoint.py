@@ -7,7 +7,8 @@ import pytest
 from repro.conc import fs_state_digest
 from repro.failure import check_fs_invariants
 from repro.nova import NovaFS, PAGE_SIZE
-from repro.nova.checkpoint import _HDR_BYTES, _PAYLOAD_OFF, load_checkpoint
+from repro.nova.checkpoint import _PAYLOAD_OFF, load_checkpoint
+from repro.nova.persist import HDR_BYTES
 from repro.nova.layout import Superblock
 from repro.pm import DRAM, PMDevice, SimClock
 
@@ -99,7 +100,7 @@ class TestCheckpointFallback:
         fs = build_fs()
         digest0 = fs_state_digest(fs)
         fs.unmount()
-        self._corrupt(fs, _HDR_BYTES - 1)  # last CRC byte
+        self._corrupt(fs, HDR_BYTES - 1)  # last CRC byte
         fs2 = remount(fs, tmp_path, "hdr")
         rep = fs2.last_recovery
         assert rep.clean

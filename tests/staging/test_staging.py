@@ -244,6 +244,28 @@ class TestCrashReplay:
         assert fs2.read(fs2.lookup("/f"), 0, 4) == b"good"
         assert fs2.stat(fs2.lookup("/f")).size == 4  # torn write undone
 
+    def test_scan_stops_at_a_previous_generations_leftover(self):
+        """A rewound slab still holds the last generation's frames past
+        the new terminator.  If that terminator is lost (its words never
+        persisted) the scan walks into a CRC-valid old frame — whose
+        ``seq`` does not increase, which must end the log right there."""
+        fs = build_fs(staging_pages=16)
+        ino = fs.create("/f")                # seq 1, one 64 B frame
+        for i in range(3):
+            fs.write(ino, i * 4, b"gen1")    # seq 2..4, 64 B frames
+        slab = fs.staging._slabs[0]
+        second = slab.data_base + 64
+        old_frame = fs.dev.read_silent(second, 64)
+        fs.staging.drain_all()               # watermark 4, slab rewinds
+        fs.write(ino, 0, b"gen2")            # seq 5 lands on frame 1
+        assert fs.dev.read_silent(second, 64) == bytes(64)
+        fs.dev.write(second, old_frame, nt=True)    # the lost terminator
+        fs.dev.sfence()
+        fs2 = crash_remount(fs)
+        rep = fs2.last_recovery.extra["staging"]
+        assert (rep["scanned"], rep["replayed"]) == (1, 1)
+        assert fs2.read(fs2.lookup("/f"), 0, 12) == b"gen2gen1gen1"
+
     def test_shared_slab_drain_never_replays_superseded_write(self):
         """Slabs are shared (ino % nslabs): with one slab, /blocker's
         pending records sit ahead of /victim's, so the prefix watermark
