@@ -1,10 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the figure scripts.
 
-Every benchmark regenerates one of the paper's tables/figures as text:
-the rows/series are printed and also written to ``benchmarks/results/``
-so EXPERIMENTS.md can reference stable artifacts.  Wall-clock timing of
-the simulator itself goes through pytest-benchmark; the *scientific*
-numbers are simulated-time measurements inside the run.
+Every ``bench_*.py`` regenerates the paper's tables/figures, asserts the
+paper's claim about each, and hands :func:`emit` the numbers.  They are
+simulated-time measurements of a deterministic simulator (the host clock
+is ``benchmarks/e2e``'s job), so ``pytest benchmarks/`` rewrites
+``results/`` byte-identically and ``compare.py`` gates on exactly that.
 """
 
 from __future__ import annotations
@@ -15,26 +15,20 @@ import pathlib
 RESULTS = pathlib.Path(__file__).parent / "results"
 
 
-def emit(name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
-    banner = f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}\n"
-    print(banner)
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / f"{name}.txt").write_text(text + "\n")
+def emit(name: str, doc: dict, table: str) -> None:
+    """Record one figure — the only code that writes ``RESULTS``.
 
-
-def emit_metrics(name: str, snapshots: dict) -> None:
-    """Persist per-benchmark metric snapshots as JSON.
-
-    ``snapshots`` maps a label (variant/mode name) to a
-    ``repro.metrics/1`` snapshot (``fs.obs.snapshot()`` or
-    ``RunResult.metrics``), so ``BENCH_*.json`` entries carry full
-    histograms — p50/p95/p99 per latency metric — not just means.
+    ``doc`` is every number the bench measured (JSON-able, string keys,
+    unrounded), merged under ``name`` into ``baseline.json``; ``table``
+    is its rendering for people, written to ``<name>.txt``.
     """
+    print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{table}\n")
     RESULTS.mkdir(exist_ok=True)
-    path = RESULTS / f"{name}.metrics.json"
-    path.write_text(json.dumps(snapshots, indent=2) + "\n")
-    print(f"[metrics] wrote {path}")
+    (RESULTS / f"{name}.txt").write_text(table + "\n")
+    path = RESULTS / "baseline.json"
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data[name] = doc
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def rel(a: float, b: float) -> float:

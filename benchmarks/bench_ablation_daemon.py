@@ -35,15 +35,13 @@ def run_ratio(think_ratio: float):
     }
 
 
-def test_daemon_capacity_curve(benchmark):
-    results = benchmark.pedantic(
-        lambda: [run_ratio(r) for r in THINK_RATIOS], rounds=1,
-        iterations=1)
+def test_daemon_capacity_curve():
+    results = [run_ratio(r) for r in THINK_RATIOS]
     rows = [[r["think"], r["dwq_peak"], round(r["p90_ms"], 3),
              round(r["drain_lag_ms"], 2), round(r["fg_ms"], 2),
              round(r["dd_busy_ms"], 2)]
             for r in results]
-    emit("ablation_daemon", render_table(
+    emit("ablation_daemon", {"rows": results}, render_table(
         ["think ratio", "DWQ peak", "lingering p90 ms", "drain lag ms",
          "foreground ms", "DD busy ms"],
         rows,
@@ -63,7 +61,7 @@ def test_daemon_capacity_curve(benchmark):
     # (run_workload asserts dd drain implicitly via total_ns >= fg.)
 
 
-def test_delayed_batch_must_cover_arrivals(benchmark):
+def test_delayed_batch_must_cover_arrivals():
     """Delayed(n, m): if m < one interval's arrivals, the backlog grows
     without bound during the run; if m covers it, the queue stays near
     one interval's worth — the sizing rule for (n, m)."""
@@ -76,6 +74,5 @@ def test_delayed_batch_must_cover_arrivals(benchmark):
         return res.dwq_peak
 
     # ~48 arrivals/ms at think 2.5 -> interval of 1 ms holds ~48 nodes.
-    starved = benchmark.pedantic(lambda: run(10), rounds=1, iterations=1)
-    covered = run(200)
+    starved, covered = run(10), run(200)
     assert starved > 2 * covered, (starved, covered)

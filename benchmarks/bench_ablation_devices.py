@@ -32,32 +32,31 @@ def inline_drop(profile: str) -> float:
     return 1 - tputs[Variant.INLINE] / tputs[Variant.BASELINE]
 
 
-def build_rows():
-    rows = []
+def build():
+    out = {}
     for name in ORDER:
         model = PROFILES[name]
-        drop = inline_drop(name)
         m = InlineModel(model=model)
-        rows.append([
-            name,
-            model.write_latency_ns,
-            round(1 / model.write_bw_bytes_per_ns, 2),
-            round(m.t_f(4096) / m.t_w(4096), 2),
-            f"{drop:.1%}",
-        ])
-    return rows
+        out[name] = {
+            "write_ns": model.write_latency_ns,
+            "ns_per_byte": 1 / model.write_bw_bytes_per_ns,
+            "tf_over_tw": m.t_f(4096) / m.t_w(4096),
+            "inline_drop": inline_drop(name),
+        }
+    return out
 
 
-def test_inline_penalty_grows_with_device_speed(benchmark):
-    rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
-    emit("ablation_devices", render_table(
+def test_inline_penalty_grows_with_device_speed():
+    data = build()
+    emit("ablation_devices", data, render_table(
         ["device", "write ns", "ns/B", "T_f/T_w", "inline drop @a=0.5"],
-        rows,
+        [[name, d["write_ns"], round(d["ns_per_byte"], 2),
+          round(d["tf_over_tw"], 2), f"{d['inline_drop']:.1%}"]
+         for name, d in data.items()],
         title="Ablation: inline-dedup penalty by device technology "
               "(the paper's thesis: fatal on Optane, tolerable on PCM)",
     ))
-    drops = [float(r[4].rstrip("%")) / 100 for r in rows]
-    by_dev = dict(zip(ORDER, drops))
+    by_dev = {name: d["inline_drop"] for name, d in data.items()}
     # The penalty ordering follows write speed.
     assert by_dev["PCM"] < by_dev["OptaneDCPM"] < by_dev["DRAM"]
     # On PCM-class media inline is a moderate tax; on Optane it is
@@ -65,5 +64,5 @@ def test_inline_penalty_grows_with_device_speed(benchmark):
     assert by_dev["PCM"] < 0.55
     assert by_dev["OptaneDCPM"] > 0.6
     # T_f/T_w tracks the same story.
-    ratios = [r[3] for r in rows]
+    ratios = [d["tf_over_tw"] for d in data.values()]
     assert ratios[0] < ratios[1] < ratios[-1]

@@ -52,15 +52,13 @@ def run_prefix(n_bits: int):
     }
 
 
-def test_prefix_length_ablation(benchmark):
-    results = benchmark.pedantic(
-        lambda: [run_prefix(n) for n in (8, 9, 10, 12)],
-        rounds=1, iterations=1)
+def test_prefix_length_ablation():
+    results = [run_prefix(n) for n in (8, 9, 10, 12)]
     rows = [[r["n"], r["daa_slots"], round(r["mean_steps"], 2),
              r["max_chain"], r["iaa_used"], round(r["lookup_ns"]),
              r["table_kb"]]
             for r in results]
-    emit("ablation_prefix", render_table(
+    emit("ablation_prefix", {"rows": results}, render_table(
         ["n bits", "DAA slots", "mean lookup steps", "max chain",
          "IAA used", "ns/lookup", "table KB"],
         rows,

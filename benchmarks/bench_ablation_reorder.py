@@ -65,19 +65,14 @@ def run(reorder: bool):
     }
 
 
-def test_reorder_ablation(benchmark):
-    off = run(reorder=False)
-    on = benchmark.pedantic(lambda: run(reorder=True), rounds=1,
-                            iterations=1)
-    rows = [
-        ["reorder OFF", round(off["steps_per_lookup"], 2),
-         round(off["ns_per_lookup"])],
-        ["reorder ON", round(on["steps_per_lookup"], 2),
-         round(on["ns_per_lookup"])],
-    ]
-    emit("ablation_reorder", render_table(
+def test_reorder_ablation():
+    off, on = run(reorder=False), run(reorder=True)
+    doc = {label: {k: r[k] for k in ("steps_per_lookup", "ns_per_lookup")}
+           for label, r in (("reorder OFF", off), ("reorder ON", on))}
+    emit("ablation_reorder", doc, render_table(
         ["config", "NVM reads per hot lookup", "ns per hot lookup"],
-        rows,
+        [[label, round(d["steps_per_lookup"], 2), round(d["ns_per_lookup"])]
+         for label, d in doc.items()],
         title="Ablation: §IV-E chain reordering on a hot tail entry "
               f"(chain length {CHAIN + 1})",
     ))

@@ -31,43 +31,33 @@ def measured_write_ns(variant: Variant, alpha: float, nfiles: int = 40
     return (fs.clock.now_ns - t0) / nfiles
 
 
-def build_rows():
+def test_eq_model_inequalities():
     model = InlineModel()
-    rows = []
-    for alpha in ALPHAS:
-        base = model.baseline_write_time(4096)
-        inline = model.inline_write_time(4096, alpha)
-        adaptive = model.adaptive_write_time(4096, alpha)
-        rows.append([
-            alpha,
-            round(base / 1000, 2),
-            round(inline / 1000, 2),
-            round(adaptive / 1000, 2),
-            model.eq3_holds(4096, alpha),
-            model.eq5_holds(4096, alpha),
-        ])
-    return rows
-
-
-def test_eq_model_inequalities(benchmark):
-    rows = benchmark(build_rows)
-    emit("eq_model", render_table(
+    rows = [{"alpha": alpha,
+             "baseline_ns": model.baseline_write_time(4096),
+             "inline_ns": model.inline_write_time(4096, alpha),
+             "adaptive_ns": model.adaptive_write_time(4096, alpha),
+             "eq3_holds": model.eq3_holds(4096, alpha),
+             "eq5_holds": model.eq5_holds(4096, alpha)}
+            for alpha in ALPHAS]
+    emit("eq_model", {"rows": rows}, render_table(
         ["alpha", "baseline us", "inline us (Eq.2)",
          "adaptive us (Eq.4)", "Eq.3 holds", "Eq.5 holds"],
-        rows,
+        [[r["alpha"], round(r["baseline_ns"] / 1000, 2),
+          round(r["inline_ns"] / 1000, 2),
+          round(r["adaptive_ns"] / 1000, 2), r["eq3_holds"],
+          r["eq5_holds"]] for r in rows],
         title="Eq. 1-5: inline dedup cannot beat the baseline on Optane",
     ))
-    for row in rows:
-        assert row[4] and row[5]
-        assert row[2] > row[1]  # inline slower than baseline
-        assert row[3] > row[1]  # adaptive slower than baseline
+    for r in rows:
+        assert r["eq3_holds"] and r["eq5_holds"]
+        assert r["inline_ns"] > r["baseline_ns"]
+        assert r["adaptive_ns"] > r["baseline_ns"]
 
 
-def test_model_matches_simulator(benchmark):
+def test_model_matches_simulator():
     """The measured write paths respect the same ordering as the model,
     at every duplicate ratio."""
-    benchmark.pedantic(lambda: measured_write_ns(Variant.BASELINE, 0.5),
-                       rounds=1, iterations=1)
     for alpha in (0.0, 0.5, 0.9):
         base = measured_write_ns(Variant.BASELINE, alpha)
         inline = measured_write_ns(Variant.INLINE, alpha)
@@ -81,12 +71,10 @@ def test_model_matches_simulator(benchmark):
             assert adaptive < inline
 
 
-def test_simulated_inline_slowdown_tracks_model(benchmark):
+def test_simulated_inline_slowdown_tracks_model():
     model = InlineModel()
     predicted = model.inline_slowdown(4096, 0.5)
-    base = benchmark.pedantic(
-        lambda: measured_write_ns(Variant.BASELINE, 0.5), rounds=1,
-        iterations=1)
+    base = measured_write_ns(Variant.BASELINE, 0.5)
     inline = measured_write_ns(Variant.INLINE, 0.5)
     measured = inline / base
     # Within a factor-ish band: the simulator adds entry/flush costs the

@@ -11,7 +11,7 @@ several (n, m).  Claims to reproduce:
   choice on those two axes (§V-B2's conclusion).
 """
 
-from _common import emit, emit_metrics
+from _common import emit
 
 from repro.analysis import cdf, percentile, render_series, render_table
 from repro.core import Config, Variant, make_fs
@@ -43,27 +43,13 @@ def run_mode(dd: DDMode):
     return res
 
 
-def build():
-    out = {}
-    snapshots = {}
-    for name, dd in MODES:
-        res = run_mode(dd)
-        out[name] = {
-            "lingering_ms": [t / 1e6 for t in res.lingering_ns],
-            "p50": percentile(res.lingering_ns, 0.5) / 1e6,
-            "p90": percentile(res.lingering_ns, 0.9) / 1e6,
-            "p99": percentile(res.lingering_ns, 0.99) / 1e6,
-            "dwq_peak": res.dwq_peak,
-        }
-        snapshots[name] = res.metrics
-    # Fig. 10 as a metrics artifact: the dwq.residency_ns histogram in
-    # each snapshot is the CDF's source data, per mode.
-    emit_metrics("fig10_dwq_cdf", snapshots)
-    return out
-
-
-def test_fig10_dwq_lingering(benchmark):
-    data = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig10_dwq_lingering():
+    runs = {name: run_mode(dd) for name, dd in MODES}
+    data = {name: {"p50": percentile(res.lingering_ns, 0.5) / 1e6,
+                   "p90": percentile(res.lingering_ns, 0.9) / 1e6,
+                   "p99": percentile(res.lingering_ns, 0.99) / 1e6,
+                   "dwq_peak": res.dwq_peak}
+            for name, res in runs.items()}
     rows = [[name, round(d["p50"], 3), round(d["p90"], 3),
              round(d["p99"], 3), d["dwq_peak"]]
             for name, d in data.items()]
@@ -73,12 +59,16 @@ def test_fig10_dwq_lingering(benchmark):
         title="Fig. 10: DWQ lingering time percentiles and queue length",
     )
     # A compact CDF listing for the delayed stair shape.
-    xs, ys = cdf(data["delayed(2.5ms,2000)"]["lingering_ms"])
+    xs, ys = cdf([t / 1e6 for t in
+                  runs["delayed(2.5ms,2000)"].lingering_ns])
     step = max(1, len(xs) // 12)
+    xs, ys = [float(x) for x in xs[::step]], [float(y) for y in ys[::step]]
     text += "\n\n" + render_series(
-        "CDF, delayed(2.5ms,2000)", [round(x, 3) for x in xs[::step]],
-        [round(y, 3) for y in ys[::step]], "lingering ms", "fraction")
-    emit("fig10_dwq_cdf", text)
+        "CDF, delayed(2.5ms,2000)", [round(x, 3) for x in xs],
+        [round(y, 3) for y in ys], "lingering ms", "fraction")
+    emit("fig10_dwq_cdf",
+         {"modes": data, "cdf_delayed_2.5ms": {"lingering_ms": xs,
+                                               "fraction": ys}}, text)
 
     p90s = [data[name]["p90"] for name, _ in MODES]
     # Monotone growth of lingering with n, and a large total stretch.
@@ -90,12 +80,11 @@ def test_fig10_dwq_lingering(benchmark):
     assert peaks[-1] > peaks[0]
 
 
-def test_fig10_stair_pattern(benchmark):
+def test_fig10_stair_pattern():
     """Delayed CDFs are stair-shaped when the batch m is smaller than one
     interval's arrivals: each trigger drains a tight lingering cluster,
     leaving flat CDF regions between clusters (the Fig. 10 stairs)."""
-    res = benchmark.pedantic(lambda: run_mode(DDMode.delayed(2.0, 30)),
-                             rounds=1, iterations=1)
+    res = run_mode(DDMode.delayed(2.0, 30))
     lingering_ms = sorted(t / 1e6 for t in res.lingering_ns)
     # Flat CDF regions == large x-gaps between consecutive samples.
     gaps = [b - a for a, b in zip(lingering_ms, lingering_ms[1:])]

@@ -43,12 +43,15 @@ def build():
     return out
 
 
-def test_fig11_overwrite(benchmark):
-    data = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig11_overwrite():
+    data = build()
     rows = [[label, variant.value, round(w, 1), round(o, 1),
              f"{ratio - 1:+.1%}"]
             for (label, variant), (w, o, ratio) in data.items()]
-    emit("fig11_overwrite", render_table(
+    doc = {f"{label}/{variant.value}": {"write_mb_s": w,
+                                        "overwrite_mb_s": o}
+           for (label, variant), (w, o, _ratio) in data.items()}
+    emit("fig11_overwrite", doc, render_table(
         ["workload", "variant", "write MB/s", "overwrite MB/s",
          "overwrite vs write"],
         rows,
@@ -71,19 +74,15 @@ def test_fig11_overwrite(benchmark):
     assert large_drop > small_drop, (small_drop, large_drop)
 
 
-def test_fig11_nova_create_overhead_explains_gap(benchmark):
+def test_fig11_nova_create_overhead_explains_gap():
     """The +small% for NOVA comes from create-time work; verify directly
     by measuring a create-only job's cost share."""
-    def run():
-        fs, dd = make_fs(Variant.BASELINE, Config(device_pages=4096,
-                                                  max_inodes=512))
-        spec = small_file_job(nfiles=100)
-        w = run_workload(fs, spec, dd=dd)
-        inos = [fs.lookup(f"/t0/f{i}") for i in range(100)]
-        o = run_workload(fs, spec.with_(mode=Mode.OVERWRITE, seed=4),
-                         dd=dd, inos=inos)
-        return w, o
-
-    w, o = benchmark.pedantic(run, rounds=1, iterations=1)
+    fs, dd = make_fs(Variant.BASELINE, Config(device_pages=4096,
+                                              max_inodes=512))
+    spec = small_file_job(nfiles=100)
+    w = run_workload(fs, spec, dd=dd)
+    inos = [fs.lookup(f"/t0/f{i}") for i in range(100)]
+    o = run_workload(fs, spec.with_(mode=Mode.OVERWRITE, seed=4),
+                     dd=dd, inos=inos)
     # Overwrite does strictly fewer operations -> lower mean latency.
     assert o.mean_op_latency_us < w.mean_op_latency_us

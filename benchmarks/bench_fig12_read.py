@@ -83,10 +83,11 @@ def build():
     return out
 
 
-def test_fig12_read_throughput(benchmark):
-    data = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig12_read_throughput():
+    data = build()
     rows = [[w, v.value, round(t, 1)] for (w, v), t in data.items()]
-    emit("fig12_read", render_table(
+    doc = {f"{w}/{v.value}": t for (w, v), t in data.items()}
+    emit("fig12_read", doc, render_table(
         ["workload", "variant", "B-reader MB/s"],
         rows,
         title="Fig. 12: read throughput of the thread reading file B "
@@ -100,9 +101,8 @@ def test_fig12_read_throughput(benchmark):
             f"{workload}: DeNova read {rel(deno, nova):+.1%} vs NOVA"
 
 
-def test_reads_never_touch_fact(benchmark):
-    fs, _dd, a, b = benchmark.pedantic(lambda: setup(Variant.IMMEDIATE),
-                                       rounds=1, iterations=1)
+def test_reads_never_touch_fact():
+    fs, _dd, a, b = setup(Variant.IMMEDIATE)
     lookups_before = fs.fact.stats["lookups"]
     reads_before = fs.dev.stats.reads
     for pg in range(FILE_PAGES):
@@ -111,16 +111,11 @@ def test_reads_never_touch_fact(benchmark):
     assert fs.dev.stats.reads == reads_before + FILE_PAGES
 
 
-def test_mixed_workload_cow_isolation(benchmark):
+def test_mixed_workload_cow_isolation():
     """Overwriting A never perturbs B's bytes (shared pages are CoW'd)."""
-    def run():
-        fs, _dd, a, b = setup(Variant.IMMEDIATE)
-        before = fs.read(b, 0, FILE_PAGES * PAGE)
-        gen = DataGenerator(alpha=0.0, seed=5, stream=9)
-        fs.write(a, 0, gen.file_data(FILE_PAGES * PAGE))
-        fs.daemon.drain()
-        after = fs.read(b, 0, FILE_PAGES * PAGE)
-        return before, after
-
-    before, after = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert before == after
+    fs, _dd, a, b = setup(Variant.IMMEDIATE)
+    before = fs.read(b, 0, FILE_PAGES * PAGE)
+    gen = DataGenerator(alpha=0.0, seed=5, stream=9)
+    fs.write(a, 0, gen.file_data(FILE_PAGES * PAGE))
+    fs.daemon.drain()
+    assert fs.read(b, 0, FILE_PAGES * PAGE) == before

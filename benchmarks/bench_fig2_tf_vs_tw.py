@@ -32,41 +32,32 @@ def measure(size: int) -> tuple[float, float]:
     return t_w, t_f
 
 
-def build_rows():
+def test_fig2_tf_dominates_tw():
     model = InlineModel()
     rows = []
     for size in SIZES:
         t_w, t_f = measure(size)
-        share = t_f / (t_f + t_w)
-        rows.append([
-            f"{size // 1024} KB",
-            round(t_w / 1000, 2),
-            round(t_f / 1000, 2),
-            f"{share:.0%}",
-            round(model.t_w(size) / 1000, 2),
-            round(model.t_f(size) / 1000, 2),
-        ])
-    return rows
-
-
-def test_fig2_tf_dominates_tw(benchmark):
-    rows = benchmark(build_rows)
-    emit("fig2_tf_vs_tw", render_table(
+        rows.append({"size": size, "t_w_ns": t_w, "t_f_ns": t_f,
+                     "model_t_w_ns": model.t_w(size),
+                     "model_t_f_ns": model.t_f(size)})
+    emit("fig2_tf_vs_tw", {"rows": rows}, render_table(
         ["write size", "T_w us (meas)", "T_f us (meas)", "T_f share",
          "T_w us (model)", "T_f us (model)"],
-        rows,
+        [[f"{r['size'] // 1024} KB", round(r["t_w_ns"] / 1000, 2),
+          round(r["t_f_ns"] / 1000, 2),
+          f"{r['t_f_ns'] / (r['t_f_ns'] + r['t_w_ns']):.0%}",
+          round(r["model_t_w_ns"] / 1000, 2),
+          round(r["model_t_f_ns"] / 1000, 2)] for r in rows],
         title="Fig. 2: fingerprint vs write time on emulated Optane DC PM",
     ))
     # The paper's claim: T_w never exceeds T_f, at any write size.
-    for row in rows:
-        t_w, t_f = row[1], row[2]
-        assert t_f > t_w, f"T_f must dominate at {row[0]}"
-        share = float(row[3].rstrip("%")) / 100
-        assert share >= 0.6  # fingerprinting is the bulk of the pipeline
+    for r in rows:
+        assert r["t_f_ns"] > r["t_w_ns"], f"T_f must dominate at {r['size']}"
+        # Fingerprinting is the bulk of the pipeline.
+        assert r["t_f_ns"] / (r["t_f_ns"] + r["t_w_ns"]) >= 0.6
 
 
-def test_fig2_table4_consistency(benchmark):
+def test_fig2_table4_consistency():
     """The 4 KB measurement must sit in Table IV's regime (~11.8 us FP)."""
-    _t_w, t_f = benchmark.pedantic(lambda: measure(4096), rounds=1,
-                                   iterations=1)
+    _t_w, t_f = measure(4096)
     assert 10_000 <= t_f <= 16_000

@@ -63,10 +63,12 @@ def render(table, workload_name):
     (small_file_job, SMALL_N, "small 4KB files", 0.50),
     (large_file_job, LARGE_N, "large 128KB files", 0.60),
 ])
-def test_fig8(benchmark, jobf, nfiles, name, inline_floor):
-    table = benchmark.pedantic(lambda: sweep(jobf, nfiles), rounds=1,
-                               iterations=1)
-    emit(f"fig8_{jobf.__name__}", render(table, name))
+def test_fig8(jobf, nfiles, name, inline_floor):
+    table = sweep(jobf, nfiles)
+    emit(f"fig8_{jobf.__name__}",
+         {"alphas": ALPHAS,
+          "throughput_mb_s": {v.value: t for v, t in table.items()}},
+         render(table, name))
     base = table[Variant.BASELINE]
     for i, alpha in enumerate(ALPHAS):
         # Offline dedup within 1% of baseline at every ratio.
@@ -117,7 +119,7 @@ def run_e2e(variant: Variant, alpha: float, nfiles: int = 200):
     return e2e_mb_s, fs
 
 
-def test_fig8_hybrid_crossover(benchmark):
+def test_fig8_hybrid_crossover():
     """The hybrid tentpole chart: where adaptive beats both pure modes.
 
     Inline pre-pays SHA-1 for every page; delayed defers all of it to a
@@ -128,25 +130,23 @@ def test_fig8_hybrid_crossover(benchmark):
     weak hit and the hybrid curve converges onto pure-delayed from
     above while staying far clear of inline.
     """
-    def sweep_e2e():
-        rows = {v: [] for v in (Variant.INLINE, Variant.DELAYED,
-                                Variant.HYBRID)}
-        confirmed = []
-        for alpha in CROSSOVER_ALPHAS:
-            for v in rows:
-                mb_s, fs = run_e2e(v, alpha)
-                rows[v].append(mb_s)
-                if v is Variant.HYBRID:
-                    confirmed.append(fs.hybrid_stats()["weak_hits"])
-        return rows, confirmed
-
-    table, confirmed = benchmark.pedantic(sweep_e2e, rounds=1,
-                                          iterations=1)
+    table = {v: [] for v in (Variant.INLINE, Variant.DELAYED,
+                             Variant.HYBRID)}
+    confirmed = []
+    for alpha in CROSSOVER_ALPHAS:
+        for v in table:
+            mb_s, fs = run_e2e(v, alpha)
+            table[v].append(mb_s)
+            if v is Variant.HYBRID:
+                confirmed.append(fs.hybrid_stats()["weak_hits"])
     inline = table[Variant.INLINE]
     delayed = table[Variant.DELAYED]
     hybrid = table[Variant.HYBRID]
     margins = [(h - d) / d for h, d in zip(hybrid, delayed)]
-    emit("fig8_hybrid_crossover", render_table(
+    doc = {"alphas": CROSSOVER_ALPHAS,
+           "e2e_mb_s": {v.value: t for v, t in table.items()},
+           "strong_hashed_pages": confirmed}
+    emit("fig8_hybrid_crossover", doc, render_table(
         ["alpha", "inline", "delayed", "hybrid", "hybrid vs delayed",
          "strong-hashed pages"],
         [[a, round(inline[i], 1), round(delayed[i], 1),
@@ -173,7 +173,7 @@ def test_fig8_hybrid_crossover(benchmark):
     assert confirmed[-1] >= 100  # alpha=1: ~all of the 200 pages confirm
 
 
-def test_fig8_shape_is_scale_invariant(benchmark):
+def test_fig8_shape_is_scale_invariant():
     """The scaled-down file counts are legitimate: the inline-vs-NOVA
     throughput ratio is a per-file quantity, stable across scales."""
     def ratio_at(nfiles):
@@ -181,21 +181,16 @@ def test_fig8_shape_is_scale_invariant(benchmark):
         inline = run_one(Variant.INLINE, small_file_job, nfiles, 0.5)
         return inline.throughput_mb_s / base.throughput_mb_s
 
-    r_small = benchmark.pedantic(lambda: ratio_at(100), rounds=1,
-                                 iterations=1)
-    r_large = ratio_at(400)
+    r_small, r_large = ratio_at(100), ratio_at(400)
     assert abs(r_small - r_large) < 0.03, \
         f"inline/NOVA ratio drifted with scale: {r_small:.3f} vs " \
         f"{r_large:.3f}"
 
 
-def test_fig8_space_savings_scale_with_alpha(benchmark):
+def test_fig8_space_savings_scale_with_alpha():
     """The other half of the trade: savings actually materialize."""
-    def sweep_savings():
-        return [run_one(Variant.IMMEDIATE, small_file_job, 200,
-                        alpha).space["space_saving"] for alpha in ALPHAS]
-
-    savings = benchmark.pedantic(sweep_savings, rounds=1, iterations=1)
+    savings = [run_one(Variant.IMMEDIATE, small_file_job, 200,
+                       alpha).space["space_saving"] for alpha in ALPHAS]
     assert savings[0] == 0.0
     for lo, hi in zip(savings, savings[1:]):
         assert hi >= lo

@@ -9,10 +9,8 @@ Paper claims to reproduce:
 * DeNova-Inline stays far below everything.
 """
 
-import json
-
 import pytest
-from _common import RESULTS, emit, rel
+from _common import emit, rel
 
 from repro.analysis import render_table
 from repro.core import Config, Variant, make_fs
@@ -23,22 +21,12 @@ VARIANTS = [Variant.BASELINE, Variant.IMMEDIATE, Variant.DELAYED,
             Variant.INLINE, Variant.HYBRID]
 
 
-def record_baseline(job_name: str, table: dict) -> None:
-    """Merge this sweep into benchmarks/results/fig9_baseline.json.
-
-    The committed baseline pins the thread-scaling curves the repro.conc
-    runner produces, so future changes to the concurrency subsystem diff
-    against known-good numbers instead of only shape assertions.
-    """
-    path = RESULTS / "fig9_baseline.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[job_name] = {
-        "threads": THREADS,
-        "throughput_mb_s": {v.value: [round(t, 3) for t in table[v]]
-                            for v in VARIANTS},
-    }
-    RESULTS.mkdir(exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def curves_doc(curves: dict) -> dict:
+    """Thread-scaling curves by label, MB/s at 3 decimals (the precision
+    these leaves have been committed at since they were first gated)."""
+    return {"threads": THREADS,
+            "throughput_mb_s": {label: [round(t, 3) for t in curve]
+                                for label, curve in curves.items()}}
 
 
 def run_one(variant, jobf, nfiles, threads):
@@ -58,16 +46,15 @@ def sweep(jobf, nfiles):
     (small_file_job, 192, "small 4KB files", 4),
     (large_file_job, 48, "large 128KB files", 16),
 ])
-def test_fig9(benchmark, jobf, nfiles, name, peak_at_most):
-    table = benchmark.pedantic(lambda: sweep(jobf, nfiles), rounds=1,
-                               iterations=1)
+def test_fig9(jobf, nfiles, name, peak_at_most):
+    table = sweep(jobf, nfiles)
     rows = [[v.value] + [round(t, 1) for t in table[v]] for v in VARIANTS]
-    emit(f"fig9_{jobf.__name__}", render_table(
+    doc = curves_doc({v.value: table[v] for v in VARIANTS})
+    emit(f"fig9_{jobf.__name__}", doc, render_table(
         ["variant"] + [f"T={t}" for t in THREADS], rows,
         title=f"Fig. 9 ({name}): write throughput MB/s vs threads "
               f"(duplicate ratio 50%)",
     ))
-    record_baseline(jobf.__name__, table)
 
     base = table[Variant.BASELINE]
     # Rise then parabolic decline.
@@ -119,37 +106,22 @@ def run_staged(threads, staging):
     return res, stats
 
 
-def test_fig9_staging(benchmark):
+def test_fig9_staging():
     """Fig. 9 small-file sweep with the staging log absorbing the 4 KB
     sync writes (and their creates): one NT-store + one fence in the
     foreground instead of the full Fig. 1 discipline.
-
-    The committed curve lives in ``fig9_staging.json`` next to
-    ``fig9_baseline.json``; ``compare.py --staging`` diffs the T=16
-    point so the absorption win cannot silently regress.
     """
-    def sweep_staged():
-        return {label: [run_staged(t, staging) for t in THREADS]
-                for label, staging in (("staged", True), ("direct", False))}
-
-    table = benchmark.pedantic(sweep_staged, rounds=1, iterations=1)
+    table = {label: [run_staged(t, staging) for t in THREADS]
+             for label, staging in (("staged", True), ("direct", False))}
     curves = {label: [res.throughput_mb_s for res, _ in runs]
               for label, runs in table.items()}
     rows = [[label] + [round(v, 1) for v in curve]
             for label, curve in curves.items()]
-    emit("fig9_staging", render_table(
+    emit("fig9_staging", curves_doc(curves), render_table(
         ["mode"] + [f"T={t}" for t in THREADS], rows,
         title="Fig. 9 (small 4KB files, delayed dedup): staging log "
               "on vs off, MB/s vs threads (duplicate ratio 50%)",
     ))
-    path = RESULTS / "fig9_staging.json"
-    path.write_text(json.dumps({
-        "job": "small_file_job",
-        "variant": Variant.DELAYED.value,
-        "threads": THREADS,
-        "throughput_mb_s": {label: [round(v, 3) for v in curve]
-                            for label, curve in curves.items()},
-    }, indent=2, sort_keys=True) + "\n")
 
     i16 = THREADS.index(16)
     staged16 = curves["staged"][i16]

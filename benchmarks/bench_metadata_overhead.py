@@ -20,25 +20,17 @@ from repro.nova import PAGE_SIZE
 GB = 1 << 30
 
 
-def build_rows():
-    rows = []
-    for gb in (64, 256, 1024):
-        size = gb * GB
-        dram = dram_index_overhead(size) * size
-        rows.append([
-            f"{gb} GB",
-            f"{fact_overhead(size):.3%}",
-            "0",
-            f"{nvdedup_metadata_overhead(size):.3%}",
-            f"{dram / GB:.2f} GB",
-            f"{dram / (32 * GB):.1%}",
-        ])
-    return rows
-
-
-def test_metadata_overhead_table(benchmark):
-    rows = benchmark(build_rows)
-    emit("metadata_overhead", render_table(
+def test_metadata_overhead_table():
+    doc = {f"{gb} GB": {
+        "fact_nvm": fact_overhead(gb * GB),
+        "nvdedup_nvm": nvdedup_metadata_overhead(gb * GB),
+        "nvdedup_dram_bytes": dram_index_overhead(gb * GB) * gb * GB,
+    } for gb in (64, 256, 1024)}
+    rows = [[label, f"{d['fact_nvm']:.3%}", "0", f"{d['nvdedup_nvm']:.3%}",
+             f"{d['nvdedup_dram_bytes'] / GB:.2f} GB",
+             f"{d['nvdedup_dram_bytes'] / (32 * GB):.1%}"]
+            for label, d in doc.items()]
+    emit("metadata_overhead", doc, render_table(
         ["device", "FACT NVM", "FACT DRAM", "NVDedup NVM",
          "NVDedup DRAM index", "of 32GB server"],
         rows,
@@ -52,14 +44,10 @@ def test_metadata_overhead_table(benchmark):
     assert rows[2][5] == "18.8%"
 
 
-def test_formatted_fact_matches_closed_form(benchmark):
+def test_formatted_fact_matches_closed_form():
     """The region mkfs actually reserves equals the paper's rule."""
-    def fmt():
-        fs, _ = make_fs(Variant.IMMEDIATE, Config(device_pages=2 ** 13,
-                                                  max_inodes=128))
-        return fs
-
-    fs = benchmark.pedantic(fmt, rounds=1, iterations=1)
+    fs, _ = make_fs(Variant.IMMEDIATE, Config(device_pages=2 ** 13,
+                                              max_inodes=128))
     geo = fs.geo
     # n = ceil(log2(total pages)); 2^(n+1) entries of 64 B.
     assert geo.fact_prefix_bits == 13
@@ -72,19 +60,15 @@ def test_formatted_fact_matches_closed_form(benchmark):
     assert occ["bytes"] == geo.fact_bytes
 
 
-def test_dwq_dram_footprint_bounded(benchmark):
+def test_dwq_dram_footprint_bounded():
     """The one DRAM structure DeNova does keep (the DWQ) stays small
     under immediate mode — §V-B2's conclusion."""
     from repro.workloads import DDMode, run_workload, small_file_job
 
-    def run():
-        fs, dd = make_fs(Variant.IMMEDIATE, Config(device_pages=8192,
-                                                   max_inodes=512))
-        spec = small_file_job(nfiles=400, dup_ratio=0.5).with_(
-            think_ratio=2.5)
-        return run_workload(fs, spec, dd=dd)
-
-    res = benchmark.pedantic(run, rounds=1, iterations=1)
+    fs, dd = make_fs(Variant.IMMEDIATE, Config(device_pages=8192,
+                                               max_inodes=512))
+    spec = small_file_job(nfiles=400, dup_ratio=0.5).with_(think_ratio=2.5)
+    res = run_workload(fs, spec, dd=dd)
     # 16 B per node: peak DRAM for the queue is tiny.
     peak_bytes = res.dwq_peak * 16
     assert peak_bytes < 400 * 16 * 0.25, \

@@ -8,9 +8,7 @@ the clean-unmount checkpoint against the full scan, and per-CPU
 parallel replay against sequential.
 """
 
-import json
-
-from _common import RESULTS, emit
+from _common import emit
 
 from repro.analysis import render_table
 from repro.core import Config, Variant, make_fs
@@ -48,15 +46,15 @@ def recover_once(nfiles: int, drained: float):
     }
 
 
-def test_recovery_scales_with_filesystem(benchmark):
+def test_recovery_scales_with_filesystem():
     sizes = [50, 150, 400]
     results = [recover_once(n, drained=0.5) for n in sizes]
-    benchmark.pedantic(lambda: recover_once(100, 0.5), rounds=1,
-                       iterations=1)
     rows = [[n, round(r["mount_ms"], 2), r["inodes"], r["entries"],
              r["dwq_rebuilt"]]
             for n, r in zip(sizes, results)]
-    emit("recovery_cost", render_table(
+    doc = {str(n): {k: v for k, v in r.items() if k != "fs"}
+           for n, r in zip(sizes, results)}
+    emit("recovery_cost", doc, render_table(
         ["files", "unclean mount ms (sim)", "inodes", "entries replayed",
          "DWQ rebuilt"],
         rows,
@@ -70,17 +68,15 @@ def test_recovery_scales_with_filesystem(benchmark):
         assert abs(r["dwq_rebuilt"] - n // 2) <= n // 10
 
 
-def test_recovered_fs_completes_outstanding_dedup(benchmark):
-    res = benchmark.pedantic(lambda: recover_once(120, 0.25), rounds=1,
-                             iterations=1)
-    fs = res["fs"]
+def test_recovered_fs_completes_outstanding_dedup():
+    fs = recover_once(120, 0.25)["fs"]
     fs.daemon.drain()
     st = fs.space_stats()
     assert st["space_saving"] > 0.3
     assert len(fs.dwq) == 0
 
 
-def test_clean_mount_is_cheaper_than_unclean(benchmark):
+def test_clean_mount_is_cheaper_than_unclean():
     def once(clean: bool):
         fs, _ = make_fs(Variant.IMMEDIATE, Config(device_pages=8192,
                                                   max_inodes=256))
@@ -98,11 +94,8 @@ def test_clean_mount_is_cheaper_than_unclean(benchmark):
         DeNovaFS.mount(fs.dev)
         return fs.dev.clock.now_ns - t0
 
-    clean_ns = benchmark.pedantic(lambda: once(True), rounds=1,
-                                  iterations=1)
-    unclean_ns = once(False)
     # Unclean pays the FACT structural scan + flag scan on top.
-    assert unclean_ns > clean_ns
+    assert once(False) > once(True)
 
 
 # ---------------------------------------------------------- fast paths
@@ -143,39 +136,24 @@ def _mount_ns(path, **kw):
     return dev.clock.now_ns - t0, fs
 
 
-def _update_baseline(key, value):
-    path = RESULTS / "recovery_baseline.json"
-    data = (json.loads(path.read_text()) if path.exists()
-            else {"schema": "repro.recovery_baseline/1"})
-    data[key] = value
-    RESULTS.mkdir(exist_ok=True)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def test_checkpoint_remount_beats_full_scan_5x(benchmark, tmp_path):
+def test_checkpoint_remount_beats_full_scan_5x(tmp_path):
     path = _clean_image(tmp_path)
-    ck_ns, ck_fs = benchmark.pedantic(lambda: _mount_ns(path), rounds=1,
-                                      iterations=1)
+    ck_ns, ck_fs = _mount_ns(path)
     full_ns, _ = _mount_ns(path, use_checkpoint=False)
     assert "checkpoint" in ck_fs.last_recovery.extra
     speedup = full_ns / ck_ns
-    emit("recovery_checkpoint", render_table(
+    doc = {"files": 300, "checkpoint_ns": ck_ns, "full_scan_ns": full_ns}
+    emit("recovery_checkpoint", doc, render_table(
         ["mount path", "clean mount ms (sim)"],
         [["checkpoint", round(ck_ns / 1e6, 3)],
          ["full scan", round(full_ns / 1e6, 3)],
          ["speedup", f"{speedup:.1f}x"]],
         title="Clean remount: checkpoint fast path vs full scan "
               "(300 files)"))
-    _update_baseline("clean_remount", {
-        "files": 300,
-        "checkpoint_ns": ck_ns,
-        "full_scan_ns": full_ns,
-        "speedup": round(speedup, 2),
-    })
     assert speedup >= 5.0, f"checkpoint remount only {speedup:.1f}x faster"
 
 
-def test_crash_replay_scales_with_workers(benchmark, tmp_path):
+def test_crash_replay_scales_with_workers(tmp_path):
     path = _crashed_image(tmp_path)
     workers = (1, 2, 4, 8)
     times = {}
@@ -183,19 +161,13 @@ def test_crash_replay_scales_with_workers(benchmark, tmp_path):
         ns, fs = _mount_ns(path, recovery_workers=w)
         times[w] = ns
         assert not fs.last_recovery.clean
-    benchmark.pedantic(lambda: _mount_ns(path, recovery_workers=4),
-                       rounds=1, iterations=1)
-    emit("recovery_workers", render_table(
+    doc = {"files": 300, "mount_ns": {str(w): times[w] for w in workers}}
+    emit("recovery_workers", doc, render_table(
         ["recovery workers", "unclean mount ms (sim)", "speedup"],
         [[w, round(times[w] / 1e6, 3), f"{times[1] / times[w]:.2f}x"]
          for w in workers],
         title="Crash recovery: per-CPU parallel replay scaling "
               "(300 files)"))
-    _update_baseline("crash_replay_by_workers", {
-        "files": 300,
-        "mount_ns": {str(w): times[w] for w in workers},
-        "speedup_4_workers": round(times[1] / times[4], 2),
-    })
     assert times[2] < times[1]
     assert times[4] < times[2]
     assert times[8] <= times[4]

@@ -14,16 +14,11 @@ lengths 1..8, restore-latest on the relocated target degrades by at
 most **1.15x** (simulated elapsed time, relative to chain length 1)
 while the forward target degrades measurably more — its physical run
 count, and with it the per-request overhead, grows with every round.
-
-Numbers land in ``benchmarks/results/repl_baseline.json``
-(``repro.repl_baseline/1``) for EXPERIMENTS.md and the
-``compare.py --repl`` perf gate.
 """
 
 import io
-import json
 
-from _common import RESULTS, emit
+from _common import emit
 
 from repro.analysis import render_table
 from repro.backup import receive_backup, send_backup
@@ -46,22 +41,22 @@ def distinct_page(i: int) -> bytes:
     return i.to_bytes(4, "little") * (PAGE_SIZE // 4)
 
 
-def measure(chain_len: int = CHAIN_LEN, n_pages: int = N_PAGES) -> list:
+def measure() -> list:
     """Grow one source chain; replicate each link to a forward-only and
     a relocated target; restore-latest on both after every link."""
     src = make_fs()
     ino = src.create("/f")
-    src.write(ino, 0, b"".join(distinct_page(i) for i in range(n_pages)))
+    src.write(ino, 0, b"".join(distinct_page(i) for i in range(N_PAGES)))
     src.daemon.drain()
 
     fwd, rev = make_fs(), make_fs()
     rows = []
     prev = None
-    for length in range(1, chain_len + 1):
+    for length in range(1, CHAIN_LEN + 1):
         if length > 1:
             # Rotate the rewritten stripe so the latest file mixes page
             # ages — the fragmentation driver for forward ingest.
-            for p in range(n_pages):
+            for p in range(N_PAGES):
                 if p % STRIDE == length % STRIDE:
                     src.write(ino, p * PAGE_SIZE,
                               distinct_page(1000 * length + p))
@@ -91,19 +86,8 @@ def measure(chain_len: int = CHAIN_LEN, n_pages: int = N_PAGES) -> list:
     return rows
 
 
-def _update_baseline(key, value):
-    path = RESULTS / "repl_baseline.json"
-    data = (json.loads(path.read_text()) if path.exists()
-            else {"schema": "repro.repl_baseline/1"})
-    data[key] = value
-    RESULTS.mkdir(exist_ok=True)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-
-
-def test_restore_latest_flat_under_reverse_dedup(benchmark):
+def test_restore_latest_flat_under_reverse_dedup():
     rows = measure()
-    benchmark.pedantic(lambda: measure(chain_len=2), rounds=1,
-                       iterations=1)
     last = rows[-1]
     # The acceptance bar: reverse dedup holds restore-latest within
     # 1.15x of the length-1 chain; forward degrades measurably.
@@ -113,7 +97,7 @@ def test_restore_latest_flat_under_reverse_dedup(benchmark):
     # Relocation reaches the floor: one read request for the single
     # hole-free file, at every chain length.
     assert all(r["rev_requests"] == 1 for r in rows), rows
-    emit("repl_restore_chain", render_table(
+    emit("repl_restore_chain", {"rows": rows}, render_table(
         ["chain len", "fwd reqs", "rev reqs", "fwd ns (sim)",
          "rev ns (sim)", "fwd x", "rev x"],
         [[r["chain_len"], r["fwd_requests"], r["rev_requests"],
@@ -121,4 +105,3 @@ def test_restore_latest_flat_under_reverse_dedup(benchmark):
           f"{r['rev_ratio']:.2f}"] for r in rows],
         title=f"Restore-latest vs chain length ({N_PAGES} pages, "
               f"stripe rewrite 1/{STRIDE} per link)"))
-    _update_baseline("restore_chain", rows)

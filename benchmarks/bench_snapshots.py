@@ -41,44 +41,39 @@ def costs(npages: int):
     copy_ns = fs.clock.now_ns - t1
     copy_pages = fs.statfs()["used_pages"] - used1
     copy_bytes = fs.dev.stats.bytes_written - bytes1
-    return (reflink_ns, reflink_pages, reflink_bytes,
-            copy_ns, copy_pages, copy_bytes)
+    return {"npages": npages, "reflink_ns": reflink_ns,
+            "reflink_pages": reflink_pages, "reflink_bytes": reflink_bytes,
+            "copy_ns": copy_ns, "copy_pages": copy_pages,
+            "copy_bytes": copy_bytes,
+            "byte_ratio": copy_bytes / max(1, reflink_bytes)}
 
 
-def build_rows():
-    rows = []
-    for npages in SIZES_PAGES:
-        r_ns, r_pages, r_bytes, c_ns, c_pages, c_bytes = costs(npages)
-        rows.append([
-            f"{npages * 4} KB", round(r_ns / 1000, 1), r_pages, r_bytes,
-            round(c_ns / 1000, 1), c_pages, c_bytes,
-            round(c_bytes / max(1, r_bytes), 1),
-        ])
-    return rows
-
-
-def test_reflink_vs_copy(benchmark):
-    rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
-    emit("snapshots_reflink", render_table(
+def test_reflink_vs_copy():
+    rows = [costs(npages) for npages in SIZES_PAGES]
+    emit("snapshots_reflink", {"rows": rows}, render_table(
         ["file size", "reflink us", "pages", "NVM B", "copy us",
          "pages", "NVM B", "media-byte ratio"],
-        rows,
+        [[f"{r['npages'] * 4} KB", round(r["reflink_ns"] / 1000, 1),
+          r["reflink_pages"], r["reflink_bytes"],
+          round(r["copy_ns"] / 1000, 1), r["copy_pages"], r["copy_bytes"],
+          round(r["byte_ratio"], 1)] for r in rows],
         title="Reflink vs byte copy (reflink = FACT refcount bumps only)",
     ))
-    for (label, r_ns, r_pages, r_bytes, c_ns, c_pages, c_bytes,
-         ratio), npages in zip(rows, SIZES_PAGES):
-        assert r_pages <= 2, f"{label}: reflink allocated data pages"
-        assert c_pages >= npages, label
+    for r in rows:
+        label = f"{r['npages']} pages"
+        assert r["reflink_pages"] <= 2, \
+            f"{label}: reflink allocated data pages"
+        assert r["copy_pages"] >= r["npages"], label
         # Both are O(pages) in *time* on PM (FACT walks vs page writes),
         # but reflink touches ~2 cache lines per page where copy streams
         # 4 KB — the space and endurance wins are the headline.
-        assert r_ns < c_ns, label
-        assert ratio > 20, f"{label}: media-byte ratio only {ratio}"
-    ratios = [row[7] for row in rows]
-    assert ratios[-1] >= ratios[0]
+        assert r["reflink_ns"] < r["copy_ns"], label
+        assert r["byte_ratio"] > 20, \
+            f"{label}: media-byte ratio only {r['byte_ratio']}"
+    assert rows[-1]["byte_ratio"] >= rows[0]["byte_ratio"]
 
 
-def test_snapshot_churn(benchmark):
+def test_snapshot_churn():
     """Daily snapshots of a mutating tree: space grows by deltas only,
     expiry returns it, invariants hold throughout."""
     from repro.failure import check_fs_invariants
@@ -109,8 +104,7 @@ def test_snapshot_churn(benchmark):
         check_fs_invariants(fs)
         return growth, used_full, fs.statfs()["used_pages"]
 
-    growth, used_full, used_after = benchmark.pedantic(run, rounds=1,
-                                                       iterations=1)
+    growth, used_full, used_after = run()
     # Each day's growth is bounded by the delta (1 page) + log metadata.
     assert all(g <= 4 for g in growth), growth
     assert used_after < used_full

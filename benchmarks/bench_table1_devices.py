@@ -8,63 +8,43 @@ argument rests on (Optane write ≈ DRAM write; Optane read 2-6x DRAM).
 from _common import emit
 
 from repro.analysis import render_table
-from repro.pm import DRAM, OPTANE_DCPM, PCM, PMDevice, PROFILES, SimClock, STT_RAM
+from repro.pm import DRAM, OPTANE_DCPM, PCM, PROFILES, STT_RAM
 
 
-def make_table() -> str:
-    rows = []
-    for p in (DRAM, PCM, STT_RAM, OPTANE_DCPM):
-        rows.append([
-            p.name,
-            p.read_latency_ns,
-            p.write_latency_ns,
-            f"{p.write_endurance:.0e}",
-            round(p.read_bw_bytes_per_ns, 1),
-            round(p.write_bw_bytes_per_ns, 1),
-        ])
-    return render_table(
+def test_table1_devices():
+    doc = {p.name: {"read_ns": p.read_latency_ns,
+                    "write_ns": p.write_latency_ns,
+                    "endurance": p.write_endurance,
+                    "read_gb_s": p.read_bw_bytes_per_ns,
+                    "write_gb_s": p.write_bw_bytes_per_ns}
+           for p in (DRAM, PCM, STT_RAM, OPTANE_DCPM)}
+    emit("table1_devices", doc, render_table(
         ["device", "read ns", "write ns", "endurance",
          "read GB/s", "write GB/s"],
-        rows,
+        [[name, d["read_ns"], d["write_ns"], f"{d['endurance']:.0e}",
+          round(d["read_gb_s"], 1), round(d["write_gb_s"], 1)]
+         for name, d in doc.items()],
         title="Table I: memory-device latency profiles (model values)",
-    )
-
-
-def test_table1_devices(benchmark):
-    emit("table1_devices", make_table())
+    ))
 
     # The relations the paper's argument needs:
     assert OPTANE_DCPM.write_latency_ns <= 3 * DRAM.write_latency_ns
     assert 2 <= OPTANE_DCPM.read_latency_ns / DRAM.read_latency_ns <= 8
     assert OPTANE_DCPM.write_endurance < STT_RAM.write_endurance
 
-    # Wall-clock: one 4 KB persisted device write (the simulator's hot op).
-    dev = PMDevice(1 << 20, model=OPTANE_DCPM, clock=SimClock())
-    payload = b"x" * 4096
 
-    def op():
-        dev.write(0, payload, nt=True)
-        dev.sfence()
-
-    benchmark(op)
-
-
-def test_all_profiles_usable(benchmark):
+def test_all_profiles_usable():
     """Every Table I profile can host a filesystem."""
     from repro.core import Config, Variant, make_fs
 
-    def build_all():
-        results = {}
-        for name in PROFILES:
-            fs, _ = make_fs(Variant.IMMEDIATE,
-                            Config.with_profile(name, device_pages=1024,
-                                                max_inodes=64))
-            ino = fs.create("/probe")
-            fs.write(ino, 0, b"z" * 4096)
-            fs.daemon.drain()
-            results[name] = fs.clock.now_ns
-        return results
-
-    times = benchmark(build_all)
+    times = {}
+    for name in PROFILES:
+        fs, _ = make_fs(Variant.IMMEDIATE,
+                        Config.with_profile(name, device_pages=1024,
+                                            max_inodes=64))
+        ino = fs.create("/probe")
+        fs.write(ino, 0, b"z" * 4096)
+        fs.daemon.drain()
+        times[name] = fs.clock.now_ns
     # Slower media must show up as more simulated time.
     assert times["PCM"] > times["DRAM"]

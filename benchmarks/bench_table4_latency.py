@@ -37,20 +37,17 @@ def measure(file_size: int, nfiles: int = 50):
     return write_ns, fp_ns, dedup_ns
 
 
-def build_rows():
-    rows = []
+def test_table4_latency_breakdown():
+    doc, rows = {}, []
     for label, size in (("4 KB", 4096), ("128 KB", 128 * 1024)):
         write_ns, fp_ns, dedup_ns = measure(size)
+        doc[label] = {"write_ns": write_ns, "fp_ns": fp_ns,
+                      "dedup_ns": dedup_ns}
         bd = latency_breakdown(write_ns, fp_ns, dedup_ns)
         rows.append([label, round(bd.write_us, 2), round(bd.other_us, 2),
                      round(bd.fp_us, 2), round(bd.dedupe_us, 2),
                      round(bd.dedupe_us / bd.write_us, 1)])
-    return rows
-
-
-def test_table4_latency_breakdown(benchmark):
-    rows = benchmark(build_rows)
-    emit("table4_latency", render_table(
+    emit("table4_latency", doc, render_table(
         ["file size", "write us", "other ops us", "FP time us",
          "dedup total us", "dedup/write"],
         rows,
@@ -64,9 +61,8 @@ def test_table4_latency_breakdown(benchmark):
         assert fp_us > other_us  # fingerprinting dominates dedup
 
 
-def test_table4_absolute_4kb_regime(benchmark):
+def test_table4_absolute_4kb_regime():
     """4 KB FP time should land near the paper's 11.78 us (same SHA-1
     throughput class as their Xeon)."""
-    _w, fp_ns, _d = benchmark.pedantic(lambda: measure(4096, nfiles=30),
-                                       rounds=1, iterations=1)
+    _w, fp_ns, _d = measure(4096, nfiles=30)
     assert 9_000 <= fp_ns <= 16_000

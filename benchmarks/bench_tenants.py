@@ -13,15 +13,9 @@ and QoS:
 * ``unloaded``   — victim alone (aggressor writes its 1 zipf-tail file);
 * ``noisy/off``  — aggressor bursts, QoS disabled (recorded blow-up);
 * ``noisy/on``   — aggressor bursts, QoS enabled (isolation bound).
-
-Numbers land in ``benchmarks/results/tenant_baseline.json``
-(``repro.tenant_baseline/1``) for EXPERIMENTS.md and the
-``compare.py --tenants`` regression check.
 """
 
-import json
-
-from _common import RESULTS, emit
+from _common import emit
 
 from repro.analysis import render_table
 from repro.core import Config, Variant, make_fs
@@ -77,7 +71,6 @@ def measure() -> dict:
     qos = run_point(noisy=True, qos=True)
     base = unloaded["victim_p99_ns"] or 1.0
     return {
-        "schema": "repro.tenant_baseline/1",
         "victim_files": VICTIM_FILES,
         "burst_files": BURST_FILES,
         "file_size": FILE_SIZE,
@@ -91,10 +84,8 @@ def measure() -> dict:
     }
 
 
-def test_noisy_neighbor_isolation(benchmark):
+def test_noisy_neighbor_isolation():
     doc = measure()
-    benchmark.pedantic(lambda: run_point(noisy=True, qos=True),
-                       rounds=1, iterations=1)
 
     # The victim's own work is identical in all three runs.
     pts = doc["points"]
@@ -110,7 +101,7 @@ def test_noisy_neighbor_isolation(benchmark):
         f"no-QoS run ({doc['noqos_ratio']:.2f}x) should be worse than "
         f"QoS ({doc['qos_ratio']:.2f}x)")
 
-    emit("tenant_isolation", render_table(
+    emit("tenant_isolation", doc, render_table(
         ["run", "victim p50 us", "victim p99 us", "p99 vs unloaded",
          "aggressor files", "stalls"],
         [[name,
@@ -121,6 +112,3 @@ def test_noisy_neighbor_isolation(benchmark):
          for name, p in doc["points"].items()],
         title=f"Noisy-neighbor isolation ({VICTIM_FILES} victim files vs "
               f"{BURST_FILES}-file burst, DWQ depth 4x4)"))
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "tenant_baseline.json").write_text(
-        json.dumps(doc, indent=2) + "\n")

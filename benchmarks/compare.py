@@ -1,44 +1,38 @@
 #!/usr/bin/env python
-"""Compare current benchmark numbers against committed baselines.
+"""The benchmark gate: regenerate every figure, compare every number.
 
-Two modes over the JSON baselines under ``benchmarks/results/``:
+``python benchmarks/compare.py`` runs every ``bench_*.py`` next to the
+committed results with :mod:`_common`'s results directory pointed at a
+scratch directory, then reports
 
-* ``--current FILE`` — diff a freshly produced results JSON against a
-  committed baseline of the same shape, flagging every numeric leaf
-  whose relative drift leaves the tolerance band.
-* ``--quick`` — re-measure a small, deterministic subset of the fig. 9
-  thread-scaling points (same Config/JobSpec as the full benchmark; the
-  simulator is deterministic, so healthy code reproduces the committed
-  throughput almost exactly) and check them against
-  ``fig9_baseline.json``.
+* every numeric leaf of the fresh ``baseline.json`` outside ``BAND`` of
+  the committed one, and every leaf only one side has;
+* every ``<name>.txt`` that is not byte-equal, or only one side has.
 
-Exit status 1 when any point falls outside its band — the perf-smoke CI
-job fails on regression.  The band is symmetric by default: an
-unexplained speed*up* also invalidates the committed curves and should
-be re-baselined deliberately, not absorbed silently.
+Exit status 1 on any difference, or when a bench's own claim assertion
+fails.  There is nothing to select or tune: the simulated clock is
+deterministic, so healthy code reproduces the committed artefacts
+exactly, and any difference — a slowdown, an unexplained speed-up, a
+dropped series — is re-baselined deliberately (``pytest benchmarks/``,
+commit ``results/``), not absorbed.  Measurement configs and acceptance
+bars live once, in the benches; this file knows no subsystem.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import sys
+import tempfile
 
-RESULTS = pathlib.Path(__file__).parent / "results"
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-# (job, variant value, thread count) -> exercised by --quick.  Chosen to
-# cover the baseline fs, the delayed-dedup fs, and both sides of the
-# small-file throughput peak (T=2) without the cost of a full sweep.
-QUICK_POINTS = [
-    ("small_file_job", "nova", 1),
-    ("small_file_job", "nova", 4),
-    ("small_file_job", "denova-delayed", 1),
-    ("small_file_job", "denova-delayed", 4),
-    ("small_file_job", "denova-hybrid", 4),
-]
-QUICK_NFILES = {"small_file_job": 192, "large_file_job": 48}
+import _common  # noqa: E402
+
+#: Relative band per numeric leaf.  Not an allowance for noise — there
+#: is none — only for the last bits of a float sum whose order moved.
+BAND = 1e-9
 
 
 def iter_numeric_leaves(doc, path=()):
@@ -55,294 +49,79 @@ def iter_numeric_leaves(doc, path=()):
             yield from iter_numeric_leaves(v, path + (str(i),))
 
 
-def compare_docs(current: dict, baseline: dict,
-                 tolerance: float) -> list[dict]:
-    """Aligned numeric leaves outside the relative tolerance band."""
+def compare_docs(current: dict, baseline: dict) -> list[dict]:
+    """Numeric leaves outside ``BAND``, or present on one side only."""
     cur = dict(iter_numeric_leaves(current))
+    base = dict(iter_numeric_leaves(baseline))
     violations = []
-    for path, base in iter_numeric_leaves(baseline):
-        if path not in cur:
-            # A baselined metric the fresh run no longer produces is a
-            # regression in its own right (a silently dropped series
-            # would otherwise pass every remaining band forever).
-            violations.append({"path": ".".join(path), "baseline": base,
-                               "current": None, "drift": float("inf")})
-            continue
-        now = cur[path]
-        if base == 0:
+    for path in sorted(cur.keys() | base.keys()):
+        was, now = base.get(path), cur.get(path)
+        if was is None or now is None:
+            # A series only one side has is a difference in its own
+            # right: a silently dropped one would pass forever after.
+            drift = float("inf")
+        elif was == 0:
             drift = 0.0 if now == 0 else float("inf")
         else:
-            drift = (now - base) / abs(base)
-        if abs(drift) > tolerance:
-            violations.append({"path": ".".join(path), "baseline": base,
+            drift = (now - was) / abs(was)
+        if abs(drift) > BAND:
+            violations.append({"path": ".".join(path), "baseline": was,
                                "current": now, "drift": drift})
     return violations
 
 
-def measure_quick_points():
-    """Re-run QUICK_POINTS with the exact fig. 9 bench configuration."""
-    from repro.core import Config, Variant, make_fs
-    from repro.workloads import (large_file_job, run_workload,
-                                 small_file_job)
-
-    jobs = {"small_file_job": small_file_job,
-            "large_file_job": large_file_job}
-    by_value = {v.value: v for v in Variant}
-    current: dict = {}
-    for job_name, variant_value, threads in QUICK_POINTS:
-        nfiles = QUICK_NFILES[job_name]
-        cfg = Config(device_pages=8192, max_inodes=nfiles + 64, cpus=8,
-                     delayed_interval_ms=0.75, delayed_batch=20000)
-        fs, dd = make_fs(by_value[variant_value], cfg)
-        spec = jobs[job_name](nfiles=nfiles, dup_ratio=0.5,
-                              threads=threads)
-        mb_s = run_workload(fs, spec, dd=dd).throughput_mb_s
-        current.setdefault(job_name, {})[f"{variant_value}@T{threads}"] \
-            = round(mb_s, 3)
-        print(f"measured {job_name} {variant_value} T={threads}: "
-              f"{mb_s:.1f} MB/s")
-    return current
-
-
-# Thread counts re-measured by --staging: the scaling knee and the
-# fig. 9 small-write point the ISSUE's acceptance bar pins (T=16).
-STAGING_THREADS = [4, 16]
-
-
-def measure_staging_points() -> dict:
-    """Re-run the staged/direct small-file points (bench_fig9_threads
-    ``run_staged`` configuration) in-process."""
-    from repro.core import Config, Variant, make_fs
-    from repro.workloads import run_workload, small_file_job
-
-    current: dict = {}
-    for label, staging in (("staged", True), ("direct", False)):
-        for threads in STAGING_THREADS:
-            cfg = Config(device_pages=8192, max_inodes=192 + 64, cpus=8,
-                         delayed_interval_ms=0.75, delayed_batch=20000,
-                         staging=staging, staging_pages=512)
-            fs, dd = make_fs(Variant.DELAYED, cfg)
-            spec = small_file_job(nfiles=192, dup_ratio=0.5,
-                                  threads=threads)
-            mb_s = run_workload(fs, spec, dd=dd,
-                                destage_workers=1).throughput_mb_s
-            current.setdefault(label, {})[f"T{threads}"] = round(mb_s, 3)
-            print(f"measured small_file_job {label} T={threads}: "
-                  f"{mb_s:.1f} MB/s")
-    return current
-
-
-def staging_baseline_view(baseline: dict) -> dict:
-    """Project fig9_staging.json onto the STAGING_THREADS key shape."""
-    view: dict = {}
-    for label in ("staged", "direct"):
-        curve = baseline.get("throughput_mb_s", {}).get(label)
-        if not curve:
-            continue
-        for threads in STAGING_THREADS:
-            try:
-                idx = baseline["threads"].index(threads)
-            except (KeyError, ValueError):
-                continue
-            view.setdefault(label, {})[f"T{threads}"] = curve[idx]
-    return view
-
-
-# Numeric leaves of repl_baseline.json checked by --repl: request
-# counts are the fragmentation signal (deterministic), the ratios the
-# acceptance bar.
-REPL_KEYS = ["fwd_requests", "rev_requests", "fwd_ratio", "rev_ratio"]
-
-
-def measure_repl_points() -> dict:
-    """Re-run the bench_repl restore-vs-chain-length curve in-process."""
-    import bench_repl
-
-    current: dict = {}
-    for r in bench_repl.measure():
-        current[f"L{r['chain_len']}"] = {k: r[k] for k in REPL_KEYS}
-        print(f"measured chain_len={r['chain_len']}: "
-              f"fwd {r['fwd_requests']} reqs ({r['fwd_ratio']:.2f}x), "
-              f"rev {r['rev_requests']} reqs ({r['rev_ratio']:.2f}x)")
-    return current
-
-
-def repl_baseline_view(baseline: dict) -> dict:
-    """Project repl_baseline.json onto the per-chain-length key shape."""
-    view: dict = {}
-    for r in baseline.get("restore_chain", []):
-        view[f"L{r['chain_len']}"] = {k: r[k] for k in REPL_KEYS
-                                      if k in r}
-    return view
-
-
-# Numeric leaves of tenant_baseline.json checked by --tenants.  The
-# per-point dicts carry wall-clock-ish totals; the isolation claim
-# lives in these p99s and ratios, so only they get a band.
-TENANT_KEYS = ["unloaded_p99_ns", "noqos_p99_ns", "qos_p99_ns",
-               "noqos_ratio", "qos_ratio"]
-
-
-def measure_tenant_points() -> dict:
-    """Re-run the three bench_tenants isolation points in-process."""
-    import bench_tenants
-
-    doc = bench_tenants.measure()
-    current = {k: doc[k] for k in TENANT_KEYS}
-    for k in TENANT_KEYS:
-        print(f"measured {k}: {doc[k]:.6g}")
-    return current
-
-
-def tenant_baseline_view(baseline: dict) -> dict:
-    """Project tenant_baseline.json onto the TENANT_KEYS shape."""
-    return {k: baseline[k] for k in TENANT_KEYS if k in baseline}
-
-
-def quick_baseline_view(baseline: dict) -> dict:
-    """Project fig9_baseline.json onto the QUICK_POINTS key shape."""
-    view: dict = {}
-    for job_name, variant_value, threads in QUICK_POINTS:
-        job = baseline.get(job_name)
-        if not job:
-            continue
-        try:
-            idx = job["threads"].index(threads)
-            value = job["throughput_mb_s"][variant_value][idx]
-        except (KeyError, ValueError, IndexError):
-            continue
-        view.setdefault(job_name, {})[f"{variant_value}@T{threads}"] = value
-    return view
+def compare_tables(fresh: pathlib.Path, committed: pathlib.Path
+                   ) -> list[dict]:
+    """``*.txt`` tables that are not byte-equal, or on one side only."""
+    was, now = ({p.name: p.read_text() for p in d.glob("*.txt")}
+                for d in (committed, fresh))
+    return [{"path": name, "baseline": was.get(name),
+             "current": now.get(name)}
+            for name in sorted(was.keys() | now.keys())
+            if was.get(name) != now.get(name)]
 
 
 def report(violations: list[dict]) -> int:
     if not violations:
-        print("OK: all points within the tolerance band")
+        print("OK: every leaf and table reproduces the committed results")
         return 0
-    print(f"REGRESSION: {len(violations)} point(s) outside the band")
-    for v in sorted(violations, key=lambda v: -abs(v["drift"])):
-        if v["current"] is None:
-            print(f"  {v['path']}: baseline={v['baseline']:.6g} "
-                  f"MISSING from the fresh run")
+    print(f"DIFFERENT: {len(violations)} item(s)")
+    for v in violations:
+        was, now = v["baseline"], v["current"]
+        if now is None:
+            what = "MISSING from the fresh run"
+        elif was is None:
+            what = "NOT in the committed results"
+        elif isinstance(now, str):
+            what = "table text differs"
         else:
-            print(f"  {v['path']}: baseline={v['baseline']:.6g} "
-                  f"current={v['current']:.6g} drift={v['drift']:+.1%}")
+            what = (f"baseline={was:.12g} current={now:.12g} "
+                    f"drift={v['drift']:+.3g}")
+        print(f"  {v['path']}: {what}")
     return 1
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        description="diff benchmark results against committed baselines")
-    ap.add_argument("--baseline", default="fig9_baseline.json",
-                    help="baseline JSON under benchmarks/results/ "
-                         "(or a path)")
-    ap.add_argument("--current",
-                    help="results JSON to compare (default: --quick "
-                         "re-measures)")
-    ap.add_argument("--tolerance", type=float, default=0.05,
-                    help="relative band per numeric leaf (default 5%%)")
-    ap.add_argument("--quick", action="store_true",
-                    help="re-measure the quick fig9 points in-process")
-    ap.add_argument("--tenants", action="store_true",
-                    help="re-measure the tenant isolation points against "
-                         "tenant_baseline.json")
-    ap.add_argument("--staging", action="store_true",
-                    help="re-measure the staged/direct fig9 small-write "
-                         "points against fig9_staging.json (clean skip "
-                         "when that baseline was never generated)")
-    ap.add_argument("--repl", action="store_true",
-                    help="re-measure the restore-vs-chain-length curve "
-                         "against repl_baseline.json (clean skip when "
-                         "that baseline was never generated)")
-    args = ap.parse_args(argv)
+def _load(results: pathlib.Path) -> dict:
+    path = results / "baseline.json"
+    return json.loads(path.read_text()) if path.exists() else {}
 
-    if args.tenants and args.baseline == "fig9_baseline.json":
-        args.baseline = "tenant_baseline.json"
-    if args.staging and args.baseline == "fig9_baseline.json":
-        args.baseline = "fig9_staging.json"
-    if args.repl and args.baseline == "fig9_baseline.json":
-        args.baseline = "repl_baseline.json"
-    base_path = pathlib.Path(args.baseline)
-    if not base_path.exists():
-        base_path = RESULTS / args.baseline
-    if not base_path.exists():
-        if args.staging or args.repl:
-            # These curves are produced by their bench modules; a
-            # checkout that never ran them simply has nothing to gate.
-            print(f"skip: baseline {args.baseline} not present")
-            return 0
-        print(f"error: baseline {args.baseline} not found", file=sys.stderr)
-        return 2
-    baseline = json.loads(base_path.read_text())
 
-    if args.current:
-        current = json.loads(pathlib.Path(args.current).read_text())
-    elif args.staging:
-        current = measure_staging_points()
-        baseline = staging_baseline_view(baseline)
-        if not baseline:
-            print("error: baseline has none of the staging points",
-                  file=sys.stderr)
-            return 2
-        rc = report(compare_docs(current, baseline, args.tolerance))
-        # The acceptance bar itself, independent of baseline drift: the
-        # staged T=16 point must hold >= 3x its direct twin.
-        staged16 = current["staged"]["T16"]
-        direct16 = current["direct"]["T16"]
-        if staged16 < 3 * direct16:
-            print(f"REGRESSION: staged T=16 {staged16:.1f} MB/s is below "
-                  f"3x direct {direct16:.1f} MB/s")
-            rc = 1
-        else:
-            print(f"staging win at T=16: {staged16 / direct16:.1f}x")
-        return rc
-    elif args.repl:
-        current = measure_repl_points()
-        baseline = repl_baseline_view(baseline)
-        if not baseline:
-            print("error: baseline has none of the repl points",
-                  file=sys.stderr)
-            return 2
-        rc = report(compare_docs(current, baseline, args.tolerance))
-        # The acceptance bar itself, independent of baseline drift:
-        # restore-latest under reverse dedup stays within 1.15x of the
-        # length-1 chain while forward keeps fragmenting.
-        deepest = max(current, key=lambda k: int(k[1:]))
-        rev = current[deepest]["rev_ratio"]
-        fwd_reqs = current[deepest]["fwd_requests"]
-        rev_reqs = current[deepest]["rev_requests"]
-        if rev > 1.15:
-            print(f"REGRESSION: reverse restore at {deepest} is "
-                  f"{rev:.2f}x the chain-1 cost (bar: 1.15x)")
-            rc = 1
-        elif fwd_reqs <= rev_reqs:
-            print(f"REGRESSION: forward restore at {deepest} issues "
-                  f"{fwd_reqs} requests vs reverse {rev_reqs} — the "
-                  f"fragmentation the relocation should be absorbing "
-                  f"is gone")
-            rc = 1
-        else:
-            print(f"reverse dedup holds {rev:.2f}x at {deepest} "
-                  f"({rev_reqs} reqs vs forward {fwd_reqs})")
-        return rc
-    elif args.tenants:
-        current = measure_tenant_points()
-        baseline = tenant_baseline_view(baseline)
-        if not baseline:
-            print("error: baseline has none of the tenant points",
-                  file=sys.stderr)
-            return 2
-    elif args.quick:
-        current = measure_quick_points()
-        baseline = quick_baseline_view(baseline)
-        if not baseline:
-            print("error: baseline has none of the quick points",
-                  file=sys.stderr)
-            return 2
-    else:
-        ap.error("need --current FILE, --quick, or --tenants")
+def main() -> int:
+    import pytest
 
-    return report(compare_docs(current, baseline, args.tolerance))
+    committed = _common.RESULTS
+    benches = sorted(committed.parent.glob("bench_*.py"))
+    with tempfile.TemporaryDirectory() as scratch:
+        _common.RESULTS = fresh = pathlib.Path(scratch)
+        try:
+            failed = pytest.main([str(b) for b in benches]) != 0
+        finally:
+            _common.RESULTS = committed
+        violations = (compare_docs(_load(fresh), _load(committed))
+                      + compare_tables(fresh, committed))
+    if failed:
+        print("FAILED: a bench did not pass (pytest output above)")
+    return report(violations) or int(failed)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Operates on device *image files* (durable bytes of the emulated PM
 device), so state persists across invocations like a real filesystem
 image would:
 
-    python -m repro mkfs disk.img --pages 8192 --variant immediate
+    python -m repro mkfs disk.img --pages 8192 --variant denova-immediate
     python -m repro put disk.img /hello.txt local_file.txt
     python -m repro get disk.img /hello.txt -
     python -m repro ls disk.img /
@@ -49,6 +49,18 @@ def _image_fs_class(dev):
     if sb.hybrid_conf & 1:
         return HybridDeNovaFS
     return DeNovaFS
+
+
+#: What ``mkfs --variant`` accepts: the kinds an image can remember
+#: (:func:`_image_fs_class` reads them back).  Inline dedup is a property
+#: of the mounting class and recorded nowhere on media, so an "inline"
+#: image would be mounted offline by every later command.
+_MKFS_CLASSES = {
+    Variant.BASELINE: NovaFS,
+    Variant.IMMEDIATE: DeNovaFS,
+    Variant.DELAYED: DeNovaFS,
+    Variant.HYBRID: HybridDeNovaFS,
+}
 
 
 class CLIError(Exception):
@@ -138,13 +150,7 @@ def cmd_mkfs(args) -> int:
     variant = Variant(args.variant)
     model = PROFILES[args.profile]
     dev = PMDevice(args.pages * 4096, model=model, clock=SimClock())
-    if variant is Variant.HYBRID:
-        cls = HybridDeNovaFS
-    elif variant.has_dedup:
-        cls = DeNovaFS
-    else:
-        cls = NovaFS
-    fs = cls.mkfs(dev, max_inodes=args.inodes)
+    fs = _MKFS_CLASSES[variant].mkfs(dev, max_inodes=args.inodes)
     fs.unmount()
     dev.save_image(args.image)
     print(f"formatted {args.image}: {args.pages} pages "
@@ -1037,7 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pages", type=int, default=8192)
     s.add_argument("--inodes", type=int, default=1024)
     s.add_argument("--variant", default="denova-immediate",
-                   choices=[v.value for v in Variant])
+                   choices=[v.value for v in _MKFS_CLASSES],
+                   help="inline dedup is not an image property: use "
+                        "repro.core.make_fs(Variant.INLINE, ...)")
     s.add_argument("--profile", default="OptaneDCPM",
                    choices=sorted(PROFILES))
     s.set_defaults(fn=cmd_mkfs)

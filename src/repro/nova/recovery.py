@@ -120,9 +120,10 @@ def recover(fs, clean: bool) -> RecoveryReport:
         # then maintained incrementally (redo allocations added, orphan
         # pages removed) instead of being recomputed in pass 3.
         with fs.obs.span("recovery.journal_redo"):
-            bitmap, data_refs = _build_usage(fs, report)
+            refs = _build_usage(fs, report)
             fs.allocator = PageAllocator.from_bitmap(
-                fs.geo.data_start_page, fs.geo.total_pages, bitmap, fs.cpus)
+                fs.geo.data_start_page, fs.geo.total_pages, refs > 0,
+                fs.cpus)
             fs.allocator.alloc_log = []
             fs.allocator.attach_registry(fs.obs.registry)
             fs.log.allocator = fs.allocator
@@ -133,15 +134,16 @@ def recover(fs, clean: bool) -> RecoveryReport:
             # the scan so pass 3 sees them without rescanning.
             for ext in fs.allocator.alloc_log:
                 for page in range(ext.start, ext.end):
-                    bitmap[page] = True
+                    refs[page] += 1
                     report.log_pages += 1
             fs.allocator.alloc_log = None
 
         with fs.obs.span("recovery.reachability"):
-            _collect_orphans(fs, report, bitmap, data_refs)
+            _collect_orphans(fs, report, refs)
 
         # Pass 3: in-use bitmap -> per-CPU free lists.
         with fs.obs.span("recovery.free_list"):
+            bitmap = refs > 0
             fs.allocator = PageAllocator.from_bitmap(
                 fs.geo.data_start_page, fs.geo.total_pages, bitmap, fs.cpus)
             fs.allocator.attach_registry(fs.obs.registry)
@@ -209,7 +211,7 @@ def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
             # Crash between thorough GC's head and tail updates: the
             # tail still points into the retired chain.  GC chains are
             # zero-initialized, so the first empty slot is the tail.
-            chain = set(fs.log.iter_pages(inode.log_head))
+            chain = set(_iter_chain(fs, inode.log_head))
             if (inode.log_tail - 1) // PAGE_SIZE not in chain:
                 from repro.nova.gc import find_tail_by_scan
                 inode.log_tail = find_tail_by_scan(fs, inode.log_head)
@@ -291,14 +293,33 @@ def _replay_logs(fs, report: RecoveryReport) -> None:
         fs.clock, [make_task(inode) for inode in inodes], workers)
 
 
-def _collect_orphans(fs, report: RecoveryReport,
-                     bitmap: np.ndarray | None = None,
-                     data_refs: np.ndarray | None = None) -> None:
+def _iter_chain(fs, head_page: int):
+    """Walk a log chain only as far as recovery can trust it.
+
+    ``InodeTable.release`` clears just the valid byte, so a torn record
+    write into a reused slot can revive the dead incarnation's
+    ``log_head`` — by now possibly another file's data page, whose first
+    word is no ``next`` pointer.  Stop at a page outside the data region
+    or a revisit instead of raising (``LogManager.iter_pages``) or
+    reading off the device; one charged read per step, like it.
+    """
+    seen: set[int] = set()
+    page = head_page
+    while (fs.geo.data_start_page <= page < fs.geo.total_pages
+           and page not in seen):
+        seen.add(page)
+        yield page
+        page = fs.log.next_of(page)
+
+
+def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
     """Pass 2: reachability from the root; collect orphans.
 
-    When given the conservative usage scan from pass 1.5, each orphan's
-    log and (otherwise-unreferenced) data pages are removed from it, so
-    pass 3 can rebuild the free lists without a second device scan.
+    Each orphan takes back exactly the references pass 1.5's usage scan
+    counted for it, so a page is released only when its last holder
+    dies — dedup-shared data stays, and so does a live page that a
+    stale ``log_head`` (see :func:`_iter_chain`) merely points into.
+    Pass 3 then rebuilds the free lists without a second device scan.
     """
     reachable: set[int] = set()
     stack = [ROOT_INO] if ROOT_INO in fs.caches else []
@@ -313,14 +334,11 @@ def _collect_orphans(fs, report: RecoveryReport,
                          if i in fs.caches)
     for ino in sorted(set(fs.caches) - reachable):
         cache = fs.caches[ino]
-        if bitmap is not None:
-            for page in fs.log.iter_pages(cache.inode.log_head):
-                bitmap[page] = False
-                report.log_pages -= 1
-            for page in cache.index.referenced_pages():
-                data_refs[page] -= 1
-                if data_refs[page] <= 0:
-                    bitmap[page] = False
+        for page in _iter_chain(fs, cache.inode.log_head):
+            refs[page] -= 1
+            report.log_pages -= 1
+        for page in cache.index.referenced_pages():
+            refs[page] -= 1
         fs.itable.release(ino)
         del fs.caches[ino]
         report.orphans_collected += 1
@@ -352,23 +370,19 @@ def _collect_orphans(fs, report: RecoveryReport,
             cache.inode.links = link_counts.get(ino, 0)
 
 
-def _build_usage(fs, report: RecoveryReport | None = None):
-    """One conservative device scan: (in-use bitmap, data-page refcounts).
+def _build_usage(fs, report: RecoveryReport) -> np.ndarray:
+    """One conservative device scan: per-page reference counts.
 
-    Covers every currently-valid inode, orphans included; counts
-    ``report.log_pages`` as it goes.  ``data_refs`` lets orphan
-    collection release a data page only when its last referencing inode
-    dies (dedup-shared pages stay in use).
+    Covers every currently-valid inode, orphans included, one reference
+    per log page and per indexed data page alike (a page is in use while
+    its count is positive); counts ``report.log_pages`` as it goes.
     """
-    bitmap = np.zeros(fs.geo.total_pages, dtype=bool)
-    bitmap[:fs.geo.data_start_page] = True  # superblock/itable/FACT/etc.
-    data_refs = np.zeros(fs.geo.total_pages, dtype=np.int32)
+    refs = np.zeros(fs.geo.total_pages, dtype=np.int32)
+    refs[:fs.geo.data_start_page] = 1  # superblock/itable/FACT/etc.
     for cache in fs.caches.values():
-        for page in fs.log.iter_pages(cache.inode.log_head):
-            bitmap[page] = True
-            if report is not None:
-                report.log_pages += 1
+        for page in _iter_chain(fs, cache.inode.log_head):
+            refs[page] += 1
+            report.log_pages += 1
         for page in cache.index.referenced_pages():
-            bitmap[page] = True
-            data_refs[page] += 1
-    return bitmap, data_refs
+            refs[page] += 1
+    return refs

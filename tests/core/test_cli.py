@@ -25,6 +25,19 @@ class TestLifecycle:
                      "--pages", "1024", "--inodes", "64"]) == 0
         assert main(["dedup", img]) == 1  # no dedup layer
 
+    @pytest.mark.parametrize("variant", ["denova-inline",
+                                         "denova-inline-adaptive"])
+    def test_mkfs_rejects_variants_an_image_cannot_remember(
+            self, tmp_path, variant, capsys):
+        # Nothing on media records "inline": the banner used to print it
+        # while every later command mounted the image offline.
+        img = tmp_path / "inline.img"
+        with pytest.raises(SystemExit) as exc:
+            main(["mkfs", str(img), "--variant", variant])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not img.exists()
+
     def test_mkfs_profile(self, tmp_path):
         img = str(tmp_path / "pcm.img")
         assert main(["mkfs", img, "--profile", "PCM",

@@ -52,9 +52,6 @@ def test_recovery_is_idempotent_under_its_own_crashes(seed, variant):
     assert points > 300
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "torn whole-record InodeTable.write over a released slot keeps the "
-    "dead incarnation's log_head; see ROADMAP 'One sweep engine' (a)"))
 def test_torn_inode_record_in_staging_replay():
     """The one violation a 5500-point probe of this scenario found.
 
@@ -67,11 +64,13 @@ def test_torn_inode_record_in_staging_replay():
     (``default_rng(2 + 7)``) persists the new record's valid word and
     zeroed ``log_tail`` but not its zeroed ``log_head``.  The second
     mount sees a valid orphan whose log "starts" at page 157 — by now a
-    data page of ino 2 — and ``_collect_orphans`` un-marks that chain
-    unconditionally: "dangling pointer: referenced page 157 is on a
-    free list".  The foreground ``_new_inode`` writes the record the
-    same way; a sound fix changes what ``release``/``write`` persist on
-    the unlink/create path, which moves gated ``sim_*`` numbers.
+    data page of ino 2 — and ``_collect_orphans`` used to un-mark that
+    chain unconditionally: "dangling pointer: referenced page 157 is on
+    a free list".  Fixed inside recovery, with no charge moved: the
+    usage scan counts one reference per log page and data page alike,
+    an orphan takes back only what it added, and both walk the chain
+    through the bounded ``_iter_chain`` (the hand-built unit case is
+    ``tests/nova/test_recovery.py::TestStaleLogHead``).
     """
     cfg = FuzzConfig(seed=2, seq_ops=24, staging=True, budget=10 ** 6,
                      modes=("torn",), phases=("pre",))

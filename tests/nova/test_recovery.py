@@ -4,6 +4,7 @@ import pytest
 
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import NovaFS, PAGE_SIZE
+from repro.nova.inode import Inode
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -145,6 +146,35 @@ class TestTornCrashes:
             check_fs_invariants(fs2)
 
         assert sweep_crash_points(build, check, mode="torn") > 0
+
+
+class TestStaleLogHead:
+    """``InodeTable.release`` clears only the valid byte, so a torn
+    whole-record write into a reused slot can persist the new valid word
+    without the zeroed ``log_head`` (found by tests/fuzz/test_nested.py).
+    The revived pointer may by now be another file's data page."""
+
+    @pytest.mark.parametrize("stale_tail", [False, True])
+    def test_orphan_pointing_into_a_live_file_frees_nothing(self,
+                                                            stale_tail):
+        fs = fresh_fs()
+        victim = fs.create("/victim")
+        # No 64 B slot of this page starts with a log-entry type byte.
+        data = bytes(range(256)) * (PAGE_SIZE // 256)
+        fs.write(victim, 0, data)
+        page, = fs.caches[victim].index.referenced_pages()
+        ghost = fs.itable.alloc()
+        fs.itable.write(ghost, Inode(
+            ino=ghost, valid=1, log_head=page,
+            log_tail=page * PAGE_SIZE + 4 * 64 if stale_tail else 0))
+        fs.dev.crash()
+        fs.dev.recover_view()
+
+        fs2 = NovaFS.mount(fs.dev)
+        assert fs2.last_recovery.orphans_collected == 1
+        assert fs2.itable.read(ghost).valid == 0
+        assert fs2.read(fs2.lookup("/victim"), 0, PAGE_SIZE) == data
+        check_fs_invariants(fs2)
 
 
 class TestMultiFileRecovery:
