@@ -54,10 +54,10 @@ from repro.backup.stream import (
     read_header,
     read_record_at,
 )
-from repro.dedup.fact import FactFull
+from repro.dedup.fact import FactTxn
 from repro.dedup.reflink import SNAPSHOT_DIR, materialise_shared
 from repro.nova import persist
-from repro.nova.fs import FileExists, NoSpace, ino_cpu
+from repro.nova.fs import FileExists, FSError, NoSpace, ino_cpu
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import extend_runs
@@ -207,63 +207,54 @@ def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
 
     Mirrors :func:`repro.dedup.reflink.reflink` step for step: the
     inode stays an orphan (recovery collects it) until the very last
-    dentry append publishes the fully-committed file.
+    dentry append publishes the fully-committed file, and a *handled*
+    error (bad record, ENOSPC) leaves the target exactly as before — a
+    crash reaches the same state through recovery.
     """
     pino, name, _parent = fs._namei(path)
     cpu = ino_cpu(pino, fs.cpus)
-    ino = fs._new_inode(ITYPE_FILE, cpu)
-    cache = fs.caches[ino]
-    cache.inode.flags |= FLAG_IMMUTABLE
-    fs.itable.write(ino, cache.inode)
-
-    staged: list[int] = []               # FACT idxs with a staged UC
     runs: list[list[int]] = []  # [pgoff, block, count]
-    fresh: list[int] = []                # pages allocated by this file
-    try:
-        for pgoff, fp_hex in pages:
-            fp = bytes.fromhex(fp_hex)
-            res = fs.fact.lookup(fp)
-            if res.found is not None:
-                # Dedup hit against the target: no data copy.
-                fs.fact.inc_uc(res.found.idx)
-                staged.append(res.found.idx)
-                block = res.found.block
-                stats["pages_dup"] += 1
-            else:
-                data = read_record_at(fh, fp_hex, index)
-                if len(data) != PAGE_SIZE:
-                    raise StreamError(
-                        f"record {fp_hex}: {len(data)} B, want a page")
-                try:
-                    block = fs.allocator.alloc(1, cpu)
-                except AllocError as exc:
-                    raise NoSpace(str(exc)) from None
-                fresh.append(block)
-                fs.dev.write(block * PAGE_SIZE, data, nt=True)
-                try:
-                    # UC=1; the commit below turns it into RFC=1.
-                    staged.append(fs.fact.insert(fp, block, hint=res))
-                except FactFull:
-                    # Un-fingerprinted page: single reference, no entry.
-                    stats["pages_unfingerprinted"] += 1
-                stats["pages_novel"] += 1
-                stats["bytes_ingested"] += len(data)
-            extend_runs(runs, pgoff, block)
-    except BaseException:
-        # Undo the volatile/PM side effects of the unpublished file so a
-        # *handled* error (bad record, ENOSPC) leaves the target exactly
-        # as before; a crash reaches the same state through recovery.
-        for idx in staged:
-            fs.fact.discard_uc(idx)
-        fs.fact.remove_dead()
-        for block in fresh:
-            fs.allocator.free(block, 1, cpu)
-        fs.itable.release(ino)
-        del fs.caches[ino]
-        raise
-
-    materialise_shared(fs, ino, runs, size, staged, cpu)
-    fs._append_dentry(pino, name, ino, valid=1, cpu=cpu)
+    fresh: list[int] = []       # pages allocated here, not yet mapped
+    with FactTxn(fs.fact) as txn:
+        ino = fs._new_inode(ITYPE_FILE, cpu)
+        cache = fs.caches[ino]
+        try:
+            cache.inode.flags |= FLAG_IMMUTABLE
+            fs.itable.write(ino, cache.inode)
+            for pgoff, fp_hex in pages:
+                fp = bytes.fromhex(fp_hex)
+                res = fs.fact.lookup(fp)
+                if res.found is not None:
+                    # Dedup hit against the target: no data copy.
+                    txn.share(res.found.idx)
+                    block = res.found.block
+                    stats["pages_dup"] += 1
+                else:
+                    data = read_record_at(fh, fp_hex, index)
+                    if len(data) != PAGE_SIZE:
+                        raise StreamError(
+                            f"record {fp_hex}: {len(data)} B, want a page")
+                    try:
+                        block = fs.allocator.alloc(1, cpu)
+                    except AllocError as exc:
+                        raise NoSpace(str(exc)) from None
+                    fresh.append(block)
+                    fs.dev.write(block * PAGE_SIZE, data, nt=True)
+                    # UC=1; the commit turns it into RFC=1.  Table full:
+                    # un-fingerprinted page, single reference, no entry.
+                    if txn.claim(fp, block, hint=res) is None:
+                        stats["pages_unfingerprinted"] += 1
+                    stats["pages_novel"] += 1
+                    stats["bytes_ingested"] += len(data)
+                extend_runs(runs, pgoff, block)
+            materialise_shared(fs, ino, runs, size, txn, cpu)
+            fresh.clear()  # mapped now: reclaimed through the index below
+            fs._append_dentry(pino, name, ino, valid=1, cpu=cpu)
+        except (FSError, StreamError):
+            for block in fresh:
+                fs.allocator.free(block, 1, cpu)
+            fs._drop_file_body(ino, cache, cpu)  # as reflink's discard
+            raise
     return ino
 
 

@@ -6,7 +6,7 @@ referenced write entry:
 1.  dequeue the *target entry* (dedupe-flag ``dedupe_needed``);
 2.  fingerprint each still-live data page and look it up in FACT;
 3.  duplicates: ``UC += 1`` on the canonical entry; uniques: insert a new
-    FACT entry with ``UC = 1``;
+    FACT entry with ``UC = 1`` (both on the node's ``FactTxn``);
 4.  append a new single-page write entry (flag ``in_process``) pointing
     at the canonical page for every duplicate;
 5.  one atomic log-tail update commits them all, then the target's flag
@@ -14,6 +14,9 @@ referenced write entry:
 6.  for every touched FACT entry, one atomic store does ``UC -= 1,
     RFC += 1``; flags move to ``dedupe_complete``; the duplicate pages
     are reclaimed and the radix tree re-pointed.
+
+A node whose redirect entries find no log page (``NoSpace``) aborts and
+goes back on the DWQ, still ``dedupe_needed`` — the state before it ran.
 
 Deviations needed to make the paper's design executable:
 
@@ -33,11 +36,11 @@ node (when the commits have settled the RFCs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dedup.dwq import DWQNode
-from repro.dedup.fact import FactFull
+from repro.dedup.fact import FactTxn, LookupResult
 from repro.dedup.reorder import reorder_chain
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
@@ -45,6 +48,7 @@ from repro.nova.entries import (
     DEDUPE_NEEDED,
     WriteEntry,
 )
+from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
 from repro.obs import RegistryStats
 
@@ -87,15 +91,6 @@ class DaemonStats(RegistryStats):
 
 
 @dataclass
-class _PageRec:
-    pgoff: int
-    page: int
-    fact_idx: int
-    is_dup: bool
-    canonical: Optional[int] = None
-
-
-@dataclass
 class NodeTask:
     """In-flight Algorithm-1 state for one DWQ node.
 
@@ -110,14 +105,10 @@ class NodeTask:
     entry: "WriteEntry"
     cache: object
     cpu: int
-    recs: list = None
-    reorder_heads: set = None
-
-    def __post_init__(self):
-        if self.recs is None:
-            self.recs = []
-        if self.reorder_heads is None:
-            self.reorder_heads = set()
+    txn: FactTxn                    # every count this node has staged
+    dups: list = field(default_factory=list)   # (pgoff, canonical block)
+    reorder_heads: set = field(default_factory=set)
+    weak_of: dict = field(default_factory=dict)  # hybrid: pgoff -> weak fp
 
     @property
     def page_offsets(self) -> range:
@@ -219,7 +210,7 @@ class DedupDaemon:
             return None
         self.stats.nodes_processed += 1
         return NodeTask(node=node, entry=entry, cache=cache,
-                        cpu=node.ino % fs.cpus)
+                        cpu=node.ino % fs.cpus, txn=FactTxn(fs.fact))
 
     def fingerprint_page(self, task: NodeTask,
                          pgoff: int) -> Optional[tuple[int, bytes]]:
@@ -229,15 +220,18 @@ class DedupDaemon:
         foreground already overwrote.  Touches no shared FACT state, so
         parallel workers may run it without holding a bucket lock.
         """
-        fs = self.fs
         self.stats.pages_scanned += 1
         hit = task.cache.index.lookup(pgoff)
         if hit is None or hit[0] != task.node.entry_addr:
             self.stats.pages_stale += 1
             return None
-        page = task.entry.block_for(pgoff)
-        data = fs.dev.read(page * PAGE_SIZE, PAGE_SIZE)  # chunking read
-        return page, fs.fingerprinter.strong(data)
+        return self._hash_page(task, pgoff, task.entry.block_for(pgoff))
+
+    def _hash_page(self, task: NodeTask, pgoff: int,
+                   page: int) -> Optional[tuple[int, bytes]]:
+        """The hash step of a live page; None = nothing to stage."""
+        data = self.fs.dev.read(page * PAGE_SIZE, PAGE_SIZE)  # chunking read
+        return page, self.fs.fingerprinter.strong(data)
 
     def stage_page(self, task: NodeTask, pgoff: int, page: int,
                    fp: bytes) -> None:
@@ -250,52 +244,58 @@ class DedupDaemon:
         """
         fact = self.fs.fact
         res = fact.lookup(fp)
-        if (self.reorder_enabled and res.found is not None
+        found = res.found
+        if (self.reorder_enabled and found is not None
                 and res.steps > self.reorder_min_steps
-                and res.found.refcount >= self.reorder_min_rfc):
+                and found.refcount >= self.reorder_min_rfc):
             task.reorder_heads.add(fact.head_of(fp))
-        if res.found is None:
-            try:
-                idx = fact.insert(fp, page, hint=res)
-            except FactFull:
-                # No metadata room: leave the page un-deduplicated.
-                self.stats.fact_full_events += 1
-                return
-            task.recs.append(_PageRec(pgoff, page, idx, is_dup=False))
-            self.stats.pages_unique += 1
-        elif res.found.block == page:
+        if found is None:
+            self._stage_miss(task, pgoff, page, fp, res)
+        elif found.block == page:
             # Self-canonical hit: only reachable when re-deduplicating
-            # a requeued target after a crash (fresh CoW pages can
-            # never pre-exist in FACT).  Recovery's undercount repair
-            # already counted this reference, so a live page with
-            # RFC >= 1 needs nothing; RFC == 0 (defensive — should be
-            # unreachable past the repair) is re-staged.
-            if res.found.refcount == 0:
-                fact.inc_uc(res.found.idx)
-                task.recs.append(_PageRec(pgoff, page, res.found.idx,
-                                          is_dup=False))
+            # a requeued target (after a crash, or after an aborted node
+            # whose claim a parallel worker had shared — fresh CoW pages
+            # can never pre-exist in FACT).  The reference is already
+            # counted, so a live page with RFC >= 1 needs nothing;
+            # RFC == 0 (defensive — should be unreachable past
+            # recovery's undercount repair) is re-staged.
+            if found.refcount == 0:
+                task.txn.share(found.idx)
                 self.stats.pages_unique += 1
         else:
-            fact.inc_uc(res.found.idx)  # step 3
-            task.recs.append(_PageRec(pgoff, page, res.found.idx,
-                                      is_dup=True, canonical=res.found.block))
+            task.txn.share(found.idx)  # step 3
+            task.dups.append((pgoff, found.block))
             self.stats.pages_duplicate += 1
+
+    def _stage_miss(self, task: NodeTask, pgoff: int, page: int, fp: bytes,
+                    res: LookupResult) -> None:
+        """No entry carries ``fp``: the page becomes its canonical."""
+        if task.txn.claim(fp, page, hint=res) is None:
+            # No metadata room: leave the page un-deduplicated.
+            self.stats.fact_full_events += 1
+        else:
+            self.stats.pages_unique += 1
 
     def commit_node(self, task: NodeTask) -> None:
         """Steps 4–6: redirect entries, settle counts, reclaim, reorder."""
         fs = self.fs
         fact = fs.fact
         node, cache, cpu = task.node, task.cache, task.cpu
-        dups = [r for r in task.recs if r.is_dup]
 
         # Steps 4+5: redirecting entries for the duplicates, one commit.
-        new_entries = append_redirects(
-            fs, node.ino, cache, [(r.pgoff, r.canonical) for r in dups], cpu)
+        try:
+            new_entries = append_redirects(fs, node.ino, cache, task.dups,
+                                           cpu)
+        except NoSpace:
+            # Nothing was published: drop the staged counts and requeue
+            # the node — its entry is still ``dedupe_needed``.
+            task.txn.abort()
+            fs.dwq.enqueue(node)
+            raise
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
         # Step 6: settle the counts — one atomic store per entry-page.
-        for rec in task.recs:
-            fact.commit_uc(rec.fact_idx)
+        task.txn.commit()
         for addr, _we in new_entries:
             fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
             fs.note_dedup_done(addr)
@@ -304,8 +304,8 @@ class DedupDaemon:
 
         # Radix re-point + reclaim of the now-duplicate pages (they have
         # no FACT entry of their own, so reclaim frees them directly).
-        for rec, (addr, we) in zip(dups, new_entries):
-            displaced = cache.index.redirect(rec.pgoff, addr, we)
+        for (pgoff, _canonical), (addr, we) in zip(task.dups, new_entries):
+            displaced = cache.index.redirect(pgoff, addr, we)
             fs._note_dead_entries(cache, displaced)
             fs.reclaim_extents(displaced.extents, cpu)
             self.stats.pages_reclaimed += displaced.total_pages

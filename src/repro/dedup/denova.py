@@ -28,6 +28,7 @@ from repro.nova.entries import DEDUPE_NEEDED, WriteEntry
 from repro.nova.fs import NovaFS
 from repro.nova.layout import PAGE_SIZE, Geometry
 from repro.nova.persist import SweepCursors
+from repro.nova.radix import page_refs
 from repro.obs import CounterView
 from repro.pm.device import PMDevice
 
@@ -343,12 +344,7 @@ class DeNovaFS(NovaFS):
         every mapping either contributes to some entry's RFC or points
         at a block with no FACT entry.
         """
-        refs: Counter[int] = Counter()
-        for cache in self.caches.values():
-            if cache.inode.itype != 1:  # files only
-                continue
-            for pgoff, (_a, entry) in cache.index._slots.items():
-                refs[entry.block_for(pgoff)] += 1
+        refs = page_refs(self)
         logical_pages = sum(refs.values())
         phys = len(refs)
         live = self.fact.live_entries()

@@ -62,6 +62,10 @@ class DWQNode:
     tenant's outstanding-node charge would leak forever.  DRAM-only like
     ``trace_id``; nodes restored/rebuilt at mount carry None and were
     never charged, so the accounting stays symmetric.
+
+    ``weak_hints`` (hybrid inline mode) maps each page offset to the
+    weak fingerprint the write path computed, or to "registered unique".
+    DRAM-only too: a restored node carries None and re-runs the weak path.
     """
 
     ino: int
@@ -69,6 +73,7 @@ class DWQNode:
     enqueue_time_ns: float = 0.0
     trace_id: int = 0
     tid: Optional[int] = None
+    weak_hints: Optional[dict] = None
 
 
 class DWQ:

@@ -45,9 +45,10 @@ import numpy as np
 from repro.dedup.fingerprint import FP_BYTES, fp_prefix
 from repro.nova.layout import PAGE_SIZE, Geometry
 from repro.obs import CounterView, MetricsRegistry
-from repro.pm.device import PMDevice
+from repro.pm.device import CrashRequested, PMDevice
 
-__all__ = ["FACT", "FactEntry", "FactFull", "FactCorruption", "LookupResult"]
+__all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
+           "LookupResult"]
 
 #: Per-lookup chain-walk length buckets (NVM entry reads, not time).
 LOOKUP_STEP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
@@ -310,6 +311,15 @@ class FACT:
         self._write_u64(hint.tail_idx, _OFF_NEXT, new_idx + 1)  # publish
         return new_idx
 
+    def materialise(self, fp: bytes, block: int,
+                    hint: Optional[LookupResult] = None) -> Optional[int]:
+        """Insert an entry born settled at ``RFC=1``, for a block a file
+        already maps (hybrid's lazy canonical); None when the table is full."""
+        txn = FactTxn(self)
+        idx = txn.claim(fp, block, hint)
+        txn.commit()
+        return idx
+
     # ------------------------------------------------------------ counts (UC/RFC)
 
     def inc_uc(self, idx: int) -> None:
@@ -345,12 +355,19 @@ class FACT:
         self._write_u64(idx, _OFF_COUNTS, counts - 1)
         return rfc - 1
 
-    def refcount(self, idx: int) -> int:
-        return self._read_u64(idx, _OFF_COUNTS) & _RFC_MASK
-
     def staged_uc(self, idx: int) -> int:
         """Uncommitted count: dedup transactions in flight on this entry."""
         return self._read_u64(idx, _OFF_COUNTS) >> 32
+
+    def raise_rfc(self, idx: int, rfc: int) -> None:
+        """Undercount repair (recovery; every UC is discarded by then)."""
+        self._write_u64(idx, _OFF_COUNTS, rfc)
+
+    def retire(self, idx: int) -> None:
+        """Remove an entry no file references, whatever it counts (§V-C2)."""
+        if self._read_u64(idx, _OFF_COUNTS):
+            self._write_u64(idx, _OFF_COUNTS, 0)
+        self.remove(idx)
 
     # ------------------------------------------------------------ retarget
 
@@ -521,6 +538,12 @@ class FACT:
         heads = arr[:self.daa_size]
         return np.flatnonzero((heads["block"] != 0) | (heads["next"] != 0)
                               | (heads["prev"] != 0)).tolist()
+
+    def iaa_occupied(self) -> list[int]:
+        """What a checkpoint records for :meth:`restore_iaa_free`."""
+        free = set(self._iaa_free)
+        return [idx for idx in range(self.daa_size, self.total)
+                if idx not in free]
 
     def restore_iaa_free(self, occupied) -> int:
         """Restore the IAA free list from a checkpointed occupancy set.
@@ -717,3 +740,70 @@ class FACT:
                 raise FactCorruption(
                     f"entry {idx} (block {block}): delete pointer "
                     f"is {int(deletes[block]) - 1}")
+
+
+class FactTxn:
+    """The counts one dedup operation has staged and not yet settled.
+
+    Algorithm 1's transaction shape, once: stage an update count per
+    page, publish the operation's log entries by one tail update, then
+    :meth:`commit` — or, when it fails before the tail update,
+    :meth:`abort`: §V-C1's discard on the live mount instead of at the
+    next recovery.  As a context manager an exception before the commit
+    aborts; a simulated power loss does not (no code runs after a crash;
+    what was staged is recovery's).  docs/CONSISTENCY.md §4.
+    """
+
+    def __init__(self, fact: FACT):
+        self.fact = fact
+        self._units: list[tuple[int, bool]] = []  # (idx, claimed), in order
+
+    def share(self, idx: int) -> None:
+        """Stage one more reference to an existing entry (``UC += 1``)."""
+        self.fact.inc_uc(idx)
+        self._units.append((idx, False))
+
+    def claim(self, fp: bytes, block: int,
+              hint: Optional[LookupResult] = None) -> Optional[int]:
+        """Insert an entry (``UC=1``) for ``block``, a page the operation's
+        own file maps.  None when the table is full: nothing was staged."""
+        try:
+            idx = self.fact.insert(fp, block, hint)
+        except FactFull:
+            return None
+        self._units.append((idx, True))
+        return idx
+
+    def commit(self) -> None:
+        """Alg. 1 step 6: one ``UC-1, RFC+1`` store per unit, in order."""
+        units, self._units = self._units, []
+        for idx, _claimed in units:
+            self.fact.commit_uc(idx)
+
+    def abort(self) -> None:
+        """Drop exactly the units this transaction staged, newest first.
+
+        A shared unit is one ``UC -= 1``; a claimed entry nobody else
+        counts on is removed.  A claimed entry another transaction has
+        shared meanwhile (parallel workers) settles instead: its file
+        still maps the page, so dropping the unit would let the sharer's
+        commit land on ``RFC=1`` for two live references; the aborted
+        operation's re-run self-hits with ``RFC >= 1`` and adds nothing.
+        """
+        fact = self.fact
+        while self._units:
+            idx, claimed = self._units.pop()
+            counts = fact._read_u64(idx, _OFF_COUNTS)
+            if not claimed:
+                fact._write_u64(idx, _OFF_COUNTS, counts - _UC_UNIT)
+            elif counts == _UC_UNIT:
+                fact.remove(idx)
+            else:
+                fact.commit_uc(idx)
+
+    def __enter__(self) -> "FactTxn":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb) -> None:
+        if exc_type is not None and not issubclass(exc_type, CrashRequested):
+            self.abort()

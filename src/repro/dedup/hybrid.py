@@ -48,10 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dedup.daemon import DedupDaemon, NodeTask, _PageRec
+from repro.dedup.daemon import DedupDaemon, NodeTask
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.dwq import DWQNode
-from repro.dedup.fact import FactFull
+from repro.dedup.fact import LookupResult
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
     DEDUPE_NEEDED,
@@ -59,6 +59,7 @@ from repro.nova.entries import (
 )
 from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.radix import page_refs
 from repro.obs import CounterView
 
 __all__ = ["HybridDeNovaFS", "HybridDedupDaemon", "HybridController",
@@ -253,38 +254,19 @@ class HybridController:
 class HybridDedupDaemon(DedupDaemon):
     """Algorithm 1 with the strong hash gated behind the weak filter.
 
-    ``fingerprint_page`` computes (or takes from the inline pass's
-    hints) the page's weak fingerprint first; only pages whose weak
-    value collides with a registered live block pay the SHA-1.
-    ``stage_page`` resolves weak hits: a strong-index hit is a normal
-    duplicate; otherwise the candidate blocks are read back and
-    strong-hashed — a confirmed match *lazily materializes* the
-    canonical's FACT entry, a miss (weak false positive) registers the
-    page as unique and the real write stands untouched.
-
-    ``settle_mode`` switches both stages back to the base strong-always
-    pipeline — :meth:`HybridDeNovaFS.settle_weak` uses it to materialize
-    FACT entries for every weak-only block (equivalence with the
-    pure-delayed baseline, and the precondition for backup/fsck paths
-    that want a complete table).
+    The hash step computes (or takes from the inline pass's hints) the
+    page's weak fingerprint first; only pages whose weak value collides
+    with a registered live block pay the SHA-1.  A strong-index hit is
+    the base class's duplicate; on a *miss* the candidate blocks are read
+    back and strong-hashed — a confirmed match *lazily materializes* the
+    canonical's FACT entry, a refuted one (weak false positive) registers
+    the page as unique and the real write stands untouched.
     """
 
-    def __init__(self, fs, **kwargs):
-        super().__init__(fs, **kwargs)
-        self.settle_mode = False
-
-    def fingerprint_page(self, task: NodeTask,
-                         pgoff: int) -> Optional[tuple[int, bytes]]:
-        if self.settle_mode:
-            return super().fingerprint_page(task, pgoff)
+    def _hash_page(self, task: NodeTask, pgoff: int,
+                   page: int) -> Optional[tuple[int, bytes]]:
         fs = self.fs
-        self.stats.pages_scanned += 1
-        hit = task.cache.index.lookup(pgoff)
-        if hit is None or hit[0] != task.node.entry_addr:
-            self.stats.pages_stale += 1
-            return None
-        page = task.entry.block_for(pgoff)
-        hints = getattr(task.node, "weak_hints", None)
+        hints = task.node.weak_hints
         hint = None if hints is None else hints.get(pgoff)
         if hint == _HINT_REGISTERED:
             # The inline pass already weak-registered this page as
@@ -299,65 +281,36 @@ class HybridDedupDaemon(DedupDaemon):
             return None
         if hint is None:
             fs.hybrid_counters["weak_hits"] += 1
-        if not hasattr(task, "weak_of"):
-            task.weak_of = {}
         task.weak_of[pgoff] = weak
         return page, fs.fingerprinter.strong(data)
 
-    def stage_page(self, task: NodeTask, pgoff: int, page: int,
-                   fp: bytes) -> None:
-        if self.settle_mode:
-            return super().stage_page(task, pgoff, page, fp)
+    def _stage_miss(self, task: NodeTask, pgoff: int, page: int, fp: bytes,
+                    res: LookupResult) -> None:
+        """Deferred strong confirmation against the weak candidates."""
         fs = self.fs
         fact = fs.fact
-        res = fact.lookup(fp)
-        if (self.reorder_enabled and res.found is not None
-                and res.steps > self.reorder_min_steps
-                and res.found.refcount >= self.reorder_min_rfc):
-            task.reorder_heads.add(fact.head_of(fp))
-        if res.found is not None:
-            # Strong index hit: same handling as the base daemon.
-            if res.found.block == page:
-                if res.found.refcount == 0:
-                    fact.inc_uc(res.found.idx)
-                    task.recs.append(_PageRec(pgoff, page, res.found.idx,
-                                              is_dup=False))
-                    self.stats.pages_unique += 1
-                return
-            fact.inc_uc(res.found.idx)
-            task.recs.append(_PageRec(pgoff, page, res.found.idx,
-                                      is_dup=True,
-                                      canonical=res.found.block))
-            self.stats.pages_duplicate += 1
-            return
-        # Deferred strong confirmation against the weak candidates.
         weak = task.weak_of[pgoff]
         for cand in fs._weak_candidates(weak, exclude=page):
             if fact.entry_for_block(cand) is not None:
                 # Its strong fingerprint is in the index; a match would
-                # have hit the lookup above — different content.
+                # have hit the lookup — different content.
                 continue
             cdata = fs.dev.read(cand * PAGE_SIZE, PAGE_SIZE)
             cfp = fs.fingerprinter.strong(cdata)
             if not fs.fingerprinter.compare(cfp, fp):
                 continue  # weak collision with this candidate, keep going
             # Confirmed duplicate of a weak-only block: lazily insert the
-            # canonical's FACT entry.  Crash safety: insert leaves
-            # UC=1/RFC=0 (a dead entry recovery's UC-discard + dead-entry
-            # sweep collects); the immediate commit settles the
-            # canonical's own live reference to RFC=1, and this page's
-            # staged UC commits with the node, landing at RFC=2 — the
-            # same counts the pure-delayed pipeline produces.
-            try:
-                cidx = fact.insert(cfp, cand, hint=res)
-            except FactFull:
+            # canonical's FACT entry, settled at RFC=1 for the canonical's
+            # own live reference; this page's staged UC commits with the
+            # node, landing at RFC=2 — the same counts the pure-delayed
+            # pipeline produces.
+            cidx = fact.materialise(cfp, cand, hint=res)
+            if cidx is None:
                 self.stats.fact_full_events += 1
                 fs._register_weak(page, weak)
                 return
-            fact.commit_uc(cidx)
-            fact.inc_uc(cidx)
-            task.recs.append(_PageRec(pgoff, page, cidx, is_dup=True,
-                                      canonical=cand))
+            task.txn.share(cidx)
+            task.dups.append((pgoff, cand))
             self.stats.pages_duplicate += 1
             fs.hybrid_counters["confirmed_dups"] += 1
             return
@@ -440,13 +393,7 @@ class HybridDeNovaFS(DeNovaFS):
         column = self.fact.weak_column()
         self._weak_index.clear()
         self._weak_by_block.clear()
-        live: set[int] = set()
-        for cache in self.caches.values():
-            if cache.inode.itype != ITYPE_FILE:
-                continue
-            for pgoff, (_a, entry) in cache.index._slots.items():
-                live.add(entry.block_for(pgoff))
-        for block in sorted(live):
+        for block in sorted(page_refs(self)):
             weak = column.get(block)
             if weak:
                 self._weak_index.setdefault(weak, []).append(block)
@@ -519,9 +466,8 @@ class HybridDeNovaFS(DeNovaFS):
             # unchanged); a node restored after a crash simply re-runs
             # the full weak path.
             self._pending_pages[entry_addr // PAGE_SIZE] += 1
-            node = DWQNode(ino=ino, entry_addr=entry_addr)
-            node.weak_hints = hints
-            self.dwq.enqueue(node)
+            self.dwq.enqueue(DWQNode(ino=ino, entry_addr=entry_addr,
+                                     weak_hints=hints))
         else:
             # Every page is weak-unique: complete without daemon work.
             # A crash before this store leaves the flag dedupe_needed and
@@ -591,8 +537,8 @@ class HybridDeNovaFS(DeNovaFS):
         """Materialize FACT entries for every live weak-only block.
 
         Re-arms the dedupe flag of each live write entry that references
-        a block without a FACT entry and drains the daemon in
-        ``settle_mode`` (the base strong-always pipeline).  Afterwards
+        a block without a FACT entry and drains the queue with a stock
+        :class:`DedupDaemon` (the base strong-always pipeline).  Afterwards
         the FACT state matches what the pure-delayed pipeline would have
         produced: every live block has an entry, duplicates discovered
         across lazily-registered blocks are redirected and reclaimed.
@@ -606,11 +552,9 @@ class HybridDeNovaFS(DeNovaFS):
             if cache.inode.itype != ITYPE_FILE:
                 continue
             rearmed: set[int] = set()
-            for pgoff in sorted(cache.index.mapped_offsets):
-                addr, entry = cache.index._slots[pgoff]
+            for _pgoff, addr, block in sorted(cache.index.mappings()):
                 if addr in rearmed:
                     continue
-                block = entry.block_for(pgoff)
                 if self.fact.entry_for_block(block) is not None:
                     continue
                 live_flag = self.read_entry(addr).dedupe_flag
@@ -620,12 +564,7 @@ class HybridDeNovaFS(DeNovaFS):
                 self._pending_pages[addr // PAGE_SIZE] += 1
                 self.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
                 requeued += 1
-        self.daemon.settle_mode = True
-        try:
-            drained = self.daemon.drain()
-        finally:
-            self.daemon.settle_mode = False
-        return {"requeued": requeued, "drained": drained}
+        return {"requeued": requeued, "drained": DedupDaemon(self).drain()}
 
     # ------------------------------------------------------------ reporting
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.dedup.denova import DeNovaFS
-from repro.dedup.fact import FactFull
+from repro.dedup.fact import FactTxn
 from repro.nova.entries import DEDUPE_COMPLETE, DEDUPE_IN_PROCESS
 from repro.nova.fs import NovaFS, _Placed
 from repro.nova.layout import PAGE_SIZE
@@ -62,15 +62,11 @@ class InlineDedupFS(DeNovaFS):
         res = self.fact.lookup(fp)
         if res.found is None:
             return None, fp
-        self.fact.inc_uc(res.found.idx)
-        placed.staged.append(res.found.idx)
+        placed.txn.share(res.found.idx)
         return res.found.block, fp
 
     def _register_unique(self, fp, block: int, placed: _Placed) -> None:
-        try:
-            placed.staged.append(self.fact.insert(fp, block))
-        except FactFull:
-            pass  # stored un-deduplicated
+        placed.txn.claim(fp, block)  # table full: stored un-deduplicated
 
     # -- the two pipeline stages ---------------------------------------------
 
@@ -81,6 +77,7 @@ class InlineDedupFS(DeNovaFS):
         registered immediately (so a later identical page of the same
         write deduplicates too), coalescing into a run while both the
         file offset and the device page advance by one."""
+        placed.txn = FactTxn(self.fact)
         for i in range(len(buf) // PAGE_SIZE):
             pgoff = pg_first + i
             content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
@@ -95,17 +92,11 @@ class InlineDedupFS(DeNovaFS):
             extend_runs(placed.runs, pgoff, block)
 
     def _unplace_pages(self, placed: _Placed, cpu: int) -> None:
-        for idx in placed.staged:
-            self.fact.discard_uc(idx)
-        for block, _count in placed.fresh:
-            ent = self.fact.entry_for_block(block)
-            if ent is not None:
-                self.fact.remove(ent.idx)
+        placed.txn.abort()
         super()._unplace_pages(placed, cpu)
 
     def _settle_pages(self, placed: _Placed, appended: list[tuple]) -> None:
-        for idx in placed.staged:
-            self.fact.commit_uc(idx)
+        placed.txn.commit()
         for addr, _entry in appended:
             self.set_dedupe_flag(addr, DEDUPE_COMPLETE)
 
@@ -177,8 +168,8 @@ class AdaptiveInlineFS(InlineDedupFS):
         self._meta_write_cost()
 
     def _unplace_pages(self, placed: _Placed, cpu: int) -> None:
-        """Counts settle eagerly in the DRAM table (``placed.staged``
-        stays empty), so un-placing a page *is* dropping a reference."""
+        """Counts settle eagerly in the DRAM table (``placed.txn`` stays
+        empty), so un-placing a page *is* dropping a reference."""
         self.reclaim_extents(((b, n) for _pgoff, b, n in placed.runs), cpu)
 
     def reclaim_extents(self, extents, cpu: int) -> None:

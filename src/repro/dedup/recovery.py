@@ -27,8 +27,6 @@ leaked pages.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.nova.entries import (
     DEDUPE_IN_PROCESS,
     DEDUPE_NEEDED,
@@ -39,6 +37,7 @@ from repro.nova.entries import (
 from repro.nova.inode import ITYPE_FILE
 from repro.dedup.dwq import DWQNode
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.radix import page_refs
 
 __all__ = ["dedup_recover", "scrub", "deep_verify"]
 
@@ -97,11 +96,7 @@ def dedup_recover(fs, report) -> dict:
     bitmap = report.bitmap
     for idx, ent in sorted(fact.live_entries().items()):
         if bitmap is not None and not bitmap[ent.block]:
-            # Force the count to zero, then retire the entry.
-            counts = fact._read_u64(idx, 0)
-            if counts:
-                fact._write_u64(idx, 0, 0)
-            fact.remove(idx)
+            fact.retire(idx)
             stale += 1
     out["stale_entries_invalidated"] = stale
 
@@ -119,16 +114,11 @@ def dedup_recover(fs, report) -> dict:
     from repro.failure import mutation
     repaired = 0
     if not mutation.enabled("rfc_undercount"):
-        refs: Counter[int] = Counter()
-        for cache in fs.caches.values():
-            if cache.inode.itype != ITYPE_FILE:
-                continue
-            for pgoff, (_a, entry) in cache.index._slots.items():
-                refs[entry.block_for(pgoff)] += 1
+        refs = page_refs(fs)
         for idx, ent in sorted(fact.live_entries().items()):
             actual = refs.get(ent.block, 0)
             if ent.refcount < actual:
-                fact._write_u64(idx, 0, actual)  # UC is already 0 here
+                fact.raise_rfc(idx, actual)
                 repaired += 1
     out["undercounts_repaired"] = repaired
 
@@ -205,23 +195,14 @@ def scrub(fs, budget: int | None = None) -> dict:
     per-CPU lists.  ``budget`` bounds and resumes the sweep exactly like
     :func:`deep_verify`.
     """
-    refs: Counter[int] = Counter()
-    for cache in fs.caches.values():
-        if cache.inode.itype != ITYPE_FILE:
-            continue
-        for pgoff, (_a, entry) in cache.index._slots.items():
-            refs[entry.block_for(pgoff)] += 1
-
+    refs = page_refs(fs)
     tally = {"entries_removed": 0, "pages_freed": 0,
              "overcounted_remaining": 0}
 
     def visit(idx, ent) -> int:
         actual = refs.get(ent.block, 0)
         if actual == 0:
-            counts = fs.fact._read_u64(idx, 0)
-            if counts:
-                fs.fact._write_u64(idx, 0, 0)
-            fs.fact.remove(idx)
+            fs.fact.retire(idx)
             tally["entries_removed"] += 1
             if not fs.allocator.is_free(ent.block):
                 fs.allocator.free(ent.block, 1,

@@ -12,7 +12,9 @@ append ``in_process`` entries → one atomic tail commit → settle counts →
 ``dedupe_complete``.  The destination inode is published (dentry append)
 only after its content committed; a crash anywhere earlier leaves an
 orphan that recovery collects, and the staged UCs are discarded or
-resumed exactly as §V-C prescribes.
+resumed exactly as §V-C prescribes.  A *handled* failure (no space, a
+full inode table or FACT) aborts the :class:`~repro.dedup.fact.FactTxn`
+and discards the unpublished inode: the caller keeps the image it had.
 
 A **snapshot** is a reflink of the whole tree into
 ``/.snapshots/<name>/``, with every copied file marked immutable
@@ -24,7 +26,7 @@ behaviour, as cross-file atomicity would need a tree-wide journal.
 
 from __future__ import annotations
 
-from repro.dedup.fact import FactFull
+from repro.dedup.fact import FactTxn
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
     DEDUPE_IN_PROCESS,
@@ -71,61 +73,61 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
 
     # Stage: one UC per shared page; fingerprint-and-insert pages that
     # have no FACT entry yet (pending offline dedup).
-    staged: list[int] = []  # FACT idx per page, aligned with runs below
     runs: list[list[int]] = []  # [pgoff, block, count]
-    for pgoff in src_cache.index.mapped_offsets:
-        block = src_cache.index.block_of(pgoff)
-        ent = fs.fact.entry_for_block(block)
-        if ent is None:
-            data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
-            fp = fs.fingerprinter.strong(data)
-            res = fs.fact.lookup(fp)
-            if res.found is not None and res.found.block != block:
-                # The source page itself duplicates an existing canonical
-                # page; share *that* one (and this page will be reclaimed
-                # when the source's own dedup runs).
-                fs.fact.inc_uc(res.found.idx)
-                staged.append(res.found.idx)
-                block = res.found.block
+    with FactTxn(fs.fact) as txn:
+        for pgoff in src_cache.index.mapped_offsets:
+            block = src_cache.index.block_of(pgoff)
+            ent = fs.fact.entry_for_block(block)
+            if ent is None:
+                data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
+                fp = fs.fingerprinter.strong(data)
+                res = fs.fact.lookup(fp)
+                if res.found is not None and res.found.block != block:
+                    # The source page itself duplicates an existing
+                    # canonical page; share *that* one (and this page will
+                    # be reclaimed when the source's own dedup runs).
+                    txn.share(res.found.idx)
+                    block = res.found.block
+                else:
+                    idx = txn.claim(fp, block, hint=res)
+                    if idx is None:
+                        raise FSError(
+                            "reflink needs a FACT slot per shared page and "
+                            "the table is full")
+                    # The fresh entry must count the *source's* reference
+                    # as well as the destination's (the source's queued
+                    # dedup will self-hit with RFC >= 1 and correctly add
+                    # nothing).
+                    txn.share(idx)
             else:
-                try:
-                    idx = fs.fact.insert(fp, block, hint=res)
-                except FactFull:
-                    raise FSError(
-                        "reflink needs a FACT slot per shared page and "
-                        "the table is full") from None
-                # The fresh entry must count the *source's* reference as
-                # well as the destination's (the source's queued dedup
-                # will self-hit with RFC >= 1 and correctly add nothing).
-                fs.fact.inc_uc(idx)
-                staged.append(idx)
-                staged.append(idx)
-        else:
-            fs.fact.inc_uc(ent.idx)
-            staged.append(ent.idx)
-        extend_runs(runs, pgoff, block)
+                txn.share(ent.idx)
+            extend_runs(runs, pgoff, block)
 
-    # Unpublished destination inode (orphan until the dentry lands).
-    # ``parent=dpino`` inherits the destination tenant's ownership, so
-    # the mappings charged below (and uncharged by unlink, e.g. via
-    # delete_snapshot) land on the right quota.
-    dst_ino = fs._new_inode(ITYPE_FILE, cpu, parent=dpino)
-    dst_cache = fs.caches[dst_ino]
-    if immutable:
-        dst_cache.inode.flags |= FLAG_IMMUTABLE
-        fs.itable.write(dst_ino, dst_cache.inode)
-
-    materialise_shared(fs, dst_ino, runs, src_cache.inode.size, staged, cpu)
-
-    # Publish.
-    fs._append_dentry(dpino, dname, dst_ino, valid=1, cpu=cpu)
+        # Unpublished destination inode (orphan until the dentry lands).
+        # ``parent=dpino`` inherits the destination tenant's ownership, so
+        # the mappings charged below (and uncharged by unlink, e.g. via
+        # delete_snapshot) land on the right quota.
+        dst_ino = fs._new_inode(ITYPE_FILE, cpu, parent=dpino)
+        dst_cache = fs.caches[dst_ino]
+        try:
+            if immutable:
+                dst_cache.inode.flags |= FLAG_IMMUTABLE
+                fs.itable.write(dst_ino, dst_cache.inode)
+            materialise_shared(fs, dst_ino, runs, src_cache.inode.size, txn,
+                               cpu)
+            fs._append_dentry(dpino, dname, dst_ino, valid=1, cpu=cpu)
+        except FSError:
+            # Never published: whatever it already maps is un-referenced
+            # through the RFC-aware reclaim; log, slot and charges go back.
+            fs._drop_file_body(dst_ino, dst_cache, cpu)
+            raise
     return dst_ino
 
 
-def materialise_shared(fs, ino: int, runs: list, size: int,
-                       staged: list[int], cpu: int) -> None:
+def materialise_shared(fs, ino: int, runs: list, size: int, txn: FactTxn,
+                       cpu: int) -> None:
     """Give the unpublished inode ``ino`` its content: ``runs`` of shared
-    pages ``(pgoff, block, count)`` whose FACT counts are ``staged``.
+    pages ``(pgoff, block, count)`` whose FACT counts ``txn`` has staged.
 
     Algorithm 1's discipline, shared by reflink and ``backup recv``:
     ``in_process`` entries → one atomic tail commit → settle the counts →
@@ -153,8 +155,7 @@ def materialise_shared(fs, ino: int, runs: list, size: int,
             cpu)
     cache.inode.size = size
     cache.inode.mtime = mtime
-    for idx in staged:
-        fs.fact.commit_uc(idx)
+    txn.commit()
     for addr, we in appended:
         fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
         fs.note_dedup_done(addr)

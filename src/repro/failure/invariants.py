@@ -36,6 +36,7 @@ from repro.nova.inode import (
     Inode,
 )
 from repro.nova.layout import INODE_SIZE
+from repro.nova.radix import page_refs
 
 __all__ = ["InvariantViolation", "check_fs_invariants"]
 
@@ -69,7 +70,7 @@ def check_fs_invariants(fs, check_dedup: bool = True) -> dict:
 
 
 def _check_fs_invariants(fs, check_dedup: bool = True) -> dict:
-    refs: Counter[int] = Counter()
+    refs = page_refs(fs)
     log_pages: set[int] = set()
 
     for ino, cache in fs.caches.items():
@@ -100,10 +101,6 @@ def _check_fs_invariants(fs, check_dedup: bool = True) -> dict:
             if cache.inode.links != expected:
                 _fail(f"dir ino {ino}: nlink={cache.inode.links}, expected "
                       f"{expected} (2 + {nsubdirs} subdirs)")
-        # File data mappings.
-        if cache.inode.itype == ITYPE_FILE:
-            for pgoff, (_addr, entry) in cache.index._slots.items():
-                refs[entry.block_for(pgoff)] += 1
 
     data_lo, data_hi = fs.geo.data_start_page, fs.geo.total_pages
 

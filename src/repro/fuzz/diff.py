@@ -8,7 +8,8 @@ then the model.  Four outcomes:
   fraction of deliberately invalid ops to exercise exactly this);
 * one side rejects what the other accepts — :class:`OracleDivergence`.
 
-Resource exhaustion on the real side (``NoSpace``/``FactFull``) is not a
+Resource exhaustion on the real side (``NoSpace``; a full FACT never
+escapes an op — ``FactTxn.claim`` is its one handler) is not a
 divergence — the model has no space accounting — it deterministically
 *stops* the sequence early instead.  A raw allocator ``AllocError`` is
 not on that list: every FS op owes its caller a typed, rolled-back
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.dedup.denova import DeNovaFS
-from repro.dedup.fact import FactFull
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.failure.injector import (count_persist_events, run_with_crash,
                                     sweep_crash_points)
@@ -56,8 +56,6 @@ __all__ = ["FuzzConfig", "Violation", "CaseResult", "OracleDivergence",
            "nested_scenario", "apply_op", "run_case", "fs_namespace",
            "flags_converged", "full_equivalence_check",
            "prefix_equivalence_check", "make_fs"]
-
-_RESOURCE_ERRORS = (NoSpace, FactFull)
 
 
 class OracleDivergence(AssertionError):
@@ -177,7 +175,7 @@ def apply_op(fs, model: ModelFS, op: TraceOp):
             fs = apply_trace_op(fs, op, verify=False)
     except CrashRequested:
         raise
-    except _RESOURCE_ERRORS:
+    except NoSpace:
         return fs, "stop"
     except (FSError, ValueError) as exc:
         real_err = exc

@@ -80,9 +80,7 @@ def _pack_payload(fs) -> bytes:
     if fact is None:
         parts.append(struct.pack(_U32, 0))
     else:
-        free = set(fact._iaa_free)
-        occupied = [idx for idx in range(fact.daa_size, fact.total)
-                    if idx not in free]
+        occupied = fact.iaa_occupied()
         parts.append(struct.pack(_U32, 1))
         parts.append(struct.pack(_U32, len(occupied)))
         parts.append(struct.pack(f"<{len(occupied)}I", *occupied))

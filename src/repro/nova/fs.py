@@ -128,7 +128,7 @@ class _Placed:
 
     runs: list = field(default_factory=list)    # [pgoff, block, count]
     fresh: list = field(default_factory=list)   # (block, count) allocated
-    staged: list = field(default_factory=list)  # inline: FACT idxs with a UC
+    txn: object = None      # inline dedup: the FactTxn holding its counts
 
 
 class CacheMap(dict):
@@ -1121,8 +1121,7 @@ class NovaFS:
                 logical += cache.inode.size
                 # Per-mapping, not per-unique-block: a block mapped at
                 # two offsets is two logical pages (matches FACT RFCs).
-                file_blocks = [entry.block_for(pgoff) for pgoff, (_a, entry)
-                               in cache.index._slots.items()]
+                file_blocks = [b for _p, _a, b in cache.index.mappings()]
                 logical_pages += len(file_blocks)
                 refs.update(file_blocks)
         unique = len(refs)

@@ -16,14 +16,16 @@ log-page garbage collection.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.nova.entries import WriteEntry
+from repro.nova.inode import ITYPE_FILE
 from repro.pm.clock import SimClock
 from repro.pm.latency import CpuModel
 
-__all__ = ["FileIndex", "Displaced", "extend_runs"]
+__all__ = ["FileIndex", "Displaced", "extend_runs", "page_refs"]
 
 
 @dataclass
@@ -53,6 +55,11 @@ class FileIndex:
     @property
     def mapped_offsets(self) -> list[int]:
         return sorted(self._slots)
+
+    def mappings(self) -> Iterator[tuple[int, int, int]]:
+        """Every mapped page as ``(pgoff, entry addr, device page)``:
+        unordered, uncharged — for censuses, never the data path."""
+        return ((p, a, e.block_for(p)) for p, (a, e) in self._slots.items())
 
     def lookup(self, pgoff: int) -> Optional[tuple[int, WriteEntry]]:
         """Find the entry covering file page ``pgoff`` (None = hole)."""
@@ -144,10 +151,15 @@ class FileIndex:
 
     def referenced_pages(self) -> set[int]:
         """All device pages the current index references (recovery bitmap)."""
-        return {
-            entry.block_for(pgoff)
-            for pgoff, (_addr, entry) in self._slots.items()
-        }
+        return {block for _pgoff, _addr, block in self.mappings()}
+
+
+def page_refs(fs) -> Counter:
+    """The live-reference census: device page -> number of file page
+    mappings onto it, over every regular file (what RFCs must cover)."""
+    return Counter(block for cache in fs.caches.values()
+                   if cache.inode.itype == ITYPE_FILE
+                   for _pgoff, _addr, block in cache.index.mappings())
 
 
 def extend_runs(runs: list[list[int]], pgoff: int, block: int) -> None:

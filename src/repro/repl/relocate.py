@@ -97,8 +97,7 @@ def _block_refs(fs, blocks: set[int]) -> dict[int, list[tuple[int, int]]]:
     for ino, cache in fs.caches.items():
         if cache.inode.itype != ITYPE_FILE:
             continue
-        for pgoff, (_addr, entry) in cache.index._slots.items():
-            block = entry.block_for(pgoff)
+        for pgoff, _addr, block in cache.index.mappings():
             if block in refs:
                 refs[block].append((ino, pgoff))
     return refs

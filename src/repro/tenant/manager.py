@@ -153,7 +153,7 @@ class TenantManager:
             if cache.inode.itype == ITYPE_DIR:
                 stack.extend(cache.dentries.values())
             elif cache.inode.itype == ITYPE_FILE:
-                pages += len(cache.index._slots)
+                pages += len(cache.index)
         self.usage_inodes[tid] = self.usage_inodes.get(tid, 0) + inodes
         self.usage_pages[tid] = self.usage_pages.get(tid, 0) + pages
 

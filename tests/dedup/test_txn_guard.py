@@ -1,0 +1,109 @@
+"""Structural guard: Algorithm 1's *stage → commit | abort* has one body.
+
+Update counts are staged, settled and dropped by ``FactTxn``
+(``dedup/fact.py``) and nowhere else; the live-reference census is
+``nova/radix.py::page_refs``; FACT's words are FACT's.  These checks
+fail when a deleted copy — ``reflink``'s ``fs.fact.inc_uc(idx);
+staged.append(idx)``, recv's ``discard_uc`` loop, the hybrid daemon's
+``settle_mode`` fork, a ``cache.index._slots`` loop — is pasted back.
+"""
+
+import ast
+import functools
+import pathlib
+
+import repro
+from repro.dedup.daemon import DedupDaemon
+from repro.dedup.fact import FACT
+from repro.dedup.hybrid import HybridDedupDaemon
+
+_SRC = pathlib.Path(repro.__file__).parent
+_FACT = "dedup/fact.py"
+
+
+@functools.cache
+def _functions():
+    """``(module, enclosing function name | None, node)`` for every node."""
+    out = []
+    for path in sorted(_SRC.rglob("*.py")):
+        rel = path.relative_to(_SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        out += [(rel, owner.get(node), node) for node in ast.walk(tree)]
+    return out
+
+
+def _receiver(attribute):
+    """Last name of what an attribute hangs off: ``fs.fact._x`` -> fact."""
+    value = attribute.value
+    return value.attr if isinstance(value, ast.Attribute) \
+        else getattr(value, "id", None)
+
+
+def _method_calls():
+    for rel, fn, node in _functions():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield rel, fn, node.func
+
+
+def test_counts_are_staged_and_dropped_only_by_the_transaction():
+    for rel, fn, func in _method_calls():
+        if rel == _FACT:
+            continue
+        where = f"{rel}::{fn}"
+        assert func.attr not in ("inc_uc", "discard_uc"), \
+            f"{where} calls .{func.attr}(): stage through FactTxn"
+        assert not (func.attr == "insert" and _receiver(func) == "fact"), \
+            f"{where} inserts a FACT entry by hand: use FactTxn.claim"
+        if func.attr == "commit_uc":
+            # Recovery resumes *another* mount's transaction (Alg. 1
+            # step 6 from the in_process flags): no FactTxn survives a
+            # crash, so this one caller settles counts directly.
+            assert (rel, fn) == ("dedup/recovery.py", "_resume_step6"), \
+                f"{where} settles a count by hand: use FactTxn.commit"
+
+
+def test_fact_full_is_handled_in_one_place():
+    for rel, fn, node in _functions():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = {n.id for n in ast.walk(node.type)
+                     if isinstance(n, ast.Name)}
+            assert "FactFull" not in named or rel == _FACT, \
+                f"{rel}::{fn} has its own FactFull policy: " \
+                f"FactTxn.claim returns None"
+
+
+def test_private_state_stays_private():
+    for rel, fn, node in _functions():
+        if not isinstance(node, ast.Attribute):
+            continue
+        where = f"{rel}::{fn}"
+        assert node.attr != "_slots" or rel == "nova/radix.py", \
+            f"{where} reads FileIndex._slots: use mappings() / page_refs()"
+        if (_receiver(node) == "fact" and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            assert rel in (_FACT, "dedup/reorder.py"), \
+                f"{where} touches FACT.{node.attr}"
+
+
+def test_no_settle_mode():
+    for path in sorted(_SRC.rglob("*.py")):
+        assert "settle_mode" not in path.read_text(), \
+            f"{path.name}: the hybrid daemon's mode flag is back"
+
+
+def test_hybrid_daemon_overrides_only_the_two_hooks():
+    """The five stages stay methods of ``DedupDaemon`` (the e2e tracer
+    resolves them through ``vars(owner)``); the hybrid daemon says only
+    what differs — the hash step and the miss branch."""
+    stages = {"process_node", "validate_node", "fingerprint_page",
+              "stage_page", "commit_node"}
+    assert stages <= set(vars(DedupDaemon))
+    assert {n for n in vars(HybridDedupDaemon) if not n.startswith("__")} \
+        == {"_hash_page", "_stage_miss"}
+    assert {"lookup", "insert", "inc_uc", "commit_uc", "dec_rfc", "remove",
+            "set_delete", "clear_delete", "entry_for_block"} <= set(vars(FACT))

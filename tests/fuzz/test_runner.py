@@ -76,3 +76,28 @@ def test_fuzz_smoke_campaign():
     assert res.ok, "; ".join(str(f.violation) for f in res.failures)
     assert res.sequences == 30
     assert res.crash_points > 100
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("dedup_mode", ["delayed", "hybrid"])
+def test_small_device_campaign_is_clean(dedup_mode):
+    """Exhaustion as a fuzz input: a 96-page device and a reflink-heavy
+    mix run the sequence into ``NoSpace`` ~100 ops in.  Every op owes its
+    caller a rolled-back rejection, so the clean pass must reach the
+    stop with the invariants intact (ISSUE 18: a refused reflink used to
+    leave its staged UCs — ``FACT[48]: UC=1`` at op 108 of this seed).
+
+    Snapshot weights are zero on purpose: a snapshot that runs out of
+    space half-way leaves the documented partial (deletable) snapshot
+    directory, which the model FS does not predict.
+    """
+    weights = GenConfig().weights | {
+        "snapshot": 0, "snap_delete": 0, "reflink": 14, "unlink": 3,
+        "truncate": 2}
+    gen = GenConfig(weights=weights, max_data_pages=4000, max_nodes=180,
+                    file_names=40)
+    cfg = FuzzConfig(seed=3, pages=96, seq_ops=300, total_ops=300, budget=4,
+                     dedup_mode=dedup_mode)
+    res = FuzzRunner(cfg, gen_cfg=gen, shrink_failures=False).run()
+    assert res.ok, "; ".join(str(f.violation.detail) for f in res.failures)
+    assert res.ops_applied > 90      # got far enough to fill the device

@@ -7,9 +7,11 @@ import io
 import pytest
 
 from repro.backup import BackupError, receive_backup, send_backup, verify_snapshot
+from repro.dedup import DeNovaFS
+from repro.failure import check_fs_invariants
 from repro.repl import ReplicationTopology, chain_table
 
-from tests.repl.util import grow_chain, make_fs
+from tests.repl.util import grow_chain, make_fs, page_of
 
 pytestmark = pytest.mark.repl
 
@@ -79,6 +81,53 @@ class TestFanOut:
             src, "s2", [dst], base="s1")
         rows = {r["snapshot"]: r for r in chain_table(dst)}
         assert rows["s2"]["parent"] == "s1" and rows["s2"]["depth"] == 2
+
+
+class TestNearlyFullReplica:
+    """``run`` catches a full replica's error on purpose and the CLI then
+    unmounts every image cleanly — so whatever a stream that ran out of
+    space leaves behind is *saved*.  It must be a consistent image."""
+
+    @pytest.mark.parametrize("free_pages", range(6, 16))
+    def test_full_replica_stays_consistent_and_recovers(self, tmp_path,
+                                                        free_pages):
+        """A replica that holds generation 1 fills up before generation
+        2 (six new pages, six shared with s1) arrives."""
+        src = make_fs()
+        grow_chain(src, 1, pages_per_snap=6)
+        grow_chain(src, 2, pages_per_snap=6)
+        replica = make_fs(pages=256, max_inodes=64)
+        first = ReplicationTopology(spool_dir=str(tmp_path / "g1"))
+        assert first.fan_out(src, "s1", [replica])["committed"] == 1
+        ballast = replica.create("/ballast")
+        tag = 1000
+        while replica.allocator.free_pages > free_pages:
+            replica.write(ballast, replica.stat(ballast).size, page_of(tag))
+            tag += 1
+        replica.daemon.drain()
+
+        topo = ReplicationTopology(spool_dir=str(tmp_path / "g2"))
+        rep = topo.fan_out(src, "s2", [replica], base="s1")
+        # Six pages + the file's log page + stage/cursor metadata: the
+        # tightest replicas must refuse, the roomiest may commit.
+        assert rep["committed"] + len(rep["errors"]) == 1
+        if free_pages <= 8:
+            assert "pages free" in rep["streams"][0]["error"]
+
+        replica.unmount()                 # what ``cmd_repl`` does next
+        replica = DeNovaFS.mount(replica.dev)
+        check_fs_invariants(replica)
+
+        replica.unlink("/ballast")        # the operator frees space
+        if not rep["committed"]:
+            again = ReplicationTopology(spool_dir=str(tmp_path / "again"))
+            rep = again.fan_out(src, "s2", [replica], base="s1")
+            assert rep["committed"] == 1, rep["errors"]
+        buf = io.BytesIO()
+        send_backup(src, "s2", buf)
+        buf.seek(0)
+        assert verify_snapshot(replica, buf, deep=True)["ok"]
+        check_fs_invariants(replica)
 
 
 class TestFanIn:
