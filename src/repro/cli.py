@@ -1384,6 +1384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.dedup.fact import FactCorruption
     from repro.nova.fs import FSError
     from repro.tenant import QuotaExceeded
 
@@ -1394,7 +1395,7 @@ def main(argv=None) -> int:
     # never a traceback.
     except QuotaExceeded as exc:
         print(f"quota exceeded: {exc}", file=sys.stderr)
-    except FSError as exc:
+    except (FSError, FactCorruption) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

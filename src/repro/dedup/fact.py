@@ -37,6 +37,7 @@ slot except through :meth:`FACT.set_delete` / :meth:`FACT.clear_delete`.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -64,6 +65,10 @@ _OFF_WEAK = 60
 
 _UC_UNIT = 1 << 32
 _RFC_MASK = (1 << 32) - 1
+
+#: The entry codec: counts, block, prev+1, next+1, delete+1, fingerprint
+#: (bytes 60..64, the weak column, belong to *block* ``idx``).
+_ENTRY = struct.Struct(f"<5Q{FP_BYTES}s")
 
 _SCAN_DTYPE = np.dtype({
     "names": ["counts", "block", "prev", "next", "delete", "weak"],
@@ -108,6 +113,13 @@ class LookupResult:
     tail_idx: int                # last chain slot visited (insert point)
     steps: int                   # NVM entry reads performed
     head_empty: bool             # the DAA slot itself is writable
+
+
+def _entry(idx: int, counts: int, block: int, prev: int, nxt: int,
+           delete: int, fp: bytes) -> FactEntry:
+    """One slot's unpacked :data:`_ENTRY` fields as a :class:`FactEntry`."""
+    return FactEntry(idx, counts & _RFC_MASK, counts >> 32, block,
+                     prev - 1, nxt - 1, delete - 1, fp)
 
 
 class FACT:
@@ -165,19 +177,8 @@ class FACT:
         return self._decode(idx, raw)
 
     @staticmethod
-    def _decode(idx: int, raw: bytes) -> FactEntry:
-        counts = int.from_bytes(raw[_OFF_COUNTS:_OFF_COUNTS + 8], "little")
-        return FactEntry(
-            idx=idx,
-            refcount=counts & _RFC_MASK,
-            update_count=counts >> 32,
-            block=int.from_bytes(raw[_OFF_BLOCK:_OFF_BLOCK + 8], "little"),
-            prev=int.from_bytes(raw[_OFF_PREV:_OFF_PREV + 8], "little") - 1,
-            next=int.from_bytes(raw[_OFF_NEXT:_OFF_NEXT + 8], "little") - 1,
-            delete=int.from_bytes(raw[_OFF_DELETE:_OFF_DELETE + 8],
-                                  "little") - 1,
-            fp=raw[_OFF_FP:_OFF_FP + FP_BYTES],
-        )
+    def _decode(idx: int, raw: bytes, at: int = 0) -> FactEntry:
+        return _entry(idx, *_ENTRY.unpack_from(raw, at))
 
     def _write_fields(self, idx: int, counts: int, block: int, prev: int,
                       nxt: int, fp: bytes) -> None:
@@ -190,18 +191,12 @@ class FACT:
         the same reason the delete column is.
         """
         a = self.addr(idx)
-        front = (counts.to_bytes(8, "little")
-                 + block.to_bytes(8, "little")
-                 + (prev + 1).to_bytes(8, "little")
-                 + (nxt + 1).to_bytes(8, "little"))
-        self.dev.write(a, front)
-        self.dev.write(a + _OFF_FP, fp + bytes(_OFF_WEAK - _OFF_FP - len(fp)))
-        self.dev.persist(a, ENTRY)
+        raw = _ENTRY.pack(counts, block, prev + 1, nxt + 1, 0, fp)
+        self.dev.write(a, raw[:_OFF_DELETE])
+        self.dev.write(a + _OFF_FP, raw[_OFF_FP:], persist=True)
 
     def _write_u64(self, idx: int, off: int, value: int) -> None:
-        a = self.addr(idx) + off
-        self.dev.write_atomic64(a, value)
-        self.dev.persist(a, 8)
+        self.dev.write_atomic64(self.addr(idx) + off, value, persist=True)
 
     def _read_u64(self, idx: int, off: int) -> int:
         return self.dev.read_u64(self.addr(idx) + off)
@@ -247,26 +242,35 @@ class FACT:
         motivation for the §IV-E reordering).
         """
         head_idx = self.head_of(fp)
-        self.stats["lookups"] += 1
+        self.stats.inc("lookups")
         steps = 0
         tail = head_idx
         head_empty = False
         found = None
-        for ent in self.chain(head_idx):
+        # :meth:`chain`'s walk over undecoded tuples: only a hit is worth
+        # a FactEntry.
+        read, addr, total = self.dev.read, self.addr, self.total
+        idx = head_idx
+        while idx >= 0:
+            if steps > total:
+                raise FactCorruption(f"chain at {head_idx} has a cycle")
+            fields = _ENTRY.unpack_from(read(addr(idx), ENTRY))
+            _counts, block, _prev, nxt, _delete, entry_fp = fields
             steps += 1
-            tail = ent.idx
-            if ent.idx == head_idx and not ent.valid:
-                head_empty = True
-                continue
-            if ent.valid and ent.fp == fp:
+            tail = idx
+            if block == 0:
+                if idx == head_idx:
+                    head_empty = True
+            elif entry_fp == fp:
                 if steps == 1:
-                    self.stats["daa_hits"] += 1
+                    self.stats.inc("daa_hits")
                 else:
                     self.chain_accesses[head_idx] = \
                         self.chain_accesses.get(head_idx, 0) + 1
-                found = ent
+                found = _entry(idx, *fields)
                 break
-        self.stats["lookup_steps"] += steps
+            idx = nxt - 1
+        self.stats.inc("lookup_steps", steps)
         self._h_steps.observe(steps)
         return LookupResult(found=found, tail_idx=tail, steps=steps,
                             head_empty=head_empty)
@@ -293,7 +297,7 @@ class FACT:
             hint = self.lookup(fp)
         if hint.found is not None:
             raise ValueError("insert of a fingerprint already present")
-        self.stats["inserts"] += 1
+        self.stats.inc("inserts")
         if hint.head_empty or hint.steps == 0:
             # The DAA slot is free: write it in place, preserving any
             # existing chain continuation in its next link.
@@ -305,7 +309,7 @@ class FACT:
         if not self._iaa_free:
             raise FactFull("no free IAA slot for colliding fingerprint")
         new_idx = self._iaa_free.pop()
-        self.stats["iaa_inserts"] += 1
+        self.stats.inc("iaa_inserts")
         self._write_fields(new_idx, _UC_UNIT, block, hint.tail_idx, -1, fp)
         self.set_delete(block, new_idx)
         self._write_u64(hint.tail_idx, _OFF_NEXT, new_idx + 1)  # publish
@@ -447,14 +451,10 @@ class FACT:
         strong-fingerprint comparison, never a wrong dedup — the strong
         confirmation validates content before any page is shared.
         """
-        a = self.addr(block) + _OFF_WEAK
-        self.dev.write(a, int(weak).to_bytes(4, "little"))
-        self.dev.persist(a, 4)
+        self.dev.write_u32(self.addr(block) + _OFF_WEAK, weak, persist=True)
 
     def clear_block_weak(self, block: int) -> None:
-        a = self.addr(block) + _OFF_WEAK
-        self.dev.write(a, bytes(4))
-        self.dev.persist(a, 4)
+        self.set_block_weak(block, 0)
 
     def block_weak(self, block: int) -> int:
         """The recorded weak fingerprint of block ``block`` (0 = none)."""
@@ -489,7 +489,7 @@ class FACT:
         ent = self.read_entry(idx)
         if not ent.valid:
             raise ValueError(f"remove of invalid FACT[{idx}]")
-        self.stats["removes"] += 1
+        self.stats.inc("removes")
         if idx < self.daa_size:
             self.clear_delete(ent.block)
             cur_next = self._read_u64(idx, _OFF_NEXT)
@@ -567,7 +567,7 @@ class FACT:
         out = {}
         for idx in np.nonzero(arr["block"])[0]:
             i = int(idx)
-            out[i] = self._decode(i, raw[i * ENTRY:(i + 1) * ENTRY])
+            out[i] = self._decode(i, raw, i * ENTRY)
         return out
 
     def occupancy(self) -> dict:

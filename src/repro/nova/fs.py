@@ -48,7 +48,7 @@ from repro.nova.inode import (
     InodeTable,
 )
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
-from repro.nova.log import LOG_HEADER_SIZE, LogManager
+from repro.nova.log import ENTRIES_PER_PAGE, LOG_HEADER_SIZE, LogManager
 from repro.nova.radix import Displaced, FileIndex
 from repro.obs import CounterView, ObsHub
 from repro.pm.allocator import AllocError, PageAllocator
@@ -1204,7 +1204,6 @@ class NovaFS:
             return
         tail_page = (cache.tail - 1) // PAGE_SIZE if cache.tail else 0
         pages = list(self.log.iter_pages(head))
-        from repro.nova.log import ENTRIES_PER_PAGE
         for prev, page in zip(pages, pages[1:]):
             if page == tail_page:
                 continue
@@ -1230,8 +1229,8 @@ class NovaFS:
 
     def set_dedupe_flag(self, entry_addr: int, flag: int) -> None:
         """In-place, crash-atomic dedupe-flag update (Fig. 5)."""
-        self.dev.write(entry_addr + DEDUPE_FLAG_OFFSET, bytes([flag]))
-        self.dev.persist(entry_addr + DEDUPE_FLAG_OFFSET, 1)
+        self.dev.write(entry_addr + DEDUPE_FLAG_OFFSET, bytes([flag]),
+                       persist=True)
 
     def read_entry(self, addr: int):
         return decode_entry(self.dev.read(addr, ENTRY_SIZE))

@@ -96,8 +96,7 @@ class InodeTable:
         if inode.ino != ino:
             raise ValueError("record ino mismatch")
         addr = self.addr_of(ino)
-        self.dev.write(addr, inode.pack())
-        self.dev.persist(addr, INODE_SIZE)
+        self.dev.write(addr, inode.pack(), persist=True)
 
     # -- allocation ------------------------------------------------------------------
 
@@ -143,8 +142,7 @@ class InodeTable:
     def release(self, ino: int) -> None:
         """Mark ``ino`` invalid on PM and return it to the free cache."""
         addr = self.addr_of(ino) + _OFF_VALID
-        self.dev.write(addr, b"\x00")
-        self.dev.persist(addr, 1)
+        self.dev.write(addr, b"\x00", persist=True)
         if self._free_scanned:
             self._free.append(ino)
 
@@ -152,20 +150,17 @@ class InodeTable:
 
     def update_log_tail(self, ino: int, tail: int) -> None:
         """The commit point of every log append: atomic store + persist."""
-        addr = self.addr_of(ino) + _OFF_LOG_TAIL
-        self.dev.write_atomic64(addr, tail)
-        self.dev.persist(addr, 8)
+        self.dev.write_atomic64(self.addr_of(ino) + _OFF_LOG_TAIL, tail,
+                                persist=True)
 
     def update_log_head(self, ino: int, head_page: int) -> None:
-        addr = self.addr_of(ino) + _OFF_LOG_HEAD
-        self.dev.write_atomic64(addr, head_page)
-        self.dev.persist(addr, 8)
+        self.dev.write_atomic64(self.addr_of(ino) + _OFF_LOG_HEAD, head_page,
+                                persist=True)
 
     def update_size(self, ino: int, size: int) -> None:
         """Lazy size persistence (unmount path; recovery replays the log)."""
-        addr = self.addr_of(ino) + _OFF_SIZE
-        self.dev.write_atomic64(addr, size)
-        self.dev.persist(addr, 8)
+        self.dev.write_atomic64(self.addr_of(ino) + _OFF_SIZE, size,
+                                persist=True)
 
     # -- iteration (recovery) ---------------------------------------------------------------
 

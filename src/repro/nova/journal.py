@@ -91,8 +91,8 @@ class Journal:
         self.dev.write_atomic64(self.base + _OFF_COUNT, len(records))
         self.dev.persist(self.base + _OFF_COUNT,
                          _HEADER - _OFF_COUNT + len(blob))
-        self.dev.write_atomic64(self.base + _OFF_STATE, 1)  # commit point
-        self.dev.persist(self.base + _OFF_STATE, 8)
+        self.dev.write_atomic64(self.base + _OFF_STATE, 1,
+                                persist=True)  # commit point
 
     def records(self) -> list[JournalRecord]:
         """The committed records (empty when the journal is clear)."""
@@ -109,5 +109,4 @@ class Journal:
 
     def clear(self) -> None:
         """Step 4: retire the transaction."""
-        self.dev.write_atomic64(self.base + _OFF_STATE, 0)
-        self.dev.persist(self.base + _OFF_STATE, 8)
+        self.dev.write_atomic64(self.base + _OFF_STATE, 0, persist=True)

@@ -228,19 +228,14 @@ class Superblock:
             # Re-mkfs over an old tenant-bearing image must not resurrect
             # its stale registry slots.
             dev.zero_range(geo.tenant_page * PAGE_SIZE,
-                           geo.tenant_pages * PAGE_SIZE)
-            dev.persist(geo.tenant_page * PAGE_SIZE,
-                        geo.tenant_pages * PAGE_SIZE)
+                           geo.tenant_pages * PAGE_SIZE, persist=True)
         if geo.staging_pages:
             # Same for stale staging records: replay must never resurrect
             # writes from a previous filesystem generation.
             dev.zero_range(geo.staging_page * PAGE_SIZE,
-                           geo.staging_pages * PAGE_SIZE)
-            dev.persist(geo.staging_page * PAGE_SIZE,
-                        geo.staging_pages * PAGE_SIZE)
+                           geo.staging_pages * PAGE_SIZE, persist=True)
         # Magic last: a crash mid-mkfs leaves no valid filesystem.
-        dev.write_atomic64(_OFF_MAGIC, MAGIC)
-        dev.persist(_OFF_MAGIC, 8)
+        dev.write_atomic64(_OFF_MAGIC, MAGIC, persist=True)
 
     def load_geometry(self) -> Geometry:
         dev = self.dev
@@ -271,8 +266,7 @@ class Superblock:
         return self.dev.read_u32(_OFF_CLEAN) == 1
 
     def set_clean(self, clean: bool) -> None:
-        self.dev.write_u32(_OFF_CLEAN, 1 if clean else 0)
-        self.dev.persist(_OFF_CLEAN, 4)
+        self.dev.write_u32(_OFF_CLEAN, 1 if clean else 0, persist=True)
 
     @property
     def epoch(self) -> int:
@@ -280,8 +274,7 @@ class Superblock:
 
     def bump_epoch(self) -> int:
         epoch = self.epoch + 1
-        self.dev.write_atomic64(_OFF_EPOCH, epoch)
-        self.dev.persist(_OFF_EPOCH, 8)
+        self.dev.write_atomic64(_OFF_EPOCH, epoch, persist=True)
         return epoch
 
     @property
@@ -289,8 +282,7 @@ class Superblock:
         return self.dev.read_u64(_OFF_DWQ_SAVED_COUNT)
 
     def set_dwq_saved_count(self, count: int) -> None:
-        self.dev.write_atomic64(_OFF_DWQ_SAVED_COUNT, count)
-        self.dev.persist(_OFF_DWQ_SAVED_COUNT, 8)
+        self.dev.write_atomic64(_OFF_DWQ_SAVED_COUNT, count, persist=True)
 
     # -- hybrid-dedup policy words ------------------------------------------------
 
@@ -300,8 +292,7 @@ class Superblock:
         return self.dev.read_u64(_OFF_HYBRID_CONF)
 
     def set_hybrid_conf(self, conf: int) -> None:
-        self.dev.write_atomic64(_OFF_HYBRID_CONF, conf)
-        self.dev.persist(_OFF_HYBRID_CONF, 8)
+        self.dev.write_atomic64(_OFF_HYBRID_CONF, conf, persist=True)
 
     @property
     def hybrid_modes(self) -> int:
@@ -309,5 +300,4 @@ class Superblock:
         return self.dev.read_u64(_OFF_HYBRID_MODES)
 
     def set_hybrid_modes(self, modes: int) -> None:
-        self.dev.write_atomic64(_OFF_HYBRID_MODES, modes)
-        self.dev.persist(_OFF_HYBRID_MODES, 8)
+        self.dev.write_atomic64(_OFF_HYBRID_MODES, modes, persist=True)

@@ -42,16 +42,14 @@ class LogManager:
         # by the committed tail, so stale bytes past it are never read.
         # The zeroed next-pointer must be durable before the page is
         # linked, or a crash could graft a garbage chain.
-        self.dev.write_atomic64(base, 0)
-        self.dev.persist(base, 8)
+        self.dev.write_atomic64(base, 0, persist=True)
         return page
 
     def next_of(self, page: int) -> int:
         return self.dev.read_u64(page * PAGE_SIZE)
 
     def _link(self, from_page: int, to_page: int) -> None:
-        self.dev.write_atomic64(from_page * PAGE_SIZE, to_page)
-        self.dev.persist(from_page * PAGE_SIZE, 8)
+        self.dev.write_atomic64(from_page * PAGE_SIZE, to_page, persist=True)
 
     # -- append ---------------------------------------------------------------------
 
@@ -85,8 +83,7 @@ class LogManager:
                 self._link(prev_page, nxt)
             tail = nxt * PAGE_SIZE + LOG_HEADER_SIZE
         addr = tail
-        self.dev.write(addr, raw)
-        self.dev.persist(addr, ENTRY_SIZE)
+        self.dev.write(addr, raw, persist=True)
         return addr, addr + ENTRY_SIZE
 
     def commit(self, ino: int, new_tail: int) -> None:

@@ -53,11 +53,10 @@ class SlotRecord:
             raise ValueError(f"{len(payload)} B payload exceeds the slot")
         slot = self.base + (seq % self.slots) * self.slot_bytes
         if payload:
-            self.dev.write(slot + self.payload_off, payload, nt=True)
-            self.dev.persist(slot + self.payload_off, len(payload))
+            self.dev.write(slot + self.payload_off, payload, nt=True,
+                           persist=True)
         self.dev.write(slot, _HDR.pack(self.magic, seq, len(payload),
-                                       _crc(seq, payload)))
-        self.dev.persist(slot, HDR_BYTES)
+                                       _crc(seq, payload)), persist=True)
 
     def load(self) -> Optional[tuple[int, bytes]]:
         """The valid ``(seq, payload)`` with the highest ``seq``, if any."""
@@ -77,8 +76,7 @@ class SlotRecord:
         """Zero every header so no stored record can validate again."""
         for i in range(self.slots):
             slot = self.base + i * self.slot_bytes
-            self.dev.zero_range(slot, HDR_BYTES)
-            self.dev.persist(slot, HDR_BYTES)
+            self.dev.zero_range(slot, HDR_BYTES, persist=True)
 
 
 # ---------------------------------------------------------------- state files

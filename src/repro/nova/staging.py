@@ -587,8 +587,8 @@ class StagingLog:
         slab.next_seq = max_seq + 1
         slab.write_off = slab.data_base
         if candidates or dev.read_u64(slab.base + 8) != slab.completed_seq:
-            dev.write_atomic64(slab.base + 8, slab.completed_seq)
-            dev.persist(slab.base + 8, 8)
+            dev.write_atomic64(slab.base + 8, slab.completed_seq,
+                               persist=True)
         # Terminate the (now logically empty) slab so the next scan never
         # walks into this generation's leftovers.
         dev.write(slab.data_base, _TERM, nt=True)

@@ -26,14 +26,18 @@ writes stay O(bytes touched) with no full-device copies.  Volatility is
 tracked per cache line but *updated per run*: a store snapshots the
 durable content of every line it covers in one slice of the line-typed
 view of the array and moves the run between the ``dirty`` / ``flushing``
-sets with one set operation; a fence that leaves nothing dirty drops the
-whole shadow at once; a crash restores all volatile lines in one scatter.
+sets with one set operation (a store inside one line — most are — does
+both by that line's key alone); a fence that leaves nothing dirty drops
+the whole shadow at once; a crash restores all volatile lines in one
+scatter.  ``write(..., persist=True)`` is store + clwb + sfence in one
+call, held to the charges, counters and hook order of the three.
 The shadow's key order is the order lines first became volatile — the
 order ``crash("torn")`` draws its random words in.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.pm.clock import SimClock
-from repro.pm.latency import LatencyModel, OPTANE_DCPM
+from repro.pm.latency import LatencyModel, OPTANE_DCPM, PROFILES
 
 __all__ = ["PMDevice", "PMStats", "CrashRequested", "CACHELINE"]
 
@@ -155,11 +159,16 @@ class PMDevice:
 
     def read(self, addr: int, n: int) -> bytes:
         """Read ``n`` bytes; charges one request of read latency + bandwidth."""
-        self._check_range(addr, n)
-        self.stats.reads += 1
-        self.stats.bytes_read += n
+        if self._crashed:
+            raise RuntimeError("device has crashed; call recover_view() first")
+        end = addr + n
+        if addr < 0 or n < 0 or end > self.size:
+            raise ValueError(f"access [{addr}, {end}) out of device bounds")
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += n
         self.clock.advance(self.model.read_cost(n))
-        return self._bytes[addr:addr + n].tobytes()
+        return self._bytes[addr:end].tobytes()
 
     def read_silent(self, addr: int, n: int) -> bytes:
         """Read without charging cost (debug/verification use only)."""
@@ -168,60 +177,110 @@ class PMDevice:
         return self._bytes[addr:addr + n].tobytes()
 
     def write(self, addr: int, data: bytes | bytearray | memoryview,
-              nt: bool = False) -> None:
+              nt: bool = False, persist: bool = False) -> None:
         """Store ``data`` at ``addr``.
 
         ``nt=True`` models non-temporal (streaming) stores: the affected
         lines skip the cache and only await the next fence.  Used for bulk
         data-page copies, as NOVA does with ``movnt``.
+
+        ``persist=True`` makes the store durable before returning: the
+        store, then the ``clwb`` of exactly its lines, then the
+        ``sfence`` — what ``write(addr, data, nt)`` followed by
+        ``persist(addr, len(data))`` does, charge for charge and hook for
+        hook, in one call.  A crash raised by ``on_write`` leaves the
+        store un-flushed.
         """
         n = len(data)
         if n == 0:
+            if persist:
+                self.persist(addr, 0)
             return
-        self._check_range(addr, n)
-        self.stats.writes += 1
-        self.stats.bytes_written += n
-        lines = self._lines(addr, n)
-        # Snapshot the run's durable content in one slice; lines that are
-        # already volatile keep their older (durable) snapshot.
-        _consume(map(self._shadow.setdefault, lines,
-                     self._mem_lines[lines.start:lines.stop].tolist()))
+        if self._crashed:
+            raise RuntimeError("device has crashed; call recover_view() first")
+        end = addr + n
+        if addr < 0 or end > self.size:
+            raise ValueError(f"access [{addr}, {end}) out of device bounds")
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += n
         # A memoryview slice takes bytes as they are; only re-materialize
         # other buffer types (profiled hot path — see the HPC guides).
         if not isinstance(data, bytes):
             data = bytes(data)
-        self._bytes[addr:addr + n] = data
-        if nt:
-            self.stats.nt_writes += 1
-            self._flushing.update(lines)
-            self._dirty.difference_update(lines)
+        shadow, dirty, flushing = self._shadow, self._dirty, self._flushing
+        first, last = addr // CACHELINE, (end - 1) // CACHELINE
+        # Snapshot the durable content of the lines stored to (lines that
+        # are already volatile keep their older, durable snapshot) and
+        # note them as stored.  A cached store to a line with an
+        # in-flight clwb invalidates that write-back: the line must be
+        # clwb'd again to become durable.  (Under-approximating
+        # durability is the safe direction for crash testing — we never
+        # falsely persist.)
+        if first == last:
+            # Inside one line — 8-byte atomics, 64 B log and FACT
+            # entries, flag bytes: most stores — key by key.
+            lines = None
+            if first not in shadow:
+                base = first * CACHELINE
+                shadow[first] = self._bytes[base:base + CACHELINE].tobytes()
+            if nt:
+                flushing.add(first)
+                dirty.discard(first)
+            else:
+                flushing.discard(first)
+                dirty.add(first)
         else:
-            # A store to a line with an in-flight clwb invalidates that
-            # write-back: the line must be clwb'd again to become durable.
-            # (Under-approximating durability is the safe direction for
-            # crash testing — we never falsely persist.)
-            self._flushing.difference_update(lines)
-            self._dirty.update(lines)
-        self.clock.advance(self.model.write_cost(n))
-        if self.hooks.on_write is not None:
-            self.hooks.on_write(self.stats.writes, self)
+            # A run of lines: one slice, one set operation.
+            lines = range(first, last + 1)
+            _consume(map(shadow.setdefault, lines,
+                         self._mem_lines[first:last + 1].tolist()))
+            if nt:
+                flushing.update(lines)
+                dirty.difference_update(lines)
+            else:
+                flushing.difference_update(lines)
+                dirty.update(lines)
+        self._bytes[addr:end] = data
+        if nt:
+            stats.nt_writes += 1
+        advance, model = self.clock.advance, self.model
+        advance(model.write_cost(n))
+        on_write = self.hooks.on_write
+        if on_write is not None:
+            on_write(stats.writes, self)
+        if not persist:
+            return
+        if lines is None:
+            stats.clwbs += 1
+            advance(model.clwb_ns)
+            if first in dirty:
+                dirty.remove(first)
+                flushing.add(first)
+        else:
+            self._write_back(lines)
+        self._fence()
 
-    def write_atomic64(self, addr: int, value: int) -> None:
+    def write_atomic64(self, addr: int, value: int,
+                       persist: bool = False) -> None:
         """Aligned 8-byte store — atomic with respect to crashes."""
         if addr % _WORD:
             raise ValueError(f"atomic 64-bit store must be 8-aligned: {addr}")
-        self.write(addr, int(value).to_bytes(8, "little"))
+        self.write(addr, int(value).to_bytes(8, "little"), False, persist)
 
-    def zero_range(self, addr: int, n: int, nt: bool = True) -> None:
+    def zero_range(self, addr: int, n: int, nt: bool = True,
+                   persist: bool = False) -> None:
         """Store zeros over a range (page initialization)."""
-        self.write(addr, bytes(n), nt=nt)
+        self.write(addr, bytes(n), nt, persist)
 
     # -- persistence ------------------------------------------------------------
 
     def clwb(self, addr: int, n: int = CACHELINE) -> None:
         """Initiate write-back of every cache line covering ``[addr, addr+n)``."""
         self._check_range(addr, n)
-        lines = self._lines(addr, n)
+        self._write_back(self._lines(addr, n))
+
+    def _write_back(self, lines: range) -> None:
         self.stats.clwbs += len(lines)
         # One charge per line: the accumulators are floats, so n adds of
         # clwb_ns are not one add of n * clwb_ns.
@@ -236,6 +295,9 @@ class PMDevice:
         """Drain pending write-backs; everything clwb'd/nt-stored is durable."""
         if self._crashed:
             raise RuntimeError("device has crashed")
+        self._fence()
+
+    def _fence(self) -> None:
         self.stats.sfences += 1
         self.clock.advance(self.model.sfence_ns)
         if not self._flushing:
@@ -256,7 +318,8 @@ class PMDevice:
             self.hooks.on_persist_done(count, self)
 
     def persist(self, addr: int, n: int) -> None:
-        """Convenience: clwb the range then sfence (the common pairing)."""
+        """clwb the range then sfence — for a commit of several stores;
+        one store is ``write(..., persist=True)``."""
         self.clwb(addr, n)
         self.sfence()
 
@@ -268,14 +331,8 @@ class PMDevice:
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")
 
-    def read_i64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little", signed=True)
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, int(value).to_bytes(4, "little"))
-
-    def write_i64(self, addr: int, value: int) -> None:
-        self.write(addr, int(value).to_bytes(8, "little", signed=True))
+    def write_u32(self, addr: int, value: int, persist: bool = False) -> None:
+        self.write(addr, int(value).to_bytes(4, "little"), False, persist)
 
     # -- crash & recovery ----------------------------------------------------------
 
@@ -332,8 +389,6 @@ class PMDevice:
         a power cycle would leave (callers wanting everything should
         fence first).
         """
-        import struct as _struct
-
         # Temporarily roll back to durable content for the dump.
         words, lines, durable = self._volatile_words()
         volatile = words[lines]
@@ -342,7 +397,7 @@ class PMDevice:
             name = self.model.name.encode()
             with open(path, "wb") as fh:
                 fh.write(self._IMAGE_MAGIC)
-                fh.write(_struct.pack("<QB", self.size, len(name)))
+                fh.write(struct.pack("<QB", self.size, len(name)))
                 fh.write(name)
                 self._mem.tofile(fh)
         finally:
@@ -352,14 +407,10 @@ class PMDevice:
     def load_image(cls, path, clock: Optional[SimClock] = None,
                    track_wear: bool = False) -> "PMDevice":
         """Reopen a device image saved with :meth:`save_image`."""
-        import struct as _struct
-
-        from repro.pm.latency import PROFILES
-
         with open(path, "rb") as fh:
             if fh.read(8) != cls._IMAGE_MAGIC:
                 raise ValueError(f"{path}: not a PM device image")
-            size, name_len = _struct.unpack("<QB", fh.read(9))
+            size, name_len = struct.unpack("<QB", fh.read(9))
             model_name = fh.read(name_len).decode()
             model = PROFILES.get(model_name)
             if model is None:

@@ -299,6 +299,32 @@ class TestErrorContract:
         assert err.startswith("error: CorruptImage: journal count 999")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_fact_chain_cycle_is_one_error_line(self, tmp_path, capsys):
+        """A FACT entry whose ``next`` names itself is media corruption
+        too; the recovery that trips over it used to end in a traceback."""
+        from repro.cli import _open_fs
+        from repro.dedup.fact import _OFF_NEXT
+
+        img = str(tmp_path / "fact.img")
+        src = tmp_path / "src.bin"
+        src.write_bytes(bytes(range(256)) * 16)
+        assert main(["mkfs", img, "--variant", "denova-immediate",
+                     "--pages", "2048", "--inodes", "128"]) == 0
+        assert main(["put", img, "/a", str(src)]) == 0
+        assert main(["dedup", img]) == 0
+        fs = _open_fs(img)
+        idx = min(fs.fact.live_entries())
+        assert idx < fs.fact.daa_size
+        fs.dev.write_atomic64(fs.fact.addr(idx) + _OFF_NEXT, idx + 1,
+                              persist=True)
+        fs.dev.save_image(img)              # no unmount: next mount recovers
+        capsys.readouterr()
+        for argv in (["put", img, "/b", str(src)], ["dedup", img]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: FactCorruption: post-recovery cycle")
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+
 
 class TestFleetWorkloadHonoursEveryFlag:
     """``workload --tenants N`` used to return before ``--dedup-mode``,

@@ -176,6 +176,33 @@ class TestStaleLogHead:
         assert fs2.read(fs2.lookup("/victim"), 0, PAGE_SIZE) == data
         check_fs_invariants(fs2)
 
+    @pytest.mark.parametrize("chain", ["cyclic", "out_of_region"])
+    def test_tail_rescan_of_an_untrusted_chain_is_bounded(self, chain):
+        """A stale ``log_tail`` off the stale chain sends recovery to
+        ``find_tail_by_scan``; every slot of the victim's page looks
+        occupied, so the scan follows the page's first word — itself, or
+        a page past the device — and must stop there, not raise."""
+        fs = fresh_fs()
+        victim = fs.create("/victim")
+        fs.write(victim, 0, b"\xee" * PAGE_SIZE)
+        page, = fs.caches[victim].index.referenced_pages()
+        nxt = page if chain == "cyclic" else fs.geo.total_pages + 7
+        fs.dev.write_atomic64(page * PAGE_SIZE, nxt, persist=True)
+        data = fs.read(victim, 0, PAGE_SIZE)
+        ghost = fs.itable.alloc()
+        fs.itable.write(ghost, Inode(
+            ino=ghost, valid=1, log_head=page,
+            log_tail=(page + 1) * PAGE_SIZE + 4 * 64))
+        fs.dev.crash()
+        fs.dev.recover_view()
+
+        fs2 = NovaFS.mount(fs.dev)
+        assert fs2.last_recovery.extra["gc_tails_rebuilt"] == 1
+        assert fs2.last_recovery.orphans_collected == 1
+        assert fs2.itable.read(ghost).valid == 0
+        assert fs2.read(fs2.lookup("/victim"), 0, PAGE_SIZE) == data
+        check_fs_invariants(fs2)
+
 
 class TestMultiFileRecovery:
     def test_interleaved_workload_crash_sweep_subsampled(self):

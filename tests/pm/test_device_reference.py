@@ -10,11 +10,18 @@ accumulators are floats and the benchmark tracer counts simulated time by
 wrapping ``SimClock.advance``, so the contract is one ``advance`` call per
 charge, same values, same order (*n* lines of ``clwb`` are *n* calls).
 After every crash, discard or torn, the two media must be byte-identical.
+
+A durable store — ``write(..., persist=True)`` and its typed forms — is
+one call on the real device and stays *two* on the reference (``write``,
+then ``persist`` of the same range): the reference gains nothing, so the
+fused body is held to the pair it replaced, hook for hook, including a
+crash raised between the store and the fence.
 """
 
 import random
 
 import numpy as np
+import pytest
 
 from repro.pm import CACHELINE, CrashRequested, PMDevice, SimClock
 
@@ -51,6 +58,7 @@ class Pair:
         self.charges_compared = 0
         self.events = {id(self.real): [], id(self.ref): []}
         self.trip_at = None         # (hook name, nth event from now)
+        self.fused_trips = set()    # hooks that crashed a durable store
         for dev in (self.real, self.ref):
             for name in ("on_write", "on_persist", "on_persist_done"):
                 setattr(dev.hooks, name, self._hook(name))
@@ -71,18 +79,48 @@ class Pair:
         self.round_start = {key: len(log)
                             for key, log in self.events.items()}
 
-    def do(self, op, *args, **kw):
-        """Apply one operation to both; True if it crashed (on both)."""
+    def _both(self, real_step, ref_step, where):
+        """Run one step on each device; True if it crashed (on both)."""
         crashed = []
-        for dev in (self.real, self.ref):
+        for step in (real_step, ref_step):
             try:
-                getattr(dev, op)(*args, **kw)
+                step()
                 crashed.append(False)
             except CrashRequested:
                 crashed.append(True)
-        assert crashed[0] == crashed[1], (op, args)
-        self.compare((op, args[:1]))
+        assert crashed[0] == crashed[1], where
+        self.compare(where)
         return crashed[0]
+
+    def do(self, op, *args, **kw):
+        """Apply one operation to both."""
+        return self._both(lambda: getattr(self.real, op)(*args, **kw),
+                          lambda: getattr(self.ref, op)(*args, **kw),
+                          (op, args[:1]))
+
+    def do_durable(self, op, addr, payload, **kw):
+        """One durable store: fused on the real device, the two calls it
+        replaced on the reference."""
+        ref_op, ref_payload = op, payload
+        if op == "write":
+            n = len(payload)
+        elif op == "zero_range":
+            n = payload
+        elif op == "write_atomic64":
+            n = 8
+        else:                       # the reference has no typed u32 store
+            ref_op, ref_payload, n = "write", payload.to_bytes(4, "little"), 4
+
+        def two_calls():
+            getattr(self.ref, ref_op)(addr, ref_payload, **kw)
+            self.ref.persist(addr, n)
+
+        crashed = self._both(
+            lambda: getattr(self.real, op)(addr, payload, persist=True, **kw),
+            two_calls, (op, addr, "persist=True"))
+        if crashed:
+            self.fused_trips.add(self.trip_at[0])
+        return crashed
 
     def compare(self, where):
         real, ref = self.real, self.ref
@@ -147,6 +185,35 @@ def _range_args(rng, recent):
     return addr, rng.randint(1, min(5000, SIZE - addr))
 
 
+def _durable_store(rng, pair, recent):
+    """One ``persist=True`` store of any kind: inside a line or across
+    several, cached or non-temporal, empty, typed; half of them onto a
+    run stored earlier, so onto dirty and already-flushing lines."""
+    kind = rng.random()
+    if kind < 0.45:
+        addr, data, nt = _store_args(rng, recent)
+        return pair.do_durable("write", addr, data, nt=nt)
+    if kind < 0.55:                 # nothing stored; still persist(addr, 0)
+        return pair.do_durable("write", rng.randrange(SIZE), b"",
+                               nt=rng.random() < 0.5)
+    if recent and rng.random() < 0.5:
+        base, length = rng.choice(recent)
+        addr = min(base + rng.randrange(length), SIZE - 8)
+    else:
+        addr = rng.randrange(SIZE - 8)
+    if kind < 0.85:
+        addr -= addr % 8
+        recent.append((addr, 8))
+        return pair.do_durable("write_atomic64", addr, rng.getrandbits(64))
+    if kind < 0.93:                 # unaligned: may straddle two lines
+        recent.append((addr, 4))
+        return pair.do_durable("write_u32", addr, rng.getrandbits(32))
+    n = rng.choice((8, CACHELINE, 4096))
+    addr = min(addr - addr % 8, SIZE - n)
+    recent.append((addr, n))
+    return pair.do_durable("zero_range", addr, n, nt=rng.random() < 0.7)
+
+
 def run_rounds(seed, track_wear=False, rounds=ROUNDS):
     rng = random.Random(seed)
     pair = Pair(track_wear=track_wear)
@@ -160,10 +227,12 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS):
             None)))
         for _ in range(STEPS_PER_ROUND):
             roll = rng.random()
-            if roll < 0.45:
+            if roll < 0.30:
                 addr, data, nt = _store_args(rng, recent)
                 crashed = pair.do("write", addr, data, nt=nt)
                 assert pair.real.read_silent(addr, len(data)) == bytes(data)
+            elif roll < 0.45:
+                crashed = _durable_store(rng, pair, recent)
             elif roll < 0.55:
                 addr = rng.randrange(SIZE // 8) * 8
                 recent.append((addr, 8))
@@ -190,6 +259,7 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS):
 
 def test_random_sequences_match_the_per_line_reference():
     mid_fence = lines = 0
+    fused_trips = set()
     for seed in range(8):
         try:
             pair, n = run_rounds(seed)
@@ -199,9 +269,12 @@ def test_random_sequences_match_the_per_line_reference():
         assert stats.crashes == ROUNDS and stats.nt_writes and stats.clwbs
         mid_fence += n
         lines += stats.lines_persisted
+        fused_trips |= pair.fused_trips
     # The generator reached the cases the comparison is there for.
     assert mid_fence >= 8           # CrashRequested out of on_persist[_done]
     assert lines > 20_000
+    # ... including each hook crashing *inside* a durable store.
+    assert fused_trips == {"on_write", "on_persist", "on_persist_done"}
 
 
 def test_wear_counts_match_the_per_line_reference():
@@ -236,3 +309,56 @@ def test_torn_crash_draws_in_first_store_order():
     pair.crash("torn", 42)
     survived = pair.real.read_silent(0, 16 * CACHELINE)
     assert survived != stored and any(survived)     # some words, not all
+
+
+@pytest.mark.parametrize("hook", ["on_write", "on_persist", "on_persist_done"])
+@pytest.mark.parametrize("nt", [False, True])
+def test_crash_between_store_and_fence_of_a_durable_store(hook, nt):
+    """``on_write`` fires after the store and before any write-back (the
+    store stays volatile, no clwb or sfence is charged); ``on_persist``
+    after the clwb and the fence's charge, before the commit;
+    ``on_persist_done`` after it.  Checked on a store inside one line
+    and on one across three, over lines already dirty and flushing."""
+    for addr, n in ((5 * CACHELINE + 8, 8), (9 * CACHELINE - 3, 2 * CACHELINE)):
+        pair = Pair()
+        pair.arm(None)
+        pair.do("write", 5 * CACHELINE, b"d" * 16)              # dirty
+        pair.do("write", 9 * CACHELINE, b"f" * CACHELINE)
+        pair.do("clwb", 9 * CACHELINE, CACHELINE)               # flushing
+        before = pair.real.stats.snapshot()
+        pair.arm((hook, 1))
+        assert pair.do_durable("write", addr, b"\xaa" * n, nt=nt)
+        after = pair.real.stats.snapshot()
+        fenced = hook != "on_write"
+        lines = 1 if n == 8 else 3
+        assert after["clwbs"] - before["clwbs"] == (lines if fenced else 0)
+        assert after["sfences"] - before["sfences"] == fenced
+        durable = hook == "on_persist_done"
+        assert (after["lines_persisted"] > before["lines_persisted"]) \
+            == durable
+        pair.crash("torn", 11)
+        survived = pair.real.read_silent(addr, n) == b"\xaa" * n
+        assert survived or not durable
+
+
+def test_durable_store_on_top_of_volatile_lines():
+    """The fused store keeps the *older* snapshot of a line that is
+    already volatile, re-dirties a line whose clwb was in flight, and its
+    fence retires every flushing line — not only its own."""
+    pair = Pair()
+    pair.arm(None)
+    pair.do_durable("write", 0, b"nothing in flight before")
+    assert pair.real.volatile_lines == 0
+    pair.do("write", 64, b"old-dirty")                      # line 1 dirty
+    pair.do("write", 640, b"n" * 200, nt=True)              # 10..13 flushing
+    pair.do("write", 3 * CACHELINE, b"elsewhere")           # line 3 dirty
+    pair.do_durable("write_atomic64", 72, 0xDEADBEEF)       # onto line 1
+    assert pair.real.volatile_lines == 1                    # line 3 only
+    pair.do("write", 2048, b"x" * 100)
+    pair.do("clwb", 2048, 100)
+    pair.do_durable("write", 2050, b"yy")                   # onto flushing
+    pair.do_durable("write", 4096, b"")                     # aligned, empty
+    pair.do_durable("write", 4100, b"")                     # one line's clwb
+    pair.do("write", 128, b"torn?" * 20)
+    pair.crash("torn", 3)
+    assert pair.real.read_silent(72, 8) == (0xDEADBEEF).to_bytes(8, "little")
