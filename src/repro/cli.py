@@ -843,7 +843,7 @@ def cmd_backup(args) -> int:
 def cmd_repl(args) -> int:
     """Reverse-dedup snapshot chains + fan-out/fan-in replication."""
     from repro.backup import BackupError
-    from repro.nova.fs import FSError
+    from repro.nova.fs import CorruptImage, FSError
 
     if args.raction in ("fanout", "fanin"):
         import tempfile
@@ -878,6 +878,8 @@ def cmd_repl(args) -> int:
                     path, name = spec.rsplit(":", 1)
                     sources.append((open_image(path), name))
                 rep = topo.fan_in(sources, dst)
+        except CorruptImage:
+            raise  # no stream has moved yet: main()'s one error: line
         except (FSError, BackupError, OSError) as exc:
             print(f"repl {args.raction}: {exc}", file=sys.stderr)
             for fs, path in opened:

@@ -33,6 +33,7 @@ from repro.nova.inode import (
     ITYPE_DIR,
     ITYPE_FILE,
     ITYPE_SYMLINK,
+    _OFF_VALID,
     Inode,
 )
 from repro.nova.layout import INODE_SIZE
@@ -132,11 +133,12 @@ def _check_itable(fs) -> int:
     """Valid on-PM inode records ⇔ mounted inodes, both directions."""
     itable = fs.itable
     valid_inos: set[int] = set()
-    for ino in range(1, itable.capacity + 1):
-        raw = fs.dev.read_silent(itable.addr_of(ino), INODE_SIZE)
-        rec = Inode.unpack(raw)
-        if not rec.valid:
+    table = fs.dev.read_silent(itable.addr_of(1),
+                               itable.capacity * INODE_SIZE)
+    for ino, valid in enumerate(table[_OFF_VALID::INODE_SIZE], 1):
+        if not valid:
             continue
+        rec = Inode.unpack(table[(ino - 1) * INODE_SIZE:ino * INODE_SIZE])
         valid_inos.add(ino)
         if rec.ino != ino:
             _fail(f"itable[{ino}]: valid record carries ino {rec.ino} "

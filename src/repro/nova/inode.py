@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Geometry
 from repro.pm.device import PMDevice
@@ -100,12 +101,19 @@ class InodeTable:
 
     # -- allocation ------------------------------------------------------------------
 
+    def _scan_valid(self, inos: range):
+        """``(ino, valid byte)`` for a run of the table, each byte read
+        as the caller reaches it: one charged 1-byte read per record
+        models the mount-time table scan."""
+        first = self.addr_of(inos.start) + _OFF_VALID
+        addrs = range(first, first + (inos.stop - inos.start) * INODE_SIZE,
+                      inos.step * INODE_SIZE)
+        return zip(inos, map(self.dev.read, addrs, repeat(1)))
+
     def _scan_free(self) -> None:
-        self._free = []
-        for ino in range(self.capacity, 1, -1):  # pop() hands out low inos
-            # One 1-byte read per record models the mount-time table scan.
-            if self.dev.read(self.addr_of(ino) + _OFF_VALID, 1)[0] == 0:
-                self._free.append(ino)
+        top_down = range(self.capacity, 1, -1)  # pop() hands out low inos
+        self._free = [ino for ino, valid in self._scan_valid(top_down)
+                      if valid == b"\x00"]
         self._free_scanned = True
 
     def alloc(self) -> int:
@@ -166,8 +174,8 @@ class InodeTable:
 
     def iter_valid(self):
         """Yield every valid, self-consistent inode record."""
-        for ino in range(1, self.capacity + 1):
-            if self.dev.read(self.addr_of(ino) + _OFF_VALID, 1)[0] == 1:
+        for ino, valid in self._scan_valid(range(1, self.capacity + 1)):
+            if valid == b"\x01":
                 rec = self.read(ino)
                 if rec.ino == ino:
                     yield rec
@@ -181,8 +189,8 @@ class InodeTable:
         correct completion of the interrupted create.
         """
         released = 0
-        for ino in range(1, self.capacity + 1):
-            if self.dev.read(self.addr_of(ino) + _OFF_VALID, 1)[0] != 1:
+        for ino, valid in self._scan_valid(range(1, self.capacity + 1)):
+            if valid != b"\x01":
                 continue
             rec = self.read(ino)
             if rec.ino != ino or rec.itype not in (ITYPE_FILE, ITYPE_DIR,

@@ -193,6 +193,37 @@ class Geometry:
         )
 
 
+def _geometry_problem(geo: Geometry, device_pages: int) -> str | None:
+    """Why ``geo`` cannot be the layout of a ``device_pages`` device."""
+    if geo.total_pages != device_pages:
+        return (f"total_pages {geo.total_pages} on a device of "
+                f"{device_pages} pages")
+    if geo.inode_capacity < 2:
+        return f"inode capacity {geo.inode_capacity}"
+    if geo.fact_page and geo.fact_prefix_bits > 63:
+        return f"FACT prefix bits {geo.fact_prefix_bits}"
+    end = 1  # page 0 is the superblock
+    for name, page, pages in (  # the order Geometry.compute places them in
+            ("inode table", geo.inode_table_page,
+             math.ceil(geo.inode_capacity * INODE_SIZE / PAGE_SIZE)),
+            ("journal", geo.journal_page, 1),
+            ("DWQ save area", geo.dwq_save_page, geo.dwq_save_pages),
+            ("FACT", geo.fact_page, math.ceil(geo.fact_bytes / PAGE_SIZE)),
+            ("checkpoint", geo.ckpt_page, geo.ckpt_pages),
+            ("tenant registry", geo.tenant_page, geo.tenant_pages),
+            ("staging log", geo.staging_page, geo.staging_pages),
+            ("data", geo.data_start_page, 1)):
+        if page == 0 == pages:
+            continue  # an optional region the image was formatted without
+        if page < end:
+            return (f"{name} region at page {page}, before page {end} "
+                    f"where the region ahead of it ends")
+        end = page + pages
+    if end > geo.total_pages:
+        return f"regions end at page {end} of {geo.total_pages}"
+    return None
+
+
 class Superblock:
     """Typed accessor over the persisted superblock."""
 
@@ -238,10 +269,15 @@ class Superblock:
         dev.write_atomic64(_OFF_MAGIC, MAGIC, persist=True)
 
     def load_geometry(self) -> Geometry:
+        """The geometry mkfs recorded; :class:`~repro.nova.fs.CorruptImage`
+        when the device carries no filesystem (mkfs stores the magic
+        last) or one that cannot be its own."""
+        from repro.nova.fs import CorruptImage  # fs imports this module
+
         dev = self.dev
         if dev.read_u64(_OFF_MAGIC) != MAGIC:
-            raise ValueError("no filesystem on device (bad magic)")
-        return Geometry(
+            raise CorruptImage("no filesystem on device (bad magic)")
+        geo = Geometry(
             total_pages=dev.read_u64(_OFF_TOTAL_PAGES),
             inode_table_page=dev.read_u64(_OFF_INODE_TABLE_PAGE),
             inode_capacity=dev.read_u64(_OFF_INODE_CAPACITY),
@@ -258,6 +294,11 @@ class Superblock:
             staging_page=dev.read_u64(_OFF_STAGING_PAGE),
             staging_pages=dev.read_u64(_OFF_STAGING_PAGES),
         )
+        problem = _geometry_problem(geo, dev.size // PAGE_SIZE)
+        if problem:
+            raise CorruptImage(f"superblock geometry is not this "
+                               f"device's: {problem}")
+        return geo
 
     # -- runtime flags --------------------------------------------------------------
 

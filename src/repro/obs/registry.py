@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -61,6 +62,14 @@ DEFAULT_LATENCY_BUCKETS_NS: tuple[float, ...] = (
 )
 
 
+# Every filesystem instance registers the same few dozen names, so a
+# name (and a bucket layout) is validated once per distinct value:
+# ``lru_cache`` remembers returns, never raises, so an invalid one is
+# rejected every time.  Bounded because label values are caller-chosen.
+_memo = lru_cache(maxsize=4096)
+
+
+@_memo
 def _check_name(name: str) -> str:
     base = name.split("{", 1)[0]
     if not _NAME_RE.match(base):
@@ -68,6 +77,26 @@ def _check_name(name: str) -> str:
             f"metric name {base!r} violates the <component>.<name>_<unit> "
             "convention (lowercase, dotted, e.g. 'fs.writes_total')")
     return name
+
+
+@_memo
+def _check_counter_name(name: str) -> str:
+    base = name.split("{", 1)[0]
+    if not base.rsplit(".", 1)[-1].endswith("_total"):
+        raise ValueError(
+            f"counter {base!r} must end in '_total' "
+            "(see docs/OBSERVABILITY.md)")
+    return name
+
+
+@_memo
+def _check_buckets(name: str, buckets: tuple[float, ...]) -> tuple:
+    bounds = tuple(sorted(buckets))
+    if not bounds:
+        raise ValueError(f"histogram {name}: empty bucket list")
+    if any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(f"histogram {name}: duplicate bucket bounds")
+    return bounds
 
 
 def escape_label_value(s: str) -> str:
@@ -115,12 +144,7 @@ class Counter:
 
     def __init__(self, name: str, help: str = "",
                  fn: Optional[Callable[[], float]] = None):
-        base = name.split("{", 1)[0]
-        if not base.rsplit(".", 1)[-1].endswith("_total"):
-            raise ValueError(
-                f"counter {base!r} must end in '_total' "
-                "(see docs/OBSERVABILITY.md)")
-        self.name = name
+        self.name = _check_counter_name(name)
         self.help = help
         self._value = 0
         self._fn = fn
@@ -197,11 +221,8 @@ class Histogram:
                  help: str = ""):
         self.name = name
         self.help = help
-        bounds = tuple(sorted(buckets or DEFAULT_LATENCY_BUCKETS_NS))
-        if not bounds:
-            raise ValueError(f"histogram {name}: empty bucket list")
-        if any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError(f"histogram {name}: duplicate bucket bounds")
+        bounds = _check_buckets(
+            name, tuple(buckets or DEFAULT_LATENCY_BUCKETS_NS))
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)   # +1 = overflow bucket
         self.count = 0

@@ -20,7 +20,9 @@ the media, which is the strictest legal x86 behaviour.  Recovery code is
 tested under both.
 
 Implementation notes (per the HPC guides: views over copies, vectorized
-bulk paths): logical content lives in one NumPy ``uint8`` array; only
+bulk paths): logical content lives in one NumPy ``uint8`` array over a
+private anonymous mapping, which the kernel zeroes page by page on first
+touch — a device costs the pages it touches, not its size; only
 *volatile* lines carry a shadow copy of their durable content, so bulk
 writes stay O(bytes touched) with no full-device copies.  Volatility is
 tracked per cache line but *updated per run*: a store snapshots the
@@ -37,9 +39,11 @@ order ``crash("torn")`` draws its random words in.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,7 +121,14 @@ class PMDevice:
         self.clock = clock if clock is not None else SimClock()
         self.stats = PMStats()
         self.hooks = PMHooks()
-        self._mem = np.zeros(size, dtype=np.uint8)
+        # Private, not Python's default MAP_SHARED (shmem-backed: slower
+        # faults, pages charged to the page cache); huge pages keep bulk
+        # data stores from paying one 4 KB fault per page.
+        mapping = mmap.mmap(-1, size,
+                            flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_HUGEPAGE"):
+            mapping.madvise(mmap.MADV_HUGEPAGE)
+        self._mem = np.frombuffer(mapping, dtype=np.uint8)
         # The same buffer (views, no second copy of the device): as a
         # memoryview, whose slices move bytes without building an array
         # per access, and as one element per cache line.
@@ -235,11 +246,15 @@ class PMDevice:
             lines = range(first, last + 1)
             _consume(map(shadow.setdefault, lines,
                          self._mem_lines[first:last + 1].tolist()))
+            # (A set operation against a range walks the whole range,
+            # even when the set is empty.)
             if nt:
                 flushing.update(lines)
-                dirty.difference_update(lines)
+                if dirty:
+                    dirty.difference_update(lines)
             else:
-                flushing.difference_update(lines)
+                if flushing:
+                    flushing.difference_update(lines)
                 dirty.update(lines)
         self._bytes[addr:end] = data
         if nt:
@@ -284,12 +299,12 @@ class PMDevice:
         self.stats.clwbs += len(lines)
         # One charge per line: the accumulators are floats, so n adds of
         # clwb_ns are not one add of n * clwb_ns.
-        advance, clwb_ns = self.clock.advance, self.model.clwb_ns
-        for _ in lines:
-            advance(clwb_ns)
-        written_back = self._dirty.intersection(lines)
-        self._dirty -= written_back
-        self._flushing |= written_back
+        _consume(map(self.clock.advance,
+                     repeat(self.model.clwb_ns, len(lines))))
+        if self._dirty:
+            written_back = self._dirty.intersection(lines)
+            self._dirty -= written_back
+            self._flushing |= written_back
 
     def sfence(self) -> None:
         """Drain pending write-backs; everything clwb'd/nt-stored is durable."""
@@ -418,10 +433,8 @@ class PMDevice:
                                  f"{model_name!r}")
             dev = cls(size, model=model, clock=clock,
                       track_wear=track_wear)
-            data = np.fromfile(fh, dtype=np.uint8, count=size)
-        if data.size != size:
-            raise ValueError(f"{path}: truncated image")
-        dev._mem[:] = data
+            if fh.readinto(dev._bytes) != size:
+                raise ValueError(f"{path}: truncated image")
         return dev
 
     def wear_max(self) -> int:

@@ -326,6 +326,82 @@ class TestErrorContract:
             assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+#: Every subcommand that opens an existing image, as an argv template.
+IMAGE_TAKERS = [
+    "ls {img}", "put {img} /x {src}", "get {img} /x {out}", "rm {img} /x",
+    "dedup {img}", "stats {img}", "metrics {img}", "trace {img}",
+    "profile {img}", "slo {img} --rules {rules}", "fsck {img}",
+    "scrub {img}", "crash {img}", "workload {img} --files 4",
+    "tenant create {img} al", "tenant list {img}",
+    "tenant quota {img} al --quota-pages 3", "tree {img}", "du {img}",
+    "reflink {img} /a /b", "snap {img} list",
+    "backup send {img} s1 {out}", "backup recv {img} {src}",
+    "backup verify {img} {src}", "backup list {img}",
+    "repl fanout {img} s1 {img}", "repl fanin {img} {img}:s1",
+    "repl relocate {img}", "repl restore {img}",
+]
+
+
+class TestUnmountableImage:
+    """A device image that loads but carries no filesystem, or one that
+    cannot be its own, is ``CorruptImage``: one ``error:`` line, exit 1,
+    from every subcommand that mounts (all used to end in a traceback,
+    and ``fsck`` passed a superblock claiming 10^12 pages)."""
+
+    @staticmethod
+    def damage(kind: str, sb: bytearray) -> None:
+        if kind == "no-magic":      # a crash before mkfs's last store
+            sb[0:8] = bytes(8)
+        elif kind == "all-ones":    # every geometry word 0xFF...
+            sb[16:168] = b"\xff" * 152
+        elif kind == "total-pages":
+            sb[16:24] = (10 ** 12).to_bytes(8, "little")
+        elif kind == "regions-swapped":
+            sb[40:48], sb[80:88] = sb[80:88], sb[40:48]  # journal <-> data
+
+    def test_list_covers_every_image_subcommand(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        def leaves(parser, prefix=()):
+            subs = [a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                if any(a.dest == "image" for a in parser._actions):
+                    yield prefix
+            for name, child in (subs[0].choices.items() if subs else ()):
+                yield from leaves(child, prefix + (name,))
+
+        takers = {tuple(t.split(" {img}")[0].split()) for t in IMAGE_TAKERS}
+        # mkfs creates the image it names.
+        assert takers == set(leaves(build_parser())) - {("mkfs",)}
+
+    @pytest.mark.parametrize("kind", ["no-magic", "all-ones", "total-pages",
+                                      "regions-swapped"])
+    def test_one_error_line_from_every_subcommand(self, kind, image,
+                                                  tmp_path, capsys):
+        raw = bytearray(open(image, "rb").read())
+        media = 17 + raw[16]                 # image-file header length
+        sb = raw[media:media + 168]
+        self.damage(kind, sb)
+        raw[media:media + 168] = sb
+        open(image, "wb").write(raw)
+        (tmp_path / "src.bin").write_bytes(b"x" * 5000)
+        (tmp_path / "rules.json").write_text('{"rules": []}')
+        names = {"img": image, "src": tmp_path / "src.bin",
+                 "out": tmp_path / "out.bin",
+                 "rules": tmp_path / "rules.json"}
+        capsys.readouterr()
+        for template in IMAGE_TAKERS:
+            assert main(template.format(**names).split()) == 1, template
+            out, err = capsys.readouterr()
+            assert err.startswith("error: CorruptImage: "), (template, err)
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            assert "invariants OK" not in out
+            assert ("bad magic" in err) == (kind == "no-magic")
+
+
 class TestFleetWorkloadHonoursEveryFlag:
     """``workload --tenants N`` used to return before ``--dedup-mode``,
     ``--staging`` and ``--trace-out`` were looked at."""

@@ -118,6 +118,42 @@ class TestInodeTableInvariants:
             check_fs_invariants(fs)
 
 
+    def test_exact_reports_at_the_edges_of_the_table(self):
+        """The checker reads the table in one piece and decodes only the
+        slots marked valid: its four messages, their order and its count
+        are what the slot-by-slot pass reported, first slot to last."""
+        fs, ino = make_nova()
+        last = fs.itable.capacity
+        assert check_fs_invariants(fs)["valid_inode_records"] \
+            == len(fs.caches) == 3
+
+        def store(slot, **fields):
+            fs.dev.write(fs.itable.addr_of(slot), Inode(**fields).pack(),
+                         persist=True)
+
+        def violation():
+            with pytest.raises(InvariantViolation) as exc:
+                check_fs_invariants(fs)
+            return str(exc.value)
+
+        # Any non-zero valid byte marks a record; the last slot is read.
+        store(last, ino=5, valid=0x80, itype=ITYPE_FILE)
+        assert violation() == (f"itable[{last}]: valid record carries ino 5 "
+                               "(half-written create leaks the slot)")
+        store(last, ino=last, valid=1, itype=0)
+        assert violation() == (f"itable[{last}]: valid record has illegal "
+                               "itype 0")
+        store(last, ino=last, valid=1, itype=ITYPE_FILE)
+        assert violation() == (f"itable[{last}]: valid record for an inode "
+                               "the mount does not know (leaked slot)")
+        # The lower slot is reported first; the unknown-record check
+        # outranks the mounted-without-record one.
+        store(ino, ino=ino, valid=0, itype=ITYPE_FILE)
+        assert violation().startswith(f"itable[{last}]: ")
+        store(last, ino=0, valid=0)
+        assert violation() == f"mounted ino {ino} has no valid inode record"
+
+
 class TestFactInvariants:
     def test_rfc_undercount(self):
         fs = make_denova()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.nova.fs import CorruptImage
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
 
@@ -63,7 +64,7 @@ class TestSuperblock:
 
     def test_load_without_format_rejected(self):
         dev = make_dev()
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(CorruptImage, match="magic"):
             Superblock(dev).load_geometry()
 
     def test_format_is_crash_atomic_via_magic(self):
@@ -78,8 +79,30 @@ class TestSuperblock:
         sb2.format(geo)
         dev2.write(0, bytes(8))
         dev2.persist(0, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptImage, match="magic"):
             sb2.load_geometry()
+
+    @pytest.mark.parametrize("offset,value,why", [
+        (16, 255, "total_pages 255 on a device of 256"),    # total_pages
+        (16, 10 ** 12, "total_pages 1000000000000"),
+        (32, 1, "inode capacity 1"),
+        (72, 2 ** 64 - 1, "FACT prefix bits"),
+        (40, 0, "journal region at page 0, before page 3"),
+        (64, 2, "FACT region at page 2, before page"),      # inside the itable
+        (80, 5, "data region at page 5, before page"),      # inside FACT
+        (80, 256, "regions end at page 257 of 256"),
+        (56, 250, "before page"),                           # DWQ save pages
+    ])
+    def test_geometry_of_another_device_rejected(self, offset, value, why):
+        """A superblock word that cannot describe this device is typed
+        media corruption, not a mount that trips somewhere later (or,
+        for an inflated total_pages, nowhere at all)."""
+        dev = make_dev()
+        sb = Superblock(dev)
+        sb.format(Geometry.compute(256, max_inodes=64, with_dedup=True))
+        dev.write_atomic64(offset, value, persist=True)
+        with pytest.raises(CorruptImage, match=why):
+            sb.load_geometry()
 
     def test_clean_flag_roundtrip(self):
         dev = make_dev()

@@ -29,6 +29,58 @@ class TestNaming:
             reg.histogram("fs.depth")
 
 
+class TestValidatedOncePerDistinctName:
+    """Names and bucket layouts are checked once per distinct value, not
+    once per registry; what was rejected is rejected every time, and what
+    one metric type accepted says nothing about another."""
+
+    def test_invalid_names_and_buckets_raise_every_time(self):
+        for _attempt in range(3):
+            reg = MetricsRegistry()
+            with pytest.raises(ValueError, match="convention"):
+                reg.gauge("Fs.depth")
+            with pytest.raises(ValueError, match="convention"):
+                reg.counter("nodots_total")
+            with pytest.raises(ValueError, match="must end in '_total'"):
+                reg.counter("fs.writes")
+            with pytest.raises(ValueError, match="must end in '_total'"):
+                reg.counter_fn("fs.reads", lambda: 0)
+            with pytest.raises(ValueError, match="duplicate bucket"):
+                reg.histogram("fs.lat_ns", buckets=(10, 20, 20))
+            with pytest.raises(ValueError, match="duplicate bucket"):
+                Histogram("fs.lat_ns", buckets=[5, 1, 5])
+            assert len(reg) == 0
+
+    def test_a_name_valid_for_a_gauge_is_not_thereby_a_counter(self):
+        MetricsRegistry().gauge("fs.depth")
+        MetricsRegistry().histogram("fs.depth")
+        for _attempt in range(2):
+            with pytest.raises(ValueError, match="must end in '_total'"):
+                MetricsRegistry().counter("fs.depth")
+
+    def test_unsorted_buckets_are_sorted_each_time(self):
+        for _attempt in range(2):
+            h = Histogram("fs.lat_ns", buckets=[30, 10, 20])
+            assert h.bounds == (10, 20, 30)
+        assert Histogram("fs.lat_ns", buckets=[30, 10]).bounds == (10, 30)
+
+    def test_registries_given_the_same_names_share_no_metric(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        for reg in (a, b):
+            reg.counter("fs.writes_total")
+            reg.gauge("fs.depth")
+            reg.histogram("fs.lat_ns", buckets=(1, 2, 3))
+            reg.counter("fs.writes_total", labels={"tenant": "t0"})
+        assert a.names() == b.names() and len(a) == 4
+        for name in a.names():
+            assert a.get(name) is not b.get(name)
+        a.counter("fs.writes_total").inc(3)
+        a.histogram("fs.lat_ns").observe(2)
+        assert b.counter("fs.writes_total").value == 0
+        assert b.histogram("fs.lat_ns").counts == [0, 0, 0, 0]
+        assert a.histogram("fs.lat_ns").counts == [0, 1, 0, 0]
+
+
 class TestCounterGauge:
     def test_counter_inc_and_view(self):
         reg = MetricsRegistry()

@@ -16,8 +16,15 @@ one call on the real device and stays *two* on the reference (``write``,
 then ``persist`` of the same range): the reference gains nothing, so the
 fused body is held to the pair it replaced, hook for hook, including a
 crash raised between the store and the fence.
+
+The real device's content is a view of a private anonymous mapping that
+the kernel zeroes on first touch; the reference's is zero-filled memory.
+The last tests hold the two equal where that could show: over the whole
+range before any store, after each kind of crash, and through an image.
 """
 
+import mmap
+import os
 import random
 
 import numpy as np
@@ -362,3 +369,64 @@ def test_durable_store_on_top_of_volatile_lines():
     pair.do("write", 128, b"torn?" * 20)
     pair.crash("torn", 3)
     assert pair.real.read_silent(72, 8) == (0xDEADBEEF).to_bytes(8, "little")
+
+
+def test_untouched_device_reads_as_zero_filled_memory(tmp_path):
+    """No store has faulted most of the mapping in; every byte of it must
+    still read as the reference's zero-filled buffer does — fresh, after
+    a discard and a torn crash with volatile lines, and from an image."""
+    pair = Pair()
+    pair.arm(None)
+    pair.compare_media("before any store")
+    for mode in ("discard", "torn"):
+        pair.do_durable("write", SIZE - 4096 - 7, b"kept " * 40)
+        pair.do("write", 3 * CACHELINE + 5, b"lost?" * 50)
+        pair.do("write", SIZE // 2, b"n" * 9000, nt=True)
+        pair.do("clwb", 3 * CACHELINE, 128)
+        assert pair.real.volatile_lines > 140
+        pair.crash(mode, 77)        # compares the whole media
+
+    pair.do_durable("write", 70_000, b"in the image")
+    pair.do("write", 80_000, b"volatile: not in the image " * 30)
+    before = pair.real.read_silent(0, SIZE)
+    path = tmp_path / "dev.img"
+    pair.real.save_image(path)
+    assert pair.real.read_silent(0, SIZE) == before     # dump rolled back
+    loaded = PMDevice.load_image(path)
+    pair.ref.crash("discard")       # an image is what a power cycle leaves
+    assert loaded.read_silent(0, SIZE) == pair.ref.media()
+    assert (loaded.size, loaded.model, loaded.volatile_lines) \
+        == (SIZE, pair.real.model, 0)
+    assert isinstance(_buffer_owner(loaded), mmap.mmap)
+
+
+def _buffer_owner(dev):
+    """The object whose memory the device's content array is a view of."""
+    owner = dev._mem
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    # np.frombuffer holds its buffer through a memoryview.
+    return getattr(owner, "obj", owner)
+
+
+def test_content_is_a_view_of_one_private_anonymous_mapping():
+    """``np.zeros`` must not grow back unnoticed: the array, its byte
+    view and its line view are one buffer, owned by an ``mmap`` that is
+    private (``MAP_SHARED``, Python's default, is shmem) and anonymous."""
+    dev = PMDevice(SIZE)
+    mapping = _buffer_owner(dev)
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == SIZE
+    assert dev._bytes.obj is dev._mem and dev._mem_lines.base is dev._mem
+    assert dev._mem.flags.writeable and not dev._mem.flags.owndata
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to read the mapping's flags from")
+    addr = dev._mem.ctypes.data
+    with open("/proc/self/maps") as maps:
+        for line in maps:
+            span, perms, _offset, _dev, inode, *path = line.split()
+            lo, hi = (int(x, 16) for x in span.split("-"))
+            if lo <= addr < hi:
+                assert (perms, inode, path) == ("rw-p", "0", []), line
+                break
+        else:
+            pytest.fail("device memory is in no mapping of this process")
