@@ -13,7 +13,12 @@ independently persist or vanish, seeded for reproducibility.
 
 The caller provides ``build()`` returning ``(dev, scenario)`` where
 ``scenario()`` performs the workload on a freshly-made filesystem; the
-sweep replays it once per crash point.
+sweep replays it once per crash point.  A device ``build`` returns
+belongs to the function that called it: :func:`count_persist_events` and
+:func:`sweep_crash_points` close each one when they are done with it
+(its memory serves the next ``build``), except the one a failing
+``check`` was looking at; :func:`run_with_crash` hands its device on in
+the outcome.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ def count_persist_events(build: Callable[[], tuple[PMDevice, Callable]]
     dev.hooks.on_persist = on_persist
     scenario()
     dev.hooks.on_persist = None
+    dev.close()
     return counter[0]
 
 
@@ -134,11 +140,13 @@ def sweep_crash_points(
         for point in range(1, total + 1, stride):
             outcome = run_with_crash(build, point, phase=phase, mode=mode,
                                      seed=seed)
-            if not outcome.crashed:
-                continue
-            try:
-                check(outcome.dev, point, phase)
-            except Exception as exc:
-                raise CrashCheckFailed(point, phase, mode, exc) from exc
-            tested += 1
+            if outcome.crashed:
+                try:
+                    check(outcome.dev, point, phase)
+                except Exception as exc:
+                    # The device stays open: the failure's flight dump
+                    # and whoever debugs it may still read the image.
+                    raise CrashCheckFailed(point, phase, mode, exc) from exc
+                tested += 1
+            outcome.dev.close()
     return tested

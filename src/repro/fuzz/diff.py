@@ -585,6 +585,7 @@ def run_case(ops: list[TraceOp], cfg: Optional[FuzzConfig] = None,
             flight=fs.obs.flight.dump(reason="fuzz:exception")))
         return result
 
+    fs.dev.close()  # built here, checked, done: the sweep's builds reuse it
     if not sweep:
         return result
     # ---- crash sweep: all (phase, mode) combos, budget-limited --------

@@ -31,9 +31,6 @@ class CostCapture:
     def __init__(self) -> None:
         self.total_ns: float = 0.0
 
-    def add(self, ns: float) -> None:
-        self.total_ns += ns
-
 
 class SimClock:
     """A monotonically-advancing simulated clock, charged in nanoseconds."""
@@ -55,7 +52,7 @@ class SimClock:
             raise ValueError(f"negative time charge: {ns}")
         self.charged_ns += ns
         if self._captures:
-            self._captures[-1].add(ns)
+            self._captures[-1].total_ns += ns
         else:
             self.now_ns += ns
 

@@ -32,9 +32,16 @@ sets with one set operation (a store inside one line — most are — does
 both by that line's key alone); a fence that leaves nothing dirty drops
 the whole shadow at once; a crash restores all volatile lines in one
 scatter.  ``write(..., persist=True)`` is store + clwb + sfence in one
-call, held to the charges, counters and hook order of the three.
+call, held to the charges, counters and hook order of the three; on a
+device with nothing volatile its run never enters those tables unless a
+hook interrupts it.
 The shadow's key order is the order lines first became volatile — the
 order ``crash("torn")`` draws its random words in.
+
+Lifetime: whoever builds devices in a loop ends each with
+:meth:`PMDevice.close`, which hands the mapping — cleared where it was
+stored to — to the next device of that size, already faulted in.  A
+device nobody closes gives its memory back to the kernel when dropped.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -60,6 +67,48 @@ _LINE = np.dtype(f"V{CACHELINE}")  # one cache line as one array element
 
 # Exhaust an iterator at C speed (the itertools "consume" recipe).
 _consume = deque(maxlen=0).extend
+
+# Stores are noted per chunk of this many lines (64 KB) so that close()
+# clears what was stored to, not the device: a line index >> the shift
+# is its chunk.
+_CHUNK_SHIFT = 10
+_CHUNK = CACHELINE << _CHUNK_SHIFT
+# Mappings of closed devices, all zeros, oldest first, for the next
+# device of the same size; together never more than _IDLE_BYTES (a
+# sweep's 8-32 MB devices fit, a 256 MB one is simply dropped).
+_IDLE_BYTES = 64 << 20
+_idle: list[mmap.mmap] = []
+
+
+def _take_idle(size: int) -> Optional[mmap.mmap]:
+    for i, mapping in enumerate(_idle):
+        if len(mapping) == size:
+            return _idle.pop(i)
+    return None
+
+
+def _recycle(mapping: mmap.mmap, stored: set[int]) -> None:
+    """Idle a closed device's mapping, cleared where ``stored`` says it
+    was written; drop it if it cannot fit or is still viewed elsewhere."""
+    size = len(mapping)
+    if size > _IDLE_BYTES:
+        return
+    try:
+        # A same-size resize moves nothing, and mmap refuses it while
+        # any buffer of the mapping is exported: the next device must
+        # not share memory with a view that outlived this one.
+        mapping.resize(size)
+    except (BufferError, SystemError, OSError):
+        return
+    zeros = bytes(_CHUNK)
+    for chunk in stored:
+        lo = chunk * _CHUNK
+        hi = min(lo + _CHUNK, size)
+        mapping[lo:hi] = zeros[:hi - lo]
+    held = size + sum(map(len, _idle))
+    while held > _IDLE_BYTES:
+        held -= len(_idle.pop(0))
+    _idle.append(mapping)
 
 
 class CrashRequested(Exception):
@@ -97,6 +146,9 @@ class PMHooks:
     :class:`CrashRequested`.  ``on_persist`` fires on every sfence that
     commits at least one line, *before* the commit takes effect (a crash
     there leaves the lines volatile); ``on_persist_done`` fires after.
+    A hook looks (``stats``, ``volatile_lines``, ``read_silent``) or
+    raises; it does not operate the device it is called from — inside a
+    durable store the lines in flight are in no table until it raises.
     """
 
     on_write: Optional[Callable[[int, "PMDevice"], None]] = None
@@ -121,13 +173,20 @@ class PMDevice:
         self.clock = clock if clock is not None else SimClock()
         self.stats = PMStats()
         self.hooks = PMHooks()
-        # Private, not Python's default MAP_SHARED (shmem-backed: slower
-        # faults, pages charged to the page cache); huge pages keep bulk
-        # data stores from paying one 4 KB fault per page.
-        mapping = mmap.mmap(-1, size,
-                            flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        if hasattr(mmap, "MADV_HUGEPAGE"):
-            mapping.madvise(mmap.MADV_HUGEPAGE)
+        # All zeros either way: a closed device's mapping, cleared and
+        # already faulted in, or a fresh one the kernel zeroes on first
+        # touch.  Private, not Python's default MAP_SHARED (shmem-backed:
+        # slower faults, pages charged to the page cache); huge pages
+        # keep bulk data stores from paying one 4 KB fault per page.
+        mapping = _take_idle(size)
+        if mapping is None:
+            mapping = mmap.mmap(-1, size,
+                                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+            if hasattr(mmap, "MADV_HUGEPAGE"):
+                mapping.madvise(mmap.MADV_HUGEPAGE)
+        self._mapping: Optional[mmap.mmap] = mapping  # None once closed
+        # Every export of the mapping hangs off this one array, so
+        # dropping the device's views leaves the mapping unviewed.
         self._mem = np.frombuffer(mapping, dtype=np.uint8)
         # The same buffer (views, no second copy of the device): as a
         # memoryview, whose slices move bytes without building an array
@@ -140,16 +199,46 @@ class PMDevice:
         self._shadow: dict[int, bytes] = {}
         self._dirty: set[int] = set()     # stored, not yet clwb'd
         self._flushing: set[int] = set()  # clwb'd / nt-stored, not yet fenced
+        # Lines of a durable store on their way to the media that are in
+        # none of the three tables (see ``write``); 0 outside that call.
+        self._in_flight = 0
+        self._stored: set[int] = set()    # chunks ever stored to
         self._wear: Optional[np.ndarray] = (
             np.zeros(size // CACHELINE, dtype=np.uint32) if track_wear else None
         )
         self._crashed = False
 
+    def close(self) -> None:
+        """End the device and hand its memory to the next one.
+
+        For the code that built the device, once it is done with it: a
+        closed device refuses every call.  The mapping, cleared in the
+        chunks that were stored to, waits for the next device of this
+        size (see ``_recycle``); closing twice is a no-op.
+        """
+        mapping = self._mapping
+        if mapping is None:
+            return
+        # Closed is crashed for good: the data path's one state check
+        # covers it, and recover_view() refuses.
+        self._crashed = True
+        self._mapping = self._mem = self._bytes = self._mem_lines = None
+        _recycle(mapping, self._stored)
+
     # -- internals -----------------------------------------------------------
+
+    def _check_open(self) -> None:
+        if self._mapping is None:
+            raise RuntimeError("device is closed")
+
+    def _refuse(self) -> NoReturn:
+        """A call that needs a live device found it crashed (or closed)."""
+        self._check_open()
+        raise RuntimeError("device has crashed; call recover_view() first")
 
     def _check_range(self, addr: int, n: int) -> None:
         if self._crashed:
-            raise RuntimeError("device has crashed; call recover_view() first")
+            self._refuse()
         if addr < 0 or n < 0 or addr + n > self.size:
             raise ValueError(f"access [{addr}, {addr + n}) out of device bounds")
 
@@ -171,7 +260,7 @@ class PMDevice:
     def read(self, addr: int, n: int) -> bytes:
         """Read ``n`` bytes; charges one request of read latency + bandwidth."""
         if self._crashed:
-            raise RuntimeError("device has crashed; call recover_view() first")
+            self._refuse()
         end = addr + n
         if addr < 0 or n < 0 or end > self.size:
             raise ValueError(f"access [{addr}, {end}) out of device bounds")
@@ -183,6 +272,7 @@ class PMDevice:
 
     def read_silent(self, addr: int, n: int) -> bytes:
         """Read without charging cost (debug/verification use only)."""
+        self._check_open()
         if addr < 0 or n < 0 or addr + n > self.size:
             raise ValueError("out of bounds")
         return self._bytes[addr:addr + n].tobytes()
@@ -202,13 +292,13 @@ class PMDevice:
         hook, in one call.  A crash raised by ``on_write`` leaves the
         store un-flushed.
         """
+        if self._crashed:
+            self._refuse()
         n = len(data)
         if n == 0:
             if persist:
                 self.persist(addr, 0)
             return
-        if self._crashed:
-            raise RuntimeError("device has crashed; call recover_view() first")
         end = addr + n
         if addr < 0 or end > self.size:
             raise ValueError(f"access [{addr}, {end}) out of device bounds")
@@ -221,6 +311,60 @@ class PMDevice:
             data = bytes(data)
         shadow, dirty, flushing = self._shadow, self._dirty, self._flushing
         first, last = addr // CACHELINE, (end - 1) // CACHELINE
+        advance, model, hooks = self.clock.advance, self.model, self.hooks
+        if persist and not shadow:
+            # A durable store with nothing else volatile — the state
+            # NOVA-style code is in before most of its stores.  Its lines
+            # are volatile only inside this call, so they are held *in
+            # flight* (counted by ``volatile_lines``, in no table) and
+            # one pre-image of the run stands for their shadow; only a
+            # hook that raises — nothing else can observe them — has
+            # them spread over the tables, as the stores below would
+            # have left them at that point.
+            count = last - first + 1
+            if count == 1:
+                self._stored.add(first >> _CHUNK_SHIFT)
+            else:
+                self._stored.update(range(first >> _CHUNK_SHIFT,
+                                          (last >> _CHUNK_SHIFT) + 1))
+            durable = self._bytes[first * CACHELINE:
+                                  (last + 1) * CACHELINE].tobytes()
+            self._bytes[addr:end] = data
+            if nt:
+                stats.nt_writes += 1
+            self._in_flight = count
+            state = flushing if nt else dirty
+            try:
+                advance(model.write_cost(n))
+                if hooks.on_write is not None:
+                    hooks.on_write(stats.writes, self)
+                stats.clwbs += count
+                # One charge per line (see _write_back).
+                if count == 1:
+                    advance(model.clwb_ns)
+                else:
+                    _consume(map(advance, repeat(model.clwb_ns, count)))
+                state = flushing
+                stats.sfences += 1
+                fence = stats.sfences
+                advance(model.sfence_ns)
+                if hooks.on_persist is not None:
+                    hooks.on_persist(fence, self)
+            except BaseException:
+                run = range(first, last + 1)
+                shadow.update(zip(run, (
+                    durable[at:at + CACHELINE]
+                    for at in range(0, len(durable), CACHELINE))))
+                state.update(run)
+                raise
+            finally:
+                self._in_flight = 0
+            if self._wear is not None:
+                self._wear[first:last + 1] += 1
+            stats.lines_persisted += count
+            if hooks.on_persist_done is not None:
+                hooks.on_persist_done(fence, self)
+            return
         # Snapshot the durable content of the lines stored to (lines that
         # are already volatile keep their older, durable snapshot) and
         # note them as stored.  A cached store to a line with an
@@ -232,7 +376,8 @@ class PMDevice:
             # Inside one line — 8-byte atomics, 64 B log and FACT
             # entries, flag bytes: most stores — key by key.
             lines = None
-            if first not in shadow:
+            if first not in shadow:     # else noted when it got there
+                self._stored.add(first >> _CHUNK_SHIFT)
                 base = first * CACHELINE
                 shadow[first] = self._bytes[base:base + CACHELINE].tobytes()
             if nt:
@@ -244,6 +389,8 @@ class PMDevice:
         else:
             # A run of lines: one slice, one set operation.
             lines = range(first, last + 1)
+            self._stored.update(range(first >> _CHUNK_SHIFT,
+                                      (last >> _CHUNK_SHIFT) + 1))
             _consume(map(shadow.setdefault, lines,
                          self._mem_lines[first:last + 1].tolist()))
             # (A set operation against a range walks the whole range,
@@ -259,11 +406,9 @@ class PMDevice:
         self._bytes[addr:end] = data
         if nt:
             stats.nt_writes += 1
-        advance, model = self.clock.advance, self.model
         advance(model.write_cost(n))
-        on_write = self.hooks.on_write
-        if on_write is not None:
-            on_write(stats.writes, self)
+        if hooks.on_write is not None:
+            hooks.on_write(stats.writes, self)
         if not persist:
             return
         if lines is None:
@@ -309,7 +454,7 @@ class PMDevice:
     def sfence(self) -> None:
         """Drain pending write-backs; everything clwb'd/nt-stored is durable."""
         if self._crashed:
-            raise RuntimeError("device has crashed")
+            self._refuse()
         self._fence()
 
     def _fence(self) -> None:
@@ -354,7 +499,8 @@ class PMDevice:
     @property
     def volatile_lines(self) -> int:
         """Number of cache lines whose content is not yet durable."""
-        return len(self._shadow)
+        self._check_open()
+        return len(self._shadow) + self._in_flight
 
     def crash(self, mode: str = "discard",
               rng: Optional[np.random.Generator] = None) -> None:
@@ -365,6 +511,7 @@ class PMDevice:
         independently either persists or reverts (seeded ``rng``) — the
         strictest legal x86 outcome.
         """
+        self._check_open()
         if mode not in ("discard", "torn"):
             raise ValueError(f"unknown crash mode {mode!r}")
         if mode == "torn" and rng is None:
@@ -387,6 +534,7 @@ class PMDevice:
 
     def recover_view(self) -> "PMDevice":
         """Reopen the device after a crash (same media, fresh cache state)."""
+        self._check_open()
         if not self._crashed:
             raise RuntimeError("recover_view() on a device that did not crash")
         self._crashed = False
@@ -404,6 +552,7 @@ class PMDevice:
         a power cycle would leave (callers wanting everything should
         fence first).
         """
+        self._check_open()
         # Temporarily roll back to durable content for the dump.
         words, lines, durable = self._volatile_words()
         volatile = words[lines]
@@ -425,25 +574,44 @@ class PMDevice:
         with open(path, "rb") as fh:
             if fh.read(8) != cls._IMAGE_MAGIC:
                 raise ValueError(f"{path}: not a PM device image")
-            size, name_len = struct.unpack("<QB", fh.read(9))
-            model_name = fh.read(name_len).decode()
+            header = fh.read(9)
+            if len(header) < 9:
+                raise ValueError(f"{path}: truncated image")
+            size, name_len = struct.unpack("<QB", header)
+            name = fh.read(name_len)
+            if len(name) < name_len:
+                raise ValueError(f"{path}: truncated image")
+            model_name = name.decode(errors="replace")
             model = PROFILES.get(model_name)
             if model is None:
                 raise ValueError(f"{path}: unknown device model "
                                  f"{model_name!r}")
             dev = cls(size, model=model, clock=clock,
                       track_wear=track_wear)
-            if fh.readinto(dev._bytes) != size:
-                raise ValueError(f"{path}: truncated image")
+            try:
+                # Noted before the first byte lands: close() must clear a
+                # half-read image too.
+                dev._stored.update(range(-(-size // _CHUNK)))
+                if fh.readinto(dev._bytes) != size:
+                    raise ValueError(f"{path}: truncated image")
+                extra = fh.seek(0, 2) - (len(cls._IMAGE_MAGIC) + len(header)
+                                         + name_len + size)
+                if extra:
+                    raise ValueError(f"{path}: {extra} bytes after the image")
+            except BaseException:
+                dev.close()
+                raise
         return dev
 
     def wear_max(self) -> int:
         """Highest per-line persist count (endurance proxy)."""
+        self._check_open()
         if self._wear is None:
             raise RuntimeError("device created with track_wear=False")
         return int(self._wear.max())
 
     def wear_total(self) -> int:
+        self._check_open()
         if self._wear is None:
             raise RuntimeError("device created with track_wear=False")
         return int(self._wear.sum())

@@ -402,6 +402,51 @@ class TestUnmountableImage:
             assert ("bad magic" in err) == (kind == "no-magic")
 
 
+class TestDamagedImageFile:
+    """An image file cut anywhere, or longer than it declares, is one
+    ``error:`` line and exit 1 from every subcommand that takes an image
+    (a cut inside the header used to end in a ``struct.error``
+    traceback; trailing bytes were accepted and ``fsck`` said OK)."""
+
+    @staticmethod
+    def damage(kind: str, raw: bytes) -> bytes:
+        header = 17 + raw[16]               # magic, size, name length, name
+        return {"12-byte file": raw[:12],           # inside the size word
+                "16-byte file": raw[:16],           # no name length
+                "half a model name": raw[:17 + raw[16] // 2],
+                "cut body": raw[:header + (len(raw) - header) // 2],
+                "100 trailing bytes": raw + bytes(100)}[kind]
+
+    @pytest.mark.parametrize("kind", ["12-byte file", "16-byte file",
+                                      "half a model name", "cut body",
+                                      "100 trailing bytes"])
+    def test_one_error_line_from_every_subcommand(self, kind, image,
+                                                  tmp_path, capsys):
+        damaged = self.damage(kind, open(image, "rb").read())
+        (tmp_path / "src.bin").write_bytes(b"x" * 5000)
+        (tmp_path / "rules.json").write_text('{"rules": []}')
+        names = {"img": image, "src": tmp_path / "src.bin",
+                 "out": tmp_path / "out.bin",
+                 "rules": tmp_path / "rules.json"}
+        want = (f"error: {image}: 100 bytes after the image"
+                if kind == "100 trailing bytes"
+                else f"error: {image}: truncated image")
+        capsys.readouterr()
+        for template in IMAGE_TAKERS:
+            open(image, "wb").write(damaged)
+            assert main(template.format(**names).split()) == 1, template
+            out, err = capsys.readouterr()
+            assert err.splitlines() == [want], (template, err)
+            assert "invariants OK" not in out
+            assert open(image, "rb").read() == damaged     # left as found
+
+    def test_too_short_for_the_magic_is_not_an_image(self, image, capsys):
+        open(image, "wb").write(b"DENO")
+        assert main(["fsck", image]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {image}: not a PM device image\n"
+
+
 class TestFleetWorkloadHonoursEveryFlag:
     """``workload --tenants N`` used to return before ``--dedup-mode``,
     ``--staging`` and ``--trace-out`` were looked at."""

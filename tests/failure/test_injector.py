@@ -10,6 +10,7 @@ from repro.failure.injector import (
 from repro.nova import NovaFS
 from repro.nova.layout import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
+from repro.pm import device as device_module
 
 
 def build():
@@ -117,3 +118,63 @@ def test_recovery_mount_works_at_every_point():
 
     tested = sweep_crash_points(build, check, stride=5)
     assert tested > 0
+
+
+# -- the sweep owns the devices ``build`` returns ----------------------------
+
+
+def _is_closed(dev) -> bool:
+    try:
+        dev.read_silent(0, 1)
+    except RuntimeError as exc:
+        assert str(exc) == "device is closed"
+        return True
+    return False
+
+
+def _counting(built: list):
+    def counted():
+        dev, scenario = build()
+        built.append(dev)
+        return dev, scenario
+    return counted
+
+
+def test_counting_pass_closes_its_device():
+    built = []
+    assert count_persist_events(_counting(built)) > 0
+    assert len(built) == 1 and _is_closed(built[0])
+
+
+def test_sweep_leaves_no_device_it_built_open():
+    """Crashed-and-checked devices, and the ones whose scenario finished
+    before the point (``total`` overstated), all end closed — and only
+    after ``check`` has had the device live."""
+    built = []
+    total = count_persist_events(build)
+    device_module._idle.clear()
+
+    def check(dev, point, phase):
+        assert dev is built[-1] and not _is_closed(dev)
+        NovaFS.mount(dev)
+
+    tested = sweep_crash_points(_counting(built), check, stride=9,
+                                total=total + 20)
+    assert 0 < tested < len(built)
+    assert all(_is_closed(dev) for dev in built)
+    # One mapping served them all.
+    assert [len(m) for m in device_module._idle] == [built[0].size]
+
+
+def test_failing_check_keeps_its_device_open():
+    built = []
+
+    def check(dev, point, phase):
+        if point == 3:
+            raise RuntimeError("boom")
+
+    with pytest.raises(AssertionError, match=r"event #3 \(pre-commit"):
+        sweep_crash_points(_counting(built), check, phases=("pre",))
+    # counting pass + points 1, 2 closed; the failing one readable.
+    assert [_is_closed(dev) for dev in built] == [True, True, True, False]
+    assert any(built[-1].read_silent(0, 4096))

@@ -130,6 +130,46 @@ class TestRunCase:
         assert [str(v) for v in r1.violations] == \
                [str(v) for v in r2.violations]
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every device ``run_case`` builds, in order."""
+        import repro.fuzz.diff as diff
+
+        devices = []
+
+        def counting_make_fs(cfg):
+            fs = make_fs(cfg)
+            devices.append(fs.dev)
+            return fs
+
+        monkeypatch.setattr(diff, "make_fs", counting_make_fs)
+        return devices
+
+    def test_a_clean_case_leaves_no_device_open(self, built):
+        """Clean pass, counting pass and every swept build: each device
+        ``run_case`` had made is closed once it has been checked."""
+        ops = generate_sequence(seed=12, stream=0, nops=30)
+        res = run_case(ops, FuzzConfig(seed=0, budget=4))
+        assert res.ok and res.crash_points > 0
+        assert len(built) >= 2 + res.crash_points
+        for dev in built:
+            with pytest.raises(RuntimeError, match="^device is closed$"):
+                dev.read_silent(0, 1)
+
+    def test_a_diverging_clean_pass_keeps_its_device(self, built,
+                                                     monkeypatch):
+        import repro.fuzz.diff as diff
+
+        def diverge(fs, model):
+            raise OracleDivergence("toy")
+
+        monkeypatch.setattr(diff, "full_equivalence_check", diverge)
+        res = run_case([TraceOp(op="create", path="/a")],
+                       FuzzConfig(seed=0, budget=4))
+        assert [v.stage for v in res.violations] == ["clean"]
+        (dev,) = built
+        assert any(dev.read_silent(0, 4096))
+
 
 class TestRegressions:
     def test_seed0_stream157_stale_fact_entry(self):

@@ -237,3 +237,70 @@ class TestHooksAndWear:
         dev = make_dev()
         with pytest.raises(RuntimeError):
             dev.wear_max()
+
+
+class TestClose:
+    """``close()`` ends a device; afterwards every public method is the
+    same typed error — not a ``TypeError`` on a dropped view, not the
+    crashed device's "call recover_view() first"."""
+
+    CALLS = {
+        "read": lambda d: d.read(0, 8),
+        "read_silent": lambda d: d.read_silent(0, 8),
+        "read_u32": lambda d: d.read_u32(0),
+        "read_u64": lambda d: d.read_u64(0),
+        "write": lambda d: d.write(0, b"x"),
+        "write empty": lambda d: d.write(0, b""),
+        "write durable": lambda d: d.write(0, b"x" * 200, persist=True),
+        "write empty durable": lambda d: d.write(0, b"", persist=True),
+        "write_atomic64": lambda d: d.write_atomic64(0, 1, persist=True),
+        "write_u32": lambda d: d.write_u32(0, 1),
+        "zero_range": lambda d: d.zero_range(0, 4096, persist=True),
+        "clwb": lambda d: d.clwb(0, 64),
+        "sfence": lambda d: d.sfence(),
+        "persist": lambda d: d.persist(0, 64),
+        "crash": lambda d: d.crash(),
+        "crash torn": lambda d: d.crash("torn"),
+        "recover_view": lambda d: d.recover_view(),
+        "wear_max": lambda d: d.wear_max(),
+        "wear_total": lambda d: d.wear_total(),
+        "volatile_lines": lambda d: d.volatile_lines,
+    }
+
+    @pytest.mark.parametrize("state", ["live", "volatile", "crashed"])
+    def test_every_method_of_a_closed_device_is_one_typed_error(
+            self, state, tmp_path):
+        dev = make_dev(track_wear=True)
+        dev.write(0, b"durable", persist=True)
+        if state != "live":
+            dev.write(4096, b"volatile" * 100)
+        if state == "crashed":
+            dev.crash()
+        dev.close()
+        calls = dict(self.CALLS,
+                     save_image=lambda d: d.save_image(tmp_path / "x.img"))
+        for name, call in calls.items():
+            with pytest.raises(RuntimeError) as err:
+                call(dev)
+            assert str(err.value) == "device is closed", name
+        assert not (tmp_path / "x.img").exists()
+        dev.close()                     # twice: a no-op
+        assert (dev.size, dev.model) == (4096 * 4, DRAM)    # still told
+
+    def test_the_list_covers_every_public_method(self):
+        public = {name for name, member in vars(PMDevice).items()
+                  if not name.startswith("_")
+                  and (callable(member) or isinstance(member, property))}
+        covered = {name.split()[0] for name in self.CALLS} | {"save_image"}
+        assert public - covered - {"load_image"} == {"close"}
+
+    def test_a_crashed_device_still_says_so(self):
+        dev = make_dev()
+        dev.crash()
+        for call in (lambda: dev.read(0, 1), lambda: dev.write(0, b"x"),
+                     lambda: dev.write(0, b""), dev.sfence,
+                     lambda: dev.clwb(0, 64)):
+            with pytest.raises(RuntimeError, match="has crashed; call "
+                                                   "recover_view"):
+                call()
+        assert dev.read_silent(0, 1) == b"\0" and dev.volatile_lines == 0

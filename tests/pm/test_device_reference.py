@@ -17,12 +17,21 @@ then ``persist`` of the same range): the reference gains nothing, so the
 fused body is held to the pair it replaced, hook for hook, including a
 crash raised between the store and the fence.
 
+On a device with nothing volatile the durable store runs a body of its
+own, its lines held *in flight* instead of in the per-line tables; the
+directed tests put every shape of run through it, crash it out of every
+hook, and require the reference's media after both kinds of crash — and
+require the table body for the same store on top of volatile lines.
+
 The real device's content is a view of a private anonymous mapping that
 the kernel zeroes on first touch; the reference's is zero-filled memory.
-The last tests hold the two equal where that could show: over the whole
-range before any store, after each kind of crash, and through an image.
+The tests after those hold the two equal where that could show: over the
+whole range before any store, after each kind of crash, and through an
+image.  The last ones close devices: the next device of that size gets
+the mapping, and must be the reference's fresh device all the same.
 """
 
+import hashlib
 import mmap
 import os
 import random
@@ -30,7 +39,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.pm import CACHELINE, CrashRequested, PMDevice, SimClock
+from repro.pm import CACHELINE, CrashRequested, PMDevice, PMStats, SimClock
+from repro.pm import device as device_module
 
 from .reference_device import PerLineDevice
 
@@ -66,6 +76,9 @@ class Pair:
         self.events = {id(self.real): [], id(self.ref): []}
         self.trip_at = None         # (hook name, nth event from now)
         self.fused_trips = set()    # hooks that crashed a durable store
+        # Durable stores by the body that ran them, as on_write saw it.
+        self.bodies = {"in flight": 0, "tables": 0}
+        self.in_durable = False
         for dev in (self.real, self.ref):
             for name in ("on_write", "on_persist", "on_persist_done"):
                 setattr(dev.hooks, name, self._hook(name))
@@ -74,6 +87,9 @@ class Pair:
         def fire(count, dev):
             log = self.events[id(dev)]
             log.append((name, count, dev.volatile_lines))
+            if dev is self.real and self.in_durable and name == "on_write":
+                assert bool(dev._in_flight) != bool(dev._shadow)
+                self.bodies["in flight" if dev._in_flight else "tables"] += 1
             if self.trip_at and self.trip_at[0] == name:
                 seen = sum(1 for ev in log[self.round_start[id(dev)]:]
                            if ev[0] == name)
@@ -122,9 +138,14 @@ class Pair:
             getattr(self.ref, ref_op)(addr, ref_payload, **kw)
             self.ref.persist(addr, n)
 
-        crashed = self._both(
-            lambda: getattr(self.real, op)(addr, payload, persist=True, **kw),
-            two_calls, (op, addr, "persist=True"))
+        self.in_durable = True
+        try:
+            crashed = self._both(
+                lambda: getattr(self.real, op)(addr, payload, persist=True,
+                                               **kw),
+                two_calls, (op, addr, "persist=True"))
+        finally:
+            self.in_durable = False
         if crashed:
             self.fused_trips.add(self.trip_at[0])
         return crashed
@@ -221,6 +242,23 @@ def _durable_store(rng, pair, recent):
     return pair.do_durable("zero_range", addr, n, nt=rng.random() < 0.7)
 
 
+def _fence_everything(pair):
+    """``clwb`` every volatile run, then ``sfence``: unless a hook trips,
+    nothing is volatile afterwards — mid-round, with stats, clock and
+    hook counts well away from a fresh device's."""
+    runs = []
+    for line in sorted(pair.ref.shadow):
+        if runs and sum(runs[-1]) == line:
+            runs[-1][1] += 1
+        else:
+            runs.append([line, 1])
+    for start, count in runs:
+        pair.do("clwb", start * CACHELINE, count * CACHELINE)
+    crashed = pair.do("sfence")
+    assert crashed or pair.real.volatile_lines == 0
+    return crashed
+
+
 def run_rounds(seed, track_wear=False, rounds=ROUNDS):
     rng = random.Random(seed)
     pair = Pair(track_wear=track_wear)
@@ -234,7 +272,9 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS):
             None)))
         for _ in range(STEPS_PER_ROUND):
             roll = rng.random()
-            if roll < 0.30:
+            if roll < 0.04:
+                crashed = _fence_everything(pair)
+            elif roll < 0.30:
                 addr, data, nt = _store_args(rng, recent)
                 crashed = pair.do("write", addr, data, nt=nt)
                 assert pair.real.read_silent(addr, len(data)) == bytes(data)
@@ -267,6 +307,7 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS):
 def test_random_sequences_match_the_per_line_reference():
     mid_fence = lines = 0
     fused_trips = set()
+    bodies = {"in flight": 0, "tables": 0}
     for seed in range(8):
         try:
             pair, n = run_rounds(seed)
@@ -277,11 +318,15 @@ def test_random_sequences_match_the_per_line_reference():
         mid_fence += n
         lines += stats.lines_persisted
         fused_trips |= pair.fused_trips
+        for body, count in pair.bodies.items():
+            bodies[body] += count
     # The generator reached the cases the comparison is there for.
     assert mid_fence >= 8           # CrashRequested out of on_persist[_done]
     assert lines > 20_000
     # ... including each hook crashing *inside* a durable store.
     assert fused_trips == {"on_write", "on_persist", "on_persist_done"}
+    # ... and both bodies of the durable store, many times each.
+    assert min(bodies.values()) >= 50, bodies
 
 
 def test_wear_counts_match_the_per_line_reference():
@@ -371,6 +416,69 @@ def test_durable_store_on_top_of_volatile_lines():
     assert pair.real.read_silent(72, 8) == (0xDEADBEEF).to_bytes(8, "little")
 
 
+#: ``(first byte, length, lines covered)`` of the directed durable stores:
+#: 1, 2, 64 and 4 096 lines (the last crosses four 64 KB chunks), each
+#: line-aligned and not.
+RUNS = [(100 * CACHELINE, CACHELINE, 1), (100 * CACHELINE + 8, 8, 1)]
+RUNS += [(line * CACHELINE + skew, (n - 1) * CACHELINE + (0 if skew else 64),
+          n)
+         for n, line in ((2, 300), (64, 1000), (4096, 5000))
+         for skew in (0, 37)]
+
+
+@pytest.mark.parametrize("end", ["discard", "torn", "fence, torn"])
+@pytest.mark.parametrize("hook", [None, "on_write", "on_persist",
+                                  "on_persist_done"])
+@pytest.mark.parametrize("nt", [False, True])
+def test_durable_store_on_a_quiescent_device(nt, hook, end):
+    """Nothing is volatile, so the run is held in flight — and is still
+    the reference's ``write`` + ``persist`` to every observer: charges,
+    stats, hook events with their ``volatile_lines``, and the media a
+    crash leaves when it comes out of each hook — at once, or after a
+    fence that retires the interrupted run only if it was written back
+    (non-temporal, or interrupted after its ``clwb``)."""
+    for addr, n, lines in RUNS:
+        pair = Pair()
+        pair.arm(None)
+        # Durable content under the run, so a revert is not to zeros.
+        pair.do_durable("write", addr - 64, bytes(range(1, 256)) * (n // 255 + 2))
+        assert pair.real.volatile_lines == 0
+        pair.arm((hook, 1) if hook else None)
+        persisted = pair.real.stats.lines_persisted
+        crashed = pair.do_durable("write", addr, b"\xa5" * n, nt=nt)
+        assert crashed == (hook is not None), (addr, n)
+        assert pair.bodies == {"in flight": 2, "tables": 0}
+        assert ("on_write", 2, lines) in pair.events[id(pair.real)][-3:]
+        durable = hook in (None, "on_persist_done")
+        assert pair.real.volatile_lines == (0 if durable else lines)
+        assert pair.real.stats.lines_persisted - persisted \
+            == (lines if durable else 0)
+        if end == "fence, torn":
+            pair.do("sfence")
+            durable = durable or nt or hook == "on_persist"
+            assert pair.real.volatile_lines == (0 if durable else lines)
+        pair.crash(end.split(", ")[-1], 1000 + lines)   # compares all media
+        kept = pair.real.read_silent(addr, n) == b"\xa5" * n
+        assert kept if durable else (end != "discard" or not kept)
+
+
+@pytest.mark.parametrize("under", ["dirty", "flushing"])
+@pytest.mark.parametrize("hook", [None, "on_write", "on_persist"])
+def test_durable_store_on_volatile_lines_takes_the_tables(under, hook):
+    """One volatile line anywhere — under the run or far from it — and
+    the same stores go through the per-line tables, as before."""
+    for addr, n, lines in RUNS:
+        for at in (addr, addr + n - 1, 7 * CACHELINE):
+            pair = Pair()
+            pair.arm(None)
+            pair.do("write", at, b"v", nt=under == "flushing")
+            pair.arm((hook, 1) if hook else None)
+            crashed = pair.do_durable("write", addr, b"\x5a" * n)
+            assert crashed == (hook is not None)
+            assert pair.bodies == {"in flight": 0, "tables": 1}
+            pair.crash("torn", 2000 + lines)
+
+
 def test_untouched_device_reads_as_zero_filled_memory(tmp_path):
     """No store has faulted most of the mapping in; every byte of it must
     still read as the reference's zero-filled buffer does — fresh, after
@@ -430,3 +538,155 @@ def test_content_is_a_view_of_one_private_anonymous_mapping():
                 break
         else:
             pytest.fail("device memory is in no mapping of this process")
+
+
+# -- lifetime: close() hands the mapping to the next device of its size -----
+
+ODD_SIZE = SIZE + 3 * CACHELINE     # the last chunk is three lines long
+
+
+@pytest.fixture
+def idle():
+    """The module's idle list, empty before the test and after it."""
+    device_module._idle.clear()
+    yield device_module._idle
+    device_module._idle.clear()
+
+
+def _zero_digest(size):
+    return hashlib.sha256(PerLineDevice(size, clock=SimClock()).media()).digest()
+
+
+def _assert_fresh(dev, size):
+    """Indistinguishable from a device on a mapping of its own."""
+    assert hashlib.sha256(dev.read_silent(0, size)).digest() \
+        == _zero_digest(size)
+    assert dev.stats == PMStats()
+    assert (dev.clock.now_ns, dev.clock.charged_ns) == (0.0, 0.0)
+    assert (dev.hooks.on_write, dev.hooks.on_persist,
+            dev.hooks.on_persist_done) == (None, None, None)
+    assert dev.volatile_lines == 0
+    assert not (dev._shadow or dev._dirty or dev._flushing or dev._stored
+                or dev._in_flight)
+    dev.write(0, b"usable")
+    with pytest.raises(RuntimeError, match="did not crash"):
+        dev.recover_view()
+
+
+def _a_lifetime(rng, dev, tmp_path):
+    """Stores anywhere (the last byte, across chunk boundaries), durable
+    and not, a torn crash, an image written with lines still volatile."""
+    size, chunk = dev.size, device_module._CHUNK
+    dev.hooks.on_write = lambda count, d: None
+    dev.write(size - 1, b"\xff", persist=rng.random() < 0.5)
+    for _ in range(rng.randint(1, 12)):
+        n = rng.choice((1, 8, 64, 4096, 3 * chunk + 5))
+        if rng.random() < 0.4:      # straddle a chunk boundary
+            addr = rng.randrange(1, size // chunk) * chunk - rng.randint(1, n)
+        else:
+            addr = rng.randrange(size - n)
+        addr = max(0, min(addr, size - n))
+        dev.write(addr, rng.randbytes(n), nt=rng.random() < 0.5,
+                  persist=rng.random() < 0.5)
+    if rng.random() < 0.5:
+        dev.crash("torn", rng=np.random.default_rng(rng.getrandbits(32)))
+        dev.recover_view()
+        dev.write(rng.randrange(size - 8), b"after!")
+    if rng.random() < 0.5:
+        dev.save_image(tmp_path / "mid.img")        # rolls back, restores
+
+
+@pytest.mark.parametrize("size", [SIZE, ODD_SIZE])
+def test_closed_devices_mapping_serves_the_next_device_all_zero(
+        size, idle, tmp_path):
+    rng = random.Random(size)
+    first = PMDevice(size, track_wear=True)
+    mapping = _buffer_owner(first)
+    dev = first
+    for life in range(12):
+        assert _buffer_owner(dev) is mapping, life  # recycled, every time
+        _a_lifetime(rng, dev, tmp_path)
+        dev.close()
+        assert idle == [mapping]
+        dev = PMDevice(size, clock=SimClock(), track_wear=life % 2 == 0)
+        assert idle == []
+        _assert_fresh(dev, size)
+    assert isinstance(mapping, mmap.mmap) and len(mapping) == size
+
+
+def test_loaded_and_half_loaded_images_are_cleared_too(idle, tmp_path):
+    src = PMDevice(ODD_SIZE)
+    src.write(ODD_SIZE - 70, b"\xee" * 70, persist=True)
+    for addr in range(0, ODD_SIZE - 4096, 50_000):
+        src.write(addr, b"\xdd" * 4096, persist=True)
+    path = tmp_path / "full.img"
+    src.save_image(path)
+    raw = path.read_bytes()
+
+    loaded = PMDevice.load_image(path)
+    assert loaded.read_silent(0, ODD_SIZE) == src.read_silent(0, ODD_SIZE)
+    loaded.close()
+    _assert_fresh(PMDevice(ODD_SIZE, clock=SimClock()), ODD_SIZE)
+
+    # Cut in the body: readinto() has filled most of a mapping — possibly
+    # one taken from the idle list — before load_image can tell.
+    PMDevice(ODD_SIZE).close()
+    (mapping,) = idle
+    cut = tmp_path / "cut.img"
+    cut.write_bytes(raw[:-1000])
+    with pytest.raises(ValueError, match="truncated image"):
+        PMDevice.load_image(cut)
+    assert idle == [mapping]        # closed, cleared, idle again
+    _assert_fresh(PMDevice(ODD_SIZE, clock=SimClock()), ODD_SIZE)
+
+    PMDevice(ODD_SIZE).close()
+    cut.write_bytes(raw + bytes(100))
+    with pytest.raises(ValueError, match="100 bytes after the image"):
+        PMDevice.load_image(cut)
+    _assert_fresh(PMDevice(ODD_SIZE, clock=SimClock()), ODD_SIZE)
+
+
+def test_a_device_of_another_size_gets_a_mapping_of_its_own(idle):
+    small = PMDevice(SIZE)
+    small.write(0, b"x" * 100, persist=True)
+    mapping = _buffer_owner(small)
+    small.close()
+    other = PMDevice(2 * SIZE)
+    assert _buffer_owner(other) is not mapping and idle == [mapping]
+    assert len(_buffer_owner(other)) == 2 * SIZE
+    assert _buffer_owner(PMDevice(SIZE)) is mapping
+
+
+def test_idle_list_stays_within_its_bound(idle):
+    bound = device_module._IDLE_BYTES
+    for size in (bound // 4, bound // 2, bound // 4 + CACHELINE, bound // 2,
+                 bound // 8, bound, bound + CACHELINE, bound // 4):
+        for dev in (PMDevice(size), PMDevice(size)):
+            dev.write(size - 8, b"12345678")
+            before = list(idle)
+            dev.close()
+            assert sum(map(len, idle)) <= bound
+            if size <= bound:       # idled, the oldest evicted to fit
+                assert len(idle[-1]) == size
+                assert idle[:-1] == before[len(before) - len(idle) + 1:]
+            else:                   # dropped, and nothing evicted for it
+                assert idle == before
+
+
+def test_a_mapping_still_viewed_elsewhere_is_not_recycled(idle):
+    for view_of in (lambda d: d._mem[100:200],          # an array slice
+                    lambda d: d._bytes[100:200],        # a memoryview slice
+                    lambda d: memoryview(_buffer_owner(d))):
+        dev = PMDevice(SIZE)
+        dev.write(150, b"still here", persist=True)
+        mapping = _buffer_owner(dev)
+        view = view_of(dev)
+        dev.close()
+        assert idle == []
+        # Dropped as before close() existed: the view keeps its memory,
+        # untouched, and the next device has a mapping of its own.
+        assert bytes(mapping[150:160]) == b"still here"
+        nxt = PMDevice(SIZE)
+        assert _buffer_owner(nxt) is not mapping
+        _assert_fresh(nxt, SIZE)
+        del view
