@@ -206,10 +206,18 @@ def cmd_put(args) -> int:
 
 
 def cmd_get(args) -> int:
+    from repro.nova.fs import IsADirectory
+    from repro.nova.inode import ITYPE_DIR
+
     fs = _open_fs(args.image)
     streamed = _streamed_counter(fs)
     ino = fs.lookup(args.path)
-    size = fs.stat(ino).size
+    st = fs.stat(ino)
+    if st.itype == ITYPE_DIR:
+        # A directory's size is 0: the loop below would never reach the
+        # fs.read that refuses it.  Before the destination is touched.
+        raise IsADirectory(args.path)
+    size = st.size
     out = sys.stdout.buffer if args.dest == "-" else open(args.dest, "wb")
     try:
         offset = 0

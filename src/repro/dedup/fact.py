@@ -505,15 +505,18 @@ class FACT:
 
     # ------------------------------------------------------------ bulk scans
 
-    def _scan(self) -> np.ndarray:
+    def _scan(self, *fields: str) -> dict[str, np.ndarray]:
         """Vectorized whole-table scan (recovery / analysis).
 
-        Charges one bulk NVM read for the region, then decodes with a
-        NumPy structured view — no per-entry Python loop for the common
-        fields (per the HPC guides: vectorize the bulk path).
+        Charges one bulk NVM read for the region and returns the named
+        columns of :data:`_SCAN_DTYPE` as they are at that moment —
+        copies, a column each, decoded off the device's own bytes: no
+        per-entry Python loop for the common fields (per the HPC guides:
+        vectorize the bulk path) and nothing table-sized allocated.
         """
-        raw = self.dev.read(self.base, self.total * ENTRY)
-        return np.frombuffer(raw, dtype=_SCAN_DTYPE)
+        table = np.frombuffer(self.dev.read_view(self.base, self.total * ENTRY),
+                              dtype=_SCAN_DTYPE)
+        return {name: table[name].copy() for name in fields}
 
     def rebuild_iaa_free(self) -> int:
         """Rebuild the volatile IAA free list from a (charged) table scan.
@@ -523,21 +526,24 @@ class FACT:
         slot free, which is only true for a freshly-formatted FACT.
         Returns the number of free IAA slots.
         """
-        free = np.flatnonzero(self._scan()["block"][self.daa_size:] == 0)
+        free = np.flatnonzero(
+            self._scan("block")["block"][self.daa_size:] == 0)
         self._iaa_free = (free[::-1] + self.daa_size).tolist()  # high first
         return len(self._iaa_free)
 
-    def _active_heads(self, arr: np.ndarray) -> list[int]:
-        """DAA heads of a scanned table with anything to walk or check.
+    def _active_heads(self, block: np.ndarray, nxt: np.ndarray,
+                      prev: np.ndarray) -> list[int]:
+        """DAA heads of a scanned table (its ``block``, ``next`` and
+        ``prev`` columns) with anything to walk or check.
 
         A head whose ``block``, ``next`` and ``prev`` are all zero is an
         empty chain with no commit flag: the whole-table passes have
         nothing to verify, repair or count there, and almost every head
         of a 2^n-entry DAA is one.
         """
-        heads = arr[:self.daa_size]
-        return np.flatnonzero((heads["block"] != 0) | (heads["next"] != 0)
-                              | (heads["prev"] != 0)).tolist()
+        daa = self.daa_size
+        return np.flatnonzero((block[:daa] != 0) | (nxt[:daa] != 0)
+                              | (prev[:daa] != 0)).tolist()
 
     def iaa_occupied(self) -> list[int]:
         """What a checkpoint records for :meth:`restore_iaa_free`."""
@@ -580,7 +586,7 @@ class FACT:
         daa_used = int(valid[:self.daa_size].sum())
         iaa_used = int(valid[self.daa_size:].sum())
         lengths = []
-        for head in self._active_heads(arr):
+        for head in self._active_heads(arr["block"], nxt, arr["prev"]):
             if valid[head] or nxt[head]:
                 n = 0
                 idx = head
@@ -615,16 +621,15 @@ class FACT:
         from repro.dedup.reorder import recover_reorder
         report = {"reorders_recovered": 0, "orphans_zeroed": 0,
                   "prevs_fixed": 0, "deletes_cleared": 0}
-        arr = self._scan()
+        flags = self._scan("prev")["prev"][:self.daa_size]
         # Pass 1: reorder recovery on chains whose commit flag is set.
-        for head in np.flatnonzero(arr["prev"][:self.daa_size]).tolist():
+        for head in np.flatnonzero(flags).tolist():
             recover_reorder(self, head)
             report["reorders_recovered"] += 1
-        arr = self._scan()
-        prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
+        prev, nxt, blocks = self._scan("prev", "next", "block").values()
         # Pass 2: canonicalize prev links; collect linked IAA slots.
         linked: set[int] = set()
-        for head in self._active_heads(arr):
+        for head in self._active_heads(blocks, nxt, prev):
             prev_idx = -1
             idx = head
             hops = 0
@@ -651,11 +656,8 @@ class FACT:
                     report["deletes_cleared"] += 1
                 self._write_fields(idx, 0, 0, -1, -1, bytes(FP_BYTES))
                 report["orphans_zeroed"] += 1
-        # Pass 4: delete-pointer validation.  (A scan is a table-sized
-        # copy: let go of the last one before taking the next.)
-        del arr, prev, nxt, blocks
-        arr = self._scan()
-        deletes, blocks = arr["delete"], arr["block"]
+        # Pass 4: delete-pointer validation.
+        deletes, blocks = self._scan("delete", "block").values()
         for slot in np.flatnonzero(deletes).tolist():
             tgt = int(deletes[slot]) - 1
             if tgt >= self.total or blocks[tgt] != slot:
@@ -667,18 +669,18 @@ class FACT:
 
     def discard_all_uc(self) -> int:
         """§V-C1: leftover UCs are failed transactions — zero them."""
-        arr = self._scan()
+        counts = self._scan("counts")["counts"]
         discarded = 0
-        for idx in np.nonzero(arr["counts"] >> 32)[0]:
+        for idx in np.nonzero(counts >> 32)[0]:
             self.discard_uc(int(idx))
             discarded += 1
         return discarded
 
     def remove_dead(self) -> int:
         """Remove linked entries with RFC == 0 and UC == 0."""
-        arr = self._scan()
+        blocks, counts = self._scan("block", "counts").values()
         removed = 0
-        for idx in np.nonzero((arr["block"] != 0) & (arr["counts"] == 0))[0]:
+        for idx in np.nonzero((blocks != 0) & (counts == 0))[0]:
             self.remove(int(idx))
             removed += 1
         return removed
@@ -692,7 +694,7 @@ class FACT:
                             dtype=_SCAN_DTYPE)
         prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
         linked: set[int] = set()
-        for head in self._active_heads(arr):
+        for head in self._active_heads(blocks, nxt, prev):
             if int(prev[head]) != 0:
                 raise FactCorruption(
                     f"head {head}: reorder commit flag left set")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import repeat
 
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Geometry
 from repro.pm.device import PMDevice
@@ -41,6 +40,11 @@ _OFF_LOG_HEAD = 24
 _OFF_LOG_TAIL = 32
 _OFF_SIZE = 16
 _OFF_VALID = 8
+
+# Slots per device scan of the valid column: a scan copies its whole run
+# before it looks for the stop byte, so a densely valid table of any size
+# costs each resumed scan at most this much.
+_SCAN_RUN = 1024
 
 
 @dataclass
@@ -101,19 +105,29 @@ class InodeTable:
 
     # -- allocation ------------------------------------------------------------------
 
-    def _scan_valid(self, inos: range):
-        """``(ino, valid byte)`` for a run of the table, each byte read
-        as the caller reaches it: one charged 1-byte read per record
-        models the mount-time table scan."""
-        first = self.addr_of(inos.start) + _OFF_VALID
-        addrs = range(first, first + (inos.stop - inos.start) * INODE_SIZE,
-                      inos.step * INODE_SIZE)
-        return zip(inos, map(self.dev.read, addrs, repeat(1)))
+    def _valid_inos(self):
+        """Every ino whose valid byte reads 1, in table order: one
+        charged 1-byte read per record models the mount-time table scan.
+
+        Each device scan runs to the next such byte and the next one
+        starts behind it, so a slot is read only once the caller has
+        been handed every valid one before it.
+        """
+        ino = 1
+        while ino <= self.capacity:
+            flags = self.dev.scan(self.addr_of(ino) + _OFF_VALID, INODE_SIZE,
+                                  min(self.capacity - ino + 1, _SCAN_RUN),
+                                  stop=1)
+            ino += len(flags)
+            if flags[-1] == 1:
+                yield ino - 1
 
     def _scan_free(self) -> None:
-        top_down = range(self.capacity, 1, -1)  # pop() hands out low inos
-        self._free = [ino for ino, valid in self._scan_valid(top_down)
-                      if valid == b"\x00"]
+        flags = self.dev.scan(self.addr_of(2) + _OFF_VALID, INODE_SIZE,
+                              self.capacity - 1)
+        # Highest first: pop() hands out low inos.
+        self._free = [ino for ino in range(self.capacity, 1, -1)
+                      if not flags[ino - 2]]
         self._free_scanned = True
 
     def alloc(self) -> int:
@@ -174,11 +188,10 @@ class InodeTable:
 
     def iter_valid(self):
         """Yield every valid, self-consistent inode record."""
-        for ino, valid in self._scan_valid(range(1, self.capacity + 1)):
-            if valid == b"\x01":
-                rec = self.read(ino)
-                if rec.ino == ino:
-                    yield rec
+        for ino in self._valid_inos():
+            rec = self.read(ino)
+            if rec.ino == ino:
+                yield rec
 
     def fsck(self) -> int:
         """Release half-written records (torn crash during create).
@@ -189,9 +202,7 @@ class InodeTable:
         correct completion of the interrupted create.
         """
         released = 0
-        for ino, valid in self._scan_valid(range(1, self.capacity + 1)):
-            if valid != b"\x01":
-                continue
+        for ino in self._valid_inos():
             rec = self.read(ino)
             if rec.ino != ino or rec.itype not in (ITYPE_FILE, ITYPE_DIR,
                                                    ITYPE_SYMLINK):

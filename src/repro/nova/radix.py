@@ -85,9 +85,10 @@ class FileIndex:
         """
         obsolete: list[int] = []
         dead: list[int] = []
+        # One slot touch per page; nothing else in the loop charges.
+        self._clock.advance_n(self._cpu.dram_touch_ns, entry.num_pages)
         for pgoff in range(entry.file_pgoff,
                            entry.file_pgoff + entry.num_pages):
-            self._clock.advance(self._cpu.dram_touch_ns)
             old = self._slots.get(pgoff)
             self._slots[pgoff] = (addr, entry)
             if old is not None:
@@ -117,8 +118,9 @@ class FileIndex:
         """Drop mappings at ``pgoff >= keep_pages`` (setattr replay)."""
         obsolete: list[int] = []
         dead: list[int] = []
-        for pgoff in [p for p in self._slots if p >= keep_pages]:
-            self._clock.advance(self._cpu.dram_touch_ns)
+        dropped = [p for p in self._slots if p >= keep_pages]
+        self._clock.advance_n(self._cpu.dram_touch_ns, len(dropped))
+        for pgoff in dropped:
             addr, entry = self._slots.pop(pgoff)
             obsolete.append(entry.block_for(pgoff))
             remaining = self._live_pages[addr] - 1
@@ -143,8 +145,9 @@ class FileIndex:
         both break runs.
         """
         runs: list[list[int]] = []
-        for pgoff in self.mapped_offsets:
-            self._clock.advance(self._cpu.dram_touch_ns)
+        offsets = self.mapped_offsets
+        self._clock.advance_n(self._cpu.dram_touch_ns, len(offsets))
+        for pgoff in offsets:
             _addr, entry = self._slots[pgoff]
             extend_runs(runs, pgoff, entry.block_for(pgoff))
         return [tuple(r) for r in runs]

@@ -18,9 +18,20 @@ Two usage modes:
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["SimClock", "CostCapture"]
+
+# ``advance_n`` below this many charges folds with ``reduce`` (≈ 20 ns an
+# add, no set-up); from it on with ``np.add.accumulate`` (≈ 3 ns an add
+# after ≈ 2 µs of array set-up).  Both are running sums — the adds of the
+# ``advance`` loop, left to right.  Never ``sum()``: 3.12 compensates it.
+_ACCUMULATE_FROM = 40
 
 
 class CostCapture:
@@ -56,6 +67,38 @@ class SimClock:
         else:
             self.now_ns += ns
 
+    def advance_n(self, ns: float, n: int) -> None:
+        """Charge ``ns`` of simulated work ``n`` times.
+
+        By contract ``n`` calls of ``advance(ns)`` — the same float adds
+        to ``charged_ns`` and to the innermost capture (or ``now_ns``),
+        in the same order — executed as one fold in C.  On a clock whose
+        ``advance`` was replaced (a recording subclass, a tracer's patch)
+        it *is* those calls, so the replacement is handed every charge.
+        """
+        if ns < 0:
+            raise ValueError(f"negative time charge: {ns}")
+        if type(self).advance is not _ADVANCE:
+            for _ in range(n):
+                self.advance(ns)
+            return
+        capture = self._captures[-1] if self._captures else None
+        moved = self.now_ns if capture is None else capture.total_ns
+        if n < _ACCUMULATE_FROM:
+            self.charged_ns = reduce(add, repeat(ns, n), self.charged_ns)
+            moved = reduce(add, repeat(ns, n), moved)
+        else:
+            # Row 0 holds the two accumulators, every other row the
+            # charge: the last row of the running sum down the rows.
+            sums = np.full((n + 1, 2), ns, dtype=np.float64)
+            sums[0] = self.charged_ns, moved
+            self.charged_ns, moved = np.add.accumulate(
+                sums, axis=0, out=sums)[-1].tolist()
+        if capture is None:
+            self.now_ns = moved
+        else:
+            capture.total_ns = moved
+
     def sync_to(self, now_ns: float) -> None:
         """Align with an external time source (the DES engine).
 
@@ -76,6 +119,10 @@ class SimClock:
     @property
     def capturing(self) -> bool:
         return bool(self._captures)
+
+
+#: The plain ``advance``: what ``advance_n`` may fold instead of calling.
+_ADVANCE = SimClock.advance
 
 
 class _CaptureContext:

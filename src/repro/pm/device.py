@@ -34,7 +34,12 @@ the whole shadow at once; a crash restores all volatile lines in one
 scatter.  ``write(..., persist=True)`` is store + clwb + sfence in one
 call, held to the charges, counters and hook order of the three; on a
 device with nothing volatile its run never enters those tables unless a
-hook interrupts it.
+hook interrupts it.  Work that is *n* identical steps is one call that
+does those steps in C: a run of ``clwb`` charges is one
+``SimClock.advance_n``, ``scan`` reads a table's flag column in one
+strided slice, ``read_view`` lends a large range out for decoding in
+place — each counted and charged as the per-line, per-slot form it
+stands for.
 The shadow's key order is the order lines first became volatile — the
 order ``crash("torn")`` draws its random words in.
 
@@ -50,7 +55,6 @@ import mmap
 import struct
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, NoReturn, Optional
 
 import numpy as np
@@ -214,7 +218,8 @@ class PMDevice:
         For the code that built the device, once it is done with it: a
         closed device refuses every call.  The mapping, cleared in the
         chunks that were stored to, waits for the next device of this
-        size (see ``_recycle``); closing twice is a no-op.
+        size — unless a view of it (a ``read_view`` someone kept) is
+        still alive (see ``_recycle``); closing twice is a no-op.
         """
         mapping = self._mapping
         if mapping is None:
@@ -270,6 +275,52 @@ class PMDevice:
         self.clock.advance(self.model.read_cost(n))
         return self._bytes[addr:end].tobytes()
 
+    def read_view(self, addr: int, n: int) -> memoryview:
+        """:meth:`read` — its checks, counters and charge — without the
+        copy: a read-only view of the device's own bytes, for a caller
+        that decodes a large range, takes what it needs and lets go.
+
+        The view shows later stores, and a device closed while one is
+        alive does not hand its memory on (see :meth:`close`): never
+        keep one.
+        """
+        # read's body, not a call from it: read is the hot path.
+        if self._crashed:
+            self._refuse()
+        end = addr + n
+        if addr < 0 or n < 0 or end > self.size:
+            raise ValueError(f"access [{addr}, {end}) out of device bounds")
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += n
+        self.clock.advance(self.model.read_cost(n))
+        return self._bytes[addr:end].toreadonly()
+
+    def scan(self, addr: int, stride: int, count: int,
+             stop: Optional[int] = None) -> bytes:
+        """One byte at each of up to ``count`` addresses ``stride``
+        apart, ending after the first byte equal to ``stop``.
+
+        A table scan by flag byte: counted and charged as the 1-byte
+        :meth:`read` per slot that it stands for, as many as the bytes
+        returned.
+        """
+        if self._crashed:
+            self._refuse()
+        end = addr + (count - 1) * stride + 1
+        if addr < 0 or stride < 1 or count < 1 or end > self.size:
+            raise ValueError(f"scan of {count} bytes {stride} apart from "
+                             f"{addr} out of device bounds")
+        found = self._mem[addr:end:stride].tobytes()
+        if stop is not None:
+            found = found[:found.find(stop) + 1] or found
+        k = len(found)
+        stats = self.stats
+        stats.reads += k
+        stats.bytes_read += k
+        self.clock.advance_n(self.model.read_cost(1), k)
+        return found
+
     def read_silent(self, addr: int, n: int) -> bytes:
         """Read without charging cost (debug/verification use only)."""
         self._check_open()
@@ -311,7 +362,8 @@ class PMDevice:
             data = bytes(data)
         shadow, dirty, flushing = self._shadow, self._dirty, self._flushing
         first, last = addr // CACHELINE, (end - 1) // CACHELINE
-        advance, model, hooks = self.clock.advance, self.model, self.hooks
+        clock, model, hooks = self.clock, self.model, self.hooks
+        advance = clock.advance
         if persist and not shadow:
             # A durable store with nothing else volatile — the state
             # NOVA-style code is in before most of its stores.  Its lines
@@ -343,7 +395,7 @@ class PMDevice:
                 if count == 1:
                     advance(model.clwb_ns)
                 else:
-                    _consume(map(advance, repeat(model.clwb_ns, count)))
+                    clock.advance_n(model.clwb_ns, count)
                 state = flushing
                 stats.sfences += 1
                 fence = stats.sfences
@@ -443,9 +495,8 @@ class PMDevice:
     def _write_back(self, lines: range) -> None:
         self.stats.clwbs += len(lines)
         # One charge per line: the accumulators are floats, so n adds of
-        # clwb_ns are not one add of n * clwb_ns.
-        _consume(map(self.clock.advance,
-                     repeat(self.model.clwb_ns, len(lines))))
+        # clwb_ns are not one add of n * clwb_ns — advance_n does the adds.
+        self.clock.advance_n(self.model.clwb_ns, len(lines))
         if self._dirty:
             written_back = self._dirty.intersection(lines)
             self._dirty -= written_back

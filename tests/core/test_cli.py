@@ -258,6 +258,49 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err == f"error: {dest}: No such file or directory\n"
 
+    @pytest.fixture
+    def populated(self, image, tmp_path, capsysbinary):
+        """An empty regular file, a sub-directory and a snapshot."""
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert main(["put", image, "/empty", str(empty)]) == 0
+        assert main(["tenant", "create", image, "alice"]) == 0
+        assert main(["snap", image, "create", "s1"]) == 0
+        capsysbinary.readouterr()
+        return image
+
+    @pytest.mark.parametrize("path", ["/", "/t/alice", "/t/alice/",
+                                      "/.snapshots", "/.snapshots/s1"])
+    @pytest.mark.parametrize("dest", ["absent", "present", "-"])
+    def test_get_of_a_directory_is_refused_before_the_destination(
+            self, path, dest, populated, tmp_path, capsysbinary):
+        # A directory's size is 0, so the copy loop never reached the
+        # fs.read that refuses it: exit 0 and a 0-byte (or truncated)
+        # destination, where put says IsADirectory.
+        out = tmp_path / "out.bin"
+        if dest == "present":
+            out.write_bytes(b"as it was")
+        rc = main(["get", populated, path, "-" if dest == "-" else str(out)])
+        captured = capsysbinary.readouterr()
+        assert rc == 1
+        assert captured.err.decode() == f"error: IsADirectory: {path}\n"
+        assert captured.out == b""
+        if dest == "present":
+            assert out.read_bytes() == b"as it was"
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("dest", ["file", "-"])
+    def test_get_of_an_empty_file_still_writes_an_empty_file(
+            self, dest, populated, tmp_path, capsysbinary):
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"stale")
+        assert main(["get", populated, "/empty",
+                     "-" if dest == "-" else str(out)]) == 0
+        captured = capsysbinary.readouterr()
+        assert (captured.out, captured.err) == (b"", b"")
+        assert out.read_bytes() == (b"stale" if dest == "-" else b"")
+
     @pytest.mark.parametrize("flag", ["--threads", "--files", "--workers"])
     def test_workload_rejects_non_positive_counts(self, flag, image,
                                                   capsys):

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.dedup.fact import FACT, FactCorruption, FactFull
+from repro.dedup.fact import ENTRY, FACT, FactCorruption, FactFull
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
 
@@ -239,6 +239,51 @@ class TestOccupancyAndScan:
         live = fact.live_entries()
         assert set(live) == {i1, i2}
         assert live[i1].block == 100
+
+
+    def test_scan_columns_are_snapshots_taken_at_the_charge(self, fact):
+        """One bulk read charged per scan; the columns are copies — a
+        store after the scan does not show — each its own small array,
+        none of them a window on the table or on the device."""
+        i1 = fact.insert(mkfp(1, 0), 100)
+        i2 = fact.insert(mkfp(1, 1), 101)       # IAA, linked behind i1
+        fact.inc_uc(i2)
+        stats, dev = fact.dev.stats, fact.dev
+        reads, bytes_read = stats.reads, stats.bytes_read
+        charged = dev.clock.charged_ns
+        cols = fact._scan("counts", "block", "prev", "next", "delete")
+        assert (stats.reads, stats.bytes_read) \
+            == (reads + 1, bytes_read + fact.total * ENTRY)
+        assert dev.clock.charged_ns \
+            == charged + dev.model.read_cost(fact.total * ENTRY)
+        assert list(cols) == ["counts", "block", "prev", "next", "delete"]
+        assert (cols["block"][i1], cols["block"][i2]) == (100, 101)
+        assert (cols["next"][i1], cols["prev"][i2]) == (i2 + 1, i1 + 1)
+        assert (cols["counts"][i2] >> 32, cols["delete"][101]) == (2, i2 + 1)
+        for col in cols.values():
+            assert col.base is None and col.flags.owndata
+            assert col.flags.c_contiguous and len(col) == fact.total
+            assert col.nbytes == fact.total * 8 < fact.total * ENTRY
+        before = {name: col.copy() for name, col in cols.items()}
+        fact.commit_uc(i2)
+        fact.remove(i1)
+        fact.insert(mkfp(9), 110)
+        for name, col in cols.items():
+            assert (col == before[name]).all(), name
+        assert fact._scan("block")["block"][i1] == 0    # the next scan sees
+        # Nothing of the scan is left holding the device's memory.
+        from repro.pm import device as device_module
+        device_module._idle.clear()
+        dev.close()
+        assert len(device_module._idle) == 1
+        device_module._idle.clear()
+        assert cols["block"][i2] == 101
+
+    def test_scan_of_an_unknown_column_is_refused(self, fact):
+        for fields in (("fp",), ("block", "blocks"), ("",)):
+            with pytest.raises((ValueError, KeyError)):
+                fact._scan(*fields)
+        assert fact._scan() == {}
 
 
 class TestCheckChains:

@@ -141,3 +141,38 @@ class TestGroup:
         assert _group([2, 2, 3]) == [(2, 1), (2, 2)]
         assert _group([7, 7]) == [(7, 1), (7, 1)]
         assert sum(c for _, c in _group([2, 2, 3, 9, 9, 9])) == 6
+
+
+class TestPerPageChargesAreFolded:
+    """``install`` / ``truncate_pages`` / ``physical_runs`` touch one
+    slot per page: ``advance_n(dram_touch_ns, pages)`` before the loop
+    must leave the clock where a charge per page inside it did."""
+
+    @pytest.mark.parametrize("pages", [1, 8, 32])
+    @pytest.mark.parametrize("start_ns", [0.0, 1234.5678])
+    def test_charged_ns_equals_the_per_page_loop(self, pages, start_ns):
+        cpu = CpuModel(dram_touch_ns=0.1)       # not exact in binary
+        ix = FileIndex(cpu, SimClock(start_ns))
+        loop = SimClock(start_ns)
+
+        def per_page(n):
+            for _ in range(n):
+                loop.advance(cpu.dram_touch_ns)
+            assert (ix._clock.charged_ns, ix._clock.now_ns) \
+                == (loop.charged_ns, loop.now_ns)
+
+        ix.install(0x1000, we(0, pages, 100))
+        per_page(pages)
+        ix.install(0x2000, we(0, pages, 500))   # displaces every page
+        per_page(pages)
+        assert ix.physical_runs() == [(0, 500, pages)]
+        per_page(pages)
+        with ix._clock.capture() as cap, loop.capture() as loop_cap:
+            kept = pages // 2
+            assert ix.truncate_pages(kept).total_pages == pages - kept
+            per_page(pages - kept)
+            ix.clear()
+            per_page(kept)
+            ix.clear()                          # nothing mapped: no charge
+            per_page(0)
+        assert cap.total_ns == loop_cap.total_ns

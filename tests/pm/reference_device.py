@@ -45,6 +45,23 @@ class PerLineDevice:
     def volatile_lines(self) -> int:
         return len(self.shadow)
 
+    def read(self, addr: int, n: int) -> bytes:
+        self.stats.reads += 1
+        self.stats.bytes_read += n
+        self.clock.advance(self.model.read_cost(n))
+        return bytes(self.mem[addr:addr + n])
+
+    def read_view(self, addr: int, n: int) -> bytes:
+        return self.read(addr, n)   # what a view shows when it is taken
+
+    def scan(self, addr: int, stride: int, count: int, stop=None) -> bytes:
+        found = b""
+        for at in range(addr, addr + count * stride, stride):
+            found += self.read(at, 1)
+            if found[-1] == stop:
+                break
+        return found
+
     def write(self, addr: int, data, nt: bool = False) -> None:
         n = len(data)
         if n == 0:

@@ -10,6 +10,14 @@ accumulators are floats and the benchmark tracer counts simulated time by
 wrapping ``SimClock.advance``, so the contract is one ``advance`` call per
 charge, same values, same order (*n* lines of ``clwb`` are *n* calls).
 After every crash, discard or torn, the two media must be byte-identical.
+(``advance_n(ns, n)`` is by contract those *n* calls, and on a clock whose
+``advance`` is overridden, as the recording one's is, it makes them; one
+test repeats the rounds on plain clocks, where the device's runs of equal
+charges are folded in C and the two clocks must still read the same.)
+
+Between the steps both devices serve charged reads — ``read``,
+``read_view``, ``scan`` — which are loops of ``read`` on the reference:
+equal bytes, counters and charges, whatever is volatile at the time.
 
 A durable store — ``write(..., persist=True)`` and its typed forms — is
 one call on the real device and stays *two* on the reference (``write``,
@@ -63,14 +71,23 @@ class RecordingClock(SimClock):
         super().advance(ns)
 
 
+class FoldingClock(SimClock):
+    """``advance`` left as it is, so ``advance_n`` folds on the real
+    device while the reference loops; no charge list to compare."""
+
+    __slots__ = ("charges",)
+
+    def __init__(self):
+        super().__init__()
+        self.charges = ()
+
+
 class Pair:
     """The real device and the reference, driven in lock step."""
 
-    def __init__(self, track_wear=False):
-        self.real = PMDevice(SIZE, clock=RecordingClock(),
-                             track_wear=track_wear)
-        self.ref = PerLineDevice(SIZE, clock=RecordingClock(),
-                                 track_wear=track_wear)
+    def __init__(self, track_wear=False, clock=RecordingClock):
+        self.real = PMDevice(SIZE, clock=clock(), track_wear=track_wear)
+        self.ref = PerLineDevice(SIZE, clock=clock(), track_wear=track_wear)
         self.track_wear = track_wear
         self.charges_compared = 0
         self.events = {id(self.real): [], id(self.ref): []}
@@ -120,6 +137,17 @@ class Pair:
         return self._both(lambda: getattr(self.real, op)(*args, **kw),
                           lambda: getattr(self.ref, op)(*args, **kw),
                           (op, args[:1]))
+
+    def do_read(self, op, *args, **kw):
+        """One charged read of any kind on both; the bytes must agree
+        (the reference's ``scan`` / ``read_view`` are loops of ``read``)."""
+        got = []
+        self._both(lambda: got.append(getattr(self.real, op)(*args, **kw)),
+                   lambda: got.append(getattr(self.ref, op)(*args, **kw)),
+                   (op, args, kw))
+        real, ref = got
+        assert bytes(real) == ref, (op, args, kw)
+        return real
 
     def do_durable(self, op, addr, payload, **kw):
         """One durable store: fused on the real device, the two calls it
@@ -259,9 +287,57 @@ def _fence_everything(pair):
     return crashed
 
 
-def run_rounds(seed, track_wear=False, rounds=ROUNDS):
+def _scan_args(rng, pair):
+    """``(addr, stride, count, stop)``: the strides of a byte column, a
+    line column and the inode table's; a third of the ranges ending at
+    the device's last byte; ``stop`` absent, at the first or the last
+    slot, somewhere inside, or a value the column does not hold."""
+    stride = rng.choice((1, CACHELINE, 128))
+    count = rng.choice((1, 2, rng.randint(3, 40), rng.randint(41, 400)))
+    span = (count - 1) * stride + 1
+    addr = SIZE - span if rng.random() < 0.33 else rng.randrange(SIZE - span)
+    column = pair.ref.mem[addr:addr + span:stride]
+    kind = rng.randrange(5)
+    if kind == 0:
+        stop = None
+    elif kind == 4:
+        absent = sorted(set(range(256)) - set(column))
+        stop = rng.choice(absent) if absent else None
+    else:
+        stop = column[(0, -1, rng.randrange(count))[kind - 1]]
+    return addr, stride, count, stop
+
+
+def _a_read(rng, pair, kinds):
+    """A charged read between two steps of a round: whatever is stored,
+    volatile or not, is what all three kinds return."""
+    kind = rng.choice(("read", "read_view", "scan"))
+    kinds[kind] += 1
+    if kind == "scan":
+        addr, stride, count, stop = _scan_args(rng, pair)
+        found = pair.do_read("scan", addr, stride, count, stop=stop)
+        kinds["scan stopped early"] += len(found) < count
+        kinds["scan to the last byte"] += \
+            addr + (len(found) - 1) * stride == SIZE - 1
+        return
+    n = rng.choice((0, 1, 8, CACHELINE, rng.randint(1, 9000)))
+    addr = SIZE - n if rng.random() < 0.2 else rng.randrange(SIZE - n)
+    view = pair.do_read(kind, addr, n)
+    if kind == "read_view":
+        assert isinstance(view, memoryview) and view.readonly
+        with pytest.raises(TypeError):
+            view[:1] = b"!"
+
+
+def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock):
     rng = random.Random(seed)
-    pair = Pair(track_wear=track_wear)
+    # The reads draw from a generator of their own: the rounds are the
+    # sequences they were before the device had ``scan`` / ``read_view``.
+    read_rng = random.Random(seed + 9000)
+    pair = Pair(track_wear=track_wear, clock=clock)
+    pair.reads = dict.fromkeys(("read", "read_view", "scan",
+                                "scan stopped early",
+                                "scan to the last byte"), 0)
     crashes_mid_fence = 0
     for rnd in range(rounds):
         recent = []
@@ -299,6 +375,8 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS):
             if crashed:
                 crashes_mid_fence += pair.trip_at[0] != "on_write"
                 break
+            if read_rng.random() < 0.35:
+                _a_read(read_rng, pair, pair.reads)
         pair.compare_media(("before crash", rnd))
         pair.crash("torn" if rnd % 2 else "discard", seed * 100 + rnd)
     return pair, crashes_mid_fence
@@ -308,6 +386,7 @@ def test_random_sequences_match_the_per_line_reference():
     mid_fence = lines = 0
     fused_trips = set()
     bodies = {"in flight": 0, "tables": 0}
+    reads = {}
     for seed in range(8):
         try:
             pair, n = run_rounds(seed)
@@ -320,6 +399,8 @@ def test_random_sequences_match_the_per_line_reference():
         fused_trips |= pair.fused_trips
         for body, count in pair.bodies.items():
             bodies[body] += count
+        for kind, count in pair.reads.items():
+            reads[kind] = reads.get(kind, 0) + count
     # The generator reached the cases the comparison is there for.
     assert mid_fence >= 8           # CrashRequested out of on_persist[_done]
     assert lines > 20_000
@@ -327,6 +408,127 @@ def test_random_sequences_match_the_per_line_reference():
     assert fused_trips == {"on_write", "on_persist", "on_persist_done"}
     # ... and both bodies of the durable store, many times each.
     assert min(bodies.values()) >= 50, bodies
+    # ... and every kind of charged read between the steps.
+    assert min(reads.values()) >= 40, reads
+
+
+def test_random_sequences_match_with_the_charges_folded():
+    """The same rounds on plain clocks: the device's runs of equal
+    charges go through ``advance_n``'s fold, the reference's through its
+    per-line, per-slot loops, and both clocks must read the same."""
+    for seed in (3, 5):
+        pair, _ = run_rounds(seed, clock=FoldingClock)
+        assert type(pair.real.clock).advance is SimClock.advance
+        assert pair.real.clock.charged_ns > 1e6 and pair.reads["scan"] > 10
+
+
+@pytest.mark.parametrize("stride", [1, CACHELINE, 128])
+def test_scan_is_the_loop_of_one_byte_reads(stride):
+    """Every place a stop byte can sit in a column that ends on the
+    device's last byte, on a volatile store as well as a durable one."""
+    count = 192
+    base = SIZE - 1 - (count - 1) * stride
+    for slot in (None, 0, 1, 95, count - 2, count - 1):
+        pair = Pair()
+        pair.arm(None)
+        pair.do_durable("write", base + 7 * stride, b"\x02")
+        pair.do("write", base + 9 * stride, b"\xff")
+        if slot is not None:
+            pair.do("write", base + slot * stride, b"\x01")
+            pair.do("write", min(base + (slot + 3) * stride, SIZE - 1),
+                    b"\x01")          # a second one behind it, unreached
+        found = pair.do_read("scan", base, stride, count, stop=1)
+        assert len(found) == (count if slot is None else slot + 1)
+        assert (found[-1] == 1) == (slot is not None)
+        assert pair.real.stats.reads == pair.real.stats.bytes_read \
+            == len(found)
+        assert pair.real.clock.charges[-len(found):] \
+            == [pair.real.model.read_cost(1)] * len(found)
+        whole = pair.do_read("scan", base, stride, count)
+        assert len(whole) == count and whole[:len(found)] == found
+        assert pair.do_read("scan", base, stride, count, stop=3) == whole
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: d.scan(-1, 1, 4),
+    lambda d: d.scan(0, 1, 0),
+    lambda d: d.scan(0, 1, -3),
+    lambda d: d.scan(0, 0, 4),
+    lambda d: d.scan(0, -64, 4),
+    lambda d: d.scan(SIZE - 1, 1, 2),
+    lambda d: d.scan(SIZE - 128, 128, 2),
+    lambda d: d.scan(0, 128, SIZE // 128 + 1, stop=1),  # 1 is at slot 0
+    lambda d: d.scan(SIZE, 1, 1),
+    lambda d: d.read_view(-1, 4),
+    lambda d: d.read_view(0, -1),
+    lambda d: d.read_view(SIZE - 3, 4),
+], ids=range(12))
+def test_reads_out_of_bounds_are_refused_and_cost_nothing(call):
+    dev = PMDevice(SIZE, clock=RecordingClock())
+    dev.write(0, b"\x01", persist=True)
+    stats, charged = dev.stats.snapshot(), dev.clock.charged_ns
+    with pytest.raises(ValueError, match="out of device bounds"):
+        call(dev)
+    assert (dev.stats.snapshot(), dev.clock.charged_ns) == (stats, charged)
+    # In bounds to the last byte, the same calls go through.
+    assert dev.scan(SIZE - 1, 1, 1) == dev.scan(SIZE - 129, 128, 2)[1:] \
+        == bytes(dev.read_view(SIZE - 1, 1)) == b"\0"
+    assert dev.read_view(SIZE, 0) == b""
+
+
+def test_reads_of_a_crashed_device_are_refused():
+    dev = PMDevice(SIZE)
+    view = dev.read_view(0, 8)
+    dev.crash()
+    for call in (lambda: dev.scan(0, 128, 4, stop=1),
+                 lambda: dev.read_view(0, 8)):
+        with pytest.raises(RuntimeError, match="has crashed; call "
+                                               "recover_view"):
+            call()
+    assert dev.stats.reads == 1 and bytes(view) == bytes(8)
+    dev.recover_view()
+    assert dev.scan(0, 128, 4, stop=1) == bytes(4)
+
+
+def test_read_view_is_the_devices_own_bytes_read_only():
+    """Charged and counted as the ``read`` it replaces; no copy — so it
+    cannot be stored through, and it shows what is stored after it was
+    taken: a caller takes what it needs at once and lets go."""
+    pair = Pair()
+    pair.arm(None)
+    pair.do_durable("write", 4096, b"before" * 100)
+    view = pair.do_read("read_view", 4096, 600)
+    assert isinstance(view, memoryview) and view.readonly
+    assert view.obj is pair.real._mem and view.nbytes == 600
+    for store in (lambda: view.__setitem__(0, 1),
+                  lambda: view.__setitem__(slice(0, 2), b"xx"),
+                  lambda: np.frombuffer(view, np.uint8).__setitem__(0, 1)):
+        with pytest.raises((TypeError, ValueError)):
+            store()
+    taken = bytes(view[:6])
+    pair.do("write", 4096, b"after!")
+    assert (taken, bytes(view[:6])) == (b"before", b"after!")
+    assert pair.real.read(4096, 6) == b"after!"
+
+
+def test_a_device_closed_under_a_read_view_is_not_recycled(idle):
+    dev = PMDevice(SIZE)
+    dev.write(150, b"still here", persist=True)
+    mapping = _buffer_owner(dev)
+    view = dev.read_view(100, 100)
+    dev.close()
+    assert idle == []               # the view outlived it: dropped
+    assert bytes(view[50:60]) == b"still here"
+    nxt = PMDevice(SIZE)
+    assert _buffer_owner(nxt) is not mapping
+    _assert_fresh(nxt, SIZE)
+    del view
+    # A view that was decoded, copied from and let go holds nothing.
+    dev = PMDevice(SIZE)
+    mapping = _buffer_owner(dev)
+    column = np.frombuffer(dev.read_view(0, 4096), dtype="<u8")[::8].copy()
+    dev.close()
+    assert idle == [mapping] and not column.any()
 
 
 def test_wear_counts_match_the_per_line_reference():
