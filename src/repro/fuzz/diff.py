@@ -45,7 +45,7 @@ from repro.fuzz.model import ModelError, ModelFS
 from repro.nova.entries import DEDUPE_IN_PROCESS, WriteEntry, decode_entry
 from repro.nova.fs import FSError, NoSpace
 from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK, ROOT_INO
-from repro.nova.layout import PAGE_SIZE
+from repro.nova.layout import PAGE_SIZE, Geometry
 from repro.pm.device import CrashRequested, PMDevice
 from repro.pm.latency import DRAM
 from repro.pm.clock import SimClock
@@ -90,6 +90,14 @@ class FuzzConfig:
     #                              the front-tier staging log: every
     #                              record append / destage / watermark
     #                              persist enters the crash sweep
+
+    def __post_init__(self):
+        """Refuse now what the first case would refuse from deep inside a
+        sweep: a ratio that is not one, a device :func:`make_fs` cannot
+        format."""
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        Geometry.compute(self.pages, self.inodes, with_dedup=True)
 
 
 @dataclass

@@ -162,7 +162,7 @@ def merge_snapshots(older: dict, newer: dict) -> dict:
     out["gauges"].update(newer.get("gauges", {}))
     ha = older.get("histograms", {})
     hb = newer.get("histograms", {})
-    for k in set(ha) | set(hb):
+    for k in {**ha, **hb}:      # first-seen order, never a set's
         out["histograms"][k] = _merge_hist(ha.get(k), hb.get(k))
     ta = older.get("trace", {})
     tb = newer.get("trace", {})

@@ -80,8 +80,7 @@ class TenantRegistry:
         self._check_name(name)
         if name in self.by_name:
             raise ValueError(f"tenant {name!r} already exists")
-        if weight < 1:
-            raise ValueError(f"tenant weight must be >= 1, got {weight}")
+        self._check_limits(quota_pages, quota_inodes, weight)
         tid = max(self.tenants, default=0) + 1
         info = TenantInfo(tid=tid, name=name, quota_pages=int(quota_pages),
                           quota_inodes=int(quota_inodes), weight=int(weight))
@@ -101,16 +100,27 @@ class TenantRegistry:
         info = self.get(name)
         if info is None:
             raise KeyError(f"no such tenant: {name!r}")
+        self._check_limits(quota_pages, quota_inodes, weight)
         if quota_pages is not None:
             info.quota_pages = int(quota_pages)
         if quota_inodes is not None:
             info.quota_inodes = int(quota_inodes)
         if weight is not None:
-            if weight < 1:
-                raise ValueError(f"tenant weight must be >= 1, got {weight}")
             info.weight = int(weight)
         self.save()
         return info
+
+    @staticmethod
+    def _check_limits(quota_pages, quota_inodes, weight) -> None:
+        """Refuse what the record's fields cannot hold, before anything
+        is changed (``None``: that limit is being left as it is)."""
+        if weight is not None and not 1 <= weight < 1 << 32:
+            raise ValueError(f"tenant weight must be >= 1 and fit a u32, "
+                             f"got {weight}")
+        for what, quota in (("page", quota_pages), ("inode", quota_inodes)):
+            if quota is not None and not 0 <= quota < 1 << 64:
+                raise ValueError(f"tenant {what} quota must be >= 0 "
+                                 f"(0 = unlimited) and fit a u64, got {quota}")
 
     @staticmethod
     def _check_name(name: str) -> None:

@@ -51,6 +51,11 @@ class FleetSpec:
     churn: float = 0.0            # fraction of files deleted + rewritten
     seed: int = 7
 
+    def __post_init__(self):
+        # Every tenant's DataGenerator would refuse it, one DES process in.
+        if not 0.0 <= self.dup_ratio <= 1.0:
+            raise ValueError("dup_ratio must be in [0, 1]")
+
     def files_for(self, i: int) -> int:
         return max(1, round(self.base_files / (i + 1) ** self.zipf_s))
 

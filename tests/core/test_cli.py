@@ -309,19 +309,28 @@ class TestErrorContract:
         assert exit_.value.code == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["scrub", "{img}"],
-                                      ["scrub", "{img}", "--deep"],
-                                      ["repl", "relocate", "{img}"]])
+    @pytest.mark.parametrize("argv", [
+        ["scrub", "{img}", "--budget"],
+        ["scrub", "{img}", "--deep", "--budget"],
+        ["repl", "relocate", "{img}", "--budget"],
+        ["fuzz", "--ops", "5", "--seq-ops"],
+        ["repl", "fanout", "{img}", "s1", "{img}", "--batch"],
+        ["repl", "fanin", "{img}", "{img}:s1", "--batch"],
+        ["backup", "send", "{img}", "s1", "{img}.bkp", "--max-records"],
+        ["backup", "recv", "{img}", "{img}.bkp", "--max-entries"]])
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_budgeted_passes_reject_non_positive_budgets(self, argv, budget,
                                                          image, capsys):
-        """A budget below 1 examined nothing and reported done=False
-        forever — an idle loop for any cron-style caller."""
+        """A count below 1 (the last word of ``argv`` is its flag) examined
+        or moved nothing and reported "resumable" forever — an idle loop
+        for any cron-style caller — or, as ``--seq-ops`` / ``--batch``,
+        never returned at all."""
+        *argv, flag = argv
         with pytest.raises(SystemExit) as exit_:
             main([arg.format(img=image) for arg in argv]
-                 + [f"--budget={budget}"])
+                 + [f"{flag}={budget}"])
         assert exit_.value.code == 2
-        assert "argument --budget: must be >= 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
     def test_corrupt_journal_count_is_one_error_line(self, image, capsys):
         """state=1/count=999 in the rename journal is media corruption
@@ -403,22 +412,11 @@ class TestUnmountableImage:
             sb[40:48], sb[80:88] = sb[80:88], sb[40:48]  # journal <-> data
 
     def test_list_covers_every_image_subcommand(self):
-        import argparse
-
-        from repro.cli import build_parser
-
-        def leaves(parser, prefix=()):
-            subs = [a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)]
-            if not subs:
-                if any(a.dest == "image" for a in parser._actions):
-                    yield prefix
-            for name, child in (subs[0].choices.items() if subs else ()):
-                yield from leaves(child, prefix + (name,))
+        from repro.cli import COMMANDS
 
         takers = {tuple(t.split(" {img}")[0].split()) for t in IMAGE_TAKERS}
         # mkfs creates the image it names.
-        assert takers == set(leaves(build_parser())) - {("mkfs",)}
+        assert takers == {c.path for c in COMMANDS if c.image} - {("mkfs",)}
 
     @pytest.mark.parametrize("kind", ["no-magic", "all-ones", "total-pages",
                                       "regions-swapped"])

@@ -299,3 +299,32 @@ class TestWorkloadTraceOut:
         assert any(n.startswith("worker-") for n in lanes)
         xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert any(e["name"] == "dedup.process_node" for e in xs)
+
+
+class TestSidecarIsReproducible:
+    """``merge_snapshots`` walked ``set(ha) | set(hb)``: the key order of
+    ``"histograms"`` in the sidecar and in ``stats --json`` followed the
+    process's string-hash seed."""
+
+    SEQUENCE = ("mkfs d.img --pages 2048 --inodes 128", "put d.img /one src",
+                "put d.img /two src", "dedup d.img", "stats d.img --json")
+
+    def _run(self, where, seed):
+        import os
+        import subprocess
+        import sys
+
+        where.mkdir()
+        (where / "src").write_bytes(b"\xab" * 8192)
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        for line in self.SEQUENCE:      # one process per command, as a user
+            out = subprocess.run([sys.executable, "-m", "repro",
+                                  *line.split()], cwd=where, env=env,
+                                 check=True, capture_output=True).stdout
+        return (where / "d.img.metrics.json").read_bytes(), out
+
+    def test_same_bytes_under_any_hash_seed(self, tmp_path):
+        sidecar, stats = self._run(tmp_path / "one", "1")
+        assert len(json.loads(sidecar)["histograms"]) > 3
+        assert self._run(tmp_path / "two", "2") == (sidecar, stats)

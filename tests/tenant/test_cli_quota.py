@@ -42,6 +42,31 @@ class TestTenantLifecycle:
         assert "alice" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("limit", ["--quota-pages=-1",
+                                       "--quota-inodes=-1",
+                                       "--weight=99999999999"])
+    def test_out_of_range_limit_is_refused_and_changes_nothing(
+            self, limit, image, capsys):
+        """Each ended in a ``struct.error`` traceback out of the save."""
+        import hashlib
+
+        assert main(["tenant", "create", image, "alice",
+                     "--quota-pages", "8"]) == 0
+        before = hashlib.sha256(open(image, "rb").read()).digest()
+        capsys.readouterr()
+        for argv in (["tenant", "create", image, "bob", limit],
+                     ["tenant", "quota", image, "alice", limit]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: tenant ") and "got " in err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert hashlib.sha256(open(image, "rb").read()).digest() == before
+        assert main(["tenant", "list", image, "--json"]) == 0
+        tenants = json.loads(capsys.readouterr().out)["tenants"]
+        assert list(tenants) == ["alice"]
+        assert tenants["alice"]["quota_pages"] == 8
+
+
 class TestQuotaExceededUX:
     def test_over_quota_put_is_enospc_style(self, image, payload, capsys):
         """The ISSUE acceptance: non-zero exit, a single structured line

@@ -64,6 +64,34 @@ class TestRegistryUnit:
         with pytest.raises(ValueError):
             reg.create("ok")
 
+    #: What the record's ``u32 weight | u64 quota | u64 quota`` cannot hold.
+    OUT_OF_RANGE = [{"quota_pages": -1}, {"quota_inodes": -1},
+                    {"quota_pages": 1 << 64}, {"quota_inodes": 1 << 64},
+                    {"weight": 0}, {"weight": -1}, {"weight": 1 << 32}]
+
+    @pytest.mark.parametrize("limits", OUT_OF_RANGE)
+    def test_limits_are_range_checked_before_anything_changes(self, limits):
+        """These used to reach ``struct.pack`` in ``save``: a
+        ``struct.error``, and ``set_quota`` had by then changed the
+        in-memory record."""
+        fs = fresh_fs()
+        reg = fs.tenants.registry
+        reg.create("alice", quota_pages=10, quota_inodes=4, weight=3)
+        seq, media = reg.seq, fs.dev.read_silent(0, fs.dev.size)
+        with pytest.raises(ValueError, match="tenant"):
+            reg.set_quota("alice", **limits)
+        with pytest.raises(ValueError, match="tenant"):
+            reg.create("bob", **limits)
+        a = reg.get("alice")
+        assert (a.quota_pages, a.quota_inodes, a.weight) == (10, 4, 3)
+        assert reg.get("bob") is None and reg.seq == seq
+        assert fs.dev.read_silent(0, fs.dev.size) == media
+        # The largest values that do fit still round-trip.
+        reg.set_quota("alice", quota_pages=(1 << 64) - 1,
+                      weight=(1 << 32) - 1)
+        reg.load()
+        assert reg.get("alice").quota_pages == (1 << 64) - 1
+
 
 class TestCreateCrash:
     def test_tenant_create_atomic(self):
