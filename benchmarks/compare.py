@@ -31,7 +31,9 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 import _common  # noqa: E402
 
 #: Relative band per numeric leaf.  Not an allowance for noise — there
-#: is none — only for the last bits of a float sum whose order moved.
+#: is none, and simulated time itself is an exact integer — only for the
+#: last bits of the benches' own float arithmetic on it (rates, means),
+#: which may differ between interpreters (3.12 compensates ``sum()``).
 BAND = 1e-9
 
 

@@ -43,6 +43,7 @@ from typing import Callable, Optional
 
 from repro.conc.lockorder import LockOrderValidator
 from repro.conc.sdwq import ShardedDWQ
+from repro.pm.clock import FS_PER_NS, fs_of
 from repro.sim import Engine, Lock, Process, Resource, RWLock
 from repro.tenant.qos import UNTENANTED
 
@@ -101,7 +102,7 @@ class ConcurrentVFS:
             raise ValueError("workers must be >= 1")
         self.fs = fs
         self.eng = Engine(obs=getattr(fs, "obs", None))
-        self.base_ns = fs.clock.now_ns
+        self.base_fs = fs.clock.now_fs
         self.bw = Resource(self.eng, bw_slots)
         self.ns_lock = RWLock(self.eng,
                               contention_penalty_ns=6 * LOCK_PENALTY_NS)
@@ -179,8 +180,12 @@ class ConcurrentVFS:
     # ------------------------------------------------------------ plumbing
 
     @property
+    def now_fs(self) -> int:
+        return self.base_fs + self.eng.now_fs
+
+    @property
     def now_ns(self) -> float:
-        return self.base_ns + self.eng.now
+        return self.now_fs / FS_PER_NS
 
     def ino_rw(self, ino: int) -> RWLock:
         lock = self._ino_locks.get(ino)
@@ -297,7 +302,7 @@ class ConcurrentVFS:
                     penalty = BW_QUEUE_PENALTY_NS * (1 + queued_behind)
             try:
                 fs = self.fs
-                fs.clock.sync_to(max(fs.clock.now_ns, self.now_ns))
+                fs.clock.sync_to(max(fs.clock.now_fs, self.now_fs))
                 # Spans opened inside fn (fs.write, daemon stages) are
                 # attributed to this holder's Perfetto lane; fn runs
                 # without engine yields, so the track context cannot
@@ -311,9 +316,9 @@ class ConcurrentVFS:
                 # tax) are sampled now, with every concurrent party
                 # running, not when the caller built the op.
                 extra = extra_ns() if callable(extra_ns) else extra_ns
-                cost = cap.total_ns + penalty + extra
-                if cost > 0:
-                    yield eng.timeout(cost)
+                cost_fs = cap.fs + fs_of(penalty + extra)
+                if cost_fs > 0:
+                    yield eng.timeout_fs(cost_fs)
             finally:
                 if use_bw:
                     self.bw.release()
@@ -328,7 +333,7 @@ class ConcurrentVFS:
                 self.validator.released(holder, name)
         if record is not None:
             record.observe(eng.now - t_op)
-        return result, cost
+        return result, cost_fs / FS_PER_NS
 
     # ----------------------------------------------------- admission control
 
@@ -473,7 +478,7 @@ class ConcurrentVFS:
         destagers = (self._start_destage_workers(destage_workers)
                      if getattr(self.fs, "staging_enabled", False) else [])
         if watchdog is not None:
-            eng.process(watchdog.run(eng, base_ns=self.base_ns),
+            eng.process(watchdog.run(eng, base_ns=self.base_fs / FS_PER_NS),
                         name="slo-watchdog")
 
         def _coordinator():
@@ -494,7 +499,7 @@ class ConcurrentVFS:
         eng.run()
         if not coord.triggered:
             raise RuntimeError("run deadlocked: coordinator never finished")
-        self.fs.clock.sync_to(max(self.fs.clock.now_ns, self.now_ns))
+        self.fs.clock.sync_to(max(self.fs.clock.now_fs, self.now_fs))
         return coord.value
 
     # ------------------------------------------------------------ worker pool

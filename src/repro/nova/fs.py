@@ -451,6 +451,7 @@ class NovaFS:
         if name in parent.dentries:
             raise FileExists(linkpath)
         cpu = ino_cpu(pino, self.cpus)
+        self._need_log_room(parent, own_pages=1)
         ino = self._new_inode(ITYPE_SYMLINK, cpu, parent=pino)
         cache = self.caches[ino]
         entry = SymlinkEntry(target=target, ino=ino,
@@ -498,6 +499,31 @@ class NovaFS:
         if (changed and child is not None
                 and child.inode.itype == ITYPE_DIR):
             parent.inode.links += 1 if valid else -1
+
+    def _reserve_log(self, ino: int, cache: InodeCache, cpu: int) -> None:
+        """Allocate now the page the next append to ``ino``'s log would,
+        so an operation takes its one refusal, :class:`NoSpace`, before
+        its commit point."""
+        try:
+            head, cache.tail = self.log.reserve(
+                ino, cache.inode.log_head, cache.tail, cpu)
+        except AllocError as exc:
+            raise NoSpace(str(exc)) from None
+        if not cache.inode.log_head:
+            # A fresh log is empty: committed up to its first slot.
+            cache.inode.log_head, cache.inode.log_tail = head, cache.tail
+
+    def _need_log_room(self, parent: InodeCache, own_pages: int = 0) -> None:
+        """Refuse (:class:`NoSpace`) before an inode slot is taken unless
+        the appends that publish it will find their log pages: the new
+        inode's ``own_pages`` and the parent's next one (due whenever its
+        tail sits on a page boundary).  Nothing is allocated here, so a
+        create that goes ahead is charged exactly as before."""
+        due = own_pages + (not parent.inode.log_head
+                           or parent.tail % PAGE_SIZE == 0)
+        if self.allocator.free_pages < due:
+            raise NoSpace(f"no room for {due} log page(s) "
+                          f"({self.allocator.free_pages} pages free)")
 
     def _append_and_commit(self, ino: int, cache: InodeCache,
                            entries: Iterable, cpu: int) -> list[tuple]:
@@ -563,6 +589,7 @@ class NovaFS:
                 return ino
         # Order: valid inode first, then the dentry that publishes it.  A
         # crash in between leaves an orphan inode that recovery collects.
+        self._need_log_room(parent)
         ino = self._new_inode(ITYPE_FILE, cpu=ino_cpu(pino, self.cpus),
                               parent=pino)
         self._append_dentry(pino, name, ino, valid=1,
@@ -639,6 +666,7 @@ class NovaFS:
         pino, name, parent = self._namei(path)
         if name in parent.dentries:
             raise FileExists(path)
+        self._need_log_room(parent)
         ino = self._new_inode(ITYPE_DIR, cpu=ino_cpu(pino, self.cpus),
                               parent=pino)
         self._append_dentry(pino, name, ino, valid=1,
@@ -772,6 +800,9 @@ class NovaFS:
             parent.dentries[dname] = ino
             parent.dentries.pop(sname, None)
             return
+        # A committed journal must be appliable, live and at recovery.
+        self._reserve_log(dpino, dparent, cpu)
+        self._reserve_log(spino, sparent, ino_cpu(spino, self.cpus))
         from repro.nova.journal import J_ADD, J_REMOVE, JournalRecord
         self.journal.stage([
             JournalRecord(op=J_ADD, parent_ino=dpino, name=dname, ino=ino),

@@ -75,16 +75,33 @@ class LogManager:
         if len(raw) != ENTRY_SIZE:
             raise ValueError("log entries are exactly 64 bytes")
         if tail % PAGE_SIZE == 0:
-            # Current page full: tail sits on the page boundary.
-            prev_page = tail // PAGE_SIZE - 1
-            nxt = self.next_of(prev_page)
-            if nxt == 0:
-                nxt = self._new_log_page(cpu)
-                self._link(prev_page, nxt)
-            tail = nxt * PAGE_SIZE + LOG_HEADER_SIZE
+            tail = self._next_page(tail, cpu)
         addr = tail
         self.dev.write(addr, raw, persist=True)
         return addr, addr + ENTRY_SIZE
+
+    def _next_page(self, tail: int, cpu: int) -> int:
+        """First slot of the page after a full one (``tail`` on the page
+        boundary), linking a fresh page there if none is linked yet."""
+        prev_page = tail // PAGE_SIZE - 1
+        nxt = self.next_of(prev_page)
+        if nxt == 0:
+            nxt = self._new_log_page(cpu)
+            self._link(prev_page, nxt)
+        return nxt * PAGE_SIZE + LOG_HEADER_SIZE
+
+    def reserve(self, ino: int, head: int, tail: int, cpu: int
+                ) -> tuple[int, int]:
+        """Allocate now the page the next append would: a first page
+        (:meth:`ensure_log`), or the next one when ``tail`` sits on a page
+        boundary.  Returns the ``(head_page, tail)`` to append at.  A page
+        linked past the committed tail is crash-safe, as in
+        :meth:`append`, and :meth:`iter_pages` counts it as the log's."""
+        if not head:
+            return self.ensure_log(ino, head, cpu)
+        if tail % PAGE_SIZE == 0:
+            tail = self._next_page(tail, cpu)
+        return head, tail
 
     def commit(self, ino: int, new_tail: int) -> None:
         """Atomic tail update — the commit point (Fig. 1 step 3)."""

@@ -5,10 +5,11 @@ and records where simulated work was spent.  Spans nest: the tracer
 keeps a stack per :class:`Tracer` instance, so a write issued during log
 replay shows up as a child of the ``recovery.log_replay`` span.
 
-Durations are **charged** simulated nanoseconds (``clock.charged_ns``
-deltas), not ``now_ns`` deltas — in DES capture mode charges bypass
-``now_ns`` entirely, and ``sync_to`` moves ``now_ns`` without any work
-being done.  Charged deltas measure modelled work in both modes.
+Durations are **charged** simulated nanoseconds (``clock.charged_fs``
+deltas, exact integers, read out as ns), not ``now`` deltas — in DES
+capture mode charges bypass ``now`` entirely, and ``sync_to`` moves
+``now`` without any work being done.  Charged deltas measure modelled
+work in both modes.
 
 Completed spans land in a bounded ring buffer (``deque(maxlen=...)``):
 constant memory, oldest spans evicted first, cheap enough to leave on
@@ -34,6 +35,8 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from typing import NamedTuple, Optional, Sequence
+
+from repro.pm.clock import FS_PER_NS
 
 from .registry import DEFAULT_LATENCY_BUCKETS_NS, Histogram, MetricsRegistry
 from .slo import FlightRecorder
@@ -69,7 +72,7 @@ class _NullClock:
 
     __slots__ = ()
     now_ns = 0.0
-    charged_ns = 0.0
+    charged_fs = 0
 
 
 _NULL_CLOCK = _NullClock()
@@ -91,7 +94,7 @@ class _Span:
         self.trace_id = 0
         self.track = "main"
         self.start_ns = 0.0
-        self._start_charged = 0.0
+        self._start_charged = 0
         self.duration_ns = 0.0
 
     def __enter__(self) -> "_Span":
@@ -107,12 +110,13 @@ class _Span:
         t._stack.append((self.span_id, self.trace_id))
         clock = t.clock
         self.start_ns = clock.now_ns
-        self._start_charged = clock.charged_ns
+        self._start_charged = clock.charged_fs
         return self
 
     def __exit__(self, *exc) -> None:
         t = self._tracer
-        self.duration_ns = t.clock.charged_ns - self._start_charged
+        self.duration_ns = ((t.clock.charged_fs - self._start_charged)
+                            / FS_PER_NS)
         popped, _ = t._stack.pop()
         assert popped == self.span_id, "unbalanced span stack"
         t.total_spans += 1

@@ -1,16 +1,23 @@
-"""Simulated nanosecond clock.
+"""Simulated clock, kept as an exact integer count of femtoseconds.
 
 Every modelled cost (device access, hash computation, lock hand-off) is
 charged here rather than measured with wall time — the guides' "measure,
 don't guess" rule applied to a simulator: costs are explicit, inspectable
 numbers instead of noisy wall-clock samples.
 
+Charges are given in (float) nanoseconds and rounded once, on entry, to
+whole femtoseconds (:func:`fs_of`); from there on simulated time is a
+Python ``int``, so a total is the exact sum of its charges whatever
+their order or grouping.  ``now_ns`` / ``charged_ns`` / ``total_ns`` are
+read-only float views of those integers, for readers; nothing that moves
+time is ever fed one.
+
 Two usage modes:
 
-* **Direct mode** — single simulated thread.  ``advance()`` moves ``now_ns``
+* **Direct mode** — single simulated thread.  ``advance()`` moves ``now``
   forward; elapsed simulated time *is* the result.
 * **Capture mode** — used by the DES runner.  A :class:`CostCapture` pushed
-  onto the clock absorbs all charges without moving ``now_ns`` (the DES
+  onto the clock absorbs all charges without moving ``now`` (the DES
   engine owns time in that mode); the runner then sleeps the captured span
   on the simulated thread, so contention and interleaving are modelled by
   the engine, not the clock.
@@ -18,63 +25,81 @@ Two usage modes:
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import repeat
-from operator import add
-from typing import Optional
+__all__ = ["SimClock", "CostCapture", "FS_PER_NS", "fs_of"]
 
-import numpy as np
+#: The clock's quantum: every constant in ``pm/latency.py`` is a whole
+#: number of femtoseconds, and a rounded ``nbytes / bw`` term is off by
+#: at most half of one.
+FS_PER_NS = 1_000_000
 
-__all__ = ["SimClock", "CostCapture"]
 
-# ``advance_n`` below this many charges folds with ``reduce`` (≈ 20 ns an
-# add, no set-up); from it on with ``np.add.accumulate`` (≈ 3 ns an add
-# after ≈ 2 µs of array set-up).  Both are running sums — the adds of the
-# ``advance`` loop, left to right.  Never ``sum()``: 3.12 compensates it.
-_ACCUMULATE_FROM = 40
+def fs_of(ns: float) -> int:
+    """The one rounding rule: ``ns`` nanoseconds as whole femtoseconds."""
+    return round(ns * FS_PER_NS)
 
 
 class CostCapture:
-    """Accumulates charges while active on a clock's capture stack."""
+    """Accumulates charges while active on a clock's capture stack —
+    ``with clock.capture() as cap:`` pushes it, leaving pops it."""
 
-    __slots__ = ("total_ns",)
+    __slots__ = ("fs", "_clock")
 
-    def __init__(self) -> None:
-        self.total_ns: float = 0.0
+    def __init__(self, clock: "SimClock") -> None:
+        self.fs = 0
+        self._clock = clock
+
+    @property
+    def total_ns(self) -> float:
+        return self.fs / FS_PER_NS
+
+    def __enter__(self) -> "CostCapture":
+        self._clock._captures.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        popped = self._clock._captures.pop()
+        assert popped is self, "unbalanced capture stack"
 
 
 class SimClock:
     """A monotonically-advancing simulated clock, charged in nanoseconds."""
 
-    __slots__ = ("now_ns", "charged_ns", "_captures")
+    __slots__ = ("now_fs", "charged_fs", "_captures")
 
     def __init__(self, start_ns: float = 0.0):
-        self.now_ns: float = start_ns
-        #: Total work ever charged, regardless of mode.  ``now_ns`` deltas
+        self.now_fs = fs_of(start_ns)
+        #: Total work ever charged, regardless of mode.  ``now`` deltas
         #: are wrong for span durations in capture mode (charges go to the
         #: capture) and across ``sync_to`` (time moves without work being
-        #: done); ``charged_ns`` deltas measure modelled work in both modes.
-        self.charged_ns: float = 0.0
+        #: done); ``charged`` deltas measure modelled work in both modes.
+        self.charged_fs = 0
         self._captures: list[CostCapture] = []
+
+    @property
+    def now_ns(self) -> float:
+        return self.now_fs / FS_PER_NS
+
+    @property
+    def charged_ns(self) -> float:
+        return self.charged_fs / FS_PER_NS
 
     def advance(self, ns: float) -> None:
         """Charge ``ns`` of simulated work."""
         if ns < 0:
             raise ValueError(f"negative time charge: {ns}")
-        self.charged_ns += ns
+        fs = round(ns * FS_PER_NS)      # fs_of, inlined on the hot path
+        self.charged_fs += fs
         if self._captures:
-            self._captures[-1].total_ns += ns
+            self._captures[-1].fs += fs
         else:
-            self.now_ns += ns
+            self.now_fs += fs
 
     def advance_n(self, ns: float, n: int) -> None:
-        """Charge ``ns`` of simulated work ``n`` times.
+        """Charge ``ns`` of simulated work ``n`` times: ``n`` ``advance(ns)``.
 
-        By contract ``n`` calls of ``advance(ns)`` — the same float adds
-        to ``charged_ns`` and to the innermost capture (or ``now_ns``),
-        in the same order — executed as one fold in C.  On a clock whose
-        ``advance`` was replaced (a recording subclass, a tracer's patch)
-        it *is* those calls, so the replacement is handed every charge.
+        One multiplication; on a clock whose ``advance`` was replaced (a
+        recording subclass, a tracer's patch) it *is* those calls, so the
+        replacement is handed every charge.
         """
         if ns < 0:
             raise ValueError(f"negative time charge: {ns}")
@@ -82,61 +107,34 @@ class SimClock:
             for _ in range(n):
                 self.advance(ns)
             return
-        capture = self._captures[-1] if self._captures else None
-        moved = self.now_ns if capture is None else capture.total_ns
-        if n < _ACCUMULATE_FROM:
-            self.charged_ns = reduce(add, repeat(ns, n), self.charged_ns)
-            moved = reduce(add, repeat(ns, n), moved)
+        fs = fs_of(ns) * n
+        self.charged_fs += fs
+        if self._captures:
+            self._captures[-1].fs += fs
         else:
-            # Row 0 holds the two accumulators, every other row the
-            # charge: the last row of the running sum down the rows.
-            sums = np.full((n + 1, 2), ns, dtype=np.float64)
-            sums[0] = self.charged_ns, moved
-            self.charged_ns, moved = np.add.accumulate(
-                sums, axis=0, out=sums)[-1].tolist()
-        if capture is None:
-            self.now_ns = moved
-        else:
-            capture.total_ns = moved
+            self.now_fs += fs
 
-    def sync_to(self, now_ns: float) -> None:
-        """Align with an external time source (the DES engine).
+    def sync_to(self, now_fs: int) -> None:
+        """Align with an external time source (the DES engine), in fs.
 
         Timestamps recorded inside filesystem code (DWQ enqueue times,
         access-latency samples) stay meaningful in capture mode because the
         runner syncs the clock to engine time before each operation.
         """
-        if now_ns < self.now_ns - 1e-9:
+        if now_fs < self.now_fs:
             raise ValueError(
-                f"clock would move backwards: {self.now_ns} -> {now_ns}"
-            )
-        self.now_ns = now_ns
+                f"clock would move backwards: {self.now_fs} -> {now_fs} fs")
+        self.now_fs = now_fs
 
-    def capture(self) -> "_CaptureContext":
+    def capture(self) -> CostCapture:
         """Context manager: redirect charges into a :class:`CostCapture`."""
-        return _CaptureContext(self)
+        return CostCapture(self)
 
     @property
     def capturing(self) -> bool:
         return bool(self._captures)
 
 
-#: The plain ``advance``: what ``advance_n`` may fold instead of calling.
+#: The plain ``advance``: what ``advance_n`` may multiply instead of call.
 _ADVANCE = SimClock.advance
 
-
-class _CaptureContext:
-    __slots__ = ("_clock", "capture")
-
-    def __init__(self, clock: SimClock):
-        self._clock = clock
-        self.capture: Optional[CostCapture] = None
-
-    def __enter__(self) -> CostCapture:
-        self.capture = CostCapture()
-        self._clock._captures.append(self.capture)
-        return self.capture
-
-    def __exit__(self, *exc) -> None:
-        popped = self._clock._captures.pop()
-        assert popped is self.capture, "unbalanced capture stack"

@@ -34,9 +34,9 @@ the whole shadow at once; a crash restores all volatile lines in one
 scatter.  ``write(..., persist=True)`` is store + clwb + sfence in one
 call, held to the charges, counters and hook order of the three; on a
 device with nothing volatile its run never enters those tables unless a
-hook interrupts it.  Work that is *n* identical steps is one call that
-does those steps in C: a run of ``clwb`` charges is one
-``SimClock.advance_n``, ``scan`` reads a table's flag column in one
+hook interrupts it.  Work that is *n* identical steps is one call: a
+run of ``clwb`` charges is one ``SimClock.advance_n`` (one integer
+multiplication), ``scan`` reads a table's flag column in one
 strided slice, ``read_view`` lends a large range out for decoding in
 place — each counted and charged as the per-line, per-slot form it
 stands for.
@@ -494,8 +494,6 @@ class PMDevice:
 
     def _write_back(self, lines: range) -> None:
         self.stats.clwbs += len(lines)
-        # One charge per line: the accumulators are floats, so n adds of
-        # clwb_ns are not one add of n * clwb_ns — advance_n does the adds.
         self.clock.advance_n(self.model.clwb_ns, len(lines))
         if self._dirty:
             written_back = self._dirty.intersection(lines)

@@ -4,19 +4,18 @@ The paper evaluates DeNova with real POSIX threads on a 40-core Xeon.  A
 pure-Python reproduction cannot use wall-clock threading meaningfully (the
 GIL serializes compute), so concurrency is modelled with a deterministic
 discrete-event simulator: simulated threads are generator-based processes
-that yield events (timeouts, lock acquisitions, queue gets) to the engine.
+that yield events (timeouts, lock acquisitions, slot requests) to the
+engine.
 
-The kernel is intentionally small — just what the filesystem and workload
-layers need:
+The kernel keeps only what the concurrency layer (:mod:`repro.conc`) runs:
 
-* :class:`Engine` — the event loop with a simulated nanosecond clock.
+* :class:`Engine` — the event loop, on the simulated clock's integer
+  femtoseconds (``now_fs``; ``now`` is the nanosecond view).
 * :class:`Process` — a generator wrapped as a schedulable coroutine; also
   an :class:`Event`, so processes can be joined.
-* :class:`Lock` — a mutex with FIFO waiters (models inode locks, the FACT
-  list lock, allocator locks).
+* :class:`Lock` / :class:`RWLock` — a FIFO mutex and a phase-fair
+  reader/writer lock (inode, namespace, DWQ-shard and FACT-bucket locks).
 * :class:`Resource` — a counting semaphore (models iMC bandwidth slots).
-* :class:`FifoQueue` — an unbounded queue with blocking ``get`` (models
-  the DWQ hand-off between writers and the dedup daemon).
 
 Scheduling is deterministic: events firing at the same simulated time run
 in creation order, so every simulation is exactly reproducible.
@@ -25,8 +24,6 @@ in creation order, so every simulation is exactly reproducible.
 from repro.sim.engine import (
     Engine,
     Event,
-    FifoQueue,
-    Interrupt,
     Lock,
     Process,
     Resource,
@@ -36,8 +33,6 @@ from repro.sim.engine import (
 __all__ = [
     "Engine",
     "Event",
-    "FifoQueue",
-    "Interrupt",
     "Lock",
     "Process",
     "Resource",

@@ -8,8 +8,10 @@ resumes with the event's value sent into the generator.  The engine pops
 ``(time, seq)``-ordered events off a heap, so same-time events fire in the
 order they were scheduled — simulations are fully deterministic.
 
-Times are plain floats.  The filesystem layers use nanoseconds, but the
-engine itself is unit-agnostic.
+Time is the simulated clock's: an exact integer count of femtoseconds
+(:data:`repro.pm.clock.FS_PER_NS` to the nanosecond).  Delays are given in
+nanoseconds and rounded once, on entry (:meth:`Engine.timeout`); ``now``
+is the float nanosecond view of ``now_fs``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.pm.clock import FS_PER_NS, fs_of
+
 __all__ = [
     "Engine",
     "Event",
@@ -25,63 +29,32 @@ __all__ = [
     "Lock",
     "RWLock",
     "Resource",
-    "FifoQueue",
-    "Interrupt",
-    "simulate_workers",
 ]
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
     """A one-shot occurrence processes can wait on.
 
-    An event is *pending* until :meth:`succeed` (or :meth:`fail`) is
-    called, after which waiting processes are resumed with its value.
+    An event is *pending* until :meth:`succeed` is called, after which
+    waiting processes are resumed with its value.
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_exc", "triggered", "name")
+    __slots__ = ("engine", "callbacks", "value", "triggered", "name")
 
     def __init__(self, engine: "Engine", name: str = ""):
         self.engine = engine
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self._value: Any = None
-        self._exc: Optional[BaseException] = None
+        self.value: Any = None
         self.triggered = False
         self.name = name
-
-    @property
-    def value(self) -> Any:
-        if self._exc is not None:
-            raise self._exc
-        return self._value
-
-    @property
-    def ok(self) -> bool:
-        return self.triggered and self._exc is None
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event, resuming waiters at the current sim time."""
         if self.triggered:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self.triggered = True
-        self._value = value
-        self.engine._queue_callbacks(self)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event so waiters see ``exc`` raised at the yield."""
-        if self.triggered:
-            raise RuntimeError(f"event {self.name!r} already triggered")
-        self.triggered = True
-        self._exc = exc
-        self.engine._queue_callbacks(self)
+        self.value = value
+        self.engine._push(self.engine.now_fs, self)    # waiters run now
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -95,13 +68,11 @@ class Event:
 class Process(Event):
     """A running generator; also an event that fires on termination."""
 
-    __slots__ = ("gen", "_target", "_interrupts")
+    __slots__ = ("gen",)
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
         super().__init__(engine, name or getattr(gen, "__name__", "proc"))
         self.gen = gen
-        self._target: Optional[Event] = None
-        self._interrupts: deque[Interrupt] = deque()
         # Kick off at the current simulated time.
         boot = Event(engine, f"{self.name}:boot")
         boot.add_callback(self._resume)
@@ -111,49 +82,22 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if self.triggered:
-            return
-        self._interrupts.append(Interrupt(cause))
-        target = self._target
-        if target is not None and not target.triggered:
-            # Detach from the event we were waiting on and resume now.
-            if target.callbacks is not None and self._resume in target.callbacks:
-                target.callbacks.remove(self._resume)
-            self._target = None
-            wake = Event(self.engine, f"{self.name}:interrupt")
-            wake.add_callback(self._resume)
-            wake.succeed()
-
     def _resume(self, event: Event) -> None:
-        self._target = None
         try:
-            if self._interrupts:
-                exc = self._interrupts.popleft()
-                nxt = self.gen.throw(exc)
-            elif event._exc is not None:
-                nxt = self.gen.throw(event._exc)
-            else:
-                nxt = self.gen.send(event._value)
+            nxt = self.gen.send(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Process chose not to handle the interrupt: treat as exit.
-            self.succeed(None)
             return
         if not isinstance(nxt, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {nxt!r}; processes must "
-                "yield Event instances (timeout/acquire/get/...)"
+                "yield Event instances (timeout/acquire/request/...)"
             )
-        self._target = nxt
         nxt.add_callback(self._resume)
 
 
 class Engine:
-    """The event loop: a heap of ``(time, seq, callback, event)`` entries.
+    """The event loop: a heap of ``(time_fs, seq, event)`` entries.
 
     Pass ``obs`` (an :class:`repro.obs.ObsHub`) to expose the loop's
     dispatch/process counts as callback-backed ``sim.*`` counters — the
@@ -161,8 +105,8 @@ class Engine:
     """
 
     def __init__(self, obs=None):
-        self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self.now_fs = 0
+        self._heap: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._dispatching = False
         self.events_dispatched = 0
@@ -175,6 +119,11 @@ class Engine:
                            lambda: self.processes_started,
                            help="simulated threads registered")
 
+    @property
+    def now(self) -> float:
+        """Simulated time in nanoseconds (a view of ``now_fs``)."""
+        return self.now_fs / FS_PER_NS
+
     # -- event construction ------------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -182,12 +131,18 @@ class Engine:
         return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
-        """An event that fires ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        ev = Event(self, name or f"timeout({delay})")
-        ev._value = value
-        self._push(self.now + delay, ev)
+        """An event that fires ``delay`` nanoseconds from now."""
+        return self.timeout_fs(fs_of(delay), value,
+                               name or f"timeout({delay})")
+
+    def timeout_fs(self, delay_fs: int, value: Any = None,
+                   name: str = "") -> Event:
+        """An event that fires ``delay_fs`` femtoseconds from now."""
+        if delay_fs < 0:
+            raise ValueError(f"negative delay {delay_fs} fs")
+        ev = Event(self, name or f"timeout_fs({delay_fs})")
+        ev.value = value
+        self._push(self.now_fs + delay_fs, ev)
         return ev
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -215,31 +170,27 @@ class Engine:
 
     # -- scheduling internals ----------------------------------------------
 
-    def _push(self, when: float, ev: Event) -> None:
+    def _push(self, when_fs: int, ev: Event) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, ev))
-
-    def _queue_callbacks(self, ev: Event) -> None:
-        self._push(self.now, ev)
+        heapq.heappush(self._heap, (when_fs, self._seq, ev))
 
     # -- run loop ------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Dispatch events until the heap drains (or sim time passes `until`).
-
-        Returns the final simulated time.
-        """
+        """Dispatch events until the heap drains (or sim time passes
+        ``until`` ns).  Returns the final simulated time in ns."""
         if self._dispatching:
             raise RuntimeError("Engine.run() is not reentrant")
+        stop = None if until is None else fs_of(until)
+        heap = self._heap
         self._dispatching = True
         try:
-            while self._heap:
-                when, _seq, ev = self._heap[0]
-                if until is not None and when > until:
-                    self.now = until
+            while heap:
+                when, _seq, ev = heap[0]
+                if stop is not None and when > stop:
                     break
-                heapq.heappop(self._heap)
-                self.now = when
+                heapq.heappop(heap)
+                self.now_fs = when
                 self.events_dispatched += 1
                 if ev.callbacks is None:
                     continue  # already dispatched via succeed()
@@ -247,26 +198,11 @@ class Engine:
                 callbacks, ev.callbacks = ev.callbacks, None
                 for fn in callbacks:
                     fn(ev)
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
+            if stop is not None and stop > self.now_fs:
+                self.now_fs = stop
         finally:
             self._dispatching = False
         return self.now
-
-
-def _abandoned(ev: Event) -> bool:
-    """True when a queued waiter's process was interrupted away.
-
-    :meth:`Process.interrupt` detaches the process's ``_resume`` callback
-    from the event it was waiting on, leaving an untriggered event with an
-    empty callback list in the lock's waiter queue.  Granting such an
-    event would park the lock on a dead holder forever, so hand-off must
-    skip it.  (A *live* waiter always carries exactly the ``_resume``
-    callback: the waiting process yielded the event in the same engine
-    step that queued it.)
-    """
-    return not ev.triggered and not ev.callbacks
 
 
 class Lock:
@@ -276,7 +212,7 @@ class Lock:
     ``acquire()`` can never barge past the queue — :meth:`release` names
     the next holder synchronously (``_holder`` is re-pointed before any
     hand-off delay elapses), so an acquire that arrives mid-hand-off
-    still sees the lock held and queues behind everyone else.
+    still sees the lock taken and queues behind everyone else.
 
     ``contention_penalty_ns`` models cache-coherence cost per queued waiter
     at acquire time: heavily contended locks (per-CPU allocator under
@@ -316,30 +252,18 @@ class Lock:
 
     def release(self) -> None:
         if self._holder is None:
-            raise RuntimeError("release of unheld Lock")
-        while self._waiters:
-            nxt = self._waiters.popleft()
-            if _abandoned(nxt):
-                continue  # waiter was interrupted away; never grant it
-            self._holder = nxt
-            penalty = self.contention_penalty_ns * (1 + len(self._waiters))
-            if penalty:
-                # Hand-off is delayed by coherence traffic among waiters.
-                hand = self.engine.timeout(penalty)
-                hand.add_callback(lambda _e: nxt.succeed())
-            else:
-                nxt.succeed()
+            raise RuntimeError("release of a free Lock")
+        if not self._waiters:
+            self._holder = None
             return
-        self._holder = None
-
-    def held(self, body: Generator) -> Generator:
-        """Run a sub-generator while holding the lock (helper)."""
-        yield self.acquire()
-        try:
-            result = yield from body
-        finally:
-            self.release()
-        return result
+        nxt = self._holder = self._waiters.popleft()
+        penalty = self.contention_penalty_ns * (1 + len(self._waiters))
+        if penalty:
+            # Hand-off is delayed by coherence traffic among waiters.
+            hand = self.engine.timeout(penalty)
+            hand.add_callback(lambda _e: nxt.succeed())
+        else:
+            nxt.succeed()
 
 
 class RWLock:
@@ -356,8 +280,7 @@ class RWLock:
     delayed by ``contention_penalty_ns * (1 + remaining queue length)``.
     """
 
-    __slots__ = ("engine", "_readers", "_writer", "_waiters", "acquisitions",
-                 "contended_acquisitions", "read_grants", "write_grants",
+    __slots__ = ("engine", "_readers", "_writer", "_waiters",
                  "contention_penalty_ns")
 
     def __init__(self, engine: Engine, contention_penalty_ns: float = 0.0):
@@ -365,49 +288,27 @@ class RWLock:
         self._readers = 0
         self._writer: Optional[Event] = None
         self._waiters: deque[tuple[str, Event]] = deque()
-        self.acquisitions = 0
-        self.contended_acquisitions = 0
-        self.read_grants = 0
-        self.write_grants = 0
         self.contention_penalty_ns = contention_penalty_ns
-
-    @property
-    def locked(self) -> bool:
-        return self._writer is not None or self._readers > 0
-
-    @property
-    def write_locked(self) -> bool:
-        return self._writer is not None
 
     @property
     def active_readers(self) -> int:
         return self._readers
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire_read(self) -> Event:
         ev = self.engine.event("rwlock.acquire_read")
-        self.acquisitions += 1
         if self._writer is None and not self._waiters:
             self._readers += 1
-            self.read_grants += 1
             ev.succeed()
         else:
-            self.contended_acquisitions += 1
             self._waiters.append(("r", ev))
         return ev
 
     def acquire_write(self) -> Event:
         ev = self.engine.event("rwlock.acquire_write")
-        self.acquisitions += 1
         if self._writer is None and self._readers == 0 and not self._waiters:
             self._writer = ev
-            self.write_grants += 1
             ev.succeed()
         else:
-            self.contended_acquisitions += 1
             self._waiters.append(("w", ev))
         return ev
 
@@ -420,14 +321,14 @@ class RWLock:
 
     def release_read(self) -> None:
         if self._readers <= 0:
-            raise RuntimeError("release_read of unheld RWLock")
+            raise RuntimeError("release_read of an RWLock with no reader")
         self._readers -= 1
         if self._readers == 0:
             self._hand_off()
 
     def release_write(self) -> None:
         if self._writer is None:
-            raise RuntimeError("release_write of unheld RWLock")
+            raise RuntimeError("release_write of an RWLock with no writer")
         self._writer = None
         self._hand_off()
 
@@ -447,32 +348,23 @@ class RWLock:
             ev.succeed()
 
     def _hand_off(self) -> None:
-        while self._waiters and _abandoned(self._waiters[0][1]):
-            self._waiters.popleft()
-        if not self._waiters:
+        waiters = self._waiters
+        if not waiters:
             return
-        mode, ev = self._waiters.popleft()
+        mode, ev = waiters.popleft()
         if mode == "w":
             # Holder is named synchronously: no reader can barge in
             # during the hand-off delay.
             self._writer = ev
-            self.write_grants += 1
-            penalty = self.contention_penalty_ns * (1 + len(self._waiters))
+            penalty = self.contention_penalty_ns * (1 + len(waiters))
             self._grant(ev, penalty)
             return
         batch = [ev]
-        while self._waiters:
-            m2, e2 = self._waiters[0]
-            if _abandoned(e2):
-                self._waiters.popleft()
-                continue
-            if m2 != "r":
-                break  # phase boundary: the next writer ends the batch
-            batch.append(e2)
-            self._waiters.popleft()
+        while waiters and waiters[0][0] == "r":
+            batch.append(waiters.popleft()[1])
+        # The next writer (if any) ends the batch: a phase boundary.
         self._readers += len(batch)
-        self.read_grants += len(batch)
-        penalty = self.contention_penalty_ns * (1 + len(self._waiters))
+        penalty = self.contention_penalty_ns * (1 + len(waiters))
         for e in batch:
             self._grant(e, penalty)
 
@@ -515,89 +407,8 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError("release of idle Resource")
-        while self._waiters:
-            nxt = self._waiters.popleft()
-            if _abandoned(nxt):
-                continue
-            nxt.succeed()  # slot transfers FIFO: no barging, no starvation
-            return
-        self._in_use -= 1
-
-
-class FifoQueue:
-    """Unbounded FIFO with blocking ``get`` — the DWQ's DRAM behaviour.
-
-    ``put`` never blocks (the DWQ is dynamic and unbounded in the paper);
-    ``get`` returns an event that fires when an item is available.
-    """
-
-    __slots__ = ("engine", "_items", "_getters", "puts", "gets", "peak_length")
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-        self.puts = 0
-        self.gets = 0
-        self.peak_length = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        self.puts += 1
-        if self._getters:
-            self.gets += 1
-            self._getters.popleft().succeed(item)
+        if self._waiters:
+            # The slot transfers FIFO: no barging, no starvation.
+            self._waiters.popleft().succeed()
         else:
-            self._items.append(item)
-            if len(self._items) > self.peak_length:
-                self.peak_length = len(self._items)
-
-    def get(self) -> Event:
-        ev = self.engine.event("queue.get")
-        if self._items:
-            self.gets += 1
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def get_nowait(self) -> Any:
-        """Pop an item immediately; raises IndexError when empty."""
-        self.gets += 1
-        return self._items.popleft()
-
-    def snapshot(self) -> list[Any]:
-        """Copy of queued items (for clean-shutdown persistence)."""
-        return list(self._items)
-
-
-def simulate_workers(costs, workers: int) -> dict:
-    """Makespan of a work-conserving FIFO worker pool over ``costs``.
-
-    Each cost is a task duration in simulated ns.  ``workers`` processes
-    pull from one shared queue in order, so the result is deterministic
-    for a given cost sequence — the scheduling model behind the per-CPU
-    parallel recovery replay (tasks keep their serial execution order;
-    only the *charged time* is divided across workers).
-
-    Returns ``{"makespan": ns, "busy": total task ns}``.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    pending = deque(costs)
-    busy = sum(pending)
-    if not pending:
-        return {"makespan": 0, "busy": 0}
-    eng = Engine()
-
-    def worker():
-        while pending:
-            cost = pending.popleft()
-            yield eng.timeout(cost)
-
-    for w in range(min(workers, len(pending))):
-        eng.process(worker(), name=f"replay.worker{w}")
-    makespan = eng.run()
-    return {"makespan": makespan, "busy": busy}
+            self._in_use -= 1

@@ -7,6 +7,7 @@ import pytest
 from repro.dedup.fact import ENTRY, FACT, FactCorruption, FactFull
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
+from repro.pm.clock import fs_of
 
 N_BITS = 7  # DAA = 128 slots; device has 128 pages
 
@@ -250,12 +251,12 @@ class TestOccupancyAndScan:
         fact.inc_uc(i2)
         stats, dev = fact.dev.stats, fact.dev
         reads, bytes_read = stats.reads, stats.bytes_read
-        charged = dev.clock.charged_ns
+        charged = dev.clock.charged_fs
         cols = fact._scan("counts", "block", "prev", "next", "delete")
         assert (stats.reads, stats.bytes_read) \
             == (reads + 1, bytes_read + fact.total * ENTRY)
-        assert dev.clock.charged_ns \
-            == charged + dev.model.read_cost(fact.total * ENTRY)
+        assert dev.clock.charged_fs \
+            == charged + fs_of(dev.model.read_cost(fact.total * ENTRY))
         assert list(cols) == ["counts", "block", "prev", "next", "delete"]
         assert (cols["block"][i1], cols["block"][i2]) == (100, 101)
         assert (cols["next"][i1], cols["prev"][i2]) == (i2 + 1, i1 + 1)

@@ -7,6 +7,7 @@ from repro.failure import check_fs_invariants
 from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.entries import MAX_NAME
 from repro.nova.fs import FileExists, FileNotFound, FSError, NoSpace
+from repro.nova.log import ENTRIES_PER_PAGE
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -85,6 +86,116 @@ class TestInodeExhaustion:
             fs2.create("/overflow")
         fs2.unlink("/f3")
         fs2.create("/ok")
+
+
+def fill(fs):
+    """Write one page at a time until the device refuses: no page left."""
+    big = fs.create("/big")
+    with pytest.raises(NoSpace):
+        for page in range(fs.geo.total_pages):
+            fs.write(big, page * PAGE_SIZE, b"x" * PAGE_SIZE)
+    assert fs.allocator.free_pages == 0
+
+
+def dir_with(fs, path, entries):
+    """A directory holding ``entries`` dentries: none means no log page
+    yet, ``ENTRIES_PER_PAGE`` puts its tail on a page boundary."""
+    fs.mkdir(path)
+    for i in range(entries):
+        fs.create(f"{path}/x{i}")
+
+
+def names(fs, *dirs):
+    return {d: fs.listdir(d) for d in dirs}
+
+
+class TestLogPagesRunOut:
+    """An operation that needs a log page the device no longer has is
+    refused before it changes anything: before a journal commits, before
+    an inode slot is taken."""
+
+    @staticmethod
+    def refused_rename(src_entries, dst_entries, spare):
+        """``/a/f0 -> /b/f0`` on a device with ``spare`` pages left."""
+        fs = make_fs(pages=160, max_inodes=160)
+        dir_with(fs, "/a", src_entries)
+        fs.create("/a/f0")
+        fs.create("/a/f1")
+        dir_with(fs, "/b", dst_entries)
+        spare_ino = fs.create("/spare")
+        fs.write(spare_ino, 0, b"s" * (1 + spare) * PAGE_SIZE)
+        fill(fs)
+        fs.truncate(spare_ino, PAGE_SIZE)
+        assert fs.allocator.free_pages == spare
+        before = names(fs, "/a", "/b")
+        with pytest.raises(NoSpace):
+            fs.rename("/a/f0", "/b/f0")
+        assert not fs.journal.committed
+        assert names(fs, "/a", "/b") == before
+        check_fs_invariants(fs)
+        return fs, before
+
+    @pytest.mark.parametrize("src_entries, dst_entries, spare", [
+        (0, 0, 0),                      # the target has no log page yet
+        (0, ENTRIES_PER_PAGE, 0),       # the target's tail on a boundary
+        (ENTRIES_PER_PAGE - 2, 1, 0),   # the source's tail on a boundary
+        # One page left: the target takes it (its first, or its next),
+        # the source is refused, and the page stays the target's.
+        (ENTRIES_PER_PAGE - 2, 0, 1),
+        (ENTRIES_PER_PAGE - 2, ENTRIES_PER_PAGE, 1),
+    ])
+    def test_cross_directory_rename_refused_before_the_commit(
+            self, src_entries, dst_entries, spare):
+        fs, before = self.refused_rename(src_entries, dst_entries, spare)
+        fs.dev.crash()
+        fs.dev.recover_view()
+        fs = NovaFS.mount(fs.dev)
+        assert not fs.journal.committed
+        assert names(fs, "/a", "/b") == before
+
+        fs, before = self.refused_rename(src_entries, dst_entries, spare)
+        fs.unmount()
+        fs = NovaFS.mount(fs.dev)
+        assert names(fs, "/a", "/b") == before
+        fs.unlink("/big")
+        fs.rename("/a/f0", "/b/f0")
+        fs.rename("/a/f1", "/b/f1")
+        fs.dev.crash()
+        fs.dev.recover_view()
+        fs = NovaFS.mount(fs.dev)
+        after = names(fs, "/a", "/b")
+        assert after["/a"] == sorted(set(before["/a"]) - {"f0", "f1"})
+        assert after["/b"] == sorted(before["/b"] + ["f0", "f1"])
+        check_fs_invariants(fs)
+
+    @pytest.mark.parametrize("op, parent_entries", [
+        ("create", 0), ("create", ENTRIES_PER_PAGE),
+        ("mkdir", 0), ("mkdir", ENTRIES_PER_PAGE),
+        ("symlink", 0), ("symlink", 1), ("symlink", ENTRIES_PER_PAGE),
+    ])
+    def test_refused_create_leaves_no_inode(self, op, parent_entries):
+        fs = make_fs(pages=160, max_inodes=160)
+        dir_with(fs, "/d", parent_entries)
+        fill(fs)
+        geo = fs.geo
+        table = (geo.inode_table_page * PAGE_SIZE,
+                 (geo.journal_page - geo.inode_table_page) * PAGE_SIZE)
+        media, free_slots = fs.dev.read_silent(*table), list(fs.itable._free)
+        cached = sorted(ino for ino, _cache in fs.caches.raw_items())
+        make = {"create": lambda p: fs.create(p),
+                "mkdir": lambda p: fs.mkdir(p),
+                "symlink": lambda p: fs.symlink("/big", p)}[op]
+        for k in range(3):
+            with pytest.raises(NoSpace):
+                make(f"/d/new{k}")
+            assert fs.dev.read_silent(*table) == media
+            assert fs.itable._free == free_slots
+            assert sorted(ino for ino, _c in fs.caches.raw_items()) == cached
+        check_fs_invariants(fs)
+        fs.unlink("/big")
+        ino = make("/d/new0")
+        assert fs.lookup("/d/new0", follow=False) == ino
+        check_fs_invariants(fs)
 
 
 class TestSparseFiles:

@@ -1,7 +1,7 @@
 """Span nesting, durations on the simulated clock, ring eviction."""
 
 from repro.obs import ObsHub, Tracer
-from repro.pm.clock import SimClock
+from repro.pm.clock import FS_PER_NS, SimClock
 
 
 class TestSpans:
@@ -30,7 +30,8 @@ class TestSpans:
         hub = ObsHub(clock=clock)
         with hub.span("fs.read"):
             clock.advance(100)
-            clock.sync_to(1_000_000)  # DES moved time; no work done
+            # DES moved time to 1 ms; no work done
+            clock.sync_to(1_000_000 * FS_PER_NS)
         assert hub.tracer.events[-1].duration_ns == 100
 
     def test_nesting_parent_ids(self):

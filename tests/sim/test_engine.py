@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Engine, FifoQueue, Interrupt, Lock, Resource
+from repro.pm.clock import FS_PER_NS, fs_of
+from repro.sim import Engine, Lock, Resource
 
 
 def test_timeout_advances_clock():
@@ -125,23 +126,6 @@ def test_event_double_trigger_rejected():
         ev.succeed(2)
 
 
-def test_event_fail_raises_in_waiter():
-    eng = Engine()
-    ev = eng.event()
-    caught = []
-
-    def waiter():
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    eng.process(waiter())
-    ev.fail(ValueError("boom"))
-    eng.run()
-    assert caught == ["boom"]
-
-
 def test_all_of_waits_for_every_event():
     eng = Engine()
     done = []
@@ -235,24 +219,6 @@ class TestLock:
         assert times == [10.0, 220.0, 330.0]
         assert lock.contended_acquisitions == 2
 
-    def test_held_helper_releases_on_exception(self):
-        eng = Engine()
-        lock = Lock(eng)
-
-        def body():
-            yield eng.timeout(1.0)
-            raise RuntimeError("inner")
-
-        def proc():
-            try:
-                yield from lock.held(body())
-            except RuntimeError:
-                pass
-
-        eng.process(proc())
-        eng.run()
-        assert not lock.locked
-
 
 class TestResource:
     def test_capacity_limits_concurrency(self):
@@ -286,106 +252,29 @@ class TestResource:
             Resource(eng, capacity=0)
 
 
-class TestFifoQueue:
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        got = []
-
-        def consumer():
-            item = yield q.get()
-            got.append((eng.now, item))
-
-        def producer():
-            yield eng.timeout(5.0)
-            q.put("x")
-
-        eng.process(consumer())
-        eng.process(producer())
-        eng.run()
-        assert got == [(5.0, "x")]
-
-    def test_fifo_order_preserved(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        for i in range(5):
-            q.put(i)
-        got = []
-
-        def consumer():
-            for _ in range(5):
-                item = yield q.get()
-                got.append(item)
-
-        eng.process(consumer())
-        eng.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_peak_length_and_snapshot(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        for i in range(3):
-            q.put(i)
-        assert q.peak_length == 3
-        assert q.snapshot() == [0, 1, 2]
-        assert q.get_nowait() == 0
-        assert len(q) == 2
-
-    def test_get_nowait_empty_raises(self):
-        eng = Engine()
-        with pytest.raises(IndexError):
-            FifoQueue(eng).get_nowait()
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeping_process(self):
-        eng = Engine()
-        log = []
-
-        def sleeper():
-            try:
-                yield eng.timeout(1000.0)
-            except Interrupt as intr:
-                log.append((eng.now, intr.cause))
-
-        def waker(proc):
-            yield eng.timeout(5.0)
-            proc.interrupt("stop")
-
-        p = eng.process(sleeper())
-        eng.process(waker(p))
-        eng.run()
-        assert log == [(5.0, "stop")]
-
-    def test_interrupt_dead_process_is_noop(self):
-        eng = Engine()
-
-        def quick():
-            yield eng.timeout(1.0)
-
-        p = eng.process(quick())
-        eng.run()
-        assert not p.is_alive
-        p.interrupt()  # must not raise
-
-
 def test_determinism_full_replay():
     """Two identical simulations produce identical traces."""
 
     def build():
         eng = Engine()
         lock = Lock(eng)
-        q = FifoQueue(eng)
+        items, idle = [], []
         trace = []
 
         def producer():
             for i in range(10):
                 yield eng.timeout(3.0)
-                q.put(i)
+                items.append(i)
+                if idle:
+                    idle.pop(0).succeed()
 
         def consumer(tag):
             while True:
-                item = yield q.get()
+                while not items:
+                    wake = eng.event()
+                    idle.append(wake)
+                    yield wake
+                item = items.pop(0)
                 yield lock.acquire()
                 yield eng.timeout(2.0)
                 trace.append((eng.now, tag, item))
@@ -400,3 +289,36 @@ def test_determinism_full_replay():
         return trace
 
     assert build() == build()
+
+
+def test_time_is_integer_femtoseconds():
+    eng = Engine()
+    ev = eng.timeout(0.1)
+    eng.run()
+    assert ev.triggered and eng.now_fs == fs_of(0.1) == FS_PER_NS // 10
+    eng.timeout_fs(7)
+    assert eng.run() == (FS_PER_NS // 10 + 7) / FS_PER_NS
+    with pytest.raises(ValueError):
+        eng.timeout_fs(-1)
+
+
+def test_equal_fs_events_fire_in_seq_order():
+    """0.7 + 0.1 and 0.8 are different floats (the sum is the smaller)
+    but the same femtosecond: the event scheduled first fires first."""
+    eng = Engine()
+    order = []
+
+    def direct():
+        yield eng.timeout(0.8)
+        order.append(("direct", eng.now_fs))
+
+    def in_two_steps():
+        yield eng.timeout(0.7)
+        yield eng.timeout(0.1)
+        order.append(("two steps", eng.now_fs))
+
+    eng.process(direct())
+    eng.process(in_two_steps())
+    eng.run()
+    assert 0.7 + 0.1 < 0.8
+    assert order == [("direct", fs_of(0.8)), ("two steps", fs_of(0.8))]

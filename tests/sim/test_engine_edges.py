@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, FifoQueue, Lock, Process, Resource
+from repro.sim import Engine, Lock, Resource
 
 
 class TestEventEdges:
@@ -14,19 +14,6 @@ class TestEventEdges:
         got = []
         ev.add_callback(lambda e: got.append(e.value))
         assert got == ["v"]
-
-    def test_event_ok_property(self):
-        eng = Engine()
-        good = eng.event()
-        bad = eng.event()
-        assert not good.ok
-        good.succeed(1)
-        bad.fail(RuntimeError("x"))
-        eng.run()
-        assert good.ok
-        assert not bad.ok
-        with pytest.raises(RuntimeError):
-            _ = bad.value
 
     def test_run_not_reentrant(self):
         eng = Engine()
@@ -125,77 +112,3 @@ class TestLockEdges:
         assert lock.acquisitions == 5
         # All five boot at t=0: the first wins, four queue behind it.
         assert lock.contended_acquisitions == 4
-
-
-class TestQueueEdges:
-    def test_put_to_waiting_getter_skips_buffer(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        got = []
-
-        def consumer():
-            got.append((yield q.get()))
-
-        eng.process(consumer())
-        eng.run()  # consumer parks
-        q.put("direct")
-        eng.run()
-        assert got == ["direct"]
-        assert q.peak_length == 0  # never buffered
-
-    def test_multiple_getters_fifo(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        got = []
-
-        def consumer(tag):
-            item = yield q.get()
-            got.append((tag, item))
-
-        for t in range(3):
-            eng.process(consumer(t))
-        eng.run()
-        for i in ("x", "y", "z"):
-            q.put(i)
-        eng.run()
-        assert got == [(0, "x"), (1, "y"), (2, "z")]
-
-    def test_counters(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        q.put(1)
-        q.put(2)
-        q.get_nowait()
-        assert q.puts == 2
-        assert q.gets == 1
-        assert len(q) == 1
-
-
-class TestDeterminismUnderInterrupts:
-    def test_interrupt_mid_queue_wait(self):
-        eng = Engine()
-        q = FifoQueue(eng)
-        from repro.sim import Interrupt
-
-        outcome = []
-
-        def consumer():
-            try:
-                yield q.get()
-                outcome.append("got")
-            except Interrupt:
-                outcome.append("interrupted")
-
-        p = eng.process(consumer())
-
-        def killer():
-            yield eng.timeout(5)
-            p.interrupt()
-
-        eng.process(killer())
-        eng.run()
-        assert outcome == ["interrupted"]
-        # The queue no longer delivers to the dead consumer.
-        q.put("late")
-        eng.run()
-        assert len(q) == 0 or q.get_nowait() == "late"

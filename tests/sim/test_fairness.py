@@ -55,40 +55,6 @@ class TestLockFifo:
         eng.run()
         assert order == [0, 1, "barger"]
 
-    def test_interrupted_waiter_does_not_wedge_lock(self):
-        eng = Engine()
-        lock = Lock(eng)
-        got = []
-
-        def first():
-            yield lock.acquire()
-            yield eng.timeout(10)
-            lock.release()
-
-        def doomed():
-            try:
-                yield lock.acquire()
-            finally:
-                got.append("doomed-exited")
-
-        def survivor():
-            yield lock.acquire()
-            got.append("survivor")
-            lock.release()
-
-        eng.process(first())
-        victim = eng.process(doomed())
-        eng.process(survivor())
-
-        def killer():
-            yield eng.timeout(5)
-            victim.interrupt()
-
-        eng.process(killer())
-        eng.run()
-        assert "survivor" in got
-        assert not lock.locked
-
 
 class TestResourceStarvation:
     def test_early_waiter_not_starved_by_arrival_stream(self):
