@@ -46,6 +46,7 @@ class ShardedDWQ(DWQ):
         self.nshards = nshards
         self.max_depth = max_depth
         self._shards: list[deque[DWQNode]] = [deque() for _ in range(nshards)]
+        self._depth = 0     # nodes in all shards; __len__ runs per op
         self._stamp = 0
         self.steals = 0
         self.steals_by_shard = [0] * nshards
@@ -71,13 +72,17 @@ class ShardedDWQ(DWQ):
         self._stamp += 1
         node._seq = self._stamp
         self._shards[self.shard_of(node.ino)].append(node)
+        self._depth += 1
 
     def _popleft(self) -> Optional[DWQNode]:
         best = None
         for shard in self._shards:
             if shard and (best is None or shard[0]._seq < best[0]._seq):
                 best = shard
-        return best.popleft() if best is not None else None
+        if best is None:
+            return None
+        self._depth -= 1
+        return best.popleft()
 
     def _items(self) -> list[DWQNode]:
         merged = [n for shard in self._shards for n in shard]
@@ -87,9 +92,10 @@ class ShardedDWQ(DWQ):
     def _clear_items(self) -> None:
         for shard in self._shards:
             shard.clear()
+        self._depth = 0
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return self._depth
 
     # ----------------------------------------------------------- shard API
 
@@ -108,6 +114,7 @@ class ShardedDWQ(DWQ):
         if not shard:
             return None
         node = shard.popleft()
+        self._depth -= 1
         self._account_dequeue(node)
         self._handoff_span("dwq.dequeue", node, s)
         return node
@@ -124,6 +131,7 @@ class ShardedDWQ(DWQ):
         if not shard:
             return None  # raced empty while the thief awaited the lock
         node = shard.popleft()
+        self._depth -= 1
         self.steals += 1
         self.steals_by_shard[victim] += 1
         self._account_dequeue(node)

@@ -107,8 +107,9 @@ class ConcurrentVFS:
         self.ns_lock = RWLock(self.eng,
                               contention_penalty_ns=6 * LOCK_PENALTY_NS)
         self.validator = LockOrderValidator()
-        self._ino_locks: dict[int, RWLock] = {}
-        self._bucket_locks: dict[int, Lock] = {}
+        # Locks beside their names: a name is built once, not per op.
+        self._ino_locks: dict[int, tuple[RWLock, str]] = {}
+        self._bucket_locks: dict[int, tuple[Lock, str]] = {}
         self.live_clients = 0
         self.workers = workers
         self.worker_nodes = 0
@@ -124,7 +125,7 @@ class ConcurrentVFS:
 
         # ---- sharded DWQ swap-in (dedup-capable filesystems only) ----
         self.sdwq: Optional[ShardedDWQ] = None
-        self._shard_locks: list[Lock] = []
+        self._shard_locks: list[tuple[Lock, str]] = []
         self._space_waiters: list[list] = []
         if hasattr(fs, "dwq"):
             nshards = shards if shards is not None else max(1, fs.cpus)
@@ -135,8 +136,8 @@ class ConcurrentVFS:
             fs.dwq = sdwq
             self.sdwq = sdwq
             self._shard_locks = [
-                Lock(self.eng, contention_penalty_ns=LOCK_PENALTY_NS)
-                for _ in range(nshards)]
+                (Lock(self.eng, contention_penalty_ns=LOCK_PENALTY_NS),
+                 f"shard:{s}") for s in range(nshards)]
             self._space_waiters = [[] for _ in range(nshards)]
 
         # ---- tenant QoS (weighted-fair admission) ----
@@ -187,21 +188,14 @@ class ConcurrentVFS:
     def now_ns(self) -> float:
         return self.now_fs / FS_PER_NS
 
-    def ino_rw(self, ino: int) -> RWLock:
-        lock = self._ino_locks.get(ino)
-        if lock is None:
-            lock = RWLock(self.eng,
-                          contention_penalty_ns=LOCK_PENALTY_NS)
-            self._ino_locks[ino] = lock
-        return lock
-
-    def bucket_lock(self, bucket: int) -> Lock:
-        lock = self._bucket_locks.get(bucket)
-        if lock is None:
-            lock = Lock(self.eng,
-                        contention_penalty_ns=LOCK_PENALTY_NS)
-            self._bucket_locks[bucket] = lock
-        return lock
+    def _lock(self, table: dict, key: int, kind: str, cls) -> tuple:
+        """``(lock, "<kind>:<key>")`` from ``table``, made on first use."""
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = (
+                cls(self.eng, contention_penalty_ns=LOCK_PENALTY_NS),
+                f"{kind}:{key}")
+        return entry
 
     def client_latency_histogram(self, tid: int):
         """Per-client op-latency histogram (``conc.t<i>.op_latency_ns``)."""
@@ -244,44 +238,34 @@ class ConcurrentVFS:
 
         Generator protocol: ``result, cost_ns = yield from vfs.op(...)``.
         """
-        eng = self.eng
+        eng, qos, obs = self.eng, self.qos, self._obs
         if self._jitter is not None:
             # Schedule permutation: a seeded, bounded delay before the
             # op perturbs the interleaving without changing any op.
             yield eng.timeout(self._jitter.uniform(0.0, self._jitter_ns))
         t_op = eng.now
-        if self.qos is not None and tenant is not None:
+        if qos is not None and tenant is not None:
             # Op-rate throttle first (token bucket, queued backpressure);
             # the delay counts toward the recorded client latency.
-            yield from self.qos.throttle(tenant)
-        plan: list[tuple[str, object, Optional[str]]] = []
-        if ns_mode is not None:
-            plan.append(("ns", self.ns_lock, ns_mode))
-        if ino is not None:
-            plan.append((f"ino:{ino}", self.ino_rw(ino), ino_mode))
-        if shard is not None:
-            plan.append((f"shard:{shard}", self._shard_locks[shard], None))
-        if bucket is not None:
-            plan.append((f"bucket:{bucket}", self.bucket_lock(bucket), None))
-        held: list[tuple[str, object, Optional[str]]] = []
+            yield from qos.throttle(tenant)
+        held: list = []     # (name, lock, mode) per tier taken
         try:
-            for name, lk, mode in plan:
-                self.validator.acquiring(holder, name)
-                t0 = eng.now
-                if mode is None:
-                    yield lk.acquire()
-                else:
-                    yield lk.acquire(mode)
-                held.append((name, lk, mode))
-                self._h_lock_wait.observe(eng.now - t0)
-                if self._obs is not None:
-                    self._obs.flight.record("lock", name=name,
-                                            holder=holder,
-                                            wait_ns=eng.now - t0)
+            if ns_mode is not None:
+                yield from self._take(holder, "ns", self.ns_lock, ns_mode,
+                                      held)
+            if ino is not None:
+                lock, name = self._lock(self._ino_locks, ino, "ino", RWLock)
+                yield from self._take(holder, name, lock, ino_mode, held)
+            if shard is not None:
+                lock, name = self._shard_locks[shard]
+                yield from self._take(holder, name, lock, None, held)
+            if bucket is not None:
+                lock, name = self._lock(self._bucket_locks, bucket, "bucket",
+                                        Lock)
+                yield from self._take(holder, name, lock, None, held)
             penalty = 0.0
-            gated = False
             if use_bw:
-                if self.qos is not None:
+                if qos is not None:
                     # Weighted-fair gate in front of the slots: capacity
                     # matches bw_slots, so a gated op never also queues
                     # on the Resource below — the DRR grant order *is*
@@ -290,26 +274,26 @@ class ConcurrentVFS:
                     # holding a slot would put gate-granted tenant ops
                     # back into an unweighted queue and void the
                     # invariant whenever traffic mixes.
-                    yield from self.qos.gate.acquire(
+                    yield from qos.gate.acquire(
                         tenant if tenant is not None else UNTENANTED)
-                    gated = True
-                waiting = self.bw.in_use >= self.bw.capacity
-                queued_behind = len(self.bw._waiters)
-                yield self.bw.request()
+                bw = self.bw
+                waiting = bw.in_use >= bw.capacity
+                queued_behind = len(bw._waiters)
+                yield bw.request()
                 if waiting:
                     # Oversubscription coherence/queuing cost: grows with
                     # how crowded the controller was.
                     penalty = BW_QUEUE_PENALTY_NS * (1 + queued_behind)
             try:
-                fs = self.fs
-                fs.clock.sync_to(max(fs.clock.now_fs, self.now_fs))
+                clock = self.fs.clock
+                clock.sync_to(max(clock.now_fs, self.base_fs + eng.now_fs))
                 # Spans opened inside fn (fs.write, daemon stages) are
                 # attributed to this holder's Perfetto lane; fn runs
                 # without engine yields, so the track context cannot
                 # leak into another simulated thread.
-                track = (self._obs.tracer.use_track(holder)
-                         if self._obs is not None else nullcontext())
-                with fs.clock.capture() as cap, track:
+                track = (obs.tracer.use_track(holder) if obs is not None
+                         else nullcontext())
+                with clock.capture() as cap, track:
                     result = fn()
                 # extra_ns may be a callable so costs that depend on the
                 # *current* schedule state (e.g. the live-client coherence
@@ -322,18 +306,31 @@ class ConcurrentVFS:
             finally:
                 if use_bw:
                     self.bw.release()
-                    if gated:
-                        self.qos.gate.release()
+                    if qos is not None:
+                        qos.gate.release()
         finally:
-            for name, lk, mode in reversed(held):
+            for name, lock, mode in reversed(held):
                 if mode is None:
-                    lk.release()
+                    lock.release()
                 else:
-                    lk.release(mode)
+                    lock.release(mode)
                 self.validator.released(holder, name)
         if record is not None:
             record.observe(eng.now - t_op)
         return result, cost_fs / FS_PER_NS
+
+    def _take(self, holder: str, name: str, lock, mode, held: list):
+        """One tier of :meth:`op`: checked against the lock-order DAG,
+        waited for, its wait observed, noted in ``held`` for release."""
+        self.validator.acquiring(holder, name)
+        eng = self.eng
+        t0 = eng.now
+        yield lock.acquire() if mode is None else lock.acquire(mode)
+        held.append((name, lock, mode))
+        self._h_lock_wait.observe(eng.now - t0)
+        if self._obs is not None:
+            self._obs.flight.record("lock", name=name, holder=holder,
+                                    wait_ns=eng.now - t0)
 
     # ----------------------------------------------------- admission control
 
@@ -679,10 +676,10 @@ class ConcurrentVFS:
         start_ns = self.now_ns
         ino = node.ino if node.ino in fs.caches else None
         if ino is not None:
-            name = f"ino:{ino}"
+            lock, name = self._lock(self._ino_locks, ino, "ino", RWLock)
             self.validator.acquiring(holder, name)
             t0 = eng.now
-            yield self.ino_rw(ino).acquire_write()
+            yield lock.acquire_write()
             self._h_lock_wait.observe(eng.now - t0)
         try:
             task, cost = yield from self.op(
@@ -708,8 +705,8 @@ class ConcurrentVFS:
                 busy += cost
         finally:
             if ino is not None:
-                self.ino_rw(ino).release_write()
-                self.validator.released(holder, f"ino:{ino}")
+                lock.release_write()
+                self.validator.released(holder, name)
             # Externally-timed span: the stages above interleave with
             # other simulated threads across engine yields, so a
             # context-manager span would corrupt the tracer stack and

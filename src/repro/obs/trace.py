@@ -131,6 +131,22 @@ class _Span:
                             track=self.track, dur_ns=self.duration_ns)
 
 
+class _Track:
+    """``with tracer.use_track(name):`` — every simulated op enters one."""
+
+    __slots__ = ("_ctx", "_track")
+
+    def __init__(self, ctx: list[str], track: str):
+        self._ctx = ctx
+        self._track = track
+
+    def __enter__(self) -> None:
+        self._ctx.append(self._track)
+
+    def __exit__(self, *exc) -> None:
+        self._ctx.pop()
+
+
 class Tracer:
     """Bounded ring buffer of completed spans plus the live span stack."""
 
@@ -192,14 +208,9 @@ class Tracer:
     def current_track(self) -> str:
         return self._track_ctx[-1] if self._track_ctx else "main"
 
-    @contextmanager
-    def use_track(self, track: str):
+    def use_track(self, track: str) -> "_Track":
         """Attribute spans opened inside the block to ``track``."""
-        self._track_ctx.append(track)
-        try:
-            yield
-        finally:
-            self._track_ctx.pop()
+        return _Track(self._track_ctx, track)
 
     # ------------------------------------------------------------ recording
 

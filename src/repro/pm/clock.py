@@ -31,10 +31,13 @@ __all__ = ["SimClock", "CostCapture", "FS_PER_NS", "fs_of"]
 #: number of femtoseconds, and a rounded ``nbytes / bw`` term is off by
 #: at most half of one.
 FS_PER_NS = 1_000_000
+_INF = float("inf")
 
 
 def fs_of(ns: float) -> int:
     """The one rounding rule: ``ns`` nanoseconds as whole femtoseconds."""
+    if not -_INF < ns < _INF:                       # NaN fails both
+        raise ValueError(f"non-finite time charge: {ns}")
     return round(ns * FS_PER_NS)
 
 
@@ -85,8 +88,8 @@ class SimClock:
 
     def advance(self, ns: float) -> None:
         """Charge ``ns`` of simulated work."""
-        if ns < 0:
-            raise ValueError(f"negative time charge: {ns}")
+        if not 0 <= ns < _INF:                      # NaN fails both
+            raise ValueError(f"non-finite or negative time charge: {ns}")
         fs = round(ns * FS_PER_NS)      # fs_of, inlined on the hot path
         self.charged_fs += fs
         if self._captures:
@@ -97,22 +100,35 @@ class SimClock:
     def advance_n(self, ns: float, n: int) -> None:
         """Charge ``ns`` of simulated work ``n`` times: ``n`` ``advance(ns)``.
 
-        One multiplication; on a clock whose ``advance`` was replaced (a
-        recording subclass, a tracer's patch) it *is* those calls, so the
-        replacement is handed every charge.
+        One multiplication; on a clock that does not :attr:`folds` it *is*
+        those calls, so the replaced ``advance`` is handed every charge.
         """
-        if ns < 0:
-            raise ValueError(f"negative time charge: {ns}")
+        if ns < 0 or n < 0:
+            raise ValueError(f"negative time charge: {ns} x {n}")
         if type(self).advance is not _ADVANCE:
             for _ in range(n):
                 self.advance(ns)
             return
-        fs = fs_of(ns) * n
+        self.charge_fs(fs_of(ns) * n)
+
+    def charge_fs(self, fs: int, ns: float | None = None) -> None:
+        """Charge ``fs`` = ``fs_of(ns)``, rounded once by the caller; a
+        clock that does not :attr:`folds` is handed ``advance(ns)``.  A
+        sum of charges has no one ``ns``: it comes here only if it folds."""
+        if type(self).advance is not _ADVANCE:
+            self.advance(ns)
+            return
         self.charged_fs += fs
         if self._captures:
             self._captures[-1].fs += fs
         else:
             self.now_fs += fs
+
+    @property
+    def folds(self) -> bool:
+        """False once ``advance`` is replaced (a recording subclass, a
+        tracer's patch): it must then be handed every charge on its own."""
+        return type(self).advance is _ADVANCE
 
     def sync_to(self, now_fs: int) -> None:
         """Align with an external time source (the DES engine), in fs.
@@ -121,6 +137,9 @@ class SimClock:
         access-latency samples) stay meaningful in capture mode because the
         runner syncs the clock to engine time before each operation.
         """
+        if not isinstance(now_fs, int):
+            raise TypeError(f"sync_to takes whole femtoseconds, not "
+                            f"{type(now_fs).__name__} {now_fs!r}")
         if now_fs < self.now_fs:
             raise ValueError(
                 f"clock would move backwards: {self.now_fs} -> {now_fs} fs")

@@ -34,12 +34,12 @@ the whole shadow at once; a crash restores all volatile lines in one
 scatter.  ``write(..., persist=True)`` is store + clwb + sfence in one
 call, held to the charges, counters and hook order of the three; on a
 device with nothing volatile its run never enters those tables unless a
-hook interrupts it.  Work that is *n* identical steps is one call: a
-run of ``clwb`` charges is one ``SimClock.advance_n`` (one integer
-multiplication), ``scan`` reads a table's flag column in one
-strided slice, ``read_view`` lends a large range out for decoding in
-place — each counted and charged as the per-line, per-slot form it
-stands for.
+hook interrupts it, and with no hook on a clock that folds it is one
+integer charge.  Work that is *n* identical steps is one call: a run of
+``clwb`` charges is one ``SimClock.advance_n`` (one multiplication),
+``scan`` reads a table's flag column in one strided slice,
+``read_view`` lends a large range out for decoding in place — each
+counted and charged as the per-line, per-slot form it stands for.
 The shadow's key order is the order lines first became volatile — the
 order ``crash("torn")`` draws its random words in.
 
@@ -59,7 +59,7 @@ from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
-from repro.pm.clock import SimClock
+from repro.pm.clock import SimClock, fs_of
 from repro.pm.latency import LatencyModel, OPTANE_DCPM, PROFILES
 
 __all__ = ["PMDevice", "PMStats", "CrashRequested", "CACHELINE"]
@@ -113,6 +113,18 @@ def _recycle(mapping: mmap.mmap, stored: set[int]) -> None:
     while held > _IDLE_BYTES:
         held -= len(_idle.pop(0))
     _idle.append(mapping)
+
+
+class _Costs(dict):
+    """Access size -> ``(fs_of(cost(size)), cost(size))``, each computed
+    on first use, not per access."""
+
+    def __init__(self, cost: Callable[[int], float]):
+        self._cost = cost
+
+    def __missing__(self, n: int) -> tuple[int, float]:
+        self[n] = charge = (fs_of(self._cost(n)), self._cost(n))
+        return charge
 
 
 class CrashRequested(Exception):
@@ -175,6 +187,11 @@ class PMDevice:
         self.size = size
         self.model = model
         self.clock = clock if clock is not None else SimClock()
+        # Every charge as (fs, ns) for SimClock.charge_fs.
+        self._read_costs = _Costs(model.read_cost)
+        self._write_costs = _Costs(model.write_cost)
+        self._clwb = (fs_of(model.clwb_ns), model.clwb_ns)
+        self._sfence = (fs_of(model.sfence_ns), model.sfence_ns)
         self.stats = PMStats()
         self.hooks = PMHooks()
         # All zeros either way: a closed device's mapping, cleared and
@@ -272,7 +289,8 @@ class PMDevice:
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += n
-        self.clock.advance(self.model.read_cost(n))
+        fs, ns = self._read_costs[n]
+        self.clock.charge_fs(fs, ns)
         return self._bytes[addr:end].tobytes()
 
     def read_view(self, addr: int, n: int) -> memoryview:
@@ -293,7 +311,8 @@ class PMDevice:
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += n
-        self.clock.advance(self.model.read_cost(n))
+        fs, ns = self._read_costs[n]
+        self.clock.charge_fs(fs, ns)
         return self._bytes[addr:end].toreadonly()
 
     def scan(self, addr: int, stride: int, count: int,
@@ -362,8 +381,7 @@ class PMDevice:
             data = bytes(data)
         shadow, dirty, flushing = self._shadow, self._dirty, self._flushing
         first, last = addr // CACHELINE, (end - 1) // CACHELINE
-        clock, model, hooks = self.clock, self.model, self.hooks
-        advance = clock.advance
+        clock, hooks = self.clock, self.hooks
         if persist and not shadow:
             # A durable store with nothing else volatile — the state
             # NOVA-style code is in before most of its stores.  Its lines
@@ -379,43 +397,52 @@ class PMDevice:
             else:
                 self._stored.update(range(first >> _CHUNK_SHIFT,
                                           (last >> _CHUNK_SHIFT) + 1))
-            durable = self._bytes[first * CACHELINE:
-                                  (last + 1) * CACHELINE].tobytes()
-            self._bytes[addr:end] = data
             if nt:
                 stats.nt_writes += 1
-            self._in_flight = count
-            state = flushing if nt else dirty
-            try:
-                advance(model.write_cost(n))
-                if hooks.on_write is not None:
-                    hooks.on_write(stats.writes, self)
+            if (hooks.on_write is None and hooks.on_persist is None
+                    and clock.folds):
+                # No hook to raise, no recorder to hand charges to: no
+                # pre-image, and store + clwbs + fence are one int charge.
+                self._bytes[addr:end] = data
                 stats.clwbs += count
-                # One charge per line (see _write_back).
-                if count == 1:
-                    advance(model.clwb_ns)
-                else:
-                    clock.advance_n(model.clwb_ns, count)
-                state = flushing
                 stats.sfences += 1
-                fence = stats.sfences
-                advance(model.sfence_ns)
-                if hooks.on_persist is not None:
-                    hooks.on_persist(fence, self)
-            except BaseException:
-                run = range(first, last + 1)
-                shadow.update(zip(run, (
-                    durable[at:at + CACHELINE]
-                    for at in range(0, len(durable), CACHELINE))))
-                state.update(run)
-                raise
-            finally:
-                self._in_flight = 0
+                clock.charge_fs(self._write_costs[n][0]
+                                + count * self._clwb[0] + self._sfence[0])
+            else:
+                durable = self._bytes[first * CACHELINE:
+                                      (last + 1) * CACHELINE].tobytes()
+                self._bytes[addr:end] = data
+                self._in_flight = count
+                state = flushing if nt else dirty
+                try:
+                    clock.charge_fs(*self._write_costs[n])
+                    if hooks.on_write is not None:
+                        hooks.on_write(stats.writes, self)
+                    stats.clwbs += count
+                    # One charge per line (see _write_back).
+                    if count == 1:
+                        clock.charge_fs(*self._clwb)
+                    else:
+                        clock.advance_n(self.model.clwb_ns, count)
+                    state = flushing
+                    stats.sfences += 1
+                    clock.charge_fs(*self._sfence)
+                    if hooks.on_persist is not None:
+                        hooks.on_persist(stats.sfences, self)
+                except BaseException:
+                    run = range(first, last + 1)
+                    shadow.update(zip(run, (
+                        durable[at:at + CACHELINE]
+                        for at in range(0, len(durable), CACHELINE))))
+                    state.update(run)
+                    raise
+                finally:
+                    self._in_flight = 0
             if self._wear is not None:
                 self._wear[first:last + 1] += 1
             stats.lines_persisted += count
             if hooks.on_persist_done is not None:
-                hooks.on_persist_done(fence, self)
+                hooks.on_persist_done(stats.sfences, self)
             return
         # Snapshot the durable content of the lines stored to (lines that
         # are already volatile keep their older, durable snapshot) and
@@ -458,14 +485,14 @@ class PMDevice:
         self._bytes[addr:end] = data
         if nt:
             stats.nt_writes += 1
-        advance(model.write_cost(n))
+        clock.charge_fs(*self._write_costs[n])
         if hooks.on_write is not None:
             hooks.on_write(stats.writes, self)
         if not persist:
             return
         if lines is None:
             stats.clwbs += 1
-            advance(model.clwb_ns)
+            clock.charge_fs(*self._clwb)
             if first in dirty:
                 dirty.remove(first)
                 flushing.add(first)
@@ -508,7 +535,7 @@ class PMDevice:
 
     def _fence(self) -> None:
         self.stats.sfences += 1
-        self.clock.advance(self.model.sfence_ns)
+        self.clock.charge_fs(*self._sfence)
         if not self._flushing:
             return
         count = self.stats.sfences

@@ -16,8 +16,8 @@ is the float nanosecond view of ``now_fs``.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.pm.clock import FS_PER_NS, fs_of
@@ -54,7 +54,9 @@ class Event:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self.triggered = True
         self.value = value
-        self.engine._push(self.engine.now_fs, self)    # waiters run now
+        eng = self.engine                               # waiters run now
+        eng._seq += 1
+        heappush(eng._heap, (eng.now_fs, eng._seq, self))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -93,7 +95,10 @@ class Process(Event):
                 f"process {self.name!r} yielded {nxt!r}; processes must "
                 "yield Event instances (timeout/acquire/request/...)"
             )
-        nxt.add_callback(self._resume)
+        if nxt.callbacks is None:       # add_callback, inlined
+            self._resume(nxt)
+        else:
+            nxt.callbacks.append(self._resume)
 
 
 class Engine:
@@ -132,17 +137,17 @@ class Engine:
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
         """An event that fires ``delay`` nanoseconds from now."""
-        return self.timeout_fs(fs_of(delay), value,
-                               name or f"timeout({delay})")
+        return self.timeout_fs(fs_of(delay), value, name)
 
     def timeout_fs(self, delay_fs: int, value: Any = None,
                    name: str = "") -> Event:
         """An event that fires ``delay_fs`` femtoseconds from now."""
         if delay_fs < 0:
             raise ValueError(f"negative delay {delay_fs} fs")
-        ev = Event(self, name or f"timeout_fs({delay_fs})")
+        ev = Event(self, name)
         ev.value = value
-        self._push(self.now_fs + delay_fs, ev)
+        self._seq += 1
+        heappush(self._heap, (self.now_fs + delay_fs, self._seq, ev))
         return ev
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -168,12 +173,6 @@ class Engine:
             e.add_callback(on_fire)
         return done
 
-    # -- scheduling internals ----------------------------------------------
-
-    def _push(self, when_fs: int, ev: Event) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (when_fs, self._seq, ev))
-
     # -- run loop ------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
@@ -186,10 +185,9 @@ class Engine:
         self._dispatching = True
         try:
             while heap:
-                when, _seq, ev = heap[0]
-                if stop is not None and when > stop:
+                if stop is not None and heap[0][0] > stop:
                     break
-                heapq.heappop(heap)
+                when, _seq, ev = heappop(heap)
                 self.now_fs = when
                 self.events_dispatched += 1
                 if ev.callbacks is None:

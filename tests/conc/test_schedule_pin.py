@@ -1,0 +1,141 @@
+"""End-to-end pin on the DES schedule of the concurrent runners.
+
+``ConcurrentVFS.op`` and the engine decide *when* every simulated
+operation runs: lock tiers taken in hierarchy order, bandwidth slots,
+the QoS gate, admission stalls, jitter draws.  A change to that host
+path may make it cheaper but may not move one event.  Each digest below
+covers, for one small configuration and seed: every per-client and
+per-tenant op-latency histogram (count, sum, buckets), the lock-wait,
+stall and DWQ-residency histograms, the engine's dispatch count, the
+final ``now_fs``, the device's ``PMStats`` and its durable image.  The
+sum fields are floats fed straight from ``Engine.now`` differences, so
+a wait computed any other way moves them in the last bits.
+
+The digests are exact and carry no band; regenerate them only with a
+change that means to move simulated time.
+"""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from repro.core import Config, Variant, make_fs
+from repro.workloads import fleet, runner
+from repro.workloads.fio import Mode, large_file_job, small_file_job
+
+pytestmark = pytest.mark.conc
+
+_PINNED_HISTOGRAMS = re.compile(
+    r"conc\.t\d+\.op_latency_ns|conc\.lock_wait_ns|conc\.stall_ns"
+    r"|dwq\.residency_ns|tenant\.op_latency_ns\{.*\}")
+
+
+def _fs(variant, nfiles, cpus=4):
+    return make_fs(variant, Config(device_pages=4096,
+                                   max_inodes=nfiles + 64, cpus=cpus,
+                                   delayed_interval_ms=0.05,
+                                   delayed_batch=64))
+
+
+def small_delayed(seed):
+    spec = small_file_job(nfiles=200, dup_ratio=0.5, threads=4, seed=seed)
+    fs, dd = _fs(Variant.DELAYED, spec.nfiles)
+    runner.run_workload(fs, spec, dd=dd)
+    return fs
+
+
+def large_inline(seed):
+    spec = large_file_job(nfiles=24, dup_ratio=0.5, threads=4,
+                          seed=seed).with_(io_chunk=32 * 1024)
+    fs, dd = _fs(Variant.INLINE, spec.nfiles)
+    runner.run_workload(fs, spec, dd=dd)
+    return fs
+
+
+def readwrite_immediate(seed):
+    spec = large_file_job(nfiles=16, dup_ratio=0.5, threads=4,
+                          mode=Mode.READWRITE, seed=seed)
+    fs, dd = _fs(Variant.IMMEDIATE, spec.nfiles)
+    inos = runner.prepopulate(fs, spec, drain=True)
+    runner.run_workload(fs, spec, dd=dd, inos=inos, workers=2)
+    return fs
+
+
+def tenant_fleet(seed):
+    spec = fleet.FleetSpec(tenants=4, base_files=24, file_size=16 * 1024,
+                           dup_ratio=0.5, think_ratio=0.5, noisy_tenant=1,
+                           noisy_burst_files=12, noisy_clients=3, churn=0.25,
+                           seed=seed)
+    fs, _ = _fs(Variant.DELAYED, 96, cpus=8)
+    fleet.run_fleet(fs, spec, dd=runner.DDMode.immediate(), bw_slots=2,
+                    shards=4, max_shard_depth=2, qos=True,
+                    weights={spec.tenant_name(0): 8})
+    return fs
+
+
+def jittered(seed):
+    spec = small_file_job(nfiles=48, dup_ratio=0.5, threads=3, seed=seed)
+    fs, _ = _fs(Variant.IMMEDIATE, spec.nfiles)
+    runner.run_workload(fs, spec, dd=runner.DDMode.immediate(), workers=2,
+                        max_shard_depth=2, jitter_seed=seed)
+    return fs
+
+
+CONFIGS = {f.__name__: f for f in (small_delayed, large_inline,
+                                   readwrite_immediate, tenant_fleet,
+                                   jittered)}
+
+#: (configuration, seed) -> sha256 of the schedule's observable record.
+PINNED = {
+    ("small_delayed", 42):
+        "e975e13fb05a9c41a6d131dbfd95cb95d21d6d833c586ab75aed472871df16f2",
+    ("small_delayed", 1337):
+        "2257d7033ae28555b1fabb82b30120abee7a8a81714d4fa3259d0988fe33e7d1",
+    ("large_inline", 42):
+        "11640db8a5f9b2d453ba3eafe67b62cf55a9febf69e6774f1b5724159d550ade",
+    ("large_inline", 1337):
+        "22d3de93defef77a442cd5c952033835bdaa9c6807af82b4c9b1f4a6defc298d",
+    ("readwrite_immediate", 42):
+        "c6c266f43c3b23638653191797d2e7b3b79c8137f2f2a29c7cae7bb5953f5732",
+    ("readwrite_immediate", 1337):
+        "fb238a7c28c48a02983c897a5ac84433fb71b9d124d470ec9e5d33c8bc577a8b",
+    ("tenant_fleet", 42):
+        "95ac70e53e014c3baf4194745fc6c0f98935c9691e6e3212bf85b2d3d5fdc9eb",
+    ("tenant_fleet", 1337):
+        "df1eedf4096ea17bf4b8d5c1d2b98dc8e4967707d80baa0fc2ae6f400c086dfd",
+    ("jittered", 42):
+        "5fe2119d94be750de8c8fe4be54295945f68dd0a561dc3e074c7e6e5599d32cf",
+    ("jittered", 1337):
+        "23519714df670dc643699a24157b14d96fe5e034a335b2e34d4f6cfa771ee59a",
+}
+
+
+def schedule_digest(fs, tmp_path) -> str:
+    registry = fs.obs.registry
+    record = {
+        "histograms": {
+            name: (m.count, m.sum, m.counts)
+            for name, m in registry
+            if _PINNED_HISTOGRAMS.fullmatch(name)},
+        "events": registry.get("sim.events_dispatched_total").value,
+        "now_fs": fs.clock.now_fs,
+        "pm": fs.dev.stats.snapshot(),
+    }
+    h = hashlib.sha256(json.dumps(record, sort_keys=True).encode())
+    image = tmp_path / "durable.img"
+    fs.dev.save_image(image)
+    h.update(image.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("config,seed", sorted(PINNED))
+def test_schedule_lands_on_the_pinned_digest(config, seed, tmp_path):
+    fs = CONFIGS[config](seed)
+    names = [name for name, _ in fs.obs.registry
+             if _PINNED_HISTOGRAMS.fullmatch(name)]
+    # The record is not vacuous: the lock tiers and the queue were used.
+    assert "conc.lock_wait_ns" in names and "dwq.residency_ns" in names
+    assert fs.obs.registry.get("conc.lock_wait_ns").count > 0
+    assert schedule_digest(fs, tmp_path) == PINNED[config, seed]

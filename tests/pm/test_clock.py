@@ -219,6 +219,61 @@ def test_advance_n_refuses_a_negative_charge(n):
     assert (clk.now_ns, clk.charged_ns) == (7.0, 0.0)
 
 
+@pytest.mark.parametrize("clock", [SimClock, _CountingClock])
+@pytest.mark.parametrize("n", [-1, -3, -4096])
+def test_advance_n_refuses_a_negative_count(clock, n):
+    """A negative count would move a clock that folds backwards, and do
+    nothing on one that does not: both refuse it, charging nothing."""
+    clk = clock()
+    clk.advance(100.0)
+    with pytest.raises(ValueError, match="negative time charge"):
+        clk.advance_n(10.0, n)
+    assert (clk.now_ns, clk.charged_ns) == (100.0, 100.0)
+
+
+@pytest.mark.parametrize("bad", [5.5, 1000005.0, "7", None])
+def test_sync_to_refuses_anything_but_whole_femtoseconds(bad):
+    clk = SimClock(1.0)
+    with pytest.raises(TypeError, match="whole femtoseconds"):
+        clk.sync_to(bad)
+    assert clk.now_fs == FS_PER_NS and type(clk.now_fs) is int
+    clk.sync_to(clk.now_fs + 7)
+    clk.advance(0.5)
+    assert clk.now_fs == FS_PER_NS + 7 + FS_PER_NS // 2
+    assert type(clk.now_fs) is int
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("charge", [
+    fs_of,
+    lambda ns: SimClock().advance(ns),
+    lambda ns: SimClock().advance_n(ns, 3),
+    lambda ns: _CountingClock().advance(ns),
+], ids=["fs_of", "advance", "advance_n", "replaced advance"])
+def test_a_non_finite_charge_is_one_named_error(charge, bad):
+    with pytest.raises(ValueError, match=f"non-finite.* time charge: {bad}"):
+        charge(bad)
+
+
+@pytest.mark.parametrize("ns", [0.0, 25.0, 1 / 3, 250.0 + 64 / 6.0, 1e9])
+def test_charge_fs_is_advance_with_the_rounding_done_once(ns):
+    """On a clock that folds, ``charge_fs(fs_of(ns), ns)`` is
+    ``advance(ns)``; one whose ``advance`` was replaced is handed that
+    call instead, so a recorder still sees every float charge."""
+    clk, ref, counting = SimClock(3.0), SimClock(3.0), _CountingClock()
+    assert clk.folds and not counting.folds
+    with clk.capture() as cap, ref.capture() as ref_cap:
+        clk.charge_fs(fs_of(ns), ns)
+        ref.advance(ns)
+    clk.charge_fs(fs_of(ns), ns)
+    ref.advance(ns)
+    assert (cap.fs, clk.now_fs, clk.charged_fs) \
+        == (ref_cap.fs, ref.now_fs, ref.charged_fs)
+    counting.charge_fs(fs_of(ns), ns)
+    assert counting.charges == [ns]
+    assert counting.charged_fs == fs_of(ns)
+
+
 # -- the clock is the exact integer sum of its advance calls -----------------
 
 #: Charges as the device and CPU models compute them: latency constants,

@@ -30,6 +30,9 @@ own, its lines held *in flight* instead of in the per-line tables; the
 directed tests put every shape of run through it, crash it out of every
 hook, and require the reference's media after both kinds of crash — and
 require the table body for the same store on top of volatile lines.
+With no hook installed, on a clock that folds, that body takes no
+pre-image and is one integer charge; one test runs the rounds beside
+such a device and holds it to the hooked, recording one.
 
 The real device's content is a view of a private anonymous mapping that
 the kernel zeroes on first touch; the reference's is zero-filled memory.
@@ -85,9 +88,13 @@ class FoldingClock(SimClock):
 class Pair:
     """The real device and the reference, driven in lock step."""
 
-    def __init__(self, track_wear=False, clock=RecordingClock):
+    def __init__(self, track_wear=False, clock=RecordingClock, plain=False):
         self.real = PMDevice(SIZE, clock=clock(), track_wear=track_wear)
         self.ref = PerLineDevice(SIZE, clock=clock(), track_wear=track_wear)
+        # A third device on a plain clock with no hooks (see
+        # test_random_sequences_match_on_a_plain_clock_with_no_hooks).
+        self.plain = (PMDevice(SIZE, clock=SimClock(), track_wear=track_wear)
+                      if plain else None)
         self.track_wear = track_wear
         self.charges_compared = 0
         self.events = {id(self.real): [], id(self.ref): []}
@@ -119,7 +126,7 @@ class Pair:
         self.round_start = {key: len(log)
                             for key, log in self.events.items()}
 
-    def _both(self, real_step, ref_step, where):
+    def _both(self, real_step, ref_step, where, plain_step=None):
         """Run one step on each device; True if it crashed (on both)."""
         crashed = []
         for step in (real_step, ref_step):
@@ -129,6 +136,8 @@ class Pair:
             except CrashRequested:
                 crashed.append(True)
         assert crashed[0] == crashed[1], where
+        if self.plain is not None:
+            plain_step()            # nothing on it can raise
         self.compare(where)
         return crashed[0]
 
@@ -136,7 +145,8 @@ class Pair:
         """Apply one operation to both."""
         return self._both(lambda: getattr(self.real, op)(*args, **kw),
                           lambda: getattr(self.ref, op)(*args, **kw),
-                          (op, args[:1]))
+                          (op, args[:1]),
+                          lambda: getattr(self.plain, op)(*args, **kw))
 
     def do_read(self, op, *args, **kw):
         """One charged read of any kind on both; the bytes must agree
@@ -144,9 +154,11 @@ class Pair:
         got = []
         self._both(lambda: got.append(getattr(self.real, op)(*args, **kw)),
                    lambda: got.append(getattr(self.ref, op)(*args, **kw)),
-                   (op, args, kw))
-        real, ref = got
+                   (op, args, kw),
+                   lambda: got.append(getattr(self.plain, op)(*args, **kw)))
+        real, ref = got[:2]
         assert bytes(real) == ref, (op, args, kw)
+        assert all(bytes(plain) == ref for plain in got[2:])
         return real
 
     def do_durable(self, op, addr, payload, **kw):
@@ -171,7 +183,9 @@ class Pair:
             crashed = self._both(
                 lambda: getattr(self.real, op)(addr, payload, persist=True,
                                                **kw),
-                two_calls, (op, addr, "persist=True"))
+                two_calls, (op, addr, "persist=True"),
+                lambda: getattr(self.plain, op)(addr, payload, persist=True,
+                                                **kw))
         finally:
             self.in_durable = False
         if crashed:
@@ -191,17 +205,29 @@ class Pair:
         if self.track_wear:
             assert real.wear_max() == ref.wear_max(), where
             assert real.wear_total() == ref.wear_total(), where
+        plain = self.plain
+        if plain is not None:
+            assert plain.volatile_lines == real.volatile_lines, where
+            assert plain.stats == real.stats, where
+            assert (plain.clock.charged_fs, plain.clock.now_fs) \
+                == (real.clock.charged_fs, real.clock.now_fs), where
 
     def compare_media(self, where):
         assert self.real.read_silent(0, SIZE) == self.ref.media(), where
+        if self.plain is not None:
+            assert self.plain.read_silent(0, SIZE) == self.ref.media(), where
 
     def crash(self, mode, seed):
         self.real.crash(mode, rng=np.random.default_rng(seed))
         self.ref.crash(mode, rng=np.random.default_rng(seed))
+        if self.plain is not None:
+            self.plain.crash(mode, rng=np.random.default_rng(seed))
         self.compare(("crash", mode))
         self.compare_media(("crash", mode, seed))
         assert self.real.volatile_lines == 0
         self.real.recover_view()
+        if self.plain is not None:
+            self.plain.recover_view()
 
 
 def _store_args(rng, recent):
@@ -329,23 +355,32 @@ def _a_read(rng, pair, kinds):
             view[:1] = b"!"
 
 
-def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock):
+def _quiet(count, dev):
+    """A hook that only looks."""
+
+
+def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
+               plain=False):
     rng = random.Random(seed)
     # The reads draw from a generator of their own: the rounds are the
     # sequences they were before the device had ``scan`` / ``read_view``.
     read_rng = random.Random(seed + 9000)
-    pair = Pair(track_wear=track_wear, clock=clock)
+    pair = Pair(track_wear=track_wear, clock=clock, plain=plain)
     pair.reads = dict.fromkeys(("read", "read_view", "scan",
                                 "scan stopped early",
                                 "scan to the last byte"), 0)
     crashes_mid_fence = 0
     for rnd in range(rounds):
         recent = []
-        pair.arm(rng.choice((
+        trip = rng.choice((
             ("on_persist", rng.randint(1, 25)),
             ("on_persist_done", rng.randint(1, 25)),
             ("on_write", rng.randint(1, 60)),
-            None)))
+            None))
+        # A trip has no twin on the plain device: drawn, not armed.
+        pair.arm(None if plain else trip)
+        if plain:                   # a hook of its own in rounds 2 and 3
+            pair.plain.hooks.on_write = _quiet if rnd in (2, 3) else None
         for _ in range(STEPS_PER_ROUND):
             roll = rng.random()
             if roll < 0.04:
@@ -420,6 +455,44 @@ def test_random_sequences_match_with_the_charges_folded():
         pair, _ = run_rounds(seed, clock=FoldingClock)
         assert type(pair.real.clock).advance is SimClock.advance
         assert pair.real.clock.charged_ns > 1e6 and pair.reads["scan"] > 10
+
+
+def test_random_sequences_match_on_a_plain_clock_with_no_hooks():
+    """The same rounds beside a third device on a plain ``SimClock`` with
+    no hooks: its durable stores onto a quiescent device take no
+    pre-image and are one integer charge.  After every step its
+    ``PMStats``, ``volatile_lines``, ``charged_fs`` and ``now_fs`` equal
+    the hooked, recording-clock device's, its reads return the same
+    bytes, and before and after each round's crash its media is the
+    reference's.  A trip there has no twin, so trips are drawn but not
+    armed; in rounds 2 and 3 the third device has a hook of its own and
+    goes back to the per-charge body."""
+    quiescent = 0
+    for seed in range(8):
+        pair, mid_fence = run_rounds(seed, plain=True)
+        assert mid_fence == 0 and pair.plain.stats.crashes == ROUNDS
+        quiescent += pair.bodies["in flight"]
+    assert quiescent >= 100
+
+
+@pytest.mark.parametrize("hook", ["on_write", "on_persist"])
+def test_a_raising_hook_on_a_folding_clock_leaves_the_run_volatile(hook):
+    """A clock that folds does not take the one-charge store while a
+    hook is installed: one that raises out of a durable store onto a
+    quiescent device leaves its lines volatile, as the reference's
+    ``write`` + ``persist`` does, charge for charge."""
+    for addr, n, lines in RUNS:
+        pair = Pair(clock=FoldingClock)
+        pair.arm(None)
+        under = bytes(range(1, 256)) * (n // 255 + 2)
+        pair.do_durable("write", addr - 64, under)
+        assert pair.real.volatile_lines == 0 and pair.real.clock.folds
+        pair.arm((hook, 1))
+        assert pair.do_durable("write", addr, b"\xa5" * n)
+        assert pair.real.volatile_lines == lines
+        assert pair.bodies == {"in flight": 2, "tables": 0}
+        pair.crash("discard", 3000 + lines)
+        assert pair.real.read_silent(addr, n) != b"\xa5" * n
 
 
 @pytest.mark.parametrize("stride", [1, CACHELINE, 128])
