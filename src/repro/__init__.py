@@ -12,16 +12,18 @@ Quickstart::
     fs.daemon.drain()                 # background dedup, driven manually
     print(fs.space_stats())
 
-Package map (bottom-up): :mod:`repro.sim` (DES kernel), :mod:`repro.pm`
-(PM device emulation), :mod:`repro.nova` (the NOVA filesystem model),
-:mod:`repro.dedup` (DeNova: FACT/DWQ/daemon/inline baselines),
-:mod:`repro.workloads` (fio-like jobs + DES runner),
-:mod:`repro.analysis` (Eq. 1-5 model + statistics), :mod:`repro.failure`
-(crash injection), :mod:`repro.core` (variants and configuration).
+The packages are layered; DESIGN.md's *System inventory* lists them
+bottom to top, and each imports only from its own layer and the ones
+below.  :mod:`repro.backup` and :mod:`repro.repl` are imported here so
+that the mount-recovery hooks they register on :class:`DeNovaFS` are in
+place before any filesystem is mounted, whichever ``repro`` module a
+program imports first.
 """
 
 from repro.core import Config, TESTBED, Variant, make_device, make_fs
 from repro.dedup import DeNovaFS, InlineDedupFS
+# For the DeNovaFS hooks they register, backup's before repl's:
+from repro import backup, repl  # noqa: F401
 from repro.nova import NovaFS
 from repro.pm import OPTANE_DCPM, PMDevice, SimClock
 from repro.workloads import (

@@ -25,10 +25,12 @@ streams that were torn.  The sibling cursor file carries an ``active``
 dirty-mark: ``True`` from the moment a ``recv`` starts mutating the
 stage until it either pauses cleanly (``max_entries`` exhausted —
 rewritten ``False``) or commits (cursor unlinked with the stage).
-:meth:`DeNovaFS._post_mount` calls :func:`rollback_staging` with
-``torn_only=True`` after an **unclean** mount: a stage whose cursor is
-absent, garbled, or still ``active`` was torn mid-ingest and is removed
-(the fsck-clean guarantee); a cleanly-paused stage survives and resumes.
+After an **unclean** mount, :func:`rollback_torn_ingests` — registered
+in :attr:`DeNovaFS.unclean_mount_hooks <repro.dedup.denova.DeNovaFS.
+unclean_mount_hooks>` at import — calls :func:`rollback_staging` with
+``torn_only=True``: a stage whose cursor is absent, garbled, or still
+``active`` was torn mid-ingest and is removed (the fsck-clean
+guarantee); a cleanly-paused stage survives and resumes.
 
 Resume — the in-image cursor
 ----------------------------
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.backup.chain import record_chain
 from repro.backup.diff import BackupError
 from repro.backup.stream import (
     StreamError,
@@ -54,8 +57,9 @@ from repro.backup.stream import (
     read_header,
     read_record_at,
 )
+from repro.dedup.denova import DeNovaFS
 from repro.dedup.fact import FactTxn
-from repro.dedup.reflink import SNAPSHOT_DIR, materialise_shared
+from repro.dedup.reflink import SNAPSHOT_DIR, STAGE_DIR, materialise_shared
 from repro.nova import persist
 from repro.nova.fs import FileExists, FSError, NoSpace, ino_cpu
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
@@ -64,9 +68,8 @@ from repro.nova.radix import extend_runs
 from repro.pm.allocator import AllocError
 
 __all__ = ["STAGE_DIR", "receive_backup", "rollback_staging",
-           "stage_cursor", "stage_path_for", "staged_ingests"]
-
-STAGE_DIR = "/.backup_stage"
+           "rollback_torn_ingests", "stage_cursor", "stage_path_for",
+           "staged_ingests"]
 
 #: Stream-id prefix length used in stage names — enough to keep
 #: concurrent streams apart, short enough for readable listings.
@@ -199,6 +202,20 @@ def rollback_staging(fs, torn_only: bool = False) -> dict:
         out["cursors"] += 1
     persist.prune_dir(fs, STAGE_DIR)
     return out
+
+
+def rollback_torn_ingests(fs, report) -> None:
+    """The unclean-mount hook: remove the stages a crash tore.
+
+    Cleanly-paused stages — and all staging after a clean unmount — are
+    kept: that is what makes recv resumable and fan-in crash-isolated
+    per stream.
+    """
+    with fs.obs.span("backup.rollback_staging"):
+        out = rollback_staging(fs, torn_only=True)
+    if out["stages"] or out["cursors"]:
+        fs.backup_counters["rollbacks"] += out["stages"]
+        report.extra["backup_rollback"] = out
 
 
 def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
@@ -378,7 +395,6 @@ def receive_backup(fs, stream, resume: bool = True,
             # recorded *after* the commit rename: a crash between the
             # two leaves a published snapshot with unknown lineage,
             # never a torn commit.
-            from repro.repl.chain import record_chain
             record_chain(fs, name, parent=manifest.get("base"))
         if counters is not None:
             counters["recv_pages_dup"] += stats["pages_dup"]
@@ -397,3 +413,6 @@ def receive_backup(fs, stream, resume: bool = True,
     finally:
         if close_fh:
             fh.close()
+
+
+DeNovaFS.unclean_mount_hooks += (rollback_torn_ingests,)

@@ -27,14 +27,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Callable, NamedTuple
 
 from repro.analysis import InlineModel, render_table
+from repro.backup import (StreamError, receive_backup, send_backup,
+                          staged_ingests, verify_snapshot, verify_stream)
 from repro.core import Variant
 from repro.dedup import DeNovaFS, HybridDeNovaFS
+from repro.dedup.fact import FactCorruption
 from repro.dedup.hybrid import MODE_NAMES
 from repro.nova import NovaFS
+from repro.nova.fs import FSError, IsADirectory
+from repro.nova.inode import ITYPE_DIR
 from repro.nova.layout import Superblock
 from repro.obs import (diff_profiles, evaluate_snapshot, format_profile,
                        format_table, load_profile, load_rules, merge_profiles,
@@ -42,6 +48,10 @@ from repro.obs import (diff_profiles, evaluate_snapshot, format_profile,
                        to_folded, to_prometheus)
 from repro.pm import PMDevice, SimClock
 from repro.pm.latency import PROFILES
+from repro.repl import (ReplicationTopology, chain_table, relocate_latest,
+                        restore_latest, restore_snapshot)
+from repro.tenant import QuotaExceeded
+from repro.workloads import run_workload, small_file_job
 
 __all__ = ["COMMANDS", "Command", "build_parser", "main"]
 
@@ -310,9 +320,6 @@ def cmd_put(args):
 @command("get", "copy a file out", arg("path"),
          arg("dest", help="local file, or - for stdout"))
 def cmd_get(args):
-    from repro.nova.fs import IsADirectory
-    from repro.nova.inode import ITYPE_DIR
-
     with _mounted(args.image) as fs:
         streamed = _streamed_counter(fs)
         ino = fs.lookup(args.path)
@@ -549,7 +556,8 @@ def _deep_failure(rep: dict) -> str:
              help="simulated per-CPU recovery threads for the "
                   "replay and dedup flag scan"))
 def cmd_fsck(args):
-    from repro.failure import InvariantViolation, check_fs_invariants
+    from repro.failure import (  # lazy: only fsck runs the checkers
+        InvariantViolation, check_fs_invariants)
 
     with _mounted(args.image, use_checkpoint=not args.full_scan,
                   recovery_workers=args.workers) as fs:
@@ -703,8 +711,6 @@ def _staging_rows(fs) -> list:
 
 def _run_flat_workload(fs, args) -> str:
     """``workload``: N fio threads on one flat file set."""
-    from repro.workloads import run_workload, small_file_job
-
     with _refusing(ValueError):
         spec = small_file_job(nfiles=args.files, dup_ratio=args.dup,
                               threads=args.threads, seed=args.seed)
@@ -741,7 +747,8 @@ def _run_flat_workload(fs, args) -> str:
 
 def _run_fleet_workload(fs, args) -> str:
     """``workload --tenants N``: the multi-tenant fleet scenario."""
-    from repro.workloads.fleet import FleetSpec, run_fleet
+    from repro.workloads.fleet import (  # lazy: only --tenants runs a fleet
+        FleetSpec, run_fleet)
 
     with _refusing(ValueError):
         spec = FleetSpec(tenants=args.tenants, base_files=args.files,
@@ -881,7 +888,8 @@ def cmd_snap(args):
             for name in fs.list_snapshots():
                 print(name)
         elif args.action == "delete":
-            removed = fs.delete_snapshot(args.name)
+            with _refusing(ValueError):
+                removed = fs.delete_snapshot(args.name)
             print(f"deleted snapshot {args.name!r} ({removed} files)")
 
 
@@ -895,8 +903,6 @@ def cmd_snap(args):
              help="write at most N new records, then pause (resumable)"),
          JSON)
 def cmd_backup_send(args) -> int:
-    from repro.backup import send_backup
-
     with _mounted(args.image, needs="backup") as fs:
         rep = send_backup(fs, args.snapshot, args.stream,
                           base=args.base, resume=not args.no_resume,
@@ -925,8 +931,6 @@ def cmd_backup_send(args) -> int:
                   "(resumable)"),
          JSON)
 def cmd_backup_recv(args) -> int:
-    from repro.backup import receive_backup
-
     with _mounted(args.image, needs="backup") as fs:
         rep = receive_backup(fs, args.stream, resume=not args.no_resume,
                              max_entries=args.max_entries)
@@ -948,8 +952,6 @@ def cmd_backup_recv(args) -> int:
          flag("--deep", help="re-hash page bytes instead of trusting FACT"),
          JSON)
 def cmd_backup_verify(args) -> int:
-    from repro.backup import verify_snapshot, verify_stream
-
     with _mounted(args.image, needs="backup") as fs:
         srep = verify_stream(args.stream)
         nrep = (verify_snapshot(fs, args.stream, deep=args.deep)
@@ -982,9 +984,6 @@ def cmd_backup_list(args):
     """Snapshots (backup sources/targets) with chain metadata, + staged
     ingests, in the same deterministic order as ``snap list``
     (chain_table keeps the sorted contract)."""
-    from repro.backup import staged_ingests
-    from repro.repl import chain_table
-
     with _mounted(args.image, needs="backup") as fs:
         for row in chain_table(fs):
             meta = [f"depth {row['depth']}", row["layout"]]
@@ -1004,10 +1003,6 @@ def _topology(args, run) -> int:
     stream that fails is its line in the report (its image is unmounted
     cleanly, whatever it staged is saved); a command that fails before
     any stream moves writes nothing."""
-    import tempfile
-
-    from repro.repl import ReplicationTopology
-
     topo = ReplicationTopology(
         spool_dir=args.spool or tempfile.mkdtemp(prefix="repro-spool-"),
         batch=args.batch)
@@ -1075,7 +1070,7 @@ def cmd_repl_fanin(args) -> int:
          JSON)
 def cmd_repl_relocate(args) -> int:
     with _mounted(args.image, needs="repl") as fs:
-        rep = fs.relocate(budget=args.budget)
+        rep = relocate_latest(fs, budget=args.budget)
     if args.json:
         _print_json("repro.repl.relocate/1", rep)
     elif rep["snapshot"] is None:
@@ -1097,11 +1092,9 @@ def cmd_repl_relocate(args) -> int:
              help="snapshot to restore (default: newest of the chain)"),
          JSON)
 def cmd_repl_restore(args):
-    from repro.repl import restore_snapshot
-
     with _mounted(args.image, needs="repl") as fs:
         rep = (restore_snapshot(fs, args.snapshot) if args.snapshot
-               else fs.restore_latest())
+               else restore_latest(fs))
     if args.json:
         _print_json("repro.repl.restore/1", rep)
     elif rep["snapshot"] is None:
@@ -1155,8 +1148,8 @@ def cmd_repl_restore(args):
                    "(recv cursors + relocation intent journals)"),
          JSON, image=False)
 def cmd_fuzz(args) -> int:
-    from repro.fuzz import (FuzzConfig, FuzzRunner, GenConfig,
-                            run_backup_case, run_repl_case)
+    from repro.fuzz import (  # lazy: only fuzz loads its engine
+        FuzzConfig, FuzzRunner, GenConfig, run_backup_case, run_repl_case)
 
     # The scenario: a two-image pipeline sweep, or the differential
     # campaign (which hosts relocate/restore ops too, via
@@ -1238,11 +1231,6 @@ def cmd_bench_model(args):
 
 
 def main(argv=None) -> int:
-    from repro.backup import StreamError
-    from repro.dedup.fact import FactCorruption
-    from repro.nova.fs import FSError
-    from repro.tenant import QuotaExceeded
-
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args) or 0

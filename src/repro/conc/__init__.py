@@ -19,7 +19,6 @@ See docs/CONCURRENCY.md for the lock hierarchy and shard layout.
 from repro.conc.lockorder import LockOrderValidator, LockOrderViolation
 from repro.conc.permute import (PermutationReport, fs_state_digest,
                                 run_permutations)
-from repro.conc.replay import run_sharded
 from repro.conc.sdwq import ShardedDWQ
 from repro.conc.vfs import OP_LATENCY_BUCKETS_NS, ConcurrentVFS
 
@@ -31,6 +30,5 @@ __all__ = [
     "PermutationReport",
     "fs_state_digest",
     "run_permutations",
-    "run_sharded",
     "OP_LATENCY_BUCKETS_NS",
 ]

@@ -43,9 +43,10 @@ from typing import Callable, Optional
 
 from repro.conc.lockorder import LockOrderValidator
 from repro.conc.sdwq import ShardedDWQ
+from repro.obs import MetricsRegistry
 from repro.pm.clock import FS_PER_NS, fs_of
 from repro.sim import Engine, Lock, Process, Resource, RWLock
-from repro.tenant.qos import UNTENANTED
+from repro.tenant.qos import UNTENANTED, TenantQoS
 
 __all__ = ["ConcurrentVFS", "OP_LATENCY_BUCKETS_NS"]
 
@@ -143,7 +144,6 @@ class ConcurrentVFS:
         # ---- tenant QoS (weighted-fair admission) ----
         self.qos = None
         if qos:
-            from repro.tenant.qos import TenantQoS
             dwq_cap = None
             if self.sdwq is not None and self.sdwq.max_depth is not None:
                 dwq_cap = self.sdwq.nshards * self.sdwq.max_depth
@@ -169,7 +169,6 @@ class ConcurrentVFS:
             reg.gauge_fn("conc.live_clients", lambda: self.live_clients,
                          help="client processes currently running")
         else:
-            from repro.obs import MetricsRegistry
             reg = MetricsRegistry()
             self._h_lock_wait = reg.histogram("conc.lock_wait_ns",
                                               buckets=WAIT_BUCKETS_NS)

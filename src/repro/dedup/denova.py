@@ -8,7 +8,10 @@ Integration points with the base filesystem:
   NVM reads) and frees a page only when its RFC reaches zero (§IV-D3);
 * log-page GC is vetoed for pages holding entries still awaiting dedup;
 * clean unmount saves the DWQ to PM; unclean mounts run the §V-C
-  recovery (:mod:`repro.dedup.recovery`).
+  recovery (:mod:`repro.dedup.recovery`);
+* layers above keep crash state of their own in the image and settle it
+  through :attr:`DeNovaFS.unclean_mount_hooks`, which they fill at import
+  (``repro.backup``: torn ingests; ``repro.repl``: relocation intents).
 
 The dedup daemon itself is *driven by the caller* (or the DES workload
 runner): ``fs.daemon.drain()`` for DeNova-Immediate semantics,
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Optional
 
+from repro.dedup import recovery, reflink
 from repro.dedup.daemon import DedupDaemon
 from repro.dedup.dwq import DWQ, DWQNode
 from repro.dedup.fact import FACT
@@ -37,6 +41,13 @@ __all__ = ["DeNovaFS"]
 
 class DeNovaFS(NovaFS):
     """The DeNova file system (offline dedup, DRAM-free metadata)."""
+
+    #: ``hook(fs, report)`` callables an *unclean* mount runs, in order,
+    #: once the filesystem is operable.  Each layer above that keeps
+    #: crash state in the image appends its own at import.
+    unclean_mount_hooks: tuple = ()
+    #: ``hook(fs, name)`` callables run after snapshot ``name`` is deleted.
+    snapshot_delete_hooks: tuple = ()
 
     def __init__(self, dev: PMDevice, geo: Geometry, cpus: int = 1):
         super().__init__(dev, geo, cpus)
@@ -137,37 +148,16 @@ class DeNovaFS(NovaFS):
             # to the crash-style recovery, whose flag scan rebuilds the
             # queue losslessly.
             report.extra["dwq_restored"] = "overflow->scan"
-        from repro.dedup.recovery import dedup_recover
-        report.extra["dedup"] = dedup_recover(self, report)
+        # Called through its module, where benchmarks/e2e/trace.py wraps it.
+        report.extra["dedup"] = recovery.dedup_recover(self, report)
 
     def _post_mount(self) -> None:
-        """Settle torn backup ingests and relocations after a crash.
-
-        An in-flight ``backup recv`` stages its snapshot under
-        ``/.backup_stage`` and commits with one atomic rename; a stage
-        whose cursor is absent or still ``active`` when an *unclean*
-        mount completes is a torn ingest and must vanish (the fsck-clean
-        guarantee).  Cleanly-paused stages — and all staging after a
-        clean unmount — are kept: that is what makes recv resumable and
-        fan-in crash-isolated per stream.  An interrupted reverse-dedup
-        relocation left an intent journal under ``/.repl``; replaying it
-        drives every half-moved page to a consistent side.
-        """
+        """After an unclean mount, run :attr:`unclean_mount_hooks`."""
         rep = self.last_recovery
         if rep is None or rep.clean:
             return
-        from repro.backup.recv import rollback_staging
-        with self.obs.span("backup.rollback_staging"):
-            out = rollback_staging(self, torn_only=True)
-        if out["stages"] or out["cursors"]:
-            self.backup_counters["rollbacks"] += out["stages"]
-            rep.extra["backup_rollback"] = out
-        from repro.repl.relocate import replay_intents
-        with self.obs.span("repl.replay_intents"):
-            replayed = replay_intents(self)
-        if replayed:
-            self.repl_counters["intents_replayed"] += replayed
-            rep.extra["repl_replay"] = replayed
+        for hook in self.unclean_mount_hooks:
+            hook(self, rep)
 
     # ------------------------------------------------------------ write-path hooks
 
@@ -264,10 +254,9 @@ class DeNovaFS(NovaFS):
         table incrementally (RevDedup-style out-of-line batching).
         Without a budget, one call sweeps everything, as before.
         """
-        from repro.dedup.recovery import scrub
         with self.obs.span("dedup.scrub", budget=budget or 0,
                            cursor=self.cursors.get("scrub")):
-            out = scrub(self, budget)
+            out = recovery.scrub(self, budget)
         self.maint_counters["scrub_examined"] += out["examined"]
         self.maint_counters["scrub_removed"] += out["entries_removed"]
         self.maint_counters["scrub_pages_freed"] += out["pages_freed"]
@@ -278,10 +267,9 @@ class DeNovaFS(NovaFS):
 
         Budgeted and resumable exactly like :meth:`scrub`.
         """
-        from repro.dedup.recovery import deep_verify
         with self.obs.span("dedup.deep_verify", budget=budget or 0,
                            cursor=self.cursors.get("deep_verify")):
-            out = deep_verify(self, budget)
+            out = recovery.deep_verify(self, budget)
         self.maint_counters["verify_checked"] += out["checked"]
         return out
 
@@ -289,47 +277,25 @@ class DeNovaFS(NovaFS):
 
     def reflink(self, src: str, dst: str, immutable: bool = False) -> int:
         """O(metadata) copy: dst shares every data page of src."""
-        from repro.dedup.reflink import reflink
         self._check_mounted()
         self.clock.advance(self.cpu_model.syscall_ns)
-        return reflink(self, src, dst, immutable=immutable)
+        return reflink.reflink(self, src, dst, immutable=immutable)
 
     def snapshot(self, name: str) -> dict:
         """Reflink the tree into /.snapshots/<name> (files immutable)."""
-        from repro.dedup.reflink import snapshot
         self._check_mounted()
-        return snapshot(self, name)
+        return reflink.snapshot(self, name)
 
     def list_snapshots(self) -> list[str]:
-        from repro.dedup.reflink import list_snapshots
-        return list_snapshots(self)
+        return reflink.list_snapshots(self)
 
     def delete_snapshot(self, name: str) -> int:
-        from repro.dedup.reflink import delete_snapshot
-        from repro.repl.chain import forget_chain
+        """Remove snapshot ``name``, then run :attr:`snapshot_delete_hooks`."""
         self._check_mounted()
-        out = delete_snapshot(self, name)
-        forget_chain(self, name)
+        out = reflink.delete_snapshot(self, name)
+        for hook in self.snapshot_delete_hooks:
+            hook(self, name)
         return out
-
-    # ------------------------------------------------------------ repl (reverse dedup)
-
-    def relocate(self, budget: Optional[int] = None) -> dict:
-        """Reverse-dedup the newest snapshot (budgeted, resumable)."""
-        from repro.repl.relocate import relocate_latest
-        self._check_mounted()
-        return relocate_latest(self, budget=budget)
-
-    def restore_latest(self, sink=None) -> dict:
-        """Read the newest snapshot back through the physical layout."""
-        from repro.repl.restore import restore_latest
-        self._check_mounted()
-        return restore_latest(self, sink=sink)
-
-    def snapshot_chains(self) -> list[dict]:
-        """Chain metadata (parent, depth, layout) per snapshot."""
-        from repro.repl.chain import chain_table
-        return chain_table(self)
 
     # ------------------------------------------------------------ reporting
 

@@ -385,13 +385,13 @@ class FACT:
 
         1. delete pointer for ``new_block`` — persisted, but the entry
            still names the old block, so a crash here leaves a
-           mismatched pointer that :meth:`structural_recover` pass 4
+           mismatched pointer that :meth:`structural_recover` pass 3
            clears;
         2. the block field — **one atomic 64-bit store**, the commit
            point of the move;
         3. the old block's delete pointer and weak hint are retired
            (a crash between 2 and 3 again leaves only mismatched
-           pointers for pass 4).
+           pointers for pass 3).
 
         Idempotent: retargeting an entry already at ``new_block`` only
         re-runs the (harmless) pointer writes.  Returns the old block.
@@ -608,9 +608,10 @@ class FACT:
     # ------------------------------------------------------------ recovery
 
     def structural_recover(self) -> dict:
-        """Repair table structure after a crash (before log-based fixups).
+        """Repair table structure after a crash (before log-based fixups),
+        once :func:`repro.dedup.reorder.recover_reorders` has settled any
+        in-flight chain reorder (Fig. 7 protocol):
 
-        * resume/roll back any in-flight chain reorder (Fig. 7 protocol);
         * canonicalize ``prev`` links from the authoritative ``next``
           chain (stale prevs from crashed removals);
         * zero valid-but-unlinked IAA slots (crashed inserts) and clear
@@ -618,16 +619,10 @@ class FACT:
         * drop delete pointers that no longer match their entry;
         * rebuild the volatile IAA free list.
         """
-        from repro.dedup.reorder import recover_reorder
-        report = {"reorders_recovered": 0, "orphans_zeroed": 0,
-                  "prevs_fixed": 0, "deletes_cleared": 0}
-        flags = self._scan("prev")["prev"][:self.daa_size]
-        # Pass 1: reorder recovery on chains whose commit flag is set.
-        for head in np.flatnonzero(flags).tolist():
-            recover_reorder(self, head)
-            report["reorders_recovered"] += 1
+        report = {"orphans_zeroed": 0, "prevs_fixed": 0,
+                  "deletes_cleared": 0}
         prev, nxt, blocks = self._scan("prev", "next", "block").values()
-        # Pass 2: canonicalize prev links; collect linked IAA slots.
+        # Pass 1: canonicalize prev links; collect linked IAA slots.
         linked: set[int] = set()
         for head in self._active_heads(blocks, nxt, prev):
             prev_idx = -1
@@ -645,7 +640,7 @@ class FACT:
                 prev_idx = idx
                 idx = int(nxt[idx]) - 1
                 hops += 1
-        # Pass 3: orphan IAA slots (valid, never linked).
+        # Pass 2: orphan IAA slots (valid, never linked).
         valid_iaa = np.flatnonzero(blocks[self.daa_size:]) + self.daa_size
         for idx in valid_iaa.tolist():
             if idx not in linked:
@@ -656,14 +651,14 @@ class FACT:
                     report["deletes_cleared"] += 1
                 self._write_fields(idx, 0, 0, -1, -1, bytes(FP_BYTES))
                 report["orphans_zeroed"] += 1
-        # Pass 4: delete-pointer validation.
+        # Pass 3: delete-pointer validation.
         deletes, blocks = self._scan("delete", "block").values()
         for slot in np.flatnonzero(deletes).tolist():
             tgt = int(deletes[slot]) - 1
             if tgt >= self.total or blocks[tgt] != slot:
                 self.clear_delete(slot)
                 report["deletes_cleared"] += 1
-        # Pass 5: volatile free list.
+        # Pass 4: volatile free list.
         self.rebuild_iaa_free()
         return report
 

@@ -4,7 +4,8 @@ Runs after the base NOVA recovery (logs replayed, radix trees rebuilt,
 in-use bitmap computed).  Steps, mapped to the paper's handling cases:
 
 1. **FACT structural repair** — resume/roll back in-flight reorders
-   (Fig. 7), canonicalize links, zero orphan half-inserted slots.
+   (Fig. 7, :func:`repro.dedup.reorder.recover_reorders`), canonicalize
+   links, zero orphan half-inserted slots.
 2. **Flag scan** (one pass over all committed write entries):
    ``dedupe_needed`` → re-enqueue on the DWQ (*Inconsistency Handling
    I*); ``in_process`` → resume from Algorithm 1 step 6: commit one UC
@@ -18,6 +19,7 @@ in-use bitmap computed).  Steps, mapped to the paper's handling cases:
 5. **Bitmap reconciliation** — a live FACT entry whose block is not
    in use (the free-list rebuild reclaimed it) is invalidated (§V-C2),
    eliminating dangling dedup targets.
+6. **Undercount repair** — :func:`_repair_undercounts`.
 
 :func:`scrub` is the paper's background thread: it compares every FACT
 entry's RFC against the actual number of live file references and
@@ -36,8 +38,10 @@ from repro.nova.entries import (
 )
 from repro.nova.inode import ITYPE_FILE
 from repro.dedup.dwq import DWQNode
+from repro.dedup.reorder import recover_reorders
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import page_refs
+from repro.nova.recovery import run_recovery_tasks
 
 __all__ = ["dedup_recover", "scrub", "deep_verify"]
 
@@ -49,7 +53,9 @@ def dedup_recover(fs, report) -> dict:
 
     # Step 1: structural repair (reorders, orphans, links, freelist).
     with fs.obs.span("recovery.fact_structural"):
-        out["structural"] = fact.structural_recover()
+        reorders = recover_reorders(fact)
+        out["structural"] = {"reorders_recovered": reorders,
+                             **fact.structural_recover()}
 
     # Step 2: flag scan over every file inode's committed entries.
     # Sharded across the simulated recovery threads like the base log
@@ -76,14 +82,8 @@ def dedup_recover(fs, report) -> dict:
     with fs.obs.span("recovery.flag_scan", workers=workers):
         files = [(ino, cache) for ino, cache in sorted(fs.caches.items())
                  if cache.inode.itype == ITYPE_FILE]
-        if workers <= 1:
-            for ino, cache in files:
-                make_scan(ino, cache)()
-        else:
-            from repro.conc.replay import run_sharded
-            run_sharded(fs.clock,
-                        [make_scan(ino, cache) for ino, cache in files],
-                        workers)
+        run_recovery_tasks(fs, [make_scan(ino, cache)
+                                for ino, cache in files])
     out["in_process_resumed"] = resumed[0]
 
     # Step 3: discard stale UCs; step 4: drop dead entries.
@@ -100,27 +100,7 @@ def dedup_recover(fs, report) -> dict:
             stale += 1
     out["stale_entries_invalidated"] = stale
 
-    # Step 6: undercount repair.  A crash between a target's tail update
-    # and its count commit can leave an entry whose RFC misses the
-    # target's own (self-canonical) reference — with *other* committed
-    # references alive, the next reclaim would free a shared page (the
-    # §IV-D1 data-loss hazard).  Recovery holds the complete radix state,
-    # so raise any RFC below the actual live reference count.  Only the
-    # undercount direction is repaired: over-increments stay, per §V-C2,
-    # until the background scrubber erodes them.
-    # The mutation gate reintroduces the pre-fix behaviour (no repair)
-    # so the mutation self-check can prove the fuzzer still catches the
-    # undercount; it is never enabled in production.
-    from repro.failure import mutation
-    repaired = 0
-    if not mutation.enabled("rfc_undercount"):
-        refs = page_refs(fs)
-        for idx, ent in sorted(fact.live_entries().items()):
-            actual = refs.get(ent.block, 0)
-            if ent.refcount < actual:
-                fact.raise_rfc(idx, actual)
-                repaired += 1
-    out["undercounts_repaired"] = repaired
+    out["undercounts_repaired"] = _repair_undercounts(fs)
 
     # Rebuild the DWQ from the dedupe_needed flags (Handling I).
     with fs.obs.span("recovery.dwq_rebuild"):
@@ -131,6 +111,29 @@ def dedup_recover(fs, report) -> dict:
             fs.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
     out["dwq_rebuilt"] = len(needed)
     return out
+
+
+def _repair_undercounts(fs) -> int:
+    """Step 6: raise every FACT RFC below its live reference count.
+
+    A crash between a target's tail update and its count commit can
+    leave an entry whose RFC misses the target's own (self-canonical)
+    reference — with *other* committed references alive, the next
+    reclaim would free a shared page (the §IV-D1 data-loss hazard).
+    Recovery holds the complete radix state, so it knows the actual
+    counts.  Only the undercount direction is repaired: over-increments
+    stay, per §V-C2, until the background scrubber erodes them.  Returns
+    the entries repaired.
+    """
+    fact = fs.fact
+    refs = page_refs(fs)
+    repaired = 0
+    for idx, ent in sorted(fact.live_entries().items()):
+        actual = refs.get(ent.block, 0)
+        if ent.refcount < actual:
+            fact.raise_rfc(idx, actual)
+            repaired += 1
+    return repaired
 
 
 def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:

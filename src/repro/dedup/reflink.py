@@ -39,9 +39,13 @@ from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import extend_runs
 
 __all__ = ["reflink", "materialise_shared", "snapshot", "delete_snapshot",
-           "list_snapshots", "SNAPSHOT_DIR"]
+           "list_snapshots", "SNAPSHOT_DIR", "STAGE_DIR", "REPL_DIR"]
 
 SNAPSHOT_DIR = "/.snapshots"
+#: Where ``repro.backup`` stages an ingest and records chain lineage.
+#: A snapshot copies neither.
+STAGE_DIR = "/.backup_stage"
+REPL_DIR = "/.repl"
 
 
 def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
@@ -168,10 +172,15 @@ def _ensure_snapshot_root(fs) -> None:
         fs.mkdir(SNAPSHOT_DIR)
 
 
+def _check_name(name: str) -> None:
+    """A snapshot name is one path component, and not ``.`` or ``..``."""
+    if not name or "/" in name or name in (".", ".."):
+        raise ValueError(f"bad snapshot name {name!r}")
+
+
 def snapshot(fs, name: str) -> dict:
     """Reflink the whole tree (except snapshots) into /.snapshots/name."""
-    if "/" in name or not name:
-        raise ValueError(f"bad snapshot name {name!r}")
+    _check_name(name)
     _ensure_snapshot_root(fs)
     base = f"{SNAPSHOT_DIR}/{name}"
     if fs.exists(base):
@@ -179,9 +188,6 @@ def snapshot(fs, name: str) -> dict:
     fs.mkdir(base)
     files = 0
     dirs = 0
-
-    from repro.backup.recv import STAGE_DIR
-    from repro.repl.chain import REPL_DIR
 
     def walk(src_dir: str, dst_dir: str):
         nonlocal files, dirs
@@ -221,6 +227,7 @@ def list_snapshots(fs) -> list[str]:
 
 def delete_snapshot(fs, name: str) -> int:
     """Remove a snapshot tree; shared pages' RFCs drop accordingly."""
+    _check_name(name)
     base = f"{SNAPSHOT_DIR}/{name}"
     if not fs.exists(base):
         raise FileNotFound(base)

@@ -21,6 +21,8 @@ and rewrite the ``next`` links, finishing the reorder.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.dedup.fact import (
     FACT,
     FactCorruption,
@@ -28,7 +30,8 @@ from repro.dedup.fact import (
     _OFF_PREV,
 )
 
-__all__ = ["reorder_chain", "recover_reorder", "chain_order"]
+__all__ = ["reorder_chain", "recover_reorder", "recover_reorders",
+           "chain_order"]
 
 
 def chain_order(fact: FACT, head_idx: int, silent: bool = True) -> list[int]:
@@ -121,3 +124,13 @@ def recover_reorder(fact: FACT, head_idx: int) -> str:
     fact._write_u64(order[-1], _OFF_NEXT, 0)
     fact._write_u64(head_idx, _OFF_PREV, 0)
     return "resumed"
+
+
+def recover_reorders(fact: FACT) -> int:
+    """Settle every chain whose commit flag a crash left set (the first
+    pass of DeNova's structural recovery); returns how many it found."""
+    flags = fact._scan("prev")["prev"][:fact.daa_size]
+    heads = np.flatnonzero(flags).tolist()
+    for head in heads:
+        recover_reorder(fact, head)
+    return len(heads)

@@ -20,7 +20,6 @@ from repro.failure.injector import (
     sweep_crash_points,
 )
 from repro.failure.invariants import check_fs_invariants, InvariantViolation
-from repro.failure import mutation
 
 __all__ = [
     "CrashOutcome",
@@ -29,5 +28,4 @@ __all__ = [
     "sweep_crash_points",
     "check_fs_invariants",
     "InvariantViolation",
-    "mutation",
 ]

@@ -32,6 +32,7 @@ backup/replication pipelines are the scenarios of
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -319,7 +320,7 @@ def _diff_namespaces(real: dict, model: dict) -> list[str]:
 
 def _short(desc: tuple) -> str:
     if desc[0] == "file":
-        return f"file[{desc[1]}B sha={__import__('hashlib').sha1(desc[2]).hexdigest()[:10]}]"
+        return f"file[{desc[1]}B sha={hashlib.sha1(desc[2]).hexdigest()[:10]}]"
     return repr(desc)
 
 

@@ -22,9 +22,10 @@ per seed — crucial both for dedup coverage and for replayability.
 from __future__ import annotations
 
 import base64
+import copy
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.fuzz.model import ModelError, ModelFS, SNAPSHOT_DIR
@@ -397,8 +398,6 @@ def apply_to_model(model: ModelFS, op: TraceOp):
 
 def clone_model_via(model: ModelFS, extra_ops: list[TraceOp]) -> ModelFS:
     """Deep-copy a model (cheap: pure Python state) and apply more ops."""
-    import copy
-
     probe = copy.deepcopy(model)
     for op in extra_ops:
         try:
@@ -452,8 +451,7 @@ def _client_cfg(cfg: GenConfig, clients: int) -> GenConfig:
     """
     weights = {k: w for k, w in cfg.weights.items()
                if k not in ("snapshot", "snap_delete")}
-    from dataclasses import replace as _dc_replace
-    return _dc_replace(
+    return replace(
         cfg, weights=weights,
         max_data_pages=max(cfg.max_write_pages, cfg.max_data_pages // clients),
         max_nodes=max(8, cfg.max_nodes // clients))
@@ -475,8 +473,6 @@ def generate_concurrent_sequence(seed: int, stream: int, nops: int,
     ``(seed, stream, clients)`` — and remains an ordinary sequential
     trace that the differential crash runner replays unchanged.
     """
-    from dataclasses import replace as _dc_replace
-
     if clients < 1:
         raise ValueError("clients must be >= 1")
     base = cfg or GenConfig()
@@ -492,9 +488,9 @@ def generate_concurrent_sequence(seed: int, stream: int, nops: int,
         prefix = f"/c{c}"
         merged.append(TraceOp(op="mkdir", path=prefix))
         gen = SequenceGenerator(seed, stream * clients + c, ccfg)
-        ops = [_dc_replace(op,
-                           path=_prefix_path(op.path, prefix),
-                           path2=_prefix_path(op.path2, prefix))
+        ops = [replace(op,
+                       path=_prefix_path(op.path, prefix),
+                       path2=_prefix_path(op.path2, prefix))
                for op in gen.generate(counts[c])]
         queues.append(ops)
     rng = random.Random(f"repro.fuzz.conc:{seed}:{stream}:{clients}")
@@ -541,8 +537,6 @@ def generate_tenant_sequence(seed: int, stream: int, nops: int,
     """
     if tenants < 1:
         raise ValueError("tenants must be >= 1")
-    from dataclasses import replace as _dc_replace
-
     base = cfg or GenConfig()
     tcfg = _client_cfg(base, tenants)
     share = nops // tenants
@@ -553,9 +547,9 @@ def generate_tenant_sequence(seed: int, stream: int, nops: int,
         name = f"tn{c}"
         prefix = f"/t/{name}"
         gen = SequenceGenerator(seed, stream * tenants + c, tcfg)
-        ops = [_dc_replace(op,
-                           path=_prefix_path(op.path, prefix),
-                           path2=_prefix_path(op.path2, prefix))
+        ops = [replace(op,
+                       path=_prefix_path(op.path, prefix),
+                       path2=_prefix_path(op.path2, prefix))
                for op in gen.generate(counts[c])]
         queues.append([TraceOp(op="tenant_create", path=name)] + ops)
     rng = random.Random(f"repro.fuzz.tenant:{seed}:{stream}:{tenants}")

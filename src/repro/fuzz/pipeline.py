@@ -41,8 +41,7 @@ from __future__ import annotations
 import io
 
 from repro.backup import receive_backup, send_backup
-from repro.backup.recv import STAGE_DIR
-from repro.dedup.reflink import SNAPSHOT_DIR, snapshot
+from repro.dedup.reflink import REPL_DIR, SNAPSHOT_DIR, STAGE_DIR, snapshot
 from repro.fuzz.diff import (
     CaseResult,
     FuzzConfig,
@@ -55,7 +54,6 @@ from repro.fuzz.diff import (
 from repro.fuzz.gen import GenConfig, generate_sequence
 from repro.fuzz.model import ModelFS
 from repro.repl import INTENT_PATH, relocate_latest, restore_snapshot
-from repro.repl.chain import REPL_DIR
 
 __all__ = ["backup_gen_config", "repl_gen_config", "prepare_pipeline_case",
            "pipeline_scenario", "run_pipeline_case", "run_backup_case",

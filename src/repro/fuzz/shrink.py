@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.fuzz.diff import FuzzConfig, run_case
 from repro.workloads.trace import Trace, TraceOp
 
 __all__ = ["shrink", "shrink_case"]
@@ -71,8 +72,6 @@ def shrink_case(ops: list[TraceOp], cfg=None,
     own config (same crash budget, same seed), and the minimized
     sequence is written as a JSON-lines trace when ``out_path`` is set.
     """
-    from repro.fuzz.diff import FuzzConfig, run_case
-
     cfg = cfg or FuzzConfig()
 
     def failing(candidate: list[TraceOp]) -> bool:

@@ -25,13 +25,15 @@ simplification relative to kernel NOVA's per-CPU journal.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
+from repro.nova import recovery
+from repro.nova.checkpoint import write_checkpoint
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
     DEDUPE_FLAG_OFFSET,
-    DEDUPE_NEEDED,
     ENTRY_SIZE,
     DentryEntry,
     SetattrEntry,
@@ -39,7 +41,20 @@ from repro.nova.entries import (
     WriteEntry,
     decode_entry,
 )
+from repro.nova.errors import (
+    CorruptImage,
+    DirectoryNotEmpty,
+    FileExists,
+    FileNotFound,
+    FSError,
+    IsADirectory,
+    NoSpace,
+    NotADirectory,
+    ReadOnlyFile,
+)
+from repro.nova.gc import thorough_gc
 from repro.nova.inode import (
+    FLAG_IMMUTABLE,
     ITYPE_DIR,
     ITYPE_FILE,
     ITYPE_SYMLINK,
@@ -47,52 +62,20 @@ from repro.nova.inode import (
     Inode,
     InodeTable,
 )
+from repro.nova.journal import J_ADD, J_REMOVE, Journal, JournalRecord
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
-from repro.nova.log import ENTRIES_PER_PAGE, LOG_HEADER_SIZE, LogManager
+from repro.nova.log import ENTRIES_PER_PAGE, LogManager
 from repro.nova.radix import Displaced, FileIndex
+from repro.nova.recovery import CacheMap, InodeCache
+from repro.nova.staging import StagingLog
 from repro.obs import CounterView, ObsHub
 from repro.pm.allocator import AllocError, PageAllocator
 from repro.pm.device import PMDevice
+from repro.tenant.manager import TenantManager
 
 __all__ = ["NovaFS", "FSError", "FileNotFound", "FileExists", "NoSpace",
            "NotADirectory", "IsADirectory", "DirectoryNotEmpty",
-           "CorruptImage", "Stat", "InodeCache"]
-
-
-class FSError(Exception):
-    """Base class for filesystem errors."""
-
-
-class FileNotFound(FSError):
-    pass
-
-
-class FileExists(FSError):
-    pass
-
-
-class NoSpace(FSError):
-    pass
-
-
-class NotADirectory(FSError):
-    pass
-
-
-class IsADirectory(FSError):
-    pass
-
-
-class DirectoryNotEmpty(FSError):
-    pass
-
-
-class ReadOnlyFile(FSError):
-    """Write/truncate attempted on an immutable (snapshot) file."""
-
-
-class CorruptImage(FSError):
-    """Persisted state fails a sanity bound no crash can violate."""
+           "CorruptImage", "Stat"]
 
 
 @dataclass(frozen=True)
@@ -105,79 +88,12 @@ class Stat:
 
 
 @dataclass
-class InodeCache:
-    """Per-inode DRAM state (what NOVA keeps in its in-memory inode)."""
-
-    inode: Inode
-    index: FileIndex
-    tail: int = 0                                   # cached log tail addr
-    dentries: dict[str, int] = field(default_factory=dict)  # dirs only
-    symlink_target: str = ""                        # symlinks only
-    entry_count: int = 0                            # committed log entries
-    invalid_entries: dict[int, int] = field(default_factory=dict)
-    #: log page -> count of dead entries (drives fast GC)
-    hydrated: bool = True
-    #: False for checkpoint-mount stubs whose log has not been replayed
-    #: yet; the index/dentries/symlink_target fields are empty until
-    #: :class:`CacheMap` hydrates them on first access.
-
-
-@dataclass
 class _Placed:
     """What the *place* stage of one write did — and a rollback undoes."""
 
     runs: list = field(default_factory=list)    # [pgoff, block, count]
     fresh: list = field(default_factory=list)   # (block, count) allocated
     txn: object = None      # inline dedup: the FactTxn holding its counts
-
-
-class CacheMap(dict):
-    """``ino -> InodeCache`` map with lazy log hydration.
-
-    A checkpoint mount installs *stub* caches (correct inode metadata,
-    empty index/dentries).  Any keyed access replays that inode's log
-    on demand; bulk views (``items``/``values``) hydrate everything
-    first, so full-scan consumers (fsck, invariant checks, du) keep
-    working unchanged.  ``raw_items``/``raw_get`` bypass hydration for
-    callers that only need inode metadata (unmount, checkpoint write).
-    """
-
-    def __init__(self, fs: "NovaFS"):
-        super().__init__()
-        self._fs = fs
-
-    def _hydrate(self, cache: "InodeCache") -> "InodeCache":
-        if not cache.hydrated:
-            from repro.nova.recovery import hydrate_cache
-            hydrate_cache(self._fs, cache)
-        return cache
-
-    def __getitem__(self, ino: int) -> "InodeCache":
-        return self._hydrate(super().__getitem__(ino))
-
-    def get(self, ino, default=None):
-        cache = super().get(ino)
-        if cache is None:
-            return default
-        return self._hydrate(cache)
-
-    def raw_get(self, ino, default=None):
-        return super().get(ino, default)
-
-    def raw_items(self):
-        return super().items()
-
-    def hydrate_all(self) -> None:
-        for cache in super().values():
-            self._hydrate(cache)
-
-    def items(self):
-        self.hydrate_all()
-        return super().items()
-
-    def values(self):
-        self.hydrate_all()
-        return super().values()
 
 
 class NovaFS:
@@ -191,7 +107,6 @@ class NovaFS:
         self.cpus = cpus
         self.sb = Superblock(dev)
         self.itable = InodeTable(dev, geo)
-        from repro.nova.journal import Journal
         self.journal = Journal(dev, geo)
         self.allocator = PageAllocator(geo.data_start_page, geo.total_pages,
                                        cpus)
@@ -230,14 +145,12 @@ class NovaFS:
         # the image carved a registry region (old/small images get None
         # semantics through an empty manager — every check is a no-op
         # until a tenant exists).
-        from repro.tenant.manager import TenantManager
         self.tenants = TenantManager(self)
         # Front-tier staging log (repro.nova.staging): present whenever
         # the image carved the region; *absorption* is opt-in via
         # :meth:`enable_staging` so default behaviour (and every
         # baseline) is unchanged.  Replay of leftover records at mount
         # happens regardless — durability is not opt-in.
-        from repro.nova.staging import StagingLog
         self.staging = StagingLog(self) if geo.staging_pages else None
         self.staging_enabled = False
         self.staging_threshold = PAGE_SIZE
@@ -289,8 +202,8 @@ class NovaFS:
         fs.recovery_workers = (cpus if recovery_workers is None
                                else max(1, int(recovery_workers)))
         fs.use_checkpoint = bool(use_checkpoint)
-        from repro.nova.recovery import recover
-        fs.last_recovery = recover(fs, clean=fs.sb.clean)
+        # Called through its module, where benchmarks/e2e/trace.py wraps it.
+        fs.last_recovery = recovery.recover(fs, clean=fs.sb.clean)
         fs.sb.bump_epoch()
         fs.sb.set_clean(False)
         fs.mounted = True
@@ -328,7 +241,6 @@ class NovaFS:
         checkpoint is just an unclean shutdown with a torn (ignored)
         checkpoint.
         """
-        from repro.nova.checkpoint import write_checkpoint
         self.obs.flight.record("persist", what="checkpoint",
                                pages=self.geo.ckpt_pages)
         with self.obs.span("recovery.checkpoint_write",
@@ -383,8 +295,6 @@ class NovaFS:
         create/unlink/readlink no).  Returns ``(ROOT_INO, "")`` for the
         root itself.
         """
-        from collections import deque
-
         parts = deque(p for p in path.split("/") if p)
         if not parts:
             return ROOT_INO, ""
@@ -472,6 +382,8 @@ class NovaFS:
         return cache.symlink_target
 
     def exists(self, path: str) -> bool:
+        """Whether ``path`` resolves; an unmounted filesystem raises."""
+        self._check_mounted()
         try:
             self.lookup(path)
             return True
@@ -803,7 +715,6 @@ class NovaFS:
         # A committed journal must be appliable, live and at recovery.
         self._reserve_log(dpino, dparent, cpu)
         self._reserve_log(spino, sparent, ino_cpu(spino, self.cpus))
-        from repro.nova.journal import J_ADD, J_REMOVE, JournalRecord
         self.journal.stage([
             JournalRecord(op=J_ADD, parent_ino=dpino, name=dname, ino=ino),
             JournalRecord(op=J_REMOVE, parent_ino=spino, name=sname,
@@ -814,7 +725,6 @@ class NovaFS:
 
     def apply_journal(self) -> int:
         """Apply (or redo) the committed journal records, idempotently."""
-        from repro.nova.journal import J_ADD, J_REMOVE
         applied = 0
         for rec in self.journal.records():
             parent = self.caches.get(rec.parent_ino)
@@ -1133,8 +1043,6 @@ class NovaFS:
         and ``saved_bytes`` what sharing saves relative to a dedup-less
         copy of the same logical content.
         """
-        from collections import Counter
-
         logical = 0
         logical_pages = 0
         nfiles = 0
@@ -1189,8 +1097,6 @@ class NovaFS:
     # ------------------------------------------------------------------ helpers
 
     def _file_cache(self, ino: int, for_write: bool = False) -> InodeCache:
-        from repro.nova.inode import FLAG_IMMUTABLE
-
         cache = self.caches.get(ino)
         if cache is None:
             raise FileNotFound(f"ino {ino}")
@@ -1221,7 +1127,6 @@ class NovaFS:
         dead = sum(cache.invalid_entries.values())
         if (cache.entry_count >= self.THOROUGH_GC_MIN_ENTRIES
                 and dead > self.THOROUGH_GC_DEAD_RATIO * cache.entry_count):
-            from repro.nova.gc import thorough_gc
             thorough_gc(self, cache.inode.ino)
 
     def _maybe_gc_log(self, cache: InodeCache) -> None:
@@ -1249,7 +1154,6 @@ class NovaFS:
     def gc(self, ino: int) -> dict:
         """Thorough log GC: compact a fragmented log (see nova.gc)."""
         self._check_mounted()
-        from repro.nova.gc import thorough_gc
         if ino not in self.caches:
             raise FileNotFound(f"ino {ino}")
         return thorough_gc(self, ino)
@@ -1318,8 +1222,7 @@ class NovaFS:
 
         Unlike :meth:`_post_recover` (which runs *during* recovery,
         before ``mounted`` is set), this hook may use the full public
-        op surface — DeNova rolls back interrupted backup-ingest
-        staging here.
+        op surface — DeNova runs its unclean-mount hooks here.
         """
 
 

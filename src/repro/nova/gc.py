@@ -41,7 +41,6 @@ from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.log import ENTRIES_PER_PAGE, LOG_HEADER_SIZE
 from repro.nova.radix import FileIndex
-from repro.nova.recovery import _iter_chain
 from repro.pm.allocator import AllocError
 
 __all__ = ["thorough_gc", "find_tail_by_scan"]
@@ -143,7 +142,7 @@ def find_tail_by_scan(fs, head_page: int) -> int:
     head and tail updates of a thorough GC.  ``head_page`` is untrusted:
     the walk is recovery's bounded one."""
     tail = 0
-    for page in _iter_chain(fs, head_page):
+    for page in fs.log.iter_chain(head_page):
         base = page * PAGE_SIZE
         for slot in range(ENTRIES_PER_PAGE):
             addr = base + LOG_HEADER_SIZE + slot * ENTRY_SIZE

@@ -25,7 +25,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.nova.entries import MAX_NAME
-from repro.nova.fs import CorruptImage
+from repro.nova.errors import CorruptImage
 from repro.nova.layout import PAGE_SIZE, Geometry
 from repro.pm.device import PMDevice
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.nova.errors import CorruptImage
 from repro.pm.device import PMDevice
 
 __all__ = ["PAGE_SIZE", "MAGIC", "Geometry", "Superblock"]
@@ -269,11 +270,9 @@ class Superblock:
         dev.write_atomic64(_OFF_MAGIC, MAGIC, persist=True)
 
     def load_geometry(self) -> Geometry:
-        """The geometry mkfs recorded; :class:`~repro.nova.fs.CorruptImage`
+        """The geometry mkfs recorded; :class:`~repro.nova.errors.CorruptImage`
         when the device carries no filesystem (mkfs stores the magic
         last) or one that cannot be its own."""
-        from repro.nova.fs import CorruptImage  # fs imports this module
-
         dev = self.dev
         if dev.read_u64(_OFF_MAGIC) != MAGIC:
             raise CorruptImage("no filesystem on device (bad magic)")

@@ -148,6 +148,25 @@ class LogManager:
             yield page
             page = int.from_bytes(read(page * PAGE_SIZE, 8), "little")
 
+    def iter_chain(self, head_page: int) -> Iterator[int]:
+        """Walk a chain only as far as recovery can trust it.
+
+        ``InodeTable.release`` clears just the valid byte, so a torn record
+        write into a reused slot can revive the dead incarnation's
+        ``log_head`` — by now possibly another file's data page, whose
+        first word is no ``next`` pointer.  Stop at a page outside the data
+        region (the allocator's range) or a revisit instead of raising
+        (:meth:`iter_pages`) or reading off the device; one charged read
+        per step, like it.
+        """
+        seen: set[int] = set()
+        page = head_page
+        while (self.allocator.lo <= page < self.allocator.hi
+               and page not in seen):
+            seen.add(page)
+            yield page
+            page = self.next_of(page)
+
     # -- garbage collection ---------------------------------------------------------------
 
     def unlink_middle_page(self, prev_page: int, dead_page: int) -> int:

@@ -14,7 +14,7 @@ import struct
 import zlib
 from typing import Callable, Iterable, Optional
 
-from repro.nova.fs import FSError
+from repro.nova.errors import FSError
 
 __all__ = ["HDR_BYTES", "SlotRecord", "lexists", "read_state",
            "write_state", "remove_state", "prune_dir", "sweep",
@@ -87,6 +87,7 @@ class SlotRecord:
 
 def lexists(fs, path: str) -> bool:
     """Existence without following a final symlink (exists() would)."""
+    fs._check_mounted()
     try:
         fs.lookup(path, follow=False)
         return True

@@ -21,10 +21,14 @@ Two fast paths layer on top of the full scan:
   access.  A torn or stale checkpoint silently falls back to the scan.
 * **Parallel replay** — ``fs.recovery_workers > 1`` shards the log
   replay (and DeNova's flag scan) across a simulated recovery-thread
-  pool (:func:`repro.conc.replay.run_sharded`).  Work still executes in
-  deterministic order, so the :class:`RecoveryReport` and all DRAM
-  state are identical for every worker count; only the charged mount
-  latency shrinks.
+  pool (:func:`run_recovery_tasks` → :func:`run_sharded`).  Work still
+  executes in deterministic order, so the :class:`RecoveryReport` and
+  all DRAM state are identical for every worker count; only the charged
+  mount latency shrinks.
+
+The DRAM side of a mounted filesystem — :class:`InodeCache` per inode,
+held in the lazily hydrating :class:`CacheMap` — is defined here,
+because recovery is what builds it.
 
 DeNova layers its own recovery on top via :meth:`NovaFS._post_recover`
 (DWQ rebuild, in-process dedup resumption, UC reset, FACT↔bitmap
@@ -33,11 +37,14 @@ reconciliation — §V-C).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.nova.checkpoint import load_checkpoint
 from repro.nova.entries import (
     DentryEntry,
     SetattrEntry,
@@ -45,12 +52,83 @@ from repro.nova.entries import (
     WriteEntry,
     decode_entry,
 )
+from repro.nova.gc import find_tail_by_scan
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE, ITYPE_SYMLINK, ROOT_INO, Inode
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.log import LOG_HEADER_SIZE
 from repro.nova.radix import FileIndex
 from repro.pm.allocator import PageAllocator
+from repro.pm.clock import FS_PER_NS
 
-__all__ = ["recover", "RecoveryReport", "hydrate_cache"]
+__all__ = ["recover", "RecoveryReport", "hydrate_cache", "InodeCache",
+           "CacheMap", "run_recovery_tasks", "run_sharded",
+           "simulate_workers"]
+
+
+@dataclass
+class InodeCache:
+    """Per-inode DRAM state (what NOVA keeps in its in-memory inode)."""
+
+    inode: Inode
+    index: FileIndex
+    tail: int = 0                                   # cached log tail addr
+    dentries: dict[str, int] = field(default_factory=dict)  # dirs only
+    symlink_target: str = ""                        # symlinks only
+    entry_count: int = 0                            # committed log entries
+    invalid_entries: dict[int, int] = field(default_factory=dict)
+    #: log page -> count of dead entries (drives fast GC)
+    hydrated: bool = True
+    #: False for checkpoint-mount stubs whose log has not been replayed
+    #: yet; the index/dentries/symlink_target fields are empty until
+    #: :class:`CacheMap` hydrates them on first access.
+
+
+class CacheMap(dict):
+    """``ino -> InodeCache`` map with lazy log hydration.
+
+    A checkpoint mount installs *stub* caches (correct inode metadata,
+    empty index/dentries).  Any keyed access replays that inode's log
+    on demand; bulk views (``items``/``values``) hydrate everything
+    first, so full-scan consumers (fsck, invariant checks, du) keep
+    working unchanged.  ``raw_items``/``raw_get`` bypass hydration for
+    callers that only need inode metadata (unmount, checkpoint write).
+    """
+
+    def __init__(self, fs):
+        super().__init__()
+        self._fs = fs
+
+    def _hydrate(self, cache: InodeCache) -> InodeCache:
+        if not cache.hydrated:
+            hydrate_cache(self._fs, cache)
+        return cache
+
+    def __getitem__(self, ino: int) -> InodeCache:
+        return self._hydrate(super().__getitem__(ino))
+
+    def get(self, ino, default=None):
+        cache = super().get(ino)
+        if cache is None:
+            return default
+        return self._hydrate(cache)
+
+    def raw_get(self, ino, default=None):
+        return super().get(ino, default)
+
+    def raw_items(self):
+        return super().items()
+
+    def hydrate_all(self) -> None:
+        for cache in super().values():
+            self._hydrate(cache)
+
+    def items(self):
+        self.hydrate_all()
+        return super().items()
+
+    def values(self):
+        self.hydrate_all()
+        return super().values()
 
 
 @dataclass
@@ -73,8 +151,6 @@ def recover(fs, clean: bool) -> RecoveryReport:
     phase shows up in the metrics registry (``recovery.mount_latency_ns``
     with nested ``recovery.log_replay`` etc.) and in ``repro trace``.
     """
-    from repro.nova.fs import CacheMap
-
     report = RecoveryReport(clean=clean)
     fs.caches = CacheMap(fs)
 
@@ -82,7 +158,6 @@ def recover(fs, clean: bool) -> RecoveryReport:
          fs.obs.span("recovery.mount", clean=clean,
                      workers=getattr(fs, "recovery_workers", 1)):
         if clean and getattr(fs, "use_checkpoint", True):
-            from repro.nova.checkpoint import load_checkpoint
             ck = load_checkpoint(fs)
             if ck is not None:
                 with fs.obs.span("recovery.checkpoint_load",
@@ -97,15 +172,8 @@ def recover(fs, clean: bool) -> RecoveryReport:
                 return report
 
         # Pass 0: drop half-written inode records (torn crash in create).
-        # The mutation gate reintroduces the pre-fix behaviour (skipping
-        # the fsck) so the mutation self-check can prove the fuzzer
-        # still catches the leak; it is never enabled in production.
-        from repro.failure import mutation
-        if mutation.enabled("torn_inode_record"):
-            report.extra["corrupt_inodes_released"] = 0
-        else:
-            with fs.obs.span("recovery.itable_fsck"):
-                report.extra["corrupt_inodes_released"] = fs.itable.fsck()
+        with fs.obs.span("recovery.itable_fsck"):
+            report.extra["corrupt_inodes_released"] = fs.itable.fsck()
 
         with fs.obs.span("recovery.log_replay"):
             _replay_logs(fs, report)
@@ -158,8 +226,6 @@ def recover(fs, clean: bool) -> RecoveryReport:
 
 def _restore_checkpoint(fs, ck, report: RecoveryReport) -> None:
     """Install stub caches and saved free lists from a valid checkpoint."""
-    from repro.nova.fs import InodeCache
-
     for (ino, itype, flags, links, size, log_head, log_tail,
          mtime) in ck.inodes:
         inode = Inode(ino=ino, valid=1, itype=itype, flags=flags,
@@ -199,9 +265,6 @@ def hydrate_cache(fs, cache) -> None:
 def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
                 trust_tail: bool = False):
     """Replay one inode's log into a (possibly pre-existing) cache."""
-    from repro.nova.fs import InodeCache  # cycle-free late import
-    from repro.nova.log import LOG_HEADER_SIZE
-
     if not trust_tail:
         if inode.log_head and not inode.log_tail:
             # Crash between log-page allocation and the first commit:
@@ -211,9 +274,8 @@ def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
             # Crash between thorough GC's head and tail updates: the
             # tail still points into the retired chain.  GC chains are
             # zero-initialized, so the first empty slot is the tail.
-            chain = set(_iter_chain(fs, inode.log_head))
+            chain = set(fs.log.iter_chain(inode.log_head))
             if (inode.log_tail - 1) // PAGE_SIZE not in chain:
-                from repro.nova.gc import find_tail_by_scan
                 inode.log_tail = find_tail_by_scan(fs, inode.log_head)
                 fs.itable.update_log_tail(inode.ino, inode.log_tail)
                 if report is not None:
@@ -264,52 +326,81 @@ def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
 
 
 def _replay_logs(fs, report: RecoveryReport) -> None:
-    """Pass 1: replay every valid inode's log.
-
-    With ``fs.recovery_workers > 1`` the per-inode replays run through
-    the sharded-replay pool: each replay's charged cost is captured and
-    the clock advances by the pool makespan instead of the serial sum.
-    Execution order — and therefore every report field and all DRAM
-    state — is identical to the sequential path.
-    """
-    workers = getattr(fs, "recovery_workers", 1)
-    if workers <= 1:
-        for inode in fs.itable.iter_valid():
-            fs.caches[inode.ino] = _replay_one(fs, inode, report)
-            report.inodes_recovered += 1
-        return
-
-    from repro.conc.replay import run_sharded
-
-    inodes = list(fs.itable.iter_valid())
-
-    def make_task(inode):
+    """Pass 1: replay every valid inode's log, through
+    :func:`run_recovery_tasks` (``fs.last_replay_pool`` is its report)."""
+    def replay(inode):
         def task():
             fs.caches[inode.ino] = _replay_one(fs, inode, report)
             report.inodes_recovered += 1
         return task
 
-    fs.last_replay_pool = run_sharded(
-        fs.clock, [make_task(inode) for inode in inodes], workers)
+    fs.last_replay_pool = run_recovery_tasks(
+        fs, (replay(inode) for inode in fs.itable.iter_valid()))
 
 
-def _iter_chain(fs, head_page: int):
-    """Walk a log chain only as far as recovery can trust it.
+def run_recovery_tasks(fs, tasks: Iterable[Callable[[], Any]]
+                       ) -> dict | None:
+    """Run ``tasks`` in order on ``fs.recovery_workers`` simulated
+    recovery threads.
 
-    ``InodeTable.release`` clears just the valid byte, so a torn record
-    write into a reused slot can revive the dead incarnation's
-    ``log_head`` — by now possibly another file's data page, whose first
-    word is no ``next`` pointer.  Stop at a page outside the data region
-    or a revisit instead of raising (``LogManager.iter_pages``) or
-    reading off the device; one charged read per step, like it.
+    One worker runs each task as it is drawn, charging the clock
+    directly, and returns None.  More run them through
+    :func:`run_sharded`: the clock advances by the pool makespan instead
+    of the serial sum.  Execution order — and therefore every report
+    field and all DRAM state — is the same for every worker count.
     """
-    seen: set[int] = set()
-    page = head_page
-    while (fs.geo.data_start_page <= page < fs.geo.total_pages
-           and page not in seen):
-        seen.add(page)
-        yield page
-        page = fs.log.next_of(page)
+    workers = getattr(fs, "recovery_workers", 1)
+    if workers <= 1:
+        for task in tasks:
+            task()
+        return None
+    return run_sharded(fs.clock, list(tasks), workers)
+
+
+def simulate_workers(costs: list[int], workers: int) -> dict:
+    """Makespan of a work-conserving FIFO pool of ``workers`` over
+    ``costs`` (task durations in fs): tasks are handed out in order, each
+    to the worker that frees up first.  Returns ``{"makespan": fs,
+    "busy": total task fs}``."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    free_at = [0] * min(workers, len(costs))
+    for cost in costs:
+        heapq.heapreplace(free_at, free_at[0] + cost)
+    return {"makespan": max(free_at, default=0), "busy": sum(costs)}
+
+
+def run_sharded(clock, tasks: Iterable[Callable[[], Any]],
+                workers: int) -> dict:
+    """Run ``tasks`` in order, charging their combined cost as a pool.
+
+    NOVA recovers per-CPU: each recovery thread replays the inode logs
+    that hash to its CPU (PAPER.md §II-A).  Here the replay *work* stays
+    sequential — each task executes immediately, so later tasks observe
+    earlier tasks' state mutations exactly as in the sequential code
+    path — with its simulated cost diverted into a capture.  Afterwards
+    the captured per-task costs are scheduled onto ``workers`` FIFO
+    workers and the clock advances by the pool's makespan.
+
+    Returns ``{"tasks": n, "busy_ns": total, "makespan_ns": elapsed,
+    "workers": workers}``.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    costs: list[int] = []
+    for task in tasks:
+        with clock.capture() as cap:
+            task()
+        costs.append(cap.fs)
+    pool = simulate_workers(costs, workers)
+    if pool["makespan"]:
+        clock.sync_to(clock.now_fs + pool["makespan"])
+    return {
+        "tasks": len(costs),
+        "busy_ns": pool["busy"] / FS_PER_NS,
+        "makespan_ns": pool["makespan"] / FS_PER_NS,
+        "workers": workers,
+    }
 
 
 def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
@@ -318,7 +409,8 @@ def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
     Each orphan takes back exactly the references pass 1.5's usage scan
     counted for it, so a page is released only when its last holder
     dies — dedup-shared data stays, and so does a live page that a
-    stale ``log_head`` (see :func:`_iter_chain`) merely points into.
+    stale ``log_head`` (see :meth:`LogManager.iter_chain
+    <repro.nova.log.LogManager.iter_chain>`) merely points into.
     Pass 3 then rebuilds the free lists without a second device scan.
     """
     reachable: set[int] = set()
@@ -334,7 +426,7 @@ def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
                          if i in fs.caches)
     for ino in sorted(set(fs.caches) - reachable):
         cache = fs.caches[ino]
-        for page in _iter_chain(fs, cache.inode.log_head):
+        for page in fs.log.iter_chain(cache.inode.log_head):
             refs[page] -= 1
             report.log_pages -= 1
         for page in cache.index.referenced_pages():
@@ -380,7 +472,7 @@ def _build_usage(fs, report: RecoveryReport) -> np.ndarray:
     refs = np.zeros(fs.geo.total_pages, dtype=np.int32)
     refs[:fs.geo.data_start_page] = 1  # superblock/itable/FACT/etc.
     for cache in fs.caches.values():
-        for page in _iter_chain(fs, cache.inode.log_head):
+        for page in fs.log.iter_chain(cache.inode.log_head):
             refs[page] += 1
             report.log_pages += 1
         for page in cache.index.referenced_pages():

@@ -88,6 +88,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.nova.errors import FSError
 from repro.nova.layout import PAGE_SIZE
 
 __all__ = ["StagingLog"]
@@ -561,7 +562,6 @@ class StagingLog:
         if candidates:
             # Span only when there is real replay work: a clean mount's
             # scan must leave no observability trace behind.
-            from repro.nova.fs import FSError
             with fs.obs.span("staging.replay", records=len(candidates)):
                 for ino, offset, payload, seq in candidates:
                     if offset == _CREATE_OFF:

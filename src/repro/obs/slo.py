@@ -42,6 +42,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.obs.registry import percentiles_from_buckets
+
 __all__ = ["FlightRecorder", "SLORule", "SLOWatchdog", "load_rules",
            "evaluate_snapshot"]
 
@@ -303,7 +305,6 @@ def evaluate_snapshot(rules, snapshot: dict) -> list[dict]:
                 continue
             qkey = {0.5: "p50", 0.95: "p95", 0.99: "p99"}.get(rule.quantile)
             if qkey is None:
-                from .registry import percentiles_from_buckets
                 bounds = [b for b, _ in h["buckets"]]
                 counts = [c for _, c in h["buckets"]]
                 value = percentiles_from_buckets(

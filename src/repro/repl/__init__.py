@@ -11,12 +11,13 @@ Three pieces on top of ``repro.backup``:
   round-robin pump for N concurrent send/recv streams (fan-out to N
   replicas, fan-in consolidation), riding the native resumable cursors.
 
-:mod:`repro.repl.chain` holds the advisory per-snapshot chain metadata
-(parent, depth, layout) that ``backup list`` and the CLI report.
+The advisory per-snapshot chain metadata (parent, depth, layout) that
+``backup list`` and the CLI report is written by ``backup recv``, so it
+lives in :mod:`repro.backup.chain`; this package re-exports it.
 See docs/BACKUP.md § "Reverse dedup & topology".
 """
 
-from repro.repl.chain import (
+from repro.backup.chain import (
     REPL_DIR,
     chain_info,
     chain_table,

@@ -27,8 +27,9 @@ The move protocol (per file of the newest snapshot)
    RFC still counts those references) and drop the intent file.
 
 Crash safety: a torn pass leaves the intent journal behind, and
-:func:`replay_intents` (run from ``_post_mount`` after structural
-recovery) drives each half-move to a consistent side.  The decision
+:func:`replay_intents` (run after structural recovery by
+:func:`replay_torn_relocation`, an unclean-mount hook registered at
+import) drives each half-move to a consistent side.  The decision
 procedure is evidence-based, not positional: if no rebuilt index maps
 ``new``, the move never became visible and is discarded; otherwise the
 copy certainly happened (redirects only follow the copy), so the
@@ -49,24 +50,25 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+from repro.backup.chain import LAYOUT_REVERSE, chain_table, set_layout
 from repro.dedup.daemon import append_redirects
+from repro.dedup.denova import DeNovaFS
+from repro.dedup.reflink import REPL_DIR, SNAPSHOT_DIR
 from repro.nova import persist
 from repro.nova.entries import DEDUPE_COMPLETE
 from repro.nova.fs import ino_cpu
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.pm.allocator import AllocError
-from repro.repl.chain import LAYOUT_REVERSE, REPL_DIR, set_layout
 
 __all__ = ["INTENT_PATH", "relocate_latest", "replay_intents",
-           "latest_snapshot"]
+           "replay_torn_relocation", "latest_snapshot"]
 
 INTENT_PATH = f"{REPL_DIR}/relocate.intent"
 
 
 def latest_snapshot(fs) -> Optional[str]:
     """The chain's newest snapshot: deepest, lexicographic tie-break."""
-    from repro.repl.chain import chain_table
     rows = chain_table(fs)
     if not rows:
         return None
@@ -201,8 +203,6 @@ def relocate_latest(fs, budget: Optional[int] = None) -> dict:
     pass completes the snapshot's recorded layout flips to ``reverse``
     (if it has chain metadata — local snapshots record none).
     """
-    from repro.dedup.reflink import SNAPSHOT_DIR
-
     name = latest_snapshot(fs)
     if name is None:
         return {"snapshot": None, "done": True, "pages_moved": 0,
@@ -265,3 +265,15 @@ def replay_intents(fs) -> int:
         settled += 1
     persist.remove_state(fs, INTENT_PATH)
     return settled
+
+
+def replay_torn_relocation(fs, report) -> None:
+    """The unclean-mount hook: settle an interrupted relocation."""
+    with fs.obs.span("repl.replay_intents"):
+        replayed = replay_intents(fs)
+    if replayed:
+        fs.repl_counters["intents_replayed"] += replayed
+        report.extra["repl_replay"] = replayed
+
+
+DeNovaFS.unclean_mount_hooks += (replay_torn_relocation,)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Optional
 
+from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.repl.relocate import latest_snapshot
@@ -61,8 +62,6 @@ def restore_snapshot(fs, name: str,
     manifest is returned either way.  Timing comes off the DES clock, so
     the reported wall time reflects the modeled request/bandwidth costs.
     """
-    from repro.dedup.reflink import SNAPSHOT_DIR
-
     root = f"{SNAPSHOT_DIR}/{name}"
     fs.lookup(root, follow=False)  # FSError if absent
     manifest: dict[str, dict] = {}

@@ -33,6 +33,7 @@ from repro.backup.diff import BackupError
 from repro.backup.recv import receive_backup
 from repro.backup.send import send_backup
 from repro.backup.stream import StreamError
+from repro.conc.permute import fs_state_digest
 from repro.nova.fs import FSError
 
 __all__ = ["ReplicationTopology", "StreamState"]
@@ -146,7 +147,6 @@ class ReplicationTopology:
         return self._report()
 
     def _report(self) -> dict:
-        from repro.conc.permute import fs_state_digest
         streams = []
         digests: dict[int, str] = {}  # id(fs) -> digest, computed once
         for st in self.streams:

@@ -1,6 +1,6 @@
 """Tenant-layer errors.
 
-:class:`QuotaExceeded` subclasses :class:`repro.nova.fs.NoSpace` on
+:class:`QuotaExceeded` subclasses :class:`repro.nova.errors.NoSpace` on
 purpose: to every layer that already understands "the write could not
 be placed" — the fuzz differential oracle's resource-error stop rule,
 the workload runner, the CLI's ENOSPC-style exit — a quota hit is
@@ -10,7 +10,7 @@ the distinction catches ``QuotaExceeded`` first.
 
 from __future__ import annotations
 
-from repro.nova.fs import NoSpace
+from repro.nova.errors import NoSpace
 
 __all__ = ["QuotaExceeded"]
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
+from repro.nova.errors import FSError
+from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.tenant.errors import QuotaExceeded
 from repro.tenant.registry import TenantInfo, TenantRegistry
 
@@ -73,7 +75,6 @@ class TenantManager:
         """
         fs = self.fs
         if self.registry is None:
-            from repro.nova.fs import FSError
             raise FSError("image has no tenant registry region")
         if self.registry.get(name) is not None:
             raise ValueError(f"tenant {name!r} already exists")
@@ -98,7 +99,6 @@ class TenantManager:
                   quota_inodes: int | None = None,
                   weight: int | None = None) -> TenantInfo:
         if self.registry is None:
-            from repro.nova.fs import FSError
             raise FSError("image has no tenant registry region")
         info = self.registry.set_quota(name, quota_pages=quota_pages,
                                        quota_inodes=quota_inodes,
@@ -128,8 +128,6 @@ class TenantManager:
             self._register_metrics(info)
 
     def _adopt_subtree(self, root_ino: int, tid: int) -> None:
-        from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
-
         stack = [root_ino]
         inodes = 0
         pages = 0

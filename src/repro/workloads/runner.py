@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.conc.vfs import ConcurrentVFS
+from repro.obs import SLOWatchdog
 from repro.workloads.datagen import DataGenerator
 from repro.workloads.fio import JobSpec, Mode
 
@@ -258,7 +259,6 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
     ]
     watchdog = None
     if slo is not None and hasattr(fs, "obs"):
-        from repro.obs import SLOWatchdog
         watchdog = SLOWatchdog(fs.obs, slo, interval_ns=slo_interval_ns)
     # Staged small writes are destaged by a background pool while the
     # writers run; throughput is still the writers' wall span, so the

@@ -27,6 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.repl import relocate_latest, restore_latest
+
 __all__ = ["Trace", "TraceOp", "TracedFS", "TraceMismatch",
            "apply_trace_op", "replay"]
 
@@ -268,11 +270,11 @@ def apply_trace_op(fs, op: TraceOp, i: int = 0, verify: bool = True,
                 counters["verified_reads"] += 1
     elif op.op == "relocate":
         # ``length`` carries the page budget (0 = unbounded pass).
-        fs.relocate(budget=op.length or None)
+        relocate_latest(fs, budget=op.length or None)
     elif op.op == "restore":
         # Digest-restore the newest snapshot and self-verify every
         # manifest entry against the logical read path.
-        out = fs.restore_latest()
+        out = restore_latest(fs)
         if verify and out["snapshot"] is not None:
             root = f"/.snapshots/{out['snapshot']}"
             for rel, meta in out["manifest"].items():

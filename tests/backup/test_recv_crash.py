@@ -5,8 +5,14 @@ Rollback is per-stream: only stages whose cursor is absent or still
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.backup import (
     STAGE_DIR,
@@ -175,6 +181,39 @@ class TestUncleanRollback:
             stream.seek(0)
             assert verify_snapshot(rec, stream, deep=True)["ok"]
         check_fs_invariants(rec)
+
+    def test_hooks_are_registered_in_a_fresh_interpreter(self, tmp_path):
+        """A program that imports only the device and ``DeNovaFS`` still
+        rolls a torn ingest back: importing any ``repro`` module runs the
+        package root, which registers backup's hook, then repl's."""
+        dst = make_fs()
+        receive_backup(dst, stream_of(), max_entries=2)
+        mark_torn(dst, "s1")
+        dst.dev.crash(mode="discard")
+        dst.dev.recover_view()
+        image = tmp_path / "torn.img"
+        dst.dev.save_image(image)
+
+        child = (
+            "import json, sys\n"
+            "from repro.pm import PMDevice\n"
+            "from repro.dedup.denova import DeNovaFS\n"
+            "fs = DeNovaFS.mount(PMDevice.load_image(sys.argv[1]))\n"
+            "print(json.dumps({\n"
+            f"    'stage': fs.exists({STAGE_DIR!r}),\n"
+            "    'rollback': fs.last_recovery.extra.get('backup_rollback'),\n"
+            "    'hooks': [f'{h.__module__}.{h.__name__}'\n"
+            "              for h in DeNovaFS.unclean_mount_hooks]}))\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", child, str(image)],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        got = json.loads(out.stdout)
+        assert got["stage"] is False
+        assert got["rollback"]["stages"] == 1
+        assert got["hooks"] == ["repro.backup.recv.rollback_torn_ingests",
+                                "repro.repl.relocate.replay_torn_relocation"]
 
 
 class TestIngestCrashSweep:

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from repro.conc.replay import run_sharded, simulate_workers
+from repro.nova.recovery import run_sharded, simulate_workers
 from repro.pm.clock import FS_PER_NS, SimClock, fs_of
 from repro.sim import Engine
 

@@ -44,6 +44,10 @@ VALID = {
 ALSO = {"workload": {"tenants": "2"},
         "snap": {"action": "delete", "name": "s1"}}
 
+#: Rows refused — exit 1 — on every image, not merely survived: ``snap
+#: delete`` with an empty name once deleted every snapshot and exited 0.
+REFUSED = {("snap", "delete", ("name", ""))}
+
 #: The two parameters that name a host *directory* the command creates
 #: files in: ``/`` there would have the suite write into the root directory.
 WRITES_INTO = {"spool", "corpus"}
@@ -193,3 +197,5 @@ def test_contract(cmd, kind, also, hostile, world, capsys, monkeypatch):
             assert not [n for n in changed if n.endswith(".img")], (argv, err)
     if hostile is None and kind == "healthy":
         assert rc == 0, (argv, out, err)    # the baseline really is valid
+    if (*cmd.path, also.get("action"), hostile) in REFUSED:
+        assert rc == 1, (argv, out, err)

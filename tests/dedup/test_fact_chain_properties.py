@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.dedup.fact import _OFF_NEXT, _OFF_PREV, FACT
-from repro.dedup.reorder import chain_order, reorder_chain
+from repro.dedup.reorder import chain_order, recover_reorders, reorder_chain
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
 from repro.pm.device import CrashRequested
@@ -178,5 +178,6 @@ def test_crash_mid_reorder_at_every_persist_event():
         fact.dev.hooks.on_persist = None
         fact.dev.crash()
         fact.dev.recover_view()
+        recover_reorders(fact)
         fact.structural_recover()
         check_structure(fact, shadow)

@@ -9,6 +9,7 @@
 """
 
 import math
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
+from repro.repl import relocate_latest
 
 pytestmark = pytest.mark.recovery
 
@@ -126,7 +128,8 @@ class TestBudgetedMaintenance:
         call examined nothing and reported done=False — forever."""
         fs = self._populated()
         fs.snapshot("s1")
-        for sweep in (fs.scrub, fs.deep_verify, fs.relocate):
+        relocate = partial(relocate_latest, fs)
+        for sweep in (fs.scrub, fs.deep_verify, relocate):
             with pytest.raises(ValueError, match="budget must be >= 1"):
                 sweep(budget=budget)
         assert fs.scrub(budget=1)["examined"] == 1

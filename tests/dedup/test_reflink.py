@@ -214,6 +214,28 @@ class TestSnapshots:
         with pytest.raises(FileNotFound):
             fs.delete_snapshot("ghost")
 
+    @pytest.mark.parametrize("name", ["", ".", ".."])
+    def test_snapshot_name_is_one_real_component(self, name):
+        fs = make_fs()
+        with pytest.raises(ValueError):
+            fs.snapshot(name)
+        assert fs.list_snapshots() == []
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "s1/d", "/"])
+    def test_delete_snapshot_refuses_what_names_no_snapshot(self, name):
+        """``""`` once removed every snapshot and ``s1/d`` a directory
+        inside the immutable ``s1``."""
+        fs = make_fs()
+        self.populate(fs)
+        fs.snapshot("s1")
+        fs.snapshot("s2")
+        with pytest.raises(ValueError):
+            fs.delete_snapshot(name)
+        assert fs.list_snapshots() == ["s1", "s2"]
+        assert fs.listdir("/.snapshots/s1/work") == \
+            [f"f{i}" for i in range(5)]
+        check_fs_invariants(fs)
+
     def test_nested_snapshot_excluded(self):
         """Snapshots never snapshot the snapshot directory."""
         fs = make_fs()

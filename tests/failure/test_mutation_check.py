@@ -1,28 +1,29 @@
 """Mutation self-check: the fuzzer must catch both reintroduced bugs.
 
 A checker proves itself by failing: each known historical bug is
-reintroduced behind a test-only mutation flag, and the differential
-fuzzer (dense crash-point sweep over a targeted short sequence) must
-flag it — and must stay silent with the mutation off.  Each failing
-sequence is then shrunk to a <= 10-op reproducer, serialized through
-``workloads.trace``, reloaded, and replayed to the same verdict.
+reintroduced by ``monkeypatch``-ing away the one function that fixed it,
+and the differential fuzzer (dense crash-point sweep over a targeted
+short sequence) must flag it — and must stay silent without the patch.
+Each failing sequence is then shrunk to a <= 10-op reproducer,
+serialized through ``workloads.trace``, reloaded, and replayed to the
+same verdict.
 
-* ``rfc_undercount`` — dedup recovery skips the step-6 RFC repair, so a
-  crash between a dedup target's tail commit and its count commit
-  leaves a shared page's RFC below its live reference count (the
-  §IV-D1 data-loss hazard: reclaim would free a page a file still
-  maps).
-* ``torn_inode_record`` — NOVA recovery skips the inode-table fsck, so
-  a torn crash mid-``create`` leaves a half-written record marked valid
-  (record ino still zero) that leaks the slot forever.
+* RFC undercount — dedup recovery skips the step-6 RFC repair
+  (``repro.dedup.recovery._repair_undercounts``), so a crash between a
+  dedup target's tail commit and its count commit leaves a shared
+  page's RFC below its live reference count (the §IV-D1 data-loss
+  hazard: reclaim would free a page a file still maps).
+* Torn inode record — NOVA recovery skips the inode-table fsck
+  (``InodeTable.fsck``), so a torn crash mid-``create`` leaves a
+  half-written record marked valid (record ino still zero) that leaks
+  the slot forever.
 """
 
 import base64
 
-import pytest
-
-from repro.failure import mutation
+from repro.dedup import recovery
 from repro.fuzz.diff import FuzzConfig, run_case
+from repro.nova.inode import InodeTable
 from repro.fuzz.shrink import shrink
 from repro.workloads.trace import Trace, TraceOp
 
@@ -52,26 +53,6 @@ TORN_CFG = FuzzConfig(seed=0, budget=10 ** 6, modes=("torn",),
                       phases=("pre",))
 
 
-class TestMutationRegistry:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            mutation.enable("no_such_bug")
-        with pytest.raises(ValueError):
-            mutation.disable("no_such_bug")
-
-    def test_context_manager_restores(self):
-        assert not mutation.enabled("rfc_undercount")
-        with mutation.mutated("rfc_undercount"):
-            assert mutation.enabled("rfc_undercount")
-        assert not mutation.enabled("rfc_undercount")
-
-    def test_reset_clears_all(self):
-        mutation.enable("rfc_undercount")
-        mutation.enable("torn_inode_record")
-        mutation.reset()
-        assert not mutation.active()
-
-
 def detect_shrink_replay(ops, cfg, match, tmp_path):
     """The shared protocol: detect, shrink, persist, replay, re-detect."""
     res = run_case(ops, cfg)
@@ -92,21 +73,18 @@ def detect_shrink_replay(ops, cfg, match, tmp_path):
 
 
 class TestRfcUndercount:
-    def test_detected_shrunk_and_replayable(self, tmp_path):
-        with mutation.mutated("rfc_undercount"):
-            detect_shrink_replay(rfc_ops(), RFC_CFG, "undercounts",
-                                 tmp_path)
+    def test_detected_shrunk_and_replayable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(recovery, "_repair_undercounts", lambda fs: 0)
+        detect_shrink_replay(rfc_ops(), RFC_CFG, "undercounts", tmp_path)
 
     def test_clean_without_mutation(self):
-        mutation.reset()
         assert run_case(rfc_ops(), RFC_CFG).ok
 
 
 class TestTornInodeRecord:
-    def test_detected_shrunk_and_replayable(self, tmp_path):
-        with mutation.mutated("torn_inode_record"):
-            detect_shrink_replay(torn_ops(), TORN_CFG, "itable", tmp_path)
+    def test_detected_shrunk_and_replayable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(InodeTable, "fsck", lambda self: 0)
+        detect_shrink_replay(torn_ops(), TORN_CFG, "itable", tmp_path)
 
     def test_clean_without_mutation(self):
-        mutation.reset()
         assert run_case(torn_ops(), TORN_CFG).ok

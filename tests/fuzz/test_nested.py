@@ -69,8 +69,8 @@ def test_torn_inode_record_in_staging_replay():
     a free list".  Fixed inside recovery, with no charge moved: the
     usage scan counts one reference per log page and data page alike,
     an orphan takes back only what it added, and both walk the chain
-    through the bounded ``_iter_chain`` (the hand-built unit case is
-    ``tests/nova/test_recovery.py::TestStaleLogHead``).
+    through the bounded ``LogManager.iter_chain`` (the hand-built unit
+    case is ``tests/nova/test_recovery.py::TestStaleLogHead``).
     """
     cfg = FuzzConfig(seed=2, seq_ops=24, staging=True, budget=10 ** 6,
                      modes=("torn",), phases=("pre",))

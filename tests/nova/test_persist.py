@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.failure import check_fs_invariants, sweep_crash_points
-from repro.nova import NovaFS, PAGE_SIZE
+from repro.nova import FSError, NovaFS, PAGE_SIZE
 from repro.nova.persist import (
     HDR_BYTES,
     SlotRecord,
@@ -197,6 +197,15 @@ class TestStateFile:
             assert read_state(fs, PATH, torn={}) == {}
         assert read_state(fs, "/.state/missing", torn={}) is None
         assert read_state(fs, PATH, list) == [1]
+
+    def test_unmounted_is_an_error_not_absent(self):
+        """Read as "not found", an unmounted image had no state files."""
+        fs = state_fs()
+        fs.unmount()
+        for probe in (lambda: lexists(fs, PATH), lambda: fs.exists(PATH),
+                      lambda: read_state(fs, PATH)):
+            with pytest.raises(FSError, match="not mounted"):
+                probe()
 
 
 # ---------------------------------------------------------------- sweep

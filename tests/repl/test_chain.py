@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.repl import chain_info, chain_table, latest_snapshot
-from repro.repl.chain import REPL_DIR
+from repro.nova.fs import FSError
+from repro.repl import (REPL_DIR, chain_info, chain_table, latest_snapshot,
+                        relocate_latest, restore_latest)
 
 from tests.repl.util import build_chain_pair, make_fs, page_of
 
@@ -19,10 +20,6 @@ class TestChainMetadata:
         assert [r["depth"] for r in rows] == [1, 2, 3]
         assert all(r["layout"] == "forward" for r in rows)
         assert latest_snapshot(dst) == "s3"
-
-    def test_snapshot_chains_wrapper(self):
-        _src, dst, _b, _names = build_chain_pair(2)
-        assert dst.snapshot_chains() == chain_table(dst)
 
     def test_local_snapshot_records_no_chain_file(self):
         """Local snapshots stay out of /.repl: workloads that never
@@ -60,10 +57,20 @@ class TestChainMetadata:
     def test_mixed_chain_survives_remount(self):
         from repro.dedup import DeNovaFS
         _src, dst, _b, _names = build_chain_pair(2)
-        dst.relocate()
+        relocate_latest(dst)
         dev = dst.dev
         dst.unmount()
         rec = DeNovaFS.mount(dev)
         rows = {r["snapshot"]: r for r in chain_table(rec)}
         assert rows["s2"]["layout"] == "reverse"
         assert rows["s1"]["layout"] == "forward"
+
+    def test_unmounted_image_refuses_chain_queries(self):
+        """An unmounted image once read as one with no snapshots."""
+        _src, dst, _b, _names = build_chain_pair(1)
+        dst.unmount()
+        for query in (dst.list_snapshots, lambda: chain_table(dst),
+                      lambda: relocate_latest(dst),
+                      lambda: restore_latest(dst)):
+            with pytest.raises(FSError, match="not mounted"):
+                query()

@@ -6,7 +6,7 @@ import pytest
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.failure import check_fs_invariants
 from repro.repl import relocate_latest
-from repro.repl.chain import REPL_DIR
+from repro.repl import REPL_DIR
 from repro.repl.relocate import _min_runs
 
 from tests.repl.util import build_chain_pair
