@@ -23,25 +23,33 @@ Implementation notes (per the HPC guides: views over copies, vectorized
 bulk paths): logical content lives in one NumPy ``uint8`` array over a
 private anonymous mapping, which the kernel zeroes page by page on first
 touch — a device costs the pages it touches, not its size; only
-*volatile* lines carry a shadow copy of their durable content, so bulk
-writes stay O(bytes touched) with no full-device copies.  Volatility is
-tracked per cache line but *updated per run*: a store snapshots the
-durable content of every line it covers in one slice of the line-typed
-view of the array and moves the run between the ``dirty`` / ``flushing``
-sets with one set operation (a store inside one line — most are — does
-both by that line's key alone); a fence that leaves nothing dirty drops
-the whole shadow at once; a crash restores all volatile lines in one
-scatter.  ``write(..., persist=True)`` is store + clwb + sfence in one
-call, held to the charges, counters and hook order of the three; on a
-device with nothing volatile its run never enters those tables unless a
-hook interrupts it, and with no hook on a clock that folds it is one
-integer charge.  Work that is *n* identical steps is one call: a run of
-``clwb`` charges is one ``SimClock.advance_n`` (one multiplication),
-``scan`` reads a table's flag column in one strided slice,
-``read_view`` lends a large range out for decoding in place — each
-counted and charged as the per-line, per-slot form it stands for.
-The shadow's key order is the order lines first became volatile — the
-order ``crash("torn")`` draws its random words in.
+*volatile* lines carry a copy of their durable content, so bulk writes
+stay O(bytes touched) with no full-device copies.  The device pays per
+store, not per line, wherever nothing needs a line on its own.  A
+non-temporal store onto empty per-line tables — NOVA's copy-on-write
+data copy — is a *held run*: first line, end line, one ``bytes``
+pre-image, retired whole by the next fence and spread into the tables
+(oldest first) only by an overlapping store, ``crash`` or
+``save_image``.  The tables are a ``line -> durable bytes`` shadow and
+the ``dirty`` / ``flushing`` sets, *updated per run*: a store snapshots
+the lines it covers in one slice of the line-typed view of the array
+and moves them with one set operation (a store inside one line — most
+are — does both by that line's key alone); a fence that leaves nothing
+dirty drops the whole shadow at once; a crash restores all volatile
+lines in one scatter.  A run is made only while the shadow is empty, so
+it is older than every table line: runs, then shadow keys, are the
+order lines first became volatile — the order ``crash("torn")`` draws
+its random words in.  ``write(..., persist=True)`` is store + clwb +
+sfence in one call, held to the charges, counters and hook order of the
+three; with no ``on_write`` / ``on_persist`` hook on a clock that folds
+it is one integer charge and no pre-image whatever else is volatile
+(its fence commits its own lines, the flushing ones and the runs), and
+otherwise, on a device with nothing volatile, its run enters the tables
+only if a hook interrupts it.  Work that is *n* identical steps is one
+call: a run of ``clwb`` charges is one ``SimClock.advance_n`` (one
+multiplication), ``scan`` reads a table's flag column in one strided
+slice, ``read_view`` lends a large range out for decoding in place —
+each counted and charged as the per-line, per-slot form it stands for.
 
 Lifetime: whoever builds devices in a loop ends each with
 :meth:`PMDevice.close`, which hands the mapping — cleared where it was
@@ -220,6 +228,10 @@ class PMDevice:
         self._shadow: dict[int, bytes] = {}
         self._dirty: set[int] = set()     # stored, not yet clwb'd
         self._flushing: set[int] = set()  # clwb'd / nt-stored, not yet fenced
+        # Held runs, oldest first: (first line, end line, durable content
+        # of those lines) of each nt store made while the shadow was
+        # empty — flushing lines older than every shadow key, outside it.
+        self._runs: list[tuple[int, int, bytes]] = []
         # Lines of a durable store on their way to the media that are in
         # none of the three tables (see ``write``); 0 outside that call.
         self._in_flight = 0
@@ -365,13 +377,13 @@ class PMDevice:
         if self._crashed:
             self._refuse()
         n = len(data)
+        end = addr + n
+        if addr < 0 or end > self.size:
+            raise ValueError(f"access [{addr}, {end}) out of device bounds")
         if n == 0:
             if persist:
                 self.persist(addr, 0)
             return
-        end = addr + n
-        if addr < 0 or end > self.size:
-            raise ValueError(f"access [{addr}, {end}) out of device bounds")
         stats = self.stats
         stats.writes += 1
         stats.bytes_written += n
@@ -380,17 +392,21 @@ class PMDevice:
         if not isinstance(data, bytes):
             data = bytes(data)
         shadow, dirty, flushing = self._shadow, self._dirty, self._flushing
+        runs = self._runs
         first, last = addr // CACHELINE, (end - 1) // CACHELINE
         clock, hooks = self.clock, self.hooks
-        if persist and not shadow:
-            # A durable store with nothing else volatile — the state
-            # NOVA-style code is in before most of its stores.  Its lines
-            # are volatile only inside this call, so they are held *in
-            # flight* (counted by ``volatile_lines``, in no table) and
-            # one pre-image of the run stands for their shadow; only a
-            # hook that raises — nothing else can observe them — has
-            # them spread over the tables, as the stores below would
-            # have left them at that point.
+        if runs:
+            for at, stop, _ in runs:
+                if at <= last and first < stop:
+                    self._spread()  # this store needs line precision
+                    break
+        # A durable store with no hook to raise and no recorder to hand
+        # charges to is one integer charge and no pre-image, whatever
+        # else is volatile: its fence commits its own lines, the
+        # flushing ones and the held runs.
+        fused = (persist and hooks.on_write is None
+                 and hooks.on_persist is None and clock.folds)
+        if fused or persist and not shadow and not runs:
             count = last - first + 1
             if count == 1:
                 self._stored.add(first >> _CHUNK_SHIFT)
@@ -399,16 +415,24 @@ class PMDevice:
                                           (last >> _CHUNK_SHIFT) + 1))
             if nt:
                 stats.nt_writes += 1
-            if (hooks.on_write is None and hooks.on_persist is None
-                    and clock.folds):
-                # No hook to raise, no recorder to hand charges to: no
-                # pre-image, and store + clwbs + fence are one int charge.
+            if fused:
                 self._bytes[addr:end] = data
                 stats.clwbs += count
                 stats.sfences += 1
                 clock.charge_fs(self._write_costs[n][0]
                                 + count * self._clwb[0] + self._sfence[0])
+                if shadow or runs:
+                    self._commit_beside(first, last)
             else:
+                # A hook or a recording clock, and nothing else volatile
+                # — the state NOVA-style code is in before most of its
+                # stores.  The lines are volatile only inside this call,
+                # so they are held *in flight* (counted by
+                # ``volatile_lines``, in no table) and one pre-image of
+                # the run stands for their shadow; only a hook that
+                # raises — nothing else can observe them — has them
+                # spread over the tables, as the stores below would have
+                # left them at that point.
                 durable = self._bytes[first * CACHELINE:
                                       (last + 1) * CACHELINE].tobytes()
                 self._bytes[addr:end] = data
@@ -443,6 +467,21 @@ class PMDevice:
             stats.lines_persisted += count
             if hooks.on_persist_done is not None:
                 hooks.on_persist_done(stats.sfences, self)
+            return
+        if nt and not persist and not shadow:
+            # A held run: the next fence retires it whole, so one
+            # pre-image stands for its lines until something needs them
+            # one by one (see _spread).
+            self._stored.update(range(first >> _CHUNK_SHIFT,
+                                      (last >> _CHUNK_SHIFT) + 1))
+            runs.append((first, last + 1,
+                         self._bytes[first * CACHELINE:
+                                     (last + 1) * CACHELINE].tobytes()))
+            self._bytes[addr:end] = data
+            stats.nt_writes += 1
+            clock.charge_fs(*self._write_costs[n])
+            if hooks.on_write is not None:
+                hooks.on_write(stats.writes, self)
             return
         # Snapshot the durable content of the lines stored to (lines that
         # are already volatile keep their older, durable snapshot) and
@@ -536,22 +575,73 @@ class PMDevice:
     def _fence(self) -> None:
         self.stats.sfences += 1
         self.clock.charge_fs(*self._sfence)
-        if not self._flushing:
+        if not self._flushing and not self._runs:
             return
         count = self.stats.sfences
         if self.hooks.on_persist is not None:
             self.hooks.on_persist(count, self)
-        if self._dirty:
-            _consume(map(self._shadow.__delitem__, self._flushing))
-        else:
-            self._shadow.clear()
-        if self._wear is not None:
-            self._wear[np.fromiter(self._flushing, dtype=np.intp,
-                                   count=len(self._flushing))] += 1
-        self.stats.lines_persisted += len(self._flushing)
-        self._flushing.clear()
+        self._commit()
         if self.hooks.on_persist_done is not None:
             self.hooks.on_persist_done(count, self)
+
+    def _commit(self) -> None:
+        """Make every flushing line and every held run durable."""
+        flushing, wear = self._flushing, self._wear
+        persisted = len(flushing)
+        if flushing:
+            if self._dirty:
+                _consume(map(self._shadow.__delitem__, flushing))
+            else:
+                self._shadow.clear()
+            if wear is not None:
+                wear[np.fromiter(flushing, dtype=np.intp,
+                                 count=persisted)] += 1
+            flushing.clear()
+        for first, stop, _ in self._runs:
+            persisted += stop - first
+            if wear is not None:
+                wear[first:stop] += 1
+        self._runs.clear()
+        self.stats.lines_persisted += persisted
+
+    def _commit_beside(self, first: int, last: int) -> None:
+        """The fence of a fused durable store onto volatile lines: the
+        store's own lines ``first..last`` leave the tables (its caller
+        counts them), then every flushing line and held run commits;
+        dirty lines stay as they are."""
+        shadow, dirty, flushing = self._shadow, self._dirty, self._flushing
+        if first == last:
+            if first in shadow:
+                del shadow[first]
+                dirty.discard(first)
+                flushing.discard(first)
+        elif shadow:
+            own = range(first, last + 1)
+            if len(own) < len(shadow):
+                mine = [line for line in own if line in shadow]
+            else:
+                mine = [line for line in shadow if line in own]
+            _consume(map(shadow.__delitem__, mine))
+            dirty.difference_update(mine)
+            flushing.difference_update(mine)
+        if flushing or self._runs:
+            self._commit()
+
+    def _spread(self) -> None:
+        """Enter every held run line by line, as the tables would hold
+        it: its lines ``flushing``, their pre-images in the shadow oldest
+        run first and ahead of every table line (all of them younger)."""
+        runs, shadow = self._runs, self._shadow
+        if not runs:
+            return
+        younger = list(shadow.items())
+        shadow.clear()
+        for first, stop, durable in runs:
+            lines = range(first, stop)
+            shadow.update(zip(lines, np.frombuffer(durable, _LINE).tolist()))
+            self._flushing.update(lines)
+        shadow.update(younger)
+        runs.clear()
 
     def persist(self, addr: int, n: int) -> None:
         """clwb the range then sfence — for a commit of several stores;
@@ -576,7 +666,8 @@ class PMDevice:
     def volatile_lines(self) -> int:
         """Number of cache lines whose content is not yet durable."""
         self._check_open()
-        return len(self._shadow) + self._in_flight
+        return (len(self._shadow) + self._in_flight
+                + sum(stop - first for first, stop, _ in self._runs))
 
     def crash(self, mode: str = "discard",
               rng: Optional[np.random.Generator] = None) -> None:
@@ -593,6 +684,7 @@ class PMDevice:
         if mode == "torn" and rng is None:
             rng = np.random.default_rng(0)
         self.stats.crashes += 1
+        self._spread()
         if self._shadow:
             words, lines, survives = self._volatile_words()
             if mode == "torn":
@@ -629,6 +721,7 @@ class PMDevice:
         fence first).
         """
         self._check_open()
+        self._spread()
         # Temporarily roll back to durable content for the dump.
         words, lines, durable = self._volatile_words()
         volatile = words[lines]

@@ -29,6 +29,29 @@ class TestDataPath:
         with pytest.raises(ValueError):
             dev.read(-1, 4)
 
+    @pytest.mark.parametrize("call", [
+        lambda d: d.write(-8, b""),
+        lambda d: d.write(d.size + 64, b""),
+        lambda d: d.write(d.size + 1, b"", persist=True),
+        lambda d: d.zero_range(-64, 0),
+        lambda d: d.zero_range(d.size + 8, 0, persist=True),
+        lambda d: d.read(-8, 0),
+        lambda d: d.read(d.size + 64, 0),
+    ], ids=range(7))
+    def test_zero_length_access_outside_the_device_rejected(self, call):
+        """Empty or not, an access must lie on the device; refused, it
+        charges and counts nothing."""
+        dev = make_dev()
+        dev.write(64, b"volatile")
+        stats, now = dev.stats.snapshot(), dev.clock.now_fs
+        with pytest.raises(ValueError, match="out of device bounds"):
+            call(dev)
+        assert (dev.stats.snapshot(), dev.clock.now_fs) == (stats, now)
+        assert dev.volatile_lines == 1
+        # At the device's end, an empty access is still in bounds.
+        dev.write(dev.size, b"")
+        assert dev.read(dev.size, 0) == b""
+
     def test_size_must_be_line_multiple(self):
         with pytest.raises(ValueError):
             PMDevice(100)

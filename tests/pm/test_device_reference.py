@@ -30,9 +30,13 @@ own, its lines held *in flight* instead of in the per-line tables; the
 directed tests put every shape of run through it, crash it out of every
 hook, and require the reference's media after both kinds of crash — and
 require the table body for the same store on top of volatile lines.
-With no hook installed, on a clock that folds, that body takes no
-pre-image and is one integer charge; one test runs the rounds beside
-such a device and holds it to the hooked, recording one.
+With no hook installed, on a clock that folds, every durable store takes
+no pre-image and is one integer charge, whatever else is volatile; one
+test runs the rounds beside such a device and holds it to the hooked,
+recording one.  A non-temporal store onto empty tables is *held* as one
+run with one pre-image until a fence retires it whole, or something that
+needs its lines one by one (an overlapping store, a crash, an image)
+spreads it; directed tests put each of those through it.
 
 The real device's content is a view of a private anonymous mapping that
 the kernel zeroes on first touch; the reference's is zero-filled memory.
@@ -58,6 +62,7 @@ from .reference_device import PerLineDevice
 SIZE = 1 << 20                      # 16 384 lines; a 128 KB store fits 8x
 STEPS_PER_ROUND = 140
 ROUNDS = 6
+BODIES = ("in flight", "tables", "held run", "fused over volatile")
 
 
 class RecordingClock(SimClock):
@@ -100,12 +105,22 @@ class Pair:
         self.events = {id(self.real): [], id(self.ref): []}
         self.trip_at = None         # (hook name, nth event from now)
         self.fused_trips = set()    # hooks that crashed a durable store
-        # Durable stores by the body that ran them, as on_write saw it.
-        self.bodies = {"in flight": 0, "tables": 0}
+        # Stores by the body that ran them: durable ones on the real
+        # device as on_write saw them, nt stores the real device held as
+        # a run, and durable stores the plain device fused over lines
+        # that were already volatile.
+        self.bodies = dict.fromkeys(BODIES, 0)
         self.in_durable = False
         for dev in (self.real, self.ref):
             for name in ("on_write", "on_persist", "on_persist_done"):
                 setattr(dev.hooks, name, self._hook(name))
+        if self.plain is not None:
+            commit_beside = self.plain._commit_beside
+
+            def fused_over_volatile(first, last):
+                self.bodies["fused over volatile"] += 1
+                commit_beside(first, last)
+            self.plain._commit_beside = fused_over_volatile
 
     def _hook(self, name):
         def fire(count, dev):
@@ -143,10 +158,13 @@ class Pair:
 
     def do(self, op, *args, **kw):
         """Apply one operation to both."""
-        return self._both(lambda: getattr(self.real, op)(*args, **kw),
-                          lambda: getattr(self.ref, op)(*args, **kw),
-                          (op, args[:1]),
-                          lambda: getattr(self.plain, op)(*args, **kw))
+        held = len(self.real._runs)
+        crashed = self._both(lambda: getattr(self.real, op)(*args, **kw),
+                             lambda: getattr(self.ref, op)(*args, **kw),
+                             (op, args[:1]),
+                             lambda: getattr(self.plain, op)(*args, **kw))
+        self.bodies["held run"] += len(self.real._runs) > held
+        return crashed
 
     def do_read(self, op, *args, **kw):
         """One charged read of any kind on both; the bytes must agree
@@ -211,6 +229,9 @@ class Pair:
             assert plain.stats == real.stats, where
             assert (plain.clock.charged_fs, plain.clock.now_fs) \
                 == (real.clock.charged_fs, real.clock.now_fs), where
+            if self.track_wear:
+                assert (plain.wear_max(), plain.wear_total()) \
+                    == (ref.wear_max(), ref.wear_total()), where
 
     def compare_media(self, where):
         assert self.real.read_silent(0, SIZE) == self.ref.media(), where
@@ -420,7 +441,7 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
 def test_random_sequences_match_the_per_line_reference():
     mid_fence = lines = 0
     fused_trips = set()
-    bodies = {"in flight": 0, "tables": 0}
+    bodies = dict.fromkeys(BODIES, 0)
     reads = {}
     for seed in range(8):
         try:
@@ -441,8 +462,10 @@ def test_random_sequences_match_the_per_line_reference():
     assert lines > 20_000
     # ... including each hook crashing *inside* a durable store.
     assert fused_trips == {"on_write", "on_persist", "on_persist_done"}
-    # ... and both bodies of the durable store, many times each.
-    assert min(bodies.values()) >= 50, bodies
+    # ... and both bodies of the hooked durable store, and held runs,
+    # many times each (the plain device's fused body: the test below).
+    assert min(bodies["in flight"], bodies["tables"],
+               bodies["held run"]) >= 50, bodies
     # ... and every kind of charged read between the steps.
     assert min(reads.values()) >= 40, reads
 
@@ -466,13 +489,17 @@ def test_random_sequences_match_on_a_plain_clock_with_no_hooks():
     bytes, and before and after each round's crash its media is the
     reference's.  A trip there has no twin, so trips are drawn but not
     armed; in rounds 2 and 3 the third device has a hook of its own and
-    goes back to the per-charge body."""
-    quiescent = 0
+    goes back to the per-charge body.  Its fused stores onto lines that
+    are already volatile — dirty, flushing, held runs — commit the runs
+    and flushing lines with their own and leave the dirty ones."""
+    bodies = dict.fromkeys(BODIES, 0)
     for seed in range(8):
         pair, mid_fence = run_rounds(seed, plain=True)
         assert mid_fence == 0 and pair.plain.stats.crashes == ROUNDS
-        quiescent += pair.bodies["in flight"]
-    assert quiescent >= 100
+        for body, count in pair.bodies.items():
+            bodies[body] += count
+    assert min(bodies["in flight"], bodies["fused over volatile"]) >= 100, \
+        bodies
 
 
 @pytest.mark.parametrize("hook", ["on_write", "on_persist"])
@@ -490,7 +517,8 @@ def test_a_raising_hook_on_a_folding_clock_leaves_the_run_volatile(hook):
         pair.arm((hook, 1))
         assert pair.do_durable("write", addr, b"\xa5" * n)
         assert pair.real.volatile_lines == lines
-        assert pair.bodies == {"in flight": 2, "tables": 0}
+        assert pair.bodies == {"in flight": 2, "tables": 0, "held run": 0,
+                               "fused over volatile": 0}
         pair.crash("discard", 3000 + lines)
         assert pair.real.read_silent(addr, n) != b"\xa5" * n
 
@@ -722,7 +750,8 @@ def test_durable_store_on_a_quiescent_device(nt, hook, end):
         persisted = pair.real.stats.lines_persisted
         crashed = pair.do_durable("write", addr, b"\xa5" * n, nt=nt)
         assert crashed == (hook is not None), (addr, n)
-        assert pair.bodies == {"in flight": 2, "tables": 0}
+        assert pair.bodies == {"in flight": 2, "tables": 0, "held run": 0,
+                               "fused over volatile": 0}
         assert ("on_write", 2, lines) in pair.events[id(pair.real)][-3:]
         durable = hook in (None, "on_persist_done")
         assert pair.real.volatile_lines == (0 if durable else lines)
@@ -750,8 +779,140 @@ def test_durable_store_on_volatile_lines_takes_the_tables(under, hook):
             pair.arm((hook, 1) if hook else None)
             crashed = pair.do_durable("write", addr, b"\x5a" * n)
             assert crashed == (hook is not None)
-            assert pair.bodies == {"in flight": 0, "tables": 1}
+            assert pair.bodies == {"in flight": 0, "tables": 1,
+                                   "held run": under == "flushing",
+                                   "fused over volatile": 0}
             pair.crash("torn", 2000 + lines)
+
+
+# -- held runs: an nt store onto empty tables is one pre-image ---------------
+
+#: ``(addr, n)`` of the runs :func:`_hold_runs` stores, oldest first: one
+#: line, 12 lines straddling both ends, 64 lines.
+HELD = [(3 * CACHELINE + 8, 8), (10 * CACHELINE + 5, 700),
+        (40 * CACHELINE, 4096)]
+
+
+def _hold_runs(pair, under=True):
+    """The ``HELD`` runs (over durable content when ``under``), then two
+    younger table lines, one dirty and one flushing."""
+    if under:
+        pair.do_durable("write", 0, bytes(range(1, 256)) * 60)
+    for i, (addr, n) in enumerate(HELD):
+        pair.do("write", addr, bytes([0xa0 + i]) * n, nt=True)
+    real = pair.real
+    assert [run[:2] for run in real._runs] == [(3, 4), (10, 22), (40, 104)]
+    assert not real._shadow and real.volatile_lines == 1 + 12 + 64
+    pair.do("write", 130 * CACHELINE + 3, b"younger, dirty")
+    pair.do("write", 150 * CACHELINE, b"younger, flushing", nt=True)
+    assert len(real._runs) == 3 and len(real._shadow) == 2
+    assert pair.bodies["held run"] == 3
+
+
+@pytest.mark.parametrize("mode", ["discard", "torn"])
+@pytest.mark.parametrize("onto", ["oldest", "newest"])
+@pytest.mark.parametrize("by", ["cached", "nt", "durable", "clwb"])
+def test_a_store_onto_a_held_run_spreads_every_run(by, onto, mode):
+    """A store that overlaps a run needs its lines one by one: every run
+    enters the tables — oldest first, ahead of the younger table lines —
+    and the store goes on from there (on the plain device, a durable
+    store fuses over them).  A ``clwb`` needs no line of a run, all of
+    them flushing already, and leaves the runs held."""
+    pair = Pair(plain=True)
+    pair.arm(None)
+    _hold_runs(pair)
+    addr, n = ((3 * CACHELINE + 40, 8) if onto == "oldest"
+               else (100 * CACHELINE + 9, 500))     # past the run's end
+    if by == "clwb":
+        pair.do("clwb", addr, n)
+    elif by == "durable":
+        pair.do_durable("write", addr, b"\x5d" * n)
+    else:
+        pair.do("write", addr, b"\x5d" * n, nt=by == "nt")
+    assert bool(pair.real._runs) == (by == "clwb")
+    assert pair.bodies["fused over volatile"] == (by == "durable")
+    pair.crash(mode, 4000)
+
+
+@pytest.mark.parametrize("trip", [None, "on_persist", "on_persist_done"])
+@pytest.mark.parametrize("by", ["sfence", "durable"])
+def test_a_fence_retires_every_held_run_whole(by, trip):
+    """``sfence``, and a durable store elsewhere — hooked on the real
+    device, fused on the plain one — make every run durable beside the
+    flushing line and leave the dirty one; each line counts once, in
+    ``lines_persisted`` and in wear.  Out of ``on_persist`` the runs are
+    still held, out of ``on_persist_done`` durable."""
+    pair = Pair(track_wear=True, plain=trip is None)   # no twin for a trip
+    pair.arm(None)
+    _hold_runs(pair)
+    pair.arm((trip, 1) if trip else None)
+    if by == "sfence":
+        crashed = pair.do("sfence")
+    else:
+        crashed = pair.do_durable("write_atomic64", 200 * CACHELINE, 7)
+    assert crashed == (trip is not None)
+    assert bool(pair.real._runs) == (trip == "on_persist")
+    if trip is None:
+        assert not pair.plain._runs
+        assert pair.bodies["fused over volatile"] == (by == "durable")
+    held = 1 + 12 + 64 + 1 + (by == "durable")      # + flushing lines
+    assert pair.real.volatile_lines == (1 + held if trip == "on_persist"
+                                        else 1)
+    pair.crash("torn", 5000)
+
+
+@pytest.mark.parametrize("mode", ["discard", "torn"])
+@pytest.mark.parametrize("under", [True, False])
+def test_a_crash_reverts_held_runs_before_younger_lines(mode, under):
+    """The runs became volatile before every table line: a torn crash
+    draws their words first, run by run, then the tables' — the
+    reference's order."""
+    pair = Pair(plain=True)
+    pair.arm(None)
+    _hold_runs(pair, under)
+    pair.crash(mode, 6000)
+
+
+def test_an_image_leaves_held_runs_out(tmp_path):
+    """``save_image`` writes the durable content under every run, leaves
+    the device as it was, and a later fence still retires the runs."""
+    pair = Pair()
+    pair.arm(None)
+    _hold_runs(pair)
+    before = pair.real.read_silent(0, SIZE)
+    pair.real.save_image(tmp_path / "runs.img")
+    assert pair.real.read_silent(0, SIZE) == before
+    assert pair.real.volatile_lines == pair.ref.volatile_lines
+    durable = bytearray(pair.ref.media())
+    for line, content in pair.ref.shadow.items():
+        durable[line * CACHELINE:(line + 1) * CACHELINE] = content
+    loaded = PMDevice.load_image(tmp_path / "runs.img")
+    assert loaded.read_silent(0, SIZE) == durable
+    pair.do("sfence")
+    assert pair.real.volatile_lines == 1
+    pair.crash("torn", 7000)
+
+
+@pytest.mark.parametrize("end", ["discard", "torn", "fence, torn"])
+def test_a_run_store_interrupted_by_on_write_stays_held(end):
+    """``on_write`` fires with the run held and its bytes stored (its
+    lines counted in ``volatile_lines``): a crash out of it leaves the
+    run volatile, as the reference's flushing lines, and a later fence
+    retires it."""
+    for addr, n, lines in RUNS:
+        pair = Pair()
+        pair.arm(None)
+        pair.do_durable("write", addr - 64,
+                        bytes(range(1, 256)) * (n // 255 + 2))
+        pair.arm(("on_write", 1))
+        assert pair.do("write", addr, b"\xc3" * n, nt=True)
+        assert len(pair.real._runs) == 1
+        assert pair.events[id(pair.real)][-1] == ("on_write", 2, lines)
+        if end == "fence, torn":
+            pair.arm(None)
+            pair.do("sfence")
+            assert pair.real.volatile_lines == 0
+        pair.crash(end.split(", ")[-1], 8000 + lines)
 
 
 def test_untouched_device_reads_as_zero_filled_memory(tmp_path):
@@ -841,8 +1002,8 @@ def _assert_fresh(dev, size):
     assert (dev.hooks.on_write, dev.hooks.on_persist,
             dev.hooks.on_persist_done) == (None, None, None)
     assert dev.volatile_lines == 0
-    assert not (dev._shadow or dev._dirty or dev._flushing or dev._stored
-                or dev._in_flight)
+    assert not (dev._shadow or dev._dirty or dev._flushing or dev._runs
+                or dev._stored or dev._in_flight)
     dev.write(0, b"usable")
     with pytest.raises(RuntimeError, match="did not crash"):
         dev.recover_view()
