@@ -103,11 +103,12 @@ def test_fig12_read_throughput():
 
 def test_reads_never_touch_fact():
     fs, _dd, a, b = setup(Variant.IMMEDIATE)
-    lookups_before = fs.fact.stats["lookups"]
+    lookups = fs.obs.registry.counter("fact.lookups_total")
+    lookups_before = lookups.value
     reads_before = fs.dev.stats.reads
     for pg in range(FILE_PAGES):
         fs.read(b, pg * PAGE, PAGE)
-    assert fs.fact.stats["lookups"] == lookups_before
+    assert lookups.value == lookups_before
     assert fs.dev.stats.reads == reads_before + FILE_PAGES
 
 

@@ -33,7 +33,8 @@ def main() -> None:
     fs.daemon.drain()
 
     stats = fs.space_stats()
-    print(f"daemon processed {fs.daemon.stats.nodes_processed} nodes in "
+    nodes = fs.obs.registry.counter("daemon.nodes_processed_total").value
+    print(f"daemon processed {nodes} nodes in "
           f"{(fs.clock.now_ns - t0) / 1e6:.2f} ms of simulated time\n")
     print(render_table(
         ["metric", "value"],

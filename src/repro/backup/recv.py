@@ -214,7 +214,8 @@ def rollback_torn_ingests(fs, report) -> None:
     with fs.obs.span("backup.rollback_staging"):
         out = rollback_staging(fs, torn_only=True)
     if out["stages"] or out["cursors"]:
-        fs.backup_counters["rollbacks"] += out["stages"]
+        fs.obs.registry.counter("backup.staging_rollbacks_total").inc(
+            out["stages"])
         report.extra["backup_rollback"] = out
 
 
@@ -352,7 +353,6 @@ def receive_backup(fs, stream, resume: bool = True,
         stats = {"pages_dup": 0, "pages_novel": 0,
                  "pages_unfingerprinted": 0, "bytes_ingested": 0,
                  "files": 0, "dirs": 0, "symlinks": 0}
-        counters = getattr(fs, "backup_counters", None)
         applied = skipped = 0
         stopped = False
         with fs.obs.tracer.use_track("backup"), \
@@ -396,10 +396,10 @@ def receive_backup(fs, stream, resume: bool = True,
             # two leaves a published snapshot with unknown lineage,
             # never a torn commit.
             record_chain(fs, name, parent=manifest.get("base"))
-        if counters is not None:
-            counters["recv_pages_dup"] += stats["pages_dup"]
-            counters["recv_pages_novel"] += stats["pages_novel"]
-            counters["recv_bytes"] += stats["bytes_ingested"]
+        reg = fs.obs.registry
+        reg.counter("backup.recv_pages_dup_total").inc(stats["pages_dup"])
+        reg.counter("backup.recv_pages_novel_total").inc(stats["pages_novel"])
+        reg.counter("backup.recv_bytes_total").inc(stats["bytes_ingested"])
         return {
             "snapshot": name,
             "stream_id": sid,
@@ -416,3 +416,6 @@ def receive_backup(fs, stream, resume: bool = True,
 
 
 DeNovaFS.unclean_mount_hooks += (rollback_torn_ingests,)
+DeNovaFS.layer_counters += (
+    "backup.recv_pages_dup_total", "backup.recv_pages_novel_total",
+    "backup.recv_bytes_total", "backup.staging_rollbacks_total")

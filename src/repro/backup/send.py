@@ -33,6 +33,7 @@ from repro.backup.stream import (
     write_record,
     write_trailer,
 )
+from repro.dedup.denova import DeNovaFS
 from repro.nova.layout import PAGE_SIZE
 
 __all__ = ["send_backup", "send_cursor_path"]
@@ -68,7 +69,8 @@ def send_backup(fs, snapshot: str, out, base: Optional[str] = None,
     manifest = build_manifest(snapshot, base, diff.tree, diff.novel,
                               PAGE_SIZE)
     sid = manifest["stream_id"]
-    counters = getattr(fs, "backup_counters", None)
+    c_records = fs.obs.registry.counter("backup.send_records_total")
+    c_bytes = fs.obs.registry.counter("backup.send_bytes_total")
 
     to_path = isinstance(out, str)
     skip = 0
@@ -106,9 +108,8 @@ def send_backup(fs, snapshot: str, out, base: Optional[str] = None,
                 n = write_record(fh, bytes.fromhex(fp_hex), data)
                 written += 1
                 bytes_written += n
-                if counters is not None:
-                    counters["send_records"] += 1
-                    counters["send_bytes"] += n
+                c_records.inc()
+                c_bytes.inc(n)
                 if to_path:
                     fh.flush()
                     with open(send_cursor_path(out), "w") as cfh:
@@ -140,3 +141,7 @@ def send_backup(fs, snapshot: str, out, base: Optional[str] = None,
         "bytes_written": bytes_written,
         "complete": complete,
     }
+
+
+DeNovaFS.layer_counters += ("backup.send_records_total",
+                            "backup.send_bytes_total")

@@ -50,9 +50,8 @@ from repro.nova.entries import (
 )
 from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
-from repro.obs import RegistryStats
 
-__all__ = ["DedupDaemon", "DaemonStats", "NodeTask", "append_redirects"]
+__all__ = ["DedupDaemon", "NodeTask", "append_redirects"]
 
 
 def append_redirects(fs, ino: int, cache, targets, cpu: int) -> list[tuple]:
@@ -73,21 +72,6 @@ def append_redirects(fs, ino: int, cache, targets, cpu: int) -> list[tuple]:
     for addr, _we in appended:
         fs.note_dedup_pending(addr)
     return appended
-
-
-class DaemonStats(RegistryStats):
-    """Attribute view over ``daemon.*_total`` registry counters.
-
-    The seed's dataclass API (``stats.pages_scanned += 1``,
-    ``as_dict()``) is preserved; storage lives in the metrics registry.
-    """
-
-    _prefix = "daemon"
-    _fields = (
-        "nodes_processed", "nodes_stale", "pages_scanned", "pages_stale",
-        "pages_unique", "pages_duplicate", "pages_reclaimed",
-        "fact_full_events", "reorders",
-    )
 
 
 @dataclass
@@ -127,8 +111,16 @@ class DedupDaemon:
     def __init__(self, fs, reorder_min_steps: int = 3,
                  reorder_min_rfc: int = 2, reorder_enabled: bool = True):
         self.fs = fs
-        obs = getattr(fs, "obs", None)
-        self.stats = DaemonStats(obs.registry if obs is not None else None)
+        reg = fs.obs.registry
+        self._c_nodes = reg.counter("daemon.nodes_processed_total")
+        self._c_nodes_stale = reg.counter("daemon.nodes_stale_total")
+        self._c_scanned = reg.counter("daemon.pages_scanned_total")
+        self._c_pages_stale = reg.counter("daemon.pages_stale_total")
+        self._c_unique = reg.counter("daemon.pages_unique_total")
+        self._c_duplicate = reg.counter("daemon.pages_duplicate_total")
+        self._c_reclaimed = reg.counter("daemon.pages_reclaimed_total")
+        self._c_fact_full = reg.counter("daemon.fact_full_events_total")
+        self._c_reorders = reg.counter("daemon.reorders_total")
         self.reorder_min_steps = reorder_min_steps
         self.reorder_min_rfc = reorder_min_rfc
         self.reorder_enabled = reorder_enabled
@@ -185,13 +177,13 @@ class DedupDaemon:
     def validate_node(self, node: DWQNode) -> Optional[NodeTask]:
         """Step 1: reject stale nodes; return the in-flight task if live.
 
-        Stale bookkeeping (stats + ``note_dedup_done``) happens here, so
-        a ``None`` return means the node is fully disposed of.
+        Stale bookkeeping (counters + ``note_dedup_done``) happens here,
+        so a ``None`` return means the node is fully disposed of.
         """
         fs = self.fs
         cache = fs.caches.get(node.ino)
         if cache is None:  # file deleted while queued
-            self.stats.nodes_stale += 1
+            self._c_nodes_stale.inc()
             fs.note_dedup_done(node.entry_addr)
             return None
         # The inode may have been deleted and its number reused while the
@@ -205,10 +197,10 @@ class DedupDaemon:
         if (not isinstance(entry, WriteEntry)
                 or entry.ino != node.ino
                 or entry.dedupe_flag != DEDUPE_NEEDED):
-            self.stats.nodes_stale += 1
+            self._c_nodes_stale.inc()
             fs.note_dedup_done(node.entry_addr)
             return None
-        self.stats.nodes_processed += 1
+        self._c_nodes.inc()
         return NodeTask(node=node, entry=entry, cache=cache,
                         cpu=node.ino % fs.cpus, txn=FactTxn(fs.fact))
 
@@ -220,10 +212,10 @@ class DedupDaemon:
         foreground already overwrote.  Touches no shared FACT state, so
         parallel workers may run it without holding a bucket lock.
         """
-        self.stats.pages_scanned += 1
+        self._c_scanned.inc()
         hit = task.cache.index.lookup(pgoff)
         if hit is None or hit[0] != task.node.entry_addr:
-            self.stats.pages_stale += 1
+            self._c_pages_stale.inc()
             return None
         return self._hash_page(task, pgoff, task.entry.block_for(pgoff))
 
@@ -261,20 +253,20 @@ class DedupDaemon:
             # recovery's undercount repair) is re-staged.
             if found.refcount == 0:
                 task.txn.share(found.idx)
-                self.stats.pages_unique += 1
+                self._c_unique.inc()
         else:
             task.txn.share(found.idx)  # step 3
             task.dups.append((pgoff, found.block))
-            self.stats.pages_duplicate += 1
+            self._c_duplicate.inc()
 
     def _stage_miss(self, task: NodeTask, pgoff: int, page: int, fp: bytes,
                     res: LookupResult) -> None:
         """No entry carries ``fp``: the page becomes its canonical."""
         if task.txn.claim(fp, page, hint=res) is None:
             # No metadata room: leave the page un-deduplicated.
-            self.stats.fact_full_events += 1
+            self._c_fact_full.inc()
         else:
-            self.stats.pages_unique += 1
+            self._c_unique.inc()
 
     def commit_node(self, task: NodeTask) -> None:
         """Steps 4–6: redirect entries, settle counts, reclaim, reorder."""
@@ -308,9 +300,9 @@ class DedupDaemon:
             displaced = cache.index.redirect(pgoff, addr, we)
             fs._note_dead_entries(cache, displaced)
             fs.reclaim_extents(displaced.extents, cpu)
-            self.stats.pages_reclaimed += displaced.total_pages
+            self._c_reclaimed.inc(displaced.total_pages)
 
         # §IV-E: reorder the chains that showed slow lookups.
         for head in task.reorder_heads:
             if reorder_chain(fact, head):
-                self.stats.reorders += 1
+                self._c_reorders.inc()

@@ -11,7 +11,8 @@ Integration points with the base filesystem:
   recovery (:mod:`repro.dedup.recovery`);
 * layers above keep crash state of their own in the image and settle it
   through :attr:`DeNovaFS.unclean_mount_hooks`, which they fill at import
-  (``repro.backup``: torn ingests; ``repro.repl``: relocation intents).
+  (``repro.backup``: torn ingests; ``repro.repl``: relocation intents);
+  they name their counters in :attr:`DeNovaFS.layer_counters` the same way.
 
 The dedup daemon itself is *driven by the caller* (or the DES workload
 runner): ``fs.daemon.drain()`` for DeNova-Immediate semantics,
@@ -33,7 +34,6 @@ from repro.nova.fs import NovaFS
 from repro.nova.layout import PAGE_SIZE, Geometry
 from repro.nova.persist import SweepCursors
 from repro.nova.radix import page_refs
-from repro.obs import CounterView
 from repro.pm.device import PMDevice
 
 __all__ = ["DeNovaFS"]
@@ -48,6 +48,9 @@ class DeNovaFS(NovaFS):
     unclean_mount_hooks: tuple = ()
     #: ``hook(fs, name)`` callables run after snapshot ``name`` is deleted.
     snapshot_delete_hooks: tuple = ()
+    #: Counters the layers above keep on this filesystem (``backup.*``,
+    #: ``repl.*``), appended at import and registered at construction.
+    layer_counters: tuple = ()
 
     def __init__(self, dev: PMDevice, geo: Geometry, cpus: int = 1):
         super().__init__(dev, geo, cpus)
@@ -64,49 +67,26 @@ class DeNovaFS(NovaFS):
         self.dwq.tenant_resolver = self.tenants.tenant_of
         self.daemon = DedupDaemon(self)
         self._pending_pages: Counter[int] = Counter()  # log page -> entries
+        reg = self.obs.registry
         # Volatile resume points of the budgeted background passes.
-        self.cursors = SweepCursors(self.obs.registry, {
+        self.cursors = SweepCursors(reg, {
             "scrub": "dedup.scrub_cursor",
             "deep_verify": "dedup.verify_cursor",
             "relocate": "repl.relocate_cursor"})
-        self.maint_counters = CounterView(self.obs.registry, {
-            "scrub_examined": "dedup.scrub_examined_total",
-            "scrub_removed": "dedup.scrub_entries_removed_total",
-            "scrub_pages_freed": "dedup.scrub_pages_freed_total",
-            "verify_checked": "dedup.verify_pages_checked_total",
-        })
-        self.backup_counters = CounterView(self.obs.registry, {
-            # send: records/bytes written to a stream file
-            "send_records": "backup.send_records_total",
-            "send_bytes": "backup.send_bytes_total",
-            # recv: dedup hits (RFC bump, no copy) vs data copies
-            "recv_pages_dup": "backup.recv_pages_dup_total",
-            "recv_pages_novel": "backup.recv_pages_novel_total",
-            "recv_bytes": "backup.recv_bytes_total",
-            # staged ingests rolled back by unclean-mount fsck
-            "rollbacks": "backup.staging_rollbacks_total",
-        })
-        self.repl_counters = CounterView(self.obs.registry, {
-            # reverse-dedup relocation (out-of-line, budgeted)
-            "pages_relocated": "repl.pages_relocated_total",
-            "files_sequentialized": "repl.files_sequentialized_total",
-            "relocate_skipped_enospc": "repl.relocate_skipped_enospc_total",
-            # crash-recovery replays of the relocation intent journal
-            "intents_replayed": "repl.intents_replayed_total",
-            # restore-latest fast path
-            "restore_runs": "repl.restore_runs_total",
-            "restore_bytes": "repl.restore_bytes_total",
-        })
-        self.dedup_counters = CounterView(self.obs.registry, {
-            # reclaim skipped: RFC still > 0
-            "shared_page_keeps": "dedup.shared_page_keeps_total",
-            # RFC hit zero -> entry retired
-            "fact_entry_removes": "dedup.fact_entry_removes_total",
-            # page had no FACT entry
-            "direct_frees": "dedup.direct_frees_total",
-            # RFC hit zero but a dedup transaction holds a staged UC
-            "uc_deferred_removes": "dedup.uc_deferred_removes_total",
-        })
+        self._c_scrub_examined = reg.counter("dedup.scrub_examined_total")
+        self._c_scrub_removed = reg.counter(
+            "dedup.scrub_entries_removed_total")
+        self._c_scrub_freed = reg.counter("dedup.scrub_pages_freed_total")
+        self._c_verified = reg.counter("dedup.verify_pages_checked_total")
+        # What reclaim did with a page: kept (RFC still > 0), retired its
+        # entry (RFC hit zero), freed it (no entry), or deferred (RFC hit
+        # zero while a dedup transaction holds a staged UC).
+        self._c_shared_keeps = reg.counter("dedup.shared_page_keeps_total")
+        self._c_entry_removes = reg.counter("dedup.fact_entry_removes_total")
+        self._c_direct_frees = reg.counter("dedup.direct_frees_total")
+        self._c_uc_deferred = reg.counter("dedup.uc_deferred_removes_total")
+        for name in self.layer_counters:
+            reg.counter(name)
 
     # ------------------------------------------------------------ mkfs/mount
 
@@ -205,7 +185,7 @@ class DeNovaFS(NovaFS):
                 ent = self.fact.entry_for_block(page)
                 freeable = False
                 if ent is None:
-                    self.dedup_counters["direct_frees"] += 1
+                    self._c_direct_frees.inc()
                     freeable = True
                 else:
                     if self.fact.dec_rfc(ent.idx) == 0:
@@ -218,13 +198,13 @@ class DeNovaFS(NovaFS):
                             # into RFC = 1; a crashed transaction is
                             # settled by recovery's UC discard + dead-
                             # entry sweep.
-                            self.dedup_counters["uc_deferred_removes"] += 1
+                            self._c_uc_deferred.inc()
                         else:
                             self.fact.remove(ent.idx)
-                            self.dedup_counters["fact_entry_removes"] += 1
+                            self._c_entry_removes.inc()
                             freeable = True
                     else:
-                        self.dedup_counters["shared_page_keeps"] += 1
+                        self._c_shared_keeps.inc()
                 if freeable:
                     if run_start is None:
                         run_start = page
@@ -233,16 +213,16 @@ class DeNovaFS(NovaFS):
                         run_len += 1
                     else:
                         self.allocator.free(run_start, run_len, cpu)
-                        self.counters["pages_reclaimed"] += run_len
+                        self._c_reclaimed.inc(run_len)
                         run_start, run_len = page, 1
                 elif run_start is not None:
                     self.allocator.free(run_start, run_len, cpu)
-                    self.counters["pages_reclaimed"] += run_len
+                    self._c_reclaimed.inc(run_len)
                     run_start = None
                     run_len = 0
             if run_start is not None:
                 self.allocator.free(run_start, run_len, cpu)
-                self.counters["pages_reclaimed"] += run_len
+                self._c_reclaimed.inc(run_len)
 
     # ------------------------------------------------------------ maintenance
 
@@ -257,9 +237,9 @@ class DeNovaFS(NovaFS):
         with self.obs.span("dedup.scrub", budget=budget or 0,
                            cursor=self.cursors.get("scrub")):
             out = recovery.scrub(self, budget)
-        self.maint_counters["scrub_examined"] += out["examined"]
-        self.maint_counters["scrub_removed"] += out["entries_removed"]
-        self.maint_counters["scrub_pages_freed"] += out["pages_freed"]
+        self._c_scrub_examined.inc(out["examined"])
+        self._c_scrub_removed.inc(out["entries_removed"])
+        self._c_scrub_freed.inc(out["pages_freed"])
         return out
 
     def deep_verify(self, budget: Optional[int] = None) -> dict:
@@ -270,7 +250,7 @@ class DeNovaFS(NovaFS):
         with self.obs.span("dedup.deep_verify", budget=budget or 0,
                            cursor=self.cursors.get("deep_verify")):
             out = recovery.deep_verify(self, budget)
-        self.maint_counters["verify_checked"] += out["checked"]
+        self._c_verified.inc(out["checked"])
         return out
 
     # ------------------------------------------------------------ reflink/snapshots

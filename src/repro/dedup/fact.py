@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.dedup.fingerprint import FP_BYTES, fp_prefix
 from repro.nova.layout import PAGE_SIZE, Geometry
-from repro.obs import CounterView, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.pm.device import CrashRequested, PMDevice
 
 __all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
@@ -136,19 +136,16 @@ class FACT:
         self.total = 2 * self.daa_size
         self._iaa_free: list[int] = list(
             range(self.total - 1, self.daa_size - 1, -1))
-        # Observability (DRAM, rebuilt freely).  ``stats`` keeps the
-        # seed's dict API as a view over canonical registry counters.
+        # Observability (DRAM, rebuilt freely).
         if registry is None:
             registry = MetricsRegistry()
-        self.stats = CounterView(registry, {
-            "lookups": "fact.lookups_total",
-            "lookup_steps": "fact.lookup_steps_total",
-            "daa_hits": "fact.daa_hits_total",
-            "inserts": "fact.inserts_total",
-            "removes": "fact.removes_total",
-            "reorders": "fact.reorders_total",
-            "iaa_inserts": "fact.iaa_inserts_total",
-        })
+        self._c_lookups = registry.counter("fact.lookups_total")
+        self._c_lookup_steps = registry.counter("fact.lookup_steps_total")
+        self._c_daa_hits = registry.counter("fact.daa_hits_total")
+        self._c_inserts = registry.counter("fact.inserts_total")
+        self._c_removes = registry.counter("fact.removes_total")
+        self._c_reorders = registry.counter("fact.reorders_total")
+        self._c_iaa_inserts = registry.counter("fact.iaa_inserts_total")
         self._h_steps = registry.histogram(
             "fact.lookup_steps", buckets=LOOKUP_STEP_BUCKETS,
             help="NVM entry reads per fingerprint lookup (chain walk)")
@@ -242,7 +239,7 @@ class FACT:
         motivation for the §IV-E reordering).
         """
         head_idx = self.head_of(fp)
-        self.stats.inc("lookups")
+        self._c_lookups.inc()
         steps = 0
         tail = head_idx
         head_empty = False
@@ -263,14 +260,14 @@ class FACT:
                     head_empty = True
             elif entry_fp == fp:
                 if steps == 1:
-                    self.stats.inc("daa_hits")
+                    self._c_daa_hits.inc()
                 else:
                     self.chain_accesses[head_idx] = \
                         self.chain_accesses.get(head_idx, 0) + 1
                 found = _entry(idx, *fields)
                 break
             idx = nxt - 1
-        self.stats.inc("lookup_steps", steps)
+        self._c_lookup_steps.inc(steps)
         self._h_steps.observe(steps)
         return LookupResult(found=found, tail_idx=tail, steps=steps,
                             head_empty=head_empty)
@@ -297,7 +294,7 @@ class FACT:
             hint = self.lookup(fp)
         if hint.found is not None:
             raise ValueError("insert of a fingerprint already present")
-        self.stats.inc("inserts")
+        self._c_inserts.inc()
         if hint.head_empty or hint.steps == 0:
             # The DAA slot is free: write it in place, preserving any
             # existing chain continuation in its next link.
@@ -309,7 +306,7 @@ class FACT:
         if not self._iaa_free:
             raise FactFull("no free IAA slot for colliding fingerprint")
         new_idx = self._iaa_free.pop()
-        self.stats.inc("iaa_inserts")
+        self._c_iaa_inserts.inc()
         self._write_fields(new_idx, _UC_UNIT, block, hint.tail_idx, -1, fp)
         self.set_delete(block, new_idx)
         self._write_u64(hint.tail_idx, _OFF_NEXT, new_idx + 1)  # publish
@@ -489,7 +486,7 @@ class FACT:
         ent = self.read_entry(idx)
         if not ent.valid:
             raise ValueError(f"remove of invalid FACT[{idx}]")
-        self.stats.inc("removes")
+        self._c_removes.inc()
         if idx < self.daa_size:
             self.clear_delete(ent.block)
             cur_next = self._read_u64(idx, _OFF_NEXT)

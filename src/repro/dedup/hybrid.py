@@ -60,7 +60,6 @@ from repro.nova.entries import (
 from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import page_refs
-from repro.obs import CounterView
 
 __all__ = ["HybridDeNovaFS", "HybridDedupDaemon", "HybridController",
            "HybridPolicy", "MODE_DELAYED", "MODE_INLINE", "MODE_OFF",
@@ -277,10 +276,10 @@ class HybridDedupDaemon(DedupDaemon):
         if not fs._weak_candidates(weak, exclude=page):
             fs._register_weak(page, weak)
             if hint is None:  # inline pass (if any) already counted it
-                fs.hybrid_counters["weak_misses"] += 1
+                fs._c_weak_misses.inc()
             return None
         if hint is None:
-            fs.hybrid_counters["weak_hits"] += 1
+            fs._c_weak_hits.inc()
         task.weak_of[pgoff] = weak
         return page, fs.fingerprinter.strong(data)
 
@@ -306,20 +305,20 @@ class HybridDedupDaemon(DedupDaemon):
             # pipeline produces.
             cidx = fact.materialise(cfp, cand, hint=res)
             if cidx is None:
-                self.stats.fact_full_events += 1
+                self._c_fact_full.inc()
                 fs._register_weak(page, weak)
                 return
             task.txn.share(cidx)
             task.dups.append((pgoff, cand))
-            self.stats.pages_duplicate += 1
-            fs.hybrid_counters["confirmed_dups"] += 1
+            self._c_duplicate.inc()
+            fs._c_confirmed.inc()
             return
         # Every candidate refuted the weak hit: a genuine false positive.
         # The page's own write stands (it was never redirected) and it
         # registers as a unique weak-only block.
-        fs.hybrid_counters["false_positives"] += 1
+        fs._c_false_pos.inc()
         fs._register_weak(page, weak)
-        self.stats.pages_unique += 1
+        self._c_unique.inc()
 
 
 class HybridDeNovaFS(DeNovaFS):
@@ -350,17 +349,16 @@ class HybridDeNovaFS(DeNovaFS):
         self.controller = HybridController(
             max(1, nshards), self.policy, modes_word=modes_word,
             on_transition=self._on_mode_transition)
-        self.hybrid_counters = CounterView(self.obs.registry, {
-            "weak_hits": "dedup.weak_hits_total",
-            "weak_misses": "dedup.weak_misses_total",
-            "false_positives": "dedup.false_positive_total",
-            "confirmed_dups": "dedup.weak_confirmed_dups_total",
-            "inline_completions": "hybrid.inline_completions_total",
-            "off_writes": "hybrid.off_writes_total",
-            "transitions": "hybrid.mode_transitions_total",
-        })
+        reg = self.obs.registry
+        self._c_weak_hits = reg.counter("dedup.weak_hits_total")
+        self._c_weak_misses = reg.counter("dedup.weak_misses_total")
+        self._c_false_pos = reg.counter("dedup.false_positive_total")
+        self._c_confirmed = reg.counter("dedup.weak_confirmed_dups_total")
+        self._c_inline_done = reg.counter("hybrid.inline_completions_total")
+        self._c_off_writes = reg.counter("hybrid.off_writes_total")
+        self._c_transitions = reg.counter("hybrid.mode_transitions_total")
         for s in range(self.controller.nshards):
-            self.obs.registry.gauge_fn(
+            reg.gauge_fn(
                 f"hybrid.shard{s}.mode",
                 lambda s=s: self.controller.shards[s].mode,
                 help="policy mode (0=delayed 1=inline 2=off)")
@@ -435,7 +433,7 @@ class HybridDeNovaFS(DeNovaFS):
         mode = self.controller.mode(shard)
         if mode == MODE_OFF:
             self.set_dedupe_flag(entry_addr, DEDUPE_COMPLETE)
-            self.hybrid_counters["off_writes"] += entry.num_pages
+            self._c_off_writes.inc(entry.num_pages)
             self._observe(shard, entry.num_pages, weak_hits=0)
             return
         if mode == MODE_DELAYED:
@@ -455,11 +453,11 @@ class HybridDeNovaFS(DeNovaFS):
             if self._weak_candidates(weak, exclude=block):
                 hints[pgoff] = weak
                 hit_pages += 1
-                self.hybrid_counters["weak_hits"] += 1
+                self._c_weak_hits.inc()
             else:
                 self._register_weak(block, weak)
                 hints[pgoff] = _HINT_REGISTERED
-                self.hybrid_counters["weak_misses"] += 1
+                self._c_weak_misses.inc()
         if hit_pages:
             # Possible duplicates: defer the strong confirmation.  The
             # hints are DRAM-only (the 16-byte on-PM node format is
@@ -474,7 +472,7 @@ class HybridDeNovaFS(DeNovaFS):
             # recovery re-enqueues the entry — the daemon's weak path
             # then converges to the same state (self-hits are excluded).
             self.set_dedupe_flag(entry_addr, DEDUPE_COMPLETE)
-            self.hybrid_counters["inline_completions"] += 1
+            self._c_inline_done.inc()
         self._observe(shard, entry.num_pages, weak_hits=hit_pages)
 
     def _observe(self, shard: int, pages: int, weak_hits: int) -> None:
@@ -507,7 +505,7 @@ class HybridDeNovaFS(DeNovaFS):
     def _on_mode_transition(self, shard: int, old: int, new: int) -> None:
         """Persist the new mode word — one atomic store, one crash point."""
         self.sb.set_hybrid_modes(self.controller.modes_word())
-        self.hybrid_counters["transitions"] += 1
+        self._c_transitions.inc()
         self.obs.flight.record("hybrid.mode", shard=shard,
                                old=MODE_NAMES[old], new=MODE_NAMES[new])
 
@@ -569,21 +567,17 @@ class HybridDeNovaFS(DeNovaFS):
     # ------------------------------------------------------------ reporting
 
     def hybrid_stats(self) -> dict:
-        reg = self.obs.registry
         return {
             "shard_modes": {f"shard{s}": MODE_NAMES[st.mode]
                             for s, st in enumerate(self.controller.shards)},
             "mode_counts": self.controller.mode_counts(),
             "transitions": self.controller.transitions,
-            "weak_hits": reg.counter("dedup.weak_hits_total").value,
-            "weak_misses": reg.counter("dedup.weak_misses_total").value,
-            "false_positives":
-                reg.counter("dedup.false_positive_total").value,
-            "confirmed_dups":
-                reg.counter("dedup.weak_confirmed_dups_total").value,
-            "inline_completions":
-                reg.counter("hybrid.inline_completions_total").value,
-            "off_writes": reg.counter("hybrid.off_writes_total").value,
+            "weak_hits": self._c_weak_hits.value,
+            "weak_misses": self._c_weak_misses.value,
+            "false_positives": self._c_false_pos.value,
+            "confirmed_dups": self._c_confirmed.value,
+            "inline_completions": self._c_inline_done.value,
+            "off_writes": self._c_off_writes.value,
             "weak_registered": len(self._weak_by_block),
             "decision_windows": len(self.controller.decision_log),
         }

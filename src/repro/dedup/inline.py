@@ -129,8 +129,11 @@ class AdaptiveInlineFS(InlineDedupFS):
         super().__init__(dev, geo, cpus)
         self._weak_index: dict[int, list[_MetaRec]] = {}
         self._by_block: dict[int, _MetaRec] = {}
-        self.adaptive_stats = {"weak_hits": 0, "weak_misses": 0,
-                               "lazy_strong": 0, "confirmed_dups": 0}
+        reg = self.obs.registry
+        self._c_weak_hits = reg.counter("adaptive.weak_hits_total")
+        self._c_weak_misses = reg.counter("adaptive.weak_misses_total")
+        self._c_lazy_strong = reg.counter("adaptive.lazy_strong_total")
+        self._c_confirmed = reg.counter("adaptive.confirmed_dups_total")
 
     def _meta_write_cost(self) -> None:
         """Charge one 64 B NVM metadata record update + flush."""
@@ -142,19 +145,19 @@ class AdaptiveInlineFS(InlineDedupFS):
         weak = self.fingerprinter.weak(content)  # T_fw, always
         candidates = self._weak_index.get(weak)
         if not candidates:
-            self.adaptive_stats["weak_misses"] += 1
+            self._c_weak_misses.inc()
             return None, (weak, None)
-        self.adaptive_stats["weak_hits"] += 1
+        self._c_weak_hits.inc()
         strong = self.fingerprinter.strong(content)  # T_f on collision
         for rec in candidates:
             if rec.strong is None:
                 # Lazy strong generation for a weak-only stored chunk.
                 stored = self.dev.read(rec.block * PAGE_SIZE, PAGE_SIZE)
                 rec.strong = self.fingerprinter.strong(stored)
-                self.adaptive_stats["lazy_strong"] += 1
+                self._c_lazy_strong.inc()
                 self._meta_write_cost()
             if self.fingerprinter.compare(rec.strong, strong):
-                self.adaptive_stats["confirmed_dups"] += 1
+                self._c_confirmed.inc()
                 rec.rfc += 1
                 self._meta_write_cost()
                 return rec.block, None
@@ -179,7 +182,7 @@ class AdaptiveInlineFS(InlineDedupFS):
                 rec = self._by_block.get(page)
                 if rec is None:
                     self.allocator.free(page, 1, cpu)
-                    self.counters["pages_reclaimed"] += 1
+                    self._c_reclaimed.inc()
                     continue
                 rec.rfc -= 1
                 self._meta_write_cost()
@@ -189,6 +192,6 @@ class AdaptiveInlineFS(InlineDedupFS):
                         del self._weak_index[rec.weak]
                     del self._by_block[page]
                     self.allocator.free(page, 1, cpu)
-                    self.counters["pages_reclaimed"] += 1
+                    self._c_reclaimed.inc()
                 else:
-                    self.dedup_counters["shared_page_keeps"] += 1
+                    self._c_shared_keeps.inc()

@@ -52,7 +52,7 @@ def reorder_chain(fact: FACT, head_idx: int) -> bool:
     desired = sorted(nodes, key=lambda e: e.refcount, reverse=True)
     if [e.idx for e in desired] == [e.idx for e in nodes]:
         return False
-    fact.stats["reorders"] += 1
+    fact._c_reorders.inc()
     order = [e.idx for e in desired]
 
     # Step 1: commit flag up.

@@ -375,7 +375,7 @@ def full_equivalence_check(fs, model: ModelFS) -> None:
     # RFC lower bound: after a full drain every materialized page image
     # has a FACT entry whose RFC covers all live occurrences.  Skipped
     # if the table ever filled (pages then legally stay un-deduplicated).
-    if fs.daemon.stats.fact_full_events == 0:
+    if not fs.obs.registry.counter("daemon.fact_full_events_total").value:
         occ = model.page_occurrences()
         for img, n in occ.items():
             fp = fs.fingerprinter.strong(img)

@@ -68,7 +68,7 @@ from repro.nova.log import ENTRIES_PER_PAGE, LogManager
 from repro.nova.radix import Displaced, FileIndex
 from repro.nova.recovery import CacheMap, InodeCache
 from repro.nova.staging import StagingLog
-from repro.obs import CounterView, ObsHub
+from repro.obs import ObsHub
 from repro.pm.allocator import AllocError, PageAllocator
 from repro.pm.device import PMDevice
 from repro.tenant.manager import TenantManager
@@ -123,24 +123,22 @@ class NovaFS:
         self._hydrations = 0
         # Observability hub: one registry + tracer per fs instance, so a
         # remount starts from zero (DRAM state, like NOVA's in-memory
-        # trees).  ``counters`` keeps the seed's dict-shaped API as a
-        # thin view over canonical metric names (docs/OBSERVABILITY.md).
+        # trees).  Each counter is held under its one metric name.
         self.obs = ObsHub(clock=dev.clock)
-        self.counters = CounterView(self.obs.registry, {
-            "writes": "fs.writes_total",
-            "reads": "fs.reads_total",
-            "overwrite_pages": "fs.overwrite_pages_total",
-            "pages_reclaimed": "fs.pages_reclaimed_total",
-            "log_pages_gced": "fs.log_pages_gced_total",
-        })
-        self._h_overwrite = self.obs.histogram(
+        reg = self.obs.registry
+        self._c_writes = reg.counter("fs.writes_total")
+        self._c_reads = reg.counter("fs.reads_total")
+        self._c_overwrite_pages = reg.counter("fs.overwrite_pages_total")
+        self._c_reclaimed = reg.counter("fs.pages_reclaimed_total")
+        self._c_log_gced = reg.counter("fs.log_pages_gced_total")
+        self._h_overwrite = reg.histogram(
             "fs.overwrite_latency_ns",
             help="charged simulated ns of writes that displaced pages")
-        self.obs.counter_fn("recovery.lazy_hydrations_total",
-                            lambda: self._hydrations,
-                            help="inode logs replayed on demand after a "
-                                 "checkpoint mount")
-        self.allocator.attach_registry(self.obs.registry)
+        reg.counter_fn("recovery.lazy_hydrations_total",
+                       lambda: self._hydrations,
+                       help="inode logs replayed on demand after a "
+                            "checkpoint mount")
+        self.allocator.attach_registry(reg)
         # Tenant layer: quota enforcement + ownership.  Present whenever
         # the image carved a registry region (old/small images get None
         # semantics through an empty manager — every check is a no-op
@@ -615,7 +613,10 @@ class NovaFS:
             # observes "unlinked" (this op completed), a crash before it
             # observes the file (this op never started).  Discarding
             # after the commit would leave a window where replay
-            # resurrects the file.
+            # resurrects the file — and an unlink refused after the
+            # discard would lose it, so the parent's log room is
+            # checked first.
+            self._need_log_room(parent)
             self.staging.discard_ino(ino)
         # 1. Unpublish the name (the commit point of the unlink).
         self._append_dentry(pino, name, ino, valid=0, cpu=cpu)
@@ -849,7 +850,7 @@ class NovaFS:
         """
         self.clock.advance(self.cpu_model.syscall_ns)
         cache = self._file_cache(ino, for_write=True)
-        self.counters["writes"] += 1
+        self._c_writes.inc()
 
         pg_first = offset // PAGE_SIZE
         pg_last = (offset + len(data) - 1) // PAGE_SIZE
@@ -899,7 +900,7 @@ class NovaFS:
             displaced = cache.index.install(addr, entry)
             overwritten += displaced.total_pages
             if displaced.total_pages:
-                self.counters["overwrite_pages"] += displaced.total_pages
+                self._c_overwrite_pages.inc(displaced.total_pages)
             self._retire_displaced(ino, cache, displaced, cpu,
                                    mapped=entry.num_pages)
         for addr, entry in appended:
@@ -925,7 +926,7 @@ class NovaFS:
         with self.obs.span("fs.read", ino=ino):
             self.clock.advance(self.cpu_model.syscall_ns)
             cache = self._file_cache(ino)
-            self.counters["reads"] += 1
+            self._c_reads.inc()
             size = cache.inode.size
             if offset >= size:
                 return b""
@@ -1148,7 +1149,7 @@ class NovaFS:
                 self.log.unlink_middle_page(prev, page)
                 self.allocator.free(page, 1, 0)
                 cache.invalid_entries.pop(page, None)
-                self.counters["log_pages_gced"] += 1
+                self._c_log_gced.inc()
                 return  # one page per call keeps the hot path bounded
 
     def gc(self, ino: int) -> dict:
@@ -1204,7 +1205,7 @@ class NovaFS:
         """Free obsolete data pages.  DeNova overrides with RFC checks."""
         for start, count in extents:
             self.allocator.free(start, count, cpu)
-            self.counters["pages_reclaimed"] += count
+            self._c_reclaimed.inc(count)
 
     def on_write_committed(self, ino: int, entry_addr: int,
                            entry: WriteEntry, cpu: int) -> None:

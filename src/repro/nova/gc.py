@@ -127,7 +127,7 @@ def _thorough_gc(fs, ino: int) -> dict:
             if isinstance(entry, WriteEntry):
                 index.install(addr, entry)
         cache.index = index
-    fs.counters["log_pages_gced"] += len(old_pages) - len(new_pages)
+    fs._c_log_gced.inc(len(old_pages) - len(new_pages))
     return {
         "old_pages": len(old_pages),
         "new_pages": len(new_pages),

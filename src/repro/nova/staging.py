@@ -186,38 +186,38 @@ class StagingLog:
         #: the concurrency layer points this at its destage-worker kick.
         self.on_pressure: Optional[Callable[[], None]] = None
 
-        obs = fs.obs
-        self._c_absorbed = obs.counter(
+        reg = fs.obs.registry
+        self._c_absorbed = reg.counter(
             "staging.absorbed_writes_total",
             help="small sync writes absorbed by the staging log")
-        self._c_absorbed_bytes = obs.counter(
+        self._c_absorbed_bytes = reg.counter(
             "staging.absorbed_bytes_total",
             help="payload bytes absorbed by the staging log")
-        self._c_created = obs.counter(
+        self._c_created = reg.counter(
             "staging.absorbed_creates_total",
             help="file creates absorbed by the staging log")
-        self._c_fallback = obs.counter(
+        self._c_fallback = reg.counter(
             "staging.fallback_total",
             help="absorb attempts rejected (slab full) and retried "
                  "through the direct write path")
-        self._c_destaged = obs.counter(
+        self._c_destaged = reg.counter(
             "staging.destaged_records_total",
             help="records replayed through the normal write path")
-        self._c_replayed = obs.counter(
+        self._c_replayed = reg.counter(
             "staging.replayed_records_total",
             help="records recovered from the staging region at mount")
-        self._c_discarded = obs.counter(
+        self._c_discarded = reg.counter(
             "staging.discarded_records_total",
             help="records dropped (inode unlinked before destage, or "
                  "replay target gone)")
-        obs.gauge_fn("staging.depth",
+        reg.gauge_fn("staging.depth",
                      lambda: sum(len(v) for v in self._by_ino.values()),
                      help="staged records awaiting destage")
-        obs.gauge_fn("staging.bytes",
+        reg.gauge_fn("staging.bytes",
                      lambda: sum(r.length for v in self._by_ino.values()
                                  for r in v),
                      help="staged payload bytes awaiting destage")
-        self._h_lag = obs.histogram(
+        self._h_lag = reg.histogram(
             "staging.destage_lag_ns",
             help="simulated ns between a record's stage and its destage")
 

@@ -14,9 +14,9 @@ from .export_trace import (compute_self_ns, span_paths, to_chrome_trace,
 from .profile import (PROFILE_SCHEMA, diff_profiles, format_profile,
                       load_profile, merge_profiles, profile_from_events,
                       top_paths)
-from .registry import (DEFAULT_LATENCY_BUCKETS_NS, Counter, CounterView,
-                       Gauge, Histogram, MetricsRegistry, RegistryStats,
-                       percentiles_from_buckets, series_key, split_series)
+from .registry import (DEFAULT_LATENCY_BUCKETS_NS, Counter, Gauge,
+                       Histogram, MetricsRegistry, percentiles_from_buckets,
+                       series_key, split_series)
 from .slo import (FlightRecorder, SLORule, SLOWatchdog, evaluate_snapshot,
                   load_rules)
 from .trace import ObsHub, SpanEvent, Tracer
@@ -24,7 +24,6 @@ from .trace import ObsHub, SpanEvent, Tracer
 __all__ = [
     "ObsHub", "Tracer", "SpanEvent",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "CounterView", "RegistryStats",
     "DEFAULT_LATENCY_BUCKETS_NS", "percentiles_from_buckets",
     "to_prometheus", "format_table", "merge_snapshots",
     "escape_help", "escape_label_value", "series_key", "split_series",

@@ -40,8 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "CounterView",
-    "RegistryStats",
     "DEFAULT_LATENCY_BUCKETS_NS",
     "percentiles_from_buckets",
     "series_key",
@@ -159,12 +157,6 @@ class Counter:
         if n < 0:
             raise ValueError(f"counter {self.name}: negative increment {n}")
         self._value += n
-
-    def set(self, value: float) -> None:
-        """Direct assignment — needed by the legacy dict/attr views."""
-        if self._fn is not None:
-            raise TypeError(f"counter {self.name} is callback-backed")
-        self._value = value
 
     def reset(self) -> None:
         if self._fn is None:
@@ -425,95 +417,3 @@ class MetricsRegistry:
                 histograms[name] = m.snapshot()
         return {"schema": "repro.metrics/1", "counters": counters,
                 "gauges": gauges, "histograms": histograms}
-
-
-class CounterView:
-    """Dict-shaped thin view over registry counters.
-
-    Keeps the seed's ``fs.counters["writes"] += 1`` call sites (and the
-    tests that read them) working while the storage moves onto the
-    registry under canonical metric names.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(self, registry: MetricsRegistry, mapping: dict[str, str]):
-        self._counters = {k: registry.counter(v) for k, v in mapping.items()}
-
-    def __getitem__(self, key: str) -> int:
-        return int(self._counters[key].value)
-
-    def __setitem__(self, key: str, value: float) -> None:
-        self._counters[key].set(value)
-
-    def inc(self, key: str, n: float = 1) -> None:
-        """``view[key] += n`` as one :meth:`Counter.inc` (hot paths)."""
-        self._counters[key].inc(n)
-
-    def __iter__(self):
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._counters
-
-    def keys(self):
-        return self._counters.keys()
-
-    def items(self):
-        return [(k, int(c.value)) for k, c in self._counters.items()]
-
-    def values(self):
-        return [int(c.value) for c in self._counters.values()]
-
-    def get(self, key: str, default=None):
-        c = self._counters.get(key)
-        return int(c.value) if c is not None else default
-
-    def as_dict(self) -> dict:
-        return dict(self.items())
-
-    def __repr__(self) -> str:
-        return f"CounterView({self.as_dict()!r})"
-
-
-class RegistryStats:
-    """Attribute-shaped thin view over registry counters.
-
-    Subclasses declare ``_prefix`` and ``_fields``; each field becomes a
-    counter ``<prefix>.<field>_total``.  ``obj.field += 1`` reads and
-    writes the underlying counter, preserving the seed's
-    ``DaemonStats``-style API.
-    """
-
-    _prefix = ""
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        if registry is None:
-            registry = MetricsRegistry()
-        object.__setattr__(self, "_registry", registry)
-        object.__setattr__(self, "_counters", {
-            f: registry.counter(f"{self._prefix}.{f}_total")
-            for f in self._fields
-        })
-
-    def __getattr__(self, name: str):
-        counters = object.__getattribute__(self, "_counters")
-        if name in counters:
-            return int(counters[name].value)
-        raise AttributeError(
-            f"{type(self).__name__} has no field {name!r}")
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = object.__getattribute__(self, "_counters")
-        if name in counters:
-            counters[name].set(int(value))
-        else:
-            object.__setattr__(self, name, value)
-
-    def as_dict(self) -> dict:
-        return {f: int(c.value)
-                for f, c in object.__getattribute__(self, "_counters").items()}

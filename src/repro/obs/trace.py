@@ -303,25 +303,6 @@ class ObsHub:
                 f"buckets {hist.bounds}; pass the same buckets (or none)")
         return hist
 
-    # ------------------------------------------------------ registry sugar
-
-    def counter(self, name: str, help: str = "", labels=None):
-        return self.registry.counter(name, help=help, labels=labels)
-
-    def gauge(self, name: str, help: str = "", labels=None):
-        return self.registry.gauge(name, help=help, labels=labels)
-
-    def histogram(self, name: str, buckets: Sequence[float] = None,
-                  help: str = "", labels=None):
-        return self.registry.histogram(name, buckets=buckets, help=help,
-                                       labels=labels)
-
-    def counter_fn(self, name: str, fn, help: str = "", labels=None):
-        return self.registry.counter_fn(name, fn, help=help, labels=labels)
-
-    def gauge_fn(self, name: str, fn, help: str = "", labels=None):
-        return self.registry.gauge_fn(name, fn, help=help, labels=labels)
-
     # ------------------------------------------------------------ export
 
     def snapshot(self) -> dict:

@@ -222,9 +222,11 @@ def relocate_latest(fs, budget: Optional[int] = None) -> dict:
     # Local-only chains record no metadata: don't leave an empty /.repl
     # behind once every intent journal is retired.
     persist.prune_dir(fs, REPL_DIR, missing_ok=True)
-    fs.repl_counters["pages_relocated"] += tally["pages_moved"]
-    fs.repl_counters["files_sequentialized"] += tally["files_moved"]
-    fs.repl_counters["relocate_skipped_enospc"] += tally["skipped_enospc"]
+    reg = fs.obs.registry
+    reg.counter("repl.pages_relocated_total").inc(tally["pages_moved"])
+    reg.counter("repl.files_sequentialized_total").inc(tally["files_moved"])
+    reg.counter("repl.relocate_skipped_enospc_total").inc(
+        tally["skipped_enospc"])
     return {"snapshot": name, "done": done, "files_examined": examined,
             "next_cursor": next_cursor, **tally}
 
@@ -272,8 +274,11 @@ def replay_torn_relocation(fs, report) -> None:
     with fs.obs.span("repl.replay_intents"):
         replayed = replay_intents(fs)
     if replayed:
-        fs.repl_counters["intents_replayed"] += replayed
+        fs.obs.registry.counter("repl.intents_replayed_total").inc(replayed)
         report.extra["repl_replay"] = replayed
 
 
 DeNovaFS.unclean_mount_hooks += (replay_torn_relocation,)
+DeNovaFS.layer_counters += (
+    "repl.pages_relocated_total", "repl.files_sequentialized_total",
+    "repl.relocate_skipped_enospc_total", "repl.intents_replayed_total")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Optional
 
+from repro.dedup.denova import DeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
@@ -88,10 +89,8 @@ def restore_snapshot(fs, name: str,
     with fs.obs.span("repl.restore", snapshot=name):
         walk(root, "")
     elapsed = fs.clock.now_ns - t0
-    counters = getattr(fs, "repl_counters", None)
-    if counters is not None:
-        counters["restore_runs"] += stats["requests"]
-        counters["restore_bytes"] += stats["bytes"]
+    fs.obs.registry.counter("repl.restore_runs_total").inc(stats["requests"])
+    fs.obs.registry.counter("repl.restore_bytes_total").inc(stats["bytes"])
     gbps = (stats["bytes"] / elapsed) if elapsed else 0.0
     return {"snapshot": name, "manifest": manifest, "elapsed_ns": elapsed,
             "throughput_gbps": gbps, **stats}
@@ -104,3 +103,7 @@ def restore_latest(fs, sink=None) -> dict:
         return {"snapshot": None, "manifest": {}, "files": 0, "bytes": 0,
                 "requests": 0, "elapsed_ns": 0, "throughput_gbps": 0.0}
     return restore_snapshot(fs, name, sink=sink)
+
+
+DeNovaFS.layer_counters += ("repl.restore_runs_total",
+                            "repl.restore_bytes_total")

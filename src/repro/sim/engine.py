@@ -117,12 +117,12 @@ class Engine:
         self.events_dispatched = 0
         self.processes_started = 0
         if obs is not None:
-            obs.counter_fn("sim.events_dispatched_total",
-                           lambda: self.events_dispatched,
-                           help="DES events popped and dispatched")
-            obs.counter_fn("sim.processes_total",
-                           lambda: self.processes_started,
-                           help="simulated threads registered")
+            obs.registry.counter_fn("sim.events_dispatched_total",
+                                    lambda: self.events_dispatched,
+                                    help="DES events popped and dispatched")
+            obs.registry.counter_fn("sim.processes_total",
+                                    lambda: self.processes_started,
+                                    help="simulated threads registered")
 
     @property
     def now(self) -> float:

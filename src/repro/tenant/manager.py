@@ -240,7 +240,7 @@ class TenantManager:
             return
         self.usage_pages[tid] = max(0, self.usage_pages.get(tid, 0) + delta)
         if delta > 0:
-            self.fs.obs.counter(
+            self.fs.obs.registry.counter(
                 "tenant.pages_charged_total",
                 labels=self._labels(tid),
                 help="logical data pages charged to the tenant").inc(delta)
@@ -253,30 +253,30 @@ class TenantManager:
 
     def _register_metrics(self, info: TenantInfo) -> None:
         """Per-tenant billing gauges (idempotent; re-pointed on rebuild)."""
-        obs = self.fs.obs
+        reg = self.fs.obs.registry
         labels = {"tenant": info.name}
         tid = info.tid
-        obs.gauge_fn("tenant.used_pages",
+        reg.gauge_fn("tenant.used_pages",
                      lambda tid=tid: self.usage_pages.get(tid, 0),
                      labels=labels,
                      help="logical data pages currently charged")
-        obs.gauge_fn("tenant.used_inodes",
+        reg.gauge_fn("tenant.used_inodes",
                      lambda tid=tid: self.usage_inodes.get(tid, 0),
                      labels=labels,
                      help="inodes currently charged")
-        obs.gauge_fn("tenant.quota_pages",
+        reg.gauge_fn("tenant.quota_pages",
                      lambda tid=tid: (self.registry.tenants[tid].quota_pages
                                       if self.registry and
                                       tid in self.registry.tenants else 0),
                      labels=labels,
                      help="data-page quota (0 = unlimited)")
-        obs.gauge_fn("tenant.quota_inodes",
+        reg.gauge_fn("tenant.quota_inodes",
                      lambda tid=tid: (self.registry.tenants[tid].quota_inodes
                                       if self.registry and
                                       tid in self.registry.tenants else 0),
                      labels=labels,
                      help="inode quota (0 = unlimited)")
-        obs.gauge_fn("tenant.weight",
+        reg.gauge_fn("tenant.weight",
                      lambda tid=tid: (self.registry.tenants[tid].weight
                                       if self.registry and
                                       tid in self.registry.tenants else 0),

@@ -97,13 +97,14 @@ def _tenant_writer(cvfs: ConcurrentVFS, fs, spec: FleetSpec, i: int,
     name = spec.tenant_name(i)
     holder = f"tenant-{name}" + (f".{sub}" if nsubs > 1 else "")
     labels = {"tenant": name}
-    lat = fs.obs.histogram("tenant.op_latency_ns",
-                           buckets=OP_LATENCY_BUCKETS_NS, labels=labels,
-                           help="client-perceived op latency")
-    ops = fs.obs.counter("tenant.ops_total", labels=labels,
-                         help="filesystem ops issued by the tenant")
-    written = fs.obs.counter("tenant.bytes_written_total", labels=labels,
-                             help="bytes the tenant wrote")
+    reg = fs.obs.registry
+    lat = reg.histogram("tenant.op_latency_ns",
+                        buckets=OP_LATENCY_BUCKETS_NS, labels=labels,
+                        help="client-perceived op latency")
+    ops = reg.counter("tenant.ops_total", labels=labels,
+                      help="filesystem ops issued by the tenant")
+    written = reg.counter("tenant.bytes_written_total", labels=labels,
+                          help="bytes the tenant wrote")
     gen = DataGenerator(spec.dup_ratio, seed=spec.seed,
                         stream=100 + i * 16 + sub)
     rng_stream = DataGenerator(spec.dup_ratio, seed=spec.seed,
@@ -234,9 +235,9 @@ def run_fleet(fs, spec: FleetSpec, dd: Optional[DDMode] = None,
 
     for i in range(spec.tenants):
         name = spec.tenant_name(i)
-        h = fs.obs.histogram("tenant.op_latency_ns",
-                             buckets=OP_LATENCY_BUCKETS_NS,
-                             labels={"tenant": name})
+        h = fs.obs.registry.histogram("tenant.op_latency_ns",
+                                      buckets=OP_LATENCY_BUCKETS_NS,
+                                      labels={"tenant": name})
         result.per_tenant[name].update({
             "ops": h.count,
             "p50_ns": h.percentile(0.5) if h.count else 0.0,

@@ -98,7 +98,6 @@ class RunResult:
     dwq_peak: int = 0
     lingering_ns: list = field(default_factory=list)
     space: dict = field(default_factory=dict)
-    fs_counters: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)  # fs.obs.snapshot()
 
     @property
@@ -292,7 +291,6 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
         result.lingering_ns = list(fs.dwq.lingering_ns)
     if hasattr(fs, "space_stats"):
         result.space = fs.space_stats()
-    result.fs_counters = dict(fs.counters)
     if hasattr(fs, "obs"):
         result.metrics = fs.obs.snapshot()
     return result

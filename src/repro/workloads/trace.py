@@ -87,21 +87,22 @@ class TracedFS:
     """A recording proxy: same public surface, every call traced.
 
     File identity is recorded by *path*, not ino, so a trace replays
-    against any filesystem.  The proxy therefore tracks ino -> path for
-    handles its caller obtained through it.
+    against any filesystem.  The proxy therefore tracks the live names,
+    oldest first, of each ino its caller obtained through it; a handle
+    op is recorded under the first of them.
     """
 
     def __init__(self, fs, record_reads: bool = True):
         self.fs = fs
         self.trace = Trace()
         self.record_reads = record_reads
-        self._path_of: dict[int, str] = {}
+        self._names: dict[int, list[str]] = {}
 
     # -- namespace ----------------------------------------------------------
 
     def create(self, path: str) -> int:
         ino = self.fs.create(path)
-        self._path_of[ino] = path
+        self._names[ino] = [path]
         self.trace.append(TraceOp(op="create", path=path))
         return ino
 
@@ -112,6 +113,9 @@ class TracedFS:
 
     def unlink(self, path: str) -> None:
         self.fs.unlink(path)
+        for names in self._names.values():
+            if path in names:
+                names.remove(path)
         self.trace.append(TraceOp(op="unlink", path=path))
 
     def rmdir(self, path: str) -> None:
@@ -120,13 +124,17 @@ class TracedFS:
 
     def rename(self, src: str, dst: str) -> None:
         self.fs.rename(src, dst)
-        for ino, p in self._path_of.items():
-            if p == src:
-                self._path_of[ino] = dst
+        for names in self._names.values():
+            names[:] = [dst + p[len(src):]
+                        if p == src or p.startswith(src + "/") else p
+                        for p in names]
         self.trace.append(TraceOp(op="rename", path=src, path2=dst))
 
     def link(self, existing: str, newpath: str) -> None:
         self.fs.link(existing, newpath)
+        for names in self._names.values():
+            if existing in names:
+                names.append(newpath)
         self.trace.append(TraceOp(op="link", path=existing, path2=newpath))
 
     def symlink(self, target: str, linkpath: str) -> int:
@@ -166,7 +174,9 @@ class TracedFS:
 
     def lookup(self, path: str) -> int:
         ino = self.fs.lookup(path)
-        self._path_of[ino] = path
+        names = self._names.setdefault(ino, [])
+        if path not in names:
+            names.append(path)
         return ino
 
     def exists(self, path: str) -> bool:
@@ -178,10 +188,11 @@ class TracedFS:
     # -- data ------------------------------------------------------------------
 
     def _path(self, ino: int) -> str:
-        path = self._path_of.get(ino)
-        if path is None:
-            raise KeyError(f"ino {ino} was not opened through this proxy")
-        return path
+        names = self._names.get(ino)
+        if not names:
+            raise KeyError(f"ino {ino} has no live name opened through "
+                           "this proxy")
+        return names[0]
 
     def write(self, ino: int, offset: int, data: bytes, cpu: int = 0) -> int:
         n = self.fs.write(ino, offset, data, cpu=cpu)

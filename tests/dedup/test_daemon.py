@@ -40,8 +40,9 @@ class TestBasicDedup:
         fs.daemon.drain()
         st = fs.space_stats()
         assert st["pages_saved"] == 0
-        assert fs.daemon.stats.pages_unique == 4
-        assert fs.daemon.stats.pages_duplicate == 0
+        counter = fs.obs.registry.counter
+        assert counter("daemon.pages_unique_total").value == 4
+        assert counter("daemon.pages_duplicate_total").value == 0
 
     def test_intra_file_duplicates(self):
         fs = make_fs()
@@ -107,8 +108,9 @@ class TestStaleness:
         fs.write(ino, 0, page_of(1))
         fs.unlink("/f")
         fs.daemon.drain()
-        assert fs.daemon.stats.nodes_stale == 1
-        assert fs.daemon.stats.pages_scanned == 0
+        counter = fs.obs.registry.counter
+        assert counter("daemon.nodes_stale_total").value == 1
+        assert counter("daemon.pages_scanned_total").value == 0
 
     def test_overwritten_pages_skipped(self):
         fs = make_fs()
@@ -116,7 +118,7 @@ class TestStaleness:
         fs.write(ino, 0, page_of(1) * 3)
         fs.write(ino, 0, page_of(2) * 3)  # fully supersedes the first
         fs.daemon.drain()
-        assert fs.daemon.stats.pages_stale >= 3
+        assert fs.obs.registry.counter("daemon.pages_stale_total").value >= 3
         assert fs.read(ino, 0, 3 * PAGE_SIZE) == page_of(2) * 3
         check_fs_invariants(fs)
 
@@ -176,14 +178,16 @@ class TestReorderIntegration:
             ino = fs.create(f"/u{i}")
             fs.write(ino, 0, page_of(i + 1) + page_of(200))
         fs.daemon.drain()
-        assert fs.daemon.stats.pages_duplicate >= 30
+        counter = fs.obs.registry.counter
+        assert counter("daemon.pages_duplicate_total").value >= 30
         check_fs_invariants(fs)
         # Whether prefixes collide depends on the SHA-1 values; when they
         # do, the colliding entries sit in the IAA and their chains stay
         # intact (checked above).
         occ = fs.fact.occupancy()
         if occ["max_chain"] > 1:
-            assert occ["iaa_used"] == fs.fact.stats["iaa_inserts"] > 0
+            assert occ["iaa_used"] \
+                == counter("fact.iaa_inserts_total").value > 0
         assert fs.read(fs.lookup("/u3"), PAGE_SIZE, PAGE_SIZE) == page_of(200)
 
 

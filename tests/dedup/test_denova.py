@@ -56,7 +56,8 @@ class TestRFCReclaim:
         fs.daemon.drain()
         fs.unlink("/a")
         assert fs.read(b, 0, PAGE_SIZE) == page_of(9)
-        assert fs.dedup_counters["shared_page_keeps"] == 1
+        keeps = fs.obs.registry.counter("dedup.shared_page_keeps_total")
+        assert keeps.value == 1
         check_fs_invariants(fs)
 
     def test_last_owner_unlink_frees_page_and_entry(self):
@@ -71,7 +72,8 @@ class TestRFCReclaim:
         fs.unlink("/b")
         assert fs.statfs()["used_pages"] < used
         assert fs.fact.live_entries() == {}
-        assert fs.dedup_counters["fact_entry_removes"] == 1
+        removes = fs.obs.registry.counter("dedup.fact_entry_removes_total")
+        assert removes.value == 1
         check_fs_invariants(fs)
 
     def test_overwrite_of_shared_page(self):
@@ -141,7 +143,8 @@ class TestUnmountRemount:
         assert len(fs2.dwq) == 5
         assert fs2.last_recovery.extra["dwq_restored"] == 5
         fs2.daemon.drain()
-        assert fs2.daemon.stats.nodes_processed == 5
+        nodes = fs2.obs.registry.counter("daemon.nodes_processed_total")
+        assert nodes.value == 5
         check_fs_invariants(fs2)
 
     def test_remount_preserves_dedup_state(self):

@@ -278,7 +278,7 @@ def test_full_device_failed_reflink_then_unlink_frees_everything():
     check_fs_invariants(fs)
     fs.unlink("/src")
     assert fs.allocator.free_pages == 9
-    assert fs.dedup_counters["uc_deferred_removes"] == 0
+    assert not fs.obs.registry.counter("dedup.uc_deferred_removes_total").value
     check_fs_invariants(fs)
     fs.unmount()
     check_fs_invariants(DeNovaFS.mount(fs.dev))

@@ -6,19 +6,24 @@ import pytest
 
 from repro.dedup.fact import ENTRY, FACT, FactCorruption, FactFull
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
+from repro.obs import MetricsRegistry
 from repro.pm import DRAM, PMDevice, SimClock
 from repro.pm.clock import fs_of
 
 N_BITS = 7  # DAA = 128 slots; device has 128 pages
 
 
-@pytest.fixture
-def fact():
+def build_fact(registry=None):
     dev = PMDevice(128 * PAGE_SIZE, model=DRAM, clock=SimClock())
     geo = Geometry.compute(128, max_inodes=16, with_dedup=True,
                            fact_prefix_bits=N_BITS)
     Superblock(dev).format(geo)
-    return FACT(dev, geo)
+    return FACT(dev, geo, registry=registry)
+
+
+@pytest.fixture
+def fact():
+    return build_fact()
 
 
 def mkfp(prefix: int, salt: int = 0) -> bytes:
@@ -38,7 +43,9 @@ class TestLookupInsert:
         assert res.found is None
         assert res.steps == 1  # one DAA read
 
-    def test_insert_then_lookup_daa_hit(self, fact):
+    def test_insert_then_lookup_daa_hit(self):
+        registry = MetricsRegistry()
+        fact = build_fact(registry)
         fp = mkfp(3)
         idx = fact.insert(fp, BLOCK0)
         assert idx == 3  # lands in the DAA slot named by the prefix
@@ -48,7 +55,7 @@ class TestLookupInsert:
         assert res.found.update_count == 1
         assert res.found.refcount == 0
         assert res.steps == 1
-        assert fact.stats["daa_hits"] == 1
+        assert registry.counter("fact.daa_hits_total").value == 1
 
     def test_collision_goes_to_iaa(self, fact):
         fp1, fp2 = mkfp(5, 1), mkfp(5, 2)

@@ -138,7 +138,7 @@ class TestAdaptive:
         fs.write(a, 0, page_of(1) + page_of(2))
         assert fs.fingerprinter.weak_count == 2
         assert fs.fingerprinter.strong_count == 0  # unique data: no SHA-1
-        assert fs.adaptive_stats["weak_misses"] == 2
+        assert fs.obs.registry.counter("adaptive.weak_misses_total").value == 2
 
     def test_collision_triggers_strong_and_lazy(self):
         fs = make_fs(AdaptiveInlineFS)
@@ -146,9 +146,10 @@ class TestAdaptive:
         fs.write(a, 0, page_of(1))
         b = fs.create("/b")
         fs.write(b, 0, page_of(1))
-        assert fs.adaptive_stats["weak_hits"] == 1
-        assert fs.adaptive_stats["confirmed_dups"] == 1
-        assert fs.adaptive_stats["lazy_strong"] == 1  # stored chunk hashed
+        counter = fs.obs.registry.counter
+        assert counter("adaptive.weak_hits_total").value == 1
+        assert counter("adaptive.confirmed_dups_total").value == 1
+        assert counter("adaptive.lazy_strong_total").value == 1  # re-hashed
         assert fs.fingerprinter.strong_count == 2    # lazy + incoming
         assert fs.space_stats()["physical_pages"] == 1
 

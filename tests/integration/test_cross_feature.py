@@ -125,7 +125,8 @@ class TestRenameDedupInterplay:
         assert len(fs.dwq) == 1
         fs.rename("/a/f", "/b/g")   # node's ino is unchanged
         fs.daemon.drain()
-        assert fs.daemon.stats.nodes_processed == 1
+        nodes = fs.obs.registry.counter("daemon.nodes_processed_total")
+        assert nodes.value == 1
         assert fs.read(fs.lookup("/b/g"), 0, 2 * PAGE_SIZE) == page_of(3) * 2
         check_fs_invariants(fs)
 

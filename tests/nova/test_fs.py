@@ -162,7 +162,7 @@ class TestDataPath:
         fs.write(ino, 0, b"b" * (4 * PAGE_SIZE))
         # CoW allocates 4 new pages and frees the 4 old ones (+ maybe log).
         assert fs.statfs()["used_pages"] <= used + 1
-        assert fs.counters["pages_reclaimed"] >= 4
+        assert fs.obs.registry.counter("fs.pages_reclaimed_total").value >= 4
 
     def test_empty_write_is_noop(self):
         fs = make_fs()
@@ -283,5 +283,5 @@ class TestMountCycle:
         # fully-superseded entries.
         for i in range(200):
             fs.write(ino, 0, bytes([i % 256]) * PAGE_SIZE)
-        assert fs.counters["log_pages_gced"] >= 1
+        assert fs.obs.registry.counter("fs.log_pages_gced_total").value >= 1
         assert fs.read(ino, 0, PAGE_SIZE) == bytes([199 % 256]) * PAGE_SIZE

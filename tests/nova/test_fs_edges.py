@@ -226,7 +226,7 @@ class TestSparseFiles:
         ino = fs.create("/s")
         fs.write(ino, 10 * PAGE_SIZE, bytes([3]) * PAGE_SIZE)
         fs.daemon.drain()
-        assert fs.daemon.stats.pages_scanned == 1
+        assert fs.obs.registry.counter("daemon.pages_scanned_total").value == 1
         assert fs.space_stats()["logical_pages"] == 1
 
 

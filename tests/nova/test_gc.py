@@ -102,7 +102,7 @@ class TestThoroughGC:
         cache = fs.caches[ino]
         pages = len(list(fs.log.iter_pages(cache.inode.log_head)))
         assert pages <= 3, "auto thorough GC never fired"
-        assert fs.counters["log_pages_gced"] > 0
+        assert fs.obs.registry.counter("fs.log_pages_gced_total").value > 0
 
 
 class TestGCWithDedup:

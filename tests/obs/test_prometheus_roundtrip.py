@@ -172,11 +172,11 @@ class TestRoundTripLive:
 class TestRoundTripEdgeValues:
     def test_inf_nan_and_escaping_survive(self):
         hub = ObsHub(clock=SimClock())
-        hub.gauge("edge.inf").set(math.inf)
-        hub.gauge("edge.neg_inf").set(-math.inf)
-        hub.gauge("edge.nan").set(math.nan)
-        hub.gauge("edge.float").set(2.5)
-        hub.counter("edge.big_total").inc(3)
+        hub.registry.gauge("edge.inf").set(math.inf)
+        hub.registry.gauge("edge.neg_inf").set(-math.inf)
+        hub.registry.gauge("edge.nan").set(math.nan)
+        hub.registry.gauge("edge.float").set(2.5)
+        hub.registry.counter("edge.big_total").inc(3)
         text = to_prometheus(hub.snapshot())
         fams = parse_exposition(text)
         _check_consistency(fams)
@@ -192,7 +192,7 @@ class TestRoundTripEdgeValues:
 
     def test_empty_histogram_still_consistent(self):
         hub = ObsHub(clock=SimClock())
-        hub.histogram("quiet.lat_ns", buckets=(10, 100))
+        hub.registry.histogram("quiet.lat_ns", buckets=(10, 100))
         fams = parse_exposition(to_prometheus(hub.snapshot()))
         _check_consistency(fams)
         fam = fams["repro_quiet_lat_ns"]
@@ -203,7 +203,7 @@ class TestRoundTripEdgeValues:
     def test_every_observation_lands_in_exactly_one_bucket(self):
         clock = SimClock()
         hub = ObsHub(clock=clock)
-        h = hub.histogram("lat.ns", buckets=(10, 100, 1000))
+        h = hub.registry.histogram("lat.ns", buckets=(10, 100, 1000))
         for v in (5, 50, 500, 5000, 50000):
             h.observe(v)
         fams = parse_exposition(to_prometheus(hub.snapshot()))
@@ -218,9 +218,9 @@ class TestLabeledRoundTrip:
     def test_labeled_counter_series_group_into_one_family(self):
         hub = ObsHub(clock=SimClock())
         for tn, n in (("tn0", 3), ("tn1", 7), ("tn2", 1)):
-            hub.counter("tenant.ops_total",
-                        labels={"tenant": tn}).inc(n)
-        hub.counter("tenant.ops_total").inc(11)   # unlabeled sibling
+            hub.registry.counter("tenant.ops_total",
+                                 labels={"tenant": tn}).inc(n)
+        hub.registry.counter("tenant.ops_total").inc(11)   # unlabeled sibling
         text = to_prometheus(hub.snapshot())
         fams = parse_exposition(text)
         _check_consistency(fams)
@@ -237,10 +237,10 @@ class TestLabeledRoundTrip:
 
     def test_labeled_histogram_series_independent(self):
         hub = ObsHub(clock=SimClock())
-        a = hub.histogram("t.lat_ns", buckets=(10, 100),
-                          labels={"tenant": "a"})
-        b = hub.histogram("t.lat_ns", buckets=(10, 100),
-                          labels={"tenant": "b"})
+        a = hub.registry.histogram("t.lat_ns", buckets=(10, 100),
+                                   labels={"tenant": "a"})
+        b = hub.registry.histogram("t.lat_ns", buckets=(10, 100),
+                                   labels={"tenant": "b"})
         for v in (5, 50, 500):
             a.observe(v)
         b.observe(7)
@@ -254,8 +254,8 @@ class TestLabeledRoundTrip:
     def test_multi_label_sort_order_canonical(self):
         """Two insertion orders of the same label set are one series."""
         hub = ObsHub(clock=SimClock())
-        hub.counter("x.ops_total", labels={"b": "2", "a": "1"}).inc()
-        hub.counter("x.ops_total", labels={"a": "1", "b": "2"}).inc()
+        hub.registry.counter("x.ops_total", labels={"b": "2", "a": "1"}).inc()
+        hub.registry.counter("x.ops_total", labels={"a": "1", "b": "2"}).inc()
         fams = parse_exposition(to_prometheus(hub.snapshot()))
         _check_consistency(fams)
         (sample,) = fams["repro_x_ops_total"]["samples"]
@@ -269,7 +269,7 @@ class TestLabeledRoundTrip:
     def test_label_value_escaping_round_trips(self, value):
         """Every escaping edge case must survive export -> parse."""
         hub = ObsHub(clock=SimClock())
-        hub.counter("esc.ops_total", labels={"k": value}).inc(5)
+        hub.registry.counter("esc.ops_total", labels={"k": value}).inc(5)
         text = to_prometheus(hub.snapshot())
         assert "\n\n" not in text         # escaped, not raw, newlines
         fams = parse_exposition(text)

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.obs import (CounterView, Histogram, MetricsRegistry,
-                       RegistryStats)
+from repro.core import Config, Variant, make_fs
+from repro.nova import PAGE_SIZE
+from repro.obs import Counter, Histogram, MetricsRegistry
 
 
 class TestNaming:
@@ -193,29 +194,36 @@ class TestRegistryLifecycle:
 
 
 class TestViews:
+    """Each counter has one name: the code that counts it holds the
+    registry ``Counter``, and readers ask the registry by that name."""
+
     def test_counter_view_dict_protocol(self):
-        reg = MetricsRegistry()
-        view = CounterView(reg, {"writes": "fs.writes_total",
-                                 "reads": "fs.reads_total"})
-        view["writes"] += 1
-        view["writes"] += 2
-        assert view["writes"] == 3
-        assert dict(view) == {"writes": 3, "reads": 0}
-        assert reg.counter("fs.writes_total").value == 3
-        assert "writes" in view and len(view) == 2
-        assert view.get("nope", -1) == -1
+        fs, _ = make_fs(Variant.BASELINE,
+                        Config(device_pages=1024, max_inodes=64))
+        ino = fs.create("/f")
+        for i in range(5):
+            fs.write(ino, i * PAGE_SIZE, b"x" * PAGE_SIZE)
+        for i in range(3):
+            fs.read(ino, i * PAGE_SIZE, PAGE_SIZE)
+        counter = fs.obs.registry.counter
+        assert counter("fs.writes_total").value == 5
+        assert counter("fs.reads_total").value == 3
 
     def test_registry_stats_attr_protocol(self):
-        class S(RegistryStats):
-            _prefix = "daemon"
-            _fields = ("nodes_processed", "pages_scanned")
-
-        reg = MetricsRegistry()
-        s = S(reg)
-        s.nodes_processed += 1
-        s.pages_scanned = 9
-        assert s.nodes_processed == 1
-        assert reg.counter("daemon.pages_scanned_total").value == 9
-        assert s.as_dict() == {"nodes_processed": 1, "pages_scanned": 9}
-        with pytest.raises(AttributeError):
-            s.not_a_field
+        fs, _ = make_fs(Variant.IMMEDIATE,
+                        Config(device_pages=1024, max_inodes=64))
+        for i, c in enumerate(b"aabc"):
+            fs.write(fs.create(f"/f{i}"), 0, bytes([c]) * 2 * PAGE_SIZE)
+        fs.write(fs.lookup("/f2"), 0, b"d" * PAGE_SIZE)
+        fs.unlink("/f3")
+        fs.daemon.drain()
+        got = {k[len("daemon."):-len("_total")]: v for k, v in
+               fs.obs.snapshot()["counters"].items()
+               if k.startswith("daemon.")}
+        assert got == {"nodes_processed": 4, "nodes_stale": 1,
+                       "pages_scanned": 7, "pages_stale": 1,
+                       "pages_unique": 3, "pages_duplicate": 3,
+                       "pages_reclaimed": 3, "fact_full_events": 0,
+                       "reorders": 0}
+        # A counter only moves forward.
+        assert not hasattr(Counter, "set")

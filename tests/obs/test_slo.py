@@ -135,7 +135,7 @@ class TestWatchdog:
 
     def test_gauge_rule_fires_and_rearms(self):
         hub = self._hub()
-        g = hub.gauge("dwq.depth")
+        g = hub.registry.gauge("dwq.depth")
         wd = SLOWatchdog(hub, [{"name": "depth", "kind": "gauge",
                                 "metric": "dwq.depth", "max": 4}])
         g.set(3)
@@ -158,7 +158,7 @@ class TestWatchdog:
 
     def test_gauge_min_bound(self):
         hub = self._hub()
-        g = hub.gauge("dedup.ratio")
+        g = hub.registry.gauge("dedup.ratio")
         wd = SLOWatchdog(hub, [{"name": "ratio", "kind": "gauge",
                                 "metric": "dedup.ratio", "min": 1.5}])
         g.set(1.1)
@@ -186,7 +186,7 @@ class TestWatchdog:
 
     def test_rate_rule_needs_two_observations(self):
         hub = self._hub()
-        c = hub.counter("conc.stalls_total")
+        c = hub.registry.counter("conc.stalls_total")
         wd = SLOWatchdog(hub, [{"name": "burn", "kind": "rate",
                                 "metric": "conc.stalls_total",
                                 "max_per_s": 100}])
@@ -204,7 +204,7 @@ class TestWatchdog:
     def test_alert_dumps_flight_with_reason(self, tmp_path):
         hub = self._hub()
         hub.flight.artifact_path = str(tmp_path / "f.json")
-        g = hub.gauge("dwq.depth")
+        g = hub.registry.gauge("dwq.depth")
         wd = SLOWatchdog(hub, [{"name": "depth", "kind": "gauge",
                                 "metric": "dwq.depth", "max": 1}])
         g.set(5)
@@ -218,7 +218,7 @@ class TestWatchdog:
 
     def test_run_checks_on_des_clock(self):
         hub = self._hub()
-        g = hub.gauge("dwq.depth")
+        g = hub.registry.gauge("dwq.depth")
         wd = SLOWatchdog(hub, [{"name": "depth", "kind": "gauge",
                                 "metric": "dwq.depth", "max": 2}],
                          interval_ns=100.0)
@@ -250,8 +250,8 @@ class TestEvaluateSnapshot:
         for ns in (100, 200, 50_000):
             with hub.span("fs.write"):
                 clock.advance(ns)
-        hub.gauge("dwq.depth").set(12)
-        hub.counter("fs.writes_total").inc(3)
+        hub.registry.gauge("dwq.depth").set(12)
+        hub.registry.counter("fs.writes_total").inc(3)
         return hub.snapshot()
 
     def test_latency_violation_from_percentiles(self):

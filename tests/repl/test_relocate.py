@@ -68,8 +68,9 @@ class TestRelocate:
             assert rounds < 100
         assert moved > 0
         check_fs_invariants(dst)
-        # Counter view saw every move.
-        assert dst.repl_counters["pages_relocated"] == moved
+        # The counter saw every move.
+        relocated = dst.obs.registry.counter("repl.pages_relocated_total")
+        assert relocated.value == moved
 
     def test_no_intent_residue_after_clean_pass(self):
         _src, dst, _b, _names = build_chain_pair(3)

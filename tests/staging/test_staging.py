@@ -12,7 +12,8 @@ import pytest
 
 from repro.core import Config, Variant, make_fs
 from repro.nova import PAGE_SIZE
-from repro.nova.fs import FSError
+from repro.nova.fs import FSError, NoSpace, NovaFS
+from repro.pm import DRAM, PMDevice, SimClock
 from repro.tenant import QuotaExceeded
 
 pytestmark = pytest.mark.staging
@@ -172,6 +173,27 @@ class TestNamespaceConflicts:
         fs.unlink("/gone")
         fs2 = crash_remount(fs)
         assert not fs2.exists("/gone")
+
+    def test_refused_unlink_keeps_staged_create(self):
+        """An unlink refused for want of a parent log page leaves the
+        staged create in place: the file survives a crash."""
+        dev = PMDevice(512 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = NovaFS.mkfs(dev, max_inodes=128)
+        fs.mkdir("/d")
+        for i in range(63):     # /d's log tail lands on a page boundary
+            fs.symlink("/x", f"/d/l{i}")
+        fs.enable_staging()
+        ino = fs.create("/d/f")
+        assert fs.staging.has_pending_create(ino)
+        hog = []
+        while fs.allocator.free_pages:
+            hog.append(fs.allocator.alloc(1, 0))
+        with pytest.raises(NoSpace):
+            fs.unlink("/d/f")
+        assert fs.exists("/d/f") and fs.staging.has_pending_create(ino)
+        for block in hog:
+            fs.allocator.free(block, 1, 0)
+        assert crash_remount(fs).exists("/d/f")
 
     def test_rename_drains_pending_create(self):
         fs = build_fs()

@@ -62,6 +62,32 @@ class TestRecord:
             tfs.write(ino, 0, b"x")
 
 
+    def test_write_after_parent_rename_replays(self):
+        tfs = TracedFS(build())
+        tfs.mkdir("/d")
+        ino = tfs.create("/d/f")
+        tfs.write(ino, 0, b"one")
+        tfs.rename("/d", "/e")
+        tfs.write(ino, 3, b"two")
+        assert tfs.trace.ops[-1].path == "/e/f"
+        fresh = replay(build(), tfs.trace)["fs"]
+        assert fresh.read(fresh.lookup("/e/f"), 0, 6) == b"onetwo"
+
+    def test_write_after_unlinking_first_name_replays(self):
+        tfs = TracedFS(build())
+        ino = tfs.create("/a")
+        tfs.link("/a", "/b")
+        tfs.unlink("/a")
+        tfs.write(ino, 0, b"kept")
+        assert tfs.trace.ops[-1].path == "/b"
+        fresh = replay(build(), tfs.trace)["fs"]
+        assert fresh.read(fresh.lookup("/b"), 0, 4) == b"kept"
+        tfs.fs.link("/b", "/c")     # a name the proxy never saw
+        tfs.unlink("/b")
+        with pytest.raises(KeyError):
+            tfs.write(ino, 0, b"x")   # no live name it could record
+
+
 class TestSaveLoad:
     def test_jsonl_roundtrip(self, tmp_path):
         tfs = TracedFS(build())
