@@ -134,8 +134,7 @@ class FACT:
         self.prefix_bits = geo.fact_prefix_bits
         self.daa_size = 2 ** geo.fact_prefix_bits
         self.total = 2 * self.daa_size
-        self._iaa_free: list[int] = list(
-            range(self.total - 1, self.daa_size - 1, -1))
+        self._free: Optional[list[int]] = None  # see _iaa_free
         # Observability (DRAM, rebuilt freely).
         if registry is None:
             registry = MetricsRegistry()
@@ -153,6 +152,24 @@ class FACT:
             "fact.occupancy_entries", self._count_valid,
             help="valid FACT entries (DAA + IAA)")
         self.chain_accesses: dict[int, int] = {}  # head idx -> deep lookups
+
+    @property
+    def _iaa_free(self) -> list[int]:
+        """The volatile IAA free list, highest slot first (``pop`` takes
+        the lowest; a freed slot is reused first).
+
+        A fresh table's list (every IAA slot) is built on first use:
+        every mount replaces it first (:meth:`restore_iaa_free`,
+        :meth:`rebuild_iaa_free`), so only a freshly formatted table
+        ever builds it.
+        """
+        if self._free is None:
+            self._free = list(range(self.total - 1, self.daa_size - 1, -1))
+        return self._free
+
+    @_iaa_free.setter
+    def _iaa_free(self, free: list[int]) -> None:
+        self._free = free
 
     def _count_valid(self) -> int:
         """Cheap occupancy read for the callback gauge (silent scan)."""
@@ -519,7 +536,7 @@ class FACT:
         """Rebuild the volatile IAA free list from a (charged) table scan.
 
         Clean mounts must call this (or :meth:`restore_iaa_free`) before
-        the first insert: ``__init__`` optimistically marks every IAA
+        the first insert: the list a table starts with marks every IAA
         slot free, which is only true for a freshly-formatted FACT.
         Returns the number of free IAA slots.
         """

@@ -476,10 +476,11 @@ class HybridDeNovaFS(DeNovaFS):
         self._observe(shard, entry.num_pages, weak_hits=hit_pages)
 
     def _observe(self, shard: int, pages: int, weak_hits: int) -> None:
-        # Fetched by name each time: ConcurrentVFS re-creates the
-        # histogram with its bucket layout after this fs is constructed,
-        # and a cached reference would point at the orphaned metric.
-        cont = self.obs.registry.histogram("conc.lock_wait_ns").sum
+        # Read, never created, here: the histogram belongs to the first
+        # ConcurrentVFS over this fs, which registers it with its own
+        # bucket layout.  Until one exists nothing has waited on a lock.
+        waits = self.obs.registry.get("conc.lock_wait_ns")
+        cont = waits.sum if waits is not None else 0.0
         delta = max(0.0, cont - self._last_contention_ns)
         self._last_contention_ns = cont
         self.controller.observe(shard, pages, weak_hits,

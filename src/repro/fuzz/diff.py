@@ -443,7 +443,8 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
 
     Counts the scenario's persist events once, turns ``cfg.budget`` into
     a stride over them, and crashes the workload at each sampled event
-    in every (mode, phase).  After each crash: recovery mount,
+    in every (mode, phase); a budget of one point per (mode, phase)
+    sweeps event #1 without counting.  After each crash: recovery mount,
     ``check_fs_invariants``, the scenario's oracle, then daemon drain +
     weak-block settle, invariants again, and dedupe-flag convergence.
     Every failed point becomes one ``Violation`` naming it.
@@ -478,9 +479,14 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
                 exc.flight_dump = rec.obs.flight.dump(reason="fuzz:sweep")
             raise
 
-    total = count_persist_events(build)
     per_combo = max(1, cfg.budget // combos)
-    stride = max(1, total // per_combo)
+    if per_combo == 1:
+        # Whatever the count, the stride would be all of it: event #1 is
+        # the one point due, and a run with none finishes uncrashed.
+        total = stride = 1
+    else:
+        total = count_persist_events(build)
+        stride = max(1, total // per_combo)
     for mode in cfg.modes:
         try:
             sweep_crash_points(build, check, phases=cfg.phases, mode=mode,

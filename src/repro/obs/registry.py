@@ -97,6 +97,19 @@ def _check_buckets(name: str, buckets: tuple[float, ...]) -> tuple:
     return bounds
 
 
+# Validated once, here: most histograms (every span's) take the default
+# layout, and they share this one tuple instead of hashing 25 bounds
+# through the memo at each registration.
+_DEFAULT_BOUNDS = _check_buckets("default", DEFAULT_LATENCY_BUCKETS_NS)
+
+
+def _bounds(name: str, buckets: Optional[Sequence[float]]) -> tuple:
+    """The sorted bounds of a histogram asked for ``buckets``."""
+    if buckets is None or buckets is DEFAULT_LATENCY_BUCKETS_NS:
+        return _DEFAULT_BOUNDS
+    return _check_buckets(name, tuple(buckets))
+
+
 def escape_label_value(s: str) -> str:
     """Escape a label value per the Prometheus text exposition format."""
     return (s.replace("\\", "\\\\").replace("\n", "\\n")
@@ -213,9 +226,7 @@ class Histogram:
                  help: str = ""):
         self.name = name
         self.help = help
-        bounds = _check_buckets(
-            name, tuple(buckets or DEFAULT_LATENCY_BUCKETS_NS))
-        self.bounds = bounds
+        self.bounds = bounds = _bounds(name, buckets)
         self.counts = [0] * (len(bounds) + 1)   # +1 = overflow bucket
         self.count = 0
         self.sum = 0.0
@@ -300,50 +311,65 @@ def percentiles_from_buckets(bounds: Sequence[Optional[float]],
 
 
 class MetricsRegistry:
-    """Flat name -> metric namespace with get-or-create accessors."""
+    """Flat name -> metric namespace with get-or-create accessors.
+
+    Every filesystem instance registers a few dozen metrics into a fresh
+    registry, so an accessor is one dict probe; a name is validated (and
+    a label set rendered) only on the way to a new metric.
+    """
 
     def __init__(self):
         self._metrics: dict[str, object] = {}
 
     # ------------------------------------------------------------ accessors
 
-    def _get_or_create(self, cls, name: str, **kw):
-        m = self._metrics.get(name)
-        if m is not None:
-            if not isinstance(m, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(m).__name__}, not {cls.__name__}")
-            return m
-        m = cls(_check_name(name), **kw)
-        self._metrics[name] = m
+    def _get_or_create(self, cls, key: str, help: str, *args):
+        """The ``cls`` stored under ``key``, or a new
+        ``cls(key, *args, help=help)`` stored there."""
+        m = self._metrics.get(key)
+        if m is None:
+            m = self._metrics[key] = cls(_check_name(key), *args, help=help)
+        elif not isinstance(m, cls):
+            raise ValueError(
+                f"metric {key!r} already registered as "
+                f"{type(m).__name__}, not {cls.__name__}")
+        return m
+
+    def _callback(self, cls, key: str, fn: Callable[[], float], help: str):
+        """Register (or re-point) a callback-backed ``cls``."""
+        m = self._metrics.get(key)
+        if m is None:
+            m = self._metrics[key] = cls(_check_name(key), help, fn)
+        elif not isinstance(m, cls) or m._fn is None:
+            raise ValueError(f"{key!r} exists and is not a callback "
+                             f"{cls.__name__.lower()}")
+        else:
+            m._fn = fn
         return m
 
     def counter(self, name: str, help: str = "",
                 labels: Optional[dict] = None) -> Counter:
-        return self._get_or_create(Counter, series_key(name, labels),
-                                   help=help)
+        key = series_key(name, labels) if labels else name
+        return self._get_or_create(Counter, key, help)
 
     def gauge(self, name: str, help: str = "",
               labels: Optional[dict] = None) -> Gauge:
-        return self._get_or_create(Gauge, series_key(name, labels),
-                                   help=help)
+        key = series_key(name, labels) if labels else name
+        return self._get_or_create(Gauge, key, help)
 
     def histogram(self, name: str, buckets: Sequence[float] = None,
                   help: str = "",
                   labels: Optional[dict] = None) -> Histogram:
-        key = series_key(name, labels)
-        m = self._metrics.get(key)
-        if (isinstance(m, Histogram) and buckets is not None
-                and tuple(sorted(buckets)) != m.bounds):
+        key = series_key(name, labels) if labels else name
+        m = self._get_or_create(Histogram, key, help, buckets)
+        if buckets is not None and m.bounds != _bounds(key, buckets):
             # Get-or-create must not silently keep the first layout — the
             # caller would believe their buckets took effect (mirrors the
             # counter/gauge type-mismatch errors).
             raise ValueError(
                 f"histogram {key!r} already registered with buckets "
                 f"{m.bounds}; pass the same buckets (or none)")
-        return self._get_or_create(Histogram, key, buckets=buckets,
-                                   help=help)
+        return m
 
     def counter_fn(self, name: str, fn: Callable[[], float],
                    help: str = "",
@@ -354,32 +380,14 @@ class MetricsRegistry:
         recovery (the page allocator): the metric survives, the closure
         is swapped to read the new instance.
         """
-        key = series_key(name, labels)
-        m = self._metrics.get(key)
-        if m is not None:
-            if not isinstance(m, Counter) or m._fn is None:
-                raise ValueError(f"{key!r} exists and is not a callback "
-                                 "counter")
-            m._fn = fn
-            return m
-        m = Counter(_check_name(key), help=help, fn=fn)
-        self._metrics[key] = m
-        return m
+        key = series_key(name, labels) if labels else name
+        return self._callback(Counter, key, fn, help)
 
     def gauge_fn(self, name: str, fn: Callable[[], float],
                  help: str = "",
                  labels: Optional[dict] = None) -> Gauge:
-        key = series_key(name, labels)
-        m = self._metrics.get(key)
-        if m is not None:
-            if not isinstance(m, Gauge) or m._fn is None:
-                raise ValueError(f"{key!r} exists and is not a callback "
-                                 "gauge")
-            m._fn = fn
-            return m
-        m = Gauge(_check_name(key), help=help, fn=fn)
-        self._metrics[key] = m
-        return m
+        key = series_key(name, labels) if labels else name
+        return self._callback(Gauge, key, fn, help)
 
     # ------------------------------------------------------------ queries
 

@@ -17,6 +17,7 @@ import hashlib
 import pytest
 
 from repro.conc import fs_state_digest, run_permutations
+from repro.conc.vfs import WAIT_BUCKETS_NS
 from repro.core import Config, Variant, make_fs
 from repro.dedup.hybrid import (MODE_INLINE, MODE_OFF, HybridDeNovaFS,
                                 HybridPolicy)
@@ -122,6 +123,23 @@ class TestByteReproducibility:
         assert _image(a) == _image(b)
         assert a.controller.decision_log == b.controller.decision_log
         assert a.hybrid_stats() == b.hybrid_stats()
+
+
+class TestWritesOutsideAVFS:
+    def test_a_direct_write_leaves_the_lock_histogram_to_the_vfs(self):
+        """A hybrid write outside any ConcurrentVFS reads lock contention
+        as zero instead of registering ``conc.lock_wait_ns`` with the
+        default buckets, which a later workload's VFS would then refuse
+        to re-register with its own."""
+        fs, dd = build()
+        fs.write(fs.create("/direct"), 0, b"\x01" * 2 * PAGE_SIZE)
+        fs.daemon.drain()
+        assert "conc.lock_wait_ns" not in fs.obs.registry
+        run_workload(fs, small_file_job(nfiles=8, dup_ratio=0.5, threads=4),
+                     dd=dd)
+        waits = fs.obs.registry.get("conc.lock_wait_ns")
+        assert waits.bounds == tuple(sorted(WAIT_BUCKETS_NS))
+        check_fs_invariants(fs)
 
 
 class TestControllerPurity:

@@ -369,6 +369,33 @@ class TestWholeTablePassesSkipOnlyEmptyHeads:
         fact.check_chains()
 
 
+class TestFreshFreeList:
+    """A fresh table builds its all-free IAA list on first use; what it
+    hands out is what the list built eagerly in ``__init__`` did."""
+
+    @staticmethod
+    def eager(fact):
+        return list(range(fact.total - 1, fact.daa_size - 1, -1))
+
+    def test_pops_the_eager_sequence(self, fact):
+        eager = self.eager(fact)
+        got = [fact.insert(mkfp(17, s), 60 + s) for s in range(6)]
+        assert got[0] == 17                  # the DAA head
+        assert got[1:] == [eager.pop() for _ in range(5)]
+
+    def test_a_freed_slot_is_reused_first(self, fact):
+        idxs = [fact.insert(mkfp(17, s), 60 + s) for s in range(4)]
+        fact.remove(idxs[2])
+        assert fact.insert(mkfp(23, 0), 70) == 23
+        assert fact.insert(mkfp(23, 1), 71) == idxs[2]
+        assert fact.insert(mkfp(23, 2), 72) == idxs[3] + 1
+
+    def test_occupancy_reads_the_eager_values(self, fact):
+        assert fact.occupancy()["iaa_free"] == len(self.eager(fact))
+        assert fact.iaa_occupied() == []
+        assert fact._iaa_free == self.eager(fact)
+
+
 class TestCrashSafety:
     def test_insert_is_published_by_link(self, fact):
         """Crash between slot write and chain link leaves an orphan the

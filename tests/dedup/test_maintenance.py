@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from repro.dedup import DeNovaFS
+from repro.dedup.fact import FACT
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
@@ -175,3 +176,27 @@ class TestIaaFreeListRemount:
         check_fs_invariants(fs2)
         # All pre-remount entries survived the new inserts.
         assert occupied <= set(fs2.fact.live_entries())
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_mount_never_builds_the_fresh_list(self, monkeypatch, clean):
+        """Every mount replaces the all-free list a fresh table starts
+        with before anything reads it, so none is built."""
+        fs = self._distinct_fs()
+        if clean:
+            fs.unmount()
+        else:
+            fs.dev.crash()
+            fs.dev.recover_view()
+        built = []
+        lazy = FACT._iaa_free
+
+        def spy(fact):
+            if fact._free is None:
+                built.append(fact)
+            return lazy.fget(fact)
+
+        monkeypatch.setattr(FACT, "_iaa_free", property(spy, lazy.fset))
+        fs2 = DeNovaFS.mount(fs.dev)
+        assert fs2.last_recovery.clean is clean
+        assert built == []
+        assert set(fs2.fact._iaa_free).isdisjoint(fs2.fact.live_entries())

@@ -146,12 +146,13 @@ class TestRunCase:
         return devices
 
     def test_a_clean_case_leaves_no_device_open(self, built):
-        """Clean pass, counting pass and every swept build: each device
-        ``run_case`` had made is closed once it has been checked."""
+        """Clean pass and every swept build (one point per combo: no
+        counting pass): each device ``run_case`` had made is closed once
+        it has been checked."""
         ops = generate_sequence(seed=12, stream=0, nops=30)
         res = run_case(ops, FuzzConfig(seed=0, budget=4))
         assert res.ok and res.crash_points > 0
-        assert len(built) >= 2 + res.crash_points
+        assert len(built) == 1 + res.crash_points
         for dev in built:
             with pytest.raises(RuntimeError, match="^device is closed$"):
                 dev.read_silent(0, 1)
@@ -169,6 +170,71 @@ class TestRunCase:
         assert [v.stage for v in res.violations] == ["clean"]
         (dev,) = built
         assert any(dev.read_silent(0, 4096))
+
+
+class TestSweepCount:
+    """``sweep_case`` replays a scenario just to count its persist events
+    only when the budget leaves more than one point per (mode, phase)."""
+
+    OPS = generate_sequence(seed=12, stream=0, nops=30)
+
+    @pytest.fixture
+    def swept(self, monkeypatch):
+        """``(point, phase, mode)`` of every crash replay, in order."""
+        import repro.failure.injector as injector
+
+        log = []
+        run_with_crash = injector.run_with_crash
+
+        def logged(build, point, phase="pre", mode="discard", seed=0):
+            log.append((point, phase, mode))
+            return run_with_crash(build, point, phase=phase, mode=mode,
+                                  seed=seed)
+
+        monkeypatch.setattr(injector, "run_with_crash", logged)
+        return log
+
+    @staticmethod
+    def combos(cfg, *points):
+        return [(p, phase, mode) for mode in cfg.modes
+                for phase in cfg.phases for p in points]
+
+    @pytest.mark.parametrize("budget", [2, 4])
+    def test_one_point_per_combo_is_not_counted(self, monkeypatch, swept,
+                                                budget):
+        import repro.fuzz.diff as diff
+
+        def refuse(_build):
+            raise AssertionError("counted a sweep that sweeps event #1")
+
+        monkeypatch.setattr(diff, "count_persist_events", refuse)
+        cfg = FuzzConfig(seed=0, budget=budget)
+        res = run_case(self.OPS, cfg)
+        assert swept == self.combos(cfg, 1)
+        # Pinned while every sweep still counted.
+        assert (res.crash_points, res.ops_applied, res.ops_skipped) \
+            == (4, 29, 1)
+        assert res.violations == []
+
+    def test_two_points_per_combo_count_once(self, monkeypatch, swept):
+        import repro.fuzz.diff as diff
+
+        calls = []
+        count = diff.count_persist_events
+
+        def counted(build):
+            calls.append(build)
+            return count(build)
+
+        monkeypatch.setattr(diff, "count_persist_events", counted)
+        cfg = FuzzConfig(seed=0, budget=8)
+        res = run_case(self.OPS, cfg)
+        assert len(calls) == 1
+        # Pinned while every sweep still counted: 228 events, stride 114.
+        assert swept == self.combos(cfg, 1, 115)
+        assert (res.crash_points, res.ops_applied, res.ops_skipped) \
+            == (8, 29, 1)
+        assert res.violations == []
 
 
 class TestRegressions:

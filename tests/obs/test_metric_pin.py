@@ -107,9 +107,10 @@ def script(fs) -> None:
 def variant_run(variant: Variant) -> dict:
     fs, dd = make_fs(variant, CFG)
     out = {"mkfs": values(fs)}
-    # The workload runs first: its ConcurrentVFS sets the bucket layout
-    # of ``conc.lock_wait_ns``, which a hybrid write outside a
-    # ConcurrentVFS would otherwise create with the default one.
+    # The workload runs first, as when the pin was written: its
+    # ConcurrentVFS registers ``conc.lock_wait_ns``.  A hybrid write
+    # outside a VFS only reads that histogram (zero contention while it
+    # is absent), so the other order would pin one key fewer.
     run_workload(fs, small_file_job(nfiles=16, dup_ratio=0.5, threads=4),
                  dd=dd)
     out["workload"] = values(fs)

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import Config, Variant, make_fs
 from repro.nova import PAGE_SIZE
-from repro.obs import Counter, Histogram, MetricsRegistry
+from repro.obs import (DEFAULT_LATENCY_BUCKETS_NS, Counter, Histogram,
+                       MetricsRegistry)
 
 
 class TestNaming:
@@ -29,6 +30,39 @@ class TestNaming:
         with pytest.raises(ValueError, match="already registered"):
             reg.histogram("fs.depth")
 
+    def test_every_accessor_rejects_another_kind(self):
+        reg = MetricsRegistry()
+        reg.counter("a.c_total")
+        reg.gauge("a.g")
+        reg.histogram("a.h_total")
+        for name, ask in [("a.g", reg.counter), ("a.h_total", reg.counter),
+                          ("a.c_total", reg.gauge), ("a.h_total", reg.gauge),
+                          ("a.c_total", reg.histogram),
+                          ("a.g", reg.histogram)]:
+            with pytest.raises(ValueError, match="already registered as"):
+                ask(name)
+        for name, ask in [("a.g", reg.counter_fn),
+                          ("a.h_total", reg.counter_fn),
+                          ("a.c_total", reg.counter_fn),  # not a callback
+                          ("a.c_total", reg.gauge_fn), ("a.g", reg.gauge_fn)]:
+            with pytest.raises(ValueError, match="is not a callback"):
+                ask(name, lambda: 0)
+        assert len(reg) == 3
+
+    def test_labeled_series_keys(self):
+        reg = MetricsRegistry()
+        reg.counter("fs.writes_total", labels={"tenant": "a", "cpu": 1})
+        reg.gauge("fs.depth", labels={"tenant": 'q"\\\n'})
+        reg.histogram("fs.lat_ns", labels={"op": "w"})
+        reg.counter_fn("fs.reads_total", lambda: 0, labels={"t": "b"})
+        reg.gauge_fn("fs.free", lambda: 0, labels={})
+        assert reg.names() == [
+            'fs.depth{tenant="q\\"\\\\\\n"}', "fs.free",
+            'fs.lat_ns{op="w"}', 'fs.reads_total{t="b"}',
+            'fs.writes_total{cpu="1",tenant="a"}']
+        with pytest.raises(ValueError, match="label name"):
+            reg.counter("fs.writes_total", labels={"bad-name": "x"})
+
 
 class TestValidatedOncePerDistinctName:
     """Names and bucket layouts are checked once per distinct value, not
@@ -50,6 +84,8 @@ class TestValidatedOncePerDistinctName:
                 reg.histogram("fs.lat_ns", buckets=(10, 20, 20))
             with pytest.raises(ValueError, match="duplicate bucket"):
                 Histogram("fs.lat_ns", buckets=[5, 1, 5])
+            with pytest.raises(ValueError, match="empty bucket list"):
+                reg.histogram("fs.lat_ns", buckets=())
             assert len(reg) == 0
 
     def test_a_name_valid_for_a_gauge_is_not_thereby_a_counter(self):
@@ -64,6 +100,22 @@ class TestValidatedOncePerDistinctName:
             h = Histogram("fs.lat_ns", buckets=[30, 10, 20])
             assert h.bounds == (10, 20, 30)
         assert Histogram("fs.lat_ns", buckets=[30, 10]).bounds == (10, 30)
+
+    def test_the_default_layout_is_one_tuple(self):
+        reg = MetricsRegistry()
+        plain = reg.histogram("fs.a_ns")
+        named = reg.histogram("fs.b_ns", buckets=DEFAULT_LATENCY_BUCKETS_NS)
+        spelled = Histogram("fs.c_ns", buckets=list(DEFAULT_LATENCY_BUCKETS_NS))
+        assert plain.bounds is named.bounds
+        assert spelled.bounds == plain.bounds == DEFAULT_LATENCY_BUCKETS_NS
+        assert reg.histogram("fs.a_ns", DEFAULT_LATENCY_BUCKETS_NS) is plain
+        assert reg.histogram("fs.b_ns") is named
+        with pytest.raises(ValueError, match="already registered with"):
+            reg.histogram("fs.a_ns", buckets=(1, 2, 3))
+        reg.histogram("fs.d_ns", buckets=(1, 2, 3))
+        with pytest.raises(ValueError, match="already registered with"):
+            reg.histogram("fs.d_ns", buckets=DEFAULT_LATENCY_BUCKETS_NS)
+        assert reg.histogram("fs.d_ns", buckets=[3, 2, 1]).bounds == (1, 2, 3)
 
     def test_registries_given_the_same_names_share_no_metric(self):
         a, b = MetricsRegistry(), MetricsRegistry()
