@@ -16,9 +16,9 @@ not on that list: every FS op owes its caller a typed, rolled-back
 ``NoSpace``, so one escaping is reported as an ``exception`` violation.
 
 Crash checking is one loop, :func:`sweep_case`, for every
-:class:`Scenario`: it replays the scenario's workload under
-:func:`repro.failure.injector.sweep_crash_points` in all four
-(phase, mode) combinations and holds each recovery mount to
+:class:`Scenario`: it runs the scenario's workload once under
+:func:`repro.failure.injector.sweep_crash_points`, crashed in all four
+(phase, mode) combinations, and holds each recovery mount to
 `check_fs_invariants` plus dedupe-flag convergence before and after a
 post-recovery drain, with the scenario's own oracle in between.  For the
 differential scenario the engine's progress count says how many ops
@@ -216,76 +216,53 @@ def apply_op(fs, model: ModelFS, op: TraceOp):
 
 
 def _first_diff(a: bytes, b: bytes) -> int:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return min(len(a), len(b))
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
 
 
 # ---------------------------------------------------------------- equivalence
 
 
+def _walk(fs, prefix: str = "", ino: int = ROOT_INO):
+    """``(path, ino, cache)`` of every entry under ``ino``, depth first
+    in name order."""
+    dentries = fs.caches[ino].dentries
+    for name in sorted(dentries):
+        child, path = dentries[name], f"{prefix}/{name}"
+        cache = fs.caches.get(child)
+        if cache is None:
+            raise InvariantViolation(f"dangling dentry {path!r} -> ino {child}")
+        yield path, child, cache
+        if cache.inode.itype == ITYPE_DIR:
+            yield from _walk(fs, path, child)
+
+
 def fs_namespace(fs) -> dict[str, tuple]:
     """Real-filesystem counterpart of :meth:`ModelFS.namespace`."""
     out: dict[str, tuple] = {}
-
-    def walk(prefix: str, ino: int):
-        cache = fs.caches[ino]
-        for name in sorted(cache.dentries):
-            child = cache.dentries[name]
-            ccache = fs.caches.get(child)
-            path = f"{prefix}/{name}"
-            if ccache is None:
-                raise InvariantViolation(
-                    f"dangling dentry {path!r} -> ino {child}")
-            itype = ccache.inode.itype
-            if itype == ITYPE_DIR:
-                out[path] = ("dir",)
-                walk(path, child)
-            elif itype == ITYPE_SYMLINK:
-                out[path] = ("symlink", ccache.symlink_target)
-            else:
-                size = ccache.inode.size
-                out[path] = ("file", size, fs.read(child, 0, size))
-
-    walk("", ROOT_INO)
+    for path, ino, cache in _walk(fs):
+        itype, size = cache.inode.itype, cache.inode.size
+        out[path] = (("dir",) if itype == ITYPE_DIR
+                     else ("symlink", cache.symlink_target)
+                     if itype == ITYPE_SYMLINK
+                     else ("file", size, fs.read(ino, 0, size)))
     return out
 
 
 def _hardlink_groups_real(fs) -> dict[int, list[str]]:
     groups: dict[int, list[str]] = {}
-
-    def walk(prefix: str, ino: int):
-        cache = fs.caches[ino]
-        for name in sorted(cache.dentries):
-            child = cache.dentries[name]
-            ccache = fs.caches[child]
-            path = f"{prefix}/{name}"
-            if ccache.inode.itype == ITYPE_DIR:
-                walk(path, child)
-            elif ccache.inode.itype != ITYPE_SYMLINK:
-                groups.setdefault(child, []).append(path)
-
-    walk("", ROOT_INO)
+    for path, ino, cache in _walk(fs):
+        if cache.inode.itype not in (ITYPE_DIR, ITYPE_SYMLINK):
+            groups.setdefault(ino, []).append(path)
     return groups
 
 
 def _dir_links_real(fs) -> dict[str, int]:
     """path -> on-PM nlink for every directory (counterpart of
     :meth:`ModelFS.dir_links`)."""
-    out: dict[str, int] = {"/": fs.caches[ROOT_INO].inode.links}
-
-    def walk(prefix: str, ino: int):
-        cache = fs.caches[ino]
-        for name in sorted(cache.dentries):
-            child = cache.dentries[name]
-            ccache = fs.caches[child]
-            if ccache.inode.itype == ITYPE_DIR:
-                path = f"{prefix}/{name}"
-                out[path] = ccache.inode.links
-                walk(path, child)
-
-    walk("", ROOT_INO)
+    out = {"/": fs.caches[ROOT_INO].inode.links}
+    out.update((path, cache.inode.links) for path, _ino, cache in _walk(fs)
+               if cache.inode.itype == ITYPE_DIR)
     return out
 
 
@@ -332,9 +309,7 @@ def full_equivalence_check(fs, model: ModelFS) -> None:
     """
     check_fs_invariants(fs)
 
-    real_ns = fs_namespace(fs)
-    model_ns = model.namespace()
-    diffs = _diff_namespaces(real_ns, model_ns)
+    diffs = _diff_namespaces(fs_namespace(fs), model.namespace())
     if diffs:
         raise OracleDivergence(
             f"namespace/content divergence ({len(diffs)} paths): "
@@ -376,10 +351,8 @@ def full_equivalence_check(fs, model: ModelFS) -> None:
     # has a FACT entry whose RFC covers all live occurrences.  Skipped
     # if the table ever filled (pages then legally stay un-deduplicated).
     if not fs.obs.registry.counter("daemon.fact_full_events_total").value:
-        occ = model.page_occurrences()
-        for img, n in occ.items():
-            fp = fs.fingerprinter.strong(img)
-            res = fs.fact.lookup(fp)
+        for img, n in model.page_occurrences().items():
+            res = fs.fact.lookup(fs.fingerprinter.strong(img))
             if res.found is None:
                 raise InvariantViolation(
                     f"page image with {n} live occurrences has no FACT "
@@ -397,11 +370,7 @@ def prefix_equivalence_check(fs, mk: ModelFS, mk1: ModelFS) -> None:
     ns_k1 = mk1.namespace()
     for path in sorted(set(real_ns) | set(ns_k) | set(ns_k1)):
         r = real_ns.get(path)
-        allowed = []
-        if path in ns_k:
-            allowed.append(ns_k[path])
-        if path in ns_k1:
-            allowed.append(ns_k1[path])
+        allowed = [ns[path] for ns in (ns_k, ns_k1) if path in ns]
         if r is None:
             if len(allowed) == 2 and allowed[0] == allowed[1]:
                 raise OracleDivergence(
@@ -442,18 +411,20 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
     """The crash sweep: every scenario's persist events, torn and checked.
 
     Counts the scenario's persist events once, turns ``cfg.budget`` into
-    a stride over them, and crashes the workload at each sampled event
-    in every (mode, phase); a budget of one point per (mode, phase)
-    sweeps event #1 without counting.  After each crash: recovery mount,
-    ``check_fs_invariants``, the scenario's oracle, then daemon drain +
-    weak-block settle, invariants again, and dedupe-flag convergence.
-    Every failed point becomes one ``Violation`` naming it.
+    a stride over them, and runs the workload once, crashing it at each
+    sampled event in every (mode, phase); a budget of one point per
+    (mode, phase) sweeps event #1 without counting.  After each crash:
+    recovery mount, ``check_fs_invariants``, the scenario's oracle, then
+    daemon drain + weak-block settle, invariants again, and dedupe-flag
+    convergence — once per event for byte-equal media, clock and
+    progress.  Each mode's first failed point becomes one ``Violation``.
     """
     result = result if result is not None else CaseResult()
     combos = len(cfg.modes) * len(cfg.phases)
     if not combos or cfg.budget <= 0:
         return result
     progress = [0]
+    passed = [None, []]     # (clock, progress) now, media that passed
 
     def tick() -> None:
         progress[0] += 1
@@ -463,7 +434,12 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
         return scenario.build(tick)
 
     def check(dev, point, phase):
-        result.crash_points += 1
+        key, media = (dev.clock.now_fs, dev.clock.charged_fs,
+                      progress[0]), dev.media_key()
+        if key != passed[0]:
+            passed[:] = [key, []]
+        elif media in passed[1]:
+            return
         rec = _fs_cls(cfg).mount(dev, cpus=cfg.cpus)
         try:
             check_fs_invariants(rec)
@@ -478,6 +454,7 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
             if getattr(exc, "flight_dump", None) is None:
                 exc.flight_dump = rec.obs.flight.dump(reason="fuzz:sweep")
             raise
+        passed[1].append(media)
 
     per_combo = max(1, cfg.budget // combos)
     if per_combo == 1:
@@ -487,16 +464,21 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
     else:
         total = count_persist_events(build)
         stride = max(1, total // per_combo)
-    for mode in cfg.modes:
-        try:
-            sweep_crash_points(build, check, phases=cfg.phases, mode=mode,
-                               stride=stride, seed=cfg.seed, total=total)
-        except AssertionError as exc:
+    try:
+        result.crash_points += sweep_crash_points(
+            build, check, phases=cfg.phases, mode=tuple(cfg.modes),
+            stride=stride, seed=cfg.seed, total=total)
+    except AssertionError as exc:
+        result.crash_points += getattr(exc, "tested", 0)
+        for mode, failure in getattr(exc, "failures",
+                                     dict.fromkeys(cfg.modes, exc)).items():
+            if not isinstance(failure, AssertionError):
+                raise failure   # the workload's own: a replay raised it
             result.violations.append(Violation(
-                kind="invariant", detail=str(exc), stage="sweep",
-                point=getattr(exc, "point", None),
-                phase=getattr(exc, "phase", None), mode=mode,
-                flight=getattr(exc.__cause__, "flight_dump", None)))
+                kind="invariant", detail=str(failure), stage="sweep",
+                point=getattr(failure, "point", None),
+                phase=getattr(failure, "phase", None), mode=mode,
+                flight=getattr(failure.__cause__, "flight_dump", None)))
     return result
 
 

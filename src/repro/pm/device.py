@@ -53,8 +53,9 @@ each counted and charged as the per-line, per-slot form it stands for.
 
 Lifetime: whoever builds devices in a loop ends each with
 :meth:`PMDevice.close`, which hands the mapping — cleared where it was
-stored to — to the next device of that size, already faulted in.  A
-device nobody closes gives its memory back to the kernel when dropped.
+stored to — to the next device of that size, already faulted in (so
+does a :meth:`PMDevice.fork`).  A device nobody closes gives its memory
+back to the kernel when dropped.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from __future__ import annotations
 import mmap
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NoReturn, Optional
 
 import numpy as np
@@ -170,9 +171,10 @@ class PMHooks:
     :class:`CrashRequested`.  ``on_persist`` fires on every sfence that
     commits at least one line, *before* the commit takes effect (a crash
     there leaves the lines volatile); ``on_persist_done`` fires after.
-    A hook looks (``stats``, ``volatile_lines``, ``read_silent``) or
-    raises; it does not operate the device it is called from — inside a
-    durable store the lines in flight are in no table until it raises.
+    A hook looks (``stats``, ``volatile_lines``, ``read_silent``,
+    ``fork``) or raises; it does not operate the device it is called
+    from — inside a durable store the lines in flight are in no table
+    until it raises (or a ``fork`` enters them into its own).
     """
 
     on_write: Optional[Callable[[int, "PMDevice"], None]] = None
@@ -232,9 +234,9 @@ class PMDevice:
         # of those lines) of each nt store made while the shadow was
         # empty — flushing lines older than every shadow key, outside it.
         self._runs: list[tuple[int, int, bytes]] = []
-        # Lines of a durable store on their way to the media that are in
-        # none of the three tables (see ``write``); 0 outside that call.
-        self._in_flight = 0
+        # A durable store's lines on their way to the media, in none of
+        # the three tables (see ``write``); None outside that call.
+        self._in_flight: Optional[list] = None
         self._stored: set[int] = set()    # chunks ever stored to
         self._wear: Optional[np.ndarray] = (
             np.zeros(size // CACHELINE, dtype=np.uint32) if track_wear else None
@@ -436,8 +438,8 @@ class PMDevice:
                 durable = self._bytes[first * CACHELINE:
                                       (last + 1) * CACHELINE].tobytes()
                 self._bytes[addr:end] = data
-                self._in_flight = count
-                state = flushing if nt else dirty
+                # _land's arguments, for the except below or a fork.
+                flight = self._in_flight = [first, last + 1, durable, nt]
                 try:
                     clock.charge_fs(*self._write_costs[n])
                     if hooks.on_write is not None:
@@ -448,20 +450,16 @@ class PMDevice:
                         clock.charge_fs(*self._clwb)
                     else:
                         clock.advance_n(self.model.clwb_ns, count)
-                    state = flushing
+                    flight[3] = True
                     stats.sfences += 1
                     clock.charge_fs(*self._sfence)
                     if hooks.on_persist is not None:
                         hooks.on_persist(stats.sfences, self)
                 except BaseException:
-                    run = range(first, last + 1)
-                    shadow.update(zip(run, (
-                        durable[at:at + CACHELINE]
-                        for at in range(0, len(durable), CACHELINE))))
-                    state.update(run)
+                    self._land(*flight)
                     raise
                 finally:
-                    self._in_flight = 0
+                    self._in_flight = None
             if self._wear is not None:
                 self._wear[first:last + 1] += 1
             stats.lines_persisted += count
@@ -643,6 +641,16 @@ class PMDevice:
         shadow.update(younger)
         runs.clear()
 
+    def _land(self, first: int, stop: int, durable: bytes,
+              flushing: bool) -> None:
+        """Enter a durable store's lines in flight into the (empty)
+        tables, as a hook raising out of that store leaves them."""
+        run = range(first, stop)
+        self._shadow.update(zip(run, (
+            durable[at:at + CACHELINE]
+            for at in range(0, len(durable), CACHELINE))))
+        (self._flushing if flushing else self._dirty).update(run)
+
     def persist(self, addr: int, n: int) -> None:
         """clwb the range then sfence — for a commit of several stores;
         one store is ``write(..., persist=True)``."""
@@ -666,7 +674,8 @@ class PMDevice:
     def volatile_lines(self) -> int:
         """Number of cache lines whose content is not yet durable."""
         self._check_open()
-        return (len(self._shadow) + self._in_flight
+        flight = self._in_flight
+        return (len(self._shadow) + (flight[1] - flight[0] if flight else 0)
                 + sum(stop - first for first, stop, _ in self._runs))
 
     def crash(self, mode: str = "discard",
@@ -707,6 +716,37 @@ class PMDevice:
             raise RuntimeError("recover_view() on a device that did not crash")
         self._crashed = False
         return self
+
+    def fork(self) -> "PMDevice":
+        """A new device in the state a ``CrashRequested`` raised by the
+        hook now running would leave this one in, to crash while the
+        workload goes on: the stored chunks copied into a mapping from
+        the idle pool, a fresh :class:`SimClock` at this one's time, the
+        stats copied, no hooks."""
+        self._check_open()
+        clock, mine = SimClock(), self.clock
+        clock.now_fs, clock.charged_fs = mine.now_fs, mine.charged_fs
+        twin = PMDevice(self.size, self.model, clock)
+        for chunk in self._stored:
+            at = chunk * _CHUNK
+            twin._bytes[at:at + _CHUNK] = self._bytes[at:at + _CHUNK]
+        twin.stats = replace(self.stats)
+        twin._shadow = dict(self._shadow)
+        twin._dirty, twin._flushing = set(self._dirty), set(self._flushing)
+        twin._runs, twin._stored = list(self._runs), set(self._stored)
+        twin._crashed = self._crashed
+        twin._wear = None if self._wear is None else self._wear.copy()
+        if self._in_flight:
+            twin._land(*self._in_flight)
+        return twin
+
+    def media_key(self) -> tuple:
+        """The media as a value: two devices of one size whose keys are
+        equal hold byte-identical media (what no store reached is zero)."""
+        self._check_open()
+        chunks = sorted(self._stored)
+        return tuple(chunks), b"".join(
+            self._bytes[at:at + _CHUNK] for at in (c * _CHUNK for c in chunks))
 
     # -- image persistence -----------------------------------------------------
 

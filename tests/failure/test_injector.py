@@ -146,27 +146,43 @@ def test_counting_pass_closes_its_device():
     assert len(built) == 1 and _is_closed(built[0])
 
 
-def test_sweep_leaves_no_device_it_built_open():
-    """Crashed-and-checked devices, and the ones whose scenario finished
-    before the point (``total`` overstated), all end closed — and only
-    after ``check`` has had the device live."""
+@pytest.fixture
+def forks(monkeypatch):
+    """Every fork of a device, in order."""
+    made = []
+    fork = PMDevice.fork
+
+    def recorded(dev):
+        made.append(fork(dev))
+        return made[-1]
+
+    monkeypatch.setattr(PMDevice, "fork", recorded)
+    return made
+
+
+def test_sweep_leaves_no_device_it_built_open(forks):
+    """The one build and every crashed-and-checked fork all end closed —
+    each fork only after ``check`` has had it live; with ``total``
+    overstated the run ends uncrashed, past its last fork."""
     built = []
     total = count_persist_events(build)
     device_module._idle.clear()
 
     def check(dev, point, phase):
-        assert dev is built[-1] and not _is_closed(dev)
+        assert dev is forks[-1] and not _is_closed(dev)
+        assert not _is_closed(built[0])     # the workload is still live
         NovaFS.mount(dev)
 
     tested = sweep_crash_points(_counting(built), check, stride=9,
                                 total=total + 20)
-    assert 0 < tested < len(built)
-    assert all(_is_closed(dev) for dev in built)
-    # One mapping served them all.
-    assert [len(m) for m in device_module._idle] == [built[0].size]
+    assert len(built) == 1
+    assert tested == len(forks) == 2 * len(range(1, total + 1, 9))
+    assert all(_is_closed(dev) for dev in built + forks)
+    # Two mappings served them all: the build's, and each fork's in turn.
+    assert [len(m) for m in device_module._idle] == [built[0].size] * 2
 
 
-def test_failing_check_keeps_its_device_open():
+def test_failing_check_keeps_its_device_open(forks):
     built = []
 
     def check(dev, point, phase):
@@ -175,6 +191,37 @@ def test_failing_check_keeps_its_device_open():
 
     with pytest.raises(AssertionError, match=r"event #3 \(pre-commit"):
         sweep_crash_points(_counting(built), check, phases=("pre",))
-    # counting pass + points 1, 2 closed; the failing one readable.
-    assert [_is_closed(dev) for dev in built] == [True, True, True, False]
-    assert any(built[-1].read_silent(0, 4096))
+    # counting pass and the sweep's build closed, so are the forks at
+    # points 1 and 2; the failing one is readable.
+    assert [_is_closed(dev) for dev in built] == [True, True]
+    assert [_is_closed(dev) for dev in forks] == [True, True, False]
+    assert any(forks[-1].read_silent(0, 4096))
+
+
+def _raising(built):
+    """A build whose workload raises after two persist events."""
+    def counted():
+        dev = PMDevice(64 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        built.append(dev)
+
+        def scenario():
+            dev.write(0, b"one", persist=True)
+            dev.write(4096, b"two", persist=True)
+            raise ValueError("the workload's own bug")
+
+        return dev, scenario
+    return counted
+
+
+@pytest.mark.parametrize("run", [
+    count_persist_events,
+    lambda b: sweep_crash_points(b, lambda *args: None, total=3),
+    lambda b: run_with_crash(b, point=3),
+], ids=["count", "sweep", "run_with_crash"])
+def test_a_raising_workload_closes_and_unhooks_its_device(run):
+    built = []
+    with pytest.raises(ValueError, match="the workload's own bug"):
+        run(_raising(built))
+    (dev,) = built
+    assert _is_closed(dev)
+    assert (dev.hooks.on_persist, dev.hooks.on_persist_done) == (None, None)

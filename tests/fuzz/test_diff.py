@@ -15,6 +15,7 @@ from repro.fuzz.diff import (
 )
 from repro.fuzz.gen import generate_sequence
 from repro.fuzz.model import ModelFS
+from repro.pm import PMDevice
 from repro.workloads.trace import TraceOp
 
 
@@ -145,15 +146,19 @@ class TestRunCase:
         monkeypatch.setattr(diff, "make_fs", counting_make_fs)
         return devices
 
-    def test_a_clean_case_leaves_no_device_open(self, built):
-        """Clean pass and every swept build (one point per combo: no
-        counting pass): each device ``run_case`` had made is closed once
-        it has been checked."""
+    def test_a_clean_case_leaves_no_device_open(self, built, monkeypatch):
+        """The clean pass, the sweep's one build (one point per combo: no
+        counting pass) and one fork per crash point: each device
+        ``run_case`` had made is closed once it has been checked."""
+        forks = []
+        fork = PMDevice.fork
+        monkeypatch.setattr(PMDevice, "fork",
+                            lambda dev: forks.append(fork(dev)) or forks[-1])
         ops = generate_sequence(seed=12, stream=0, nops=30)
         res = run_case(ops, FuzzConfig(seed=0, budget=4))
         assert res.ok and res.crash_points > 0
-        assert len(built) == 1 + res.crash_points
-        for dev in built:
+        assert len(built) == 2 and len(forks) == res.crash_points
+        for dev in built + forks:
             with pytest.raises(RuntimeError, match="^device is closed$"):
                 dev.read_silent(0, 1)
 
@@ -180,24 +185,25 @@ class TestSweepCount:
 
     @pytest.fixture
     def swept(self, monkeypatch):
-        """``(point, phase, mode)`` of every crash replay, in order."""
+        """``(point, phase, mode)`` of every crashed fork, in order."""
         import repro.failure.injector as injector
 
         log = []
-        run_with_crash = injector.run_with_crash
+        crash_fork = injector._crash_fork
 
-        def logged(build, point, phase="pre", mode="discard", seed=0):
+        def logged(dev, point, phase, mode, seed):
             log.append((point, phase, mode))
-            return run_with_crash(build, point, phase=phase, mode=mode,
-                                  seed=seed)
+            return crash_fork(dev, point, phase, mode, seed)
 
-        monkeypatch.setattr(injector, "run_with_crash", logged)
+        monkeypatch.setattr(injector, "_crash_fork", logged)
         return log
 
     @staticmethod
     def combos(cfg, *points):
-        return [(p, phase, mode) for mode in cfg.modes
-                for phase in cfg.phases for p in points]
+        """Event order: each point's pre forks, then its post forks, the
+        modes in ``cfg`` order."""
+        return [(p, phase, mode) for p in points
+                for phase in cfg.phases for mode in cfg.modes]
 
     @pytest.mark.parametrize("budget", [2, 4])
     def test_one_point_per_combo_is_not_counted(self, monkeypatch, swept,

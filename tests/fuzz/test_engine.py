@@ -6,9 +6,11 @@ import pathlib
 import pytest
 
 import repro
+import repro.failure.injector as injector
 import repro.fuzz.diff as diff
 from repro.fuzz.diff import (FuzzConfig, Scenario, differential_scenario,
                              sweep_case)
+from repro.pm import PMDevice
 from repro.workloads.trace import TraceOp
 
 OPS = [TraceOp(op="create", path=f"/f{i}") for i in range(3)]
@@ -23,38 +25,49 @@ MODES, PHASES = ("discard", "torn"), ("pre", "post")
 
 @pytest.mark.parametrize("target", [(3, "post", "torn"), (1, "pre", "torn"),
                                     (2, "post", "discard")])
-def test_violation_names_the_crash_point(target):
+def test_violation_names_the_crash_point(target, monkeypatch):
     """A toy oracle that rejects one chosen (point, phase, mode): the
     engine turns it into exactly one Violation carrying those three and
-    a flight dump, abandons that mode, and still sweeps the other."""
+    a flight dump, abandons that mode, and still sweeps the other.
+
+    An oracle that answers by crash point, not by image, is one sharing
+    recoveries would skip: every image is made unique here."""
     cfg = FuzzConfig(seed=0, budget=10 ** 6, modes=MODES, phases=PHASES)
     build = differential_scenario(OPS, cfg).build
     clean = sweep_case(Scenario(build, lambda rec, progress: None), cfg)
     assert clean.ok
     n = clean.crash_points // 4          # stride 1: every event, 4 combos
 
-    # The engine visits modes outermost, then phases, then points 1..n.
-    point, phase, mode = target
-    index = ((MODES.index(mode) * 2 + PHASES.index(phase)) * n) + point - 1
+    crashing = []                        # (point, phase, mode) being checked
+    crash_fork = injector._crash_fork
+
+    def noted(dev, point, phase, mode, seed):
+        crashing[:] = [(point, phase, mode)]
+        return crash_fork(dev, point, phase, mode, seed)
+
+    monkeypatch.setattr(injector, "_crash_fork", noted)
+    monkeypatch.setattr(PMDevice, "media_key", lambda dev: object())
     progress_seen = []
 
     def oracle(rec, progress):
         progress_seen.append(progress)
-        if len(progress_seen) - 1 == index:
+        if crashing == [target]:
             raise _Boom("toy oracle tripped")
 
     res = sweep_case(Scenario(build, oracle), cfg)
     assert len(res.violations) == 1
     v = res.violations[0]
+    point, phase, mode = target
     assert (v.point, v.phase, v.mode) == target
     assert (v.stage, v.kind) == ("sweep", "invariant")
     assert "toy oracle tripped" in v.detail
     assert f"crash@{point} ({phase}-commit, mode={mode})" in str(v)
     assert v.flight["reason"] == "fuzz:sweep"
-    # The failing point is counted; a failed discard mode does not stop
-    # the torn one.
-    rest = 2 * n if mode == "discard" else 0
-    assert res.crash_points == len(progress_seen) == index + 1 + rest
+    # Counted as a replay visits them: the failing mode's points up to
+    # and including the failing one (every pre point before any post
+    # point), and all 2n of the other mode, which the failure does not
+    # stop.
+    assert res.crash_points == PHASES.index(phase) * n + point + 2 * n
     # Engine-held progress: ticks of the torn workload, 0..len(OPS).
     assert min(progress_seen) == 0 and max(progress_seen) == len(OPS)
 
@@ -62,8 +75,6 @@ def test_violation_names_the_crash_point(target):
 def test_two_modes_count_persist_events_once(monkeypatch):
     """A 2-mode case runs the counting pass once, not once per mode (and
     not a third time inside each sweep)."""
-    import repro.failure.injector as injector
-
     calls = []
     real = injector.count_persist_events
 
@@ -118,7 +129,8 @@ def _calls(tree, names):
 def test_one_sweep_engine():
     """The injector is driven from one place.  A new crash sweep is a
     ``Scenario`` handed to ``sweep_case``, not a fourth copy of the
-    count → stride → mode × phase loop."""
+    count → stride → mode × phase loop, and that loop is the injector's
+    one pass."""
     sites = []
     for path in sorted(_SRC.rglob("*.py")):
         rel = path.relative_to(_SRC).as_posix()
@@ -136,9 +148,12 @@ def test_one_sweep_engine():
     assert owners == {"count_persist_events": ["sweep_case"],
                       "sweep_crash_points": ["sweep_case"],
                       "run_with_crash": ["nested_scenario"]}, owners
-    mode_loops = [
-        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+    mode_loops = sorted({
+        (path.relative_to(_SRC).as_posix(), fn.name)
+        for path in _SRC.rglob("*.py")
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.For)
-        and ast.unparse(node.iter) == "cfg.modes"]
-    assert mode_loops == ["sweep_case"], mode_loops
+        if isinstance(node, (ast.For, ast.comprehension))
+        and ast.unparse(node.iter).split(".")[-1] == "modes"})
+    assert mode_loops == [("failure/injector.py", "_one_pass")], mode_loops

@@ -18,7 +18,8 @@ from repro.failure import injector
 from repro.fuzz.diff import FuzzConfig, run_case
 from repro.fuzz.gen import generate_sequence
 
-#: seed -> [(point, phase, mode, sha256(image)[:16]), ...] in visit order.
+#: seed -> [(point, phase, mode, sha256(image)[:16]), ...] by mode, phase,
+#: point.
 PINNED = {
     6: [(1, 'pre', 'discard', '5d99eccc46747197'),
         (35, 'pre', 'discard', '78c8049b44a03f71'),
@@ -81,21 +82,24 @@ PINNED = {
 
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_sweep_lands_on_the_pinned_images(seed, monkeypatch):
+    """Every crashed fork, shared recoveries included, in the order the
+    pins were recorded in: mode, then phase, then point."""
     visited = []
-    run_with_crash = injector.run_with_crash
+    crash_fork = injector._crash_fork
 
-    def logged(build, point, phase="pre", mode="discard", seed=0):
-        out = run_with_crash(build, point, phase=phase, mode=mode, seed=seed)
-        if out.crashed:
-            image = out.dev.read_silent(0, out.dev.size)
-            visited.append((point, phase, mode,
-                            hashlib.sha256(image).hexdigest()[:16]))
+    def logged(dev, point, phase, mode, seed):
+        out = crash_fork(dev, point, phase, mode, seed)
+        image = out.dev.read_silent(0, out.dev.size)
+        visited.append((point, phase, mode,
+                        hashlib.sha256(image).hexdigest()[:16]))
         return out
 
-    monkeypatch.setattr(injector, "run_with_crash", logged)
+    monkeypatch.setattr(injector, "_crash_fork", logged)
     cfg = FuzzConfig(seed=seed, budget=24, pages=1024, inodes=64)
     result = run_case(generate_sequence(seed=seed, stream=0, nops=30), cfg)
     assert result.ok, result.violations
+    visited.sort(key=lambda v: (cfg.modes.index(v[2]),
+                                cfg.phases.index(v[1]), v[0]))
     assert visited == PINNED[seed]
     assert result.crash_points == len(visited)
     # Both modes, both phases, and torn differs from discard somewhere.

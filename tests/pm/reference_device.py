@@ -12,6 +12,8 @@ model, clock) with the implementation.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.pm.clock import SimClock
@@ -40,6 +42,14 @@ class PerLineDevice:
 
     def media(self) -> bytes:
         return bytes(self.mem)
+
+    def fork(self) -> "PerLineDevice":
+        """A copy of the content and the per-line tables, to crash."""
+        twin = copy.copy(self)
+        twin.mem, twin.shadow = bytearray(self.mem), dict(self.shadow)
+        twin.dirty, twin.flushing = set(self.dirty), set(self.flushing)
+        twin.stats, twin.hooks = PMStats(), PMHooks()
+        return twin
 
     @property
     def volatile_lines(self) -> int:

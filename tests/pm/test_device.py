@@ -287,6 +287,8 @@ class TestClose:
         "crash": lambda d: d.crash(),
         "crash torn": lambda d: d.crash("torn"),
         "recover_view": lambda d: d.recover_view(),
+        "fork": lambda d: d.fork(),
+        "media_key": lambda d: d.media_key(),
         "wear_max": lambda d: d.wear_max(),
         "wear_total": lambda d: d.wear_total(),
         "volatile_lines": lambda d: d.volatile_lines,

@@ -63,6 +63,7 @@ SIZE = 1 << 20                      # 16 384 lines; a 128 KB store fits 8x
 STEPS_PER_ROUND = 140
 ROUNDS = 6
 BODIES = ("in flight", "tables", "held run", "fused over volatile")
+TORN_FORK_LINES = 256
 
 
 class RecordingClock(SimClock):
@@ -93,7 +94,8 @@ class FoldingClock(SimClock):
 class Pair:
     """The real device and the reference, driven in lock step."""
 
-    def __init__(self, track_wear=False, clock=RecordingClock, plain=False):
+    def __init__(self, track_wear=False, clock=RecordingClock, plain=False,
+                 forks=False):
         self.real = PMDevice(SIZE, clock=clock(), track_wear=track_wear)
         self.ref = PerLineDevice(SIZE, clock=clock(), track_wear=track_wear)
         # A third device on a plain clock with no hooks (see
@@ -111,6 +113,12 @@ class Pair:
         # that were already volatile.
         self.bodies = dict.fromkeys(BODIES, 0)
         self.in_durable = False
+        # With ``forks``: the real device's forks, taken after every step
+        # and in every persist hook, each waiting for the reference to
+        # reach the same point; how many were compared, and how many
+        # were taken with a durable store's lines in flight.
+        self.forks = [] if forks else None
+        self.forks_compared = self.forks_in_flight = 0
         for dev in (self.real, self.ref):
             for name in ("on_write", "on_persist", "on_persist_done"):
                 setattr(dev.hooks, name, self._hook(name))
@@ -129,6 +137,8 @@ class Pair:
             if dev is self.real and self.in_durable and name == "on_write":
                 assert bool(dev._in_flight) != bool(dev._shadow)
                 self.bodies["in flight" if dev._in_flight else "tables"] += 1
+            if self.forks is not None and name != "on_write":
+                self.fork(dev, (name, count))
             if self.trip_at and self.trip_at[0] == name:
                 seen = sum(1 for ev in log[self.round_start[id(dev)]:]
                            if ev[0] == name)
@@ -141,7 +151,8 @@ class Pair:
         self.round_start = {key: len(log)
                             for key, log in self.events.items()}
 
-    def _both(self, real_step, ref_step, where, plain_step=None):
+    def _both(self, real_step, ref_step, where, plain_step=None,
+              read=False):
         """Run one step on each device; True if it crashed (on both)."""
         crashed = []
         for step in (real_step, ref_step):
@@ -154,7 +165,37 @@ class Pair:
         if self.plain is not None:
             plain_step()            # nothing on it can raise
         self.compare(where)
+        if self.forks is not None and not read:
+            self.fork(self.real, where)
+            self.fork(self.ref, where)
         return crashed[0]
+
+    def fork(self, dev, where):
+        """Fork the real device: stats, clock and volatile lines its
+        own.  At the reference's turn, crash the forks, one ``discard``
+        and — with at most ``TORN_FORK_LINES`` volatile, where the
+        per-line draws stay cheap — one ``torn``: each must leave the
+        reference's media after the same crash."""
+        if dev is self.real:
+            modes = ("discard", "torn")[
+                :1 + (dev.volatile_lines <= TORN_FORK_LINES)]
+            forks = [(mode, dev.fork()) for mode in modes]
+            for _mode, fork in forks:
+                assert fork.stats.snapshot() == dev.stats.snapshot(), where
+                assert (fork.clock.now_ns, fork.clock.charged_ns) \
+                    == (dev.clock.now_ns, dev.clock.charged_ns), where
+                assert fork.volatile_lines == dev.volatile_lines, where
+            self.forks.append(forks)
+            self.forks_in_flight += bool(dev._in_flight)
+            return
+        seed = 31 * self.forks_compared
+        for mode, fork in self.forks.pop(0):
+            twin = dev.fork()
+            fork.crash(mode, rng=np.random.default_rng(seed))
+            twin.crash(mode, rng=np.random.default_rng(seed))
+            assert fork.read_silent(0, SIZE) == twin.mem, (where, mode)
+            fork.close()
+        self.forks_compared += 1
 
     def do(self, op, *args, **kw):
         """Apply one operation to both."""
@@ -173,7 +214,8 @@ class Pair:
         self._both(lambda: got.append(getattr(self.real, op)(*args, **kw)),
                    lambda: got.append(getattr(self.ref, op)(*args, **kw)),
                    (op, args, kw),
-                   lambda: got.append(getattr(self.plain, op)(*args, **kw)))
+                   lambda: got.append(getattr(self.plain, op)(*args, **kw)),
+                   read=True)
         real, ref = got[:2]
         assert bytes(real) == ref, (op, args, kw)
         assert all(bytes(plain) == ref for plain in got[2:])
@@ -381,12 +423,12 @@ def _quiet(count, dev):
 
 
 def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
-               plain=False):
+               plain=False, forks=False):
     rng = random.Random(seed)
     # The reads draw from a generator of their own: the rounds are the
     # sequences they were before the device had ``scan`` / ``read_view``.
     read_rng = random.Random(seed + 9000)
-    pair = Pair(track_wear=track_wear, clock=clock, plain=plain)
+    pair = Pair(track_wear=track_wear, clock=clock, plain=plain, forks=forks)
     pair.reads = dict.fromkeys(("read", "read_view", "scan",
                                 "scan stopped early",
                                 "scan to the last byte"), 0)
@@ -500,6 +542,37 @@ def test_random_sequences_match_on_a_plain_clock_with_no_hooks():
             bodies[body] += count
     assert min(bodies["in flight"], bodies["fused over volatile"]) >= 100, \
         bodies
+
+
+def test_a_fork_is_the_crash_a_hook_would_leave():
+    """Rounds of two seeds, the real device forked after every step and
+    from inside every ``on_persist`` / ``on_persist_done`` — mid-fence,
+    in the durable store's body of its own with the lines in flight,
+    over held runs — and each fork crashed: its media is the reference's
+    after the same crash, torn draws included.  (A fork costs a copy of
+    the device, so two seeds, not eight.)"""
+    compared = in_flight = 0
+    for seed in (0, 1):
+        pair, _ = run_rounds(seed, forks=True)
+        assert pair.forks == []
+        compared += pair.forks_compared
+        in_flight += pair.forks_in_flight
+    assert compared > 2 * ROUNDS * STEPS_PER_ROUND and in_flight >= 20
+
+
+@pytest.mark.parametrize("nt", [False, True])
+def test_a_fork_inside_a_durable_store_has_its_lines_volatile(nt):
+    """Forked from ``on_persist`` of a durable store onto a quiescent
+    device, its lines in flight in no table, every shape of run: the
+    fork holds them as a crash out of that hook leaves them."""
+    for addr, n, lines in RUNS:
+        pair = Pair(forks=True)
+        pair.arm(None)
+        pair.do_durable("write", addr - 64,
+                        bytes(range(1, 256)) * (n // 255 + 2))
+        pair.do_durable("write", addr, b"\xa5" * n, nt=nt)
+        # Per store: on_persist (in flight), on_persist_done, the step.
+        assert (pair.forks_compared, pair.forks_in_flight) == (6, 2)
 
 
 @pytest.mark.parametrize("hook", ["on_write", "on_persist"])
