@@ -24,12 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dedup.fact import ENTRY
+from repro.dedup.fingerprint import CHUNK_SIZE
+from repro.nova.layout import PAGE_SIZE
 from repro.pm.latency import LatencyModel, OPTANE_DCPM
 
 __all__ = ["InlineModel", "fact_overhead", "nvdedup_metadata_overhead",
            "dram_index_overhead"]
 
 _LOOKUP_READS = 2  # average FACT reads per lookup (DAA hit + occasional hop)
+_T_A_NS = 700.0    # T_a: transaction bookkeeping (syscall etc.)
+_EQ1_MARGIN = 2.0  # Eq. 1 "T_w ≪ T_f" read as T_f > 2 T_w
+_DRAM_INDEX_ENTRY = 24  # bytes per block of NVDedup's DRAM index
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,6 @@ class InlineModel:
     """Eq. 1-5 evaluated over a device/CPU cost model."""
 
     model: LatencyModel = OPTANE_DCPM
-    chunk_size: int = 4096
-    t_a_ns: float = 700.0  # transaction bookkeeping (syscall etc.)
 
     # -- primitive times -------------------------------------------------------
 
@@ -48,41 +52,41 @@ class InlineModel:
 
     def t_f(self, nbytes: int) -> float:
         """Chunking + strong fingerprint + duplicate lookup (per Eq. T_f)."""
-        chunks = max(1, (nbytes + self.chunk_size - 1) // self.chunk_size)
+        chunks = max(1, (nbytes + CHUNK_SIZE - 1) // CHUNK_SIZE)
         per_chunk = (
-            self.model.read_cost(self.chunk_size)            # chunking read
-            + self.model.cpu.sha1_cost(self.chunk_size)      # fingerprint
+            self.model.read_cost(CHUNK_SIZE)                 # chunking read
+            + self.model.cpu.sha1_cost(CHUNK_SIZE)           # fingerprint
             + _LOOKUP_READS * self.model.read_cost(64)       # FACT lookup
         )
         return chunks * per_chunk
 
     def t_fw(self, nbytes: int) -> float:
         """The weak-fingerprint pipeline (Eq. 4's T_fw)."""
-        chunks = max(1, (nbytes + self.chunk_size - 1) // self.chunk_size)
-        per_chunk = (self.model.read_cost(self.chunk_size)
-                     + self.model.cpu.crc32_cost(self.chunk_size))
+        chunks = max(1, (nbytes + CHUNK_SIZE - 1) // CHUNK_SIZE)
+        per_chunk = (self.model.read_cost(CHUNK_SIZE)
+                     + self.model.cpu.crc32_cost(CHUNK_SIZE))
         return chunks * per_chunk
 
     # -- Eq. 1-5 ---------------------------------------------------------------------
 
-    def eq1_holds(self, nbytes: int, factor: float = 2.0) -> bool:
-        """Eq. 1: T_w ≪ T_f (with ``factor`` as the ≪ margin)."""
-        return self.t_f(nbytes) > factor * self.t_w(nbytes)
+    def eq1_holds(self, nbytes: int) -> bool:
+        """Eq. 1: T_w ≪ T_f (with a factor of 2 as the ≪ margin)."""
+        return self.t_f(nbytes) > _EQ1_MARGIN * self.t_w(nbytes)
 
     def baseline_write_time(self, nbytes: int) -> float:
         """Left side of Eq. 2: T_w + T_a."""
-        return self.t_w(nbytes) + self.t_a_ns
+        return self.t_w(nbytes) + _T_A_NS
 
     def inline_write_time(self, nbytes: int, alpha: float) -> float:
         """Right side of Eq. 2: T_f + (1-α)·T_w + T_a."""
         self._check_alpha(alpha)
-        return self.t_f(nbytes) + (1 - alpha) * self.t_w(nbytes) + self.t_a_ns
+        return self.t_f(nbytes) + (1 - alpha) * self.t_w(nbytes) + _T_A_NS
 
     def adaptive_write_time(self, nbytes: int, alpha: float) -> float:
         """Right side of Eq. 4 (worst case: every weak FP collides)."""
         self._check_alpha(alpha)
         return (self.t_fw(nbytes) + alpha * self.t_f(nbytes)
-                + (1 - alpha) * self.t_w(nbytes) + self.t_a_ns)
+                + (1 - alpha) * self.t_w(nbytes) + _T_A_NS)
 
     def eq3_holds(self, nbytes: int, alpha: float) -> bool:
         """Eq. 3: α·T_w < T_f — inline dedup strictly loses."""
@@ -109,30 +113,27 @@ class InlineModel:
 # ---------------------------------------------------------------- space overheads
 
 
-def fact_overhead(device_bytes: int, block_size: int = 4096,
-                  entry_bytes: int = 64) -> float:
+def fact_overhead(device_bytes: int) -> float:
     """§IV-C: FACT NVM footprint as a fraction of capacity (≈ 3.2 %).
 
     Two entries (DAA + IAA) per data block, 64 B each.
     """
-    blocks = device_bytes // block_size
-    return 2 * blocks * entry_bytes / device_bytes
+    blocks = device_bytes // PAGE_SIZE
+    return 2 * blocks * ENTRY / device_bytes
 
 
-def nvdedup_metadata_overhead(device_bytes: int, block_size: int = 4096,
-                              entry_bytes: int = 64) -> float:
-    """NVDedup's NVM metadata table: one entry per block (≈ 1.6 %);
+def nvdedup_metadata_overhead(device_bytes: int) -> float:
+    """NVDedup's NVM metadata table: one 64 B entry per block (≈ 1.6 %);
     FACT doubles it by pre-provisioning the IAA (§IV-C)."""
-    blocks = device_bytes // block_size
-    return blocks * entry_bytes / device_bytes
+    blocks = device_bytes // PAGE_SIZE
+    return blocks * ENTRY / device_bytes
 
 
-def dram_index_overhead(device_bytes: int, block_size: int = 4096,
-                        index_entry_bytes: int = 24) -> float:
+def dram_index_overhead(device_bytes: int) -> float:
     """§III: NVDedup's DRAM index ≈ 0.6 % of NVM capacity (24 B/block).
 
     The paper's example: a 1 TB device needs ~6 GB of DRAM just for the
     index — 18.75 % of a 32 GB server; DeNova's answer is 0 bytes.
     """
-    blocks = device_bytes // block_size
-    return blocks * index_entry_bytes / device_bytes
+    blocks = device_bytes // PAGE_SIZE
+    return blocks * _DRAM_INDEX_ENTRY / device_bytes

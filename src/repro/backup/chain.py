@@ -37,11 +37,12 @@ def _chain_path(name: str) -> str:
     return f"{REPL_DIR}/{name}.chain"
 
 
-def record_chain(fs, name: str, parent: Optional[str] = None,
-                 layout: str = LAYOUT_FORWARD) -> None:
-    """Record lineage for snapshot ``name`` (recv commit hook)."""
+def record_chain(fs, name: str, parent: Optional[str] = None) -> None:
+    """Record lineage for snapshot ``name`` (recv commit hook); a
+    received chain starts out forward."""
     persist.write_state(fs, _chain_path(name),
-                        {"parent": parent, "layout": layout}, mkparent=True)
+                        {"parent": parent, "layout": LAYOUT_FORWARD},
+                        mkparent=True)
 
 
 def chain_info(fs, name: str) -> Optional[dict]:

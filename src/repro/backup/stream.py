@@ -36,7 +36,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Optional
 
 __all__ = ["FORMAT", "STREAM_MAGIC", "REC_MAGIC", "END_MAGIC",
            "REC_HEADER_BYTES", "StreamError", "StreamIndex",
@@ -232,7 +232,3 @@ def read_record_at(fh: BinaryIO, fp_hex: str,
         raise StreamError(f"record at {off}: fingerprint mismatch")
     return data
 
-
-def iter_record_fps(manifest: dict) -> Iterator[str]:
-    """The deterministic record order: sorted novel fingerprints."""
-    return iter(manifest["novel"])

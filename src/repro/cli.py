@@ -408,9 +408,7 @@ def cmd_stats(args):
                          ["hybrid off-mode writes", hy["off_writes"]],
                          ["hybrid mode transitions", hy["transitions"]],
                          ["hybrid weak index size", hy["weak_registered"]]]
-        tenants = (fs.tenant_stats()
-                   if getattr(fs, "tenants", None) is not None
-                   and fs.tenants.enabled else {})
+        tenants = fs.tenant_stats() if fs.tenants.enabled else {}
     metrics = _sidecar(args.image, "metrics")   # history incl. this mount
 
     if args.json:
@@ -776,7 +774,7 @@ def _run_fleet_workload(fs, args) -> str:
 
 
 def _need_registry(fs) -> None:
-    if getattr(fs, "tenants", None) is None or fs.tenants.registry is None:
+    if fs.tenants.registry is None:
         raise CLIError("image has no tenant registry region (too small at "
                        "mkfs time)")
 

@@ -38,12 +38,10 @@ observable: ``conc.lock_wait_ns`` (lock wait-time histogram),
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from typing import Callable, Optional
 
 from repro.conc.lockorder import LockOrderValidator
 from repro.conc.sdwq import ShardedDWQ
-from repro.obs import MetricsRegistry
 from repro.pm.clock import FS_PER_NS, fs_of
 from repro.sim import Engine, Lock, Process, Resource, RWLock
 from repro.tenant.qos import UNTENANTED, TenantQoS
@@ -102,7 +100,7 @@ class ConcurrentVFS:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.fs = fs
-        self.eng = Engine(obs=getattr(fs, "obs", None))
+        self.eng = Engine(obs=fs.obs)
         self.base_fs = fs.clock.now_fs
         self.bw = Resource(self.eng, bw_slots)
         self.ns_lock = RWLock(self.eng,
@@ -131,7 +129,7 @@ class ConcurrentVFS:
         if hasattr(fs, "dwq"):
             nshards = shards if shards is not None else max(1, fs.cpus)
             sdwq = ShardedDWQ(fs.cpu_model, fs.clock, nshards,
-                              obs=getattr(fs, "obs", None),
+                              obs=fs.obs,
                               max_depth=max_shard_depth)
             sdwq.adopt(fs.dwq)
             fs.dwq = sdwq
@@ -147,35 +145,25 @@ class ConcurrentVFS:
             dwq_cap = None
             if self.sdwq is not None and self.sdwq.max_depth is not None:
                 dwq_cap = self.sdwq.nshards * self.sdwq.max_depth
-            self.qos = TenantQoS(self.eng, getattr(fs, "tenants", None),
+            self.qos = TenantQoS(self.eng, fs.tenants,
                                  bw_slots=bw_slots,
                                  dwq_capacity=dwq_cap,
                                  op_rate_per_s=qos_op_rate_per_s)
 
         # ---- contention metrics ----
-        obs = getattr(fs, "obs", None)
-        self._obs = obs
-        if obs is not None:
-            reg = obs.registry
-            self._h_lock_wait = reg.histogram(
-                "conc.lock_wait_ns", buckets=WAIT_BUCKETS_NS,
-                help="simulated ns spent waiting on hierarchy locks")
-            self._c_stalls = reg.counter(
-                "conc.stalls_total",
-                help="writer stalls on a full DWQ shard (backpressure)")
-            self._h_stall = reg.histogram(
-                "conc.stall_ns", buckets=WAIT_BUCKETS_NS,
-                help="simulated ns writers spent stalled on admission")
-            reg.gauge_fn("conc.live_clients", lambda: self.live_clients,
-                         help="client processes currently running")
-        else:
-            reg = MetricsRegistry()
-            self._h_lock_wait = reg.histogram("conc.lock_wait_ns",
-                                              buckets=WAIT_BUCKETS_NS)
-            self._c_stalls = reg.counter("conc.stalls_total")
-            self._h_stall = reg.histogram("conc.stall_ns",
-                                          buckets=WAIT_BUCKETS_NS)
-        self._registry = reg
+        self._obs = fs.obs
+        self._registry = reg = fs.obs.registry
+        self._h_lock_wait = reg.histogram(
+            "conc.lock_wait_ns", buckets=WAIT_BUCKETS_NS,
+            help="simulated ns spent waiting on hierarchy locks")
+        self._c_stalls = reg.counter(
+            "conc.stalls_total",
+            help="writer stalls on a full DWQ shard (backpressure)")
+        self._h_stall = reg.histogram(
+            "conc.stall_ns", buckets=WAIT_BUCKETS_NS,
+            help="simulated ns writers spent stalled on admission")
+        reg.gauge_fn("conc.live_clients", lambda: self.live_clients,
+                     help="client processes currently running")
 
     # ------------------------------------------------------------ plumbing
 
@@ -214,7 +202,7 @@ class ConcurrentVFS:
         table + directory log, so the tax moves to the destage worker
         (which pays it in the background, where the persistent
         namespace update actually happens)."""
-        if getattr(self.fs, "staging_enabled", False):
+        if self.fs.staging_enabled:
             return 0.0
         return self.coherence_tax_ns()
 
@@ -290,9 +278,7 @@ class ConcurrentVFS:
                 # attributed to this holder's Perfetto lane; fn runs
                 # without engine yields, so the track context cannot
                 # leak into another simulated thread.
-                track = (obs.tracer.use_track(holder) if obs is not None
-                         else nullcontext())
-                with clock.capture() as cap, track:
+                with clock.capture() as cap, obs.tracer.use_track(holder):
                     result = fn()
                 # extra_ns may be a callable so costs that depend on the
                 # *current* schedule state (e.g. the live-client coherence
@@ -308,12 +294,7 @@ class ConcurrentVFS:
                     if qos is not None:
                         qos.gate.release()
         finally:
-            for name, lock, mode in reversed(held):
-                if mode is None:
-                    lock.release()
-                else:
-                    lock.release(mode)
-                self.validator.released(holder, name)
+            self._release(holder, held)
         if record is not None:
             record.observe(eng.now - t_op)
         return result, cost_fs / FS_PER_NS
@@ -327,9 +308,17 @@ class ConcurrentVFS:
         yield lock.acquire() if mode is None else lock.acquire(mode)
         held.append((name, lock, mode))
         self._h_lock_wait.observe(eng.now - t0)
-        if self._obs is not None:
-            self._obs.flight.record("lock", name=name, holder=holder,
-                                    wait_ns=eng.now - t0)
+        self._obs.flight.record("lock", name=name, holder=holder,
+                                wait_ns=eng.now - t0)
+
+    def _release(self, holder: str, held: list) -> None:
+        """Release what :meth:`_take` noted in ``held``, newest first."""
+        for name, lock, mode in reversed(held):
+            if mode is None:
+                lock.release()
+            else:
+                lock.release(mode)
+            self.validator.released(holder, name)
 
     # ----------------------------------------------------- admission control
 
@@ -472,7 +461,7 @@ class ConcurrentVFS:
         self._stop = self._stop_destage = False
         workers = self._start_workers(dd) if dd.kind != "none" else []
         destagers = (self._start_destage_workers(destage_workers)
-                     if getattr(self.fs, "staging_enabled", False) else [])
+                     if self.fs.staging_enabled else [])
         if watchdog is not None:
             eng.process(watchdog.run(eng, base_ns=self.base_fs / FS_PER_NS),
                         name="slo-watchdog")
@@ -671,15 +660,11 @@ class ConcurrentVFS:
         fs = self.fs
         daemon = fs.daemon
         busy = 0.0
-        eng = self.eng
         start_ns = self.now_ns
-        ino = node.ino if node.ino in fs.caches else None
-        if ino is not None:
-            lock, name = self._lock(self._ino_locks, ino, "ino", RWLock)
-            self.validator.acquiring(holder, name)
-            t0 = eng.now
-            yield lock.acquire_write()
-            self._h_lock_wait.observe(eng.now - t0)
+        held: list = []
+        if node.ino in fs.caches:
+            lock, name = self._lock(self._ino_locks, node.ino, "ino", RWLock)
+            yield from self._take(holder, name, lock, "w", held)
         try:
             task, cost = yield from self.op(
                 lambda: daemon.validate_node(node), holder, use_bw=False)
@@ -703,18 +688,14 @@ class ConcurrentVFS:
                     lambda: daemon.commit_node(task), holder, use_bw=False)
                 busy += cost
         finally:
-            if ino is not None:
-                lock.release_write()
-                self.validator.released(holder, name)
+            self._release(holder, held)
             # Externally-timed span: the stages above interleave with
             # other simulated threads across engine yields, so a
             # context-manager span would corrupt the tracer stack and
             # absorb other actors' charges.  Duration is this node's
             # accumulated busy ns; the trace id is the one stamped on
             # the node by the enqueuing write (0 → fresh trace).
-            if self._obs is not None:
-                self._obs.emit_span(
-                    "dedup.process_node", start_ns, busy,
-                    trace_id=node.trace_id or None, track=holder,
-                    ino=node.ino)
+            self._obs.emit_span(
+                "dedup.process_node", start_ns, busy,
+                trace_id=node.trace_id or None, track=holder, ino=node.ino)
         return busy

@@ -20,7 +20,7 @@ workload runner.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.dedup.denova import DeNovaFS
@@ -87,9 +87,9 @@ class Config:
     track_wear: bool = False
     # Front-tier staging log (repro.nova.staging).  The region is always
     # carved (staging_pages > 0 and the device is big enough); absorbing
-    # small sync writes is opt-in so baselines are unchanged.
+    # small sync writes (up to a page) is opt-in so baselines are
+    # unchanged.
     staging: bool = False
-    staging_threshold: int = PAGE_SIZE
     staging_pages: int = 64
 
     @classmethod
@@ -125,7 +125,7 @@ def make_fs(variant: Variant, cfg: Config = Config(),
         fs = cls.mkfs(dev, max_inodes=cfg.max_inodes, cpus=cfg.cpus,
                       staging_pages=cfg.staging_pages)
     if cfg.staging:
-        fs.enable_staging(cfg.staging_threshold)
+        fs.enable_staging()
     if variant is Variant.IMMEDIATE:
         dd = DDMode.immediate()
     elif variant in (Variant.DELAYED, Variant.HYBRID):

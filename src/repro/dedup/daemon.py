@@ -108,8 +108,12 @@ class DedupDaemon:
     patterns over the same :meth:`process_one`.
     """
 
-    def __init__(self, fs, reorder_min_steps: int = 3,
-                 reorder_min_rfc: int = 2, reorder_enabled: bool = True):
+    #: §IV-E trigger: a lookup longer than this many NVM reads ...
+    reorder_min_steps = 3
+    #: ... for an entry with at least this RFC queues its chain.
+    reorder_min_rfc = 2
+
+    def __init__(self, fs):
         self.fs = fs
         reg = fs.obs.registry
         self._c_nodes = reg.counter("daemon.nodes_processed_total")
@@ -121,9 +125,6 @@ class DedupDaemon:
         self._c_reclaimed = reg.counter("daemon.pages_reclaimed_total")
         self._c_fact_full = reg.counter("daemon.fact_full_events_total")
         self._c_reorders = reg.counter("daemon.reorders_total")
-        self.reorder_min_steps = reorder_min_steps
-        self.reorder_min_rfc = reorder_min_rfc
-        self.reorder_enabled = reorder_enabled
 
     # -- drive patterns ------------------------------------------------------
 
@@ -237,7 +238,7 @@ class DedupDaemon:
         fact = self.fs.fact
         res = fact.lookup(fp)
         found = res.found
-        if (self.reorder_enabled and found is not None
+        if (found is not None
                 and res.steps > self.reorder_min_steps
                 and found.refcount >= self.reorder_min_rfc):
             task.reorder_heads.add(fact.head_of(fp))

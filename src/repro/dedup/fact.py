@@ -579,10 +579,9 @@ class FACT:
         ]
         return len(self._iaa_free)
 
-    def live_entries(self, silent: bool = True) -> dict[int, FactEntry]:
+    def live_entries(self) -> dict[int, FactEntry]:
         """Decoded view of every valid slot (invariant checks, reports)."""
-        read = self.dev.read_silent if silent else self.dev.read
-        raw = read(self.base, self.total * ENTRY)
+        raw = self.dev.read_silent(self.base, self.total * ENTRY)
         arr = np.frombuffer(raw, dtype=_SCAN_DTYPE)
         out = {}
         for idx in np.nonzero(arr["block"])[0]:

@@ -27,18 +27,17 @@ CHUNK_SIZE = 4096
 FP_BYTES = 20  # SHA-1
 
 
-def chunk_pages(data: bytes, chunk_size: int = CHUNK_SIZE
-                ) -> Iterator[bytes]:
+def chunk_pages(data: bytes) -> Iterator[bytes]:
     """Split ``data`` into fixed-size chunks (last one zero-padded).
 
     DeNova always dedups whole data pages, so in the filesystem path the
     input length is already a page multiple; the padding branch serves
     the standalone/benchmark uses.
     """
-    for off in range(0, len(data), chunk_size):
-        piece = data[off:off + chunk_size]
-        if len(piece) < chunk_size:
-            piece = piece + bytes(chunk_size - len(piece))
+    for off in range(0, len(data), CHUNK_SIZE):
+        piece = data[off:off + CHUNK_SIZE]
+        if len(piece) < CHUNK_SIZE:
+            piece = piece + bytes(CHUNK_SIZE - len(piece))
         yield piece
 
 

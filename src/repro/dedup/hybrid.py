@@ -326,8 +326,7 @@ class HybridDeNovaFS(DeNovaFS):
 
     variant_name = "DeNova-Hybrid"
 
-    def __init__(self, dev, geo, cpus: int = 1,
-                 policy: Optional[HybridPolicy] = None):
+    def __init__(self, dev, geo, cpus: int = 1):
         super().__init__(dev, geo, cpus)
         self.daemon = HybridDedupDaemon(self)
         # weak value -> live blocks in registration order (first block
@@ -345,7 +344,7 @@ class HybridDeNovaFS(DeNovaFS):
             # an all-zero modes word = all-delayed (stock behaviour).
             nshards = min(cpus, MAX_POLICY_SHARDS)
             modes_word = 0 if not conf else self.sb.hybrid_modes
-        self.policy = policy or HybridPolicy()
+        self.policy = HybridPolicy()
         self.controller = HybridController(
             max(1, nshards), self.policy, modes_word=modes_word,
             on_transition=self._on_mode_transition)

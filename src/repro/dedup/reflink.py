@@ -54,7 +54,7 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
     src_cache = fs.caches[src_ino]
     if src_cache.inode.itype != ITYPE_FILE:
         raise IsADirectory(src)
-    staging = getattr(fs, "staging", None)
+    staging = fs.staging
     if staging is not None and staging.has_pending(src_ino):
         # Reflink reads the source through its radix index; staged but
         # undestaged records must land there first.

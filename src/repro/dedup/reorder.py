@@ -34,9 +34,9 @@ __all__ = ["reorder_chain", "recover_reorder", "recover_reorders",
            "chain_order"]
 
 
-def chain_order(fact: FACT, head_idx: int, silent: bool = True) -> list[int]:
+def chain_order(fact: FACT, head_idx: int) -> list[int]:
     """Current chain as a list of slot indexes (head first)."""
-    return [ent.idx for ent in fact.chain(head_idx, silent=silent)]
+    return [ent.idx for ent in fact.chain(head_idx, silent=True)]
 
 
 def reorder_chain(fact: FACT, head_idx: int) -> bool:

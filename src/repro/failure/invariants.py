@@ -50,7 +50,7 @@ def _fail(msg: str) -> None:
     raise InvariantViolation(msg)
 
 
-def check_fs_invariants(fs, check_dedup: bool = True) -> dict:
+def check_fs_invariants(fs) -> dict:
     """Run every applicable invariant on a mounted filesystem.
 
     Returns a small report dict (page reference counts etc.) so tests can
@@ -59,18 +59,16 @@ def check_fs_invariants(fs, check_dedup: bool = True) -> dict:
     the crash report carries the recent event history.
     """
     try:
-        return _check_fs_invariants(fs, check_dedup)
+        return _check_fs_invariants(fs)
     except InvariantViolation as exc:
-        obs = getattr(fs, "obs", None)
-        if obs is not None:
-            obs.flight.record("invariant", message=str(exc))
-            # Stashed on the exception so fuzz reports can persist the
-            # history even when the fs instance is out of scope.
-            exc.flight_dump = obs.flight.dump(reason="invariant")
+        fs.obs.flight.record("invariant", message=str(exc))
+        # Stashed on the exception so fuzz reports can persist the
+        # history even when the fs instance is out of scope.
+        exc.flight_dump = fs.obs.flight.dump(reason="invariant")
         raise
 
 
-def _check_fs_invariants(fs, check_dedup: bool = True) -> dict:
+def _check_fs_invariants(fs) -> dict:
     refs = page_refs(fs)
     log_pages: set[int] = set()
 
@@ -124,7 +122,7 @@ def _check_fs_invariants(fs, check_dedup: bool = True) -> dict:
     report["valid_inode_records"] = _check_itable(fs)
 
     fact = getattr(fs, "fact", None)
-    if check_dedup and fact is not None:
+    if fact is not None:
         report["fact"] = _check_fact(fs, fact, refs)
     return report
 

@@ -50,7 +50,7 @@ from repro.fuzz.pipeline import (
     run_repl_case,
 )
 from repro.fuzz.runner import CampaignResult, Failure, FuzzRunner
-from repro.fuzz.shrink import shrink, shrink_case
+from repro.fuzz.shrink import shrink
 
 __all__ = [
     "ModelFS", "ModelError",
@@ -58,7 +58,7 @@ __all__ = [
     "apply_to_model", "model_after",
     "FuzzConfig", "CaseResult", "Violation", "OracleDivergence",
     "apply_op", "run_case", "fs_namespace", "Scenario", "sweep_case",
-    "shrink", "shrink_case",
+    "shrink",
     "FuzzRunner", "CampaignResult", "Failure",
     "backup_gen_config", "run_backup_case",
     "repl_gen_config", "run_repl_case",

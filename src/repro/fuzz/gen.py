@@ -37,19 +37,21 @@ __all__ = ["GenConfig", "SequenceGenerator", "generate_sequence",
            "generate_concurrent_sequence", "generate_tenant_sequence"]
 
 
+DIR_NAMES = 5             # pool of directory names
+SNAP_NAMES = 3            # pool of snapshot names
+MAX_WRITE_PAGES = 4       # pages per write op
+MAX_FILE_PAGES = 10       # truncate/extend ceiling per file
+INVALID_RATE = 0.04       # deliberately-invalid op fraction
+
+
 @dataclass
 class GenConfig:
     """Knobs of one generated sequence (not of the whole campaign)."""
 
     alpha: float = 0.55            # duplicate-page ratio of payloads
-    dir_names: int = 5             # pool of directory names
     file_names: int = 16           # pool of leaf names
-    snap_names: int = 3            # pool of snapshot names
-    max_write_pages: int = 4       # pages per write op
-    max_file_pages: int = 10       # truncate/extend ceiling per file
     max_data_pages: int = 224      # cumulative payload budget (pages)
     max_nodes: int = 120           # model-node ceiling (inode pressure)
-    invalid_rate: float = 0.04     # deliberately-invalid op fraction
     #: op -> relative weight; ops must match TraceOp kinds.
     weights: dict = field(default_factory=lambda: {
         "write": 26, "read": 10, "truncate": 6, "create": 9, "mkdir": 4,
@@ -79,12 +81,11 @@ class SequenceGenerator:
     # ------------------------------------------------------------ helpers
 
     def _name(self, kind: str) -> str:
-        c = self.cfg
         if kind == "dir":
-            return f"d{self.rng.randrange(c.dir_names)}"
+            return f"d{self.rng.randrange(DIR_NAMES)}"
         if kind == "snap":
-            return f"snap{self.rng.randrange(c.snap_names)}"
-        return f"f{self.rng.randrange(c.file_names)}"
+            return f"snap{self.rng.randrange(SNAP_NAMES)}"
+        return f"f{self.rng.randrange(self.cfg.file_names)}"
 
     def _some_dir(self) -> str:
         dirs = [d for d in self.model.dir_paths()
@@ -125,10 +126,10 @@ class SequenceGenerator:
         if path is None:
             return None
         size = self.model.size_of(path)
-        npages = self.rng.randint(1, self.cfg.max_write_pages)
+        npages = self.rng.randint(1, MAX_WRITE_PAGES)
         partial = self.rng.random() < 0.3
         data = self._payload(npages, partial)
-        max_off = min(size, (self.cfg.max_file_pages - npages) * PAGE_SIZE)
+        max_off = min(size, (MAX_FILE_PAGES - npages) * PAGE_SIZE)
         max_off = max(max_off, 0)
         offset = self.rng.randrange(0, max_off + 1)
         if self.rng.random() < 0.7:
@@ -154,7 +155,7 @@ class SequenceGenerator:
         path = self._live_file()
         if path is None:
             return None
-        size = self.rng.randrange(0, self.cfg.max_file_pages * PAGE_SIZE)
+        size = self.rng.randrange(0, MAX_FILE_PAGES * PAGE_SIZE)
         return TraceOp(op="truncate", path=path, length=size)
 
     def _gen_create(self) -> Optional[TraceOp]:
@@ -311,7 +312,7 @@ class SequenceGenerator:
             "restore": self._gen_restore,
         }
         while len(ops) < nops:
-            if self.rng.random() < cfg.invalid_rate:
+            if self.rng.random() < INVALID_RATE:
                 op = self._gen_invalid()
                 if op is not None and not self._model_accepts(op):
                     ops.append(op)
@@ -453,7 +454,7 @@ def _client_cfg(cfg: GenConfig, clients: int) -> GenConfig:
                if k not in ("snapshot", "snap_delete")}
     return replace(
         cfg, weights=weights,
-        max_data_pages=max(cfg.max_write_pages, cfg.max_data_pages // clients),
+        max_data_pages=max(MAX_WRITE_PAGES, cfg.max_data_pages // clients),
         max_nodes=max(8, cfg.max_nodes // clients))
 
 

@@ -481,10 +481,8 @@ class ModelFS:
         walk("", ROOT_ID)
         return out
 
-    def count_nodes(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return len(self.nodes)
-        return sum(1 for n in self.nodes.values() if n.kind == kind)
+    def count_nodes(self) -> int:
+        return len(self.nodes)
 
     def file_paths(self) -> list[str]:
         return sorted(p for p, d in self.namespace().items()

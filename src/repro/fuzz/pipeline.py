@@ -282,11 +282,11 @@ def run_pipeline_case(cfg: FuzzConfig | None, names: tuple,
                       result)
 
 
-def run_backup_case(cfg=None, name: str = "fz") -> CaseResult:
+def run_backup_case(cfg=None) -> CaseResult:
     """Backup ingest: one full stream, no relocation."""
-    return run_pipeline_case(cfg, (name,), relocate=False)
+    return run_pipeline_case(cfg, ("fz",), relocate=False)
 
 
-def run_repl_case(cfg=None, names=("fz1", "fz2")) -> CaseResult:
+def run_repl_case(cfg=None) -> CaseResult:
     """Replication: full + incremental stream, relocate, restore."""
-    return run_pipeline_case(cfg, tuple(names), relocate=True)
+    return run_pipeline_case(cfg, ("fz1", "fz2"), relocate=True)

@@ -63,12 +63,11 @@ class FuzzRunner:
 
     def __init__(self, cfg: Optional[FuzzConfig] = None,
                  gen_cfg: Optional[GenConfig] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  shrink_failures: bool = True,
                  log=None):
         self.cfg = cfg or FuzzConfig()
         self.gen_cfg = gen_cfg or GenConfig(alpha=self.cfg.alpha)
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.shrink_failures = shrink_failures
         self.log = log or (lambda msg: None)
 

@@ -6,27 +6,27 @@ shrinker runs classic ddmin: try dropping ever-smaller chunks of the
 sequence, keeping any reduction that still fails, then finish with a
 one-op-at-a-time sweep until a fixed point.
 
-The failure predicate re-runs the *whole* differential case (clean pass
-plus crash sweeps) on each candidate, so shrinking is deterministic:
-candidate sequences are judged by exactly the machinery that found the
-original failure.  Minimized sequences serialize through
+The runner's failure predicate re-runs the *whole* differential case
+(clean pass plus crash sweeps) on each candidate, so shrinking is
+deterministic: candidate sequences are judged by exactly the machinery
+that found the original failure.  Minimized sequences serialize through
 :class:`repro.workloads.trace.Trace` and replay as standalone
 regression tests.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.fuzz.diff import FuzzConfig, run_case
-from repro.workloads.trace import Trace, TraceOp
+from repro.workloads.trace import TraceOp
 
-__all__ = ["shrink", "shrink_case"]
+__all__ = ["shrink"]
+
+MAX_ROUNDS = 200   # candidate replays one shrink may spend
 
 
 def shrink(ops: list[TraceOp],
-           is_failing: Callable[[list[TraceOp]], bool],
-           max_rounds: int = 200) -> list[TraceOp]:
+           is_failing: Callable[[list[TraceOp]], bool]) -> list[TraceOp]:
     """Minimize ``ops`` while ``is_failing`` stays true.
 
     ``is_failing(ops)`` must be deterministic and must hold for the
@@ -40,10 +40,10 @@ def shrink(ops: list[TraceOp],
 
     # Phase 1: chunked removal, halving granularity (ddmin).
     chunk = max(1, len(current) // 2)
-    while chunk >= 1 and rounds < max_rounds:
+    while chunk >= 1 and rounds < MAX_ROUNDS:
         i = 0
         removed_any = False
-        while i < len(current) and rounds < max_rounds:
+        while i < len(current) and rounds < MAX_ROUNDS:
             candidate = current[:i] + current[i + chunk:]
             if not candidate:
                 i += chunk
@@ -60,24 +60,3 @@ def shrink(ops: list[TraceOp],
         elif not removed_any:
             break
     return current
-
-
-def shrink_case(ops: list[TraceOp], cfg=None,
-                max_rounds: int = 200,
-                out_path: Optional[str] = None) -> list[TraceOp]:
-    """Shrink against the standard differential case; optionally save.
-
-    Convenience wrapper used by the runner and the CLI: the predicate is
-    "``run_case`` reports at least one violation" under the campaign's
-    own config (same crash budget, same seed), and the minimized
-    sequence is written as a JSON-lines trace when ``out_path`` is set.
-    """
-    cfg = cfg or FuzzConfig()
-
-    def failing(candidate: list[TraceOp]) -> bool:
-        return not run_case(candidate, cfg).ok
-
-    reduced = shrink(ops, failing, max_rounds=max_rounds)
-    if out_path is not None:
-        Trace(ops=list(reduced)).save(out_path)
-    return reduced

@@ -151,7 +151,6 @@ class NovaFS:
         # happens regardless — durability is not opt-in.
         self.staging = StagingLog(self) if geo.staging_pages else None
         self.staging_enabled = False
-        self.staging_threshold = PAGE_SIZE
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -251,17 +250,12 @@ class NovaFS:
 
     # ------------------------------------------------------------------ staging
 
-    def enable_staging(self, threshold: int = PAGE_SIZE) -> None:
-        """Absorb sync writes of <= ``threshold`` bytes into the staging
-        log (one fence on the critical path; background destage)."""
+    def enable_staging(self) -> None:
+        """Absorb sync writes of at most a page into the staging log (one
+        fence on the critical path; background destage)."""
         if self.staging is None:
             raise FSError("image has no staging region (device too small "
                           "or formatted with staging_pages=0)")
-        if threshold < 1 or threshold > self.staging.max_payload:
-            raise ValueError(
-                f"staging threshold must be in [1, "
-                f"{self.staging.max_payload}], got {threshold}")
-        self.staging_threshold = int(threshold)
         self.staging_enabled = True
 
     def disable_staging(self) -> None:
@@ -829,7 +823,7 @@ class NovaFS:
         if st is None or st.active:
             return False
         if (self.staging_enabled
-                and len(data) <= self.staging_threshold
+                and len(data) <= PAGE_SIZE
                 and st.try_stage(ino, offset, data)):
             return True
         if st.has_pending(ino):

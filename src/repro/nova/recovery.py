@@ -112,8 +112,8 @@ class CacheMap(dict):
             return default
         return self._hydrate(cache)
 
-    def raw_get(self, ino, default=None):
-        return super().get(ino, default)
+    def raw_get(self, ino):
+        return super().get(ino)
 
     def raw_items(self):
         return super().items()

@@ -29,8 +29,8 @@ def escape_help(s: str) -> str:
     return s.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _prom_name(name: str, prefix: str) -> str:
-    return f"{prefix}_{name.replace('.', '_')}"
+def _prom_name(name: str) -> str:
+    return f"repro_{name.replace('.', '_')}"
 
 
 def _families(section: dict) -> list[tuple[str, list[tuple[str, object]]]]:
@@ -59,26 +59,26 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def to_prometheus(snapshot: dict, prefix: str = "repro") -> str:
+def to_prometheus(snapshot: dict) -> str:
     """Render a snapshot in the Prometheus text exposition format."""
     lines: list[str] = []
 
     for name, series in _families(snapshot.get("counters", {})):
-        pname = _prom_name(name, prefix)
+        pname = _prom_name(name)
         lines.append(f"# HELP {pname} {escape_help(name)}")
         lines.append(f"# TYPE {pname} counter")
         for suffix, value in series:
             lines.append(f"{pname}{suffix} {_fmt(value)}")
 
     for name, series in _families(snapshot.get("gauges", {})):
-        pname = _prom_name(name, prefix)
+        pname = _prom_name(name)
         lines.append(f"# HELP {pname} {escape_help(name)}")
         lines.append(f"# TYPE {pname} gauge")
         for suffix, value in series:
             lines.append(f"{pname}{suffix} {_fmt(value)}")
 
     for name, series in _families(snapshot.get("histograms", {})):
-        pname = _prom_name(name, prefix)
+        pname = _prom_name(name)
         lines.append(f"# HELP {pname} {escape_help(name)}")
         lines.append(f"# TYPE {pname} histogram")
         for suffix, h in series:

@@ -49,8 +49,14 @@ __all__ = ["FlightRecorder", "SLORule", "SLOWatchdog", "load_rules",
 
 
 class _NullClock:
+    """Fallback when no simulated clock is wired: durations read as 0."""
+
     __slots__ = ()
     now_ns = 0.0
+    charged_fs = 0
+
+
+_NULL_CLOCK = _NullClock()
 
 
 class FlightRecorder:
@@ -67,7 +73,7 @@ class FlightRecorder:
     def __init__(self, clock=None, capacity: int = 512):
         if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
-        self.clock = clock if clock is not None else _NullClock()
+        self.clock = clock if clock is not None else _NULL_CLOCK
         self.capacity = capacity
         self.events: deque[dict] = deque(maxlen=capacity)
         self.total = 0

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 from repro.pm.clock import FS_PER_NS
 
 from .registry import DEFAULT_LATENCY_BUCKETS_NS, Histogram, MetricsRegistry
-from .slo import FlightRecorder
+from .slo import _NULL_CLOCK, FlightRecorder
 
 __all__ = ["SpanEvent", "Tracer", "ObsHub"]
 
@@ -53,29 +53,6 @@ class SpanEvent(NamedTuple):
     attrs: tuple           # sorted (key, value) pairs
     trace_id: int = 0      # causal root (0 = unattributed)
     track: str = "main"    # simulated actor that recorded the span
-
-    def as_dict(self) -> dict:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "duration_ns": self.duration_ns,
-            "attrs": dict(self.attrs),
-            "trace_id": self.trace_id,
-            "track": self.track,
-        }
-
-
-class _NullClock:
-    """Fallback when no simulated clock is wired: durations read as 0."""
-
-    __slots__ = ()
-    now_ns = 0.0
-    charged_fs = 0
-
-
-_NULL_CLOCK = _NullClock()
 
 
 class _Span:
@@ -264,12 +241,10 @@ class ObsHub:
     alert can be dumped with its recent history attached.
     """
 
-    def __init__(self, clock=None, trace_capacity: int = 4096,
-                 flight_capacity: int = 512):
+    def __init__(self, clock=None, trace_capacity: int = 4096):
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=clock, capacity=trace_capacity)
-        self.flight = FlightRecorder(clock=self.tracer.clock,
-                                     capacity=flight_capacity)
+        self.flight = FlightRecorder(clock=self.tracer.clock)
         self.tracer.flight = self.flight
         self._span_hists: dict[str, Histogram] = {}
 

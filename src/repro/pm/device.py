@@ -777,8 +777,8 @@ class PMDevice:
             words[lines] = volatile
 
     @classmethod
-    def load_image(cls, path, clock: Optional[SimClock] = None,
-                   track_wear: bool = False) -> "PMDevice":
+    def load_image(cls, path, clock: Optional[SimClock] = None
+                   ) -> "PMDevice":
         """Reopen a device image saved with :meth:`save_image`."""
         with open(path, "rb") as fh:
             if fh.read(8) != cls._IMAGE_MAGIC:
@@ -795,8 +795,7 @@ class PMDevice:
             if model is None:
                 raise ValueError(f"{path}: unknown device model "
                                  f"{model_name!r}")
-            dev = cls(size, model=model, clock=clock,
-                      track_wear=track_wear)
+            dev = cls(size, model=model, clock=clock)
             try:
                 # Noted before the first byte lands: close() must clear a
                 # half-read image too.

@@ -17,7 +17,6 @@ and what the equivalence tests compare against ``fs.read``.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
@@ -54,14 +53,11 @@ def _restore_file(fs, path: str) -> tuple[str, int, int]:
     return h.hexdigest(), size, requests
 
 
-def restore_snapshot(fs, name: str,
-                     sink: Optional[Callable[[str, str, int], None]] = None
-                     ) -> dict:
+def restore_snapshot(fs, name: str) -> dict:
     """Digest-restore snapshot ``name``; one device request per run.
 
-    ``sink(relpath, sha256, size)`` is called per file when given; the
-    manifest is returned either way.  Timing comes off the DES clock, so
-    the reported wall time reflects the modeled request/bandwidth costs.
+    Timing comes off the DES clock, so the reported wall time reflects
+    the modeled request/bandwidth costs.
     """
     root = f"{SNAPSHOT_DIR}/{name}"
     fs.lookup(root, follow=False)  # FSError if absent
@@ -83,8 +79,6 @@ def restore_snapshot(fs, name: str,
                 stats["files"] += 1
                 stats["bytes"] += size
                 stats["requests"] += requests
-                if sink is not None:
-                    sink(crel, digest, size)
 
     with fs.obs.span("repl.restore", snapshot=name):
         walk(root, "")
@@ -96,13 +90,13 @@ def restore_snapshot(fs, name: str,
             "throughput_gbps": gbps, **stats}
 
 
-def restore_latest(fs, sink=None) -> dict:
+def restore_latest(fs) -> dict:
     """Restore the chain's newest snapshot (the production target)."""
     name = latest_snapshot(fs)
     if name is None:
         return {"snapshot": None, "manifest": {}, "files": 0, "bytes": 0,
                 "requests": 0, "elapsed_ns": 0, "throughput_gbps": 0.0}
-    return restore_snapshot(fs, name, sink=sink)
+    return restore_snapshot(fs, name)
 
 
 DeNovaFS.layer_counters += ("repl.restore_runs_total",

@@ -135,17 +135,15 @@ class Engine:
         """A manually-triggered event (condition-variable style)."""
         return Event(self, name)
 
-    def timeout(self, delay: float, value: Any = None, name: str = "") -> Event:
+    def timeout(self, delay: float) -> Event:
         """An event that fires ``delay`` nanoseconds from now."""
-        return self.timeout_fs(fs_of(delay), value, name)
+        return self.timeout_fs(fs_of(delay))
 
-    def timeout_fs(self, delay_fs: int, value: Any = None,
-                   name: str = "") -> Event:
+    def timeout_fs(self, delay_fs: int) -> Event:
         """An event that fires ``delay_fs`` femtoseconds from now."""
         if delay_fs < 0:
             raise ValueError(f"negative delay {delay_fs} fs")
-        ev = Event(self, name)
-        ev.value = value
+        ev = Event(self)
         self._seq += 1
         heappush(self._heap, (self.now_fs + delay_fs, self._seq, ev))
         return ev
@@ -155,10 +153,10 @@ class Engine:
         self.processes_started += 1
         return Process(self, gen, name)
 
-    def all_of(self, events: Iterable[Event], name: str = "all_of") -> Event:
+    def all_of(self, events: Iterable[Event]) -> Event:
         """An event that fires once every given event has fired."""
         events = list(events)
-        done = self.event(name)
+        done = self.event("all_of")
         remaining = [len(events)]
         if not events:
             done.succeed([])

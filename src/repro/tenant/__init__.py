@@ -16,13 +16,13 @@ See ``docs/TENANCY.md``.
 """
 
 from .errors import QuotaExceeded
-from .manager import TENANT_ROOT, TenantManager, tenant_of_path
+from .manager import TENANT_ROOT, TenantManager
 from .qos import DRRGate, TenantQoS, TokenBucket
 from .registry import MAX_TENANT_NAME, TenantInfo, TenantRegistry
 
 __all__ = [
     "QuotaExceeded",
     "TenantInfo", "TenantRegistry", "MAX_TENANT_NAME",
-    "TenantManager", "TENANT_ROOT", "tenant_of_path",
+    "TenantManager", "TENANT_ROOT",
     "TenantQoS", "DRRGate", "TokenBucket",
 ]

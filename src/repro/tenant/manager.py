@@ -30,17 +30,9 @@ from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
 from repro.tenant.errors import QuotaExceeded
 from repro.tenant.registry import TenantInfo, TenantRegistry
 
-__all__ = ["TenantManager", "TENANT_ROOT", "tenant_of_path"]
+__all__ = ["TenantManager", "TENANT_ROOT"]
 
 TENANT_ROOT = "/t"
-
-
-def tenant_of_path(path: str) -> Optional[str]:
-    """The tenant name a path belongs to, or None outside ``/t``."""
-    parts = [p for p in path.split("/") if p]
-    if len(parts) >= 2 and parts[0] == TENANT_ROOT.strip("/"):
-        return parts[1]
-    return None
 
 
 class TenantManager:

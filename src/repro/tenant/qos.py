@@ -6,9 +6,9 @@ schedule-permutation determinism test depends on it):
 
 * :class:`DRRGate` — a deficit-round-robin scheduler in front of the
   bandwidth slots.  Capacity equals the slot count, per-tenant FIFO
-  queues, deficits refilled ``quantum × weight`` per round in sorted
-  tenant-id order, so the grant sequence depends only on what is queued,
-  not on which waiter happened to arrive first within a round.
+  queues, each deficit refilled by the tenant's weight per round in
+  sorted tenant-id order, so the grant sequence depends only on what is
+  queued, not on which waiter happened to arrive first within a round.
 * :class:`TokenBucket` — GCRA-style op-rate throttling on simulated
   time.  A reservation may drive the bucket negative; later arrivals
   inherit the debt, which serializes a burst into the configured rate
@@ -67,13 +67,12 @@ class DRRGate:
     """Deficit-round-robin admission over a fixed concurrency capacity."""
 
     def __init__(self, eng, capacity: int,
-                 weight_of: Callable[[int], int], quantum: float = 1.0):
+                 weight_of: Callable[[int], int]):
         if capacity < 1:
             raise ValueError("gate capacity must be >= 1")
         self.eng = eng
         self.capacity = capacity
         self.weight_of = weight_of
-        self.quantum = quantum
         self.in_flight = 0
         self.queues: dict[int, deque] = {}
         self.deficit: dict[int, float] = {}
@@ -117,8 +116,7 @@ class DRRGate:
                 if not q:
                     continue
                 self.deficit[tid] = (self.deficit.get(tid, 0.0)
-                                     + self.quantum
-                                     * max(1, self.weight_of(tid)))
+                                     + max(1, self.weight_of(tid)))
                 while (q and self.deficit[tid] >= 1.0
                        and self.in_flight < self.capacity):
                     self.deficit[tid] -= 1.0
@@ -141,15 +139,12 @@ class TenantQoS:
 
     def __init__(self, eng, manager, bw_slots: int,
                  dwq_capacity: Optional[int] = None,
-                 op_rate_per_s: Optional[float] = None,
-                 burst: Optional[float] = None,
-                 quantum: float = 1.0):
+                 op_rate_per_s: Optional[float] = None):
         self.eng = eng
         self.manager = manager
-        self.gate = DRRGate(eng, bw_slots, self.weight_of, quantum)
+        self.gate = DRRGate(eng, bw_slots, self.weight_of)
         self.dwq_capacity = dwq_capacity
         self.op_rate = op_rate_per_s
-        self.burst = burst
         self.buckets: dict[int, TokenBucket] = {}
         self.outstanding: dict[int, int] = {}   # tid -> DWQ nodes in flight
         self.service: dict[int, int] = {}       # tid -> nodes processed
@@ -158,12 +153,12 @@ class TenantQoS:
     # ------------------------------------------------------------ weights
 
     def weight_of(self, tid: Optional[int]) -> int:
-        reg = self.manager.registry if self.manager is not None else None
+        reg = self.manager.registry
         info = reg.tenants.get(tid) if (reg and tid is not None) else None
         return info.weight if info is not None else 1
 
     def _total_weight(self) -> int:
-        reg = self.manager.registry if self.manager is not None else None
+        reg = self.manager.registry
         if not reg or not reg.tenants:
             return 1
         return sum(t.weight for t in reg.tenants.values()) or 1
@@ -188,8 +183,7 @@ class TenantQoS:
             return
         bucket = self.buckets.get(tid)
         if bucket is None:
-            bucket = self.buckets[tid] = TokenBucket(self.op_rate,
-                                                     self.burst)
+            bucket = self.buckets[tid] = TokenBucket(self.op_rate)
         delay = bucket.reserve(self.eng.now)
         if delay > 0:
             yield self.eng.timeout(delay)

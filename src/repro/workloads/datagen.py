@@ -24,8 +24,7 @@ class DataGenerator:
     """Deterministic page stream with duplicate ratio ``alpha``."""
 
     def __init__(self, alpha: float, seed: int = 0, page_size: int = 4096,
-                 dup_pool_size: int = 16, compressible: bool = False,
-                 stream: int = 0):
+                 dup_pool_size: int = 16, stream: int = 0):
         """``stream`` separates parallel generators (one per writer
         thread): streams share the same duplicate pool (so cross-thread
         duplicates dedup against each other, as fio's shared buffer pool
@@ -39,12 +38,10 @@ class DataGenerator:
         pool_rng = np.random.default_rng(seed)  # stream-independent pool
         self.rng = np.random.default_rng([seed, stream])
         self._counter = stream << 40  # disjoint uniqueness namespaces
-        fill = (np.zeros if compressible
-                else lambda shape: pool_rng.integers(0, 256, shape,
-                                                     dtype=np.uint8))
         # The duplicate pool: fixed pages reused for the α fraction.
         self.pool = [
-            self._stamp(fill((page_size,)), tag)
+            self._stamp(pool_rng.integers(0, 256, (page_size,),
+                                          dtype=np.uint8), tag)
             for tag in range(dup_pool_size)
         ]
         self.pages_emitted = 0

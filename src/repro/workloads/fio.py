@@ -18,7 +18,7 @@ verifies by running two scales.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["Mode", "JobSpec", "small_file_job", "large_file_job"]
 
@@ -45,7 +45,6 @@ class JobSpec:
     think_ratio: float = 1.0     # think time per unit of I/O time (§V-B1)
     io_chunk: int = 0            # bytes per write call; 0 = whole file
     seed: int = 42
-    dirs_per_thread: bool = True
 
     def __post_init__(self):
         if self.nfiles < 1 or self.file_size < 1:
@@ -54,22 +53,18 @@ class JobSpec:
             raise ValueError("dup_ratio must be in [0, 1]")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.nfiles * self.file_size
+        if self.io_chunk < 0:
+            raise ValueError("io_chunk must be >= 0 (0 = whole file)")
 
     def with_(self, **kw) -> "JobSpec":
         return replace(self, **kw)
 
 
 def small_file_job(nfiles: int = 2000, dup_ratio: float = 0.0,
-                   threads: int = 1, mode: Mode = Mode.WRITE,
-                   seed: int = 42) -> JobSpec:
+                   threads: int = 1, seed: int = 42) -> JobSpec:
     """The paper's small-file set: 4 KB files (scaled count)."""
     return JobSpec(name="small-files", nfiles=nfiles, file_size=4 * KB,
-                   mode=mode, dup_ratio=dup_ratio, threads=threads,
-                   seed=seed)
+                   dup_ratio=dup_ratio, threads=threads, seed=seed)
 
 
 def large_file_job(nfiles: int = 200, dup_ratio: float = 0.0,

@@ -191,16 +191,13 @@ def run_fleet(fs, spec: FleetSpec, dd: Optional[DDMode] = None,
               bw_slots: int = 4, workers: int = 1,
               shards: Optional[int] = None,
               max_shard_depth: Optional[int] = None,
-              jitter_seed: Optional[int] = None,
               qos: bool = False,
               qos_op_rate_per_s: Optional[float] = None,
-              quotas: Optional[dict] = None,
               weights: Optional[dict] = None) -> FleetResult:
-    """Run one fleet scenario; tenants are created if they don't exist.
+    """Run one fleet scenario; tenants are created if they don't exist,
+    without quota.
 
-    ``quotas`` maps tenant name -> ``(quota_pages, quota_inodes)`` and
-    ``weights`` maps tenant name -> QoS weight, both defaulting to
-    unlimited / weight 1.
+    ``weights`` maps tenant name -> QoS weight, defaulting to weight 1.
     """
     if dd is None:
         dd = DDMode.immediate() if hasattr(fs, "daemon") else DDMode.none()
@@ -210,16 +207,13 @@ def run_fleet(fs, spec: FleetSpec, dd: Optional[DDMode] = None,
         name = spec.tenant_name(i)
         info = fs.tenants.registry.get(name) if fs.tenants.registry else None
         if info is None:
-            qp, qi = (quotas or {}).get(name, (0, 0))
-            info = fs.tenant_create(
-                name, quota_pages=qp, quota_inodes=qi,
-                weight=(weights or {}).get(name, 1))
+            info = fs.tenant_create(name,
+                                    weight=(weights or {}).get(name, 1))
         tids[i] = info.tid
 
     cvfs = ConcurrentVFS(fs, bw_slots=bw_slots, workers=workers,
                          shards=shards, max_shard_depth=max_shard_depth,
-                         jitter_seed=jitter_seed, qos=qos,
-                         qos_op_rate_per_s=qos_op_rate_per_s)
+                         qos=qos, qos_op_rate_per_s=qos_op_rate_per_s)
     clients = []
     for i in range(spec.tenants):
         name = spec.tenant_name(i)

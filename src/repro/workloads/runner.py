@@ -62,9 +62,14 @@ class DDMode:
 
     @classmethod
     def delayed(cls, interval_ms: float, batch: int) -> "DDMode":
-        if interval_ms <= 0 or batch < 1:
-            raise ValueError("delayed(n, m) needs n > 0 ms and m >= 1")
         return cls("delayed", interval_ms, batch)
+
+    def __post_init__(self):
+        if self.kind not in ("none", "immediate", "delayed"):
+            raise ValueError(f"unknown dedup drive kind {self.kind!r}")
+        if self.kind == "delayed" and (self.interval_ms <= 0
+                                       or self.batch < 1):
+            raise ValueError("delayed(n, m) needs n > 0 ms and m >= 1")
 
     def __str__(self) -> str:
         if self.kind == "delayed":
@@ -257,7 +262,7 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
         for t in range(spec.threads)
     ]
     watchdog = None
-    if slo is not None and hasattr(fs, "obs"):
+    if slo is not None:
         watchdog = SLOWatchdog(fs.obs, slo, interval_ns=slo_interval_ns)
     # Staged small writes are destaged by a background pool while the
     # writers run; throughput is still the writers' wall span, so the
@@ -291,6 +296,5 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
         result.lingering_ns = list(fs.dwq.lingering_ns)
     if hasattr(fs, "space_stats"):
         result.space = fs.space_stats()
-    if hasattr(fs, "obs"):
-        result.metrics = fs.obs.snapshot()
+    result.metrics = fs.obs.snapshot()
     return result
