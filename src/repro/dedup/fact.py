@@ -38,6 +38,7 @@ slot except through :meth:`FACT.set_delete` / :meth:`FACT.clear_delete`.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -135,6 +136,7 @@ class FACT:
         self.daa_size = 2 ** geo.fact_prefix_bits
         self.total = 2 * self.daa_size
         self._free: Optional[list[int]] = None  # see _iaa_free
+        self._dram: Optional[bytearray] = None  # see in_dram
         # Observability (DRAM, rebuilt freely).
         if registry is None:
             registry = MetricsRegistry()
@@ -208,9 +210,16 @@ class FACT:
         raw = _ENTRY.pack(counts, block, prev + 1, nxt + 1, 0, fp)
         self.dev.write(a, raw[:_OFF_DELETE])
         self.dev.write(a + _OFF_FP, raw[_OFF_FP:], persist=True)
+        if self._dram is not None:
+            at = idx * ENTRY
+            self._dram[at:at + _OFF_DELETE] = raw[:_OFF_DELETE]
+            self._dram[at + _OFF_FP:at + _OFF_WEAK] = raw[_OFF_FP:]
 
     def _write_u64(self, idx: int, off: int, value: int) -> None:
         self.dev.write_atomic64(self.addr(idx) + off, value, persist=True)
+        if self._dram is not None:
+            at = idx * ENTRY + off
+            self._dram[at:at + 8] = int(value).to_bytes(8, "little")
 
     def _read_u64(self, idx: int, off: int) -> int:
         return self.dev.read_u64(self.addr(idx) + off)
@@ -466,6 +475,9 @@ class FACT:
         confirmation validates content before any page is shared.
         """
         self.dev.write_u32(self.addr(block) + _OFF_WEAK, weak, persist=True)
+        if self._dram is not None:
+            at = block * ENTRY + _OFF_WEAK
+            self._dram[at:at + 4] = int(weak).to_bytes(4, "little")
 
     def clear_block_weak(self, block: int) -> None:
         self.set_block_weak(block, 0)
@@ -519,17 +531,38 @@ class FACT:
 
     # ------------------------------------------------------------ bulk scans
 
+    @contextmanager
+    def in_dram(self):
+        """Serve the whole-table passes from one charged read (recovery).
+
+        Inside the block, :meth:`_scan` and :meth:`live_entries` decode a
+        DRAM copy of the region taken by one bulk NVM read on entry, and
+        the three device writers (:meth:`_write_fields`,
+        :meth:`_write_u64`, :meth:`set_block_weak`) store to both, so a
+        pass sees exactly the bytes a re-read would.  Point reads stay
+        device reads; no device store moves.
+        """
+        dram = bytearray(self.dev.read_view(self.base, self.total * ENTRY))
+        self._dram = dram
+        try:
+            yield
+        finally:
+            self._dram = None
+
     def _scan(self, *fields: str) -> dict[str, np.ndarray]:
         """Vectorized whole-table scan (recovery / analysis).
 
-        Charges one bulk NVM read for the region and returns the named
-        columns of :data:`_SCAN_DTYPE` as they are at that moment —
-        copies, a column each, decoded off the device's own bytes: no
-        per-entry Python loop for the common fields (per the HPC guides:
-        vectorize the bulk path) and nothing table-sized allocated.
+        Charges one bulk NVM read for the region (none inside
+        :meth:`in_dram`) and returns the named columns of
+        :data:`_SCAN_DTYPE` as they are at that moment — copies, a
+        column each: no per-entry Python loop for the common fields (per
+        the HPC guides: vectorize the bulk path) and nothing table-sized
+        allocated.
         """
-        table = np.frombuffer(self.dev.read_view(self.base, self.total * ENTRY),
-                              dtype=_SCAN_DTYPE)
+        raw = self._dram
+        if raw is None:
+            raw = self.dev.read_view(self.base, self.total * ENTRY)
+        table = np.frombuffer(raw, dtype=_SCAN_DTYPE)
         return {name: table[name].copy() for name in fields}
 
     def rebuild_iaa_free(self) -> int:
@@ -580,8 +613,11 @@ class FACT:
         return len(self._iaa_free)
 
     def live_entries(self) -> dict[int, FactEntry]:
-        """Decoded view of every valid slot (invariant checks, reports)."""
-        raw = self.dev.read_silent(self.base, self.total * ENTRY)
+        """Decoded view of every valid slot (invariant checks, reports;
+        recovery's from its :meth:`in_dram` copy)."""
+        raw = self._dram
+        if raw is None:
+            raw = self.dev.read_silent(self.base, self.total * ENTRY)
         arr = np.frombuffer(raw, dtype=_SCAN_DTYPE)
         out = {}
         for idx in np.nonzero(arr["block"])[0]:

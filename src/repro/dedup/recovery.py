@@ -1,7 +1,9 @@
 """DeNova crash recovery and the background scrubber (paper §V-C).
 
 Runs after the base NOVA recovery (logs replayed, radix trees rebuilt,
-in-use bitmap computed).  Steps, mapped to the paper's handling cases:
+in-use bitmap computed).  Steps 1-6 read FACT from the device once
+(:meth:`repro.dedup.fact.FACT.in_dram`); mapped to the paper's handling
+cases:
 
 1. **FACT structural repair** — resume/roll back in-flight reorders
    (Fig. 7, :func:`repro.dedup.reorder.recover_reorders`), canonicalize
@@ -51,56 +53,59 @@ def dedup_recover(fs, report) -> dict:
     fact = fs.fact
     out: dict = {}
 
-    # Step 1: structural repair (reorders, orphans, links, freelist).
-    with fs.obs.span("recovery.fact_structural"):
-        reorders = recover_reorders(fact)
-        out["structural"] = {"reorders_recovered": reorders,
-                             **fact.structural_recover()}
+    # One charged read of the region serves every whole-table pass; the
+    # passes stay separate because each acts on what the last one wrote.
+    with fact.in_dram():
+        # Step 1: structural repair (reorders, orphans, links, freelist).
+        with fs.obs.span("recovery.fact_structural"):
+            reorders = recover_reorders(fact)
+            out["structural"] = {"reorders_recovered": reorders,
+                                 **fact.structural_recover()}
 
-    # Step 2: flag scan over every file inode's committed entries.
-    # Sharded across the simulated recovery threads like the base log
-    # replay (inodes keep their deterministic order, so the rebuilt DWQ
-    # is identical for every worker count).
-    needed: list[tuple[int, int]] = []
-    resumed = [0]
-    workers = getattr(fs, "recovery_workers", 1)
+        # Step 2: flag scan over every file inode's committed entries.
+        # Sharded across the simulated recovery threads like the base log
+        # replay (inodes keep their deterministic order, so the rebuilt DWQ
+        # is identical for every worker count).
+        needed: list[tuple[int, int]] = []
+        resumed = [0]
+        workers = getattr(fs, "recovery_workers", 1)
 
-    def make_scan(ino, cache):
-        def task():
-            for addr, raw in fs.log.iter_slots(cache.inode.log_head,
-                                               cache.inode.log_tail):
-                entry = decode_entry(raw)
-                if not isinstance(entry, WriteEntry):
-                    continue
-                if entry.dedupe_flag == DEDUPE_NEEDED:
-                    needed.append((ino, addr))
-                elif entry.dedupe_flag == DEDUPE_IN_PROCESS:
-                    _resume_step6(fs, addr, entry)
-                    resumed[0] += 1
-        return task
+        def make_scan(ino, cache):
+            def task():
+                for addr, raw in fs.log.iter_slots(cache.inode.log_head,
+                                                   cache.inode.log_tail):
+                    entry = decode_entry(raw)
+                    if not isinstance(entry, WriteEntry):
+                        continue
+                    if entry.dedupe_flag == DEDUPE_NEEDED:
+                        needed.append((ino, addr))
+                    elif entry.dedupe_flag == DEDUPE_IN_PROCESS:
+                        _resume_step6(fs, addr, entry)
+                        resumed[0] += 1
+            return task
 
-    with fs.obs.span("recovery.flag_scan", workers=workers):
-        files = [(ino, cache) for ino, cache in sorted(fs.caches.items())
-                 if cache.inode.itype == ITYPE_FILE]
-        run_recovery_tasks(fs, [make_scan(ino, cache)
-                                for ino, cache in files])
-    out["in_process_resumed"] = resumed[0]
+        with fs.obs.span("recovery.flag_scan", workers=workers):
+            files = [(ino, cache) for ino, cache in sorted(fs.caches.items())
+                     if cache.inode.itype == ITYPE_FILE]
+            run_recovery_tasks(fs, [make_scan(ino, cache)
+                                    for ino, cache in files])
+        out["in_process_resumed"] = resumed[0]
 
-    # Step 3: discard stale UCs; step 4: drop dead entries.
-    out["uc_discarded"] = fact.discard_all_uc()
-    out["dead_removed"] = fact.remove_dead()
+        # Step 3: discard stale UCs; step 4: drop dead entries.
+        out["uc_discarded"] = fact.discard_all_uc()
+        out["dead_removed"] = fact.remove_dead()
 
-    # Step 5: FACT entries pointing at pages the free-list rebuild
-    # reclaimed are invalidated (over-increment, zero live references).
-    stale = 0
-    bitmap = report.bitmap
-    for idx, ent in sorted(fact.live_entries().items()):
-        if bitmap is not None and not bitmap[ent.block]:
-            fact.retire(idx)
-            stale += 1
-    out["stale_entries_invalidated"] = stale
+        # Step 5: FACT entries pointing at pages the free-list rebuild
+        # reclaimed are invalidated (over-increment, zero live references).
+        stale = 0
+        bitmap = report.bitmap
+        for idx, ent in sorted(fact.live_entries().items()):
+            if bitmap is not None and not bitmap[ent.block]:
+                fact.retire(idx)
+                stale += 1
+        out["stale_entries_invalidated"] = stale
 
-    out["undercounts_repaired"] = _repair_undercounts(fs)
+        out["undercounts_repaired"] = _repair_undercounts(fs)
 
     # Rebuild the DWQ from the dedupe_needed flags (Handling I).
     with fs.obs.span("recovery.dwq_rebuild"):

@@ -128,7 +128,8 @@ def recover_reorder(fact: FACT, head_idx: int) -> str:
 
 def recover_reorders(fact: FACT) -> int:
     """Settle every chain whose commit flag a crash left set (the first
-    pass of DeNova's structural recovery); returns how many it found."""
+    pass of DeNova's structural recovery, which scans the copy
+    :meth:`FACT.in_dram` holds); returns how many it found."""
     flags = fact._scan("prev")["prev"][:fact.daa_size]
     heads = np.flatnonzero(flags).tolist()
     for head in heads:

@@ -15,9 +15,25 @@ accidental collisions can inflate the dedup ratio.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["DataGenerator"]
+
+
+@lru_cache(maxsize=16)
+def _dup_pool(seed: int, page_size: int, size: int) -> tuple[bytes, ...]:
+    """The duplicate pool: fixed pages reused for the α fraction.  It
+    depends on no stream, so every generator of one seed shares it."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for tag in range(size):
+        page = rng.integers(0, 256, (page_size,), dtype=np.uint8)
+        page[:8] = np.frombuffer(tag.to_bytes(8, "little"), dtype=np.uint8)
+        page[8] = 0xD7  # pool marker: distinct from unique pages' stamps
+        pool.append(page.tobytes())
+    return tuple(pool)
 
 
 class DataGenerator:
@@ -35,27 +51,14 @@ class DataGenerator:
             raise ValueError("dup_pool_size must be >= 1")
         self.alpha = alpha
         self.page_size = page_size
-        pool_rng = np.random.default_rng(seed)  # stream-independent pool
         self.rng = np.random.default_rng([seed, stream])
         self._counter = stream << 40  # disjoint uniqueness namespaces
-        # The duplicate pool: fixed pages reused for the α fraction.
-        self.pool = [
-            self._stamp(pool_rng.integers(0, 256, (page_size,),
-                                          dtype=np.uint8), tag)
-            for tag in range(dup_pool_size)
-        ]
+        self.pool = _dup_pool(seed, page_size, dup_pool_size)
         self.pages_emitted = 0
         self.dup_pages_emitted = 0
 
     def _random_block(self, shape) -> np.ndarray:
         return self.rng.integers(0, 256, shape, dtype=np.uint8)
-
-    def _stamp(self, arr: np.ndarray, tag: int) -> bytes:
-        arr = arr.astype(np.uint8, copy=True)
-        arr[:8] = np.frombuffer(int(tag).to_bytes(8, "little"),
-                                dtype=np.uint8)
-        arr[8] = 0xD7  # pool marker: distinct from unique pages' stamps
-        return arr.tobytes()
 
     def pages(self, n: int) -> list[bytes]:
         """The next ``n`` pages of the stream."""

@@ -14,9 +14,13 @@ checks the §V-C guarantees:
   is left ``in_process``.
 """
 
+import hashlib
+
 import pytest
 
-from repro.dedup import DeNovaFS
+from repro.dedup import DeNovaFS, recovery
+from repro.dedup.fact import ENTRY, FACT
+from repro.dedup.reorder import reorder_chain
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import DEDUPE_IN_PROCESS, WriteEntry, decode_entry
@@ -290,3 +294,145 @@ class TestRecoveryReports:
         (idx2, ent), = fs2.fact.live_entries().items()
         assert ent.update_count == 0
         assert ent.refcount == 1
+
+
+class TestRecoveryReadsFactOnce:
+    """An unclean mount reads the FACT region from the device once: one
+    charged whole-table read at the top of ``dedup_recover``, an in-DRAM
+    copy every whole-table pass decodes, and no silent read of the
+    region.  After every pass the copy is byte-equal to the device."""
+
+    BITS, PREFIX = 10, 11
+
+    def fp(self, salt: int) -> bytes:
+        """A fingerprint in the chain at :attr:`PREFIX`."""
+        body = hashlib.sha1(salt.to_bytes(8, "little")).digest()
+        shift = 64 - self.BITS
+        head = int.from_bytes(body[:8], "big") & ((1 << shift) - 1)
+        return (head | self.PREFIX << shift).to_bytes(8, "big") + body[8:]
+
+    @pytest.fixture
+    def audit(self, monkeypatch):
+        """A mount that logs every device read inside ``dedup_recover``
+        and compares the copy with the region after each pass; returns
+        the fs, the reads that touched the region and the passes
+        compared."""
+        log = {"reads": None, "passes": []}
+
+        def compare(name, fact):
+            assert fact._dram is not None, f"{name} ran without the copy"
+            region = PMDevice.read_silent(fact.dev, fact.base,
+                                          fact.total * ENTRY)
+            assert bytes(fact._dram) == region, f"copy stale after {name}"
+            log["passes"].append(name)
+
+        def wrap(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(first, *args):             # a FACT or the fs
+                out = real(first, *args)
+                if log["reads"] is not None:       # inside dedup_recover
+                    compare(name, getattr(first, "fact", first))
+                return out
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("structural_recover", "rebuild_iaa_free",
+                     "discard_all_uc", "remove_dead", "live_entries"):
+            wrap(FACT, name)
+        for name in ("recover_reorders", "_resume_step6",
+                     "_repair_undercounts"):
+            wrap(recovery, name)
+        real_recover = recovery.dedup_recover
+
+        def dedup_recover(fs, report):
+            log["reads"] = []
+            try:
+                return real_recover(fs, report)
+            finally:
+                reads, log["reads"] = log["reads"], None
+                lo, hi = fs.fact.base, fs.fact.base + fs.fact.total * ENTRY
+                log["region"] = [(kind, a - lo, n) for kind, a, n in reads
+                                 if a < hi and a + n > lo]
+        monkeypatch.setattr(recovery, "dedup_recover", dedup_recover)
+
+        def mount(dev):
+            for kind in ("read", "read_view", "read_silent", "scan"):
+                real = getattr(dev, kind)
+
+                def logged(addr, n, *rest, _real=real, _kind=kind, **kw):
+                    if log["reads"] is not None:    # a scan's n is a stride
+                        count = (rest or [kw.get("count", 1)])[0]
+                        span = n if _kind != "scan" else (count - 1) * n + 1
+                        log["reads"].append((_kind, addr, span))
+                    return _real(addr, n, *rest, **kw)
+                setattr(dev, kind, logged)
+            log["passes"], log["region"] = [], None
+            fs = DeNovaFS.mount(dev)
+            return fs, log["region"], log["passes"]
+
+        return mount
+
+    def check_once(self, fs, region, passes):
+        size = fs.fact.total * ENTRY
+        assert region is not None                 # an unclean mount
+        assert [r for r in region if r[2] > ENTRY] == [("read_view", 0, size)]
+        assert not [r for r in region if r[0] in ("read_silent", "scan")]
+        assert fs.fact._dram is None              # let go with recovery
+        assert {"recover_reorders", "structural_recover", "rebuild_iaa_free",
+                "discard_all_uc", "remove_dead", "live_entries",
+                "_repair_undercounts"} <= set(passes)
+
+    @pytest.mark.parametrize("mode", ["discard", "torn"])
+    def test_crash_sweep_daemon_processing(self, audit, mode):
+        def build():
+            dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+            fs = DeNovaFS.mkfs(dev, max_inodes=64)
+            a, b = fs.create("/a"), fs.create("/b")
+            fs.write(a, 0, page_of(1) + page_of(2) + page_of(3))
+            fs.write(b, 0, page_of(9) + page_of(1) + page_of(2))
+            return dev, fs.daemon.drain
+
+        resumed = []
+
+        def check(dev, point, phase):
+            fs, region, passes = audit(dev)
+            self.check_once(fs, region, passes)
+            resumed.append(fs.last_recovery.extra["dedup"]
+                           ["in_process_resumed"])
+            check_fs_invariants(fs)
+
+        assert sweep_crash_points(build, check, mode=mode) > 5
+        assert any(resumed)                       # Handling II ran
+
+    def test_crash_sweep_reorder_and_iaa_insert(self, audit):
+        """Every point of a Fig. 7 reorder, then of an IAA insert whose
+        crash before the publish leaves an orphan slot."""
+        def build():
+            dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+            fs = DeNovaFS.mkfs(dev, max_inodes=64,
+                               fact_prefix_bits=self.BITS)
+            fact = fs.fact
+            for salt, rfc in enumerate((1, 5, 2, 8, 3)):
+                idx = fact.insert(self.fp(salt), 60 + salt)
+                for _ in range(rfc):
+                    fact.commit_uc(idx)
+                    fact.inc_uc(idx)
+                fact.discard_uc(idx)
+
+            def scenario():
+                assert reorder_chain(fact, self.PREFIX)
+                fact.insert(self.fp(9), 70)
+            return dev, scenario
+
+        seen = []
+
+        def check(dev, point, phase):
+            fs, region, passes = audit(dev)
+            self.check_once(fs, region, passes)
+            seen.append(fs.last_recovery.extra["dedup"]["structural"])
+            fs.fact.check_chains()
+
+        assert sweep_crash_points(build, check,
+                                  mode=("discard", "torn")) > 20
+        assert any(rep["reorders_recovered"] for rep in seen)
+        assert any(rep["orphans_zeroed"] for rep in seen)

@@ -293,6 +293,31 @@ class TestOccupancyAndScan:
                 fact._scan(*fields)
         assert fact._scan() == {}
 
+    def test_in_dram_charges_one_read_and_every_writer_stores_to_it(
+            self, fact):
+        """Inside ``in_dram`` the copy tracks every device writer — the
+        weak column's too — and scans and ``live_entries`` charge nothing
+        more; outside it a scan is a charged device read again."""
+        i1 = fact.insert(mkfp(1, 0), 100)
+        dev, size = fact.dev, fact.total * ENTRY
+        charged = dev.clock.charged_fs
+        with fact.in_dram():
+            assert dev.clock.charged_fs \
+                == charged + fs_of(dev.model.read_cost(size))
+            i2 = fact.insert(mkfp(1, 1), 101)           # fields + u64s
+            fact.commit_uc(i2)
+            fact.set_block_weak(101, 0xBEEF)
+            fact.retarget_block(i1, 102)
+            fact.remove(i1)
+            assert bytes(fact._dram) == dev.read_silent(fact.base, size)
+            reads, at = dev.stats.reads, dev.clock.charged_fs
+            assert fact._scan("block")["block"][i2] == 101
+            assert set(fact.live_entries()) == {i2}
+            assert (dev.stats.reads, dev.clock.charged_fs) == (reads, at)
+        assert fact._dram is None
+        fact._scan("block")
+        assert dev.stats.reads == reads + 1
+
 
 class TestCheckChains:
     def test_detects_bad_prev(self, fact):
