@@ -47,10 +47,6 @@ class LatencyBreakdown:
     def dedupe_us(self) -> float:
         return self.fp_us + self.other_us
 
-    @property
-    def fp_over_write(self) -> float:
-        return self.fp_us / self.write_us if self.write_us else 0.0
-
 
 def latency_breakdown(write_ns: float, fp_ns: float,
                       total_dedup_ns: float) -> LatencyBreakdown:

@@ -23,8 +23,6 @@ from repro.backup.recv import (
     STAGE_DIR,
     receive_backup,
     rollback_staging,
-    stage_cursor,
-    stage_path_for,
     staged_ingests,
 )
 from repro.backup.send import send_backup, send_cursor_path
@@ -35,6 +33,6 @@ __all__ = [
     "BackupError", "SnapshotDiff", "StreamError", "FORMAT", "STAGE_DIR",
     "diff_snapshots", "snapshot_tree", "snapshot_fingerprints",
     "snapshot_root", "send_backup", "send_cursor_path", "receive_backup",
-    "rollback_staging", "stage_cursor", "stage_path_for", "staged_ingests",
+    "rollback_staging", "staged_ingests",
     "verify_stream", "verify_snapshot", "read_header", "index_records",
 ]

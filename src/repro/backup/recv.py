@@ -68,8 +68,7 @@ from repro.nova.radix import extend_runs
 from repro.pm.allocator import AllocError
 
 __all__ = ["STAGE_DIR", "receive_backup", "rollback_staging",
-           "rollback_torn_ingests", "stage_cursor", "stage_path_for",
-           "staged_ingests"]
+           "rollback_torn_ingests", "staged_ingests"]
 
 #: Stream-id prefix length used in stage names — enough to keep
 #: concurrent streams apart, short enough for readable listings.
@@ -113,31 +112,6 @@ def staged_ingests(fs) -> list[dict]:
             "active": bool(cur.get("active", True)),
         })
     return out
-
-
-def stage_cursor(fs, name: str) -> Optional[dict]:
-    """The in-image recv cursor for snapshot ``name`` (None if absent).
-
-    Stages are keyed by ``name@stream12``, so this scans the staging
-    directory for a cursor whose recorded snapshot matches.
-    """
-    if not persist.lexists(fs, STAGE_DIR):
-        return None
-    for entry in sorted(fs.listdir(STAGE_DIR)):
-        if not entry.endswith(".cursor"):
-            continue
-        cur = persist.read_state(fs, f"{STAGE_DIR}/{entry}")
-        if cur is not None and cur.get("snapshot") == name:
-            return cur
-    return None
-
-
-def stage_path_for(fs, name: str) -> Optional[str]:
-    """The staging directory currently holding snapshot ``name``."""
-    for ing in staged_ingests(fs):
-        if ing["snapshot"] == name:
-            return ing["stage"]
-    return None
 
 
 def _teardown(fs, path: str) -> int:

@@ -41,7 +41,7 @@ from typing import BinaryIO, Optional
 __all__ = ["FORMAT", "STREAM_MAGIC", "REC_MAGIC", "END_MAGIC",
            "REC_HEADER_BYTES", "StreamError", "StreamIndex",
            "build_manifest", "manifest_stream_id", "record_bytes",
-           "stream_size", "write_header", "read_header", "write_record",
+           "write_header", "read_header", "write_record",
            "write_trailer", "index_records", "read_record_at"]
 
 FORMAT = "repro.backup/1"
@@ -100,11 +100,6 @@ def write_header(fh: BinaryIO, manifest: dict) -> int:
 def record_bytes(page_size: int) -> int:
     """On-stream size of one chunk record (fixed: pages only)."""
     return REC_HEADER_BYTES + page_size
-
-
-def stream_size(header_len: int, nrecords: int, page_size: int) -> int:
-    """Total byte size of a complete stream (header + records + trailer)."""
-    return header_len + nrecords * record_bytes(page_size) + _END_BYTES
 
 
 def write_record(fh: BinaryIO, fp: bytes, data: bytes) -> int:

@@ -110,7 +110,8 @@ def _int_from(low: int):
 
 
 _positive_int = _int_from(1)
-_seed = _int_from(0)        # NumPy's generators refuse a negative one
+_count = _int_from(0)       # a count, a cursor or a limit (0 = none / all)
+_seed = _count              # NumPy's generators refuse a negative one
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +194,7 @@ def _load_device(image: str) -> PMDevice:
 def _open_fs(image: str, **mount_kw):
     dev = _load_device(image)
     fs = _image_fs_class(dev).mount(dev, **mount_kw)
-    # SLO alerts / invariant trips during this invocation dump the
+    # Invariant trips during this invocation dump the
     # flight recorder next to the image automatically.
     fs.obs.flight.artifact_path = image + ".flight.json"
     return fs
@@ -432,7 +433,7 @@ def cmd_metrics(args):
 
 
 @command("trace", "spans recorded during the mount",
-         arg("--limit", type=int, default=40,
+         arg("--limit", type=_count, default=40,
              help="show at most the last N spans (0 = all)"),
          arg("--name", default=None,
              help="only spans whose name starts with this prefix"),
@@ -480,7 +481,7 @@ def cmd_trace(args):
 
 @command("profile", "charged-ns call-tree profile "
                     "(<image>.profile.json history)",
-         arg("--top", type=int, default=15,
+         arg("--top", type=_count, default=15,
              help="hot paths to list (0 = all)"),
          arg("--sort", default="self_ns",
              choices=["self_ns", "total_ns", "count"]),
@@ -511,9 +512,9 @@ def cmd_profile(args):
 def cmd_slo(args) -> int:
     """Evaluate declarative SLO rules against the metrics history.
 
-    One-shot evaluation (latency and gauge rules; rate rules need the
-    live in-run watchdog — ``run_workload(..., slo=rules)``).  Exit
-    status 1 when any rule is violated.
+    One-shot evaluation (latency and gauge rules; a rate rule needs two
+    observations and a snapshot is one).  Exit status 1 when any rule
+    is violated.
     """
     with _refusing(ValueError, KeyError, where=args.rules):
         rules = load_rules(args.rules)
@@ -550,7 +551,7 @@ def _deep_failure(rep: dict) -> str:
          flag("--full-scan",
               help="ignore any clean-unmount checkpoint and rebuild "
                    "all recovery state from the logs"),
-         arg("--workers", type=int, default=1,
+         arg("--workers", type=_positive_int, default=1,
              help="simulated per-CPU recovery threads for the "
                   "replay and dedup flag scan"))
 def cmd_fsck(args):
@@ -589,7 +590,7 @@ def cmd_fsck(args):
 @command("scrub", "budgeted, resumable FACT maintenance sweep",
          arg("--budget", type=_positive_int, default=None,
              help="examine at most N FACT entries (default: all)"),
-         arg("--cursor", type=int, default=0,
+         arg("--cursor", type=_count, default=0,
              help="resume from a previous run's next_cursor"),
          flag("--deep",
               help="fingerprint-verify canonical pages instead of "
@@ -659,7 +660,7 @@ _FORCED_MODE = {name: mode for mode, name in MODE_NAMES.items()}
          arg("--trace-out", metavar="FILE",
              help="write the run's Chrome/Perfetto trace "
                   "(per-client and per-worker lanes) to FILE"),
-         arg("--tenants", type=int, default=0,
+         arg("--tenants", type=_count, default=0,
              help="run the multi-tenant fleet scenario with this "
                   "many tenants instead of the flat workload"),
          arg("--qos", action=argparse.BooleanOptionalAction, default=True,
@@ -1106,11 +1107,11 @@ def cmd_repl_restore(args):
 @command("fuzz", "differential crash-consistency fuzzing against the "
                  "model oracle",
          arg("--seed", type=_seed, default=0),
-         arg("--ops", type=int, default=2000,
+         arg("--ops", type=_positive_int, default=2000,
              help="total generated ops for the campaign"),
          arg("--seq-ops", type=_positive_int, default=40,
              help="ops per generated sequence"),
-         arg("--budget", type=int, default=8,
+         arg("--budget", type=_count, default=8,
              help="crash replays per sequence across all "
                   "phase/mode combinations"),
          arg("--pages", type=int, default=2048,
@@ -1122,11 +1123,11 @@ def cmd_repl_restore(args):
          flag("--replay-corpus",
               help="re-check saved reproducers instead of generating"),
          flag("--no-shrink", help="keep failing sequences at full length"),
-         arg("--max-failures", type=int, default=3),
-         arg("--clients", type=int, default=1,
+         arg("--max-failures", type=_positive_int, default=3),
+         arg("--clients", type=_positive_int, default=1,
              help="concurrent-mode sequences: merge this many "
                   "per-client op streams under /c<i> roots"),
-         arg("--tenants", type=int, default=1,
+         arg("--tenants", type=_positive_int, default=1,
              help="multi-tenant sequences: per-tenant op streams "
                   "under /t/tn<i> roots, covering the tenant "
                   "registry's persistence crash points"),
@@ -1150,8 +1151,7 @@ def cmd_fuzz(args) -> int:
         FuzzConfig, FuzzRunner, GenConfig, run_backup_case, run_repl_case)
 
     # The scenario: a two-image pipeline sweep, or the differential
-    # campaign (which hosts relocate/restore ops too, via
-    # repro.fuzz.pipeline.repl_gen_config).
+    # campaign.
     pipeline, noun = ((run_backup_case, "ingest sweeps") if args.backup
                       else (run_repl_case, "repl sweeps") if args.repl
                       else (None, "sequences"))

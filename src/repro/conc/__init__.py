@@ -9,16 +9,14 @@ Pieces:
   bounded-depth backpressure;
 * :class:`LockOrderValidator` — runtime acquisition-DAG recorder that
   fails fast on cycle-forming acquisitions;
-* :func:`run_permutations` / :func:`fs_state_digest` — the
-  deterministic-schedule permuter: same ops under several seeded
-  interleavings must converge to an identical logical filesystem.
+* :func:`fs_state_digest` — the logical filesystem as one digest: same
+  ops under any interleaving must converge to the same one.
 
 See docs/CONCURRENCY.md for the lock hierarchy and shard layout.
 """
 
 from repro.conc.lockorder import LockOrderValidator, LockOrderViolation
-from repro.conc.permute import (PermutationReport, fs_state_digest,
-                                run_permutations)
+from repro.conc.permute import fs_state_digest
 from repro.conc.sdwq import ShardedDWQ
 from repro.conc.vfs import OP_LATENCY_BUCKETS_NS, ConcurrentVFS
 
@@ -27,8 +25,6 @@ __all__ = [
     "ShardedDWQ",
     "LockOrderValidator",
     "LockOrderViolation",
-    "PermutationReport",
     "fs_state_digest",
-    "run_permutations",
     "OP_LATENCY_BUCKETS_NS",
 ]

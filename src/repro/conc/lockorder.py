@@ -44,8 +44,7 @@ class LockOrderValidator:
     as a self-deadlock — the DES locks are not re-entrant.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._held: dict[str, list[str]] = defaultdict(list)
         self._edges: dict[str, set[str]] = defaultdict(set)
         self.edges_recorded = 0
@@ -55,8 +54,6 @@ class LockOrderValidator:
 
     def acquiring(self, holder: str, lock: str) -> None:
         """Record intent to acquire; raise on any cycle-forming edge."""
-        if not self.enabled:
-            return
         held = self._held[holder]
         if lock in held:
             raise LockOrderViolation(holder, lock, [lock, lock])
@@ -71,8 +68,6 @@ class LockOrderValidator:
         held.append(lock)
 
     def released(self, holder: str, lock: str) -> None:
-        if not self.enabled:
-            return
         held = self._held.get(holder)
         if held is not None and lock in held:
             held.remove(lock)
@@ -92,10 +87,3 @@ class LockOrderValidator:
                     seen.add(nxt)
                     stack.append((nxt, path + [nxt]))
         return None
-
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self._edges.values())
-
-    def order_snapshot(self) -> dict[str, list[str]]:
-        """The recorded DAG (for docs/tests): lock -> locks taken after."""
-        return {k: sorted(v) for k, v in self._edges.items() if v}

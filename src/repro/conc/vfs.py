@@ -89,12 +89,15 @@ DESTAGE_HIGH_WATER = 0.5
 class ConcurrentVFS:
     """Concurrency front-end for one mounted filesystem."""
 
+    #: Schedule permutation, for the determinism permuter in the tests:
+    #: a seed here delays each op by a seeded draw in ``[0, jitter_ns)``.
+    jitter_seed: Optional[int] = None
+    jitter_ns = 2000.0
+
     def __init__(self, fs, *, bw_slots: int = 4,
                  workers: int = 1,
                  shards: Optional[int] = None,
                  max_shard_depth: Optional[int] = None,
-                 jitter_seed: Optional[int] = None,
-                 jitter_ns: float = 2000.0,
                  qos: bool = False,
                  qos_op_rate_per_s: Optional[float] = None):
         if workers < 1:
@@ -118,9 +121,8 @@ class ConcurrentVFS:
         self.destage_records = 0
         self.destage_busy_ns = 0.0
         self._stop_destage = False
-        self._jitter = (random.Random(f"repro.conc:{jitter_seed}")
-                        if jitter_seed is not None else None)
-        self._jitter_ns = jitter_ns
+        self._jitter = (random.Random(f"repro.conc:{self.jitter_seed}")
+                        if self.jitter_seed is not None else None)
 
         # ---- sharded DWQ swap-in (dedup-capable filesystems only) ----
         self.sdwq: Optional[ShardedDWQ] = None
@@ -229,7 +231,7 @@ class ConcurrentVFS:
         if self._jitter is not None:
             # Schedule permutation: a seeded, bounded delay before the
             # op perturbs the interleaving without changing any op.
-            yield eng.timeout(self._jitter.uniform(0.0, self._jitter_ns))
+            yield eng.timeout(self._jitter.uniform(0.0, self.jitter_ns))
         t_op = eng.now
         if qos is not None and tenant is not None:
             # Op-rate throttle first (token bucket, queued backpressure);
@@ -442,17 +444,17 @@ class ConcurrentVFS:
 
         return self.eng.process(_tracked(), name=name or "client")
 
-    def run(self, clients: list[Process], dd, *, destage_workers: int = 1,
-            watchdog=None) -> tuple[float, float]:
+    def run(self, clients: list[Process], dd, *,
+            destage_workers: int = 1) -> tuple[float, float]:
         """Run ``clients`` to completion beside the background pools.
 
         The whole run protocol, in its only home: start the dedup pool
         (``dd`` is the drive policy, :class:`repro.workloads.DDMode`;
         a policy other than ``none`` on a filesystem with no dedup
         daemon is an error), then the destage pool when the filesystem
-        has staging enabled, then the optional SLO ``watchdog``; wait
-        for the clients; drain destage *before* telling the dedup pool
-        to stop — destaged writes enqueue DWQ nodes it must still see;
+        has staging enabled; wait for the clients; drain destage
+        *before* telling the dedup pool to stop — destaged writes enqueue
+        DWQ nodes it must still see;
         raise if anything never finished; sync the filesystem clock to
         the engine.  Returns ``(foreground_ns, total_ns)``: the clients'
         span and the span until the pools drained too.
@@ -462,9 +464,6 @@ class ConcurrentVFS:
         workers = self._start_workers(dd) if dd.kind != "none" else []
         destagers = (self._start_destage_workers(destage_workers)
                      if self.fs.staging_enabled else [])
-        if watchdog is not None:
-            eng.process(watchdog.run(eng, base_ns=self.base_fs / FS_PER_NS),
-                        name="slo-watchdog")
 
         def _coordinator():
             yield eng.all_of(clients)
@@ -476,8 +475,6 @@ class ConcurrentVFS:
             self.kick_workers()
             if workers:
                 yield eng.all_of(workers)
-            if watchdog is not None:
-                watchdog.stop = True   # one final check, then it exits
             return foreground_ns, eng.now
 
         coord = eng.process(_coordinator(), name="coordinator")

@@ -57,11 +57,6 @@ class Variant(enum.Enum):
     def has_dedup(self) -> bool:
         return self is not Variant.BASELINE
 
-    @property
-    def is_offline(self) -> bool:
-        return self in (Variant.IMMEDIATE, Variant.DELAYED,
-                        Variant.HYBRID)
-
 
 _FS_CLASSES = {
     Variant.BASELINE: NovaFS,

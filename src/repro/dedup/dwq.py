@@ -165,10 +165,6 @@ class DWQ:
         self.lingering_ns.append(linger)
         self._h_residency.observe(linger)
 
-    def peek_addrs(self) -> set[int]:
-        """Entry addresses currently queued (log-GC veto set)."""
-        return {n.entry_addr for n in self._items()}
-
     def snapshot(self) -> list[DWQNode]:
         """Queued nodes in FIFO order (read-only view for recovery)."""
         return self._items()
@@ -232,12 +228,3 @@ class DWQ:
         Superblock(dev).set_dwq_saved_count(0)
         return count
 
-    # ------------------------------------------------------------ statistics
-
-    def lingering_percentile(self, q: float) -> float:
-        """The Fig. 10 statistic: q-quantile of lingering time (ns)."""
-        if not self.lingering_ns:
-            return 0.0
-        data = sorted(self.lingering_ns)
-        pos = min(len(data) - 1, int(q * len(data)))
-        return data[pos]

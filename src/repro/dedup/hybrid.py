@@ -147,9 +147,6 @@ class HybridController:
     def mode(self, shard: int) -> int:
         return self.shards[shard].mode
 
-    def mode_of(self, ino: int) -> int:
-        return self.shards[ino % self.nshards].mode
-
     def modes_word(self) -> int:
         word = 0
         for s, st in enumerate(self.shards):

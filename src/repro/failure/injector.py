@@ -163,26 +163,23 @@ def sweep_crash_points(
     check: Callable[[PMDevice, int, str], None],
     phases: Iterable[str] = ("pre", "post"),
     mode: str | tuple = "discard",
-    max_points: Optional[int] = None,
     stride: int = 1,
     seed: int = 0,
     total: Optional[int] = None,
 ) -> int:
-    """Crash at every ``stride``-th persistence event (up to
-    ``max_points``; ``total`` is the event count if known) in one run,
-    in each phase and each of ``mode`` (one or a tuple), and hand each
-    recovered fork to ``check(dev, point, phase)``, which raises on a
-    violation.  Returns the number of points checked; a failure raises
-    :class:`CrashCheckFailed` naming its point — the first failing
-    mode's, with ``failures`` (mode -> failure) and ``tested`` on it.
+    """Crash at every ``stride``-th persistence event (``total`` is the
+    event count if known) in one run, in each phase and each of ``mode``
+    (one or a tuple), and hand each recovered fork to ``check(dev,
+    point, phase)``, which raises on a violation.  Returns the number of
+    points checked; a failure raises :class:`CrashCheckFailed` naming its
+    point — the first failing mode's, with ``failures`` (mode -> failure)
+    and ``tested`` on it.
     """
     phases = tuple(phases)
     if not set(phases) <= {"pre", "post"}:
         raise ValueError(f"phases must be 'pre' or 'post', not {phases!r}")
     if total is None:
         total = count_persist_events(build)
-    if max_points is not None:
-        total = min(total, max_points)
     points = range(1, total + 1, stride)
 
     def checked(out: CrashOutcome) -> None:

@@ -45,7 +45,6 @@ from repro.fuzz.gen import (
 from repro.fuzz.model import ModelError, ModelFS
 from repro.fuzz.pipeline import (
     backup_gen_config,
-    repl_gen_config,
     run_backup_case,
     run_repl_case,
 )
@@ -60,6 +59,5 @@ __all__ = [
     "apply_op", "run_case", "fs_namespace", "Scenario", "sweep_case",
     "shrink",
     "FuzzRunner", "CampaignResult", "Failure",
-    "backup_gen_config", "run_backup_case",
-    "repl_gen_config", "run_repl_case",
+    "backup_gen_config", "run_backup_case", "run_repl_case",
 ]

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.hybrid import HybridDeNovaFS
-from repro.failure.injector import (count_persist_events, run_with_crash,
-                                    sweep_crash_points)
+from repro.failure.injector import count_persist_events, sweep_crash_points
 from repro.failure.invariants import InvariantViolation, check_fs_invariants
 from repro.fuzz.gen import apply_to_model, model_after
 from repro.fuzz.model import ModelError, ModelFS
@@ -54,7 +53,7 @@ from repro.workloads.trace import TraceOp, apply_trace_op
 
 __all__ = ["FuzzConfig", "Violation", "CaseResult", "OracleDivergence",
            "Scenario", "sweep_case", "differential_scenario",
-           "nested_scenario", "apply_op", "run_case", "fs_namespace",
+           "apply_op", "run_case", "fs_namespace",
            "flags_converged", "full_equivalence_check",
            "prefix_equivalence_check", "make_fs"]
 
@@ -72,11 +71,8 @@ class FuzzConfig:
     seq_ops: int = 40            # ops per generated sequence
     budget: int = 16             # crash replays per sequence, all combos
     pages: int = 2048            # device size in 4 KB pages
-    inodes: int = 192
     cpus: int = 1
     alpha: float = 0.55          # duplicate-page ratio
-    phases: tuple = ("pre", "post")
-    modes: tuple = ("discard", "torn")
     corpus: Optional[str] = None
     max_failures: int = 3        # stop the campaign after this many
     clients: int = 1             # >1: concurrent-mode sequences (merged
@@ -91,6 +87,11 @@ class FuzzConfig:
     #                              the front-tier staging log: every
     #                              record append / destage / watermark
     #                              persist enters the crash sweep
+    # Every campaign sweeps both crash modes at both phases of a persist
+    # on a device of 192 inodes; a test subclass narrows them.
+    inodes: ClassVar[int] = 192
+    phases: ClassVar[tuple] = ("pre", "post")
+    modes: ClassVar[tuple] = ("discard", "torn")
 
     def __post_init__(self):
         """Refuse now what the first case would refuse from deep inside a
@@ -521,26 +522,12 @@ def differential_scenario(ops: list[TraceOp], cfg: FuzzConfig) -> Scenario:
     return Scenario(build, oracle)
 
 
-def nested_scenario(outer: Scenario, cfg: FuzzConfig, point: int,
-                    phase: str = "post", mode: str = "discard") -> Scenario:
-    """Tear the *recovery mount* of an image ``outer`` left crashed at
-    one point: recovery must be idempotent, so whatever a second mount
-    recovers owes ``outer``'s oracle exactly what the first one did."""
-
-    def build(tick):
-        dev = run_with_crash(lambda: outer.build(tick), point, phase=phase,
-                             mode=mode, seed=cfg.seed).dev
-        return dev, lambda: _fs_cls(cfg).mount(dev, cpus=cfg.cpus)
-
-    return Scenario(build, outer.oracle)
-
-
 # ---------------------------------------------------------------- the case
 
 
-def run_case(ops: list[TraceOp], cfg: Optional[FuzzConfig] = None,
-             sweep: bool = True) -> CaseResult:
-    """Differential-check one op sequence; optionally sweep crashes."""
+def run_case(ops: list[TraceOp],
+             cfg: Optional[FuzzConfig] = None) -> CaseResult:
+    """Differential-check one op sequence, then sweep its crashes."""
     cfg = cfg or FuzzConfig()
     result = CaseResult()
 
@@ -583,7 +570,5 @@ def run_case(ops: list[TraceOp], cfg: Optional[FuzzConfig] = None,
         return result
 
     fs.dev.close()  # built here, checked, done: the sweep's builds reuse it
-    if not sweep:
-        return result
     # ---- crash sweep: all (phase, mode) combos, budget-limited --------
     return sweep_case(differential_scenario(ops[:stop_at], cfg), cfg, result)

@@ -26,7 +26,7 @@ import copy
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.fuzz.model import ModelError, ModelFS, SNAPSHOT_DIR
 from repro.nova.layout import PAGE_SIZE
@@ -49,7 +49,6 @@ class GenConfig:
     """Knobs of one generated sequence (not of the whole campaign)."""
 
     alpha: float = 0.55            # duplicate-page ratio of payloads
-    file_names: int = 16           # pool of leaf names
     max_data_pages: int = 224      # cumulative payload budget (pages)
     max_nodes: int = 120           # model-node ceiling (inode pressure)
     #: op -> relative weight; ops must match TraceOp kinds.
@@ -64,6 +63,7 @@ class GenConfig:
         # default campaign keeps them off to preserve historical seeds.
         "relocate": 0, "restore": 0,
     })
+    file_names: ClassVar[int] = 16     # pool of leaf names
 
 
 class SequenceGenerator:

@@ -3,7 +3,7 @@
 The differential scenario can't host ``recv`` — its namespace oracle
 (:class:`repro.fuzz.model.ModelFS`) models one image, a ``recv``
 involves two.  (It does host ``relocate``/``restore`` ops, which are
-namespace no-ops in the model: enable them with :func:`repl_gen_config`.)
+namespace no-ops in the model, when a ``GenConfig`` weights them.)
 This module is the scenario for the rest, expressed as data
 ``(snapshot names, relocate?)`` and swept by the same engine,
 :func:`repro.fuzz.diff.sweep_case`.  ``run_backup_case`` is the
@@ -55,7 +55,7 @@ from repro.fuzz.gen import GenConfig, generate_sequence
 from repro.fuzz.model import ModelFS
 from repro.repl import INTENT_PATH, relocate_latest, restore_snapshot
 
-__all__ = ["backup_gen_config", "repl_gen_config", "prepare_pipeline_case",
+__all__ = ["backup_gen_config", "prepare_pipeline_case",
            "pipeline_scenario", "run_pipeline_case", "run_backup_case",
            "run_repl_case"]
 
@@ -71,24 +71,6 @@ def backup_gen_config(alpha: float = 0.55) -> GenConfig:
     cfg.weights = dict(cfg.weights)
     for kind in ("snapshot", "snap_delete", "crash", "remount"):
         cfg.weights[kind] = 0
-    return cfg
-
-
-def repl_gen_config(alpha: float = 0.55) -> GenConfig:
-    """Generator knobs for repl sequences in the *differential*
-    scenario: snapshots plus ``relocate``/``restore`` ops enabled, whole-
-    device lifecycle ops left to the crash sweep.  Relocation is a
-    namespace no-op, so the model stays an exact oracle; subsequent
-    generated reads then verify that moving pages never changes
-    observable bytes.
-    """
-    cfg = GenConfig(alpha=alpha)
-    cfg.weights = dict(cfg.weights)
-    for kind in ("crash", "remount", "snap_delete"):
-        cfg.weights[kind] = 0
-    cfg.weights["snapshot"] = max(2, cfg.weights.get("snapshot", 0))
-    cfg.weights["relocate"] = 4
-    cfg.weights["restore"] = 2
     return cfg
 
 
@@ -269,10 +251,9 @@ def pipeline_scenario(case: dict, cfg: FuzzConfig, names: tuple,
     return Scenario(build, oracle)
 
 
-def run_pipeline_case(cfg: FuzzConfig | None, names: tuple,
+def run_pipeline_case(cfg: FuzzConfig, names: tuple,
                       relocate: bool) -> CaseResult:
     """Sweep crashes through one pipeline; see the module docstring."""
-    cfg = cfg or FuzzConfig()
     case = prepare_pipeline_case(cfg, names)
     result = CaseResult(
         snapshots=tuple(names), records=case["records"],
@@ -282,11 +263,11 @@ def run_pipeline_case(cfg: FuzzConfig | None, names: tuple,
                       result)
 
 
-def run_backup_case(cfg=None) -> CaseResult:
+def run_backup_case(cfg: FuzzConfig) -> CaseResult:
     """Backup ingest: one full stream, no relocation."""
     return run_pipeline_case(cfg, ("fz",), relocate=False)
 
 
-def run_repl_case(cfg=None) -> CaseResult:
+def run_repl_case(cfg: FuzzConfig) -> CaseResult:
     """Replication: full + incremental stream, relocate, restore."""
     return run_pipeline_case(cfg, ("fz1", "fz2"), relocate=True)

@@ -258,12 +258,6 @@ class NovaFS:
                           "or formatted with staging_pages=0)")
         self.staging_enabled = True
 
-    def disable_staging(self) -> None:
-        """Stop absorbing; drains anything already staged."""
-        if self.staging is not None:
-            self.staging.drain_all()
-        self.staging_enabled = False
-
     def _replay_staging(self) -> None:
         if self.staging is None:
             return
@@ -995,16 +989,6 @@ class NovaFS:
             "used_pages": self.geo.data_pages - self.allocator.free_pages,
         }
 
-    def fsync(self, ino: int) -> None:
-        """NOVA writes are durable at return; fsync only pays the syscall.
-
-        This holds with the staging tier too: an absorbed write is
-        durable (CRC-framed record + fence) before :meth:`write`
-        returns, so fsync never needs to drain the staging log.
-        """
-        self._check_mounted()
-        self.clock.advance(self.cpu_model.syscall_ns)
-
     def walk(self, top: str = "/"):
         """Yield ``(dirpath, dirnames, filenames)`` like :func:`os.walk`.
 
@@ -1145,13 +1129,6 @@ class NovaFS:
                 cache.invalid_entries.pop(page, None)
                 self._c_log_gced.inc()
                 return  # one page per call keeps the hot path bounded
-
-    def gc(self, ino: int) -> dict:
-        """Thorough log GC: compact a fragmented log (see nova.gc)."""
-        self._check_mounted()
-        if ino not in self.caches:
-            raise FileNotFound(f"ino {ino}")
-        return thorough_gc(self, ino)
 
     def thorough_gc_allowed(self, ino: int, chain_pages: list[int]) -> bool:
         """DeNova vetoes compaction while dedup work references the log."""

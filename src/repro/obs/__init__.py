@@ -1,8 +1,8 @@
 """Unified observability: metrics registry, span tracing, exporters.
 
 v2 adds causal traces (``trace_id``/``track`` on every span, Chrome
-trace-event and collapsed-stack export), a simulated-time profiler, and
-an SLO watchdog backed by a flight recorder.
+trace-event and collapsed-stack export), a simulated-time profiler, SLO
+rules and a flight recorder.
 
 See ``docs/OBSERVABILITY.md`` for the naming convention and usage.
 """
@@ -17,8 +17,7 @@ from .profile import (PROFILE_SCHEMA, diff_profiles, format_profile,
 from .registry import (DEFAULT_LATENCY_BUCKETS_NS, Counter, Gauge,
                        Histogram, MetricsRegistry, percentiles_from_buckets,
                        series_key, split_series)
-from .slo import (FlightRecorder, SLORule, SLOWatchdog, evaluate_snapshot,
-                  load_rules)
+from .slo import FlightRecorder, SLORule, evaluate_snapshot, load_rules
 from .trace import ObsHub, SpanEvent, Tracer
 
 __all__ = [
@@ -30,6 +29,6 @@ __all__ = [
     "to_chrome_trace", "to_folded", "compute_self_ns", "span_paths",
     "profile_from_events", "merge_profiles", "diff_profiles", "top_paths",
     "format_profile", "load_profile", "PROFILE_SCHEMA",
-    "FlightRecorder", "SLORule", "SLOWatchdog", "load_rules",
+    "FlightRecorder", "SLORule", "load_rules",
     "evaluate_snapshot",
 ]

@@ -22,7 +22,6 @@ only the prefix is lost).
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from .trace import SpanEvent
@@ -68,7 +67,7 @@ def to_chrome_trace(events: Iterable[SpanEvent]) -> dict:
 
     One process, one thread lane per track; timestamps and durations are
     simulated microseconds (the format's native unit).  Returns the
-    JSON-able dict; dump with ``json.dump`` or :func:`chrome_trace_json`.
+    JSON-able dict; dump it with ``json.dump``.
     """
     events = list(events)
     tracks = sorted({ev.track for ev in events})
@@ -99,10 +98,6 @@ def to_chrome_trace(events: Iterable[SpanEvent]) -> dict:
             },
         })
     return {"traceEvents": out, "displayTimeUnit": "ns"}
-
-
-def chrome_trace_json(events: Iterable[SpanEvent]) -> str:
-    return json.dumps(to_chrome_trace(events), indent=1)
 
 
 def to_folded(events: Sequence[SpanEvent]) -> str:

@@ -200,9 +200,6 @@ class Gauge:
     def inc(self, n: float = 1) -> None:
         self.set(self._value + n)
 
-    def dec(self, n: float = 1) -> None:
-        self.set(self._value - n)
-
     def reset(self) -> None:
         if self._fn is None:
             self._value = 0.0
@@ -352,10 +349,8 @@ class MetricsRegistry:
         key = series_key(name, labels) if labels else name
         return self._get_or_create(Counter, key, help)
 
-    def gauge(self, name: str, help: str = "",
-              labels: Optional[dict] = None) -> Gauge:
-        key = series_key(name, labels) if labels else name
-        return self._get_or_create(Gauge, key, help)
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        return self._get_or_create(Gauge, name, help)
 
     def histogram(self, name: str, buckets: Sequence[float] = None,
                   help: str = "",
@@ -372,16 +367,14 @@ class MetricsRegistry:
         return m
 
     def counter_fn(self, name: str, fn: Callable[[], float],
-                   help: str = "",
-                   labels: Optional[dict] = None) -> Counter:
+                   help: str = "") -> Counter:
         """Register (or re-point) a callback-backed counter.
 
         Re-pointing matters for structures that are *rebuilt* during
         recovery (the page allocator): the metric survives, the closure
         is swapped to read the new instance.
         """
-        key = series_key(name, labels) if labels else name
-        return self._callback(Counter, key, fn, help)
+        return self._callback(Counter, name, fn, help)
 
     def gauge_fn(self, name: str, fn: Callable[[], float],
                  help: str = "",

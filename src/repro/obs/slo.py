@@ -1,8 +1,9 @@
-"""SLO watchdog and flight recorder.
+"""SLO rules and flight recorder.
 
-Declarative service-level objectives evaluated on the **simulated**
-clock, plus a bounded structured event log dumped when something goes
-wrong — so an alert or crash report carries its recent history.
+Declarative service-level objectives, evaluated against an image's
+metrics snapshot by ``repro slo``, plus a bounded structured event log
+dumped when something goes wrong — so a crash report carries its recent
+history.
 
 Rule kinds (``repro.slo/1`` schema)::
 
@@ -21,18 +22,12 @@ Rule kinds (``repro.slo/1`` schema)::
 * ``gauge`` — a gauge (or counter) value must stay inside
   [``min``, ``max``].
 * ``rate`` — a counter must not burn faster than ``max_per_s`` of
-  *simulated* time between two consecutive checks (the burn-rate
-  window is the watchdog's check interval).
+  *simulated* time.  One snapshot is one observation, so
+  :func:`evaluate_snapshot` reports rate rules as skipped.
 
-The watchdog is edge-triggered: a rule alerts when it crosses from
-healthy to violating and re-arms once it recovers, so a persistently
-saturated gauge produces one alert per excursion, not one per check.
-
-Every alert increments ``obs.alerts_total``, records a structured
-``alert`` event in the flight recorder, and — when an artifact path is
-configured — dumps the flight ring to a JSON file
-(``repro.flight/1``), which is the same dump invariant trips and fuzz
-failures attach to their reports.
+The flight ring dumps to a JSON file (``repro.flight/1``) when an
+artifact path is configured; invariant trips and fuzz failures attach
+the same dump to their reports.
 """
 
 from __future__ import annotations
@@ -44,8 +39,7 @@ from typing import Optional
 
 from repro.obs.registry import percentiles_from_buckets
 
-__all__ = ["FlightRecorder", "SLORule", "SLOWatchdog", "load_rules",
-           "evaluate_snapshot"]
+__all__ = ["FlightRecorder", "SLORule", "load_rules", "evaluate_snapshot"]
 
 
 class _NullClock:
@@ -63,19 +57,19 @@ class FlightRecorder:
     """Bounded ring of structured events — the system's black box.
 
     Subsystems call :meth:`record` on notable events (op completions,
-    lock acquisitions, DWQ enqueues, persistence points, alerts); the
+    lock acquisitions, DWQ enqueues, persistence points); the
     ring keeps the newest ``capacity`` of them at constant memory.
     :meth:`dump` snapshots the ring into a ``repro.flight/1`` artifact,
-    optionally written to :attr:`artifact_path` — triggered on SLO
-    alerts, invariant trips, and fuzz-checker failures.
+    optionally written to :attr:`artifact_path` — triggered on invariant
+    trips and fuzz-checker failures.
     """
 
-    def __init__(self, clock=None, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
+    #: Events kept (a test subclass keeps fewer).
+    capacity = 512
+
+    def __init__(self, clock=None):
         self.clock = clock if clock is not None else _NULL_CLOCK
-        self.capacity = capacity
-        self.events: deque[dict] = deque(maxlen=capacity)
+        self.events: deque[dict] = deque(maxlen=self.capacity)
         self.total = 0
         self.enabled = True
         #: When set, :meth:`dump` also writes the artifact here.
@@ -178,115 +172,6 @@ def _resolve_latency_metric(metric: str, names) -> Optional[str]:
         return metric
     alias = f"{metric}_latency_ns"
     return alias if alias in names else None
-
-
-class SLOWatchdog:
-    """Periodic rule evaluation against a live :class:`ObsHub`.
-
-    Drive it either synchronously (:meth:`check` whenever convenient)
-    or as a DES process (:meth:`run` spawned on an engine) so rules are
-    evaluated every ``interval_ns`` of simulated time while a workload
-    runs.  Alerts are appended to :attr:`alerts`, counted in
-    ``obs.alerts_total``, recorded in the flight ring, and trigger a
-    flight dump.
-    """
-
-    def __init__(self, obs, rules, *, interval_ns: float = 1e6):
-        if interval_ns <= 0:
-            raise ValueError("interval_ns must be > 0")
-        self.obs = obs
-        self.rules = load_rules(rules)
-        self.interval_ns = interval_ns
-        self.alerts: list[dict] = []
-        self.checks = 0
-        self.stop = False
-        self.last_dump: Optional[dict] = None
-        self._firing: set[str] = set()
-        self._rate_state: dict[str, tuple[float, float]] = {}
-        reg = obs.registry
-        self._c_alerts = reg.counter(
-            "obs.alerts_total", help="SLO rules fired (edge-triggered)")
-        self._c_checks = reg.counter(
-            "obs.slo_checks_total", help="watchdog evaluation rounds")
-
-    # ------------------------------------------------------------ evaluation
-
-    def _eval(self, rule: SLORule, now_ns: float) -> Optional[dict]:
-        reg = self.obs.registry
-        if rule.kind == "latency":
-            name = _resolve_latency_metric(rule.metric, reg)
-            h = reg.get(name) if name else None
-            if h is None or not getattr(h, "count", 0):
-                return None
-            value = h.percentile(rule.quantile)
-            if value > rule.max:
-                return {"value": value, "bound": rule.max,
-                        "quantile": rule.quantile, "metric": name}
-            return None
-        m = reg.get(rule.metric)
-        if m is None:
-            return None
-        value = m.value
-        if rule.kind == "gauge":
-            if rule.max is not None and value > rule.max:
-                return {"value": value, "bound": rule.max,
-                        "metric": rule.metric}
-            if rule.min is not None and value < rule.min:
-                return {"value": value, "bound": rule.min,
-                        "metric": rule.metric, "below": True}
-            return None
-        # rate: counter burn per simulated second since the last check.
-        last = self._rate_state.get(rule.name)
-        self._rate_state[rule.name] = (value, now_ns)
-        if last is None:
-            return None
-        dv, dt = value - last[0], now_ns - last[1]
-        if dt <= 0:
-            return None
-        rate = dv / (dt / 1e9)
-        if rate > rule.max_per_s:
-            return {"value": rate, "bound": rule.max_per_s,
-                    "metric": rule.metric, "window_ns": dt}
-        return None
-
-    def check(self, now_ns: Optional[float] = None) -> list[dict]:
-        """Evaluate every rule once; return alerts fired this round."""
-        if now_ns is None:
-            now_ns = self.obs.tracer.clock.now_ns
-        self.checks += 1
-        self._c_checks.inc()
-        fired = []
-        for rule in self.rules:
-            violation = self._eval(rule, now_ns)
-            if violation is None:
-                self._firing.discard(rule.name)
-                continue
-            if rule.name in self._firing:
-                continue  # still in the same excursion
-            self._firing.add(rule.name)
-            alert = {"t_ns": now_ns, "rule": rule.name, "kind": rule.kind,
-                     **violation}
-            fired.append(alert)
-            self.alerts.append(alert)
-            self._c_alerts.inc()
-            fields = dict(alert)
-            fields["rule_kind"] = fields.pop("kind")  # "kind" = event kind
-            self.obs.flight.record("alert", **fields)
-            self.last_dump = self.obs.flight.dump(
-                reason=f"slo:{rule.name}")
-        return fired
-
-    # ------------------------------------------------------------ DES drive
-
-    def run(self, eng, base_ns: float = 0.0):
-        """DES process generator: check every ``interval_ns`` until
-        :attr:`stop` is set (one final check runs after the stop flag so
-        the tail of the run is covered)."""
-        while True:
-            yield eng.timeout(self.interval_ns)
-            self.check(base_ns + eng.now)
-            if self.stop:
-                return
 
 
 def evaluate_snapshot(rules, snapshot: dict) -> list[dict]:

@@ -241,9 +241,12 @@ class ObsHub:
     alert can be dumped with its recent history attached.
     """
 
-    def __init__(self, clock=None, trace_capacity: int = 4096):
+    #: Spans the tracer's ring keeps (a test subclass keeps fewer).
+    trace_capacity = 4096
+
+    def __init__(self, clock=None):
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(clock=clock, capacity=trace_capacity)
+        self.tracer = Tracer(clock=clock, capacity=self.trace_capacity)
         self.flight = FlightRecorder(clock=self.tracer.clock)
         self.tracer.flight = self.flight
         self._span_hists: dict[str, Histogram] = {}

@@ -69,8 +69,8 @@ class SimClock:
 
     __slots__ = ("now_fs", "charged_fs", "_captures")
 
-    def __init__(self, start_ns: float = 0.0):
-        self.now_fs = fs_of(start_ns)
+    def __init__(self):
+        self.now_fs = 0
         #: Total work ever charged, regardless of mode.  ``now`` deltas
         #: are wrong for span durations in capture mode (charges go to the
         #: capture) and across ``sync_to`` (time moves without work being
@@ -148,10 +148,6 @@ class SimClock:
     def capture(self) -> CostCapture:
         """Context manager: redirect charges into a :class:`CostCapture`."""
         return CostCapture(self)
-
-    @property
-    def capturing(self) -> bool:
-        return bool(self._captures)
 
 
 #: The plain ``advance``: what ``advance_n`` may multiply instead of call.

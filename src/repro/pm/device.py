@@ -41,7 +41,7 @@ it is older than every table line: runs, then shadow keys, are the
 order lines first became volatile — the order ``crash("torn")`` draws
 its random words in.  ``write(..., persist=True)`` is store + clwb +
 sfence in one call, held to the charges, counters and hook order of the
-three; with no ``on_write`` / ``on_persist`` hook on a clock that folds
+three; with no ``on_persist`` hook on a clock that folds
 it is one integer charge and no pre-image whatever else is volatile
 (its fence commits its own lines, the flushing ones and the runs), and
 otherwise, on a device with nothing volatile, its run enters the tables
@@ -171,13 +171,12 @@ class PMHooks:
     :class:`CrashRequested`.  ``on_persist`` fires on every sfence that
     commits at least one line, *before* the commit takes effect (a crash
     there leaves the lines volatile); ``on_persist_done`` fires after.
-    A hook looks (``stats``, ``volatile_lines``, ``read_silent``,
-    ``fork``) or raises; it does not operate the device it is called
-    from — inside a durable store the lines in flight are in no table
-    until it raises (or a ``fork`` enters them into its own).
+    A hook looks (``stats``, ``read_silent``, ``fork``) or raises; it
+    does not operate the device it is called from — inside a durable
+    store the lines in flight are in no table until it raises (or a
+    ``fork`` enters them into its own).
     """
 
-    on_write: Optional[Callable[[int, "PMDevice"], None]] = None
     on_persist: Optional[Callable[[int, "PMDevice"], None]] = None
     on_persist_done: Optional[Callable[[int, "PMDevice"], None]] = None
 
@@ -373,8 +372,7 @@ class PMDevice:
         store, then the ``clwb`` of exactly its lines, then the
         ``sfence`` — what ``write(addr, data, nt)`` followed by
         ``persist(addr, len(data))`` does, charge for charge and hook for
-        hook, in one call.  A crash raised by ``on_write`` leaves the
-        store un-flushed.
+        hook, in one call.
         """
         if self._crashed:
             self._refuse()
@@ -406,8 +404,7 @@ class PMDevice:
         # charges to is one integer charge and no pre-image, whatever
         # else is volatile: its fence commits its own lines, the
         # flushing ones and the held runs.
-        fused = (persist and hooks.on_write is None
-                 and hooks.on_persist is None and clock.folds)
+        fused = persist and hooks.on_persist is None and clock.folds
         if fused or persist and not shadow and not runs:
             count = last - first + 1
             if count == 1:
@@ -429,12 +426,11 @@ class PMDevice:
                 # A hook or a recording clock, and nothing else volatile
                 # — the state NOVA-style code is in before most of its
                 # stores.  The lines are volatile only inside this call,
-                # so they are held *in flight* (counted by
-                # ``volatile_lines``, in no table) and one pre-image of
-                # the run stands for their shadow; only a hook that
-                # raises — nothing else can observe them — has them
-                # spread over the tables, as the stores below would have
-                # left them at that point.
+                # so they are held *in flight* (in no table) and one
+                # pre-image of the run stands for their shadow; only a
+                # hook that raises — nothing else can observe them — has
+                # them spread over the tables, as the stores below would
+                # have left them at that point.
                 durable = self._bytes[first * CACHELINE:
                                       (last + 1) * CACHELINE].tobytes()
                 self._bytes[addr:end] = data
@@ -442,8 +438,6 @@ class PMDevice:
                 flight = self._in_flight = [first, last + 1, durable, nt]
                 try:
                     clock.charge_fs(*self._write_costs[n])
-                    if hooks.on_write is not None:
-                        hooks.on_write(stats.writes, self)
                     stats.clwbs += count
                     # One charge per line (see _write_back).
                     if count == 1:
@@ -478,8 +472,6 @@ class PMDevice:
             self._bytes[addr:end] = data
             stats.nt_writes += 1
             clock.charge_fs(*self._write_costs[n])
-            if hooks.on_write is not None:
-                hooks.on_write(stats.writes, self)
             return
         # Snapshot the durable content of the lines stored to (lines that
         # are already volatile keep their older, durable snapshot) and
@@ -523,8 +515,6 @@ class PMDevice:
         if nt:
             stats.nt_writes += 1
         clock.charge_fs(*self._write_costs[n])
-        if hooks.on_write is not None:
-            hooks.on_write(stats.writes, self)
         if not persist:
             return
         if lines is None:
@@ -544,10 +534,9 @@ class PMDevice:
             raise ValueError(f"atomic 64-bit store must be 8-aligned: {addr}")
         self.write(addr, int(value).to_bytes(8, "little"), False, persist)
 
-    def zero_range(self, addr: int, n: int, nt: bool = True,
-                   persist: bool = False) -> None:
-        """Store zeros over a range (page initialization)."""
-        self.write(addr, bytes(n), nt, persist)
+    def zero_range(self, addr: int, n: int, persist: bool = False) -> None:
+        """Store zeros over a range (page initialization), non-temporal."""
+        self.write(addr, bytes(n), True, persist)
 
     # -- persistence ------------------------------------------------------------
 
@@ -669,14 +658,6 @@ class PMDevice:
         self.write(addr, int(value).to_bytes(4, "little"), False, persist)
 
     # -- crash & recovery ----------------------------------------------------------
-
-    @property
-    def volatile_lines(self) -> int:
-        """Number of cache lines whose content is not yet durable."""
-        self._check_open()
-        flight = self._in_flight
-        return (len(self._shadow) + (flight[1] - flight[0] if flight else 0)
-                + sum(stop - first for first, stop, _ in self._runs))
 
     def crash(self, mode: str = "discard",
               rng: Optional[np.random.Generator] = None) -> None:

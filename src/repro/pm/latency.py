@@ -17,7 +17,7 @@ copies are bandwidth-dominated (CoW data pages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "LatencyModel",
@@ -72,9 +72,6 @@ class LatencyModel:
     def write_cost(self, nbytes: int) -> float:
         """Cost of one store of ``nbytes`` contiguous bytes (to cache)."""
         return self.write_latency_ns + nbytes / self.write_bw_bytes_per_ns
-
-    def with_cpu(self, cpu: CpuModel) -> "LatencyModel":
-        return replace(self, cpu=cpu)
 
 
 # Table I profiles.  Latencies use mid-range values; bandwidths are chosen

@@ -80,10 +80,6 @@ class Process(Event):
         boot.add_callback(self._resume)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def _resume(self, event: Event) -> None:
         try:
             nxt = self.gen.send(event.value)
@@ -227,14 +223,6 @@ class Lock:
         self.contended_acquisitions = 0
         self.contention_penalty_ns = contention_penalty_ns
 
-    @property
-    def locked(self) -> bool:
-        return self._holder is not None
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         ev = self.engine.event("lock.acquire")
         self.acquisitions += 1
@@ -285,10 +273,6 @@ class RWLock:
         self._writer: Optional[Event] = None
         self._waiters: deque[tuple[str, Event]] = deque()
         self.contention_penalty_ns = contention_penalty_ns
-
-    @property
-    def active_readers(self) -> int:
-        return self._readers
 
     def acquire_read(self) -> Event:
         ev = self.engine.event("rwlock.acquire_read")

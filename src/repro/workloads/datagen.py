@@ -39,7 +39,10 @@ def _dup_pool(seed: int, page_size: int, size: int) -> tuple[bytes, ...]:
 class DataGenerator:
     """Deterministic page stream with duplicate ratio ``alpha``."""
 
-    def __init__(self, alpha: float, seed: int = 0, page_size: int = 4096,
+    #: Bytes per page (a test subclass makes smaller ones).
+    page_size = 4096
+
+    def __init__(self, alpha: float, seed: int = 0,
                  dup_pool_size: int = 16, stream: int = 0):
         """``stream`` separates parallel generators (one per writer
         thread): streams share the same duplicate pool (so cross-thread
@@ -50,10 +53,9 @@ class DataGenerator:
         if dup_pool_size < 1:
             raise ValueError("dup_pool_size must be >= 1")
         self.alpha = alpha
-        self.page_size = page_size
         self.rng = np.random.default_rng([seed, stream])
         self._counter = stream << 40  # disjoint uniqueness namespaces
-        self.pool = _dup_pool(seed, page_size, dup_pool_size)
+        self.pool = _dup_pool(seed, self.page_size, dup_pool_size)
         self.pages_emitted = 0
         self.dup_pages_emitted = 0
 
@@ -89,9 +91,3 @@ class DataGenerator:
         """A file body of ``nbytes`` (page-granular duplicate control)."""
         npages = (nbytes + self.page_size - 1) // self.page_size
         return b"".join(self.pages(npages))[:nbytes]
-
-    @property
-    def realized_alpha(self) -> float:
-        if not self.pages_emitted:
-            return 0.0
-        return self.dup_pages_emitted / self.pages_emitted

@@ -14,6 +14,9 @@ four shapes composable in one :class:`FleetSpec`:
 * **tenant churn** — a fraction of each tenant's files is deleted and
   rewritten after the first pass (new inodes, re-deduplicated data).
 
+Diurnal load and churn are class attributes of :class:`FleetSpec`, off
+by default; a spec subclass turns them on.
+
 Everything is seeded and runs on simulated time, so a fleet run is
 fully reproducible — the isolation baseline in
 ``benchmarks/bench_tenants.py`` depends on that.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.conc.vfs import OP_LATENCY_BUCKETS_NS, ConcurrentVFS
 from repro.tenant import QuotaExceeded
@@ -43,15 +46,21 @@ class FleetSpec:
     zipf_s: float = 1.0
     dup_ratio: float = 0.5
     think_ratio: float = 0.0      # think time as a fraction of file io
-    diurnal_period_ms: float = 0.0   # 0 = flat load
-    diurnal_amplitude: float = 0.0   # 0..1: think-time swing around base
     noisy_tenant: Optional[int] = None
     noisy_burst_files: int = 0
     noisy_clients: int = 4        # parallel streams inside the burst
-    churn: float = 0.0            # fraction of files deleted + rewritten
     seed: int = 7
+    diurnal_period_ms: ClassVar[float] = 0.0   # 0 = flat load
+    diurnal_amplitude: ClassVar[float] = 0.0   # 0..1: think-time swing
+    churn: ClassVar[float] = 0.0  # fraction of files deleted + rewritten
 
     def __post_init__(self):
+        if self.tenants < 1:
+            raise ValueError(f"tenants must be >= 1, not {self.tenants}")
+        if self.noisy_tenant is not None \
+                and self.noisy_tenant not in range(self.tenants):
+            raise ValueError(f"noisy tenant {self.noisy_tenant} is not one "
+                             f"of the {self.tenants} tenants")
         # Every tenant's DataGenerator would refuse it, one DES process in.
         if not 0.0 <= self.dup_ratio <= 1.0:
             raise ValueError("dup_ratio must be in [0, 1]")

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.conc.vfs import ConcurrentVFS
-from repro.obs import SLOWatchdog
 from repro.workloads.datagen import DataGenerator
 from repro.workloads.fio import JobSpec, Mode
 
@@ -99,7 +98,6 @@ class RunResult:
     workers: int = 1
     steals: int = 0
     stalls: int = 0
-    alerts: list = field(default_factory=list)  # SLO watchdog firings
     dwq_peak: int = 0
     lingering_ns: list = field(default_factory=list)
     space: dict = field(default_factory=dict)
@@ -204,10 +202,6 @@ def prepopulate(fs, spec: JobSpec, drain: bool = True) -> list[int]:
 def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
                  bw_slots: int = 4, inos: Optional[list[int]] = None,
                  workers: int = 1,
-                 shards: Optional[int] = None,
-                 max_shard_depth: Optional[int] = None,
-                 jitter_seed: Optional[int] = None,
-                 slo=None, slo_interval_ns: float = 1e6,
                  destage_workers: int = 1) -> RunResult:
     """Execute a job through ConcurrentVFS and return simulated results.
 
@@ -215,16 +209,7 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
     :func:`prepopulate`, or the runner prepopulates with the same spec).
 
     ``workers`` sizes the dedup worker pool (1 = the paper's single
-    daemon); ``shards`` overrides the DWQ shard count (default: one per
-    CPU); ``max_shard_depth`` bounds shard depth (writers stall on full
-    shards — backpressure); ``jitter_seed`` perturbs the schedule for
-    the determinism permuter.
-
-    ``slo`` takes SLO rules (anything :func:`repro.obs.load_rules`
-    accepts); an :class:`~repro.obs.SLOWatchdog` then runs as a DES
-    process evaluating them every ``slo_interval_ns`` of simulated time
-    while the workload executes, and its firings land in
-    ``result.alerts`` (plus the obs flight recorder / alert counter).
+    daemon) over one unbounded DWQ shard per CPU.
 
     ``destage_workers`` sizes the staging destage pool; it only matters
     when ``fs.enable_staging()`` was called (``workers=1`` destages each
@@ -246,9 +231,7 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
             if not fs.exists(f"/t{t}"):
                 fs.mkdir(f"/t{t}")
 
-    cvfs = ConcurrentVFS(fs, bw_slots=bw_slots, workers=workers,
-                         shards=shards, max_shard_depth=max_shard_depth,
-                         jitter_seed=jitter_seed)
+    cvfs = ConcurrentVFS(fs, bw_slots=bw_slots, workers=workers)
     # Overwrite phases rewrite with *fresh* unique-stream offsets so the
     # new data does not accidentally equal the old.
     stream_base = 1000 if spec.mode == Mode.OVERWRITE else 0
@@ -261,15 +244,12 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
                     name=f"writer-{t}")
         for t in range(spec.threads)
     ]
-    watchdog = None
-    if slo is not None:
-        watchdog = SLOWatchdog(fs.obs, slo, interval_ns=slo_interval_ns)
     # Staged small writes are destaged by a background pool while the
     # writers run; throughput is still the writers' wall span, so the
     # absorption win shows up as foreground time, and the destage cost
     # as background time (like the dedup daemon's).
     result.foreground_ns, result.total_ns = cvfs.run(
-        writers, dd, destage_workers=destage_workers, watchdog=watchdog)
+        writers, dd, destage_workers=destage_workers)
 
     result.dd_busy_ns = cvfs.worker_busy_ns
     result.dd_nodes = cvfs.worker_nodes
@@ -289,8 +269,6 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
     if cvfs.sdwq is not None:
         result.steals = cvfs.sdwq.steals
     result.stalls = int(cvfs._c_stalls.value)
-    if watchdog is not None:
-        result.alerts = list(watchdog.alerts)
     if hasattr(fs, "dwq"):
         result.dwq_peak = fs.dwq.peak_length
         result.lingering_ns = list(fs.dwq.lingering_ns)

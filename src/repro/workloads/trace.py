@@ -92,10 +92,13 @@ class TracedFS:
     op is recorded under the first of them.
     """
 
-    def __init__(self, fs, record_reads: bool = True):
+    #: Reads are recorded with a digest of what they returned (a test
+    #: subclass leaves them out).
+    record_reads = True
+
+    def __init__(self, fs):
         self.fs = fs
         self.trace = Trace()
-        self.record_reads = record_reads
         self._names: dict[int, list[str]] = {}
 
     # -- namespace ----------------------------------------------------------

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from tests._code_index import as_tree, tree
+
 BENCH = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 spec = importlib.util.spec_from_file_location("bench_compare",
                                               BENCH / "compare.py")
@@ -95,10 +97,9 @@ def guard_violations(name: str, source: str) -> list[str]:
     only ``_common.py`` may do, or that the deleted system did.  String
     constants include docstrings: "numbers land in benchmarks/results/x"
     is how the per-bench files were advertised."""
-    tree = ast.parse(source)
     writer, gate = name == "_common.py", name == "compare.py"
     bad = []
-    for node in ast.walk(tree):
+    for node in ast.walk(as_tree(source)):
         ident = getattr(node, "id", getattr(node, "attr", getattr(
             node, "name", None)))       # Name / Attribute / import alias
         if isinstance(node, ast.Call):
@@ -141,7 +142,7 @@ FIGURE_SCRIPTS = sorted(BENCH.glob("*.py"))
 
 @pytest.mark.parametrize("path", FIGURE_SCRIPTS, ids=lambda p: p.name)
 def test_one_writer_one_gate(path):
-    assert guard_violations(path.name, path.read_text()) == []
+    assert guard_violations(path.name, tree(path)) == []
 
 
 @pytest.mark.parametrize("name,pasted,expect", [

@@ -51,7 +51,7 @@ class TestBreakdown:
         assert row.fp_us == pytest.approx(11.78)
         assert row.other_us == pytest.approx(3.66)
         assert row.dedupe_us == pytest.approx(15.44)
-        assert 4 <= row.fp_over_write <= 5
+        assert 4 <= row.fp_us / row.write_us <= 5
 
     def test_other_ops_never_negative(self):
         row = latency_breakdown(1000, 5000, 4000)

@@ -18,7 +18,6 @@ from repro.backup import (
     STAGE_DIR,
     receive_backup,
     send_backup,
-    stage_path_for,
     verify_snapshot,
 )
 from repro.dedup import DeNovaFS
@@ -26,6 +25,7 @@ from repro.failure import check_fs_invariants
 from repro.fuzz import FuzzConfig, run_backup_case
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
+from tests.backup.stage import stage_path_for
 
 pytestmark = pytest.mark.backup
 

@@ -10,8 +10,6 @@ from repro.backup import (
     receive_backup,
     send_backup,
     send_cursor_path,
-    stage_cursor,
-    stage_path_for,
     verify_snapshot,
     verify_stream,
 )
@@ -19,6 +17,7 @@ from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
+from tests.backup.stage import stage_cursor, stage_path_for
 
 pytestmark = pytest.mark.backup
 

@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from repro.backup.stream import (
+    _END_BYTES,
     END_MAGIC,
     FORMAT,
     REC_HEADER_BYTES,
@@ -17,7 +18,6 @@ from repro.backup.stream import (
     read_header,
     read_record_at,
     record_bytes,
-    stream_size,
     write_header,
     write_record,
     write_trailer,
@@ -107,7 +107,9 @@ class TestRecords:
     def test_closed_form_size(self):
         buf, manifest, header_len, pages = small_stream(3)
         assert record_bytes(PAGE_SIZE) == REC_HEADER_BYTES + PAGE_SIZE
-        assert len(buf.getvalue()) == stream_size(header_len, 3, PAGE_SIZE)
+        # header + records + trailer
+        assert len(buf.getvalue()) \
+            == header_len + 3 * record_bytes(PAGE_SIZE) + _END_BYTES
 
     def test_truncated_stream_not_complete(self):
         buf, manifest, header_len, _ = small_stream(3)

@@ -4,18 +4,18 @@
 sync).  Everything here drives those two only."""
 
 import ast
-import pathlib
 from collections import Counter
 
 import pytest
 
-import repro
 from repro.conc.vfs import ConcurrentVFS
 from repro.core import Config, Variant, make_fs
 from repro.dedup.hybrid import MODE_INLINE
 from repro.nova import PAGE_SIZE
 from repro.tenant import QuotaExceeded
 from repro.workloads.runner import DDMode
+from tests._code_index import SRC, source, src_tree, src_trees
+from tests.conc.permutations import run_permutations
 
 pytestmark = [pytest.mark.conc, pytest.mark.tenant]
 
@@ -135,7 +135,6 @@ class TestRun:
     def test_drive_policy_needs_a_daemon(self):
         """One rule for an explicit dd on a filesystem without a dedup
         daemon — every driver raises, none silently ignores it."""
-        from repro.conc import run_permutations
         from repro.workloads import run_workload, small_file_job
         from repro.workloads.fleet import FleetSpec, run_fleet
 
@@ -173,7 +172,6 @@ class TestRun:
         assert len(fs.dwq) == 0
 
 
-_SRC = pathlib.Path(repro.__file__).parent
 _DRIVER = "conc/vfs.py"
 #: The deleted pre-ConcurrentVFS op core, spelled apart so that
 #: ``git grep`` for the name finds nothing in the tree.
@@ -190,13 +188,12 @@ def test_one_concurrent_run_driver():
     workload driver builds clients from ``op``/``write`` and calls
     ``run`` — it is not a fourth copy of the coordinator."""
     stray = []
-    for path in sorted(_SRC.rglob("*.py")):
-        rel = path.relative_to(_SRC).as_posix()
-        text = path.read_text()
-        assert _OLD_CORE not in text, f"{rel} still names {_OLD_CORE}"
+    for rel, tree in src_trees():
+        assert _OLD_CORE not in source(SRC / rel), \
+            f"{rel} still names {_OLD_CORE}"
         if rel == _DRIVER:
             continue
-        for node in ast.walk(ast.parse(text)):
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
@@ -210,7 +207,7 @@ def test_one_concurrent_run_driver():
     # Inside the driver: write() is the only admitter and releaser,
     # run() the only one that starts pools and runs the engine.
     owners = {}
-    cls = next(n for n in ast.parse((_SRC / _DRIVER).read_text()).body
+    cls = next(n for n in src_tree(_DRIVER).body
                if isinstance(n, ast.ClassDef) and n.name == "ConcurrentVFS")
     for fn in [n for n in cls.body if isinstance(n, ast.FunctionDef)]:
         for node in ast.walk(fn):

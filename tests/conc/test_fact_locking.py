@@ -14,7 +14,8 @@ import pytest
 from repro.core import Config, Variant, make_fs
 from repro.dedup.denova import DeNovaFS
 from repro.failure import check_fs_invariants, sweep_crash_points
-from repro.workloads import run_workload, small_file_job
+from repro.workloads import small_file_job
+from tests.conc.permutations import run_workload
 
 pytestmark = pytest.mark.conc
 

@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from repro.conc import fs_state_digest, run_permutations
+from repro.conc import fs_state_digest
 from repro.conc.vfs import WAIT_BUCKETS_NS
 from repro.core import Config, Variant, make_fs
 from repro.dedup.hybrid import (MODE_INLINE, MODE_OFF, HybridDeNovaFS,
@@ -24,8 +24,9 @@ from repro.dedup.hybrid import (MODE_INLINE, MODE_OFF, HybridDeNovaFS,
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.nova.layout import Superblock
-from repro.workloads import run_workload, small_file_job
+from repro.workloads import small_file_job
 from repro.workloads.datagen import DataGenerator
+from tests.conc.permutations import run_permutations, run_workload
 
 pytestmark = [pytest.mark.conc, pytest.mark.hybrid]
 

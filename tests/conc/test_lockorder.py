@@ -7,14 +7,19 @@ from repro.conc.lockorder import LockOrderValidator, LockOrderViolation
 pytestmark = pytest.mark.conc
 
 
+def order_snapshot(v) -> dict[str, list[str]]:
+    """The recorded DAG: lock -> locks taken after it."""
+    return {k: sorted(locks) for k, locks in v._edges.items() if locks}
+
+
 class TestDagRecording:
     def test_edges_accumulate(self):
         v = LockOrderValidator()
         v.acquiring("a", "ns")
         v.acquiring("a", "ino:1")
         v.acquiring("a", "bucket:7")
-        assert v.edge_count() == 3  # ns->ino, ns->bucket, ino->bucket
-        order = v.order_snapshot()
+        assert v.edges_recorded == 3  # ns->ino, ns->bucket, ino->bucket
+        order = order_snapshot(v)
         assert "ino:1" in order["ns"]
         assert "bucket:7" in order["ino:1"]
 
@@ -32,7 +37,7 @@ class TestDagRecording:
         v = LockOrderValidator()
         v.acquiring("a", "ns")
         v.acquiring("b", "ino:3")  # b holds nothing else: no edge from ns
-        assert v.edge_count() == 0
+        assert v.edges_recorded == 0
 
 
 class TestCycleDetection:
@@ -63,16 +68,6 @@ class TestCycleDetection:
         with pytest.raises(LockOrderViolation):
             v.acquiring("a", "ino:1")
 
-    def test_disabled_validator_is_inert(self):
-        v = LockOrderValidator(enabled=False)
-        v.acquiring("a", "ino:1")
-        v.acquiring("a", "ino:2")
-        v.released("a", "ino:2")
-        v.released("a", "ino:1")
-        v.acquiring("b", "ino:2")
-        v.acquiring("b", "ino:1")  # inversion ignored
-        assert v.edge_count() == 0
-
     def test_hierarchy_order_never_raises(self):
         """The documented ns -> ino -> shard -> bucket order is acyclic
         by construction; interleaved holders must all pass."""
@@ -85,4 +80,4 @@ class TestCycleDetection:
             for name in (f"bucket:{b}", f"shard:{ino % 2}", f"ino:{ino}",
                          "ns"):
                 v.released(holder, name)
-        assert v.edge_count() > 0
+        assert v.edges_recorded > 0

@@ -9,11 +9,12 @@ scheduling freedom are unobservable.
 
 import pytest
 
-from repro.conc import fs_state_digest, run_permutations
+from repro.conc import fs_state_digest
 from repro.core import Config, Variant, make_fs
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.workloads.datagen import DataGenerator
+from tests.conc.permutations import run_permutations
 
 pytestmark = pytest.mark.conc
 

@@ -6,8 +6,9 @@ from collections import deque
 import pytest
 
 from repro.nova.recovery import run_sharded, simulate_workers
-from repro.pm.clock import FS_PER_NS, SimClock, fs_of
+from repro.pm.clock import FS_PER_NS, fs_of
 from repro.sim import Engine
+from tests.pm.test_clock import clock_at
 
 
 def engine_pool(costs, workers):
@@ -49,7 +50,7 @@ def test_one_worker_is_the_serial_sum():
 
 
 def test_run_sharded_moves_the_clock_by_the_makespan():
-    clock = SimClock(5.0)
+    clock = clock_at(5.0)
     charges = [100.0, 1 / 3, 40.0, 60.0]
     tasks = [lambda ns=ns: clock.advance(ns) for ns in charges]
     pool = run_sharded(clock, tasks, workers=2)

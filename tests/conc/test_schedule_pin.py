@@ -24,6 +24,8 @@ import pytest
 from repro.core import Config, Variant, make_fs
 from repro.workloads import fleet, runner
 from repro.workloads.fio import Mode, large_file_job, small_file_job
+from tests.conc.permutations import run_workload
+from tests._seams import overriding
 
 pytestmark = pytest.mark.conc
 
@@ -64,10 +66,10 @@ def readwrite_immediate(seed):
 
 
 def tenant_fleet(seed):
-    spec = fleet.FleetSpec(tenants=4, base_files=24, file_size=16 * 1024,
-                           dup_ratio=0.5, think_ratio=0.5, noisy_tenant=1,
-                           noisy_burst_files=12, noisy_clients=3, churn=0.25,
-                           seed=seed)
+    spec = overriding(fleet.FleetSpec, churn=0.25)(
+        tenants=4, base_files=24, file_size=16 * 1024, dup_ratio=0.5,
+        think_ratio=0.5, noisy_tenant=1, noisy_burst_files=12,
+        noisy_clients=3, seed=seed)
     fs, _ = _fs(Variant.DELAYED, 96, cpus=8)
     fleet.run_fleet(fs, spec, dd=runner.DDMode.immediate(), bw_slots=2,
                     shards=4, max_shard_depth=2, qos=True,
@@ -78,8 +80,8 @@ def tenant_fleet(seed):
 def jittered(seed):
     spec = small_file_job(nfiles=48, dup_ratio=0.5, threads=3, seed=seed)
     fs, _ = _fs(Variant.IMMEDIATE, spec.nfiles)
-    runner.run_workload(fs, spec, dd=runner.DDMode.immediate(), workers=2,
-                        max_shard_depth=2, jitter_seed=seed)
+    run_workload(fs, spec, dd=runner.DDMode.immediate(), workers=2,
+                 max_shard_depth=2, jitter_seed=seed)
     return fs
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import Config, Variant, make_fs
 from repro.failure import check_fs_invariants
-from repro.workloads import DDMode, run_workload, small_file_job
+from repro.workloads import DDMode, small_file_job
+from tests.conc.permutations import run_workload
 
 pytestmark = pytest.mark.conc
 

@@ -512,3 +512,45 @@ class TestFleetWorkloadHonoursEveryFlag:
         assert "staging absorbed: 0 writes + 9 creates" in out
         assert _json.loads(trace.read_text())["traceEvents"]
         assert main(["fsck", img]) == 0
+
+
+#: ``(argv, exit status, what the one error line says)``; ``IMG`` is the
+#: formatted image.
+OUT_OF_RANGE = [
+    (["fuzz", "--max-failures", "-1"], 2, "must be >= 1"),
+    (["fuzz", "--ops", "-5"], 2, "must be >= 1"),
+    (["fuzz", "--budget", "-1"], 2, "must be >= 0"),
+    (["fuzz", "--clients", "0"], 2, "must be >= 1"),
+    (["fuzz", "--tenants", "0"], 2, "must be >= 1"),
+    (["fsck", "IMG", "--workers", "0"], 2, "must be >= 1"),
+    (["fsck", "IMG", "--workers", "-3"], 2, "must be >= 1"),
+    (["trace", "IMG", "--limit", "-1"], 2, "must be >= 0"),
+    (["profile", "IMG", "--top", "-2"], 2, "must be >= 0"),
+    (["scrub", "IMG", "--cursor", "-5"], 2, "must be >= 0"),
+    (["workload", "IMG", "--tenants", "-2"], 2, "must be >= 0"),
+    (["workload", "IMG", "--tenants", "2", "--noisy", "5"], 1,
+     "noisy tenant 5 is not one of the 2 tenants"),
+]
+
+
+class TestOutOfRangeInputIsRefused:
+    """A count, a cursor or a limit out of range is one ``error:`` line
+    and a non-zero exit, never a run that quietly does something else
+    (``CLEAN: 0 sequences``, the oldest span dropped, a fleet with no
+    noisy tenant)."""
+
+    @pytest.mark.parametrize("argv, code, says", [
+        pytest.param(*case, id=" ".join(case[0])) for case in OUT_OF_RANGE])
+    def test_one_error_line_no_traceback(self, image, argv, code, says,
+                                         capsys):
+        argv = [image if a == "IMG" else a for a in argv]
+        capsys.readouterr()
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert got == code, err
+        assert len(errors) == 1 and says in errors[0], err
+        assert "Traceback" not in err

@@ -39,9 +39,6 @@ class TestVariants:
     def test_variant_flags(self):
         assert not Variant.BASELINE.has_dedup
         assert Variant.INLINE.has_dedup
-        assert Variant.IMMEDIATE.is_offline
-        assert Variant.DELAYED.is_offline
-        assert not Variant.INLINE.is_offline
 
     def test_baseline_has_no_fact_region(self):
         fs, _ = make_fs(Variant.BASELINE, Config(device_pages=1024,

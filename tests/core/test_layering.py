@@ -18,8 +18,7 @@ import re
 from importlib.util import resolve_name
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src" / "repro"
+from tests._code_index import ROOT, SRC, files, source, tree
 
 #: Bottom → top.  Names are dotted paths under ``repro`` ("" is the root
 #: package); a module belongs to the layer of its longest matching name.
@@ -65,7 +64,7 @@ def _module_name(path: Path) -> str:
     return ".".join(parts)
 
 
-MODULES = {_module_name(p): p for p in sorted(SRC.rglob("*.py"))}
+MODULES = {_module_name(p): p for p in files()}
 
 
 def _imports(module: str):
@@ -92,7 +91,7 @@ def _imports(module: str):
                                 _target(base, alias.name), in_function))
             visit(child, nested)
 
-    visit(ast.parse(path.read_text()), False)
+    visit(tree(path), False)
     return out
 
 
@@ -151,7 +150,7 @@ def test_module_graph_is_acyclic():
 def test_function_level_imports_only_in_cli():
     misplaced, unmarked, lazy = [], [], 0
     for module in MODULES:
-        lines = MODULES[module].read_text().splitlines()
+        lines = source(MODULES[module]).splitlines()
         for line, end in sorted({(line, end) for line, end, _t, fn
                                  in _imports(module) if fn}):
             where = f"{MODULES[module].relative_to(SRC)}:{line}"

@@ -11,26 +11,39 @@ constructor is also reached through ``super().__init__(...)``, through
 a parameter that is called (``_get_or_create(Gauge, ...)`` calls
 ``Gauge``), and a call whose first argument is a def's name as a string
 stands for a call of that def with the rest of its arguments
-(``pair.do("zero_range", a, n, nt=...)`` dispatches by ``getattr``).
+(``pair.do("write", a, b, nt=...)`` dispatches by ``getattr``).
 The census errs towards "set": a parameter it flags is one no call of
 that name could reach.
 
-Three rules, one test each:
+A test is a witness, not a caller: ``src`` holds what the system runs.
+So the census is taken twice, over all four directories and over the
+three without ``tests``, and what only the first sees is test-only.
+
+Four rules, one test each:
 
 * every option is set by some caller, or is in :data:`ALLOWED` with the
   roadmap item that owns it;
 * every public function, method and class is referenced somewhere
   outside its own definition (dunders and the CLI's ``@command``
   functions excepted; an ``__all__`` entry or a re-export is not a use);
-* every :data:`ALLOWED` entry still names an option nothing sets.
+* every :data:`ALLOWED` and :data:`TEST_ONLY` entry still names what it
+  excuses;
+* no option is set, and no public def referenced, by ``tests`` alone,
+  unless it is in :data:`TEST_ONLY` with the roadmap item that owns it.
+
+Every tree comes from :mod:`tests._code_index`, and nothing is parsed
+until the first of these tests runs.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src" / "repro"
-CALLER_DIRS = ("src", "benchmarks", "examples", "tests")
+from tests import _code_index as index
+from tests._code_index import DIRS, ROOT, SRC
+
+CALLER_DIRS = DIRS
+PRODUCTION_DIRS = tuple(d for d in DIRS if d != "tests")
 
 _CPU_ITEM_6 = "ROADMAP item 6 refits the cost table"
 _POLICY_ITEM_15 = "ROADMAP item 15 rewrites the hybrid policy"
@@ -50,6 +63,18 @@ ALLOWED = {
     "repro.workloads.fleet:run_fleet(qos_op_rate_per_s)":
         "ROADMAP item 4 (ii) deletes the op-rate chain, whose "
         "TenantQoS.throttle the e2e tracer names until item 4 (i)",
+}
+
+#: ``module:Qual.field``, ``module:Qual.def(param)`` or ``module:Qual.def``
+#: -> why an option or def that only tests reach stays in ``src``.
+TEST_ONLY = {
+    "repro.pm.latency:CpuModel.dram_touch_ns": _CPU_ITEM_6,
+    "repro.pm.latency:CpuModel.sha1_ns_per_byte": _CPU_ITEM_6,
+    "repro.tenant.qos:TokenBucket.__init__(burst)":
+        "ROADMAP item 4 (ii) deletes TokenBucket with the op-rate chain",
+    "repro.failure.injector:run_with_crash(seed)":
+        "ROADMAP item 17 replays single crashes of the seeded every-event "
+        "sweep, whose torn draws follow the campaign seed",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -90,10 +115,9 @@ class Census:
     """Every option and public def of ``src/repro``, and every use of
     one in the caller directories."""
 
-    def __init__(self):
-        self.trees = {p: ast.parse(p.read_text())
-                      for d in CALLER_DIRS
-                      for p in sorted((ROOT / d).rglob("*.py"))}
+    def __init__(self, dirs):
+        self.trees = {p: index.tree(p)
+                      for d in dirs for p in index.files(ROOT / d)}
         self.options = {}     # key -> (owner name, param, position, field?)
         self.defs = {}        # key -> (name, node, path)
         self.bases = {}       # class name -> base names
@@ -271,11 +295,13 @@ class Census:
         return sorted(out)
 
 
-CENSUS = Census()
+@cache
+def census(dirs=CALLER_DIRS) -> Census:
+    return Census(dirs)
 
 
 def test_every_option_is_set_by_some_caller():
-    unset = [k for k in CENSUS.never_set() if k not in ALLOWED]
+    unset = [k for k in census().never_set() if k not in ALLOWED]
     assert not unset, (
         f"{len(unset)} defaults that no call in {', '.join(CALLER_DIRS)} "
         "overrides; make each its value (or give it a caller):\n"
@@ -283,14 +309,34 @@ def test_every_option_is_set_by_some_caller():
 
 
 def test_every_public_def_is_referenced():
-    dead = CENSUS.unreferenced()
+    dead = census().unreferenced()
     assert not dead, ("public defs that nothing references; delete them:\n"
                       + "\n".join(dead))
 
 
 def test_allowed_options_still_exist_and_are_unset():
     stale = [k for k in ALLOWED
-             if k not in CENSUS.options or CENSUS.is_set(k)]
+             if k not in census().options or census().is_set(k)]
     assert not stale, ("ALLOWED entries that are gone or now set; drop "
                        "them:\n" + "\n".join(stale))
     assert all("ROADMAP item" in why for why in ALLOWED.values())
+    stale = sorted(set(TEST_ONLY) - set(_test_only()))
+    assert not stale, ("TEST_ONLY entries that are gone, unused or reached "
+                       "outside tests; drop them:\n" + "\n".join(stale))
+    assert all("ROADMAP item" in why for why in TEST_ONLY.values())
+
+
+def _test_only():
+    """Options and public defs that only ``tests`` set or reference."""
+    full, prod = census(), census(PRODUCTION_DIRS)
+    return (set(prod.never_set()) - set(full.never_set()) - set(ALLOWED)
+            | set(prod.unreferenced()) - set(full.unreferenced()))
+
+
+def test_nothing_in_src_serves_only_the_tests():
+    served = sorted(set(_test_only()) - set(TEST_ONLY))
+    assert not served, (
+        f"{len(served)} options / public defs that only tests set or "
+        "reach; delete each, move it under tests/, make it a class "
+        "attribute a test overrides, or give it a production caller:\n"
+        + "\n".join(served))

@@ -106,19 +106,19 @@ class TestReorderCrashRecovery:
         idxs = build_chain(fact, list(rfcs))
         counter = [0]
 
-        def on_write(_n, dev):
-            # Count only stores into the FACT region.
+        def on_persist(_n, dev):
+            # Before the k-th update's fence commits it.
             counter[0] += 1
             if counter[0] == k:
                 raise CrashRequested("reorder", k)
 
-        fact.dev.hooks.on_write = on_write
+        fact.dev.hooks.on_persist = on_persist
         crashed = False
         try:
             reorder_chain(fact, PREFIX)
         except CrashRequested:
             crashed = True
-        fact.dev.hooks.on_write = None
+        fact.dev.hooks.on_persist = None
         fact.dev.crash()
         fact.dev.recover_view()
         return fact, idxs, crashed
@@ -127,10 +127,10 @@ class TestReorderCrashRecovery:
         fact = make_fact()
         build_chain(fact, [1, 5, 2, 8, 3])
         counter = [0]
-        fact.dev.hooks.on_write = lambda n, d: counter.__setitem__(
+        fact.dev.hooks.on_persist = lambda n, d: counter.__setitem__(
             0, counter[0] + 1)
         reorder_chain(fact, PREFIX)
-        fact.dev.hooks.on_write = None
+        fact.dev.hooks.on_persist = None
         return counter[0]
 
     def test_crash_at_every_pointer_update(self):

@@ -10,14 +10,12 @@ staged.append(idx)``, recv's ``discard_uc`` loop, the hybrid daemon's
 
 import ast
 import functools
-import pathlib
 
-import repro
 from repro.dedup.daemon import DedupDaemon
 from repro.dedup.fact import FACT
 from repro.dedup.hybrid import HybridDedupDaemon
+from tests._code_index import SRC, source, src_trees
 
-_SRC = pathlib.Path(repro.__file__).parent
 _FACT = "dedup/fact.py"
 
 
@@ -25,9 +23,7 @@ _FACT = "dedup/fact.py"
 def _functions():
     """``(module, enclosing function name | None, node)`` for every node."""
     out = []
-    for path in sorted(_SRC.rglob("*.py")):
-        rel = path.relative_to(_SRC).as_posix()
-        tree = ast.parse(path.read_text())
+    for rel, tree in src_trees():
         owner = {}
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -91,9 +87,9 @@ def test_private_state_stays_private():
 
 
 def test_no_settle_mode():
-    for path in sorted(_SRC.rglob("*.py")):
-        assert "settle_mode" not in path.read_text(), \
-            f"{path.name}: the hybrid daemon's mode flag is back"
+    for rel, _tree in src_trees():
+        assert "settle_mode" not in source(SRC / rel), \
+            f"{rel.rpartition('/')[2]}: the hybrid daemon's mode flag is back"
 
 
 def test_hybrid_daemon_overrides_only_the_two_hooks():

@@ -98,7 +98,8 @@ def test_sweep_max_points_caps():
     def check(dev, point, phase):
         seen.append(point)
 
-    sweep_crash_points(build, check, phases=("pre",), max_points=4)
+    # A known event count is where the sweep stops.
+    sweep_crash_points(build, check, phases=("pre",), total=4)
     assert max(seen) <= 4
 
 

@@ -26,6 +26,7 @@ from repro.fuzz.diff import FuzzConfig, run_case
 from repro.nova.inode import InodeTable
 from repro.fuzz.shrink import shrink
 from repro.workloads.trace import Trace, TraceOp
+from tests._seams import overriding
 
 PAGE = b"\x07" * 4096
 
@@ -47,10 +48,10 @@ def torn_ops():
     return [TraceOp(op="create", path=f"/f{i}") for i in range(4)]
 
 
-RFC_CFG = FuzzConfig(seed=0, budget=10 ** 6, modes=("discard",),
-                     phases=("pre",))
-TORN_CFG = FuzzConfig(seed=0, budget=10 ** 6, modes=("torn",),
-                      phases=("pre",))
+RFC_CFG = overriding(FuzzConfig, modes=("discard",), phases=("pre",))(
+    seed=0, budget=10 ** 6)
+TORN_CFG = overriding(FuzzConfig, modes=("torn",), phases=("pre",))(
+    seed=0, budget=10 ** 6)
 
 
 def detect_shrink_replay(ops, cfg, match, tmp_path):

@@ -69,7 +69,8 @@ def replay_to(build, point: int, phase: str, mode: str, seed: int):
 
 def nested(outer: Scenario, cfg, point: int, phase: str,
            mode: str) -> Scenario:
-    """:func:`repro.fuzz.diff.nested_scenario`, its outer crash replayed."""
+    """:func:`tests.fuzz.scenarios.nested_scenario`, its outer crash
+    replayed."""
     def build(tick):
         _crashed, dev = replay_to(lambda: outer.build(tick), point, phase,
                                   mode, cfg.seed)

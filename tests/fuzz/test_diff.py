@@ -110,7 +110,7 @@ class TestFullEquivalence:
 class TestRunCase:
     def test_clean_case_no_sweep(self):
         ops = generate_sequence(seed=12, stream=0, nops=40)
-        res = run_case(ops, CFG, sweep=False)
+        res = run_case(ops, CFG)     # CFG's budget is 0: no sweep
         assert res.ok
         assert res.ops_applied + res.ops_skipped == len(ops)
         assert res.crash_points == 0

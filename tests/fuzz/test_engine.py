@@ -1,17 +1,17 @@
 """The one sweep engine: violation fields, one counting pass, structure."""
 
 import ast
-import pathlib
 
 import pytest
 
-import repro
 import repro.failure.injector as injector
 import repro.fuzz.diff as diff
 from repro.fuzz.diff import (FuzzConfig, Scenario, differential_scenario,
                              sweep_case)
 from repro.pm import PMDevice
 from repro.workloads.trace import TraceOp
+from tests._code_index import src_tree, src_trees
+from tests._seams import overriding
 
 OPS = [TraceOp(op="create", path=f"/f{i}") for i in range(3)]
 
@@ -32,7 +32,8 @@ def test_violation_names_the_crash_point(target, monkeypatch):
 
     An oracle that answers by crash point, not by image, is one sharing
     recoveries would skip: every image is made unique here."""
-    cfg = FuzzConfig(seed=0, budget=10 ** 6, modes=MODES, phases=PHASES)
+    cfg = overriding(FuzzConfig, modes=MODES, phases=PHASES)(
+        seed=0, budget=10 ** 6)
     build = differential_scenario(OPS, cfg).build
     clean = sweep_case(Scenario(build, lambda rec, progress: None), cfg)
     assert clean.ok
@@ -84,7 +85,7 @@ def test_two_modes_count_persist_events_once(monkeypatch):
 
     monkeypatch.setattr(injector, "count_persist_events", counting)
     monkeypatch.setattr(diff, "count_persist_events", counting)
-    cfg = FuzzConfig(seed=0, budget=8, modes=("discard", "torn"))
+    cfg = overriding(FuzzConfig, modes=("discard", "torn"))(seed=0, budget=8)
     res = sweep_case(differential_scenario(OPS, cfg), cfg)
     assert res.ok and res.crash_points > 0
     assert len(calls) == 1
@@ -99,8 +100,8 @@ def test_pipeline_violation_carries_location(monkeypatch):
     def with_residue(fs):
         return {**diff.fs_namespace(fs), "/.backup_stage/x": ("dir",)}
 
-    cfg = FuzzConfig(seed=2, seq_ops=24, budget=8, modes=("discard",),
-                     phases=("post",))
+    cfg = overriding(FuzzConfig, modes=("discard",), phases=("post",))(
+        seed=2, seq_ops=24, budget=8)
     case = pipeline.prepare_pipeline_case(cfg, ("fz",))
     monkeypatch.setattr(pipeline, "fs_namespace", with_residue)
     res = sweep_case(pipeline.pipeline_scenario(case, cfg, ("fz",), False),
@@ -113,7 +114,6 @@ def test_pipeline_violation_carries_location(monkeypatch):
 
 # ------------------------------------------------------------------ structure
 
-_SRC = pathlib.Path(repro.__file__).parent
 _INJECTOR = {"count_persist_events", "run_with_crash", "sweep_crash_points"}
 _ENGINE = {"failure/injector.py", "fuzz/diff.py"}
 
@@ -132,26 +132,24 @@ def test_one_sweep_engine():
     count → stride → mode × phase loop, and that loop is the injector's
     one pass."""
     sites = []
-    for path in sorted(_SRC.rglob("*.py")):
-        rel = path.relative_to(_SRC).as_posix()
-        for name, line in _calls(ast.parse(path.read_text()), _INJECTOR):
+    for rel, tree in src_trees():
+        for name, line in _calls(tree, _INJECTOR):
             sites.append((rel, name, line))
     stray = [s for s in sites if s[0] not in _ENGINE]
     assert not stray, f"crash injection outside the sweep engine: {stray}"
 
     # Inside the engine module: one function counts and sweeps.
-    tree = ast.parse((_SRC / "fuzz/diff.py").read_text())
+    tree = src_tree("fuzz/diff.py")
     owners = {}
     for fn in [n for n in tree.body if isinstance(n, ast.FunctionDef)]:
         for name, _line in _calls(fn, _INJECTOR):
             owners.setdefault(name, []).append(fn.name)
     assert owners == {"count_persist_events": ["sweep_case"],
-                      "sweep_crash_points": ["sweep_case"],
-                      "run_with_crash": ["nested_scenario"]}, owners
+                      "sweep_crash_points": ["sweep_case"]}, owners
     mode_loops = sorted({
-        (path.relative_to(_SRC).as_posix(), fn.name)
-        for path in _SRC.rglob("*.py")
-        for fn in ast.parse(path.read_text()).body
+        (rel, fn.name)
+        for rel, tree in src_trees()
+        for fn in tree.body
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, (ast.For, ast.comprehension))

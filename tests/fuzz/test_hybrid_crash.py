@@ -119,7 +119,7 @@ class TestModeRecordTorn:
             # The word is a single atomic store: every shard recovers
             # to a mode some commit point actually held, never garbage.
             for s in range(fs.controller.nshards):
-                assert fs.controller.mode_of(s) in (MODE_INLINE, MODE_OFF)
+                assert fs.controller.mode(s) in (MODE_INLINE, MODE_OFF)
             check_fs_invariants(fs)
             fs.daemon.drain()
             fs.settle_weak()

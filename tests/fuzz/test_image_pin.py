@@ -26,6 +26,7 @@ import pytest
 from repro.failure import injector
 from repro.fuzz.diff import FuzzConfig, run_case
 from repro.fuzz.gen import generate_sequence
+from tests._seams import overriding
 
 #: seed -> [(point, phase, mode, sha256(image)[:16]), ...] by mode, phase,
 #: point.
@@ -106,7 +107,8 @@ def crash_images(seed: int):
 
     injector._crash_fork = logged
     try:
-        cfg = FuzzConfig(seed=seed, budget=24, pages=1024, inodes=64)
+        cfg = overriding(FuzzConfig, inodes=64)(seed=seed, budget=24,
+                                                pages=1024)
         result = run_case(generate_sequence(seed=seed, stream=0, nops=30),
                           cfg)
     finally:

@@ -13,9 +13,10 @@ staging replay) fails here and nowhere else.
 import pytest
 
 from repro.failure.injector import count_persist_events
-from repro.fuzz.diff import (FuzzConfig, differential_scenario,
-                             nested_scenario, sweep_case)
+from repro.fuzz.diff import FuzzConfig, differential_scenario, sweep_case
 from repro.fuzz.gen import GenConfig, generate_sequence
+from tests._seams import overriding
+from tests.fuzz.scenarios import nested_scenario
 
 pytestmark = pytest.mark.fuzz
 
@@ -72,8 +73,8 @@ def test_torn_inode_record_in_staging_replay():
     through the bounded ``LogManager.iter_chain`` (the hand-built unit
     case is ``tests/nova/test_recovery.py::TestStaleLogHead``).
     """
-    cfg = FuzzConfig(seed=2, seq_ops=24, staging=True, budget=10 ** 6,
-                     modes=("torn",), phases=("pre",))
+    cfg = overriding(FuzzConfig, modes=("torn",), phases=("pre",))(
+        seed=2, seq_ops=24, staging=True, budget=10 ** 6)
     outer = differential_scenario(straight_ops(2), cfg)
     res = sweep_case(nested_scenario(outer, cfg, 143, "post", "discard"),
                      cfg)

@@ -7,6 +7,7 @@ from repro.fuzz.gen import GenConfig
 from repro.fuzz.runner import FuzzRunner
 from repro.obs import format_table, to_prometheus
 from repro.workloads.trace import Trace
+from tests._seams import overriding
 
 
 def small_cfg(**kw):
@@ -94,8 +95,8 @@ def test_small_device_campaign_is_clean(dedup_mode):
     weights = GenConfig().weights | {
         "snapshot": 0, "snap_delete": 0, "reflink": 14, "unlink": 3,
         "truncate": 2}
-    gen = GenConfig(weights=weights, max_data_pages=4000, max_nodes=180,
-                    file_names=40)
+    gen = overriding(GenConfig, file_names=40)(
+        weights=weights, max_data_pages=4000, max_nodes=180)
     cfg = FuzzConfig(seed=3, pages=96, seq_ops=300, total_ops=300, budget=4,
                      dedup_mode=dedup_mode)
     res = FuzzRunner(cfg, gen_cfg=gen, shrink_failures=False).run()

@@ -20,10 +20,12 @@ import pytest
 from repro.failure import injector
 from repro.fuzz import diff, pipeline
 from repro.fuzz.diff import (FuzzConfig, Scenario, differential_scenario,
-                             nested_scenario, sweep_case)
+                             sweep_case)
 from repro.fuzz.gen import generate_concurrent_sequence, generate_sequence
 from repro.pm import PMDevice
 from repro.workloads.trace import TraceOp
+from tests._seams import overriding
+from tests.fuzz.scenarios import nested_scenario
 
 from . import replay_reference as reference
 
@@ -182,7 +184,7 @@ def test_failures_are_reported_as_the_replay_reports_them(modes, forked,
     answers by crash point, not by image: every image is made unique,
     or post(2) of one mode would share the pass of an equal image.)"""
     monkeypatch.setattr(PMDevice, "media_key", lambda dev: object())
-    cfg = FuzzConfig(seed=0, budget=10 ** 6, modes=modes)
+    cfg = overriding(FuzzConfig, modes=modes)(seed=0, budget=10 ** 6)
     ops = [TraceOp(op="create", path=f"/f{i}") for i in range(3)]
     trips = {(2, "post", "discard"), (5, "pre", "discard"),
              (2, "post", "torn")}
@@ -220,7 +222,7 @@ def test_a_failing_image_is_checked_in_full():
     stays on.  Both modes' first failing images are byte-equal (``post``,
     nothing left volatile to tear): the second is mounted again and
     fails again, as in the replay, not passed on the first one's key."""
-    cfg = FuzzConfig(seed=0, budget=10 ** 6, phases=("post",))
+    cfg = overriding(FuzzConfig, phases=("post",))(seed=0, budget=10 ** 6)
     ops = [TraceOp(op="create", path=f"/f{i}") for i in range(3)]
 
     def oracle(rec, progress):

@@ -10,6 +10,7 @@ import pytest
 from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import PAGE_SIZE
+from repro.nova.gc import thorough_gc
 from repro.pm import DRAM, PMDevice, SimClock
 from repro.workloads import DataGenerator
 
@@ -94,7 +95,7 @@ class TestGCInteractions:
                 fs.daemon.drain()
                 fs.snapshot(f"s{i}")
         fs.daemon.drain()
-        rep = fs.gc(ino)
+        rep = thorough_gc(fs, ino)
         assert "pages_reclaimed" in rep or "skipped" in rep
         # Snapshot contents unaffected by compacting the live file's log.
         for i in (25, 75, 125):
@@ -109,7 +110,7 @@ class TestGCInteractions:
             fs.write(src, 0, page_of(i % 7) * 2)
         fs.daemon.drain()
         fs.reflink("/src", "/twin")
-        fs.gc(src)
+        thorough_gc(fs, src)
         assert fs.read(fs.lookup("/twin"), 0, 2 * PAGE_SIZE) == \
             fs.read(src, 0, 2 * PAGE_SIZE)
         check_fs_invariants(fs)
@@ -191,7 +192,7 @@ class TestSoak:
                 fs.daemon.drain(limit=rng.randrange(1, 30))
             elif roll < 0.96:
                 path = rng.choice(live)
-                fs.gc(fs.lookup(path))
+                thorough_gc(fs, fs.lookup(path))
             else:
                 fs.dev.crash()
                 fs.dev.recover_view()

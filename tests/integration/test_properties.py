@@ -20,6 +20,7 @@ from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.nova.fs import NoSpace
+from repro.nova.gc import thorough_gc
 from repro.pm import DRAM, PMDevice, SimClock
 
 MAX_FILE = 6 * PAGE_SIZE
@@ -107,11 +108,11 @@ class DeNovaOracleMachine(RuleBasedStateMachine):
     def thorough_gc(self, path):
         if path not in self.oracle:
             return
-        self.fs.gc(self.fs.lookup(path))
+        thorough_gc(self.fs, self.fs.lookup(path))
 
     @rule()
     def gc_root(self):
-        self.fs.gc(1)
+        thorough_gc(self.fs, 1)
 
     @rule()
     def drain_daemon(self):

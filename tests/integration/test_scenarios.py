@@ -13,6 +13,7 @@ from repro.core import Config, Variant, make_fs
 from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
+from repro.nova.gc import thorough_gc
 from repro.workloads import DataGenerator
 
 
@@ -182,7 +183,7 @@ class TestMaintenanceCycle:
             if cycle:
                 for i in range(12):
                     fs.unlink(f"/c{cycle - 1}_f{i}")
-            fs.gc(1)  # compact the root directory log
+            thorough_gc(fs, 1)  # compact the root directory log
             fs.scrub()
             check_fs_invariants(fs)
         # Only the last cycle's files remain.

@@ -251,11 +251,6 @@ class TestStat:
         s = fs.statfs()
         assert s["free_pages"] + s["used_pages"] == s["data_pages"]
 
-    def test_fsync_noop(self):
-        fs = make_fs()
-        ino = fs.create("/f")
-        fs.fsync(ino)  # must not raise
-
 
 class TestMountCycle:
     def test_unmounted_fs_rejects_ops(self):

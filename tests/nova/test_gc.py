@@ -5,6 +5,7 @@ import pytest
 from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import NovaFS, PAGE_SIZE
+from repro.nova.gc import thorough_gc
 from repro.nova.log import ENTRIES_PER_PAGE
 from repro.pm import DRAM, PMDevice, SimClock
 
@@ -29,7 +30,7 @@ class TestThoroughGC:
         ino = fs.create("/f")
         fragment(fs, ino, rounds=3 * ENTRIES_PER_PAGE)
         pages_before = len(list(fs.log.iter_pages(fs.caches[ino].inode.log_head)))
-        rep = fs.gc(ino)
+        rep = thorough_gc(fs, ino)
         assert rep["pages_reclaimed"] >= pages_before - 2
         assert rep["live_entries"] <= 4  # 2 live writes + setattr
         # Content intact.
@@ -42,7 +43,7 @@ class TestThoroughGC:
         fragment(fs, ino, rounds=200)
         before = fs.read(ino, 0, 2 * PAGE_SIZE)
         size_before = fs.stat(ino).size
-        fs.gc(ino)
+        thorough_gc(fs, ino)
         assert fs.read(ino, 0, 2 * PAGE_SIZE) == before
         assert fs.stat(ino).size == size_before
 
@@ -51,7 +52,7 @@ class TestThoroughGC:
         ino = fs.create("/f")
         fragment(fs, ino, rounds=200)
         before = fs.read(ino, 0, 2 * PAGE_SIZE)
-        fs.gc(ino)
+        thorough_gc(fs, ino)
         fs.unmount()
         fs2 = NovaFS.mount(fs.dev)
         ino2 = fs2.lookup("/f")
@@ -65,7 +66,7 @@ class TestThoroughGC:
             fs.create(f"/tmp{i}")
             fs.unlink(f"/tmp{i}")
         fs.create("/keeper")
-        rep = fs.gc(1)  # ROOT_INO
+        rep = thorough_gc(fs, 1)  # ROOT_INO
         assert rep["pages_reclaimed"] >= 1
         assert fs.listdir("/") == ["keeper"]
         fs.dev.crash()
@@ -77,9 +78,9 @@ class TestThoroughGC:
     def test_gc_noop_cases(self):
         fs = make_fs()
         ino = fs.create("/f")
-        assert fs.gc(ino)["skipped"] == "no log"
+        assert thorough_gc(fs, ino)["skipped"] == "no log"
         fs.write(ino, 0, b"x")
-        assert "skipped" in fs.gc(ino)  # nothing to shrink
+        assert "skipped" in thorough_gc(fs, ino)  # nothing to shrink
 
     def test_gc_preserves_truncated_size(self):
         """The appended setattr pins the size even when the last write
@@ -88,7 +89,7 @@ class TestThoroughGC:
         ino = fs.create("/f")
         fragment(fs, ino, rounds=150)
         fs.truncate(ino, 100)
-        fs.gc(ino)
+        thorough_gc(fs, ino)
         fs.dev.crash()
         fs.dev.recover_view()
         fs2 = NovaFS.mount(fs.dev)
@@ -110,10 +111,10 @@ class TestGCWithDedup:
         fs = make_fs(cls=DeNovaFS)
         ino = fs.create("/f")
         fragment(fs, ino, rounds=150)
-        rep = fs.gc(ino)
+        rep = thorough_gc(fs, ino)
         assert rep.get("skipped") == "pending dedup entries"
         fs.daemon.drain()
-        rep = fs.gc(ino)
+        rep = thorough_gc(fs, ino)
         assert rep["pages_reclaimed"] >= 1
         check_fs_invariants(fs)
 
@@ -126,7 +127,7 @@ class TestGCWithDedup:
         fragment(fs, a, rounds=150)
         fs.write(a, 0, bytes([9]) * PAGE_SIZE)  # share again
         fs.daemon.drain()
-        fs.gc(a)
+        thorough_gc(fs, a)
         assert fs.read(a, 0, PAGE_SIZE) == bytes([9]) * PAGE_SIZE
         assert fs.read(b, 0, PAGE_SIZE) == bytes([9]) * PAGE_SIZE
         check_fs_invariants(fs)
@@ -146,7 +147,7 @@ class TestGCCrashes:
             content_box["size"] = fs.stat(ino).size
 
             def scenario():
-                fs.gc(ino)
+                thorough_gc(fs, ino)
 
             return fs.dev, scenario
 
@@ -169,7 +170,7 @@ class TestGCCrashes:
             fragment(fs, ino, rounds=120)
 
             def scenario():
-                fs.gc(ino)
+                thorough_gc(fs, ino)
 
             return fs.dev, scenario
 
@@ -204,7 +205,7 @@ class TestGCCrashes:
 
         fs.dev.hooks.on_persist = counter
         with pytest.raises(CrashRequested):
-            fs.gc(ino)
+            thorough_gc(fs, ino)
         fs.dev.hooks.on_persist = None
         fs.dev.crash()
         fs.dev.recover_view()

@@ -8,19 +8,11 @@ pasted back into a client module.
 """
 
 import ast
-import pathlib
 import re
 
-import repro
+from tests._code_index import src_tree, src_trees as _modules
 
-_SRC = pathlib.Path(repro.__file__).parent
 _TOOLKIT = "nova/persist.py"
-
-
-def _modules():
-    for path in sorted(_SRC.rglob("*.py")):
-        rel = path.relative_to(_SRC).as_posix()
-        yield rel, ast.parse(path.read_text())
 
 
 def _functions(tree):
@@ -55,8 +47,7 @@ def test_crc_framing_lives_in_the_toolkit():
         "nova/staging.py": {"_append", "_replay_slab"}}, owners
 
     for rel in ("tenant/registry.py", "nova/checkpoint.py"):
-        text = (_SRC / rel).read_text()
-        tree = ast.parse(text)
+        tree = src_tree(rel)
         assert "zlib" not in _names(tree), f"{rel} imports zlib again"
         assert not _calls(tree, "persist") and not _calls(tree, "sfence"), \
             f"{rel} orders its own persists again"
@@ -66,7 +57,7 @@ def test_crc_framing_lives_in_the_toolkit():
 
 
 def test_one_staging_frame_append_and_one_decoder():
-    tree = ast.parse((_SRC / "nova/staging.py").read_text())
+    tree = src_tree("nova/staging.py")
     users = {}
     for fn in _functions(tree):
         for codec in ("_FRAME_HDR", "_FRAME_TAIL"):
@@ -155,7 +146,7 @@ def test_cursors_are_held_by_the_holder_only():
                 assert not private.fullmatch(node.value), \
                     f"{rel}:{node.lineno} private cursor {node.value!r}"
     # The CLI seeds a resume through the holder, not through the class.
-    cli = ast.parse((_SRC / "cli.py").read_text())
+    cli = src_tree("cli.py")
     for node in ast.walk(cli):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \

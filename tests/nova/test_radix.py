@@ -6,6 +6,7 @@ from repro.nova.entries import WriteEntry
 from repro.nova.radix import FileIndex, _group
 from repro.pm import SimClock
 from repro.pm.latency import CpuModel
+from tests.pm.test_clock import clock_at
 
 
 def idx():
@@ -152,8 +153,8 @@ class TestPerPageChargesAreFolded:
     @pytest.mark.parametrize("start_ns", [0.0, 1234.5678])
     def test_charged_ns_equals_the_per_page_loop(self, pages, start_ns):
         cpu = CpuModel(dram_touch_ns=0.1)       # not exact in binary
-        ix = FileIndex(cpu, SimClock(start_ns))
-        loop = SimClock(start_ns)
+        ix = FileIndex(cpu, clock_at(start_ns))
+        loop = clock_at(start_ns)
 
         def per_page(n):
             for _ in range(n):

@@ -1,16 +1,15 @@
 """The one write pipeline: ENOSPC atomicity, obs parity, structure."""
 
 import ast
-import pathlib
 
 import numpy as np
 import pytest
 
-import repro
 from repro.core.config import Config, Variant, make_fs
 from repro.failure import check_fs_invariants
 from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
+from tests._code_index import src_trees
 
 ALL_VARIANTS = pytest.mark.parametrize(
     "variant", list(Variant), ids=[v.value for v in Variant])
@@ -96,8 +95,6 @@ def test_overwrite_is_observed_on_every_variant(variant):
 
 # ------------------------------------------------------------------ structure
 
-_SRC = pathlib.Path(repro.__file__).parent
-
 #: Who may touch the log's append/commit protocol, and the radix install.
 _LOG_CALLERS = {"nova/log.py", "nova/fs.py"}
 _INSTALL_CALLERS = {"nova/fs.py", "nova/recovery.py", "nova/gc.py",
@@ -122,9 +119,7 @@ def test_no_hand_rolled_commit_sequence():
     A new subsystem that needs either calls those — it cannot spell out
     an eleventh copy."""
     log_sites, install_sites = [], []
-    for path in sorted(_SRC.rglob("*.py")):
-        rel = path.relative_to(_SRC).as_posix()
-        tree = ast.parse(path.read_text())
+    for rel, tree in src_trees():
         for meth, line in _method_calls(
                 tree, "log", {"append", "commit", "ensure_log"}):
             log_sites.append((rel, meth, line))

@@ -4,7 +4,6 @@ import json
 
 from repro.obs import (ObsHub, Tracer, compute_self_ns, span_paths,
                        to_chrome_trace, to_folded)
-from repro.obs.export_trace import chrome_trace_json
 from repro.pm.clock import SimClock
 
 
@@ -94,7 +93,7 @@ class TestChromeTrace:
         assert tids["dedup.process_node"] != tids["fs.write"]
 
     def test_chrome_trace_json_is_parseable(self):
-        text = chrome_trace_json(list(_sample_hub().tracer.events))
+        text = json.dumps(to_chrome_trace(list(_sample_hub().tracer.events)))
         doc = json.loads(text)
         assert "traceEvents" in doc
 

@@ -33,15 +33,16 @@ from repro.backup import receive_backup, send_backup
 from repro.core import Config, Variant, make_fs
 from repro.dedup.fingerprint import fp_prefix
 from repro.nova import PAGE_SIZE
+from repro.nova.gc import thorough_gc
 from repro.obs import Counter
 from repro.repl import relocate_latest, restore_latest
 from repro.workloads import DataGenerator
 from repro.workloads.fio import small_file_job
 from repro.workloads.fleet import FleetSpec, run_fleet
 from repro.workloads.runner import run_workload
+from tests._code_index import src_trees as _modules
 
 PIN = Path(__file__).with_name("metric_pin.json")
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 CFG = Config(device_pages=4096, max_inodes=256, cpus=2, fact_prefix_bits=12)
 
 
@@ -91,7 +92,7 @@ def script(fs) -> None:
         if ino != inos[1]:
             fs.read(ino, 0, 2 * PAGE_SIZE)
     drain(fs)
-    fs.gc(inos[0])
+    thorough_gc(fs, inos[0])
     # One five-entry chain (IAA inserts); its tail deduplicated twice,
     # the second time a deep hit with RFC 2: a reorder.
     fs.write(fs.create("/s/chain"), 0, b"".join(CHAIN))
@@ -166,11 +167,6 @@ def test_metrics_match_pin(case, pinned):
 
 
 # ------------------------------------------------------------------- guard
-
-
-def _modules():
-    for path in sorted(SRC.rglob("*.py")):
-        yield path.relative_to(SRC), ast.parse(path.read_text())
 
 
 def _names(node) -> set:

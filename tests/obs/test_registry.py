@@ -52,9 +52,9 @@ class TestNaming:
     def test_labeled_series_keys(self):
         reg = MetricsRegistry()
         reg.counter("fs.writes_total", labels={"tenant": "a", "cpu": 1})
-        reg.gauge("fs.depth", labels={"tenant": 'q"\\\n'})
+        reg.gauge_fn("fs.depth", lambda: 0, labels={"tenant": 'q"\\\n'})
         reg.histogram("fs.lat_ns", labels={"op": "w"})
-        reg.counter_fn("fs.reads_total", lambda: 0, labels={"t": "b"})
+        reg.counter("fs.reads_total", labels={"t": "b"})
         reg.gauge_fn("fs.free", lambda: 0, labels={})
         assert reg.names() == [
             'fs.depth{tenant="q\\"\\\\\\n"}', "fs.free",
@@ -153,7 +153,7 @@ class TestCounterGauge:
         g = reg.gauge("dwq.depth")
         g.set(10)
         g.inc(5)
-        g.dec(12)
+        g.inc(-12)
         assert g.value == 3
 
     def test_callback_metrics_read_live_and_rebind(self):

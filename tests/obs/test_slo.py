@@ -1,18 +1,18 @@
-"""Flight recorder ring, SLO rules, watchdog evaluation, DES drive."""
+"""Flight recorder ring, SLO rules, snapshot evaluation."""
 
 import json
 
 import pytest
 
-from repro.obs import (FlightRecorder, ObsHub, SLORule, SLOWatchdog,
-                       evaluate_snapshot, load_rules)
+from repro.obs import (FlightRecorder, ObsHub, SLORule, evaluate_snapshot,
+                       load_rules)
 from repro.pm.clock import SimClock
-from repro.sim import Engine
+from tests._seams import overriding
 
 
 class TestFlightRecorder:
     def test_ring_keeps_newest(self):
-        fr = FlightRecorder(capacity=3)
+        fr = overriding(FlightRecorder, capacity=3)()
         for i in range(5):
             fr.record("op", n=i)
         assert fr.total == 5
@@ -33,7 +33,7 @@ class TestFlightRecorder:
         assert fr.total == 0 and len(fr.events) == 0
 
     def test_dump_schema_and_dropped_count(self):
-        fr = FlightRecorder(capacity=2)
+        fr = overriding(FlightRecorder, capacity=2)()
         for i in range(5):
             fr.record("op", n=i)
         doc = fr.dump(reason="test")
@@ -68,10 +68,6 @@ class TestFlightRecorder:
         fr.dump()
         fr.reset()
         assert fr.total == 0 and fr.dumps == 0 and len(fr.events) == 0
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
 
 
 class TestSLORule:
@@ -127,120 +123,6 @@ class TestLoadRules:
         rules = load_rules([r, {"name": "y", "kind": "gauge",
                                 "metric": "g", "min": 0}])
         assert rules[0] is r and rules[1].name == "y"
-
-
-class TestWatchdog:
-    def _hub(self):
-        return ObsHub(clock=SimClock())
-
-    def test_gauge_rule_fires_and_rearms(self):
-        hub = self._hub()
-        g = hub.registry.gauge("dwq.depth")
-        wd = SLOWatchdog(hub, [{"name": "depth", "kind": "gauge",
-                                "metric": "dwq.depth", "max": 4}])
-        g.set(3)
-        assert wd.check(now_ns=1.0) == []
-        g.set(9)
-        fired = wd.check(now_ns=2.0)
-        assert len(fired) == 1
-        alert = fired[0]
-        assert alert["rule"] == "depth" and alert["kind"] == "gauge"
-        assert alert["value"] == 9 and alert["bound"] == 4
-        # Still violating: same excursion, no second alert.
-        assert wd.check(now_ns=3.0) == []
-        # Recovered, then violates again: a new excursion fires.
-        g.set(0)
-        assert wd.check(now_ns=4.0) == []
-        g.set(9)
-        assert len(wd.check(now_ns=5.0)) == 1
-        assert hub.registry.get("obs.alerts_total").value == 2
-        assert wd.checks == 5
-
-    def test_gauge_min_bound(self):
-        hub = self._hub()
-        g = hub.registry.gauge("dedup.ratio")
-        wd = SLOWatchdog(hub, [{"name": "ratio", "kind": "gauge",
-                                "metric": "dedup.ratio", "min": 1.5}])
-        g.set(1.1)
-        fired = wd.check(now_ns=1.0)
-        assert fired[0]["below"] is True
-
-    def test_latency_rule_resolves_span_alias(self):
-        clock = SimClock()
-        hub = ObsHub(clock=clock)
-        for _ in range(20):
-            with hub.span("fs.write"):
-                clock.advance(10_000)
-        wd = SLOWatchdog(hub, [{"name": "wp99", "kind": "latency",
-                                "metric": "fs.write", "max_ns": 100}])
-        fired = wd.check(now_ns=1.0)
-        assert len(fired) == 1
-        assert fired[0]["metric"] == "fs.write_latency_ns"
-        assert fired[0]["value"] > 100
-
-    def test_latency_rule_silent_without_samples(self):
-        hub = self._hub()
-        wd = SLOWatchdog(hub, [{"name": "wp99", "kind": "latency",
-                                "metric": "fs.write", "max_ns": 1}])
-        assert wd.check(now_ns=1.0) == []
-
-    def test_rate_rule_needs_two_observations(self):
-        hub = self._hub()
-        c = hub.registry.counter("conc.stalls_total")
-        wd = SLOWatchdog(hub, [{"name": "burn", "kind": "rate",
-                                "metric": "conc.stalls_total",
-                                "max_per_s": 100}])
-        c.inc(50)
-        assert wd.check(now_ns=1e6) == []  # first check only seeds state
-        c.inc(50)  # 50 more in 1 simulated ms -> 50_000/s
-        fired = wd.check(now_ns=2e6)
-        assert len(fired) == 1
-        assert fired[0]["value"] == pytest.approx(50_000)
-        # Burn stops -> rearm.
-        assert wd.check(now_ns=3e6) == []
-        c.inc(200)
-        assert len(wd.check(now_ns=4e6)) == 1
-
-    def test_alert_dumps_flight_with_reason(self, tmp_path):
-        hub = self._hub()
-        hub.flight.artifact_path = str(tmp_path / "f.json")
-        g = hub.registry.gauge("dwq.depth")
-        wd = SLOWatchdog(hub, [{"name": "depth", "kind": "gauge",
-                                "metric": "dwq.depth", "max": 1}])
-        g.set(5)
-        wd.check(now_ns=1.0)
-        assert wd.last_dump is not None
-        assert wd.last_dump["reason"] == "slo:depth"
-        kinds = [e["kind"] for e in wd.last_dump["events"]]
-        assert kinds[-1] == "alert"
-        assert wd.last_dump["events"][-1]["rule_kind"] == "gauge"
-        assert (tmp_path / "f.json").exists()
-
-    def test_run_checks_on_des_clock(self):
-        hub = self._hub()
-        g = hub.registry.gauge("dwq.depth")
-        wd = SLOWatchdog(hub, [{"name": "depth", "kind": "gauge",
-                                "metric": "dwq.depth", "max": 2}],
-                         interval_ns=100.0)
-        eng = Engine()
-
-        def workload():
-            yield eng.timeout(250)
-            g.set(10)
-            yield eng.timeout(250)
-            wd.stop = True
-
-        eng.process(workload(), name="load")
-        eng.process(wd.run(eng, base_ns=1000.0), name="watchdog")
-        eng.run()
-        assert len(wd.alerts) == 1
-        # Fired at the first check after the gauge rose, on base+sim time.
-        assert wd.alerts[0]["t_ns"] == 1300.0
-        assert wd.checks >= 5
-
-    def test_interval_validated(self):
-        with pytest.raises(ValueError):
-            SLOWatchdog(self._hub(), [], interval_ns=0)
 
 
 class TestEvaluateSnapshot:

@@ -2,6 +2,7 @@
 
 from repro.obs import ObsHub, Tracer
 from repro.pm.clock import FS_PER_NS, SimClock
+from tests._seams import overriding
 
 
 class TestSpans:
@@ -98,7 +99,7 @@ class TestRingBuffer:
         assert len(tracer.events) == 0 and tracer.total_spans == 0
 
     def test_hub_snapshot_includes_trace_counts(self):
-        hub = ObsHub(clock=SimClock(), trace_capacity=2)
+        hub = overriding(ObsHub, trace_capacity=2)(clock=SimClock())
         for _ in range(5):
             with hub.span("fs.write"):
                 pass

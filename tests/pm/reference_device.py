@@ -93,14 +93,12 @@ class PerLineDevice:
                 self.flushing.discard(line)
                 self.dirty.add(line)
         self.clock.advance(self.model.write_cost(n))
-        if self.hooks.on_write is not None:
-            self.hooks.on_write(self.stats.writes, self)
 
     def write_atomic64(self, addr: int, value: int) -> None:
         self.write(addr, int(value).to_bytes(8, "little"))
 
-    def zero_range(self, addr: int, n: int, nt: bool = True) -> None:
-        self.write(addr, bytes(n), nt=nt)
+    def zero_range(self, addr: int, n: int) -> None:
+        self.write(addr, bytes(n), nt=True)
 
     def clwb(self, addr: int, n: int = CACHELINE) -> None:
         for line in self._lines(addr, n):
@@ -157,3 +155,15 @@ class PerLineDevice:
 
     def wear_total(self) -> int:
         return sum(self.wear)
+
+
+def volatile_lines(dev) -> int:
+    """Cache lines whose content is not yet durable, on either device.
+
+    The reference holds them all in its shadow; the real device also
+    holds the lines of a durable store in flight and its held runs."""
+    if isinstance(dev, PerLineDevice):
+        return dev.volatile_lines
+    flight = dev._in_flight
+    return (len(dev._shadow) + (flight[1] - flight[0] if flight else 0)
+            + sum(stop - first for first, stop, _ in dev._runs))

@@ -11,14 +11,11 @@ in ``src/repro``.
 """
 
 import ast
-import pathlib
 import re
 
 import pytest
 
-import repro
-
-_SRC = pathlib.Path(repro.__file__).parent
+from tests._code_index import SRC, as_tree, source, src_tree, src_trees
 _CHARGE = re.compile(r"_ns\b|cost|charge|advance|repeat")
 
 
@@ -28,14 +25,14 @@ def _name(func):
 
 def mapped_advances(source: str):
     """Lines of ``map(<...>.advance, ...)`` / ``map(advance, ...)``."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+    return [node.lineno for node in ast.walk(as_tree(source))
             if isinstance(node, ast.Call) and _name(node.func) == "map"
             and any(_name(arg) == "advance" for arg in node.args)]
 
 
 def summed_charges(source: str):
     """Lines of ``sum(...)`` / ``fsum(...)`` over anything charge-like."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+    return [node.lineno for node in ast.walk(as_tree(source))
             if isinstance(node, ast.Call)
             and _name(node.func) in ("sum", "fsum")
             and _CHARGE.search(ast.unparse(node))]
@@ -45,7 +42,7 @@ def kept_views(source: str):
     """Lines that assign something built from a ``read_view(...)`` call
     to an attribute (``self.x = ...``, ``a.b, c = ...``, ``x.y += ...``)."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(as_tree(source)):
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
@@ -63,16 +60,17 @@ def kept_views(source: str):
 
 
 def test_pm_charges_runs_through_advance_n_only():
-    for path in sorted((_SRC / "pm").glob("*.py")):
-        source = path.read_text()
-        assert not mapped_advances(source), (
-            f"pm/{path.name}:{mapped_advances(source)}: a run of equal "
+    for rel, tree in src_trees():
+        if not rel.startswith("pm/"):
+            continue
+        assert not mapped_advances(tree), (
+            f"{rel}:{mapped_advances(tree)}: a run of equal "
             f"charges is clock.advance_n(ns, n)")
-        assert not summed_charges(source), (
-            f"pm/{path.name}:{summed_charges(source)}: sum() is not the "
+        assert not summed_charges(tree), (
+            f"{rel}:{summed_charges(tree)}: sum() is not the "
             f"adds of the advance loop (compensated since 3.12)")
     # The clock itself calls no sum of any kind, whatever it is over.
-    clock = ast.parse((_SRC / "pm" / "clock.py").read_text())
+    clock = src_tree("pm/clock.py")
     assert not [node.lineno for node in ast.walk(clock)
                 if isinstance(node, ast.Call)
                 and _name(node.func) in ("sum", "fsum")]
@@ -80,11 +78,10 @@ def test_pm_charges_runs_through_advance_n_only():
 
 def test_no_read_view_is_kept_on_an_attribute_in_src():
     users = 0
-    for path in sorted(_SRC.rglob("*.py")):
-        source = path.read_text()
-        users += "read_view(" in source
-        assert not kept_views(source), (
-            f"{path.relative_to(_SRC)}:{kept_views(source)}: a read_view "
+    for rel, tree in src_trees():
+        users += "read_view(" in source(SRC / rel)
+        assert not kept_views(tree), (
+            f"{rel}:{kept_views(tree)}: a read_view "
             f"is decoded and let go, never stored")
     assert users >= 2               # the device, and at least one caller
 

@@ -10,6 +10,13 @@ from repro.pm.clock import FS_PER_NS, fs_of
 from repro.pm.latency import PROFILES
 
 
+def clock_at(ns: float) -> SimClock:
+    """A clock that reads ``ns`` and has charged nothing."""
+    clk = SimClock()
+    clk.now_fs = fs_of(ns)
+    return clk
+
+
 def test_advance_moves_now():
     clk = SimClock()
     clk.advance(100.0)
@@ -24,7 +31,7 @@ def test_negative_advance_rejected():
 
 
 def test_capture_absorbs_charges_without_moving_now():
-    clk = SimClock(start_ns=10.0)
+    clk = clock_at(10.0)
     with clk.capture() as cap:
         clk.advance(5.0)
         clk.advance(7.0)
@@ -57,10 +64,10 @@ def test_sync_to_moves_forward_only():
 
 def test_capturing_flag():
     clk = SimClock()
-    assert not clk.capturing
+    assert not bool(clk._captures)
     with clk.capture():
-        assert clk.capturing
-    assert not clk.capturing
+        assert bool(clk._captures)
+    assert not bool(clk._captures)
 
 
 def test_capture_outlives_an_exception():
@@ -73,14 +80,14 @@ def test_capture_outlives_an_exception():
             with clk.capture() as inner:
                 clk.advance(5.0)
                 clk.advance(-1.0)
-        assert clk.capturing
+        assert bool(clk._captures)
         clk.advance(1.0)
         with pytest.raises(KeyError):
             with clk.capture() as second:
                 clk.advance(0.5)
                 raise KeyError("body")
     assert (inner.total_ns, second.total_ns, outer.total_ns) == (5.0, 0.5, 3.0)
-    assert not clk.capturing and clk.now_ns == 0.0
+    assert not bool(clk._captures) and clk.now_ns == 0.0
     assert clk.charged_ns == 8.5
     clk.advance(4.0)
     assert clk.now_ns == 4.0
@@ -137,7 +144,7 @@ def test_advance_n_is_n_advances_to_the_last_bit():
     totals = []
     while steps < 3000:
         start = rng.choice((0.0, rng.random() * 1e3, rng.random() * 1e12))
-        clk, ref = SimClock(start), SimClock(start)
+        clk, ref = clock_at(start), clock_at(start)
         contexts = []
         for _ in range(300):
             steps += 1
@@ -198,7 +205,7 @@ def test_a_patched_advance_gets_n_calls_and_the_fold_returns(monkeypatch):
         plain_advance(clock, ns)
         seen.append(ns)
 
-    clk, ref = SimClock(5.0), SimClock(5.0)
+    clk, ref = clock_at(5.0), clock_at(5.0)
     with monkeypatch.context() as patch:
         patch.setattr(SimClock, "advance", counted)
         clk.advance_n(0.1, 300)
@@ -213,7 +220,7 @@ def test_a_patched_advance_gets_n_calls_and_the_fold_returns(monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1, 30, 5000])
 def test_advance_n_refuses_a_negative_charge(n):
-    clk = SimClock(7.0)
+    clk = clock_at(7.0)
     with pytest.raises(ValueError, match="negative time charge"):
         clk.advance_n(-1.0, n)
     assert (clk.now_ns, clk.charged_ns) == (7.0, 0.0)
@@ -233,7 +240,7 @@ def test_advance_n_refuses_a_negative_count(clock, n):
 
 @pytest.mark.parametrize("bad", [5.5, 1000005.0, "7", None])
 def test_sync_to_refuses_anything_but_whole_femtoseconds(bad):
-    clk = SimClock(1.0)
+    clk = clock_at(1.0)
     with pytest.raises(TypeError, match="whole femtoseconds"):
         clk.sync_to(bad)
     assert clk.now_fs == FS_PER_NS and type(clk.now_fs) is int
@@ -260,7 +267,7 @@ def test_charge_fs_is_advance_with_the_rounding_done_once(ns):
     """On a clock that folds, ``charge_fs(fs_of(ns), ns)`` is
     ``advance(ns)``; one whose ``advance`` was replaced is handed that
     call instead, so a recorder still sees every float charge."""
-    clk, ref, counting = SimClock(3.0), SimClock(3.0), _CountingClock()
+    clk, ref, counting = clock_at(3.0), clock_at(3.0), _CountingClock()
     assert clk.folds and not counting.folds
     with clk.capture() as cap, ref.capture() as ref_cap:
         clk.charge_fs(fs_of(ns), ns)

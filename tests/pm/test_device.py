@@ -5,6 +5,8 @@ import pytest
 
 from repro.pm import CACHELINE, DRAM, PMDevice, SimClock
 
+from .reference_device import volatile_lines
+
 
 def make_dev(size=4096 * 4, **kw):
     return PMDevice(size, model=DRAM, clock=SimClock(), **kw)
@@ -47,7 +49,7 @@ class TestDataPath:
         with pytest.raises(ValueError, match="out of device bounds"):
             call(dev)
         assert (dev.stats.snapshot(), dev.clock.now_fs) == (stats, now)
-        assert dev.volatile_lines == 1
+        assert volatile_lines(dev) == 1
         # At the device's end, an empty access is still in bounds.
         dev.write(dev.size, b"")
         assert dev.read(dev.size, 0) == b""
@@ -163,11 +165,11 @@ class TestPersistence:
 
     def test_volatile_lines_tracks_shadow(self):
         dev = make_dev()
-        assert dev.volatile_lines == 0
+        assert volatile_lines(dev) == 0
         dev.write(0, b"x" * 200)  # spans 4 lines
-        assert dev.volatile_lines == 4
+        assert volatile_lines(dev) == 4
         dev.persist(0, 200)
-        assert dev.volatile_lines == 0
+        assert volatile_lines(dev) == 0
 
     def test_fence_with_nothing_pending_is_cheap_noop(self):
         dev = make_dev()
@@ -291,7 +293,6 @@ class TestClose:
         "media_key": lambda d: d.media_key(),
         "wear_max": lambda d: d.wear_max(),
         "wear_total": lambda d: d.wear_total(),
-        "volatile_lines": lambda d: d.volatile_lines,
     }
 
     @pytest.mark.parametrize("state", ["live", "volatile", "crashed"])
@@ -330,4 +331,4 @@ class TestClose:
             with pytest.raises(RuntimeError, match="has crashed; call "
                                                    "recover_view"):
                 call()
-        assert dev.read_silent(0, 1) == b"\0" and dev.volatile_lines == 0
+        assert dev.read_silent(0, 1) == b"\0" and volatile_lines(dev) == 0

@@ -57,7 +57,7 @@ import pytest
 from repro.pm import CACHELINE, CrashRequested, PMDevice, PMStats, SimClock
 from repro.pm import device as device_module
 
-from .reference_device import PerLineDevice
+from .reference_device import PerLineDevice, volatile_lines
 
 SIZE = 1 << 20                      # 16 384 lines; a 128 KB store fits 8x
 STEPS_PER_ROUND = 140
@@ -108,7 +108,7 @@ class Pair:
         self.trip_at = None         # (hook name, nth event from now)
         self.fused_trips = set()    # hooks that crashed a durable store
         # Stores by the body that ran them: durable ones on the real
-        # device as on_write saw them, nt stores the real device held as
+        # device as on_persist saw them, nt stores the real device held as
         # a run, and durable stores the plain device fused over lines
         # that were already volatile.
         self.bodies = dict.fromkeys(BODIES, 0)
@@ -120,7 +120,7 @@ class Pair:
         self.forks = [] if forks else None
         self.forks_compared = self.forks_in_flight = 0
         for dev in (self.real, self.ref):
-            for name in ("on_write", "on_persist", "on_persist_done"):
+            for name in ("on_persist", "on_persist_done"):
                 setattr(dev.hooks, name, self._hook(name))
         if self.plain is not None:
             commit_beside = self.plain._commit_beside
@@ -133,11 +133,11 @@ class Pair:
     def _hook(self, name):
         def fire(count, dev):
             log = self.events[id(dev)]
-            log.append((name, count, dev.volatile_lines))
-            if dev is self.real and self.in_durable and name == "on_write":
+            log.append((name, count, volatile_lines(dev)))
+            if dev is self.real and self.in_durable and name == "on_persist":
                 assert bool(dev._in_flight) != bool(dev._shadow)
                 self.bodies["in flight" if dev._in_flight else "tables"] += 1
-            if self.forks is not None and name != "on_write":
+            if self.forks is not None:
                 self.fork(dev, (name, count))
             if self.trip_at and self.trip_at[0] == name:
                 seen = sum(1 for ev in log[self.round_start[id(dev)]:]
@@ -178,13 +178,13 @@ class Pair:
         reference's media after the same crash."""
         if dev is self.real:
             modes = ("discard", "torn")[
-                :1 + (dev.volatile_lines <= TORN_FORK_LINES)]
+                :1 + (volatile_lines(dev) <= TORN_FORK_LINES)]
             forks = [(mode, dev.fork()) for mode in modes]
             for _mode, fork in forks:
                 assert fork.stats.snapshot() == dev.stats.snapshot(), where
                 assert (fork.clock.now_ns, fork.clock.charged_ns) \
                     == (dev.clock.now_ns, dev.clock.charged_ns), where
-                assert fork.volatile_lines == dev.volatile_lines, where
+                assert volatile_lines(fork) == volatile_lines(dev), where
             self.forks.append(forks)
             self.forks_in_flight += bool(dev._in_flight)
             return
@@ -238,7 +238,7 @@ class Pair:
             getattr(self.ref, ref_op)(addr, ref_payload, **kw)
             self.ref.persist(addr, n)
 
-        self.in_durable = True
+        self.in_durable = n > 0     # an empty one stores nothing
         try:
             crashed = self._both(
                 lambda: getattr(self.real, op)(addr, payload, persist=True,
@@ -254,7 +254,7 @@ class Pair:
 
     def compare(self, where):
         real, ref = self.real, self.ref
-        assert real.volatile_lines == ref.volatile_lines, where
+        assert volatile_lines(real) == volatile_lines(ref), where
         assert real.stats.snapshot() == ref.stats.snapshot(), where
         assert real.clock.charged_ns == ref.clock.charged_ns, where
         assert real.clock.now_ns == ref.clock.now_ns, where
@@ -267,7 +267,7 @@ class Pair:
             assert real.wear_total() == ref.wear_total(), where
         plain = self.plain
         if plain is not None:
-            assert plain.volatile_lines == real.volatile_lines, where
+            assert volatile_lines(plain) == volatile_lines(real), where
             assert plain.stats == real.stats, where
             assert (plain.clock.charged_fs, plain.clock.now_fs) \
                 == (real.clock.charged_fs, real.clock.now_fs), where
@@ -287,7 +287,7 @@ class Pair:
             self.plain.crash(mode, rng=np.random.default_rng(seed))
         self.compare(("crash", mode))
         self.compare_media(("crash", mode, seed))
-        assert self.real.volatile_lines == 0
+        assert volatile_lines(self.real) == 0
         self.real.recover_view()
         if self.plain is not None:
             self.plain.recover_view()
@@ -356,7 +356,11 @@ def _durable_store(rng, pair, recent):
     n = rng.choice((8, CACHELINE, 4096))
     addr = min(addr - addr % 8, SIZE - n)
     recent.append((addr, n))
-    return pair.do_durable("zero_range", addr, n, nt=rng.random() < 0.7)
+    # A cached zero store is a write of zeros: zero_range is the
+    # non-temporal one.
+    if rng.random() < 0.7:
+        return pair.do_durable("zero_range", addr, n)
+    return pair.do_durable("write", addr, bytes(n))
 
 
 def _fence_everything(pair):
@@ -372,7 +376,7 @@ def _fence_everything(pair):
     for start, count in runs:
         pair.do("clwb", start * CACHELINE, count * CACHELINE)
     crashed = pair.do("sfence")
-    assert crashed or pair.real.volatile_lines == 0
+    assert crashed or volatile_lines(pair.real) == 0
     return crashed
 
 
@@ -435,15 +439,15 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
     crashes_mid_fence = 0
     for rnd in range(rounds):
         recent = []
-        trip = rng.choice((
-            ("on_persist", rng.randint(1, 25)),
-            ("on_persist_done", rng.randint(1, 25)),
-            ("on_write", rng.randint(1, 60)),
-            None))
+        trips = (("on_persist", rng.randint(1, 25)),
+                 ("on_persist_done", rng.randint(1, 25)))
+        rng.randint(1, 60)      # the deleted on_write trip's draw: the
+        #                         other rounds stay the sequences they were
+        trip = rng.choice((*trips, None, None))
         # A trip has no twin on the plain device: drawn, not armed.
         pair.arm(None if plain else trip)
         if plain:                   # a hook of its own in rounds 2 and 3
-            pair.plain.hooks.on_write = _quiet if rnd in (2, 3) else None
+            pair.plain.hooks.on_persist = _quiet if rnd in (2, 3) else None
         for _ in range(STEPS_PER_ROUND):
             roll = rng.random()
             if roll < 0.04:
@@ -462,8 +466,9 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
             elif roll < 0.60:
                 addr = rng.randrange(SIZE // 4096) * 4096
                 recent.append((addr, 4096))
-                crashed = pair.do("zero_range", addr, 4096,
-                                  nt=rng.random() < 0.7)
+                crashed = (pair.do("zero_range", addr, 4096)
+                           if rng.random() < 0.7
+                           else pair.do("write", addr, bytes(4096)))
             elif roll < 0.75:
                 crashed = pair.do("clwb", *_range_args(rng, recent))
             elif roll < 0.85:
@@ -471,7 +476,7 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
             else:
                 crashed = pair.do("persist", *_range_args(rng, recent))
             if crashed:
-                crashes_mid_fence += pair.trip_at[0] != "on_write"
+                crashes_mid_fence += 1
                 break
             if read_rng.random() < 0.35:
                 _a_read(read_rng, pair, pair.reads)
@@ -503,7 +508,7 @@ def test_random_sequences_match_the_per_line_reference():
     assert mid_fence >= 8           # CrashRequested out of on_persist[_done]
     assert lines > 20_000
     # ... including each hook crashing *inside* a durable store.
-    assert fused_trips == {"on_write", "on_persist", "on_persist_done"}
+    assert fused_trips == {"on_persist", "on_persist_done"}
     # ... and both bodies of the hooked durable store, and held runs,
     # many times each (the plain device's fused body: the test below).
     assert min(bodies["in flight"], bodies["tables"],
@@ -575,7 +580,7 @@ def test_a_fork_inside_a_durable_store_has_its_lines_volatile(nt):
         assert (pair.forks_compared, pair.forks_in_flight) == (6, 2)
 
 
-@pytest.mark.parametrize("hook", ["on_write", "on_persist"])
+@pytest.mark.parametrize("hook", ["on_persist"])
 def test_a_raising_hook_on_a_folding_clock_leaves_the_run_volatile(hook):
     """A clock that folds does not take the one-charge store while a
     hook is installed: one that raises out of a durable store onto a
@@ -586,10 +591,10 @@ def test_a_raising_hook_on_a_folding_clock_leaves_the_run_volatile(hook):
         pair.arm(None)
         under = bytes(range(1, 256)) * (n // 255 + 2)
         pair.do_durable("write", addr - 64, under)
-        assert pair.real.volatile_lines == 0 and pair.real.clock.folds
+        assert volatile_lines(pair.real) == 0 and pair.real.clock.folds
         pair.arm((hook, 1))
         assert pair.do_durable("write", addr, b"\xa5" * n)
-        assert pair.real.volatile_lines == lines
+        assert volatile_lines(pair.real) == lines
         assert pair.bodies == {"in flight": 2, "tables": 0, "held run": 0,
                                "fused over volatile": 0}
         pair.crash("discard", 3000 + lines)
@@ -720,7 +725,7 @@ def test_partially_fenced_run_keeps_the_rest_volatile():
     pair.do("clwb", 256, 512)                               # 8 of them
     pair.do("write", 320, b"again")                         # un-flushes one
     pair.do("sfence")
-    assert pair.real.volatile_lines == 16 - 7
+    assert volatile_lines(pair.real) == 16 - 7
     pair.do("write", 100, b"x" * 1000, nt=True)
     pair.crash("torn", 5)
 
@@ -739,12 +744,11 @@ def test_torn_crash_draws_in_first_store_order():
     assert survived != stored and any(survived)     # some words, not all
 
 
-@pytest.mark.parametrize("hook", ["on_write", "on_persist", "on_persist_done"])
+@pytest.mark.parametrize("hook", ["on_persist", "on_persist_done"])
 @pytest.mark.parametrize("nt", [False, True])
 def test_crash_between_store_and_fence_of_a_durable_store(hook, nt):
-    """``on_write`` fires after the store and before any write-back (the
-    store stays volatile, no clwb or sfence is charged); ``on_persist``
-    after the clwb and the fence's charge, before the commit;
+    """``on_persist`` fires after the clwb and the fence's charge,
+    before the commit;
     ``on_persist_done`` after it.  Checked on a store inside one line
     and on one across three, over lines already dirty and flushing."""
     for addr, n in ((5 * CACHELINE + 8, 8), (9 * CACHELINE - 3, 2 * CACHELINE)):
@@ -757,10 +761,9 @@ def test_crash_between_store_and_fence_of_a_durable_store(hook, nt):
         pair.arm((hook, 1))
         assert pair.do_durable("write", addr, b"\xaa" * n, nt=nt)
         after = pair.real.stats.snapshot()
-        fenced = hook != "on_write"
         lines = 1 if n == 8 else 3
-        assert after["clwbs"] - before["clwbs"] == (lines if fenced else 0)
-        assert after["sfences"] - before["sfences"] == fenced
+        assert after["clwbs"] - before["clwbs"] == lines
+        assert after["sfences"] - before["sfences"] == 1
         durable = hook == "on_persist_done"
         assert (after["lines_persisted"] > before["lines_persisted"]) \
             == durable
@@ -776,12 +779,12 @@ def test_durable_store_on_top_of_volatile_lines():
     pair = Pair()
     pair.arm(None)
     pair.do_durable("write", 0, b"nothing in flight before")
-    assert pair.real.volatile_lines == 0
+    assert volatile_lines(pair.real) == 0
     pair.do("write", 64, b"old-dirty")                      # line 1 dirty
     pair.do("write", 640, b"n" * 200, nt=True)              # 10..13 flushing
     pair.do("write", 3 * CACHELINE, b"elsewhere")           # line 3 dirty
     pair.do_durable("write_atomic64", 72, 0xDEADBEEF)       # onto line 1
-    assert pair.real.volatile_lines == 1                    # line 3 only
+    assert volatile_lines(pair.real) == 1                    # line 3 only
     pair.do("write", 2048, b"x" * 100)
     pair.do("clwb", 2048, 100)
     pair.do_durable("write", 2050, b"yy")                   # onto flushing
@@ -803,8 +806,7 @@ RUNS += [(line * CACHELINE + skew, (n - 1) * CACHELINE + (0 if skew else 64),
 
 
 @pytest.mark.parametrize("end", ["discard", "torn", "fence, torn"])
-@pytest.mark.parametrize("hook", [None, "on_write", "on_persist",
-                                  "on_persist_done"])
+@pytest.mark.parametrize("hook", [None, "on_persist", "on_persist_done"])
 @pytest.mark.parametrize("nt", [False, True])
 def test_durable_store_on_a_quiescent_device(nt, hook, end):
     """Nothing is volatile, so the run is held in flight — and is still
@@ -818,29 +820,29 @@ def test_durable_store_on_a_quiescent_device(nt, hook, end):
         pair.arm(None)
         # Durable content under the run, so a revert is not to zeros.
         pair.do_durable("write", addr - 64, bytes(range(1, 256)) * (n // 255 + 2))
-        assert pair.real.volatile_lines == 0
+        assert volatile_lines(pair.real) == 0
         pair.arm((hook, 1) if hook else None)
         persisted = pair.real.stats.lines_persisted
         crashed = pair.do_durable("write", addr, b"\xa5" * n, nt=nt)
         assert crashed == (hook is not None), (addr, n)
         assert pair.bodies == {"in flight": 2, "tables": 0, "held run": 0,
                                "fused over volatile": 0}
-        assert ("on_write", 2, lines) in pair.events[id(pair.real)][-3:]
+        assert ("on_persist", 2, lines) in pair.events[id(pair.real)][-3:]
         durable = hook in (None, "on_persist_done")
-        assert pair.real.volatile_lines == (0 if durable else lines)
+        assert volatile_lines(pair.real) == (0 if durable else lines)
         assert pair.real.stats.lines_persisted - persisted \
             == (lines if durable else 0)
         if end == "fence, torn":
             pair.do("sfence")
             durable = durable or nt or hook == "on_persist"
-            assert pair.real.volatile_lines == (0 if durable else lines)
+            assert volatile_lines(pair.real) == (0 if durable else lines)
         pair.crash(end.split(", ")[-1], 1000 + lines)   # compares all media
         kept = pair.real.read_silent(addr, n) == b"\xa5" * n
         assert kept if durable else (end != "discard" or not kept)
 
 
 @pytest.mark.parametrize("under", ["dirty", "flushing"])
-@pytest.mark.parametrize("hook", [None, "on_write", "on_persist"])
+@pytest.mark.parametrize("hook", [None, "on_persist"])
 def test_durable_store_on_volatile_lines_takes_the_tables(under, hook):
     """One volatile line anywhere — under the run or far from it — and
     the same stores go through the per-line tables, as before."""
@@ -875,7 +877,7 @@ def _hold_runs(pair, under=True):
         pair.do("write", addr, bytes([0xa0 + i]) * n, nt=True)
     real = pair.real
     assert [run[:2] for run in real._runs] == [(3, 4), (10, 22), (40, 104)]
-    assert not real._shadow and real.volatile_lines == 1 + 12 + 64
+    assert not real._shadow and volatile_lines(real) == 1 + 12 + 64
     pair.do("write", 130 * CACHELINE + 3, b"younger, dirty")
     pair.do("write", 150 * CACHELINE, b"younger, flushing", nt=True)
     assert len(real._runs) == 3 and len(real._shadow) == 2
@@ -929,7 +931,7 @@ def test_a_fence_retires_every_held_run_whole(by, trip):
         assert not pair.plain._runs
         assert pair.bodies["fused over volatile"] == (by == "durable")
     held = 1 + 12 + 64 + 1 + (by == "durable")      # + flushing lines
-    assert pair.real.volatile_lines == (1 + held if trip == "on_persist"
+    assert volatile_lines(pair.real) == (1 + held if trip == "on_persist"
                                         else 1)
     pair.crash("torn", 5000)
 
@@ -955,37 +957,15 @@ def test_an_image_leaves_held_runs_out(tmp_path):
     before = pair.real.read_silent(0, SIZE)
     pair.real.save_image(tmp_path / "runs.img")
     assert pair.real.read_silent(0, SIZE) == before
-    assert pair.real.volatile_lines == pair.ref.volatile_lines
+    assert volatile_lines(pair.real) == volatile_lines(pair.ref)
     durable = bytearray(pair.ref.media())
     for line, content in pair.ref.shadow.items():
         durable[line * CACHELINE:(line + 1) * CACHELINE] = content
     loaded = PMDevice.load_image(tmp_path / "runs.img")
     assert loaded.read_silent(0, SIZE) == durable
     pair.do("sfence")
-    assert pair.real.volatile_lines == 1
+    assert volatile_lines(pair.real) == 1
     pair.crash("torn", 7000)
-
-
-@pytest.mark.parametrize("end", ["discard", "torn", "fence, torn"])
-def test_a_run_store_interrupted_by_on_write_stays_held(end):
-    """``on_write`` fires with the run held and its bytes stored (its
-    lines counted in ``volatile_lines``): a crash out of it leaves the
-    run volatile, as the reference's flushing lines, and a later fence
-    retires it."""
-    for addr, n, lines in RUNS:
-        pair = Pair()
-        pair.arm(None)
-        pair.do_durable("write", addr - 64,
-                        bytes(range(1, 256)) * (n // 255 + 2))
-        pair.arm(("on_write", 1))
-        assert pair.do("write", addr, b"\xc3" * n, nt=True)
-        assert len(pair.real._runs) == 1
-        assert pair.events[id(pair.real)][-1] == ("on_write", 2, lines)
-        if end == "fence, torn":
-            pair.arm(None)
-            pair.do("sfence")
-            assert pair.real.volatile_lines == 0
-        pair.crash(end.split(", ")[-1], 8000 + lines)
 
 
 def test_untouched_device_reads_as_zero_filled_memory(tmp_path):
@@ -1000,7 +980,7 @@ def test_untouched_device_reads_as_zero_filled_memory(tmp_path):
         pair.do("write", 3 * CACHELINE + 5, b"lost?" * 50)
         pair.do("write", SIZE // 2, b"n" * 9000, nt=True)
         pair.do("clwb", 3 * CACHELINE, 128)
-        assert pair.real.volatile_lines > 140
+        assert volatile_lines(pair.real) > 140
         pair.crash(mode, 77)        # compares the whole media
 
     pair.do_durable("write", 70_000, b"in the image")
@@ -1012,7 +992,7 @@ def test_untouched_device_reads_as_zero_filled_memory(tmp_path):
     loaded = PMDevice.load_image(path)
     pair.ref.crash("discard")       # an image is what a power cycle leaves
     assert loaded.read_silent(0, SIZE) == pair.ref.media()
-    assert (loaded.size, loaded.model, loaded.volatile_lines) \
+    assert (loaded.size, loaded.model, volatile_lines(loaded)) \
         == (SIZE, pair.real.model, 0)
     assert isinstance(_buffer_owner(loaded), mmap.mmap)
 
@@ -1072,9 +1052,8 @@ def _assert_fresh(dev, size):
         == _zero_digest(size)
     assert dev.stats == PMStats()
     assert (dev.clock.now_ns, dev.clock.charged_ns) == (0.0, 0.0)
-    assert (dev.hooks.on_write, dev.hooks.on_persist,
-            dev.hooks.on_persist_done) == (None, None, None)
-    assert dev.volatile_lines == 0
+    assert (dev.hooks.on_persist, dev.hooks.on_persist_done) == (None, None)
+    assert volatile_lines(dev) == 0
     assert not (dev._shadow or dev._dirty or dev._flushing or dev._runs
                 or dev._stored or dev._in_flight)
     dev.write(0, b"usable")
@@ -1086,7 +1065,7 @@ def _a_lifetime(rng, dev, tmp_path):
     """Stores anywhere (the last byte, across chunk boundaries), durable
     and not, a torn crash, an image written with lines still volatile."""
     size, chunk = dev.size, device_module._CHUNK
-    dev.hooks.on_write = lambda count, d: None
+    dev.hooks.on_persist = lambda count, d: None
     dev.write(size - 1, b"\xff", persist=rng.random() < 0.5)
     for _ in range(rng.randint(1, 12)):
         n = rng.choice((1, 8, 64, 4096, 3 * chunk + 5))

@@ -1,5 +1,7 @@
 """Unit tests for the latency model (Table I profiles + calibration)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.pm import CpuModel, DRAM, OPTANE_DCPM, PCM, PROFILES, STT_RAM
@@ -67,8 +69,9 @@ def test_weak_fingerprint_cheaper_than_strong():
 
 
 def test_with_cpu_replaces_cpu_model():
+    """A profile takes another CPU model and keeps its media timings."""
     fast = CpuModel(sha1_ns_per_byte=0.5)
-    model = OPTANE_DCPM.with_cpu(fast)
+    model = replace(OPTANE_DCPM, cpu=fast)
     assert model.cpu.sha1_ns_per_byte == 0.5
     assert model.read_latency_ns == OPTANE_DCPM.read_latency_ns
     assert OPTANE_DCPM.cpu.sha1_ns_per_byte != 0.5

@@ -13,13 +13,10 @@ before it is not the idiom.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-import repro
-
-_SRC = pathlib.Path(repro.__file__).parent
+from tests._code_index import as_tree, src_tree, src_trees
 
 #: store method -> the length it stores, where the call alone tells:
 #: an ``ast`` constant, the index of the length argument, or None.
@@ -44,7 +41,7 @@ def store_persist_pairs(source: str):
     """Line numbers of ``X.persist(a, n)`` statements whose preceding
     sibling stores exactly ``[a, a + n)`` through the same ``X``."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(as_tree(source)):
         for field in ("body", "orelse", "finalbody"):
             stmts = getattr(node, field, None)
             if not isinstance(stmts, list):
@@ -67,10 +64,10 @@ def store_persist_pairs(source: str):
 
 
 def test_no_store_then_persist_of_the_same_range_in_src():
-    for path in sorted(_SRC.rglob("*.py")):
-        lines = store_persist_pairs(path.read_text())
+    for rel, tree in src_trees():
+        lines = store_persist_pairs(tree)
         assert not lines, (
-            f"{path.relative_to(_SRC)}:{lines}: store + persist of the "
+            f"{rel}:{lines}: store + persist of the "
             f"same range is one call: write(..., persist=True)")
 
 
@@ -103,7 +100,7 @@ def test_the_scan_leaves_multi_store_commits_alone(commit):
 def test_fact_entries_are_decoded_by_the_one_codec():
     """No ``int.from_bytes(raw[lo:hi], ...)`` field pick in
     ``dedup/fact.py``: ``_ENTRY`` (``struct.Struct``) is the layout."""
-    tree = ast.parse((_SRC / "dedup" / "fact.py").read_text())
+    tree = src_tree("dedup/fact.py")
     codecs = 0
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)

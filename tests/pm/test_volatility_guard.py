@@ -5,19 +5,17 @@ shadow and the ``dirty`` / ``flushing`` sets) and per held run (one
 pre-image per non-temporal store onto empty tables) — plus the count of
 a durable store's lines in flight.  A reader outside ``pm/device.py``
 would see one form and miss the other, so nothing else in ``src/repro``
-may touch them: ``volatile_lines``, ``crash`` and ``save_image`` are the
-questions the device answers whole.
+may touch them: ``crash``, ``fork`` and ``save_image`` are the questions
+the device answers whole.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-import repro
+from tests._code_index import as_tree, src_tree, src_trees
 
-_SRC = pathlib.Path(repro.__file__).parent
-_DEVICE = _SRC / "pm" / "device.py"
+_DEVICE = "pm/device.py"
 PRIVATE = frozenset({"_shadow", "_dirty", "_flushing", "_runs", "_in_flight"})
 
 
@@ -25,7 +23,7 @@ def private_reads(source: str) -> list[int]:
     """Lines that name one of the tables as an attribute (``x._runs``,
     ``getattr(x, "_shadow")`` as a constant name)."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(as_tree(source)):
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE:
             found.append(node.lineno)
         elif isinstance(node, ast.Constant) and node.value in PRIVATE:
@@ -34,15 +32,15 @@ def private_reads(source: str) -> list[int]:
 
 
 def test_nothing_outside_the_device_reads_its_volatility_tables():
-    for path in sorted(_SRC.rglob("*.py")):
-        if path == _DEVICE:
+    for rel, tree in src_trees():
+        if rel == _DEVICE:
             continue
-        lines = private_reads(path.read_text())
+        lines = private_reads(tree)
         assert not lines, (
-            f"{path.relative_to(_SRC)}:{lines}: ask the device "
-            f"(volatile_lines, crash, save_image), not its tables")
+            f"{rel}:{lines}: ask the device "
+            f"(crash, fork, save_image), not its tables")
     # The scan is live: the device itself is full of them.
-    assert len(private_reads(_DEVICE.read_text())) > 20
+    assert len(private_reads(src_tree(_DEVICE))) > 20
 
 
 @pytest.mark.parametrize("pasted", [

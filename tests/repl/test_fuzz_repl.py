@@ -5,7 +5,7 @@ import pytest
 
 from repro.fuzz import FuzzConfig, run_case, run_repl_case
 from repro.fuzz.gen import generate_sequence
-from repro.fuzz.pipeline import repl_gen_config
+from tests.repl.util import repl_gen_config
 
 pytestmark = pytest.mark.repl
 

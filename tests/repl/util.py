@@ -5,6 +5,7 @@ import io
 
 from repro.backup import receive_backup, send_backup
 from repro.dedup import DeNovaFS
+from repro.fuzz.gen import GenConfig
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
 
@@ -68,3 +69,21 @@ def build_chain_pair(n, pages_per_snap=4):
         names.append(name)
         prev = name
     return src, dst_a, dst_b, names
+
+
+def repl_gen_config(alpha: float = 0.55) -> GenConfig:
+    """Generator knobs for repl sequences in the *differential*
+    scenario: snapshots plus ``relocate``/``restore`` ops enabled, whole-
+    device lifecycle ops left to the crash sweep.  Relocation is a
+    namespace no-op, so the model stays an exact oracle; subsequent
+    generated reads then verify that moving pages never changes
+    observable bytes.
+    """
+    cfg = GenConfig(alpha=alpha)
+    cfg.weights = dict(cfg.weights)
+    for kind in ("crash", "remount", "snap_delete"):
+        cfg.weights[kind] = 0
+    cfg.weights["snapshot"] = max(2, cfg.weights.get("snapshot", 0))
+    cfg.weights["relocate"] = 4
+    cfg.weights["restore"] = 2
+    return cfg

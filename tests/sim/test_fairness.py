@@ -102,7 +102,7 @@ class TestRWLockFairness:
 
         def reader(tag):
             yield rw.acquire_read()
-            concurrently.append(rw.active_readers)
+            concurrently.append(rw._readers)
             yield eng.timeout(10)
             rw.release_read()
 

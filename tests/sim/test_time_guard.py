@@ -11,13 +11,10 @@ built from one of those views.
 """
 
 import ast
-import pathlib
 
 import pytest
 
-import repro
-
-_SRC = pathlib.Path(repro.__file__).parent
+from tests._code_index import SRC, as_tree, source, src_trees
 _VIEWS = {"now", "now_ns", "charged_ns", "total_ns", "base_ns"}
 _SINKS = {"sync_to", "timeout_fs", "_push", "heappush"}
 
@@ -28,7 +25,7 @@ def _name(node):
 
 def fed_views(source: str):
     """Lines of a time sink called with anything built from a view."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+    return [node.lineno for node in ast.walk(as_tree(source))
             if isinstance(node, ast.Call) and _name(node.func) in _SINKS
             and any(_name(part) in _VIEWS
                     for arg in node.args for part in ast.walk(arg))]
@@ -36,11 +33,11 @@ def fed_views(source: str):
 
 def test_no_float_view_feeds_simulated_time_in_src():
     sinks = 0
-    for path in sorted(_SRC.rglob("*.py")):
-        source = path.read_text()
-        sinks += sum(source.count(f"{s}(") for s in _SINKS)
-        assert not fed_views(source), (
-            f"{path.relative_to(_SRC)}:{fed_views(source)}: time moves "
+    for rel, tree in src_trees():
+        text = source(SRC / rel)
+        sinks += sum(text.count(f"{s}(") for s in _SINKS)
+        assert not fed_views(tree), (
+            f"{rel}:{fed_views(tree)}: time moves "
             f"as femtoseconds (now_fs, charged_fs, CostCapture.fs)")
     assert sinks >= 6   # the clock, the engine, ConcurrentVFS, the replay
 

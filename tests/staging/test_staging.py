@@ -361,7 +361,7 @@ class TestQuotaParity:
         for staged in (True, False):
             fs = build_fs()
             if not staged:
-                fs.disable_staging()
+                fs.staging_enabled = False
             fs.tenant_create("tn0")
             ino = fs.create("/t/tn0/f")
             fs.write(ino, 0, b"x" * 100)
@@ -392,7 +392,7 @@ class TestQuotaParity:
         for staged in (True, False):
             fs = build_fs()
             if not staged:
-                fs.disable_staging()
+                fs.staging_enabled = False
             fs.tenant_create("one", quota_pages=1)
             ino = fs.create("/t/one/f")
             fs.write(ino, 0, b"z" * 16)
@@ -401,7 +401,7 @@ class TestQuotaParity:
         for staged in (True, False):
             fs = build_fs()
             if not staged:
-                fs.disable_staging()
+                fs.staging_enabled = False
             fs.tenant_create("two", quota_pages=2)
             ino = fs.create("/t/two/f")
             for i in range(4):

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Config, Variant, make_fs
 from repro.workloads.fleet import FleetSpec, run_fleet
 from repro.workloads.runner import DDMode
+from tests._seams import overriding
 
 pytestmark = pytest.mark.tenant
 
@@ -52,8 +53,8 @@ class TestRunFleet:
         assert fs.tenant_stats()["tn0"]["used_pages"] <= 4
 
     def test_churn_deletes_and_rewrites(self):
-        spec = FleetSpec(tenants=2, base_files=6, file_size=8192,
-                         churn=0.5, seed=11)
+        spec = overriding(FleetSpec, churn=0.5)(
+            tenants=2, base_files=6, file_size=8192, seed=11)
         res = run_fleet(build_fs(), spec, dd=DDMode.immediate(),
                         workers=1, max_shard_depth=8)
         assert res.per_tenant["tn0"]["churned"] == 3
@@ -70,10 +71,10 @@ class TestRunFleet:
         assert res.qos and res.stalls > 0
 
     def test_reproducible_across_runs(self):
-        spec = FleetSpec(tenants=3, base_files=6, file_size=8192,
-                         dup_ratio=0.5, think_ratio=0.3,
-                         diurnal_period_ms=1.0, diurnal_amplitude=0.5,
-                         churn=0.3, seed=23)
+        spec = overriding(FleetSpec, diurnal_period_ms=1.0,
+                          diurnal_amplitude=0.5, churn=0.3)(
+            tenants=3, base_files=6, file_size=8192, dup_ratio=0.5,
+            think_ratio=0.3, seed=23)
 
         def one():
             res = run_fleet(build_fs(), spec, dd=DDMode.immediate(),

@@ -19,13 +19,13 @@ from collections import Counter
 import pytest
 
 from repro.conc import fs_state_digest
-from repro.conc.vfs import ConcurrentVFS
 from repro.core import Config, Variant, make_fs
 from repro.nova import PAGE_SIZE
 from repro.sim import Engine
 from repro.tenant.qos import DRRGate, TokenBucket
 from repro.workloads.datagen import DataGenerator
 from repro.workloads.runner import DDMode
+from tests.conc.permutations import jittered
 
 pytestmark = pytest.mark.tenant
 
@@ -107,9 +107,8 @@ def qos_run(seed: int, workers: int):
     names = {"tn0": 4, "tn1": 2, "tn2": 1}
     tids = {n: fs.tenant_create(n, weight=w).tid
             for n, w in names.items()}
-    cvfs = ConcurrentVFS(fs, bw_slots=2, workers=workers, qos=True,
-                         jitter_seed=seed, jitter_ns=4000.0,
-                         max_shard_depth=4)
+    cvfs = jittered(seed, 4000.0)(fs, bw_slots=2, workers=workers,
+                                  qos=True, max_shard_depth=4)
 
     def client(n, i):
         holder = f"c-{n}"

@@ -6,6 +6,7 @@ from repro.core import Config, Variant, make_fs
 from repro.nova import PAGE_SIZE
 from repro.workloads import DataGenerator
 from repro.workloads.trace import Trace, TracedFS, TraceMismatch, replay
+from tests._seams import overriding
 
 
 def build(variant=Variant.IMMEDIATE):
@@ -41,7 +42,7 @@ class TestRecord:
             assert kind in ops
 
     def test_reads_optional(self):
-        tfs = TracedFS(build(), record_reads=False)
+        tfs = overriding(TracedFS, record_reads=False)(build())
         run_scenario(tfs)
         assert "read" not in {o.op for o in tfs.trace.ops}
 
