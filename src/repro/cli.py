@@ -532,8 +532,8 @@ def cmd_slo(args) -> int:
                   f"{a['value']:.6g} {bound} bound {a['bound']:.6g}")
         for a in alerts:
             if a.get("kind") == "skipped":
-                print("skipped (need live watchdog): "
-                      + ", ".join(a["rules"]))
+                print("skipped (a rate rule needs two snapshots; "
+                      "repro slo judges one): " + ", ".join(a["rules"]))
         if not violations:
             print("SLO OK")
     return 1 if violations else 0
@@ -552,8 +552,8 @@ def _deep_failure(rep: dict) -> str:
               help="ignore any clean-unmount checkpoint and rebuild "
                    "all recovery state from the logs"),
          arg("--workers", type=_positive_int, default=1,
-             help="simulated per-CPU recovery threads for the "
-                  "replay and dedup flag scan"))
+             help="simulated per-CPU recovery threads for the one "
+                  "log replay and the dedup work it finds"))
 def cmd_fsck(args):
     from repro.failure import (  # lazy: only fsck runs the checkers
         InvariantViolation, check_fs_invariants)

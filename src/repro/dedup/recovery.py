@@ -31,12 +31,14 @@ leaked pages.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 from repro.nova.entries import (
     DEDUPE_IN_PROCESS,
     DEDUPE_NEEDED,
     DEDUPE_COMPLETE,
     WriteEntry,
-    decode_entry,
 )
 from repro.nova.inode import ITYPE_FILE
 from repro.dedup.dwq import DWQNode
@@ -62,21 +64,19 @@ def dedup_recover(fs, report) -> dict:
             out["structural"] = {"reorders_recovered": reorders,
                                  **fact.structural_recover()}
 
-        # Step 2: flag scan over every file inode's committed entries.
-        # Sharded across the simulated recovery threads like the base log
-        # replay (inodes keep their deterministic order, so the rebuilt DWQ
-        # is identical for every worker count).
+        # Step 2: flag scan over the write entries the log replay decoded
+        # (an overflowed clean mount's stub hydration collects them here).
+        # No log slot of a file changes in between: the journal redo
+        # appends only dentries, orphan collection only releases records,
+        # step 1 writes only FACT.  Still-cached files keep ino then log
+        # order, sharded like the replay (same DWQ for any worker count).
         needed: list[tuple[int, int]] = []
         resumed = [0]
         workers = getattr(fs, "recovery_workers", 1)
 
-        def make_scan(ino, cache):
+        def make_scan(ino, entries):
             def task():
-                for addr, raw in fs.log.iter_slots(cache.inode.log_head,
-                                                   cache.inode.log_tail):
-                    entry = decode_entry(raw)
-                    if not isinstance(entry, WriteEntry):
-                        continue
+                for _ino, addr, entry in entries:
                     if entry.dedupe_flag == DEDUPE_NEEDED:
                         needed.append((ino, addr))
                     elif entry.dedupe_flag == DEDUPE_IN_PROCESS:
@@ -85,10 +85,16 @@ def dedup_recover(fs, report) -> dict:
             return task
 
         with fs.obs.span("recovery.flag_scan", workers=workers):
-            files = [(ino, cache) for ino, cache in sorted(fs.caches.items())
-                     if cache.inode.itype == ITYPE_FILE]
-            run_recovery_tasks(fs, [make_scan(ino, cache)
-                                    for ino, cache in files])
+            if report.flagged is None:
+                report.flagged = []
+                fs.caches.hydrate_all(report.flagged)
+            files = {ino for ino, cache in fs.caches.raw_items()
+                     if cache.inode.itype == ITYPE_FILE}
+            by_ino = groupby(sorted(report.flagged, key=itemgetter(0)),
+                             itemgetter(0))
+            run_recovery_tasks(fs, [make_scan(ino, list(entries))
+                                    for ino, entries in by_ino
+                                    if ino in files])
         out["in_process_resumed"] = resumed[0]
 
         # Step 3: discard stale UCs; step 4: drop dead entries.

@@ -136,13 +136,13 @@ def _thorough_gc(fs, ino: int) -> dict:
     }
 
 
-def find_tail_by_scan(fs, head_page: int) -> int:
+def find_tail_by_scan(fs, chain: list[int]) -> int:
     """Reconstruct a log tail by scanning a (zero-initialized) chain for
     its first empty slot — the recovery path for a crash between the
-    head and tail updates of a thorough GC.  ``head_page`` is untrusted:
-    the walk is recovery's bounded one."""
+    head and tail updates of a thorough GC.  ``chain`` is the pages of
+    recovery's bounded walk from the untrusted head."""
     tail = 0
-    for page in fs.log.iter_chain(head_page):
+    for page in chain:
         base = page * PAGE_SIZE
         for slot in range(ENTRIES_PER_PAGE):
             addr = base + LOG_HEADER_SIZE + slot * ENTRY_SIZE

@@ -186,26 +186,20 @@ class InodeTable:
 
     # -- iteration (recovery) ---------------------------------------------------------------
 
-    def iter_valid(self):
-        """Yield every valid, self-consistent inode record."""
-        for ino in self._valid_inos():
-            rec = self.read(ino)
-            if rec.ino == ino:
-                yield rec
-
-    def fsck(self) -> int:
-        """Release half-written records (torn crash during create).
+    def iter_valid(self, released: list[int]):
+        """Yield every valid, self-consistent inode record, in table order.
 
         An inode record spans two cache lines; a torn crash can persist
         the valid flag without the ino field.  Such a record was never
-        published (its dentry commit comes later), so dropping it is the
-        correct completion of the interrupted create.
+        published (its dentry commit comes later), so the scan releases
+        it when it reaches it — the correct completion of the interrupted
+        create — and appends its ino to ``released``.
         """
-        released = 0
         for ino in self._valid_inos():
             rec = self.read(ino)
-            if rec.ino != ino or rec.itype not in (ITYPE_FILE, ITYPE_DIR,
-                                                   ITYPE_SYMLINK):
+            if rec.ino == ino and rec.itype in (ITYPE_FILE, ITYPE_DIR,
+                                                ITYPE_SYMLINK):
+                yield rec
+            else:
                 self.release(ino)
-                released += 1
-        return released
+                released.append(ino)

@@ -10,7 +10,7 @@ for its dedup transactions.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.nova.entries import ENTRY_SIZE
 from repro.nova.inode import InodeTable
@@ -109,10 +109,13 @@ class LogManager:
 
     # -- walking -----------------------------------------------------------------------
 
-    def iter_slots(self, head_page: int, tail: int,
-                   silent: bool = False) -> Iterator[tuple[int, bytes]]:
+    def iter_slots(self, head_page: int, tail: int, silent: bool = False,
+                   pages: Optional[Iterable[int]] = None
+                   ) -> Iterator[tuple[int, bytes]]:
         """Yield ``(addr, raw)`` for every committed entry slot.
 
+        ``pages`` is the chain when the caller has walked it already
+        (recovery's :meth:`iter_chain`), so no header is read again.
         ``silent=True`` walks without charging device costs (used by test
         invariant checkers, never by filesystem code).
         """
@@ -120,20 +123,16 @@ class LogManager:
             return
         read = self.dev.read_silent if silent else self.dev.read
         tail_page = (tail - 1) // PAGE_SIZE
-        page: Optional[int] = head_page
-        while page:
+        if pages is None:
+            pages = self.iter_pages(head_page, silent)
+        for page in pages:
             base = page * PAGE_SIZE
-            end = base + PAGE_SIZE
-            if page == tail_page:
-                end = min(end, tail)
-            addr = base + LOG_HEADER_SIZE
-            while addr + ENTRY_SIZE <= end:
+            end = tail if page == tail_page else base + PAGE_SIZE
+            for addr in range(base + LOG_HEADER_SIZE, end - ENTRY_SIZE + 1,
+                              ENTRY_SIZE):
                 yield addr, read(addr, ENTRY_SIZE)
-                addr += ENTRY_SIZE
             if page == tail_page:
                 return
-            nxt = int.from_bytes(read(base, 8), "little")
-            page = nxt or None
 
     def iter_pages(self, head_page: int, silent: bool = False
                    ) -> Iterator[int]:

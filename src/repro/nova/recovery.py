@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.nova.checkpoint import load_checkpoint
 from repro.nova.entries import (
+    DEDUPE_COMPLETE,
     DentryEntry,
     SetattrEntry,
     SymlinkEntry,
@@ -118,9 +119,10 @@ class CacheMap(dict):
     def raw_items(self):
         return super().items()
 
-    def hydrate_all(self) -> None:
+    def hydrate_all(self, flagged: list | None = None) -> None:
         for cache in super().values():
-            self._hydrate(cache)
+            if not cache.hydrated:
+                hydrate_cache(self._fs, cache, flagged)
 
     def items(self):
         self.hydrate_all()
@@ -141,6 +143,9 @@ class RecoveryReport:
     corrupt_entries_skipped: int = 0
     log_pages: int = 0
     bitmap: np.ndarray | None = None
+    #: ``(ino, addr, WriteEntry)`` of each file write entry the replay
+    #: found not ``dedupe_complete``; None until one ran (checkpoint stubs).
+    flagged: list | None = None
     extra: dict = field(default_factory=dict)  # subclass (dedup) findings
 
 
@@ -171,12 +176,8 @@ def recover(fs, clean: bool) -> RecoveryReport:
                     fs._active_checkpoint = None
                 return report
 
-        # Pass 0: drop half-written inode records (torn crash in create).
-        with fs.obs.span("recovery.itable_fsck"):
-            report.extra["corrupt_inodes_released"] = fs.itable.fsck()
-
         with fs.obs.span("recovery.log_replay"):
-            _replay_logs(fs, report)
+            chains = _replay_logs(fs, report)
 
         # Pass 1.5: redo any committed-but-unapplied journal transaction
         # (cross-directory rename).  This must run before reachability: a
@@ -188,7 +189,7 @@ def recover(fs, clean: bool) -> RecoveryReport:
         # then maintained incrementally (redo allocations added, orphan
         # pages removed) instead of being recomputed in pass 3.
         with fs.obs.span("recovery.journal_redo"):
-            refs = _build_usage(fs, report)
+            refs = _build_usage(fs, report, chains)
             fs.allocator = PageAllocator.from_bitmap(
                 fs.geo.data_start_page, fs.geo.total_pages, refs > 0,
                 fs.cpus)
@@ -247,7 +248,7 @@ def _restore_checkpoint(fs, ck, report: RecoveryReport) -> None:
     }
 
 
-def hydrate_cache(fs, cache) -> None:
+def hydrate_cache(fs, cache, flagged: list | None = None) -> None:
     """Replay one stub cache's log on first access (checkpoint mounts).
 
     The checkpoint already restored the inode's metadata (size, links,
@@ -259,38 +260,37 @@ def hydrate_cache(fs, cache) -> None:
     cache.hydrated = True
     fs._hydrations += 1
     with fs.obs.span("recovery.lazy_hydrate", ino=cache.inode.ino):
-        _replay_one(fs, cache.inode, None, cache=cache, trust_tail=True)
+        _replay_one(fs, cache, flagged=flagged)
 
 
-def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
-                trust_tail: bool = False):
-    """Replay one inode's log into a (possibly pre-existing) cache."""
-    if not trust_tail:
+def _replay_one(fs, cache, report: RecoveryReport | None = None,
+                flagged: list | None = None) -> list[int] | None:
+    """Replay one inode's log into ``cache``; append each write entry a
+    dedup pass has still to finish to ``flagged``.  With a ``report`` (a
+    full mount) the tail is untrusted: the chain is walked once, bounded
+    (:meth:`LogManager.iter_chain <repro.nova.log.LogManager.iter_chain>`),
+    the tail checked against it, the slots read from it, and it returned."""
+    inode = cache.inode
+    chain = None
+    if report is not None:
+        chain = list(fs.log.iter_chain(inode.log_head))
         if inode.log_head and not inode.log_tail:
             # Crash between log-page allocation and the first commit:
             # the log exists but holds nothing; appends resume at slot 0.
             inode.log_tail = inode.log_head * PAGE_SIZE + LOG_HEADER_SIZE
-        elif inode.log_head and inode.log_tail:
+        elif inode.log_head and (inode.log_tail - 1) // PAGE_SIZE \
+                not in chain:
             # Crash between thorough GC's head and tail updates: the
             # tail still points into the retired chain.  GC chains are
             # zero-initialized, so the first empty slot is the tail.
-            chain = set(fs.log.iter_chain(inode.log_head))
-            if (inode.log_tail - 1) // PAGE_SIZE not in chain:
-                inode.log_tail = find_tail_by_scan(fs, inode.log_head)
-                fs.itable.update_log_tail(inode.ino, inode.log_tail)
-                if report is not None:
-                    report.extra["gc_tails_rebuilt"] = \
-                        report.extra.get("gc_tails_rebuilt", 0) + 1
-    if cache is None:
-        cache = InodeCache(
-            inode=inode,
-            index=FileIndex(fs.cpu_model, fs.clock),
-            tail=inode.log_tail,
-        )
-    else:
-        cache.tail = inode.log_tail
-        cache.entry_count = 0
-    for addr, raw in fs.log.iter_slots(inode.log_head, inode.log_tail):
+            inode.log_tail = find_tail_by_scan(fs, chain)
+            fs.itable.update_log_tail(inode.ino, inode.log_tail)
+            report.extra["gc_tails_rebuilt"] = \
+                report.extra.get("gc_tails_rebuilt", 0) + 1
+    cache.tail = inode.log_tail
+    cache.entry_count = 0
+    for addr, raw in fs.log.iter_slots(inode.log_head, inode.log_tail,
+                                       pages=chain):
         try:
             entry = decode_entry(raw)
         except ValueError:
@@ -306,6 +306,8 @@ def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
             cache.index.install(addr, entry)
             cache.inode.size = entry.size_after
             cache.inode.mtime = max(cache.inode.mtime, entry.mtime)
+            if flagged is not None and entry.dedupe_flag != DEDUPE_COMPLETE:
+                flagged.append((inode.ino, addr, entry))
         elif isinstance(entry, SetattrEntry) and inode.itype == ITYPE_FILE:
             keep = (entry.new_size + PAGE_SIZE - 1) // PAGE_SIZE
             cache.index.truncate_pages(keep)
@@ -322,20 +324,34 @@ def _replay_one(fs, inode, report: RecoveryReport | None, cache=None,
         else:
             if report is not None:
                 report.corrupt_entries_skipped += 1
-    return cache
+    return chain
 
 
-def _replay_logs(fs, report: RecoveryReport) -> None:
-    """Pass 1: replay every valid inode's log, through
-    :func:`run_recovery_tasks` (``fs.last_replay_pool`` is its report)."""
+def _replay_logs(fs, report: RecoveryReport) -> dict[int, list[int]]:
+    """Pass 1: scan the inode table once, releasing each torn record as
+    it is reached, and replay every other valid inode's log through
+    :func:`run_recovery_tasks` (``fs.last_replay_pool`` is its report).
+    Returns each replayed inode's log chain."""
+    chains: dict[int, list[int]] = {}
+    released: list[int] = []
+    report.flagged = []
+
     def replay(inode):
         def task():
-            fs.caches[inode.ino] = _replay_one(fs, inode, report)
+            cache = InodeCache(inode=inode,
+                               index=FileIndex(fs.cpu_model, fs.clock))
+            chains[inode.ino] = _replay_one(fs, cache, report,
+                                            report.flagged)
+            fs.caches[inode.ino] = cache
             report.inodes_recovered += 1
         return task
 
+    # Keyed first: the replay's findings follow it in ``extra``.
+    report.extra["corrupt_inodes_released"] = 0
     fs.last_replay_pool = run_recovery_tasks(
-        fs, (replay(inode) for inode in fs.itable.iter_valid()))
+        fs, (replay(inode) for inode in fs.itable.iter_valid(released)))
+    report.extra["corrupt_inodes_released"] = len(released)
+    return chains
 
 
 def run_recovery_tasks(fs, tasks: Iterable[Callable[[], Any]]
@@ -462,8 +478,9 @@ def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
             cache.inode.links = link_counts.get(ino, 0)
 
 
-def _build_usage(fs, report: RecoveryReport) -> np.ndarray:
-    """One conservative device scan: per-page reference counts.
+def _build_usage(fs, report: RecoveryReport,
+                 chains: dict[int, list[int]]) -> np.ndarray:
+    """Per-page reference counts, from the replay's chains and indexes.
 
     Covers every currently-valid inode, orphans included, one reference
     per log page and per indexed data page alike (a page is in use while
@@ -471,8 +488,8 @@ def _build_usage(fs, report: RecoveryReport) -> np.ndarray:
     """
     refs = np.zeros(fs.geo.total_pages, dtype=np.int32)
     refs[:fs.geo.data_start_page] = 1  # superblock/itable/FACT/etc.
-    for cache in fs.caches.values():
-        for page in fs.log.iter_chain(cache.inode.log_head):
+    for ino, cache in fs.caches.items():
+        for page in chains[ino]:
             refs[page] += 1
             report.log_pages += 1
         for page in cache.index.referenced_pages():

@@ -227,5 +227,6 @@ def evaluate_snapshot(rules, snapshot: dict) -> list[dict]:
             skipped.append(rule.name)
     if skipped:
         alerts.append({"rule": None, "kind": "skipped", "rules": skipped,
-                       "detail": "rate rules need a live watchdog"})
+                       "detail": "a rate rule needs two snapshots and "
+                                 "this judges one"})
     return alerts

@@ -18,12 +18,16 @@ import hashlib
 
 import pytest
 
+from repro.core import Config, Variant, make_fs
 from repro.dedup import DeNovaFS, recovery
 from repro.dedup.fact import ENTRY, FACT
 from repro.dedup.reorder import reorder_chain
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import PAGE_SIZE
-from repro.nova.entries import DEDUPE_IN_PROCESS, WriteEntry, decode_entry
+from repro.nova.entries import (DEDUPE_IN_PROCESS, ENTRY_SIZE, WriteEntry,
+                                decode_entry)
+from repro.nova.inode import Inode
+from repro.nova.layout import INODE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -436,3 +440,143 @@ class TestRecoveryReadsFactOnce:
                                   mode=("discard", "torn")) > 20
         assert any(rep["reorders_recovered"] for rep in seen)
         assert any(rep["orphans_zeroed"] for rep in seen)
+
+
+class TestUncleanMountReadsEachLogOnce:
+    """An unclean mount reads each valid inode record, each log chain
+    header and each committed log slot exactly once: the table scan
+    releases torn records as it reaches them, the log replay reads slots
+    from the chain its tail check walked, the usage count takes that
+    chain, and the flag scan takes the entries the replay decoded."""
+
+    def image(self):
+        """Two directories, a file whose log spans three pages, entries
+        ``dedupe_complete``, ``dedupe_needed`` and ``in_process``, and a
+        torn record (valid flag persisted, ino field not) — crashed."""
+        dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=64)
+        fs.mkdir("/d")
+        files = [fs.create(f"/d/f{i}") for i in range(3)]
+        for i, ino in enumerate(files):
+            fs.write(ino, 0, page_of(i) + page_of(7))
+        fs.daemon.drain()                                 # complete
+        long = fs.create("/long")
+        for i in range(150):                              # needed
+            fs.write(long, (i % 4) * PAGE_SIZE, page_of(i))
+        fs.write(files[1], PAGE_SIZE, page_of(8))
+        addr = fs.caches[files[1]].tail - ENTRY_SIZE
+        fs.set_dedupe_flag(addr, DEDUPE_IN_PROCESS)       # Handling II
+        torn = fs.itable.alloc()
+        raw = bytearray(Inode(ino=torn, valid=1).pack())
+        raw[0:8] = bytes(8)
+        dev.write(fs.itable.addr_of(torn), bytes(raw), persist=True)
+        dev.crash("discard")
+        dev.recover_view()
+        return dev, torn
+
+    @staticmethod
+    def mount_logging_reads(dev):
+        """Mount ``dev``; returns the fs and every device read the mount
+        made, a scan as ``("scan", addr, stride, bytes returned)``."""
+        reads = []
+        for kind in ("read", "read_view", "read_silent"):
+            real = getattr(dev, kind)
+
+            def logged(addr, n, _real=real, _kind=kind):
+                reads.append((_kind, addr, n))
+                return _real(addr, n)
+            setattr(dev, kind, logged)
+        real_scan = dev.scan
+
+        def scan(addr, stride, count, stop=None):
+            found = real_scan(addr, stride, count, stop=stop)
+            reads.append(("scan", addr, stride, len(found)))
+            return found
+        dev.scan = scan
+        try:
+            return DeNovaFS.mount(dev), reads
+        finally:
+            del dev.read, dev.read_view, dev.read_silent, dev.scan
+
+    @staticmethod
+    def logs(fs):
+        """Every log page and committed slot of the mounted inodes."""
+        pages, slots = [], []
+        for cache in fs.caches.values():
+            pages += fs.log.iter_pages(cache.inode.log_head, silent=True)
+            slots += [a for a, _ in fs.log.iter_slots(
+                cache.inode.log_head, cache.inode.log_tail, silent=True)]
+        return pages, slots
+
+    def test_each_record_header_and_slot_is_read_once(self):
+        dev, torn = self.image()
+        fs, reads = self.mount_logging_reads(dev)
+        rep = fs.last_recovery
+        assert rep.extra["corrupt_inodes_released"] == 1
+        assert rep.extra["dedup"]["in_process_resumed"] == 1
+        assert rep.extra["dedup"]["dwq_rebuilt"] >= 150
+        assert rep.orphans_collected == 0
+
+        pages, slots = self.logs(fs)
+        assert len(pages) > len(fs.caches) and len(slots) > 150
+        in_logs = set(pages)
+        log_reads = [r for r in reads
+                     if r[0] != "scan" and r[1] // PAGE_SIZE in in_logs]
+        assert sorted(log_reads) == sorted(
+            [("read", page * PAGE_SIZE, 8) for page in pages]
+            + [("read", a, ENTRY_SIZE) for a in slots])
+
+        table = fs.itable
+        table_end = table.base + table.capacity * INODE_SIZE
+        record_reads = [r for r in reads if r[0] != "scan"
+                        and table.base <= r[1] < table_end]
+        assert record_reads == [("read", table.addr_of(i), INODE_SIZE)
+                                for i in sorted([*fs.caches, torn])]
+        scanned = [r for r in reads if r[0] == "scan"]
+        assert all(stride == INODE_SIZE for _k, _a, stride, _n in scanned)
+        slots_scanned = [(a - table.base) // INODE_SIZE + k
+                         for _k, a, _s, n in scanned for k in range(n)]
+        assert slots_scanned == list(range(table.capacity))
+
+    def test_an_overflowed_clean_mount_reads_each_slot_once(self):
+        """A clean mount whose saved DWQ overflowed takes its flag scan
+        from the replay that hydrates the checkpoint stubs."""
+        dev = PMDevice(4096 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=512, dwq_save_pages=1)
+        n = fs.dwq.capacity_on(fs.geo) + 40
+        for i in range(n):
+            fs.write(fs.create(f"/f{i}"), 0, page_of(i))
+        fs.unmount()
+        fs, reads = self.mount_logging_reads(dev)
+        assert fs.last_recovery.extra["dwq_restored"] == "overflow->scan"
+        assert len(fs.dwq) == n
+        pages, slots = self.logs(fs)
+        in_logs = set(pages)
+        log_reads = [r for r in reads
+                     if r[0] != "scan" and r[1] // PAGE_SIZE in in_logs
+                     and r[2] == ENTRY_SIZE]
+        assert sorted(log_reads) == sorted(("read", a, ENTRY_SIZE)
+                                           for a in slots)
+
+
+class TestUndecodableLogSlot:
+    """A committed log slot that decodes to nothing (a corrupt entry
+    type) is skipped and counted by the replay, on every variant: the
+    dedup flag scan reads only what the replay decoded."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_mounts_and_counts_the_slot(self, variant):
+        fs, _dd = make_fs(variant, Config(device_pages=1024, max_inodes=64))
+        ino = fs.create("/f")
+        fs.write(ino, 0, page_of(1))
+        fs.write(ino, PAGE_SIZE, page_of(2))
+        cache = fs.caches[ino]
+        _first, (second, _raw) = fs.log.iter_slots(
+            cache.inode.log_head, cache.tail, silent=True)
+        fs.dev.write(second, b"\x7f", persist=True)       # etype byte
+        fs.dev.crash("discard")
+        fs.dev.recover_view()
+
+        fs2 = type(fs).mount(fs.dev)
+        assert fs2.last_recovery.corrupt_entries_skipped == 1
+        assert fs2.read(ino, 0, PAGE_SIZE) == page_of(1)

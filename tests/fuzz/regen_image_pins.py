@@ -11,7 +11,8 @@ they move (``test_image_pin``'s docstring: a clock-only move).
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
+HERE = pathlib.Path(__file__).parent
+sys.path[:0] = [str(HERE), str(HERE.parents[1])]    # test_image_pin, tests
 
 from test_image_pin import PINNED, crash_images  # noqa: E402
 

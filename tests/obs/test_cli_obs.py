@@ -271,7 +271,8 @@ class TestSLOCommand:
         capsys.readouterr()
         assert main(["slo", image, "--rules", rules]) == 0
         out = capsys.readouterr().out
-        assert "skipped (need live watchdog): burn" in out
+        assert ("skipped (a rate rule needs two snapshots; "
+                "repro slo judges one): burn") in out
 
     def test_json_report(self, image, tmp_path, capsys):
         deduped_image(image, tmp_path)
