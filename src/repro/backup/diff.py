@@ -71,28 +71,21 @@ def snapshot_tree(fs, name: str,
     entries: list = []
     blocks: dict[str, int] = {}
 
-    def walk(dirpath: str, rel: str) -> None:
-        for child in fs.listdir(dirpath):
-            src = f"{dirpath}/{child}"
-            relpath = f"{rel}/{child}" if rel else child
-            ino = fs.lookup(src, follow=False)
-            cache = fs.caches[ino]
-            itype = cache.inode.itype
-            if itype == ITYPE_DIR:
-                entries.append(["dir", relpath])
-                walk(src, relpath)
-            elif itype == ITYPE_SYMLINK:
-                entries.append(["symlink", relpath, cache.symlink_target])
-            else:
-                pages = []
-                for pgoff in cache.index.mapped_offsets:
-                    block = cache.index.block_of(pgoff)
-                    fp = _page_fp(fs, block, recompute=recompute).hex()
-                    pages.append([pgoff, fp])
-                    blocks.setdefault(fp, block)
-                entries.append(["file", relpath, cache.inode.size, pages])
-
-    walk(base, "")
+    for path, _ino, cache in fs.walk(base):
+        relpath = path[len(base) + 1:]
+        itype = cache.inode.itype
+        if itype == ITYPE_DIR:
+            entries.append(["dir", relpath])
+        elif itype == ITYPE_SYMLINK:
+            entries.append(["symlink", relpath, cache.symlink_target])
+        else:
+            pages = []
+            for pgoff in cache.index.mapped_offsets:
+                block = cache.index.block_of(pgoff)
+                fp = _page_fp(fs, block, recompute=recompute).hex()
+                pages.append([pgoff, fp])
+                blocks.setdefault(fp, block)
+            entries.append(["file", relpath, cache.inode.size, pages])
     return entries, blocks
 
 

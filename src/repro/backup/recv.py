@@ -114,21 +114,6 @@ def staged_ingests(fs) -> list[dict]:
     return out
 
 
-def _teardown(fs, path: str) -> int:
-    """Recursively remove a staged subtree; returns non-dir removals."""
-    removed = 0
-    for entry in list(fs.listdir(path)):
-        child = f"{path}/{entry}"
-        ino = fs.lookup(child, follow=False)
-        if fs.caches[ino].inode.itype == ITYPE_DIR:
-            removed += _teardown(fs, child)
-        else:
-            fs.unlink(child)
-            removed += 1
-    fs.rmdir(path)
-    return removed
-
-
 def rollback_staging(fs, torn_only: bool = False) -> dict:
     """Remove staged ingests (and stray cursors) — the fsck path.
 
@@ -165,7 +150,7 @@ def rollback_staging(fs, torn_only: bool = False) -> dict:
             out["kept"] += 1
             cursors.discard(cname)
             continue
-        out["files"] += _teardown(fs, path)
+        out["files"] += persist.remove_tree(fs, path)
         out["stages"] += 1
         if cname in cursors:
             fs.unlink(f"{STAGE_DIR}/{cname}")
@@ -298,7 +283,7 @@ def receive_backup(fs, stream, resume: bool = True,
         # in progress) are untouched.
         for ing in staged_ingests(fs):
             if ing["snapshot"] == name and ing["stage"] != stage:
-                _teardown(fs, ing["stage"])
+                persist.remove_tree(fs, ing["stage"])
                 if persist.lexists(fs, ing["stage"] + ".cursor"):
                     fs.unlink(ing["stage"] + ".cursor")
 
@@ -309,7 +294,7 @@ def receive_backup(fs, stream, resume: bool = True,
                 resumed = True
             else:
                 # resume=False, or a garbled cursor: start fresh.
-                _teardown(fs, stage)
+                persist.remove_tree(fs, stage)
                 if persist.lexists(fs, cpath):
                     fs.unlink(cpath)
         if not persist.lexists(fs, stage):

@@ -40,7 +40,7 @@ from repro.dedup.fact import FactCorruption
 from repro.dedup.hybrid import MODE_NAMES
 from repro.nova import NovaFS
 from repro.nova.fs import FSError, IsADirectory
-from repro.nova.inode import ITYPE_DIR
+from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK
 from repro.nova.layout import Superblock
 from repro.obs import (diff_profiles, evaluate_snapshot, format_profile,
                        format_table, load_profile, load_rules, merge_profiles,
@@ -834,19 +834,18 @@ def cmd_tenant_quota(args):
          arg("path", nargs="?", default="/"))
 def cmd_tree(args):
     with _mounted(args.image, save=False) as fs:
-        for dirpath, dirnames, filenames in fs.walk(args.path):
-            depth = max(0, dirpath.rstrip("/").count("/"))
-            indent = "  " * depth
-            label = dirpath.rstrip("/").rsplit("/", 1)[-1]
-            print("/" if not label else f"{indent}{label}/")
-            for name in filenames:
-                full = f"{dirpath.rstrip('/')}/{name}"
-                ino = fs.lookup(full, follow=False)
-                cache = fs.caches[ino]
-                if cache.inode.itype == 3:
-                    print(f"{indent}  {name} -> {cache.symlink_target}")
-                else:
-                    print(f"{indent}  {name} ({cache.inode.size} B)")
+        top = args.path.rstrip("/")
+        lines = [f"{'  ' * top.count('/')}{top.rsplit('/', 1)[-1]}/"
+                 if top else "/"]
+        for path, _ino, cache in fs.walk(args.path):
+            line = "  " * path.count("/") + path.rsplit("/", 1)[-1]
+            if cache.inode.itype == ITYPE_DIR:
+                lines.append(f"{line}/")
+            elif cache.inode.itype == ITYPE_SYMLINK:
+                lines.append(f"{line} -> {cache.symlink_target}")
+            else:
+                lines.append(f"{line} ({cache.inode.size} B)")
+    print("\n".join(lines))
 
 
 @command("du", "dedup-aware tree usage", arg("path", nargs="?", default="/"))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK
+from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK, ROOT_INO
 
 __all__ = ["fs_state_digest"]
 
@@ -32,22 +32,16 @@ def fs_state_digest(fs) -> str:
             h.update(str(p).encode())
             h.update(b"\0")
 
-    def visit_dir(path: str) -> None:
-        names = sorted(fs.listdir(path))
-        emit("D", path, ",".join(names))
-        for name in names:
-            child = f"{path.rstrip('/')}/{name}"
-            ino = fs.lookup(child, follow=False)
-            st = fs.stat(ino)
-            if st.itype == ITYPE_DIR:
-                visit_dir(child)
-            elif st.itype == ITYPE_SYMLINK:
-                emit("L", child, fs.readlink(child))
-            else:
-                group = groups.setdefault(ino, child)
-                content = fs.read(ino, 0, st.size) if st.size else b""
-                emit("F", child, st.size, st.links, group,
-                     hashlib.sha1(content).hexdigest())
-
-    visit_dir("/")
+    emit("D", "/", ",".join(sorted(fs.caches[ROOT_INO].dentries)))
+    for path, ino, cache in fs.walk("/"):
+        st = fs.stat(ino)
+        if st.itype == ITYPE_DIR:
+            emit("D", path, ",".join(sorted(cache.dentries)))
+        elif st.itype == ITYPE_SYMLINK:
+            emit("L", path, fs.readlink(path))
+        else:
+            group = groups.setdefault(ino, path)
+            content = fs.read(ino, 0, st.size) if st.size else b""
+            emit("F", path, st.size, st.links, group,
+                 hashlib.sha1(content).hexdigest())
     return h.hexdigest()

@@ -175,10 +175,7 @@ class FACT:
 
     def _count_valid(self) -> int:
         """Cheap occupancy read for the callback gauge (silent scan)."""
-        arr = np.frombuffer(
-            self.dev.read_silent(self.base, self.total * ENTRY),
-            dtype=_SCAN_DTYPE)
-        return int((arr["block"] != 0).sum())
+        return int((self._peek()["block"] != 0).sum())
 
     # ------------------------------------------------------------ raw slot access
 
@@ -494,10 +491,7 @@ class FACT:
         this with the radix-derived set of *live* data blocks, which is
         what makes stale registrations (freed blocks) harmless.
         """
-        arr = np.frombuffer(self.dev.read_silent(self.base,
-                                                 self.total * ENTRY),
-                            dtype=_SCAN_DTYPE)
-        weak = arr["weak"]
+        weak = self._peek()["weak"]
         return {int(b): int(weak[b]) for b in np.nonzero(weak)[0]}
 
     # ------------------------------------------------------------ removal
@@ -565,6 +559,13 @@ class FACT:
         table = np.frombuffer(raw, dtype=_SCAN_DTYPE)
         return {name: table[name].copy() for name in fields}
 
+    def _peek(self) -> np.ndarray:
+        """The whole table as :data:`_SCAN_DTYPE` rows from one silent
+        device read (gauges, reports, checks): unlike :meth:`_scan`."""
+        return np.frombuffer(
+            self.dev.read_silent(self.base, self.total * ENTRY),
+            dtype=_SCAN_DTYPE)
+
     def rebuild_iaa_free(self) -> int:
         """Rebuild the volatile IAA free list from a (charged) table scan.
 
@@ -615,21 +616,17 @@ class FACT:
     def live_entries(self) -> dict[int, FactEntry]:
         """Decoded view of every valid slot (invariant checks, reports;
         recovery's from its :meth:`in_dram` copy)."""
-        raw = self._dram
-        if raw is None:
-            raw = self.dev.read_silent(self.base, self.total * ENTRY)
-        arr = np.frombuffer(raw, dtype=_SCAN_DTYPE)
+        arr = self._peek() if self._dram is None \
+            else np.frombuffer(self._dram, dtype=_SCAN_DTYPE)
         out = {}
         for idx in np.nonzero(arr["block"])[0]:
             i = int(idx)
-            out[i] = self._decode(i, raw, i * ENTRY)
+            out[i] = self._decode(i, arr, i * ENTRY)
         return out
 
     def occupancy(self) -> dict:
         """DAA/IAA usage and chain-length statistics."""
-        arr = np.frombuffer(self.dev.read_silent(self.base,
-                                                 self.total * ENTRY),
-                            dtype=_SCAN_DTYPE)
+        arr = self._peek()
         valid = arr["block"] != 0
         nxt = arr["next"]
         daa_used = int(valid[:self.daa_size].sum())
@@ -733,9 +730,7 @@ class FACT:
 
     def check_chains(self) -> None:
         """Raise :class:`FactCorruption` on any structural violation."""
-        arr = np.frombuffer(self.dev.read_silent(self.base,
-                                                 self.total * ENTRY),
-                            dtype=_SCAN_DTYPE)
+        arr = self._peek()
         prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
         linked: set[int] = set()
         for head in self._active_heads(blocks, nxt, prev):

@@ -36,6 +36,7 @@ from repro.nova.entries import (
 from repro.nova.fs import FileExists, FileNotFound, FSError, IsADirectory
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.persist import remove_tree
 from repro.nova.radix import extend_runs
 
 __all__ = ["reflink", "materialise_shared", "snapshot", "delete_snapshot",
@@ -189,27 +190,31 @@ def snapshot(fs, name: str) -> dict:
     files = 0
     dirs = 0
 
-    def walk(src_dir: str, dst_dir: str):
+    def copy(src_path: str, cache) -> None:
         nonlocal files, dirs
-        for entry in fs.listdir(src_dir):
-            src_path = f"{src_dir.rstrip('/')}/{entry}"
-            if src_path in (SNAPSHOT_DIR, STAGE_DIR, REPL_DIR):
-                continue
-            dst_path = f"{dst_dir}/{entry}"
-            ino = fs.lookup(src_path, follow=False)
-            itype = fs.caches[ino].inode.itype
-            if itype == ITYPE_DIR:
-                fs.mkdir(dst_path)
-                dirs += 1
-                walk(src_path, dst_path)
-            elif itype == ITYPE_FILE:
-                reflink(fs, src_path, dst_path, immutable=True)
-                files += 1
-            else:  # symlink: copied as a symlink, not its target
-                fs.symlink(fs.readlink(src_path), dst_path)
-                files += 1
+        dst_path = f"{base}{src_path}"
+        itype = cache.inode.itype
+        if itype == ITYPE_DIR:
+            fs.mkdir(dst_path)
+            dirs += 1
+        elif itype == ITYPE_FILE:
+            reflink(fs, src_path, dst_path, immutable=True)
+            files += 1
+        else:  # symlink: copied as a symlink, not its target
+            fs.symlink(fs.readlink(src_path), dst_path)
+            files += 1
 
-    walk("/", base)
+    # Listed here, not walked: the three system trees are never looked up.
+    for entry in fs.listdir("/"):
+        src_path = f"/{entry}"
+        if src_path in (SNAPSHOT_DIR, STAGE_DIR, REPL_DIR):
+            continue
+        ino = fs.lookup(src_path, follow=False)
+        cache = fs.caches[ino]
+        copy(src_path, cache)
+        if cache.inode.itype == ITYPE_DIR:
+            for path, _ino, child in fs.walk(src_path):
+                copy(path, child)
     return {"name": name, "files": files, "dirs": dirs, "path": base}
 
 
@@ -231,19 +236,4 @@ def delete_snapshot(fs, name: str) -> int:
     base = f"{SNAPSHOT_DIR}/{name}"
     if not fs.exists(base):
         raise FileNotFound(base)
-    removed = 0
-
-    def teardown(path: str):
-        nonlocal removed
-        for entry in list(fs.listdir(path)):
-            child = f"{path}/{entry}"
-            ino = fs.lookup(child, follow=False)
-            if fs.caches[ino].inode.itype == ITYPE_DIR:
-                teardown(child)
-            else:
-                fs.unlink(child)
-                removed += 1
-        fs.rmdir(path)
-
-    teardown(base)
-    return removed
+    return remove_tree(fs, base)

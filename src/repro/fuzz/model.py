@@ -245,31 +245,14 @@ class ModelFS:
         registered tenants are unowned, as on the real filesystem.
         """
         tenants = getattr(self, "tenants", None)
-        if not tenants:
-            return None
-        t_node = None
-        for name, child in self.nodes[ROOT_ID].children.items():
-            if name == "t" and self.nodes[child].kind == "dir":
-                t_node = self.nodes[child]
-                break
-        if t_node is None:
+        t_id = self.nodes[ROOT_ID].children.get("t")
+        if not tenants or t_id is None or self.nodes[t_id].kind != "dir":
             return None
         for name in tenants:
-            rid = t_node.children.get(name)
-            if rid is None:
-                continue
-            stack = [rid]
-            seen: set[int] = set()
-            while stack:
-                cur = stack.pop()
-                if cur == nid:
-                    return name
-                if cur in seen:
-                    continue
-                seen.add(cur)
-                node = self.nodes.get(cur)
-                if node is not None and node.kind == "dir":
-                    stack.extend(node.children.values())
+            rid = self.nodes[t_id].children.get(name)
+            if rid == nid or rid is not None and any(
+                    n == nid for _p, n, _node in self._entries(f"/t/{name}")):
+                return name
         return None
 
     def _is_ancestor(self, maybe_ancestor: int, nid: int) -> bool:
@@ -361,40 +344,37 @@ class ModelFS:
             self.mkdir(SNAPSHOT_DIR)
         self.mkdir(base)
 
-        def walk(src_dir: str, dst_dir: str):
-            src_node = self.nodes[self.lookup(src_dir, follow=False)]
-            for entry in sorted(src_node.children):
-                src_path = f"{src_dir.rstrip('/')}/{entry}"
-                if src_path == SNAPSHOT_DIR:
-                    continue
-                dst_path = f"{dst_dir}/{entry}"
-                child = self.nodes[src_node.children[entry]]
-                if child.kind == "dir":
-                    self.mkdir(dst_path)
-                    walk(src_path, dst_path)
-                elif child.kind == "file":
-                    self.reflink(src_path, dst_path, immutable=True)
-                else:
-                    self.symlink(child.target, dst_path)
+        def copy(src_path: str, node: ModelNode) -> None:
+            dst_path = f"{base}{src_path}"
+            if node.kind == "dir":
+                self.mkdir(dst_path)
+            elif node.kind == "file":
+                self.reflink(src_path, dst_path, immutable=True)
+            else:
+                self.symlink(node.target, dst_path)
 
-        walk("/", base)
+        root = self.nodes[ROOT_ID]
+        for entry in sorted(root.children):
+            src_path = f"/{entry}"
+            if src_path == SNAPSHOT_DIR:
+                continue
+            node = self.nodes[root.children[entry]]
+            copy(src_path, node)
+            if node.kind == "dir":
+                for path, _nid, child in self._entries(src_path):
+                    copy(path, child)
 
     def delete_snapshot(self, name: str) -> None:
         base = f"{SNAPSHOT_DIR}/{name}"
         if not self.exists(base):
             raise ModelError(f"not found: {base}")
-
-        def teardown(path: str):
-            node = self.nodes[self.lookup(path, follow=False)]
-            for entry in sorted(node.children):
-                child_path = f"{path}/{entry}"
-                if self.nodes[node.children[entry]].kind == "dir":
-                    teardown(child_path)
-                else:
-                    self.unlink(child_path)
-            self.rmdir(path)
-
-        teardown(base)
+        # Children before their directory (the model has no clock).
+        for path, _nid, node in reversed(list(self._entries(base))):
+            if node.kind == "dir":
+                self.rmdir(path)
+            else:
+                self.unlink(path)
+        self.rmdir(base)
 
     # ------------------------------------------------------------ oracles
 
@@ -420,6 +400,18 @@ class ModelFS:
                 occ[img] += 1
         return occ
 
+    def _entries(self, top: str):
+        """``(path, node id, node)`` for every entry under directory
+        ``top``, depth first in name order (as ``NovaFS.walk``)."""
+        node = self.nodes[self.lookup(top, follow=False)]
+        for name in sorted(node.children):
+            nid = node.children[name]
+            child = self.nodes[nid]
+            path = f"{top.rstrip('/')}/{name}"
+            yield path, nid, child
+            if child.kind == "dir":
+                yield from self._entries(path)
+
     def namespace(self) -> dict[str, tuple]:
         """Flatten to {path: descriptor} for byte-exact comparison.
 
@@ -427,58 +419,29 @@ class ModelFS:
         ``("file", size, content_bytes)``.
         """
         out: dict[str, tuple] = {}
-
-        def walk(prefix: str, nid: int):
-            node = self.nodes[nid]
-            for name in sorted(node.children):
-                child_id = node.children[name]
-                child = self.nodes[child_id]
-                path = f"{prefix}/{name}"
-                if child.kind == "dir":
-                    out[path] = ("dir",)
-                    walk(path, child_id)
-                elif child.kind == "symlink":
-                    out[path] = ("symlink", child.target)
-                else:
-                    out[path] = ("file", len(child.content),
-                                 bytes(child.content))
-
-        walk("", ROOT_ID)
+        for path, _nid, node in self._entries("/"):
+            if node.kind == "dir":
+                out[path] = ("dir",)
+            elif node.kind == "symlink":
+                out[path] = ("symlink", node.target)
+            else:
+                out[path] = ("file", len(node.content), bytes(node.content))
         return out
 
     def hardlink_groups(self) -> dict[int, list[str]]:
         """Node id -> sorted list of paths naming it (files only)."""
         groups: dict[int, list[str]] = {}
-
-        def walk(prefix: str, nid: int):
-            node = self.nodes[nid]
-            for name in sorted(node.children):
-                child_id = node.children[name]
-                child = self.nodes[child_id]
-                path = f"{prefix}/{name}"
-                if child.kind == "dir":
-                    walk(path, child_id)
-                elif child.kind == "file":
-                    groups.setdefault(child_id, []).append(path)
-
-        walk("", ROOT_ID)
+        for path, nid, node in self._entries("/"):
+            if node.kind == "file":
+                groups.setdefault(nid, []).append(path)
         return groups
 
     def dir_links(self) -> dict[str, int]:
         """path -> expected nlink for every directory (``2 + nsubdirs``)."""
         out: dict[str, int] = {"/": self.nodes[ROOT_ID].nlink}
-
-        def walk(prefix: str, nid: int):
-            node = self.nodes[nid]
-            for name in sorted(node.children):
-                child_id = node.children[name]
-                child = self.nodes[child_id]
-                if child.kind == "dir":
-                    path = f"{prefix}/{name}"
-                    out[path] = child.nlink
-                    walk(path, child_id)
-
-        walk("", ROOT_ID)
+        for path, _nid, node in self._entries("/"):
+            if node.kind == "dir":
+                out[path] = node.nlink
         return out
 
     def count_nodes(self) -> int:

@@ -734,19 +734,21 @@ class NovaFS:
         return applied
 
     def _is_ancestor(self, maybe_ancestor: int, ino: int) -> bool:
-        """True if ``maybe_ancestor`` sits on ``ino``'s path to the root."""
-        parent_of: dict[int, int] = {}
-        for pino, cache in self.caches.items():
-            if cache.inode.itype == ITYPE_DIR:
-                for child in cache.dentries.values():
-                    parent_of[child] = pino
-        cur = ino
+        """True if ``maybe_ancestor`` sits on ``ino``'s path to the root:
+        a search down its subtree, hydrating only that subtree's dirs."""
+        stack = [maybe_ancestor]
         seen = set()
-        while cur in parent_of and cur not in seen:
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
             seen.add(cur)
-            cur = parent_of[cur]
-            if cur == maybe_ancestor:
-                return True
+            for child in self.caches[cur].dentries.values():
+                if child == ino:
+                    return True
+                stub = self.caches.raw_get(child)
+                if stub is not None and stub.inode.itype == ITYPE_DIR:
+                    stack.append(child)
         return False
 
     def _drop_file_body(self, ino: int, cache: InodeCache, cpu: int) -> None:
@@ -990,61 +992,50 @@ class NovaFS:
         }
 
     def walk(self, top: str = "/"):
-        """Yield ``(dirpath, dirnames, filenames)`` like :func:`os.walk`.
-
-        Symlinks are listed among the files and never followed.
-        """
-        self._check_mounted()
-        ino = self.lookup(top)
-        cache = self.caches[ino]
-        if cache.inode.itype != ITYPE_DIR:
-            raise NotADirectory(top)
-        dirnames, filenames = [], []
-        for name in sorted(cache.dentries):
-            child = self.caches.get(cache.dentries[name])
-            if child is not None and child.inode.itype == ITYPE_DIR:
-                dirnames.append(name)
-            else:
-                filenames.append(name)
-        yield top, dirnames, filenames
-        for name in dirnames:
-            sub = f"{top.rstrip('/')}/{name}"
-            yield from self.walk(sub)
+        """``(path, ino, cache)`` of every entry under directory ``top``,
+        depth first in name order, never following a symlink: one
+        :meth:`listdir` per directory, one ``lookup(path, follow=False)``
+        per entry.  Lazy: a directory is yielded before it is listed."""
+        for name in self.listdir(top):
+            path = f"{top.rstrip('/')}/{name}"
+            ino = self.lookup(path, follow=False)
+            cache = self.caches[ino]
+            yield path, ino, cache
+            if cache.inode.itype == ITYPE_DIR:
+                yield from self.walk(path)
 
     def du(self, top: str = "/") -> dict:
         """Tree usage: logical vs. physical, dedup/snapshot-aware.
 
-        ``logical_pages`` counts every page *reference* in the tree
-        (a block reflinked from three snapshots counts three times, as
-        it does in FACT RFC sums); ``unique_pages`` counts each block
-        once — the pages the tree actually pins.  ``shared_pages`` is
-        the number of blocks referenced more than once within the tree,
-        and ``saved_bytes`` what sharing saves relative to a dedup-less
-        copy of the same logical content.
+        A file counts once however many names it has, as in du(1).
+        ``logical_pages`` counts every page *reference* (a block
+        reflinked from three snapshots counts three times, as in FACT
+        RFC sums); ``unique_pages`` counts each block once — the pages
+        the tree pins.  ``shared_pages`` is the number of blocks
+        referenced more than once within the tree, and ``saved_bytes``
+        what sharing saves over a dedup-less copy of the same content.
         """
         logical = 0
         logical_pages = 0
-        nfiles = 0
         ndirs = 0
+        seen: set[int] = set()
         refs: Counter[int] = Counter()
-        for dirpath, dirnames, filenames in self.walk(top):
-            ndirs += len(dirnames)
-            for name in filenames:
-                path = f"{dirpath.rstrip('/')}/{name}"
-                ino = self.lookup(path, follow=False)
-                cache = self.caches[ino]
-                if cache.inode.itype != ITYPE_FILE:
-                    continue
-                nfiles += 1
-                logical += cache.inode.size
-                # Per-mapping, not per-unique-block: a block mapped at
-                # two offsets is two logical pages (matches FACT RFCs).
-                file_blocks = [b for _p, _a, b in cache.index.mappings()]
-                logical_pages += len(file_blocks)
-                refs.update(file_blocks)
+        for _path, ino, cache in self.walk(top):
+            itype = cache.inode.itype
+            if itype == ITYPE_DIR:
+                ndirs += 1
+            if itype != ITYPE_FILE or ino in seen:
+                continue
+            seen.add(ino)
+            logical += cache.inode.size
+            # Per-mapping, not per-unique-block: a block mapped at
+            # two offsets is two logical pages (matches FACT RFCs).
+            file_blocks = [b for _p, _a, b in cache.index.mappings()]
+            logical_pages += len(file_blocks)
+            refs.update(file_blocks)
         unique = len(refs)
         shared = sum(1 for n in refs.values() if n > 1)
-        return {"files": nfiles, "dirs": ndirs, "logical_bytes": logical,
+        return {"files": len(seen), "dirs": ndirs, "logical_bytes": logical,
                 "logical_pages": logical_pages,
                 "unique_pages": unique,
                 "shared_pages": shared,

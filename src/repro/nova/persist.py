@@ -15,10 +15,11 @@ import zlib
 from typing import Callable, Iterable, Optional
 
 from repro.nova.errors import FSError
+from repro.nova.inode import ITYPE_DIR
 
 __all__ = ["HDR_BYTES", "SlotRecord", "lexists", "read_state",
-           "write_state", "remove_state", "prune_dir", "sweep",
-           "SweepCursors"]
+           "write_state", "remove_state", "prune_dir", "remove_tree",
+           "sweep", "SweepCursors"]
 
 _HDR = struct.Struct("<QQQQ")       # magic, seq, payload_len, crc32
 HDR_BYTES = _HDR.size
@@ -133,6 +134,22 @@ def remove_state(fs, path: str, missing_ok: bool = False) -> None:
     if not missing_ok or lexists(fs, path):
         fs.unlink(path)
     prune_dir(fs, path.rsplit("/", 1)[0], missing_ok)
+
+
+def remove_tree(fs, path: str) -> int:
+    """Remove directory ``path`` and everything under it, each directory
+    right after its entries; returns the non-directories unlinked."""
+    removed = 0
+    for entry in fs.listdir(path):
+        child = f"{path}/{entry}"
+        ino = fs.lookup(child, follow=False)
+        if fs.caches[ino].inode.itype == ITYPE_DIR:
+            removed += remove_tree(fs, child)
+        else:
+            fs.unlink(child)
+            removed += 1
+    fs.rmdir(path)
+    return removed
 
 
 # ---------------------------------------------------------------- budgeted sweep

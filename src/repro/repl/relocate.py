@@ -57,7 +57,7 @@ from repro.dedup.reflink import REPL_DIR, SNAPSHOT_DIR
 from repro.nova import persist
 from repro.nova.entries import DEDUPE_COMPLETE
 from repro.nova.fs import ino_cpu
-from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
+from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.pm.allocator import AllocError
 
@@ -73,24 +73,6 @@ def latest_snapshot(fs) -> Optional[str]:
     if not rows:
         return None
     return max(rows, key=lambda r: (r["depth"], r["snapshot"]))["snapshot"]
-
-
-def _walk_files(fs, root: str) -> list[str]:
-    """Regular files under ``root``, sorted by path (the pass order)."""
-    out: list[str] = []
-
-    def walk(path: str) -> None:
-        for entry in sorted(fs.listdir(path)):
-            child = f"{path}/{entry}"
-            ino = fs.lookup(child, follow=False)
-            itype = fs.caches[ino].inode.itype
-            if itype == ITYPE_DIR:
-                walk(child)
-            elif itype == ITYPE_FILE:
-                out.append(child)
-
-    walk(root)
-    return out
 
 
 def _block_refs(fs, blocks: set[int]) -> dict[int, list[tuple[int, int]]]:
@@ -208,7 +190,8 @@ def relocate_latest(fs, budget: Optional[int] = None) -> dict:
         return {"snapshot": None, "done": True, "pages_moved": 0,
                 "files_examined": 0, "files_moved": 0,
                 "skipped_enospc": 0, "next_cursor": 0}
-    files = _walk_files(fs, f"{SNAPSHOT_DIR}/{name}")
+    files = [path for path, _ino, cache in fs.walk(f"{SNAPSHOT_DIR}/{name}")
+             if cache.inode.itype == ITYPE_FILE]
     tally = Counter(pages_moved=0, files_moved=0, skipped_enospc=0)
     placed: set[int] = set()
     with fs.obs.span("repl.relocate", snapshot=name, budget=budget or 0,

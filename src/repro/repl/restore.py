@@ -20,7 +20,7 @@ import hashlib
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
-from repro.nova.inode import ITYPE_DIR, ITYPE_FILE
+from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.repl.relocate import latest_snapshot
 
@@ -65,23 +65,15 @@ def restore_snapshot(fs, name: str) -> dict:
     stats = {"files": 0, "bytes": 0, "requests": 0}
     t0 = fs.clock.now_ns
 
-    def walk(path: str, rel: str) -> None:
-        for entry in sorted(fs.listdir(path)):
-            child = f"{path}/{entry}"
-            crel = f"{rel}/{entry}" if rel else entry
-            ino = fs.lookup(child, follow=False)
-            itype = fs.caches[ino].inode.itype
-            if itype == ITYPE_DIR:
-                walk(child, crel)
-            elif itype == ITYPE_FILE:
-                digest, size, requests = _restore_file(fs, child)
-                manifest[crel] = {"sha256": digest, "size": size}
-                stats["files"] += 1
-                stats["bytes"] += size
-                stats["requests"] += requests
-
     with fs.obs.span("repl.restore", snapshot=name):
-        walk(root, "")
+        for path, _ino, cache in fs.walk(root):
+            if cache.inode.itype != ITYPE_FILE:
+                continue
+            digest, size, requests = _restore_file(fs, path)
+            manifest[path[len(root) + 1:]] = {"sha256": digest, "size": size}
+            stats["files"] += 1
+            stats["bytes"] += size
+            stats["requests"] += requests
     elapsed = fs.clock.now_ns - t0
     fs.obs.registry.counter("repl.restore_runs_total").inc(stats["requests"])
     fs.obs.registry.counter("repl.restore_bytes_total").inc(stats["bytes"])

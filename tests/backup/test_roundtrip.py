@@ -34,18 +34,14 @@ def page_of(tag):
 def tree_of(fs, top="/"):
     """{path: descriptor} over the whole tree, snapshot dirs included."""
     out = {}
-    for dirpath, dirnames, filenames in fs.walk(top):
-        for d in dirnames:
-            out[f"{dirpath.rstrip('/')}/{d}"] = ("dir",)
-        for f in filenames:
-            path = f"{dirpath.rstrip('/')}/{f}"
-            ino = fs.lookup(path, follow=False)
-            cache = fs.caches[ino]
-            if cache.inode.itype == 3:
-                out[path] = ("symlink", cache.symlink_target)
-            else:
-                size = cache.inode.size
-                out[path] = ("file", size, fs.read(ino, 0, size))
+    for path, ino, cache in fs.walk(top):
+        if cache.inode.itype == 2:
+            out[path] = ("dir",)
+        elif cache.inode.itype == 3:
+            out[path] = ("symlink", cache.symlink_target)
+        else:
+            size = cache.inode.size
+            out[path] = ("file", size, fs.read(ino, 0, size))
     return out
 
 

@@ -8,6 +8,7 @@ from repro.conc import fs_state_digest
 from repro.failure import check_fs_invariants
 from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.checkpoint import _PAYLOAD_OFF, load_checkpoint
+from repro.nova.fs import FSError
 from repro.nova.persist import HDR_BYTES
 from repro.nova.layout import Superblock
 from repro.pm import DRAM, PMDevice, SimClock
@@ -71,6 +72,27 @@ class TestCheckpointFastPath:
         assert fs2.read(ino, 0, PAGE_SIZE) == b"D" * PAGE_SIZE
         assert fs2.caches.raw_get(ino).hydrated
         assert fs2._hydrations >= 1
+
+    def test_directory_rename_hydrates_only_the_moved_subtree(self,
+                                                             tmp_path):
+        """The own-subtree check of a directory rename searches down
+        from the moved directory: the files' stubs stay unread."""
+        dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = NovaFS.mkfs(dev, max_inodes=128)
+        fs.mkdir("/d")
+        fs.mkdir("/d/sub")
+        fs.mkdir("/e")
+        files = [fs.create(f"/d/f{i}") for i in range(40)]
+        files += [fs.create(f"/d/sub/g{i}") for i in range(40)]
+        fs.unmount()
+        fs2 = remount(fs, tmp_path, "rename")
+        assert not any(c.hydrated for _, c in fs2.caches.raw_items())
+        fs2.rename("/d", "/e/d")
+        assert not any(fs2.caches.raw_get(i).hydrated for i in files)
+        hydrated = sum(c.hydrated for _, c in fs2.caches.raw_items())
+        assert hydrated <= 4            # /, /d, /d/sub, /e
+        with pytest.raises(FSError, match="own subtree"):
+            fs2.rename("/e", "/e/d/sub/e")
 
     def test_checkpoint_region_reserved_and_reported(self):
         fs = build_fs()

@@ -5,6 +5,7 @@ import pytest
 from repro.dedup import DeNovaFS
 from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.fs import NotADirectory
+from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -29,19 +30,22 @@ class TestWalk:
         fs = make_fs()
         build_tree(fs)
         visited = list(fs.walk("/"))
-        dirpaths = [d for d, _, _ in visited]
-        assert dirpaths == ["/", "/a", "/a/b", "/c"]
-        root = visited[0]
-        assert root[1] == ["a", "c"]
-        assert root[2] == ["top"]
-        a = visited[1]
-        assert a[1] == ["b"]
-        assert a[2] == ["f1", "link"]  # symlink listed, not followed
+        dirpaths = [p for p, _, c in visited if c.inode.itype == ITYPE_DIR]
+        assert dirpaths == ["/a", "/a/b", "/c"]
+        assert [p for p, _, _ in visited] == [
+            "/a", "/a/b", "/a/b/f2", "/a/f1", "/a/link", "/c", "/c/f3",
+            "/top"]
+        link = dict((p, c) for p, _, c in visited)["/a/link"]
+        # symlink listed, not followed
+        assert link.inode.itype == ITYPE_SYMLINK
+        assert [i for _, i, _ in visited] == [
+            fs.lookup(p, follow=False) for p, _, _ in visited]
 
     def test_walk_subtree(self):
         fs = make_fs()
         build_tree(fs)
-        assert [d for d, _, _ in fs.walk("/a")] == ["/a", "/a/b"]
+        assert [p for p, _, c in fs.walk("/a")
+                if c.inode.itype == ITYPE_DIR] == ["/a/b"]
 
     def test_walk_non_directory(self):
         fs = make_fs()
@@ -85,3 +89,16 @@ class TestDu:
         rep = fs.du("/d")
         assert rep["files"] == 1
         assert rep["unique_pages"] == 1
+
+    def test_du_counts_a_hard_linked_file_once(self):
+        """du(1) counts an inode once however many names it has, so
+        ``logical_pages`` agrees with the FACT-side count."""
+        fs = make_fs(cls=DeNovaFS, pages=2048)
+        f = fs.create("/f")
+        fs.write(f, 0, b"\x05" * (2 * PAGE_SIZE))
+        fs.daemon.drain()
+        fs.link("/f", "/g")
+        rep = fs.du("/")
+        assert rep["logical_pages"] == fs.space_stats()["logical_pages"]
+        assert rep["files"] == 1
+        assert rep["saved_bytes"] == PAGE_SIZE

@@ -473,12 +473,12 @@ class TestRunnerDeterminism:
         res = run_workload(fs, spec, dd, destage_workers=1)
         settle(fs)
         state = {}
-        for dirpath, _dirs, files in fs.walk("/"):
-            for name in files:
-                path = f"{dirpath.rstrip('/')}/{name}"
-                ino = fs.lookup(path)
-                size = fs.stat(ino).size
-                state[path] = fs.read(ino, 0, size)
+        for path, _ino, cache in fs.walk("/"):
+            if cache.inode.itype == 2:
+                continue
+            ino = fs.lookup(path)
+            size = fs.stat(ino).size
+            state[path] = fs.read(ino, 0, size)
         return res, state, fs
 
     def test_destage_reproduces_staging_off_state(self):
