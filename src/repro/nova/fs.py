@@ -65,7 +65,7 @@ from repro.nova.inode import (
 from repro.nova.journal import J_ADD, J_REMOVE, Journal, JournalRecord
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.nova.log import ENTRIES_PER_PAGE, LogManager
-from repro.nova.radix import Displaced, FileIndex
+from repro.nova.radix import Displaced, FileIndex, extend_runs
 from repro.nova.recovery import CacheMap, InodeCache
 from repro.nova.staging import StagingLog
 from repro.obs import ObsHub
@@ -920,24 +920,34 @@ class NovaFS:
             size = cache.inode.size
             if offset >= size:
                 return b""
-            length = min(length, size - offset)
-            out = bytearray()
-            pos = offset
-            end = offset + length
-            while pos < end:
-                pgoff = pos // PAGE_SIZE
-                in_page = pos - pgoff * PAGE_SIZE
-                take = min(PAGE_SIZE - in_page, end - pos)
-                block = cache.index.block_of(pgoff)
-                if block is None:
-                    out += bytes(take)
-                else:
-                    out += self.dev.read(block * PAGE_SIZE + in_page, take)
-                pos += take
+            out = self.read_runs(cache, offset, min(length, size - offset))
             if self.staging is not None:
                 # Read-your-writes over staged-but-undestaged records.
                 self.staging.overlay(ino, offset, out)
             return bytes(out)
+
+    def read_runs(self, cache: InodeCache, offset: int, length: int
+                  ) -> bytearray:
+        """:meth:`read`'s device side, for a range inside the file: one
+        device request per contiguous physical run, zeros for a hole; no
+        syscall, counter or staging overlay (restore reads with it)."""
+        if not length:
+            return bytearray()
+        end = offset + length
+        runs: list[list[int]] = []
+        for pgoff in range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1):
+            block = cache.index.block_of(pgoff)
+            if block is not None:
+                extend_runs(runs, pgoff, block)
+        out = bytearray()
+        for pgoff, block, count in runs:
+            lo = max(pgoff * PAGE_SIZE, offset)
+            hi = min((pgoff + count) * PAGE_SIZE, end)
+            out += bytes(lo - offset - len(out))        # a hole
+            out += self.dev.read(block * PAGE_SIZE + lo - pgoff * PAGE_SIZE,
+                                 hi - lo)
+        out += bytes(length - len(out))
+        return out
 
     def truncate(self, ino: int, size: int, cpu: int = 0) -> None:
         """Set file size; shrinking reclaims pages past the new end."""

@@ -140,13 +140,13 @@ def find_tail_by_scan(fs, chain: list[int]) -> int:
     """Reconstruct a log tail by scanning a (zero-initialized) chain for
     its first empty slot — the recovery path for a crash between the
     head and tail updates of a thorough GC.  ``chain`` is the pages of
-    recovery's bounded walk from the untrusted head."""
+    recovery's bounded walk from the untrusted head; one read per page."""
     tail = 0
     for page in chain:
-        base = page * PAGE_SIZE
-        for slot in range(ENTRIES_PER_PAGE):
-            addr = base + LOG_HEADER_SIZE + slot * ENTRY_SIZE
-            if fs.dev.read(addr, 1)[0] == 0:
-                return addr
-            tail = addr + ENTRY_SIZE
+        start = page * PAGE_SIZE + LOG_HEADER_SIZE
+        run = fs.dev.read(start, PAGE_SIZE - LOG_HEADER_SIZE)
+        for off in range(0, len(run), ENTRY_SIZE):
+            if run[off] == 0:
+                return start + off
+        tail = start + len(run)
     return tail

@@ -112,7 +112,8 @@ class LogManager:
     def iter_slots(self, head_page: int, tail: int, silent: bool = False,
                    pages: Optional[Iterable[int]] = None
                    ) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(addr, raw)`` for every committed entry slot.
+        """Yield ``(addr, raw)`` for every committed entry slot, reading
+        each page's committed slots with one device request.
 
         ``pages`` is the chain when the caller has walked it already
         (recovery's :meth:`iter_chain`), so no header is read again.
@@ -127,10 +128,13 @@ class LogManager:
             pages = self.iter_pages(head_page, silent)
         for page in pages:
             base = page * PAGE_SIZE
+            start = base + LOG_HEADER_SIZE
             end = tail if page == tail_page else base + PAGE_SIZE
-            for addr in range(base + LOG_HEADER_SIZE, end - ENTRY_SIZE + 1,
-                              ENTRY_SIZE):
-                yield addr, read(addr, ENTRY_SIZE)
+            n = (end - start) // ENTRY_SIZE * ENTRY_SIZE
+            if n > 0:
+                run = read(start, n)
+                for off in range(0, n, ENTRY_SIZE):
+                    yield start + off, run[off:off + ENTRY_SIZE]
             if page == tail_page:
                 return
 

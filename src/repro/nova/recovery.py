@@ -208,7 +208,7 @@ def recover(fs, clean: bool) -> RecoveryReport:
             fs.allocator.alloc_log = None
 
         with fs.obs.span("recovery.reachability"):
-            _collect_orphans(fs, report, refs)
+            _collect_orphans(fs, report, refs, chains)
 
         # Pass 3: in-use bitmap -> per-CPU free lists.
         with fs.obs.span("recovery.free_list"):
@@ -419,11 +419,13 @@ def run_sharded(clock, tasks: Iterable[Callable[[], Any]],
     }
 
 
-def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
+def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray,
+                     chains: dict[int, list[int]]) -> None:
     """Pass 2: reachability from the root; collect orphans.
 
     Each orphan takes back exactly the references pass 1.5's usage scan
-    counted for it, so a page is released only when its last holder
+    counted for it (its replayed chain, walked again only if the journal
+    redo grew it), so a page is released only when its last holder
     dies — dedup-shared data stays, and so does a live page that a
     stale ``log_head`` (see :meth:`LogManager.iter_chain
     <repro.nova.log.LogManager.iter_chain>`) merely points into.
@@ -442,7 +444,10 @@ def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray) -> None:
                          if i in fs.caches)
     for ino in sorted(set(fs.caches) - reachable):
         cache = fs.caches[ino]
-        for page in fs.log.iter_chain(cache.inode.log_head):
+        chain = chains[ino]
+        if cache.tail and (cache.tail - 1) // PAGE_SIZE not in chain:
+            chain = fs.log.iter_chain(cache.inode.log_head)  # redo grew it
+        for page in chain:
             refs[page] -= 1
             report.log_pages -= 1
         for page in cache.index.referenced_pages():

@@ -5,8 +5,9 @@ Three pieces on top of ``repro.backup``:
 * :mod:`repro.repl.relocate` — out-of-line reverse dedup (RevDedup):
   budgeted, crash-journaled relocation that keeps the *newest* snapshot
   physically sequential and pushes the indirection onto older ones;
-* :mod:`repro.repl.restore` — the restore-latest fast path that reads a
-  snapshot run-by-run (one device request per contiguous physical run);
+* :mod:`repro.repl.restore` — restore-latest: a digest manifest of a
+  snapshot, each file read whole by ``fs.read_runs`` (one device request
+  per contiguous physical run);
 * :mod:`repro.repl.topology` — :class:`ReplicationTopology`, a
   round-robin pump for N concurrent send/recv streams (fan-out to N
   replicas, fan-in consolidation), riding the native resumable cursors.

@@ -1,13 +1,13 @@
 """Restore-latest: read the newest snapshot through the physical layout.
 
-The point of reverse dedup is this read path: ``fs.read`` charges one
-device request per page, but a restore streams whole files, so the unit
-that matters is the *contiguous physical run* — one device request per
-run (request latency amortizes over the run's bandwidth term).  A
-forward-deduped chain tail fragments into many single-page runs and
-pays the request latency per page; a relocated (reverse) tail is one
-run per file and the cost is almost pure bandwidth.  That difference is
-what ``benchmarks/bench_repl.py`` plots against chain length.
+The point of reverse dedup is this read path.  A restore streams whole
+files through ``fs.read_runs`` (``fs.read``'s device side), which issues
+one device request per *contiguous physical run*: request latency
+amortizes over the run's bandwidth term.  A forward-deduped chain tail
+fragments into many single-page runs and pays the request latency per
+page; a relocated (reverse) tail is one run per file and the cost is
+almost pure bandwidth.  That difference is what
+``benchmarks/bench_repl.py`` plots against chain length.
 
 The restore emits a digest manifest (path → sha256, size) rather than
 materializing the tree — what a verification-style restore target needs
@@ -21,36 +21,18 @@ import hashlib
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.nova.inode import ITYPE_FILE
-from repro.nova.layout import PAGE_SIZE
 from repro.repl.relocate import latest_snapshot
 
 __all__ = ["restore_latest", "restore_snapshot"]
 
-_ZERO_PAGE = bytes(PAGE_SIZE)
-
 
 def _restore_file(fs, path: str) -> tuple[str, int, int]:
-    """Stream one file run-by-run; returns (sha256, bytes, requests)."""
-    ino = fs.lookup(path, follow=False)
-    cache = fs.caches[ino]
-    size = cache.inode.size
-    h = hashlib.sha256()
-    npages = (size + PAGE_SIZE - 1) // PAGE_SIZE
-    produced = 0  # file offset the digest has reached, in pages
-    requests = 0
-    for pgoff, block, count in cache.index.physical_runs():
-        while produced < pgoff:      # hole: reads as zeros
-            h.update(_ZERO_PAGE[:min(PAGE_SIZE, size - produced * PAGE_SIZE)])
-            produced += 1
-        data = fs.dev.read(block * PAGE_SIZE, count * PAGE_SIZE)
-        requests += 1
-        take = min(count * PAGE_SIZE, size - pgoff * PAGE_SIZE)
-        h.update(data[:take])
-        produced = pgoff + count
-    while produced < npages:         # trailing hole
-        h.update(_ZERO_PAGE[:min(PAGE_SIZE, size - produced * PAGE_SIZE)])
-        produced += 1
-    return h.hexdigest(), size, requests
+    """Read one file whole; returns (sha256, bytes, device requests)."""
+    cache = fs.caches[fs.lookup(path, follow=False)]
+    reads = fs.dev.stats.reads
+    data = fs.read_runs(cache, 0, cache.inode.size)
+    return (hashlib.sha256(data).hexdigest(), len(data),
+            fs.dev.stats.reads - reads)
 
 
 def restore_snapshot(fs, name: str) -> dict:

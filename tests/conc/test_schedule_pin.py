@@ -100,9 +100,9 @@ PINNED = {
     ("large_inline", 1337):
         "22d3de93defef77a442cd5c952033835bdaa9c6807af82b4c9b1f4a6defc298d",
     ("readwrite_immediate", 42):
-        "c6c266f43c3b23638653191797d2e7b3b79c8137f2f2a29c7cae7bb5953f5732",
+        "a4582add5abd6120670104632f0fecf87bf9e93a1be4d94bd18389f3307bb18d",
     ("readwrite_immediate", 1337):
-        "fb238a7c28c48a02983c897a5ac84433fb71b9d124d470ec9e5d33c8bc577a8b",
+        "131515b9545cb26d54a829ced74fff36c679cbc83ce5efd733229eef7f0e84c3",
     ("tenant_fleet", 42):
         "95ac70e53e014c3baf4194745fc6c0f98935c9691e6e3212bf85b2d3d5fdc9eb",
     ("tenant_fleet", 1337):

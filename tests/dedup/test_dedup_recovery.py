@@ -26,8 +26,9 @@ from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import (DEDUPE_IN_PROCESS, ENTRY_SIZE, WriteEntry,
                                 decode_entry)
-from repro.nova.inode import Inode
+from repro.nova.inode import ROOT_INO, Inode
 from repro.nova.layout import INODE_SIZE
+from repro.nova.log import LOG_HEADER_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -446,8 +447,9 @@ class TestUncleanMountReadsEachLogOnce:
     """An unclean mount reads each valid inode record, each log chain
     header and each committed log slot exactly once: the table scan
     releases torn records as it reaches them, the log replay reads slots
-    from the chain its tail check walked, the usage count takes that
-    chain, and the flag scan takes the entries the replay decoded."""
+    from the chain its tail check walked — a page's committed slots in
+    one request — the usage count and the orphan pass take that chain,
+    and the flag scan takes the entries the replay decoded."""
 
     def image(self):
         """Two directories, a file whose log spans three pages, entries
@@ -508,6 +510,21 @@ class TestUncleanMountReadsEachLogOnce:
                 cache.inode.log_head, cache.inode.log_tail, silent=True)]
         return pages, slots
 
+    @staticmethod
+    def slot_runs(slots):
+        """One ``read`` per slot-bearing page, covering exactly its
+        committed slots (which start at its first slot, contiguous)."""
+        per_page = {}
+        for a in sorted(slots):
+            per_page.setdefault(a // PAGE_SIZE, []).append(a)
+        runs = []
+        for page, addrs in per_page.items():
+            assert addrs == list(range(addrs[0], addrs[0] + len(addrs)
+                                       * ENTRY_SIZE, ENTRY_SIZE))
+            assert addrs[0] == page * PAGE_SIZE + LOG_HEADER_SIZE
+            runs.append(("read", addrs[0], len(addrs) * ENTRY_SIZE))
+        return runs
+
     def test_each_record_header_and_slot_is_read_once(self):
         dev, torn = self.image()
         fs, reads = self.mount_logging_reads(dev)
@@ -524,7 +541,7 @@ class TestUncleanMountReadsEachLogOnce:
                      if r[0] != "scan" and r[1] // PAGE_SIZE in in_logs]
         assert sorted(log_reads) == sorted(
             [("read", page * PAGE_SIZE, 8) for page in pages]
-            + [("read", a, ENTRY_SIZE) for a in slots])
+            + self.slot_runs(slots))
 
         table = fs.itable
         table_end = table.base + table.capacity * INODE_SIZE
@@ -554,9 +571,33 @@ class TestUncleanMountReadsEachLogOnce:
         in_logs = set(pages)
         log_reads = [r for r in reads
                      if r[0] != "scan" and r[1] // PAGE_SIZE in in_logs
-                     and r[2] == ENTRY_SIZE]
-        assert sorted(log_reads) == sorted(("read", a, ENTRY_SIZE)
-                                           for a in slots)
+                     and r[1] % PAGE_SIZE == LOG_HEADER_SIZE]
+        assert sorted(log_reads) == self.slot_runs(slots)
+
+    def test_an_orphans_chain_headers_are_read_once(self):
+        """The orphan pass takes back the chain the replay walked: an
+        orphan whose log spans two pages has each header read once."""
+        dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=64)
+        ino = fs.create("/orphan")
+        for i in range(80):
+            fs.write(ino, i * PAGE_SIZE, page_of(i))
+        fs.daemon.drain()
+        # Unlink's dentry removal commits; the crash takes the release.
+        fs._append_dentry(ROOT_INO, "orphan", ino, valid=0, cpu=0)
+        head = fs.caches[ino].inode.log_head
+        chain = list(fs.log.iter_pages(head, silent=True))
+        assert len(chain) >= 2
+        dev.crash("discard")
+        dev.recover_view()
+
+        fs, reads = self.mount_logging_reads(dev)
+        assert fs.last_recovery.orphans_collected == 1
+        header_reads = [r for r in reads
+                        if r[0] != "scan" and r[1] % PAGE_SIZE == 0
+                        and r[1] // PAGE_SIZE in chain]
+        assert sorted(header_reads) == sorted(
+            ("read", page * PAGE_SIZE, 8) for page in chain)
 
 
 class TestUndecodableLogSlot:

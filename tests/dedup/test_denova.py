@@ -175,6 +175,45 @@ class TestUnmountRemount:
         check_fs_invariants(fs2)
 
 
+class TestReadRuns:
+    """``fs.read`` fetches each contiguous physical run of its range with
+    one device request; a hole reads as zeros and costs none."""
+
+    @staticmethod
+    def pattern(tag: int) -> bytes:
+        return bytes((tag * 31 + k) % 251 for k in range(PAGE_SIZE))
+
+    def test_a_deduplicated_file_with_a_hole(self):
+        fs = make_fs()
+        a, b = fs.create("/a"), fs.create("/b")
+        p = [self.pattern(i) for i in range(7)]
+        fs.write(a, 0, p[0] + p[1] + p[2] + p[3])
+        fs.write(b, 0, p[0] + p[1] + p[4] + p[5])
+        fs.write(b, 5 * PAGE_SIZE, p[6] + p[3])        # page 4: a hole
+        fs.daemon.drain()
+        index, shared = fs.caches[b].index, fs.caches[a].index
+        assert [index.block_of(i) for i in (0, 1, 6)] \
+            == [shared.block_of(i) for i in (0, 1, 3)]
+        assert index.block_of(4) is None
+
+        offset, length = 100, 7 * PAGE_SIZE - 300
+        last = (offset + length - 1) // PAGE_SIZE
+        pages = b"".join(
+            bytes(PAGE_SIZE) if (block := index.block_of(pg)) is None
+            else fs.dev.read_silent(block * PAGE_SIZE, PAGE_SIZE)
+            for pg in range(last + 1))
+        runs = [r for r in index.physical_runs() if r[0] <= last]
+        assert len(runs) < sum(count for _p, _b, count in runs)
+        reads = fs.dev.stats.reads
+        data = fs.read(b, offset, length)
+        assert data == pages[offset:offset + length]
+        assert data == (p[0] + p[1] + p[4] + p[5] + bytes(PAGE_SIZE)
+                        + p[6] + p[3])[offset:offset + length]
+        assert fs.dev.stats.reads - reads == len(runs)
+        assert fs.read(b, offset, 0) == b"" and fs.dev.stats.reads \
+            == reads + len(runs)
+
+
 class TestScrub:
     def test_scrub_noop_on_consistent_fs(self):
         fs = make_fs()

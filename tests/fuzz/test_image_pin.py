@@ -15,8 +15,10 @@ time changes what every later operation stamps.  Such a move is shown
 clock-only first (a copy of the change that charges the removed time back
 must reproduce the old table bit for bit), then the table is printed anew
 by ``PYTHONPATH=src python tests/fuzz/regen_image_pins.py``.  It was
-regenerated that way twice: when an unclean mount came to read FACT once
-instead of six times, and when it came to read each log once.
+regenerated that way three times: when an unclean mount came to read
+FACT once instead of six times, when it came to read each log once, and
+when a contiguous run of bytes (a log page's committed slots, a file's
+physical run in ``fs.read``) came to be one device request.
 """
 
 import hashlib
@@ -32,61 +34,61 @@ from tests._seams import overriding
 #: point.
 PINNED = {
     6: [(1, 'pre', 'discard', '5d99eccc46747197'),
-        (35, 'pre', 'discard', '78c8049b44a03f71'),
-        (69, 'pre', 'discard', '95a056a1a44b5656'),
-        (103, 'pre', 'discard', 'd831c6b929e7a4d7'),
-        (137, 'pre', 'discard', 'd465325e2c5e52be'),
-        (171, 'pre', 'discard', '67c59fc472b5f6a3'),
-        (205, 'pre', 'discard', 'e2d12834a5d97c04'),
+        (35, 'pre', 'discard', '22eada108eb891c7'),
+        (69, 'pre', 'discard', '53219ff202b1a2a1'),
+        (103, 'pre', 'discard', 'df4826e2bedee519'),
+        (137, 'pre', 'discard', '709f2b701543f3da'),
+        (171, 'pre', 'discard', '7c89d9037b8a9c4b'),
+        (205, 'pre', 'discard', '18a47349582e10d5'),
         (1, 'post', 'discard', '5d99eccc46747197'),
-        (35, 'post', 'discard', 'ee3235a8d5d5a0c9'),
-        (69, 'post', 'discard', 'f1eabcb1019ab8d5'),
-        (103, 'post', 'discard', '8bc6737ca570748a'),
-        (137, 'post', 'discard', '9e20e0aa9dbf6222'),
-        (171, 'post', 'discard', 'd75191d8eea0381b'),
-        (205, 'post', 'discard', 'e2d12834a5d97c04'),
+        (35, 'post', 'discard', '91ce67d3d8cdfcbc'),
+        (69, 'post', 'discard', '788455add407076d'),
+        (103, 'post', 'discard', '4b67feed10bb707b'),
+        (137, 'post', 'discard', '62ee30375140e933'),
+        (171, 'post', 'discard', 'a7417cbc8b40940f'),
+        (205, 'post', 'discard', '18a47349582e10d5'),
         (1, 'pre', 'torn', '5d99eccc46747197'),
-        (35, 'pre', 'torn', '78c8049b44a03f71'),
-        (69, 'pre', 'torn', 'f1eabcb1019ab8d5'),
-        (103, 'pre', 'torn', 'd831c6b929e7a4d7'),
-        (137, 'pre', 'torn', '6a4462d7dd50e5ee'),
-        (171, 'pre', 'torn', 'd75191d8eea0381b'),
-        (205, 'pre', 'torn', 'e2d12834a5d97c04'),
+        (35, 'pre', 'torn', '22eada108eb891c7'),
+        (69, 'pre', 'torn', '788455add407076d'),
+        (103, 'pre', 'torn', 'df4826e2bedee519'),
+        (137, 'pre', 'torn', 'b31532501920c6ea'),
+        (171, 'pre', 'torn', 'a7417cbc8b40940f'),
+        (205, 'pre', 'torn', '18a47349582e10d5'),
         (1, 'post', 'torn', '5d99eccc46747197'),
-        (35, 'post', 'torn', 'ee3235a8d5d5a0c9'),
-        (69, 'post', 'torn', 'f1eabcb1019ab8d5'),
-        (103, 'post', 'torn', '8bc6737ca570748a'),
-        (137, 'post', 'torn', '9e20e0aa9dbf6222'),
-        (171, 'post', 'torn', 'd75191d8eea0381b'),
-        (205, 'post', 'torn', 'e2d12834a5d97c04')],
+        (35, 'post', 'torn', '91ce67d3d8cdfcbc'),
+        (69, 'post', 'torn', '788455add407076d'),
+        (103, 'post', 'torn', '4b67feed10bb707b'),
+        (137, 'post', 'torn', '62ee30375140e933'),
+        (171, 'post', 'torn', 'a7417cbc8b40940f'),
+        (205, 'post', 'torn', '18a47349582e10d5')],
     9: [(1, 'pre', 'discard', '5d99eccc46747197'),
         (27, 'pre', 'discard', '7578e78616dc0158'),
         (53, 'pre', 'discard', '6006aac0b7492bda'),
-        (79, 'pre', 'discard', '45991b2b57dcba2e'),
-        (105, 'pre', 'discard', '1db1a7b3d8c2458a'),
-        (131, 'pre', 'discard', '1ed8c2d350f04a70'),
-        (157, 'pre', 'discard', 'f7b792be682e7539'),
+        (79, 'pre', 'discard', '6dca969e58780cc6'),
+        (105, 'pre', 'discard', '34cbccf405d1608f'),
+        (131, 'pre', 'discard', 'ee2505a0d2cd3342'),
+        (157, 'pre', 'discard', '62e040b3dd96d112'),
         (1, 'post', 'discard', '232337258c6a5116'),
         (27, 'post', 'discard', '0aaad2c002d34629'),
-        (53, 'post', 'discard', '92f5eda463b1e2f9'),
-        (79, 'post', 'discard', 'fa4bd2cfe0e94710'),
-        (105, 'post', 'discard', 'a625167280f88c28'),
-        (131, 'post', 'discard', '01e92f8c2a24897d'),
-        (157, 'post', 'discard', 'fcd1fb96f4fd7a7e'),
+        (53, 'post', 'discard', '30d29f945a849399'),
+        (79, 'post', 'discard', '5125e0041f0072f7'),
+        (105, 'post', 'discard', '1a0687c09fe51d54'),
+        (131, 'post', 'discard', '77b19f709e99f96e'),
+        (157, 'post', 'discard', '60c43370d3477a90'),
         (1, 'pre', 'torn', '86bad7abaab8fade'),
         (27, 'pre', 'torn', '673aeea1bdc99424'),
         (53, 'pre', 'torn', '6006aac0b7492bda'),
-        (79, 'pre', 'torn', '5ef39772e917ab54'),
-        (105, 'pre', 'torn', '1db1a7b3d8c2458a'),
-        (131, 'pre', 'torn', '01e92f8c2a24897d'),
-        (157, 'pre', 'torn', 'f5ed5e4e8ae34c4b'),
+        (79, 'pre', 'torn', 'c027761e21798c41'),
+        (105, 'pre', 'torn', '34cbccf405d1608f'),
+        (131, 'pre', 'torn', '77b19f709e99f96e'),
+        (157, 'pre', 'torn', 'bd54f1e3fd4d321c'),
         (1, 'post', 'torn', '232337258c6a5116'),
         (27, 'post', 'torn', '0aaad2c002d34629'),
-        (53, 'post', 'torn', '92f5eda463b1e2f9'),
-        (79, 'post', 'torn', 'fa4bd2cfe0e94710'),
-        (105, 'post', 'torn', 'a625167280f88c28'),
-        (131, 'post', 'torn', '01e92f8c2a24897d'),
-        (157, 'post', 'torn', 'fcd1fb96f4fd7a7e')],
+        (53, 'post', 'torn', '30d29f945a849399'),
+        (79, 'post', 'torn', '5125e0041f0072f7'),
+        (105, 'post', 'torn', '1a0687c09fe51d54'),
+        (131, 'post', 'torn', '77b19f709e99f96e'),
+        (157, 'post', 'torn', '60c43370d3477a90')],
 }
 
 

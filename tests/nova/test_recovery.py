@@ -4,7 +4,9 @@ import pytest
 
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import NovaFS, PAGE_SIZE
-from repro.nova.inode import Inode
+from repro.nova.inode import ROOT_INO, Inode
+from repro.nova.journal import J_ADD, JournalRecord
+from repro.nova.log import ENTRIES_PER_PAGE
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -201,6 +203,36 @@ class TestStaleLogHead:
         assert fs2.last_recovery.orphans_collected == 1
         assert fs2.itable.read(ghost).valid == 0
         assert fs2.read(fs2.lookup("/victim"), 0, PAGE_SIZE) == data
+        check_fs_invariants(fs2)
+
+
+class TestOrphanChains:
+    def test_a_redo_that_grows_an_orphan_directorys_log(self):
+        """The orphan pass takes each orphan's chain from the replay,
+        unless the journal redo linked a page to it since: an orphan
+        directory whose full log page the redo appends to still gives
+        that page back."""
+        dev = PMDevice(512 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = NovaFS.mkfs(dev, max_inodes=128)
+        d = fs.mkdir("/d")
+        kids = [fs.create(f"/d/f{i}") for i in range(ENTRIES_PER_PAGE)]
+        cache = fs.caches[d]
+        assert cache.tail % PAGE_SIZE == 0          # the page is full
+        fs._append_dentry(ROOT_INO, "d", d, valid=0, cpu=0)
+        fs.journal.stage([JournalRecord(op=J_ADD, parent_ino=d,
+                                        name="moved", ino=kids[0])])
+        fs.dev.crash()
+        fs.dev.recover_view()
+
+        fs2 = NovaFS.mount(fs.dev)
+        rep = fs2.last_recovery
+        assert rep.extra["journal_redone"] == 1
+        assert rep.orphans_collected == 1 + len(kids)
+        live = set()
+        for c in fs2.caches.values():
+            live.update(fs2.log.iter_pages(c.inode.log_head, silent=True))
+            live.update(c.index.referenced_pages())
+        assert rep.pages_in_use == len(live)
         check_fs_invariants(fs2)
 
 
