@@ -136,17 +136,16 @@ def _thorough_gc(fs, ino: int) -> dict:
     }
 
 
-def find_tail_by_scan(fs, chain: list[int]) -> int:
+def find_tail_by_scan(chain: list[tuple[int, bytes]]) -> int:
     """Reconstruct a log tail by scanning a (zero-initialized) chain for
     its first empty slot — the recovery path for a crash between the
-    head and tail updates of a thorough GC.  ``chain`` is the pages of
-    recovery's bounded walk from the untrusted head; one read per page."""
+    head and tail updates of a thorough GC.  ``chain`` is recovery's
+    bounded walk from the untrusted head, which read each page whole."""
     tail = 0
-    for page in chain:
-        start = page * PAGE_SIZE + LOG_HEADER_SIZE
-        run = fs.dev.read(start, PAGE_SIZE - LOG_HEADER_SIZE)
-        for off in range(0, len(run), ENTRY_SIZE):
+    for page, run in chain:
+        base = page * PAGE_SIZE
+        for off in range(LOG_HEADER_SIZE, len(run), ENTRY_SIZE):
             if run[off] == 0:
-                return start + off
-        tail = start + len(run)
+                return base + off
+        tail = base + len(run)
     return tail

@@ -15,6 +15,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Geometry
 from repro.pm.device import PMDevice
 
@@ -41,9 +43,8 @@ _OFF_LOG_TAIL = 32
 _OFF_SIZE = 16
 _OFF_VALID = 8
 
-# Slots per device scan of the valid column: a scan copies its whole run
-# before it looks for the stop byte, so a densely valid table of any size
-# costs each resumed scan at most this much.
+# Records per device read of a table scan: one request per run, so the
+# scan of a table of any size holds at most this many records at once.
 _SCAN_RUN = 1024
 
 
@@ -105,29 +106,20 @@ class InodeTable:
 
     # -- allocation ------------------------------------------------------------------
 
-    def _valid_inos(self):
-        """Every ino whose valid byte reads 1, in table order: one
-        charged 1-byte read per record models the mount-time table scan.
-
-        Each device scan runs to the next such byte and the next one
-        starts behind it, so a slot is read only once the caller has
-        been handed every valid one before it.
-        """
-        ino = 1
-        while ino <= self.capacity:
-            flags = self.dev.scan(self.addr_of(ino) + _OFF_VALID, INODE_SIZE,
-                                  min(self.capacity - ino + 1, _SCAN_RUN),
-                                  stop=1)
-            ino += len(flags)
-            if flags[-1] == 1:
-                yield ino - 1
+    def _read_runs(self):
+        """Yield ``(first_ino, raw, valid)`` per run of ``_SCAN_RUN``
+        records, one device read each; ``valid`` is ``raw``'s flag column."""
+        for first in range(1, self.capacity + 1, _SCAN_RUN):
+            n = min(_SCAN_RUN, self.capacity - first + 1)
+            raw = self.dev.read(self.addr_of(first), n * INODE_SIZE)
+            valid = np.frombuffer(raw, np.uint8)[_OFF_VALID::INODE_SIZE]
+            yield first, raw, valid
 
     def _scan_free(self) -> None:
-        flags = self.dev.scan(self.addr_of(2) + _OFF_VALID, INODE_SIZE,
-                              self.capacity - 1)
+        free = [ino for first, _raw, valid in self._read_runs()
+                for ino in (first + np.flatnonzero(valid == 0)).tolist()]
         # Highest first: pop() hands out low inos.
-        self._free = [ino for ino in range(self.capacity, 1, -1)
-                      if not flags[ino - 2]]
+        self._free = [ino for ino in reversed(free) if ino != ROOT_INO]
         self._free_scanned = True
 
     def alloc(self) -> int:
@@ -194,12 +186,18 @@ class InodeTable:
         published (its dentry commit comes later), so the scan releases
         it when it reaches it — the correct completion of the interrupted
         create — and appends its ino to ``released``.
+
+        Records are decoded from one read per run, so a store between
+        yields to a later record of the same run is not seen (recovery
+        stores only to the record just yielded).
         """
-        for ino in self._valid_inos():
-            rec = self.read(ino)
-            if rec.ino == ino and rec.itype in (ITYPE_FILE, ITYPE_DIR,
-                                                ITYPE_SYMLINK):
-                yield rec
-            else:
-                self.release(ino)
-                released.append(ino)
+        for first, raw, valid in self._read_runs():
+            for k in np.flatnonzero(valid == 1).tolist():
+                ino = first + k
+                rec = Inode.unpack(raw[k * INODE_SIZE:(k + 1) * INODE_SIZE])
+                if rec.ino == ino and rec.itype in (ITYPE_FILE, ITYPE_DIR,
+                                                    ITYPE_SYMLINK):
+                    yield rec
+                else:
+                    self.release(ino)
+                    released.append(ino)

@@ -10,7 +10,7 @@ for its dedup transactions.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.nova.entries import ENTRY_SIZE
 from repro.nova.inode import InodeTable
@@ -18,7 +18,7 @@ from repro.nova.layout import PAGE_SIZE
 from repro.pm.allocator import PageAllocator
 from repro.pm.device import PMDevice
 
-__all__ = ["LogManager", "LOG_HEADER_SIZE", "ENTRIES_PER_PAGE"]
+__all__ = ["LogManager", "LOG_HEADER_SIZE", "ENTRIES_PER_PAGE", "chain_slots"]
 
 LOG_HEADER_SIZE = 64
 ENTRIES_PER_PAGE = (PAGE_SIZE - LOG_HEADER_SIZE) // ENTRY_SIZE
@@ -109,14 +109,11 @@ class LogManager:
 
     # -- walking -----------------------------------------------------------------------
 
-    def iter_slots(self, head_page: int, tail: int, silent: bool = False,
-                   pages: Optional[Iterable[int]] = None
+    def iter_slots(self, head_page: int, tail: int, silent: bool = False
                    ) -> Iterator[tuple[int, bytes]]:
         """Yield ``(addr, raw)`` for every committed entry slot, reading
         each page's committed slots with one device request.
 
-        ``pages`` is the chain when the caller has walked it already
-        (recovery's :meth:`iter_chain`), so no header is read again.
         ``silent=True`` walks without charging device costs (used by test
         invariant checkers, never by filesystem code).
         """
@@ -124,9 +121,7 @@ class LogManager:
             return
         read = self.dev.read_silent if silent else self.dev.read
         tail_page = (tail - 1) // PAGE_SIZE
-        if pages is None:
-            pages = self.iter_pages(head_page, silent)
-        for page in pages:
+        for page in self.iter_pages(head_page, silent):
             base = page * PAGE_SIZE
             start = base + LOG_HEADER_SIZE
             end = tail if page == tail_page else base + PAGE_SIZE
@@ -151,24 +146,35 @@ class LogManager:
             yield page
             page = int.from_bytes(read(page * PAGE_SIZE, 8), "little")
 
-    def iter_chain(self, head_page: int) -> Iterator[int]:
-        """Walk a chain only as far as recovery can trust it.
+    def iter_chain(self, head_page: int, tail: int
+                   ) -> Iterator[tuple[int, bytes]]:
+        """Walk a chain only as far as recovery can trust it: yield
+        ``(page, run)``, ``run`` the page from its header to ``tail`` (to
+        the page end before the tail's page) in one request, or empty past
+        the tail's page, where only the ``next`` pointer is read.
 
         ``InodeTable.release`` clears just the valid byte, so a torn record
         write into a reused slot can revive the dead incarnation's
         ``log_head`` — by now possibly another file's data page, whose
         first word is no ``next`` pointer.  Stop at a page outside the data
         region (the allocator's range) or a revisit instead of raising
-        (:meth:`iter_pages`) or reading off the device; one charged read
-        per step, like it.
+        (:meth:`iter_pages`) or reading off the device.
         """
+        tail_page = (tail - 1) // PAGE_SIZE
         seen: set[int] = set()
         page = head_page
         while (self.allocator.lo <= page < self.allocator.hi
                and page not in seen):
+            base = page * PAGE_SIZE
+            if tail_page in seen:                   # past the tail's page
+                run, nxt = b"", self.next_of(page)
+            else:
+                end = tail if page == tail_page else base + PAGE_SIZE
+                run = self.dev.read(base, end - base)
+                nxt = int.from_bytes(run[:8], "little")
             seen.add(page)
-            yield page
-            page = self.next_of(page)
+            yield page, run
+            page = nxt
 
     # -- garbage collection ---------------------------------------------------------------
 
@@ -183,3 +189,20 @@ class LogManager:
         nxt = self.next_of(dead_page)
         self._link(prev_page, nxt)
         return dead_page
+
+
+def chain_slots(chain: Iterable[tuple[int, bytes]], tail: int
+                ) -> Iterator[tuple[int, bytes]]:
+    """Yield ``(addr, raw)`` for every committed slot in the runs of
+    :meth:`LogManager.iter_chain`.  ``tail`` bounds them, not a run's
+    length: a whole page read for a rebuilt tail holds stale slots too."""
+    if tail == 0:
+        return
+    tail_page = (tail - 1) // PAGE_SIZE
+    for page, run in chain:
+        base = page * PAGE_SIZE
+        end = tail - base if page == tail_page else PAGE_SIZE
+        for off in range(LOG_HEADER_SIZE, end - ENTRY_SIZE + 1, ENTRY_SIZE):
+            yield base + off, run[off:off + ENTRY_SIZE]
+        if page == tail_page:
+            return

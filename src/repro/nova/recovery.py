@@ -56,7 +56,7 @@ from repro.nova.entries import (
 from repro.nova.gc import find_tail_by_scan
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE, ITYPE_SYMLINK, ROOT_INO, Inode
 from repro.nova.layout import PAGE_SIZE
-from repro.nova.log import LOG_HEADER_SIZE
+from repro.nova.log import LOG_HEADER_SIZE, chain_slots
 from repro.nova.radix import FileIndex
 from repro.pm.allocator import PageAllocator
 from repro.pm.clock import FS_PER_NS
@@ -266,31 +266,33 @@ def hydrate_cache(fs, cache, flagged: list | None = None) -> None:
 def _replay_one(fs, cache, report: RecoveryReport | None = None,
                 flagged: list | None = None) -> list[int] | None:
     """Replay one inode's log into ``cache``; append each write entry a
-    dedup pass has still to finish to ``flagged``.  With a ``report`` (a
-    full mount) the tail is untrusted: the chain is walked once, bounded
-    (:meth:`LogManager.iter_chain <repro.nova.log.LogManager.iter_chain>`),
-    the tail checked against it, the slots read from it, and it returned."""
+    dedup pass has still to finish to ``flagged``, decoding the slots from
+    the runs of one chain walk (:meth:`LogManager.iter_chain
+    <repro.nova.log.LogManager.iter_chain>`).  With a ``report`` (a full
+    mount) the tail is untrusted: the whole chain is walked, the tail
+    checked against it, and its pages returned."""
     inode = cache.inode
-    chain = None
+    first_commit_lost = inode.log_head and not inode.log_tail
+    if report is not None and first_commit_lost:
+        # Crash between log-page allocation and the first commit:
+        # the log exists but holds nothing; appends resume at slot 0.
+        inode.log_tail = inode.log_head * PAGE_SIZE + LOG_HEADER_SIZE
+    chain = fs.log.iter_chain(inode.log_head, inode.log_tail)
     if report is not None:
-        chain = list(fs.log.iter_chain(inode.log_head))
-        if inode.log_head and not inode.log_tail:
-            # Crash between log-page allocation and the first commit:
-            # the log exists but holds nothing; appends resume at slot 0.
-            inode.log_tail = inode.log_head * PAGE_SIZE + LOG_HEADER_SIZE
-        elif inode.log_head and (inode.log_tail - 1) // PAGE_SIZE \
-                not in chain:
+        chain = list(chain)
+        pages = [page for page, _run in chain]
+        if not first_commit_lost and inode.log_head \
+                and (inode.log_tail - 1) // PAGE_SIZE not in pages:
             # Crash between thorough GC's head and tail updates: the
             # tail still points into the retired chain.  GC chains are
             # zero-initialized, so the first empty slot is the tail.
-            inode.log_tail = find_tail_by_scan(fs, chain)
+            inode.log_tail = find_tail_by_scan(chain)
             fs.itable.update_log_tail(inode.ino, inode.log_tail)
             report.extra["gc_tails_rebuilt"] = \
                 report.extra.get("gc_tails_rebuilt", 0) + 1
     cache.tail = inode.log_tail
     cache.entry_count = 0
-    for addr, raw in fs.log.iter_slots(inode.log_head, inode.log_tail,
-                                       pages=chain):
+    for addr, raw in chain_slots(chain, inode.log_tail):
         try:
             entry = decode_entry(raw)
         except ValueError:
@@ -324,7 +326,7 @@ def _replay_one(fs, cache, report: RecoveryReport | None = None,
         else:
             if report is not None:
                 report.corrupt_entries_skipped += 1
-    return chain
+    return pages if report is not None else None
 
 
 def _replay_logs(fs, report: RecoveryReport) -> dict[int, list[int]]:
@@ -446,7 +448,8 @@ def _collect_orphans(fs, report: RecoveryReport, refs: np.ndarray,
         cache = fs.caches[ino]
         chain = chains[ino]
         if cache.tail and (cache.tail - 1) // PAGE_SIZE not in chain:
-            chain = fs.log.iter_chain(cache.inode.log_head)  # redo grew it
+            chain = [page for page, _run in        # redo grew it
+                     fs.log.iter_chain(cache.inode.log_head, cache.tail)]
         for page in chain:
             refs[page] -= 1
             report.log_pages -= 1

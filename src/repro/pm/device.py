@@ -47,9 +47,9 @@ it is one integer charge and no pre-image whatever else is volatile
 otherwise, on a device with nothing volatile, its run enters the tables
 only if a hook interrupts it.  Work that is *n* identical steps is one
 call: a run of ``clwb`` charges is one ``SimClock.advance_n`` (one
-multiplication), ``scan`` reads a table's flag column in one strided
-slice, ``read_view`` lends a large range out for decoding in place —
-each counted and charged as the per-line, per-slot form it stands for.
+multiplication), ``read_view`` lends a large range out for decoding in
+place — each counted and charged as the per-line form or the ``read``
+it stands for.
 
 Lifetime: whoever builds devices in a loop ends each with
 :meth:`PMDevice.close`, which hands the mapping — cleared where it was
@@ -327,31 +327,6 @@ class PMDevice:
         fs, ns = self._read_costs[n]
         self.clock.charge_fs(fs, ns)
         return self._bytes[addr:end].toreadonly()
-
-    def scan(self, addr: int, stride: int, count: int,
-             stop: Optional[int] = None) -> bytes:
-        """One byte at each of up to ``count`` addresses ``stride``
-        apart, ending after the first byte equal to ``stop``.
-
-        A table scan by flag byte: counted and charged as the 1-byte
-        :meth:`read` per slot that it stands for, as many as the bytes
-        returned.
-        """
-        if self._crashed:
-            self._refuse()
-        end = addr + (count - 1) * stride + 1
-        if addr < 0 or stride < 1 or count < 1 or end > self.size:
-            raise ValueError(f"scan of {count} bytes {stride} apart from "
-                             f"{addr} out of device bounds")
-        found = self._mem[addr:end:stride].tobytes()
-        if stop is not None:
-            found = found[:found.find(stop) + 1] or found
-        k = len(found)
-        stats = self.stats
-        stats.reads += k
-        stats.bytes_read += k
-        self.clock.advance_n(self.model.read_cost(1), k)
-        return found
 
     def read_silent(self, addr: int, n: int) -> bytes:
         """Read without charging cost (debug/verification use only)."""

@@ -92,25 +92,25 @@ CONFIGS = {f.__name__: f for f in (small_delayed, large_inline,
 #: (configuration, seed) -> sha256 of the schedule's observable record.
 PINNED = {
     ("small_delayed", 42):
-        "e975e13fb05a9c41a6d131dbfd95cb95d21d6d833c586ab75aed472871df16f2",
+        "519fcd7d60328747c7a35594b35da6ba8a940c2671ae2d585e0e9d2b766a1a0e",
     ("small_delayed", 1337):
-        "2257d7033ae28555b1fabb82b30120abee7a8a81714d4fa3259d0988fe33e7d1",
+        "61e77400787c889f408a48e79c344373cc2aab5f269ffc3e31527bd65209074e",
     ("large_inline", 42):
-        "11640db8a5f9b2d453ba3eafe67b62cf55a9febf69e6774f1b5724159d550ade",
+        "ef92b74e8426abc796a98955709a75946c7142d19eab462c28a8782565266cd9",
     ("large_inline", 1337):
-        "22d3de93defef77a442cd5c952033835bdaa9c6807af82b4c9b1f4a6defc298d",
+        "c0e654dcff5e19a801dbf239da2d0c29e986655cfefdddaf94ea63076099cbb0",
     ("readwrite_immediate", 42):
-        "a4582add5abd6120670104632f0fecf87bf9e93a1be4d94bd18389f3307bb18d",
+        "94a785e35906a16f5b4caa2a7c17cf89a0036588d3820f4557f648fbad37d8a6",
     ("readwrite_immediate", 1337):
-        "131515b9545cb26d54a829ced74fff36c679cbc83ce5efd733229eef7f0e84c3",
+        "03200a4012d4b71313d7b4bd457d02c4f2f98abfc90e9b6b59797b5ff1fb2b3f",
     ("tenant_fleet", 42):
-        "95ac70e53e014c3baf4194745fc6c0f98935c9691e6e3212bf85b2d3d5fdc9eb",
+        "e2f9cfb5fbaa3f6934b68fa39e82a3e41a6287d763cac385a0af7d5a673baf32",
     ("tenant_fleet", 1337):
-        "df1eedf4096ea17bf4b8d5c1d2b98dc8e4967707d80baa0fc2ae6f400c086dfd",
+        "ac3532a70ab76be406e29403270c9bee55fe7798352173ee59be7b1f6c943b9e",
     ("jittered", 42):
-        "5fe2119d94be750de8c8fe4be54295945f68dd0a561dc3e074c7e6e5599d32cf",
+        "d0af93885affec970bbbda1fe4b699ea4a6cae4da80a6118969aedd374227bd3",
     ("jittered", 1337):
-        "23519714df670dc643699a24157b14d96fe5e034a335b2e34d4f6cfa771ee59a",
+        "e6cf52fa6c84f8326c57ff3454abc87616b6d92ee362ac868bbe9d8302b3f804",
 }
 
 

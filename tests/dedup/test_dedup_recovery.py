@@ -26,9 +26,11 @@ from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import (DEDUPE_IN_PROCESS, ENTRY_SIZE, WriteEntry,
                                 decode_entry)
+from repro.nova import inode as inode_module
+from repro.nova.gc import thorough_gc
 from repro.nova.inode import ROOT_INO, Inode
 from repro.nova.layout import INODE_SIZE
-from repro.nova.log import LOG_HEADER_SIZE
+from repro.nova.log import ENTRIES_PER_PAGE
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -361,15 +363,13 @@ class TestRecoveryReadsFactOnce:
         monkeypatch.setattr(recovery, "dedup_recover", dedup_recover)
 
         def mount(dev):
-            for kind in ("read", "read_view", "read_silent", "scan"):
+            for kind in ("read", "read_view", "read_silent"):
                 real = getattr(dev, kind)
 
-                def logged(addr, n, *rest, _real=real, _kind=kind, **kw):
-                    if log["reads"] is not None:    # a scan's n is a stride
-                        count = (rest or [kw.get("count", 1)])[0]
-                        span = n if _kind != "scan" else (count - 1) * n + 1
-                        log["reads"].append((_kind, addr, span))
-                    return _real(addr, n, *rest, **kw)
+                def logged(addr, n, _real=real, _kind=kind):
+                    if log["reads"] is not None:
+                        log["reads"].append((_kind, addr, n))
+                    return _real(addr, n)
                 setattr(dev, kind, logged)
             log["passes"], log["region"] = [], None
             fs = DeNovaFS.mount(dev)
@@ -381,7 +381,7 @@ class TestRecoveryReadsFactOnce:
         size = fs.fact.total * ENTRY
         assert region is not None                 # an unclean mount
         assert [r for r in region if r[2] > ENTRY] == [("read_view", 0, size)]
-        assert not [r for r in region if r[0] in ("read_silent", "scan")]
+        assert not [r for r in region if r[0] == "read_silent"]
         assert fs.fact._dram is None              # let go with recovery
         assert {"recover_reorders", "structural_recover", "rebuild_iaa_free",
                 "discard_all_uc", "remove_dead", "live_entries",
@@ -444,15 +444,17 @@ class TestRecoveryReadsFactOnce:
 
 
 class TestUncleanMountReadsEachLogOnce:
-    """An unclean mount reads each valid inode record, each log chain
-    header and each committed log slot exactly once: the table scan
-    releases torn records as it reaches them, the log replay reads slots
-    from the chain its tail check walked — a page's committed slots in
-    one request — the usage count and the orphan pass take that chain,
-    and the flag scan takes the entries the replay decoded."""
+    """An unclean mount reads the inode table in runs and each log page
+    once: the table scan reads ⌈capacity / ``_SCAN_RUN``⌉ runs and
+    releases torn records as it reaches them, the log replay reads each
+    page up to its tail page in one request — header and committed slots
+    together — and only the ``next`` pointer of a page past it, the
+    usage count and the orphan pass take that chain, and the flag scan
+    takes the entries the replay decoded."""
 
     def image(self):
-        """Two directories, a file whose log spans three pages, entries
+        """Two directories, a file whose log spans three pages, one whose
+        full page has a page linked past its tail, entries
         ``dedupe_complete``, ``dedupe_needed`` and ``in_process``, and a
         torn record (valid flag persisted, ino field not) — crashed."""
         dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
@@ -465,6 +467,12 @@ class TestUncleanMountReadsEachLogOnce:
         long = fs.create("/long")
         for i in range(150):                              # needed
             fs.write(long, (i % 4) * PAGE_SIZE, page_of(i))
+        full = fs.create("/full")
+        for i in range(ENTRIES_PER_PAGE):
+            fs.write(full, 0, page_of(i))
+        assert fs.caches[full].tail % PAGE_SIZE == 0
+        # An append links the next page; the crash takes its commit.
+        fs.log.append(full, fs.caches[full].tail, bytes(ENTRY_SIZE), cpu=0)
         fs.write(files[1], PAGE_SIZE, page_of(8))
         addr = fs.caches[files[1]].tail - ENTRY_SIZE
         fs.set_dedupe_flag(addr, DEDUPE_IN_PROCESS)       # Handling II
@@ -479,7 +487,7 @@ class TestUncleanMountReadsEachLogOnce:
     @staticmethod
     def mount_logging_reads(dev):
         """Mount ``dev``; returns the fs and every device read the mount
-        made, a scan as ``("scan", addr, stride, bytes returned)``."""
+        made, as ``(kind, addr, n)``."""
         reads = []
         for kind in ("read", "read_view", "read_silent"):
             real = getattr(dev, kind)
@@ -488,42 +496,42 @@ class TestUncleanMountReadsEachLogOnce:
                 reads.append((_kind, addr, n))
                 return _real(addr, n)
             setattr(dev, kind, logged)
-        real_scan = dev.scan
-
-        def scan(addr, stride, count, stop=None):
-            found = real_scan(addr, stride, count, stop=stop)
-            reads.append(("scan", addr, stride, len(found)))
-            return found
-        dev.scan = scan
         try:
             return DeNovaFS.mount(dev), reads
         finally:
-            del dev.read, dev.read_view, dev.read_silent, dev.scan
+            del dev.read, dev.read_view, dev.read_silent
 
     @staticmethod
-    def logs(fs):
-        """Every log page and committed slot of the mounted inodes."""
-        pages, slots = [], []
-        for cache in fs.caches.values():
-            pages += fs.log.iter_pages(cache.inode.log_head, silent=True)
-            slots += [a for a, _ in fs.log.iter_slots(
-                cache.inode.log_head, cache.inode.log_tail, silent=True)]
-        return pages, slots
+    def chain_reads(fs, caches, past_tail=True):
+        """The walk's requests for each cache's log: one per page up to
+        and including its tail page, covering ``[page, end)`` (``end``
+        the tail on that page, the page end before it), then one 8-byte
+        ``next`` read per page past it (if ``past_tail``).  Returns the
+        requests and the chain pages."""
+        runs, pages = [], []
+        for cache in caches:
+            tail = cache.inode.log_tail
+            tail_page = (tail - 1) // PAGE_SIZE
+            past = False
+            for page in fs.log.iter_pages(cache.inode.log_head, silent=True):
+                pages.append(page)
+                base = page * PAGE_SIZE
+                if past:
+                    if past_tail:
+                        runs.append(("read", base, 8))
+                    continue
+                past = page == tail_page
+                runs.append(("read", base,
+                             tail - base if past else PAGE_SIZE))
+        return runs, pages
 
     @staticmethod
-    def slot_runs(slots):
-        """One ``read`` per slot-bearing page, covering exactly its
-        committed slots (which start at its first slot, contiguous)."""
-        per_page = {}
-        for a in sorted(slots):
-            per_page.setdefault(a // PAGE_SIZE, []).append(a)
-        runs = []
-        for page, addrs in per_page.items():
-            assert addrs == list(range(addrs[0], addrs[0] + len(addrs)
-                                       * ENTRY_SIZE, ENTRY_SIZE))
-            assert addrs[0] == page * PAGE_SIZE + LOG_HEADER_SIZE
-            runs.append(("read", addrs[0], len(addrs) * ENTRY_SIZE))
-        return runs
+    def table_runs(table):
+        """⌈capacity / ``_SCAN_RUN``⌉ requests of ``n × INODE_SIZE``."""
+        run = inode_module._SCAN_RUN
+        return [("read", table.addr_of(first),
+                 min(run, table.capacity - first + 1) * INODE_SIZE)
+                for first in range(1, table.capacity + 1, run)]
 
     def test_each_record_header_and_slot_is_read_once(self):
         dev, torn = self.image()
@@ -534,30 +542,24 @@ class TestUncleanMountReadsEachLogOnce:
         assert rep.extra["dedup"]["dwq_rebuilt"] >= 150
         assert rep.orphans_collected == 0
 
-        pages, slots = self.logs(fs)
-        assert len(pages) > len(fs.caches) and len(slots) > 150
+        runs, pages = self.chain_reads(fs, fs.caches.values())
+        assert len(pages) > len(fs.caches)
+        assert any(n == 8 for _k, _a, n in runs)   # a page past its tail
+        assert sum(n > 8 for _k, _a, n in runs) < len(pages)
         in_logs = set(pages)
-        log_reads = [r for r in reads
-                     if r[0] != "scan" and r[1] // PAGE_SIZE in in_logs]
-        assert sorted(log_reads) == sorted(
-            [("read", page * PAGE_SIZE, 8) for page in pages]
-            + self.slot_runs(slots))
+        log_reads = [r for r in reads if r[1] // PAGE_SIZE in in_logs]
+        assert sorted(log_reads) == sorted(runs)
 
         table = fs.itable
         table_end = table.base + table.capacity * INODE_SIZE
-        record_reads = [r for r in reads if r[0] != "scan"
-                        and table.base <= r[1] < table_end]
-        assert record_reads == [("read", table.addr_of(i), INODE_SIZE)
-                                for i in sorted([*fs.caches, torn])]
-        scanned = [r for r in reads if r[0] == "scan"]
-        assert all(stride == INODE_SIZE for _k, _a, stride, _n in scanned)
-        slots_scanned = [(a - table.base) // INODE_SIZE + k
-                         for _k, a, _s, n in scanned for k in range(n)]
-        assert slots_scanned == list(range(table.capacity))
+        assert [r for r in reads if table.base <= r[1] < table_end] \
+            == self.table_runs(table)
+        assert torn not in fs.caches
 
     def test_an_overflowed_clean_mount_reads_each_slot_once(self):
         """A clean mount whose saved DWQ overflowed takes its flag scan
-        from the replay that hydrates the checkpoint stubs."""
+        from the replay that hydrates the checkpoint stubs: one request
+        per page up to its tail page, nothing past it."""
         dev = PMDevice(4096 * PAGE_SIZE, model=DRAM, clock=SimClock())
         fs = DeNovaFS.mkfs(dev, max_inodes=512, dwq_save_pages=1)
         n = fs.dwq.capacity_on(fs.geo) + 40
@@ -567,16 +569,16 @@ class TestUncleanMountReadsEachLogOnce:
         fs, reads = self.mount_logging_reads(dev)
         assert fs.last_recovery.extra["dwq_restored"] == "overflow->scan"
         assert len(fs.dwq) == n
-        pages, slots = self.logs(fs)
+        runs, pages = self.chain_reads(fs, fs.caches.values(),
+                                       past_tail=False)
         in_logs = set(pages)
-        log_reads = [r for r in reads
-                     if r[0] != "scan" and r[1] // PAGE_SIZE in in_logs
-                     and r[1] % PAGE_SIZE == LOG_HEADER_SIZE]
-        assert sorted(log_reads) == self.slot_runs(slots)
+        log_reads = [r for r in reads if r[1] // PAGE_SIZE in in_logs
+                     and r[1] % PAGE_SIZE == 0]
+        assert sorted(log_reads) == sorted(runs)
 
     def test_an_orphans_chain_headers_are_read_once(self):
         """The orphan pass takes back the chain the replay walked: an
-        orphan whose log spans two pages has each header read once."""
+        orphan whose log spans two pages has each page read once."""
         dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
         fs = DeNovaFS.mkfs(dev, max_inodes=64)
         ino = fs.create("/orphan")
@@ -585,19 +587,43 @@ class TestUncleanMountReadsEachLogOnce:
         fs.daemon.drain()
         # Unlink's dentry removal commits; the crash takes the release.
         fs._append_dentry(ROOT_INO, "orphan", ino, valid=0, cpu=0)
-        head = fs.caches[ino].inode.log_head
-        chain = list(fs.log.iter_pages(head, silent=True))
+        runs, chain = self.chain_reads(fs, [fs.caches[ino]])
         assert len(chain) >= 2
         dev.crash("discard")
         dev.recover_view()
 
         fs, reads = self.mount_logging_reads(dev)
         assert fs.last_recovery.orphans_collected == 1
-        header_reads = [r for r in reads
-                        if r[0] != "scan" and r[1] % PAGE_SIZE == 0
-                        and r[1] // PAGE_SIZE in chain]
-        assert sorted(header_reads) == sorted(
-            ("read", page * PAGE_SIZE, 8) for page in chain)
+        page_reads = [r for r in reads if r[1] % PAGE_SIZE == 0
+                      and r[1] // PAGE_SIZE in chain]
+        assert sorted(page_reads) == sorted(runs)
+
+    def test_a_rebuilt_tail_reads_each_chain_page_once(self):
+        """A crash between thorough GC's head and tail updates leaves the
+        tail in the retired chain; the mount rebuilds it from the new
+        chain (``find_tail_by_scan``) and reads each of that chain's
+        pages once, whole — not its header and then its slots."""
+        dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=64)
+        ino = fs.create("/f")
+        for rnd in range(2):
+            for i in range(70):
+                fs.write(ino, i * PAGE_SIZE, page_of(i + rnd))
+        fs.daemon.drain()
+        stale = fs.caches[ino].tail
+        assert "skipped" not in thorough_gc(fs, ino)
+        fs.itable.update_log_tail(ino, stale)        # the tail update lost
+        chain = list(fs.log.iter_pages(fs.caches[ino].inode.log_head,
+                                       silent=True))
+        assert len(chain) == 2
+        dev.crash("discard")
+        dev.recover_view()
+
+        fs, reads = self.mount_logging_reads(dev)
+        assert fs.last_recovery.extra["gc_tails_rebuilt"] == 1
+        assert [r for r in reads if r[1] // PAGE_SIZE in chain] \
+            == [("read", page * PAGE_SIZE, PAGE_SIZE) for page in chain]
+        assert fs.read(ino, 0, PAGE_SIZE) == page_of(1)
 
 
 class TestUndecodableLogSlot:

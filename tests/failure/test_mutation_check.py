@@ -22,6 +22,8 @@ same verdict.
 
 import base64
 
+import numpy as np
+
 from repro.dedup import recovery
 from repro.fuzz.diff import FuzzConfig, run_case
 from repro.nova.inode import InodeTable
@@ -86,10 +88,11 @@ class TestRfcUndercount:
 def iter_valid_without_release(table, released):
     """The recovery table scan without its release: a torn record is
     passed over and stays valid on PM."""
-    for ino in table._valid_inos():
-        rec = table.read(ino)
-        if rec.ino == ino:
-            yield rec
+    for first, _raw, valid in table._read_runs():
+        for ino in (first + np.flatnonzero(valid == 1)).tolist():
+            rec = table.read(ino)
+            if rec.ino == ino:
+                yield rec
 
 
 class TestTornInodeRecord:

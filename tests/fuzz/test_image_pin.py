@@ -34,61 +34,61 @@ from tests._seams import overriding
 #: point.
 PINNED = {
     6: [(1, 'pre', 'discard', '5d99eccc46747197'),
-        (35, 'pre', 'discard', '22eada108eb891c7'),
-        (69, 'pre', 'discard', '53219ff202b1a2a1'),
-        (103, 'pre', 'discard', 'df4826e2bedee519'),
-        (137, 'pre', 'discard', '709f2b701543f3da'),
-        (171, 'pre', 'discard', '7c89d9037b8a9c4b'),
-        (205, 'pre', 'discard', '18a47349582e10d5'),
+        (35, 'pre', 'discard', '076fd5e6b454fcc1'),
+        (69, 'pre', 'discard', '06fceb0e22c28080'),
+        (103, 'pre', 'discard', 'a9762c29c9d2de6c'),
+        (137, 'pre', 'discard', 'd6a69cad348d48a1'),
+        (171, 'pre', 'discard', '921bc6606a32a4da'),
+        (205, 'pre', 'discard', '26dcf69069ede746'),
         (1, 'post', 'discard', '5d99eccc46747197'),
-        (35, 'post', 'discard', '91ce67d3d8cdfcbc'),
-        (69, 'post', 'discard', '788455add407076d'),
-        (103, 'post', 'discard', '4b67feed10bb707b'),
-        (137, 'post', 'discard', '62ee30375140e933'),
-        (171, 'post', 'discard', 'a7417cbc8b40940f'),
-        (205, 'post', 'discard', '18a47349582e10d5'),
+        (35, 'post', 'discard', '518e7d7e9c063cde'),
+        (69, 'post', 'discard', '57950fc14c7ccdaf'),
+        (103, 'post', 'discard', '69b96ba3022849bf'),
+        (137, 'post', 'discard', '944fe9e4a14c3659'),
+        (171, 'post', 'discard', '3def862e92f2bd55'),
+        (205, 'post', 'discard', '26dcf69069ede746'),
         (1, 'pre', 'torn', '5d99eccc46747197'),
-        (35, 'pre', 'torn', '22eada108eb891c7'),
-        (69, 'pre', 'torn', '788455add407076d'),
-        (103, 'pre', 'torn', 'df4826e2bedee519'),
-        (137, 'pre', 'torn', 'b31532501920c6ea'),
-        (171, 'pre', 'torn', 'a7417cbc8b40940f'),
-        (205, 'pre', 'torn', '18a47349582e10d5'),
+        (35, 'pre', 'torn', '076fd5e6b454fcc1'),
+        (69, 'pre', 'torn', '57950fc14c7ccdaf'),
+        (103, 'pre', 'torn', 'a9762c29c9d2de6c'),
+        (137, 'pre', 'torn', '3b3d5345b644e246'),
+        (171, 'pre', 'torn', '3def862e92f2bd55'),
+        (205, 'pre', 'torn', '26dcf69069ede746'),
         (1, 'post', 'torn', '5d99eccc46747197'),
-        (35, 'post', 'torn', '91ce67d3d8cdfcbc'),
-        (69, 'post', 'torn', '788455add407076d'),
-        (103, 'post', 'torn', '4b67feed10bb707b'),
-        (137, 'post', 'torn', '62ee30375140e933'),
-        (171, 'post', 'torn', 'a7417cbc8b40940f'),
-        (205, 'post', 'torn', '18a47349582e10d5')],
+        (35, 'post', 'torn', '518e7d7e9c063cde'),
+        (69, 'post', 'torn', '57950fc14c7ccdaf'),
+        (103, 'post', 'torn', '69b96ba3022849bf'),
+        (137, 'post', 'torn', '944fe9e4a14c3659'),
+        (171, 'post', 'torn', '3def862e92f2bd55'),
+        (205, 'post', 'torn', '26dcf69069ede746')],
     9: [(1, 'pre', 'discard', '5d99eccc46747197'),
-        (27, 'pre', 'discard', '7578e78616dc0158'),
-        (53, 'pre', 'discard', '6006aac0b7492bda'),
-        (79, 'pre', 'discard', '6dca969e58780cc6'),
-        (105, 'pre', 'discard', '34cbccf405d1608f'),
-        (131, 'pre', 'discard', 'ee2505a0d2cd3342'),
-        (157, 'pre', 'discard', '62e040b3dd96d112'),
-        (1, 'post', 'discard', '232337258c6a5116'),
-        (27, 'post', 'discard', '0aaad2c002d34629'),
-        (53, 'post', 'discard', '30d29f945a849399'),
-        (79, 'post', 'discard', '5125e0041f0072f7'),
-        (105, 'post', 'discard', '1a0687c09fe51d54'),
-        (131, 'post', 'discard', '77b19f709e99f96e'),
-        (157, 'post', 'discard', '60c43370d3477a90'),
-        (1, 'pre', 'torn', '86bad7abaab8fade'),
-        (27, 'pre', 'torn', '673aeea1bdc99424'),
-        (53, 'pre', 'torn', '6006aac0b7492bda'),
-        (79, 'pre', 'torn', 'c027761e21798c41'),
-        (105, 'pre', 'torn', '34cbccf405d1608f'),
-        (131, 'pre', 'torn', '77b19f709e99f96e'),
-        (157, 'pre', 'torn', 'bd54f1e3fd4d321c'),
-        (1, 'post', 'torn', '232337258c6a5116'),
-        (27, 'post', 'torn', '0aaad2c002d34629'),
-        (53, 'post', 'torn', '30d29f945a849399'),
-        (79, 'post', 'torn', '5125e0041f0072f7'),
-        (105, 'post', 'torn', '1a0687c09fe51d54'),
-        (131, 'post', 'torn', '77b19f709e99f96e'),
-        (157, 'post', 'torn', '60c43370d3477a90')],
+        (27, 'pre', 'discard', 'daa451ffea816784'),
+        (53, 'pre', 'discard', '21f8ab2eb9e07eb7'),
+        (79, 'pre', 'discard', 'de698e39e1706539'),
+        (105, 'pre', 'discard', '3e6fc96543960ca2'),
+        (131, 'pre', 'discard', 'f22b4ef026c8924a'),
+        (157, 'pre', 'discard', 'b100928e89fdc6d2'),
+        (1, 'post', 'discard', '2bba57c1461e193d'),
+        (27, 'post', 'discard', 'e6ebb2f666582e2d'),
+        (53, 'post', 'discard', '9fc697dc9511deea'),
+        (79, 'post', 'discard', '6d2d1441a4b2bee9'),
+        (105, 'post', 'discard', 'bcfd5c84cb305b36'),
+        (131, 'post', 'discard', '959de93af3225047'),
+        (157, 'post', 'discard', '7b5ae8ed2b6b1540'),
+        (1, 'pre', 'torn', '14bd44db41cd0a20'),
+        (27, 'pre', 'torn', 'cd642e34c19e2e22'),
+        (53, 'pre', 'torn', '21f8ab2eb9e07eb7'),
+        (79, 'pre', 'torn', '2a717dacf182f8f7'),
+        (105, 'pre', 'torn', '3e6fc96543960ca2'),
+        (131, 'pre', 'torn', '959de93af3225047'),
+        (157, 'pre', 'torn', 'b94451bba4a700bc'),
+        (1, 'post', 'torn', '2bba57c1461e193d'),
+        (27, 'post', 'torn', 'e6ebb2f666582e2d'),
+        (53, 'post', 'torn', '9fc697dc9511deea'),
+        (79, 'post', 'torn', '6d2d1441a4b2bee9'),
+        (105, 'post', 'torn', 'bcfd5c84cb305b36'),
+        (131, 'post', 'torn', '959de93af3225047'),
+        (157, 'post', 'torn', '7b5ae8ed2b6b1540')],
 }
 
 

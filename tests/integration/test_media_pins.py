@@ -5,8 +5,11 @@ in-image state files are on-media formats: an image written by one
 commit must mount on the next.  The digests below were recorded on
 commit 60893e8, before those protocols moved onto the shared
 ``repro.nova.persist`` primitives; any change to a layout, a magic
-number, a CRC's coverage or a JSON encoding moves them.  (Whole-image
-pins live in ``tests/fuzz/test_image_pin.py``.)
+number, a CRC's coverage or a JSON encoding moves them.  The checkpoint
+also holds each inode's mtime, so a change that moves simulated time
+before its unmount moves that one digest as well (it was re-recorded
+when the first create's free-slot scan became one read per table run).
+(Whole-image pins live in ``tests/fuzz/test_image_pin.py``.)
 """
 
 import hashlib
@@ -25,7 +28,7 @@ PINNED = {
     "tenant_slots":
         "78a453986b2d24544541622162c1a64bc66d82a5e0c449ebda63a7be46466e1b",
     "checkpoint_region":
-        "95c524d722a1bda0816612f8cecbbcfd45e905c6ce1f3bf2be726345ef087a7a",
+        "a60fc438b7a3a9ee7a6472a6c5954dc8df132fdfb34309a7e2940be5d8a77f1b",
     "staging_slab":
         "2e72ad5b72f82b6b85ad8db1edb2ba733346199964981a5aceb0ea75cdebf000",
     "state_files_mid_recv":

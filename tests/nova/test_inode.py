@@ -1,12 +1,16 @@
 """The inode table's scans against their per-slot form.
 
-``InodeTable`` reads the valid column with ``PMDevice.scan`` — one device
-call per run of slots — where it used to make one charged 1-byte ``read``
-per slot from Python.  ``PerSlotTable`` below is that older form, kept as
-the oracle: on equal tables both must return the same inodes, leave the
-same device counters and the same clock behind — charge by charge on a
-recording clock, to the last bit on a plain one (where the real table's
-equal charges are folded by ``SimClock.advance_n``).
+``InodeTable`` reads the table in runs of ``_SCAN_RUN`` records — one
+device request of ``n × INODE_SIZE`` bytes per run, the valid column a
+strided slice of it — where it used to make one charged 1-byte ``read``
+per slot and one ``read`` per valid record from Python.
+``PerSlotTable`` below is that older form, kept as the semantic oracle:
+on equal tables both must return the same inodes, release the same torn
+records, leave the same media and build the same free list.  The reads
+are the exact formula instead: ⌈capacity / ``_SCAN_RUN``⌉ requests per
+scan, each charged as one request of its size; every other charge and
+counter is the oracle's — charge by charge on a recording clock, to the
+last bit on a plain one.
 """
 
 import random
@@ -19,6 +23,7 @@ from repro.nova.inode import (ITYPE_DIR, ITYPE_FILE, ITYPE_SYMLINK, Inode,
                               InodeTable)
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Geometry
 from repro.pm import PMDevice, SimClock
+from repro.pm.clock import fs_of
 
 _OFF_VALID = inode_module._OFF_VALID
 
@@ -79,10 +84,58 @@ def _tables(capacity, fill, clock=RecordingClock):
     return made
 
 
-def _same_cost(new, old, where=""):
-    assert new.dev.stats.snapshot() == old.dev.stats.snapshot(), where
-    assert (new.dev.clock.charged_ns, new.dev.clock.now_ns) \
-        == (old.dev.clock.charged_ns, old.dev.clock.now_ns), where
+def _log_reads(*tables):
+    """Log each charged ``read`` of each table's device as ``(addr, n,
+    fs)``, and keep its charge off a recording clock's list, so that
+    list holds every other charge.  Returns one log per table."""
+    logs = []
+    for table in tables:
+        dev, log = table.dev, []
+        real = dev.read
+
+        def read(addr, n, _dev=dev, _real=real, _log=log):
+            clock = _dev.clock
+            before, mark = clock.charged_fs, len(getattr(clock, "charges",
+                                                         ()))
+            out = _real(addr, n)
+            _log.append((addr, n, clock.charged_fs - before))
+            if isinstance(clock, RecordingClock):
+                del clock.charges[mark:]
+            return out
+        dev.read = read
+        logs.append(log)
+    return logs
+
+
+def _runs(table, scans=1):
+    """The requests of ``scans`` whole-table scans: one per run of
+    ``_SCAN_RUN`` records, ⌈capacity / _SCAN_RUN⌉ per scan."""
+    run = inode_module._SCAN_RUN
+    return [(table.addr_of(first),
+             min(run, table.capacity - first + 1) * INODE_SIZE)
+            for first in range(1, table.capacity + 1, run)] * scans
+
+
+def _run_cost(new, old, logs, scans=1, where=""):
+    """``new`` made exactly the run reads of ``scans`` scans, each
+    charged as one request of its size, and otherwise the same charges
+    and counters as the per-slot ``old``."""
+    new_reads, old_reads = logs
+    assert [(a, n) for a, n, _fs in new_reads] == _runs(new, scans), where
+    cost = new.dev.model.read_cost
+    assert [fs for _a, _n, fs in new_reads] \
+        == [fs_of(cost(n)) for _a, n, _fs in new_reads], where
+    stats = new.dev.stats.snapshot(), old.dev.stats.snapshot()
+    assert stats[0]["reads"] == len(new_reads), where
+    assert stats[0]["bytes_read"] == sum(n for _a, n, _fs in new_reads)
+    for snap in stats:
+        del snap["reads"], snap["bytes_read"]
+    assert stats[0] == stats[1], where
+    rest = [table.dev.clock.charged_fs - sum(fs for _a, _n, fs in log)
+            for table, log in ((new, new_reads), (old, old_reads))]
+    assert rest[0] == rest[1], where
+    assert new.dev.clock.now_fs - new.dev.clock.charged_fs \
+        == old.dev.clock.now_fs - old.dev.clock.charged_fs, where
     if isinstance(new.dev.clock, RecordingClock):
         assert new.dev.clock.charges == old.dev.clock.charges, where
 
@@ -142,11 +195,12 @@ SHAPES = {
 @pytest.mark.parametrize("shape", SHAPES)
 def test_scans_match_the_per_slot_form(shape, capacity, clock):
     new, old = _tables(capacity, SHAPES[shape], clock)
+    logs = _log_reads(new, old)
     released = [], []
     assert list(new.iter_valid(released[0])) \
         == list(old.iter_valid(released[1]))
     assert released[0] == released[1]
-    _same_cost(new, old, "iter_valid")
+    _run_cost(new, old, logs, 1, "iter_valid")
     assert new.dev.read_silent(0, new.dev.size) \
         == old.dev.read_silent(0, old.dev.size)
     again = [], []
@@ -156,7 +210,7 @@ def test_scans_match_the_per_slot_form(shape, capacity, clock):
     new._scan_free()
     old._scan_free()
     assert new._free == old._free and 1 not in new._free
-    _same_cost(new, old, "_scan_free")
+    _run_cost(new, old, logs, 3, "_scan_free")
     # The free cache serves alloc / claim / release as it did.
     for table in (new, old):
         if table._free:
@@ -167,54 +221,83 @@ def test_scans_match_the_per_slot_form(shape, capacity, clock):
 
 
 def test_a_table_longer_than_one_scan_run(monkeypatch):
-    """``_valid_inos`` bounds each device scan; a run boundary before,
-    on and behind a valid slot must change nothing."""
+    """A run boundary before, on and behind a valid slot changes no
+    inode, release or free slot; the requests follow the run length."""
     capacity = 700
     for run in (1, 7, 64, 699, 700, 701):
         monkeypatch.setattr(inode_module, "_SCAN_RUN", run)
         new, old = _tables(capacity, _random_fill(run, 0.05))
+        logs = _log_reads(new, old)
         released = [], []
         assert [r.ino for r in new.iter_valid(released[0])] \
             == [r.ino for r in old.iter_valid(released[1])]
         assert released[0] == released[1]
-        _same_cost(new, old, run)
+        _run_cost(new, old, logs, 1, run)
+        new._scan_free()
+        old._scan_free()
+        assert new._free == old._free
+        _run_cost(new, old, logs, 2, run)
 
 
 @pytest.mark.parametrize("clock", [RecordingClock, SimClock])
-def test_a_consumer_that_releases_inodes_between_yields(clock):
-    """A slot is read when the walk reaches it, not before: an inode the
-    consumer releases ahead of the walk is not yielded, one behind it
-    already was — in both forms, at the same cost."""
-    capacity = 96
+def test_a_consumer_that_releases_inodes_between_yields(clock, monkeypatch):
+    """A run is read when the walk enters it, not before: an inode the
+    consumer releases in a later run is not yielded, one behind the walk
+    already was — in both forms, at the run reads' cost.
+
+    Within the run being walked the records are the run's copy, so the
+    consumer here stores only to other runs.  That is all recovery needs:
+    a replay task stores only to its own record (``update_log_tail`` on
+    a thorough-GC tail rebuild), and with ``recovery_workers > 1``
+    ``run_sharded`` draws the whole walk before any task runs."""
+    capacity, run = 96, 8
+    monkeypatch.setattr(inode_module, "_SCAN_RUN", run)
     new, old = _tables(capacity, _random_fill(11, 0.6), clock)
+    logs = _log_reads(new, old)
     seen = []
     for table in (new, old):
         rng = random.Random(5)
         inos = []
         for rec in table.iter_valid([]):
             inos.append(rec.ino)
+            ahead = (rec.ino - 1) // run * run + run + 1   # next run
             roll = rng.random()
-            if roll < 0.3 and rec.ino < capacity:      # just ahead
-                table.release(rec.ino + 1)
-            elif roll < 0.5:                           # far ahead
-                table.release(rng.randint(rec.ino, capacity))
-            elif roll < 0.6:                           # behind: no effect
+            if roll < 0.3 and ahead <= capacity:           # next run
+                table.release(ahead)
+            elif roll < 0.5 and ahead <= capacity:         # far ahead
+                table.release(rng.randint(ahead, capacity))
+            elif roll < 0.6:                               # behind
                 table.release(rng.randint(1, rec.ino))
-            elif roll < 0.7 and rec.ino < capacity:    # appears ahead
-                _put(table, rec.ino + 1)
+            elif roll < 0.7 and ahead <= capacity:         # appears ahead
+                _put(table, ahead)
         seen.append(inos)
     assert seen[0] == seen[1] and len(seen[0]) > 10
-    _same_cost(new, old)
+    _run_cost(new, old, logs)
     survivors = [r.ino for r in old.iter_valid([])]
     assert set(seen[0]) - set(survivors)    # something released was seen
     assert [r.ino for r in new.iter_valid([])] == survivors
 
 
-def test_an_abandoned_walk_reads_no_further():
+def test_a_store_inside_the_walked_run_is_not_seen():
+    """The run-granular contract stated: a record the consumer releases
+    ahead of the walk, inside the run it is walking, is still yielded."""
+    new, _old = _tables(64, SHAPES["every slot"])
+    walk = new.iter_valid([])
+    assert next(walk).ino == 1
+    new.release(2)
+    assert next(walk).ino == 2
+    walk.close()
+    assert [r.ino for r in new.iter_valid([])] == [1, *range(3, 65)]
+
+
+def test_an_abandoned_walk_reads_no_further(monkeypatch):
+    monkeypatch.setattr(inode_module, "_SCAN_RUN", 2)
     new, old = _tables(64, SHAPES["every slot"])
+    logs = _log_reads(new, old)
     for table in (new, old):
         walk = table.iter_valid([])
         assert [next(walk).ino for _ in range(3)] == [1, 2, 3]
         walk.close()
-    _same_cost(new, old)
-    assert new.dev.stats.reads == 6         # three flags, three records
+    assert [(a, n) for a, n, _fs in logs[0]] \
+        == _runs(new)[:2]                   # the runs of inos 1-2 and 3-4
+    assert len(logs[1]) == 6                # three flags, three records

@@ -4,6 +4,7 @@ import pytest
 
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.nova import NovaFS, PAGE_SIZE
+from repro.nova.entries import ENTRY_SIZE, WriteEntry, decode_entry
 from repro.nova.inode import ROOT_INO, Inode
 from repro.nova.journal import J_ADD, JournalRecord
 from repro.nova.log import ENTRIES_PER_PAGE
@@ -203,6 +204,63 @@ class TestStaleLogHead:
         assert fs2.last_recovery.orphans_collected == 1
         assert fs2.itable.read(ghost).valid == 0
         assert fs2.read(fs2.lookup("/victim"), 0, PAGE_SIZE) == data
+        check_fs_invariants(fs2)
+
+
+class TestTailBoundsTheReplay:
+    """The committed tail bounds what a mount decodes: a reused log page
+    keeps its previous owner's entries past the tail, and a stale slot
+    there that decodes as a valid write entry is never installed."""
+
+    @staticmethod
+    def stale_image(first_commit_lost):
+        """``/f``'s log page holds two stale write entries of a dead
+        incarnation (over ``/donor``'s data page) past its tail: right
+        behind its first slot when the crash took the first commit, right
+        behind two committed writes otherwise.  Crashed."""
+        fs = fresh_fs()
+        donor = fs.create("/donor")
+        fs.write(donor, 0, b"d" * PAGE_SIZE)
+        block, = fs.caches[donor].index.referenced_pages()
+        f = fs.create("/f")
+        if first_commit_lost:
+            _head, tail = fs.log.ensure_log(f, 0, cpu=0)
+        else:
+            fs.write(f, 0, b"a" * PAGE_SIZE)
+            fs.write(f, PAGE_SIZE, b"b" * PAGE_SIZE)
+            tail = fs.caches[f].tail
+        assert tail % PAGE_SIZE not in (0, PAGE_SIZE - ENTRY_SIZE)
+        stale = b"".join(WriteEntry(
+            file_pgoff=pgoff, num_pages=1, block=block,
+            size_after=(pgoff + 1) * PAGE_SIZE, ino=f).pack()
+            for pgoff in (2, 3))
+        fs.dev.write(tail, stale, persist=True)
+        assert [type(decode_entry(stale[i:i + ENTRY_SIZE]))
+                for i in (0, ENTRY_SIZE)] == [WriteEntry] * 2
+        fs.dev.crash()
+        fs.dev.recover_view()
+        return fs.dev, f, tail
+
+    def test_a_log_whose_first_commit_was_lost(self):
+        """``log_head`` linked, ``log_tail`` 0: the log holds nothing."""
+        dev, f, tail = self.stale_image(first_commit_lost=True)
+        fs2 = NovaFS.mount(dev)
+        cache = fs2.caches[f]
+        assert cache.tail == tail
+        assert (cache.entry_count, cache.inode.size) == (0, 0)
+        assert list(cache.index.referenced_pages()) == []
+        assert fs2.read(f, 0, 4 * PAGE_SIZE) == b""
+        check_fs_invariants(fs2)
+
+    def test_a_committed_tail_in_mid_page(self):
+        dev, f, tail = self.stale_image(first_commit_lost=False)
+        fs2 = NovaFS.mount(dev)
+        cache = fs2.caches[f]
+        assert cache.tail == tail
+        assert (cache.entry_count, cache.inode.size) == (2, 2 * PAGE_SIZE)
+        assert len(list(cache.index.referenced_pages())) == 2
+        assert fs2.read(f, 0, 4 * PAGE_SIZE) \
+            == b"a" * PAGE_SIZE + b"b" * PAGE_SIZE
         check_fs_invariants(fs2)
 
 

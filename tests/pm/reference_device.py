@@ -64,14 +64,6 @@ class PerLineDevice:
     def read_view(self, addr: int, n: int) -> bytes:
         return self.read(addr, n)   # what a view shows when it is taken
 
-    def scan(self, addr: int, stride: int, count: int, stop=None) -> bytes:
-        found = b""
-        for at in range(addr, addr + count * stride, stride):
-            found += self.read(at, 1)
-            if found[-1] == stop:
-                break
-        return found
-
     def write(self, addr: int, data, nt: bool = False) -> None:
         n = len(data)
         if n == 0:

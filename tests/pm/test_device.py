@@ -273,7 +273,6 @@ class TestClose:
         "read": lambda d: d.read(0, 8),
         "read_silent": lambda d: d.read_silent(0, 8),
         "read_view": lambda d: d.read_view(0, 8),
-        "scan": lambda d: d.scan(0, 64, 4, stop=1),
         "read_u32": lambda d: d.read_u32(0),
         "read_u64": lambda d: d.read_u64(0),
         "write": lambda d: d.write(0, b"x"),

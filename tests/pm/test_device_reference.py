@@ -15,9 +15,9 @@ After every crash, discard or torn, the two media must be byte-identical.
 test repeats the rounds on plain clocks, where the device's runs of equal
 charges are folded in C and the two clocks must still read the same.)
 
-Between the steps both devices serve charged reads — ``read``,
-``read_view``, ``scan`` — which are loops of ``read`` on the reference:
-equal bytes, counters and charges, whatever is volatile at the time.
+Between the steps both devices serve charged reads — ``read`` and
+``read_view``, which is ``read`` on the reference: equal bytes, counters
+and charges, whatever is volatile at the time.
 
 A durable store — ``write(..., persist=True)`` and its typed forms — is
 one call on the real device and stays *two* on the reference (``write``,
@@ -209,7 +209,7 @@ class Pair:
 
     def do_read(self, op, *args, **kw):
         """One charged read of any kind on both; the bytes must agree
-        (the reference's ``scan`` / ``read_view`` are loops of ``read``)."""
+        (the reference's ``read_view`` is its ``read``)."""
         got = []
         self._both(lambda: got.append(getattr(self.real, op)(*args, **kw)),
                    lambda: got.append(getattr(self.ref, op)(*args, **kw)),
@@ -380,39 +380,11 @@ def _fence_everything(pair):
     return crashed
 
 
-def _scan_args(rng, pair):
-    """``(addr, stride, count, stop)``: the strides of a byte column, a
-    line column and the inode table's; a third of the ranges ending at
-    the device's last byte; ``stop`` absent, at the first or the last
-    slot, somewhere inside, or a value the column does not hold."""
-    stride = rng.choice((1, CACHELINE, 128))
-    count = rng.choice((1, 2, rng.randint(3, 40), rng.randint(41, 400)))
-    span = (count - 1) * stride + 1
-    addr = SIZE - span if rng.random() < 0.33 else rng.randrange(SIZE - span)
-    column = pair.ref.mem[addr:addr + span:stride]
-    kind = rng.randrange(5)
-    if kind == 0:
-        stop = None
-    elif kind == 4:
-        absent = sorted(set(range(256)) - set(column))
-        stop = rng.choice(absent) if absent else None
-    else:
-        stop = column[(0, -1, rng.randrange(count))[kind - 1]]
-    return addr, stride, count, stop
-
-
 def _a_read(rng, pair, kinds):
     """A charged read between two steps of a round: whatever is stored,
     volatile or not, is what all three kinds return."""
-    kind = rng.choice(("read", "read_view", "scan"))
+    kind = rng.choice(("read", "read_view"))
     kinds[kind] += 1
-    if kind == "scan":
-        addr, stride, count, stop = _scan_args(rng, pair)
-        found = pair.do_read("scan", addr, stride, count, stop=stop)
-        kinds["scan stopped early"] += len(found) < count
-        kinds["scan to the last byte"] += \
-            addr + (len(found) - 1) * stride == SIZE - 1
-        return
     n = rng.choice((0, 1, 8, CACHELINE, rng.randint(1, 9000)))
     addr = SIZE - n if rng.random() < 0.2 else rng.randrange(SIZE - n)
     view = pair.do_read(kind, addr, n)
@@ -430,12 +402,10 @@ def run_rounds(seed, track_wear=False, rounds=ROUNDS, clock=RecordingClock,
                plain=False, forks=False):
     rng = random.Random(seed)
     # The reads draw from a generator of their own: the rounds are the
-    # sequences they were before the device had ``scan`` / ``read_view``.
+    # sequences they were before the device had ``read_view``.
     read_rng = random.Random(seed + 9000)
     pair = Pair(track_wear=track_wear, clock=clock, plain=plain, forks=forks)
-    pair.reads = dict.fromkeys(("read", "read_view", "scan",
-                                "scan stopped early",
-                                "scan to the last byte"), 0)
+    pair.reads = dict.fromkeys(("read", "read_view"), 0)
     crashes_mid_fence = 0
     for rnd in range(rounds):
         recent = []
@@ -524,7 +494,7 @@ def test_random_sequences_match_with_the_charges_folded():
     for seed in (3, 5):
         pair, _ = run_rounds(seed, clock=FoldingClock)
         assert type(pair.real.clock).advance is SimClock.advance
-        assert pair.real.clock.charged_ns > 1e6 and pair.reads["scan"] > 10
+        assert pair.real.clock.charged_ns > 1e6
 
 
 def test_random_sequences_match_on_a_plain_clock_with_no_hooks():
@@ -601,43 +571,16 @@ def test_a_raising_hook_on_a_folding_clock_leaves_the_run_volatile(hook):
         assert pair.real.read_silent(addr, n) != b"\xa5" * n
 
 
-@pytest.mark.parametrize("stride", [1, CACHELINE, 128])
-def test_scan_is_the_loop_of_one_byte_reads(stride):
-    """Every place a stop byte can sit in a column that ends on the
-    device's last byte, on a volatile store as well as a durable one."""
-    count = 192
-    base = SIZE - 1 - (count - 1) * stride
-    for slot in (None, 0, 1, 95, count - 2, count - 1):
-        pair = Pair()
-        pair.arm(None)
-        pair.do_durable("write", base + 7 * stride, b"\x02")
-        pair.do("write", base + 9 * stride, b"\xff")
-        if slot is not None:
-            pair.do("write", base + slot * stride, b"\x01")
-            pair.do("write", min(base + (slot + 3) * stride, SIZE - 1),
-                    b"\x01")          # a second one behind it, unreached
-        found = pair.do_read("scan", base, stride, count, stop=1)
-        assert len(found) == (count if slot is None else slot + 1)
-        assert (found[-1] == 1) == (slot is not None)
-        assert pair.real.stats.reads == pair.real.stats.bytes_read \
-            == len(found)
-        assert pair.real.clock.charges[-len(found):] \
-            == [pair.real.model.read_cost(1)] * len(found)
-        whole = pair.do_read("scan", base, stride, count)
-        assert len(whole) == count and whole[:len(found)] == found
-        assert pair.do_read("scan", base, stride, count, stop=3) == whole
-
-
 @pytest.mark.parametrize("call", [
-    lambda d: d.scan(-1, 1, 4),
-    lambda d: d.scan(0, 1, 0),
-    lambda d: d.scan(0, 1, -3),
-    lambda d: d.scan(0, 0, 4),
-    lambda d: d.scan(0, -64, 4),
-    lambda d: d.scan(SIZE - 1, 1, 2),
-    lambda d: d.scan(SIZE - 128, 128, 2),
-    lambda d: d.scan(0, 128, SIZE // 128 + 1, stop=1),  # 1 is at slot 0
-    lambda d: d.scan(SIZE, 1, 1),
+    lambda d: d.read(-1, 4),
+    lambda d: d.read(0, -1),
+    lambda d: d.read(SIZE - 3, 4),
+    lambda d: d.read(SIZE, 1),
+    lambda d: d.read_u32(SIZE - 2),
+    lambda d: d.read_u32(-4),
+    lambda d: d.read_u64(SIZE - 4),
+    lambda d: d.read_u64(-8),
+    lambda d: d.read_u64(SIZE),
     lambda d: d.read_view(-1, 4),
     lambda d: d.read_view(0, -1),
     lambda d: d.read_view(SIZE - 3, 4),
@@ -650,8 +593,8 @@ def test_reads_out_of_bounds_are_refused_and_cost_nothing(call):
         call(dev)
     assert (dev.stats.snapshot(), dev.clock.charged_ns) == (stats, charged)
     # In bounds to the last byte, the same calls go through.
-    assert dev.scan(SIZE - 1, 1, 1) == dev.scan(SIZE - 129, 128, 2)[1:] \
-        == bytes(dev.read_view(SIZE - 1, 1)) == b"\0"
+    assert dev.read(SIZE - 1, 1) == bytes(dev.read_view(SIZE - 1, 1)) \
+        == b"\0" and dev.read_u64(SIZE - 8) == 0
     assert dev.read_view(SIZE, 0) == b""
 
 
@@ -659,14 +602,14 @@ def test_reads_of_a_crashed_device_are_refused():
     dev = PMDevice(SIZE)
     view = dev.read_view(0, 8)
     dev.crash()
-    for call in (lambda: dev.scan(0, 128, 4, stop=1),
+    for call in (lambda: dev.read(0, 8),
                  lambda: dev.read_view(0, 8)):
         with pytest.raises(RuntimeError, match="has crashed; call "
                                                "recover_view"):
             call()
     assert dev.stats.reads == 1 and bytes(view) == bytes(8)
     dev.recover_view()
-    assert dev.scan(0, 128, 4, stop=1) == bytes(4)
+    assert dev.read(0, 8) == bytes(8)
 
 
 def test_read_view_is_the_devices_own_bytes_read_only():
