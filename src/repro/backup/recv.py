@@ -203,7 +203,7 @@ def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
                 res = fs.fact.lookup(fp)
                 if res.found is not None:
                     # Dedup hit against the target: no data copy.
-                    txn.share(res.found.idx)
+                    txn.share(res.found.idx, res.found)
                     block = res.found.block
                     stats["pages_dup"] += 1
                 else:

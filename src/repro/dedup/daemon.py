@@ -253,10 +253,10 @@ class DedupDaemon:
             # RFC == 0 (defensive — should be unreachable past
             # recovery's undercount repair) is re-staged.
             if found.refcount == 0:
-                task.txn.share(found.idx)
+                task.txn.share(found.idx, found)
                 self._c_unique.inc()
         else:
-            task.txn.share(found.idx)  # step 3
+            task.txn.share(found.idx, found)  # step 3
             task.dups.append((pgoff, found.block))
             self._c_duplicate.inc()
 

@@ -173,9 +173,11 @@ class DeNovaFS(NovaFS):
                         cpu: int) -> None:
         """§IV-D3: a page is freed only when its reference count is zero.
 
-        Per page: two NVM reads through the delete pointer, then an
-        atomic RFC decrement with a cache-line flush; when RFC reaches 0
-        the FACT entry is unlinked (up to three more flushed line
+        Per page: two NVM reads through the delete pointer (one when
+        the block has no entry: a direct free), then an atomic RFC
+        decrement with a cache-line flush, computed from the entry just
+        read; when RFC reaches 0 the FACT entry is re-read (the flush
+        evicted its line), unlinked (up to three more flushed line
         updates — the Fig. 11 overwrite overhead) and the page freed.
         """
         for start, count in extents:
@@ -188,8 +190,8 @@ class DeNovaFS(NovaFS):
                     self._c_direct_frees.inc()
                     freeable = True
                 else:
-                    if self.fact.dec_rfc(ent.idx) == 0:
-                        if self.fact.staged_uc(ent.idx):
+                    if self.fact.dec_rfc(ent.idx, ent) == 0:
+                        if ent.update_count:
                             # A concurrent dedup worker staged a UC on
                             # this entry between its lookup and commit:
                             # the page is about to gain a reference, so

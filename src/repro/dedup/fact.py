@@ -114,6 +114,7 @@ class LookupResult:
     tail_idx: int                # last chain slot visited (insert point)
     steps: int                   # NVM entry reads performed
     head_empty: bool             # the DAA slot itself is writable
+    head_next: int               # the DAA slot's ``next`` link (-1 = none)
 
 
 def _entry(idx: int, counts: int, block: int, prev: int, nxt: int,
@@ -221,6 +222,14 @@ class FACT:
     def _read_u64(self, idx: int, off: int) -> int:
         return self.dev.read_u64(self.addr(idx) + off)
 
+    def _counts(self, idx: int, seen: Optional[FactEntry]) -> int:
+        """Entry ``idx``'s counts word: from ``seen``, the entry the
+        calling operation has just read and not flushed since (the line
+        is still in the CPU cache), else one NVM read."""
+        if seen is None:
+            return self._read_u64(idx, _OFF_COUNTS)
+        return seen.update_count * _UC_UNIT + seen.refcount
+
     # ------------------------------------------------------------ prefix / chains
 
     def head_of(self, fp: bytes) -> int:
@@ -266,6 +275,7 @@ class FACT:
         steps = 0
         tail = head_idx
         head_empty = False
+        head_next = -1
         found = None
         # :meth:`chain`'s walk over undecoded tuples: only a hit is worth
         # a FactEntry.
@@ -278,10 +288,10 @@ class FACT:
             _counts, block, _prev, nxt, _delete, entry_fp = fields
             steps += 1
             tail = idx
-            if block == 0:
-                if idx == head_idx:
-                    head_empty = True
-            elif entry_fp == fp:
+            if steps == 1:
+                head_next = nxt - 1
+                head_empty = block == 0
+            if block and entry_fp == fp:
                 if steps == 1:
                     self._c_daa_hits.inc()
                 else:
@@ -293,7 +303,7 @@ class FACT:
         self._c_lookup_steps.inc(steps)
         self._h_steps.observe(steps)
         return LookupResult(found=found, tail_idx=tail, steps=steps,
-                            head_empty=head_empty)
+                            head_empty=head_empty, head_next=head_next)
 
     def insert(self, fp: bytes, block: int,
                hint: Optional[LookupResult] = None) -> int:
@@ -318,12 +328,12 @@ class FACT:
         if hint.found is not None:
             raise ValueError("insert of a fingerprint already present")
         self._c_inserts.inc()
-        if hint.head_empty or hint.steps == 0:
+        if hint.head_empty:
             # The DAA slot is free: write it in place, preserving any
-            # existing chain continuation in its next link.
-            cur_next = self._read_u64(head_idx, _OFF_NEXT)
+            # existing chain continuation in its next link (read by the
+            # lookup, the line is still cached).
             self._write_fields(head_idx, _UC_UNIT, block, -1,
-                               cur_next - 1, fp)
+                               hint.head_next, fp)
             self.set_delete(block, head_idx)
             return head_idx
         if not self._iaa_free:
@@ -346,19 +356,20 @@ class FACT:
 
     # ------------------------------------------------------------ counts (UC/RFC)
 
-    def inc_uc(self, idx: int) -> None:
-        """Begin a dedup transaction against this entry (Alg. 1 step 3)."""
-        counts = self._read_u64(idx, _OFF_COUNTS)
+    def inc_uc(self, idx: int, seen: Optional[FactEntry] = None) -> None:
+        """Begin a dedup transaction against this entry (Alg. 1 step 3);
+        ``seen`` as in :meth:`_counts`."""
+        counts = self._counts(idx, seen)
         self._write_u64(idx, _OFF_COUNTS, counts + _UC_UNIT)
 
-    def commit_uc(self, idx: int) -> bool:
+    def commit_uc(self, idx: int, seen: Optional[FactEntry] = None) -> bool:
         """UC -= 1, RFC += 1 in one atomic store (Alg. 1 step 6).
 
         Returns False (no-op) when UC is already 0 — the recovery path
         re-runs commits and counts are fungible across transactions, so
         skipping on zero is exactly the paper's idempotence argument.
         """
-        counts = self._read_u64(idx, _OFF_COUNTS)
+        counts = self._counts(idx, seen)
         if counts >> 32 == 0:
             return False
         self._write_u64(idx, _OFF_COUNTS, counts + 1 - _UC_UNIT)
@@ -370,18 +381,14 @@ class FACT:
         if counts >> 32:
             self._write_u64(idx, _OFF_COUNTS, counts & _RFC_MASK)
 
-    def dec_rfc(self, idx: int) -> int:
+    def dec_rfc(self, idx: int, seen: Optional[FactEntry] = None) -> int:
         """RFC -= 1 (reclaim path); returns the new RFC."""
-        counts = self._read_u64(idx, _OFF_COUNTS)
+        counts = self._counts(idx, seen)
         rfc = counts & _RFC_MASK
         if rfc == 0:
             raise FactCorruption(f"FACT[{idx}]: RFC underflow")
         self._write_u64(idx, _OFF_COUNTS, counts - 1)
         return rfc - 1
-
-    def staged_uc(self, idx: int) -> int:
-        """Uncommitted count: dedup transactions in flight on this entry."""
-        return self._read_u64(idx, _OFF_COUNTS) >> 32
 
     def raise_rfc(self, idx: int, rfc: int) -> None:
         """Undercount repair (recovery; every UC is discarded by then)."""
@@ -444,11 +451,14 @@ class FACT:
         self._write_u64(block, _OFF_DELETE, 0)
 
     def entry_for_block(self, block: int) -> Optional[FactEntry]:
-        """The §IV-C reclaim path: exactly two NVM reads.
+        """The §IV-C reclaim path: two NVM reads (one when the pointer
+        is empty).
 
         Step 1: read slot ``block``'s delete pointer; step 2: read the
         entry it names.  Returns None when the block has no dedup entry
-        (it was never fingerprinted, or its entry was removed).
+        (it was never fingerprinted, or its entry was removed).  The
+        caller's count update takes the counts from the returned entry
+        (``seen``), not from a third read.
         """
         val = self._read_u64(block, _OFF_DELETE)  # read 1
         if val == 0:
@@ -512,8 +522,7 @@ class FACT:
         self._c_removes.inc()
         if idx < self.daa_size:
             self.clear_delete(ent.block)
-            cur_next = self._read_u64(idx, _OFF_NEXT)
-            self._write_fields(idx, 0, 0, -1, cur_next - 1, bytes(FP_BYTES))
+            self._write_fields(idx, 0, 0, -1, ent.next, bytes(FP_BYTES))
             return
         # IAA: unlink, then scrub.
         self._write_u64(ent.prev, _OFF_NEXT, ent.next + 1)  # publish removal
@@ -799,9 +808,10 @@ class FactTxn:
         self.fact = fact
         self._units: list[tuple[int, bool]] = []  # (idx, claimed), in order
 
-    def share(self, idx: int) -> None:
-        """Stage one more reference to an existing entry (``UC += 1``)."""
-        self.fact.inc_uc(idx)
+    def share(self, idx: int, seen: Optional[FactEntry] = None) -> None:
+        """Stage one more reference to an existing entry (``UC += 1``);
+        ``seen`` is the entry the caller has just looked up, if it has."""
+        self.fact.inc_uc(idx, seen)
         self._units.append((idx, False))
 
     def claim(self, fp: bytes, block: int,

@@ -57,16 +57,19 @@ class InlineDedupFS(DeNovaFS):
 
     def _classify(self, content: bytes, placed: _Placed):
         """``(canonical block | None, key for _register_unique)``; a
-        duplicate's count is staged here."""
+        duplicate's count is staged here, from the entry just looked up."""
         fp = self.fingerprinter.strong(content)
         res = self.fact.lookup(fp)
         if res.found is None:
-            return None, fp
-        placed.txn.share(res.found.idx)
-        return res.found.block, fp
+            return None, (fp, res)
+        placed.txn.share(res.found.idx, res.found)
+        return res.found.block, None
 
-    def _register_unique(self, fp, block: int, placed: _Placed) -> None:
-        placed.txn.claim(fp, block)  # table full: stored un-deduplicated
+    def _register_unique(self, key, block: int, placed: _Placed) -> None:
+        """Claim with the miss's lookup as the hint (nothing in between
+        touched the FACT); table full: stored un-deduplicated."""
+        fp, res = key
+        placed.txn.claim(fp, block, hint=res)
 
     # -- the two pipeline stages ---------------------------------------------
 

@@ -160,7 +160,7 @@ def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:
     for page in entry.pages():
         ent = fs.fact.entry_for_block(page)
         if ent is not None:
-            fs.fact.commit_uc(ent.idx)
+            fs.fact.commit_uc(ent.idx, ent)
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
 
 

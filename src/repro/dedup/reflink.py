@@ -91,7 +91,7 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
                     # The source page itself duplicates an existing
                     # canonical page; share *that* one (and this page will
                     # be reclaimed when the source's own dedup runs).
-                    txn.share(res.found.idx)
+                    txn.share(res.found.idx, res.found)
                     block = res.found.block
                 else:
                     idx = txn.claim(fp, block, hint=res)
@@ -105,7 +105,7 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
                     # nothing).
                     txn.share(idx)
             else:
-                txn.share(ent.idx)
+                txn.share(ent.idx, ent)
             extend_runs(runs, pgoff, block)
 
         # Unpublished destination inode (orphan until the dentry lands).

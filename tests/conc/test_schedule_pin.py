@@ -92,25 +92,25 @@ CONFIGS = {f.__name__: f for f in (small_delayed, large_inline,
 #: (configuration, seed) -> sha256 of the schedule's observable record.
 PINNED = {
     ("small_delayed", 42):
-        "519fcd7d60328747c7a35594b35da6ba8a940c2671ae2d585e0e9d2b766a1a0e",
+        "e614420e06be0b7a3f6924d72669f06f6bf7a1122ba66652dc1afc711d25c376",
     ("small_delayed", 1337):
-        "61e77400787c889f408a48e79c344373cc2aab5f269ffc3e31527bd65209074e",
+        "5164cdef802c42733de992a4a29694ec7158312b1d309259c6f71fc3067e466e",
     ("large_inline", 42):
-        "ef92b74e8426abc796a98955709a75946c7142d19eab462c28a8782565266cd9",
+        "8e0c6b0f63e2448bca6ccd1a5a3a52d9f614a52c28db6f583ec1ca783877877f",
     ("large_inline", 1337):
-        "c0e654dcff5e19a801dbf239da2d0c29e986655cfefdddaf94ea63076099cbb0",
+        "8a952927c034e5dbe56bfa06fd961fec801c6d0db2130fe21bea2ab38e14f4ba",
     ("readwrite_immediate", 42):
-        "94a785e35906a16f5b4caa2a7c17cf89a0036588d3820f4557f648fbad37d8a6",
+        "b5fbcb37e70e79acc69a096f80ab489dd9d8d17269152e71e7c5e81a96442fb8",
     ("readwrite_immediate", 1337):
-        "03200a4012d4b71313d7b4bd457d02c4f2f98abfc90e9b6b59797b5ff1fb2b3f",
+        "50dc3ea90fd6d2a9f8b5728dc74e8e0cdfefc9d1c656cb82fae75b2b523b5de9",
     ("tenant_fleet", 42):
-        "e2f9cfb5fbaa3f6934b68fa39e82a3e41a6287d763cac385a0af7d5a673baf32",
+        "7be294df5df1f2aec3513955041ea578f901bf8ff8c1d4f77e0ef0af64fee9f3",
     ("tenant_fleet", 1337):
-        "ac3532a70ab76be406e29403270c9bee55fe7798352173ee59be7b1f6c943b9e",
+        "43effafa7741b5da3458383986b3e7089360fee2284c083fc44ade1765adc985",
     ("jittered", 42):
-        "d0af93885affec970bbbda1fe4b699ea4a6cae4da80a6118969aedd374227bd3",
+        "79a596a47075b5e04ec995c88dcca1fdb2cd39659576473dcfb0e614d01d7688",
     ("jittered", 1337):
-        "e6cf52fa6c84f8326c57ff3454abc87616b6d92ee362ac868bbe9d8302b3f804",
+        "11e18277aed01d4fdd61964206de65b4a7d8bfe876d7cccdde0016327cef5b33",
 }
 
 

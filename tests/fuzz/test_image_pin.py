@@ -34,61 +34,61 @@ from tests._seams import overriding
 #: point.
 PINNED = {
     6: [(1, 'pre', 'discard', '5d99eccc46747197'),
-        (35, 'pre', 'discard', '076fd5e6b454fcc1'),
-        (69, 'pre', 'discard', '06fceb0e22c28080'),
-        (103, 'pre', 'discard', 'a9762c29c9d2de6c'),
-        (137, 'pre', 'discard', 'd6a69cad348d48a1'),
-        (171, 'pre', 'discard', '921bc6606a32a4da'),
-        (205, 'pre', 'discard', '26dcf69069ede746'),
+        (35, 'pre', 'discard', '6f538092bd24b2df'),
+        (69, 'pre', 'discard', '7c251931ff296270'),
+        (103, 'pre', 'discard', 'ca7cabf49320ec83'),
+        (137, 'pre', 'discard', '4463ddf83a13ea1e'),
+        (171, 'pre', 'discard', '4f51e4d6c14ce776'),
+        (205, 'pre', 'discard', '6b7a00b0d84dfb37'),
         (1, 'post', 'discard', '5d99eccc46747197'),
-        (35, 'post', 'discard', '518e7d7e9c063cde'),
-        (69, 'post', 'discard', '57950fc14c7ccdaf'),
-        (103, 'post', 'discard', '69b96ba3022849bf'),
-        (137, 'post', 'discard', '944fe9e4a14c3659'),
-        (171, 'post', 'discard', '3def862e92f2bd55'),
-        (205, 'post', 'discard', '26dcf69069ede746'),
+        (35, 'post', 'discard', '649f333a2a1d0b9b'),
+        (69, 'post', 'discard', '0768d41061c6a37b'),
+        (103, 'post', 'discard', '009b3af4331fdc54'),
+        (137, 'post', 'discard', '41d6100b0645cf07'),
+        (171, 'post', 'discard', '7415b072002c3973'),
+        (205, 'post', 'discard', '6b7a00b0d84dfb37'),
         (1, 'pre', 'torn', '5d99eccc46747197'),
-        (35, 'pre', 'torn', '076fd5e6b454fcc1'),
-        (69, 'pre', 'torn', '57950fc14c7ccdaf'),
-        (103, 'pre', 'torn', 'a9762c29c9d2de6c'),
-        (137, 'pre', 'torn', '3b3d5345b644e246'),
-        (171, 'pre', 'torn', '3def862e92f2bd55'),
-        (205, 'pre', 'torn', '26dcf69069ede746'),
+        (35, 'pre', 'torn', '6f538092bd24b2df'),
+        (69, 'pre', 'torn', '0768d41061c6a37b'),
+        (103, 'pre', 'torn', 'ca7cabf49320ec83'),
+        (137, 'pre', 'torn', '7ad99833852f8d8f'),
+        (171, 'pre', 'torn', '7415b072002c3973'),
+        (205, 'pre', 'torn', '6b7a00b0d84dfb37'),
         (1, 'post', 'torn', '5d99eccc46747197'),
-        (35, 'post', 'torn', '518e7d7e9c063cde'),
-        (69, 'post', 'torn', '57950fc14c7ccdaf'),
-        (103, 'post', 'torn', '69b96ba3022849bf'),
-        (137, 'post', 'torn', '944fe9e4a14c3659'),
-        (171, 'post', 'torn', '3def862e92f2bd55'),
-        (205, 'post', 'torn', '26dcf69069ede746')],
+        (35, 'post', 'torn', '649f333a2a1d0b9b'),
+        (69, 'post', 'torn', '0768d41061c6a37b'),
+        (103, 'post', 'torn', '009b3af4331fdc54'),
+        (137, 'post', 'torn', '41d6100b0645cf07'),
+        (171, 'post', 'torn', '7415b072002c3973'),
+        (205, 'post', 'torn', '6b7a00b0d84dfb37')],
     9: [(1, 'pre', 'discard', '5d99eccc46747197'),
         (27, 'pre', 'discard', 'daa451ffea816784'),
         (53, 'pre', 'discard', '21f8ab2eb9e07eb7'),
-        (79, 'pre', 'discard', 'de698e39e1706539'),
-        (105, 'pre', 'discard', '3e6fc96543960ca2'),
-        (131, 'pre', 'discard', 'f22b4ef026c8924a'),
-        (157, 'pre', 'discard', 'b100928e89fdc6d2'),
+        (79, 'pre', 'discard', 'f49def15777c0794'),
+        (105, 'pre', 'discard', '1005f2b760210a28'),
+        (131, 'pre', 'discard', 'd8ce114d88e068ec'),
+        (157, 'pre', 'discard', '6309eae8f5fad0e3'),
         (1, 'post', 'discard', '2bba57c1461e193d'),
         (27, 'post', 'discard', 'e6ebb2f666582e2d'),
         (53, 'post', 'discard', '9fc697dc9511deea'),
-        (79, 'post', 'discard', '6d2d1441a4b2bee9'),
-        (105, 'post', 'discard', 'bcfd5c84cb305b36'),
-        (131, 'post', 'discard', '959de93af3225047'),
-        (157, 'post', 'discard', '7b5ae8ed2b6b1540'),
+        (79, 'post', 'discard', '33151f3161f9f050'),
+        (105, 'post', 'discard', 'dc1856a750d6eb42'),
+        (131, 'post', 'discard', 'cbc5ed225f0d258a'),
+        (157, 'post', 'discard', '434d0404bff2db65'),
         (1, 'pre', 'torn', '14bd44db41cd0a20'),
         (27, 'pre', 'torn', 'cd642e34c19e2e22'),
         (53, 'pre', 'torn', '21f8ab2eb9e07eb7'),
-        (79, 'pre', 'torn', '2a717dacf182f8f7'),
-        (105, 'pre', 'torn', '3e6fc96543960ca2'),
-        (131, 'pre', 'torn', '959de93af3225047'),
-        (157, 'pre', 'torn', 'b94451bba4a700bc'),
+        (79, 'pre', 'torn', '498ef25c171735af'),
+        (105, 'pre', 'torn', '1005f2b760210a28'),
+        (131, 'pre', 'torn', 'cbc5ed225f0d258a'),
+        (157, 'pre', 'torn', 'bee4f5090ec97121'),
         (1, 'post', 'torn', '2bba57c1461e193d'),
         (27, 'post', 'torn', 'e6ebb2f666582e2d'),
         (53, 'post', 'torn', '9fc697dc9511deea'),
-        (79, 'post', 'torn', '6d2d1441a4b2bee9'),
-        (105, 'post', 'torn', 'bcfd5c84cb305b36'),
-        (131, 'post', 'torn', '959de93af3225047'),
-        (157, 'post', 'torn', '7b5ae8ed2b6b1540')],
+        (79, 'post', 'torn', '33151f3161f9f050'),
+        (105, 'post', 'torn', 'dc1856a750d6eb42'),
+        (131, 'post', 'torn', 'cbc5ed225f0d258a'),
+        (157, 'post', 'torn', '434d0404bff2db65')],
 }
 
 
