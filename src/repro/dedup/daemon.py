@@ -4,7 +4,8 @@ The DD dequeues DWQ nodes and deduplicates the data pages of each
 referenced write entry:
 
 1.  dequeue the *target entry* (dedupe-flag ``dedupe_needed``);
-2.  fingerprint each still-live data page and look it up in FACT;
+2.  fingerprint each still-live data page and look it up in FACT (the
+    live pages are read one device request per contiguous run);
 3.  duplicates: ``UC += 1`` on the canonical entry; uniques: insert a new
     FACT entry with ``UC = 1`` (both on the node's ``FactTxn``);
 4.  append a new single-page write entry (flag ``in_process``) pointing
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dedup.dwq import DWQNode
+from repro.dedup.dwq import HINT_REGISTERED, DWQNode
 from repro.dedup.fact import FactTxn, LookupResult
 from repro.dedup.reorder import reorder_chain
 from repro.nova.entries import (
@@ -50,6 +51,7 @@ from repro.nova.entries import (
 )
 from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.radix import extend_runs
 
 __all__ = ["DedupDaemon", "NodeTask", "append_redirects"]
 
@@ -93,6 +95,7 @@ class NodeTask:
     dups: list = field(default_factory=list)   # (pgoff, canonical block)
     reorder_heads: set = field(default_factory=set)
     weak_of: dict = field(default_factory=dict)  # hybrid: pgoff -> weak fp
+    live: Optional[dict] = None  # pgoff -> its 4 KB (None: not read)
 
     @property
     def page_offsets(self) -> range:
@@ -207,24 +210,46 @@ class DedupDaemon:
 
     def fingerprint_page(self, task: NodeTask,
                          pgoff: int) -> Optional[tuple[int, bytes]]:
-        """Step 2 for one page: staleness check + chunking read + hash.
+        """Step 2 for one page: staleness check + hash (the node's first
+        call makes every page's check and the chunking read).
 
         Returns ``(page, fingerprint)`` or ``None`` for a page the
         foreground already overwrote.  Touches no shared FACT state, so
         parallel workers may run it without holding a bucket lock.
         """
+        if task.live is None:
+            self._read_live(task)
         self._c_scanned.inc()
-        hit = task.cache.index.lookup(pgoff)
-        if hit is None or hit[0] != task.node.entry_addr:
+        if pgoff not in task.live:
             self._c_pages_stale.inc()
             return None
         return self._hash_page(task, pgoff, task.entry.block_for(pgoff))
 
+    def _read_live(self, task: NodeTask) -> None:
+        """One radix lookup per page finds the pages still mapped to the
+        target; they are read one request per run (a stale or registered
+        page ends a run, unread).  The inode is held across the node."""
+        addr = task.node.entry_addr
+        hints = task.node.weak_hints or {}
+        live = task.live = {}
+        runs: list[list[int]] = []
+        for pgoff in task.page_offsets:
+            hit = task.cache.index.lookup(pgoff)
+            if hit is None or hit[0] != addr:
+                continue
+            live[pgoff] = None
+            if hints.get(pgoff) != HINT_REGISTERED:
+                extend_runs(runs, pgoff, task.entry.block_for(pgoff))
+        for first, block, count in runs:
+            data = memoryview(self.fs.dev.read(block * PAGE_SIZE,
+                                               count * PAGE_SIZE))
+            for i in range(count):
+                live[first + i] = data[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
+
     def _hash_page(self, task: NodeTask, pgoff: int,
                    page: int) -> Optional[tuple[int, bytes]]:
         """The hash step of a live page; None = nothing to stage."""
-        data = self.fs.dev.read(page * PAGE_SIZE, PAGE_SIZE)  # chunking read
-        return page, self.fs.fingerprinter.strong(data)
+        return page, self.fs.fingerprinter.strong(task.live[pgoff])
 
     def stage_page(self, task: NodeTask, pgoff: int, page: int,
                    fp: bytes) -> None:

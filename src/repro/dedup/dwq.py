@@ -31,7 +31,7 @@ from repro.pm.clock import SimClock
 from repro.pm.device import PMDevice
 from repro.pm.latency import CpuModel
 
-__all__ = ["DWQ", "DWQNode"]
+__all__ = ["DWQ", "DWQNode", "HINT_REGISTERED"]
 
 #: Residency buckets: 100 ns .. 100 s of simulated time, wide enough for
 #: immediate-mode drains and the paper's delayed(750 ms, m) backlog tail.
@@ -39,6 +39,9 @@ RESIDENCY_BUCKETS_NS = (
     1e2, 1e3, 1e4, 1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 2.5e8, 5e8, 7.5e8,
     1e9, 1.5e9, 2e9, 3e9, 5e9, 1e10, 3e10, 1e11,
 )
+
+#: A ``weak_hints`` value: the write path already registered the page.
+HINT_REGISTERED = -1
 
 _NODE_FMT = "<QQ"  # ino, write-entry addr
 _NODE_BYTES = struct.calcsize(_NODE_FMT)
@@ -64,7 +67,8 @@ class DWQNode:
     never charged, so the accounting stays symmetric.
 
     ``weak_hints`` (hybrid inline mode) maps each page offset to the
-    weak fingerprint the write path computed, or to "registered unique".
+    weak fingerprint the write path computed, or to "registered unique"
+    (:data:`HINT_REGISTERED`: the daemon neither reads nor hashes it).
     DRAM-only too: a restored node carries None and re-runs the weak path.
     """
 

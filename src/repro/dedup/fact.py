@@ -495,13 +495,14 @@ class FACT:
             self.dev.read_silent(self.addr(block) + _OFF_WEAK, 4), "little")
 
     def weak_column(self) -> dict[int, int]:
-        """All registered (block -> weak) pairs, one silent bulk scan.
+        """All registered (block -> weak) pairs, one charged bulk scan
+        (:meth:`_scan`: free inside :meth:`in_dram`).
 
         Mount-time rebuild of the DRAM weak index: the caller intersects
         this with the radix-derived set of *live* data blocks, which is
         what makes stale registrations (freed blocks) harmless.
         """
-        weak = self._peek()["weak"]
+        weak = self._scan("weak")["weak"]
         return {int(b): int(weak[b]) for b in np.nonzero(weak)[0]}
 
     # ------------------------------------------------------------ removal

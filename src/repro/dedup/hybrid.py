@@ -50,7 +50,7 @@ from typing import Optional
 
 from repro.dedup.daemon import DedupDaemon, NodeTask
 from repro.dedup.denova import DeNovaFS
-from repro.dedup.dwq import DWQNode
+from repro.dedup.dwq import HINT_REGISTERED, DWQNode
 from repro.dedup.fact import LookupResult
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
@@ -73,9 +73,6 @@ MODE_INLINE = 1
 MODE_OFF = 2
 MODE_NAMES = {MODE_DELAYED: "delayed", MODE_INLINE: "inline",
               MODE_OFF: "off"}
-
-#: Per-page hint value marking "already weak-registered inline".
-_HINT_REGISTERED = -1
 
 _CONF_MARKER = 1          # bit 0 of the superblock conf word
 _CONF_SHARD_SHIFT = 8     # bits 8..15: policy shard count
@@ -264,11 +261,12 @@ class HybridDedupDaemon(DedupDaemon):
         fs = self.fs
         hints = task.node.weak_hints
         hint = None if hints is None else hints.get(pgoff)
-        if hint == _HINT_REGISTERED:
+        if hint == HINT_REGISTERED:
             # The inline pass already weak-registered this page as
-            # unique; nothing to stage (lazy — no FACT entry yet).
+            # unique; nothing to stage (lazy — no FACT entry yet), and
+            # the chunking read skipped it.
             return None
-        data = fs.dev.read(page * PAGE_SIZE, PAGE_SIZE)  # chunking read
+        data = task.live[pgoff]
         weak = hint if hint else (fs.fingerprinter.weak(data) or 1)
         if not fs._weak_candidates(weak, exclude=page):
             fs._register_weak(page, weak)
@@ -452,7 +450,7 @@ class HybridDeNovaFS(DeNovaFS):
                 self._c_weak_hits.inc()
             else:
                 self._register_weak(block, weak)
-                hints[pgoff] = _HINT_REGISTERED
+                hints[pgoff] = HINT_REGISTERED
                 self._c_weak_misses.inc()
         if hit_pages:
             # Possible duplicates: defer the strong confirmation.  The

@@ -16,10 +16,12 @@ The move protocol (per file of the newest snapshot)
 2. journal every intended move to ``/.repl/relocate.intent``
    (``[{old, new, idx}]`` — ``idx`` is the page's FACT entry, or None
    for an unfingerprinted page);
-3. per page: copy ``old → new``, then append a redirecting write entry
-   (the dedup daemon's Algorithm-1 idiom: ``in_process`` → tail commit
-   → ``complete`` → radix repoint) to *every* file referencing ``old``
-   — across all snapshots and the live tree;
+3. copy ``old → new``, one read and one nt write per run of moves whose
+   old and new pages are both consecutive; then per page, append a
+   redirecting write entry (the dedup daemon's Algorithm-1 idiom:
+   ``in_process`` → tail commit → ``complete`` → radix repoint) to
+   *every* file referencing ``old`` — across all snapshots and the live
+   tree;
 4. retarget the FACT entry's block field ``old → new`` (one atomic
    store; RFC is untouched — the same references still exist, they just
    point at the new home);
@@ -59,6 +61,7 @@ from repro.nova.entries import DEDUPE_COMPLETE
 from repro.nova.fs import ino_cpu
 from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
+from repro.nova.radix import extend_runs
 from repro.pm.allocator import AllocError
 
 __all__ = ["INTENT_PATH", "relocate_latest", "replay_intents",
@@ -157,10 +160,14 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
     persist.write_state(fs, INTENT_PATH, moves, mkparent=True)
 
     refs = _block_refs(fs, {m["old"] for m in moves})
+    runs: list[list[int]] = []      # [old, new, count]: one copy each
+    for m in moves:
+        extend_runs(runs, m["old"], m["new"])
+    for old, new, count in runs:
+        fs.dev.write(new * PAGE_SIZE,
+                     fs.dev.read(old * PAGE_SIZE, count * PAGE_SIZE), nt=True)
     for m in moves:
         old, new = m["old"], m["new"]
-        data = fs.dev.read(old * PAGE_SIZE, PAGE_SIZE)
-        fs.dev.write(new * PAGE_SIZE, data, nt=True)
         for ref_ino, ref_pgoff in refs[old]:
             _redirect_ref(fs, ref_ino, ref_pgoff, new)
         if m["idx"] is not None:

@@ -100,13 +100,13 @@ PINNED = {
     ("large_inline", 1337):
         "8a952927c034e5dbe56bfa06fd961fec801c6d0db2130fe21bea2ab38e14f4ba",
     ("readwrite_immediate", 42):
-        "b5fbcb37e70e79acc69a096f80ab489dd9d8d17269152e71e7c5e81a96442fb8",
+        "c81502ed677da026a62ea5851c2e2a459d2a4b3783fcfa7e441a0c54d87ad9b9",
     ("readwrite_immediate", 1337):
-        "50dc3ea90fd6d2a9f8b5728dc74e8e0cdfefc9d1c656cb82fae75b2b523b5de9",
+        "e51cdb7f311b03a4dd75b2693a0134d7dbd43c3f3862c7acc2f5f78d1c52070f",
     ("tenant_fleet", 42):
-        "7be294df5df1f2aec3513955041ea578f901bf8ff8c1d4f77e0ef0af64fee9f3",
+        "417a61dfd0ee65414efd044304323b28c51893aa0a0e4d54e2ab3fd6117a3d70",
     ("tenant_fleet", 1337):
-        "43effafa7741b5da3458383986b3e7089360fee2284c083fc44ade1765adc985",
+        "cf14e9f563e5483a9f53b2bee4b2e34db9610a99474db4d2048069c7d48757ab",
     ("jittered", 42):
         "79a596a47075b5e04ec995c88dcca1fdb2cd39659576473dcfb0e614d01d7688",
     ("jittered", 1337):

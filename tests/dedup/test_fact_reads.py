@@ -18,6 +18,7 @@ import pytest
 from repro.dedup import DeNovaFS, InlineDedupFS
 from repro.dedup.daemon import DedupDaemon
 from repro.dedup.fact import FACT
+from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
@@ -209,3 +210,33 @@ class TestInlineClaimHint:
         assert fs.read(fs.lookup("/b"), 0, PAGE_SIZE) == linked
         assert fs.read(fs.lookup("/c"), 0, PAGE_SIZE) == fresh
         assert fs.fact.lookup(hashlib.sha1(linked).digest()).steps == 2
+
+
+class TestWeakColumnRead:
+    """A hybrid mount rebuilds its weak index from one charged bulk read
+    of the FACT region, as every whole-table scan outside recovery's
+    :meth:`FACT.in_dram` does."""
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_the_rebuild_reads_the_table_once(self, monkeypatch, clean):
+        fs = make_fs(HybridDeNovaFS)
+        write_file(fs, "/a", colliding(fs, 1)[0])
+        if clean:
+            fs.unmount()
+        else:
+            fs.dev.crash()
+            fs.dev.recover_view()
+        stats, seen = fs.dev.stats, []
+        real = FACT.weak_column
+
+        def weak_column(self):
+            reads, nbytes = stats.reads, stats.bytes_read
+            out = real(self)
+            seen.append((stats.reads - reads, stats.bytes_read - nbytes))
+            return out
+
+        monkeypatch.setattr(FACT, "weak_column", weak_column)
+        fs2 = HybridDeNovaFS.mount(fs.dev)
+        assert seen == [(1, fs2.fact.total * 64)]
+        assert fs2._weak_by_block       # the column was decoded
+        check_fs_invariants(fs2)

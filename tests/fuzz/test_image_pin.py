@@ -15,10 +15,12 @@ time changes what every later operation stamps.  Such a move is shown
 clock-only first (a copy of the change that charges the removed time back
 must reproduce the old table bit for bit), then the table is printed anew
 by ``PYTHONPATH=src python tests/fuzz/regen_image_pins.py``.  It was
-regenerated that way three times: when an unclean mount came to read
-FACT once instead of six times, when it came to read each log once, and
-when a contiguous run of bytes (a log page's committed slots, a file's
-physical run in ``fs.read``) came to be one device request.
+regenerated that way when an unclean mount came to read FACT once
+instead of six times, when it came to read each log once, when a
+contiguous run of bytes (a log page's committed slots, a file's physical
+run in ``fs.read``) came to be one device request, when a FACT count
+update came to reuse the line its operation had just read, and when the
+dedup daemon came to read a node's live pages one run per request.
 """
 
 import hashlib
@@ -34,61 +36,61 @@ from tests._seams import overriding
 #: point.
 PINNED = {
     6: [(1, 'pre', 'discard', '5d99eccc46747197'),
-        (35, 'pre', 'discard', '6f538092bd24b2df'),
-        (69, 'pre', 'discard', '7c251931ff296270'),
-        (103, 'pre', 'discard', 'ca7cabf49320ec83'),
-        (137, 'pre', 'discard', '4463ddf83a13ea1e'),
-        (171, 'pre', 'discard', '4f51e4d6c14ce776'),
-        (205, 'pre', 'discard', '6b7a00b0d84dfb37'),
+        (35, 'pre', 'discard', '317ebcbd6df0bc99'),
+        (69, 'pre', 'discard', '107dbc38acd708c9'),
+        (103, 'pre', 'discard', '99833ac2801cede3'),
+        (137, 'pre', 'discard', '29272f9714df0b0a'),
+        (171, 'pre', 'discard', '0783964ab9ade0ce'),
+        (205, 'pre', 'discard', 'c8048d8bee37c931'),
         (1, 'post', 'discard', '5d99eccc46747197'),
-        (35, 'post', 'discard', '649f333a2a1d0b9b'),
-        (69, 'post', 'discard', '0768d41061c6a37b'),
-        (103, 'post', 'discard', '009b3af4331fdc54'),
-        (137, 'post', 'discard', '41d6100b0645cf07'),
-        (171, 'post', 'discard', '7415b072002c3973'),
-        (205, 'post', 'discard', '6b7a00b0d84dfb37'),
+        (35, 'post', 'discard', '814d51fbc56d52d8'),
+        (69, 'post', 'discard', '09e05ecb30d3b0ff'),
+        (103, 'post', 'discard', 'e292412fb26b116c'),
+        (137, 'post', 'discard', '407d8f42a4e767c4'),
+        (171, 'post', 'discard', 'b80828e7282ba3f0'),
+        (205, 'post', 'discard', 'c8048d8bee37c931'),
         (1, 'pre', 'torn', '5d99eccc46747197'),
-        (35, 'pre', 'torn', '6f538092bd24b2df'),
-        (69, 'pre', 'torn', '0768d41061c6a37b'),
-        (103, 'pre', 'torn', 'ca7cabf49320ec83'),
-        (137, 'pre', 'torn', '7ad99833852f8d8f'),
-        (171, 'pre', 'torn', '7415b072002c3973'),
-        (205, 'pre', 'torn', '6b7a00b0d84dfb37'),
+        (35, 'pre', 'torn', '317ebcbd6df0bc99'),
+        (69, 'pre', 'torn', '09e05ecb30d3b0ff'),
+        (103, 'pre', 'torn', '99833ac2801cede3'),
+        (137, 'pre', 'torn', 'b618030f82ddcfea'),
+        (171, 'pre', 'torn', 'b80828e7282ba3f0'),
+        (205, 'pre', 'torn', 'c8048d8bee37c931'),
         (1, 'post', 'torn', '5d99eccc46747197'),
-        (35, 'post', 'torn', '649f333a2a1d0b9b'),
-        (69, 'post', 'torn', '0768d41061c6a37b'),
-        (103, 'post', 'torn', '009b3af4331fdc54'),
-        (137, 'post', 'torn', '41d6100b0645cf07'),
-        (171, 'post', 'torn', '7415b072002c3973'),
-        (205, 'post', 'torn', '6b7a00b0d84dfb37')],
+        (35, 'post', 'torn', '814d51fbc56d52d8'),
+        (69, 'post', 'torn', '09e05ecb30d3b0ff'),
+        (103, 'post', 'torn', 'e292412fb26b116c'),
+        (137, 'post', 'torn', '407d8f42a4e767c4'),
+        (171, 'post', 'torn', 'b80828e7282ba3f0'),
+        (205, 'post', 'torn', 'c8048d8bee37c931')],
     9: [(1, 'pre', 'discard', '5d99eccc46747197'),
         (27, 'pre', 'discard', 'daa451ffea816784'),
         (53, 'pre', 'discard', '21f8ab2eb9e07eb7'),
         (79, 'pre', 'discard', 'f49def15777c0794'),
         (105, 'pre', 'discard', '1005f2b760210a28'),
-        (131, 'pre', 'discard', 'd8ce114d88e068ec'),
-        (157, 'pre', 'discard', '6309eae8f5fad0e3'),
+        (131, 'pre', 'discard', 'ba585da60247efc8'),
+        (157, 'pre', 'discard', 'ccfe92be0ac30c22'),
         (1, 'post', 'discard', '2bba57c1461e193d'),
         (27, 'post', 'discard', 'e6ebb2f666582e2d'),
         (53, 'post', 'discard', '9fc697dc9511deea'),
         (79, 'post', 'discard', '33151f3161f9f050'),
         (105, 'post', 'discard', 'dc1856a750d6eb42'),
-        (131, 'post', 'discard', 'cbc5ed225f0d258a'),
-        (157, 'post', 'discard', '434d0404bff2db65'),
+        (131, 'post', 'discard', '5308f29ffff41df4'),
+        (157, 'post', 'discard', 'ec1af91cf1cc1a27'),
         (1, 'pre', 'torn', '14bd44db41cd0a20'),
         (27, 'pre', 'torn', 'cd642e34c19e2e22'),
         (53, 'pre', 'torn', '21f8ab2eb9e07eb7'),
         (79, 'pre', 'torn', '498ef25c171735af'),
         (105, 'pre', 'torn', '1005f2b760210a28'),
-        (131, 'pre', 'torn', 'cbc5ed225f0d258a'),
-        (157, 'pre', 'torn', 'bee4f5090ec97121'),
+        (131, 'pre', 'torn', '5308f29ffff41df4'),
+        (157, 'pre', 'torn', '8610986879ecd952'),
         (1, 'post', 'torn', '2bba57c1461e193d'),
         (27, 'post', 'torn', 'e6ebb2f666582e2d'),
         (53, 'post', 'torn', '9fc697dc9511deea'),
         (79, 'post', 'torn', '33151f3161f9f050'),
         (105, 'post', 'torn', 'dc1856a750d6eb42'),
-        (131, 'post', 'torn', 'cbc5ed225f0d258a'),
-        (157, 'post', 'torn', '434d0404bff2db65')],
+        (131, 'post', 'torn', '5308f29ffff41df4'),
+        (157, 'post', 'torn', 'ec1af91cf1cc1a27')],
 }
 
 
