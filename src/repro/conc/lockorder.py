@@ -1,7 +1,7 @@
 """Runtime lock-order validation for the concurrency subsystem.
 
 Deadlock freedom in :class:`repro.conc.vfs.ConcurrentVFS` rests on a
-fixed lock hierarchy (namespace → inode → DWQ shard → FACT bucket).
+fixed lock hierarchy (namespace → inode → DWQ shard → FACT).
 Rather than trusting the call sites, the validator *records* the
 acquisition DAG as it happens: every time a simulated thread requests a
 lock while holding others, edges ``held → requested`` are added to a

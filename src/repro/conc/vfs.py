@@ -21,10 +21,15 @@ runtime by recording the acquisition DAG and failing fast on cycles):
    worker's whole Algorithm-1 node are exclusive (DeNova holds the inode
    lock for the full node);
 3. ``shard:<s>`` — per-shard DWQ locks (dequeue/steal side);
-4. ``bucket:<b>`` — FACT bucket locks, keyed by
-   :meth:`~repro.dedup.fact.FACT.bucket_of`: a worker's lookup/insert/
-   UC-staging for one fingerprint holds its bucket so two workers can
+4. ``fact`` — one FACT lock: a worker stages a node's hits (lookup,
+   insert, UC staging) in one operation under it, so two workers can
    never double-claim an entry.
+
+One engine operation per lock set: a worker's node is at most three
+:meth:`op` calls inside its ``ino:<n>`` hold (validate + fingerprint
+every page, stage every hit under ``fact``, commit), not one per page.
+Every call costs the host an engine dispatch and a lock-order check;
+the simulated charges are the same either way.
 
 Backpressure: with ``max_shard_depth`` set, a writer targeting a full
 DWQ shard stalls in :meth:`admit` until a worker drains it — bounded
@@ -66,7 +71,7 @@ WAIT_BUCKETS_NS = (
 #: Oversubscription cost per queued waiter on a bandwidth-slot hand-off.
 BW_QUEUE_PENALTY_NS = 120.0
 
-#: Contention penalty of the ino / shard / bucket locks.  Namespace
+#: Contention penalty of the ino / shard / fact locks.  Namespace
 #: updates (inode allocation + parent-dir dentry append) serialize
 #: harder than data writes — the ns lock carries 6× this — which is why
 #: create-dominated small-file workloads peak at fewer threads than
@@ -111,7 +116,8 @@ class ConcurrentVFS:
         self.validator = LockOrderValidator()
         # Locks beside their names: a name is built once, not per op.
         self._ino_locks: dict[int, tuple[RWLock, str]] = {}
-        self._bucket_locks: dict[int, tuple[Lock, str]] = {}
+        self._fact_lock = Lock(self.eng,
+                               contention_penalty_ns=LOCK_PENALTY_NS)
         self.live_clients = 0
         self.workers = workers
         self.worker_nodes = 0
@@ -177,13 +183,13 @@ class ConcurrentVFS:
     def now_ns(self) -> float:
         return self.now_fs / FS_PER_NS
 
-    def _lock(self, table: dict, key: int, kind: str, cls) -> tuple:
-        """``(lock, "<kind>:<key>")`` from ``table``, made on first use."""
-        entry = table.get(key)
+    def _ino_lock(self, ino: int) -> tuple:
+        """``(lock, "ino:<ino>")``, made on first use."""
+        entry = self._ino_locks.get(ino)
         if entry is None:
-            entry = table[key] = (
-                cls(self.eng, contention_penalty_ns=LOCK_PENALTY_NS),
-                f"{kind}:{key}")
+            entry = self._ino_locks[ino] = (
+                RWLock(self.eng, contention_penalty_ns=LOCK_PENALTY_NS),
+                f"ino:{ino}")
         return entry
 
     def client_latency_histogram(self, tid: int):
@@ -213,17 +219,17 @@ class ConcurrentVFS:
     def op(self, fn: Callable[[], object], holder: str, *,
            ns_mode: Optional[str] = None,
            ino: Optional[int] = None, ino_mode: str = "w",
-           shard: Optional[int] = None, bucket: Optional[int] = None,
+           shard: Optional[int] = None, fact: bool = False,
            use_bw: bool = True, extra_ns=0.0,
            record=None, tenant: Optional[int] = None):
         """Run one filesystem call as a simulated-time operation.
 
-        Locks are taken in hierarchy order (ns → ino → shard → bucket),
+        Locks are taken in hierarchy order (ns → ino → shard → fact),
         each acquisition checked against the lock-order DAG, with wait
         time observed into ``conc.lock_wait_ns``.  The modelled cost of
         ``fn`` (clock capture) elapses *while the locks are held*, which
-        is what makes bucket locking meaningful: another worker cannot
-        enter the same FACT chain during this worker's NVM latency.
+        is what makes the fact lock meaningful: another worker cannot
+        stage into FACT during this worker's NVM latency.
 
         Generator protocol: ``result, cost_ns = yield from vfs.op(...)``.
         """
@@ -243,15 +249,14 @@ class ConcurrentVFS:
                 yield from self._take(holder, "ns", self.ns_lock, ns_mode,
                                       held)
             if ino is not None:
-                lock, name = self._lock(self._ino_locks, ino, "ino", RWLock)
+                lock, name = self._ino_lock(ino)
                 yield from self._take(holder, name, lock, ino_mode, held)
             if shard is not None:
                 lock, name = self._shard_locks[shard]
                 yield from self._take(holder, name, lock, None, held)
-            if bucket is not None:
-                lock, name = self._lock(self._bucket_locks, bucket, "bucket",
-                                        Lock)
-                yield from self._take(holder, name, lock, None, held)
+            if fact:
+                yield from self._take(holder, "fact", self._fact_lock, None,
+                                      held)
             penalty = 0.0
             if use_bw:
                 if qos is not None:
@@ -647,12 +652,16 @@ class ConcurrentVFS:
                 break
 
     def _dedup_node(self, node, holder: str):
-        """Algorithm 1 as interleavable stages under the lock hierarchy.
+        """Algorithm 1 as one engine operation per lock set.
 
         The inode lock is held exclusively across the whole node (as
-        DeNova does); each page's FACT staging runs under its bucket
-        lock, so parallel workers cannot double-insert a fingerprint or
-        double-stage a UC while another's NVM latency elapses.
+        DeNova does).  Inside it the node runs as at most three
+        operations: validate plus every page's fingerprint (no further
+        lock); every hit's FACT staging, in page order, under the
+        ``fact`` lock, so parallel workers cannot double-insert a
+        fingerprint or double-stage a UC while another's NVM latency
+        elapses; the commit.  A node whose entry is stale is the first
+        operation only, and a node without a hit skips the second.
         """
         fs = self.fs
         daemon = fs.daemon
@@ -660,26 +669,31 @@ class ConcurrentVFS:
         start_ns = self.now_ns
         held: list = []
         if node.ino in fs.caches:
-            lock, name = self._lock(self._ino_locks, node.ino, "ino", RWLock)
+            lock, name = self._ino_lock(node.ino)
             yield from self._take(holder, name, lock, "w", held)
-        try:
-            task, cost = yield from self.op(
-                lambda: daemon.validate_node(node), holder, use_bw=False)
-            busy += cost
+
+        def scan():
+            task = daemon.validate_node(node)
+            hits = []
             if task is not None:
                 for pgoff in task.page_offsets:
-                    hit, cost = yield from self.op(
-                        lambda pg=pgoff: daemon.fingerprint_page(task, pg),
-                        holder, use_bw=False)
-                    busy += cost
-                    if hit is None:
-                        continue
-                    page, fp = hit
-                    b = fs.fact.bucket_of(fp)
-                    _, cost = yield from self.op(
-                        lambda pg=pgoff, p=page, f=fp:
-                            daemon.stage_page(task, pg, p, f),
-                        holder, bucket=b, use_bw=False)
+                    hit = daemon.fingerprint_page(task, pgoff)
+                    if hit is not None:
+                        hits.append((pgoff, *hit))
+            return task, hits
+
+        def stage():
+            for pgoff, page, fp in hits:
+                daemon.stage_page(task, pgoff, page, fp)
+
+        try:
+            (task, hits), cost = yield from self.op(scan, holder,
+                                                    use_bw=False)
+            busy += cost
+            if task is not None:
+                if hits:
+                    _, cost = yield from self.op(stage, holder, fact=True,
+                                                 use_bw=False)
                     busy += cost
                 _, cost = yield from self.op(
                     lambda: daemon.commit_node(task), holder, use_bw=False)

@@ -83,8 +83,10 @@ class NodeTask:
     Produced by :meth:`DedupDaemon.validate_node`; threaded through the
     per-page stages and finally :meth:`DedupDaemon.commit_node`.  The
     synchronous daemon runs the stages back-to-back; the concurrent
-    worker pool (``repro.conc``) interleaves them with engine yields and
-    wraps :meth:`DedupDaemon.stage_page` in a FACT bucket lock.
+    worker pool (``repro.conc``) runs them as three engine operations
+    under the node's inode lock — validate and every
+    :meth:`DedupDaemon.fingerprint_page`, every hit's
+    :meth:`DedupDaemon.stage_page` under the FACT lock, the commit.
     """
 
     node: "DWQNode"
@@ -215,7 +217,7 @@ class DedupDaemon:
 
         Returns ``(page, fingerprint)`` or ``None`` for a page the
         foreground already overwrote.  Touches no shared FACT state, so
-        parallel workers may run it without holding a bucket lock.
+        parallel workers run it without holding the FACT lock.
         """
         if task.live is None:
             self._read_live(task)
@@ -255,10 +257,10 @@ class DedupDaemon:
                    fp: bytes) -> None:
         """Step 3 for one page: FACT lookup / insert / UC staging.
 
-        This is the bucket critical section — everything here addresses
-        the single chain ``fact.bucket_of(fp)``, and the concurrent
-        worker pool serializes it per bucket to rule out double inserts
-        and double UC increments.
+        This is the FACT critical section: the concurrent worker pool
+        runs a node's calls, in page order, as one operation under its
+        ``fact`` lock, which rules out double inserts and double UC
+        increments between workers.
         """
         fact = self.fs.fact
         res = fact.lookup(fp)

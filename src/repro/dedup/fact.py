@@ -235,16 +235,6 @@ class FACT:
     def head_of(self, fp: bytes) -> int:
         return fp_prefix(fp, self.prefix_bits)
 
-    def bucket_of(self, fp: bytes) -> int:
-        """Lock-granularity key for parallel dedup workers.
-
-        A fingerprint's whole lookup/insert footprint (its DAA slot and
-        the chain hanging off it) is addressed by the prefix, so the
-        chain head doubles as the bucket id: two workers can race on a
-        FACT mutation only if their fingerprints share this value.
-        """
-        return self.head_of(fp)
-
     def chain(self, head_idx: int, silent: bool = False) -> Iterator[FactEntry]:
         """Walk a chain via ``next`` links (cycle-guarded)."""
         idx = head_idx

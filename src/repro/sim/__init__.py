@@ -14,7 +14,7 @@ The kernel keeps only what the concurrency layer (:mod:`repro.conc`) runs:
 * :class:`Process` — a generator wrapped as a schedulable coroutine; also
   an :class:`Event`, so processes can be joined.
 * :class:`Lock` / :class:`RWLock` — a FIFO mutex and a phase-fair
-  reader/writer lock (inode, namespace, DWQ-shard and FACT-bucket locks).
+  reader/writer lock (inode, namespace, DWQ-shard and FACT locks).
 * :class:`Resource` — a counting semaphore (models iMC bandwidth slots).
 
 Scheduling is deterministic: events firing at the same simulated time run

@@ -8,7 +8,7 @@ bandwidth saturation are decided by the DES, not by call order.
 
 Since the repro.conc subsystem landed, the runner drives workloads
 through :class:`~repro.conc.vfs.ConcurrentVFS`: N real client processes
-against one filesystem under the ns → ino → shard → bucket lock
+against one filesystem under the ns → ino → shard → fact lock
 hierarchy, a per-CPU :class:`~repro.conc.sdwq.ShardedDWQ`, and a dedup
 **worker pool** (``workers=1`` replicates the single-daemon behaviour
 the paper measures).  Contention model (the paper's Fig. 9 shape):
