@@ -109,8 +109,8 @@ class DedupDaemon:
     """Synchronous Algorithm-1 engine; trigger policy lives in the runner.
 
     ``DeNova-Immediate`` drains after every write; ``DeNova-Delayed(n,m)``
-    calls :meth:`tick` (m nodes) every n milliseconds — both are drive
-    patterns over the same :meth:`process_one`.
+    drains up to m nodes (``drain(limit=m)``) every n milliseconds — both
+    are drive patterns over the same :meth:`process_one`.
     """
 
     #: §IV-E trigger: a lookup longer than this many NVM reads ...
@@ -140,13 +140,6 @@ class DedupDaemon:
             return False
         self.process_node(node)
         return True
-
-    def tick(self, m: int) -> int:
-        """Delayed(n, m) trigger: consume up to ``m`` nodes."""
-        done = 0
-        while done < m and self.process_one():
-            done += 1
-        return done
 
     def drain(self, limit: Optional[int] = None) -> int:
         """Process until the DWQ empties (or ``limit`` nodes)."""

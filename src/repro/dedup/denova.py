@@ -16,7 +16,7 @@ Integration points with the base filesystem:
 
 The dedup daemon itself is *driven by the caller* (or the DES workload
 runner): ``fs.daemon.drain()`` for DeNova-Immediate semantics,
-``fs.daemon.tick(m)`` every n ms for DeNova-Delayed(n, m).
+``fs.daemon.drain(limit=m)`` every n ms for DeNova-Delayed(n, m).
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.dedup.fingerprint import FP_BYTES, fp_prefix
-from repro.nova.layout import PAGE_SIZE, Geometry
+from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.obs import MetricsRegistry
 from repro.pm.device import CrashRequested, PMDevice
 
@@ -63,6 +63,9 @@ _OFF_NEXT = 24
 _OFF_DELETE = 32
 _OFF_FP = 40
 _OFF_WEAK = 60
+
+#: The IAA mark rises a FACT page of slots at a time.
+_MARK_STEP = PAGE_SIZE // ENTRY
 
 _UC_UNIT = 1 << 32
 _RFC_MASK = (1 << 32) - 1
@@ -136,7 +139,9 @@ class FACT:
         self.prefix_bits = geo.fact_prefix_bits
         self.daa_size = 2 ** geo.fact_prefix_bits
         self.total = 2 * self.daa_size
+        self._sb = Superblock(dev)
         self._free: Optional[list[int]] = None  # see _iaa_free
+        self._mark: Optional[int] = None        # see iaa_mark
         self._dram: Optional[bytearray] = None  # see in_dram
         # Observability (DRAM, rebuilt freely).
         if registry is None:
@@ -164,11 +169,27 @@ class FACT:
         A fresh table's list (every IAA slot) is built on first use:
         every mount replaces it first (:meth:`restore_iaa_free`,
         :meth:`rebuild_iaa_free`), so only a freshly formatted table
-        ever builds it.
+        ever builds it — and its mark is the 0 mkfs stored, unread.
         """
         if self._free is None:
             self._free = list(range(self.total - 1, self.daa_size - 1, -1))
+            if self._mark is None:
+                self._mark = 0
         return self._free
+
+    @property
+    def iaa_mark(self) -> int:
+        """IAA slots ``[0, mark)`` may hold entries, none past them.
+
+        The superblock word, read on first use (a mount reads it once,
+        the write path never); the whole IAA on an image formatted
+        before the mark.  Kept exact by :meth:`insert`.
+        """
+        if self._mark is None:
+            mark = self._sb.iaa_mark()
+            self._mark = self.daa_size if mark is None \
+                else min(mark, self.daa_size)
+        return self._mark
 
     @_iaa_free.setter
     def _iaa_free(self, free: list[int]) -> None:
@@ -330,6 +351,13 @@ class FACT:
             raise FactFull("no free IAA slot for colliding fingerprint")
         new_idx = self._iaa_free.pop()
         self._c_iaa_inserts.inc()
+        slot = new_idx - self.daa_size
+        if slot >= self.iaa_mark:
+            # Durable before the first store past the old mark, so no
+            # crash leaves an entry beyond it.
+            self._mark = min(slot - slot % _MARK_STEP + _MARK_STEP,
+                             self.daa_size)
+            self._sb.set_iaa_mark(self._mark)
         self._write_fields(new_idx, _UC_UNIT, block, hint.tail_idx, -1, fp)
         self.set_delete(block, new_idx)
         self._write_u64(hint.tail_idx, _OFF_NEXT, new_idx + 1)  # publish
@@ -492,7 +520,7 @@ class FACT:
         this with the radix-derived set of *live* data blocks, which is
         what makes stale registrations (freed blocks) harmless.
         """
-        weak = self._scan("weak")["weak"]
+        weak = self._scan("weak", stop=self.daa_size)["weak"]  # block < 2^n
         return {int(b): int(weak[b]) for b in np.nonzero(weak)[0]}
 
     # ------------------------------------------------------------ removal
@@ -530,32 +558,40 @@ class FACT:
         """Serve the whole-table passes from one charged read (recovery).
 
         Inside the block, :meth:`_scan` and :meth:`live_entries` decode a
-        DRAM copy of the region taken by one bulk NVM read on entry, and
-        the three device writers (:meth:`_write_fields`,
+        DRAM copy of the region taken by one bulk NVM read on entry — of
+        the DAA and ``IAA[:mark]``, the slots past the mark being zero —
+        and the three device writers (:meth:`_write_fields`,
         :meth:`_write_u64`, :meth:`set_block_weak`) store to both, so a
         pass sees exactly the bytes a re-read would.  Point reads stay
         device reads; no device store moves.
         """
-        dram = bytearray(self.dev.read_view(self.base, self.total * ENTRY))
+        used = (self.daa_size + self.iaa_mark) * ENTRY
+        dram = bytearray(self.total * ENTRY)
+        dram[:used] = self.dev.read_view(self.base, used)
         self._dram = dram
         try:
             yield
         finally:
             self._dram = None
 
-    def _scan(self, *fields: str) -> dict[str, np.ndarray]:
-        """Vectorized whole-table scan (recovery / analysis).
+    def _scan(self, *fields: str, start: int = 0,
+              stop: Optional[int] = None) -> dict[str, np.ndarray]:
+        """Vectorized scan of slots ``[start, stop)`` (default: the whole
+        table) for recovery / analysis.
 
-        Charges one bulk NVM read for the region (none inside
-        :meth:`in_dram`) and returns the named columns of
-        :data:`_SCAN_DTYPE` as they are at that moment — copies, a
+        Charges one bulk NVM read for those slots (none inside
+        :meth:`in_dram`, none for no slot) and returns the named columns
+        of :data:`_SCAN_DTYPE` as they are at that moment — copies, a
         column each: no per-entry Python loop for the common fields (per
         the HPC guides: vectorize the bulk path) and nothing table-sized
         allocated.
         """
-        raw = self._dram
-        if raw is None:
-            raw = self.dev.read_view(self.base, self.total * ENTRY)
+        lo, hi = start * ENTRY, (self.total if stop is None else stop) * ENTRY
+        if self._dram is not None:
+            raw = memoryview(self._dram)[lo:hi]
+        else:
+            raw = self.dev.read_view(self.base + lo, hi - lo) if hi > lo \
+                else b""
         table = np.frombuffer(raw, dtype=_SCAN_DTYPE)
         return {name: table[name].copy() for name in fields}
 
@@ -567,16 +603,19 @@ class FACT:
             dtype=_SCAN_DTYPE)
 
     def rebuild_iaa_free(self) -> int:
-        """Rebuild the volatile IAA free list from a (charged) table scan.
+        """Rebuild the volatile IAA free list from a (charged) scan of
+        ``IAA[:mark]``: every slot past the mark is free.
 
         Clean mounts must call this (or :meth:`restore_iaa_free`) before
         the first insert: the list a table starts with marks every IAA
         slot free, which is only true for a freshly-formatted FACT.
         Returns the number of free IAA slots.
         """
+        daa, mark = self.daa_size, self.iaa_mark
         free = np.flatnonzero(
-            self._scan("block")["block"][self.daa_size:] == 0)
-        self._iaa_free = (free[::-1] + self.daa_size).tolist()  # high first
+            self._scan("block", start=daa, stop=daa + mark)["block"] == 0)
+        self._iaa_free = list(range(self.total - 1, daa + mark - 1, -1)) \
+            + (free[::-1] + daa).tolist()  # high first
         return len(self._iaa_free)
 
     def _active_heads(self, block: np.ndarray, nxt: np.ndarray,
@@ -604,13 +643,14 @@ class FACT:
 
         ``occupied`` lists the IAA indices that held valid entries when
         the checkpoint was written — the complement becomes the free
-        list, with no FACT scan at all.
+        list, with no FACT scan at all (but a read of the mark, which
+        this mount's inserts go on).
         """
+        end = self.daa_size + self.iaa_mark
         occ = set(occupied)
-        self._iaa_free = [
-            idx for idx in range(self.total - 1, self.daa_size - 1, -1)
-            if idx not in occ
-        ]
+        self._iaa_free = list(range(self.total - 1, end - 1, -1)) + [
+            idx for idx in range(end - 1, self.daa_size - 1, -1)
+            if idx not in occ]
         return len(self._iaa_free)
 
     def live_entries(self) -> dict[int, FactEntry]:

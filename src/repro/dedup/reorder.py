@@ -130,7 +130,7 @@ def recover_reorders(fact: FACT) -> int:
     """Settle every chain whose commit flag a crash left set (the first
     pass of DeNova's structural recovery, which scans the copy
     :meth:`FACT.in_dram` holds); returns how many it found."""
-    flags = fact._scan("prev")["prev"][:fact.daa_size]
+    flags = fact._scan("prev", stop=fact.daa_size)["prev"]  # the heads
     heads = np.flatnonzero(flags).tolist()
     for head in heads:
         recover_reorder(fact, head)

@@ -17,6 +17,8 @@ These encode the paper's consistency claims as executable checks:
 * **FACT chain integrity** (DeNova) — IAA doubly-linked lists are
   mutually consistent, acyclic, and prefix-homogeneous even after a
   crash mid-reorder (Fig. 7).
+* **IAA mark** (DeNova) — the superblock's IAA mark lies within the IAA
+  and no valid IAA slot sits at or above it (recovery reads none).
 * **Inode-table consistency** — every valid on-PM inode record is
   self-consistent (record ino matches its slot, legal itype) and backed
   by a mounted in-DRAM inode; a torn crash inside ``create`` otherwise
@@ -187,6 +189,17 @@ def _check_fact(fs, fact, refs: Counter) -> dict:
         if ent.refcount > 0 and fs.allocator.is_free(ent.block):
             _fail(f"FACT[{idx}]: RFC={ent.refcount} but block "
                   f"{ent.block} is free")
+
+    # No valid IAA slot at or above the persisted IAA mark: recovery and
+    # a checkpoint-less mount read nothing past it.
+    mark = fs.sb.iaa_mark(silent=True)
+    if mark is not None:
+        if mark > fact.daa_size:
+            _fail(f"IAA mark {mark} exceeds the IAA's {fact.daa_size} slots")
+        past = [idx for idx in entries if idx >= fact.daa_size + mark]
+        if past:
+            _fail(f"FACT[{min(past)}]: valid IAA slot at or above the "
+                  f"mark ({mark} slots)")
 
     fact.check_chains()  # raises InvariantViolation on structural damage
     return {"live_entries": len(entries)}

@@ -10,8 +10,9 @@ Device layout (page = 4 KB)::
     data_start ..         log pages + data pages (allocated per-CPU)
 
 The superblock is written once at mkfs and updated only for the clean
-flag, the mount epoch, and the saved-DWQ length — each a small persisted
-field, never a rewrite of the whole block.
+flag, the mount epoch, the saved-DWQ length, the hybrid-dedup policy
+modes and the FACT's IAA mark — each one small persisted field, never a
+rewrite of the whole block.
 """
 
 from __future__ import annotations
@@ -61,7 +62,12 @@ _OFF_TENANT_PAGES = 144
 # tier or too small to carve the region).
 _OFF_STAGING_PAGE = 152
 _OFF_STAGING_PAGES = 160
-_SB_BYTES = 168
+# FACT IAA mark: 1 + the number of IAA slots, counted from the start of
+# the IAA, that may hold an entry — no valid slot sits at or above it.
+# Raised (never lowered) by ``FACT.insert`` before its first store past
+# it; zero on images formatted before the mark (read: the whole IAA).
+_OFF_IAA_MARK = 168
+_SB_BYTES = 176
 
 VERSION = 1
 
@@ -253,6 +259,8 @@ class Superblock:
         dev.write_atomic64(_OFF_TENANT_PAGES, geo.tenant_pages)
         dev.write_atomic64(_OFF_STAGING_PAGE, geo.staging_page)
         dev.write_atomic64(_OFF_STAGING_PAGES, geo.staging_pages)
+        if geo.fact_page:
+            dev.write_atomic64(_OFF_IAA_MARK, 1)  # a mark of 0 slots
         dev.write_u32(_OFF_VERSION, VERSION)
         dev.write_u32(_OFF_CLEAN, 1)
         dev.persist(0, _SB_BYTES)
@@ -341,3 +349,16 @@ class Superblock:
 
     def set_hybrid_modes(self, modes: int) -> None:
         self.dev.write_atomic64(_OFF_HYBRID_MODES, modes, persist=True)
+
+    # -- FACT IAA mark ---------------------------------------------------------
+
+    def iaa_mark(self, silent: bool = False) -> int | None:
+        """IAA slots that may hold an entry; None on an image formatted
+        before the mark (every slot may).  ``silent``: a check's read."""
+        at = _OFF_IAA_MARK
+        word = int.from_bytes(self.dev.read_silent(at, 8), "little") \
+            if silent else self.dev.read_u64(at)
+        return word - 1 if word else None
+
+    def set_iaa_mark(self, slots: int) -> None:
+        self.dev.write_atomic64(_OFF_IAA_MARK, slots + 1, persist=True)

@@ -96,34 +96,34 @@ CONFIGS = {f.__name__: f for f in (small_delayed, large_inline,
 PINNED = {
     ("small_delayed", 42):
         (3017,
-         "6b401397ef8e85c4410c11e1ce6bc9a4fb9972bb65164a9a76ae6189e2d8d914"),
+         "b8d9058e7f50ff684b816ede88d93e74a95ecc91d476daee2998a0b43fd5c55d"),
     ("small_delayed", 1337):
         (3017,
-         "9214c878d91ffa246c0d6c4359db3e71b5cb3e8f063fc256e254552739913a2a"),
+         "26173e002ef67d34c60f8e9f3ab2ba0161ce7689486de249eddbb44ba712ffe9"),
     ("large_inline", 42):
-        (404,
-         "8e0c6b0f63e2448bca6ccd1a5a3a52d9f614a52c28db6f583ec1ca783877877f"),
+        (403,
+         "9fa4f6aebefc1c0dc1afeaee92996a192d480f03919265fc51f9e822a25f47ea"),
     ("large_inline", 1337):
         (400,
-         "8a952927c034e5dbe56bfa06fd961fec801c6d0db2130fe21bea2ab38e14f4ba"),
+         "842d5e4b4ee59d2727a89f9822675b9382345dc204f1fe2345f10bac93eb1b9d"),
     ("readwrite_immediate", 42):
         (114,
-         "a6361e667696d78b28c87da1893150c721fb11749d4777e3fb243505629bf605"),
+         "439841fd16fb8f56f92b9cdf839d9295d75ebad48d2df35d574c1d6e36c5fda6"),
     ("readwrite_immediate", 1337):
         (114,
-         "70410392414d5ab42186c700a54cdc116ae70323d288dfa2897ee4d7b5dca2af"),
+         "0f12e906a135e034bbf43a2c311275c415b31f2ccdd6e56d32a4b42600168f5c"),
     ("tenant_fleet", 42):
         (1347,
-         "fdedaf4acc2f32d4497b1cb29fc97c87c346c58993cf65a773f8d375a9e356a9"),
+         "e62fe36a11cd72b1f8d8803730df7c783d896afe42beef112d5cd5fa714fa732"),
     ("tenant_fleet", 1337):
         (1348,
-         "a712e500189649b83480e5246005c5357b573f4d46d216b07bdc59c34e9fe1e8"),
+         "b74805a0c7042ccba0ad54969fff16e057d73ea18d10a27678505516a1112c6d"),
     ("jittered", 42):
         (1022,
-         "475a79357e31bb186b8fdffbfe3565b507a18a4e148b440275b4b0cf3cd0f8dd"),
+         "ab88ace4f1fc5b02d02232bc5c4d2af10ff6d0646d51a1ed169f1bdeba2860b8"),
     ("jittered", 1337):
         (1020,
-         "28ce35cd8156ae547a31480f0b23943722b3b09daf273ae8eed4b8ee0b7699ff"),
+         "98f73010d521ae9a3c6c4edefda78bd777be9559fdc79021b6339eacd289346f"),
 }
 
 

@@ -153,9 +153,9 @@ class TestTriggerModes:
             ino = fs.create(f"/f{i}")
             fs.write(ino, 0, page_of(i))
         assert len(fs.dwq) == 10
-        assert fs.daemon.tick(3) == 3
+        assert fs.daemon.drain(limit=3) == 3
         assert len(fs.dwq) == 7
-        assert fs.daemon.tick(100) == 7
+        assert fs.daemon.drain(limit=100) == 7
 
     def test_drain_limit(self):
         fs = make_fs()

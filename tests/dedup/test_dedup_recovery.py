@@ -305,9 +305,10 @@ class TestRecoveryReports:
 
 class TestRecoveryReadsFactOnce:
     """An unclean mount reads the FACT region from the device once: one
-    charged whole-table read at the top of ``dedup_recover``, an in-DRAM
-    copy every whole-table pass decodes, and no silent read of the
-    region.  After every pass the copy is byte-equal to the device."""
+    charged read of the DAA and ``IAA[:mark]`` at the top of
+    ``dedup_recover``, an in-DRAM copy every whole-table pass decodes,
+    and no silent read of the region.  After every pass the copy is
+    byte-equal to the device (zero past the mark)."""
 
     BITS, PREFIX = 10, 11
 
@@ -378,7 +379,9 @@ class TestRecoveryReadsFactOnce:
         return mount
 
     def check_once(self, fs, region, passes):
-        size = fs.fact.total * ENTRY
+        mark = fs.sb.iaa_mark(silent=True)
+        assert mark == fs.fact.iaa_mark < fs.fact.daa_size
+        size = (fs.fact.daa_size + mark) * ENTRY
         assert region is not None                 # an unclean mount
         assert [r for r in region if r[2] > ENTRY] == [("read_view", 0, size)]
         assert not [r for r in region if r[0] == "read_silent"]
@@ -441,6 +444,29 @@ class TestRecoveryReadsFactOnce:
                                   mode=("discard", "torn")) > 20
         assert any(rep["reorders_recovered"] for rep in seen)
         assert any(rep["orphans_zeroed"] for rep in seen)
+
+
+    def test_a_checkpoint_less_clean_mount_reads_the_iaa_to_its_mark(self):
+        """Without a checkpoint a clean mount rebuilds the IAA free list
+        from one request of ``IAA[:mark]``; every slot past it is free."""
+        dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=64, fact_prefix_bits=self.BITS)
+        for salt in range(3):                     # the head, IAA slots 0, 1
+            fs.fact.commit_uc(fs.fact.insert(self.fp(salt), 60 + salt))
+        fs.unmount()
+        fact, reads = fs.fact, []
+        lo, hi = fact.base, fact.base + fact.total * ENTRY
+        for kind in ("read", "read_view", "read_silent"):
+            def logged(addr, n, _real=getattr(dev, kind), _kind=kind):
+                if addr < hi and addr + n > lo:
+                    reads.append((_kind, addr - lo, n))
+                return _real(addr, n)
+            setattr(dev, kind, logged)
+        fs2 = DeNovaFS.mount(dev, use_checkpoint=False)
+        daa, mark = fact.daa_size, fs2.sb.iaa_mark(silent=True)
+        assert mark == fs2.fact.iaa_mark == 64
+        assert reads == [("read_view", daa * ENTRY, mark * ENTRY)]
+        assert fs2.fact._iaa_free == list(range(fact.total - 1, daa + 1, -1))
 
 
 class TestUncleanMountReadsEachLogOnce:

@@ -295,15 +295,20 @@ class TestOccupancyAndScan:
 
     def test_in_dram_charges_one_read_and_every_writer_stores_to_it(
             self, fact):
-        """Inside ``in_dram`` the copy tracks every device writer — the
-        weak column's too — and scans and ``live_entries`` charge nothing
+        """``in_dram`` is one request for the DAA and ``IAA[:mark]``;
+        inside it the copy tracks every device writer — the weak
+        column's too — and scans and ``live_entries`` charge nothing
         more; outside it a scan is a charged device read again."""
         i1 = fact.insert(mkfp(1, 0), 100)
+        i0 = fact.insert(mkfp(1, 2), 103)               # IAA slot 0
         dev, size = fact.dev, fact.total * ENTRY
-        charged = dev.clock.charged_fs
+        assert fact.iaa_mark == 64
+        charged, reads = dev.clock.charged_fs, dev.stats.reads
         with fact.in_dram():
-            assert dev.clock.charged_fs \
-                == charged + fs_of(dev.model.read_cost(size))
+            used = (fact.daa_size + 64) * ENTRY
+            assert (dev.stats.reads, dev.clock.charged_fs) \
+                == (reads + 1, charged + fs_of(dev.model.read_cost(used)))
+            assert not any(fact._dram[used:])
             i2 = fact.insert(mkfp(1, 1), 101)           # fields + u64s
             fact.commit_uc(i2)
             fact.set_block_weak(101, 0xBEEF)
@@ -312,7 +317,7 @@ class TestOccupancyAndScan:
             assert bytes(fact._dram) == dev.read_silent(fact.base, size)
             reads, at = dev.stats.reads, dev.clock.charged_fs
             assert fact._scan("block")["block"][i2] == 101
-            assert set(fact.live_entries()) == {i2}
+            assert set(fact.live_entries()) == {i0, i2}
             assert (dev.stats.reads, dev.clock.charged_fs) == (reads, at)
         assert fact._dram is None
         fact._scan("block")

@@ -214,8 +214,8 @@ class TestInlineClaimHint:
 
 class TestWeakColumnRead:
     """A hybrid mount rebuilds its weak index from one charged bulk read
-    of the FACT region, as every whole-table scan outside recovery's
-    :meth:`FACT.in_dram` does."""
+    of the DAA: the column of block *B* lives in slot *B*, and every
+    block address is below 2^n, the DAA's size."""
 
     @pytest.mark.parametrize("clean", [True, False])
     def test_the_rebuild_reads_the_table_once(self, monkeypatch, clean):
@@ -237,6 +237,6 @@ class TestWeakColumnRead:
 
         monkeypatch.setattr(FACT, "weak_column", weak_column)
         fs2 = HybridDeNovaFS.mount(fs.dev)
-        assert seen == [(1, fs2.fact.total * 64)]
+        assert seen == [(1, fs2.fact.daa_size * 64)]
         assert fs2._weak_by_block       # the column was decoded
         check_fs_invariants(fs2)
