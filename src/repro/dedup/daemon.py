@@ -51,7 +51,7 @@ from repro.nova.entries import (
 )
 from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
-from repro.nova.radix import extend_runs
+from repro.nova.radix import Displaced, extend_runs
 
 __all__ = ["DedupDaemon", "NodeTask", "append_redirects"]
 
@@ -315,12 +315,15 @@ class DedupDaemon:
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_COMPLETE)
         fs.note_dedup_done(node.entry_addr)
 
-        # Radix re-point + reclaim of the now-duplicate pages (they have
-        # no FACT entry of their own, so reclaim frees them directly).
-        for (pgoff, _canonical), (addr, we) in zip(task.dups, new_entries):
-            displaced = cache.index.redirect(pgoff, addr, we)
-            fs._note_dead_entries(cache, displaced)
-            fs.reclaim_extents(displaced.extents, cpu)
+        # Radix re-point, then one retire of the now-duplicate pages (they
+        # have no FACT entry of their own, so reclaim frees them directly).
+        if new_entries:
+            displaced = Displaced.join(
+                cache.index.redirect(pgoff, addr, we)
+                for (pgoff, _canonical), (addr, we) in zip(task.dups,
+                                                           new_entries))
+            fs._retire_displaced(node.ino, cache, displaced, cpu,
+                                 mapped=len(new_entries))
             self._c_reclaimed.inc(displaced.total_pages)
 
         # §IV-E: reorder the chains that showed slow lookups.

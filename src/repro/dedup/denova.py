@@ -4,8 +4,9 @@ Integration points with the base filesystem:
 
 * every committed write entry starts with dedupe-flag ``dedupe_needed``
   and is enqueued on the DWQ (``on_write_committed``);
-* page reclamation consults FACT through the delete pointer (exactly two
-  NVM reads) and frees a page only when its RFC reaches zero (§IV-D3);
+* page reclamation consults FACT through the delete pointer (one NVM
+  read per extent, one per entry) and frees a page only when its RFC
+  reaches zero (§IV-D3);
 * log-page GC is vetoed for pages holding entries still awaiting dedup;
 * clean unmount saves the DWQ to PM; unclean mounts run the §V-C
   recovery (:mod:`repro.dedup.recovery`);
@@ -173,8 +174,9 @@ class DeNovaFS(NovaFS):
                         cpu: int) -> None:
         """§IV-D3: a page is freed only when its reference count is zero.
 
-        Per page: two NVM reads through the delete pointer (one when
-        the block has no entry: a direct free), then an atomic RFC
+        Per extent: one NVM read of its pages' delete pointers (adjacent
+        slots).  Per page: a read of the entry its pointer names (none
+        when the block has no entry: a direct free), then an atomic RFC
         decrement with a cache-line flush, computed from the entry just
         read; when RFC reaches 0 the FACT entry is re-read (the flush
         evicted its line), unlinked (up to three more flushed line
@@ -183,8 +185,8 @@ class DeNovaFS(NovaFS):
         for start, count in extents:
             run_start = None  # batch contiguous freeable pages
             run_len = 0
-            for page in range(start, start + count):
-                ent = self.fact.entry_for_block(page)
+            for page, ent in zip(range(start, start + count),
+                                 self.fact.entries_for_run(start, count)):
                 freeable = False
                 if ent is None:
                     self._c_direct_frees.inc()

@@ -15,8 +15,9 @@ pointing at the block), an update count (UC — in-flight dedup
 transactions targeting the block), the fingerprint, the block address,
 ``prev``/``next`` chain links, and the **delete pointer** column: the
 delete field of slot *B* maps *block address B* to the index of the FACT
-entry describing block *B*, so reclamation reaches its entry in exactly
-two NVM reads without re-fingerprinting (§IV-C).
+entry describing block *B*, so reclamation reaches its entry in two NVM
+reads without re-fingerprinting (§IV-C) — the pointers of a run of
+blocks, adjacent slots, in one.
 
 Layout notes vs. the paper's Fig. 4
 -----------------------------------
@@ -468,23 +469,32 @@ class FACT:
     def clear_delete(self, block: int) -> None:
         self._write_u64(block, _OFF_DELETE, 0)
 
-    def entry_for_block(self, block: int) -> Optional[FactEntry]:
-        """The §IV-C reclaim path: two NVM reads (one when the pointer
-        is empty).
+    def delete_run(self, block: int, n: int, silent: bool = False
+                   ) -> list[int]:
+        """The delete pointers of blocks ``[block, block + n)`` (entry
+        index + 1, 0 = none): one request of ``(n - 1) * 64 + 8`` bytes,
+        the slots being adjacent, decoded through a strided view."""
+        self.addr(block + n - 1)  # the run's last slot is in range
+        read = self.dev.read_silent if silent else self.dev.read
+        raw = read(self.addr(block) + _OFF_DELETE, (n - 1) * ENTRY + 8)
+        return np.frombuffer(raw, "<u8")[::ENTRY // 8].tolist()
 
-        Step 1: read slot ``block``'s delete pointer; step 2: read the
-        entry it names.  Returns None when the block has no dedup entry
-        (it was never fingerprinted, or its entry was removed).  The
-        caller's count update takes the counts from the returned entry
-        (``seen``), not from a third read.
-        """
-        val = self._read_u64(block, _OFF_DELETE)  # read 1
-        if val == 0:
-            return None
-        ent = self.read_entry(val - 1)            # read 2
-        if not ent.valid or ent.block != block:
-            return None
-        return ent
+    def entries_for_run(self, block: int, n: int
+                        ) -> Iterator[Optional[FactEntry]]:
+        """The §IV-C reclaim path for blocks ``[block, block + n)``: the
+        run's pointers (:meth:`delete_run`; no count update or
+        :meth:`remove` stores one but its own block's), then, as the
+        caller reaches each block, the entry its pointer names — None
+        when there is none — whose counts the caller's update reuses."""
+        for i, val in enumerate(self.delete_run(block, n)):
+            ent = self.read_entry(val - 1) if val else None
+            yield ent if ent and ent.valid and ent.block == block + i \
+                else None
+
+    def entry_for_block(self, block: int) -> Optional[FactEntry]:
+        """:meth:`entries_for_run` of one block: an 8-byte pointer read,
+        then the entry it names (none when the pointer is empty)."""
+        return next(self.entries_for_run(block, 1))
 
     # ------------------------------------------------------------ weak column
 

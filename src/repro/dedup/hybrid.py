@@ -519,9 +519,7 @@ class HybridDeNovaFS(DeNovaFS):
                 weak = self._weak_by_block.get(page)
                 if weak is None:
                     continue
-                val = self.dev.read_silent(
-                    self.fact.addr(page) + 32, 8)  # delete column, silent
-                if int.from_bytes(val, "little") == 0:
+                if self.fact.delete_run(page, 1, silent=True) == [0]:
                     self._unregister_weak_dram(page, weak)
 
     # ------------------------------------------------------------ settle

@@ -883,16 +883,15 @@ class NovaFS:
         cache.inode.mtime = mtime
         self._settle_pages(placed, appended)
 
-        # Radix update; displaced pages are charged back, their entries
-        # noted dead and the pages reclaimed (RFC-aware in DeNova).
-        overwritten = 0
-        for addr, entry in appended:
-            displaced = cache.index.install(addr, entry)
-            overwritten += displaced.total_pages
-            if displaced.total_pages:
-                self._c_overwrite_pages.inc(displaced.total_pages)
-            self._retire_displaced(ino, cache, displaced, cpu,
-                                   mapped=entry.num_pages)
+        # Radix update; what every entry displaced is retired once: the
+        # pages charged back, their entries noted dead, the pages
+        # reclaimed (RFC-aware in DeNova).
+        displaced = Displaced.join([cache.index.install(addr, entry)
+                                    for addr, entry in appended])
+        overwritten = displaced.total_pages
+        if overwritten:
+            self._c_overwrite_pages.inc(overwritten)
+        self._retire_displaced(ino, cache, displaced, cpu, mapped=npages)
         for addr, entry in appended:
             self.on_write_committed(ino, addr, entry, cpu)
         return overwritten
@@ -1110,7 +1109,8 @@ class NovaFS:
             thorough_gc(self, cache.inode.ino)
 
     def _maybe_gc_log(self, cache: InodeCache) -> None:
-        """NOVA fast GC: splice out log pages whose entries are all dead.
+        """NOVA fast GC: splice out log pages whose entries are all dead,
+        every one the chain walk passes.
 
         Head and tail pages are never touched; a middle page is dead when
         all of its committed entries have been superseded.
@@ -1120,16 +1120,17 @@ class NovaFS:
             return
         tail_page = (cache.tail - 1) // PAGE_SIZE if cache.tail else 0
         pages = list(self.log.iter_pages(head))
-        for prev, page in zip(pages, pages[1:]):
-            if page == tail_page:
-                continue
-            if (cache.invalid_entries.get(page, 0) >= ENTRIES_PER_PAGE
+        prev = head
+        for page in pages[1:]:
+            if (page != tail_page
+                    and cache.invalid_entries.get(page, 0) >= ENTRIES_PER_PAGE
                     and self.log_page_gc_allowed(page)):
                 self.log.unlink_middle_page(prev, page)
                 self.allocator.free(page, 1, 0)
                 cache.invalid_entries.pop(page, None)
                 self._c_log_gced.inc()
-                return  # one page per call keeps the hot path bounded
+            else:
+                prev = page
 
     def thorough_gc_allowed(self, ino: int, chain_pages: list[int]) -> bool:
         """DeNova vetoes compaction while dedup work references the log."""

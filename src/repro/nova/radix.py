@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.nova.entries import WriteEntry
 from repro.nova.inode import ITYPE_FILE
@@ -38,6 +38,22 @@ class Displaced:
     @property
     def total_pages(self) -> int:
         return sum(c for _, c in self.extents)
+
+    @classmethod
+    def join(cls, parts: Iterable["Displaced"]) -> "Displaced":
+        """One operation's displacements: the parts' extents in order, one
+        that starts where the last ends joined to it (a repeated page
+        stays its own extent, as :func:`_group` keeps it)."""
+        extents: list[tuple[int, int]] = []
+        dead: list[int] = []
+        for part in parts:
+            for start, count in part.extents:
+                if extents and sum(extents[-1]) == start:
+                    extents[-1] = (extents[-1][0], extents[-1][1] + count)
+                else:
+                    extents.append((start, count))
+            dead += part.dead_entries
+        return cls(extents=extents, dead_entries=dead)
 
 
 class FileIndex:

@@ -101,23 +101,23 @@ PINNED = {
         (3017,
          "26173e002ef67d34c60f8e9f3ab2ba0161ce7689486de249eddbb44ba712ffe9"),
     ("large_inline", 42):
-        (403,
-         "9fa4f6aebefc1c0dc1afeaee92996a192d480f03919265fc51f9e822a25f47ea"),
+        (402,
+         "5bb18eac74b7bccc737e55469a8e08378c1e626c7faa258198f0c433ff720ec2"),
     ("large_inline", 1337):
-        (400,
-         "842d5e4b4ee59d2727a89f9822675b9382345dc204f1fe2345f10bac93eb1b9d"),
+        (401,
+         "992e22c7211c59bcbe393812e15c9858096ee63b769c10a2ac1f522a148182f1"),
     ("readwrite_immediate", 42):
         (114,
-         "439841fd16fb8f56f92b9cdf839d9295d75ebad48d2df35d574c1d6e36c5fda6"),
+         "b3c387d4d3f1cb9e110ac783b86156d4b47b8fdaa9d0d60c4098ed2d0e046d20"),
     ("readwrite_immediate", 1337):
         (114,
-         "0f12e906a135e034bbf43a2c311275c415b31f2ccdd6e56d32a4b42600168f5c"),
+         "f76fcb78f650e42af7052820a7dec889ad52938a7473dad34ec0da317f8e62e6"),
     ("tenant_fleet", 42):
         (1347,
-         "e62fe36a11cd72b1f8d8803730df7c783d896afe42beef112d5cd5fa714fa732"),
+         "b9885de57d3316c63cbd992df3a137096ddbc060600d325e1f2d6e34ab3b9724"),
     ("tenant_fleet", 1337):
         (1348,
-         "b74805a0c7042ccba0ad54969fff16e057d73ea18d10a27678505516a1112c6d"),
+         "a6de1a41917fa09a957b39cd5486375f7d1f1abb3b550842f2c05bd4e87e9678"),
     ("jittered", 42):
         (1022,
          "ab88ace4f1fc5b02d02232bc5c4d2af10ff6d0646d51a1ed169f1bdeba2860b8"),

@@ -6,7 +6,9 @@ maximal run of them: a page the foreground overwrote before the daemon
 ran ends a run and is never read, and a page the hybrid write path
 already registered is never read either.  Relocation copies each run of
 moves whose old and new pages are both consecutive with one read and one
-nt write.  The guards count the device requests per node and per copy.
+nt write, and its plan reads the delete pointers of each run of
+consecutive old blocks with one request.  The guards count the device
+requests per node and per copy.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.repl import relocate_latest
-from tests.dedup.test_fact_reads import make_fs
+from tests.dedup.test_fact_reads import make_fs, pointer_requests
 
 
 def page(tag: int) -> bytes:
@@ -170,9 +172,14 @@ class TestRelocateCopiesOneRequestPerRun:
 
         monkeypatch.setattr(fs.dev, "read", read)
         monkeypatch.setattr(fs.dev, "write", write)
+        pointers = pointer_requests(monkeypatch, fs)
         assert relocate_latest(fs)["pages_moved"] == 4
         new = extent_of(fs, path)
         assert reads == [(old, 4 * PAGE_SIZE)]
+        # The plan's FACT lookups: one pointer request for the run; then
+        # each retarget checks the old block's pointer.
+        assert [p for p in pointers if p[0] in range(old, old + 4)] == [
+            (old, 3 * 64 + 8)] + [(old + i, 8) for i in range(4)]
         assert [w for w in writes if w[0] in range(new, new + 4)] == [
             (new, 4 * PAGE_SIZE)]
         assert fs.read(fs.lookup(path), 0, 8 * PAGE_SIZE) == b"".join(

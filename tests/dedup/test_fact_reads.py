@@ -7,17 +7,20 @@ evicted it (docs/CONSISTENCY.md §5).  The guards count device reads per
 call: reclaim is two reads for a shared page, three for a removed entry
 (the post-flush re-read of ``remove``) and one for a direct free; a
 staged duplicate costs exactly its lookup; an inline unique page is
-looked up once.
+looked up once.  Reclaim reads the delete pointers of an extent's pages
+with one request, since their slots are adjacent (``TestDeletePointerRuns``).
 """
 
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.dedup import DeNovaFS, InlineDedupFS
 from repro.dedup.daemon import DedupDaemon
-from repro.dedup.fact import FACT
+from repro.dedup.fact import ENTRY, FACT
+from repro.dedup.fingerprint import FP_BYTES
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
 from repro.failure import check_fs_invariants
@@ -240,3 +243,133 @@ class TestWeakColumnRead:
         assert seen == [(1, fs2.fact.daa_size * 64)]
         assert fs2._weak_by_block       # the column was decoded
         check_fs_invariants(fs2)
+
+
+def pointer_requests(monkeypatch, fs):
+    """``(slot, bytes)`` of each later device read that starts at a FACT
+    slot's delete column, in order."""
+    fact, dev, out = fs.fact, fs.dev, []
+    real = dev.read
+
+    def read(addr, n):
+        off = addr - fact.base
+        if 0 <= off < fact.total * ENTRY and off % ENTRY == 32:
+            out.append((off // ENTRY, n))
+        return real(addr, n)
+
+    monkeypatch.setattr(dev, "read", read)
+    return out
+
+
+def pages_of(fs, path):
+    cache = fs.caches[fs.lookup(path)]
+    return [cache.index.block_of(p) for p in cache.index.mapped_offsets]
+
+
+class TestDeletePointerRuns:
+    """Step 1 of reclaim is one request per extent: the pointers of
+    blocks ``[b, b + n)`` sit in adjacent 64 B slots, so they are read as
+    ``(n - 1) * 64 + 8`` bytes at slot ``b``'s delete column."""
+
+    def test_a_contiguous_reclaim_reads_its_pointers_once(
+            self, monkeypatch):
+        fs = make_fs()
+        data = b"".join(colliding(fs, 1)[0][:-1] + bytes([i])
+                        for i in range(5))
+        write_file(fs, "/a", data)
+        fs.daemon.drain()
+        blocks = pages_of(fs, "/a")
+        assert blocks == list(range(blocks[0], blocks[0] + 5))
+        reqs = pointer_requests(monkeypatch, fs)
+        calls = visits(monkeypatch, fs, DeNovaFS, "reclaim_extents")
+        fs.unlink("/a")
+        assert reqs == [(blocks[0], 4 * 64 + 8)]
+        assert calls == [(1 + 5 * 2, 0)]  # + entry and remove's re-read
+        assert fs.fact.live_entries() == {}
+        check_fs_invariants(fs)
+
+    def test_a_hole_splits_the_run(self, monkeypatch):
+        fs = make_fs()
+        rng = np.random.default_rng(5)
+        ino = fs.create("/a")
+        fs.write(ino, 0, rng.bytes(5 * PAGE_SIZE))
+        fs.write(ino, 2 * PAGE_SIZE, rng.bytes(PAGE_SIZE))  # moves page 2
+        fs.daemon.drain()
+        b = pages_of(fs, "/a")
+        reqs = pointer_requests(monkeypatch, fs)
+        fs.unlink("/a")
+        assert sorted(reqs) == sorted([(b[0], 64 + 8), (b[3], 64 + 8),
+                                       (b[2], 8)])
+        check_fs_invariants(fs)
+
+    def test_a_single_page_is_one_word(self, monkeypatch):
+        fs = make_fs()
+        write_file(fs, "/a", colliding(fs, 1)[0])
+        (block,) = pages_of(fs, "/a")
+        reqs = pointer_requests(monkeypatch, fs)
+        fs.unlink("/a")
+        assert reqs == [(block, 8)]
+        assert fs.fact.entry_for_block(block) is None
+        assert reqs == [(block, 8)] * 2
+
+    def test_a_node_of_adjacent_duplicates_reads_them_once(
+            self, monkeypatch):
+        fs = make_fs()
+        data = np.random.default_rng(9).bytes(3 * PAGE_SIZE)
+        write_file(fs, "/a", data)
+        fs.daemon.drain()
+        write_file(fs, "/b", data)
+        dups = pages_of(fs, "/b")
+        reqs = pointer_requests(monkeypatch, fs)
+        calls = visits(monkeypatch, fs, DeNovaFS, "reclaim_extents")
+        fs.daemon.drain()
+        assert reqs == [(dups[0], 2 * 64 + 8)]
+        assert calls == [(1, 0)]  # no entry: three direct frees
+        assert pages_of(fs, "/b") == pages_of(fs, "/a")
+        assert fs.obs.registry.counter(
+            "daemon.pages_reclaimed_total").value == 3
+        check_fs_invariants(fs)
+
+    def test_pointers_stay_right_while_remove_unlinks_inside_the_run(
+            self, monkeypatch):
+        """Block ``b``'s entry is chained behind the DAA head in slot
+        ``b + 2``, itself block ``b + 2``'s entry: unlinking the first
+        stores the head's ``next`` inside the run before its pointer is
+        used.  Only ``clear_delete`` of the page at hand stores to a
+        delete column."""
+        fs = make_fs()
+        fact, bits = fs.fact, fs.fact.prefix_bits
+        b = fs.allocator.alloc(4, 0)
+
+        def fp(head, tag):
+            return ((head << (64 - bits)).to_bytes(8, "big")
+                    + tag.to_bytes(FP_BYTES - 8, "big"))
+
+        head_idx = fact.insert(fp(b + 2, 1), b + 2)
+        linked = fact.insert(fp(b + 2, 2), b)
+        other = fact.insert(fp(b + 9, 3), b + 1)
+        assert (head_idx, other) == (b + 2, b + 9)
+        assert linked >= fact.daa_size
+        for idx in (head_idx, linked, other):
+            fact.commit_uc(idx)          # RFC 1 each; block b + 3: none
+        stores, real = [], fs.dev.write
+
+        def write(addr, data, *args, **kw):
+            stores.append((addr, len(data), bytes(data)))
+            return real(addr, data, *args, **kw)
+
+        monkeypatch.setattr(fs.dev, "write", write)
+        reqs = pointer_requests(monkeypatch, fs)
+        fs.reclaim_extents([(b, 4)], 0)
+        assert reqs == [(b, 3 * 64 + 8)]
+        column = [(addr, n, data) for addr, n, data in stores
+                  if any(addr < fact.addr(s) + 40 and fact.addr(s) + 32
+                         < addr + n for s in range(b, b + 4))]
+        assert column == [(fact.addr(p) + 32, 8, bytes(8))
+                          for p in (b, b + 1, b + 2)]
+        counter = fs.obs.registry.counter
+        assert counter("dedup.fact_entry_removes_total").value == 3
+        assert counter("dedup.direct_frees_total").value == 1
+        assert fact.live_entries() == {}
+        fact.check_chains()
+        assert all(fs.allocator.is_free(p) for p in range(b, b + 4))

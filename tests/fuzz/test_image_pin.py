@@ -41,32 +41,32 @@ from tests._seams import overriding
 PINNED = {
     6: [(1, 'pre', 'discard', '3d7bd8c195bfebaf'),
         (35, 'pre', 'discard', '56aad43ee8259986'),
-        (69, 'pre', 'discard', '24dbffd09f567951'),
-        (103, 'pre', 'discard', '02d6c16b1eb2ae0a'),
-        (137, 'pre', 'discard', 'd5e15ea4ad3fed40'),
-        (171, 'pre', 'discard', '56aab927ae76dc27'),
-        (205, 'pre', 'discard', 'cdd101063c34cb81'),
+        (69, 'pre', 'discard', '0016ec1249e2be9f'),
+        (103, 'pre', 'discard', '812015f6021e2fde'),
+        (137, 'pre', 'discard', '384b51bfc4e5b5b5'),
+        (171, 'pre', 'discard', 'b22836db9904b0b0'),
+        (205, 'pre', 'discard', 'ad773ea14dcc774e'),
         (1, 'post', 'discard', '3d7bd8c195bfebaf'),
         (35, 'post', 'discard', 'f838cb7fdd81b9f9'),
-        (69, 'post', 'discard', 'cf7c3fc72cd48b69'),
-        (103, 'post', 'discard', '2ec743207561de25'),
-        (137, 'post', 'discard', '6037170e97c4a8e6'),
-        (171, 'post', 'discard', '8119d38f171df7ee'),
-        (205, 'post', 'discard', 'cdd101063c34cb81'),
+        (69, 'post', 'discard', 'd0290c8b876f4140'),
+        (103, 'post', 'discard', '6b6803789f83b43c'),
+        (137, 'post', 'discard', 'de39f5a0a3475b05'),
+        (171, 'post', 'discard', '3ceb90f19f42c150'),
+        (205, 'post', 'discard', 'ad773ea14dcc774e'),
         (1, 'pre', 'torn', '3d7bd8c195bfebaf'),
         (35, 'pre', 'torn', '56aad43ee8259986'),
-        (69, 'pre', 'torn', 'cf7c3fc72cd48b69'),
-        (103, 'pre', 'torn', '02d6c16b1eb2ae0a'),
-        (137, 'pre', 'torn', 'd183d5e0c15431bd'),
-        (171, 'pre', 'torn', '8119d38f171df7ee'),
-        (205, 'pre', 'torn', 'cdd101063c34cb81'),
+        (69, 'pre', 'torn', 'd0290c8b876f4140'),
+        (103, 'pre', 'torn', '812015f6021e2fde'),
+        (137, 'pre', 'torn', '9fabf3db47bd8f11'),
+        (171, 'pre', 'torn', '3ceb90f19f42c150'),
+        (205, 'pre', 'torn', 'ad773ea14dcc774e'),
         (1, 'post', 'torn', '3d7bd8c195bfebaf'),
         (35, 'post', 'torn', 'f838cb7fdd81b9f9'),
-        (69, 'post', 'torn', 'cf7c3fc72cd48b69'),
-        (103, 'post', 'torn', '2ec743207561de25'),
-        (137, 'post', 'torn', '6037170e97c4a8e6'),
-        (171, 'post', 'torn', '8119d38f171df7ee'),
-        (205, 'post', 'torn', 'cdd101063c34cb81')],
+        (69, 'post', 'torn', 'd0290c8b876f4140'),
+        (103, 'post', 'torn', '6b6803789f83b43c'),
+        (137, 'post', 'torn', 'de39f5a0a3475b05'),
+        (171, 'post', 'torn', '3ceb90f19f42c150'),
+        (205, 'post', 'torn', 'ad773ea14dcc774e')],
     9: [(1, 'pre', 'discard', '3d7bd8c195bfebaf'),
         (27, 'pre', 'discard', '811fd6416e45a26c'),
         (53, 'pre', 'discard', '85905f06f3f5c21e'),

@@ -4,6 +4,8 @@ import pytest
 
 from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants, sweep_crash_points
+from repro.fuzz.diff import prefix_equivalence_check
+from repro.fuzz.model import ModelFS
 from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.gc import thorough_gc
 from repro.nova.log import ENTRIES_PER_PAGE
@@ -218,3 +220,72 @@ class TestGCCrashes:
         if fs2.caches[ino2].inode.log_head != head_before:
             assert rep.extra.get("gc_tails_rebuilt", 0) == 1
         check_fs_invariants(fs2)
+
+
+class TestFastGC:
+    """One operation that kills the last live entries of two middle log
+    pages unlinks both in its one chain walk."""
+
+    @staticmethod
+    def two_nearly_dead_pages():
+        """A 4-page log ``[head, m1, m2, tail]``: ``m1`` and ``m2`` each
+        hold one live entry (pages 0 and 1 of ``/f``), the rest of their
+        slots dead rewrites of page 2.  Returns the fs, its inode and the
+        models before and after one 2-page write over pages 0 and 1."""
+        fs = make_fs(pages=512)
+        ino = fs.create("/f")
+        cache = fs.caches[ino]
+        models = [ModelFS(), ModelFS()]
+        for m in models:
+            m.create("/f")
+
+        def write(pgoff, data, fill=False):
+            fs.write(ino, pgoff * PAGE_SIZE, data)
+            for m in models:
+                m.write("/f", pgoff * PAGE_SIZE, data)
+            while fill and cache.tail % PAGE_SIZE:
+                write(2, bytes([cache.tail // 64 % 251]) * PAGE_SIZE)
+
+        write(2, b"h" * PAGE_SIZE, fill=True)
+        write(0, b"a" * PAGE_SIZE, fill=True)
+        write(1, b"b" * PAGE_SIZE, fill=True)
+        write(2, b"t" * PAGE_SIZE)
+        models[1].write("/f", 0, b"k" * 2 * PAGE_SIZE)
+        return fs, ino, models
+
+    def test_one_walk_unlinks_both_pages(self, monkeypatch):
+        fs, ino, (m0, m1) = self.two_nearly_dead_pages()
+        cache = fs.caches[ino]
+        head, p1, p2, tail = fs.log.iter_pages(cache.inode.log_head)
+        assert [cache.invalid_entries.get(p) for p in (p1, p2)] \
+            == [ENTRIES_PER_PAGE - 1] * 2
+        walks = []
+        real = NovaFS._maybe_gc_log
+        monkeypatch.setattr(NovaFS, "_maybe_gc_log", lambda self, c: (
+            walks.append(c), real(self, c)))
+        fs.write(ino, 0, b"k" * 2 * PAGE_SIZE)
+        assert len(walks) == 1
+        assert list(fs.log.iter_pages(cache.inode.log_head)) == [head, tail]
+        assert fs.allocator.is_free(p1) and fs.allocator.is_free(p2)
+        assert fs.obs.registry.counter(
+            "fs.log_pages_gced_total").value == 2
+        check_fs_invariants(fs)
+        prefix_equivalence_check(fs, m1, m1)
+
+    def test_crash_sweep_of_the_double_unlink(self):
+        """Every persist event of that write, pre and post, discard and
+        torn: the image recovers invariant-clean to the namespace before
+        or after it."""
+        models = {}
+
+        def build():
+            fs, ino, models["m"] = self.two_nearly_dead_pages()
+            return fs.dev, lambda: fs.write(ino, 0, b"k" * 2 * PAGE_SIZE)
+
+        def check(dev, point, phase):
+            fs2 = NovaFS.mount(dev)
+            check_fs_invariants(fs2)
+            prefix_equivalence_check(fs2, *models["m"])
+
+        assert sweep_crash_points(build, check,
+                                  mode=("discard", "torn")) >= 4 * 4

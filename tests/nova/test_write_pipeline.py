@@ -1,14 +1,17 @@
 """The one write pipeline: ENOSPC atomicity, obs parity, structure."""
 
 import ast
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.config import Config, Variant, make_fs
+from repro.dedup.inline import AdaptiveInlineFS, InlineDedupFS
 from repro.failure import check_fs_invariants
 from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
+from repro.pm import DRAM, PMDevice, SimClock
 from tests._code_index import src_trees
 
 ALL_VARIANTS = pytest.mark.parametrize(
@@ -91,6 +94,42 @@ def test_overwrite_is_observed_on_every_variant(variant):
     spans = [e for e in fs.obs.tracer.events if e.name == "fs.write"]
     assert len(spans) == 2
     assert all(dict(e.attrs)["pages"] == 2 for e in spans)
+
+
+@pytest.mark.parametrize("cls", [InlineDedupFS, AdaptiveInlineFS])
+def test_a_write_of_k_entries_retires_once(cls, monkeypatch):
+    """An inline write whose duplicate pages split it into k entries
+    retires what they displaced once: one fast-GC chain walk, one
+    ``reclaim_extents`` over the joined extents, one tenant charge."""
+    dev = PMDevice(512 * PAGE_SIZE, model=DRAM, clock=SimClock())
+    fs = cls.mkfs(dev, max_inodes=32)
+    rng = np.random.default_rng(7)
+    dup = _unique_pages(rng)
+    ino = fs.create("/f")
+    fs.write(fs.create("/dup"), 0, dup)
+    fs.write(ino, 0, _unique_pages(rng, 6))
+    calls = Counter()
+    for name in ("_maybe_gc_log", "reclaim_extents", "_append_and_commit"):
+        real = getattr(cls, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            out = _real(*args, **kw)
+            calls[_name] += len(out) if _name == "_append_and_commit" else 1
+            return out
+
+        monkeypatch.setattr(cls, name, counted)
+    charges, account = [], fs.tenants.account_pages
+    monkeypatch.setattr(fs.tenants, "account_pages", lambda i, delta: (
+        charges.append(delta), account(i, delta)))
+    data = _unique_pages(rng) + dup + _unique_pages(rng, 2) + dup \
+        + _unique_pages(rng)
+    fs.write(ino, 0, data)
+    assert calls == {"_append_and_commit": 5, "_maybe_gc_log": 1,
+                     "reclaim_extents": 1}
+    assert charges == [0]   # 6 pages mapped, 6 displaced
+    assert fs.read(ino, 0, len(data)) == data
+    assert fs.obs.registry.counter("fs.overwrite_pages_total").value == 6
+    check_fs_invariants(fs)
 
 
 # ------------------------------------------------------------------ structure
