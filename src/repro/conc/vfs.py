@@ -654,14 +654,12 @@ class ConcurrentVFS:
     def _dedup_node(self, node, holder: str):
         """Algorithm 1 as one engine operation per lock set.
 
-        The inode lock is held exclusively across the whole node (as
-        DeNova does).  Inside it the node runs as at most three
-        operations: validate plus every page's fingerprint (no further
-        lock); every hit's FACT staging, in page order, under the
-        ``fact`` lock, so parallel workers cannot double-insert a
-        fingerprint or double-stage a UC while another's NVM latency
-        elapses; the commit.  A node whose entry is stale is the first
-        operation only, and a node without a hit skips the second.
+        Inside the node's exclusive inode lock (as DeNova holds it),
+        each of the daemon's phases is one operation: ``scan``;
+        ``stage`` under the ``fact`` lock, so parallel workers cannot
+        double-insert a fingerprint or double-stage a UC; ``commit_node``.
+        A stale entry is the first alone; a node without a hit skips the
+        second.
         """
         fs = self.fs
         daemon = fs.daemon
@@ -672,28 +670,15 @@ class ConcurrentVFS:
             lock, name = self._ino_lock(node.ino)
             yield from self._take(holder, name, lock, "w", held)
 
-        def scan():
-            task = daemon.validate_node(node)
-            hits = []
-            if task is not None:
-                for pgoff in task.page_offsets:
-                    hit = daemon.fingerprint_page(task, pgoff)
-                    if hit is not None:
-                        hits.append((pgoff, *hit))
-            return task, hits
-
-        def stage():
-            for pgoff, page, fp in hits:
-                daemon.stage_page(task, pgoff, page, fp)
-
         try:
-            (task, hits), cost = yield from self.op(scan, holder,
-                                                    use_bw=False)
+            (task, hits), cost = yield from self.op(
+                lambda: daemon.scan(node), holder, use_bw=False)
             busy += cost
             if task is not None:
                 if hits:
-                    _, cost = yield from self.op(stage, holder, fact=True,
-                                                 use_bw=False)
+                    _, cost = yield from self.op(
+                        lambda: daemon.stage(task, hits), holder, fact=True,
+                        use_bw=False)
                     busy += cost
                 _, cost = yield from self.op(
                     lambda: daemon.commit_node(task), holder, use_bw=False)

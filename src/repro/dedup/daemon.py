@@ -80,13 +80,10 @@ def append_redirects(fs, ino: int, cache, targets, cpu: int) -> list[tuple]:
 class NodeTask:
     """In-flight Algorithm-1 state for one DWQ node.
 
-    Produced by :meth:`DedupDaemon.validate_node`; threaded through the
-    per-page stages and finally :meth:`DedupDaemon.commit_node`.  The
-    synchronous daemon runs the stages back-to-back; the concurrent
-    worker pool (``repro.conc``) runs them as three engine operations
-    under the node's inode lock — validate and every
-    :meth:`DedupDaemon.fingerprint_page`, every hit's
-    :meth:`DedupDaemon.stage_page` under the FACT lock, the commit.
+    Produced by :meth:`DedupDaemon.validate_node` and threaded through
+    the three phases :meth:`DedupDaemon.scan`, :meth:`DedupDaemon.stage`
+    and :meth:`DedupDaemon.commit_node` — back to back in the daemon, one
+    engine operation each in the concurrent worker pool (``repro.conc``).
     """
 
     node: "DWQNode"
@@ -159,19 +156,27 @@ class DedupDaemon:
                 self._process_node(node)
 
     def _process_node(self, node: DWQNode) -> None:
+        task, hits = self.scan(node)
+        if task is not None:
+            self.stage(task, hits)
+            self.commit_node(task)
+
+    # -- stages (one engine operation each in the concurrent worker pool) --
+
+    def scan(self, node: DWQNode) -> tuple[Optional[NodeTask], list]:
+        """Steps 1–2: the node's task (None: stale) and its ``(pgoff,
+        page, fp)`` hits.  Touches no shared FACT state."""
         task = self.validate_node(node)
         if task is None:
-            return
-        # Step 2+3: fingerprint live pages, stage UCs.
-        for pgoff in task.page_offsets:
-            hit = self.fingerprint_page(task, pgoff)
-            if hit is None:
-                continue
-            page, fp = hit
-            self.stage_page(task, pgoff, page, fp)
-        self.commit_node(task)
+            return None, []
+        return task, [(pgoff, *hit) for pgoff in task.page_offsets
+                      if (hit := self.fingerprint_page(task, pgoff))]
 
-    # -- stages (interleavable by the concurrent worker pool) ----------------
+    def stage(self, task: NodeTask, hits: list) -> None:
+        """Step 3 for every hit, in page order: the FACT critical section
+        (the worker pool holds its ``fact`` lock across it)."""
+        for hit in hits:
+            self.stage_page(task, *hit)
 
     def validate_node(self, node: DWQNode) -> Optional[NodeTask]:
         """Step 1: reject stale nodes; return the in-flight task if live.
@@ -209,8 +214,7 @@ class DedupDaemon:
         call makes every page's check and the chunking read).
 
         Returns ``(page, fingerprint)`` or ``None`` for a page the
-        foreground already overwrote.  Touches no shared FACT state, so
-        parallel workers run it without holding the FACT lock.
+        foreground already overwrote.
         """
         if task.live is None:
             self._read_live(task)
@@ -248,13 +252,9 @@ class DedupDaemon:
 
     def stage_page(self, task: NodeTask, pgoff: int, page: int,
                    fp: bytes) -> None:
-        """Step 3 for one page: FACT lookup / insert / UC staging.
-
-        This is the FACT critical section: the concurrent worker pool
-        runs a node's calls, in page order, as one operation under its
-        ``fact`` lock, which rules out double inserts and double UC
-        increments between workers.
-        """
+        """Step 3 for one page: FACT lookup / insert / UC staging.  Under
+        the worker pool's ``fact`` lock (:meth:`stage`), so parallel
+        workers cannot double-insert or double-increment a UC."""
         fact = self.fs.fact
         res = fact.lookup(fp)
         found = res.found

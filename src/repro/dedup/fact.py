@@ -782,6 +782,8 @@ class FACT:
         """Raise :class:`FactCorruption` on any structural violation."""
         arr = self._peek()
         prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
+        fps = arr.view(np.uint8).reshape(-1, ENTRY)[:, _OFF_FP:_OFF_FP
+                                                    + FP_BYTES]
         linked: set[int] = set()
         for head in self._active_heads(blocks, nxt, prev):
             if int(prev[head]) != 0:
@@ -809,8 +811,7 @@ class FACT:
                             f"slot {idx}: prev={int(prev[idx]) - 1} "
                             f"but chain predecessor is {prev_idx}")
                 if blocks[idx] != 0:
-                    raw = self.dev.read_silent(self.addr(idx), ENTRY)
-                    fp = raw[_OFF_FP:_OFF_FP + FP_BYTES]
+                    fp = fps[idx].tobytes()
                     if fp_prefix(fp, self.prefix_bits) != head:
                         raise FactCorruption(
                             f"slot {idx} in chain {head} has prefix "

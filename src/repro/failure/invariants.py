@@ -30,15 +30,9 @@ from __future__ import annotations
 
 from collections import Counter
 
+from repro.failure import image
 from repro.nova.entries import decode_entry
-from repro.nova.inode import (
-    ITYPE_DIR,
-    ITYPE_FILE,
-    ITYPE_SYMLINK,
-    _OFF_VALID,
-    Inode,
-)
-from repro.nova.layout import INODE_SIZE
+from repro.nova.inode import ITYPE_DIR, ITYPE_FILE, ITYPE_SYMLINK
 from repro.nova.radix import page_refs
 
 __all__ = ["InvariantViolation", "check_fs_invariants"]
@@ -74,15 +68,15 @@ def _check_fs_invariants(fs) -> dict:
     refs = page_refs(fs)
     log_pages: set[int] = set()
 
+    log = image.log(fs.dev, fs.geo)
     for ino, cache in fs.caches.items():
         # Log chains terminate and committed entries decode.
-        for page in fs.log.iter_pages(cache.inode.log_head, silent=True):
+        for page in log.iter_pages(cache.inode.log_head):
             if page in log_pages:
                 _fail(f"log page {page} shared by two inodes")
             log_pages.add(page)
-        for addr, raw in fs.log.iter_slots(cache.inode.log_head,
-                                           cache.inode.log_tail,
-                                           silent=True):
+        for addr, raw in log.iter_slots(cache.inode.log_head,
+                                        cache.inode.log_tail):
             try:
                 if decode_entry(raw) is None:
                     _fail(f"ino {ino}: committed empty slot at {addr:#x}")
@@ -131,14 +125,8 @@ def _check_fs_invariants(fs) -> dict:
 
 def _check_itable(fs) -> int:
     """Valid on-PM inode records ⇔ mounted inodes, both directions."""
-    itable = fs.itable
     valid_inos: set[int] = set()
-    table = fs.dev.read_silent(itable.addr_of(1),
-                               itable.capacity * INODE_SIZE)
-    for ino, valid in enumerate(table[_OFF_VALID::INODE_SIZE], 1):
-        if not valid:
-            continue
-        rec = Inode.unpack(table[(ino - 1) * INODE_SIZE:ino * INODE_SIZE])
+    for ino, rec in image.inode_records(fs.dev, fs.geo):
         valid_inos.add(ino)
         if rec.ino != ino:
             _fail(f"itable[{ino}]: valid record carries ino {rec.ino} "
@@ -192,7 +180,7 @@ def _check_fact(fs, fact, refs: Counter) -> dict:
 
     # No valid IAA slot at or above the persisted IAA mark: recovery and
     # a checkpoint-less mount read nothing past it.
-    mark = fs.sb.iaa_mark(silent=True)
+    mark = image.iaa_mark(fs.dev)
     if mark is not None:
         if mark > fact.daa_size:
             _fail(f"IAA mark {mark} exceeds the IAA's {fact.daa_size} slots")

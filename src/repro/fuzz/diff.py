@@ -38,6 +38,7 @@ from typing import Callable, ClassVar, Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.hybrid import HybridDeNovaFS
+from repro.failure import image
 from repro.failure.injector import count_persist_events, sweep_crash_points
 from repro.failure.invariants import InvariantViolation, check_fs_invariants
 from repro.fuzz.gen import apply_to_model, model_after
@@ -270,8 +271,8 @@ def _dir_links_real(fs) -> dict[str, int]:
 def flags_converged(fs) -> bool:
     """After a drain no committed write entry may stay ``in_process``."""
     for cache in fs.caches.values():
-        for _a, raw in fs.log.iter_slots(cache.inode.log_head,
-                                         cache.inode.log_tail, silent=True):
+        for _a, raw in image.log(fs.dev, fs.geo).iter_slots(
+                cache.inode.log_head, cache.inode.log_tail):
             e = decode_entry(raw)
             if (isinstance(e, WriteEntry)
                     and e.dedupe_flag == DEDUPE_IN_PROCESS):

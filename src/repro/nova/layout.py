@@ -104,6 +104,19 @@ class Geometry:
     def fact_bytes(self) -> int:
         return self.fact_entries * 64
 
+    def areas(self) -> list[tuple[str, int, int]]:
+        """``(name, first page, pages)`` of each area between superblock
+        and data, in the order :meth:`compute` places them (absent: 0, 0)."""
+        return [
+            ("inode table", self.inode_table_page,
+             math.ceil(self.inode_capacity * INODE_SIZE / PAGE_SIZE)),
+            ("journal", self.journal_page, 1),
+            ("DWQ save area", self.dwq_save_page, self.dwq_save_pages),
+            ("FACT", self.fact_page, math.ceil(self.fact_bytes / PAGE_SIZE)),
+            ("checkpoint", self.ckpt_page, self.ckpt_pages),
+            ("tenant registry", self.tenant_page, self.tenant_pages),
+            ("staging log", self.staging_page, self.staging_pages)]
+
     @staticmethod
     def compute(total_pages: int, max_inodes: int = 1024,
                 with_dedup: bool = False, fact_prefix_bits: int | None = None,
@@ -210,16 +223,7 @@ def _geometry_problem(geo: Geometry, device_pages: int) -> str | None:
     if geo.fact_page and geo.fact_prefix_bits > 63:
         return f"FACT prefix bits {geo.fact_prefix_bits}"
     end = 1  # page 0 is the superblock
-    for name, page, pages in (  # the order Geometry.compute places them in
-            ("inode table", geo.inode_table_page,
-             math.ceil(geo.inode_capacity * INODE_SIZE / PAGE_SIZE)),
-            ("journal", geo.journal_page, 1),
-            ("DWQ save area", geo.dwq_save_page, geo.dwq_save_pages),
-            ("FACT", geo.fact_page, math.ceil(geo.fact_bytes / PAGE_SIZE)),
-            ("checkpoint", geo.ckpt_page, geo.ckpt_pages),
-            ("tenant registry", geo.tenant_page, geo.tenant_pages),
-            ("staging log", geo.staging_page, geo.staging_pages),
-            ("data", geo.data_start_page, 1)):
+    for name, page, pages in [*geo.areas(), ("data", geo.data_start_page, 1)]:
         if page == 0 == pages:
             continue  # an optional region the image was formatted without
         if page < end:
@@ -352,12 +356,10 @@ class Superblock:
 
     # -- FACT IAA mark ---------------------------------------------------------
 
-    def iaa_mark(self, silent: bool = False) -> int | None:
+    def iaa_mark(self) -> int | None:
         """IAA slots that may hold an entry; None on an image formatted
-        before the mark (every slot may).  ``silent``: a check's read."""
-        at = _OFF_IAA_MARK
-        word = int.from_bytes(self.dev.read_silent(at, 8), "little") \
-            if silent else self.dev.read_u64(at)
+        before the mark (every slot may)."""
+        word = self.dev.read_u64(_OFF_IAA_MARK)
         return word - 1 if word else None
 
     def set_iaa_mark(self, slots: int) -> None:

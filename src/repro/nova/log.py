@@ -109,34 +109,27 @@ class LogManager:
 
     # -- walking -----------------------------------------------------------------------
 
-    def iter_slots(self, head_page: int, tail: int, silent: bool = False
+    def iter_slots(self, head_page: int, tail: int
                    ) -> Iterator[tuple[int, bytes]]:
         """Yield ``(addr, raw)`` for every committed entry slot, reading
-        each page's committed slots with one device request.
-
-        ``silent=True`` walks without charging device costs (used by test
-        invariant checkers, never by filesystem code).
-        """
+        each page's committed slots with one device request."""
         if head_page == 0 or tail == 0:
             return
-        read = self.dev.read_silent if silent else self.dev.read
         tail_page = (tail - 1) // PAGE_SIZE
-        for page in self.iter_pages(head_page, silent):
+        for page in self.iter_pages(head_page):
             base = page * PAGE_SIZE
             start = base + LOG_HEADER_SIZE
             end = tail if page == tail_page else base + PAGE_SIZE
             n = (end - start) // ENTRY_SIZE * ENTRY_SIZE
             if n > 0:
-                run = read(start, n)
+                run = self.dev.read(start, n)
                 for off in range(0, n, ENTRY_SIZE):
                     yield start + off, run[off:off + ENTRY_SIZE]
             if page == tail_page:
                 return
 
-    def iter_pages(self, head_page: int, silent: bool = False
-                   ) -> Iterator[int]:
+    def iter_pages(self, head_page: int) -> Iterator[int]:
         """Yield every page in the chain (including any past the tail)."""
-        read = self.dev.read_silent if silent else self.dev.read
         page = head_page
         seen = set()
         while page:
@@ -144,7 +137,7 @@ class LogManager:
                 raise RuntimeError(f"log page cycle at page {page}")
             seen.add(page)
             yield page
-            page = int.from_bytes(read(page * PAGE_SIZE, 8), "little")
+            page = int.from_bytes(self.dev.read(page * PAGE_SIZE, 8), "little")
 
     def iter_chain(self, head_page: int, tail: int
                    ) -> Iterator[tuple[int, bytes]]:

@@ -23,6 +23,7 @@ from repro.dedup import DeNovaFS, recovery
 from repro.dedup.fact import ENTRY, FACT
 from repro.dedup.reorder import reorder_chain
 from repro.failure import check_fs_invariants, sweep_crash_points
+from repro.failure import image
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import (DEDUPE_IN_PROCESS, ENTRY_SIZE, WriteEntry,
                                 decode_entry)
@@ -40,8 +41,8 @@ def page_of(tag: int) -> bytes:
 
 def no_in_process_entries(fs) -> bool:
     for cache in fs.caches.values():
-        for _a, raw in fs.log.iter_slots(cache.inode.log_head,
-                                         cache.inode.log_tail, silent=True):
+        for _a, raw in image.log(fs.dev, fs.geo).iter_slots(
+                cache.inode.log_head, cache.inode.log_tail):
             e = decode_entry(raw)
             if (isinstance(e, WriteEntry)
                     and e.dedupe_flag == DEDUPE_IN_PROCESS):
@@ -379,7 +380,7 @@ class TestRecoveryReadsFactOnce:
         return mount
 
     def check_once(self, fs, region, passes):
-        mark = fs.sb.iaa_mark(silent=True)
+        mark = image.iaa_mark(fs.dev)
         assert mark == fs.fact.iaa_mark < fs.fact.daa_size
         size = (fs.fact.daa_size + mark) * ENTRY
         assert region is not None                 # an unclean mount
@@ -463,7 +464,7 @@ class TestRecoveryReadsFactOnce:
                 return _real(addr, n)
             setattr(dev, kind, logged)
         fs2 = DeNovaFS.mount(dev, use_checkpoint=False)
-        daa, mark = fact.daa_size, fs2.sb.iaa_mark(silent=True)
+        daa, mark = fact.daa_size, image.iaa_mark(fs2.dev)
         assert mark == fs2.fact.iaa_mark == 64
         assert reads == [("read_view", daa * ENTRY, mark * ENTRY)]
         assert fs2.fact._iaa_free == list(range(fact.total - 1, daa + 1, -1))
@@ -539,7 +540,8 @@ class TestUncleanMountReadsEachLogOnce:
             tail = cache.inode.log_tail
             tail_page = (tail - 1) // PAGE_SIZE
             past = False
-            for page in fs.log.iter_pages(cache.inode.log_head, silent=True):
+            for page in image.log(fs.dev, fs.geo).iter_pages(
+                    cache.inode.log_head):
                 pages.append(page)
                 base = page * PAGE_SIZE
                 if past:
@@ -639,8 +641,8 @@ class TestUncleanMountReadsEachLogOnce:
         stale = fs.caches[ino].tail
         assert "skipped" not in thorough_gc(fs, ino)
         fs.itable.update_log_tail(ino, stale)        # the tail update lost
-        chain = list(fs.log.iter_pages(fs.caches[ino].inode.log_head,
-                                       silent=True))
+        chain = list(image.log(dev, fs.geo).iter_pages(
+            fs.caches[ino].inode.log_head))
         assert len(chain) == 2
         dev.crash("discard")
         dev.recover_view()
@@ -664,8 +666,8 @@ class TestUndecodableLogSlot:
         fs.write(ino, 0, page_of(1))
         fs.write(ino, PAGE_SIZE, page_of(2))
         cache = fs.caches[ino]
-        _first, (second, _raw) = fs.log.iter_slots(
-            cache.inode.log_head, cache.tail, silent=True)
+        _first, (second, _raw) = image.log(fs.dev, fs.geo).iter_slots(
+            cache.inode.log_head, cache.tail)
         fs.dev.write(second, b"\x7f", persist=True)       # etype byte
         fs.dev.crash("discard")
         fs.dev.recover_view()

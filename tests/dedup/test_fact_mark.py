@@ -17,7 +17,7 @@ import pytest
 from repro.dedup import DeNovaFS
 from repro.dedup.fact import ENTRY, FACT
 from repro.dedup.fingerprint import fp_prefix
-from repro.failure import (InvariantViolation, check_fs_invariants,
+from repro.failure import (InvariantViolation, check_fs_invariants, image,
                            sweep_crash_points)
 from repro.nova import PAGE_SIZE
 from repro.nova.layout import _OFF_IAA_MARK, Geometry, Superblock
@@ -70,24 +70,24 @@ class TestMark:
     def test_mkfs_stores_zero_and_the_first_iaa_insert_raises_it(self):
         fs = make_fs()
         log = word_reads(fs.dev)
-        assert fs.sb.iaa_mark(silent=True) == 0
+        assert image.iaa_mark(fs.dev) == 0
         put(fs, "/a", pages()[:2])            # the DAA head, IAA slot 0
         assert max(fs.fact.live_entries()) == fs.fact.daa_size
-        assert fs.sb.iaa_mark(silent=True) == fs.fact.iaa_mark == STEP
+        assert image.iaa_mark(fs.dev) == fs.fact.iaa_mark == STEP
         assert log == []                    # mkfs knows its mark: no read
         check_fs_invariants(fs)
 
     def test_the_mark_rises_a_page_at_a_time_and_never_falls(self):
         fs = make_fs()
         put(fs, "/a", pages()[:STEP + 1])     # IAA slots 0 .. STEP - 1
-        assert fs.sb.iaa_mark(silent=True) == STEP
+        assert image.iaa_mark(fs.dev) == STEP
         put(fs, "/b", pages()[STEP + 1:STEP + 2])     # IAA slot STEP
         assert max(fs.fact.live_entries()) == fs.fact.daa_size + STEP
-        assert fs.sb.iaa_mark(silent=True) == 2 * STEP
+        assert image.iaa_mark(fs.dev) == 2 * STEP
         fs.unlink("/a")
         fs.unlink("/b")
         assert not fs.fact.live_entries()
-        assert fs.sb.iaa_mark(silent=True) == fs.fact.iaa_mark == 2 * STEP
+        assert image.iaa_mark(fs.dev) == fs.fact.iaa_mark == 2 * STEP
         check_fs_invariants(fs)
 
     def test_the_mark_stops_at_the_iaa(self):
@@ -102,7 +102,7 @@ class TestMark:
                if fact.head_of(f) == head][:2]
         for block, f in enumerate(fps, 1):
             fact.insert(f, block)
-        assert Superblock(dev).iaa_mark(silent=True) == 32
+        assert image.iaa_mark(dev) == 32
 
     @pytest.mark.parametrize("how", ["checkpoint", "scan", "unclean"])
     def test_a_mount_reads_the_word_once_and_its_writes_never(self, how):
@@ -118,7 +118,7 @@ class TestMark:
         fs2 = DeNovaFS.mount(dev, use_checkpoint=how == "checkpoint")
         assert fs2.fact.iaa_mark == STEP and len(log) == 1
         put(fs2, "/b", pages()[3:STEP + 3])   # IAA slots 2 .. STEP + 1
-        assert fs2.sb.iaa_mark(silent=True) == 2 * STEP
+        assert image.iaa_mark(fs2.dev) == 2 * STEP
         assert len(log) == 1
         check_fs_invariants(fs2)
 
@@ -133,7 +133,7 @@ class TestMark:
         fs2 = DeNovaFS.mount(dev)
         assert fs2.fact.iaa_mark == fs2.fact.daa_size
         put(fs2, "/a", pages()[:3])
-        assert fs2.sb.iaa_mark(silent=True) is None
+        assert image.iaa_mark(fs2.dev) is None
         check_fs_invariants(fs2)
 
 
@@ -186,7 +186,7 @@ class TestRaiseCrashWindow:
             linked = {e.idx for e in fact.chain(head, silent=True)}
             valid = idx in fact.live_entries()
             assert valid == (idx in linked) != (idx in fact._iaa_free)
-            assert fs.sb.iaa_mark(silent=True) in (old, old + STEP)
+            assert image.iaa_mark(fs.dev) in (old, old + STEP)
             outcomes.add(valid)
 
         assert sweep_crash_points(build, check,

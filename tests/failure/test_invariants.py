@@ -9,6 +9,7 @@ teeth (a checker that never fires verifies nothing).
 import pytest
 
 from repro.dedup import DeNovaFS
+from repro.failure import image
 from repro.failure.invariants import InvariantViolation, check_fs_invariants
 from repro.nova import NovaFS
 from repro.nova.inode import ITYPE_FILE, Inode
@@ -66,9 +67,8 @@ class TestDataInvariants:
     def test_corrupt_committed_log_entry(self):
         fs, ino = make_nova()
         cache = fs.caches[ino]
-        addr, _raw = next(fs.log.iter_slots(cache.inode.log_head,
-                                            cache.inode.log_tail,
-                                            silent=True))
+        addr, _raw = next(image.log(fs.dev, fs.geo).iter_slots(
+            cache.inode.log_head, cache.inode.log_tail))
         fs.dev.write(addr, b"\xff" * 8)
         fs.dev.persist(addr, 8)
         with pytest.raises(InvariantViolation, match="corrupt committed"):

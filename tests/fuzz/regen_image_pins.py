@@ -1,33 +1,37 @@
-"""Print the ``PINNED`` table of ``test_image_pin.py`` for this tree.
-
-Run from the repository root, then paste the output over the table::
+"""Rewrite ``image_pins.json`` (the table of ``test_image_pin.py``) for
+this tree, and print what moved: per image, the columns that moved and
+the regions whose store digest moved.  Run from the repository root::
 
     PYTHONPATH=src python tests/fuzz/regen_image_pins.py
 
-Only for a change meant to move the crash images, once it is shown how
-they move (``test_image_pin``'s docstring: a clock-only move).
+A change that claims no store moved shows it here: only ``clock`` and
+``full`` may move.
 """
 
+import json
 import pathlib
 import sys
 
 HERE = pathlib.Path(__file__).parent
 sys.path[:0] = [str(HERE), str(HERE.parents[1])]    # test_image_pin, tests
 
-from test_image_pin import PINNED, crash_images  # noqa: E402
+from test_image_pin import PIN_FILE, PINNED, crash_images, pin_diff  # noqa
 
 
-def table(seeds) -> str:
-    lines = ["PINNED = {"]
-    for seed in seeds:
+def main() -> None:
+    table, moved = {}, []
+    for seed in sorted(PINNED):
         result, visited = crash_images(seed)
         if not result.ok:
             raise SystemExit(f"seed {seed}: {result.violations}")
-        rows = [repr(v) for v in visited]
-        lines.append(f"    {seed}: [" + ",\n        ".join(rows) + "],")
-    lines.append("}")
-    return "\n".join(lines)
+        table[str(seed)] = visited
+        moved += pin_diff(seed, PINNED[seed], visited)
+    PIN_FILE.write_text("{\n" + ",\n".join(
+        f"{json.dumps(seed)}: [\n" + ",\n".join(
+            "  " + json.dumps(row) for row in rows) + "\n]"
+        for seed, rows in table.items()) + "\n}\n")
+    print("\n".join(moved) if moved else "no pin moved")
 
 
 if __name__ == "__main__":
-    print(table(sorted(PINNED)))
+    main()

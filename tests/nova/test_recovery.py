@@ -3,6 +3,7 @@
 import pytest
 
 from repro.failure import check_fs_invariants, sweep_crash_points
+from repro.failure import image
 from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.entries import ENTRY_SIZE, WriteEntry, decode_entry
 from repro.nova.inode import ROOT_INO, Inode
@@ -288,7 +289,8 @@ class TestOrphanChains:
         assert rep.orphans_collected == 1 + len(kids)
         live = set()
         for c in fs2.caches.values():
-            live.update(fs2.log.iter_pages(c.inode.log_head, silent=True))
+            live.update(image.log(fs2.dev, fs2.geo).iter_pages(
+                c.inode.log_head))
             live.update(c.index.referenced_pages())
         assert rep.pages_in_use == len(live)
         check_fs_invariants(fs2)
