@@ -33,8 +33,9 @@ ITYPE_SYMLINK = 3
 #: are rejected; unlink stays legal (reference counts guard the data).
 FLAG_IMMUTABLE = 0x1
 
-_INODE_FMT = "<QBBHIQQQQQ72x"  # ino, valid, itype, flags, links, size,
-#                                log_head, log_tail, mtime, epoch
+_INODE_HEAD = "<QBBHIQQQ"      # ino, valid, itype, flags, links, size,
+#                                log_head, log_tail
+_INODE_FMT = _INODE_HEAD + "QQ72x"      # mtime, epoch
 assert struct.calcsize(_INODE_FMT) == INODE_SIZE
 
 # Field offsets within the record (for in-place atomic updates).
@@ -62,6 +63,7 @@ class Inode:
     log_tail: int = 0   # abs byte addr of next free entry slot (0 = none)
     mtime: int = 0
     epoch: int = 0
+    MTIME_AT = struct.calcsize(_INODE_HEAD)  # the packed mtime's offset
 
     def pack(self) -> bytes:
         return struct.pack(_INODE_FMT, self.ino, self.valid, self.itype,
@@ -106,7 +108,7 @@ class InodeTable:
 
     # -- allocation ------------------------------------------------------------------
 
-    def _read_runs(self):
+    def record_runs(self):
         """Yield ``(first_ino, raw, valid)`` per run of ``_SCAN_RUN``
         records, one device read each; ``valid`` is ``raw``'s flag column."""
         for first in range(1, self.capacity + 1, _SCAN_RUN):
@@ -116,7 +118,7 @@ class InodeTable:
             yield first, raw, valid
 
     def _scan_free(self) -> None:
-        free = [ino for first, _raw, valid in self._read_runs()
+        free = [ino for first, _raw, valid in self.record_runs()
                 for ino in (first + np.flatnonzero(valid == 0)).tolist()]
         # Highest first: pop() hands out low inos.
         self._free = [ino for ino in reversed(free) if ino != ROOT_INO]
@@ -191,7 +193,7 @@ class InodeTable:
         yields to a later record of the same run is not seen (recovery
         stores only to the record just yielded).
         """
-        for first, raw, valid in self._read_runs():
+        for first, raw, valid in self.record_runs():
             for k in np.flatnonzero(valid == 1).tolist():
                 ino = first + k
                 rec = Inode.unpack(raw[k * INODE_SIZE:(k + 1) * INODE_SIZE])

@@ -88,7 +88,7 @@ class TestRfcUndercount:
 def iter_valid_without_release(table, released):
     """The recovery table scan without its release: a torn record is
     passed over and stays valid on PM."""
-    for first, _raw, valid in table._read_runs():
+    for first, _raw, valid in table.record_runs():
         for ino in (first + np.flatnonzero(valid == 1)).tolist():
             rec = table.read(ino)
             if rec.ino == ino:
