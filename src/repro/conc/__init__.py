@@ -4,9 +4,9 @@ Pieces:
 
 * :class:`ConcurrentVFS` — N client processes against one mounted
   filesystem, per-inode RWLocks + namespace lock, op-level cost
-  accounting, admission control, and the dedup worker pool;
-* :class:`ShardedDWQ` — per-CPU DWQ shards with work stealing and
-  bounded-depth backpressure;
+  accounting, admission control, and the dedup worker pool over the
+  filesystem's DWQ, re-laid per CPU (:meth:`repro.dedup.dwq.DWQ.relay`:
+  lanes, work stealing, bounded-depth backpressure);
 * :class:`LockOrderValidator` — runtime acquisition-DAG recorder that
   fails fast on cycle-forming acquisitions;
 * :func:`fs_state_digest` — the logical filesystem as one digest: same
@@ -17,12 +17,10 @@ See docs/CONCURRENCY.md for the lock hierarchy and shard layout.
 
 from repro.conc.lockorder import LockOrderValidator, LockOrderViolation
 from repro.conc.permute import fs_state_digest
-from repro.conc.sdwq import ShardedDWQ
 from repro.conc.vfs import OP_LATENCY_BUCKETS_NS, ConcurrentVFS
 
 __all__ = [
     "ConcurrentVFS",
-    "ShardedDWQ",
     "LockOrderValidator",
     "LockOrderViolation",
     "fs_state_digest",

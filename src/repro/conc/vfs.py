@@ -1,14 +1,15 @@
 """ConcurrentVFS — N simulated clients against one filesystem.
 
 The front-end of the concurrency subsystem: it owns the DES engine, the
-lock hierarchy, the sharded DWQ, and the dedup and destage pools, and
-exposes three things a workload driver composes: :meth:`op` runs a
-synchronous filesystem call as a properly locked, cost-accounted
-simulated-time operation; :meth:`write` is an ``op`` that may enqueue
-DWQ nodes (admission, the tenant's DWQ-share reservation, the worker
-kick); :meth:`run` drives client processes to completion beside the
-pools.  Nothing outside this module admits, releases a reservation,
-starts a pool or runs the engine (``tests/conc/test_driver.py``).
+lock hierarchy, the per-CPU layout of the filesystem's DWQ, and the
+dedup and destage pools, and exposes three things a workload driver
+composes: :meth:`op` runs a synchronous filesystem call as a properly
+locked, cost-accounted simulated-time operation; :meth:`write` is an
+``op`` that may enqueue DWQ nodes (admission, the tenant's DWQ-share
+reservation, the worker kick); :meth:`run` drives client processes to
+completion beside the pools.  Nothing outside this module admits,
+releases a reservation, starts a pool or runs the engine
+(``tests/conc/test_driver.py``).
 
 Lock hierarchy (acquisition must follow this order; the
 :class:`~repro.conc.lockorder.LockOrderValidator` enforces it at
@@ -46,7 +47,6 @@ import random
 from typing import Callable, Optional
 
 from repro.conc.lockorder import LockOrderValidator
-from repro.conc.sdwq import ShardedDWQ
 from repro.pm.clock import FS_PER_NS, fs_of
 from repro.sim import Engine, Lock, Process, Resource, RWLock
 from repro.tenant.qos import UNTENANTED, TenantQoS
@@ -130,29 +130,23 @@ class ConcurrentVFS:
         self._jitter = (random.Random(f"repro.conc:{self.jitter_seed}")
                         if self.jitter_seed is not None else None)
 
-        # ---- sharded DWQ swap-in (dedup-capable filesystems only) ----
-        self.sdwq: Optional[ShardedDWQ] = None
-        self._shard_locks: list[tuple[Lock, str]] = []
-        self._space_waiters: list[list] = []
-        if hasattr(fs, "dwq"):
-            nshards = shards if shards is not None else max(1, fs.cpus)
-            sdwq = ShardedDWQ(fs.cpu_model, fs.clock, nshards,
-                              obs=fs.obs,
-                              max_depth=max_shard_depth)
-            sdwq.adopt(fs.dwq)
-            fs.dwq = sdwq
-            self.sdwq = sdwq
-            self._shard_locks = [
-                (Lock(self.eng, contention_penalty_ns=LOCK_PENALTY_NS),
-                 f"shard:{s}") for s in range(nshards)]
-            self._space_waiters = [[] for _ in range(nshards)]
+        # ---- the filesystem's DWQ, re-laid per CPU (dedup fs only) ----
+        dwq = getattr(fs, "dwq", None)
+        if dwq is not None:
+            dwq.relay(shards if shards is not None else max(1, fs.cpus),
+                      max_shard_depth)
+        lanes = range(dwq.nshards if dwq is not None else 0)
+        self._shard_locks = [
+            (Lock(self.eng, contention_penalty_ns=LOCK_PENALTY_NS),
+             f"shard:{s}") for s in lanes]
+        self._space_waiters = [[] for _ in lanes]
 
         # ---- tenant QoS (weighted-fair admission) ----
         self.qos = None
         if qos:
             dwq_cap = None
-            if self.sdwq is not None and self.sdwq.max_depth is not None:
-                dwq_cap = self.sdwq.nshards * self.sdwq.max_depth
+            if dwq is not None and dwq.max_depth is not None:
+                dwq_cap = dwq.nshards * dwq.max_depth
             self.qos = TenantQoS(self.eng, fs.tenants,
                                  bw_slots=bw_slots,
                                  dwq_capacity=dwq_cap,
@@ -344,11 +338,11 @@ class ConcurrentVFS:
         before it can fill every shard, which is what keeps well-behaved
         tenants admitting freely (see docs/TENANCY.md).
         """
-        sdwq = self.sdwq
-        if sdwq is None or sdwq.max_depth is None:
+        dwq = getattr(self.fs, "dwq", None)
+        if dwq is None or dwq.max_depth is None:
             return False
         qos = self.qos
-        s = sdwq.shard_of(ino)
+        s = dwq.shard_of(ino)
         # Both conditions re-checked together after every wait: a writer
         # woken by shard space must not slip past over_share() it never
         # re-tested (N waiters of one tenant would otherwise each admit
@@ -365,7 +359,7 @@ class ConcurrentVFS:
                 yield ev
                 self._h_stall.observe(self.eng.now - t0)
                 continue
-            if sdwq.is_full(s):
+            if dwq.is_full(s):
                 self._c_stalls.inc()
                 t0 = self.eng.now
                 ev = self.eng.event(f"admit:{holder}")
@@ -412,16 +406,15 @@ class ConcurrentVFS:
         """
         t0 = self.eng.now
         reserved = yield from self.admit(ino, holder, tenant)
-        sdwq = self.sdwq
         queued = 0
 
         def _counted():
             nonlocal queued
-            before = sdwq.enqueued
+            before = self.fs.dwq.enqueued
             try:
                 return fn()
             finally:
-                queued = sdwq.enqueued - before
+                queued = self.fs.dwq.enqueued - before
 
         try:
             result, cost = yield from self.op(
@@ -496,9 +489,9 @@ class ConcurrentVFS:
         kicked and then drain; delayed workers wake every
         ``interval_ms`` for up to ``batch`` nodes (split across the
         pool)."""
-        if self.sdwq is None:
+        if not hasattr(self.fs, "dwq"):
             raise ValueError(f"{type(self.fs).__name__} has no dedup daemon")
-        nshards = self.sdwq.nshards
+        nshards = self.fs.dwq.nshards
         w = min(self.workers, nshards)
         self._worker_wakes = [None] * w
         own = [[s for s in range(nshards) if s % w == i] for i in range(w)]
@@ -576,38 +569,16 @@ class ConcurrentVFS:
         (ties broken by node age) — per-tenant processor share tracks
         the configured weights even when one tenant dominates the queue.
         """
-        sdwq = self.sdwq
-        if self.qos is not None:
-            best = None
-            best_key = None
-            for s in own:
-                shard = sdwq._shards[s]
-                if not shard:
-                    continue
-                node = shard[0]
-                key = (self.qos.service_ratio(node.tid), node._seq)
-                if best_key is None or key < best_key:
-                    best, best_key = s, key
-            if best is not None:
-                return best, False
-        best = None
-        best_seq = None
-        for s in own:
-            shard = sdwq._shards[s]
-            if shard and (best_seq is None or shard[0]._seq < best_seq):
-                best, best_seq = s, shard[0]._seq
-        if best is not None:
-            return best, False
-        victim = None
-        longest = 0
-        for s in range(sdwq.nshards):
-            if s not in own and sdwq.shard_len(s) > longest:
-                victim, longest = s, sdwq.shard_len(s)
-        return victim, True
+        dwq = self.fs.dwq
+        qos = self.qos
+        s = dwq.head_lane(own, None if qos is None else qos.service_ratio)
+        if s is not None:
+            return s, False
+        return dwq.steal_victim(own), True
 
     def _worker_proc(self, wid: int, own: list[int], dd):
         eng = self.eng
-        sdwq = self.sdwq
+        dwq = self.fs.dwq
         holder = f"worker-{wid}"
         pool = len(self._worker_wakes)
         while True:
@@ -615,12 +586,12 @@ class ConcurrentVFS:
                 yield eng.timeout(dd.interval_ms * MS)
                 budget = max(1, -(-dd.batch // pool))  # ceil split
             else:
-                if len(sdwq) == 0:
+                if len(dwq) == 0:
                     if self._stop:
                         break
                     wake = eng.event(f"worker{wid}-wake")
                     self._worker_wakes[wid] = wake
-                    if len(sdwq) == 0 and not self._stop:
+                    if len(dwq) == 0 and not self._stop:
                         yield wake
                     self._worker_wakes[wid] = None
                     continue
@@ -630,8 +601,8 @@ class ConcurrentVFS:
                 s, is_steal = self._pick_shard(own)
                 if s is None:
                     break
-                take = ((lambda s=s: sdwq.steal_from(s)) if is_steal
-                        else (lambda s=s: sdwq.dequeue_shard(s)))
+                take = ((lambda s=s: dwq.steal_from(s)) if is_steal
+                        else (lambda s=s: dwq.dequeue_shard(s)))
                 node, cost = yield from self.op(
                     take, holder, shard=s, use_bw=False)
                 self.worker_busy_ns += cost
@@ -648,7 +619,7 @@ class ConcurrentVFS:
                     # waited (churn), and a None here would leak the
                     # outstanding charge taken in admit() forever.
                     self.qos.note_node_done(node.tid)
-            if dd.kind == "delayed" and self._stop and len(sdwq) == 0:
+            if dd.kind == "delayed" and self._stop and len(dwq) == 0:
                 break
 
     def _dedup_node(self, node, holder: str):

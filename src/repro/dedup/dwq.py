@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
@@ -78,16 +78,24 @@ class DWQNode:
     trace_id: int = 0
     tid: Optional[int] = None
     weak_hints: Optional[dict] = None
+    #: Global FIFO stamp, set by :meth:`DWQ.enqueue`.
+    _seq: int = field(default=0, init=False, repr=False, compare=False)
 
 
 class DWQ:
     """DRAM FIFO with lingering-time accounting and PM save/restore.
 
-    Raw queue storage is reached only through the ``_append`` /
-    ``_popleft`` / ``_items`` / ``_clear_items`` hooks, so subclasses
-    (``repro.conc.sdwq.ShardedDWQ``) can change the layout — per-CPU
-    shards — while inheriting the accounting and the on-PM save format
-    byte for byte.
+    Nodes sit in per-CPU lanes (lane ``ino % nshards``, the inode logs'
+    affinity), so writers of different CPUs never share a queue head; a
+    stamp per node (``_seq``) keeps the *global* FIFO order that
+    :meth:`dequeue`, :meth:`snapshot` and the save area follow, so
+    ``daemon.drain`` and clean shutdown see one FIFO whatever the
+    layout.  A queue starts as one lane; :meth:`relay` re-lays it in
+    place for the worker pool, which drains its own lanes
+    (:meth:`dequeue_shard`), steals from the others (:meth:`steal_from`)
+    and, with ``max_depth`` set, stalls writers before a full lane
+    (:meth:`is_full`) — backpressure the paper's unbounded queue never
+    applies (``max_depth=None``).
     """
 
     def __init__(self, cpu: CpuModel, clock: SimClock,
@@ -96,14 +104,19 @@ class DWQ:
         self._clock = clock
         #: ino -> tenant id (or None), consulted at enqueue time to
         #: stamp :attr:`DWQNode.tid`.  Set by the owning filesystem
-        #: (``TenantManager.tenant_of``); carried across the
-        #: ``ShardedDWQ.adopt`` swap.
+        #: (``TenantManager.tenant_of``).
         self.tenant_resolver: Optional[Callable[[int], Optional[int]]] = None
-        self._q: deque[DWQNode] = deque()
+        self.nshards = 1
+        self.max_depth: Optional[int] = None
+        self._shards: list[deque[DWQNode]] = [deque()]
+        self._depth = 0     # nodes in all lanes; __len__ runs per op
+        self._stamp = 0
         self.enqueued = 0
         self.dequeued = 0
         self.peak_length = 0
         self.lingering_ns: list[float] = []
+        self.steals = 0
+        self.steals_by_shard = [0]
         self._obs = obs
         registry = obs.registry if obs is not None else MetricsRegistry()
         self._g_depth = registry.gauge(
@@ -115,23 +128,41 @@ class DWQ:
             "dwq.residency_ns", buckets=RESIDENCY_BUCKETS_NS,
             help="simulated ns a node spent queued (Fig. 10 CDF)")
 
-    # ------------------------------------------------------- storage hooks
+    def relay(self, nshards: int, max_depth: Optional[int]) -> None:
+        """Re-lay the queue in place over ``nshards`` lanes.
 
-    def _append(self, node: DWQNode) -> None:
-        self._q.append(node)
-
-    def _popleft(self) -> Optional[DWQNode]:
-        return self._q.popleft() if self._q else None
-
-    def _items(self) -> list[DWQNode]:
-        """Queued nodes in global FIFO order."""
-        return list(self._q)
-
-    def _clear_items(self) -> None:
-        self._q.clear()
+        The backlog moves to its new lanes with its stamps, so the
+        global FIFO order and every node's lingering time are kept, as
+        are ``enqueued``, ``dequeued``, ``peak_length`` and the
+        lingering record.  Steal counts are per layout and start at 0.
+        With an obs hub the layout's metrics are (re-)pointed here:
+        ``dwq.steals_total`` and one ``dwq.shard<s>.depth`` gauge per
+        lane; a gauge of an earlier, wider layout reads 0.
+        """
+        if nshards < 1:
+            raise ValueError("nshards must be >= 1")
+        if max_depth is not None and max_depth < 1:
+            raise ValueError("max_depth must be >= 1 (or None for unbounded)")
+        backlog = self.snapshot()
+        self.nshards = nshards
+        self.max_depth = max_depth
+        self._shards = [deque() for _ in range(nshards)]
+        for node in backlog:
+            self._shards[self.shard_of(node.ino)].append(node)
+        self.steals = 0
+        self.steals_by_shard = [0] * nshards
+        if self._obs is None:
+            return
+        registry = self._obs.registry
+        registry.counter_fn("dwq.steals_total", lambda: self.steals,
+                            help="nodes taken from another worker's shard")
+        for s in range(nshards):
+            registry.gauge_fn(f"dwq.shard{s}.depth",
+                              lambda s=s: self.shard_len(s),
+                              help=f"pending dedup nodes in shard {s}")
 
     def __len__(self) -> int:
-        return len(self._q)
+        return self._depth
 
     # ---------------------------------------------------------- operations
 
@@ -143,39 +174,124 @@ class DWQ:
             node.trace_id = self._obs.tracer.current_trace_id
         if node.tid is None and self.tenant_resolver is not None:
             node.tid = self.tenant_resolver(node.ino)
-        self._append(node)
+        self._stamp += 1
+        node._seq = self._stamp
+        self._shards[self.shard_of(node.ino)].append(node)
+        self._depth += 1
         self.enqueued += 1
-        self._g_depth.set(len(self))
-        if len(self) > self.peak_length:
-            self.peak_length = len(self)
+        self._g_depth.set(self._depth)
+        if self._depth > self.peak_length:
+            self.peak_length = self._depth
         if self._obs is not None:
             self._obs.flight.record("dwq.enqueue", ino=node.ino,
-                                    depth=len(self),
+                                    depth=self._depth,
                                     trace_id=node.trace_id)
 
     def dequeue(self) -> Optional[DWQNode]:
         """Daemon side: pop the oldest node, recording lingering time."""
         self._clock.advance(self._cpu.dram_touch_ns)
-        node = self._popleft()
-        if node is None:
+        s = self.head_lane(range(self.nshards))
+        if s is None:
             return None
-        self._account_dequeue(node)
-        return node
+        return self._pop(s)
 
-    def _account_dequeue(self, node: DWQNode) -> None:
+    def _pop(self, s: int) -> DWQNode:
+        node = self._shards[s].popleft()
+        self._depth -= 1
         self.dequeued += 1
-        self._g_depth.set(len(self))
+        self._g_depth.set(self._depth)
         linger = self._clock.now_ns - node.enqueue_time_ns
         self.lingering_ns.append(linger)
         self._h_residency.observe(linger)
+        return node
 
     def snapshot(self) -> list[DWQNode]:
-        """Queued nodes in FIFO order (read-only view for recovery)."""
-        return self._items()
+        """Queued nodes in global FIFO order (recovery, save, re-lay)."""
+        return sorted((n for lane in self._shards for n in lane),
+                      key=lambda n: n._seq)
 
     def clear(self) -> None:
-        self._clear_items()
+        for lane in self._shards:
+            lane.clear()
+        self._depth = 0
         self._g_depth.set(0)
+
+    # ------------------------------------------------------------ lanes
+
+    def shard_of(self, ino: int) -> int:
+        """Lane affinity matches the per-CPU inode-log placement."""
+        return ino % self.nshards
+
+    def shard_len(self, s: int) -> int:
+        """Nodes in lane ``s``; 0 for a lane an earlier layout had."""
+        return len(self._shards[s]) if s < self.nshards else 0
+
+    def is_full(self, s: int) -> bool:
+        """Admission-control gate for writers targeting lane ``s``."""
+        return (self.max_depth is not None
+                and len(self._shards[s]) >= self.max_depth)
+
+    def head_lane(self, lanes, rank: Optional[Callable] = None
+                  ) -> Optional[int]:
+        """The lane among ``lanes`` whose head node is oldest, or None
+        when they are all empty.  With ``rank`` (tenant id -> key) the
+        head with the lowest ``(rank(head.tid), age)`` wins instead: the
+        worker pool's weighted-fair pick under QoS."""
+        best = best_key = None
+        for s in lanes:
+            lane = self._shards[s]
+            if lane:
+                head = lane[0]
+                key = (head._seq if rank is None
+                       else (rank(head.tid), head._seq))
+                if best_key is None or key < best_key:
+                    best, best_key = s, key
+        return best
+
+    def steal_victim(self, own) -> Optional[int]:
+        """The longest lane not in ``own`` (ties toward the lowest
+        index, so schedules stay deterministic), or None if all are
+        empty."""
+        victim, longest = None, 0
+        for s, lane in enumerate(self._shards):
+            if s not in own and len(lane) > longest:
+                victim, longest = s, len(lane)
+        return victim
+
+    def dequeue_shard(self, s: int) -> Optional[DWQNode]:
+        """Pop the oldest node of one lane (a worker's own)."""
+        self._clock.advance(self._cpu.dram_touch_ns)
+        if not self._shards[s]:
+            return None
+        node = self._pop(s)
+        self._handoff_span("dwq.dequeue", node, s)
+        return node
+
+    def steal_from(self, victim: int) -> Optional[DWQNode]:
+        """Work stealing: pop the oldest node of another worker's lane.
+
+        The caller picks the victim (:meth:`steal_victim`); the queue
+        records the steal per victim lane.
+        """
+        self._clock.advance(self._cpu.dram_touch_ns)
+        if not self._shards[victim]:
+            return None  # raced empty while the thief awaited the lock
+        node = self._pop(victim)
+        self.steals += 1
+        self.steals_by_shard[victim] += 1
+        self._handoff_span("dwq.steal", node, victim)
+        return node
+
+    def _handoff_span(self, kind: str, node: DWQNode, s: int) -> None:
+        """A tiny span on the lane's own Perfetto track, carrying the
+        node's trace id — the visual link between the enqueuing write's
+        lane and the draining worker's.  Emitted via ``tracer.emit`` (no
+        auto-histogram: the duration is a constant DRAM touch)."""
+        if self._obs is None:
+            return
+        self._obs.tracer.emit(
+            kind, self._clock.now_ns, self._cpu.dram_touch_ns,
+            trace_id=node.trace_id, track=f"shard:{s}", ino=node.ino)
 
     # ------------------------------------------------------------ persistence
 
@@ -203,7 +319,7 @@ class DWQ:
         if len(self) > cap:
             Superblock(dev).set_dwq_saved_count(self.OVERFLOWED)
             return 0
-        nodes = self._items()
+        nodes = self.snapshot()
         if nodes:
             blob = b"".join(struct.pack(_NODE_FMT, n.ino, n.entry_addr)
                             for n in nodes)

@@ -41,7 +41,8 @@ from __future__ import annotations
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -664,15 +665,22 @@ class FACT:
         return len(self._iaa_free)
 
     def live_entries(self) -> dict[int, FactEntry]:
-        """Decoded view of every valid slot (invariant checks, reports;
-        recovery's from its :meth:`in_dram` copy)."""
-        arr = self._peek() if self._dram is None \
-            else np.frombuffer(self._dram, dtype=_SCAN_DTYPE)
-        out = {}
-        for idx in np.nonzero(arr["block"])[0]:
-            i = int(idx)
-            out[i] = self._decode(i, arr, i * ENTRY)
-        return out
+        """Decoded view of every valid slot (reports; recovery's from
+        its :meth:`in_dram` copy)."""
+        return self._entries(self._peek() if self._dram is None
+                             else np.frombuffer(self._dram,
+                                                dtype=_SCAN_DTYPE))
+
+    def audit(self) -> tuple[dict[int, FactEntry], Callable[[], None]]:
+        """An invariant check's one read of the table: its live entries,
+        and :meth:`check_chains` bound to the same rows — call that
+        after the per-entry checks, so they report first."""
+        arr = self._peek()
+        return self._entries(arr), partial(self._check_chains, arr)
+
+    def _entries(self, arr: np.ndarray) -> dict[int, FactEntry]:
+        return {i: self._decode(i, arr, i * ENTRY)
+                for i in np.flatnonzero(arr["block"]).tolist()}
 
     def occupancy(self) -> dict:
         """DAA/IAA usage and chain-length statistics."""
@@ -780,7 +788,9 @@ class FACT:
 
     def check_chains(self) -> None:
         """Raise :class:`FactCorruption` on any structural violation."""
-        arr = self._peek()
+        self._check_chains(self._peek())
+
+    def _check_chains(self, arr: np.ndarray) -> None:
         prev, nxt, blocks = arr["prev"], arr["next"], arr["block"]
         fps = arr.view(np.uint8).reshape(-1, ENTRY)[:, _OFF_FP:_OFF_FP
                                                     + FP_BYTES]

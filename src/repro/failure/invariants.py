@@ -144,8 +144,8 @@ def _check_itable(fs) -> int:
 
 
 def _check_fact(fs, fact, refs: Counter) -> dict:
-    """DeNova-specific invariants over the FACT table."""
-    entries = fact.live_entries()
+    """DeNova-specific invariants over the FACT table (one read of it)."""
+    entries, check_chains = fact.audit()
     by_block = {}
     for idx, ent in entries.items():
         if ent.block in by_block:
@@ -189,5 +189,5 @@ def _check_fact(fs, fact, refs: Counter) -> dict:
             _fail(f"FACT[{min(past)}]: valid IAA slot at or above the "
                   f"mark ({mark} slots)")
 
-    fact.check_chains()  # raises InvariantViolation on structural damage
+    check_chains()  # raises InvariantViolation on structural damage
     return {"live_entries": len(entries)}

@@ -10,7 +10,8 @@ three parts, stacked on the existing filesystem and concurrency code:
   logical page/inode usage) rebuilt at mount, plus quota enforcement
   hooks called from the allocation paths.
 * :class:`TenantQoS` — deficit-weighted-fair admission in front of the
-  bandwidth slots and the ShardedDWQ, with per-tenant token buckets.
+  bandwidth slots and the DWQ's per-CPU lanes, with per-tenant token
+  buckets.
 
 See ``docs/TENANCY.md``.
 """

@@ -9,7 +9,8 @@ bandwidth saturation are decided by the DES, not by call order.
 Since the repro.conc subsystem landed, the runner drives workloads
 through :class:`~repro.conc.vfs.ConcurrentVFS`: N real client processes
 against one filesystem under the ns → ino → shard → fact lock
-hierarchy, a per-CPU :class:`~repro.conc.sdwq.ShardedDWQ`, and a dedup
+hierarchy, the filesystem's DWQ re-laid per CPU
+(:meth:`~repro.dedup.dwq.DWQ.relay`), and a dedup
 **worker pool** (``workers=1`` replicates the single-daemon behaviour
 the paper measures).  Contention model (the paper's Fig. 9 shape):
 
@@ -266,10 +267,9 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
             "mean_ns": h.sum / h.count if h.count else 0.0,
             "max_ns": h.max if h.count else 0.0,
         })
-    if cvfs.sdwq is not None:
-        result.steals = cvfs.sdwq.steals
     result.stalls = int(cvfs._c_stalls.value)
     if hasattr(fs, "dwq"):
+        result.steals = fs.dwq.steals
         result.dwq_peak = fs.dwq.peak_length
         result.lingering_ns = list(fs.dwq.lingering_ns)
     if hasattr(fs, "space_stats"):

@@ -99,6 +99,6 @@ def run_permutations(make_fs: Callable[[], tuple],
         report.seeds.append(seed)
         report.digests.append(fs_state_digest(fs))
         report.total_ns.append(vfs.eng.now)
-        report.steals.append(vfs.sdwq.steals if vfs.sdwq is not None else 0)
+        report.steals.append(fs.dwq.steals if hasattr(fs, "dwq") else 0)
         report.worker_nodes.append(vfs.worker_nodes)
     return report

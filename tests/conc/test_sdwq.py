@@ -1,19 +1,31 @@
-"""Unit tests for the per-CPU sharded DWQ."""
+"""Unit tests for the DWQ's per-CPU lanes, and for re-laying the
+filesystem's one queue in place under ConcurrentVFS."""
 
 import pytest
 
-from repro.conc.sdwq import ShardedDWQ
+from repro.conc import ConcurrentVFS
+from repro.core import Config, Variant, make_fs
 from repro.dedup.dwq import DWQ, DWQNode
 from repro.nova.layout import Geometry, PAGE_SIZE, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
 from repro.pm.latency import CpuModel
+from repro.workloads import DDMode, small_file_job
+from tests.conc.permutations import run_workload
 
 pytestmark = pytest.mark.conc
 
 
 def make_sdwq(nshards=4, max_depth=None):
     clock = SimClock()
-    return ShardedDWQ(CpuModel(), clock, nshards, max_depth=max_depth), clock
+    q = DWQ(CpuModel(), clock)
+    q.relay(nshards, max_depth)
+    return q, clock
+
+
+def delayed_fs(cpus=4):
+    fs, _ = make_fs(Variant.DELAYED,
+                    Config(device_pages=4096, max_inodes=256, cpus=cpus))
+    return fs
 
 
 def make_dev_geo():
@@ -63,11 +75,11 @@ class TestSharding:
         assert q.steal_from(1) is None  # raced-empty victim
 
     def test_bad_config_rejected(self):
-        clock = SimClock()
+        q = DWQ(CpuModel(), SimClock())
         with pytest.raises(ValueError):
-            ShardedDWQ(CpuModel(), clock, 0)
+            q.relay(0, None)
         with pytest.raises(ValueError):
-            ShardedDWQ(CpuModel(), clock, 2, max_depth=0)
+            q.relay(2, 0)
 
 
 class TestBackpressure:
@@ -89,18 +101,23 @@ class TestBackpressure:
 
 class TestAdoptAndPersistence:
     def test_adopt_preserves_backlog_and_stats(self):
+        """Re-laying a queue in place keeps its backlog in global FIFO
+        order, every node's enqueue stamp, and the cumulative stats."""
         clock = SimClock()
-        old = DWQ(CpuModel(), clock)
+        q = DWQ(CpuModel(), clock)
         for ino in (3, 1, 2):
-            old.enqueue(DWQNode(ino=ino, entry_addr=ino * 8))
-        old.dequeue()  # ino 3 gone; stats move
-        new = ShardedDWQ(CpuModel(), clock, 4)
-        new.adopt(old)
-        assert len(old) == 0
-        assert len(new) == 2
-        assert new.enqueued == 3
-        assert new.dequeued == 1
-        assert [new.dequeue().ino for _ in range(2)] == [1, 2]
+            q.enqueue(DWQNode(ino=ino, entry_addr=ino * 8))
+        q.dequeue()  # ino 3 gone; stats move
+        stamps = [n.enqueue_time_ns for n in q.snapshot()]
+        lingering = list(q.lingering_ns)
+        q.relay(4, None)
+        assert q.nshards == 4 and len(q) == 2
+        assert [n.enqueue_time_ns for n in q.snapshot()] == stamps
+        assert (q.enqueued, q.dequeued, q.peak_length) == (3, 1, 3)
+        assert q.lingering_ns == lingering
+        q.enqueue(DWQNode(ino=4, entry_addr=32))  # lane 0, newest
+        assert [q.dequeue().ino for _ in range(3)] == [1, 2, 4]
+        assert q.lingering_ns[:1] == lingering and q.dequeued == 4
 
     def test_save_restore_via_base_format(self):
         """The sharded queue saves/restores through the same on-PM format
@@ -115,3 +132,54 @@ class TestAdoptAndPersistence:
         fresh, _ = make_sdwq(nshards=3)
         assert fresh.restore(dev, geo) == 4
         assert [fresh.dequeue().ino for _ in inos] == inos
+
+
+class TestOneQueue:
+    """ConcurrentVFS re-lays the filesystem's own queue; it never swaps
+    in another."""
+
+    def test_vfs_keeps_the_filesystems_queue(self):
+        fs = delayed_fs()
+        dwq = fs.dwq
+        ConcurrentVFS(fs, shards=3, max_shard_depth=5)
+        assert fs.dwq is dwq
+        assert (dwq.nshards, dwq.max_depth) == (3, 5)
+
+    def test_sync_drain_after_a_run_is_global_fifo(self):
+        fs = delayed_fs()
+        order = []
+        enqueue = fs.dwq.enqueue
+
+        def recording(node):
+            order.append((node.ino, node.entry_addr))
+            enqueue(node)
+
+        fs.dwq.enqueue = recording
+        run_workload(fs, small_file_job(nfiles=16, dup_ratio=0.5,
+                                        threads=4),
+                     dd=DDMode.none(), shards=4)
+        assert len(fs.dwq) == len(order) == 16
+        assert sum(fs.dwq.shard_len(s) > 0 for s in range(4)) > 1
+        drained = []
+        dequeue = fs.dwq.dequeue
+
+        def taking():
+            node = dequeue()
+            if node is not None:
+                drained.append((node.ino, node.entry_addr))
+            return node
+
+        fs.dwq.dequeue = taking
+        assert fs.daemon.drain() == 16
+        assert drained == order
+
+    def test_relay_to_fewer_lanes_leaves_no_gauge_on_a_gone_lane(self):
+        fs = delayed_fs()
+        ConcurrentVFS(fs, shards=4)
+        for i in range(8):
+            fs.write(fs.create(f"/f{i}"), 0, bytes([i + 1]) * PAGE_SIZE)
+        ConcurrentVFS(fs, shards=2)
+        gauges = fs.obs.registry.snapshot()["gauges"]
+        depths = [gauges[f"dwq.shard{s}.depth"] for s in range(4)]
+        assert depths[2:] == [0, 0]
+        assert depths[0] + depths[1] == len(fs.dwq) == 8

@@ -133,7 +133,7 @@ class TestDaemonReadsOneRequestPerRun:
         fs.write(fs.create("/a"), 0, a)          # weak-registered inline
         ino = fs.create("/b")
         fs.write(ino, 0, page(2) + page(3) + a + page(4))
-        (node,) = fs.dwq._items()
+        (node,) = fs.dwq.snapshot()
         assert sorted(p for p, h in node.weak_hints.items() if h > 0) == [2]
         reads = node_reads(monkeypatch, fs)
         fs.daemon.drain()

@@ -9,6 +9,7 @@ teeth (a checker that never fires verifies nothing).
 import pytest
 
 from repro.dedup import DeNovaFS
+from repro.dedup.fact import ENTRY
 from repro.failure import image
 from repro.failure.invariants import InvariantViolation, check_fs_invariants
 from repro.nova import NovaFS
@@ -54,6 +55,23 @@ class TestBaseline:
         fs = make_denova()
         report = check_fs_invariants(fs)
         assert report["fact"]["live_entries"] == 1
+
+    def test_one_silent_read_of_fact_per_check(self):
+        """The entry checks and the chain check share one decode."""
+        fs = make_denova()
+        lo = fs.fact.base
+        hi = lo + fs.fact.total * ENTRY
+        reads = []
+        read_silent = fs.dev.read_silent
+
+        def counting(addr, n):
+            if addr < hi and addr + n > lo:
+                reads.append((addr, n))
+            return read_silent(addr, n)
+
+        fs.dev.read_silent = counting
+        check_fs_invariants(fs)
+        assert reads == [(lo, hi - lo)]
 
 
 class TestDataInvariants:
