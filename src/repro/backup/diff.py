@@ -40,9 +40,9 @@ def snapshot_root(name: str) -> str:
     return f"{SNAPSHOT_DIR}/{name}"
 
 
-def _page_fp(fs, block: int, recompute: bool = False) -> bytes:
+def _page_fp(fs, plan, block: int, recompute: bool) -> bytes:
     if not recompute:
-        ent = fs.fact.entry_for_block(block)
+        ent = plan.entry(block)
         if ent is not None:
             return ent.fp
     data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
@@ -80,11 +80,14 @@ def snapshot_tree(fs, name: str,
             entries.append(["symlink", relpath, cache.symlink_target])
         else:
             pages = []
-            for pgoff in cache.index.mapped_offsets:
-                block = cache.index.block_of(pgoff)
-                fp = _page_fp(fs, block, recompute=recompute).hex()
-                pages.append([pgoff, fp])
-                blocks.setdefault(fp, block)
+            mapped = [(pgoff, cache.index.block_of(pgoff))
+                      for pgoff in cache.index.mapped_offsets]
+            with fs.fact.planned(() if recompute else
+                                 (block for _, block in mapped)) as plan:
+                for pgoff, block in mapped:
+                    fp = _page_fp(fs, plan, block, recompute).hex()
+                    pages.append([pgoff, fp])
+                    blocks.setdefault(fp, block)
             entries.append(["file", relpath, cache.inode.size, pages])
     return entries, blocks
 

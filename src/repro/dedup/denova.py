@@ -174,59 +174,64 @@ class DeNovaFS(NovaFS):
                         cpu: int) -> None:
         """§IV-D3: a page is freed only when its reference count is zero.
 
-        Per extent: one NVM read of its pages' delete pointers (adjacent
-        slots).  Per page: a read of the entry its pointer names (none
-        when the block has no entry: a direct free), then an atomic RFC
-        decrement with a cache-line flush, computed from the entry just
-        read; when RFC reaches 0 the FACT entry is re-read (the flush
-        evicted its line), unlinked (up to three more flushed line
-        updates — the Fig. 11 overwrite overhead) and the page freed.
+        First the delete pointers of every page, one NVM read per
+        neighbourhood of slots (:class:`~repro.dedup.fact.DeletePlan`).
+        Per page: a read of the entry its pointer names (none when the
+        block has no entry: a direct free), then an atomic RFC decrement
+        with a cache-line flush, computed from the entry just read; when
+        RFC reaches 0 the FACT entry is re-read (the flush evicted its
+        line), unlinked (up to three more flushed line updates — the
+        Fig. 11 overwrite overhead) and the page freed.
         """
-        for start, count in extents:
-            run_start = None  # batch contiguous freeable pages
-            run_len = 0
-            for page, ent in zip(range(start, start + count),
-                                 self.fact.entries_for_run(start, count)):
-                freeable = False
-                if ent is None:
-                    self._c_direct_frees.inc()
-                    freeable = True
-                else:
-                    if self.fact.dec_rfc(ent.idx, ent) == 0:
-                        if ent.update_count:
-                            # A concurrent dedup worker staged a UC on
-                            # this entry between its lookup and commit:
-                            # the page is about to gain a reference, so
-                            # retiring it here would dangle the worker's
-                            # redirect.  The commit turns the staged UC
-                            # into RFC = 1; a crashed transaction is
-                            # settled by recovery's UC discard + dead-
-                            # entry sweep.
-                            self._c_uc_deferred.inc()
+        extents = list(extents)
+        with self.fact.planned(page for start, count in extents
+                               for page in range(start, start + count)
+                               ) as plan:
+            for start, count in extents:
+                run_start = None  # batch contiguous freeable pages
+                run_len = 0
+                for page in range(start, start + count):
+                    ent = plan.entry(page)
+                    freeable = False
+                    if ent is None:
+                        self._c_direct_frees.inc()
+                        freeable = True
+                    else:
+                        if self.fact.dec_rfc(ent.idx, ent) == 0:
+                            if ent.update_count:
+                                # A concurrent dedup worker staged a UC on
+                                # this entry between its lookup and commit:
+                                # the page is about to gain a reference, so
+                                # retiring it here would dangle the worker's
+                                # redirect.  The commit turns the staged UC
+                                # into RFC = 1; a crashed transaction is
+                                # settled by recovery's UC discard + dead-
+                                # entry sweep.
+                                self._c_uc_deferred.inc()
+                            else:
+                                self.fact.remove(ent.idx)
+                                self._c_entry_removes.inc()
+                                freeable = True
                         else:
-                            self.fact.remove(ent.idx)
-                            self._c_entry_removes.inc()
-                            freeable = True
-                    else:
-                        self._c_shared_keeps.inc()
-                if freeable:
-                    if run_start is None:
-                        run_start = page
-                        run_len = 1
-                    elif page == run_start + run_len:
-                        run_len += 1
-                    else:
+                            self._c_shared_keeps.inc()
+                    if freeable:
+                        if run_start is None:
+                            run_start = page
+                            run_len = 1
+                        elif page == run_start + run_len:
+                            run_len += 1
+                        else:
+                            self.allocator.free(run_start, run_len, cpu)
+                            self._c_reclaimed.inc(run_len)
+                            run_start, run_len = page, 1
+                    elif run_start is not None:
                         self.allocator.free(run_start, run_len, cpu)
                         self._c_reclaimed.inc(run_len)
-                        run_start, run_len = page, 1
-                elif run_start is not None:
+                        run_start = None
+                        run_len = 0
+                if run_start is not None:
                     self.allocator.free(run_start, run_len, cpu)
                     self._c_reclaimed.inc(run_len)
-                    run_start = None
-                    run_len = 0
-            if run_start is not None:
-                self.allocator.free(run_start, run_len, cpu)
-                self._c_reclaimed.inc(run_len)
 
     # ------------------------------------------------------------ maintenance
 

@@ -133,8 +133,8 @@ class DWQ:
 
         The backlog moves to its new lanes with its stamps, so the
         global FIFO order and every node's lingering time are kept, as
-        are ``enqueued``, ``dequeued``, ``peak_length`` and the
-        lingering record.  Steal counts are per layout and start at 0.
+        are ``enqueued``, ``dequeued``, ``peak_length``, ``steals`` and
+        the lingering record; ``steals_by_shard`` is per layout.
         With an obs hub the layout's metrics are (re-)pointed here:
         ``dwq.steals_total`` and one ``dwq.shard<s>.depth`` gauge per
         lane; a gauge of an earlier, wider layout reads 0.
@@ -149,7 +149,6 @@ class DWQ:
         self._shards = [deque() for _ in range(nshards)]
         for node in backlog:
             self._shards[self.shard_of(node.ino)].append(node)
-        self.steals = 0
         self.steals_by_shard = [0] * nshards
         if self._obs is None:
             return

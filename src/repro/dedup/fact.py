@@ -16,8 +16,8 @@ transactions targeting the block), the fingerprint, the block address,
 ``prev``/``next`` chain links, and the **delete pointer** column: the
 delete field of slot *B* maps *block address B* to the index of the FACT
 entry describing block *B*, so reclamation reaches its entry in two NVM
-reads without re-fingerprinting (§IV-C) — the pointers of a run of
-blocks, adjacent slots, in one.
+reads without re-fingerprinting (§IV-C) — an operation's pointers one
+request per neighbourhood of slots (:class:`DeletePlan`).
 
 Layout notes vs. the paper's Fig. 4
 -----------------------------------
@@ -42,7 +42,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from repro.obs import MetricsRegistry
 from repro.pm.device import CrashRequested, PMDevice
 
 __all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
-           "LookupResult"]
+           "LookupResult", "DeletePlan"]
 
 #: Per-lookup chain-walk length buckets (NVM entry reads, not time).
 LOOKUP_STEP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
@@ -145,6 +145,7 @@ class FACT:
         self._free: Optional[list[int]] = None  # see _iaa_free
         self._mark: Optional[int] = None        # see iaa_mark
         self._dram: Optional[bytearray] = None  # see in_dram
+        self._plans: list[DeletePlan] = []      # see planned
         # Observability (DRAM, rebuilt freely).
         if registry is None:
             registry = MetricsRegistry()
@@ -231,6 +232,7 @@ class FACT:
         raw = _ENTRY.pack(counts, block, prev + 1, nxt + 1, 0, fp)
         self.dev.write(a, raw[:_OFF_DELETE])
         self.dev.write(a + _OFF_FP, raw[_OFF_FP:], persist=True)
+        self._stored(idx)
         if self._dram is not None:
             at = idx * ENTRY
             self._dram[at:at + _OFF_DELETE] = raw[:_OFF_DELETE]
@@ -238,6 +240,7 @@ class FACT:
 
     def _write_u64(self, idx: int, off: int, value: int) -> None:
         self.dev.write_atomic64(self.addr(idx) + off, value, persist=True)
+        self._stored(idx, value if off == _OFF_DELETE else None)
         if self._dram is not None:
             at = idx * ENTRY + off
             self._dram[at:at + 8] = int(value).to_bytes(8, "little")
@@ -480,22 +483,27 @@ class FACT:
         raw = read(self.addr(block) + _OFF_DELETE, (n - 1) * ENTRY + 8)
         return np.frombuffer(raw, "<u8")[::ENTRY // 8].tolist()
 
-    def entries_for_run(self, block: int, n: int
-                        ) -> Iterator[Optional[FactEntry]]:
-        """The §IV-C reclaim path for blocks ``[block, block + n)``: the
-        run's pointers (:meth:`delete_run`; no count update or
-        :meth:`remove` stores one but its own block's), then, as the
-        caller reaches each block, the entry its pointer names — None
-        when there is none — whose counts the caller's update reuses."""
-        for i, val in enumerate(self.delete_run(block, n)):
-            ent = self.read_entry(val - 1) if val else None
-            yield ent if ent and ent.valid and ent.block == block + i \
-                else None
+    @contextmanager
+    def planned(self, blocks: Iterable[int]) -> Iterator[DeletePlan]:
+        """A :class:`DeletePlan` of ``blocks``, kept exact while open."""
+        plan = DeletePlan(self, blocks)
+        self._plans.append(plan)
+        try:
+            yield plan
+        finally:
+            self._plans.remove(plan)
+
+    def _stored(self, idx: int, pointer: Optional[int] = None) -> None:
+        """Slot ``idx``'s line was flushed: an open plan takes the pointer
+        stored there, else reads it again."""
+        for plan in self._plans:
+            if idx in plan.pointers:
+                plan.pointers[idx] = pointer
 
     def entry_for_block(self, block: int) -> Optional[FactEntry]:
-        """:meth:`entries_for_run` of one block: an 8-byte pointer read,
+        """The §IV-C reclaim path for one block: an 8-byte pointer read,
         then the entry it names (none when the pointer is empty)."""
-        return next(self.entries_for_run(block, 1))
+        return DeletePlan(self, (block,)).entry(block)
 
     # ------------------------------------------------------------ weak column
 
@@ -511,6 +519,7 @@ class FACT:
         confirmation validates content before any page is shared.
         """
         self.dev.write_u32(self.addr(block) + _OFF_WEAK, weak, persist=True)
+        self._stored(block)
         if self._dram is not None:
             at = block * ENTRY + _OFF_WEAK
             self._dram[at:at + 4] = int(weak).to_bytes(4, "little")
@@ -842,6 +851,37 @@ class FACT:
                 raise FactCorruption(
                     f"entry {idx} (block {block}): delete pointer "
                     f"is {int(deletes[block]) - 1}")
+
+
+class DeletePlan:
+    """One operation's delete pointers (docs/CONSISTENCY.md §5), read up
+    front with one request per neighbourhood: two planned slots ``gap``
+    apart share one when ``gap · 64 B / read_bw <= read_latency`` on the
+    device's model.  A pointer the operation stores is taken as stored;
+    one whose line another store flushed is read again, alone."""
+
+    def __init__(self, fact: FACT, blocks: Iterable[int]):
+        self.fact = fact
+        #: block -> pointer (entry index + 1, 0 = none; None = to read)
+        self.pointers: dict[int, Optional[int]] = dict.fromkeys(blocks)
+        model = fact.dev.model
+        reach = model.read_latency_ns * model.read_bw_bytes_per_ns / ENTRY
+        todo, first = sorted(self.pointers), 0
+        for i, block in enumerate(todo, 1):
+            if i == len(todo) or todo[i] - block > reach:
+                lo = todo[first]
+                run = fact.delete_run(lo, block - lo + 1)
+                self.pointers.update((b, run[b - lo]) for b in todo[first:i])
+                first = i
+
+    def entry(self, block: int) -> Optional[FactEntry]:
+        """Block ``block``'s FACT entry, read now; None when its pointer
+        is empty or names another block's entry."""
+        val = self.pointers.get(block)
+        if val is None:
+            val = self.pointers[block] = self.fact.delete_run(block, 1)[0]
+        ent = self.fact.read_entry(val - 1) if val else None
+        return ent if ent and ent.valid and ent.block == block else None
 
 
 class FactTxn:

@@ -539,22 +539,23 @@ class HybridDeNovaFS(DeNovaFS):
         mount + drain.
         """
         requeued = 0
-        for ino, cache in sorted(self.caches.items()):
-            if cache.inode.itype != ITYPE_FILE:
-                continue
-            rearmed: set[int] = set()
-            for _pgoff, addr, block in sorted(cache.index.mappings()):
-                if addr in rearmed:
-                    continue
-                if self.fact.entry_for_block(block) is not None:
-                    continue
-                live_flag = self.read_entry(addr).dedupe_flag
-                if live_flag != DEDUPE_NEEDED:
-                    self.set_dedupe_flag(addr, DEDUPE_NEEDED)
-                rearmed.add(addr)
-                self._pending_pages[addr // PAGE_SIZE] += 1
-                self.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
-                requeued += 1
+        files = [(ino, sorted(cache.index.mappings()))
+                 for ino, cache in sorted(self.caches.items())
+                 if cache.inode.itype == ITYPE_FILE]
+        with self.fact.planned(block for _, maps in files
+                               for _, _, block in maps) as plan:
+            for ino, maps in files:
+                rearmed: set[int] = set()
+                for _pgoff, addr, block in maps:
+                    if addr in rearmed or plan.entry(block) is not None:
+                        continue
+                    live_flag = self.read_entry(addr).dedupe_flag
+                    if live_flag != DEDUPE_NEEDED:
+                        self.set_dedupe_flag(addr, DEDUPE_NEEDED)
+                    rearmed.add(addr)
+                    self._pending_pages[addr // PAGE_SIZE] += 1
+                    self.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
+                    requeued += 1
         return {"requeued": requeued, "drained": DedupDaemon(self).drain()}
 
     # ------------------------------------------------------------ reporting

@@ -151,16 +151,17 @@ def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:
     """Complete a dedup transaction from Algorithm 1 step 6.
 
     For each device page the entry references, reach its FACT entry via
-    the delete pointer and commit one staged UC (idempotent: commit_uc
-    is a no-op at UC == 0 — counts are fungible across the transactions
-    that crashed mid-commit).  Pages without a FACT entry are duplicate
+    the delete pointer (the pages' pointers in one plan) and commit one
+    staged UC (idempotent: commit_uc is a no-op at UC == 0 — counts are
+    fungible across the transactions that crashed mid-commit).  Pages without a FACT entry are duplicate
     pages of a target entry; their canonical UCs are committed by the
     corresponding ``in_process`` redirect entries.
     """
-    for page in entry.pages():
-        ent = fs.fact.entry_for_block(page)
-        if ent is not None:
-            fs.fact.commit_uc(ent.idx, ent)
+    with fs.fact.planned(entry.pages()) as plan:
+        for page in entry.pages():
+            ent = plan.entry(page)
+            if ent is not None:
+                fs.fact.commit_uc(ent.idx, ent)
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
 
 

@@ -79,10 +79,12 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
     # Stage: one UC per shared page; fingerprint-and-insert pages that
     # have no FACT entry yet (pending offline dedup).
     runs: list[list[int]] = []  # [pgoff, block, count]
-    with FactTxn(fs.fact) as txn:
-        for pgoff in src_cache.index.mapped_offsets:
-            block = src_cache.index.block_of(pgoff)
-            ent = fs.fact.entry_for_block(block)
+    mapped = [(pgoff, src_cache.index.block_of(pgoff))
+              for pgoff in src_cache.index.mapped_offsets]
+    with FactTxn(fs.fact) as txn, \
+            fs.fact.planned(block for _, block in mapped) as plan:
+        for pgoff, block in mapped:
+            ent = plan.entry(block)
             if ent is None:
                 data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
                 fp = fs.fingerprinter.strong(data)

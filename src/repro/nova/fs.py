@@ -1121,11 +1121,11 @@ class NovaFS:
         tail_page = (cache.tail - 1) // PAGE_SIZE if cache.tail else 0
         pages = list(self.log.iter_pages(head))
         prev = head
-        for page in pages[1:]:
+        for page, nxt in zip(pages[1:], pages[2:] + [0]):
             if (page != tail_page
                     and cache.invalid_entries.get(page, 0) >= ENTRIES_PER_PAGE
                     and self.log_page_gc_allowed(page)):
-                self.log.unlink_middle_page(prev, page)
+                self.log.unlink_middle_page(prev, page, nxt)
                 self.allocator.free(page, 1, 0)
                 cache.invalid_entries.pop(page, None)
                 self._c_log_gced.inc()

@@ -171,16 +171,18 @@ class LogManager:
 
     # -- garbage collection ---------------------------------------------------------------
 
-    def unlink_middle_page(self, prev_page: int, dead_page: int) -> int:
-        """Fast GC: splice a fully-invalid page out of the chain.
+    def unlink_middle_page(self, prev_page: int, dead_page: int,
+                           next_page: int) -> int:
+        """Fast GC: splice a fully-invalid page out of the chain, linking
+        ``prev_page`` to ``next_page``, the successor the caller's chain
+        walk read.
 
         Returns the spliced page so the caller can free it *after* the new
         link is durable.  Crash before the link persists leaves the old
         (still valid) chain; crash after leaves the shorter chain — both
         consistent.
         """
-        nxt = self.next_of(dead_page)
-        self._link(prev_page, nxt)
+        self._link(prev_page, next_page)
         return dead_page
 
 

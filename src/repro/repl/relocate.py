@@ -142,21 +142,19 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
     moves: list[dict] = []    # {"old", "new", "idx"}
     assigned: set[int] = set()
     unused: list[int] = []
-    olds: list[list[int]] = []      # [old, old, count]: one pointer read
     for i, old in enumerate(blocks):
         if old in assigned or old in placed:
             unused.append(newstart + i)
             continue
         assigned.add(old)
         moves.append({"old": old, "new": newstart + i})
-        extend_runs(olds, old, old)
     if not moves:
         fs.allocator.free(newstart, len(mapped), cpu)
         return 0
-    ents = (ent for old, _old, count in olds
-            for ent in fs.fact.entries_for_run(old, count))
-    for m, ent in zip(moves, ents):
-        m["idx"] = ent.idx if ent is not None else None
+    with fs.fact.planned(assigned) as plan:
+        for m in moves:
+            ent = plan.entry(m["old"])
+            m["idx"] = ent.idx if ent is not None else None
 
     # Journal the whole batch before touching anything (step 2); the
     # file write persists through the normal data path, so a crash

@@ -249,6 +249,7 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
     # writers run; throughput is still the writers' wall span, so the
     # absorption win shows up as foreground time, and the destage cost
     # as background time (like the dedup daemon's).
+    steals = fs.dwq.steals if hasattr(fs, "dwq") else 0
     result.foreground_ns, result.total_ns = cvfs.run(
         writers, dd, destage_workers=destage_workers)
 
@@ -269,7 +270,7 @@ def run_workload(fs, spec: JobSpec, dd: Optional[DDMode] = None,
         })
     result.stalls = int(cvfs._c_stalls.value)
     if hasattr(fs, "dwq"):
-        result.steals = fs.dwq.steals
+        result.steals = fs.dwq.steals - steals
         result.dwq_peak = fs.dwq.peak_length
         result.lingering_ns = list(fs.dwq.lingering_ns)
     if hasattr(fs, "space_stats"):

@@ -12,16 +12,23 @@ sum fields are floats fed straight from ``Engine.now`` differences, so
 a wait computed any other way moves them in the last bits.
 
 The digests are exact and carry no band; regenerate them only with a
-change that means to move simulated time.
+change that means to move simulated time, with ``PYTHONPATH=src python
+tests/conc/regen_schedule_pins.py``: it rewrites ``schedule_pins.json``
+and prints, per configuration and seed, which parts moved — the event
+count, ``now_fs``, each ``PMStats`` field, each pinned histogram and
+the durable image's full, store and clock columns.
 """
 
 import hashlib
 import json
+import pathlib
 import re
 
 import pytest
 
 from repro.core import Config, Variant, make_fs
+from repro.failure.image import decode
+from repro.pm import PMDevice
 from repro.workloads import fleet, runner
 from repro.workloads.fio import Mode, large_file_job, small_file_job
 from tests.conc.permutations import run_workload
@@ -89,47 +96,22 @@ CONFIGS = {f.__name__: f for f in (small_delayed, large_inline,
                                    readwrite_immediate, tenant_fleet,
                                    jittered)}
 
-#: (configuration, seed) -> (engine events dispatched, sha256 of the
-#: schedule's observable record).  The digest hashes the event count
-#: too; it is pinned apart so that a change which merges or splits
+PIN_FILE = pathlib.Path(__file__).with_name("schedule_pins.json")
+
+#: configuration -> seed -> the pinned row: ``events`` (engine events
+#: dispatched), ``digest`` (sha256 of the schedule's observable record)
+#: and the parts that digest covers, so that a move names its parts
+#: (``PYTHONPATH=src python tests/conc/regen_schedule_pins.py``
+#: rewrites the table and prints them).  The digest hashes the event
+#: count too; it is pinned apart so that a change which merges or splits
 #: engine operations reads as a count before an opaque hash.
-PINNED = {
-    ("small_delayed", 42):
-        (3017,
-         "b8d9058e7f50ff684b816ede88d93e74a95ecc91d476daee2998a0b43fd5c55d"),
-    ("small_delayed", 1337):
-        (3017,
-         "26173e002ef67d34c60f8e9f3ab2ba0161ce7689486de249eddbb44ba712ffe9"),
-    ("large_inline", 42):
-        (402,
-         "5bb18eac74b7bccc737e55469a8e08378c1e626c7faa258198f0c433ff720ec2"),
-    ("large_inline", 1337):
-        (401,
-         "992e22c7211c59bcbe393812e15c9858096ee63b769c10a2ac1f522a148182f1"),
-    ("readwrite_immediate", 42):
-        (114,
-         "b3c387d4d3f1cb9e110ac783b86156d4b47b8fdaa9d0d60c4098ed2d0e046d20"),
-    ("readwrite_immediate", 1337):
-        (114,
-         "f76fcb78f650e42af7052820a7dec889ad52938a7473dad34ec0da317f8e62e6"),
-    ("tenant_fleet", 42):
-        (1347,
-         "b9885de57d3316c63cbd992df3a137096ddbc060600d325e1f2d6e34ab3b9724"),
-    ("tenant_fleet", 1337):
-        (1348,
-         "a6de1a41917fa09a957b39cd5486375f7d1f1abb3b550842f2c05bd4e87e9678"),
-    ("jittered", 42):
-        (1022,
-         "ab88ace4f1fc5b02d02232bc5c4d2af10ff6d0646d51a1ed169f1bdeba2860b8"),
-    ("jittered", 1337):
-        (1020,
-         "98f73010d521ae9a3c6c4edefda78bd777be9559fdc79021b6339eacd289346f"),
-}
+PINNED = {(config, int(seed)): row
+          for config, rows in json.loads(PIN_FILE.read_text()).items()
+          for seed, row in rows.items()}
 
-
-def schedule_digest(fs, tmp_path) -> str:
+def _record(fs) -> dict:
     registry = fs.obs.registry
-    record = {
+    return {
         "histograms": {
             name: (m.count, m.sum, m.counts)
             for name, m in registry
@@ -138,11 +120,49 @@ def schedule_digest(fs, tmp_path) -> str:
         "now_fs": fs.clock.now_fs,
         "pm": fs.dev.stats.snapshot(),
     }
-    h = hashlib.sha256(json.dumps(record, sort_keys=True).encode())
+
+
+def schedule_digest(fs, tmp_path) -> str:
+    h = hashlib.sha256(json.dumps(_record(fs), sort_keys=True).encode())
     image = tmp_path / "durable.img"
     fs.dev.save_image(image)
     h.update(image.read_bytes())
     return h.hexdigest()
+
+
+def _short(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+def pin_row(fs, tmp_path) -> dict:
+    """One run's row of the table: the digest and its parts — each
+    histogram and the durable image's full / store / clock columns
+    (:mod:`repro.failure.image`) as sha256 prefixes."""
+    record = _record(fs)
+    digest = schedule_digest(fs, tmp_path)
+    dev = PMDevice.load_image(tmp_path / "durable.img")
+    try:
+        columns = decode(dev).columns()
+    finally:
+        dev.close()
+    return {"events": record["events"], "digest": digest,
+            "now_fs": record["now_fs"], "pm": record["pm"],
+            "histograms": {name: _short(value) for name, value
+                           in sorted(record["histograms"].items())},
+            "image": dict(zip(("full", "store", "clock"),
+                              (column[:16] for column in columns)))}
+
+
+def pin_diff(config: str, seed: int, old: dict, new: dict) -> list[str]:
+    """The parts of one row that moved, one line (none when none did)."""
+    moved = [part for part in ("events", "now_fs") if old[part] != new[part]]
+    for group in ("pm", "histograms", "image"):
+        moved += [f"{group}.{name}" for name in sorted(
+            old[group].keys() | new[group].keys())
+            if old[group].get(name) != new[group].get(name)]
+    if moved or old["digest"] != new["digest"]:
+        return [f"{config} {seed}: {', '.join(moved) or 'digest'} moved"]
+    return []
 
 
 @pytest.mark.parametrize("config,seed", sorted(PINNED))
@@ -153,6 +173,8 @@ def test_schedule_lands_on_the_pinned_digest(config, seed, tmp_path):
     # The record is not vacuous: the lock tiers and the queue were used.
     assert "conc.lock_wait_ns" in names and "dwq.residency_ns" in names
     assert fs.obs.registry.get("conc.lock_wait_ns").count > 0
-    events, digest = PINNED[config, seed]
-    assert fs.obs.registry.get("sim.events_dispatched_total").value == events
-    assert schedule_digest(fs, tmp_path) == digest
+    row = PINNED[config, seed]
+    assert fs.obs.registry.get("sim.events_dispatched_total").value \
+        == row["events"]
+    assert schedule_digest(fs, tmp_path) == row["digest"], "\n".join(
+        pin_diff(config, seed, row, pin_row(fs, tmp_path)))

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.conc import ConcurrentVFS
 from repro.core import Config, Variant, make_fs
 from repro.failure import check_fs_invariants
 from repro.workloads import DDMode, small_file_job
+from repro.workloads.fio import Mode
 from tests.conc.permutations import run_workload
 
 pytestmark = pytest.mark.conc
@@ -117,3 +119,25 @@ class TestContentionMetrics:
         # foreground completion gives the idle worker stealing chances.
         assert res.steals >= 0  # smoke: counter wired (exact count varies)
         assert res.metrics["counters"]["dwq.steals_total"] == res.steals
+
+    def test_steals_total_never_moves_backwards(self):
+        """The counter is cumulative across layouts; ``RunResult.steals``
+        is each run's delta."""
+        fs, dd = build(Variant.IMMEDIATE)
+
+        def steals():
+            return fs.obs.registry.get("dwq.steals_total").value
+
+        first = run_workload(fs, small_file_job(nfiles=48, threads=4),
+                             dd=dd, workers=3, shards=4)
+        after_run = steals()
+        assert after_run == first.steals > 0
+        ConcurrentVFS(fs, shards=4)
+        assert steals() == after_run
+        assert fs.dwq.steals_by_shard == [0] * 4     # per layout
+        spec = small_file_job(nfiles=48, threads=4).with_(
+            mode=Mode.OVERWRITE)
+        inos = [fs.lookup(f"/t{i % 4}/f{i}") for i in range(48)]
+        second = run_workload(fs, spec, dd=dd, inos=inos, workers=3,
+                              shards=4)
+        assert steals() == after_run + second.steals > after_run

@@ -6,8 +6,8 @@ maximal run of them: a page the foreground overwrote before the daemon
 ran ends a run and is never read, and a page the hybrid write path
 already registered is never read either.  Relocation copies each run of
 moves whose old and new pages are both consecutive with one read and one
-nt write, and its plan reads the delete pointers of each run of
-consecutive old blocks with one request.  The guards count the device
+nt write, and its plan reads the old blocks' delete pointers with one
+request per neighbourhood of slots.  The guards count the device
 requests per node and per copy.
 """
 
@@ -184,4 +184,29 @@ class TestRelocateCopiesOneRequestPerRun:
             (new, 4 * PAGE_SIZE)]
         assert fs.read(fs.lookup(path), 0, 8 * PAGE_SIZE) == b"".join(
             pages + pages)
+        check_fs_invariants(fs)
+
+    def test_a_scattered_batch_plans_its_moves_with_one_request(
+            self, monkeypatch):
+        """Page 1 of the file was rewritten after ``/gap`` was written, so
+        its blocks are ``b, b + 7, b + 2, b + 3``: three runs, one
+        neighbourhood of delete pointers."""
+        fs = make_fs(pages=1024)
+        ino = fs.create("/data")
+        fs.write(ino, 0, b"".join(page(i) for i in range(1, 5)))
+        fs.write(fs.create("/gap"), 0, page(9))
+        fs.write(ino, PAGE_SIZE, page(7))
+        fs.daemon.drain()
+        fs.snapshot("s1")
+        path = f"{SNAPSHOT_DIR}/s1/data"
+        cache = fs.caches[fs.lookup(path)]
+        olds = [cache.index.block_of(p) for p in range(4)]
+        b = olds[0]
+        assert olds == [b, b + 7, b + 2, b + 3]
+        pointers = pointer_requests(monkeypatch, fs)
+        assert relocate_latest(fs)["pages_moved"] == 4
+        # One request for the plan; then each retarget checks the old
+        # block's pointer.
+        assert [p for p in pointers if p[0] in olds] == [
+            (b, 7 * 64 + 8)] + [(old, 8) for old in olds]
         check_fs_invariants(fs)

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.dedup import DeNovaFS, InlineDedupFS
+from repro.dedup import DeNovaFS, InlineDedupFS, recovery
 from repro.dedup.daemon import DedupDaemon
 from repro.dedup.fact import ENTRY, FACT
 from repro.dedup.fingerprint import FP_BYTES
@@ -25,7 +25,8 @@ from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
-from repro.pm import DRAM, PMDevice, SimClock
+from repro.nova.entries import DEDUPE_IN_PROCESS
+from repro.pm import DRAM, CrashRequested, PMDevice, SimClock
 
 
 def make_fs(cls=DeNovaFS, pages=256):
@@ -266,10 +267,21 @@ def pages_of(fs, path):
     return [cache.index.block_of(p) for p in cache.index.mapped_offsets]
 
 
+def reach(fs):
+    """The widest slot gap one pointer request reads through: reading
+    ``gap * 64`` bytes more costs no more than a request's latency."""
+    model = fs.dev.model
+    return int(model.read_latency_ns * model.read_bw_bytes_per_ns // ENTRY)
+
+
 class TestDeletePointerRuns:
-    """Step 1 of reclaim is one request per extent: the pointers of
-    blocks ``[b, b + n)`` sit in adjacent 64 B slots, so they are read as
-    ``(n - 1) * 64 + 8`` bytes at slot ``b``'s delete column."""
+    """An operation reads its delete pointers first, one request per
+    neighbourhood of slots (``FACT.planned``): the pointers of blocks
+    ``[b, b + n)`` sit in adjacent 64 B slots, read as ``(n - 1) * 64 + 8``
+    bytes at slot ``b``'s delete column, and two planned slots at most
+    :func:`reach` apart share a request.  A pointer the operation stored
+    is not read back; one whose line another store flushed is read again,
+    alone."""
 
     def test_a_contiguous_reclaim_reads_its_pointers_once(
             self, monkeypatch):
@@ -296,11 +308,58 @@ class TestDeletePointerRuns:
         fs.write(ino, 2 * PAGE_SIZE, rng.bytes(PAGE_SIZE))  # moves page 2
         fs.daemon.drain()
         b = pages_of(fs, "/a")
+        # One-page holes at b[1] + 1 (the old page 2) and b[4] + 1.
+        assert b[1] + 2 == b[3] and b[4] + 2 == b[2] <= b[0] + reach(fs)
         reqs = pointer_requests(monkeypatch, fs)
         fs.unlink("/a")
-        assert sorted(reqs) == sorted([(b[0], 64 + 8), (b[3], 64 + 8),
-                                       (b[2], 8)])
+        assert reqs == [(b[0], (b[2] - b[0]) * 64 + 8)]  # read through
         check_fs_invariants(fs)
+
+    def test_a_gap_wider_than_the_reach_splits_the_read(self, monkeypatch):
+        fs = make_fs()
+        r = reach(fs)
+        b = fs.allocator.alloc(2 * r + 2, 0)
+        reqs = pointer_requests(monkeypatch, fs)
+        with fs.fact.planned([b, b + r, b + 2 * r + 1]) as plan:
+            assert reqs == [(b, r * 64 + 8), (b + 2 * r + 1, 8)]
+            assert plan.entry(b + r) is None
+        assert len(reqs) == 2
+
+    def test_a_block_displaced_twice_has_its_pointer_read_once(
+            self, monkeypatch):
+        fs = make_fs()
+        page = colliding(fs, 1)[0]
+        write_file(fs, "/a", page + page)
+        fs.daemon.drain()
+        block, again = pages_of(fs, "/a")
+        assert block == again and entry_of(fs, page).refcount == 2
+        reqs = pointer_requests(monkeypatch, fs)
+        fs.write(fs.lookup("/a"), 0, b"x" * 2 * PAGE_SIZE)
+        assert reqs == [(block, 8)]
+        assert fs.fact.live_entries() == {}
+        assert fs.allocator.is_free(block)
+        check_fs_invariants(fs)
+
+    def test_a_flushed_planned_line_is_read_again(self, monkeypatch):
+        """A count store to slot ``b`` (an entry living there) flushes
+        block ``b``'s pointer out of the cache; the pointer stored to
+        ``b + 1`` is the operation's own value, not read back."""
+        fs = make_fs()
+        fact, bits = fs.fact, fs.fact.prefix_bits
+        b = fs.allocator.alloc(2, 0)
+        fp = (b << (64 - bits)).to_bytes(8, "big") + bytes(FP_BYTES - 8)
+        assert fact.insert(fp, b) == b          # the DAA slot of block b
+        reqs = pointer_requests(monkeypatch, fs)
+        with fact.planned([b, b + 1]) as plan:
+            assert reqs == [(b, 64 + 8)]
+            fact.commit_uc(b)                   # flushes slot b's line
+            fact.set_delete(b + 1, b)
+            assert plan.entry(b + 1) is None     # names block b's entry
+            assert reqs == [(b, 64 + 8)]
+            assert plan.entry(b).refcount == 1
+            assert reqs == [(b, 64 + 8), (b, 8)]
+            assert plan.entry(b).idx == b
+        assert reqs == [(b, 64 + 8), (b, 8)]
 
     def test_a_single_page_is_one_word(self, monkeypatch):
         fs = make_fs()
@@ -330,13 +389,43 @@ class TestDeletePointerRuns:
             "daemon.pages_reclaimed_total").value == 3
         check_fs_invariants(fs)
 
+    def test_a_crash_at_the_in_process_flag_resumes_with_one_request(
+            self, monkeypatch):
+        fs = make_fs()
+        pages = colliding(fs, 4)
+        write_file(fs, "/a", b"".join(pages))
+        blocks = pages_of(fs, "/a")
+        real_flag = DeNovaFS.set_dedupe_flag
+
+        def set_flag(self, addr, flag):
+            real_flag(self, addr, flag)
+            if flag == DEDUPE_IN_PROCESS:        # power fails right here
+                raise CrashRequested("in_process", 1)
+
+        with monkeypatch.context() as m:
+            m.setattr(DeNovaFS, "set_dedupe_flag", set_flag)
+            with pytest.raises(CrashRequested):
+                fs.daemon.drain()
+        fs.dev.crash()
+        fs.dev.recover_view()
+        reqs = pointer_requests(monkeypatch, fs)
+        calls = visits(monkeypatch, fs, recovery, "_resume_step6")
+        fs2 = DeNovaFS.mount(fs.dev)
+        assert len(calls) == 1
+        assert [r for r in reqs if r[0] in blocks] == [
+            (blocks[0], 3 * 64 + 8)]
+        assert {e.block: (e.refcount, e.update_count)
+                for e in fs2.fact.live_entries().values()} == {
+                    b: (1, 0) for b in blocks}
+        check_fs_invariants(fs2)
+
     def test_pointers_stay_right_while_remove_unlinks_inside_the_run(
             self, monkeypatch):
         """Block ``b``'s entry is chained behind the DAA head in slot
         ``b + 2``, itself block ``b + 2``'s entry: unlinking the first
         stores the head's ``next`` inside the run before its pointer is
-        used.  Only ``clear_delete`` of the page at hand stores to a
-        delete column."""
+        used, so that pointer is read again.  Only ``clear_delete`` of the
+        page at hand stores to a delete column."""
         fs = make_fs()
         fact, bits = fs.fact, fs.fact.prefix_bits
         b = fs.allocator.alloc(4, 0)
@@ -361,7 +450,8 @@ class TestDeletePointerRuns:
         monkeypatch.setattr(fs.dev, "write", write)
         reqs = pointer_requests(monkeypatch, fs)
         fs.reclaim_extents([(b, 4)], 0)
-        assert reqs == [(b, 3 * 64 + 8)]
+        # The unlink's store to the head's ``next`` flushed slot b + 2.
+        assert reqs == [(b, 3 * 64 + 8), (b + 2, 8)]
         column = [(addr, n, data) for addr, n, data in stores
                   if any(addr < fact.addr(s) + 40 and fact.addr(s) + 32
                          < addr + n for s in range(b, b + 4))]

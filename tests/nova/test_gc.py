@@ -272,6 +272,23 @@ class TestFastGC:
         check_fs_invariants(fs)
         prefix_equivalence_check(fs, m1, m1)
 
+    def test_the_walk_reads_each_header_once(self, monkeypatch):
+        """The splice links to the successor the walk read: no header of
+        the chain is read twice."""
+        fs, ino, _models = self.two_nearly_dead_pages()
+        chain = list(fs.log.iter_pages(fs.caches[ino].inode.log_head))
+        headers, real = [], fs.dev.read
+
+        def read(addr, n):
+            if addr % PAGE_SIZE == 0 and addr // PAGE_SIZE in chain:
+                headers.append(addr // PAGE_SIZE)
+            return real(addr, n)
+
+        monkeypatch.setattr(fs.dev, "read", read)
+        fs.write(ino, 0, b"k" * 2 * PAGE_SIZE)
+        assert headers == chain
+        check_fs_invariants(fs)
+
     def test_crash_sweep_of_the_double_unlink(self):
         """Every persist event of that write, pre and post, discard and
         torn: the image recovers invariant-clean to the namespace before

@@ -176,6 +176,6 @@ class TestGC:
         log.commit(2, tail)
         pages = list(log.iter_pages(head))
         assert len(pages) == 3
-        dead = log.unlink_middle_page(pages[0], pages[1])
+        dead = log.unlink_middle_page(pages[0], pages[1], pages[2])
         assert dead == pages[1]
         assert list(log.iter_pages(head)) == [pages[0], pages[2]]
