@@ -425,7 +425,8 @@ class FACT:
 
     # ------------------------------------------------------------ retarget
 
-    def retarget_block(self, idx: int, new_block: int) -> int:
+    def retarget_block(self, idx: int, new_block: int,
+                       plan: Optional[DeletePlan] = None) -> int:
         """Move entry ``idx``'s canonical page to ``new_block`` (RevDedup).
 
         The out-of-line relocation pass copies the data first and
@@ -445,6 +446,7 @@ class FACT:
 
         Idempotent: retargeting an entry already at ``new_block`` only
         re-runs the (harmless) pointer writes.  Returns the old block.
+        An open ``plan`` of the old block gives its delete pointer.
         """
         ent = self.read_entry(idx)
         if not ent.valid:
@@ -458,7 +460,9 @@ class FACT:
             self.set_block_weak(new_block, weak)
         self._write_u64(idx, _OFF_BLOCK, new_block)  # the atomic switch
         if old != new_block:
-            if self._read_u64(old, _OFF_DELETE) == idx + 1:
+            pointer = (plan.pointer(old) if plan is not None
+                       else self._read_u64(old, _OFF_DELETE))
+            if pointer == idx + 1:
                 self.clear_delete(old)
             if weak:
                 self.clear_block_weak(old)
@@ -874,12 +878,17 @@ class DeletePlan:
                 self.pointers.update((b, run[b - lo]) for b in todo[first:i])
                 first = i
 
-    def entry(self, block: int) -> Optional[FactEntry]:
-        """Block ``block``'s FACT entry, read now; None when its pointer
-        is empty or names another block's entry."""
+    def pointer(self, block: int) -> int:
+        """Block ``block``'s delete pointer (entry index + 1, 0 = none)."""
         val = self.pointers.get(block)
         if val is None:
             val = self.pointers[block] = self.fact.delete_run(block, 1)[0]
+        return val
+
+    def entry(self, block: int) -> Optional[FactEntry]:
+        """Block ``block``'s FACT entry, read now; None when its pointer
+        is empty or names another block's entry."""
+        val = self.pointer(block)
         ent = self.fact.read_entry(val - 1) if val else None
         return ent if ent and ent.valid and ent.block == block else None
 

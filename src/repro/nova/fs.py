@@ -71,6 +71,7 @@ from repro.nova.staging import StagingLog
 from repro.obs import ObsHub
 from repro.pm.allocator import AllocError, PageAllocator
 from repro.pm.device import PMDevice
+from repro.pm.latency import DRAM
 from repro.tenant.manager import TenantManager
 
 __all__ = ["NovaFS", "FSError", "FileNotFound", "FileExists", "NoSpace",
@@ -929,7 +930,9 @@ class NovaFS:
                   ) -> bytearray:
         """:meth:`read`'s device side, for a range inside the file: one
         device request per contiguous physical run, zeros for a hole; no
-        syscall, counter or staging overlay (restore reads with it)."""
+        syscall, counter or staging overlay (restore reads with it).  A run
+        whose every page this call already read whole is copied from
+        ``out`` at DRAM cost instead (docs/CONSISTENCY.md §5)."""
         if not length:
             return bytearray()
         end = offset + length
@@ -938,15 +941,38 @@ class NovaFS:
             block = cache.index.block_of(pgoff)
             if block is not None:
                 extend_runs(runs, pgoff, block)
+        # block -> k: ``out[k + addr]`` holds device byte ``addr`` of the
+        # block's page, read whole; kept only when the runs repeat a block.
+        fetched = {} if len(runs) > 1 and self._runs_repeat(runs) else None
         out = bytearray()
         for pgoff, block, count in runs:
             lo = max(pgoff * PAGE_SIZE, offset)
             hi = min((pgoff + count) * PAGE_SIZE, end)
             out += bytes(lo - offset - len(out))        # a hole
-            out += self.dev.read(block * PAGE_SIZE + lo - pgoff * PAGE_SIZE,
-                                 hi - lo)
+            a = block * PAGE_SIZE + lo - pgoff * PAGE_SIZE  # device [a, z)
+            if fetched is None:
+                out += self.dev.read(a, hi - lo)
+                continue
+            z = a + hi - lo
+            pages = range(a // PAGE_SIZE, (z - 1) // PAGE_SIZE + 1)
+            if all(map(fetched.__contains__, pages)):
+                for b in pages:
+                    k = fetched[b]
+                    out += out[k + max(a, b * PAGE_SIZE):
+                               k + min(z, (b + 1) * PAGE_SIZE)]
+                self.clock.advance(DRAM.read_cost(hi - lo))
+                continue
+            k = len(out) - a
+            out += self.dev.read(a, hi - lo)
+            for b in range(-(-a // PAGE_SIZE), z // PAGE_SIZE):
+                fetched[b] = k
         out += bytes(length - len(out))
         return out
+
+    def _runs_repeat(self, runs: list[list[int]]) -> bool:
+        """Whether two of a read's runs share a physical page: never in
+        plain NOVA, where each block backs one page of one file."""
+        return False
 
     def truncate(self, ino: int, size: int, cpu: int = 0) -> None:
         """Set file size; shrinking reclaims pages past the new end."""

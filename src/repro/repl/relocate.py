@@ -151,31 +151,33 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
     if not moves:
         fs.allocator.free(newstart, len(mapped), cpu)
         return 0
+    # The plan stays open across the moves: its store notifications keep
+    # each old block's pointer exact for the retarget.
     with fs.fact.planned(assigned) as plan:
         for m in moves:
             ent = plan.entry(m["old"])
             m["idx"] = ent.idx if ent is not None else None
 
-    # Journal the whole batch before touching anything (step 2); the
-    # file write persists through the normal data path, so a crash
-    # mid-journal leaves garbled JSON = a never-started batch.
-    persist.write_state(fs, INTENT_PATH, moves, mkparent=True)
+        # Journal the whole batch before touching anything (step 2); the
+        # file write persists through the normal data path, so a crash
+        # mid-journal leaves garbled JSON = a never-started batch.
+        persist.write_state(fs, INTENT_PATH, moves, mkparent=True)
 
-    refs = _block_refs(fs, {m["old"] for m in moves})
-    runs: list[list[int]] = []      # [old, new, count]: one copy each
-    for m in moves:
-        extend_runs(runs, m["old"], m["new"])
-    for old, new, count in runs:
-        fs.dev.write(new * PAGE_SIZE,
-                     fs.dev.read(old * PAGE_SIZE, count * PAGE_SIZE), nt=True)
-    for m in moves:
-        old, new = m["old"], m["new"]
-        for ref_ino, ref_pgoff in refs[old]:
-            _redirect_ref(fs, ref_ino, ref_pgoff, new)
-        if m["idx"] is not None:
-            fs.fact.retarget_block(m["idx"], new)
-        fs.allocator.free(old, 1, cpu)
-        placed.add(new)
+        refs = _block_refs(fs, {m["old"] for m in moves})
+        runs: list[list[int]] = []      # [old, new, count]: one copy each
+        for m in moves:
+            extend_runs(runs, m["old"], m["new"])
+        for old, new, count in runs:
+            fs.dev.write(new * PAGE_SIZE, fs.dev.read(
+                old * PAGE_SIZE, count * PAGE_SIZE), nt=True)
+        for m in moves:
+            old, new = m["old"], m["new"]
+            for ref_ino, ref_pgoff in refs[old]:
+                _redirect_ref(fs, ref_ino, ref_pgoff, new)
+            if m["idx"] is not None:
+                fs.fact.retarget_block(m["idx"], new, plan)
+            fs.allocator.free(old, 1, cpu)
+            placed.add(new)
 
     for page in unused:
         fs.allocator.free(page, 1, cpu)

@@ -2,7 +2,8 @@
 
 The point of reverse dedup is this read path.  A restore streams whole
 files through ``fs.read_runs`` (``fs.read``'s device side), which issues
-one device request per *contiguous physical run*: request latency
+one device request per distinct *contiguous physical run* (a repeat of
+a block the call already read whole is copied, not read): request latency
 amortizes over the run's bandwidth term.  A forward-deduped chain tail
 fragments into many single-page runs and pays the request latency per
 page; a relocated (reverse) tail is one run per file and the cost is
