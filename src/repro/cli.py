@@ -512,31 +512,25 @@ def cmd_profile(args):
 def cmd_slo(args) -> int:
     """Evaluate declarative SLO rules against the metrics history.
 
-    One-shot evaluation (latency and gauge rules; a rate rule needs two
-    observations and a snapshot is one).  Exit status 1 when any rule
-    is violated.
+    One-shot evaluation of latency and gauge rules.  Exit status 1 when
+    any rule is violated.
     """
     with _refusing(ValueError, KeyError, where=args.rules):
         rules = load_rules(args.rules)
     with _mounted(args.image):
         pass    # fold this mount, then judge the history
     alerts = evaluate_snapshot(rules, _sidecar(args.image, "metrics"))
-    violations = [a for a in alerts if a.get("kind") != "skipped"]
     if args.json:
         _print_json("repro.slo.report/1", {
             "image": args.image, "rules": args.rules, "alerts": alerts})
     else:
-        for a in violations:
+        for a in alerts:
             bound = "<" if a.get("below") else ">"
             print(f"VIOLATED {a['rule']}: {a['metric']} = "
                   f"{a['value']:.6g} {bound} bound {a['bound']:.6g}")
-        for a in alerts:
-            if a.get("kind") == "skipped":
-                print("skipped (a rate rule needs two snapshots; "
-                      "repro slo judges one): " + ", ".join(a["rules"]))
-        if not violations:
+        if not alerts:
             print("SLO OK")
-    return 1 if violations else 0
+    return 1 if alerts else 0
 
 
 def _deep_failure(rep: dict) -> str:

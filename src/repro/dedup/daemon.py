@@ -68,7 +68,7 @@ def append_redirects(fs, ino: int, cache, targets, cpu: int) -> list[tuple]:
     appended = fs._append_and_commit(ino, cache, (
         WriteEntry(file_pgoff=pgoff, num_pages=1, block=block,
                    size_after=cache.inode.size, ino=ino,
-                   mtime=int(fs.clock.now_ns),
+                   mtime=cache.inode.mtime,
                    dedupe_flag=DEDUPE_IN_PROCESS)
         for pgoff, block in targets), cpu)
     for addr, _we in appended:

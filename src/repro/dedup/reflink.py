@@ -144,7 +144,7 @@ def materialise_shared(fs, ino: int, runs: list, size: int, txn: FactTxn,
     dentry afterwards; until then a crash leaves an orphan.
     """
     cache = fs.caches[ino]
-    mtime = int(fs.clock.now_ns)
+    mtime = fs.stamp()
     appended = []
     if runs:
         appended = fs._append_and_commit(ino, cache, [

@@ -1,4 +1,4 @@
-"""A read-only image decoder: named regions and the clock's fields.
+"""A read-only image decoder: each page's named region.
 
 It reads a device or a crash fork only through ``read_silent`` (no
 charge, no hook) and decodes with the layers' own readers."""
@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from repro.nova import checkpoint as ckpt
-from repro.nova.entries import (ENTRY_SIZE, ETYPE_SETATTR, ETYPE_WRITE,
-                                MTIME_AT, SetattrEntry, WriteEntry)
+from repro.nova.entries import (ETYPE_SETATTR, ETYPE_WRITE, SetattrEntry,
+                                WriteEntry)
 from repro.nova.errors import CorruptImage
 from repro.nova.inode import ITYPE_FILE, Inode, InodeTable
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Superblock
@@ -52,38 +50,20 @@ def log(dev, geo) -> LogManager:
 
 @dataclass
 class Image:
-    """A decoded image: ``pages`` names each page's region (so the
-    regions cover the device without overlap); ``clock`` lists every
-    clock field as ``(addr, n)``, in address order."""
+    """A decoded image: ``pages`` names each page's region, so the
+    regions cover the device without overlap."""
 
     raw: bytes
     pages: list = field(default_factory=list)
-    clock: list = field(default_factory=list)
 
-    def region_of(self, addr: int) -> str:
-        return self.pages[addr // PAGE_SIZE]
-
-    @cached_property
-    def store(self) -> bytes:
-        """The image with every clock field zeroed."""
-        out = bytearray(self.raw)
-        for addr, n in self.clock:
-            out[addr:addr + n] = bytes(n)
-        return bytes(out)
-
-    def columns(self, *names: str) -> tuple[str, str, str]:
-        """The full, store and clock sha256 of the named regions' pages
-        in address order (of the whole image, if none is named)."""
-        full, store, clock = (hashlib.sha256() for _ in range(3))
+    def region_digest(self, *names: str) -> str:
+        """The sha256 of the named regions' pages in address order (of
+        the whole image, if none is named)."""
+        h = hashlib.sha256()
         for page, name in enumerate(self.pages):
             if not names or name in names:
-                at = slice(page * PAGE_SIZE, (page + 1) * PAGE_SIZE)
-                full.update(self.raw[at])
-                store.update(self.store[at])
-        for addr, n in self.clock:
-            if not names or self.region_of(addr) in names:
-                clock.update(self.raw[addr:addr + n])
-        return full.hexdigest(), store.hexdigest(), clock.hexdigest()
+                h.update(self.raw[page * PAGE_SIZE:(page + 1) * PAGE_SIZE])
+        return h.hexdigest()
 
 
 def decode(dev) -> Image:
@@ -113,8 +93,6 @@ def decode(dev) -> Image:
                 data.setdefault(page, f"data:{ino}")
     for page, name in {**data, **logs}.items():     # a log page first
         names[page] = name
-    img.clock = sorted(_clock_fields(raw, geo, names)
-                       + ckpt.clock_fields(view, geo))
     return img
 
 
@@ -134,25 +112,3 @@ def _mapped(slots, geo) -> set[int]:
             size = SetattrEntry.unpack(raw).new_size
             pages = {p: b for p, b in pages.items() if p * PAGE_SIZE < size}
     return set(pages.values())
-
-
-def _clock_fields(raw: bytes, geo, names: list) -> list:
-    """The clock's fields outside the checkpoint: the ``mtime`` of each
-    inode record, and of each slot starting with an entry type on a data
-    page no file maps whose first word is 0 or a data page (a log page,
-    live or freed).  A page of user data that passes that test (say, its
-    first word is 0) hides a store at such a slot's mtime."""
-    lo, hi = geo.data_start_page, geo.total_pages
-    at = geo.inode_table_page * PAGE_SIZE + Inode.MTIME_AT
-    out = [(at + k * INODE_SIZE, 8) for k in range(geo.inode_capacity)]
-    area = np.frombuffer(raw, np.uint8, count=(hi - lo) * PAGE_SIZE,
-                         offset=lo * PAGE_SIZE)
-    nxt = area.view("<u8")[::PAGE_SIZE // 8]
-    hit = np.isin(area[::ENTRY_SIZE], list(MTIME_AT)).reshape(hi - lo, -1)
-    hit[:, 0] = False                                   # the page headers
-    hit[((nxt != 0) & ((nxt < lo) | (nxt >= hi)))
-        | [name.startswith("data:") for name in names[lo:hi]]] = False
-    for page, slot in zip(*np.nonzero(hit)):
-        addr = (int(page) + lo) * PAGE_SIZE + int(slot) * ENTRY_SIZE
-        out.append((addr + MTIME_AT[raw[addr]], 8))
-    return out

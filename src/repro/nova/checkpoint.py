@@ -29,11 +29,11 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.nova.layout import PAGE_SIZE
-from repro.nova.persist import CRC_AT, SlotRecord
+from repro.nova.persist import SlotRecord
 from repro.pm.allocator import Extent
 
 __all__ = ["Checkpoint", "write_checkpoint", "load_checkpoint",
-           "clock_fields", "CKPT_MAGIC"]
+           "CKPT_MAGIC"]
 
 CKPT_MAGIC = 0x544B_4843_414F_4E44  # "DNOACHKT"
 CKPT_VERSION = 1
@@ -41,8 +41,7 @@ CKPT_VERSION = 1
 _PAYLOAD_OFF = 64           # payload starts one cache line after header
 
 _FIXED_FMT = "<IIQ"         # version, cpus, dwq_count
-_INO_HEAD = "<QQQQQ"        # ino, meta, size, log_head, log_tail
-_INO_FMT = _INO_HEAD + "Q"  # mtime
+_INO_FMT = "<QQQQQQ"        # ino, meta, size, log_head, log_tail, mtime
 _EXT_FMT = "<QQ"            # start, count
 _U32 = "<I"
 
@@ -88,11 +87,12 @@ def _pack_payload(fs) -> bytes:
     return b"".join(parts)
 
 
-def _record(dev, geo):
+def _record(fs):
     """The checkpoint region as a one-slot record (None: no region)."""
+    geo = fs.geo
     if not geo.ckpt_page:
         return None
-    return SlotRecord(dev, geo.ckpt_page * PAGE_SIZE,
+    return SlotRecord(fs.dev, geo.ckpt_page * PAGE_SIZE,
                       geo.ckpt_pages * PAGE_SIZE, magic=CKPT_MAGIC,
                       payload_off=_PAYLOAD_OFF)
 
@@ -104,7 +104,7 @@ def write_checkpoint(fs) -> bool:
     device has no checkpoint region or the snapshot does not fit —
     callers treat that as "no fast remount", never as an error.
     """
-    rec = _record(fs.dev, fs.geo)
+    rec = _record(fs)
     if rec is None:
         return False
     payload = _pack_payload(fs)
@@ -122,7 +122,7 @@ def load_checkpoint(fs):
     generation (stale), CRC mismatch (torn), truncated payload, or a
     DWQ length that disagrees with the superblock.
     """
-    rec = _record(fs.dev, fs.geo)
+    rec = _record(fs)
     found = rec.load() if rec is not None else None
     if found is None or found[0] != int(fs.sb.epoch):
         return None
@@ -134,27 +134,6 @@ def load_checkpoint(fs):
     if ck is None or ck.dwq_count != int(fs.sb.dwq_saved_count):
         return None
     return ck
-
-
-def clock_fields(dev, geo) -> list[tuple[int, int]]:
-    """``(addr, 8)`` of each word here the clock stored: the CRC, and the
-    mtime of each record the valid payload counts or, where no count
-    describes the bytes (an invalid record, past the payload), of every
-    record stride."""
-    rec = _record(dev, geo)
-    if rec is None:
-        return []
-    found = rec.load()
-    payload = found[1] if found else b""
-    fixed, size = struct.calcsize(_FIXED_FMT), struct.calcsize(_INO_FMT)
-    count = struct.unpack_from(_U32, payload, fixed)[0] if found else 0
-    start = rec.base + _PAYLOAD_OFF
-    first = start + fixed + struct.calcsize(_U32) + struct.calcsize(_INO_HEAD)
-    mtimes = [first + k * size for k in range(
-        min(geo.inode_capacity, (rec.capacity - fixed - 4) // size))]
-    return [(rec.base + CRC_AT, 8)] + [
-        (at, 8) for k, at in enumerate(mtimes)
-        if k < count or at >= start + len(payload)]
 
 
 def _unpack_payload(payload: bytes, gen: int):

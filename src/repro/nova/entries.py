@@ -35,7 +35,6 @@ __all__ = [
     "ETYPE_SYMLINK",
     "decode_entry",
     "MAX_NAME",
-    "MTIME_AT",
 ]
 
 ENTRY_SIZE = 64
@@ -55,17 +54,15 @@ DEDUPE_COMPLETE = 2
 #: with a single (crash-atomic) byte store.
 DEDUPE_FLAG_OFFSET = 1
 
-_WRITE_HEAD = "<BBHIQQQ"       # etype, dedupe_flag, flags, num_pages,
-#                                file_pgoff, block, size_after
-_WRITE_FMT = _WRITE_HEAD + "QQ16x"      # mtime, ino
+_WRITE_FMT = "<BBHIQQQQQ16x"   # etype, dedupe_flag, flags, num_pages,
+#                                file_pgoff, block, size_after, mtime, ino
 assert struct.calcsize(_WRITE_FMT) == ENTRY_SIZE
 
-_DENTRY_HEAD = "<BBBxIQ"       # etype, valid, name_len, _, reserved, ino
-_DENTRY_FMT = _DENTRY_HEAD + "Q40s"     # mtime, name
+_DENTRY_FMT = "<BBBxIQQ40s"    # etype, valid, name_len, _, reserved,
+#                                ino, mtime, name
 assert struct.calcsize(_DENTRY_FMT) == ENTRY_SIZE
 
-_SETATTR_HEAD = "<B7xQQ"       # etype, ino, new_size
-_SETATTR_FMT = _SETATTR_HEAD + "Q32x"   # mtime
+_SETATTR_FMT = "<B7xQQQ32x"    # etype, ino, new_size, mtime
 assert struct.calcsize(_SETATTR_FMT) == ENTRY_SIZE
 
 MAX_NAME = 40
@@ -165,15 +162,9 @@ class SetattrEntry:
         return cls(ino=ino, new_size=new_size, mtime=mtime)
 
 
-_SYMLINK_HEAD = "<BBxxIQ"      # etype, target_len, _, reserved, ino
-_SYMLINK_FMT = _SYMLINK_HEAD + "Q40s"   # mtime, target
+_SYMLINK_FMT = "<BBxxIQQ40s"   # etype, target_len, _, reserved, ino,
+#                                mtime, target
 assert struct.calcsize(_SYMLINK_FMT) == ENTRY_SIZE
-
-#: Entry type -> byte offset of its packed ``mtime``.
-MTIME_AT = {ETYPE_WRITE: struct.calcsize(_WRITE_HEAD),
-            ETYPE_DENTRY: struct.calcsize(_DENTRY_HEAD),
-            ETYPE_SETATTR: struct.calcsize(_SETATTR_HEAD),
-            ETYPE_SYMLINK: struct.calcsize(_SYMLINK_HEAD)}
 
 
 @dataclass

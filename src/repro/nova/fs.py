@@ -84,7 +84,7 @@ class Stat:
     ino: int
     itype: int
     size: int
-    mtime: int
+    mtime: int      # a logical stamp (:meth:`NovaFS.stamp`), not a time
     links: int
 
 
@@ -122,6 +122,7 @@ class NovaFS:
         self.use_checkpoint = True
         self._active_checkpoint = None  # decoded ckpt during recovery
         self._hydrations = 0
+        self._stamp = 0     # the last mtime handed out (:meth:`stamp`)
         # Observability hub: one registry + tracer per fs instance, so a
         # remount starts from zero (DRAM state, like NOVA's in-memory
         # trees).  Each counter is held under its one metric name.
@@ -170,7 +171,7 @@ class NovaFS:
         Superblock(dev).format(geo)
         fs = cls(dev, geo, cpus)
         root = Inode(ino=ROOT_INO, valid=1, itype=ITYPE_DIR, links=2,
-                     mtime=int(fs.clock.now_ns))
+                     mtime=fs.stamp())
         fs.itable.write(ROOT_INO, root)
         fs.caches[ROOT_INO] = InodeCache(
             inode=root, index=FileIndex(fs.cpu_model, fs.clock))
@@ -244,6 +245,12 @@ class NovaFS:
         with self.obs.span("recovery.checkpoint_write",
                            pages=self.geo.ckpt_pages):
             write_checkpoint(self)
+
+    def stamp(self) -> int:
+        """The next mtime: a logical counter, +1 per stamping operation,
+        that mount resumes past every mtime it found.  No charge moves it."""
+        self._stamp += 1
+        return self._stamp
 
     def _check_mounted(self) -> None:
         if not self.mounted:
@@ -352,7 +359,7 @@ class NovaFS:
         ino = self._new_inode(ITYPE_SYMLINK, cpu, parent=pino)
         cache = self.caches[ino]
         entry = SymlinkEntry(target=target, ino=ino,
-                             mtime=int(self.clock.now_ns))
+                             mtime=self.stamp())
         self._append_and_commit(ino, cache, [entry], cpu)
         cache.symlink_target = target
         self._append_dentry(pino, name, ino, valid=1, cpu=cpu)
@@ -383,7 +390,7 @@ class NovaFS:
                        valid: int, cpu: int) -> None:
         parent = self.caches[parent_ino]
         entry = DentryEntry(name=name, ino=ino, valid=valid,
-                            mtime=int(self.clock.now_ns))
+                            mtime=self.stamp())
         self._append_and_commit(parent_ino, parent, [entry], cpu)
         self.clock.advance(self.cpu_model.dram_touch_ns)
         if valid:
@@ -428,9 +435,7 @@ class NovaFS:
                            entries: Iterable, cpu: int) -> list[tuple]:
         """The one log-commit primitive: N appends, one atomic tail update.
 
-        ``entries`` is consumed lazily — each entry is built only once the
-        previous append has been charged, so a generator may stamp
-        ``clock.now_ns`` per entry.  Returns ``[(addr, entry)]``.  A log
+        ``entries`` may be a generator.  Returns ``[(addr, entry)]``.  A log
         page that cannot be allocated raises :class:`NoSpace` with the
         committed tail (and the DRAM cache) untouched: entries past the
         tail are invisible to readers and to recovery.
@@ -466,7 +471,7 @@ class NovaFS:
             raise NoSpace(str(exc)) from None
         inode = Inode(ino=ino, valid=1, itype=itype,
                       links=2 if itype == ITYPE_DIR else 1,
-                      mtime=int(self.clock.now_ns))
+                      mtime=self.stamp())
         self.itable.write(ino, inode)
         self.caches[ino] = InodeCache(
             inode=inode, index=FileIndex(self.cpu_model, self.clock))
@@ -514,7 +519,7 @@ class NovaFS:
             self.itable.unreserve(ino)
             return None
         inode = Inode(ino=ino, valid=1, itype=ITYPE_FILE, links=1,
-                      mtime=int(self.clock.now_ns))
+                      mtime=self.stamp())
         self.caches[ino] = InodeCache(
             inode=inode, index=FileIndex(self.cpu_model, self.clock))
         self.tenants.note_inode(ino, pino)
@@ -551,7 +556,7 @@ class NovaFS:
             return False
         cpu = ino_cpu(parent_ino, self.cpus)
         inode = Inode(ino=ino, valid=1, itype=ITYPE_FILE, links=1,
-                      mtime=int(self.clock.now_ns))
+                      mtime=self.stamp())
         self.itable.write(ino, inode)
         self.caches[ino] = InodeCache(
             inode=inode, index=FileIndex(self.cpu_model, self.clock))
@@ -690,10 +695,10 @@ class NovaFS:
             # persisted (and superseded) before the rename commits.
             self.staging.drain_ino(ino)
         cpu = ino_cpu(dpino, self.cpus)
-        mtime = int(self.clock.now_ns)
         if spino == dpino:
             # One directory log: two appends, one atomic tail commit.
             parent = self.caches[spino]
+            mtime = self.stamp()
             self._append_and_commit(spino, parent, [
                 DentryEntry(name=dname, ino=ino, valid=1, mtime=mtime),
                 DentryEntry(name=sname, ino=ino, valid=0, mtime=mtime),
@@ -870,7 +875,7 @@ class NovaFS:
             # Place the pages, then commit one entry per run: data and
             # entries are fenced together, the tail update is the commit.
             self._place_pages(placed, pg_first, buf, cpu)
-            mtime = int(self.clock.now_ns)
+            mtime = self.stamp()
             flag = self.initial_dedupe_flag()
             appended = self._append_and_commit(ino, cache, [
                 WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
@@ -989,7 +994,7 @@ class NovaFS:
         self.clock.advance(self.cpu_model.syscall_ns)
         cache = self._file_cache(ino, for_write=True)
         entry = SetattrEntry(ino=ino, new_size=size,
-                             mtime=int(self.clock.now_ns))
+                             mtime=self.stamp())
         self._append_and_commit(ino, cache, [entry], cpu)
         shrunk = size < cache.inode.size
         if shrunk:

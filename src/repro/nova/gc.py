@@ -78,12 +78,11 @@ def _thorough_gc(fs, ino: int) -> dict:
                 live_write_addrs.append(addr)
         payload.append(SetattrEntry(
             ino=ino, new_size=cache.inode.size,
-            mtime=int(fs.clock.now_ns)).pack())
+            mtime=cache.inode.mtime).pack())
     elif cache.inode.itype == ITYPE_DIR:
-        mtime = int(fs.clock.now_ns)
         for name, child in sorted(cache.dentries.items()):
             payload.append(DentryEntry(name=name, ino=child, valid=1,
-                                       mtime=mtime).pack())
+                                       mtime=cache.inode.mtime).pack())
     new_page_count = max(1, -(-len(payload) // ENTRIES_PER_PAGE))
     if new_page_count >= len(old_pages):
         return {"skipped": "would not shrink the log"}

@@ -33,9 +33,8 @@ ITYPE_SYMLINK = 3
 #: are rejected; unlink stays legal (reference counts guard the data).
 FLAG_IMMUTABLE = 0x1
 
-_INODE_HEAD = "<QBBHIQQQ"      # ino, valid, itype, flags, links, size,
-#                                log_head, log_tail
-_INODE_FMT = _INODE_HEAD + "QQ72x"      # mtime, epoch
+_INODE_FMT = "<QBBHIQQQQQ72x"  # ino, valid, itype, flags, links, size,
+#                                log_head, log_tail, mtime, epoch
 assert struct.calcsize(_INODE_FMT) == INODE_SIZE
 
 # Field offsets within the record (for in-place atomic updates).
@@ -63,7 +62,6 @@ class Inode:
     log_tail: int = 0   # abs byte addr of next free entry slot (0 = none)
     mtime: int = 0
     epoch: int = 0
-    MTIME_AT = struct.calcsize(_INODE_HEAD)  # the packed mtime's offset
 
     def pack(self) -> bytes:
         return struct.pack(_INODE_FMT, self.ino, self.valid, self.itype,

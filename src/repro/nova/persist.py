@@ -17,13 +17,12 @@ from typing import Callable, Iterable, Optional
 from repro.nova.errors import FSError
 from repro.nova.inode import ITYPE_DIR
 
-__all__ = ["HDR_BYTES", "CRC_AT", "SlotRecord", "lexists", "read_state",
+__all__ = ["HDR_BYTES", "SlotRecord", "lexists", "read_state",
            "write_state", "remove_state", "prune_dir", "remove_tree",
            "sweep", "SweepCursors"]
 
 _HDR = struct.Struct("<QQQQ")       # magic, seq, payload_len, crc32
 HDR_BYTES = _HDR.size
-CRC_AT = HDR_BYTES - 8              # the header's last word: the crc32
 
 
 def _crc(seq: int, payload: bytes) -> int:

@@ -168,6 +168,7 @@ def recover(fs, clean: bool) -> RecoveryReport:
                 with fs.obs.span("recovery.checkpoint_load",
                                  inodes=len(ck.inodes)):
                     _restore_checkpoint(fs, ck, report)
+                _seed_stamps(fs)
                 fs._active_checkpoint = ck
                 try:
                     with fs.obs.span("recovery.dedup"):
@@ -178,6 +179,7 @@ def recover(fs, clean: bool) -> RecoveryReport:
 
         with fs.obs.span("recovery.log_replay"):
             chains = _replay_logs(fs, report)
+        _seed_stamps(fs)    # before the journal redo stamps its dentries
 
         # Pass 1.5: redo any committed-but-unapplied journal transaction
         # (cross-directory rename).  This must run before reachability: a
@@ -223,6 +225,13 @@ def recover(fs, clean: bool) -> RecoveryReport:
         with fs.obs.span("recovery.dedup"):
             fs._post_recover(report, clean)
     return report
+
+
+def _seed_stamps(fs) -> None:
+    """Resume :meth:`NovaFS.stamp` past every mtime the mount found, so
+    a stamp never goes back across a remount or a crash."""
+    fs._stamp = max((cache.inode.mtime for _ino, cache
+                     in fs.caches.raw_items()), default=0)
 
 
 def _restore_checkpoint(fs, ck, report: RecoveryReport) -> None:

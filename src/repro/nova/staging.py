@@ -337,7 +337,7 @@ class StagingLog:
             self._append(slab, ino, offset, data)
             new_size = max(cache.inode.size, offset + len(data))
             cache.inode.size = new_size
-            cache.inode.mtime = int(fs.clock.now_ns)
+            cache.inode.mtime = fs.stamp()
             self._c_absorbed.inc()
             self._c_absorbed_bytes.inc(len(data))
         return True

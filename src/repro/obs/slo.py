@@ -11,9 +11,7 @@ Rule kinds (``repro.slo/1`` schema)::
       {"name": "write-p99", "kind": "latency",
        "metric": "fs.write", "quantile": 0.99, "max_ns": 5e6},
       {"name": "dwq-bound", "kind": "gauge",
-       "metric": "dwq.depth", "max": 64},
-      {"name": "stall-burn", "kind": "rate",
-       "metric": "conc.stalls_total", "max_per_s": 1000}
+       "metric": "dwq.depth", "max": 64}
     ]}
 
 * ``latency`` — a quantile of a histogram must stay under ``max_ns``.
@@ -21,9 +19,8 @@ Rule kinds (``repro.slo/1`` schema)::
   (``fs.write`` resolves to ``fs.write_latency_ns``).
 * ``gauge`` — a gauge (or counter) value must stay inside
   [``min``, ``max``].
-* ``rate`` — a counter must not burn faster than ``max_per_s`` of
-  *simulated* time.  One snapshot is one observation, so
-  :func:`evaluate_snapshot` reports rate rules as skipped.
+
+Any other kind is refused when the rules load.
 
 The flight ring dumps to a JSON file (``repro.flight/1``) when an
 artifact path is configured; invariant trips and fuzz failures attach
@@ -111,7 +108,7 @@ class FlightRecorder:
         self.dumps = 0
 
 
-_KINDS = ("latency", "gauge", "rate")
+_KINDS = ("latency", "gauge")
 
 
 @dataclass(frozen=True)
@@ -119,12 +116,11 @@ class SLORule:
     """One declarative objective over a named metric."""
 
     name: str
-    kind: str                      # "latency" | "gauge" | "rate"
+    kind: str                      # "latency" | "gauge"
     metric: str
     max: Optional[float] = None    # gauge upper bound / latency max_ns
     min: Optional[float] = None    # gauge lower bound
     quantile: float = 0.99         # latency rules
-    max_per_s: Optional[float] = None  # rate rules
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -136,17 +132,14 @@ class SLORule:
             if not 0.0 < self.quantile <= 1.0:
                 raise ValueError(f"rule {self.name!r}: quantile "
                                  f"{self.quantile} outside (0, 1]")
-        elif self.kind == "gauge" and self.max is None and self.min is None:
+        elif self.max is None and self.min is None:
             raise ValueError(f"rule {self.name!r}: gauge needs min or max")
-        elif self.kind == "rate" and self.max_per_s is None:
-            raise ValueError(f"rule {self.name!r}: rate needs max_per_s")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SLORule":
         return cls(name=d["name"], kind=d["kind"], metric=d["metric"],
                    max=d.get("max_ns", d.get("max")), min=d.get("min"),
-                   quantile=d.get("quantile", 0.99),
-                   max_per_s=d.get("max_per_s"))
+                   quantile=d.get("quantile", 0.99))
 
 
 def load_rules(source) -> list[SLORule]:
@@ -179,12 +172,10 @@ def evaluate_snapshot(rules, snapshot: dict) -> list[dict]:
 
     Used by ``repro slo`` on an image's persisted metrics history.
     Latency rules read the snapshot's interpolated percentiles; gauge
-    rules read gauges/counters; rate rules need two live observations
-    and are reported as ``skipped``.
+    rules read gauges/counters.
     """
     rules = load_rules(rules)
     alerts: list[dict] = []
-    skipped: list[str] = []
     hists = snapshot.get("histograms", {})
     gauges = snapshot.get("gauges", {})
     counters = snapshot.get("counters", {})
@@ -208,7 +199,7 @@ def evaluate_snapshot(rules, snapshot: dict) -> list[dict]:
                                "metric": name, "value": value,
                                "bound": rule.max,
                                "quantile": rule.quantile})
-        elif rule.kind == "gauge":
+        else:
             if rule.metric in gauges:
                 value = gauges[rule.metric]
             elif rule.metric in counters:
@@ -223,10 +214,4 @@ def evaluate_snapshot(rules, snapshot: dict) -> list[dict]:
                 alerts.append({"rule": rule.name, "kind": rule.kind,
                                "metric": rule.metric, "value": value,
                                "bound": rule.min, "below": True})
-        else:
-            skipped.append(rule.name)
-    if skipped:
-        alerts.append({"rule": None, "kind": "skipped", "rules": skipped,
-                       "detail": "a rate rule needs two snapshots and "
-                                 "this judges one"})
     return alerts

@@ -22,6 +22,7 @@ import hashlib
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.nova.inode import ITYPE_FILE
+from repro.pm.clock import FS_PER_NS
 from repro.repl.relocate import latest_snapshot
 
 __all__ = ["restore_latest", "restore_snapshot"]
@@ -46,7 +47,7 @@ def restore_snapshot(fs, name: str) -> dict:
     fs.lookup(root, follow=False)  # FSError if absent
     manifest: dict[str, dict] = {}
     stats = {"files": 0, "bytes": 0, "requests": 0}
-    t0 = fs.clock.now_ns
+    t0 = fs.clock.now_fs
 
     with fs.obs.span("repl.restore", snapshot=name):
         for path, _ino, cache in fs.walk(root):
@@ -57,7 +58,7 @@ def restore_snapshot(fs, name: str) -> dict:
             stats["files"] += 1
             stats["bytes"] += size
             stats["requests"] += requests
-    elapsed = fs.clock.now_ns - t0
+    elapsed = (fs.clock.now_fs - t0) / FS_PER_NS
     fs.obs.registry.counter("repl.restore_runs_total").inc(stats["requests"])
     fs.obs.registry.counter("repl.restore_bytes_total").inc(stats["bytes"])
     gbps = (stats["bytes"] / elapsed) if elapsed else 0.0

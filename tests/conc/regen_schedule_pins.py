@@ -1,13 +1,9 @@
 """Rewrite ``schedule_pins.json`` (the table of ``test_schedule_pin.py``)
 for this tree, and print what moved: per configuration and seed, the
 event count, ``now_fs``, each ``PMStats`` field, each pinned histogram
-and each column (full, store, clock) of the durable image that moved.
-Run from the repository root::
+and the durable image.  Run from the repository root::
 
     PYTHONPATH=src python tests/conc/regen_schedule_pins.py
-
-A change that claims no store moved shows it here: ``image.store``
-stays out of the list.
 """
 
 import json

@@ -75,9 +75,9 @@ TEST_ONLY = {
     "repro.failure.injector:run_with_crash(seed)":
         "ROADMAP item 17 replays single crashes of the seeded every-event "
         "sweep, whose torn draws follow the campaign seed",
-    "repro.failure.image:Image.columns":
-        "ROADMAP item 24: the full, store and clock columns the image and "
-        "media pins keep; items 12 and 22 read the decoder from src",
+    "repro.failure.image:Image.region_digest":
+        "ROADMAP item 24: the per-region digests the image and media pins "
+        "keep; items 12 and 22 read the decoder from src",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)

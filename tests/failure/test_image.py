@@ -1,9 +1,9 @@
 """The read-only image decoder (``repro.failure.image``).
 
 Its regions cover every image without overlap and agree with what a
-mounted filesystem knows; its clock fields are exactly where a store of
-``clock.now_ns`` lands, so the *store* column moves only with a store
-and the *clock* column only with a stamp.
+mounted filesystem knows.  No byte of an image depends on simulated
+time — an mtime is a logical stamp (``NovaFS.stamp``) — so a region's
+digest moves exactly when a store to it does.
 """
 
 import hashlib
@@ -15,15 +15,13 @@ from repro.core import Config, Variant, make_fs
 from repro.failure import image, sweep_crash_points
 from repro.failure.image import decode
 from repro.nova import PAGE_SIZE, NovaFS
-from repro.nova import checkpoint
 from repro.nova.checkpoint import CKPT_MAGIC, _PAYLOAD_OFF
-from repro.nova.entries import (ENTRY_SIZE, ETYPE_WRITE, MTIME_AT,
-                                DentryEntry, SetattrEntry, SymlinkEntry,
-                                WriteEntry)
+from repro.nova.entries import (ENTRY_SIZE, DentryEntry, SetattrEntry,
+                                SymlinkEntry, WriteEntry)
 from repro.nova.inode import Inode
 from repro.nova.layout import Superblock
 from repro.nova.log import ENTRIES_PER_PAGE
-from repro.nova.persist import CRC_AT, SlotRecord
+from repro.nova.persist import SlotRecord
 from repro.pm import DRAM, PMDevice, SimClock
 from tests.fuzz.test_image_pin import PINNED, crash_images
 
@@ -75,6 +73,10 @@ MOUNTED = {
 }
 
 
+def region_of(img, addr: int) -> str:
+    return img.pages[addr // PAGE_SIZE]
+
+
 def assert_covers(img, raw: bytes) -> None:
     """Every page is in exactly one region, and the regions' pages in
     address order hash to the full digest."""
@@ -88,10 +90,8 @@ def assert_covers(img, raw: bytes) -> None:
     joined = b"".join(raw[p * PAGE_SIZE:(p + 1) * PAGE_SIZE]
                       for p, _name in ordered)
     assert hashlib.sha256(joined).hexdigest() \
-        == img.columns()[0] == hashlib.sha256(raw).hexdigest()
-    assert img.columns(*regions)[:2] == img.columns()[:2]
-    for addr, n in img.clock:
-        assert img.region_of(addr) == img.region_of(addr + n - 1)
+        == img.region_digest() == hashlib.sha256(raw).hexdigest()
+    assert img.region_digest(*regions) == img.region_digest()
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED))
@@ -114,28 +114,28 @@ def test_mounted_image_regions_agree_with_the_filesystem(kind):
     img = decode(fs.dev)
     assert_covers(img, fs.dev.read_silent(0, fs.dev.size))
     geo = fs.geo
-    assert img.region_of(0) == "superblock"
-    assert img.region_of(geo.inode_table_page * PAGE_SIZE) == "inode table"
+    assert region_of(img, 0) == "superblock"
+    assert region_of(img, geo.inode_table_page * PAGE_SIZE) == "inode table"
     if geo.fact_page:
-        assert img.region_of(geo.fact_page * PAGE_SIZE) == "FACT"
-        assert img.region_of((geo.fact_page * PAGE_SIZE + geo.fact_bytes)
+        assert region_of(img, geo.fact_page * PAGE_SIZE) == "FACT"
+        assert region_of(img, (geo.fact_page * PAGE_SIZE + geo.fact_bytes)
                              - 1) == "FACT IAA"
     if geo.staging_page:
-        assert img.region_of(geo.staging_page * PAGE_SIZE) == "staging log"
+        assert region_of(img, geo.staging_page * PAGE_SIZE) == "staging log"
     owners: dict[int, int] = {}
     for ino in sorted(fs.caches):
         cache = fs.caches[ino]
         for page in fs.log.iter_pages(cache.inode.log_head):
-            assert img.region_of(page * PAGE_SIZE + 100) == f"log:{ino}"
+            assert region_of(img, page * PAGE_SIZE + 100) == f"log:{ino}"
         for _pgoff, _addr, block in cache.index.mappings():
             owners.setdefault(block, ino)
     assert owners
     for block, ino in owners.items():
-        assert img.region_of(block * PAGE_SIZE) == f"data:{ino}"
+        assert region_of(img, block * PAGE_SIZE) == f"data:{ino}"
 
 
-def store_by_region(img) -> dict[str, str]:
-    return {name: img.columns(name)[1] for name in set(img.pages)}
+def by_region(img) -> dict[str, str]:
+    return {name: img.region_digest(name) for name in set(img.pages)}
 
 
 def test_a_flipped_log_byte_moves_only_that_inode_s_log_region():
@@ -148,25 +148,25 @@ def test_a_flipped_log_byte_moves_only_that_inode_s_log_region():
     assert isinstance(WriteEntry.unpack(raw), WriteEntry)
     fs.dev.write(addr + 24, bytes([raw[24] ^ 0xFF]), persist=True)  # size
     after = decode(fs.dev)
-    old, new = store_by_region(before), store_by_region(after)
+    old, new = by_region(before), by_region(after)
     assert [name for name in old if old[name] != new[name]] == [f"log:{ino}"]
-    assert after.columns()[2] == before.columns()[2]
 
 
 def test_rewritten_stamps_move_only_the_clock_column():
+    """A stamp is a store like any other: rewriting one moves the digest
+    of the one region that holds it, and nothing else."""
     fs = populated(Variant.DELAYED)
     ino = fs.lookup("/d/f1")
     cache = fs.caches[ino]
     addr, raw = next(image.log(fs.dev, fs.geo).iter_slots(
         cache.inode.log_head, cache.inode.log_tail))
     before = decode(fs.dev)
-    fs.dev.write(addr + MTIME_AT[ETYPE_WRITE], STAMP.to_bytes(8, "little"),
-                 persist=True)
-    assert WriteEntry.unpack(fs.dev.read_silent(addr, 64)).mtime == STAMP
+    entry = WriteEntry.unpack(raw)
+    entry.mtime = STAMP
+    fs.dev.write(addr, entry.pack(), persist=True)
     after = decode(fs.dev)
-    assert store_by_region(after) == store_by_region(before)
-    assert after.columns()[1] == before.columns()[1]
-    assert after.columns()[2] != before.columns()[2]
+    old, new = by_region(before), by_region(after)
+    assert [name for name in old if old[name] != new[name]] == [f"log:{ino}"]
 
     # The checkpoint's copy of an mtime, with the CRC that covers it.
     fs, rec = checkpointed()
@@ -177,10 +177,8 @@ def test_rewritten_stamps_move_only_the_clock_column():
     rec.store(seq, payload[:at] + STAMP.to_bytes(8, "little")
               + payload[at + 8:])
     assert rec.load() != (seq, payload)
-    after = decode(fs.dev)
-    assert store_by_region(after) == store_by_region(before)
-    assert after.columns()[1] == before.columns()[1]
-    assert after.columns("checkpoint")[2] != before.columns("checkpoint")[2]
+    old, new = by_region(before), by_region(decode(fs.dev))
+    assert [name for name in old if old[name] != new[name]] == ["checkpoint"]
 
 
 @pytest.mark.parametrize("record", [
@@ -192,9 +190,10 @@ def test_rewritten_stamps_move_only_the_clock_column():
     Inode(ino=1, mtime=STAMP),
 ])
 def test_each_record_packs_its_mtime_where_it_says(record):
+    """Each record keeps its mtime as one 8-byte word that unpacks back."""
     raw = record.pack()
-    at = Inode.MTIME_AT if isinstance(record, Inode) else MTIME_AT[raw[0]]
-    assert raw[at:at + 8] == STAMP.to_bytes(8, "little")
+    assert raw.count(STAMP.to_bytes(8, "little")) == 1
+    assert type(record).unpack(raw).mtime == STAMP
 
 
 def checkpointed():
@@ -208,25 +207,19 @@ def checkpointed():
 
 
 def test_the_checkpoint_s_clock_fields_are_its_crc_and_its_records_mtimes():
+    """The checkpoint's records carry each inode's mtime, and a clean
+    mount resumes the stamps past the largest of them."""
     fs, rec = checkpointed()
-    seq, payload = rec.load()
-    fields = checkpoint.clock_fields(fs.dev, fs.geo)
-    assert fields[0] == (rec.base + CRC_AT, 8)
-    crc = fs.dev.read_silent(rec.base + CRC_AT, 8)
-    assert int.from_bytes(crc, "little") == struct.unpack_from(
-        "<QQQQ", fs.dev.read_silent(rec.base, 32))[3]
+    _seq, payload = rec.load()
     count = struct.unpack_from("<I", payload, 16)[0]
-    stamps = [int.from_bytes(fs.dev.read_silent(addr, 8), "little")
-              for addr, _n in fields[1:count + 1]]
-    assert count > 0 and stamps == [
-        struct.unpack_from("<Q", payload, 20 + k * 48 + 40)[0]
-        for k in range(count)]
-    # Past the payload's end only the stride counts; a record that does
-    # not validate is all stride.
-    assert all(addr >= rec.base + _PAYLOAD_OFF + len(payload)
-               for addr, _n in fields[count + 1:])
-    rec.invalidate()
-    assert len(checkpoint.clock_fields(fs.dev, fs.geo)) > len(fields)
+    stamps = {struct.unpack_from("<Q", payload, 20 + k * 48)[0]:
+              struct.unpack_from("<Q", payload, 20 + k * 48 + 40)[0]
+              for k in range(count)}
+    assert count > 0
+    fs = type(fs).mount(fs.dev)
+    assert fs.last_recovery.extra["checkpoint"]["inodes"] == count
+    assert stamps == {ino: fs.stat(ino).mtime for ino in fs.caches}
+    assert fs.stamp() == max(stamps.values()) + 1
 
 
 def test_a_rewritten_free_extent_moves_the_checkpoint_s_store():
@@ -239,23 +232,23 @@ def test_a_rewritten_free_extent_moves_the_checkpoint_s_store():
     rec.store(seq, payload[:at] + bytes([payload[at] ^ 1])
               + payload[at + 1:])
     after = decode(fs.dev)
-    old, new = store_by_region(before), store_by_region(after)
+    old, new = by_region(before), by_region(after)
     assert [name for name in old if old[name] != new[name]] == ["checkpoint"]
 
 
 def test_a_store_to_a_free_page_of_user_data_moves_the_store_column():
-    """A free page whose slots start with an entry type but whose first
-    word is no ``next`` pointer is user data, not a log page."""
+    """A store where a freed log page's mtime would sit moves the digest
+    of the free page's region: no field of an image is set aside."""
     fs = populated(Variant.DELAYED)
     img = decode(fs.dev)
     page = next(p for p in range(fs.geo.data_start_page, fs.geo.total_pages)
                 if img.pages[p] == "unowned")
     fs.dev.write(page * PAGE_SIZE, page_of(1), persist=True)
     before = decode(fs.dev)
-    fs.dev.write(page * PAGE_SIZE + ENTRY_SIZE + MTIME_AT[ETYPE_WRITE],
+    fs.dev.write(page * PAGE_SIZE + ENTRY_SIZE + 32,   # a write's mtime
                  bytes([2]), persist=True)
     after = decode(fs.dev)
-    assert after.columns("unowned")[1] != before.columns("unowned")[1]
+    assert after.region_digest("unowned") != before.region_digest("unowned")
 
 
 def test_a_log_page_is_zeroed_before_it_is_linked():

@@ -1,11 +1,11 @@
 """Rewrite ``image_pins.json`` (the table of ``test_image_pin.py``) for
-this tree, and print what moved: per image, the columns that moved and
-the regions whose store digest moved.  Run from the repository root::
+this tree, and print what moved: per image, the regions whose digest
+moved.  Run from the repository root::
 
     PYTHONPATH=src python tests/fuzz/regen_image_pins.py
 
-A change that claims no store moved shows it here: only ``clock`` and
-``full`` may move.
+A change that claims no store moved shows it here: it prints
+``no pin moved``.
 """
 
 import json

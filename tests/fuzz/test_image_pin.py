@@ -9,13 +9,12 @@ per-line device this repository had before the PM layer moved to run
 granularity (commit 64b7fb6); any change to which lines are volatile at
 a crash, to their restore, or to the draw order moves them.
 
-Beside that full digest each image is pinned, through
-:mod:`repro.failure.image`, in a *store* column (every clock-stamped
-field zeroed, and a short store digest per region) and a *clock* column
-(those fields alone), so a change that moves only simulated time leaves
-every store digest where it was — ``PYTHONPATH=src python
+No byte of an image depends on simulated time: an mtime is a logical
+stamp (``NovaFS.stamp``), so a change that moves only the clock moves
+no digest here.  Beside the full digest each image keeps a short digest
+per region, through :mod:`repro.failure.image` — ``PYTHONPATH=src python
 tests/fuzz/regen_image_pins.py`` rewrites ``image_pins.json`` and prints
-which columns of which images moved, and in which regions.
+which images moved, and in which regions.
 """
 
 import json
@@ -31,20 +30,17 @@ from tests._seams import overriding
 
 PIN_FILE = pathlib.Path(__file__).with_name("image_pins.json")
 
-#: seed -> [[point, phase, mode, full, store, clock, {region: store}], ...]
-#: by mode, phase, point; digests are sha256 prefixes.
+#: seed -> [[point, phase, mode, digest, {region: digest}], ...] by mode,
+#: phase, point; digests are sha256 prefixes.
 PINNED = {int(seed): rows
           for seed, rows in json.loads(PIN_FILE.read_text()).items()}
-
-COLUMNS = ("full", "store", "clock")
 
 
 def pin_row(point: int, phase: str, mode: str, dev) -> list:
     """One crashed image's row of the table."""
     img = decode(dev)
-    return [point, phase, mode,
-            *(digest[:16] for digest in img.columns()),
-            {name: img.columns(name)[1][:8]
+    return [point, phase, mode, img.region_digest()[:16],
+            {name: img.region_digest(name)[:8]
              for name in sorted(set(img.pages))}]
 
 
@@ -74,8 +70,7 @@ def crash_images(seed: int, row=pin_row):
 
 
 def pin_diff(seed: int, old: list, new: list) -> list[str]:
-    """One line per image whose columns moved: each moved column, and
-    for the store column the regions whose digest moved."""
+    """One line per image that moved, naming the regions that moved."""
     lines = [] if len(old) == len(new) else [
         f"seed {seed}: {len(old)} images pinned, {len(new)} crashed"]
     old_at = {tuple(row[:3]): row for row in old}
@@ -86,14 +81,11 @@ def pin_diff(seed: int, old: list, new: list) -> list[str]:
             lines.append(f"seed {seed} {key}: "
                          f"{'new image' if a is None else 'image gone'}")
             continue
-        moved = [col for i, col in enumerate(COLUMNS, 3) if a[i] != b[i]]
-        regions = [name for name in sorted(a[6].keys() | b[6].keys())
-                   if a[6].get(name) != b[6].get(name)]
-        said = ([f"{', '.join(moved)} moved"] if moved else []) \
-            + ([f"regions whose store moved: {', '.join(regions)}"]
-               if regions else [])
-        if said:
-            lines.append(f"seed {seed} {key}: {'; '.join(said)}")
+        regions = [name for name in sorted(a[4].keys() | b[4].keys())
+                   if a[4].get(name) != b[4].get(name)]
+        if a[3] != b[3] or regions:
+            lines.append(f"seed {seed} {key}: moved in "
+                         f"{', '.join(regions) or 'no region'}")
     return lines
 
 

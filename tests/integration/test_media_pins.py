@@ -6,10 +6,9 @@ commit must mount on the next.  The digests below were recorded on
 commit 60893e8, before those protocols moved onto the shared
 ``repro.nova.persist`` primitives; any change to a layout, a magic
 number, a CRC's coverage or a JSON encoding moves them.  The checkpoint
-also holds each inode's mtime, so its region is pinned in three columns
-through :mod:`repro.failure.image`: a change that moves only simulated
-time moves its full and clock digests and leaves its store digest.
-(Whole-image pins live in ``tests/fuzz/test_image_pin.py``.)
+also holds each inode's mtime, a logical stamp (``NovaFS.stamp``) that
+no charge moves, so its digest moves only with a store.  (Whole-image
+pins live in ``tests/fuzz/test_image_pin.py``.)
 """
 
 import hashlib
@@ -29,11 +28,7 @@ PINNED = {
     "tenant_slots":
         "78a453986b2d24544541622162c1a64bc66d82a5e0c449ebda63a7be46466e1b",
     "checkpoint_region":
-        "5207d9676b18c644d4aa2cb83b8f54e2cf28ebc64e346150f017399922617ed5",
-    "checkpoint_region.store":
-        "bcbb91227f92d3c7b0254d92be751105aa0abd6f4785ae999d1b98ed3f6a03a5",
-    "checkpoint_region.clock":
-        "75c21e2e3379cc217ecaafff1d6c6d63ff54e023187670db127520a27f498427",
+        "ea309fb747855e3d3f17a51a10274e3e7df57b205b3f8583eeddebdde26e89f7",
     "staging_slab":
         "2e72ad5b72f82b6b85ad8db1edb2ba733346199964981a5aceb0ea75cdebf000",
     "state_files_mid_recv":
@@ -69,10 +64,8 @@ def test_checkpoint_region():
     assert sha(fs.dev.read_silent(geo.ckpt_page * PAGE_SIZE,
                                   geo.ckpt_pages * PAGE_SIZE)) \
         == PINNED["checkpoint_region"]
-    full, store, clock = decode(fs.dev).columns("checkpoint")
-    assert (full, store, clock) == (
-        PINNED["checkpoint_region"], PINNED["checkpoint_region.store"],
-        PINNED["checkpoint_region.clock"])
+    assert decode(fs.dev).region_digest("checkpoint") \
+        == PINNED["checkpoint_region"]
 
 
 def test_staging_slab_with_watermark_and_tombstone():

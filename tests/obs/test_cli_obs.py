@@ -265,14 +265,18 @@ class TestSLOCommand:
         assert "fs.writes_total" in out
 
     def test_rate_rules_reported_skipped(self, image, tmp_path, capsys):
+        """A rate rule is refused with one error line, before mounting."""
         rules = self._rules(tmp_path, [
             {"name": "burn", "kind": "rate", "metric": "fs.writes_total",
              "max_per_s": 1}])
+        before = open(image, "rb").read()
         capsys.readouterr()
-        assert main(["slo", image, "--rules", rules]) == 0
-        out = capsys.readouterr().out
-        assert ("skipped (a rate rule needs two snapshots; "
-                "repro slo judges one): burn") in out
+        assert main(["slo", image, "--rules", rules]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {rules}: rule 'burn': unknown kind 'rate' "
+            f"(expected one of ('latency', 'gauge'))"]
+        assert open(image, "rb").read() == before
 
     def test_json_report(self, image, tmp_path, capsys):
         deduped_image(image, tmp_path)

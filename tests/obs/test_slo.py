@@ -85,8 +85,10 @@ class TestSLORule:
             SLORule(name="r", kind="gauge", metric="dwq.depth")
 
     def test_rate_requires_max_per_s(self):
-        with pytest.raises(ValueError, match="max_per_s"):
-            SLORule(name="r", kind="rate", metric="x_total")
+        """No kind judges a rate: a snapshot is one observation."""
+        with pytest.raises(ValueError, match="unknown kind 'rate'"):
+            SLORule.from_dict({"name": "r", "kind": "rate",
+                               "metric": "x_total", "max_per_s": 1})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
@@ -166,12 +168,12 @@ class TestEvaluateSnapshot:
         assert alerts == []
 
     def test_rate_rules_reported_skipped(self):
-        alerts = evaluate_snapshot(
-            [{"name": "burn", "kind": "rate", "metric": "fs.writes_total",
-              "max_per_s": 1}], self._snapshot())
-        assert len(alerts) == 1
-        assert alerts[0]["kind"] == "skipped"
-        assert alerts[0]["rules"] == ["burn"]
+        """A rate rule is refused, not skipped: no kind judges a rate."""
+        with pytest.raises(ValueError, match="unknown kind 'rate'"):
+            evaluate_snapshot(
+                [{"name": "burn", "kind": "rate",
+                  "metric": "fs.writes_total", "max_per_s": 1}],
+                self._snapshot())
 
     def test_missing_metric_ignored(self):
         alerts = evaluate_snapshot(
