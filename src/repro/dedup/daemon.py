@@ -17,7 +17,7 @@ referenced write entry:
     are reclaimed and the radix tree re-pointed.
 
 A node whose redirect entries find no log page (``NoSpace``) aborts and
-goes back on the DWQ, still ``dedupe_needed`` — the state before it ran.
+goes back on the DWQ, still ``dedupe_needed``, its shared counts dropped.
 
 Deviations needed to make the paper's design executable:
 
@@ -28,6 +28,11 @@ Deviations needed to make the paper's design executable:
 * **Self-canonical hits** — a lookup that returns an entry whose block
   *is* the page under process is already accounted for; it is counted
   only if its RFC is 0 (a half-recovered insert).
+* **Claims settle in step 3** — a unique page is mapped by the target's
+  own committed entry, so its step-6 store runs before anything is
+  published.  In the paper's order a crash between step 5's tail update
+  and the target's flag resumes the redirects, discards the claim UCs
+  and requeues the target, whose re-run self-hits: one reference short.
 
 Reordering (§IV-E) triggers here: a lookup that needed more than
 ``reorder_min_steps`` NVM reads for an entry with RFC at or above
@@ -174,9 +179,12 @@ class DedupDaemon:
 
     def stage(self, task: NodeTask, hits: list) -> None:
         """Step 3 for every hit, in page order: the FACT critical section
-        (the worker pool holds its ``fact`` lock across it)."""
+        (the worker pool holds its ``fact`` lock across it).  Its claims
+        settle before it ends: no worker can redirect onto an uncounted
+        canonical."""
         for hit in hits:
             self.stage_page(task, *hit)
+        task.txn.settle_claims()
 
     def validate_node(self, node: DWQNode) -> Optional[NodeTask]:
         """Step 1: reject stale nodes; return the in-flight task if live.
@@ -266,12 +274,10 @@ class DedupDaemon:
             self._stage_miss(task, pgoff, page, fp, res)
         elif found.block == page:
             # Self-canonical hit: only reachable when re-deduplicating
-            # a requeued target (after a crash, or after an aborted node
-            # whose claim a parallel worker had shared — fresh CoW pages
-            # can never pre-exist in FACT).  The reference is already
-            # counted, so a live page with RFC >= 1 needs nothing;
-            # RFC == 0 (defensive — should be unreachable past
-            # recovery's undercount repair) is re-staged.
+            # a requeued target (after a crash or an abort — fresh CoW
+            # pages can never pre-exist in FACT).  Its claim settled in
+            # the first run's stage, so a live page with RFC >= 1 needs
+            # nothing; RFC == 0 (defensive) is re-staged.
             if found.refcount == 0:
                 task.txn.share(found.idx, found)
                 self._c_unique.inc()
@@ -300,14 +306,14 @@ class DedupDaemon:
             new_entries = append_redirects(fs, node.ino, cache, task.dups,
                                            cpu)
         except NoSpace:
-            # Nothing was published: drop the staged counts and requeue
+            # Nothing was published: drop the shared counts and requeue
             # the node — its entry is still ``dedupe_needed``.
             task.txn.abort()
             fs.dwq.enqueue(node)
             raise
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
-        # Step 6: settle the counts — one atomic store per entry-page.
+        # Step 6: settle the shared counts — one atomic store per entry-page.
         task.txn.commit()
         for addr, _we in new_entries:
             fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)

@@ -413,10 +413,6 @@ class FACT:
         self._write_u64(idx, _OFF_COUNTS, counts - 1)
         return rfc - 1
 
-    def raise_rfc(self, idx: int, rfc: int) -> None:
-        """Undercount repair (recovery; every UC is discarded by then)."""
-        self._write_u64(idx, _OFF_COUNTS, rfc)
-
     def retire(self, idx: int) -> None:
         """Remove an entry no file references, whatever it counts (§V-C2)."""
         if self._read_u64(idx, _OFF_COUNTS):
@@ -897,7 +893,8 @@ class FactTxn:
     """The counts one dedup operation has staged and not yet settled.
 
     Algorithm 1's transaction shape, once: stage an update count per
-    page, publish the operation's log entries by one tail update, then
+    page (the dedup daemon then settles its claims, :meth:`settle_claims`),
+    publish the operation's log entries by one tail update, then
     :meth:`commit` — or, when it fails before the tail update,
     :meth:`abort`: §V-C1's discard on the live mount instead of at the
     next recovery.  As a context manager an exception before the commit
@@ -926,6 +923,17 @@ class FactTxn:
         self._units.append((idx, True))
         return idx
 
+    def settle_claims(self) -> None:
+        """Settle the claimed units before anything is published: one
+        ``UC-1, RFC+1`` store each, in order; the shared units stay
+        staged.  For a claim on a page the operation's own committed
+        entry already maps (the dedup daemon's), the count is exact at
+        once, so no crash or abort after this can leave it uncounted."""
+        for idx, claimed in self._units:
+            if claimed:
+                self.fact.commit_uc(idx)
+        self._units = [unit for unit in self._units if not unit[1]]
+
     def commit(self) -> None:
         """Alg. 1 step 6: one ``UC-1, RFC+1`` store per unit, in order."""
         units, self._units = self._units, []
@@ -937,10 +945,14 @@ class FactTxn:
 
         A shared unit is one ``UC -= 1``; a claimed entry nobody else
         counts on is removed.  A claimed entry another transaction has
-        shared meanwhile (parallel workers) settles instead: its file
-        still maps the page, so dropping the unit would let the sharer's
-        commit land on ``RFC=1`` for two live references; the aborted
-        operation's re-run self-hits with ``RFC >= 1`` and adds nothing.
+        shared meanwhile settles instead: its file still maps the page,
+        so dropping the unit would let the sharer's commit land on
+        ``RFC=1`` for two live references; the aborted operation's re-run
+        self-hits with ``RFC >= 1`` and adds nothing.  Safety code: no
+        filesystem path reaches it (the daemon settles its claims in the
+        critical section that made them, the other clients claim and
+        settle in one operation); in the whole suite only three
+        ``test_fact_txn.py::TestTwoTransactions`` interleavings do.
         """
         fact = self.fact
         while self._units:

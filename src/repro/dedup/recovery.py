@@ -1,7 +1,7 @@
 """DeNova crash recovery and the background scrubber (paper §V-C).
 
 Runs after the base NOVA recovery (logs replayed, radix trees rebuilt,
-in-use bitmap computed).  Steps 1-6 read FACT from the device once
+in-use bitmap computed).  Steps 1-5 read FACT from the device once
 (:meth:`repro.dedup.fact.FACT.in_dram`); mapped to the paper's handling
 cases:
 
@@ -21,7 +21,6 @@ cases:
 5. **Bitmap reconciliation** — a live FACT entry whose block is not
    in use (the free-list rebuild reclaimed it) is invalidated (§V-C2),
    eliminating dangling dedup targets.
-6. **Undercount repair** — :func:`_repair_undercounts`.
 
 :func:`scrub` is the paper's background thread: it compares every FACT
 entry's RFC against the actual number of live file references and
@@ -111,8 +110,6 @@ def dedup_recover(fs, report) -> dict:
                 stale += 1
         out["stale_entries_invalidated"] = stale
 
-        out["undercounts_repaired"] = _repair_undercounts(fs)
-
     # Rebuild the DWQ from the dedupe_needed flags (Handling I).
     with fs.obs.span("recovery.dwq_rebuild"):
         fs.dwq.clear()
@@ -122,29 +119,6 @@ def dedup_recover(fs, report) -> dict:
             fs.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
     out["dwq_rebuilt"] = len(needed)
     return out
-
-
-def _repair_undercounts(fs) -> int:
-    """Step 6: raise every FACT RFC below its live reference count.
-
-    A crash between a target's tail update and its count commit can
-    leave an entry whose RFC misses the target's own (self-canonical)
-    reference — with *other* committed references alive, the next
-    reclaim would free a shared page (the §IV-D1 data-loss hazard).
-    Recovery holds the complete radix state, so it knows the actual
-    counts.  Only the undercount direction is repaired: over-increments
-    stay, per §V-C2, until the background scrubber erodes them.  Returns
-    the entries repaired.
-    """
-    fact = fs.fact
-    refs = page_refs(fs)
-    repaired = 0
-    for idx, ent in sorted(fact.live_entries().items()):
-        actual = refs.get(ent.block, 0)
-        if ent.refcount < actual:
-            fact.raise_rfc(idx, actual)
-            repaired += 1
-    return repaired
 
 
 def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:

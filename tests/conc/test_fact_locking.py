@@ -14,8 +14,9 @@ import pytest
 from repro.core import Config, Variant, make_fs
 from repro.dedup.denova import DeNovaFS
 from repro.failure import check_fs_invariants, sweep_crash_points
+from repro.nova import PAGE_SIZE
 from repro.workloads import small_file_job
-from tests.conc.permutations import run_workload
+from tests.conc.permutations import jittered, run_workload
 
 pytestmark = pytest.mark.conc
 
@@ -95,3 +96,42 @@ class TestCrashDuringParallelDedup:
             check_fs_invariants(fs2)
 
         assert sweep_crash_points(build, check, stride=23) > 10
+
+    def test_no_redirect_lands_on_an_uncounted_claim(self):
+        """Four clients write the same four pages; the jittered schedule
+        lets a worker stage a share of another worker's fresh claim and
+        publish its redirect before the claimer's node commits.  A claim
+        settles inside the ``fact`` critical section that created it, so
+        a crash at any event leaves no canonical whose own reference is
+        uncounted.  (Settled at the start of the claimer's
+        ``commit_node`` instead, 8 points of this sweep recover to
+        ``RFC=1`` for 2 live references.)"""
+        def client(vfs, tid):
+            fs, holder = vfs.fs, f"client-{tid}"
+            yield from vfs.op(lambda: fs.mkdir(f"/p{tid}"), holder,
+                              ns_mode="w")
+            for i in range(4):
+                ino, _ = yield from vfs.op(
+                    lambda p=f"/p{tid}/f{i}": fs.create(p), holder,
+                    ns_mode="w")
+                data = bytes([i + 1]) * PAGE_SIZE
+                yield from vfs.write(
+                    lambda ino=ino, d=data: fs.write(ino, 0, d, cpu=tid),
+                    holder, ino)
+
+        def build():
+            fs, dd = make_fs(Variant.IMMEDIATE,
+                             Config(device_pages=2048, max_inodes=256,
+                                    cpus=4))
+
+            def scenario():
+                vfs = jittered(2, 4000.0)(fs, workers=4)
+                vfs.run([vfs.client(client(vfs, t), name=f"client-{t}")
+                         for t in range(4)], dd)
+
+            return fs.dev, scenario
+
+        def check(dev, point, phase):
+            check_fs_invariants(DeNovaFS.mount(dev))
+
+        assert sweep_crash_points(build, check) > 400

@@ -31,7 +31,7 @@ from repro.nova import inode as inode_module
 from repro.nova.gc import thorough_gc
 from repro.nova.inode import ROOT_INO, Inode
 from repro.nova.layout import INODE_SIZE
-from repro.nova.log import ENTRIES_PER_PAGE
+from repro.nova.log import ENTRIES_PER_PAGE, LogManager
 from repro.pm import DRAM, PMDevice, SimClock
 
 
@@ -141,6 +141,42 @@ class TestCrashDuringDeduplication:
             check_fs_invariants(fs)
 
         assert sweep_crash_points(build, check) > 5
+
+
+@pytest.mark.recovery
+class TestClaimsSettleBeforeRedirects:
+    """The persist-order rule that keeps RFC from undercounting without a
+    recovery repair: a node's claims (its own pages) are counted before
+    the tail update that publishes its redirects.  In Algorithm 1's order
+    a crash between that tail update and the target's flag resumes the
+    redirect but discards the claim and requeues the target, whose re-run
+    self-hits and adds nothing."""
+
+    def test_claim_commits_precede_the_redirect_tail(self, monkeypatch):
+        dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=64)
+        fs.write(fs.create("/a"), 0, page_of(1) + page_of(2) + page_of(2))
+        log = []
+        real_commit_uc = FACT.commit_uc
+        real_tail = LogManager.commit
+
+        def commit_uc(fact, idx, seen=None):
+            log.append(("commit_uc", idx))
+            return real_commit_uc(fact, idx, seen)
+
+        def tail(logs, ino, new_tail):
+            log.append("tail")
+            return real_tail(logs, ino, new_tail)
+
+        monkeypatch.setattr(FACT, "commit_uc", commit_uc)
+        monkeypatch.setattr(LogManager, "commit", tail)
+        fs.daemon.drain()
+        one, two = (fs.fact.lookup(fs.fingerprinter.strong(page_of(t)))
+                    .found.idx for t in (1, 2))
+        assert log == [("commit_uc", one), ("commit_uc", two), "tail",
+                       ("commit_uc", two)]
+        assert {e.refcount for e in fs.fact.live_entries().values()} == {1, 2}
+        check_fs_invariants(fs)
 
 
 class TestCrashDuringReclaim:
@@ -348,8 +384,7 @@ class TestRecoveryReadsFactOnce:
         for name in ("structural_recover", "rebuild_iaa_free",
                      "discard_all_uc", "remove_dead", "live_entries"):
             wrap(FACT, name)
-        for name in ("recover_reorders", "_resume_step6",
-                     "_repair_undercounts"):
+        for name in ("recover_reorders", "_resume_step6"):
             wrap(recovery, name)
         real_recover = recovery.dedup_recover
 
@@ -391,8 +426,7 @@ class TestRecoveryReadsFactOnce:
         assert not [r for r in region if r[0] == "read_silent"]
         assert fs.fact._dram is None              # let go with recovery
         assert {"recover_reorders", "structural_recover", "rebuild_iaa_free",
-                "discard_all_uc", "remove_dead", "live_entries",
-                "_repair_undercounts"} <= set(passes)
+                "discard_all_uc", "remove_dead", "live_entries"} <= set(passes)
 
     @pytest.mark.parametrize("mode", ["discard", "torn"])
     def test_crash_sweep_daemon_processing(self, audit, mode):

@@ -8,11 +8,12 @@ Each failing sequence is then shrunk to a <= 10-op reproducer,
 serialized through ``workloads.trace``, reloaded, and replayed to the
 same verdict.
 
-* RFC undercount — dedup recovery skips the step-6 RFC repair
-  (``repro.dedup.recovery._repair_undercounts``), so a crash between a
-  dedup target's tail commit and its count commit leaves a shared
-  page's RFC below its live reference count (the §IV-D1 data-loss
-  hazard: reclaim would free a page a file still maps).
+* RFC undercount — the dedup daemon settles its claims after the
+  redirects' tail update, as Algorithm 1 orders it, instead of before
+  (``FactTxn.settle_claims`` made a no-op), so a crash between a dedup
+  target's tail commit and its flag leaves a shared page's RFC below its
+  live reference count (the §IV-D1 data-loss hazard: reclaim would free
+  a page a file still maps).
 * Torn inode record — NOVA recovery's table scan
   (``InodeTable.iter_valid``) passes over a torn record instead of
   releasing it, so a torn crash mid-``create`` leaves a half-written
@@ -24,7 +25,7 @@ import base64
 
 import numpy as np
 
-from repro.dedup import recovery
+from repro.dedup.fact import FactTxn
 from repro.fuzz.diff import FuzzConfig, run_case
 from repro.nova.inode import InodeTable
 from repro.fuzz.shrink import shrink
@@ -78,7 +79,7 @@ def detect_shrink_replay(ops, cfg, match, tmp_path):
 
 class TestRfcUndercount:
     def test_detected_shrunk_and_replayable(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(recovery, "_repair_undercounts", lambda fs: 0)
+        monkeypatch.setattr(FactTxn, "settle_claims", lambda txn: None)
         detect_shrink_replay(rfc_ops(), RFC_CFG, "undercounts", tmp_path)
 
     def test_clean_without_mutation(self):
