@@ -44,8 +44,8 @@ from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK
 from repro.nova.layout import Superblock
 from repro.obs import (diff_profiles, evaluate_snapshot, format_profile,
                        format_table, load_profile, load_rules, merge_profiles,
-                       merge_snapshots, profile_from_events, to_chrome_trace,
-                       to_folded, to_prometheus)
+                       merge_snapshots, profile_from_events, spans_of,
+                       to_chrome_trace, to_folded, to_prometheus)
 from repro.pm import PMDevice, SimClock
 from repro.pm.latency import PROFILES
 from repro.repl import (ReplicationTopology, chain_table, relocate_latest,
@@ -449,7 +449,7 @@ def cmd_trace(args):
     """Spans recorded during this mount (recovery phases, replay ops)."""
     with _mounted(args.image, save=False) as fs:
         t = fs.obs.tracer
-    events = list(t.events)
+    events = spans_of(t.events)
     if args.name:
         events = [e for e in events if e.name.startswith(args.name)]
     if args.limit and len(events) > args.limit:

@@ -123,6 +123,8 @@ class ConcurrentVFS:
         self.worker_nodes = 0
         self.worker_busy_ns = 0.0
         self._worker_wakes: list = []
+        # The trace of the node each worker holds, for its lock instants.
+        self._node_traces: dict[str, int] = {}
         self._stop = False
         self.destage_records = 0
         self.destage_busy_ns = 0.0
@@ -309,8 +311,12 @@ class ConcurrentVFS:
         yield lock.acquire() if mode is None else lock.acquire(mode)
         held.append((name, lock, mode))
         self._h_lock_wait.observe(eng.now - t0)
-        self._obs.flight.record("lock", name=name, holder=holder,
-                                wait_ns=eng.now - t0)
+        # On the holder's lane, in the trace of the node it works on.
+        tracer = self._obs.tracer
+        with tracer.use_track(holder), \
+                tracer.use_trace(self._node_traces.get(holder)):
+            self._obs.flight.record("lock", name=name, holder=holder,
+                                    wait_ns=eng.now - t0)
 
     def _release(self, holder: str, held: list) -> None:
         """Release what :meth:`_take` noted in ``held``, newest first."""
@@ -637,6 +643,7 @@ class ConcurrentVFS:
         busy = 0.0
         start_ns = self.now_ns
         held: list = []
+        self._node_traces[holder] = node.trace_id
         if node.ino in fs.caches:
             lock, name = self._ino_lock(node.ino)
             yield from self._take(holder, name, lock, "w", held)
@@ -656,6 +663,7 @@ class ConcurrentVFS:
                 busy += cost
         finally:
             self._release(holder, held)
+            del self._node_traces[holder]
             # Externally-timed span: the stages above interleave with
             # other simulated threads across engine yields, so a
             # context-manager span would corrupt the tracer stack and

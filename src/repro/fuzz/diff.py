@@ -114,7 +114,7 @@ class Violation:
     point: Optional[int] = None
     phase: Optional[str] = None
     mode: Optional[str] = None
-    #: ``repro.flight/1`` dump captured at detection time (when available).
+    #: ``repro.flight/2`` dump captured at detection time (when available).
     flight: Optional[dict] = None
 
     def __str__(self) -> str:

@@ -392,6 +392,7 @@ class NovaFS:
         entry = DentryEntry(name=name, ino=ino, valid=valid,
                             mtime=self.stamp())
         self._append_and_commit(parent_ino, parent, [entry], cpu)
+        parent.inode.mtime = entry.mtime
         self.clock.advance(self.cpu_model.dram_touch_ns)
         if valid:
             changed = parent.dentries.get(name) != ino
@@ -703,6 +704,7 @@ class NovaFS:
                 DentryEntry(name=dname, ino=ino, valid=1, mtime=mtime),
                 DentryEntry(name=sname, ino=ino, valid=0, mtime=mtime),
             ], cpu)
+            parent.inode.mtime = mtime
             self.clock.advance(2 * self.cpu_model.dram_touch_ns)
             parent.dentries[dname] = ino
             parent.dentries.pop(sname, None)

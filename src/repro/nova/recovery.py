@@ -325,6 +325,7 @@ def _replay_one(fs, cache, report: RecoveryReport | None = None,
             cache.inode.size = entry.new_size
             cache.inode.mtime = max(cache.inode.mtime, entry.mtime)
         elif isinstance(entry, DentryEntry) and inode.itype == ITYPE_DIR:
+            cache.inode.mtime = max(cache.inode.mtime, entry.mtime)
             if entry.valid:
                 cache.dentries[entry.name] = entry.ino
             else:

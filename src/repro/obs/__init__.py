@@ -18,7 +18,7 @@ from .registry import (DEFAULT_LATENCY_BUCKETS_NS, Counter, Gauge,
                        Histogram, MetricsRegistry, percentiles_from_buckets,
                        series_key, split_series)
 from .slo import FlightRecorder, SLORule, evaluate_snapshot, load_rules
-from .trace import ObsHub, SpanEvent, Tracer
+from .trace import ObsHub, SpanEvent, Tracer, spans_of
 
 __all__ = [
     "ObsHub", "Tracer", "SpanEvent",
@@ -27,8 +27,7 @@ __all__ = [
     "to_prometheus", "format_table", "merge_snapshots",
     "escape_help", "escape_label_value", "series_key", "split_series",
     "to_chrome_trace", "to_folded", "compute_self_ns", "span_paths",
-    "profile_from_events", "merge_profiles", "diff_profiles", "top_paths",
-    "format_profile", "load_profile", "PROFILE_SCHEMA",
-    "FlightRecorder", "SLORule", "load_rules",
-    "evaluate_snapshot",
+    "spans_of", "profile_from_events", "merge_profiles", "diff_profiles",
+    "top_paths", "format_profile", "load_profile", "PROFILE_SCHEMA",
+    "FlightRecorder", "SLORule", "load_rules", "evaluate_snapshot",
 ]

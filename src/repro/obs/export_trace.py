@@ -1,19 +1,20 @@
 """Span-ring exporters: Chrome trace-event JSON and collapsed stacks.
 
-Two interchange formats over the same :class:`~repro.obs.trace.SpanEvent`
-ring:
+Two interchange formats over the tracer's event ring:
 
 * :func:`to_chrome_trace` — the Trace Event Format consumed by Perfetto
   (ui.perfetto.dev) and ``chrome://tracing``.  Spans become ``ph: "X"``
   complete events on one thread lane per *track* (ConcurrentVFS client,
   dedup worker, DWQ shard, recovery, backup), with ``trace_id`` exposed
   in ``args`` so Perfetto's query/flow UI can group a causal chain that
-  hops lanes (write → shard handoff → worker drain).
+  hops lanes (write → shard handoff → worker drain).  The flight
+  recorder's instants become ``ph: "i"`` instant events on the lane of
+  the actor that noted them.
 * :func:`to_folded` — Brendan Gregg's collapsed-stack format
   (``root;child;leaf <self_ns>``), loadable by ``flamegraph.pl`` and
   speedscope.  The sample weight is **charged simulated ns**, so the
   flamegraph answers "where does modelled time go", not "where does the
-  simulator spend wall time".
+  simulator spend wall time".  It folds spans only.
 
 Both reconstruct parent chains from the bounded ring: a span whose
 parent was evicted is treated as a root (its subtree is still correct,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .trace import SpanEvent
+from .trace import SpanEvent, spans_of
 
 __all__ = ["to_chrome_trace", "to_folded", "compute_self_ns", "span_paths"]
 
@@ -62,8 +63,9 @@ def span_paths(events: Sequence[SpanEvent]) -> dict[int, tuple[str, ...]]:
     return paths
 
 
-def to_chrome_trace(events: Iterable[SpanEvent]) -> dict:
-    """Render spans as a Trace Event Format document (Perfetto-loadable).
+def to_chrome_trace(events: Iterable) -> dict:
+    """Render ring events as a Trace Event Format document (Perfetto-
+    loadable): spans as complete events, instants as ``ph: "i"`` events.
 
     One process, one thread lane per track; timestamps and durations are
     simulated microseconds (the format's native unit).  Returns the
@@ -85,7 +87,7 @@ def to_chrome_trace(events: Iterable[SpanEvent]) -> dict:
         out.append({
             "name": ev.name,
             "cat": ev.name.split(".", 1)[0],
-            "ph": "X",
+            "ph": "X" if ev.span_id else "i",
             "ts": ev.start_ns / 1e3,
             "dur": ev.duration_ns / 1e3,
             "pid": 1,
@@ -100,9 +102,9 @@ def to_chrome_trace(events: Iterable[SpanEvent]) -> dict:
     return {"traceEvents": out, "displayTimeUnit": "ns"}
 
 
-def to_folded(events: Sequence[SpanEvent]) -> str:
+def to_folded(events: Iterable) -> str:
     """Collapsed-stack text: ``a;b;c <self_ns>`` per unique path."""
-    events = list(events)
+    events = spans_of(events)
     self_ns = compute_self_ns(events)
     paths = span_paths(events)
     agg: dict[tuple[str, ...], float] = {}

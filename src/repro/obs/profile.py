@@ -21,10 +21,10 @@ same workload.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .export_trace import compute_self_ns, span_paths
-from .trace import SpanEvent
+from .trace import spans_of
 
 __all__ = ["profile_from_events", "merge_profiles", "diff_profiles",
            "top_paths", "format_profile", "load_profile", "PROFILE_SCHEMA"]
@@ -38,9 +38,9 @@ def _empty() -> dict:
             "stacks": {}}
 
 
-def profile_from_events(events: Sequence[SpanEvent]) -> dict:
-    """Aggregate a span ring into a ``repro.profile/1`` document."""
-    events = list(events)
+def profile_from_events(events: Iterable) -> dict:
+    """Aggregate a ring's spans into a ``repro.profile/1`` document."""
+    events = spans_of(events)
     self_ns = compute_self_ns(events)
     paths = span_paths(events)
     stacks: dict[str, dict] = {}

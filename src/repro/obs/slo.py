@@ -1,9 +1,9 @@
 """SLO rules and flight recorder.
 
 Declarative service-level objectives, evaluated against an image's
-metrics snapshot by ``repro slo``, plus a bounded structured event log
-dumped when something goes wrong — so a crash report carries its recent
-history.
+metrics snapshot by ``repro slo``, plus the flight recorder: structured
+instants noted in the tracer's event ring, and a dump of that ring when
+something goes wrong — so a crash report carries its recent history.
 
 Rule kinds (``repro.slo/1`` schema)::
 
@@ -22,16 +22,16 @@ Rule kinds (``repro.slo/1`` schema)::
 
 Any other kind is refused when the rules load.
 
-The flight ring dumps to a JSON file (``repro.flight/1``) when an
-artifact path is configured; invariant trips and fuzz failures attach
-the same dump to their reports.
+The ring dumps to a JSON file (``repro.flight/2``) when an artifact
+path is configured; invariant trips and fuzz failures attach the same
+dump to their reports.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from repro.obs.registry import percentiles_from_buckets
@@ -39,73 +39,50 @@ from repro.obs.registry import percentiles_from_buckets
 __all__ = ["FlightRecorder", "SLORule", "load_rules", "evaluate_snapshot"]
 
 
-class _NullClock:
-    """Fallback when no simulated clock is wired: durations read as 0."""
-
-    __slots__ = ()
-    now_ns = 0.0
-    charged_fs = 0
-
-
-_NULL_CLOCK = _NullClock()
+#: Ring events a dump renders, newest last.
+DUMP_EVENTS = 512
 
 
 class FlightRecorder:
-    """Bounded ring of structured events — the system's black box.
+    """The system's black box: a view of the tracer's event ring.
 
-    Subsystems call :meth:`record` on notable events (op completions,
-    lock acquisitions, DWQ enqueues, persistence points); the
-    ring keeps the newest ``capacity`` of them at constant memory.
-    :meth:`dump` snapshots the ring into a ``repro.flight/1`` artifact,
-    optionally written to :attr:`artifact_path` — triggered on invariant
-    trips and fuzz-checker failures.
+    Subsystems :meth:`record` notable moments (lock acquisitions, DWQ
+    enqueues, persistence points, hybrid mode changes, invariant trips)
+    as instants beside the spans.  :meth:`dump` renders the ring —
+    triggered on invariant trips and fuzz-checker failures.
     """
 
-    #: Events kept (a test subclass keeps fewer).
-    capacity = 512
-
-    def __init__(self, clock=None):
-        self.clock = clock if clock is not None else _NULL_CLOCK
-        self.events: deque[dict] = deque(maxlen=self.capacity)
-        self.total = 0
-        self.enabled = True
+    def __init__(self, tracer):
+        self._tracer = tracer
         #: When set, :meth:`dump` also writes the artifact here.
         self.artifact_path: Optional[str] = None
-        self.dumps = 0
 
     def record(self, kind: str, **fields) -> None:
-        if not self.enabled:
-            return
-        self.total += 1
-        self.events.append({"t_ns": self.clock.now_ns, "kind": kind,
-                            **fields})
+        self._tracer.instant(kind, fields)
 
     def dump(self, path: Optional[str] = None, reason: str = "") -> dict:
-        """Snapshot the ring as a ``repro.flight/1`` artifact dict.
-
-        Writes JSON to ``path`` (or :attr:`artifact_path`) when one is
-        configured; always returns the artifact so callers can attach
-        it to reports directly.
-        """
-        doc = {
-            "schema": "repro.flight/1",
-            "reason": reason,
-            "recorded": self.total,
-            "dropped": self.total - len(self.events),
-            "events": list(self.events),
-        }
-        self.dumps += 1
+        """The newest :data:`DUMP_EVENTS` ring events as a
+        ``repro.flight/2`` artifact dict, also written to ``path`` (or
+        :attr:`artifact_path`) when one is set: a span is an ``op``
+        stamped with its start, an instant keeps its kind and fields."""
+        t = self._tracer
+        events = [
+            {"t_ns": ev.start_ns, "kind": "op", "name": ev.name,
+             "trace_id": ev.trace_id, "track": ev.track,
+             "dur_ns": ev.duration_ns} if ev.span_id else
+            {"t_ns": ev.start_ns, "kind": ev.name, **dict(ev.attrs)}
+            for ev in islice(t.events, max(0, len(t.events) - DUMP_EVENTS),
+                             None)]
+        recorded = t.total_spans + t.instants
+        doc = {"schema": "repro.flight/2", "reason": reason,
+               "recorded": recorded, "dropped": recorded - len(events),
+               "events": events}
         target = path or self.artifact_path
         if target:
             with open(target, "w") as fh:
                 json.dump(doc, fh, indent=2)
             doc["path"] = target
         return doc
-
-    def reset(self) -> None:
-        self.events.clear()
-        self.total = 0
-        self.dumps = 0
 
 
 _KINDS = ("latency", "gauge")

@@ -12,8 +12,9 @@ capture mode charges bypass ``now`` entirely, and ``sync_to`` moves
 work in both modes.
 
 Completed spans land in a bounded ring buffer (``deque(maxlen=...)``):
-constant memory, oldest spans evicted first, cheap enough to leave on
-for every operation.
+constant memory, oldest events evicted first, cheap enough to leave on
+for every operation.  The same ring holds the flight recorder's
+instants: zero-duration events with span id 0 — one timeline, one store.
 
 Causality (``trace_id``): every span belongs to a *trace* rooted at the
 client operation that started it.  A root span (empty stack) allocates a
@@ -33,18 +34,20 @@ Chrome-trace exporter renders one Perfetto thread lane per track.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from repro.pm.clock import FS_PER_NS
+from repro.pm.clock import FS_PER_NS, SimClock
 
 from .registry import DEFAULT_LATENCY_BUCKETS_NS, Histogram, MetricsRegistry
-from .slo import _NULL_CLOCK, FlightRecorder
+from .slo import FlightRecorder
 
-__all__ = ["SpanEvent", "Tracer", "ObsHub"]
+__all__ = ["SpanEvent", "Tracer", "ObsHub", "spans_of"]
 
 
 class SpanEvent(NamedTuple):
+    """One ring event: a span, or an instant (span id 0, the open span
+    as its parent, its kind as name, its fields in call order)."""
+
     span_id: int
     parent_id: Optional[int]
     name: str
@@ -53,6 +56,11 @@ class SpanEvent(NamedTuple):
     attrs: tuple           # sorted (key, value) pairs
     trace_id: int = 0      # causal root (0 = unattributed)
     track: str = "main"    # simulated actor that recorded the span
+
+
+def spans_of(events: Iterable[SpanEvent]) -> list[SpanEvent]:
+    """The spans of a ring, in ring order (instants skipped)."""
+    return [ev for ev in events if ev.span_id]
 
 
 class _Span:
@@ -65,14 +73,7 @@ class _Span:
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
-        self._hist = hist
-        self.span_id = 0
-        self.parent_id = None
-        self.trace_id = 0
-        self.track = "main"
-        self.start_ns = 0.0
-        self._start_charged = 0
-        self.duration_ns = 0.0
+        self._hist = hist   # __enter__ sets the ids, __exit__ the duration
 
     def __enter__(self) -> "_Span":
         t = self._tracer
@@ -103,45 +104,46 @@ class _Span:
             self.trace_id, self.track))
         if self._hist is not None:
             self._hist.observe(self.duration_ns)
-        if t.flight is not None:
-            t.flight.record("op", name=self.name, trace_id=self.trace_id,
-                            track=self.track, dur_ns=self.duration_ns)
 
 
-class _Track:
-    """``with tracer.use_track(name):`` — every simulated op enters one."""
+class _Push:
+    """``with tracer.use_track(name):`` / ``use_trace(id):`` — a value on a
+    context stack for the block (stateless: one object serves them all)."""
 
-    __slots__ = ("_ctx", "_track")
+    __slots__ = ("_ctx", "_value")
 
-    def __init__(self, ctx: list[str], track: str):
+    def __init__(self, ctx: list, value):
         self._ctx = ctx
-        self._track = track
+        self._value = value
 
     def __enter__(self) -> None:
-        self._ctx.append(self._track)
+        self._ctx.append(self._value)
 
     def __exit__(self, *exc) -> None:
         self._ctx.pop()
 
 
 class Tracer:
-    """Bounded ring buffer of completed spans plus the live span stack."""
+    """Bounded ring of spans and instants plus the live span stack."""
 
     def __init__(self, clock=None, capacity: int = 4096):
-        self.clock = clock if clock is not None else _NULL_CLOCK
-        self.capacity = capacity
-        self.events: deque[SpanEvent] = deque(maxlen=capacity)
+        # An unwired tracer's clock never moves: durations read as 0.
+        self.clock = clock if clock is not None else SimClock()
+        self.events: deque = deque(maxlen=capacity)
         self.total_spans = 0
+        self.instants = 0
         self._stack: list[tuple[int, int]] = []   # (span_id, trace_id)
         self._next_id = 0
         self._next_trace = 0
         self._trace_ctx: list[Optional[int]] = []
         self._track_ctx: list[str] = []
-        self.flight: Optional[FlightRecorder] = None
+        self._lanes: dict[str, _Push] = {}
+        self._untraced = _Push(self._trace_ctx, None)
 
     @property
     def evicted(self) -> int:
-        return self.total_spans - len(self.events)
+        """Spans pushed out of the ring (instants are not counted)."""
+        return self.total_spans - len(spans_of(self.events))
 
     # ------------------------------------------------------------ causality
 
@@ -167,27 +169,26 @@ class Tracer:
             return self._stack[-1][1]
         return self._active_trace() or 0
 
-    @contextmanager
-    def use_trace(self, trace_id: Optional[int]):
+    def use_trace(self, trace_id: Optional[int]) -> _Push:
         """Adopt ``trace_id`` for root spans opened inside the block.
 
         ``0``/``None`` pushes an empty context (root spans allocate
         fresh ids) — the right call for work items with no recorded
         provenance, e.g. DWQ nodes restored from a previous mount.
         """
-        self._trace_ctx.append(trace_id or None)
-        try:
-            yield
-        finally:
-            self._trace_ctx.pop()
+        return _Push(self._trace_ctx, trace_id) if trace_id \
+            else self._untraced
 
     @property
     def current_track(self) -> str:
         return self._track_ctx[-1] if self._track_ctx else "main"
 
-    def use_track(self, track: str) -> "_Track":
+    def use_track(self, track: str) -> _Push:
         """Attribute spans opened inside the block to ``track``."""
-        return _Track(self._track_ctx, track)
+        lane = self._lanes.get(track)
+        if lane is None:
+            lane = self._lanes[track] = _Push(self._track_ctx, track)
+        return lane
 
     # ------------------------------------------------------------ recording
 
@@ -215,14 +216,25 @@ class Tracer:
             track if track is not None else self.current_track)
         self.total_spans += 1
         self.events.append(ev)
-        if self.flight is not None:
-            self.flight.record("op", name=name, trace_id=ev.trace_id,
-                               track=ev.track, dur_ns=duration_ns)
         return ev
+
+    def instant(self, kind: str, fields: dict) -> None:
+        """Append a zero-duration event inside the open span."""
+        if self._stack:
+            parent_id, trace_id = self._stack[-1]
+        else:
+            parent_id = None
+            trace_id = (self._active_trace() or 0) if self._trace_ctx else 0
+        self.instants += 1
+        self.events.append(SpanEvent(
+            0, parent_id, kind, self.clock.now_ns, 0.0,
+            tuple(fields.items()), trace_id,
+            self._track_ctx[-1] if self._track_ctx else "main"))
 
     def reset(self) -> None:
         self.events.clear()
         self.total_spans = 0
+        self.instants = 0
         self._stack.clear()
         self._next_id = 0
         self._next_trace = 0
@@ -235,20 +247,19 @@ class ObsHub:
 
     ``obs.span("fs.write")`` both records a trace event and feeds an
     auto-created ``fs.write_latency_ns`` histogram, so every traced
-    operation gets p50/p95/p99 for free.  The flight recorder keeps the
-    most recent structured events (op ends, lock acquisitions, DWQ
-    enqueues, persistence points, alerts) so a crash report or SLO
-    alert can be dumped with its recent history attached.
+    operation gets p50/p95/p99 for free.  The flight recorder notes
+    instants (lock acquisitions, DWQ enqueues, persistence points) in
+    the tracer's ring and dumps that ring, so a crash report carries its
+    recent history.
     """
 
-    #: Spans the tracer's ring keeps (a test subclass keeps fewer).
+    #: Events the tracer's ring keeps (a test subclass keeps fewer).
     trace_capacity = 4096
 
     def __init__(self, clock=None):
         self.registry = MetricsRegistry()
         self.tracer = Tracer(clock=clock, capacity=self.trace_capacity)
-        self.flight = FlightRecorder(clock=self.tracer.clock)
-        self.tracer.flight = self.flight
+        self.flight = FlightRecorder(self.tracer)
         self._span_hists: dict[str, Histogram] = {}
 
     # ------------------------------------------------------------ spans
@@ -294,4 +305,3 @@ class ObsHub:
     def reset(self) -> None:
         self.registry.reset()
         self.tracer.reset()
-        self.flight.reset()

@@ -80,7 +80,7 @@ def run_counted():
         return ConcurrentVFS.op(self, fn, holder, **kw)
 
     vfs = overriding(ConcurrentVFS, op=op)(fs, workers=1)
-    fs.obs.flight.reset()
+    fs.obs.tracer.reset()
     vfs.run([], dd)
     assert len(fs.dwq) == 0
 
@@ -101,10 +101,10 @@ def run_counted():
         if name == "op":
             rec["ops"].append(args)
 
-    flight = fs.obs.flight
-    assert flight.total == len(flight.events), "flight ring overflowed"
+    flight = fs.obs.flight.dump()
+    assert flight["dropped"] == 0, "flight ring overflowed"
     segments: list = []
-    for ev in flight.events:
+    for ev in flight["events"]:
         if ev["kind"] != "lock" or not ev["holder"].startswith("worker-"):
             continue
         if ev["name"].startswith("shard:"):

@@ -28,7 +28,7 @@ PINNED = {
     "tenant_slots":
         "78a453986b2d24544541622162c1a64bc66d82a5e0c449ebda63a7be46466e1b",
     "checkpoint_region":
-        "ea309fb747855e3d3f17a51a10274e3e7df57b205b3f8583eeddebdde26e89f7",
+        "e8e7f1cacae154a88361a7f87cf15a27badee0a8755c509f2b7c55180c1e581f",
     "staging_slab":
         "2e72ad5b72f82b6b85ad8db1edb2ba733346199964981a5aceb0ea75cdebf000",
     "state_files_mid_recv":

@@ -132,3 +132,20 @@ def test_no_charge_moves_a_byte_of_the_media():
         return fs.dev.read_silent(0, fs.dev.size)
 
     assert image(0) == image(123_456.789)
+
+
+@pytest.mark.parametrize("remount", [clean, unclean])
+def test_a_directory_s_mtime_is_its_last_dentry_s_stamp(remount, tmp_path):
+    """Creating or removing a name stamps its directory, live and when a
+    mount replays the directory's log."""
+    fs = make_fs(NovaFS)
+    d = fs.mkdir("/d")
+    fs.create("/d/x")
+    fs.unlink("/d/x")
+    cache = fs.caches[d]
+    *_, (_addr, raw) = fs.log.iter_slots(cache.inode.log_head,
+                                         cache.inode.log_tail)
+    unlinked = DentryEntry.unpack(raw)
+    assert (unlinked.name, unlinked.valid) == ("x", 0)
+    assert fs.stat(d).mtime == unlinked.mtime > 0
+    assert remount(fs, tmp_path).stat(d).mtime == unlinked.mtime

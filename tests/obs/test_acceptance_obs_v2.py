@@ -87,7 +87,8 @@ class TestSLOViolationAcceptance:
         depth of 4, each with the causal id of the write that issued it
         — the history a dump of the ring carries."""
         fs, res = _fig9_run()
-        enq = [e for e in fs.obs.flight.events if e["kind"] == "dwq.enqueue"]
+        doc = fs.obs.flight.dump()
+        enq = [e for e in doc["events"] if e["kind"] == "dwq.enqueue"]
         assert enq, "no enqueue events in the ring"
         assert any(e["depth"] > 4 for e in enq), \
             "no enqueue recorded a depth beyond the bound"

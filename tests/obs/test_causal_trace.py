@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import ObsHub, Tracer
+from repro.obs import FlightRecorder, ObsHub, Tracer
 from repro.pm.clock import SimClock
 
 
@@ -189,18 +189,37 @@ class TestFlightHookup:
     def test_closed_spans_recorded_in_flight_ring(self):
         clock = SimClock()
         hub = ObsHub(clock=clock)
+        clock.advance(30)
         with hub.span("fs.write"):
             clock.advance(100)
-        ops = [e for e in hub.flight.events if e["kind"] == "op"]
+        ops = [e for e in hub.flight.dump()["events"] if e["kind"] == "op"]
         assert ops and ops[-1]["name"] == "fs.write"
         assert ops[-1]["dur_ns"] == 100
+        assert ops[-1]["t_ns"] == 30   # an op is stamped with its start
 
     def test_reset_clears_flight(self):
         hub = ObsHub(clock=SimClock())
         with hub.span("fs.write"):
-            pass
+            hub.flight.record("lock", name="ns")
         hub.reset()
-        assert len(hub.flight.events) == 0 and hub.flight.total == 0
+        doc = hub.flight.dump()
+        assert doc["events"] == [] and doc["recorded"] == 0
+        assert len(hub.tracer.events) == 0
+
+    def test_a_span_exit_appends_one_ring_event(self, monkeypatch):
+        """A closed span is stored once, in the tracer's ring: nothing
+        copies it into a second store through the recorder."""
+        copies = []
+        monkeypatch.setattr(FlightRecorder, "record",
+                            lambda self, kind, **fields: copies.append(kind))
+        hub = ObsHub(clock=SimClock())
+        with hub.span("fs.write"):
+            pass
+        assert len(hub.tracer.events) == 1
+        hub.emit_span("dedup.process_node", 0.0, 5.0)
+        assert len(hub.tracer.events) == 2
+        assert copies == []
+        assert hub.flight.dump()["recorded"] == 2
 
     def test_tracer_reset_restarts_trace_ids(self):
         tracer = Tracer(clock=SimClock())

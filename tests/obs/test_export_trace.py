@@ -92,6 +92,32 @@ class TestChromeTrace:
         assert tids["fs.write"] == tids["dedup.fingerprint"]
         assert tids["dedup.process_node"] != tids["fs.write"]
 
+    def test_instants_are_instant_events_on_their_track(self):
+        """A flight-recorder instant renders as ``ph: "i"`` on the lane of
+        the track it was noted on, with its span and trace; the folded
+        stacks and the profile skip it."""
+        clock = SimClock()
+        hub = ObsHub(clock=clock)
+        with hub.tracer.use_track("worker-0"):
+            with hub.span("dedup.process_node"):
+                clock.advance(300)
+                hub.flight.record("lock", name="fact", wait_ns=5.0)
+        hub.flight.record("persist", what="checkpoint", pages=1)
+        doc = to_chrome_trace(hub.tracer.events)
+        lanes = {e["args"]["name"]: e["tid"] for e in doc["traceEvents"]
+                 if e["name"] == "thread_name"}
+        node = next(e for e in doc["traceEvents"] if e["ph"] == "X")
+        lock, persist = [e for e in doc["traceEvents"] if e["ph"] == "i"]
+        assert (lock["name"], lock["tid"], lock["ts"]) == \
+            ("lock", lanes["worker-0"], 0.3)
+        assert lock["args"]["parent_id"] == node["args"]["span_id"]
+        assert lock["args"]["trace_id"] == node["args"]["trace_id"]
+        assert lock["args"]["name"] == "fact"
+        assert lock["args"]["wait_ns"] == 5.0
+        assert (persist["tid"], persist["args"]["parent_id"]) == \
+            (lanes["main"], None)
+        assert to_folded(hub.tracer.events) == "dedup.process_node 300\n"
+
     def test_chrome_trace_json_is_parseable(self):
         text = json.dumps(to_chrome_trace(list(_sample_hub().tracer.events)))
         doc = json.loads(text)

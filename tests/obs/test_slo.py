@@ -4,47 +4,62 @@ import json
 
 import pytest
 
-from repro.obs import (FlightRecorder, ObsHub, SLORule, evaluate_snapshot,
-                       load_rules)
+from repro.obs import ObsHub, SLORule, evaluate_snapshot, load_rules
 from repro.pm.clock import SimClock
 from tests._seams import overriding
 
 
 class TestFlightRecorder:
+    """The recorder is a view of the tracer's one ring: ``record`` appends
+    an instant to it, ``dump`` renders its newest events."""
+
     def test_ring_keeps_newest(self):
-        fr = overriding(FlightRecorder, capacity=3)()
+        hub = overriding(ObsHub, trace_capacity=3)(clock=SimClock())
         for i in range(5):
-            fr.record("op", n=i)
-        assert fr.total == 5
-        assert [e["n"] for e in fr.events] == [2, 3, 4]
+            hub.flight.record("persist", n=i)
+        assert [dict(e.attrs)["n"] for e in hub.tracer.events] == [2, 3, 4]
+        assert [e["n"] for e in hub.flight.dump()["events"]] == [2, 3, 4]
 
     def test_events_stamped_with_sim_time(self):
         clock = SimClock()
-        fr = FlightRecorder(clock=clock)
+        hub = ObsHub(clock=clock)
         clock.advance(250)
-        fr.record("persist", what="checkpoint")
-        assert fr.events[-1]["t_ns"] == 250
-        assert fr.events[-1]["kind"] == "persist"
+        hub.flight.record("persist", what="checkpoint")
+        ev = hub.flight.dump()["events"][-1]
+        assert ev == {"t_ns": 250, "kind": "persist", "what": "checkpoint"}
 
     def test_disabled_records_nothing(self):
-        fr = FlightRecorder()
-        fr.enabled = False
-        fr.record("op")
-        assert fr.total == 0 and len(fr.events) == 0
+        """No switch turns the recorder off, and it stores nothing of its
+        own: an idle hub dumps nothing, a record is one ring event."""
+        hub = ObsHub(clock=SimClock())
+        assert not hasattr(hub.flight, "enabled")
+        assert hub.flight.dump()["events"] == []
+        hub.flight.record("lock", name="ns")
+        assert len(hub.tracer.events) == 1
+        assert vars(hub.flight).keys() == {"_tracer", "artifact_path"}
 
     def test_dump_schema_and_dropped_count(self):
-        fr = overriding(FlightRecorder, capacity=2)()
+        hub = overriding(ObsHub, trace_capacity=2)(clock=SimClock())
         for i in range(5):
-            fr.record("op", n=i)
-        doc = fr.dump(reason="test")
-        assert doc["schema"] == "repro.flight/1"
+            hub.flight.record("persist", n=i)
+        doc = hub.flight.dump(reason="test")
+        assert doc["schema"] == "repro.flight/2"
         assert doc["reason"] == "test"
         assert doc["recorded"] == 5 and doc["dropped"] == 3
         assert [e["n"] for e in doc["events"]] == [3, 4]
         assert "path" not in doc
 
+    def test_dump_renders_the_newest_512(self):
+        hub = ObsHub(clock=SimClock())
+        for i in range(600):
+            hub.flight.record("persist", n=i)
+        doc = hub.flight.dump()
+        assert len(hub.tracer.events) == 600
+        assert [e["n"] for e in doc["events"]] == list(range(88, 600))
+        assert doc["recorded"] == 600 and doc["dropped"] == 88
+
     def test_dump_writes_artifact_path(self, tmp_path):
-        fr = FlightRecorder()
+        fr = ObsHub(clock=SimClock()).flight
         fr.artifact_path = str(tmp_path / "img.flight.json")
         fr.record("alert", rule="r1")
         doc = fr.dump(reason="slo:r1")
@@ -52,22 +67,24 @@ class TestFlightRecorder:
         on_disk = json.loads((tmp_path / "img.flight.json").read_text())
         assert on_disk["reason"] == "slo:r1"
         assert on_disk["events"][0]["rule"] == "r1"
-        assert fr.dumps == 1
 
     def test_explicit_path_overrides_artifact_path(self, tmp_path):
-        fr = FlightRecorder()
+        fr = ObsHub(clock=SimClock()).flight
         fr.artifact_path = str(tmp_path / "a.json")
-        fr.record("op")
+        fr.record("persist")
         doc = fr.dump(path=str(tmp_path / "b.json"))
         assert doc["path"].endswith("b.json")
         assert not (tmp_path / "a.json").exists()
 
     def test_reset(self):
-        fr = FlightRecorder()
-        fr.record("op")
-        fr.dump()
-        fr.reset()
-        assert fr.total == 0 and fr.dumps == 0 and len(fr.events) == 0
+        """The hub's reset clears the one ring the recorder dumps."""
+        hub = ObsHub(clock=SimClock())
+        with hub.span("fs.write"):
+            hub.flight.record("persist")
+        hub.flight.dump()
+        hub.reset()
+        doc = hub.flight.dump()
+        assert doc["recorded"] == 0 and doc["events"] == []
 
 
 class TestSLORule:
