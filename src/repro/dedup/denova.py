@@ -103,6 +103,9 @@ class DeNovaFS(NovaFS):
                             dwq_save_pages=dwq_save_pages,
                             staging_pages=staging_pages)
 
+    def _post_mkfs(self) -> None:
+        self.fact.formatted()
+
     def _pre_unmount(self) -> None:
         """§IV-B1: on a normal shutdown the DWQ is saved to NVM."""
         self.dwq.save(self.dev, self.geo)
@@ -113,9 +116,12 @@ class DeNovaFS(NovaFS):
             # FACT; a clean remount must rebuild it (structural_recover
             # does this on the crash path).  With a checkpoint the saved
             # occupancy restores it for free; otherwise one table scan.
+            # The chunk map is read here once, so no store of this mount
+            # reads it.
             ck = getattr(self, "_active_checkpoint", None)
             with self.obs.span("recovery.fact_iaa_free",
                                from_checkpoint=ck is not None):
+                self.fact.chunk_map()
                 if ck is not None and ck.iaa_occupied is not None:
                     self.fact.restore_iaa_free(ck.iaa_occupied)
                 else:

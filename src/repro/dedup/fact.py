@@ -19,6 +19,12 @@ entry describing block *B*, so reclamation reaches its entry in two NVM
 reads without re-fingerprinting (§IV-C) — an operation's pointers one
 request per neighbourhood of slots (:class:`DeletePlan`).
 
+Two persisted bounds keep a mount from reading the whole table: the IAA
+mark (a superblock word: no entry at or past it) and the DAA's chunk
+map (a region after the table: one bit per :data:`FACT_CHUNK_SLOTS`
+slots, set before the first store into the chunk; every other chunk is
+zero).  docs/CONSISTENCY.md §4.
+
 Layout notes vs. the paper's Fig. 4
 -----------------------------------
 Field *order* within the 64 bytes differs from the figure: all 8-byte
@@ -42,17 +48,19 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.dedup.fingerprint import FP_BYTES, fp_prefix
-from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
+from repro.nova.layout import (FACT_CHUNK_SLOTS, PAGE_SIZE, Geometry,
+                               Superblock)
 from repro.obs import MetricsRegistry
 from repro.pm.device import CrashRequested, PMDevice
+from repro.pm.latency import LatencyModel
 
 __all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
-           "LookupResult", "DeletePlan"]
+           "LookupResult", "DeletePlan", "marked_chunks", "neighbourhoods"]
 
 #: Per-lookup chain-walk length buckets (NVM entry reads, not time).
 LOOKUP_STEP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
@@ -129,6 +137,29 @@ def _entry(idx: int, counts: int, block: int, prev: int, nxt: int,
                      prev - 1, nxt - 1, delete - 1, fp)
 
 
+def marked_chunks(words: Sequence[int], daa_size: int) -> np.ndarray:
+    """The chunk map's 64-bit words as one bool per DAA chunk of
+    :data:`FACT_CHUNK_SLOTS` slots: chunk ``c`` is bit ``c % 64`` of word
+    ``c // 64`` (:meth:`FACT._touch` sets it)."""
+    bits = np.unpackbits(np.array(words, "<u8").view(np.uint8),
+                         bitorder="little")
+    return bits[:-(-daa_size // FACT_CHUNK_SLOTS)] != 0
+
+
+def neighbourhoods(model: LatencyModel, spans: Sequence[tuple[int, int]]
+                   ) -> Iterator[tuple[int, int]]:
+    """Index ranges ``[first, last)`` of ``spans`` (sorted, disjoint byte
+    ranges ``[lo, hi)``) that one device request reads together: a gap
+    is read through when ``gap / read_bw <= read_latency`` on ``model``,
+    i.e. when streaming it costs no more than a second request would."""
+    reach = model.read_latency_ns * model.read_bw_bytes_per_ns
+    first = 0
+    for i in range(1, len(spans) + 1):
+        if i == len(spans) or spans[i][0] - spans[i - 1][1] > reach:
+            yield first, i
+            first = i
+
+
 class FACT:
     """The persistent dedup metadata table."""
 
@@ -142,8 +173,11 @@ class FACT:
         self.daa_size = 2 ** geo.fact_prefix_bits
         self.total = 2 * self.daa_size
         self._sb = Superblock(dev)
+        self.map_base = geo.fact_map_page * PAGE_SIZE  # 0: no chunk map
+        self._map_bytes = geo.fact_map_bytes
         self._free: Optional[list[int]] = None  # see _iaa_free
         self._mark: Optional[int] = None        # see iaa_mark
+        self._map: Optional[list[int]] = None   # see chunk_map
         self._dram: Optional[bytearray] = None  # see in_dram
         self._plans: list[DeletePlan] = []      # see planned
         # Observability (DRAM, rebuilt freely).
@@ -198,6 +232,43 @@ class FACT:
     def _iaa_free(self, free: list[int]) -> None:
         self._free = free
 
+    def chunk_map(self) -> Optional[list[int]]:
+        """The DAA chunk map's DRAM copy, its 64-bit words (decoded by
+        :func:`marked_chunks`): a chunk's bit is set when its slots may
+        hold a non-zero byte, every slot of a clear chunk being zero;
+        None on an image formatted before the map (any chunk may).
+
+        Read in one request on first use: a mount reads it once (in
+        :meth:`in_dram`, or before a clean mount's first store), mkfs
+        knows it zero (:meth:`formatted`), the write path never reads
+        it.  Kept exact by :meth:`_touch`.
+        """
+        if self._map is None and self.map_base:
+            self._map = np.frombuffer(self.dev.read(
+                self.map_base, self._map_bytes), "<u8").tolist()
+        return self._map
+
+    def formatted(self) -> None:
+        """This table was just formatted: its chunk map is zero, unread."""
+        if self.map_base:
+            self._map = [0] * (self._map_bytes // 8)
+
+    def _touch(self, idx: int) -> None:
+        """Mark slot ``idx``'s chunk before a store into it: the first
+        store into a DAA chunk is preceded by one atomic, persisted store
+        of its map word (§8d), so no crash leaves a non-zero byte in a
+        clear chunk.  No bit is ever cleared."""
+        if idx >= self.daa_size or not self.map_base:
+            return
+        words = self._map if self._map is not None else self.chunk_map()
+        chunk = idx // FACT_CHUNK_SLOTS
+        word, bit = chunk >> 6, 1 << (chunk & 63)
+        if words[word] & bit:
+            return
+        words[word] |= bit
+        self.dev.write_atomic64(self.map_base + word * 8, words[word],
+                                persist=True)
+
     def _count_valid(self) -> int:
         """Cheap occupancy read for the callback gauge (silent scan)."""
         return int((self._peek()["block"] != 0).sum())
@@ -230,6 +301,7 @@ class FACT:
         """
         a = self.addr(idx)
         raw = _ENTRY.pack(counts, block, prev + 1, nxt + 1, 0, fp)
+        self._touch(idx)
         self.dev.write(a, raw[:_OFF_DELETE])
         self.dev.write(a + _OFF_FP, raw[_OFF_FP:], persist=True)
         self._stored(idx)
@@ -239,7 +311,9 @@ class FACT:
             self._dram[at + _OFF_FP:at + _OFF_WEAK] = raw[_OFF_FP:]
 
     def _write_u64(self, idx: int, off: int, value: int) -> None:
-        self.dev.write_atomic64(self.addr(idx) + off, value, persist=True)
+        a = self.addr(idx)
+        self._touch(idx)
+        self.dev.write_atomic64(a + off, value, persist=True)
         self._stored(idx, value if off == _OFF_DELETE else None)
         if self._dram is not None:
             at = idx * ENTRY + off
@@ -518,7 +592,9 @@ class FACT:
         strong-fingerprint comparison, never a wrong dedup — the strong
         confirmation validates content before any page is shared.
         """
-        self.dev.write_u32(self.addr(block) + _OFF_WEAK, weak, persist=True)
+        a = self.addr(block)
+        self._touch(block)
+        self.dev.write_u32(a + _OFF_WEAK, weak, persist=True)
         self._stored(block)
         if self._dram is not None:
             at = block * ENTRY + _OFF_WEAK
@@ -533,14 +609,17 @@ class FACT:
             self.dev.read_silent(self.addr(block) + _OFF_WEAK, 4), "little")
 
     def weak_column(self) -> dict[int, int]:
-        """All registered (block -> weak) pairs, one charged bulk scan
-        (:meth:`_scan`: free inside :meth:`in_dram`).
+        """All registered (block -> weak) pairs, from the DAA's marked
+        chunks (:meth:`_copy`; free inside :meth:`in_dram`): the column
+        of block *B* lives in slot *B*, and every block is below 2^n.
 
         Mount-time rebuild of the DRAM weak index: the caller intersects
         this with the radix-derived set of *live* data blocks, which is
         what makes stale registrations (freed blocks) harmless.
         """
-        weak = self._scan("weak", stop=self.daa_size)["weak"]  # block < 2^n
+        table = self._dram if self._dram is not None \
+            else self._copy(self.daa_size)
+        weak = np.frombuffer(table, _SCAN_DTYPE, count=self.daa_size)["weak"]
         return {int(b): int(weak[b]) for b in np.nonzero(weak)[0]}
 
     # ------------------------------------------------------------ removal
@@ -575,24 +654,43 @@ class FACT:
 
     @contextmanager
     def in_dram(self):
-        """Serve the whole-table passes from one charged read (recovery).
+        """Serve the whole-table passes from one read of the table
+        (recovery).
 
         Inside the block, :meth:`_scan` and :meth:`live_entries` decode a
-        DRAM copy of the region taken by one bulk NVM read on entry — of
-        the DAA and ``IAA[:mark]``, the slots past the mark being zero —
-        and the three device writers (:meth:`_write_fields`,
-        :meth:`_write_u64`, :meth:`set_block_weak`) store to both, so a
-        pass sees exactly the bytes a re-read would.  Point reads stay
-        device reads; no device store moves.
+        DRAM copy of the region (:meth:`_copy`) and the three device
+        writers (:meth:`_write_fields`, :meth:`_write_u64`,
+        :meth:`set_block_weak`) store to both, so a pass sees exactly the
+        bytes a re-read would.  Point reads stay device reads; no device
+        store moves.
         """
-        used = (self.daa_size + self.iaa_mark) * ENTRY
-        dram = bytearray(self.total * ENTRY)
-        dram[:used] = self.dev.read_view(self.base, used)
-        self._dram = dram
+        self._dram = self._copy(self.total)
         try:
             yield
         finally:
             self._dram = None
+
+    def _copy(self, stop: int) -> bytearray:
+        """Slots ``[0, stop)`` as a re-read would see them: the chunk map
+        (:meth:`chunk_map`), then the DAA's marked chunks (all of it on an
+        image without a map) and, past the DAA, ``IAA[:mark]``, one
+        request per :func:`neighbourhoods` of them; every other slot is
+        zero on the device too."""
+        daa = self.daa_size
+        words = self.chunk_map()
+        if words is None:
+            spans = [(0, daa * ENTRY)]
+        else:
+            size = FACT_CHUNK_SLOTS * ENTRY
+            spans = [(c * size, (c + 1) * size) for c in
+                     np.flatnonzero(marked_chunks(words, daa)).tolist()]
+        if stop > daa and self.iaa_mark:
+            spans.append((daa * ENTRY, (daa + self.iaa_mark) * ENTRY))
+        copy = bytearray(stop * ENTRY)
+        for first, last in neighbourhoods(self.dev.model, spans):
+            lo, hi = spans[first][0], spans[last - 1][1]
+            copy[lo:hi] = self.dev.read_view(self.base + lo, hi - lo)
+        return copy
 
     def _scan(self, *fields: str, start: int = 0,
               stop: Optional[int] = None) -> dict[str, np.ndarray]:
@@ -680,12 +778,17 @@ class FACT:
                              else np.frombuffer(self._dram,
                                                 dtype=_SCAN_DTYPE))
 
-    def audit(self) -> tuple[dict[int, FactEntry], Callable[[], None]]:
+    def audit(self) -> tuple[dict[int, FactEntry], Callable[[], None],
+                             np.ndarray]:
         """An invariant check's one read of the table: its live entries,
-        and :meth:`check_chains` bound to the same rows — call that
-        after the per-entry checks, so they report first."""
+        :meth:`check_chains` bound to the same rows — call that after
+        the per-entry checks, so they report first — and, per DAA chunk
+        of :data:`FACT_CHUNK_SLOTS` slots, whether it holds a non-zero
+        byte."""
         arr = self._peek()
-        return self._entries(arr), partial(self._check_chains, arr)
+        words = arr[:self.daa_size].view("<u8")
+        return (self._entries(arr), partial(self._check_chains, arr),
+                words.reshape(-1, FACT_CHUNK_SLOTS * ENTRY // 8).any(axis=1))
 
     def _entries(self, arr: np.ndarray) -> dict[int, FactEntry]:
         return {i: self._decode(i, arr, i * ENTRY)
@@ -855,24 +958,21 @@ class FACT:
 
 class DeletePlan:
     """One operation's delete pointers (docs/CONSISTENCY.md §5), read up
-    front with one request per neighbourhood: two planned slots ``gap``
-    apart share one when ``gap · 64 B / read_bw <= read_latency`` on the
-    device's model.  A pointer the operation stores is taken as stored;
-    one whose line another store flushed is read again, alone."""
+    front with one request per :func:`neighbourhoods` of their 8 B
+    fields.  A pointer the operation stores is taken as stored; one
+    whose line another store flushed is read again, alone."""
 
     def __init__(self, fact: FACT, blocks: Iterable[int]):
         self.fact = fact
         #: block -> pointer (entry index + 1, 0 = none; None = to read)
         self.pointers: dict[int, Optional[int]] = dict.fromkeys(blocks)
-        model = fact.dev.model
-        reach = model.read_latency_ns * model.read_bw_bytes_per_ns / ENTRY
-        todo, first = sorted(self.pointers), 0
-        for i, block in enumerate(todo, 1):
-            if i == len(todo) or todo[i] - block > reach:
-                lo = todo[first]
-                run = fact.delete_run(lo, block - lo + 1)
-                self.pointers.update((b, run[b - lo]) for b in todo[first:i])
-                first = i
+        todo = sorted(self.pointers)
+        spans = [(at, at + 8) for at in
+                 (block * ENTRY + _OFF_DELETE for block in todo)]
+        for first, last in neighbourhoods(fact.dev.model, spans):
+            lo = todo[first]
+            run = fact.delete_run(lo, todo[last - 1] - lo + 1)
+            self.pointers.update((b, run[b - lo]) for b in todo[first:last])
 
     def pointer(self, block: int) -> int:
         """Block ``block``'s delete pointer (entry index + 1, 0 = none)."""

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.dedup.fact import marked_chunks
 from repro.nova.entries import (ETYPE_SETATTR, ETYPE_WRITE, SetattrEntry,
                                 WriteEntry)
 from repro.nova.errors import CorruptImage
@@ -18,7 +19,7 @@ from repro.nova.inode import ITYPE_FILE, Inode, InodeTable
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Superblock
 from repro.nova.log import LogManager, chain_slots
 
-__all__ = ["Image", "decode", "iaa_mark", "inode_records", "log"]
+__all__ = ["Image", "chunk_map", "decode", "iaa_mark", "inode_records", "log"]
 
 
 def _view(read, size: int) -> SimpleNamespace:
@@ -31,6 +32,17 @@ def _view(read, size: int) -> SimpleNamespace:
 def iaa_mark(dev) -> int | None:
     """The superblock's IAA mark (:meth:`Superblock.iaa_mark`)."""
     return Superblock(_view(dev.read_silent, dev.size)).iaa_mark()
+
+
+def chunk_map(dev) -> np.ndarray | None:
+    """The FACT's DAA chunk map (:meth:`FACT.chunk_map`), one bool per
+    chunk (:func:`marked_chunks`), True when marked; None on an image
+    formatted without one."""
+    geo = Superblock(_view(dev.read_silent, dev.size)).load_geometry()
+    if not geo.fact_map_page:
+        return None
+    raw = dev.read_silent(geo.fact_map_page * PAGE_SIZE, geo.fact_map_bytes)
+    return marked_chunks(np.frombuffer(raw, "<u8"), 2 ** geo.fact_prefix_bits)
 
 
 def inode_records(dev, geo) -> list[tuple[int, Inode]]:

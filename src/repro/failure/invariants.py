@@ -19,6 +19,8 @@ These encode the paper's consistency claims as executable checks:
   crash mid-reorder (Fig. 7).
 * **IAA mark** (DeNova) — the superblock's IAA mark lies within the IAA
   and no valid IAA slot sits at or above it (recovery reads none).
+* **DAA chunk map** (DeNova) — every DAA chunk holding a non-zero byte
+  is marked in the persisted chunk map (recovery reads no other).
 * **Inode-table consistency** — every valid on-PM inode record is
   self-consistent (record ino matches its slot, legal itype) and backed
   by a mounted in-DRAM inode; a torn crash inside ``create`` otherwise
@@ -30,9 +32,12 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.failure import image
 from repro.nova.entries import decode_entry
 from repro.nova.inode import ITYPE_DIR, ITYPE_FILE, ITYPE_SYMLINK
+from repro.nova.layout import FACT_CHUNK_SLOTS
 from repro.nova.radix import page_refs
 
 __all__ = ["InvariantViolation", "check_fs_invariants"]
@@ -145,7 +150,7 @@ def _check_itable(fs) -> int:
 
 def _check_fact(fs, fact, refs: Counter) -> dict:
     """DeNova-specific invariants over the FACT table (one read of it)."""
-    entries, check_chains = fact.audit()
+    entries, check_chains, stored = fact.audit()
     by_block = {}
     for idx, ent in entries.items():
         if ent.block in by_block:
@@ -188,6 +193,15 @@ def _check_fact(fs, fact, refs: Counter) -> dict:
         if past:
             _fail(f"FACT[{min(past)}]: valid IAA slot at or above the "
                   f"mark ({mark} slots)")
+
+    # No non-zero byte in a DAA chunk the persisted map leaves clear:
+    # recovery and the weak-index rebuild read none of them.
+    marked = image.chunk_map(fs.dev)
+    if marked is not None:
+        stray = np.flatnonzero(stored & ~marked)
+        if stray.size:
+            _fail(f"FACT[{int(stray[0]) * FACT_CHUNK_SLOTS}]: a DAA chunk "
+                  f"holds a non-zero byte but its chunk-map bit is clear")
 
     check_chains()  # raises InvariantViolation on structural damage
     return {"live_entries": len(entries)}

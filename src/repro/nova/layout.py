@@ -7,12 +7,15 @@ Device layout (page = 4 KB)::
     1 page                redo area reserved for future journal use
     dwq_save_pages        DWQ save area (clean-shutdown persistence, §IV-B1)
     fact_pages            FACT region (DeNova only; absent on plain NOVA)
+    fact_map_pages        the FACT's DAA chunk map (DeNova only): one bit
+                          per FACT_CHUNK_SLOTS DAA slots ever stored to
     data_start ..         log pages + data pages (allocated per-CPU)
 
 The superblock is written once at mkfs and updated only for the clean
 flag, the mount epoch, the saved-DWQ length, the hybrid-dedup policy
 modes and the FACT's IAA mark — each one small persisted field, never a
-rewrite of the whole block.
+rewrite of the whole block.  The chunk map is a region, not a word: its
+words are FACT's to store (``FACT._touch``), the superblock holds its page.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from dataclasses import dataclass
 from repro.nova.errors import CorruptImage
 from repro.pm.device import PMDevice
 
-__all__ = ["PAGE_SIZE", "MAGIC", "Geometry", "Superblock"]
+__all__ = ["PAGE_SIZE", "MAGIC", "FACT_CHUNK_SLOTS", "Geometry", "Superblock"]
 
 PAGE_SIZE = 4096
 MAGIC = 0x41564F4E_4544_2121  # "!!DENOVA" little-endian flavour
 INODE_SIZE = 128
+#: DAA slots per bit of the FACT's chunk map (16 x 64 B = 1 KB, within
+#: one read-through reach of an Optane request).
+FACT_CHUNK_SLOTS = 16
 
 # Superblock field offsets (bytes from device start).
 _OFF_MAGIC = 0
@@ -67,7 +73,10 @@ _OFF_STAGING_PAGES = 160
 # Raised (never lowered) by ``FACT.insert`` before its first store past
 # it; zero on images formatted before the mark (read: the whole IAA).
 _OFF_IAA_MARK = 168
-_SB_BYTES = 176
+# First page of the FACT's DAA chunk map, carved right after the FACT;
+# zero on images formatted before the map (read: the whole DAA).
+_OFF_FACT_MAP_PAGE = 176
+_SB_BYTES = 184
 
 VERSION = 1
 
@@ -91,6 +100,7 @@ class Geometry:
     tenant_pages: int = 0
     staging_page: int = 0   # 0 when the device has no staging log
     staging_pages: int = 0
+    fact_map_page: int = 0  # 0 when the image has no DAA chunk map
 
     @property
     def data_pages(self) -> int:
@@ -104,6 +114,11 @@ class Geometry:
     def fact_bytes(self) -> int:
         return self.fact_entries * 64
 
+    @property
+    def fact_map_bytes(self) -> int:
+        """The DAA chunk map's size (0 without a map)."""
+        return _map_bytes(self.fact_prefix_bits) if self.fact_map_page else 0
+
     def areas(self) -> list[tuple[str, int, int]]:
         """``(name, first page, pages)`` of each area between superblock
         and data, in the order :meth:`compute` places them (absent: 0, 0)."""
@@ -113,6 +128,8 @@ class Geometry:
             ("journal", self.journal_page, 1),
             ("DWQ save area", self.dwq_save_page, self.dwq_save_pages),
             ("FACT", self.fact_page, math.ceil(self.fact_bytes / PAGE_SIZE)),
+            ("FACT chunk map", self.fact_map_page,
+             math.ceil(self.fact_map_bytes / PAGE_SIZE)),
             ("checkpoint", self.ckpt_page, self.ckpt_pages),
             ("tenant registry", self.tenant_page, self.tenant_pages),
             ("staging log", self.staging_page, self.staging_pages)]
@@ -137,7 +154,7 @@ class Geometry:
         it_pages = math.ceil(max_inodes * INODE_SIZE / PAGE_SIZE)
         journal_page = inode_table_page + it_pages
         dwq_save_page = journal_page + 1
-        fact_page = 0
+        fact_page = fact_map_page = 0
         n = 0
         data_start = dwq_save_page + dwq_save_pages
         if with_dedup:
@@ -145,7 +162,8 @@ class Geometry:
                  else max(1, math.ceil(math.log2(total_pages))))
             fact_page = data_start
             fact_pages = math.ceil((2 ** (n + 1)) * 64 / PAGE_SIZE)
-            data_start = fact_page + fact_pages
+            fact_map_page = fact_page + fact_pages
+            data_start = fact_map_page + math.ceil(_map_bytes(n) / PAGE_SIZE)
             if 2 ** n < total_pages:
                 raise ValueError(
                     f"FACT prefix bits n={n} too small: delete pointers "
@@ -210,7 +228,15 @@ class Geometry:
             tenant_pages=tenant_pages,
             staging_page=staging_page,
             staging_pages=staging_npages,
+            fact_map_page=fact_map_page,
         )
+
+
+def _map_bytes(prefix_bits: int) -> int:
+    """A DAA chunk map of ``2^prefix_bits`` slots: one bit per
+    :data:`FACT_CHUNK_SLOTS` slots, in whole 8-byte words."""
+    chunks = -(-2 ** prefix_bits // FACT_CHUNK_SLOTS)
+    return -(-chunks // 64) * 8
 
 
 def _geometry_problem(geo: Geometry, device_pages: int) -> str | None:
@@ -263,6 +289,7 @@ class Superblock:
         dev.write_atomic64(_OFF_TENANT_PAGES, geo.tenant_pages)
         dev.write_atomic64(_OFF_STAGING_PAGE, geo.staging_page)
         dev.write_atomic64(_OFF_STAGING_PAGES, geo.staging_pages)
+        dev.write_atomic64(_OFF_FACT_MAP_PAGE, geo.fact_map_page)
         if geo.fact_page:
             dev.write_atomic64(_OFF_IAA_MARK, 1)  # a mark of 0 slots
         dev.write_u32(_OFF_VERSION, VERSION)
@@ -278,6 +305,10 @@ class Superblock:
             # writes from a previous filesystem generation.
             dev.zero_range(geo.staging_page * PAGE_SIZE,
                            geo.staging_pages * PAGE_SIZE, persist=True)
+        if geo.fact_map_page:
+            # A fresh map marks no chunk (the FACT's DRAM copy starts zero).
+            dev.zero_range(geo.fact_map_page * PAGE_SIZE, geo.fact_map_bytes,
+                           persist=True)
         # Magic last: a crash mid-mkfs leaves no valid filesystem.
         dev.write_atomic64(_OFF_MAGIC, MAGIC, persist=True)
 
@@ -304,6 +335,7 @@ class Superblock:
             tenant_pages=dev.read_u64(_OFF_TENANT_PAGES),
             staging_page=dev.read_u64(_OFF_STAGING_PAGE),
             staging_pages=dev.read_u64(_OFF_STAGING_PAGES),
+            fact_map_page=dev.read_u64(_OFF_FACT_MAP_PAGE),
         )
         problem = _geometry_problem(geo, dev.size // PAGE_SIZE)
         if problem:

@@ -153,10 +153,9 @@ class Tracer:
         return self._next_trace
 
     def _active_trace(self) -> Optional[int]:
-        for tid in reversed(self._trace_ctx):
-            if tid:
-                return tid
-        return None
+        """The innermost :meth:`use_trace` context's id (None: no context,
+        or an empty one — the innermost decides)."""
+        return self._trace_ctx[-1] if self._trace_ctx else None
 
     @property
     def current_trace_id(self) -> int:
@@ -173,8 +172,9 @@ class Tracer:
         """Adopt ``trace_id`` for root spans opened inside the block.
 
         ``0``/``None`` pushes an empty context (root spans allocate
-        fresh ids) — the right call for work items with no recorded
-        provenance, e.g. DWQ nodes restored from a previous mount.
+        fresh ids, even inside an outer context) — the right call for
+        work items with no recorded provenance, e.g. DWQ nodes restored
+        from a previous mount and drained under a destage's trace.
         """
         return _Push(self._trace_ctx, trace_id) if trace_id \
             else self._untraced
@@ -224,7 +224,7 @@ class Tracer:
             parent_id, trace_id = self._stack[-1]
         else:
             parent_id = None
-            trace_id = (self._active_trace() or 0) if self._trace_ctx else 0
+            trace_id = self._active_trace() or 0
         self.instants += 1
         self.events.append(SpanEvent(
             0, parent_id, kind, self.clock.now_ns, 0.0,

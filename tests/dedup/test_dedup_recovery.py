@@ -33,6 +33,7 @@ from repro.nova.inode import ROOT_INO, Inode
 from repro.nova.layout import INODE_SIZE
 from repro.nova.log import ENTRIES_PER_PAGE, LogManager
 from repro.pm import DRAM, PMDevice, SimClock
+from tests.dedup.test_fact_map import map_requests
 
 
 def page_of(tag: int) -> bytes:
@@ -341,11 +342,12 @@ class TestRecoveryReports:
 
 
 class TestRecoveryReadsFactOnce:
-    """An unclean mount reads the FACT region from the device once: one
-    charged read of the DAA and ``IAA[:mark]`` at the top of
-    ``dedup_recover``, an in-DRAM copy every whole-table pass decodes,
-    and no silent read of the region.  After every pass the copy is
-    byte-equal to the device (zero past the mark)."""
+    """An unclean mount reads the FACT region from the device once: at
+    the top of ``dedup_recover``, one request for the DAA chunk map, one
+    per neighbourhood of marked chunks and one for ``IAA[:mark]``; an
+    in-DRAM copy every whole-table pass decodes, and no silent read of
+    the region.  After every pass the copy is byte-equal to the device
+    (zero in every clear chunk and past the mark)."""
 
     BITS, PREFIX = 10, 11
 
@@ -394,7 +396,8 @@ class TestRecoveryReadsFactOnce:
                 return real_recover(fs, report)
             finally:
                 reads, log["reads"] = log["reads"], None
-                lo, hi = fs.fact.base, fs.fact.base + fs.fact.total * ENTRY
+                lo = fs.fact.base                 # the map follows the table
+                hi = fs.fact.map_base + fs.geo.fact_map_bytes
                 log["region"] = [(kind, a - lo, n) for kind, a, n in reads
                                  if a < hi and a + n > lo]
         monkeypatch.setattr(recovery, "dedup_recover", dedup_recover)
@@ -409,20 +412,27 @@ class TestRecoveryReadsFactOnce:
                     return _real(addr, n)
                 setattr(dev, kind, logged)
             log["passes"], log["region"] = [], None
+            log["marked"] = image.chunk_map(dev)
             fs = DeNovaFS.mount(dev)
-            return fs, log["region"], log["passes"]
+            return fs, log["region"], log["passes"], log["marked"]
 
         return mount
 
-    def check_once(self, fs, region, passes):
+    def check_once(self, fs, region, passes, marked):
+        fact = fs.fact
         mark = image.iaa_mark(fs.dev)
-        assert mark == fs.fact.iaa_mark < fs.fact.daa_size
-        size = (fs.fact.daa_size + mark) * ENTRY
+        assert mark == fact.iaa_mark < fact.daa_size
         assert region is not None                 # an unclean mount
-        # Besides the copy, only point reads and step 6's planned delete
-        # pointers (a run starting at a slot's delete column, byte 32).
-        assert [r for r in region if r[2] > ENTRY and r[1] % ENTRY != 32
-                ] == [("read_view", 0, size)]
+        at = fact.map_base - fact.base
+        assert [r for r in region if r[1] >= at] \
+            == [("read", at, fs.geo.fact_map_bytes)]
+        # Besides the map and the copy, only point reads and step 6's
+        # planned delete pointers (a run starting at a slot's delete
+        # column, byte 32).
+        assert [r for r in region if r[1] < at and r[2] > ENTRY
+                and r[1] % ENTRY != 32] == [
+            ("read_view", lo, n) for lo, n in
+            map_requests(fs.dev.model, marked, fact.daa_size, mark)]
         assert not [r for r in region if r[0] == "read_silent"]
         assert fs.fact._dram is None              # let go with recovery
         assert {"recover_reorders", "structural_recover", "rebuild_iaa_free",
@@ -441,8 +451,8 @@ class TestRecoveryReadsFactOnce:
         resumed = []
 
         def check(dev, point, phase):
-            fs, region, passes = audit(dev)
-            self.check_once(fs, region, passes)
+            fs, region, passes, marked = audit(dev)
+            self.check_once(fs, region, passes, marked)
             resumed.append(fs.last_recovery.extra["dedup"]
                            ["in_process_resumed"])
             check_fs_invariants(fs)
@@ -473,8 +483,8 @@ class TestRecoveryReadsFactOnce:
         seen = []
 
         def check(dev, point, phase):
-            fs, region, passes = audit(dev)
-            self.check_once(fs, region, passes)
+            fs, region, passes, marked = audit(dev)
+            self.check_once(fs, region, passes, marked)
             seen.append(fs.last_recovery.extra["dedup"]["structural"])
             fs.fact.check_chains()
 

@@ -295,10 +295,11 @@ class TestOccupancyAndScan:
 
     def test_in_dram_charges_one_read_and_every_writer_stores_to_it(
             self, fact):
-        """``in_dram`` is one request for the DAA and ``IAA[:mark]``;
-        inside it the copy tracks every device writer — the weak
-        column's too — and scans and ``live_entries`` charge nothing
-        more; outside it a scan is a charged device read again."""
+        """``in_dram`` is one request per neighbourhood of the DAA's
+        marked chunks and ``IAA[:mark]``; inside it the copy tracks
+        every device writer — the weak column's too — and scans and
+        ``live_entries`` charge nothing more; outside it a scan is a
+        charged device read again."""
         i1 = fact.insert(mkfp(1, 0), 100)
         i0 = fact.insert(mkfp(1, 2), 103)               # IAA slot 0
         dev, size = fact.dev, fact.total * ENTRY
@@ -306,8 +307,12 @@ class TestOccupancyAndScan:
         charged, reads = dev.clock.charged_fs, dev.stats.reads
         with fact.in_dram():
             used = (fact.daa_size + 64) * ENTRY
+            # Chunk 0 (slot 1), chunk 6 (the pointers of blocks 100 and
+            # 103), IAA[:64]: gaps of 5 KB and 1 KB, past DRAM's reach.
+            spans = [(0, 1024), (6144, 7168), (fact.daa_size * ENTRY, used)]
             assert (dev.stats.reads, dev.clock.charged_fs) \
-                == (reads + 1, charged + fs_of(dev.model.read_cost(used)))
+                == (reads + 3, charged + sum(fs_of(dev.model.read_cost(
+                    hi - lo)) for lo, hi in spans))
             assert not any(fact._dram[used:])
             i2 = fact.insert(mkfp(1, 1), 101)           # fields + u64s
             fact.commit_uc(i2)

@@ -23,10 +23,11 @@ from repro.dedup.fact import ENTRY, FACT
 from repro.dedup.fingerprint import FP_BYTES
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
-from repro.failure import check_fs_invariants
+from repro.failure import check_fs_invariants, image
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import DEDUPE_IN_PROCESS
 from repro.pm import DRAM, CrashRequested, PMDevice, SimClock
+from tests.dedup.test_fact_map import map_requests
 
 
 def make_fs(cls=DeNovaFS, pages=256):
@@ -217,8 +218,9 @@ class TestInlineClaimHint:
 
 
 class TestWeakColumnRead:
-    """A hybrid mount rebuilds its weak index from one charged bulk read
-    of the DAA: the column of block *B* lives in slot *B*, and every
+    """A hybrid mount rebuilds its weak index from the DAA's marked
+    chunks, one request per neighbourhood (the mount has read the chunk
+    map already): the column of block *B* lives in slot *B*, and every
     block address is below 2^n, the DAA's size."""
 
     @pytest.mark.parametrize("clean", [True, False])
@@ -241,7 +243,10 @@ class TestWeakColumnRead:
 
         monkeypatch.setattr(FACT, "weak_column", weak_column)
         fs2 = HybridDeNovaFS.mount(fs.dev)
-        assert seen == [(1, fs2.fact.daa_size * 64)]
+        reqs = map_requests(fs.dev.model, image.chunk_map(fs.dev),
+                            fs2.fact.daa_size, 0)
+        assert seen == [(len(reqs), sum(n for _lo, n in reqs))]
+        assert 0 < sum(n for _lo, n in reqs) < fs2.fact.daa_size * 64
         assert fs2._weak_by_block       # the column was decoded
         check_fs_invariants(fs2)
 
@@ -463,3 +468,4 @@ class TestDeletePointerRuns:
         assert fact.live_entries() == {}
         fact.check_chains()
         assert all(fs.allocator.is_free(p) for p in range(b, b + 4))
+

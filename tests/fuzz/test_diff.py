@@ -236,10 +236,11 @@ class TestSweepCount:
         cfg = FuzzConfig(seed=0, budget=8)
         res = run_case(self.OPS, cfg)
         assert len(calls) == 1
-        # Pinned while every sweep still counted: 228 events, stride 114.
-        assert swept == self.combos(cfg, 1, 115)
+        # Pinned while every sweep still counted: 247 events (with the
+        # FACT chunk map's first-touch stores), stride 123.
+        assert swept == self.combos(cfg, 1, 124, 247)
         assert (res.crash_points, res.ops_applied, res.ops_skipped) \
-            == (8, 29, 1)
+            == (12, 29, 1)
         assert res.violations == []
 
 

@@ -73,6 +73,24 @@ class TestTraceIds:
         assert evs[0].trace_id == 9
         assert evs[1].trace_id == 7
 
+    def test_nested_use_trace_zero_starts_fresh_inside_an_outer_id(self):
+        # A restored DWQ node drained under a destage's trace: the empty
+        # inner context decides, and the outer id returns after it.
+        hub = ObsHub(clock=SimClock())
+        tracer = hub.tracer
+        with tracer.use_trace(5):
+            with tracer.use_trace(0):
+                assert tracer.current_trace_id == 0
+                with hub.span("dedup.process_node"):
+                    pass
+                tracer.instant("dwq.enqueue", {})
+            with hub.span("fs.write"):
+                pass
+        inner, instant, outer = list(tracer.events)
+        assert inner.trace_id not in (0, 5)
+        assert instant.trace_id == 0
+        assert outer.trace_id == 5
+
 
 class TestTracks:
     def test_default_track_is_main(self):
