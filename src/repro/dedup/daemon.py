@@ -58,27 +58,44 @@ from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import Displaced, extend_runs
 
-__all__ = ["DedupDaemon", "NodeTask", "append_redirects"]
+__all__ = ["DedupDaemon", "NodeTask", "append_redirects",
+           "complete_redirects"]
 
 
-def append_redirects(fs, ino: int, cache, targets, cpu: int) -> list[tuple]:
-    """Algorithm 1 steps 4–5, shared with the reverse-dedup relocator.
+def append_redirects(fs, ino: int, cache, runs, cpu: int) -> list[tuple]:
+    """Algorithm 1 steps 4–5: the one builder of ``in_process`` redirects.
 
-    One ``in_process`` single-page write entry per ``(pgoff, block)``
-    target, all committed by one atomic tail update.  The caller settles
-    the counts, completes the flags and repoints the radix tree.
+    One ``in_process`` write entry per ``(pgoff, block, count)`` run,
+    stamped with the inode's current size and mtime, all committed by
+    one atomic tail update.  The caller settles the counts, then calls
+    :func:`complete_redirects`.  Shared by the daemon, the shared-file
+    materialiser (reflink, snapshot, ``backup recv``) and the
+    reverse-dedup relocator.
     """
-    if not targets:
+    if not runs:
         return []
     appended = fs._append_and_commit(ino, cache, (
-        WriteEntry(file_pgoff=pgoff, num_pages=1, block=block,
+        WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
                    size_after=cache.inode.size, ino=ino,
                    mtime=cache.inode.mtime,
                    dedupe_flag=DEDUPE_IN_PROCESS)
-        for pgoff, block in targets), cpu)
+        for pgoff, block, count in runs), cpu)
     for addr, _we in appended:
         fs.note_dedup_pending(addr)
     return appended
+
+
+def complete_redirects(fs, cache, appended) -> Displaced:
+    """Algorithm 1 step 6 after the counts settled: each entry's
+    ``dedupe_complete`` store, then the radix repoint.  Returns what the
+    entries displaced, joined, for the caller's one retire."""
+    for addr, _we in appended:
+        fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
+        fs.note_dedup_done(addr)
+    index = cache.index
+    return Displaced.join(
+        index.redirect(we.file_pgoff, addr, we) if we.num_pages == 1
+        else index.install(addr, we) for addr, we in appended)
 
 
 @dataclass
@@ -96,7 +113,7 @@ class NodeTask:
     cache: object
     cpu: int
     txn: FactTxn                    # every count this node has staged
-    dups: list = field(default_factory=list)   # (pgoff, canonical block)
+    dups: list = field(default_factory=list)   # (pgoff, canonical, 1) runs
     reorder_heads: set = field(default_factory=set)
     weak_of: dict = field(default_factory=dict)  # hybrid: pgoff -> weak fp
     live: Optional[dict] = None  # pgoff -> its 4 KB (None: not read)
@@ -283,7 +300,7 @@ class DedupDaemon:
                 self._c_unique.inc()
         else:
             task.txn.share(found.idx, found)  # step 3
-            task.dups.append((pgoff, found.block))
+            task.dups.append((pgoff, found.block, 1))
             self._c_duplicate.inc()
 
     def _stage_miss(self, task: NodeTask, pgoff: int, page: int, fp: bytes,
@@ -313,21 +330,16 @@ class DedupDaemon:
             raise
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
-        # Step 6: settle the shared counts — one atomic store per entry-page.
+        # Step 6: settle the shared counts — one atomic store per
+        # entry-page — then complete and repoint the redirects.
         task.txn.commit()
-        for addr, _we in new_entries:
-            fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-            fs.note_dedup_done(addr)
+        displaced = complete_redirects(fs, cache, new_entries)
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_COMPLETE)
         fs.note_dedup_done(node.entry_addr)
 
-        # Radix re-point, then one retire of the now-duplicate pages (they
-        # have no FACT entry of their own, so reclaim frees them directly).
+        # One retire of the now-duplicate pages (they have no FACT entry
+        # of their own, so reclaim frees them directly).
         if new_entries:
-            displaced = Displaced.join(
-                cache.index.redirect(pgoff, addr, we)
-                for (pgoff, _canonical), (addr, we) in zip(task.dups,
-                                                           new_entries))
             fs._retire_displaced(node.ino, cache, displaced, cpu,
                                  mapped=len(new_entries))
             self._c_reclaimed.inc(displaced.total_pages)

@@ -304,7 +304,7 @@ class HybridDedupDaemon(DedupDaemon):
                 fs._register_weak(page, weak)
                 return
             task.txn.share(cidx)
-            task.dups.append((pgoff, cand))
+            task.dups.append((pgoff, cand, 1))
             self._c_duplicate.inc()
             fs._c_confirmed.inc()
             return

@@ -26,13 +26,9 @@ behaviour, as cross-file atomicity would need a tree-wide journal.
 
 from __future__ import annotations
 
+from repro.dedup.daemon import append_redirects, complete_redirects
 from repro.dedup.fact import FactTxn
-from repro.nova.entries import (
-    DEDUPE_COMPLETE,
-    DEDUPE_IN_PROCESS,
-    SetattrEntry,
-    WriteEntry,
-)
+from repro.nova.entries import SetattrEntry
 from repro.nova.fs import FileExists, FileNotFound, FSError, IsADirectory
 from repro.nova.inode import FLAG_IMMUTABLE, ITYPE_DIR, ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
@@ -136,37 +132,25 @@ def materialise_shared(fs, ino: int, runs: list, size: int, txn: FactTxn,
     """Give the unpublished inode ``ino`` its content: ``runs`` of shared
     pages ``(pgoff, block, count)`` whose FACT counts ``txn`` has staged.
 
-    Algorithm 1's discipline, shared by reflink and ``backup recv``:
-    ``in_process`` entries → one atomic tail commit → settle the counts →
-    ``dedupe_complete`` → radix install → tenant charge (one page per
-    mapping: a fresh file displaces nothing, and it is the figure the
-    mount-time rebuild counts from the index).  The caller publishes the
-    dentry afterwards; until then a crash leaves an orphan.
+    Algorithm 1's publish pair, shared by reflink and ``backup recv``:
+    ``append_redirects`` (``in_process`` entries, one atomic tail commit)
+    → settle the counts → ``complete_redirects`` (``dedupe_complete``,
+    radix repoint) → tenant charge (one page per mapping: a fresh file
+    displaces nothing, and it is the figure the mount-time rebuild
+    counts from the index).  The caller publishes the dentry afterwards;
+    until then a crash leaves an orphan.
     """
     cache = fs.caches[ino]
-    mtime = fs.stamp()
-    appended = []
-    if runs:
-        appended = fs._append_and_commit(ino, cache, [
-            WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
-                       size_after=size, ino=ino, mtime=mtime,
-                       dedupe_flag=DEDUPE_IN_PROCESS)
-            for pgoff, block, count in runs], cpu)
-        for addr, _we in appended:
-            fs.note_dedup_pending(addr)
-    elif size:
+    cache.inode.size = size
+    cache.inode.mtime = fs.stamp()
+    appended = append_redirects(fs, ino, cache, runs, cpu)
+    if not runs and size:
         # Fully sparse: no pages to share, but the size must be durable
         # — a setattr entry is the only record of it.
-        fs._append_and_commit(
-            ino, cache, [SetattrEntry(ino=ino, new_size=size, mtime=mtime)],
-            cpu)
-    cache.inode.size = size
-    cache.inode.mtime = mtime
+        fs._append_and_commit(ino, cache, [SetattrEntry(
+            ino=ino, new_size=size, mtime=cache.inode.mtime)], cpu)
     txn.commit()
-    for addr, we in appended:
-        fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-        fs.note_dedup_done(addr)
-        cache.index.install(addr, we)
+    complete_redirects(fs, cache, appended)
     fs.tenants.account_pages(ino, sum(count for _p, _b, count in runs))
 
 

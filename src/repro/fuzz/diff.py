@@ -465,7 +465,8 @@ def sweep_case(scenario: Scenario, cfg: FuzzConfig,
         total = stride = 1
     else:
         total = count_persist_events(build)
-        stride = max(1, total // per_combo)
+        # Ceiling: ``per_combo`` points at most, whatever the remainder.
+        stride = max(1, -(-total // per_combo))
     try:
         result.crash_points += sweep_crash_points(
             build, check, phases=cfg.phases, mode=tuple(cfg.modes),

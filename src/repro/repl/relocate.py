@@ -17,11 +17,11 @@ The move protocol (per file of the newest snapshot)
    (``[{old, new, idx}]`` — ``idx`` is the page's FACT entry, or None
    for an unfingerprinted page);
 3. copy ``old → new``, one read and one nt write per run of moves whose
-   old and new pages are both consecutive; then per page, append a
-   redirecting write entry (the dedup daemon's Algorithm-1 idiom:
-   ``in_process`` → tail commit → ``complete`` → radix repoint) to
-   *every* file referencing ``old`` — across all snapshots and the live
-   tree;
+   old and new pages are both consecutive; then redirect every file
+   referencing a moved page — across all snapshots and the live tree —
+   with one commit and one retire per referencing inode: the dedup
+   daemon's Algorithm-1 pair (``append_redirects`` of its pages as
+   runs → ``complete_redirects``) and one dead-entry note;
 4. retarget the FACT entry's block field ``old → new`` (one atomic
    store; RFC is untouched — the same references still exist, they just
    point at the new home);
@@ -53,11 +53,10 @@ from collections import Counter
 from typing import Optional
 
 from repro.backup.chain import LAYOUT_REVERSE, chain_table, set_layout
-from repro.dedup.daemon import append_redirects
+from repro.dedup.daemon import append_redirects, complete_redirects
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.reflink import REPL_DIR, SNAPSHOT_DIR
 from repro.nova import persist
-from repro.nova.entries import DEDUPE_COMPLETE
 from repro.nova.fs import ino_cpu
 from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
@@ -90,19 +89,24 @@ def _block_refs(fs, blocks: set[int]) -> dict[int, list[tuple[int, int]]]:
     return refs
 
 
-def _redirect_ref(fs, ino: int, pgoff: int, new_block: int) -> None:
-    """Repoint one file page at ``new_block`` (daemon Algorithm-1 idiom).
-
-    The displaced old page is NOT reclaimed here — its references stay
-    in the same FACT entry, whose block field the caller retargets.
+def _redirect_refs(fs, moves: dict[int, int], refs: dict) -> None:
+    """Repoint every reference to each moved ``old`` at ``moves[old]``:
+    per referencing inode, one ``append_redirects`` of its pages as runs,
+    one ``complete_redirects`` and one dead-entry note (one fast-GC walk)
+    — no reclaim: the FACT entry the caller retargets still counts them.
     """
-    cache = fs.caches[ino]
-    (addr, we), = append_redirects(fs, ino, cache, [(pgoff, new_block)],
-                                   ino_cpu(ino, fs.cpus))
-    fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
-    fs.note_dedup_done(addr)
-    displaced = cache.index.redirect(pgoff, addr, we)
-    fs._note_dead_entries(cache, displaced)
+    by_ino: dict[int, list[tuple[int, int]]] = {}
+    for old, new in moves.items():
+        for ino, pgoff in refs[old]:
+            by_ino.setdefault(ino, []).append((pgoff, new))
+    for ino, pairs in by_ino.items():
+        cache = fs.caches[ino]
+        runs: list[list[int]] = []
+        for pgoff, new in sorted(pairs):
+            extend_runs(runs, pgoff, new)
+        appended = append_redirects(fs, ino, cache, runs,
+                                    ino_cpu(ino, fs.cpus))
+        fs._note_dead_entries(cache, complete_redirects(fs, cache, appended))
 
 
 def _min_runs(mapped: list[int]) -> int:
@@ -170,14 +174,12 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
         for old, new, count in runs:
             fs.dev.write(new * PAGE_SIZE, fs.dev.read(
                 old * PAGE_SIZE, count * PAGE_SIZE), nt=True)
+        _redirect_refs(fs, {m["old"]: m["new"] for m in moves}, refs)
         for m in moves:
-            old, new = m["old"], m["new"]
-            for ref_ino, ref_pgoff in refs[old]:
-                _redirect_ref(fs, ref_ino, ref_pgoff, new)
             if m["idx"] is not None:
-                fs.fact.retarget_block(m["idx"], new, plan)
-            fs.allocator.free(old, 1, cpu)
-            placed.add(new)
+                fs.fact.retarget_block(m["idx"], m["new"], plan)
+            fs.allocator.free(m["old"], 1, cpu)
+            placed.add(m["new"])
 
     for page in unused:
         fs.allocator.free(page, 1, cpu)
@@ -237,18 +239,16 @@ def replay_intents(fs) -> int:
     intents = persist.read_state(fs, INTENT_PATH, list, torn=[])
     if intents is None:
         return 0
-    settled = 0
-    for m in intents:
-        if not isinstance(m, dict) or "old" not in m or "new" not in m:
-            continue  # garbled entry: never-started batch remnant
+    # Garbled entries are never-started batch remnants.
+    moves = [m for m in intents
+             if isinstance(m, dict) and "old" in m and "new" in m]
+    refs = _block_refs(fs, {m[key] for m in moves for key in ("old", "new")})
+    # A move no rebuilt index maps ``new`` for never became visible, so
+    # recovery's allocator never pinned its new page either.
+    forward = [m for m in moves if refs[m["new"]]]
+    _redirect_refs(fs, {m["old"]: m["new"] for m in forward}, refs)
+    for m in forward:
         old, new, idx = m["old"], m["new"], m.get("idx")
-        refs = _block_refs(fs, {old, new})
-        if not refs[new]:
-            # The move never became visible: no rebuilt index maps the
-            # new page, so recovery's allocator never pinned it either.
-            continue
-        for ref_ino, ref_pgoff in refs[old]:
-            _redirect_ref(fs, ref_ino, ref_pgoff, new)
         if idx is not None:
             ent = fs.fact.read_entry(idx)
             if ent.valid and ent.block == old:
@@ -258,9 +258,8 @@ def replay_intents(fs) -> int:
             # just moved it.  All-moved-pre-crash pages were never
             # pinned and are free already.
             fs.allocator.free(old, 1, fs.allocator.home_cpu(old))
-        settled += 1
     persist.remove_state(fs, INTENT_PATH)
-    return settled
+    return len(forward)
 
 
 def replay_torn_relocation(fs, report) -> None:

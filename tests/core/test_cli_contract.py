@@ -13,7 +13,8 @@ value at a time drawn from the command's *declared* parameters, ``main``
 
 The rows come from ``COMMANDS``: a subcommand added there is covered here
 the day it is added (``VALID`` then needs a value for each new positional).
-All ~900 of them cost about 12 s, so the whole matrix is tier-1.
+All ~1 000 of them take 18 s run alone and 19 s inside the full tier-1
+run (Python 3.11, 2-vCPU Xeon); the whole matrix is tier-1.
 """
 
 import shutil

@@ -118,7 +118,7 @@ def sweep(scenario: Scenario, cfg, note=lambda point, phase, mode: None):
         total = stride = 1
     else:
         total = count_events(build)
-        stride = max(1, total // per_combo)
+        stride = max(1, -(-total // per_combo))
     for mode in cfg.modes:
         try:
             for phase in cfg.phases:

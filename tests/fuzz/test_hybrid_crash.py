@@ -185,7 +185,7 @@ class TestRegressions:
         res = run_case(ops, FuzzConfig(seed=7, budget=8,
                                        dedup_mode="hybrid"))
         assert res.ok, [str(v) for v in res.violations]
-        assert res.crash_points >= 12
+        assert res.crash_points == 8    # two points per (mode, phase)
 
 
 @pytest.mark.fuzz

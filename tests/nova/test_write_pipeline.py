@@ -12,7 +12,7 @@ from repro.failure import check_fs_invariants
 from repro.nova.fs import NoSpace
 from repro.nova.layout import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
-from tests._code_index import src_trees
+from tests._code_index import as_tree, src_trees
 
 ALL_VARIANTS = pytest.mark.parametrize(
     "variant", list(Variant), ids=[v.value for v in Variant])
@@ -137,7 +137,7 @@ def test_a_write_of_k_entries_retires_once(cls, monkeypatch):
 #: Who may touch the log's append/commit protocol, and the radix install.
 _LOG_CALLERS = {"nova/log.py", "nova/fs.py"}
 _INSTALL_CALLERS = {"nova/fs.py", "nova/recovery.py", "nova/gc.py",
-                    "dedup/reflink.py"}   # reflink: the shared materialiser
+                    "dedup/daemon.py"}   # daemon: the one redirect publisher
 
 
 def _method_calls(tree, receiver, methods):
@@ -162,7 +162,8 @@ def test_no_hand_rolled_commit_sequence():
         for meth, line in _method_calls(
                 tree, "log", {"append", "commit", "ensure_log"}):
             log_sites.append((rel, meth, line))
-        for meth, line in _method_calls(tree, "index", {"install"}):
+        for meth, line in _method_calls(tree, "index",
+                                        {"install", "redirect"}):
             install_sites.append((rel, line))
     stray = [s for s in log_sites if s[0] not in _LOG_CALLERS]
     assert not stray, f"log protocol spelled out outside the primitive: {stray}"
@@ -170,3 +171,27 @@ def test_no_hand_rolled_commit_sequence():
     assert in_fs == ["append", "commit", "ensure_log"], log_sites
     stray = [s for s in install_sites if s[0] not in _INSTALL_CALLERS]
     assert not stray, f"radix install outside the pipeline: {stray}"
+
+
+def _in_process_builds(code):
+    """Line numbers of ``WriteEntry(..., dedupe_flag=DEDUPE_IN_PROCESS)``."""
+    for node in ast.walk(as_tree(code)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "WriteEntry"
+                and any(kw.arg == "dedupe_flag"
+                        and getattr(kw.value, "id", None)
+                        == "DEDUPE_IN_PROCESS" for kw in node.keywords)):
+            yield node.lineno
+
+
+def test_one_builder_of_in_process_redirects():
+    """Every redirect (daemon, reflink, snapshot, ``backup recv``,
+    relocation) is built by ``dedup.daemon.append_redirects``; the inline
+    variants' write pipeline takes its flag from a hook, not the
+    literal."""
+    builders = {rel for rel, tree in src_trees()
+                if any(_in_process_builds(tree))}
+    assert builders == {"dedup/daemon.py"}
+    assert list(_in_process_builds(
+        "e = WriteEntry(file_pgoff=0, num_pages=1, block=b,\n"
+        "               dedupe_flag=DEDUPE_IN_PROCESS)")) == [1]

@@ -1,15 +1,26 @@
 """Reverse-dedup relocation: sequential layout, budget/cursor resume,
-FACT integrity, and the crash-replay of the intent journal."""
+FACT integrity, one publish per referencing inode, and the crash-replay
+of the intent journal."""
+
+import random
+from collections import Counter
 
 import pytest
 
+from repro.dedup import DeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.failure import check_fs_invariants
+from repro.failure.injector import sweep_crash_points
+from repro.nova import PAGE_SIZE
+from repro.nova.fs import NovaFS
+from repro.nova.inode import ITYPE_FILE
+from repro.nova.log import LogManager
+from repro.pm import OPTANE_DCPM, PMDevice, SimClock
 from repro.repl import relocate_latest
 from repro.repl import REPL_DIR
-from repro.repl.relocate import _min_runs
+from repro.repl.relocate import _min_runs, _relocate_file
 
-from tests.repl.util import build_chain_pair
+from tests.repl.util import build_chain_pair, make_fs, page_of
 
 pytestmark = pytest.mark.repl
 
@@ -85,3 +96,100 @@ class TestRelocate:
         relocate_latest(dst)
         assert dst.statfs()["used_pages"] == before
         check_fs_invariants(dst)
+
+
+def contents(fs):
+    """Path -> bytes of every regular file, snapshots included."""
+    return {path: fs.read(ino, 0, cache.inode.size)
+            for path, ino, cache in fs.walk("/")
+            if cache.inode.itype == ITYPE_FILE
+            and not path.startswith(REPL_DIR)}
+
+
+class TestOnePublishPerReferencingInode:
+    def test_one_walk_and_one_tail_update_per_inode(self, monkeypatch):
+        """256-page ``/b``, half of whose pages (at shuffled offsets)
+        duplicate shuffled pages of ``/a``, on Optane: relocating ``/b``
+        moves 256 pages referenced by two inodes.  Each referencing inode gets one
+        redirect commit and one fast-GC walk, not one per page."""
+        rng = random.Random(5)
+        dev = PMDevice(4096 * PAGE_SIZE, model=OPTANE_DCPM, clock=SimClock())
+        fs = DeNovaFS.mkfs(dev, max_inodes=64)
+        a = [rng.randbytes(PAGE_SIZE) for _ in range(256)]
+        b = [rng.randbytes(PAGE_SIZE) for _ in range(256)]
+        for pos, src in zip(rng.sample(range(256), 128),
+                            rng.sample(range(256), 128)):
+            b[pos] = a[src]
+        fs.write(fs.create("/a"), 0, b"".join(a))
+        fs.write(fs.create("/b"), 0, b"".join(b))
+        fs.daemon.drain()
+        refs = {fs.lookup("/a"), fs.lookup("/b")}
+        walks, commits = Counter(), Counter()
+        walk, commit = NovaFS._maybe_gc_log, LogManager.commit
+
+        def counted_walk(self, cache):
+            walks[cache.inode.ino] += 1
+            return walk(self, cache)
+
+        def counted_commit(self, ino, tail):
+            commits[ino] += 1
+            return commit(self, ino, tail)
+
+        monkeypatch.setattr(NovaFS, "_maybe_gc_log", counted_walk)
+        monkeypatch.setattr(LogManager, "commit", counted_commit)
+        assert _relocate_file(fs, "/b", set(), Counter()) == 256
+        monkeypatch.undo()
+        assert {ino: walks[ino] for ino in refs} == dict.fromkeys(refs, 1)
+        assert {ino: commits[ino] for ino in refs} == dict.fromkeys(refs, 1)
+        # The rest is the intent file's own write.
+        assert sum(walks.values()) == 3
+        assert fs.read(fs.lookup("/a"), 0, 256 * PAGE_SIZE) == b"".join(a)
+        assert fs.read(fs.lookup("/b"), 0, 256 * PAGE_SIZE) == b"".join(b)
+        assert len(runs_of(fs, "/b")) == 1
+        check_fs_invariants(fs)
+
+
+def shared_relocation():
+    """``/b`` shares four of ``/a``'s pages (shuffled) plus four of its
+    own; ``s1`` is the older snapshot and ``s2``, the one relocated,
+    the newest: ``s2/b``'s moved blocks are shared by both live files,
+    by ``s1`` and by ``s2/a``."""
+    fs = make_fs(pages=1024, max_inodes=64)
+    a = [page_of(i) for i in range(1, 9)]
+    b = [a[3], page_of(20), a[0], page_of(21), a[6], a[1], page_of(22),
+         page_of(23)]
+    fs.write(fs.create("/a"), 0, b"".join(a))
+    fs.write(fs.create("/b"), 0, b"".join(b))
+    fs.daemon.drain()
+    fs.snapshot("s1")
+    fs.snapshot("s2")
+    return fs
+
+
+class TestSharedRelocationCrash:
+    def test_every_persist_event_recovers_clean(self):
+        """Crash a ``relocate_latest`` at every persist event, both
+        phases, both modes: each recovery (which replays the intent
+        journal forward or discards it) is invariant-clean with every
+        file's bytes unchanged, and the pass then completes."""
+        want = contents(shared_relocation())
+        assert len(want) == 6
+
+        def build():
+            fs = shared_relocation()
+
+            def scenario():
+                assert relocate_latest(fs)["pages_moved"] == 8
+
+            return fs.dev, scenario
+
+        def check(dev, point, phase):
+            rec = DeNovaFS.mount(dev)
+            check_fs_invariants(rec)
+            assert contents(rec) == want, (point, phase)
+            assert relocate_latest(rec)["done"]
+            assert contents(rec) == want, (point, phase)
+            check_fs_invariants(rec)
+
+        assert sweep_crash_points(build, check,
+                                  mode=("discard", "torn")) > 100
