@@ -13,12 +13,12 @@ requests per node and per copy.
 
 import hashlib
 
-from repro.dedup.daemon import DedupDaemon
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.repl import relocate_latest
+from tests._ledger import Ledger
 from tests.dedup.test_fact_reads import make_fs, pointer_requests
 
 
@@ -26,28 +26,18 @@ def page(tag: int) -> bytes:
     return tag.to_bytes(4, "little") * (PAGE_SIZE // 4)
 
 
-def node_reads(monkeypatch, fs) -> dict[int, list[tuple[int, int]]]:
-    """Target entry -> ``(device page, bytes)`` of each device read the
-    daemon's fingerprint stage made for that node, in node order."""
-    out: dict[int, list[tuple[int, int]]] = {}
-    node: list[int] = []
-    real_read, real_stage = fs.dev.read, DedupDaemon.fingerprint_page
-
-    def read(addr, n):
-        if node:
-            out.setdefault(node[-1], []).append((addr // PAGE_SIZE, n))
-        return real_read(addr, n)
-
-    def fingerprint_page(self, task, pgoff):
-        node.append(task.node.entry_addr)
-        try:
-            return real_stage(self, task, pgoff)
-        finally:
-            node.pop()
-
-    monkeypatch.setattr(fs.dev, "read", read)
-    monkeypatch.setattr(DedupDaemon, "fingerprint_page", fingerprint_page)
-    return out
+def node_reads(fs) -> list[list[tuple[int, int]]]:
+    """Drain the DWQ: ``(device page, bytes)`` of each data read the
+    fingerprint stage made, per node that made one, in node order."""
+    out = []
+    with Ledger(fs.dev) as led:
+        while True:
+            start = len(led.requests)
+            if not fs.daemon.process_one():
+                return [reads for reads in out if reads]
+            out.append([(r.addr // PAGE_SIZE, r.n)
+                        for r in led.requests[start:] if r.kind == "read"
+                        and r.caller == "DedupDaemon._read_live"])
 
 
 def hashed(monkeypatch, fs) -> list[bytes]:
@@ -80,11 +70,8 @@ class TestDaemonReadsOneRequestPerRun:
         fs = make_fs()
         pages = [page(i) for i in range(1, 9)]
         fs.write(fs.create("/f"), 0, b"".join(pages))
-        reads = node_reads(monkeypatch, fs)
         chunks = hashed(monkeypatch, fs)
-        fs.daemon.drain()
-        assert list(reads.values()) == [[(extent_of(fs, "/f"),
-                                          8 * PAGE_SIZE)]]
+        assert node_reads(fs) == [[(extent_of(fs, "/f"), 8 * PAGE_SIZE)]]
         assert chunks == pages
         assert_fingerprints_match_blocks(fs)
 
@@ -95,12 +82,10 @@ class TestDaemonReadsOneRequestPerRun:
         fs.write(ino, 0, b"".join(pages))
         first = extent_of(fs, "/f")
         fs.write(ino, 3 * PAGE_SIZE, page(99))   # before the daemon runs
-        reads = node_reads(monkeypatch, fs)
         chunks = hashed(monkeypatch, fs)
         scanned = fs.obs.registry.counter("daemon.pages_scanned_total")
         stale = fs.obs.registry.counter("daemon.pages_stale_total")
-        fs.daemon.drain()
-        target, overwrite = reads.values()
+        target, overwrite = node_reads(fs)
         assert target == [(first, 3 * PAGE_SIZE),
                           (first + 4, 4 * PAGE_SIZE)]
         assert overwrite == [(fs.caches[ino].index.block_of(3), PAGE_SIZE)]
@@ -111,15 +96,13 @@ class TestDaemonReadsOneRequestPerRun:
         assert fs.read(ino, 0, 8 * PAGE_SIZE) == b"".join(
             pages[:3] + [page(99)] + pages[4:])
 
-    def test_an_in_node_duplicate_is_staged_once(self, monkeypatch):
+    def test_an_in_node_duplicate_is_staged_once(self):
         fs = make_fs()
         a, b, c = page(1), page(2), page(3)
         ino = fs.create("/f")
         fs.write(ino, 0, a + b + a + c)
-        reads = node_reads(monkeypatch, fs)
         dups = fs.obs.registry.counter("daemon.pages_duplicate_total")
-        fs.daemon.drain()
-        assert [len(r) for r in reads.values()] == [1]
+        assert [len(r) for r in node_reads(fs)] == [1]
         assert dups.value == 1
         index = fs.caches[ino].index
         assert index.block_of(2) == index.block_of(0)
@@ -127,7 +110,7 @@ class TestDaemonReadsOneRequestPerRun:
         assert_fingerprints_match_blocks(fs)
         check_fs_invariants(fs)
 
-    def test_hybrid_registered_pages_are_not_read(self, monkeypatch):
+    def test_hybrid_registered_pages_are_not_read(self):
         fs = make_fs(HybridDeNovaFS)
         a = page(1)
         fs.write(fs.create("/a"), 0, a)          # weak-registered inline
@@ -135,10 +118,7 @@ class TestDaemonReadsOneRequestPerRun:
         fs.write(ino, 0, page(2) + page(3) + a + page(4))
         (node,) = fs.dwq.snapshot()
         assert sorted(p for p, h in node.weak_hints.items() if h > 0) == [2]
-        reads = node_reads(monkeypatch, fs)
-        fs.daemon.drain()
-        assert list(reads.values()) == [[(extent_of(fs, "/b") + 2,
-                                          PAGE_SIZE)]]
+        assert node_reads(fs) == [[(extent_of(fs, "/b") + 2, PAGE_SIZE)]]
         confirmed = fs.obs.registry.counter("dedup.weak_confirmed_dups_total")
         assert confirmed.value == 1
         assert fs.caches[ino].index.block_of(2) == extent_of(fs, "/a")
@@ -146,8 +126,7 @@ class TestDaemonReadsOneRequestPerRun:
 
 
 class TestRelocateCopiesOneRequestPerRun:
-    def test_a_consecutive_batch_is_one_read_and_one_nt_write(
-            self, monkeypatch):
+    def test_a_consecutive_batch_is_one_read_and_one_nt_write(self):
         fs = make_fs(pages=1024)
         pages = [page(i) for i in range(1, 5)]
         # Pages 4..7 duplicate 0..3: after dedup the file maps one run
@@ -157,37 +136,24 @@ class TestRelocateCopiesOneRequestPerRun:
         fs.snapshot("s1")
         path = f"{SNAPSHOT_DIR}/s1/data"
         old = extent_of(fs, path)
-        reads, writes = [], []
-        real_read, real_write = fs.dev.read, fs.dev.write
-
-        def read(addr, n):
-            if addr // PAGE_SIZE in range(old, old + 4):
-                reads.append((addr // PAGE_SIZE, n))
-            return real_read(addr, n)
-
-        def write(addr, data, nt=False, persist=False):
-            if nt:
-                writes.append((addr // PAGE_SIZE, len(data)))
-            return real_write(addr, data, nt=nt, persist=persist)
-
-        monkeypatch.setattr(fs.dev, "read", read)
-        monkeypatch.setattr(fs.dev, "write", write)
-        pointers = pointer_requests(monkeypatch, fs)
-        assert relocate_latest(fs)["pages_moved"] == 4
+        with Ledger(fs.dev) as led:
+            assert relocate_latest(fs)["pages_moved"] == 4
         new = extent_of(fs, path)
-        assert reads == [(old, 4 * PAGE_SIZE)]
+        assert [(r.addr // PAGE_SIZE, r.n) for r in led.select(
+            "read", within=(old * PAGE_SIZE, (old + 4) * PAGE_SIZE))] \
+            == [(old, 4 * PAGE_SIZE)]
         # The plan's FACT lookups: one pointer request for the run; each
         # retarget takes the old block's pointer from the open plan.
-        assert [p for p in pointers if p[0] in range(old, old + 4)] == [
-            (old, 3 * 64 + 8)]
-        assert [w for w in writes if w[0] in range(new, new + 4)] == [
-            (new, 4 * PAGE_SIZE)]
+        assert [p for p in pointer_requests(led, fs.fact)
+                if p[0] in range(old, old + 4)] == [(old, 3 * 64 + 8)]
+        assert [(r.addr // PAGE_SIZE, r.n) for r in led.select(
+            "write", within=(new * PAGE_SIZE, (new + 4) * PAGE_SIZE))
+            if r.nt] == [(new, 4 * PAGE_SIZE)]
         assert fs.read(fs.lookup(path), 0, 8 * PAGE_SIZE) == b"".join(
             pages + pages)
         check_fs_invariants(fs)
 
-    def test_a_scattered_batch_plans_its_moves_with_one_request(
-            self, monkeypatch):
+    def test_a_scattered_batch_plans_its_moves_with_one_request(self):
         """Page 1 of the file was rewritten after ``/gap`` was written, so
         its blocks are ``b, b + 7, b + 2, b + 3``: three runs, one
         neighbourhood of delete pointers."""
@@ -203,8 +169,9 @@ class TestRelocateCopiesOneRequestPerRun:
         olds = [cache.index.block_of(p) for p in range(4)]
         b = olds[0]
         assert olds == [b, b + 7, b + 2, b + 3]
-        pointers = pointer_requests(monkeypatch, fs)
-        assert relocate_latest(fs)["pages_moved"] == 4
+        with Ledger(fs.dev) as led:
+            assert relocate_latest(fs)["pages_moved"] == 4
         # One request for the plan, which each retarget reads from.
-        assert [p for p in pointers if p[0] in olds] == [(b, 7 * 64 + 8)]
+        assert [p for p in pointer_requests(led, fs.fact)
+                if p[0] in olds] == [(b, 7 * 64 + 8)]
         check_fs_invariants(fs)

@@ -33,6 +33,7 @@ from repro.nova.inode import ROOT_INO, Inode
 from repro.nova.layout import INODE_SIZE
 from repro.nova.log import ENTRIES_PER_PAGE, LogManager
 from repro.pm import DRAM, PMDevice, SimClock
+from tests._ledger import Ledger
 from tests.dedup.test_fact_map import map_requests
 
 
@@ -360,11 +361,11 @@ class TestRecoveryReadsFactOnce:
 
     @pytest.fixture
     def audit(self, monkeypatch):
-        """A mount that logs every device read inside ``dedup_recover``
-        and compares the copy with the region after each pass; returns
-        the fs, the reads that touched the region and the passes
-        compared."""
-        log = {"reads": None, "passes": []}
+        """A mount that records every device request inside
+        ``dedup_recover`` on a ledger and compares the copy with the
+        region after each pass; returns the fs, the reads that touched
+        the region and the passes compared."""
+        log = {"led": None, "passes": []}
 
         def compare(name, fact):
             assert fact._dram is not None, f"{name} ran without the copy"
@@ -378,7 +379,7 @@ class TestRecoveryReadsFactOnce:
 
             def wrapped(first, *args):             # a FACT or the fs
                 out = real(first, *args)
-                if log["reads"] is not None:       # inside dedup_recover
+                if log["led"] is not None:         # inside dedup_recover
                     compare(name, getattr(first, "fact", first))
                 return out
             monkeypatch.setattr(owner, name, wrapped)
@@ -391,26 +392,19 @@ class TestRecoveryReadsFactOnce:
         real_recover = recovery.dedup_recover
 
         def dedup_recover(fs, report):
-            log["reads"] = []
-            try:
-                return real_recover(fs, report)
-            finally:
-                reads, log["reads"] = log["reads"], None
-                lo = fs.fact.base                 # the map follows the table
-                hi = fs.fact.map_base + fs.geo.fact_map_bytes
-                log["region"] = [(kind, a - lo, n) for kind, a, n in reads
-                                 if a < hi and a + n > lo]
+            with Ledger(fs.dev) as log["led"]:
+                try:
+                    return real_recover(fs, report)
+                finally:
+                    lo = fs.fact.base             # the map follows the table
+                    hi = fs.fact.map_base + fs.geo.fact_map_bytes
+                    log["region"] = [(r.kind, r.addr - lo, r.n) for r in log[
+                        "led"].select("read", "read_view", "read_silent",
+                                      within=(lo, hi))]
+                    log["led"] = None
         monkeypatch.setattr(recovery, "dedup_recover", dedup_recover)
 
         def mount(dev):
-            for kind in ("read", "read_view", "read_silent"):
-                real = getattr(dev, kind)
-
-                def logged(addr, n, _real=real, _kind=kind):
-                    if log["reads"] is not None:
-                        log["reads"].append((_kind, addr, n))
-                    return _real(addr, n)
-                setattr(dev, kind, logged)
             log["passes"], log["region"] = [], None
             log["marked"] = image.chunk_map(dev)
             fs = DeNovaFS.mount(dev)
@@ -502,18 +496,15 @@ class TestRecoveryReadsFactOnce:
         for salt in range(3):                     # the head, IAA slots 0, 1
             fs.fact.commit_uc(fs.fact.insert(self.fp(salt), 60 + salt))
         fs.unmount()
-        fact, reads = fs.fact, []
+        fact = fs.fact
         lo, hi = fact.base, fact.base + fact.total * ENTRY
-        for kind in ("read", "read_view", "read_silent"):
-            def logged(addr, n, _real=getattr(dev, kind), _kind=kind):
-                if addr < hi and addr + n > lo:
-                    reads.append((_kind, addr - lo, n))
-                return _real(addr, n)
-            setattr(dev, kind, logged)
-        fs2 = DeNovaFS.mount(dev, use_checkpoint=False)
+        with Ledger(dev) as led:
+            fs2 = DeNovaFS.mount(dev, use_checkpoint=False)
         daa, mark = fact.daa_size, image.iaa_mark(fs2.dev)
         assert mark == fs2.fact.iaa_mark == 64
-        assert reads == [("read_view", daa * ENTRY, mark * ENTRY)]
+        assert [(r.kind, r.addr - lo, r.n) for r in led.select(
+            "read", "read_view", "read_silent", within=(lo, hi))] \
+            == [("read_view", daa * ENTRY, mark * ENTRY)]
         assert fs2.fact._iaa_free == list(range(fact.total - 1, daa + 1, -1))
 
 
@@ -562,18 +553,10 @@ class TestUncleanMountReadsEachLogOnce:
     def mount_logging_reads(dev):
         """Mount ``dev``; returns the fs and every device read the mount
         made, as ``(kind, addr, n)``."""
-        reads = []
-        for kind in ("read", "read_view", "read_silent"):
-            real = getattr(dev, kind)
-
-            def logged(addr, n, _real=real, _kind=kind):
-                reads.append((_kind, addr, n))
-                return _real(addr, n)
-            setattr(dev, kind, logged)
-        try:
-            return DeNovaFS.mount(dev), reads
-        finally:
-            del dev.read, dev.read_view, dev.read_silent
+        with Ledger(dev) as led:
+            fs = DeNovaFS.mount(dev)
+        return fs, [(r.kind, r.addr, r.n) for r in led.select(
+            "read", "read_view", "read_silent")]
 
     @staticmethod
     def chain_reads(fs, caches, past_tail=True):

@@ -27,6 +27,7 @@ from repro.nova import PAGE_SIZE
 from repro.nova.layout import (_OFF_FACT_MAP_PAGE, FACT_CHUNK_SLOTS,
                                Geometry, Superblock)
 from repro.pm import DRAM, OPTANE_DCPM, PMDevice, SimClock
+from tests._ledger import Ledger
 
 CHUNK = FACT_CHUNK_SLOTS * ENTRY        # bytes of the table per map bit
 
@@ -64,17 +65,13 @@ def page(i: int) -> bytes:
     return i.to_bytes(4, "little") * (PAGE_SIZE // 4)
 
 
-def map_log(dev, geo) -> list:
-    """The kind of every later device access to the map region."""
-    lo, log = geo.fact_map_page * PAGE_SIZE, []
-    hi = lo + geo.fact_map_bytes
-    for kind in ("read", "read_view", "write_atomic64"):
-        def logged(addr, *args, _real=getattr(dev, kind), _kind=kind, **kw):
-            if lo <= addr < hi:
-                log.append(_kind)
-            return _real(addr, *args, **kw)
-        setattr(dev, kind, logged)
-    return log
+def map_log(led, geo) -> list:
+    """The kind of every charged read and 8-byte aligned store (the
+    map's word stores) the ledger saw in the map region."""
+    lo = geo.fact_map_page * PAGE_SIZE
+    return [r.kind for r in led.select(
+        "read", "read_view", "write", within=(lo, lo + geo.fact_map_bytes))
+        if r.kind != "write" or (r.n == 8 and r.addr % 8 == 0)]
 
 
 class TestLayout:
@@ -105,17 +102,17 @@ class TestLayout:
 class TestMarking:
     def test_the_first_store_into_a_chunk_marks_it_once(self):
         fs = make_fs()
-        log = map_log(fs.dev, fs.geo)
-        fs.write(fs.create("/a"), 0, page(1) + page(2) + page(1))
-        fs.daemon.drain()
-        marked = image.chunk_map(fs.dev)
-        assert (marked == stored_chunks(fs.dev, fs.fact)).all()
-        assert log.count("write_atomic64") == marked.sum() >= 2
-        assert "read" not in log            # mkfs knows its map
-        before = len(log)
-        fs.write(fs.create("/b"), 0, page(1))  # chunks already marked
-        fs.daemon.drain()
-        assert len(log) == before
+        with Ledger(fs.dev) as led:
+            fs.write(fs.create("/a"), 0, page(1) + page(2) + page(1))
+            fs.daemon.drain()
+            marked = image.chunk_map(fs.dev)
+            assert (marked == stored_chunks(fs.dev, fs.fact)).all()
+            log = map_log(led, fs.geo)
+            assert log.count("write") == marked.sum() >= 2
+            assert "read" not in log        # mkfs knows its map
+            fs.write(fs.create("/b"), 0, page(1))  # chunks already marked
+            fs.daemon.drain()
+        assert map_log(led, fs.geo) == log
         check_fs_invariants(fs)
 
     def test_every_writer_marks_and_iaa_slots_do_not(self):
@@ -140,17 +137,18 @@ class TestMarking:
         else:
             fs.unmount()
         marked, geo = image.chunk_map(dev), fs.geo
-        log = map_log(dev, geo)
-        fs2 = DeNovaFS.mount(dev, use_checkpoint=how == "checkpoint")
-        assert log == ["read"]
-        words = np.array(fs2.fact.chunk_map(), "<u8").view(np.uint8)
-        assert (np.unpackbits(words, bitorder="little")[:len(marked)]
-                == marked).all()
-        for i in range(2, 40):
-            fs2.write(fs2.create(f"/f{i}"), 0, page(i))
-        fs2.daemon.drain()
+        with Ledger(dev) as led:
+            fs2 = DeNovaFS.mount(dev, use_checkpoint=how == "checkpoint")
+            assert map_log(led, geo) == ["read"]
+            words = np.array(fs2.fact.chunk_map(), "<u8").view(np.uint8)
+            assert (np.unpackbits(words, bitorder="little")[:len(marked)]
+                    == marked).all()
+            for i in range(2, 40):
+                fs2.write(fs2.create(f"/f{i}"), 0, page(i))
+            fs2.daemon.drain()
+        log = map_log(led, geo)
         assert log[0] == "read" and "read" not in log[1:]
-        assert log.count("write_atomic64") \
+        assert log.count("write") \
             == image.chunk_map(dev).sum() - marked.sum() > 0
         check_fs_invariants(fs2)
 
@@ -162,16 +160,12 @@ class TestMarking:
         dev.write_atomic64(_OFF_FACT_MAP_PAGE, 0, persist=True)
         dev.crash()
         dev.recover_view()
-        reads, real = [], dev.read_view
-
-        def read_view(addr, n):
-            reads.append((addr, n))
-            return real(addr, n)
-        dev.read_view = read_view
-        fs2 = DeNovaFS.mount(dev)
+        with Ledger(dev) as led:
+            fs2 = DeNovaFS.mount(dev)
         fact = fs2.fact
         assert fact.chunk_map() is None and image.chunk_map(dev) is None
-        assert (fact.base, fact.daa_size * ENTRY) in reads
+        assert (fact.base, fact.daa_size * ENTRY) in [
+            (r.addr, r.n) for r in led.select("read_view")]
         fs2.write(fs2.create("/a"), 0, page(1))
         fs2.daemon.drain()
         assert fs2.fact.live_entries()
@@ -193,15 +187,10 @@ class TestMapReads:
         for c in chunks:
             fact.set_block_weak(c * FACT_CHUNK_SLOTS, 1)
         lo, hi = fact.base, fact.base + fact.total * ENTRY
-        reads, real = [], dev.read_view
-
-        def read_view(addr, n):
-            if lo <= addr < hi:
-                reads.append((addr - lo, n))
-            return real(addr, n)
-        dev.read_view = read_view
-        with fact.in_dram():
+        with Ledger(dev) as led, fact.in_dram():
             assert bytes(fact._dram) == dev.read_silent(lo, hi - lo)
+        reads = [(r.addr - lo, r.n)
+                 for r in led.select("read_view", within=(lo, hi))]
         assert reads == map_requests(dev.model, image.chunk_map(dev),
                                      fact.daa_size, fact.iaa_mark)
         return reads

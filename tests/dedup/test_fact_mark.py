@@ -22,6 +22,7 @@ from repro.failure import (InvariantViolation, check_fs_invariants, image,
 from repro.nova import PAGE_SIZE
 from repro.nova.layout import _OFF_IAA_MARK, Geometry, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
+from tests._ledger import Ledger
 
 BITS = 10                       # a 1024-slot DAA on a 1024-page device
 STEP = PAGE_SIZE // ENTRY       # slots per FACT page
@@ -54,27 +55,20 @@ def put(fs, path: str, pages) -> None:
     fs.daemon.drain()
 
 
-def word_reads(dev) -> list:
-    """Every later charged read of the mark word, logged."""
-    log, real = [], dev.read
-
-    def read(addr, n):
-        if addr <= _OFF_IAA_MARK < addr + n:
-            log.append((addr, n))
-        return real(addr, n)
-    dev.read = read
-    return log
+def word_reads(led) -> list:
+    """Every charged read of the mark word on the ledger."""
+    return led.select("read", within=(_OFF_IAA_MARK, _OFF_IAA_MARK + 1))
 
 
 class TestMark:
     def test_mkfs_stores_zero_and_the_first_iaa_insert_raises_it(self):
         fs = make_fs()
-        log = word_reads(fs.dev)
         assert image.iaa_mark(fs.dev) == 0
-        put(fs, "/a", pages()[:2])            # the DAA head, IAA slot 0
-        assert max(fs.fact.live_entries()) == fs.fact.daa_size
-        assert image.iaa_mark(fs.dev) == fs.fact.iaa_mark == STEP
-        assert log == []                    # mkfs knows its mark: no read
+        with Ledger(fs.dev) as led:
+            put(fs, "/a", pages()[:2])        # the DAA head, IAA slot 0
+            assert max(fs.fact.live_entries()) == fs.fact.daa_size
+            assert image.iaa_mark(fs.dev) == fs.fact.iaa_mark == STEP
+        assert word_reads(led) == []        # mkfs knows its mark: no read
         check_fs_invariants(fs)
 
     def test_the_mark_rises_a_page_at_a_time_and_never_falls(self):
@@ -114,12 +108,12 @@ class TestMark:
             dev.recover_view()
         else:
             fs.unmount()
-        log = word_reads(dev)
-        fs2 = DeNovaFS.mount(dev, use_checkpoint=how == "checkpoint")
-        assert fs2.fact.iaa_mark == STEP and len(log) == 1
-        put(fs2, "/b", pages()[3:STEP + 3])   # IAA slots 2 .. STEP + 1
+        with Ledger(dev) as led:
+            fs2 = DeNovaFS.mount(dev, use_checkpoint=how == "checkpoint")
+            assert fs2.fact.iaa_mark == STEP and len(word_reads(led)) == 1
+            put(fs2, "/b", pages()[3:STEP + 3])   # IAA slots 2 .. STEP + 1
         assert image.iaa_mark(fs2.dev) == 2 * STEP
-        assert len(log) == 1
+        assert len(word_reads(led)) == 1
         check_fs_invariants(fs2)
 
     def test_a_word_of_zero_is_the_whole_iaa(self):

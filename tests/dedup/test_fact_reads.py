@@ -27,6 +27,7 @@ from repro.failure import check_fs_invariants, image
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import DEDUPE_IN_PROCESS
 from repro.pm import DRAM, CrashRequested, PMDevice, SimClock
+from tests._ledger import Ledger
 from tests.dedup.test_fact_map import map_requests
 
 
@@ -251,20 +252,12 @@ class TestWeakColumnRead:
         check_fs_invariants(fs2)
 
 
-def pointer_requests(monkeypatch, fs):
-    """``(slot, bytes)`` of each later device read that starts at a FACT
+def pointer_requests(led, fact):
+    """``(slot, bytes)`` of each device read so far that starts at a FACT
     slot's delete column, in order."""
-    fact, dev, out = fs.fact, fs.dev, []
-    real = dev.read
-
-    def read(addr, n):
-        off = addr - fact.base
-        if 0 <= off < fact.total * ENTRY and off % ENTRY == 32:
-            out.append((off // ENTRY, n))
-        return real(addr, n)
-
-    monkeypatch.setattr(dev, "read", read)
-    return out
+    return [(off // ENTRY, r.n) for r in led.select("read")
+            if 0 <= (off := r.addr - fact.base) < fact.total * ENTRY
+            and off % ENTRY == 32]
 
 
 def pages_of(fs, path):
@@ -297,15 +290,15 @@ class TestDeletePointerRuns:
         fs.daemon.drain()
         blocks = pages_of(fs, "/a")
         assert blocks == list(range(blocks[0], blocks[0] + 5))
-        reqs = pointer_requests(monkeypatch, fs)
         calls = visits(monkeypatch, fs, DeNovaFS, "reclaim_extents")
-        fs.unlink("/a")
-        assert reqs == [(blocks[0], 4 * 64 + 8)]
+        with Ledger(fs.dev) as led:
+            fs.unlink("/a")
+        assert pointer_requests(led, fs.fact) == [(blocks[0], 4 * 64 + 8)]
         assert calls == [(1 + 5 * 2, 0)]  # + entry and remove's re-read
         assert fs.fact.live_entries() == {}
         check_fs_invariants(fs)
 
-    def test_a_hole_splits_the_run(self, monkeypatch):
+    def test_a_hole_splits_the_run(self):
         fs = make_fs()
         rng = np.random.default_rng(5)
         ino = fs.create("/a")
@@ -315,37 +308,38 @@ class TestDeletePointerRuns:
         b = pages_of(fs, "/a")
         # One-page holes at b[1] + 1 (the old page 2) and b[4] + 1.
         assert b[1] + 2 == b[3] and b[4] + 2 == b[2] <= b[0] + reach(fs)
-        reqs = pointer_requests(monkeypatch, fs)
-        fs.unlink("/a")
-        assert reqs == [(b[0], (b[2] - b[0]) * 64 + 8)]  # read through
+        with Ledger(fs.dev) as led:
+            fs.unlink("/a")
+        assert pointer_requests(led, fs.fact) == [
+            (b[0], (b[2] - b[0]) * 64 + 8)]  # read through
         check_fs_invariants(fs)
 
-    def test_a_gap_wider_than_the_reach_splits_the_read(self, monkeypatch):
+    def test_a_gap_wider_than_the_reach_splits_the_read(self):
         fs = make_fs()
         r = reach(fs)
         b = fs.allocator.alloc(2 * r + 2, 0)
-        reqs = pointer_requests(monkeypatch, fs)
-        with fs.fact.planned([b, b + r, b + 2 * r + 1]) as plan:
-            assert reqs == [(b, r * 64 + 8), (b + 2 * r + 1, 8)]
+        with Ledger(fs.dev) as led, \
+                fs.fact.planned([b, b + r, b + 2 * r + 1]) as plan:
+            assert pointer_requests(led, fs.fact) == [
+                (b, r * 64 + 8), (b + 2 * r + 1, 8)]
             assert plan.entry(b + r) is None
-        assert len(reqs) == 2
+        assert len(pointer_requests(led, fs.fact)) == 2
 
-    def test_a_block_displaced_twice_has_its_pointer_read_once(
-            self, monkeypatch):
+    def test_a_block_displaced_twice_has_its_pointer_read_once(self):
         fs = make_fs()
         page = colliding(fs, 1)[0]
         write_file(fs, "/a", page + page)
         fs.daemon.drain()
         block, again = pages_of(fs, "/a")
         assert block == again and entry_of(fs, page).refcount == 2
-        reqs = pointer_requests(monkeypatch, fs)
-        fs.write(fs.lookup("/a"), 0, b"x" * 2 * PAGE_SIZE)
-        assert reqs == [(block, 8)]
+        with Ledger(fs.dev) as led:
+            fs.write(fs.lookup("/a"), 0, b"x" * 2 * PAGE_SIZE)
+        assert pointer_requests(led, fs.fact) == [(block, 8)]
         assert fs.fact.live_entries() == {}
         assert fs.allocator.is_free(block)
         check_fs_invariants(fs)
 
-    def test_a_flushed_planned_line_is_read_again(self, monkeypatch):
+    def test_a_flushed_planned_line_is_read_again(self):
         """A count store to slot ``b`` (an entry living there) flushes
         block ``b``'s pointer out of the cache; the pointer stored to
         ``b + 1`` is the operation's own value, not read back."""
@@ -354,27 +348,28 @@ class TestDeletePointerRuns:
         b = fs.allocator.alloc(2, 0)
         fp = (b << (64 - bits)).to_bytes(8, "big") + bytes(FP_BYTES - 8)
         assert fact.insert(fp, b) == b          # the DAA slot of block b
-        reqs = pointer_requests(monkeypatch, fs)
-        with fact.planned([b, b + 1]) as plan:
-            assert reqs == [(b, 64 + 8)]
+        with Ledger(fs.dev) as led, fact.planned([b, b + 1]) as plan:
+            def reqs():
+                return pointer_requests(led, fact)
+            assert reqs() == [(b, 64 + 8)]
             fact.commit_uc(b)                   # flushes slot b's line
             fact.set_delete(b + 1, b)
             assert plan.entry(b + 1) is None     # names block b's entry
-            assert reqs == [(b, 64 + 8)]
+            assert reqs() == [(b, 64 + 8)]
             assert plan.entry(b).refcount == 1
-            assert reqs == [(b, 64 + 8), (b, 8)]
+            assert reqs() == [(b, 64 + 8), (b, 8)]
             assert plan.entry(b).idx == b
-        assert reqs == [(b, 64 + 8), (b, 8)]
+        assert reqs() == [(b, 64 + 8), (b, 8)]
 
-    def test_a_single_page_is_one_word(self, monkeypatch):
+    def test_a_single_page_is_one_word(self):
         fs = make_fs()
         write_file(fs, "/a", colliding(fs, 1)[0])
         (block,) = pages_of(fs, "/a")
-        reqs = pointer_requests(monkeypatch, fs)
-        fs.unlink("/a")
-        assert reqs == [(block, 8)]
-        assert fs.fact.entry_for_block(block) is None
-        assert reqs == [(block, 8)] * 2
+        with Ledger(fs.dev) as led:
+            fs.unlink("/a")
+            assert pointer_requests(led, fs.fact) == [(block, 8)]
+            assert fs.fact.entry_for_block(block) is None
+        assert pointer_requests(led, fs.fact) == [(block, 8)] * 2
 
     def test_a_node_of_adjacent_duplicates_reads_them_once(
             self, monkeypatch):
@@ -384,10 +379,10 @@ class TestDeletePointerRuns:
         fs.daemon.drain()
         write_file(fs, "/b", data)
         dups = pages_of(fs, "/b")
-        reqs = pointer_requests(monkeypatch, fs)
         calls = visits(monkeypatch, fs, DeNovaFS, "reclaim_extents")
-        fs.daemon.drain()
-        assert reqs == [(dups[0], 2 * 64 + 8)]
+        with Ledger(fs.dev) as led:
+            fs.daemon.drain()
+        assert pointer_requests(led, fs.fact) == [(dups[0], 2 * 64 + 8)]
         assert calls == [(1, 0)]  # no entry: three direct frees
         assert pages_of(fs, "/b") == pages_of(fs, "/a")
         assert fs.obs.registry.counter(
@@ -413,19 +408,18 @@ class TestDeletePointerRuns:
                 fs.daemon.drain()
         fs.dev.crash()
         fs.dev.recover_view()
-        reqs = pointer_requests(monkeypatch, fs)
         calls = visits(monkeypatch, fs, recovery, "_resume_step6")
-        fs2 = DeNovaFS.mount(fs.dev)
+        with Ledger(fs.dev) as led:
+            fs2 = DeNovaFS.mount(fs.dev)
         assert len(calls) == 1
-        assert [r for r in reqs if r[0] in blocks] == [
-            (blocks[0], 3 * 64 + 8)]
+        assert [r for r in pointer_requests(led, fs.fact)
+                if r[0] in blocks] == [(blocks[0], 3 * 64 + 8)]
         assert {e.block: (e.refcount, e.update_count)
                 for e in fs2.fact.live_entries().values()} == {
                     b: (1, 0) for b in blocks}
         check_fs_invariants(fs2)
 
-    def test_pointers_stay_right_while_remove_unlinks_inside_the_run(
-            self, monkeypatch):
+    def test_pointers_stay_right_while_remove_unlinks_inside_the_run(self):
         """Block ``b``'s entry is chained behind the DAA head in slot
         ``b + 2``, itself block ``b + 2``'s entry: unlinking the first
         stores the head's ``next`` inside the run before its pointer is
@@ -446,22 +440,16 @@ class TestDeletePointerRuns:
         assert linked >= fact.daa_size
         for idx in (head_idx, linked, other):
             fact.commit_uc(idx)          # RFC 1 each; block b + 3: none
-        stores, real = [], fs.dev.write
-
-        def write(addr, data, *args, **kw):
-            stores.append((addr, len(data), bytes(data)))
-            return real(addr, data, *args, **kw)
-
-        monkeypatch.setattr(fs.dev, "write", write)
-        reqs = pointer_requests(monkeypatch, fs)
-        fs.reclaim_extents([(b, 4)], 0)
+        with Ledger(fs.dev) as led:
+            fs.reclaim_extents([(b, 4)], 0)
         # The unlink's store to the head's ``next`` flushed slot b + 2.
-        assert reqs == [(b, 3 * 64 + 8), (b + 2, 8)]
-        column = [(addr, n, data) for addr, n, data in stores
-                  if any(addr < fact.addr(s) + 40 and fact.addr(s) + 32
-                         < addr + n for s in range(b, b + 4))]
-        assert column == [(fact.addr(p) + 32, 8, bytes(8))
-                          for p in (b, b + 1, b + 2)]
+        assert pointer_requests(led, fact) == [(b, 3 * 64 + 8), (b + 2, 8)]
+        column = [(r.addr, r.n) for r in led.select("write")
+                  if any(r.addr < fact.addr(s) + 40 and fact.addr(s) + 32
+                         < r.end for s in range(b, b + 4))]
+        assert column == [(fact.addr(p) + 32, 8) for p in (b, b + 1, b + 2)]
+        # One store each, so what the column holds now is what it stored.
+        assert all(fs.dev.read_silent(a, n) == bytes(8) for a, n in column)
         counter = fs.obs.registry.counter
         assert counter("dedup.fact_entry_removes_total").value == 3
         assert counter("dedup.direct_frees_total").value == 1

@@ -16,6 +16,7 @@ from repro.nova import NovaFS
 from repro.nova.inode import ITYPE_FILE, Inode
 from repro.nova.layout import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
+from tests._ledger import Ledger
 
 PAGE = b"\x0b" * PAGE_SIZE
 
@@ -61,17 +62,10 @@ class TestBaseline:
         fs = make_denova()
         lo = fs.fact.base
         hi = lo + fs.fact.total * ENTRY
-        reads = []
-        read_silent = fs.dev.read_silent
-
-        def counting(addr, n):
-            if addr < hi and addr + n > lo:
-                reads.append((addr, n))
-            return read_silent(addr, n)
-
-        fs.dev.read_silent = counting
-        check_fs_invariants(fs)
-        assert reads == [(lo, hi - lo)]
+        with Ledger(fs.dev) as led:
+            check_fs_invariants(fs)
+        assert [(r.addr, r.n) for r in led.select(
+            "read_silent", within=(lo, hi))] == [(lo, hi - lo)]
 
 
 class TestDataInvariants:

@@ -101,4 +101,5 @@ def test_small_device_campaign_is_clean(dedup_mode):
                      dedup_mode=dedup_mode)
     res = FuzzRunner(cfg, gen_cfg=gen, shrink_failures=False).run()
     assert res.ok, "; ".join(str(f.violation.detail) for f in res.failures)
-    assert res.ops_applied > 90      # got far enough to fill the device
+    # The clean pass stopped on NoSpace before the sequence ended.
+    assert res.ops_applied + res.ops_skipped < res.ops_generated

@@ -10,6 +10,7 @@ from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.gc import thorough_gc
 from repro.nova.log import ENTRIES_PER_PAGE
 from repro.pm import DRAM, PMDevice, SimClock
+from tests._ledger import Ledger
 
 
 def make_fs(pages=2048, cls=NovaFS):
@@ -272,21 +273,16 @@ class TestFastGC:
         check_fs_invariants(fs)
         prefix_equivalence_check(fs, m1, m1)
 
-    def test_the_walk_reads_each_header_once(self, monkeypatch):
+    def test_the_walk_reads_each_header_once(self):
         """The splice links to the successor the walk read: no header of
         the chain is read twice."""
         fs, ino, _models = self.two_nearly_dead_pages()
         chain = list(fs.log.iter_pages(fs.caches[ino].inode.log_head))
-        headers, real = [], fs.dev.read
-
-        def read(addr, n):
-            if addr % PAGE_SIZE == 0 and addr // PAGE_SIZE in chain:
-                headers.append(addr // PAGE_SIZE)
-            return real(addr, n)
-
-        monkeypatch.setattr(fs.dev, "read", read)
-        fs.write(ino, 0, b"k" * 2 * PAGE_SIZE)
-        assert headers == chain
+        with Ledger(fs.dev) as led:
+            fs.write(ino, 0, b"k" * 2 * PAGE_SIZE)
+        assert [r.addr // PAGE_SIZE for r in led.select("read")
+                if r.addr % PAGE_SIZE == 0
+                and r.addr // PAGE_SIZE in chain] == chain
         check_fs_invariants(fs)
 
     def test_crash_sweep_of_the_double_unlink(self):

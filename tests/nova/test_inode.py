@@ -14,6 +14,7 @@ last bit on a plain one.
 """
 
 import random
+import sys
 from itertools import repeat
 
 import pytest
@@ -24,11 +25,16 @@ from repro.nova.inode import (ITYPE_DIR, ITYPE_FILE, ITYPE_SYMLINK, Inode,
 from repro.nova.layout import INODE_SIZE, PAGE_SIZE, Geometry
 from repro.pm import PMDevice, SimClock
 from repro.pm.clock import fs_of
+from tests._ledger import Ledger
 
 _OFF_VALID = inode_module._OFF_VALID
+_READ = PMDevice.read.__code__
 
 
 class RecordingClock(SimClock):
+    """Keeps every charge but a device ``read``'s (``charge_fs`` hands it
+    here from ``read``): the ledger has those."""
+
     __slots__ = ("charges",)
 
     def __init__(self):
@@ -36,7 +42,8 @@ class RecordingClock(SimClock):
         self.charges = []
 
     def advance(self, ns):
-        self.charges.append(ns)
+        if sys._getframe(2).f_code is not _READ:
+            self.charges.append(ns)
         super().advance(ns)
 
 
@@ -84,29 +91,6 @@ def _tables(capacity, fill, clock=RecordingClock):
     return made
 
 
-def _log_reads(*tables):
-    """Log each charged ``read`` of each table's device as ``(addr, n,
-    fs)``, and keep its charge off a recording clock's list, so that
-    list holds every other charge.  Returns one log per table."""
-    logs = []
-    for table in tables:
-        dev, log = table.dev, []
-        real = dev.read
-
-        def read(addr, n, _dev=dev, _real=real, _log=log):
-            clock = _dev.clock
-            before, mark = clock.charged_fs, len(getattr(clock, "charges",
-                                                         ()))
-            out = _real(addr, n)
-            _log.append((addr, n, clock.charged_fs - before))
-            if isinstance(clock, RecordingClock):
-                del clock.charges[mark:]
-            return out
-        dev.read = read
-        logs.append(log)
-    return logs
-
-
 def _runs(table, scans=1):
     """The requests of ``scans`` whole-table scans: one per run of
     ``_SCAN_RUN`` records, ⌈capacity / _SCAN_RUN⌉ per scan."""
@@ -116,23 +100,23 @@ def _runs(table, scans=1):
             for first in range(1, table.capacity + 1, run)] * scans
 
 
-def _run_cost(new, old, logs, scans=1, where=""):
+def _run_cost(new, old, leds, scans=1, where=""):
     """``new`` made exactly the run reads of ``scans`` scans, each
     charged as one request of its size, and otherwise the same charges
     and counters as the per-slot ``old``."""
-    new_reads, old_reads = logs
-    assert [(a, n) for a, n, _fs in new_reads] == _runs(new, scans), where
+    new_reads, old_reads = (led.select("read") for led in leds)
+    assert [(r.addr, r.n) for r in new_reads] == _runs(new, scans), where
     cost = new.dev.model.read_cost
-    assert [fs for _a, _n, fs in new_reads] \
-        == [fs_of(cost(n)) for _a, n, _fs in new_reads], where
+    assert [r.charge for r in new_reads] \
+        == [fs_of(cost(r.n)) for r in new_reads], where
     stats = new.dev.stats.snapshot(), old.dev.stats.snapshot()
     assert stats[0]["reads"] == len(new_reads), where
-    assert stats[0]["bytes_read"] == sum(n for _a, n, _fs in new_reads)
+    assert stats[0]["bytes_read"] == sum(r.n for r in new_reads)
     for snap in stats:
         del snap["reads"], snap["bytes_read"]
     assert stats[0] == stats[1], where
-    rest = [table.dev.clock.charged_fs - sum(fs for _a, _n, fs in log)
-            for table, log in ((new, new_reads), (old, old_reads))]
+    rest = [table.dev.clock.charged_fs - sum(r.charge for r in reads)
+            for table, reads in ((new, new_reads), (old, old_reads))]
     assert rest[0] == rest[1], where
     assert new.dev.clock.now_fs - new.dev.clock.charged_fs \
         == old.dev.clock.now_fs - old.dev.clock.charged_fs, where
@@ -195,29 +179,29 @@ SHAPES = {
 @pytest.mark.parametrize("shape", SHAPES)
 def test_scans_match_the_per_slot_form(shape, capacity, clock):
     new, old = _tables(capacity, SHAPES[shape], clock)
-    logs = _log_reads(new, old)
-    released = [], []
-    assert list(new.iter_valid(released[0])) \
-        == list(old.iter_valid(released[1]))
-    assert released[0] == released[1]
-    _run_cost(new, old, logs, 1, "iter_valid")
-    assert new.dev.read_silent(0, new.dev.size) \
-        == old.dev.read_silent(0, old.dev.size)
-    again = [], []
-    assert [r.ino for r in new.iter_valid(again[0])] \
-        == [r.ino for r in old.iter_valid(again[1])]   # releases seen
-    assert again == ([], [])
-    new._scan_free()
-    old._scan_free()
-    assert new._free == old._free and 1 not in new._free
-    _run_cost(new, old, logs, 3, "_scan_free")
-    # The free cache serves alloc / claim / release as it did.
-    for table in (new, old):
-        if table._free:
-            ino = table.alloc()
-            assert ino == min([ino] + table._free)
-            table.release(ino)
-    assert new._free == old._free
+    with Ledger(new.dev) as a, Ledger(old.dev) as b:
+        released = [], []
+        assert list(new.iter_valid(released[0])) \
+            == list(old.iter_valid(released[1]))
+        assert released[0] == released[1]
+        _run_cost(new, old, (a, b), 1, "iter_valid")
+        assert new.dev.read_silent(0, new.dev.size) \
+            == old.dev.read_silent(0, old.dev.size)
+        again = [], []
+        assert [r.ino for r in new.iter_valid(again[0])] \
+            == [r.ino for r in old.iter_valid(again[1])]   # releases seen
+        assert again == ([], [])
+        new._scan_free()
+        old._scan_free()
+        assert new._free == old._free and 1 not in new._free
+        _run_cost(new, old, (a, b), 3, "_scan_free")
+        # The free cache serves alloc / claim / release as it did.
+        for table in (new, old):
+            if table._free:
+                ino = table.alloc()
+                assert ino == min([ino] + table._free)
+                table.release(ino)
+        assert new._free == old._free
 
 
 def test_a_table_longer_than_one_scan_run(monkeypatch):
@@ -227,16 +211,16 @@ def test_a_table_longer_than_one_scan_run(monkeypatch):
     for run in (1, 7, 64, 699, 700, 701):
         monkeypatch.setattr(inode_module, "_SCAN_RUN", run)
         new, old = _tables(capacity, _random_fill(run, 0.05))
-        logs = _log_reads(new, old)
-        released = [], []
-        assert [r.ino for r in new.iter_valid(released[0])] \
-            == [r.ino for r in old.iter_valid(released[1])]
-        assert released[0] == released[1]
-        _run_cost(new, old, logs, 1, run)
-        new._scan_free()
-        old._scan_free()
-        assert new._free == old._free
-        _run_cost(new, old, logs, 2, run)
+        with Ledger(new.dev) as a, Ledger(old.dev) as b:
+            released = [], []
+            assert [r.ino for r in new.iter_valid(released[0])] \
+                == [r.ino for r in old.iter_valid(released[1])]
+            assert released[0] == released[1]
+            _run_cost(new, old, (a, b), 1, run)
+            new._scan_free()
+            old._scan_free()
+            assert new._free == old._free
+            _run_cost(new, old, (a, b), 2, run)
 
 
 @pytest.mark.parametrize("clock", [RecordingClock, SimClock])
@@ -253,29 +237,29 @@ def test_a_consumer_that_releases_inodes_between_yields(clock, monkeypatch):
     capacity, run = 96, 8
     monkeypatch.setattr(inode_module, "_SCAN_RUN", run)
     new, old = _tables(capacity, _random_fill(11, 0.6), clock)
-    logs = _log_reads(new, old)
-    seen = []
-    for table in (new, old):
-        rng = random.Random(5)
-        inos = []
-        for rec in table.iter_valid([]):
-            inos.append(rec.ino)
-            ahead = (rec.ino - 1) // run * run + run + 1   # next run
-            roll = rng.random()
-            if roll < 0.3 and ahead <= capacity:           # next run
-                table.release(ahead)
-            elif roll < 0.5 and ahead <= capacity:         # far ahead
-                table.release(rng.randint(ahead, capacity))
-            elif roll < 0.6:                               # behind
-                table.release(rng.randint(1, rec.ino))
-            elif roll < 0.7 and ahead <= capacity:         # appears ahead
-                _put(table, ahead)
-        seen.append(inos)
-    assert seen[0] == seen[1] and len(seen[0]) > 10
-    _run_cost(new, old, logs)
-    survivors = [r.ino for r in old.iter_valid([])]
-    assert set(seen[0]) - set(survivors)    # something released was seen
-    assert [r.ino for r in new.iter_valid([])] == survivors
+    with Ledger(new.dev) as a, Ledger(old.dev) as b:
+        seen = []
+        for table in (new, old):
+            rng = random.Random(5)
+            inos = []
+            for rec in table.iter_valid([]):
+                inos.append(rec.ino)
+                ahead = (rec.ino - 1) // run * run + run + 1  # next run
+                roll = rng.random()
+                if roll < 0.3 and ahead <= capacity:        # next run
+                    table.release(ahead)
+                elif roll < 0.5 and ahead <= capacity:      # far ahead
+                    table.release(rng.randint(ahead, capacity))
+                elif roll < 0.6:                            # behind
+                    table.release(rng.randint(1, rec.ino))
+                elif roll < 0.7 and ahead <= capacity:      # appears ahead
+                    _put(table, ahead)
+            seen.append(inos)
+        assert seen[0] == seen[1] and len(seen[0]) > 10
+        _run_cost(new, old, (a, b))
+        survivors = [r.ino for r in old.iter_valid([])]
+        assert set(seen[0]) - set(survivors)  # something released was seen
+        assert [r.ino for r in new.iter_valid([])] == survivors
 
 
 def test_a_store_inside_the_walked_run_is_not_seen():
@@ -293,11 +277,11 @@ def test_a_store_inside_the_walked_run_is_not_seen():
 def test_an_abandoned_walk_reads_no_further(monkeypatch):
     monkeypatch.setattr(inode_module, "_SCAN_RUN", 2)
     new, old = _tables(64, SHAPES["every slot"])
-    logs = _log_reads(new, old)
-    for table in (new, old):
-        walk = table.iter_valid([])
-        assert [next(walk).ino for _ in range(3)] == [1, 2, 3]
-        walk.close()
-    assert [(a, n) for a, n, _fs in logs[0]] \
+    with Ledger(new.dev) as a, Ledger(old.dev) as b:
+        for table in (new, old):
+            walk = table.iter_valid([])
+            assert [next(walk).ino for _ in range(3)] == [1, 2, 3]
+            walk.close()
+    assert [(r.addr, r.n) for r in a.select("read")] \
         == _runs(new)[:2]                   # the runs of inos 1-2 and 3-4
-    assert len(logs[1]) == 6                # three flags, three records
+    assert len(b.select("read")) == 6       # three flags, three records
