@@ -27,8 +27,7 @@ def run_prefix(n_bits: int):
                    clock=SimClock())
     geo = Geometry.compute(total_pages, max_inodes=16, with_dedup=True,
                            fact_prefix_bits=n_bits)
-    Superblock(dev).format(geo)
-    fact = FACT(dev, geo)
+    fact = FACT(Superblock.format(dev, geo))
     fps = [hashlib.sha1(i.to_bytes(8, "little")).digest()
            for i in range(N_KEYS)]
     for i, fp in enumerate(fps):

@@ -25,8 +25,7 @@ def make_fact():
     dev = PMDevice(256 * PAGE_SIZE, model=OPTANE_DCPM, clock=SimClock())
     geo = Geometry.compute(256, max_inodes=16, with_dedup=True,
                            fact_prefix_bits=N_BITS)
-    Superblock(dev).format(geo)
-    return FACT(dev, geo)
+    return FACT(Superblock.format(dev, geo))
 
 
 def colliding_fp(salt: int) -> bytes:

@@ -41,7 +41,7 @@ from repro.dedup.hybrid import MODE_NAMES
 from repro.nova import NovaFS
 from repro.nova.fs import FSError, IsADirectory
 from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK
-from repro.nova.layout import Superblock
+from repro.nova.layout import PAGE_SIZE, Superblock
 from repro.obs import (diff_profiles, evaluate_snapshot, format_profile,
                        format_table, load_profile, load_rules, merge_profiles,
                        merge_snapshots, profile_from_events, spans_of,
@@ -161,9 +161,9 @@ def _refusing(*types, where: str = ""):
 
 
 def _image_fs_class(dev):
-    """Mount class for an existing image, from its superblock alone."""
-    sb = Superblock(dev)
-    if not sb.load_geometry().fact_page:
+    """Mount class for an existing image: a silent superblock probe."""
+    sb = Superblock.decode(dev, dev.read_silent(0, PAGE_SIZE))
+    if not sb.geo.fact_page:
         return NovaFS
     if sb.hybrid_conf & 1:
         return HybridDeNovaFS

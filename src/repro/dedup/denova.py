@@ -33,7 +33,7 @@ from repro.dedup.fact import FACT
 from repro.dedup.fingerprint import Fingerprinter
 from repro.nova.entries import DEDUPE_NEEDED, WriteEntry
 from repro.nova.fs import NovaFS
-from repro.nova.layout import PAGE_SIZE, Geometry
+from repro.nova.layout import PAGE_SIZE, Superblock
 from repro.nova.persist import SweepCursors
 from repro.nova.radix import page_refs
 from repro.pm.device import PMDevice
@@ -54,13 +54,13 @@ class DeNovaFS(NovaFS):
     #: ``repl.*``), appended at import and registered at construction.
     layer_counters: tuple = ()
 
-    def __init__(self, dev: PMDevice, geo: Geometry, cpus: int = 1):
-        super().__init__(dev, geo, cpus)
-        if not geo.fact_page:
+    def __init__(self, sb: Superblock, cpus: int = 1):
+        super().__init__(sb, cpus)
+        if not sb.geo.fact_page:
             raise ValueError(
                 "DeNovaFS needs a FACT region; format with "
                 "DeNovaFS.mkfs(...) or NovaFS.mkfs(..., with_dedup=True)")
-        self.fact = FACT(dev, geo, registry=self.obs.registry)
+        self.fact = FACT(sb, registry=self.obs.registry)
         self.fingerprinter = Fingerprinter(self.cpu_model, self.clock)
         self.dwq = DWQ(self.cpu_model, self.clock, obs=self.obs)
         # Nodes record their owning tenant at enqueue time, while the
@@ -108,7 +108,7 @@ class DeNovaFS(NovaFS):
 
     def _pre_unmount(self) -> None:
         """§IV-B1: on a normal shutdown the DWQ is saved to NVM."""
-        self.dwq.save(self.dev, self.geo)
+        self.dwq.save(self.sb)
 
     def _post_recover(self, report, clean: bool) -> None:
         if clean:
@@ -126,7 +126,7 @@ class DeNovaFS(NovaFS):
                     self.fact.restore_iaa_free(ck.iaa_occupied)
                 else:
                     self.fact.rebuild_iaa_free()
-            restored = self.dwq.restore(self.dev, self.geo)
+            restored = self.dwq.restore(self.sb)
             if restored >= 0:
                 for node in self.dwq.snapshot():
                     self._pending_pages[node.entry_addr // PAGE_SIZE] += 1

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.obs import MetricsRegistry, ObsHub
 from repro.pm.clock import SimClock
-from repro.pm.device import PMDevice
 from repro.pm.latency import CpuModel
 
 __all__ = ["DWQ", "DWQNode", "HINT_REGISTERED"]
@@ -301,7 +300,7 @@ class DWQ:
     #: mount must rebuild it from the dedupe-flag scan instead.
     OVERFLOWED = (1 << 64) - 1
 
-    def save(self, dev: PMDevice, geo: Geometry) -> int:
+    def save(self, sb: Superblock) -> int:
         """Clean-shutdown persistence: write nodes to the save area.
 
         Returns how many nodes were saved.  A backlog larger than the
@@ -310,40 +309,40 @@ class DWQ:
         so overflow stores the :attr:`OVERFLOWED` sentinel and the next
         mount falls back to the crash-style flag-scan rebuild.
         """
-        base = geo.dwq_save_page * PAGE_SIZE
-        cap = self.capacity_on(geo)
+        base = sb.geo.dwq_save_page * PAGE_SIZE
+        cap = self.capacity_on(sb.geo)
         if self._obs is not None:
             self._obs.flight.record("persist", what="dwq.save",
                                     nodes=len(self), cap=cap)
         if len(self) > cap:
-            Superblock(dev).set_dwq_saved_count(self.OVERFLOWED)
+            sb.set_dwq_saved_count(self.OVERFLOWED)
             return 0
         nodes = self.snapshot()
         if nodes:
             blob = b"".join(struct.pack(_NODE_FMT, n.ino, n.entry_addr)
                             for n in nodes)
-            dev.write(base, blob, nt=True)
-            dev.sfence()
-        Superblock(dev).set_dwq_saved_count(len(nodes))
+            sb.dev.write(base, blob, nt=True)
+            sb.dev.sfence()
+        sb.set_dwq_saved_count(len(nodes))
         return len(nodes)
 
-    def restore(self, dev: PMDevice, geo: Geometry) -> int:
+    def restore(self, sb: Superblock) -> int:
         """Clean-mount restore: reload saved nodes into DRAM.
 
         Returns the node count, or -1 when the shutdown overflowed the
         save area and the caller must rebuild by scanning dedupe-flags.
         """
-        count = Superblock(dev).dwq_saved_count
+        count = sb.dwq_saved_count
         if count == self.OVERFLOWED:
-            Superblock(dev).set_dwq_saved_count(0)
+            sb.set_dwq_saved_count(0)
             return -1
         if count == 0:
             return 0
-        base = geo.dwq_save_page * PAGE_SIZE
-        raw = dev.read(base, count * _NODE_BYTES)
+        raw = sb.dev.read(sb.geo.dwq_save_page * PAGE_SIZE,
+                          count * _NODE_BYTES)
         for i in range(count):
             ino, addr = struct.unpack_from(_NODE_FMT, raw, i * _NODE_BYTES)
             self.enqueue(DWQNode(ino=ino, entry_addr=addr))
-        Superblock(dev).set_dwq_saved_count(0)
+        sb.set_dwq_saved_count(0)
         return count
 

@@ -53,10 +53,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.dedup.fingerprint import FP_BYTES, fp_prefix
-from repro.nova.layout import (FACT_CHUNK_SLOTS, PAGE_SIZE, Geometry,
-                               Superblock)
+from repro.nova.layout import FACT_CHUNK_SLOTS, PAGE_SIZE, Superblock
 from repro.obs import MetricsRegistry
-from repro.pm.device import CrashRequested, PMDevice
+from repro.pm.device import CrashRequested
 from repro.pm.latency import LatencyModel
 
 __all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
@@ -163,20 +162,20 @@ def neighbourhoods(model: LatencyModel, spans: Sequence[tuple[int, int]]
 class FACT:
     """The persistent dedup metadata table."""
 
-    def __init__(self, dev: PMDevice, geo: Geometry,
+    def __init__(self, sb: Superblock,
                  registry: Optional[MetricsRegistry] = None):
+        geo = sb.geo
         if not geo.fact_page:
             raise ValueError("filesystem was formatted without a FACT region")
-        self.dev = dev
+        self.sb = sb
+        self.dev = sb.dev
         self.base = geo.fact_page * PAGE_SIZE
         self.prefix_bits = geo.fact_prefix_bits
         self.daa_size = 2 ** geo.fact_prefix_bits
         self.total = 2 * self.daa_size
-        self._sb = Superblock(dev)
         self.map_base = geo.fact_map_page * PAGE_SIZE  # 0: no chunk map
         self._map_bytes = geo.fact_map_bytes
         self._free: Optional[list[int]] = None  # see _iaa_free
-        self._mark: Optional[int] = None        # see iaa_mark
         self._map: Optional[list[int]] = None   # see chunk_map
         self._dram: Optional[bytearray] = None  # see in_dram
         self._plans: list[DeletePlan] = []      # see planned
@@ -206,27 +205,22 @@ class FACT:
         A fresh table's list (every IAA slot) is built on first use:
         every mount replaces it first (:meth:`restore_iaa_free`,
         :meth:`rebuild_iaa_free`), so only a freshly formatted table
-        ever builds it — and its mark is the 0 mkfs stored, unread.
+        ever builds it — and its mark is the 0 mkfs stored.
         """
         if self._free is None:
             self._free = list(range(self.total - 1, self.daa_size - 1, -1))
-            if self._mark is None:
-                self._mark = 0
         return self._free
 
     @property
     def iaa_mark(self) -> int:
         """IAA slots ``[0, mark)`` may hold entries, none past them.
 
-        The superblock word, read on first use (a mount reads it once,
-        the write path never); the whole IAA on an image formatted
-        before the mark.  Kept exact by :meth:`insert`.
+        The superblock record's word (``Superblock.iaa_mark``); the
+        whole IAA on an image formatted before the mark.  Kept exact by
+        :meth:`insert`.
         """
-        if self._mark is None:
-            mark = self._sb.iaa_mark()
-            self._mark = self.daa_size if mark is None \
-                else min(mark, self.daa_size)
-        return self._mark
+        mark = self.sb.iaa_mark()
+        return self.daa_size if mark is None else min(mark, self.daa_size)
 
     @_iaa_free.setter
     def _iaa_free(self, free: list[int]) -> None:
@@ -434,9 +428,8 @@ class FACT:
         if slot >= self.iaa_mark:
             # Durable before the first store past the old mark, so no
             # crash leaves an entry beyond it.
-            self._mark = min(slot - slot % _MARK_STEP + _MARK_STEP,
-                             self.daa_size)
-            self._sb.set_iaa_mark(self._mark)
+            self.sb.set_iaa_mark(min(slot - slot % _MARK_STEP + _MARK_STEP,
+                                     self.daa_size))
         self._write_fields(new_idx, _UC_UNIT, block, hint.tail_idx, -1, fp)
         self.set_delete(block, new_idx)
         self._write_u64(hint.tail_idx, _OFF_NEXT, new_idx + 1)  # publish

@@ -321,8 +321,8 @@ class HybridDeNovaFS(DeNovaFS):
 
     variant_name = "DeNova-Hybrid"
 
-    def __init__(self, dev, geo, cpus: int = 1):
-        super().__init__(dev, geo, cpus)
+    def __init__(self, sb, cpus: int = 1):
+        super().__init__(sb, cpus)
         self.daemon = HybridDedupDaemon(self)
         # weak value -> live blocks in registration order (first block
         # registered for a content wins canonical, matching the FIFO
@@ -330,18 +330,13 @@ class HybridDeNovaFS(DeNovaFS):
         self._weak_index: dict[int, list[int]] = {}
         self._weak_by_block: dict[int, int] = {}
         conf = self.sb.hybrid_conf
-        if conf & _CONF_MARKER:
-            nshards = (conf >> _CONF_SHARD_SHIFT) & 0xFF
-            modes_word = self.sb.hybrid_modes
-        else:
-            # Fresh mkfs (conf lands in _post_mkfs) or a plain DeNova
-            # image mounted with the hybrid class: default shards, and
-            # an all-zero modes word = all-delayed (stock behaviour).
-            nshards = min(cpus, MAX_POLICY_SHARDS)
-            modes_word = 0 if not conf else self.sb.hybrid_modes
+        # Fresh mkfs (conf lands in _post_mkfs) or a plain DeNova image:
+        # default shards; mkfs's zero modes word is all-delayed (stock).
+        nshards = ((conf >> _CONF_SHARD_SHIFT) & 0xFF if conf & _CONF_MARKER
+                   else min(cpus, MAX_POLICY_SHARDS))
         self.policy = HybridPolicy()
         self.controller = HybridController(
-            max(1, nshards), self.policy, modes_word=modes_word,
+            max(1, nshards), self.policy, modes_word=self.sb.hybrid_modes,
             on_transition=self._on_mode_transition)
         reg = self.obs.registry
         self._c_weak_hits = reg.counter("dedup.weak_hits_total")

@@ -128,8 +128,8 @@ class AdaptiveInlineFS(InlineDedupFS):
 
     META_RECORD_BYTES = 64
 
-    def __init__(self, dev, geo, cpus: int = 1):
-        super().__init__(dev, geo, cpus)
+    def __init__(self, sb, cpus: int = 1):
+        super().__init__(sb, cpus)
         self._weak_index: dict[int, list[_MetaRec]] = {}
         self._by_block: dict[int, _MetaRec] = {}
         reg = self.obs.registry

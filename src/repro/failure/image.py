@@ -31,14 +31,14 @@ def _view(read, size: int) -> SimpleNamespace:
 
 def iaa_mark(dev) -> int | None:
     """The superblock's IAA mark (:meth:`Superblock.iaa_mark`)."""
-    return Superblock(_view(dev.read_silent, dev.size)).iaa_mark()
+    return Superblock.decode(dev, dev.read_silent(0, PAGE_SIZE)).iaa_mark()
 
 
 def chunk_map(dev) -> np.ndarray | None:
     """The FACT's DAA chunk map (:meth:`FACT.chunk_map`), one bool per
     chunk (:func:`marked_chunks`), True when marked; None on an image
     formatted without one."""
-    geo = Superblock(_view(dev.read_silent, dev.size)).load_geometry()
+    geo = Superblock.decode(dev, dev.read_silent(0, PAGE_SIZE)).geo
     if not geo.fact_map_page:
         return None
     raw = dev.read_silent(geo.fact_map_page * PAGE_SIZE, geo.fact_map_bytes)
@@ -89,7 +89,7 @@ def decode(dev) -> Image:
     names += ["superblock"] + ["unowned"] * (-(-len(raw) // PAGE_SIZE) - 1)
     view = _view(lambda addr, n: raw[addr:addr + n], len(raw))
     try:
-        geo = Superblock(view).load_geometry()
+        geo = Superblock.decode(view, raw).geo
     except CorruptImage:
         return img
     for name, page, pages in geo.areas():   # "FACT": the DAA half

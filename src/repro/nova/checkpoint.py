@@ -62,7 +62,7 @@ class Checkpoint:
 
 def _pack_payload(fs) -> bytes:
     parts = [struct.pack(_FIXED_FMT, CKPT_VERSION, fs.cpus,
-                         int(fs.sb.dwq_saved_count))]
+                         fs.sb.dwq_saved_count)]
     items = sorted(fs.caches.raw_items())
     parts.append(struct.pack(_U32, len(items)))
     for ino, cache in items:
@@ -111,7 +111,7 @@ def write_checkpoint(fs) -> bool:
     if len(payload) > rec.capacity:
         rec.invalidate()
         return False
-    rec.store(int(fs.sb.epoch), payload)
+    rec.store(fs.sb.epoch, payload)
     return True
 
 
@@ -124,14 +124,14 @@ def load_checkpoint(fs):
     """
     rec = _record(fs)
     found = rec.load() if rec is not None else None
-    if found is None or found[0] != int(fs.sb.epoch):
+    if found is None or found[0] != fs.sb.epoch:
         return None
     gen, payload = found
     try:
         ck = _unpack_payload(payload, gen)
     except (struct.error, ValueError):
         return None
-    if ck is None or ck.dwq_count != int(fs.sb.dwq_saved_count):
+    if ck is None or ck.dwq_count != fs.sb.dwq_saved_count:
         return None
     return ck
 

@@ -102,11 +102,11 @@ class NovaFS:
 
     PAGE = PAGE_SIZE
 
-    def __init__(self, dev: PMDevice, geo: Geometry, cpus: int = 1):
-        self.dev = dev
-        self.geo = geo
+    def __init__(self, sb: Superblock, cpus: int = 1):
+        self.sb = sb
+        self.dev = dev = sb.dev
+        self.geo = geo = sb.geo
         self.cpus = cpus
-        self.sb = Superblock(dev)
         self.itable = InodeTable(dev, geo)
         self.journal = Journal(dev, geo)
         self.allocator = PageAllocator(geo.data_start_page, geo.total_pages,
@@ -168,8 +168,7 @@ class NovaFS:
                                fact_prefix_bits=fact_prefix_bits,
                                dwq_save_pages=dwq_save_pages,
                                staging_pages=staging_pages)
-        Superblock(dev).format(geo)
-        fs = cls(dev, geo, cpus)
+        fs = cls(Superblock.format(dev, geo), cpus)
         root = Inode(ino=ROOT_INO, valid=1, itype=ITYPE_DIR, links=2,
                      mtime=fs.stamp())
         fs.itable.write(ROOT_INO, root)
@@ -196,8 +195,7 @@ class NovaFS:
         recovery); ``use_checkpoint=False`` forces the full scan even
         when a valid clean-unmount checkpoint exists.
         """
-        geo = Superblock(dev).load_geometry()
-        fs = cls(dev, geo, cpus)
+        fs = cls(Superblock.load(dev), cpus)
         fs.recovery_workers = (cpus if recovery_workers is None
                                else max(1, int(recovery_workers)))
         fs.use_checkpoint = bool(use_checkpoint)

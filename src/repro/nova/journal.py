@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.nova.entries import MAX_NAME
 from repro.nova.errors import CorruptImage
@@ -74,9 +75,15 @@ class Journal:
         self.dev = dev
         self.base = geo.journal_page * PAGE_SIZE
 
+    @cached_property
+    def _header(self) -> tuple[int, int]:
+        """The state and count words: read in one request on first use
+        (a mount's), then kept by :meth:`stage` and :meth:`clear`."""
+        return struct.unpack("<QQ", self.dev.read(self.base, 16))
+
     @property
     def committed(self) -> bool:
-        return self.dev.read_u64(self.base + _OFF_STATE) == 1
+        return self._header[0] == 1
 
     def stage(self, records: list[JournalRecord]) -> None:
         """Steps 1-2: persist the records, then the commit flag."""
@@ -93,12 +100,13 @@ class Journal:
                          _HEADER - _OFF_COUNT + len(blob))
         self.dev.write_atomic64(self.base + _OFF_STATE, 1,
                                 persist=True)  # commit point
+        self._header = (1, len(records))
 
     def records(self) -> list[JournalRecord]:
         """The committed records (empty when the journal is clear)."""
-        if not self.committed:
+        state, count = self._header
+        if state != 1:
             return []
-        count = self.dev.read_u64(self.base + _OFF_COUNT)
         if count > MAX_RECORDS:
             # Torn commit-word cannot happen (atomic store); a bad count
             # means media corruption — fail loudly rather than misapply.
@@ -110,3 +118,4 @@ class Journal:
     def clear(self) -> None:
         """Step 4: retire the transaction."""
         self.dev.write_atomic64(self.base + _OFF_STATE, 0, persist=True)
+        self._header = (0, 0)

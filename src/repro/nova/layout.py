@@ -21,7 +21,7 @@ words are FACT's to store (``FACT._touch``), the superblock holds its page.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.nova.errors import CorruptImage
 from repro.pm.device import PMDevice
@@ -77,6 +77,16 @@ _OFF_IAA_MARK = 168
 # zero on images formatted before the map (read: the whole DAA).
 _OFF_FACT_MAP_PAGE = 176
 _SB_BYTES = 184
+#: The geometry's words, in :class:`Geometry`'s field order.
+_GEOMETRY = (_OFF_TOTAL_PAGES, _OFF_INODE_TABLE_PAGE, _OFF_INODE_CAPACITY,
+             _OFF_JOURNAL_PAGE, _OFF_DWQ_SAVE_PAGE, _OFF_DWQ_SAVE_PAGES,
+             _OFF_FACT_PAGE, _OFF_FACT_PREFIX_BITS, _OFF_DATA_START_PAGE,
+             _OFF_CKPT_PAGE, _OFF_CKPT_PAGES, _OFF_TENANT_PAGE,
+             _OFF_TENANT_PAGES, _OFF_STAGING_PAGE, _OFF_STAGING_PAGES,
+             _OFF_FACT_MAP_PAGE)
+#: The words a mounted filesystem updates (the clean flag is a u32).
+_RUNTIME = (_OFF_DWQ_SAVED_COUNT, _OFF_EPOCH, _OFF_HYBRID_CONF,
+            _OFF_HYBRID_MODES, _OFF_IAA_MARK)
 
 VERSION = 1
 
@@ -262,34 +272,24 @@ def _geometry_problem(geo: Geometry, device_pages: int) -> str | None:
 
 
 class Superblock:
-    """Typed accessor over the persisted superblock."""
+    """The superblock's DRAM record (linux-nova's ``nova_sb_info``), the
+    filesystem's ``fs.sb``: a getter returns the record's value, a setter
+    makes its word's one atomic persisted store and updates the record."""
 
-    def __init__(self, dev: PMDevice):
+    def __init__(self, dev: PMDevice, geo: Geometry, words: dict[int, int]):
         self.dev = dev
+        self.geo = geo
+        self._words = words     # offset -> value of each runtime word
 
     # -- mkfs / mount ------------------------------------------------------------
 
-    def format(self, geo: Geometry) -> None:
-        dev = self.dev
+    @classmethod
+    def format(cls, dev: PMDevice, geo: Geometry) -> "Superblock":
         dev.zero_range(0, PAGE_SIZE)
-        dev.write_atomic64(_OFF_TOTAL_PAGES, geo.total_pages)
-        dev.write_atomic64(_OFF_INODE_TABLE_PAGE, geo.inode_table_page)
-        dev.write_atomic64(_OFF_INODE_CAPACITY, geo.inode_capacity)
-        dev.write_atomic64(_OFF_JOURNAL_PAGE, geo.journal_page)
-        dev.write_atomic64(_OFF_DWQ_SAVE_PAGE, geo.dwq_save_page)
-        dev.write_atomic64(_OFF_DWQ_SAVE_PAGES, geo.dwq_save_pages)
-        dev.write_atomic64(_OFF_FACT_PAGE, geo.fact_page)
-        dev.write_atomic64(_OFF_FACT_PREFIX_BITS, geo.fact_prefix_bits)
-        dev.write_atomic64(_OFF_DATA_START_PAGE, geo.data_start_page)
-        dev.write_atomic64(_OFF_DWQ_SAVED_COUNT, 0)
-        dev.write_atomic64(_OFF_EPOCH, 0)
-        dev.write_atomic64(_OFF_CKPT_PAGE, geo.ckpt_page)
-        dev.write_atomic64(_OFF_CKPT_PAGES, geo.ckpt_pages)
-        dev.write_atomic64(_OFF_TENANT_PAGE, geo.tenant_page)
-        dev.write_atomic64(_OFF_TENANT_PAGES, geo.tenant_pages)
-        dev.write_atomic64(_OFF_STAGING_PAGE, geo.staging_page)
-        dev.write_atomic64(_OFF_STAGING_PAGES, geo.staging_pages)
-        dev.write_atomic64(_OFF_FACT_MAP_PAGE, geo.fact_map_page)
+        # The geometry, a saved-DWQ count and an epoch of 0, by address.
+        for off, value in sorted([*zip(_GEOMETRY, astuple(geo)),
+                                  (_OFF_DWQ_SAVED_COUNT, 0), (_OFF_EPOCH, 0)]):
+            dev.write_atomic64(off, value)
         if geo.fact_page:
             dev.write_atomic64(_OFF_IAA_MARK, 1)  # a mark of 0 slots
         dev.write_u32(_OFF_VERSION, VERSION)
@@ -311,88 +311,89 @@ class Superblock:
                            persist=True)
         # Magic last: a crash mid-mkfs leaves no valid filesystem.
         dev.write_atomic64(_OFF_MAGIC, MAGIC, persist=True)
+        return cls(dev, geo, dict.fromkeys(_RUNTIME, 0)
+                   | {_OFF_CLEAN: 1, _OFF_IAA_MARK: int(bool(geo.fact_page))})
 
-    def load_geometry(self) -> Geometry:
-        """The geometry mkfs recorded; :class:`~repro.nova.errors.CorruptImage`
-        when the device carries no filesystem (mkfs stores the magic
-        last) or one that cannot be its own."""
-        dev = self.dev
-        if dev.read_u64(_OFF_MAGIC) != MAGIC:
+    @classmethod
+    def load(cls, dev: PMDevice) -> "Superblock":
+        """The record mkfs stored, read with one device request."""
+        return cls.decode(dev, dev.read(0, _SB_BYTES))
+
+    @classmethod
+    def decode(cls, dev, raw) -> "Superblock":
+        """The record in ``raw`` (``dev``'s bytes from offset 0);
+        :class:`CorruptImage` for no filesystem (mkfs stores the magic
+        last), another layout version, or a geometry not ``dev``'s."""
+        def word(off: int, n: int = 8) -> int:
+            return int.from_bytes(raw[off:off + n], "little")
+
+        if word(_OFF_MAGIC) != MAGIC:
             raise CorruptImage("no filesystem on device (bad magic)")
-        geo = Geometry(
-            total_pages=dev.read_u64(_OFF_TOTAL_PAGES),
-            inode_table_page=dev.read_u64(_OFF_INODE_TABLE_PAGE),
-            inode_capacity=dev.read_u64(_OFF_INODE_CAPACITY),
-            journal_page=dev.read_u64(_OFF_JOURNAL_PAGE),
-            dwq_save_page=dev.read_u64(_OFF_DWQ_SAVE_PAGE),
-            dwq_save_pages=dev.read_u64(_OFF_DWQ_SAVE_PAGES),
-            fact_page=dev.read_u64(_OFF_FACT_PAGE),
-            fact_prefix_bits=dev.read_u64(_OFF_FACT_PREFIX_BITS),
-            data_start_page=dev.read_u64(_OFF_DATA_START_PAGE),
-            ckpt_page=dev.read_u64(_OFF_CKPT_PAGE),
-            ckpt_pages=dev.read_u64(_OFF_CKPT_PAGES),
-            tenant_page=dev.read_u64(_OFF_TENANT_PAGE),
-            tenant_pages=dev.read_u64(_OFF_TENANT_PAGES),
-            staging_page=dev.read_u64(_OFF_STAGING_PAGE),
-            staging_pages=dev.read_u64(_OFF_STAGING_PAGES),
-            fact_map_page=dev.read_u64(_OFF_FACT_MAP_PAGE),
-        )
+        if word(_OFF_VERSION, 4) != VERSION:
+            raise CorruptImage(f"superblock version {word(_OFF_VERSION, 4)}"
+                               f", not {VERSION}")
+        geo = Geometry(*map(word, _GEOMETRY))
         problem = _geometry_problem(geo, dev.size // PAGE_SIZE)
         if problem:
             raise CorruptImage(f"superblock geometry is not this "
                                f"device's: {problem}")
-        return geo
+        return cls(dev, geo, {off: word(off) for off in _RUNTIME}
+                   | {_OFF_CLEAN: word(_OFF_CLEAN, 4)})
+
+    def _store(self, off: int, value: int) -> None:
+        self.dev.write_atomic64(off, value, persist=True)
+        self._words[off] = value
 
     # -- runtime flags --------------------------------------------------------------
 
     @property
     def clean(self) -> bool:
-        return self.dev.read_u32(_OFF_CLEAN) == 1
+        return self._words[_OFF_CLEAN] == 1
 
     def set_clean(self, clean: bool) -> None:
         self.dev.write_u32(_OFF_CLEAN, 1 if clean else 0, persist=True)
+        self._words[_OFF_CLEAN] = 1 if clean else 0
 
     @property
     def epoch(self) -> int:
-        return self.dev.read_u64(_OFF_EPOCH)
+        return self._words[_OFF_EPOCH]
 
     def bump_epoch(self) -> int:
-        epoch = self.epoch + 1
-        self.dev.write_atomic64(_OFF_EPOCH, epoch, persist=True)
-        return epoch
+        self._store(_OFF_EPOCH, self.epoch + 1)
+        return self.epoch
 
     @property
     def dwq_saved_count(self) -> int:
-        return self.dev.read_u64(_OFF_DWQ_SAVED_COUNT)
+        return self._words[_OFF_DWQ_SAVED_COUNT]
 
     def set_dwq_saved_count(self, count: int) -> None:
-        self.dev.write_atomic64(_OFF_DWQ_SAVED_COUNT, count, persist=True)
+        self._store(_OFF_DWQ_SAVED_COUNT, count)
 
     # -- hybrid-dedup policy words ------------------------------------------------
 
     @property
     def hybrid_conf(self) -> int:
         """0 = not a hybrid image (also the value on pre-hybrid images)."""
-        return self.dev.read_u64(_OFF_HYBRID_CONF)
+        return self._words[_OFF_HYBRID_CONF]
 
     def set_hybrid_conf(self, conf: int) -> None:
-        self.dev.write_atomic64(_OFF_HYBRID_CONF, conf, persist=True)
+        self._store(_OFF_HYBRID_CONF, conf)
 
     @property
     def hybrid_modes(self) -> int:
         """Packed 4-bit per-shard policy modes (up to 16 shards)."""
-        return self.dev.read_u64(_OFF_HYBRID_MODES)
+        return self._words[_OFF_HYBRID_MODES]
 
     def set_hybrid_modes(self, modes: int) -> None:
-        self.dev.write_atomic64(_OFF_HYBRID_MODES, modes, persist=True)
+        self._store(_OFF_HYBRID_MODES, modes)
 
     # -- FACT IAA mark ---------------------------------------------------------
 
     def iaa_mark(self) -> int | None:
         """IAA slots that may hold an entry; None on an image formatted
         before the mark (every slot may)."""
-        word = self.dev.read_u64(_OFF_IAA_MARK)
+        word = self._words[_OFF_IAA_MARK]
         return word - 1 if word else None
 
     def set_iaa_mark(self, slots: int) -> None:
-        self.dev.write_atomic64(_OFF_IAA_MARK, slots + 1, persist=True)
+        self._store(_OFF_IAA_MARK, slots + 1)

@@ -522,7 +522,8 @@ class StagingLog:
     def _replay_slab(self, slab: _Slab, stats: dict) -> None:
         dev = self.dev
         fs = self.fs
-        if dev.read_u64(slab.base) != _SLAB_MAGIC:
+        magic, persisted = struct.unpack("<QQ", dev.read(slab.base, 16))
+        if magic != _SLAB_MAGIC:
             # Fresh (zeroed) region — or garbage, which must not replay.
             dev.write_atomic64(slab.base, _SLAB_MAGIC)
             dev.write_atomic64(slab.base + 8, 0)
@@ -531,7 +532,7 @@ class StagingLog:
             slab.next_seq = 1
             slab.write_off = slab.data_base
             return
-        slab.completed_seq = dev.read_u64(slab.base + 8)
+        slab.completed_seq = persisted
         pos = slab.data_base
         prev_seq = 0
         max_seq = slab.completed_seq
@@ -586,7 +587,7 @@ class StagingLog:
         slab.completed_seq = max_seq
         slab.next_seq = max_seq + 1
         slab.write_off = slab.data_base
-        if candidates or dev.read_u64(slab.base + 8) != slab.completed_seq:
+        if candidates or persisted != slab.completed_seq:
             dev.write_atomic64(slab.base + 8, slab.completed_seq,
                                persist=True)
         # Terminate the (now logically empty) slab so the next scan never

@@ -168,7 +168,7 @@ class TestControllerPurity:
 
     def test_transitions_persisted_to_superblock(self):
         fs, _ = self._drive_transitions()
-        assert Superblock(fs.dev).hybrid_modes == fs.controller.modes_word()
+        assert Superblock.load(fs.dev).hybrid_modes == fs.controller.modes_word()
 
     def test_concurrent_run_log_replays_identically(self):
         fs = _run(2, jitter=11)

@@ -28,11 +28,10 @@ def delayed_fs(cpus=4):
     return fs
 
 
-def make_dev_geo():
+def make_sb():
     dev = PMDevice(256 * PAGE_SIZE, model=DRAM, clock=SimClock())
-    geo = Geometry.compute(256, max_inodes=32, dwq_save_pages=2)
-    Superblock(dev).format(geo)
-    return dev, geo
+    return Superblock.format(
+        dev, Geometry.compute(256, max_inodes=32, dwq_save_pages=2))
 
 
 class TestSharding:
@@ -122,15 +121,15 @@ class TestAdoptAndPersistence:
     def test_save_restore_via_base_format(self):
         """The sharded queue saves/restores through the same on-PM format
         as the unsharded one — clean-shutdown images stay compatible."""
-        dev, geo = make_dev_geo()
+        sb = make_sb()
         q, _ = make_sdwq(nshards=3)
         inos = [7, 2, 9, 4]
         for ino in inos:
             q.enqueue(DWQNode(ino=ino, entry_addr=ino * 64))
-        q.save(dev, geo)
+        q.save(sb)
 
         fresh, _ = make_sdwq(nshards=3)
-        assert fresh.restore(dev, geo) == 4
+        assert fresh.restore(Superblock.load(sb.dev)) == 4
         assert [fresh.dequeue().ino for _ in inos] == inos
 
 

@@ -339,7 +339,7 @@ class TestErrorContract:
 
         assert main(["crash", image]) == 0   # next mount runs the redo pass
         dev = PMDevice.load_image(image, clock=SimClock())
-        journal = Superblock(dev).load_geometry().journal_page * PAGE_SIZE
+        journal = Superblock.load(dev).geo.journal_page * PAGE_SIZE
         raw = bytearray(open(image, "rb").read())
         media = len(raw) - dev.size          # image-file header length
         raw[media + journal:media + journal + 16] = (

@@ -32,9 +32,8 @@ class TestWritePathIntegration:
 
         dev = PMDevice(512 * PAGE_SIZE, model=DRAM, clock=SimClock())
         geo = Geometry.compute(512, max_inodes=64, with_dedup=False)
-        Superblock(dev).format(geo)
         with pytest.raises(ValueError, match="FACT"):
-            DeNovaFS(dev, geo)
+            DeNovaFS(Superblock.format(dev, geo))
 
     def test_foreground_write_does_no_fingerprinting(self):
         """The offline property: the write path never hashes."""

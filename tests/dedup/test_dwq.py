@@ -19,11 +19,10 @@ def make_dwq():
     return DWQ(CpuModel(), clock), clock
 
 
-def make_dev_geo():
+def make_sb():
     dev = PMDevice(256 * PAGE_SIZE, model=DRAM, clock=SimClock())
-    geo = Geometry.compute(256, max_inodes=32, dwq_save_pages=2)
-    Superblock(dev).format(geo)
-    return dev, geo
+    return Superblock.format(
+        dev, Geometry.compute(256, max_inodes=32, dwq_save_pages=2))
 
 
 class TestQueueBasics:
@@ -96,46 +95,47 @@ class TestLingering:
 
 class TestPersistence:
     def test_save_restore_roundtrip(self):
-        dev, geo = make_dev_geo()
-        q = DWQ(CpuModel(), dev.clock)
+        sb = make_sb()
+        q = DWQ(CpuModel(), sb.dev.clock)
         for i in range(7):
             q.enqueue(DWQNode(ino=10 + i, entry_addr=4096 + 64 * i))
-        assert q.save(dev, geo) == 7
-        q2 = DWQ(CpuModel(), dev.clock)
-        assert q2.restore(dev, geo) == 7
+        assert q.save(sb) == 7
+        q2 = DWQ(CpuModel(), sb.dev.clock)
+        assert q2.restore(Superblock.load(sb.dev)) == 7
         nodes = [q2.dequeue() for _ in range(7)]
         assert [n.ino for n in nodes] == list(range(10, 17))
         assert [n.entry_addr for n in nodes] == [4096 + 64 * i
                                                  for i in range(7)]
 
     def test_restore_clears_saved_count(self):
-        dev, geo = make_dev_geo()
-        q = DWQ(CpuModel(), dev.clock)
+        sb = make_sb()
+        q = DWQ(CpuModel(), sb.dev.clock)
         q.enqueue(DWQNode(ino=1, entry_addr=64))
-        q.save(dev, geo)
-        q2 = DWQ(CpuModel(), dev.clock)
-        q2.restore(dev, geo)
-        q3 = DWQ(CpuModel(), dev.clock)
-        assert q3.restore(dev, geo) == 0
+        q.save(sb)
+        q2 = DWQ(CpuModel(), sb.dev.clock)
+        q2.restore(Superblock.load(sb.dev))
+        q3 = DWQ(CpuModel(), sb.dev.clock)
+        assert q3.restore(Superblock.load(sb.dev)) == 0
 
     def test_save_empty_queue(self):
-        dev, geo = make_dev_geo()
-        q = DWQ(CpuModel(), dev.clock)
-        assert q.save(dev, geo) == 0
-        assert Superblock(dev).dwq_saved_count == 0
+        sb = make_sb()
+        q = DWQ(CpuModel(), sb.dev.clock)
+        assert q.save(sb) == 0
+        assert Superblock.load(sb.dev).dwq_saved_count == 0
 
     def test_save_overflow_uses_sentinel(self):
-        dev, geo = make_dev_geo()
-        q = DWQ(CpuModel(), dev.clock)
-        cap = q.capacity_on(geo)
+        sb = make_sb()
+        q = DWQ(CpuModel(), sb.dev.clock)
+        cap = q.capacity_on(sb.geo)
         for i in range(cap + 10):
             q.enqueue(DWQNode(ino=1, entry_addr=i * 64))
-        assert q.save(dev, geo) == 0  # nothing truncated silently
-        q2 = DWQ(CpuModel(), dev.clock)
-        assert q2.restore(dev, geo) == -1  # caller must flag-scan
+        assert q.save(sb) == 0  # nothing truncated silently
+        q2 = DWQ(CpuModel(), sb.dev.clock)
+        # The caller must flag-scan.
+        assert q2.restore(Superblock.load(sb.dev)) == -1
         # The sentinel is one-shot.
-        q3 = DWQ(CpuModel(), dev.clock)
-        assert q3.restore(dev, geo) == 0
+        q3 = DWQ(CpuModel(), sb.dev.clock)
+        assert q3.restore(Superblock.load(sb.dev)) == 0
 
     def test_overflowed_clean_unmount_loses_no_dedup_work(self):
         """End-to-end: backlog > save area at clean unmount, then mount:
@@ -158,12 +158,12 @@ class TestPersistence:
         assert fs2.space_stats()["physical_pages"] == 1
 
     def test_saved_queue_survives_crash(self):
-        dev, geo = make_dev_geo()
-        q = DWQ(CpuModel(), dev.clock)
+        sb = make_sb()
+        q = DWQ(CpuModel(), sb.dev.clock)
         q.enqueue(DWQNode(ino=5, entry_addr=8192))
-        q.save(dev, geo)
-        dev.crash()
-        dev.recover_view()
-        q2 = DWQ(CpuModel(), dev.clock)
-        assert q2.restore(dev, geo) == 1
+        q.save(sb)
+        sb.dev.crash()
+        sb.dev.recover_view()
+        q2 = DWQ(CpuModel(), sb.dev.clock)
+        assert q2.restore(Superblock.load(sb.dev)) == 1
         assert q2.dequeue().ino == 5

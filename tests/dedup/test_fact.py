@@ -17,8 +17,7 @@ def build_fact(registry=None):
     dev = PMDevice(128 * PAGE_SIZE, model=DRAM, clock=SimClock())
     geo = Geometry.compute(128, max_inodes=16, with_dedup=True,
                            fact_prefix_bits=N_BITS)
-    Superblock(dev).format(geo)
-    return FACT(dev, geo, registry=registry)
+    return FACT(Superblock.format(dev, geo), registry=registry)
 
 
 @pytest.fixture

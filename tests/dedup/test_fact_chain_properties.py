@@ -33,8 +33,7 @@ def make_fact():
     dev = PMDevice(256 * PAGE_SIZE, model=DRAM, clock=SimClock())
     geo = Geometry.compute(256, max_inodes=16, with_dedup=True,
                            fact_prefix_bits=N_BITS)
-    Superblock(dev).format(geo)
-    return FACT(dev, geo)
+    return FACT(Superblock.format(dev, geo))
 
 
 def mkfp(prefix: int, salt: int) -> bytes:

@@ -92,7 +92,7 @@ class TestLayout:
         dev = fs.dev
         dev.write(fs.fact.map_base, b"\xff" * 8, persist=True)  # stale
         fs = DeNovaFS.mkfs(dev, max_inodes=64)
-        assert Superblock(dev).load_geometry().fact_map_page \
+        assert Superblock.load(dev).geo.fact_map_page \
             == fs.geo.fact_map_page
         assert not image.chunk_map(dev).any()
         assert len(image.chunk_map(dev)) == fs.fact.daa_size \

@@ -88,8 +88,7 @@ class TestMark:
         dev = PMDevice(32 * PAGE_SIZE, model=DRAM, clock=SimClock())
         geo = Geometry.compute(32, max_inodes=16, with_dedup=True,
                                fact_prefix_bits=5)
-        Superblock(dev).format(geo)
-        fact = FACT(dev, geo)               # a 32-slot IAA
+        fact = FACT(Superblock.format(dev, geo))    # a 32-slot IAA
         head = fact.head_of(hashlib.sha1(b"x").digest())
         fps = [f for f in (hashlib.sha1(i.to_bytes(4, "little")).digest()
                            for i in range(2000))

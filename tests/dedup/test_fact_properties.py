@@ -38,8 +38,7 @@ class FactMachine(RuleBasedStateMachine):
                        clock=SimClock())
         geo = Geometry.compute(TOTAL_PAGES, max_inodes=4, with_dedup=True,
                                fact_prefix_bits=N_BITS)
-        Superblock(dev).format(geo)
-        self.fact = FACT(dev, geo)
+        self.fact = FACT(Superblock.format(dev, geo))
         self.dev = dev
         # Oracle: key -> [idx, rfc, uc, block]; blocks are unique per key.
         self.model: dict[int, list] = {}

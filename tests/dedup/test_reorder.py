@@ -18,8 +18,7 @@ def make_fact():
     dev = PMDevice(128 * PAGE_SIZE, model=DRAM, clock=SimClock())
     geo = Geometry.compute(128, max_inodes=16, with_dedup=True,
                            fact_prefix_bits=N_BITS)
-    Superblock(dev).format(geo)
-    return FACT(dev, geo)
+    return FACT(Superblock.format(dev, geo))
 
 
 def mkfp(salt: int) -> bytes:

@@ -272,7 +272,7 @@ def test_a_log_page_is_zeroed_before_it_is_linked():
         return dev, lambda: fs.rename("/a/f", "/b/f")
 
     def check(dev, _point, _phase):
-        geo = Superblock(dev).load_geometry()
+        geo = Superblock.load(dev).geo
         for _ino, rec in image.inode_records(dev, geo):
             for page in image.log(dev, geo).iter_pages(rec.log_head):
                 assert geo.data_start_page <= page < geo.total_pages

@@ -146,7 +146,7 @@ class TestCheckpointFallback:
         fs.unmount()
         # A later mount bumped the epoch; the old checkpoint must not
         # be replayed against newer on-device state.
-        Superblock(fs.dev).bump_epoch()
+        Superblock.load(fs.dev).bump_epoch()
         fs2 = remount(fs, tmp_path, "stale")
         assert "checkpoint" not in fs2.last_recovery.extra
         assert fs_state_digest(fs2) == digest0
@@ -183,6 +183,5 @@ class TestCheckpointFallback:
         path = tmp_path / "magic.img"
         fs.dev.save_image(path)
         dev = PMDevice.load_image(path, clock=SimClock())
-        geo = Superblock(dev).load_geometry()
-        probe = NovaFS(dev, geo, 1)
+        probe = NovaFS(Superblock.load(dev), 1)
         assert load_checkpoint(probe) is None

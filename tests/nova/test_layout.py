@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.nova.fs import CorruptImage
+from repro.dedup import DeNovaFS, HybridDeNovaFS
+from repro.nova.fs import CorruptImage, NovaFS
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.pm import DRAM, PMDevice, SimClock
+from tests._ledger import READS, Ledger
 
 
 def make_dev(pages=256):
@@ -58,31 +60,27 @@ class TestSuperblock:
     def test_format_then_load_roundtrip(self):
         dev = make_dev()
         geo = Geometry.compute(256, max_inodes=64, with_dedup=True)
-        sb = Superblock(dev)
-        sb.format(geo)
-        assert Superblock(dev).load_geometry() == geo
+        assert Superblock.format(dev, geo).geo == geo
+        assert Superblock.load(dev).geo == geo
 
     def test_load_without_format_rejected(self):
         dev = make_dev()
         with pytest.raises(CorruptImage, match="magic"):
-            Superblock(dev).load_geometry()
+            Superblock.load(dev)
 
     def test_format_is_crash_atomic_via_magic(self):
         """Crash before the final magic write leaves 'no filesystem'."""
         dev = make_dev()
         geo = Geometry.compute(256, max_inodes=64)
-        sb = Superblock(dev)
-        sb.format(geo)
+        Superblock.format(dev, geo)
         # A fresh device that crashed mid-format: emulate by zeroing magic.
-        dev2 = make_dev()
-        sb2 = Superblock(dev2)
-        sb2.format(geo)
-        dev2.write(0, bytes(8))
-        dev2.persist(0, 8)
+        dev.write(0, bytes(8))
+        dev.persist(0, 8)
         with pytest.raises(CorruptImage, match="magic"):
-            sb2.load_geometry()
+            Superblock.load(dev)
 
     @pytest.mark.parametrize("offset,value,why", [
+        (8, 2, "version"),
         (16, 255, "total_pages 255 on a device of 256"),    # total_pages
         (16, 10 ** 12, "total_pages 1000000000000"),
         (32, 1, "inode capacity 1"),
@@ -98,37 +96,56 @@ class TestSuperblock:
         media corruption, not a mount that trips somewhere later (or,
         for an inflated total_pages, nowhere at all)."""
         dev = make_dev()
-        sb = Superblock(dev)
-        sb.format(Geometry.compute(256, max_inodes=64, with_dedup=True))
+        Superblock.format(dev, Geometry.compute(256, max_inodes=64,
+                                                with_dedup=True))
         dev.write_atomic64(offset, value, persist=True)
         with pytest.raises(CorruptImage, match=why):
-            sb.load_geometry()
+            Superblock.load(dev)
 
     def test_clean_flag_roundtrip(self):
         dev = make_dev()
-        sb = Superblock(dev)
-        sb.format(Geometry.compute(256, max_inodes=64))
+        sb = Superblock.format(dev, Geometry.compute(256, max_inodes=64))
         assert sb.clean
         sb.set_clean(False)
-        assert not sb.clean
+        assert not sb.clean and not Superblock.load(dev).clean
         sb.set_clean(True)
-        assert sb.clean
+        assert sb.clean and Superblock.load(dev).clean
 
     def test_clean_flag_survives_crash_once_persisted(self):
         dev = make_dev()
-        sb = Superblock(dev)
-        sb.format(Geometry.compute(256, max_inodes=64))
+        sb = Superblock.format(dev, Geometry.compute(256, max_inodes=64))
         sb.set_clean(False)
         dev.crash()
         dev.recover_view()
-        assert not Superblock(dev).clean
+        assert not Superblock.load(dev).clean
 
     def test_epoch_and_dwq_count(self):
         dev = make_dev()
-        sb = Superblock(dev)
-        sb.format(Geometry.compute(256, max_inodes=64))
+        sb = Superblock.format(dev, Geometry.compute(256, max_inodes=64))
         assert sb.epoch == 0
         assert sb.bump_epoch() == 1
         assert sb.epoch == 1
         sb.set_dwq_saved_count(17)
         assert sb.dwq_saved_count == 17
+        loaded = Superblock.load(dev)
+        assert (loaded.epoch, loaded.dwq_saved_count) == (1, 17)
+
+    @pytest.mark.parametrize("clean", [False, True],
+                             ids=["unclean", "clean"])
+    @pytest.mark.parametrize("cls", [NovaFS, DeNovaFS, HybridDeNovaFS],
+                             ids=lambda cls: cls.__name__)
+    def test_a_mount_reads_the_superblock_with_one_request(self, cls, clean):
+        """The mount decodes every word from one request; each later
+        reader takes the filesystem's record (``fs.sb``)."""
+        dev = make_dev(1024)
+        fs = cls.mkfs(dev, max_inodes=64)
+        fs.write(fs.create("/f"), 0, bytes(range(256)) * 16)
+        if clean:
+            fs.unmount()
+        else:
+            dev.crash()
+            dev.recover_view()
+        with Ledger(dev) as led:
+            cls.mount(dev)
+        reads = led.select(*READS, within=(0, PAGE_SIZE))
+        assert [(r.addr, r.charge > 0) for r in reads] == [(0, True)]

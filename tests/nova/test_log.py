@@ -13,7 +13,7 @@ from repro.pm import DRAM, PageAllocator, PMDevice, SimClock
 def env():
     dev = PMDevice(512 * PAGE_SIZE, model=DRAM, clock=SimClock())
     geo = Geometry.compute(512, max_inodes=64)
-    Superblock(dev).format(geo)
+    Superblock.format(dev, geo)
     itable = InodeTable(dev, geo)
     alloc = PageAllocator(geo.data_start_page, geo.total_pages)
     log = LogManager(dev, alloc, itable)

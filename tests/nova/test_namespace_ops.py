@@ -261,7 +261,7 @@ class TestJournalUnit:
 
         dev = PMDevice(256 * PAGE_SIZE, model=DRAM, clock=SimClock())
         geo = Geometry.compute(256, max_inodes=32)
-        Superblock(dev).format(geo)
+        Superblock.format(dev, geo)
         return Journal(dev, geo), dev
 
     def test_stage_records_roundtrip(self):
@@ -286,7 +286,7 @@ class TestJournalUnit:
         j.stage([JournalRecord(op=J_ADD, parent_ino=1, name="f", ino=3)])
         dev.crash()
         dev.recover_view()
-        j2 = Journal(dev, Superblock(dev).load_geometry())
+        j2 = Journal(dev, Superblock.load(dev).geo)
         assert j2.committed
         assert j2.records()[0].name == "f"
 

@@ -3,7 +3,8 @@
 *Header last*, *torn state file ⇒ absent*, *one store + one fence per
 staged record* and *cursor/budget/resume* each live in one function
 (``repro.nova.persist``; the frame codec beside its only user in
-``repro.nova.staging``).  These checks fail when a deleted copy is
+``repro.nova.staging``), and the superblock's words have one owner
+(``repro.nova.layout``).  These checks fail when a deleted copy is
 pasted back into a client module.
 """
 
@@ -158,3 +159,51 @@ def test_cursors_are_held_by_the_holder_only():
                             and tgt.attr.startswith("_")), \
                     f"cli.py:{node.lineno} assigns fs.{tgt.attr}"
 
+
+
+#: ``(module, function)`` that build or load a ``Superblock`` record:
+#: mkfs and mount, the CLI's class probe and the image decoder.
+_RECORD_MAKERS = {("nova/fs.py", "mkfs"), ("nova/fs.py", "mount"),
+                  ("cli.py", "_image_fs_class"),
+                  *(("failure/image.py", fn)
+                    for fn in ("iaa_mark", "chunk_map", "decode"))}
+
+
+def _record_makers(tree):
+    """Functions (``<module>`` outside any) of ``tree`` that call
+    ``Superblock(...)`` or ``Superblock.<method>(...)``."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func.value if isinstance(node.func, ast.Attribute) \
+                else node.func
+            if isinstance(func, ast.Name) and func.id == "Superblock":
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_the_superblock_words_have_one_owner():
+    """Only ``nova/layout.py`` names a superblock offset, and a record is
+    made only where :data:`_RECORD_MAKERS` says: every other reader takes
+    the filesystem's record (``fs.sb``)."""
+    offsets = {t.id for n in src_tree("nova/layout.py").body
+               if isinstance(n, ast.Assign) for t in n.targets
+               if isinstance(t, ast.Name) and t.id.startswith("_OFF_")}
+    assert {"_OFF_MAGIC", "_OFF_EPOCH", "_OFF_IAA_MARK"} <= offsets
+    makers = set()
+    for rel, tree in _modules():
+        if rel == "nova/layout.py":
+            continue
+        imported = {a.name for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom) for a in n.names}
+        named = offsets & (_names(tree) | imported)
+        assert not named, f"{rel} names superblock offsets {named}"
+        makers |= {(rel, fn) for fn in _record_makers(tree)}
+    assert makers == _RECORD_MAKERS, makers
