@@ -23,7 +23,6 @@ runner): ``fs.daemon.drain()`` for DeNova-Immediate semantics,
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from repro.dedup import recovery, reflink
@@ -268,16 +267,6 @@ class DeNovaFS(NovaFS):
             out = recovery.deep_verify(self, budget)
         self._c_verified.inc(out["checked"])
         return out
-
-    def _runs_repeat(self, runs: list[list[int]]) -> bool:
-        """Dedup maps several pages of a file onto one block: whether two
-        of a read's ``[pgoff, block, count]`` runs overlap on the device."""
-        reach = 0
-        for _pgoff, block, count in sorted(runs, key=itemgetter(1)):
-            if block < reach:
-                return True
-            reach = block + count
-        return False
 
     # ------------------------------------------------------------ reflink/snapshots
 

@@ -56,10 +56,10 @@ from repro.dedup.fingerprint import FP_BYTES, fp_prefix
 from repro.nova.layout import FACT_CHUNK_SLOTS, PAGE_SIZE, Superblock
 from repro.obs import MetricsRegistry
 from repro.pm.device import CrashRequested
-from repro.pm.latency import LatencyModel
+from repro.pm.plan import neighbourhoods
 
 __all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
-           "LookupResult", "DeletePlan", "marked_chunks", "neighbourhoods"]
+           "LookupResult", "DeletePlan", "marked_chunks"]
 
 #: Per-lookup chain-walk length buckets (NVM entry reads, not time).
 LOOKUP_STEP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
@@ -143,20 +143,6 @@ def marked_chunks(words: Sequence[int], daa_size: int) -> np.ndarray:
     bits = np.unpackbits(np.array(words, "<u8").view(np.uint8),
                          bitorder="little")
     return bits[:-(-daa_size // FACT_CHUNK_SLOTS)] != 0
-
-
-def neighbourhoods(model: LatencyModel, spans: Sequence[tuple[int, int]]
-                   ) -> Iterator[tuple[int, int]]:
-    """Index ranges ``[first, last)`` of ``spans`` (sorted, disjoint byte
-    ranges ``[lo, hi)``) that one device request reads together: a gap
-    is read through when ``gap / read_bw <= read_latency`` on ``model``,
-    i.e. when streaming it costs no more than a second request would."""
-    reach = model.read_latency_ns * model.read_bw_bytes_per_ns
-    first = 0
-    for i in range(1, len(spans) + 1):
-        if i == len(spans) or spans[i][0] - spans[i - 1][1] > reach:
-            yield first, i
-            first = i
 
 
 class FACT:
@@ -680,8 +666,7 @@ class FACT:
         if stop > daa and self.iaa_mark:
             spans.append((daa * ENTRY, (daa + self.iaa_mark) * ENTRY))
         copy = bytearray(stop * ENTRY)
-        for first, last in neighbourhoods(self.dev.model, spans):
-            lo, hi = spans[first][0], spans[last - 1][1]
+        for _first, _last, lo, hi in neighbourhoods(self.dev.model, spans):
             copy[lo:hi] = self.dev.read_view(self.base + lo, hi - lo)
         return copy
 
@@ -962,7 +947,7 @@ class DeletePlan:
         todo = sorted(self.pointers)
         spans = [(at, at + 8) for at in
                  (block * ENTRY + _OFF_DELETE for block in todo)]
-        for first, last in neighbourhoods(fact.dev.model, spans):
+        for first, last, _lo, _hi in neighbourhoods(fact.dev.model, spans):
             lo = todo[first]
             run = fact.delete_run(lo, todo[last - 1] - lo + 1)
             self.pointers.update((b, run[b - lo]) for b in todo[first:last])

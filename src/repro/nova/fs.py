@@ -71,7 +71,7 @@ from repro.nova.staging import StagingLog
 from repro.obs import ObsHub
 from repro.pm.allocator import AllocError, PageAllocator
 from repro.pm.device import PMDevice
-from repro.pm.latency import DRAM
+from repro.pm.plan import read_scattered
 from repro.tenant.manager import TenantManager
 
 __all__ = ["NovaFS", "FSError", "FileNotFound", "FileExists", "NoSpace",
@@ -178,7 +178,8 @@ class NovaFS:
         fs.mounted = True
         fs._post_mkfs()
         fs.tenants.rebuild()
-        fs._replay_staging()  # formats the (zeroed) slab headers
+        if fs.staging is not None:
+            fs.staging.format()
         return fs
 
     def _post_mkfs(self) -> None:
@@ -207,7 +208,13 @@ class NovaFS:
         fs._post_mount()
         fs.tenants.rebuild()
         # After the ownership rebuild: replayed writes charge quotas.
-        fs._replay_staging()
+        if fs.staging is not None:
+            rep = fs.staging.replay()
+            # Only reported when the scan found records: clean mounts (and
+            # every pre-staging image) keep their RecoveryReport contents —
+            # and byte-identical report contracts — unchanged.
+            if rep["replayed"] or rep["discarded"]:
+                fs.last_recovery.extra["staging"] = rep
         return fs
 
     def unmount(self) -> None:
@@ -263,17 +270,6 @@ class NovaFS:
             raise FSError("image has no staging region (device too small "
                           "or formatted with staging_pages=0)")
         self.staging_enabled = True
-
-    def _replay_staging(self) -> None:
-        if self.staging is None:
-            return
-        rep = self.staging.replay()
-        # Only reported when the scan found records: clean mounts (and
-        # every pre-staging image) keep their RecoveryReport contents —
-        # and byte-identical report contracts — unchanged.
-        if self.last_recovery is not None \
-                and (rep["replayed"] or rep["discarded"]):
-            self.last_recovery.extra["staging"] = rep
 
     # ------------------------------------------------------------------ namei
 
@@ -862,11 +858,12 @@ class NovaFS:
         buf = bytearray(npages * PAGE_SIZE)
         head_pad = offset - pg_first * PAGE_SIZE
         if head_pad:
-            buf[:head_pad] = self._read_page(cache, pg_first)[:head_pad]
+            buf[:head_pad] = self.read_runs(cache, pg_first * PAGE_SIZE,
+                                            PAGE_SIZE)[:head_pad]
         tail_end = offset + len(data) - pg_first * PAGE_SIZE
         if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
-            buf[tail_end:] = self._read_page(cache, pg_last)[
-                tail_end % PAGE_SIZE:]
+            buf[tail_end:] = self.read_runs(cache, pg_last * PAGE_SIZE,
+                                            PAGE_SIZE)[tail_end % PAGE_SIZE:]
         buf[head_pad:tail_end] = data
 
         placed = _Placed()
@@ -922,10 +919,10 @@ class NovaFS:
             self.clock.advance(self.cpu_model.syscall_ns)
             cache = self._file_cache(ino)
             self._c_reads.inc()
-            size = cache.inode.size
-            if offset >= size:
+            length = min(length, cache.inode.size - offset)
+            if length <= 0:
                 return b""
-            out = self.read_runs(cache, offset, min(length, size - offset))
+            out = self.read_runs(cache, offset, length)
             if self.staging is not None:
                 # Read-your-writes over staged-but-undestaged records.
                 self.staging.overlay(ino, offset, out)
@@ -933,51 +930,25 @@ class NovaFS:
 
     def read_runs(self, cache: InodeCache, offset: int, length: int
                   ) -> bytearray:
-        """:meth:`read`'s device side, for a range inside the file: one
-        device request per contiguous physical run, zeros for a hole; no
-        syscall, counter or staging overlay (restore reads with it).  A run
-        whose every page this call already read whole is copied from
-        ``out`` at DRAM cost instead (docs/CONSISTENCY.md §5)."""
-        if not length:
-            return bytearray()
+        """:meth:`read`'s device side, for a range inside the file: its
+        runs read one request per physical neighbourhood, a repeat copied
+        (:func:`read_scattered`, docs/CONSISTENCY.md §5), zeros for a
+        hole; no syscall, counter or staging overlay (restore uses it)."""
+        out = bytearray(length)
         end = offset + length
         runs: list[list[int]] = []
         for pgoff in range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1):
             block = cache.index.block_of(pgoff)
             if block is not None:
                 extend_runs(runs, pgoff, block)
-        # block -> k: ``out[k + addr]`` holds device byte ``addr`` of the
-        # block's page, read whole; kept only when the runs repeat a block.
-        fetched = {} if len(runs) > 1 and self._runs_repeat(runs) else None
-        out = bytearray()
+        spans = []
         for pgoff, block, count in runs:
             lo = max(pgoff * PAGE_SIZE, offset)
-            hi = min((pgoff + count) * PAGE_SIZE, end)
-            out += bytes(lo - offset - len(out))        # a hole
             a = block * PAGE_SIZE + lo - pgoff * PAGE_SIZE  # device [a, z)
-            if fetched is None:
-                out += self.dev.read(a, hi - lo)
-                continue
-            z = a + hi - lo
-            pages = range(a // PAGE_SIZE, (z - 1) // PAGE_SIZE + 1)
-            if all(map(fetched.__contains__, pages)):
-                for b in pages:
-                    k = fetched[b]
-                    out += out[k + max(a, b * PAGE_SIZE):
-                               k + min(z, (b + 1) * PAGE_SIZE)]
-                self.clock.advance(DRAM.read_cost(hi - lo))
-                continue
-            k = len(out) - a
-            out += self.dev.read(a, hi - lo)
-            for b in range(-(-a // PAGE_SIZE), z // PAGE_SIZE):
-                fetched[b] = k
-        out += bytes(length - len(out))
+            z = a + min((pgoff + count) * PAGE_SIZE, end) - lo
+            spans.append((a, z, lo - offset))
+        read_scattered(self.dev, spans, out)
         return out
-
-    def _runs_repeat(self, runs: list[list[int]]) -> bool:
-        """Whether two of a read's runs share a physical page: never in
-        plain NOVA, where each block backs one page of one file."""
-        return False
 
     def truncate(self, ino: int, size: int, cpu: int = 0) -> None:
         """Set file size; shrinking reclaims pages past the new end."""
@@ -1010,7 +981,8 @@ class NovaFS:
         if shrunk and size % PAGE_SIZE:
             pgoff = size // PAGE_SIZE
             if cache.index.lookup(pgoff) is not None:
-                head = self._read_page(cache, pgoff)[:size % PAGE_SIZE]
+                head = self.read_runs(cache, pgoff * PAGE_SIZE,
+                                      PAGE_SIZE)[:size % PAGE_SIZE]
                 self.write(ino, pgoff * PAGE_SIZE, head, cpu=cpu)
 
     def stat(self, ino: int) -> Stat:
@@ -1115,12 +1087,6 @@ class NovaFS:
         if for_write and cache.inode.flags & FLAG_IMMUTABLE:
             raise ReadOnlyFile(f"ino {ino} is immutable (snapshot member)")
         return cache
-
-    def _read_page(self, cache: InodeCache, pgoff: int) -> bytes:
-        block = cache.index.block_of(pgoff)
-        if block is None:
-            return bytes(PAGE_SIZE)
-        return self.dev.read(block * PAGE_SIZE, PAGE_SIZE)
 
     #: Auto-trigger thorough GC when a log has this many entries and
     #: more than half are dead (scattered beyond fast GC's reach).

@@ -294,6 +294,8 @@ class Superblock:
             dev.write_atomic64(_OFF_IAA_MARK, 1)  # a mark of 0 slots
         dev.write_u32(_OFF_VERSION, VERSION)
         dev.write_u32(_OFF_CLEAN, 1)
+        # Clear the journal: an old image's committed rename is not ours.
+        dev.zero_range(geo.journal_page * PAGE_SIZE, 16)
         dev.persist(0, _SB_BYTES)
         if geo.tenant_pages:
             # Re-mkfs over an old tenant-bearing image must not resurrect

@@ -519,19 +519,23 @@ class StagingLog:
             self.active = False
         return stats
 
+    def format(self) -> None:
+        """mkfs: an empty header on every (zeroed) slab, none read."""
+        for slab in self._slabs:
+            self._format_slab(slab)
+
+    def _format_slab(self, slab: _Slab) -> None:
+        self.dev.write_atomic64(slab.base, _SLAB_MAGIC)
+        self.dev.write_atomic64(slab.base + 8, 0)
+        self.dev.persist(slab.base, _SLAB_HDR)
+
     def _replay_slab(self, slab: _Slab, stats: dict) -> None:
         dev = self.dev
         fs = self.fs
         magic, persisted = struct.unpack("<QQ", dev.read(slab.base, 16))
         if magic != _SLAB_MAGIC:
             # Fresh (zeroed) region — or garbage, which must not replay.
-            dev.write_atomic64(slab.base, _SLAB_MAGIC)
-            dev.write_atomic64(slab.base + 8, 0)
-            dev.persist(slab.base, _SLAB_HDR)
-            slab.completed_seq = 0
-            slab.next_seq = 1
-            slab.write_off = slab.data_base
-            return
+            return self._format_slab(slab)
         slab.completed_seq = persisted
         pos = slab.data_base
         prev_seq = 0

@@ -15,6 +15,7 @@ The paper evaluates on an Intel Optane DC PM device emulated over DRAM
 * :class:`PageAllocator` — NOVA's per-CPU free lists, handing out
   *contiguous* page extents (a NOVA write entry describes one contiguous
   run of data pages).
+* :mod:`repro.pm.plan` — one read request per neighbourhood of spans.
 """
 
 from repro.pm.clock import CostCapture, SimClock

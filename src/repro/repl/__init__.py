@@ -7,8 +7,8 @@ Three pieces on top of ``repro.backup``:
   physically sequential and pushes the indirection onto older ones;
 * :mod:`repro.repl.restore` — restore-latest: a digest manifest of a
   snapshot, each file read whole by ``fs.read_runs`` (one device request
-  per distinct contiguous physical run: a repeat of a block the call
-  already read whole is copied);
+  per physical neighbourhood of its runs, in address order: a repeat of
+  bytes the call already reads is copied);
 * :mod:`repro.repl.topology` — :class:`ReplicationTopology`, a
   round-robin pump for N concurrent send/recv streams (fan-out to N
   replicas, fan-in consolidation), riding the native resumable cursors.

@@ -1,13 +1,12 @@
 """Restore-latest: read the newest snapshot through the physical layout.
 
 The point of reverse dedup is this read path.  A restore streams whole
-files through ``fs.read_runs`` (``fs.read``'s device side), which issues
-one device request per distinct *contiguous physical run* (a repeat of
-a block the call already read whole is copied, not read): request latency
-amortizes over the run's bandwidth term.  A forward-deduped chain tail
-fragments into many single-page runs and pays the request latency per
-page; a relocated (reverse) tail is one run per file and the cost is
-almost pure bandwidth.  That difference is what
+files through ``fs.read_runs`` (``fs.read``'s device side), which plans
+one device request per physical neighbourhood of a file's runs, in
+address order (a repeat of bytes the call reads is copied, not read).
+A forward-deduped chain tail fragments into single-page runs, read
+together where their blocks continue each other in older snapshots; a
+relocated (reverse) tail is one run per file.  That difference is what
 ``benchmarks/bench_repl.py`` plots against chain length.
 
 The restore emits a digest manifest (path → sha256, size) rather than
@@ -38,7 +37,7 @@ def _restore_file(fs, path: str) -> tuple[str, int, int]:
 
 
 def restore_snapshot(fs, name: str) -> dict:
-    """Digest-restore snapshot ``name``; one device request per run.
+    """Digest-restore snapshot ``name``; one request per neighbourhood.
 
     Timing comes off the DES clock, so the reported wall time reflects
     the modeled request/bandwidth costs.

@@ -315,3 +315,28 @@ class TestJournalUnit:
                                   ino=i + 2) for i in range(100)]
         with pytest.raises(ValueError):
             j.stage(too_many)
+
+    def test_mkfs_in_place_clears_a_committed_transaction(self):
+        """mkfs over an image whose journal holds a committed rename:
+        the new filesystem's first cross-directory rename succeeds, and
+        an unclean mount after it redoes nothing."""
+        fs = make_fs()
+        fs.mkdir("/a")
+        b = fs.mkdir("/b")
+        f = fs.create("/a/f")
+        fs.journal.stage([JournalRecord(op=J_ADD, parent_ino=b, name="f",
+                                        ino=f)])
+        fs.dev.crash()
+        fs.dev.recover_view()
+        fs = NovaFS.mkfs(fs.dev, max_inodes=64)
+        fs.mkdir("/a")
+        fs.mkdir("/b")
+        fs.create("/a/g")
+        fs.rename("/a/g", "/b/g")
+        assert fs.listdir("/b") == ["g"] and not fs.journal.committed
+        fs.dev.crash()
+        fs.dev.recover_view()
+        fs = NovaFS.mount(fs.dev)
+        assert fs.last_recovery.extra["journal_redone"] == 0
+        assert fs.listdir("/a") == [] and fs.listdir("/b") == ["g"]
+        check_fs_invariants(fs)
