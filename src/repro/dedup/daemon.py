@@ -74,12 +74,12 @@ def append_redirects(fs, ino: int, cache, runs, cpu: int) -> list[tuple]:
     """
     if not runs:
         return []
-    appended = fs._append_and_commit(ino, cache, (
+    appended = fs._append_and_commit(ino, cache, [
         WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
                    size_after=cache.inode.size, ino=ino,
                    mtime=cache.inode.mtime,
                    dedupe_flag=DEDUPE_IN_PROCESS)
-        for pgoff, block, count in runs), cpu)
+        for pgoff, block, count in runs], cpu)
     for addr, _we in appended:
         fs.note_dedup_pending(addr)
     return appended

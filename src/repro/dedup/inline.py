@@ -79,8 +79,10 @@ class InlineDedupFS(DeNovaFS):
         point at the canonical pages; uniques are stored one by one and
         registered immediately (so a later identical page of the same
         write deduplicates too), coalescing into a run while both the
-        file offset and the device page advance by one."""
-        placed.txn = FactTxn(self.fact)
+        file offset and the device page advance by one.  A write's
+        segments share one transaction."""
+        if placed.txn is None:
+            placed.txn = FactTxn(self.fact)
         for i in range(len(buf) // PAGE_SIZE):
             pgoff = pg_first + i
             content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])

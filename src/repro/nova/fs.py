@@ -5,8 +5,9 @@ Implements the full write flow of the paper's Fig. 1:
 1. allocate contiguous CoW data pages from the per-CPU free list and fill
    them with user data plus copied head/tail content of partially
    overwritten pages;
-2. append a ``[file_pgoff, num_pages]`` write entry to the inode log
-   (allocating/linking a new log page when full);
+2. reserve the log pages the entries will reach, then append a
+   ``[file_pgoff, num_pages]`` write entry to the inode log (linking the
+   reserved page when the current one is full);
 3. commit with an atomic 64-bit log-tail update;
 4. update the DRAM radix tree;
 5. reclaim the obsolete data pages through the per-CPU free list.
@@ -26,6 +27,7 @@ simplification relative to kernel NOVA's per-CPU journal.
 from __future__ import annotations
 
 from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -343,21 +345,7 @@ class NovaFS:
 
     def symlink(self, target: str, linkpath: str) -> int:
         """Create a symbolic link (targets limited to 40 bytes)."""
-        self._check_mounted()
-        self.clock.advance(self.cpu_model.syscall_ns)
-        pino, name, parent = self._namei(linkpath)
-        if name in parent.dentries:
-            raise FileExists(linkpath)
-        cpu = ino_cpu(pino, self.cpus)
-        self._need_log_room(parent, own_pages=1)
-        ino = self._new_inode(ITYPE_SYMLINK, cpu, parent=pino)
-        cache = self.caches[ino]
-        entry = SymlinkEntry(target=target, ino=ino,
-                             mtime=self.stamp())
-        self._append_and_commit(ino, cache, [entry], cpu)
-        cache.symlink_target = target
-        self._append_dentry(pino, name, ino, valid=1, cpu=cpu)
-        return ino
+        return self._make(linkpath, ITYPE_SYMLINK, target)
 
     def readlink(self, path: str) -> str:
         """The target of a symlink (never follows the final component)."""
@@ -381,11 +369,12 @@ class NovaFS:
     # ------------------------------------------------------------------ namespace ops
 
     def _append_dentry(self, parent_ino: int, name: str, ino: int,
-                       valid: int, cpu: int) -> None:
+                       valid: int, cpu: int, res: Optional[list] = None
+                       ) -> None:
         parent = self.caches[parent_ino]
         entry = DentryEntry(name=name, ino=ino, valid=valid,
                             mtime=self.stamp())
-        self._append_and_commit(parent_ino, parent, [entry], cpu)
+        self._append_and_commit(parent_ino, parent, [entry], cpu, res)
         parent.inode.mtime = entry.mtime
         self.clock.advance(self.cpu_model.dram_touch_ns)
         if valid:
@@ -401,53 +390,52 @@ class NovaFS:
                 and child.inode.itype == ITYPE_DIR):
             parent.inode.links += 1 if valid else -1
 
-    def _reserve_log(self, ino: int, cache: InodeCache, cpu: int) -> None:
-        """Allocate now the page the next append to ``ino``'s log would,
-        so an operation takes its one refusal, :class:`NoSpace`, before
-        its commit point."""
+    @contextmanager
+    def _reserved(self, *logs):
+        """:meth:`LogManager.reserve` per ``(cache, n, cpu)`` (``cache``
+        None: a new log) before the block's first store; the pages no
+        append reached go back when it ends, so a refusal in it (inode
+        table, quota) leaves the allocator as it found it."""
+        held = []
         try:
-            head, cache.tail = self.log.reserve(
-                ino, cache.inode.log_head, cache.tail, cpu)
-        except AllocError as exc:
-            raise NoSpace(str(exc)) from None
-        if not cache.inode.log_head:
-            # A fresh log is empty: committed up to its first slot.
-            cache.inode.log_head, cache.inode.log_tail = head, cache.tail
+            for cache, n, cpu in logs:
+                held.append(self.log.reserve(
+                    cache.inode.log_head if cache else 0,
+                    cache.tail if cache else 0, n, cpu))
+            yield held
+        finally:
+            for res, (_cache, _n, cpu) in zip(held, logs):
+                self.log.release(res, cpu)
 
-    def _need_log_room(self, parent: InodeCache, own_pages: int = 0) -> None:
-        """Refuse (:class:`NoSpace`) before an inode slot is taken unless
-        the appends that publish it will find their log pages: the new
-        inode's ``own_pages`` and the parent's next one (due whenever its
-        tail sits on a page boundary).  Nothing is allocated here, so a
-        create that goes ahead is charged exactly as before."""
-        due = own_pages + (not parent.inode.log_head
-                           or parent.tail % PAGE_SIZE == 0)
-        if self.allocator.free_pages < due:
-            raise NoSpace(f"no room for {due} log page(s) "
-                          f"({self.allocator.free_pages} pages free)")
+    def _link_ahead(self, ino: int, cache: InodeCache, res: list) -> None:
+        """Link the first page of ``res`` if the next append needs it: a
+        new log's first page, or the next one past a full page."""
+        if not cache.inode.log_head:
+            cache.inode.log_head, cache.tail = self.log.ensure_log(ino, 0,
+                                                                   res)
+        elif cache.tail % PAGE_SIZE == 0:
+            cache.tail = self.log.next_page(cache.tail, res)
 
     def _append_and_commit(self, ino: int, cache: InodeCache,
-                           entries: Iterable, cpu: int) -> list[tuple]:
+                           entries: list, cpu: int,
+                           res: Optional[list] = None) -> list[tuple]:
         """The one log-commit primitive: N appends, one atomic tail update.
 
-        ``entries`` may be a generator.  Returns ``[(addr, entry)]``.  A log
-        page that cannot be allocated raises :class:`NoSpace` with the
-        committed tail (and the DRAM cache) untouched: entries past the
-        tail are invisible to readers and to recovery.
+        Returns ``[(addr, entry)]``.  The log pages the appends reach are
+        ``res``, taken by the caller before its first store, or reserved
+        here: a page that cannot be had raises :class:`NoSpace` before
+        any entry is stored, with the committed tail (and the DRAM cache)
+        untouched.
         """
+        if res is None:
+            res = self.log.reserve(cache.inode.log_head, cache.tail,
+                                   len(entries), cpu)
+        self._link_ahead(ino, cache, res)
+        tail = cache.tail
         appended = []
-        try:
-            head, first_tail = self.log.ensure_log(
-                ino, cache.inode.log_head, cpu)
-            if cache.inode.log_head == 0:
-                cache.inode.log_head = head
-                cache.tail = first_tail
-            tail = cache.tail
-            for entry in entries:
-                addr, tail = self.log.append(ino, tail, entry.pack(), cpu)
-                appended.append((addr, entry))
-        except AllocError as exc:
-            raise NoSpace(str(exc)) from None
+        for entry in entries:
+            addr, tail = self.log.append(ino, tail, entry.pack(), res)
+            appended.append((addr, entry))
         self.log.commit(ino, tail)
         cache.tail = tail
         cache.inode.log_tail = tail
@@ -464,35 +452,55 @@ class NovaFS:
             ino = self.itable.alloc()
         except RuntimeError as exc:
             raise NoSpace(str(exc)) from None
+        self.itable.write(ino, self._open_inode(ino, itype, parent))
+        return ino
+
+    def _open_inode(self, ino: int, itype: int,
+                    parent: Optional[int]) -> Inode:
+        """A new valid inode in slot ``ino``, cached and owned as
+        ``parent`` is (None: by nobody); the caller persists it."""
         inode = Inode(ino=ino, valid=1, itype=itype,
                       links=2 if itype == ITYPE_DIR else 1,
                       mtime=self.stamp())
-        self.itable.write(ino, inode)
         self.caches[ino] = InodeCache(
             inode=inode, index=FileIndex(self.cpu_model, self.clock))
         if parent is not None:
             self.tenants.note_inode(ino, parent)
-        return ino
+        return inode
 
     def create(self, path: str) -> int:
         """Create an empty regular file; returns its ino."""
+        return self._make(path, ITYPE_FILE, None)
+
+    def _make(self, path: str, itype: int, target: Optional[str]) -> int:
+        """create, mkdir and symlink (``target`` set): a valid inode, then
+        the dentry that publishes it (a crash in between leaves an orphan
+        inode that recovery collects), every log page taken first."""
         self._check_mounted()
         self.clock.advance(self.cpu_model.syscall_ns)
         pino, name, parent = self._namei(path)
         if name in parent.dentries:
             raise FileExists(path)
         st = self.staging
-        if st is not None and self.staging_enabled and not st.active:
+        if itype == ITYPE_FILE and st is not None and self.staging_enabled \
+                and not st.active:
             ino = self._staged_create(pino, name)
             if ino is not None:
                 return ino
-        # Order: valid inode first, then the dentry that publishes it.  A
-        # crash in between leaves an orphan inode that recovery collects.
-        self._need_log_room(parent)
-        ino = self._new_inode(ITYPE_FILE, cpu=ino_cpu(pino, self.cpus),
-                              parent=pino)
-        self._append_dentry(pino, name, ino, valid=1,
-                            cpu=ino_cpu(pino, self.cpus))
+        cpu = ino_cpu(pino, self.cpus)
+        # A symlink's own first log page, then the parent's next: the
+        # order they are allocated in.
+        own = [] if target is None else [(None, 1, cpu)]
+        with self._reserved(*own, (parent, 1, cpu)) as held:
+            ino = self._new_inode(itype, cpu, parent=pino)
+            if own:
+                cache = self.caches[ino]
+                self._append_and_commit(ino, cache, [SymlinkEntry(
+                    target=target, ino=ino, mtime=self.stamp())], cpu,
+                    held[0])
+                cache.symlink_target = target
+            self._append_dentry(pino, name, ino, valid=1, cpu=cpu,
+                                res=held[-1])
         return ino
 
     def _staged_create(self, pino: int, name: str) -> Optional[int]:
@@ -513,11 +521,7 @@ class NovaFS:
         if not st.try_stage_create(pino, name, ino):
             self.itable.unreserve(ino)
             return None
-        inode = Inode(ino=ino, valid=1, itype=ITYPE_FILE, links=1,
-                      mtime=self.stamp())
-        self.caches[ino] = InodeCache(
-            inode=inode, index=FileIndex(self.cpu_model, self.clock))
-        self.tenants.note_inode(ino, pino)
+        self._open_inode(ino, ITYPE_FILE, pino)
         self.clock.advance(self.cpu_model.dram_touch_ns)
         self.caches[pino].dentries[name] = ino
         return ino
@@ -549,28 +553,13 @@ class NovaFS:
             self.itable.claim(ino)
         except RuntimeError:
             return False
-        cpu = ino_cpu(parent_ino, self.cpus)
-        inode = Inode(ino=ino, valid=1, itype=ITYPE_FILE, links=1,
-                      mtime=self.stamp())
-        self.itable.write(ino, inode)
-        self.caches[ino] = InodeCache(
-            inode=inode, index=FileIndex(self.cpu_model, self.clock))
-        self.tenants.note_inode(ino, parent_ino)
-        self._append_dentry(parent_ino, name, ino, valid=1, cpu=cpu)
+        self._open_inode(ino, ITYPE_FILE, parent_ino)
+        self._destage_create(parent_ino, name, ino,
+                             ino_cpu(parent_ino, self.cpus))
         return True
 
     def mkdir(self, path: str) -> int:
-        self._check_mounted()
-        self.clock.advance(self.cpu_model.syscall_ns)
-        pino, name, parent = self._namei(path)
-        if name in parent.dentries:
-            raise FileExists(path)
-        self._need_log_room(parent)
-        ino = self._new_inode(ITYPE_DIR, cpu=ino_cpu(pino, self.cpus),
-                              parent=pino)
-        self._append_dentry(pino, name, ino, valid=1,
-                            cpu=ino_cpu(pino, self.cpus))
-        return ino
+        return self._make(path, ITYPE_DIR, None)
 
     def listdir(self, path: str) -> list[str]:
         self._check_mounted()
@@ -593,6 +582,7 @@ class NovaFS:
         if cache.inode.itype == ITYPE_DIR:
             raise IsADirectory(path)
         cpu = ino_cpu(ino, self.cpus)
+        res = self.log.reserve(parent.inode.log_head, parent.tail, 1, cpu)
         if self.staging is not None and cache.inode.links == 1 \
                 and self.staging.has_pending_create(ino):
             # The file only ever existed in the staging log.  Discard —
@@ -603,12 +593,11 @@ class NovaFS:
             # observes the file (this op never started).  Discarding
             # after the commit would leave a window where replay
             # resurrects the file — and an unlink refused after the
-            # discard would lose it, so the parent's log room is
-            # checked first.
-            self._need_log_room(parent)
+            # discard would lose it, so the parent's log page is
+            # reserved first.
             self.staging.discard_ino(ino)
         # 1. Unpublish the name (the commit point of the unlink).
-        self._append_dentry(pino, name, ino, valid=0, cpu=cpu)
+        self._append_dentry(pino, name, ino, valid=0, cpu=cpu, res=res)
         cache.inode.links -= 1
         if cache.inode.links > 0:
             return  # other hard links keep the body alive
@@ -636,17 +625,8 @@ class NovaFS:
         pino, name, parent = self._namei(newpath)
         if name in parent.dentries:
             raise FileExists(newpath)
-        src_tid = self.tenants.tenant_of(ino)
-        dst_tid = self.tenants.tenant_of(pino)
-        if src_tid != dst_tid:
-            raise FSError(
-                f"cross-tenant hard link: {existing!r} -> {newpath!r} "
-                f"(links may not cross a tenant root)")
-        if self.staging is not None \
-                and self.staging.has_pending_create(ino):
-            # The new dentry persists a reference to the inode; the
-            # inode record must exist first.
-            self.staging.drain_ino(ino)
+        self._check_new_name(ino, pino, "hard link", "links", existing,
+                             newpath)
         self._append_dentry(pino, name, ino, valid=1,
                             cpu=ino_cpu(pino, self.cpus))
         cache.inode.links += 1
@@ -677,18 +657,7 @@ class NovaFS:
         if self.caches[ino].inode.itype == ITYPE_DIR:
             if ino == dpino or self._is_ancestor(ino, dpino):
                 raise FSError(f"cannot move {src!r} into its own subtree")
-        src_tid = self.tenants.tenant_of(ino)
-        dst_tid = self.tenants.tenant_of(dpino)
-        if src_tid != dst_tid:
-            raise FSError(
-                f"cross-tenant rename: {src!r} -> {dst!r} "
-                f"(renames may not cross a tenant root)")
-        if self.staging is not None \
-                and self.staging.has_pending_create(ino):
-            # Both dentry records reference the inode; a staged create's
-            # record replays into the *old* parent/name, so it must be
-            # persisted (and superseded) before the rename commits.
-            self.staging.drain_ino(ino)
+        self._check_new_name(ino, dpino, "rename", "renames", src, dst)
         cpu = ino_cpu(dpino, self.cpus)
         if spino == dpino:
             # One directory log: two appends, one atomic tail commit.
@@ -703,9 +672,13 @@ class NovaFS:
             parent.dentries[dname] = ino
             parent.dentries.pop(sname, None)
             return
-        # A committed journal must be appliable, live and at recovery.
-        self._reserve_log(dpino, dparent, cpu)
-        self._reserve_log(spino, sparent, ino_cpu(spino, self.cpus))
+        # A committed journal must be appliable, live and at recovery: both
+        # logs' pages are linked before it commits.
+        with self._reserved((dparent, 1, cpu),
+                            (sparent, 1, ino_cpu(spino, self.cpus))
+                            ) as (dres, sres):
+            self._link_ahead(dpino, dparent, dres)
+            self._link_ahead(spino, sparent, sres)
         self.journal.stage([
             JournalRecord(op=J_ADD, parent_ino=dpino, name=dname, ino=ino),
             JournalRecord(op=J_REMOVE, parent_ino=spino, name=sname,
@@ -713,6 +686,19 @@ class NovaFS:
         ])
         self.apply_journal()
         self.journal.clear()
+
+    def _check_new_name(self, ino: int, pino: int, what: str, whats: str,
+                        src: str, dst: str) -> None:
+        """Before :meth:`link`/:meth:`rename` name ``ino`` under ``pino``:
+        refuse a tenant root crossing; persist a staged create of ``ino``
+        (the new dentries need its record, and it would replay there)."""
+        if self.tenants.tenant_of(ino) != self.tenants.tenant_of(pino):
+            raise FSError(
+                f"cross-tenant {what}: {src!r} -> {dst!r} "
+                f"({whats} may not cross a tenant root)")
+        if self.staging is not None \
+                and self.staging.has_pending_create(ino):
+            self.staging.drain_ino(ino)
 
     def apply_journal(self) -> int:
         """Apply (or redo) the committed journal records, idempotently."""
@@ -860,29 +846,62 @@ class NovaFS:
         if head_pad:
             buf[:head_pad] = self.read_runs(cache, pg_first * PAGE_SIZE,
                                             PAGE_SIZE)[:head_pad]
+            # Bytes between EOF and the write read as zeros: a hole, or
+            # what a mid-page shrink cut (:meth:`_stale_tail`).
+            eof = max(cache.inode.size - pg_first * PAGE_SIZE, 0)
+            if eof < head_pad:
+                buf[eof:head_pad] = bytes(head_pad - eof)
         tail_end = offset + len(data) - pg_first * PAGE_SIZE
         if tail_end % PAGE_SIZE and offset + len(data) < cache.inode.size:
             buf[tail_end:] = self.read_runs(cache, pg_last * PAGE_SIZE,
                                             PAGE_SIZE)[tail_end % PAGE_SIZE:]
         buf[head_pad:tail_end] = data
 
+        segments = [(pg_first, buf)]
+        if cache.inode.size < pg_first * PAGE_SIZE:
+            segments[:0] = self._stale_tail(cache)
+        return self._commit_pages(ino, cache, segments,
+                                  max(cache.inode.size, offset + len(data)),
+                                  cpu)
+
+    def _stale_tail(self, cache: InodeCache) -> list:
+        """The last page rewritten zero past EOF, as ``[(pgoff, page)]``
+        for :meth:`_commit_pages`, or ``[]`` when it is whole, a hole or
+        already zero there.  A mid-page shrink rewrites it after its
+        commit, and a grow past EOF in the same commit as the grow: a
+        crash or a full device between a shrink and its rewrite leaves
+        the cut bytes on media."""
+        pgoff, cut = divmod(cache.inode.size, PAGE_SIZE)
+        if not cut or cache.index.lookup(pgoff) is None:
+            return []
+        page = self.read_runs(cache, pgoff * PAGE_SIZE, PAGE_SIZE)
+        if page.count(0, cut) == PAGE_SIZE - cut:
+            return []
+        page[cut:] = bytes(PAGE_SIZE - cut)
+        return [(pgoff, page)]
+
+    def _commit_pages(self, ino: int, cache: InodeCache, segments: list,
+                      size: int, cpu: int) -> int:
+        """The pipeline from *place* on for ``segments`` of ``(pg_first,
+        buf)``, the file ``size`` bytes after; returns the pages it
+        overwrote."""
         placed = _Placed()
-        new_size = max(cache.inode.size, offset + len(data))
         try:
             # Place the pages, then commit one entry per run: data and
             # entries are fenced together, the tail update is the commit.
-            self._place_pages(placed, pg_first, buf, cpu)
+            for pg_first, buf in segments:
+                self._place_pages(placed, pg_first, buf, cpu)
             mtime = self.stamp()
             flag = self.initial_dedupe_flag()
             appended = self._append_and_commit(ino, cache, [
                 WriteEntry(file_pgoff=pgoff, num_pages=count, block=block,
-                           size_after=new_size, ino=ino, mtime=mtime,
+                           size_after=size, ino=ino, mtime=mtime,
                            dedupe_flag=flag)
                 for pgoff, block, count in placed.runs], cpu)
         except (AllocError, NoSpace) as exc:
             self._unplace_pages(placed, cpu)
             raise NoSpace(str(exc)) from None
-        cache.inode.size = new_size
+        cache.inode.size = size
         cache.inode.mtime = mtime
         self._settle_pages(placed, appended)
 
@@ -894,7 +913,8 @@ class NovaFS:
         overwritten = displaced.total_pages
         if overwritten:
             self._c_overwrite_pages.inc(overwritten)
-        self._retire_displaced(ino, cache, displaced, cpu, mapped=npages)
+        self._retire_displaced(ino, cache, displaced, cpu, mapped=sum(
+            len(buf) for _pg, buf in segments) // PAGE_SIZE)
         for addr, entry in appended:
             self.on_write_committed(ino, addr, entry, cpu)
         return overwritten
@@ -964,6 +984,13 @@ class NovaFS:
     def _truncate_locked(self, ino: int, size: int, cpu: int) -> None:
         self.clock.advance(self.cpu_model.syscall_ns)
         cache = self._file_cache(ino, for_write=True)
+        # POSIX: bytes past EOF read as zeros when the file grows again.  A
+        # grow over bytes a mid-page shrink left zeroes them with its size,
+        # in one write entry.
+        tail = self._stale_tail(cache) if size > cache.inode.size else []
+        if tail:
+            self._commit_pages(ino, cache, tail, size, cpu)
+            return
         entry = SetattrEntry(ino=ino, new_size=size,
                              mtime=self.stamp())
         self._append_and_commit(ino, cache, [entry], cpu)
@@ -974,16 +1001,16 @@ class NovaFS:
                                    cache.index.truncate_pages(keep), cpu)
         cache.inode.size = size
         cache.inode.mtime = entry.mtime
-        # POSIX: bytes past the new EOF must read as zeros if the file
-        # grows again.  Shrinking to mid-page keeps a partial page, so
-        # CoW-rewrite its head — the copy ends at EOF, zero-filling the
-        # tail (kernel NOVA zeroes the partial block the same way).
-        if shrunk and size % PAGE_SIZE:
-            pgoff = size // PAGE_SIZE
-            if cache.index.lookup(pgoff) is not None:
-                head = self.read_runs(cache, pgoff * PAGE_SIZE,
-                                      PAGE_SIZE)[:size % PAGE_SIZE]
-                self.write(ino, pgoff * PAGE_SIZE, head, cpu=cpu)
+        # The setattr is the commit point: a shrink needs no data page or
+        # quota room, and has freed what it dropped.  Its partial page is
+        # then rewritten zero past EOF, which no reader sees; a crash or
+        # a full device first leaves the cut bytes to the next grow.
+        tail = self._stale_tail(cache) if shrunk else []
+        if tail:
+            try:
+                self._commit_pages(ino, cache, tail, size, cpu)
+            except NoSpace:
+                pass
 
     def stat(self, ino: int) -> Stat:
         self._check_mounted()
@@ -1122,7 +1149,9 @@ class NovaFS:
             if (page != tail_page
                     and cache.invalid_entries.get(page, 0) >= ENTRIES_PER_PAGE
                     and self.log_page_gc_allowed(page)):
-                self.log.unlink_middle_page(prev, page, nxt)
+                # Splice it out, then free it: a crash before the link is
+                # durable keeps the old chain, after it the shorter one.
+                self.log.link(prev, nxt)
                 self.allocator.free(page, 1, 0)
                 cache.invalid_entries.pop(page, None)
                 self._c_log_gced.inc()

@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.nova.entries import ENTRY_SIZE
+from repro.nova.errors import NoSpace
 from repro.nova.inode import InodeTable
 from repro.nova.layout import PAGE_SIZE
-from repro.pm.allocator import PageAllocator
+from repro.pm.allocator import AllocError, PageAllocator
 from repro.pm.device import PMDevice
 
 __all__ = ["LogManager", "LOG_HEADER_SIZE", "ENTRIES_PER_PAGE", "chain_slots"]
@@ -25,7 +26,7 @@ ENTRIES_PER_PAGE = (PAGE_SIZE - LOG_HEADER_SIZE) // ENTRY_SIZE
 
 
 class LogManager:
-    """Allocates, links, walks and appends to inode logs."""
+    """Reserves, links, walks and appends to inode logs."""
 
     def __init__(self, dev: PMDevice, allocator: PageAllocator,
                  itable: InodeTable):
@@ -35,73 +36,86 @@ class LogManager:
 
     # -- page helpers ------------------------------------------------------------
 
-    def _new_log_page(self, cpu: int) -> int:
-        page = self.allocator.alloc(1, cpu)
-        base = page * PAGE_SIZE
-        # Only the header needs initializing: entry validity is bounded
-        # by the committed tail, so stale bytes past it are never read.
-        # The zeroed next-pointer must be durable before the page is
-        # linked, or a crash could graft a garbage chain.
-        self.dev.write_atomic64(base, 0, persist=True)
-        return page
-
     def next_of(self, page: int) -> int:
         return self.dev.read_u64(page * PAGE_SIZE)
 
-    def _link(self, from_page: int, to_page: int) -> None:
+    def link(self, from_page: int, to_page: int) -> None:
+        """Durably point ``from_page``'s ``next`` at ``to_page``."""
         self.dev.write_atomic64(from_page * PAGE_SIZE, to_page, persist=True)
 
-    # -- append ---------------------------------------------------------------------
+    # -- reserve, then append -----------------------------------------------------
 
-    def ensure_log(self, ino: int, cached_head: int, cpu: int
+    def reserve(self, head: int, tail: int, n: int, cpu: int) -> list:
+        """Take, before the operation's first store, every page ``n``
+        appends at ``tail`` reach, in order, as ``(page, fresh)``: a first
+        page when ``head`` is 0, then per boundary the page linked past
+        the full one, else a fresh one.  Each boundary's ``next`` word is
+        read here, once (a fresh page's stale one too, never followed).
+        A page that cannot be had: the taken ones go back, ``NoSpace``."""
+        res: list = []
+        try:
+            if not head:
+                res.append((self.allocator.alloc(1, cpu), True))
+                tail = res[0][0] * PAGE_SIZE + LOG_HEADER_SIZE
+            used = tail % PAGE_SIZE     # 0: the tail's page is full
+            room = (PAGE_SIZE - used) // ENTRY_SIZE if used else 0
+            page, fresh = (tail - 1) // PAGE_SIZE, not head
+            for _ in range(-(-max(0, n - room) // ENTRIES_PER_PAGE)):
+                nxt = self.next_of(page)
+                fresh = fresh or nxt == 0
+                page = self.allocator.alloc(1, cpu) if fresh else nxt
+                res.append((page, fresh))
+        except AllocError as exc:
+            self.release(res, cpu)
+            raise NoSpace(str(exc)) from None
+        return res
+
+    def release(self, res: list, cpu: int) -> None:
+        """Give back the fresh pages of ``res`` no append reached."""
+        for page, fresh in res:
+            if fresh:
+                self.allocator.free(page, 1, cpu)
+        res.clear()
+
+    def ensure_log(self, ino: int, cached_head: int, res: list
                    ) -> tuple[int, int]:
-        """Make sure the inode has a log; returns (head_page, first_tail)."""
+        """Make sure the inode has a log (its first page reserved in
+        ``res``); returns (head_page, first_tail)."""
         if cached_head:
             return cached_head, 0
-        page = self._new_log_page(cpu)
+        page, _fresh = res.pop(0)               # a first page is fresh
+        self.dev.write_atomic64(page * PAGE_SIZE, 0, persist=True)
         self.itable.update_log_head(ino, page)
         return page, page * PAGE_SIZE + LOG_HEADER_SIZE
 
-    def append(self, ino: int, tail: int, raw: bytes, cpu: int) -> tuple[int, int]:
+    def append(self, ino: int, tail: int, raw: bytes, res: list
+               ) -> tuple[int, int]:
         """Write a 64 B entry at ``tail``, persist it, return
         ``(entry_addr, new_tail)``.
 
         Does **not** update the inode's committed tail — the caller calls
         :meth:`commit` once the whole operation's data is durable (step 3
-        of Fig. 1).  Allocates and links a fresh log page when the current
-        one is full; linking early is crash-safe because entries past the
-        committed tail are ignored by recovery.
+        of Fig. 1).  A full page moves on to the next page of ``res``,
+        linking it when it is fresh; linking early is crash-safe because
+        entries past the committed tail are ignored by recovery.
         """
         if len(raw) != ENTRY_SIZE:
             raise ValueError("log entries are exactly 64 bytes")
         if tail % PAGE_SIZE == 0:
-            tail = self._next_page(tail, cpu)
-        addr = tail
-        self.dev.write(addr, raw, persist=True)
-        return addr, addr + ENTRY_SIZE
+            tail = self.next_page(tail, res)
+        self.dev.write(tail, raw, persist=True)
+        return tail, tail + ENTRY_SIZE
 
-    def _next_page(self, tail: int, cpu: int) -> int:
-        """First slot of the page after a full one (``tail`` on the page
-        boundary), linking a fresh page there if none is linked yet."""
-        prev_page = tail // PAGE_SIZE - 1
-        nxt = self.next_of(prev_page)
-        if nxt == 0:
-            nxt = self._new_log_page(cpu)
-            self._link(prev_page, nxt)
-        return nxt * PAGE_SIZE + LOG_HEADER_SIZE
-
-    def reserve(self, ino: int, head: int, tail: int, cpu: int
-                ) -> tuple[int, int]:
-        """Allocate now the page the next append would: a first page
-        (:meth:`ensure_log`), or the next one when ``tail`` sits on a page
-        boundary.  Returns the ``(head_page, tail)`` to append at.  A page
-        linked past the committed tail is crash-safe, as in
-        :meth:`append`, and :meth:`iter_pages` counts it as the log's."""
-        if not head:
-            return self.ensure_log(ino, head, cpu)
-        if tail % PAGE_SIZE == 0:
-            tail = self._next_page(tail, cpu)
-        return head, tail
+    def next_page(self, tail: int, res: list) -> int:
+        """First slot of the reserved page after a full one (``tail`` on
+        the page boundary).  A fresh one is linked there once its zeroed
+        ``next`` is durable (its stale slots sit past the tail, unread),
+        or a crash could graft a garbage chain."""
+        page, fresh = res.pop(0)
+        if fresh:
+            self.dev.write_atomic64(page * PAGE_SIZE, 0, persist=True)
+            self.link(tail // PAGE_SIZE - 1, page)
+        return page * PAGE_SIZE + LOG_HEADER_SIZE
 
     def commit(self, ino: int, new_tail: int) -> None:
         """Atomic tail update — the commit point (Fig. 1 step 3)."""
@@ -168,22 +182,6 @@ class LogManager:
             seen.add(page)
             yield page, run
             page = nxt
-
-    # -- garbage collection ---------------------------------------------------------------
-
-    def unlink_middle_page(self, prev_page: int, dead_page: int,
-                           next_page: int) -> int:
-        """Fast GC: splice a fully-invalid page out of the chain, linking
-        ``prev_page`` to ``next_page``, the successor the caller's chain
-        walk read.
-
-        Returns the spliced page so the caller can free it *after* the new
-        link is durable.  Crash before the link persists leaves the old
-        (still valid) chain; crash after leaves the shorter chain — both
-        consistent.
-        """
-        self._link(prev_page, next_page)
-        return dead_page
 
 
 def chain_slots(chain: Iterable[tuple[int, bytes]], tail: int

@@ -312,6 +312,8 @@ class StagingLog:
         """
         fs = self.fs
         cache = fs._file_cache(ino, for_write=True)
+        if offset > cache.inode.size and fs._stale_tail(cache):
+            return False    # the direct write zeroes what a shrink left
         slab = self._slab_for(ino, len(data))
         if slab is None:
             return False

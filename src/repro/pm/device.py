@@ -623,9 +623,6 @@ class PMDevice:
 
     # -- typed helpers -----------------------------------------------------------
 
-    def read_u32(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 4), "little")
-
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 8), "little")
 

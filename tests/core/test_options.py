@@ -78,10 +78,6 @@ TEST_ONLY = {
     "repro.failure.image:Image.region_digest":
         "ROADMAP item 24: the per-region digests the image and media pins "
         "keep; items 12 and 22 read the decoder from src",
-    "repro.pm.device:PMDevice.read_u32":
-        "ROADMAP item 1 (a) deletes it with its test_device_reference.py "
-        "rows: the superblock's clean flag was its last reader in src, "
-        "and a mount decodes that from its one superblock request",
 }
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -537,7 +537,10 @@ class TestUncleanMountReadsEachLogOnce:
             fs.write(full, 0, page_of(i))
         assert fs.caches[full].tail % PAGE_SIZE == 0
         # An append links the next page; the crash takes its commit.
-        fs.log.append(full, fs.caches[full].tail, bytes(ENTRY_SIZE), cpu=0)
+        tail = fs.caches[full].tail
+        fs.log.append(full, tail, bytes(ENTRY_SIZE),
+                      fs.log.reserve(fs.caches[full].inode.log_head, tail,
+                                     1, cpu=0))
         fs.write(files[1], PAGE_SIZE, page_of(8))
         addr = fs.caches[files[1]].tail - ENTRY_SIZE
         fs.set_dedupe_flag(addr, DEDUPE_IN_PROCESS)       # Handling II

@@ -1,12 +1,17 @@
-"""Running out of space in the middle of a dedup operation is an atomic
+"""Running out of space in the middle of an operation is an atomic
 rejection (ROADMAP item 1c; docs/CONSISTENCY.md §4, the abort row).
 
-Every operation that stages FACT counts is run with its k-th page
-allocation (or inode-table slot) refused, for every k it makes.  Each
-time the caller must get a typed ``NoSpace`` and the image it had before
-the call: no staged UC, no entry, page, inode or tenant charge left, a
-daemon node back on the DWQ — checked on the *live* mount, again after a
-torn crash + recovery, and a retry without the fault must succeed.
+Every operation that stages FACT counts, every namespace operation and a
+mid-page truncate is run with its k-th page allocation (or inode-table
+slot) refused, for every k it makes, and so is the grow that zeroes
+the bytes a truncate's refused rewrite left.  Each time the caller must get a
+typed ``NoSpace`` and the image it had before the call: no staged UC, no
+entry, page, inode, name, size or tenant charge left, a daemon node back
+on the DWQ — checked on the *live* mount, again after a torn crash +
+recovery (against the same crash and recovery of the image before the
+call), and a retry without the fault must succeed.  An operation that
+takes its log pages before it stores anything fires no persist event
+when it is refused.
 """
 
 import functools
@@ -41,7 +46,9 @@ def state(fs):
     return (fs.allocator.free_pages, len(fs.caches), len(fs.dwq),
             {idx: (e.refcount, e.update_count)
              for idx, e in fs.fact.live_entries().items()},
-            dict(fs.tenants.usage_pages), dict(fs.tenants.usage_inodes))
+            dict(fs.tenants.usage_pages), dict(fs.tenants.usage_inodes),
+            [(path, cache.inode.size, cache.inode.links)
+             for path, _ino, cache in fs.walk()])
 
 
 # -- scenarios: build() -> (fs, op(fs), verify(fs), undo(fs) | None) ---------
@@ -168,6 +175,139 @@ def delayed_write():
     return _write_scenario(DeNovaFS)
 
 
+# -- log pages: every op takes them before its first store ------------------
+
+def _fill_dir(fs, path, entries):
+    """``path`` with ``entries`` dentries, so its tail sits on a page
+    boundary at ENTRIES_PER_PAGE."""
+    fs.mkdir(path)
+    for i in range(entries):
+        fs.create(f"{path}/e{i}")
+
+
+def _namespace_scenario(op, verify, boundary=False, dirs=("/d",)):
+    """``op`` into the directories ``dirs``: fresh (no log page yet), or
+    each with its tail on a page boundary."""
+    fs = mkfs(max_inodes=160)
+    fs.write(fs.create("/f"), 0, page_of(5))
+    for path in dirs:
+        _fill_dir(fs, path, ENTRIES_PER_PAGE if boundary else 0)
+    return fs, op, verify, None
+
+
+def create_fresh():
+    return _namespace_scenario(lambda f: f.create("/d/x"),
+                               lambda f: f.lookup("/d/x"))
+
+
+def mkdir_fresh():
+    return _namespace_scenario(lambda f: f.mkdir("/d/x"),
+                               lambda f: f.listdir("/d/x"))
+
+
+def _symlink_scenario(boundary):
+    return _namespace_scenario(
+        lambda f: f.symlink("/f", "/d/x"),
+        lambda f: _read_all(f, "/d/x", page_of(5)), boundary=boundary)
+
+
+def symlink_fresh():
+    return _symlink_scenario(False)
+
+
+def symlink_at_boundary():
+    return _symlink_scenario(True)
+
+
+def rename_at_boundaries():
+    """Cross-directory: both parents' next log pages are linked before
+    the journal commits."""
+    def op(f):
+        f.rename("/a/e0", "/b/x")
+
+    def verify(f):
+        assert f.lookup("/b/x") and not f.exists("/a/e0")
+
+    return _namespace_scenario(op, verify, boundary=True, dirs=("/a", "/b"))
+
+
+def link_fresh():
+    return _namespace_scenario(lambda f: f.link("/f", "/d/x"),
+                               lambda f: _read_all(f, "/d/x", page_of(5)))
+
+
+def staged_unlink_at_boundary():
+    """The file exists only in the staging log; its parent's next log
+    page is reserved before the staged record is discarded."""
+    fs = _namespace_scenario(None, None, boundary=True)[0]
+    fs.enable_staging()
+    fs.create("/d/s")
+    assert fs.staging.has_pending_create(fs.lookup("/d/s"))
+
+    def verify(f):
+        assert not f.exists("/d/s")
+
+    return fs, lambda f: f.unlink("/d/s"), verify, None
+
+
+def midpage_truncate():
+    """A 2-page file truncated to 4 196 B: the setattr, the commit point,
+    crosses into the file's next log page.  A refused rewrite of the
+    partial page after it is no refusal of the truncate."""
+    fs = mkfs()
+    ino = fs.create("/t")
+    fs.write(ino, 0, page_of(1) + page_of(2))
+    for _ in range(ENTRIES_PER_PAGE - 1):        # no slot left
+        fs.write(ino, 0, page_of(1))
+    size = PAGE_SIZE + 100
+
+    def verify(f):
+        t = f.lookup("/t")
+        assert f.stat(t).size == size
+        f.truncate(t, 2 * PAGE_SIZE)             # grow: zeros past EOF
+        want = page_of(1) + page_of(2)[:100] + bytes(PAGE_SIZE - 100)
+        _read_all(f, "/t", want)
+
+    return fs, lambda f: f.truncate(f.lookup("/t"), size), verify, None
+
+
+def midpage_grow():
+    """The grow after a mid-page shrink whose rewrite was refused: the
+    zero-tailed partial page and its write entry, which crosses into the
+    file's next log page, commit with the new size."""
+    fs = mkfs()
+    ino = fs.create("/t")
+    fs.write(ino, 0, page_of(1) + page_of(2))
+    for _ in range(ENTRIES_PER_PAGE - 2):        # the setattr fills it
+        fs.write(ino, 0, page_of(1))
+    with mock.patch.object(fs.allocator, "alloc",
+                           side_effect=AllocError("injected")):
+        fs.truncate(ino, PAGE_SIZE + 100)        # the cut bytes stay
+    want = page_of(1) + page_of(2)[:100] + bytes(PAGE_SIZE - 100)
+    return (fs, lambda f: f.truncate(f.lookup("/t"), 2 * PAGE_SIZE),
+            lambda f: _read_all(f, "/t", want), None)
+
+
+def inline_write_across_log_page():
+    """Duplicate pages split the write into single-page runs whose
+    entries cross into the file's next log page."""
+    fs = mkfs(InlineDedupFS)
+    fs.write(fs.create("/dup"), 0, page_of(9))
+    ino = fs.create("/b")
+    for i in range(ENTRIES_PER_PAGE - 2):        # two slots left
+        fs.write(ino, 0, page_of(100 + i))
+    data = page_of(9) + page_of(3) + page_of(9) + page_of(4)
+    return (fs, lambda f: f.write(f.lookup("/b"), 0, data),
+            lambda f: _read_all(f, "/b", data), None)
+
+
+#: Rows whose refused op must fire no persist event: it takes every log
+#: page before its first store.
+STORES_NOTHING = {create_fresh, mkdir_fresh, symlink_fresh,
+                  symlink_at_boundary, rename_at_boundaries, link_fresh,
+                  staged_unlink_at_boundary, midpage_truncate, midpage_grow}
+
+
 # -- the fault ---------------------------------------------------------------
 
 _WINDOW = [True]    # requests count only while open (recv narrows it)
@@ -198,11 +338,14 @@ def disarm(fs):
 
 def fail_at(build, site, k):
     """Run the scenario's op with the k-th request refused.  Returns
-    ``(fs, before, verify, op)``, or None when the op makes fewer than k
-    requests (and so succeeded)."""
+    ``(fs, before, verify, op, persists, pre)``, ``persists`` the persist
+    events the refused op fired and ``pre`` a fork of the device before
+    it, or None when the op makes fewer than k requests (and so
+    succeeded)."""
     fs, op, verify, undo = build()
-    before = state(fs)
+    before, pre, persists = state(fs), fs.dev.fork(), []
     arm(fs, site, k)
+    fs.dev.hooks.on_persist = lambda n, _dev: persists.append(n)
     try:
         op(fs)
     except NoSpace:
@@ -211,9 +354,17 @@ def fail_at(build, site, k):
         return None
     finally:
         disarm(fs)
+        fs.dev.hooks.on_persist = None
     if undo is not None:
         undo(fs)
-    return fs, before, verify, op
+    return fs, before, verify, op, persists, pre
+
+
+def recovered(fs, dev, k):
+    """``dev`` crashed torn (seeded by ``k``) and mounted."""
+    dev.crash("torn", rng=np.random.default_rng(k))
+    dev.recover_view()
+    return type(fs).mount(dev)
 
 
 SWEEPS = [
@@ -227,6 +378,20 @@ SWEEPS = [
     (reflink_deduplicated, "inode"),
     (reflink_pending, "inode"),
     (recv_snapshot, "inode"),
+    (create_fresh, "alloc"),
+    (create_fresh, "inode"),
+    (mkdir_fresh, "alloc"),
+    (mkdir_fresh, "inode"),
+    (symlink_fresh, "alloc"),
+    (symlink_fresh, "inode"),
+    (symlink_at_boundary, "alloc"),
+    (symlink_at_boundary, "inode"),
+    (rename_at_boundaries, "alloc"),
+    (link_fresh, "alloc"),
+    (staged_unlink_at_boundary, "alloc"),
+    (midpage_truncate, "alloc"),
+    (midpage_grow, "alloc"),
+    (inline_write_across_log_page, "alloc"),
 ]
 
 
@@ -239,20 +404,27 @@ def test_kth_request_refused_is_an_atomic_rejection(build, site):
         failed = fail_at(build, site, k)
         if failed is None:
             break
-        fs, before, verify, op = failed
-        # Live mount: consistent, and exactly the image before the call.
-        check_fs_invariants(fs)
+        fs, before, verify, op, persists, pre = failed
+        pre.close()
+        # Live mount: consistent (a create still only in the staging log
+        # has no inode record the checker could find), and exactly the
+        # image before the call.
+        if not fs.staging_enabled:
+            check_fs_invariants(fs)
         assert state(fs) == before, f"{site} #{k}: residue on the live mount"
+        if build in STORES_NOTHING:
+            assert persists == [], f"{site} #{k}: stored before refusing"
         # A retry without the fault succeeds.
         op(fs)
         verify(fs)
         check_fs_invariants(fs)
 
-        # The same after a torn crash + recovery of the failed image.
-        fs, before, verify, op = fail_at(build, site, k)
-        fs.dev.crash("torn", rng=np.random.default_rng(k))
-        fs.dev.recover_view()
-        rec = type(fs).mount(fs.dev)
+        # The same after a torn crash + recovery of the failed image: what
+        # the same crash and recovery make of the image before the call.
+        fs, _before, verify, op, _persists, pre = fail_at(build, site, k)
+        before = state(recovered(fs, pre, k))
+        pre.close()
+        rec = recovered(fs, fs.dev, k)
         check_fs_invariants(rec)
         assert state(rec) == before, f"{site} #{k}: residue after recovery"
         op(rec)

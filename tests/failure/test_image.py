@@ -257,7 +257,7 @@ def test_a_log_page_is_zeroed_before_it_is_linked():
     every chain on every crashed image ends on a null ``next`` inside the
     data region — a link made before the header is durable grafts the
     stale word (found by swapping the two persists in
-    ``LogManager._next_page``, which the image pins' seeds never reach)."""
+    ``LogManager.next_page``, which the image pins' seeds never reach)."""
     def build():
         dev = PMDevice(256 * PAGE_SIZE, model=DRAM, clock=SimClock())
         fs = NovaFS.mkfs(dev, max_inodes=160)

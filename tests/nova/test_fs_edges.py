@@ -1,14 +1,17 @@
 """Edge-case tests for the filesystem surface."""
 
+from unittest import mock
+
 import pytest
 
-from repro.dedup import DeNovaFS
+from repro.dedup import DeNovaFS, InlineDedupFS
 from repro.failure import check_fs_invariants
 from repro.nova import NovaFS, PAGE_SIZE
 from repro.nova.entries import MAX_NAME
 from repro.nova.fs import FileExists, FileNotFound, FSError, NoSpace
 from repro.nova.log import ENTRIES_PER_PAGE
 from repro.pm import DRAM, PMDevice, SimClock
+from repro.pm.allocator import AllocError
 
 
 def make_fs(pages=512, max_inodes=32, cls=NovaFS):
@@ -195,6 +198,86 @@ class TestLogPagesRunOut:
         fs.unlink("/big")
         ino = make("/d/new0")
         assert fs.lookup("/d/new0", follow=False) == ino
+        check_fs_invariants(fs)
+
+
+class TestMidPageShrink:
+    """A shrink commits its setattr first, so it needs no data page and no
+    quota room (truncate is one of the two ways to free space); its
+    partial page is rewritten zero past EOF after that, and a grow zeroes
+    what is left when that rewrite never happened."""
+
+    DATA = bytes(range(256)) * 64          # 4 pages, no zero byte run
+
+    @staticmethod
+    def past_eof(fs, ino):
+        """The media bytes of page 1 past a 4 196 B EOF."""
+        block = fs.caches[ino].index.block_of(1)
+        return fs.dev.read_silent(block * PAGE_SIZE + 100, PAGE_SIZE - 100)
+
+    def grown(self, fs, ino):
+        fs.truncate(ino, 4 * PAGE_SIZE)
+        want = self.DATA[:PAGE_SIZE + 100] + bytes(3 * PAGE_SIZE - 100)
+        assert fs.read(ino, 0, 4 * PAGE_SIZE) == want
+        check_fs_invariants(fs)
+
+    @pytest.mark.parametrize("cls", [NovaFS, DeNovaFS],
+                             ids=lambda c: c.__name__)
+    def test_on_a_full_device(self, cls):
+        fs = make_fs(pages=160, cls=cls)
+        ino = fs.create("/f")
+        fs.write(ino, 0, self.DATA)
+        fill(fs)
+        fs.truncate(ino, PAGE_SIZE + 100)
+        assert fs.stat(ino).size == PAGE_SIZE + 100
+        assert fs.allocator.free_pages == 2
+        assert self.past_eof(fs, ino) == bytes(PAGE_SIZE - 100)
+        self.grown(fs, ino)
+
+    def test_at_the_tenant_quota(self):
+        fs = make_fs()
+        fs.tenant_create("alice", quota_pages=4)
+        ino = fs.create("/t/alice/f")
+        fs.write(ino, 0, self.DATA)
+        fs.truncate(ino, PAGE_SIZE + 100)
+        assert fs.tenant_stats()["alice"]["used_pages"] == 2
+        self.grown(fs, ino)             # the rewrite displaces as it maps
+        assert fs.tenant_stats()["alice"]["used_pages"] == 2
+
+    @pytest.mark.parametrize("cls", [NovaFS, InlineDedupFS],
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("how", ["truncate", "same-page write",
+                                     "later-page write", "staged write"])
+    def test_a_grow_reads_zeros_past_the_old_eof(self, how, cls):
+        fs = make_fs(cls=cls)
+        ino = fs.create("/f")
+        fs.write(ino, 0, self.DATA)
+        # The device refuses the shrink's rewrite: the cut bytes stay.
+        with mock.patch.object(fs.allocator, "alloc",
+                               side_effect=AllocError("injected")):
+            fs.truncate(ino, PAGE_SIZE + 100)
+        assert fs.stat(ino).size == PAGE_SIZE + 100
+        assert self.past_eof(fs, ino) == self.DATA[PAGE_SIZE + 100:
+                                                  2 * PAGE_SIZE]
+        at = {"truncate": None, "same-page write": PAGE_SIZE + 300,
+              "later-page write": 3 * PAGE_SIZE, "staged write":
+              PAGE_SIZE + 300}[how]
+        if how == "staged write":
+            fs.enable_staging()
+        if at is None:
+            fs.truncate(ino, 3 * PAGE_SIZE + 1)
+        else:
+            fs.write(ino, at, b"Q")
+        want = bytearray(3 * PAGE_SIZE + 1)
+        want[:PAGE_SIZE + 100] = self.DATA[:PAGE_SIZE + 100]
+        if at is not None:
+            want[at] = ord("Q")
+        size = fs.stat(ino).size
+        assert fs.read(ino, 0, size) == bytes(want[:size])
+        check_fs_invariants(fs)
+        fs.unmount()
+        fs = cls.mount(fs.dev)
+        assert fs.read(fs.lookup("/f"), 0, size) == bytes(want[:size])
         check_fs_invariants(fs)
 
 

@@ -106,23 +106,32 @@ class TestBasicRecovery:
 
         assert sweep_crash_points(build, check) > 0
 
-    def test_truncate_atomicity(self):
+    @pytest.mark.parametrize("size", [PAGE_SIZE, PAGE_SIZE + 100],
+                             ids=["page", "mid-page"])
+    def test_truncate_atomicity(self, size):
+        """Old size or new, and a file grown again after recovery reads
+        zeros past the new EOF: a shrink commits its setattr alone, and
+        the grow zeroes what a mid-page one cut."""
+        full = 4 * PAGE_SIZE
+
         def build():
             fs = fresh_fs()
             ino = fs.create("/t")
-            fs.write(ino, 0, b"z" * (4 * PAGE_SIZE))
+            fs.write(ino, 0, b"z" * full)
 
             def scenario():
-                fs.truncate(ino, PAGE_SIZE)
+                fs.truncate(ino, size)
 
             return fs.dev, scenario
 
         def check(dev, point, phase):
             fs2 = NovaFS.mount(dev)
             ino2 = fs2.lookup("/t")
-            size = fs2.stat(ino2).size
-            assert size in (PAGE_SIZE, 4 * PAGE_SIZE)
-            assert fs2.read(ino2, 0, size) == b"z" * size
+            got = fs2.stat(ino2).size
+            assert got in (size, full)
+            assert fs2.read(ino2, 0, got) == b"z" * got
+            fs2.truncate(ino2, full)
+            assert fs2.read(ino2, 0, full) == b"z" * got + bytes(full - got)
             check_fs_invariants(fs2)
 
         assert sweep_crash_points(build, check) > 0
@@ -225,7 +234,8 @@ class TestTailBoundsTheReplay:
         block, = fs.caches[donor].index.referenced_pages()
         f = fs.create("/f")
         if first_commit_lost:
-            _head, tail = fs.log.ensure_log(f, 0, cpu=0)
+            _head, tail = fs.log.ensure_log(
+                f, 0, fs.log.reserve(0, 0, 0, cpu=0))
         else:
             fs.write(f, 0, b"a" * PAGE_SIZE)
             fs.write(f, PAGE_SIZE, b"b" * PAGE_SIZE)

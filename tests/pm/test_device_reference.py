@@ -576,15 +576,13 @@ def test_a_raising_hook_on_a_folding_clock_leaves_the_run_volatile(hook):
     lambda d: d.read(0, -1),
     lambda d: d.read(SIZE - 3, 4),
     lambda d: d.read(SIZE, 1),
-    lambda d: d.read_u32(SIZE - 2),
-    lambda d: d.read_u32(-4),
     lambda d: d.read_u64(SIZE - 4),
     lambda d: d.read_u64(-8),
     lambda d: d.read_u64(SIZE),
     lambda d: d.read_view(-1, 4),
     lambda d: d.read_view(0, -1),
     lambda d: d.read_view(SIZE - 3, 4),
-], ids=range(12))
+], ids=[0, 1, 2, 3, 6, 7, 8, 9, 10, 11])
 def test_reads_out_of_bounds_are_refused_and_cost_nothing(call):
     dev = PMDevice(SIZE, clock=RecordingClock())
     dev.write(0, b"\x01", persist=True)
