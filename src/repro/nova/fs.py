@@ -955,6 +955,15 @@ class NovaFS:
         (:func:`read_scattered`, docs/CONSISTENCY.md §5), zeros for a
         hole; no syscall, counter or staging overlay (restore uses it)."""
         out = bytearray(length)
+        read_scattered(self.dev, self.read_spans(cache, offset, length), out)
+        return out
+
+    def read_spans(self, cache: InodeCache, offset: int, length: int
+                   ) -> list[tuple[int, int, int]]:
+        """The device spans ``(addr, end, dst)`` a read of the range
+        fetches, one per run of it (a hole has none), ``dst`` the span's
+        offset in the result: what :meth:`read_runs` plans its requests
+        over, and what relocation counts them on."""
         end = offset + length
         runs: list[list[int]] = []
         for pgoff in range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1):
@@ -967,8 +976,7 @@ class NovaFS:
             a = block * PAGE_SIZE + lo - pgoff * PAGE_SIZE  # device [a, z)
             z = a + min((pgoff + count) * PAGE_SIZE, end) - lo
             spans.append((a, z, lo - offset))
-        read_scattered(self.dev, spans, out)
-        return out
+        return spans
 
     def truncate(self, ino: int, size: int, cpu: int = 0) -> None:
         """Set file size; shrinking reclaims pages past the new end."""

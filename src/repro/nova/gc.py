@@ -68,14 +68,14 @@ def _thorough_gc(fs, ino: int) -> dict:
 
     # Collect the live payload.
     payload: list[bytes] = []
-    live_write_addrs: list[int] = []
+    live: list[WriteEntry] = []       # payload[:len(live)], in log order
     if cache.inode.itype == ITYPE_FILE:
-        for addr, raw in fs.log.iter_slots(head, cache.tail):
+        for addr, raw in fs.log.page_slots(old_pages, cache.tail):
             entry = decode_entry(raw)
             if (isinstance(entry, WriteEntry)
                     and cache.index.entry_live_pages(addr) > 0):
                 payload.append(raw)
-                live_write_addrs.append(addr)
+                live.append(entry)
         payload.append(SetattrEntry(
             ino=ino, new_size=cache.inode.size,
             mtime=cache.inode.mtime).pack())
@@ -103,9 +103,9 @@ def _thorough_gc(fs, ino: int) -> dict:
         fs.dev.write(page * PAGE_SIZE, body, nt=True)
     fs.dev.sfence()
 
-    last_used = len(payload) - (len(new_pages) - 1) * ENTRIES_PER_PAGE
-    new_tail = (new_pages[-1] * PAGE_SIZE + LOG_HEADER_SIZE
-                + last_used * ENTRY_SIZE)
+    slots = [page * PAGE_SIZE + LOG_HEADER_SIZE + k * ENTRY_SIZE
+             for page in new_pages for k in range(ENTRIES_PER_PAGE)]
+    new_tail = slots[len(payload) - 1] + ENTRY_SIZE
 
     # Steps 2-3: publish, head first (the commit point), then the tail.
     fs.itable.update_log_head(ino, new_pages[0])
@@ -120,11 +120,10 @@ def _thorough_gc(fs, ino: int) -> dict:
     cache.invalid_entries = {}
     cache.entry_count = len(payload)
     if cache.inode.itype == ITYPE_FILE:
+        # Rebuilt from what was just written, not by reading it back.
         index = FileIndex(fs.cpu_model, fs.clock)
-        for addr, raw in fs.log.iter_slots(new_pages[0], new_tail):
-            entry = decode_entry(raw)
-            if isinstance(entry, WriteEntry):
-                index.install(addr, entry)
+        for addr, entry in zip(slots, live):
+            index.install(addr, entry)
         cache.index = index
     fs._c_log_gced.inc(len(old_pages) - len(new_pages))
     return {

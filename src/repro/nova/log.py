@@ -128,9 +128,15 @@ class LogManager:
         """Yield ``(addr, raw)`` for every committed entry slot, reading
         each page's committed slots with one device request."""
         if head_page == 0 or tail == 0:
-            return
+            return iter(())
+        return self.page_slots(self.iter_pages(head_page), tail)
+
+    def page_slots(self, pages: Iterable[int], tail: int
+                   ) -> Iterator[tuple[int, bytes]]:
+        """:meth:`iter_slots` over a chain already walked (``pages``, from
+        its head): no ``next`` pointer is read again."""
         tail_page = (tail - 1) // PAGE_SIZE
-        for page in self.iter_pages(head_page):
+        for page in pages:
             base = page * PAGE_SIZE
             start = base + LOG_HEADER_SIZE
             end = tail if page == tail_page else base + PAGE_SIZE

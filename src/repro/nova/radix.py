@@ -151,23 +151,6 @@ class FileIndex:
         """Drop every mapping (unlink replay)."""
         return self.truncate_pages(0)
 
-    def physical_runs(self) -> list[tuple[int, int, int]]:
-        """Contiguous (file pgoff, device page, count) runs, in file order.
-
-        A run extends while both the file offset and the device page
-        advance by one — the unit a layout-aware reader (restore) can
-        fetch with a single device request, and what the reverse-dedup
-        relocator tries to maximize.  Holes and physical discontinuities
-        both break runs.
-        """
-        runs: list[list[int]] = []
-        offsets = self.mapped_offsets
-        self._clock.advance_n(self._cpu.dram_touch_ns, len(offsets))
-        for pgoff in offsets:
-            _addr, entry = self._slots[pgoff]
-            extend_runs(runs, pgoff, entry.block_for(pgoff))
-        return [tuple(r) for r in runs]
-
     def referenced_pages(self) -> set[int]:
         """All device pages the current index references (recovery bitmap)."""
         return {block for _pgoff, _addr, block in self.mappings()}

@@ -12,7 +12,8 @@ is never taxed.
 
 The move protocol (per file of the newest snapshot)
 ---------------------------------------------------
-1. allocate one contiguous extent sized to the file's mapped pages;
+1. unless the read planner fetches the whole file with one request
+   (docs/CONSISTENCY.md §5), allocate one extent sized to its mapped pages;
 2. journal every intended move to ``/.repl/relocate.intent``
    (``[{old, new, idx}]`` — ``idx`` is the page's FACT entry, or None
    for an unfingerprinted page);
@@ -62,6 +63,7 @@ from repro.nova.inode import ITYPE_FILE
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import extend_runs
 from repro.pm.allocator import AllocError
+from repro.pm.plan import neighbourhoods
 
 __all__ = ["INTENT_PATH", "relocate_latest", "replay_intents",
            "replay_torn_relocation", "latest_snapshot"]
@@ -109,37 +111,31 @@ def _redirect_refs(fs, moves: dict[int, int], refs: dict) -> None:
         fs._note_dead_entries(cache, complete_redirects(fs, cache, appended))
 
 
-def _min_runs(mapped: list[int]) -> int:
-    """Best achievable run count: one per hole-delimited segment."""
-    segs = 0
-    prev = None
-    for pgoff in mapped:
-        if prev is None or pgoff != prev + 1:
-            segs += 1
-        prev = pgoff
-    return segs
+def _requests(fs, cache) -> int:
+    """Device requests a whole read of the file makes: the read planner's
+    neighbourhoods of its spans (docs/CONSISTENCY.md §5)."""
+    spans = sorted(fs.read_spans(cache, 0, cache.inode.size))
+    return sum(1 for _ in neighbourhoods(fs.dev.model, spans))
 
 
 def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
-    """Sequentialize one file of the newest snapshot.
-
-    Returns the pages moved (0 = already sequential, or skipped for
-    ENOSPC) and counts them into ``tally``.  ``placed`` accumulates
-    blocks this pass already assigned a home — first owner wins.
-    """
+    """Sequentialize one file of the newest snapshot (steps 1-5): the
+    pages moved (0 also for ENOSPC), counted with a whole read's requests
+    before and after into ``tally``.  ``placed`` accumulates blocks this
+    pass already assigned a home — first owner wins."""
     ino = fs.lookup(path, follow=False)
     cache = fs.caches[ino]
-    mapped = cache.index.mapped_offsets
-    if not mapped or len(cache.index.physical_runs()) <= _min_runs(mapped):
+    before = _requests(fs, cache)
+    if before <= 1:
         return 0
     cpu = ino_cpu(ino, fs.cpus)
 
     # Plan: mapped page i of this file lands at newstart + i; a block
     # seen twice (or owned by an earlier file this pass) moves at most
     # once, and unused slots of the fresh extent are returned.
-    blocks = [cache.index.block_of(p) for p in mapped]
+    blocks = [cache.index.block_of(p) for p in cache.index.mapped_offsets]
     try:
-        newstart = fs.allocator.alloc(len(mapped), cpu)
+        newstart = fs.allocator.alloc(len(blocks), cpu)
     except AllocError:
         tally["skipped_enospc"] += 1
         return 0
@@ -153,7 +149,7 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
         assigned.add(old)
         moves.append({"old": old, "new": newstart + i})
     if not moves:
-        fs.allocator.free(newstart, len(mapped), cpu)
+        fs.allocator.free(newstart, len(blocks), cpu)
         return 0
     # The plan stays open across the moves: its store notifications keep
     # each old block's pointer exact for the retarget.
@@ -186,6 +182,8 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
     fs.unlink(INTENT_PATH)
     tally["pages_moved"] += len(moves)
     tally["files_moved"] += 1
+    tally["requests_before"] += before
+    tally["requests_after"] += _requests(fs, cache)
     return len(moves)
 
 
@@ -199,13 +197,14 @@ def relocate_latest(fs, budget: Optional[int] = None) -> dict:
     (if it has chain metadata — local snapshots record none).
     """
     name = latest_snapshot(fs)
+    tally = Counter(dict.fromkeys((
+        "pages_moved", "files_moved", "skipped_enospc", "requests_before",
+        "requests_after"), 0))
     if name is None:
-        return {"snapshot": None, "done": True, "pages_moved": 0,
-                "files_examined": 0, "files_moved": 0,
-                "skipped_enospc": 0, "next_cursor": 0}
+        return {"snapshot": None, "done": True, "files_examined": 0,
+                "next_cursor": 0, **tally}
     files = [path for path, _ino, cache in fs.walk(f"{SNAPSHOT_DIR}/{name}")
              if cache.inode.itype == ITYPE_FILE]
-    tally = Counter(pages_moved=0, files_moved=0, skipped_enospc=0)
     placed: set[int] = set()
     with fs.obs.span("repl.relocate", snapshot=name, budget=budget or 0,
                      cursor=fs.cursors.get("relocate", name)):

@@ -131,13 +131,19 @@ class TestRelocateCopiesOneRequestPerRun:
         pages = [page(i) for i in range(1, 5)]
         # Pages 4..7 duplicate 0..3: after dedup the file maps one run
         # twice, so its batch moves 0..3 and leaves 4..7's slots unused.
-        fs.write(fs.create("/data"), 0, b"".join(pages + pages))
+        # Page 8, written past ``/gap``, is a second neighbourhood (and
+        # its delete pointer too): a read takes two requests.
+        ino = fs.create("/data")
+        fs.write(ino, 0, b"".join(pages + pages))
+        fs.write(fs.create("/gap"), 0, b"".join(
+            page(i) for i in range(10, 14)))
+        fs.write(ino, 8 * PAGE_SIZE, page(9))
         fs.daemon.drain()
         fs.snapshot("s1")
         path = f"{SNAPSHOT_DIR}/s1/data"
         old = extent_of(fs, path)
         with Ledger(fs.dev) as led:
-            assert relocate_latest(fs)["pages_moved"] == 4
+            assert relocate_latest(fs)["pages_moved"] == 5
         new = extent_of(fs, path)
         assert [(r.addr // PAGE_SIZE, r.n) for r in led.select(
             "read", within=(old * PAGE_SIZE, (old + 4) * PAGE_SIZE))] \
@@ -149,8 +155,8 @@ class TestRelocateCopiesOneRequestPerRun:
         assert [(r.addr // PAGE_SIZE, r.n) for r in led.select(
             "write", within=(new * PAGE_SIZE, (new + 4) * PAGE_SIZE))
             if r.nt] == [(new, 4 * PAGE_SIZE)]
-        assert fs.read(fs.lookup(path), 0, 8 * PAGE_SIZE) == b"".join(
-            pages + pages)
+        assert fs.read(fs.lookup(path), 0, 9 * PAGE_SIZE) == b"".join(
+            pages + pages + [page(9)])
         check_fs_invariants(fs)
 
     def test_a_scattered_batch_plans_its_moves_with_one_request(self):

@@ -7,6 +7,8 @@ from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
 
+from tests.nova.test_read_runs import runs_of
+
 
 def make_fs(pages=2048, **kw):
     dev = PMDevice(pages * PAGE_SIZE, model=DRAM, clock=SimClock())
@@ -201,7 +203,7 @@ class TestReadRuns:
             bytes(PAGE_SIZE) if (block := index.block_of(pg)) is None
             else fs.dev.read_silent(block * PAGE_SIZE, PAGE_SIZE)
             for pg in range(last + 1))
-        runs = [r for r in index.physical_runs() if r[0] <= last]
+        runs = [r for r in runs_of(index) if r[0] <= last]
         assert len(runs) < sum(count for _p, _b, count in runs)
         reads = fs.dev.stats.reads
         data = fs.read(b, offset, length)

@@ -406,11 +406,8 @@ def test_kth_request_refused_is_an_atomic_rejection(build, site):
             break
         fs, before, verify, op, persists, pre = failed
         pre.close()
-        # Live mount: consistent (a create still only in the staging log
-        # has no inode record the checker could find), and exactly the
-        # image before the call.
-        if not fs.staging_enabled:
-            check_fs_invariants(fs)
+        # Live mount: consistent, and exactly the image before the call.
+        check_fs_invariants(fs)
         assert state(fs) == before, f"{site} #{k}: residue on the live mount"
         if build in STORES_NOTHING:
             assert persists == [], f"{site} #{k}: stored before refusing"

@@ -109,6 +109,46 @@ class TestThoroughGC:
         assert fs.obs.registry.counter("fs.log_pages_gced_total").value > 0
 
 
+def line_reads(led, pages) -> list[int]:
+    """The cache lines of ``pages`` each device read covers, in order."""
+    lines = []
+    for r in led.select("read"):
+        lines += [line for line in range(r.addr // 64, (r.end - 1) // 64 + 1)
+                  if line * 64 // PAGE_SIZE in pages]
+    return lines
+
+
+class TestGCReads:
+    """docs/CONSISTENCY.md §5: thorough GC walks the old chain once and
+    builds the new index from what it wrote, never reading it back."""
+
+    def test_no_new_chain_line_and_no_old_line_twice(self):
+        fs = make_fs()
+        ino = fs.create("/f")
+        fragment(fs, ino, rounds=ENTRIES_PER_PAGE + 5)
+        before = fs.read(ino, 0, 2 * PAGE_SIZE)
+        old = list(fs.log.iter_pages(fs.caches[ino].inode.log_head))
+        assert len(old) == 2
+        with Ledger(fs.dev) as led:
+            assert thorough_gc(fs, ino)["new_pages"] == 1
+        new = list(fs.log.iter_pages(fs.caches[ino].inode.log_head))
+        assert line_reads(led, new) == []
+        lines = line_reads(led, old)
+        assert len(lines) == len(set(lines))
+        assert fs.read(ino, 0, 2 * PAGE_SIZE) == before
+        check_fs_invariants(fs)
+
+    def test_a_vetoed_pass_reads_each_header_once(self):
+        fs = make_fs(cls=DeNovaFS)
+        ino = fs.create("/f")
+        fragment(fs, ino, rounds=ENTRIES_PER_PAGE + 5)
+        old = list(fs.log.iter_pages(fs.caches[ino].inode.log_head))
+        with Ledger(fs.dev) as led:
+            assert thorough_gc(fs, ino)["skipped"] == "pending dedup entries"
+        assert [(r.addr, r.n) for r in led.select("read")] \
+            == [(page * PAGE_SIZE, 8) for page in old]
+
+
 class TestGCWithDedup:
     def test_gc_vetoed_while_dedup_pending(self):
         fs = make_fs(cls=DeNovaFS)

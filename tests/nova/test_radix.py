@@ -145,9 +145,9 @@ class TestGroup:
 
 
 class TestPerPageChargesAreFolded:
-    """``install`` / ``truncate_pages`` / ``physical_runs`` touch one
-    slot per page: ``advance_n(dram_touch_ns, pages)`` before the loop
-    must leave the clock where a charge per page inside it did."""
+    """``install`` / ``truncate_pages`` touch one slot per page:
+    ``advance_n(dram_touch_ns, pages)`` before the loop must leave the
+    clock where a charge per page inside it did."""
 
     @pytest.mark.parametrize("pages", [1, 8, 32])
     @pytest.mark.parametrize("start_ns", [0.0, 1234.5678])
@@ -166,8 +166,8 @@ class TestPerPageChargesAreFolded:
         per_page(pages)
         ix.install(0x2000, we(0, pages, 500))   # displaces every page
         per_page(pages)
-        assert ix.physical_runs() == [(0, 500, pages)]
-        per_page(pages)
+        assert sorted(ix.mappings()) == [(p, 0x2000, 500 + p)
+                                         for p in range(pages)]
         with ix._clock.capture() as cap, loop.capture() as loop_cap:
             kept = pages // 2
             assert ix.truncate_pages(kept).total_pages == pages - kept

@@ -105,6 +105,7 @@ class TestOneHome:
     @pytest.mark.parametrize("rel, name", [
         ("dedup/fact.py", "neighbourhoods"),
         ("nova/fs.py", "read_scattered"),
+        ("repl/relocate.py", "neighbourhoods"),
     ])
     def test_fact_and_file_reads_plan_with_it(self, rel, name):
         assert name in _imports_from(src_tree(rel), "repro.pm.plan")

@@ -18,29 +18,34 @@ from repro.nova.log import LogManager
 from repro.pm import OPTANE_DCPM, PMDevice, SimClock
 from repro.repl import relocate_latest
 from repro.repl import REPL_DIR
-from repro.repl.relocate import _min_runs, _relocate_file
+from repro.repl.relocate import INTENT_PATH, _relocate_file
 
+from tests._ledger import Ledger
+from tests.nova import test_read_runs
 from tests.repl.util import build_chain_pair, make_fs, page_of
 
 pytestmark = pytest.mark.repl
 
 
-def runs_of(fs, path):
-    ino = fs.lookup(path, follow=False)
-    return fs.caches[ino].index.physical_runs()
+def requests_of(fs, path):
+    """Device requests a whole read of ``path`` makes."""
+    cache = fs.caches[fs.lookup(path, follow=False)]
+    with Ledger(fs.dev) as led:
+        fs.read_runs(cache, 0, cache.inode.size)
+    return len(led.select("read"))
 
 
 class TestRelocate:
     def test_latest_becomes_sequential(self):
         _src, dst, _b, _names = build_chain_pair(4)
         path = f"{SNAPSHOT_DIR}/s4/data"
-        assert len(runs_of(dst, path)) > 1  # forward chain fragmented
+        before = requests_of(dst, path)
+        assert before > 1  # forward chain fragmented
         out = relocate_latest(dst)
         assert out["done"] and out["snapshot"] == "s4"
         assert out["pages_moved"] > 0
-        runs = runs_of(dst, path)
-        ino = dst.lookup(path, follow=False)
-        assert len(runs) == _min_runs(dst.caches[ino].index.mapped_offsets)
+        assert requests_of(dst, path) == 1
+        assert (out["requests_before"], out["requests_after"]) == (before, 1)
         check_fs_invariants(dst)
 
     def test_relocation_is_idempotent(self):
@@ -48,7 +53,31 @@ class TestRelocate:
         relocate_latest(dst)
         again = relocate_latest(dst)
         assert again["done"] and again["pages_moved"] == 0
+        assert again["requests_before"] == again["requests_after"] == 0
         check_fs_invariants(dst)
+
+    def test_runs_out_of_file_order_in_one_neighbourhood_stay(self):
+        """``/data``'s pages duplicate ``/src``'s in another order: four
+        runs, all inside ``/src``'s extent, so one request reads the file
+        and relocation leaves it where it is."""
+        fs = make_fs(pages=1024, max_inodes=64)
+        pages = [page_of(i) for i in range(1, 5)]
+        fs.write(fs.create("/src"), 0, b"".join(pages))
+        fs.write(fs.create("/data"), 0, b"".join(pages[::-1]))
+        fs.daemon.drain()
+        fs.snapshot("s1")
+        path = f"{SNAPSHOT_DIR}/s1/data"
+        index = fs.caches[fs.lookup(path)].index
+        b = fs.caches[fs.lookup("/src")].index.block_of(0)
+        assert [index.block_of(p) for p in range(4)] == [b + 3, b + 2,
+                                                         b + 1, b]
+        assert requests_of(fs, path) == 1
+        persists = []
+        fs.dev.hooks.on_persist = lambda n, _dev: persists.append(n)
+        assert _relocate_file(fs, path, set(), Counter()) == 0
+        fs.dev.hooks.on_persist = None
+        assert persists == []
+        assert not fs.exists(INTENT_PATH)
 
     def test_older_snapshots_keep_content(self):
         """The indirection moves to the old snapshots; their bytes don't."""
@@ -145,7 +174,34 @@ class TestOnePublishPerReferencingInode:
         assert sum(walks.values()) == 3
         assert fs.read(fs.lookup("/a"), 0, 256 * PAGE_SIZE) == b"".join(a)
         assert fs.read(fs.lookup("/b"), 0, 256 * PAGE_SIZE) == b"".join(b)
-        assert len(runs_of(fs, "/b")) == 1
+        assert requests_of(fs, "/b") == 1
+        check_fs_invariants(fs)
+
+
+class TestShuffledDuplicatesRelocated:
+    """ROADMAP finding 5's live files: ``/b`` shares a fraction α of its
+    pages with ``/a`` at shuffled offsets.  Relocating ``/b`` makes it one
+    request and moves the shared blocks out of ``/a``'s extent: ``/a``
+    takes on about the requests ``/b`` gave up."""
+
+    @pytest.mark.parametrize("alpha, b_before, a_after", [
+        (0.9, 47, 46),
+        (0.5, 129, 130),
+        (0.25, 95, 96),
+    ])
+    def test_b_becomes_one_request_and_a_takes_the_scatter(
+            self, alpha, b_before, a_after):
+        fs, _ino, want = test_read_runs.TestShuffledDuplicates.build(
+            DeNovaFS, alpha)
+        assert (requests_of(fs, "/a"), requests_of(fs, "/b")) \
+            == (1, b_before)
+        tally = Counter()
+        assert _relocate_file(fs, "/b", set(), tally) == 256
+        assert (tally["requests_before"], tally["requests_after"]) \
+            == (b_before, 1)
+        assert (requests_of(fs, "/a"), requests_of(fs, "/b")) \
+            == (a_after, 1)
+        assert fs.read(fs.lookup("/b"), 0, len(want)) == want
         check_fs_invariants(fs)
 
 
