@@ -6,14 +6,17 @@ referenced write entry:
 1.  dequeue the *target entry* (dedupe-flag ``dedupe_needed``);
 2.  fingerprint each still-live data page and look it up in FACT (the
     live pages are read one device request per contiguous run);
-3.  duplicates: ``UC += 1`` on the canonical entry; uniques: insert a new
-    FACT entry with ``UC = 1`` (both on the node's ``FactTxn``);
+3.  one FACT lookup per distinct fingerprint of the node: duplicates
+    stage ``UC += n`` on the canonical entry in one store, ``n`` the
+    node's pages that carry it; a unique's first page inserts a new FACT
+    entry with ``UC = 1`` and its later copies share it (all on the
+    node's ``FactTxn``);
 4.  append a new single-page write entry (flag ``in_process``) pointing
     at the canonical page for every duplicate;
 5.  one atomic log-tail update commits them all, then the target's flag
     moves to ``in_process``;
-6.  for every touched FACT entry, one atomic store does ``UC -= 1,
-    RFC += 1``; flags move to ``dedupe_complete``; the duplicate pages
+6.  for every touched FACT entry, one atomic store does ``UC -= n,
+    RFC += n``; flags move to ``dedupe_complete``; the duplicate pages
     are reclaimed and the radix tree re-pointed.
 
 A node whose redirect entries find no log page (``NoSpace``) aborts and
@@ -195,12 +198,17 @@ class DedupDaemon:
                       if (hit := self.fingerprint_page(task, pgoff))]
 
     def stage(self, task: NodeTask, hits: list) -> None:
-        """Step 3 for every hit, in page order: the FACT critical section
-        (the worker pool holds its ``fact`` lock across it).  Its claims
-        settle before it ends: no worker can redirect onto an uncounted
-        canonical."""
-        for hit in hits:
-            self.stage_page(task, *hit)
+        """Step 3 for every hit, one fingerprint at a time in the order
+        each first occurs: the FACT critical section (the worker pool
+        holds its ``fact`` lock across it).  The redirects stay in page
+        order.  Its claims settle before it ends: no worker can redirect
+        onto an uncounted canonical."""
+        pages: dict[bytes, list[tuple[int, int]]] = {}
+        for pgoff, page, fp in hits:
+            pages.setdefault(fp, []).append((pgoff, page))
+        for fp, same in pages.items():
+            self.stage_page(task, fp, same)
+        task.dups.sort()
         task.txn.settle_claims()
 
     def validate_node(self, node: DWQNode) -> Optional[NodeTask]:
@@ -275,42 +283,52 @@ class DedupDaemon:
         """The hash step of a live page; None = nothing to stage."""
         return page, self.fs.fingerprinter.strong(task.live[pgoff])
 
-    def stage_page(self, task: NodeTask, pgoff: int, page: int,
-                   fp: bytes) -> None:
-        """Step 3 for one page: FACT lookup / insert / UC staging.  Under
-        the worker pool's ``fact`` lock (:meth:`stage`), so parallel
+    def stage_page(self, task: NodeTask, fp: bytes,
+                   pages: list[tuple[int, int]]) -> None:
+        """Step 3 for one fingerprint's ``(pgoff, page)`` hits, in page
+        order: one FACT lookup, then one claim or share for them all.
+        Under the worker pool's ``fact`` lock (:meth:`stage`), so parallel
         workers cannot double-insert or double-increment a UC."""
-        fact = self.fs.fact
-        res = fact.lookup(fp)
+        res = task.txn.lookup(fp)
         found = res.found
-        if (found is not None
-                and res.steps > self.reorder_min_steps
-                and found.refcount >= self.reorder_min_rfc):
-            task.reorder_heads.add(fact.head_of(fp))
         if found is None:
-            self._stage_miss(task, pgoff, page, fp, res)
-        elif found.block == page:
-            # Self-canonical hit: only reachable when re-deduplicating
-            # a requeued target (after a crash or an abort — fresh CoW
-            # pages can never pre-exist in FACT).  Its claim settled in
-            # the first run's stage, so a live page with RFC >= 1 needs
-            # nothing; RFC == 0 (defensive) is re-staged.
-            if found.refcount == 0:
-                task.txn.share(found.idx, found)
+            self._stage_miss(task, fp, pages, res)
+            return
+        if (res.steps > self.reorder_min_steps
+                and found.refcount >= self.reorder_min_rfc):
+            task.reorder_heads.add(self.fs.fact.head_of(fp))
+        shared = 0
+        for pgoff, page in pages:
+            if found.block != page:
+                task.dups.append((pgoff, found.block, 1))
+                self._c_duplicate.inc()
+                shared += 1
+            elif found.refcount == 0:
+                # Self-canonical hit: only reachable when re-deduplicating
+                # a requeued target (after a crash or an abort — fresh CoW
+                # pages can never pre-exist in FACT).  Its claim settled
+                # in the first run's stage, so a live page with RFC >= 1
+                # needs nothing; RFC == 0 (defensive) is re-staged.
                 self._c_unique.inc()
-        else:
-            task.txn.share(found.idx, found)  # step 3
-            task.dups.append((pgoff, found.block, 1))
-            self._c_duplicate.inc()
+                shared += 1
+        if shared:
+            task.txn.share(found.idx, found, shared)  # step 3
 
-    def _stage_miss(self, task: NodeTask, pgoff: int, page: int, fp: bytes,
-                    res: LookupResult) -> None:
-        """No entry carries ``fp``: the page becomes its canonical."""
-        if task.txn.claim(fp, page, hint=res) is None:
-            # No metadata room: leave the page un-deduplicated.
-            self._c_fact_full.inc()
-        else:
-            self._c_unique.inc()
+    def _stage_miss(self, task: NodeTask, fp: bytes,
+                    pages: list[tuple[int, int]], res: LookupResult) -> None:
+        """No entry carries ``fp``: the first page becomes its canonical
+        and the rest share its claim."""
+        (_pgoff, page), rest = pages[0], pages[1:]
+        idx = task.txn.claim(fp, page, hint=res)
+        if idx is None:
+            # No metadata room: leave the pages un-deduplicated.
+            self._c_fact_full.inc(len(pages))
+            return
+        self._c_unique.inc()
+        if rest:
+            task.txn.share(idx, n=len(rest))
+            task.dups += [(pgoff, page, 1) for pgoff, _page in rest]
+            self._c_duplicate.inc(len(rest))
 
     def commit_node(self, task: NodeTask) -> None:
         """Steps 4–6: redirect entries, settle counts, reclaim, reorder."""
@@ -331,7 +349,7 @@ class DedupDaemon:
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
         # Step 6: settle the shared counts — one atomic store per
-        # entry-page — then complete and repoint the redirects.
+        # entry — then complete and repoint the redirects.
         task.txn.commit()
         displaced = complete_redirects(fs, cache, new_entries)
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_COMPLETE)

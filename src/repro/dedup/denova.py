@@ -182,44 +182,27 @@ class DeNovaFS(NovaFS):
 
         First the delete pointers of every page, one NVM read per
         neighbourhood of slots (:class:`~repro.dedup.fact.DeletePlan`).
-        Per page: a read of the entry its pointer names (none when the
-        block has no entry: a direct free), then an atomic RFC decrement
-        with a cache-line flush, computed from the entry just read; when
-        RFC reaches 0 the FACT entry is re-read (the flush evicted its
-        line), unlinked (up to three more flushed line updates — the
-        Fig. 11 overwrite overhead) and the page freed.
+        A page displaced ``n`` times (``radix._group`` keeps the
+        multiplicity) is settled once, at its last occurrence: a read of
+        the entry its pointer names (none when the block has no entry: a
+        direct free), then one atomic ``RFC -= n`` with a cache-line
+        flush, computed from the entry just read; when RFC reaches 0 the
+        FACT entry is re-read (the flush evicted its line), unlinked (up
+        to three more flushed line updates — the Fig. 11 overwrite
+        overhead) and the page freed.
         """
         extents = list(extents)
-        with self.fact.planned(page for start, count in extents
-                               for page in range(start, start + count)
-                               ) as plan:
+        refs = Counter(page for start, count in extents
+                       for page in range(start, start + count))
+        left = refs.copy()
+        with self.fact.planned(refs) as plan:
             for start, count in extents:
                 run_start = None  # batch contiguous freeable pages
                 run_len = 0
                 for page in range(start, start + count):
-                    ent = plan.entry(page)
-                    freeable = False
-                    if ent is None:
-                        self._c_direct_frees.inc()
-                        freeable = True
-                    else:
-                        if self.fact.dec_rfc(ent.idx, ent) == 0:
-                            if ent.update_count:
-                                # A concurrent dedup worker staged a UC on
-                                # this entry between its lookup and commit:
-                                # the page is about to gain a reference, so
-                                # retiring it here would dangle the worker's
-                                # redirect.  The commit turns the staged UC
-                                # into RFC = 1; a crashed transaction is
-                                # settled by recovery's UC discard + dead-
-                                # entry sweep.
-                                self._c_uc_deferred.inc()
-                            else:
-                                self.fact.remove(ent.idx)
-                                self._c_entry_removes.inc()
-                                freeable = True
-                        else:
-                            self._c_shared_keeps.inc()
+                    left[page] -= 1
+                    freeable = not left[page] and self._release(
+                        plan.entry(page), refs[page])
                     if freeable:
                         if run_start is None:
                             run_start = page
@@ -238,6 +221,31 @@ class DeNovaFS(NovaFS):
                 if run_start is not None:
                     self.allocator.free(run_start, run_len, cpu)
                     self._c_reclaimed.inc(run_len)
+
+    def _release(self, ent, n: int) -> bool:
+        """Drop ``n`` references to a displaced page whose entry is
+        ``ent`` (None: no entry); True when the page is now free.  The
+        reclaim counters count pages: ``n`` displacements of a page that
+        stays shared are ``n`` keeps."""
+        if ent is None:
+            self._c_direct_frees.inc()
+            return True
+        if self.fact.dec_rfc(ent.idx, ent, n):
+            self._c_shared_keeps.inc(n)
+            return False
+        self._c_shared_keeps.inc(n - 1)
+        if ent.update_count:
+            # A concurrent dedup worker staged a UC on this entry between
+            # its lookup and commit: the page is about to gain a
+            # reference, so retiring it here would dangle the worker's
+            # redirect.  The commit turns the staged UC into RFC = 1; a
+            # crashed transaction is settled by recovery's UC discard +
+            # dead-entry sweep.
+            self._c_uc_deferred.inc()
+            return False
+        self.fact.remove(ent.idx)
+        self._c_entry_removes.inc()
+        return True
 
     # ------------------------------------------------------------ maintenance
 

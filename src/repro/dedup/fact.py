@@ -165,6 +165,8 @@ class FACT:
         self._map: Optional[list[int]] = None   # see chunk_map
         self._dram: Optional[bytearray] = None  # see in_dram
         self._plans: list[DeletePlan] = []      # see planned
+        self._flushes = 0                       # see _stored
+        self._flushed: dict[int, int] = {}      # slot -> its last flush
         # Observability (DRAM, rebuilt freely).
         if registry is None:
             registry = MetricsRegistry()
@@ -333,12 +335,15 @@ class FACT:
 
     # ------------------------------------------------------------ lookup / insert
 
-    def lookup(self, fp: bytes) -> LookupResult:
+    def lookup(self, fp: bytes, lines: Optional[dict] = None
+               ) -> LookupResult:
         """Find the entry for ``fp`` (§IV-C lookup path).
 
         Cost: one NVM entry read per chain position visited — one read
         when the answer sits in the DAA, more as the chain grows (the
-        motivation for the §IV-E reordering).
+        motivation for the §IV-E reordering).  ``lines`` (a
+        :class:`FactTxn`'s) takes every slot the walk read, for
+        :meth:`held`.
         """
         head_idx = self.head_of(fp)
         self._c_lookups.inc()
@@ -356,6 +361,8 @@ class FACT:
                 raise FactCorruption(f"chain at {head_idx} has a cycle")
             fields = _ENTRY.unpack_from(read(addr(idx), ENTRY))
             _counts, block, _prev, nxt, _delete, entry_fp = fields
+            if lines is not None:
+                lines[idx] = (fields, self._flushes)
             steps += 1
             tail = idx
             if steps == 1:
@@ -432,23 +439,28 @@ class FACT:
 
     # ------------------------------------------------------------ counts (UC/RFC)
 
-    def inc_uc(self, idx: int, seen: Optional[FactEntry] = None) -> None:
-        """Begin a dedup transaction against this entry (Alg. 1 step 3);
-        ``seen`` as in :meth:`_counts`."""
+    def inc_uc(self, idx: int, seen: Optional[FactEntry] = None,
+               n: int = 1) -> None:
+        """Begin ``n`` dedup transactions against this entry (Alg. 1 step
+        3), ``UC += n`` in one atomic store; ``seen`` as in :meth:`_counts`."""
         counts = self._counts(idx, seen)
-        self._write_u64(idx, _OFF_COUNTS, counts + _UC_UNIT)
+        self._write_u64(idx, _OFF_COUNTS, counts + n * _UC_UNIT)
 
-    def commit_uc(self, idx: int, seen: Optional[FactEntry] = None) -> bool:
-        """UC -= 1, RFC += 1 in one atomic store (Alg. 1 step 6).
+    def commit_uc(self, idx: int, seen: Optional[FactEntry] = None,
+                  n: int = 1) -> bool:
+        """``UC -= n, RFC += n`` in one atomic store (Alg. 1 step 6).
 
-        Returns False (no-op) when UC is already 0 — the recovery path
-        re-runs commits and counts are fungible across transactions, so
-        skipping on zero is exactly the paper's idempotence argument.
+        At most UC units settle, so a call is exactly ``n`` calls of one:
+        each is a no-op when UC is already 0 — the recovery path re-runs
+        commits and counts are fungible across transactions, so skipping
+        on zero is exactly the paper's idempotence argument.  Returns
+        False when nothing settled.
         """
         counts = self._counts(idx, seen)
-        if counts >> 32 == 0:
+        n = min(n, counts >> 32)
+        if not n:
             return False
-        self._write_u64(idx, _OFF_COUNTS, counts + 1 - _UC_UNIT)
+        self._write_u64(idx, _OFF_COUNTS, counts + n - n * _UC_UNIT)
         return True
 
     def discard_uc(self, idx: int) -> None:
@@ -457,14 +469,16 @@ class FACT:
         if counts >> 32:
             self._write_u64(idx, _OFF_COUNTS, counts & _RFC_MASK)
 
-    def dec_rfc(self, idx: int, seen: Optional[FactEntry] = None) -> int:
-        """RFC -= 1 (reclaim path); returns the new RFC."""
+    def dec_rfc(self, idx: int, seen: Optional[FactEntry] = None,
+                n: int = 1) -> int:
+        """``RFC -= n`` in one atomic store (reclaim: ``n`` displaced
+        references to the entry's block); returns the new RFC."""
         counts = self._counts(idx, seen)
         rfc = counts & _RFC_MASK
-        if rfc == 0:
+        if rfc < n:
             raise FactCorruption(f"FACT[{idx}]: RFC underflow")
-        self._write_u64(idx, _OFF_COUNTS, counts - 1)
-        return rfc - 1
+        self._write_u64(idx, _OFF_COUNTS, counts - n)
+        return rfc - n
 
     def retire(self, idx: int) -> None:
         """Remove an entry no file references, whatever it counts (§V-C2)."""
@@ -548,10 +562,26 @@ class FACT:
 
     def _stored(self, idx: int, pointer: Optional[int] = None) -> None:
         """Slot ``idx``'s line was flushed: an open plan takes the pointer
-        stored there, else reads it again."""
+        stored there, else reads it again, and what was read of the line
+        before is no longer cached (:meth:`_unflushed`)."""
+        self._flushes += 1
+        self._flushed[idx] = self._flushes
         for plan in self._plans:
             if idx in plan.pointers:
                 plan.pointers[idx] = pointer
+
+    def _unflushed(self, idx: int, since: int) -> bool:
+        """No store has flushed slot ``idx``'s line since ``since`` (a
+        value of ``_flushes``): a read of it then is still cached."""
+        return self._flushed.get(idx, 0) <= since
+
+    def held(self, idx: int, lines: dict) -> Optional[FactEntry]:
+        """Slot ``idx`` as a lookup recorded it in ``lines``, if no store
+        has flushed its line since (it is still in the CPU cache)."""
+        got = lines.get(idx)
+        if got is None or not self._unflushed(idx, got[1]):
+            return None
+        return _entry(idx, *got[0])
 
     def entry_for_block(self, block: int) -> Optional[FactEntry]:
         """The §IV-C reclaim path for one block: an 8-byte pointer read,
@@ -938,19 +968,25 @@ class DeletePlan:
     """One operation's delete pointers (docs/CONSISTENCY.md §5), read up
     front with one request per :func:`neighbourhoods` of their 8 B
     fields.  A pointer the operation stores is taken as stored; one
-    whose line another store flushed is read again, alone."""
+    whose line another store flushed is read again, alone.  An entry
+    whose line a request read, no store having flushed it since, is
+    served from that line."""
 
     def __init__(self, fact: FACT, blocks: Iterable[int]):
         self.fact = fact
         #: block -> pointer (entry index + 1, 0 = none; None = to read)
         self.pointers: dict[int, Optional[int]] = dict.fromkeys(blocks)
+        #: slots whose line a request read, and when (see FACT._unflushed)
+        self.lines: set[int] = set()
+        self.read_at = fact._flushes
         todo = sorted(self.pointers)
         spans = [(at, at + 8) for at in
                  (block * ENTRY + _OFF_DELETE for block in todo)]
         for first, last, _lo, _hi in neighbourhoods(fact.dev.model, spans):
-            lo = todo[first]
-            run = fact.delete_run(lo, todo[last - 1] - lo + 1)
+            lo, hi = todo[first], todo[last - 1]
+            run = fact.delete_run(lo, hi - lo + 1)
             self.pointers.update((b, run[b - lo]) for b in todo[first:last])
+            self.lines.update(range(lo, hi + 1))
 
     def pointer(self, block: int) -> int:
         """Block ``block``'s delete pointer (entry index + 1, 0 = none)."""
@@ -960,35 +996,53 @@ class DeletePlan:
         return val
 
     def entry(self, block: int) -> Optional[FactEntry]:
-        """Block ``block``'s FACT entry, read now; None when its pointer
-        is empty or names another block's entry."""
+        """Block ``block``'s FACT entry, read now (from the cached line
+        when the plan holds it); None when its pointer is empty or names
+        another block's entry."""
         val = self.pointer(block)
-        ent = self.fact.read_entry(val - 1) if val else None
-        return ent if ent and ent.valid and ent.block == block else None
+        if not val:
+            return None
+        fact = self.fact
+        if val - 1 in self.lines and fact._unflushed(val - 1, self.read_at):
+            ent = fact._decode(val - 1, fact.dev.read_silent(
+                fact.addr(val - 1), ENTRY))
+        else:
+            ent = fact.read_entry(val - 1)
+        return ent if ent.valid and ent.block == block else None
 
 
 class FactTxn:
     """The counts one dedup operation has staged and not yet settled.
 
-    Algorithm 1's transaction shape, once: stage an update count per
-    page (the dedup daemon then settles its claims, :meth:`settle_claims`),
-    publish the operation's log entries by one tail update, then
-    :meth:`commit` — or, when it fails before the tail update,
-    :meth:`abort`: §V-C1's discard on the live mount instead of at the
-    next recovery.  As a context manager an exception before the commit
+    Algorithm 1's transaction shape, once: stage update counts (the dedup
+    daemon then settles its claims, :meth:`settle_claims`), publish the
+    operation's log entries by one tail update, then :meth:`commit` — or,
+    when it fails before the tail update, :meth:`abort`: §V-C1's discard
+    on the live mount instead of at the next recovery.  What is staged is
+    a multiset of entries: each entry's staged units settle or drop in
+    one store.  As a context manager an exception before the commit
     aborts; a simulated power loss does not (no code runs after a crash;
     what was staged is recovery's).  docs/CONSISTENCY.md §4.
     """
 
     def __init__(self, fact: FACT):
         self.fact = fact
-        self._units: list[tuple[int, bool]] = []  # (idx, claimed), in order
+        self._units: dict[int, int] = {}  # idx -> staged UC, first-staged order
+        self._claims: list[int] = []      # entries this operation inserted
+        self._lines: dict = {}            # what its lookups read, see FACT.held
 
-    def share(self, idx: int, seen: Optional[FactEntry] = None) -> None:
-        """Stage one more reference to an existing entry (``UC += 1``);
-        ``seen`` is the entry the caller has just looked up, if it has."""
-        self.fact.inc_uc(idx, seen)
-        self._units.append((idx, False))
+    def lookup(self, fp: bytes) -> LookupResult:
+        """:meth:`FACT.lookup`, keeping the lines the walk read: a count
+        store on one of them later, before a flush, reads nothing."""
+        return self.fact.lookup(fp, self._lines)
+
+    def share(self, idx: int, seen: Optional[FactEntry] = None,
+              n: int = 1) -> None:
+        """Stage ``n`` more references to an existing entry (``UC += n``,
+        one store); ``seen`` is the entry the caller has just looked up,
+        if it has."""
+        self.fact.inc_uc(idx, seen, n)
+        self._units[idx] = self._units.get(idx, 0) + n
 
     def claim(self, fp: bytes, block: int,
               hint: Optional[LookupResult] = None) -> Optional[int]:
@@ -998,7 +1052,8 @@ class FactTxn:
             idx = self.fact.insert(fp, block, hint)
         except FactFull:
             return None
-        self._units.append((idx, True))
+        self._units[idx] = self._units.get(idx, 0) + 1
+        self._claims.append(idx)
         return idx
 
     def settle_claims(self) -> None:
@@ -1007,19 +1062,24 @@ class FactTxn:
         staged.  For a claim on a page the operation's own committed
         entry already maps (the dedup daemon's), the count is exact at
         once, so no crash or abort after this can leave it uncounted."""
-        for idx, claimed in self._units:
-            if claimed:
-                self.fact.commit_uc(idx)
-        self._units = [unit for unit in self._units if not unit[1]]
+        claims, self._claims = self._claims, []
+        for idx in claims:
+            self.fact.commit_uc(idx, self.fact.held(idx, self._lines))
+            self._units[idx] -= 1
+            if not self._units[idx]:
+                del self._units[idx]
 
     def commit(self) -> None:
-        """Alg. 1 step 6: one ``UC-1, RFC+1`` store per unit, in order."""
-        units, self._units = self._units, []
-        for idx, _claimed in units:
-            self.fact.commit_uc(idx)
+        """Alg. 1 step 6: one ``UC-n, RFC+n`` store per staged entry, in
+        the order they were first staged."""
+        units, self._units, self._claims = self._units, {}, []
+        for idx, n in units.items():
+            self.fact.commit_uc(idx, self.fact.held(idx, self._lines), n)
+        self._lines = {}
 
     def abort(self) -> None:
-        """Drop exactly the units this transaction staged, newest first.
+        """Drop exactly the units this transaction staged, newest entry
+        first, one store per entry.
 
         A shared unit is one ``UC -= 1``; a claimed entry nobody else
         counts on is removed.  A claimed entry another transaction has
@@ -1033,15 +1093,19 @@ class FactTxn:
         ``test_fact_txn.py::TestTwoTransactions`` interleavings do.
         """
         fact = self.fact
-        while self._units:
-            idx, claimed = self._units.pop()
-            counts = fact._read_u64(idx, _OFF_COUNTS)
+        claims = set(self._claims)
+        units, self._units, self._claims = self._units, {}, []
+        for idx, n in reversed(units.items()):
+            claimed = idx in claims
+            counts = fact._counts(idx, fact.held(idx, self._lines)) \
+                - (n - claimed) * _UC_UNIT
             if not claimed:
-                fact._write_u64(idx, _OFF_COUNTS, counts - _UC_UNIT)
+                fact._write_u64(idx, _OFF_COUNTS, counts)
             elif counts == _UC_UNIT:
                 fact.remove(idx)
             else:
-                fact.commit_uc(idx)
+                fact._write_u64(idx, _OFF_COUNTS, counts + 1 - _UC_UNIT)
+        self._lines = {}
 
     def __enter__(self) -> "FactTxn":
         return self

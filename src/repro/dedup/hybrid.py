@@ -278,42 +278,47 @@ class HybridDedupDaemon(DedupDaemon):
         task.weak_of[pgoff] = weak
         return page, fs.fingerprinter.strong(data)
 
-    def _stage_miss(self, task: NodeTask, pgoff: int, page: int, fp: bytes,
-                    res: LookupResult) -> None:
-        """Deferred strong confirmation against the weak candidates."""
+    def _stage_miss(self, task: NodeTask, fp: bytes,
+                    pages: list[tuple[int, int]], res: LookupResult) -> None:
+        """Deferred strong confirmation of the first page against the weak
+        candidates; the node's other pages of ``fp`` share what it found."""
         fs = self.fs
-        fact = fs.fact
+        (pgoff, page), rest = pages[0], pages[1:]
         weak = task.weak_of[pgoff]
         for cand in fs._weak_candidates(weak, exclude=page):
-            if fact.entry_for_block(cand) is not None:
+            if fs.fact.entry_for_block(cand) is not None:
                 # Its strong fingerprint is in the index; a match would
                 # have hit the lookup — different content.
                 continue
             cdata = fs.dev.read(cand * PAGE_SIZE, PAGE_SIZE)
-            cfp = fs.fingerprinter.strong(cdata)
-            if not fs.fingerprinter.compare(cfp, fp):
-                continue  # weak collision with this candidate, keep going
-            # Confirmed duplicate of a weak-only block: lazily insert the
-            # canonical's FACT entry, settled at RFC=1 for the canonical's
-            # own live reference; this page's staged UC commits with the
-            # node, landing at RFC=2 — the same counts the pure-delayed
-            # pipeline produces.
-            cidx = fact.materialise(cfp, cand, hint=res)
-            if cidx is None:
-                self._c_fact_full.inc()
-                fs._register_weak(page, weak)
+            if fs.fingerprinter.compare(fs.fingerprinter.strong(cdata), fp):
+                break  # a weak-only block holds this content
+        else:
+            # Every candidate refuted the weak hit: a genuine false
+            # positive.  The page's own write stands (it was never
+            # redirected) and it registers as a unique weak-only block;
+            # the node's other pages of ``fp`` duplicate it.
+            fs._c_false_pos.inc()
+            fs._register_weak(page, weak)
+            self._c_unique.inc()
+            if not rest:
                 return
-            task.txn.share(cidx)
-            task.dups.append((pgoff, cand, 1))
-            self._c_duplicate.inc()
-            fs._c_confirmed.inc()
+            cand, pages = page, rest
+        # Confirmed duplicates of a weak-only block: lazily insert the
+        # canonical's FACT entry, settled at RFC=1 for the canonical's own
+        # live reference; these pages' staged UCs commit with the node,
+        # landing at RFC=1+n — the same counts the pure-delayed pipeline
+        # produces.
+        cidx = fs.fact.materialise(fp, cand, hint=res)
+        if cidx is None:
+            self._c_fact_full.inc(len(pages))
+            for _pgoff, page in pages:
+                fs._register_weak(page, weak)
             return
-        # Every candidate refuted the weak hit: a genuine false positive.
-        # The page's own write stands (it was never redirected) and it
-        # registers as a unique weak-only block.
-        fs._c_false_pos.inc()
-        fs._register_weak(page, weak)
-        self._c_unique.inc()
+        task.txn.share(cidx, n=len(pages))
+        task.dups += [(pgoff, cand, 1) for pgoff, _page in pages]
+        self._c_duplicate.inc(len(pages))
+        fs._c_confirmed.inc()
 
 
 class HybridDeNovaFS(DeNovaFS):

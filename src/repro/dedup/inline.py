@@ -19,6 +19,7 @@ throughput baseline, which is all the paper uses it for).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,48 +54,55 @@ class InlineDedupFS(DeNovaFS):
         them once the counts are in — the §V-C recovery contract."""
         return DEDUPE_IN_PROCESS
 
-    # -- per-page classification (overridden by the adaptive variant) ------
-
-    def _classify(self, content: bytes, placed: _Placed):
-        """``(canonical block | None, key for _register_unique)``; a
-        duplicate's count is staged here, from the entry just looked up."""
-        fp = self.fingerprinter.strong(content)
-        res = self.fact.lookup(fp)
-        if res.found is None:
-            return None, (fp, res)
-        placed.txn.share(res.found.idx, res.found)
-        return res.found.block, None
-
-    def _register_unique(self, key, block: int, placed: _Placed) -> None:
-        """Claim with the miss's lookup as the hint (nothing in between
-        touched the FACT); table full: stored un-deduplicated."""
-        fp, res = key
-        placed.txn.claim(fp, block, hint=res)
-
     # -- the two pipeline stages ---------------------------------------------
 
     def _place_pages(self, placed: _Placed, pg_first: int, buf: bytearray,
                      cpu: int) -> None:
         """Duplicate pages are never written — their single-page runs
-        point at the canonical pages; uniques are stored one by one and
-        registered immediately (so a later identical page of the same
-        write deduplicates too), coalescing into a run while both the
-        file offset and the device page advance by one.  A write's
-        segments share one transaction."""
+        point at the canonical pages; uniques are stored one by one,
+        coalescing into a run while both the file offset and the device
+        page advance by one.  One FACT lookup per distinct fingerprint,
+        at its first page, stages the count of every page that carries
+        it: a hit shares the entry found, a miss claims the first page
+        and its later copies share the claim.  A write's segments share
+        one transaction."""
         if placed.txn is None:
             placed.txn = FactTxn(self.fact)
-        for i in range(len(buf) // PAGE_SIZE):
-            pgoff = pg_first + i
-            content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
-            block, key = self._classify(content, placed)
+        pages = [bytes(buf[at:at + PAGE_SIZE])
+                 for at in range(0, len(buf), PAGE_SIZE)]
+        fps = [self.fingerprinter.strong(page) for page in pages]
+        copies = Counter(fps)
+        canonical: dict[bytes, Optional[int]] = {}  # None: stored as is
+        for i, fp in enumerate(fps):
+            res = None
+            if fp not in canonical:
+                res = placed.txn.lookup(fp)
+                found = res.found
+                if found is not None:
+                    placed.txn.share(found.idx, found, copies[fp])
+                canonical[fp] = None if found is None else found.block
+            block = canonical[fp]
             if block is not None:
-                placed.runs.append([pgoff, block, 1])
+                placed.runs.append([pg_first + i, block, 1])
                 continue
-            block = self.allocator.alloc(1, cpu)
-            placed.fresh.append((block, 1))
-            self.dev.write(block * PAGE_SIZE, content, nt=True)
-            self._register_unique(key, block, placed)
-            extend_runs(placed.runs, pgoff, block)
+            block = self._store_page(placed, pages[i], cpu)
+            if res is not None:
+                # Claim with the miss's lookup as the hint (nothing in
+                # between touched the FACT); table full: stored
+                # un-deduplicated, and so are its copies.
+                idx = placed.txn.claim(fp, block, hint=res)
+                if idx is not None:
+                    canonical[fp] = block
+                    if copies[fp] > 1:
+                        placed.txn.share(idx, n=copies[fp] - 1)
+            extend_runs(placed.runs, pg_first + i, block)
+
+    def _store_page(self, placed: _Placed, content: bytes, cpu: int) -> int:
+        """Allocate and store one unique page; its block."""
+        block = self.allocator.alloc(1, cpu)
+        placed.fresh.append((block, 1))
+        self.dev.write(block * PAGE_SIZE, content, nt=True)
+        return block
 
     def _unplace_pages(self, placed: _Placed, cpu: int) -> None:
         placed.txn.abort()
@@ -146,7 +154,26 @@ class AdaptiveInlineFS(InlineDedupFS):
             self.dev.model.write_cost(self.META_RECORD_BYTES)
             + self.dev.model.clwb_ns + self.dev.model.sfence_ns)
 
-    def _classify(self, content: bytes, placed: _Placed):
+    def _place_pages(self, placed: _Placed, pg_first: int, buf: bytearray,
+                     cpu: int) -> None:
+        """Page by page: each is classified against the DRAM index and a
+        unique registered at once, so a later identical page of the same
+        write deduplicates too."""
+        if placed.txn is None:
+            placed.txn = FactTxn(self.fact)
+        for i in range(len(buf) // PAGE_SIZE):
+            pgoff = pg_first + i
+            content = bytes(buf[i * PAGE_SIZE:(i + 1) * PAGE_SIZE])
+            block, key = self._classify(content)
+            if block is not None:
+                placed.runs.append([pgoff, block, 1])
+                continue
+            block = self._store_page(placed, content, cpu)
+            self._register_unique(key, block)
+            extend_runs(placed.runs, pgoff, block)
+
+    def _classify(self, content: bytes):
+        """``(canonical block | None, key for _register_unique)``."""
         weak = self.fingerprinter.weak(content)  # T_fw, always
         candidates = self._weak_index.get(weak)
         if not candidates:
@@ -168,7 +195,7 @@ class AdaptiveInlineFS(InlineDedupFS):
                 return rec.block, None
         return None, (weak, strong)
 
-    def _register_unique(self, key, block: int, placed: _Placed) -> None:
+    def _register_unique(self, key, block: int) -> None:
         weak, strong = key
         rec = _MetaRec(weak=weak, block=block, strong=strong, rfc=1)
         self._weak_index.setdefault(weak, []).append(rec)

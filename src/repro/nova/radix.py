@@ -179,9 +179,10 @@ def _group(pages: list[int]) -> list[tuple[int, int]]:
 
     Multiplicity is preserved: after dedup, several slots of one file can
     point at the same canonical block, and displacing each slot drops one
-    reference — the RFC-checked reclaim must see one extent page per
-    displaced slot, or shared canonical entries leak with a stale count.
-    A repeated page yields repeated single-page extents.
+    reference — a repeated page yields repeated single-page extents, and
+    the RFC-checked reclaim consumes that multiplicity as a count (one
+    ``RFC -= n`` per page), or shared canonical entries leak with a stale
+    count.
     """
     if not pages:
         return []

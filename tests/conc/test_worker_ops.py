@@ -2,11 +2,11 @@
 
 Inside its exclusive ``ino:<n>`` hold, :meth:`ConcurrentVFS._dedup_node`
 is three engine operations whatever the node's page count: validate
-plus every page's ``fingerprint_page``; every hit's ``stage_page`` under
-the one ``fact`` lock; ``commit_node``.  A node whose pages are all
+plus every page's ``fingerprint_page``; one ``stage_page`` per distinct
+fingerprint of the hits under the one ``fact`` lock; ``commit_node``.  A node whose pages are all
 stale has nothing to stage and skips the middle one; a node whose entry
 is stale is the first alone.  The stage methods are still called once
-per page and once per hit.
+per page and once per distinct fingerprint.
 
 The counts come from a delayed run over nodes queued before the
 front-end starts: the worker's :meth:`~ConcurrentVFS.op` calls (through
@@ -139,7 +139,8 @@ class TestOpsPerNode:
         (rec,) = by_path(fs, nodes, path)
         assert rec["ops"] == ["dequeue", "op", "fact", "op"], rec
         assert rec["fingerprints"] == rec["pages"]
-        assert rec["stages"] == rec["pages"]
+        # /eight's pages 1 and 2 repeat: six distinct fingerprints.
+        assert rec["stages"] == {"/one": 1, "/eight": 6}[path]
 
     def test_all_stale_node_skips_the_stage_op(self, counted):
         fs, nodes = counted

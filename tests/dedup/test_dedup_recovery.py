@@ -162,9 +162,9 @@ class TestClaimsSettleBeforeRedirects:
         real_commit_uc = FACT.commit_uc
         real_tail = LogManager.commit
 
-        def commit_uc(fact, idx, seen=None):
-            log.append(("commit_uc", idx))
-            return real_commit_uc(fact, idx, seen)
+        def commit_uc(fact, idx, seen=None, n=1):
+            log.append(("commit_uc", idx, n))
+            return real_commit_uc(fact, idx, seen, n)
 
         def tail(logs, ino, new_tail):
             log.append("tail")
@@ -175,8 +175,8 @@ class TestClaimsSettleBeforeRedirects:
         fs.daemon.drain()
         one, two = (fs.fact.lookup(fs.fingerprinter.strong(page_of(t)))
                     .found.idx for t in (1, 2))
-        assert log == [("commit_uc", one), ("commit_uc", two), "tail",
-                       ("commit_uc", two)]
+        assert log == [("commit_uc", one, 1), ("commit_uc", two, 1), "tail",
+                       ("commit_uc", two, 1)]
         assert {e.refcount for e in fs.fact.live_entries().values()} == {1, 2}
         check_fs_invariants(fs)
 

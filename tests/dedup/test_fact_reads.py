@@ -19,7 +19,7 @@ import pytest
 
 from repro.dedup import DeNovaFS, InlineDedupFS, recovery
 from repro.dedup.daemon import DedupDaemon
-from repro.dedup.fact import ENTRY, FACT
+from repro.dedup.fact import ENTRY, FACT, FactTxn
 from repro.dedup.fingerprint import FP_BYTES
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
@@ -147,9 +147,9 @@ class TestFactReadsOncePerVisit:
         fs = make_fs(InlineDedupFS)
         head, linked = colliding(fs, 2)
         write_file(fs, "/a", head + linked)
-        calls = visits(monkeypatch, fs, InlineDedupFS, "_classify")
+        calls = visits(monkeypatch, fs, InlineDedupFS, "_place_pages")
         write_file(fs, "/b", linked + head)
-        assert calls == [(2, 2), (1, 1)]
+        assert calls == [(3, 3)]  # the two lookups; the shares read nothing
         assert entry_of(fs, linked).refcount == 2
         check_fs_invariants(fs)
 
@@ -158,7 +158,7 @@ class TestFactReadsOncePerVisit:
         pages = colliding(fs, 3)
         lookups = fs.obs.registry.counter("fact.lookups_total")
         before = lookups.value
-        calls = visits(monkeypatch, fs, InlineDedupFS, "_register_unique")
+        calls = visits(monkeypatch, fs, FactTxn, "claim")
         write_file(fs, "/a", b"".join(pages))
         assert lookups.value - before == 3
         assert calls == [(0, 0)] * 3  # the claim reads nothing

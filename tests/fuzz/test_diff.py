@@ -236,20 +236,20 @@ class TestSweepCount:
         cfg = FuzzConfig(seed=0, budget=8)
         res = run_case(self.OPS, cfg)
         assert len(calls) == 1
-        # 247 events (with the FACT chunk map's first-touch stores):
-        # stride ceil(247 / 2) = 124.
-        assert swept == self.combos(cfg, 1, 125)
+        # 237 events (with the FACT chunk map's first-touch stores):
+        # stride ceil(237 / 2) = 119.
+        assert swept == self.combos(cfg, 1, 120)
         assert (res.crash_points, res.ops_applied, res.ops_skipped) \
             == (8, 29, 1)
         assert res.violations == []
 
     def test_budget_caps_points_per_combo(self, swept):
-        """247 events are not a multiple of 3 points per (mode, phase);
-        the sweep still crashes exactly 3 in each (stride 83)."""
-        cfg = FuzzConfig(seed=0, budget=12)
+        """237 events are not a multiple of 4 points per (mode, phase);
+        the sweep still crashes exactly 4 in each (stride 60)."""
+        cfg = FuzzConfig(seed=0, budget=16)
         res = run_case(self.OPS, cfg)
-        assert swept == self.combos(cfg, 1, 84, 167)
-        assert res.crash_points == 12
+        assert swept == self.combos(cfg, 1, 61, 121, 181)
+        assert res.crash_points == 16
         assert res.violations == []
 
 

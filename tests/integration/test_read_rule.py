@@ -56,9 +56,6 @@ SCALE = 0.1
 SHAPES = ("small_write", "large_write", "large_inline", "mixed_rw",
           "tenant_fleet")
 
-_PLAN = ("real: DeletePlan.entry in reclaim_extents reads an entry whose "
-         "line the plan's delete-pointer request read (FOUND)")
-
 #: (shape, region, caller) -> (re-reads, classification) at SCALE.  The
 #: unclean mount every pass ends in re-reads nothing: it reads the
 #: superblock, the journal header and each staging slab's header with
@@ -66,9 +63,7 @@ _PLAN = ("real: DeletePlan.entry in reclaim_extents reads an entry whose "
 EXPECTED = {}
 
 #: The same at 4 x SCALE (the ``fuzz`` pass).
-EXPECTED_FUZZ = {
-    ("mixed_rw", "FACT", "FACT.read_entry"): (1, _PLAN),
-}
+EXPECTED_FUZZ = {}
 
 
 def rereads(requests) -> list:
@@ -260,3 +255,13 @@ def test_every_reread_is_classified_at_4x(shape):
         f"  {region:<12} {caller:<32} {n}"
         for (region, caller), n in sorted(found.items())), sep="\n")
     assert dict(found) == _expected(EXPECTED_FUZZ, shape)
+
+
+@pytest.mark.fuzz
+def test_a_small_fact_rereads_nothing_within_a_node(monkeypatch):
+    """On a 4 096-page device the FACT is a sixteenth of the benchmark's,
+    so chains form: a node's repeated fingerprint is looked up once, and
+    its commit takes the counts of a chain head a later walk read."""
+    monkeypatch.setattr(workloads, "DEVICE_PAGES", 4096)
+    assert dict(census("mixed_rw", 0.2)) == {}
+

@@ -25,7 +25,7 @@ from tests._code_index import as_tree, src_tree, src_trees
 SITES = {
     ("nova/log.py", "LogManager.reserve"),
     ("nova/fs.py", "NovaFS._place_pages"),
-    ("dedup/inline.py", "InlineDedupFS._place_pages"),
+    ("dedup/inline.py", "InlineDedupFS._store_page"),
     ("backup/recv.py", "_ingest_file"),
     ("repl/relocate.py", "_relocate_file"),
     ("nova/gc.py", "_thorough_gc"),
