@@ -47,6 +47,7 @@ tree it describes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from repro.backup.chain import record_chain
@@ -198,31 +199,48 @@ def _ingest_file(fs, path: str, size: int, pages: list, fh, index,
         try:
             cache.inode.flags |= FLAG_IMMUTABLE
             fs.itable.write(ino, cache.inode)
+            copies = Counter(fp_hex for _pgoff, fp_hex in pages)
+            canonical: dict[str, Optional[int]] = {}  # None: stored as is
             for pgoff, fp_hex in pages:
-                fp = bytes.fromhex(fp_hex)
-                res = fs.fact.lookup(fp)
-                if res.found is not None:
+                fp, res = bytes.fromhex(fp_hex), None
+                if fp_hex not in canonical:
+                    # One lookup per distinct fingerprint stages every
+                    # page carrying it, as an inline write does.
+                    res = txn.lookup(fp)
+                    found = res.found
+                    if found is not None:
+                        txn.share(found.idx, n=copies[fp_hex])
+                    canonical[fp_hex] = None if found is None \
+                        else found.block
+                block = canonical[fp_hex]
+                if block is not None:
                     # Dedup hit against the target: no data copy.
-                    txn.share(res.found.idx, res.found)
-                    block = res.found.block
                     stats["pages_dup"] += 1
+                    extend_runs(runs, pgoff, block)
+                    continue
+                data = read_record_at(fh, fp_hex, index)
+                if len(data) != PAGE_SIZE:
+                    raise StreamError(
+                        f"record {fp_hex}: {len(data)} B, want a page")
+                try:
+                    block = fs.allocator.alloc(1, cpu)
+                except AllocError as exc:
+                    raise NoSpace(str(exc)) from None
+                fresh.append(block)
+                fs.dev.write(block * PAGE_SIZE, data, nt=True)
+                # UC=1; the commit turns it into RFC=1, and the later
+                # copies share the claim.  Table full: un-fingerprinted
+                # page, single reference, no entry — and so are its copies.
+                idx = None if res is None else \
+                    txn.claim(fp, block, hint=res)
+                if idx is None:
+                    stats["pages_unfingerprinted"] += 1
                 else:
-                    data = read_record_at(fh, fp_hex, index)
-                    if len(data) != PAGE_SIZE:
-                        raise StreamError(
-                            f"record {fp_hex}: {len(data)} B, want a page")
-                    try:
-                        block = fs.allocator.alloc(1, cpu)
-                    except AllocError as exc:
-                        raise NoSpace(str(exc)) from None
-                    fresh.append(block)
-                    fs.dev.write(block * PAGE_SIZE, data, nt=True)
-                    # UC=1; the commit turns it into RFC=1.  Table full:
-                    # un-fingerprinted page, single reference, no entry.
-                    if txn.claim(fp, block, hint=res) is None:
-                        stats["pages_unfingerprinted"] += 1
-                    stats["pages_novel"] += 1
-                    stats["bytes_ingested"] += len(data)
+                    canonical[fp_hex] = block
+                    if copies[fp_hex] > 1:
+                        txn.share(idx, n=copies[fp_hex] - 1)
+                stats["pages_novel"] += 1
+                stats["bytes_ingested"] += len(data)
                 extend_runs(runs, pgoff, block)
             materialise_shared(fs, ino, runs, size, txn, cpu)
             fresh.clear()  # mapped now: reclaimed through the index below

@@ -1124,10 +1124,12 @@ def cmd_repl_restore(args):
              help="multi-tenant sequences: per-tenant op streams "
                   "under /t/tn<i> roots, covering the tenant "
                   "registry's persistence crash points"),
-         arg("--dedup-mode", default="delayed", choices=["delayed", "hybrid"],
+         arg("--dedup-mode", default="delayed",
+             choices=["delayed", "hybrid", "inline"],
              help="dedup pipeline under test: classic delayed "
-                  "DeNova, or the hybrid weak+strong path with "
-                  "its extra persistence events"),
+                  "DeNova, the hybrid weak+strong path with its "
+                  "extra persistence events, or inline dedup "
+                  "(counts staged and settled inside each write)"),
          flag("--staging",
               help="absorb small writes and creates through the "
                    "front-tier staging log, sweeping crashes "

@@ -312,7 +312,7 @@ class DedupDaemon:
                 self._c_unique.inc()
                 shared += 1
         if shared:
-            task.txn.share(found.idx, found, shared)  # step 3
+            task.txn.share(found.idx, n=shared)  # step 3
 
     def _stage_miss(self, task: NodeTask, fp: bytes,
                     pages: list[tuple[int, int]], res: LookupResult) -> None:

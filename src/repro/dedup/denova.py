@@ -230,7 +230,7 @@ class DeNovaFS(NovaFS):
         if ent is None:
             self._c_direct_frees.inc()
             return True
-        if self.fact.dec_rfc(ent.idx, ent, n):
+        if self.fact.dec_rfc(ent.idx, ent.counts, n):
             self._c_shared_keeps.inc(n)
             return False
         self._c_shared_keeps.inc(n - 1)

@@ -117,6 +117,11 @@ class FactEntry:
     def valid(self) -> bool:
         return self.block != 0
 
+    @property
+    def counts(self) -> int:
+        """The slot's counts word: UC in the high half, RFC in the low."""
+        return self.update_count * _UC_UNIT + self.refcount
+
 
 @dataclass
 class LookupResult:
@@ -304,13 +309,13 @@ class FACT:
     def _read_u64(self, idx: int, off: int) -> int:
         return self.dev.read_u64(self.addr(idx) + off)
 
-    def _counts(self, idx: int, seen: Optional[FactEntry]) -> int:
-        """Entry ``idx``'s counts word: from ``seen``, the entry the
-        calling operation has just read and not flushed since (the line
-        is still in the CPU cache), else one NVM read."""
-        if seen is None:
+    def _counts(self, idx: int, counts: Optional[int]) -> int:
+        """Entry ``idx``'s counts word: ``counts``, the word the calling
+        operation holds (it read or stored it, and no store has flushed
+        the line since), else one NVM read."""
+        if counts is None:
             return self._read_u64(idx, _OFF_COUNTS)
-        return seen.update_count * _UC_UNIT + seen.refcount
+        return counts
 
     # ------------------------------------------------------------ prefix / chains
 
@@ -335,15 +340,15 @@ class FACT:
 
     # ------------------------------------------------------------ lookup / insert
 
-    def lookup(self, fp: bytes, lines: Optional[dict] = None
+    def lookup(self, fp: bytes, words: Optional[dict] = None
                ) -> LookupResult:
         """Find the entry for ``fp`` (§IV-C lookup path).
 
         Cost: one NVM entry read per chain position visited — one read
         when the answer sits in the DAA, more as the chain grows (the
-        motivation for the §IV-E reordering).  ``lines`` (a
-        :class:`FactTxn`'s) takes every slot the walk read, for
-        :meth:`held`.
+        motivation for the §IV-E reordering).  ``words`` (a
+        :class:`FactTxn`'s) takes the counts word of every slot the walk
+        read, with the store number it was read at.
         """
         head_idx = self.head_of(fp)
         self._c_lookups.inc()
@@ -360,9 +365,9 @@ class FACT:
             if steps > total:
                 raise FactCorruption(f"chain at {head_idx} has a cycle")
             fields = _ENTRY.unpack_from(read(addr(idx), ENTRY))
-            _counts, block, _prev, nxt, _delete, entry_fp = fields
-            if lines is not None:
-                lines[idx] = (fields, self._flushes)
+            counts, block, _prev, nxt, _delete, entry_fp = fields
+            if words is not None:
+                words[idx] = (counts, self._flushes)
             steps += 1
             tail = idx
             if steps == 1:
@@ -439,14 +444,16 @@ class FACT:
 
     # ------------------------------------------------------------ counts (UC/RFC)
 
-    def inc_uc(self, idx: int, seen: Optional[FactEntry] = None,
-               n: int = 1) -> None:
+    def inc_uc(self, idx: int, counts: Optional[int] = None,
+               n: int = 1) -> int:
         """Begin ``n`` dedup transactions against this entry (Alg. 1 step
-        3), ``UC += n`` in one atomic store; ``seen`` as in :meth:`_counts`."""
-        counts = self._counts(idx, seen)
-        self._write_u64(idx, _OFF_COUNTS, counts + n * _UC_UNIT)
+        3), ``UC += n`` in one atomic store; ``counts`` as in
+        :meth:`_counts`.  Returns the word stored."""
+        counts = self._counts(idx, counts) + n * _UC_UNIT
+        self._write_u64(idx, _OFF_COUNTS, counts)
+        return counts
 
-    def commit_uc(self, idx: int, seen: Optional[FactEntry] = None,
+    def commit_uc(self, idx: int, counts: Optional[int] = None,
                   n: int = 1) -> bool:
         """``UC -= n, RFC += n`` in one atomic store (Alg. 1 step 6).
 
@@ -456,7 +463,7 @@ class FACT:
         on zero is exactly the paper's idempotence argument.  Returns
         False when nothing settled.
         """
-        counts = self._counts(idx, seen)
+        counts = self._counts(idx, counts)
         n = min(n, counts >> 32)
         if not n:
             return False
@@ -469,11 +476,11 @@ class FACT:
         if counts >> 32:
             self._write_u64(idx, _OFF_COUNTS, counts & _RFC_MASK)
 
-    def dec_rfc(self, idx: int, seen: Optional[FactEntry] = None,
+    def dec_rfc(self, idx: int, counts: Optional[int] = None,
                 n: int = 1) -> int:
         """``RFC -= n`` in one atomic store (reclaim: ``n`` displaced
         references to the entry's block); returns the new RFC."""
-        counts = self._counts(idx, seen)
+        counts = self._counts(idx, counts)
         rfc = counts & _RFC_MASK
         if rfc < n:
             raise FactCorruption(f"FACT[{idx}]: RFC underflow")
@@ -574,14 +581,6 @@ class FACT:
         """No store has flushed slot ``idx``'s line since ``since`` (a
         value of ``_flushes``): a read of it then is still cached."""
         return self._flushed.get(idx, 0) <= since
-
-    def held(self, idx: int, lines: dict) -> Optional[FactEntry]:
-        """Slot ``idx`` as a lookup recorded it in ``lines``, if no store
-        has flushed its line since (it is still in the CPU cache)."""
-        got = lines.get(idx)
-        if got is None or not self._unflushed(idx, got[1]):
-            return None
-        return _entry(idx, *got[0])
 
     def entry_for_block(self, block: int) -> Optional[FactEntry]:
         """The §IV-C reclaim path for one block: an 8-byte pointer read,
@@ -1023,25 +1022,47 @@ class FactTxn:
     one store.  As a context manager an exception before the commit
     aborts; a simulated power loss does not (no code runs after a crash;
     what was staged is recovery's).  docs/CONSISTENCY.md §4.
+
+    The transaction holds the counts word of every entry its lookups
+    read and its own stores wrote, with FACT's store number at that
+    moment; a count store takes the held word instead of reading it
+    back while no store has flushed the slot since (:meth:`_word`).
     """
 
     def __init__(self, fact: FACT):
         self.fact = fact
         self._units: dict[int, int] = {}  # idx -> staged UC, first-staged order
         self._claims: list[int] = []      # entries this operation inserted
-        self._lines: dict = {}            # what its lookups read, see FACT.held
+        #: idx -> (counts word, FACT._flushes when read or stored)
+        self._words: dict[int, tuple[int, int]] = {}
 
     def lookup(self, fp: bytes) -> LookupResult:
-        """:meth:`FACT.lookup`, keeping the lines the walk read: a count
-        store on one of them later, before a flush, reads nothing."""
-        return self.fact.lookup(fp, self._lines)
+        """:meth:`FACT.lookup`, holding the counts of every slot the walk
+        read: a count store on one of them later reads nothing."""
+        return self.fact.lookup(fp, self._words)
+
+    def _word(self, idx: int) -> Optional[int]:
+        """Entry ``idx``'s counts word as this transaction last read or
+        stored it; None (the FACT method reads it) once any store —
+        another transaction's included — has flushed the slot since."""
+        got = self._words.get(idx)
+        if got is not None and self.fact._unflushed(idx, got[1]):
+            return got[0]
+        return None
+
+    def _hold(self, idx: int, counts: int) -> None:
+        """Hold the counts word the last store to slot ``idx`` left."""
+        self._words[idx] = (counts, self.fact._flushed[idx])
 
     def share(self, idx: int, seen: Optional[FactEntry] = None,
               n: int = 1) -> None:
         """Stage ``n`` more references to an existing entry (``UC += n``,
-        one store); ``seen`` is the entry the caller has just looked up,
-        if it has."""
-        self.fact.inc_uc(idx, seen, n)
+        one store); ``seen`` is the entry the caller has just read, if
+        it has and this transaction holds no word for it."""
+        counts = self._word(idx)
+        if counts is None and seen is not None:
+            counts = seen.counts
+        self._hold(idx, self.fact.inc_uc(idx, counts, n))
         self._units[idx] = self._units.get(idx, 0) + n
 
     def claim(self, fp: bytes, block: int,
@@ -1052,6 +1073,7 @@ class FactTxn:
             idx = self.fact.insert(fp, block, hint)
         except FactFull:
             return None
+        self._hold(idx, _UC_UNIT)
         self._units[idx] = self._units.get(idx, 0) + 1
         self._claims.append(idx)
         return idx
@@ -1061,21 +1083,27 @@ class FactTxn:
         ``UC-1, RFC+1`` store each, in order; the shared units stay
         staged.  For a claim on a page the operation's own committed
         entry already maps (the dedup daemon's), the count is exact at
-        once, so no crash or abort after this can leave it uncounted."""
+        once, so no crash or abort after this can leave it uncounted.
+
+        It ends the daemon's FACT critical section and drops every held
+        word, so the commit, an engine operation later, reads; and it
+        reads each claim's counts itself, the held-value rule's one
+        exception (docs/CONSISTENCY.md §5)."""
         claims, self._claims = self._claims, []
         for idx in claims:
-            self.fact.commit_uc(idx, self.fact.held(idx, self._lines))
+            self.fact.commit_uc(idx)
             self._units[idx] -= 1
             if not self._units[idx]:
                 del self._units[idx]
+        self._words = {}
 
     def commit(self) -> None:
         """Alg. 1 step 6: one ``UC-n, RFC+n`` store per staged entry, in
         the order they were first staged."""
         units, self._units, self._claims = self._units, {}, []
         for idx, n in units.items():
-            self.fact.commit_uc(idx, self.fact.held(idx, self._lines), n)
-        self._lines = {}
+            self.fact.commit_uc(idx, self._word(idx), n)
+        self._words = {}
 
     def abort(self) -> None:
         """Drop exactly the units this transaction staged, newest entry
@@ -1097,7 +1125,7 @@ class FactTxn:
         units, self._units, self._claims = self._units, {}, []
         for idx, n in reversed(units.items()):
             claimed = idx in claims
-            counts = fact._counts(idx, fact.held(idx, self._lines)) \
+            counts = fact._counts(idx, self._word(idx)) \
                 - (n - claimed) * _UC_UNIT
             if not claimed:
                 fact._write_u64(idx, _OFF_COUNTS, counts)
@@ -1105,7 +1133,7 @@ class FactTxn:
                 fact.remove(idx)
             else:
                 fact._write_u64(idx, _OFF_COUNTS, counts + 1 - _UC_UNIT)
-        self._lines = {}
+        self._words = {}
 
     def __enter__(self) -> "FactTxn":
         return self

@@ -79,7 +79,7 @@ class InlineDedupFS(DeNovaFS):
                 res = placed.txn.lookup(fp)
                 found = res.found
                 if found is not None:
-                    placed.txn.share(found.idx, found, copies[fp])
+                    placed.txn.share(found.idx, n=copies[fp])
                 canonical[fp] = None if found is None else found.block
             block = canonical[fp]
             if block is not None:

@@ -135,7 +135,7 @@ def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:
         for page in entry.pages():
             ent = plan.entry(page)
             if ent is not None:
-                fs.fact.commit_uc(ent.idx, ent)
+                fs.fact.commit_uc(ent.idx, ent.counts)
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
 
 

@@ -26,6 +26,8 @@ behaviour, as cross-file atomicity would need a tree-wide journal.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.dedup.daemon import append_redirects, complete_redirects
 from repro.dedup.fact import FactTxn
 from repro.nova.entries import SetattrEntry
@@ -72,39 +74,41 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
     if n_mappings:
         fs.tenants.check_pages(dpino, n_mappings)
 
-    # Stage: one UC per shared page; fingerprint-and-insert pages that
-    # have no FACT entry yet (pending offline dedup).
-    runs: list[list[int]] = []  # [pgoff, block, count]
+    # Stage: one share per distinct source block for all the pages that
+    # map it; fingerprint-and-insert blocks that have no FACT entry yet
+    # (pending offline dedup).
     mapped = [(pgoff, src_cache.index.block_of(pgoff))
               for pgoff in src_cache.index.mapped_offsets]
-    with FactTxn(fs.fact) as txn, \
-            fs.fact.planned(block for _, block in mapped) as plan:
-        for pgoff, block in mapped:
+    refs = Counter(block for _pgoff, block in mapped)
+    canonical: dict[int, int] = {}  # source block -> the one dst maps
+    with FactTxn(fs.fact) as txn, fs.fact.planned(refs) as plan:
+        for block, n in refs.items():
+            canonical[block] = block
             ent = plan.entry(block)
-            if ent is None:
-                data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
-                fp = fs.fingerprinter.strong(data)
-                res = fs.fact.lookup(fp)
-                if res.found is not None and res.found.block != block:
-                    # The source page itself duplicates an existing
-                    # canonical page; share *that* one (and this page will
-                    # be reclaimed when the source's own dedup runs).
-                    txn.share(res.found.idx, res.found)
-                    block = res.found.block
-                else:
-                    idx = txn.claim(fp, block, hint=res)
-                    if idx is None:
-                        raise FSError(
-                            "reflink needs a FACT slot per shared page and "
-                            "the table is full")
-                    # The fresh entry must count the *source's* reference
-                    # as well as the destination's (the source's queued
-                    # dedup will self-hit with RFC >= 1 and correctly add
-                    # nothing).
-                    txn.share(idx)
-            else:
-                txn.share(ent.idx, ent)
-            extend_runs(runs, pgoff, block)
+            if ent is not None:
+                txn.share(ent.idx, ent, n)
+                continue
+            data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
+            fp = fs.fingerprinter.strong(data)
+            res = txn.lookup(fp)
+            if res.found is not None and res.found.block != block:
+                # The source page itself duplicates an existing
+                # canonical page; share *that* one (and this page will
+                # be reclaimed when the source's own dedup runs).
+                txn.share(res.found.idx, n=n)
+                canonical[block] = res.found.block
+                continue
+            idx = txn.claim(fp, block, hint=res)
+            if idx is None:
+                raise FSError("reflink needs a FACT slot per shared page "
+                              "and the table is full")
+            # The fresh entry must count the *source's* reference as well
+            # as the destination's (the source's queued dedup will
+            # self-hit with RFC >= 1 and correctly add nothing).
+            txn.share(idx, n=n)
+        runs: list[list[int]] = []  # [pgoff, block, count]
+        for pgoff, block in mapped:
+            extend_runs(runs, pgoff, canonical[block])
 
         # Unpublished destination inode (orphan until the dentry lands).
         # ``parent=dpino`` inherits the destination tenant's ownership, so

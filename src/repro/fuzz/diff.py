@@ -38,6 +38,7 @@ from typing import Callable, ClassVar, Optional
 
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.hybrid import HybridDeNovaFS
+from repro.dedup.inline import InlineDedupFS
 from repro.failure import image
 from repro.failure.injector import count_persist_events, sweep_crash_points
 from repro.failure.invariants import InvariantViolation, check_fs_invariants
@@ -82,8 +83,10 @@ class FuzzConfig:
     #                              under /t/tn<i> roots created via
     #                              tenant_create — covers the tenant
     #                              registry's persistence crash points)
-    dedup_mode: str = "delayed"  # "delayed" (classic DeNova) or "hybrid"
+    dedup_mode: str = "delayed"  # "delayed" (classic DeNova), "hybrid"
     #                              (weak+strong pipeline, adaptive policy)
+    #                              or "inline" (counts staged and settled
+    #                              inside each write)
     staging: bool = False        # absorb small writes + creates through
     #                              the front-tier staging log: every
     #                              record append / destage / watermark
@@ -144,7 +147,8 @@ class CaseResult:
 
 
 def _fs_cls(cfg: FuzzConfig):
-    return HybridDeNovaFS if cfg.dedup_mode == "hybrid" else DeNovaFS
+    return {"hybrid": HybridDeNovaFS,
+            "inline": InlineDedupFS}.get(cfg.dedup_mode, DeNovaFS)
 
 
 def make_fs(cfg: FuzzConfig) -> DeNovaFS:

@@ -1,17 +1,22 @@
 """One count store per FACT entry per operation.
 
-A dedup node or an inline write looks each distinct fingerprint up once
-and stages every page carrying it with one ``UC += n`` store; the commit
-settles each entry with one ``UC - n, RFC + n`` store; an overwrite that
-displaces ``n`` references to one canonical page reads its entry once and
-drops them with one ``RFC -= n`` store (docs/CONSISTENCY.md §4, §5).  The
+A dedup node, an inline write or a received file looks each distinct
+fingerprint up once, and a reflink reads each distinct source block's
+entry once; each stages every page carrying it with one ``UC += n``
+store; the commit settles each entry with one ``UC - n, RFC + n`` store;
+an overwrite that displaces ``n`` references to one canonical page reads
+its entry once and drops them with one ``RFC -= n`` store
+(docs/CONSISTENCY.md §4, §5).  The
 directed cases count requests through the ledger; the sweep crashes the
 same three shapes at every persist event, and after recovery and a drain
 every entry still counts at least the mappings onto its block.
 """
 
+import io
+
 import pytest
 
+from repro.backup import receive_backup, send_backup
 from repro.dedup import DeNovaFS, InlineDedupFS
 from repro.failure import check_fs_invariants, sweep_crash_points
 from repro.fuzz.diff import flags_converged
@@ -129,12 +134,48 @@ class TestOneCountStorePerEntry:
         assert fs.space_stats()["physical_pages"] == 2
         check_fs_invariants(fs)
 
+    def test_a_reflink_shares_a_fourfold_page_with_one_store(self):
+        fs = mkfs()
+        fs.write(fs.create("/a"), 0, P * 4)
+        fs.daemon.drain()
+        ent = entry_of(fs, P)
+        assert ent.refcount == 4
+        with Ledger(fs.dev) as led:
+            fs.reflink("/a", "/c")
+        assert len(entry_reads(led, fs, ent.idx)) == 1    # the plan's
+        assert len(counts_stores(led, fs, ent.idx)) == 2  # UC += 4; settle
+        got = entry_of(fs, P)
+        assert (got.refcount, got.update_count) == (8, 0)
+        assert fs.read(fs.lookup("/c"), 0, 4 * PAGE_SIZE) == P * 4
+        check_fs_invariants(fs)
 
-@pytest.mark.recovery
-@pytest.mark.parametrize("shape", [overwrite_of_a_fourfold_page,
-                                   node_of_a_threefold_page,
-                                   inline_write_of_a_threefold_page])
-def test_a_crash_at_every_persist_event_keeps_every_reference_counted(shape):
+    def test_a_received_threefold_page_is_looked_up_once(self):
+        src = mkfs()
+        src.write(src.create("/f"), 0, P + Q + P + P)
+        src.daemon.drain()
+        src.snapshot("s1")
+        stream = io.BytesIO()
+        send_backup(src, "s1", stream)
+        stream.seek(0)
+        fs = mkfs()
+        before = lookups(fs)
+        assert receive_backup(fs, stream)["committed"]
+        assert lookups(fs) - before == 2           # P and Q
+        got = entry_of(fs, P)
+        assert (got.refcount, got.update_count) == (3, 0)
+        assert fs.read(fs.lookup("/.snapshots/s1/f"), 0, 4 * PAGE_SIZE) \
+            == P + Q + P + P
+        check_fs_invariants(fs)
+
+
+SHAPES = (overwrite_of_a_fourfold_page, node_of_a_threefold_page,
+          inline_write_of_a_threefold_page)
+
+
+def sweep(shape) -> int:
+    """Crash ``shape``'s operation at every persist event; each recovery
+    mount, drained, counts every mapping onto each entry's block.
+    Returns the crash points checked."""
     cls = type(shape()[0])
 
     def build():
@@ -152,4 +193,10 @@ def test_a_crash_at_every_persist_event_keeps_every_reference_counted(shape):
         assert flags_converged(fs), f"{phase} {point}: in_process left"
         check_fs_invariants(fs)
 
-    assert sweep_crash_points(build, check, mode=("discard", "torn")) > 10
+    return sweep_crash_points(build, check, mode=("discard", "torn"))
+
+
+@pytest.mark.recovery
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_crash_at_every_persist_event_keeps_every_reference_counted(shape):
+    assert sweep(shape) > 10

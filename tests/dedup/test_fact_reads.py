@@ -24,10 +24,12 @@ from repro.dedup.fingerprint import FP_BYTES
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
 from repro.failure import check_fs_invariants, image
+from repro.fuzz import FuzzConfig, FuzzRunner
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import DEDUPE_IN_PROCESS
 from repro.pm import DRAM, CrashRequested, PMDevice, SimClock
-from tests._ledger import Ledger
+from tests._ledger import READS, Ledger
+from tests.dedup import test_count_merge as count_merge
 from tests.dedup.test_fact_map import map_requests
 
 
@@ -182,6 +184,111 @@ class TestFactReadsOncePerVisit:
         assert {(e.refcount, e.update_count)
                 for e in fs2.fact.live_entries().values()} == {(1, 0)}
         check_fs_invariants(fs2)
+
+
+def apart(fs, n):
+    """``n`` page images whose fingerprints have ``n`` distinct DAA heads."""
+    pages: dict[int, bytes] = {}
+    for i in itertools.count(1):
+        page = i.to_bytes(4, "little") * (PAGE_SIZE // 4)
+        pages.setdefault(fs.fact.head_of(hashlib.sha1(page).digest()), page)
+        if len(pages) == n:
+            return list(pages.values())
+
+
+def fact_reads(led, fact):
+    """The sizes of the charged reads of the FACT region, in order."""
+    return [r.n for r in led.select(*READS, within=(
+        fact.base, fact.base + fact.total * ENTRY))]
+
+
+@pytest.fixture
+def held_words(monkeypatch):
+    """Compare every counts word a caller hands FACT with the one on the
+    media: the returned ``(used, mismatches)`` lists fill as it runs."""
+    used, mismatches = [], []
+    real = FACT._counts
+
+    def _counts(self, idx, counts):
+        if counts is not None:
+            media = int.from_bytes(
+                self.dev.read_silent(self.addr(idx), 8), "little")
+            used.append(idx)
+            if counts != media:
+                mismatches.append((idx, counts, media))
+        return real(self, idx, counts)
+
+    monkeypatch.setattr(FACT, "_counts", _counts)
+    return used, mismatches
+
+
+class TestHeldCounts:
+    """A transaction never reads back a counts word it stored or its
+    lookup read: it holds the word with FACT's store number and uses it
+    while no store has flushed the slot since.  The daemon's
+    ``settle_claims`` keeps its read (docs/CONSISTENCY.md §5)."""
+
+    def test_an_inline_write_reads_only_its_lookups(self):
+        fs = make_fs(InlineDedupFS)
+        p, r = apart(fs, 2)
+        write_file(fs, "/a", p)                 # P's entry: a hit below
+        with Ledger(fs.dev) as led:
+            write_file(fs, "/b", p + r + p + r + p)
+        assert fact_reads(led, fs.fact) == [ENTRY, ENTRY]
+        assert (entry_of(fs, p).refcount, entry_of(fs, r).refcount) == (4, 2)
+        check_fs_invariants(fs)
+
+    def test_a_node_shares_its_claim_without_a_read(self, monkeypatch):
+        fs = make_fs()
+        (q,) = apart(fs, 1)
+        write_file(fs, "/a", q + q)
+        shares = visits(monkeypatch, fs, FactTxn, "share")
+        settles = visits(monkeypatch, fs, FactTxn, "settle_claims")
+        fs.daemon.drain()
+        assert shares == [(0, 0)]
+        assert settles == [(1, 0)]              # the one kept read
+        assert entry_of(fs, q).refcount == 2
+        check_fs_invariants(fs)
+
+    def test_another_transactions_store_forces_the_read(self):
+        fs = make_fs()
+        fact = fs.fact
+        (page,) = apart(fs, 1)
+        t1, t2 = FactTxn(fact), FactTxn(fact)
+        idx = t1.claim(hashlib.sha1(page).digest(), fs.allocator.alloc(1, 0))
+        at = fact.addr(idx)
+
+        def committed(txn):
+            with Ledger(fs.dev) as led:
+                txn.commit()
+            ent = fact.read_entry(idx)
+            return (len(led.select(*READS, within=(at, at + 8))),
+                    ent.refcount, ent.update_count)
+
+        t2.share(idx)          # t1's held word is stale from here on
+        assert committed(t1) == (1, 1, 1)       # t2's unit survives
+        assert committed(t2) == (1, 2, 0)
+        t3 = FactTxn(fact)
+        t3.share(idx)
+        assert committed(t3) == (0, 3, 0)       # its own store: held
+
+    @pytest.mark.recovery
+    @pytest.mark.parametrize("shape", count_merge.SHAPES)
+    def test_every_held_word_is_the_media_word_across_a_crash_sweep(
+            self, held_words, shape):
+        count_merge.sweep(shape)
+        used, mismatches = held_words
+        assert used and not mismatches
+
+    def test_every_held_word_is_the_media_word_in_an_inline_campaign(
+            self, held_words):
+        cfg = FuzzConfig(seed=42, total_ops=48, seq_ops=8, budget=16,
+                         dedup_mode="inline")
+        res = FuzzRunner(cfg, shrink_failures=False).run()
+        assert res.ok, "; ".join(str(f.violation) for f in res.failures)
+        assert res.crash_points
+        used, mismatches = held_words
+        assert used and not mismatches
 
 
 class TestInlineClaimHint:

@@ -80,7 +80,7 @@ def test_fuzz_smoke_campaign():
 
 
 @pytest.mark.fuzz
-@pytest.mark.parametrize("dedup_mode", ["delayed", "hybrid"])
+@pytest.mark.parametrize("dedup_mode", ["delayed", "hybrid", "inline"])
 def test_small_device_campaign_is_clean(dedup_mode):
     """Exhaustion as a fuzz input: a 96-page device and a reflink-heavy
     mix run the sequence into ``NoSpace`` ~100 ops in.  Every op owes its
