@@ -3,7 +3,9 @@
 The DD dequeues DWQ nodes and deduplicates the data pages of each
 referenced write entry:
 
-1.  dequeue the *target entry* (dedupe-flag ``dedupe_needed``);
+1.  dequeue the *target entry* (dedupe-flag ``dedupe_needed``; a node
+    its write enqueued carries the entry, read only for a node a mount
+    restored or rebuilt);
 2.  fingerprint each still-live data page and look it up in FACT (the
     live pages are read one device request per contiguous run);
 3.  one FACT lookup per distinct fingerprint of the node: duplicates
@@ -14,10 +16,15 @@ referenced write entry:
 4.  append a new single-page write entry (flag ``in_process``) pointing
     at the canonical page for every duplicate;
 5.  one atomic log-tail update commits them all, then the target's flag
-    moves to ``in_process``;
+    moves to ``in_process`` (a target without duplicates appends nothing
+    and skips that store: recovery would have nothing of it to resume,
+    and a crash re-runs it from the DWQ);
 6.  for every touched FACT entry, one atomic store does ``UC -= n,
-    RFC += n``; flags move to ``dedupe_complete``; the duplicate pages
-    are reclaimed and the radix tree re-pointed.
+    RFC += n`` from the counts word the node's transaction holds (read
+    again only once another store has flushed the slot); flags move to
+    ``dedupe_complete``; the radix tree is re-pointed and the duplicate
+    pages — the node's own, which no FACT entry describes — are freed
+    without a delete-pointer read.
 
 A node whose redirect entries find no log page (``NoSpace``) aborts and
 goes back on the DWQ, still ``dedupe_needed``, its shared counts dropped.
@@ -223,14 +230,21 @@ class DedupDaemon:
             self._c_nodes_stale.inc()
             fs.note_dedup_done(node.entry_addr)
             return None
-        # The inode may have been deleted and its number reused while the
-        # node sat queued; the old entry's log page may even be a data
-        # page now.  The entry must still decode, be a write entry, carry
-        # this ino, and await dedup — anything else is a stale node.
-        try:
-            entry = fs.read_entry(node.entry_addr)
-        except ValueError:
-            entry = None
+        if node.cache is not None:
+            # The enqueuing write's entry, unchanged while its inode
+            # lives; another cache under this ino is a file created after
+            # this one was deleted.
+            entry = node.entry if cache is node.cache else None
+        else:
+            # Restored or rebuilt at mount: the inode may have been
+            # deleted and its number reused while the node sat queued;
+            # the old entry's log page may even be a data page now.  The
+            # entry must still decode, be a write entry, carry this ino,
+            # and await dedup — anything else is a stale node.
+            try:
+                entry = fs.read_entry(node.entry_addr)
+            except ValueError:
+                entry = None
         if (not isinstance(entry, WriteEntry)
                 or entry.ino != node.ino
                 or entry.dedupe_flag != DEDUPE_NEEDED):
@@ -346,7 +360,11 @@ class DedupDaemon:
             task.txn.abort()
             fs.dwq.enqueue(node)
             raise
-        fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
+        if new_entries:
+            # Recovery resumes an in_process target from step 6; one
+            # without redirects has nothing to resume (its claims settled
+            # in ``stage``), and a crash re-runs it from the DWQ.
+            fs.set_dedupe_flag(node.entry_addr, DEDUPE_IN_PROCESS)
 
         # Step 6: settle the shared counts — one atomic store per
         # entry — then complete and repoint the redirects.
@@ -355,11 +373,12 @@ class DedupDaemon:
         fs.set_dedupe_flag(node.entry_addr, DEDUPE_COMPLETE)
         fs.note_dedup_done(node.entry_addr)
 
-        # One retire of the now-duplicate pages (they have no FACT entry
-        # of their own, so reclaim frees them directly).
+        # One retire of the now-duplicate pages: the node's own fresh
+        # pages, which no FACT entry describes, so they are freed
+        # directly, without reading their delete pointers.
         if new_entries:
             fs._retire_displaced(node.ino, cache, displaced, cpu,
-                                 mapped=len(new_entries))
+                                 mapped=len(new_entries), counted=False)
             self._c_reclaimed.inc(displaced.total_pages)
 
         # §IV-E: reorder the chains that showed slow lookups.

@@ -154,7 +154,8 @@ class DeNovaFS(NovaFS):
     def on_write_committed(self, ino: int, entry_addr: int,
                            entry: WriteEntry, cpu: int) -> None:
         self._pending_pages[entry_addr // PAGE_SIZE] += 1
-        self.dwq.enqueue(DWQNode(ino=ino, entry_addr=entry_addr))
+        self.dwq.enqueue(DWQNode(ino=ino, entry_addr=entry_addr, entry=entry,
+                                 cache=self.caches[ino]))
 
     def note_dedup_pending(self, entry_addr: int) -> None:
         """An in_process entry exists at this address (daemon bookkeeping)."""
@@ -182,6 +183,9 @@ class DeNovaFS(NovaFS):
 
         First the delete pointers of every page, one NVM read per
         neighbourhood of slots (:class:`~repro.dedup.fact.DeletePlan`).
+        (A dedup node's own displaced duplicates never come here: no
+        FACT entry describes them, so :meth:`free_extents` frees them
+        without a pointer read.)
         A page displaced ``n`` times (``radix._group`` keeps the
         multiplicity) is settled once, at its last occurrence: a read of
         the entry its pointer names (none when the block has no entry: a
@@ -221,6 +225,12 @@ class DeNovaFS(NovaFS):
                 if run_start is not None:
                     self.allocator.free(run_start, run_len, cpu)
                     self._c_reclaimed.inc(run_len)
+
+    def free_extents(self, extents, cpu: int) -> None:
+        """Free pages no FACT entry describes (each a direct free)."""
+        extents = list(extents)
+        self._c_direct_frees.inc(sum(count for _start, count in extents))
+        super().free_extents(extents, cpu)
 
     def _release(self, ent, n: int) -> bool:
         """Drop ``n`` references to a displaced page whose entry is

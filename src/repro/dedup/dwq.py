@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.nova.entries import WriteEntry
 from repro.nova.layout import PAGE_SIZE, Geometry, Superblock
 from repro.obs import MetricsRegistry, ObsHub
 from repro.pm.clock import SimClock
@@ -69,6 +70,16 @@ class DWQNode:
     weak fingerprint the write path computed, or to "registered unique"
     (:data:`HINT_REGISTERED`: the daemon neither reads nor hashes it).
     DRAM-only too: a restored node carries None and re-runs the weak path.
+
+    ``entry`` and ``cache`` are the :class:`~repro.nova.entries.WriteEntry`
+    the enqueuing write committed at ``entry_addr`` and the inode's
+    ``InodeCache`` at that moment.  While ``fs.caches[ino]`` is still
+    that cache (identity, not equality: an unlink and a create that
+    reuses the ino make a new one), the entry on the media is this one,
+    still ``dedupe_needed``, and the daemon validates the node without
+    reading it; under another cache the node is stale.  DRAM-only too:
+    a node restored from the save area or rebuilt by the flag scan
+    carries None and reads its entry.
     """
 
     ino: int
@@ -77,6 +88,9 @@ class DWQNode:
     trace_id: int = 0
     tid: Optional[int] = None
     weak_hints: Optional[dict] = None
+    entry: Optional[WriteEntry] = field(default=None, repr=False,
+                                        compare=False)
+    cache: Optional[object] = field(default=None, repr=False, compare=False)
     #: Global FIFO stamp, set by :meth:`DWQ.enqueue`.
     _seq: int = field(default=0, init=False, repr=False, compare=False)
 

@@ -433,15 +433,6 @@ class FACT:
         self._write_u64(hint.tail_idx, _OFF_NEXT, new_idx + 1)  # publish
         return new_idx
 
-    def materialise(self, fp: bytes, block: int,
-                    hint: Optional[LookupResult] = None) -> Optional[int]:
-        """Insert an entry born settled at ``RFC=1``, for a block a file
-        already maps (hybrid's lazy canonical); None when the table is full."""
-        txn = FactTxn(self)
-        idx = txn.claim(fp, block, hint)
-        txn.commit()
-        return idx
-
     # ------------------------------------------------------------ counts (UC/RFC)
 
     def inc_uc(self, idx: int, counts: Optional[int] = None,
@@ -1078,6 +1069,20 @@ class FactTxn:
         self._claims.append(idx)
         return idx
 
+    def materialise(self, fp: bytes, block: int,
+                    hint: Optional[LookupResult] = None) -> Optional[int]:
+        """Insert an entry born settled at ``RFC=1``, for a block a file
+        already maps (hybrid's lazy canonical), and hold its word: a
+        ``share`` of it then reads nothing.  Nothing stays staged, so an
+        abort keeps it.  None when the table is full."""
+        try:
+            idx = self.fact.insert(fp, block, hint)
+        except FactFull:
+            return None
+        self.fact.commit_uc(idx, _UC_UNIT)
+        self._hold(idx, 1)
+        return idx
+
     def settle_claims(self) -> None:
         """Settle the claimed units before anything is published: one
         ``UC-1, RFC+1`` store each, in order; the shared units stay
@@ -1085,17 +1090,19 @@ class FactTxn:
         entry already maps (the dedup daemon's), the count is exact at
         once, so no crash or abort after this can leave it uncounted.
 
-        It ends the daemon's FACT critical section and drops every held
-        word, so the commit, an engine operation later, reads; and it
-        reads each claim's counts itself, the held-value rule's one
-        exception (docs/CONSISTENCY.md §5)."""
+        It reads each claim's counts itself, the held-value rule's one
+        exception (docs/CONSISTENCY.md §5), and holds the word it
+        stores; the words held stay held for the commit, which uses
+        each only while its store is still the slot's latest."""
+        fact = self.fact
         claims, self._claims = self._claims, []
         for idx in claims:
-            self.fact.commit_uc(idx)
+            counts = fact._counts(idx, None)
+            if fact.commit_uc(idx, counts):
+                self._hold(idx, counts + 1 - _UC_UNIT)
             self._units[idx] -= 1
             if not self._units[idx]:
                 del self._units[idx]
-        self._words = {}
 
     def commit(self) -> None:
         """Alg. 1 step 6: one ``UC-n, RFC+n`` store per staged entry, in

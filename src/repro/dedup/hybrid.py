@@ -23,9 +23,9 @@ after the daemon read the candidate block and its SHA-1 matched — a
 weak-hit/strong-miss always falls back to keeping the real write, so
 aliasing is impossible by construction.  Candidate blocks are always
 *live* (the DRAM weak index holds only radix-referenced blocks;
-:meth:`HybridDeNovaFS.reclaim_extents` unregisters freed pages), and
-committed CoW data pages are immutable until freed, so reading a
-candidate races nothing.
+:meth:`HybridDeNovaFS.reclaim_extents` and ``free_extents`` unregister
+freed pages), and committed CoW data pages are immutable until freed, so
+reading a candidate races nothing.
 
 Persistence: the weak fingerprint of block *B* lives in bytes 60..64 of
 FACT slot *B* (the "weak column", indexed by block address like the
@@ -309,7 +309,7 @@ class HybridDedupDaemon(DedupDaemon):
         # live reference; these pages' staged UCs commit with the node,
         # landing at RFC=1+n — the same counts the pure-delayed pipeline
         # produces.
-        cidx = fs.fact.materialise(fp, cand, hint=res)
+        cidx = task.txn.materialise(fp, cand, hint=res)
         if cidx is None:
             self._c_fact_full.inc(len(pages))
             for _pgoff, page in pages:
@@ -459,7 +459,8 @@ class HybridDeNovaFS(DeNovaFS):
             # the full weak path.
             self._pending_pages[entry_addr // PAGE_SIZE] += 1
             self.dwq.enqueue(DWQNode(ino=ino, entry_addr=entry_addr,
-                                     weak_hints=hints))
+                                     weak_hints=hints, entry=entry,
+                                     cache=self.caches[ino]))
         else:
             # Every page is weak-unique: complete without daemon work.
             # A crash before this store leaves the flag dedupe_needed and
@@ -509,11 +510,19 @@ class HybridDeNovaFS(DeNovaFS):
     def reclaim_extents(self, extents, cpu: int) -> None:
         extents = list(extents)
         super().reclaim_extents(extents, cpu)
-        # Freed pages must leave the candidate set (aliasing guard).  A
-        # page that kept its FACT entry (RFC > 0, or a staged UC) is
-        # still live and stays registered.  The NVM weak column is left
-        # as-is — it is a hint, and the mount-time rebuild intersects it
-        # with actual liveness.
+        self._unregister_freed(extents)
+
+    def free_extents(self, extents, cpu: int) -> None:
+        extents = list(extents)
+        super().free_extents(extents, cpu)
+        self._unregister_freed(extents)
+
+    def _unregister_freed(self, extents) -> None:
+        """Freed pages must leave the candidate set (aliasing guard).  A
+        page that kept its FACT entry (RFC > 0, or a staged UC) is still
+        live and stays registered.  The NVM weak column is left as-is —
+        it is a hint, and the mount-time rebuild intersects it with
+        actual liveness."""
         for start, count in extents:
             for page in range(start, start + count):
                 weak = self._weak_by_block.get(page)

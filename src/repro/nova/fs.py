@@ -921,14 +921,19 @@ class NovaFS:
 
     def _retire_displaced(self, ino: int, cache: InodeCache,
                           displaced: Displaced, cpu: int, mapped: int = 0,
-                          gc_log: bool = True) -> None:
+                          gc_log: bool = True, counted: bool = True) -> None:
         """Retire what an index update displaced: charge the tenant the
         net (``mapped`` new mappings minus the displaced ones), note the
-        dead log entries, reclaim the pages."""
+        dead log entries, reclaim the pages — or, with ``counted=False``
+        (pages no reference count describes: a dedup node's own
+        duplicates), free them directly."""
         self.tenants.account_pages(ino, mapped - displaced.total_pages)
         if gc_log:
             self._note_dead_entries(cache, displaced)
-        self.reclaim_extents(displaced.extents, cpu)
+        if counted:
+            self.reclaim_extents(displaced.extents, cpu)
+        else:
+            self.free_extents(displaced.extents, cpu)
 
     def read(self, ino: int, offset: int, length: int, cpu: int = 0) -> bytes:
         """Read up to ``length`` bytes (short at EOF; holes read as zeros)."""
@@ -1210,6 +1215,11 @@ class NovaFS:
     def reclaim_extents(self, extents: Iterable[tuple[int, int]],
                         cpu: int) -> None:
         """Free obsolete data pages.  DeNova overrides with RFC checks."""
+        self.free_extents(extents, cpu)
+
+    def free_extents(self, extents: Iterable[tuple[int, int]],
+                     cpu: int) -> None:
+        """Free data pages nothing else references, one run per extent."""
         for start, count in extents:
             self.allocator.free(start, count, cpu)
             self._c_reclaimed.inc(count)

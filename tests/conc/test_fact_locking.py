@@ -106,32 +106,33 @@ class TestCrashDuringParallelDedup:
         uncounted.  (Settled at the start of the claimer's
         ``commit_node`` instead, 8 points of this sweep recover to
         ``RFC=1`` for 2 live references.)"""
-        def client(vfs, tid):
-            fs, holder = vfs.fs, f"client-{tid}"
-            yield from vfs.op(lambda: fs.mkdir(f"/p{tid}"), holder,
-                              ns_mode="w")
-            for i in range(4):
-                ino, _ = yield from vfs.op(
-                    lambda p=f"/p{tid}/f{i}": fs.create(p), holder,
-                    ns_mode="w")
-                data = bytes([i + 1]) * PAGE_SIZE
-                yield from vfs.write(
-                    lambda ino=ino, d=data: fs.write(ino, 0, d, cpu=tid),
-                    holder, ino)
-
-        def build():
-            fs, dd = make_fs(Variant.IMMEDIATE,
-                             Config(device_pages=2048, max_inodes=256,
-                                    cpus=4))
-
-            def scenario():
-                vfs = jittered(2, 4000.0)(fs, workers=4)
-                vfs.run([vfs.client(client(vfs, t), name=f"client-{t}")
-                         for t in range(4)], dd)
-
-            return fs.dev, scenario
-
         def check(dev, point, phase):
             check_fs_invariants(DeNovaFS.mount(dev))
 
-        assert sweep_crash_points(build, check) > 400
+        assert sweep_crash_points(four_clients_share_claims, check) > 400
+
+
+def four_clients_share_claims():
+    """``(dev, scenario)``: four clients each write the same four pages
+    to files of their own, drained by four jittered workers — a worker
+    shares another's fresh claim before that node commits."""
+    def client(vfs, tid):
+        fs, holder = vfs.fs, f"client-{tid}"
+        yield from vfs.op(lambda: fs.mkdir(f"/p{tid}"), holder, ns_mode="w")
+        for i in range(4):
+            ino, _ = yield from vfs.op(
+                lambda p=f"/p{tid}/f{i}": fs.create(p), holder, ns_mode="w")
+            data = bytes([i + 1]) * PAGE_SIZE
+            yield from vfs.write(
+                lambda ino=ino, d=data: fs.write(ino, 0, d, cpu=tid),
+                holder, ino)
+
+    fs, dd = make_fs(Variant.IMMEDIATE,
+                     Config(device_pages=2048, max_inodes=256, cpus=4))
+
+    def scenario():
+        vfs = jittered(2, 4000.0)(fs, workers=4)
+        vfs.run([vfs.client(client(vfs, t), name=f"client-{t}")
+                 for t in range(4)], dd)
+
+    return fs.dev, scenario

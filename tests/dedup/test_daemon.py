@@ -6,6 +6,7 @@ from repro.dedup import DeNovaFS
 from repro.failure import check_fs_invariants
 from repro.nova import PAGE_SIZE
 from repro.pm import DRAM, PMDevice, SimClock
+from tests._ledger import READS, Ledger
 
 
 def make_fs(pages=2048, **kw):
@@ -144,6 +145,76 @@ class TestStaleness:
         assert fs.read(a, 0, 2 * PAGE_SIZE) == page_of(3) * 2
         assert fs.read(b, 0, 2 * PAGE_SIZE) == page_of(1) * 2
         check_fs_invariants(fs)
+
+
+class TestEntryFromTheWrite:
+    """A node enqueued by a write carries the entry that write committed
+    and its inode's cache: while that cache is the live one the daemon
+    reads no entry, and another cache under the ino makes it stale.  A
+    node restored or rebuilt at mount carries neither and reads its
+    entry once."""
+
+    @staticmethod
+    def validate_one(fs):
+        """Validate the queue's head: ``(task, charged reads)``."""
+        node = fs.dwq.dequeue()
+        with Ledger(fs.dev) as led:
+            task = fs.daemon.validate_node(node)
+        return node, task, led.select(*READS)
+
+    def test_a_live_node_reads_no_entry(self):
+        fs = make_fs()
+        ino = fs.create("/f")
+        fs.write(ino, 0, page_of(1) * 2)
+        node, task, reads = self.validate_one(fs)
+        assert node.cache is fs.caches[ino] and reads == []
+        assert task.entry is node.entry and task.entry.num_pages == 2
+
+    def test_a_reused_ino_makes_the_node_stale(self):
+        fs = make_fs()
+        ino = fs.create("/f")
+        fs.write(ino, 0, page_of(1) * 2)
+        fs.unlink("/f")
+        assert fs.create("/g") == ino
+        fs.write(ino, 0, page_of(2) * 2)
+        old, new = fs.dwq.snapshot()
+        assert old.entry_addr == new.entry_addr  # the log page came back
+        counter = fs.obs.registry.counter
+        stale = counter("daemon.nodes_stale_total").value
+        cache = fs.caches[ino]
+        blocks = [cache.index.block_of(p) for p in (0, 1)]
+        with Ledger(fs.dev) as led:
+            assert fs.daemon.process_one()
+        assert counter("daemon.nodes_stale_total").value == stale + 1
+        assert not [r for b in blocks for r in led.select(
+            *READS, within=(b * PAGE_SIZE, (b + 1) * PAGE_SIZE))]
+        assert led.select(*READS) == []
+        assert fs.daemon.drain() == 1          # /g's own node
+        assert counter("daemon.nodes_stale_total").value == stale + 1
+        assert counter("daemon.pages_duplicate_total").value == 1
+        assert fs.read(ino, 0, 2 * PAGE_SIZE) == page_of(2) * 2
+        check_fs_invariants(fs)
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_a_node_from_the_mount_reads_its_entry_once(self, clean):
+        fs = make_fs()
+        ino = fs.create("/f")
+        fs.write(ino, 0, page_of(1) * 2)
+        (addr,) = [n.entry_addr for n in fs.dwq.snapshot()]
+        if clean:
+            fs.unmount()        # the save area holds the node
+        else:
+            fs.dev.crash()      # the flag scan rebuilds it
+            fs.dev.recover_view()
+        fs2 = DeNovaFS.mount(fs.dev)
+        assert fs2.last_recovery.clean is clean
+        fs2.caches[ino]         # a clean mount's stub replays its log here
+        node, task, reads = self.validate_one(fs2)
+        assert node.entry is None and node.cache is None
+        assert [(r.addr, r.n) for r in reads] == [(addr, 64)]
+        assert task is not None and task.entry.num_pages == 2
+        fs2.daemon.commit_node(task)
+        check_fs_invariants(fs2)
 
 
 class TestTriggerModes:

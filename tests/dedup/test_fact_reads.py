@@ -23,12 +23,13 @@ from repro.dedup.fact import ENTRY, FACT, FactTxn
 from repro.dedup.fingerprint import FP_BYTES
 from repro.dedup.hybrid import HybridDeNovaFS
 from repro.dedup.inline import AdaptiveInlineFS
-from repro.failure import check_fs_invariants, image
+from repro.failure import check_fs_invariants, image, sweep_crash_points
 from repro.fuzz import FuzzConfig, FuzzRunner
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import DEDUPE_IN_PROCESS
 from repro.pm import DRAM, CrashRequested, PMDevice, SimClock
 from tests._ledger import READS, Ledger
+from tests.conc.test_fact_locking import four_clients_share_claims
 from tests.dedup import test_count_merge as count_merge
 from tests.dedup.test_fact_map import map_requests
 
@@ -250,6 +251,33 @@ class TestHeldCounts:
         assert entry_of(fs, q).refcount == 2
         check_fs_invariants(fs)
 
+    def test_a_hybrid_node_shares_a_materialised_canonical_without_a_read(
+            self, monkeypatch):
+        """``/a`` = X is weak-registered only; ``/b`` = X X confirms it,
+        materialises its entry (``RFC=1``) and shares it twice: the
+        share takes the word the materialise stored."""
+        fs = make_fs(HybridDeNovaFS, pages=1024)
+        (x,) = apart(fs, 1)
+        write_file(fs, "/a", x)
+        fs.daemon.drain()
+        write_file(fs, "/b", x + x)
+        reads, real = [], FactTxn.share
+
+        def share(txn, idx, seen=None, n=1):
+            at = fs.fact.addr(idx)
+            with Ledger(fs.dev) as led:
+                real(txn, idx, seen, n)
+            reads.append((n, len(led.select(*READS, within=(at, at + 8)))))
+
+        monkeypatch.setattr(FactTxn, "share", share)
+        fs.daemon.drain()
+        assert reads == [(2, 0)]
+        assert fs.obs.registry.counter(
+            "dedup.weak_confirmed_dups_total").value == 1
+        got = entry_of(fs, x)
+        assert (got.refcount, got.update_count) == (3, 0)
+        check_fs_invariants(fs)
+
     def test_another_transactions_store_forces_the_read(self):
         fs = make_fs()
         fact = fs.fact
@@ -289,6 +317,76 @@ class TestHeldCounts:
         assert res.crash_points
         used, mismatches = held_words
         assert used and not mismatches
+
+
+    @pytest.mark.conc
+    def test_every_held_word_is_the_media_word_under_parallel_workers(
+            self, held_words, monkeypatch):
+        """The daemon's held words outlive its ``fact``-locked stage into
+        the node's commit, an engine operation later, where another
+        worker may have stored to the slot: there the word is refused
+        and read again."""
+        refused, real = [], FactTxn._word
+
+        def _word(txn, idx):
+            got = real(txn, idx)
+            if got is None and idx in txn._words:
+                refused.append(idx)
+            return got
+
+        monkeypatch.setattr(FactTxn, "_word", _word)
+
+        def check(dev, point, phase):
+            check_fs_invariants(DeNovaFS.mount(dev))
+
+        assert sweep_crash_points(four_clients_share_claims, check) > 400
+        used, mismatches = held_words
+        assert used and refused and not mismatches
+
+
+@pytest.fixture
+def direct_frees(monkeypatch):
+    """Read the delete pointer of every page ``free_extents`` frees off
+    the media: the returned ``(freed, named)`` lists fill as it runs,
+    ``named`` with the pages whose pointer is not empty."""
+    freed, named = [], []
+    real = DeNovaFS.free_extents
+
+    def free_extents(self, extents, cpu):
+        extents = list(extents)
+        for start, count in extents:
+            for page in range(start, start + count):
+                freed.append(page)
+                if self.fact.delete_run(page, 1, silent=True) != [0]:
+                    named.append(page)
+        real(self, extents, cpu)
+
+    monkeypatch.setattr(DeNovaFS, "free_extents", free_extents)
+    return freed, named
+
+
+class TestOwnDuplicatesFreeDirectly:
+    """The pages a dedup node displaces are its own fresh pages, which
+    no FACT entry describes: they are freed without a pointer read, and
+    each one's pointer on the media is empty."""
+
+    @pytest.mark.recovery
+    @pytest.mark.parametrize("shape", count_merge.SHAPES)
+    def test_every_direct_free_has_an_empty_pointer_across_a_crash_sweep(
+            self, direct_frees, shape):
+        count_merge.sweep(shape)
+        freed, named = direct_frees
+        assert not named
+        assert freed or shape is not count_merge.node_of_a_threefold_page
+
+    def test_every_direct_free_has_an_empty_pointer_in_a_campaign(
+            self, direct_frees):
+        cfg = FuzzConfig(seed=42, total_ops=160, seq_ops=8, budget=64)
+        res = FuzzRunner(cfg, shrink_failures=False).run()
+        assert res.ok, "; ".join(str(f.violation) for f in res.failures)
+        assert res.crash_points
+        freed, named = direct_frees
+        assert freed and not named
 
 
 class TestInlineClaimHint:
@@ -480,27 +578,38 @@ class TestDeletePointerRuns:
 
     def test_a_node_of_adjacent_duplicates_reads_them_once(
             self, monkeypatch):
+        """A node's own duplicates have no entry: it frees them without
+        a pointer read.  The canonical pages they now map are planned
+        together when ``/b`` drops them."""
         fs = make_fs()
         data = np.random.default_rng(9).bytes(3 * PAGE_SIZE)
         write_file(fs, "/a", data)
         fs.daemon.drain()
         write_file(fs, "/b", data)
-        dups = pages_of(fs, "/b")
         calls = visits(monkeypatch, fs, DeNovaFS, "reclaim_extents")
+        counter = fs.obs.registry.counter
         with Ledger(fs.dev) as led:
             fs.daemon.drain()
-        assert pointer_requests(led, fs.fact) == [(dups[0], 2 * 64 + 8)]
-        assert calls == [(1, 0)]  # no entry: three direct frees
-        assert pages_of(fs, "/b") == pages_of(fs, "/a")
-        assert fs.obs.registry.counter(
-            "daemon.pages_reclaimed_total").value == 3
+        assert pointer_requests(led, fs.fact) == []
+        assert calls == []
+        assert counter("dedup.direct_frees_total").value == 3
+        assert counter("daemon.pages_reclaimed_total").value == 3
+        shared = pages_of(fs, "/b")
+        assert shared == pages_of(fs, "/a")
+        with Ledger(fs.dev) as led:
+            fs.unlink("/b")
+        assert pointer_requests(led, fs.fact) == [(shared[0], 2 * 64 + 8)]
+        assert calls == [(1 + 3, 0)]  # the pointers, then each entry
         check_fs_invariants(fs)
 
     def test_a_crash_at_the_in_process_flag_resumes_with_one_request(
             self, monkeypatch):
+        """A target goes ``in_process`` only when it has redirects: the
+        last page duplicates the first.  Recovery resumes the target's
+        five pages with one pointer request and the redirect's one."""
         fs = make_fs()
         pages = colliding(fs, 4)
-        write_file(fs, "/a", b"".join(pages))
+        write_file(fs, "/a", b"".join(pages) + pages[0])
         blocks = pages_of(fs, "/a")
         real_flag = DeNovaFS.set_dedupe_flag
 
@@ -518,12 +627,14 @@ class TestDeletePointerRuns:
         calls = visits(monkeypatch, fs, recovery, "_resume_step6")
         with Ledger(fs.dev) as led:
             fs2 = DeNovaFS.mount(fs.dev)
-        assert len(calls) == 1
+        assert len(calls) == 2
         assert [r for r in pointer_requests(led, fs.fact)
-                if r[0] in blocks] == [(blocks[0], 3 * 64 + 8)]
+                if r[0] in blocks] == [(blocks[0], 4 * 64 + 8),
+                                       (blocks[0], 8)]
         assert {e.block: (e.refcount, e.update_count)
                 for e in fs2.fact.live_entries().values()} == {
-                    b: (1, 0) for b in blocks}
+                    blocks[0]: (2, 0), **{b: (1, 0) for b in blocks[1:4]}}
+        assert pages_of(fs2, "/a") == blocks[:4] + blocks[:1]
         check_fs_invariants(fs2)
 
     def test_pointers_stay_right_while_remove_unlinks_inside_the_run(self):

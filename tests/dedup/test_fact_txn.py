@@ -23,7 +23,7 @@ def counts(fact):
 
 def settled(fact, fp, block, rfc):
     """An entry some earlier, finished operation left behind."""
-    idx = fact.materialise(fp, block)
+    idx = FactTxn(fact).materialise(fp, block)
     for _ in range(rfc - 1):
         txn = FactTxn(fact)
         txn.share(idx)

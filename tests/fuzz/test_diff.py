@@ -236,19 +236,20 @@ class TestSweepCount:
         cfg = FuzzConfig(seed=0, budget=8)
         res = run_case(self.OPS, cfg)
         assert len(calls) == 1
-        # 237 events (with the FACT chunk map's first-touch stores):
-        # stride ceil(237 / 2) = 119.
-        assert swept == self.combos(cfg, 1, 120)
+        # 228 events (with the FACT chunk map's first-touch stores, and
+        # no in_process store for a dedup target without redirects):
+        # stride ceil(228 / 2) = 114.
+        assert swept == self.combos(cfg, 1, 115)
         assert (res.crash_points, res.ops_applied, res.ops_skipped) \
             == (8, 29, 1)
         assert res.violations == []
 
     def test_budget_caps_points_per_combo(self, swept):
-        """237 events are not a multiple of 4 points per (mode, phase);
-        the sweep still crashes exactly 4 in each (stride 60)."""
+        """The budget caps the points: 228 events at stride
+        ceil(228 / 4) = 57 are exactly 4 crashes in each (mode, phase)."""
         cfg = FuzzConfig(seed=0, budget=16)
         res = run_case(self.OPS, cfg)
-        assert swept == self.combos(cfg, 1, 61, 121, 181)
+        assert swept == self.combos(cfg, 1, 58, 115, 172)
         assert res.crash_points == 16
         assert res.violations == []
 
