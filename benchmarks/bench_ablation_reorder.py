@@ -40,14 +40,14 @@ def run(reorder: bool):
     # A chain of cold entries, then the hot one at the tail.
     for s in range(CHAIN):
         idx = fact.insert(colliding_fp(s), 1 + s)
-        fact.commit_uc(idx)
+        fact.commit_uc(idx, fact.read_counts(idx))
     hot_fp = colliding_fp(CHAIN)
     hot_idx = fact.insert(hot_fp, 1 + CHAIN)
-    fact.commit_uc(hot_idx)
+    fact.commit_uc(hot_idx, fact.read_counts(hot_idx))
     # The hot chunk keeps getting written (dedup hits + RFC growth).
     for _ in range(6):
-        fact.inc_uc(hot_idx)
-        fact.commit_uc(hot_idx)
+        fact.inc_uc(hot_idx, fact.read_counts(hot_idx))
+        fact.commit_uc(hot_idx, fact.read_counts(hot_idx))
     if reorder:
         assert reorder_chain(fact, PREFIX)
     t0 = fact.dev.clock.now_ns

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.dedup.fact import FactTxn
 from repro.dedup.reflink import SNAPSHOT_DIR
 from repro.nova.fs import FileNotFound, FSError
 from repro.nova.inode import ITYPE_DIR, ITYPE_SYMLINK
@@ -40,9 +41,9 @@ def snapshot_root(name: str) -> str:
     return f"{SNAPSHOT_DIR}/{name}"
 
 
-def _page_fp(fs, plan, block: int, recompute: bool) -> bytes:
+def _page_fp(fs, txn, block: int, recompute: bool) -> bytes:
     if not recompute:
-        ent = plan.entry(block)
+        ent = txn.entry(block)
         if ent is not None:
             return ent.fp
     data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
@@ -82,12 +83,12 @@ def snapshot_tree(fs, name: str,
             pages = []
             mapped = [(pgoff, cache.index.block_of(pgoff))
                       for pgoff in cache.index.mapped_offsets]
-            with fs.fact.planned(() if recompute else
-                                 (block for _, block in mapped)) as plan:
-                for pgoff, block in mapped:
-                    fp = _page_fp(fs, plan, block, recompute).hex()
-                    pages.append([pgoff, fp])
-                    blocks.setdefault(fp, block)
+            txn = FactTxn(fs.fact).plan(() if recompute else
+                                        (block for _, block in mapped))
+            for pgoff, block in mapped:
+                fp = _page_fp(fs, txn, block, recompute).hex()
+                pages.append([pgoff, fp])
+                blocks.setdefault(fp, block)
             entries.append(["file", relpath, cache.inode.size, pages])
     return entries, blocks
 

@@ -226,25 +226,21 @@ class DedupDaemon:
         """
         fs = self.fs
         cache = fs.caches.get(node.ino)
-        if cache is None:  # file deleted while queued
+        if cache is None or cache is not node.cache:
+            # The file it was queued under was deleted, and maybe its ino
+            # reused by a file created since.
             self._c_nodes_stale.inc()
             fs.note_dedup_done(node.entry_addr)
             return None
-        if node.cache is not None:
-            # The enqueuing write's entry, unchanged while its inode
-            # lives; another cache under this ino is a file created after
-            # this one was deleted.
-            entry = node.entry if cache is node.cache else None
-        else:
-            # Restored or rebuilt at mount: the inode may have been
-            # deleted and its number reused while the node sat queued;
-            # the old entry's log page may even be a data page now.  The
-            # entry must still decode, be a write entry, carry this ino,
-            # and await dedup — anything else is a stale node.
+        entry = node.entry
+        if entry is None:
+            # Restored or rebuilt at mount: the entry must still decode,
+            # be a write entry, carry this ino, and await dedup — anything
+            # else is a stale node.
             try:
                 entry = fs.read_entry(node.entry_addr)
             except ValueError:
-                entry = None
+                pass
         if (not isinstance(entry, WriteEntry)
                 or entry.ino != node.ino
                 or entry.dedupe_flag != DEDUPE_NEEDED):

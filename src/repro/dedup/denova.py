@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 from repro.dedup import recovery, reflink
 from repro.dedup.daemon import DedupDaemon
 from repro.dedup.dwq import DWQ, DWQNode
-from repro.dedup.fact import FACT
+from repro.dedup.fact import FACT, FactTxn
 from repro.dedup.fingerprint import Fingerprinter
 from repro.nova.entries import DEDUPE_NEEDED, WriteEntry
 from repro.nova.fs import NovaFS
@@ -128,6 +128,7 @@ class DeNovaFS(NovaFS):
             restored = self.dwq.restore(self.sb)
             if restored >= 0:
                 for node in self.dwq.snapshot():
+                    node.cache = self.caches.raw_get(node.ino)
                     self._pending_pages[node.entry_addr // PAGE_SIZE] += 1
                 report.extra["dwq_restored"] = restored
                 return
@@ -182,49 +183,50 @@ class DeNovaFS(NovaFS):
         """§IV-D3: a page is freed only when its reference count is zero.
 
         First the delete pointers of every page, one NVM read per
-        neighbourhood of slots (:class:`~repro.dedup.fact.DeletePlan`).
-        (A dedup node's own displaced duplicates never come here: no
-        FACT entry describes them, so :meth:`free_extents` frees them
-        without a pointer read.)
+        neighbourhood of slots, held in one transaction's map
+        (:meth:`~repro.dedup.fact.FactTxn.plan`).  (A dedup node's own
+        displaced duplicates never come here: no FACT entry describes
+        them, so :meth:`free_extents` frees them without a pointer read.)
         A page displaced ``n`` times (``radix._group`` keeps the
-        multiplicity) is settled once, at its last occurrence: a read of
-        the entry its pointer names (none when the block has no entry: a
-        direct free), then one atomic ``RFC -= n`` with a cache-line
-        flush, computed from the entry just read; when RFC reaches 0 the
-        FACT entry is re-read (the flush evicted its line), unlinked (up
-        to three more flushed line updates — the Fig. 11 overwrite
-        overhead) and the page freed.
+        multiplicity) is settled once, at its last occurrence: the entry
+        its pointer names (a read, unless the map holds its whole line;
+        none when the block has no entry: a direct free), then one atomic
+        ``RFC -= n`` with a cache-line flush, computed from the counts
+        word the map holds; when RFC reaches 0 the FACT entry is re-read
+        (the flush evicted its line), unlinked (up to three more flushed
+        line updates — the Fig. 11 overwrite overhead) and the page
+        freed.
         """
         extents = list(extents)
         refs = Counter(page for start, count in extents
                        for page in range(start, start + count))
         left = refs.copy()
-        with self.fact.planned(refs) as plan:
-            for start, count in extents:
-                run_start = None  # batch contiguous freeable pages
-                run_len = 0
-                for page in range(start, start + count):
-                    left[page] -= 1
-                    freeable = not left[page] and self._release(
-                        plan.entry(page), refs[page])
-                    if freeable:
-                        if run_start is None:
-                            run_start = page
-                            run_len = 1
-                        elif page == run_start + run_len:
-                            run_len += 1
-                        else:
-                            self.allocator.free(run_start, run_len, cpu)
-                            self._c_reclaimed.inc(run_len)
-                            run_start, run_len = page, 1
-                    elif run_start is not None:
+        txn = FactTxn(self.fact).plan(refs)
+        for start, count in extents:
+            run_start = None  # batch contiguous freeable pages
+            run_len = 0
+            for page in range(start, start + count):
+                left[page] -= 1
+                freeable = not left[page] and self._release(
+                    txn, txn.entry(page), refs[page])
+                if freeable:
+                    if run_start is None:
+                        run_start = page
+                        run_len = 1
+                    elif page == run_start + run_len:
+                        run_len += 1
+                    else:
                         self.allocator.free(run_start, run_len, cpu)
                         self._c_reclaimed.inc(run_len)
-                        run_start = None
-                        run_len = 0
-                if run_start is not None:
+                        run_start, run_len = page, 1
+                elif run_start is not None:
                     self.allocator.free(run_start, run_len, cpu)
                     self._c_reclaimed.inc(run_len)
+                    run_start = None
+                    run_len = 0
+            if run_start is not None:
+                self.allocator.free(run_start, run_len, cpu)
+                self._c_reclaimed.inc(run_len)
 
     def free_extents(self, extents, cpu: int) -> None:
         """Free pages no FACT entry describes (each a direct free)."""
@@ -232,15 +234,15 @@ class DeNovaFS(NovaFS):
         self._c_direct_frees.inc(sum(count for _start, count in extents))
         super().free_extents(extents, cpu)
 
-    def _release(self, ent, n: int) -> bool:
+    def _release(self, txn: FactTxn, ent, n: int) -> bool:
         """Drop ``n`` references to a displaced page whose entry is
-        ``ent`` (None: no entry); True when the page is now free.  The
-        reclaim counters count pages: ``n`` displacements of a page that
-        stays shared are ``n`` keeps."""
+        ``ent`` (None: no entry; ``txn`` read it); True when the page is
+        now free.  The reclaim counters count pages: ``n`` displacements
+        of a page that stays shared are ``n`` keeps."""
         if ent is None:
             self._c_direct_frees.inc()
             return True
-        if self.fact.dec_rfc(ent.idx, ent.counts, n):
+        if self.fact.dec_rfc(ent.idx, txn.word(ent.idx), n):
             self._c_shared_keeps.inc(n)
             return False
         self._c_shared_keeps.inc(n - 1)

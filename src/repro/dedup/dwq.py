@@ -71,15 +71,16 @@ class DWQNode:
     (:data:`HINT_REGISTERED`: the daemon neither reads nor hashes it).
     DRAM-only too: a restored node carries None and re-runs the weak path.
 
-    ``entry`` and ``cache`` are the :class:`~repro.nova.entries.WriteEntry`
-    the enqueuing write committed at ``entry_addr`` and the inode's
-    ``InodeCache`` at that moment.  While ``fs.caches[ino]`` is still
-    that cache (identity, not equality: an unlink and a create that
-    reuses the ino make a new one), the entry on the media is this one,
-    still ``dedupe_needed``, and the daemon validates the node without
-    reading it; under another cache the node is stale.  DRAM-only too:
-    a node restored from the save area or rebuilt by the flag scan
-    carries None and reads its entry.
+    ``cache`` is the inode's ``InodeCache`` the node was queued under
+    (by the enqueuing write, or by the mount that restored or rebuilt
+    it); under another cache (identity, not equality: an unlink and a
+    create that reuses the ino make a new one) the node is stale.
+    ``entry`` is the :class:`~repro.nova.entries.WriteEntry` the
+    enqueuing write committed at ``entry_addr``: while the cache is
+    unchanged it is the one on the media, still ``dedupe_needed``, and
+    the daemon validates the node without reading it.  DRAM-only too: a
+    node restored from the save area or rebuilt by the flag scan carries
+    no entry and reads it.
     """
 
     ino: int

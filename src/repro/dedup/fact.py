@@ -17,7 +17,7 @@ transactions targeting the block), the fingerprint, the block address,
 delete field of slot *B* maps *block address B* to the index of the FACT
 entry describing block *B*, so reclamation reaches its entry in two NVM
 reads without re-fingerprinting (§IV-C) — an operation's pointers one
-request per neighbourhood of slots (:class:`DeletePlan`).
+request per neighbourhood of slots (:meth:`FactTxn.plan`).
 
 Two persisted bounds keep a mount from reading the whole table: the IAA
 mark (a superblock word: no entry at or past it) and the DAA's chunk
@@ -59,7 +59,7 @@ from repro.pm.device import CrashRequested
 from repro.pm.plan import neighbourhoods
 
 __all__ = ["FACT", "FactTxn", "FactEntry", "FactFull", "FactCorruption",
-           "LookupResult", "DeletePlan", "marked_chunks"]
+           "LookupResult", "marked_chunks"]
 
 #: Per-lookup chain-walk length buckets (NVM entry reads, not time).
 LOOKUP_STEP_BUCKETS = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
@@ -169,7 +169,6 @@ class FACT:
         self._free: Optional[list[int]] = None  # see _iaa_free
         self._map: Optional[list[int]] = None   # see chunk_map
         self._dram: Optional[bytearray] = None  # see in_dram
-        self._plans: list[DeletePlan] = []      # see planned
         self._flushes = 0                       # see _stored
         self._flushed: dict[int, int] = {}      # slot -> its last flush
         # Observability (DRAM, rebuilt freely).
@@ -301,7 +300,7 @@ class FACT:
         a = self.addr(idx)
         self._touch(idx)
         self.dev.write_atomic64(a + off, value, persist=True)
-        self._stored(idx, value if off == _OFF_DELETE else None)
+        self._stored(idx)
         if self._dram is not None:
             at = idx * ENTRY + off
             self._dram[at:at + 8] = int(value).to_bytes(8, "little")
@@ -309,13 +308,10 @@ class FACT:
     def _read_u64(self, idx: int, off: int) -> int:
         return self.dev.read_u64(self.addr(idx) + off)
 
-    def _counts(self, idx: int, counts: Optional[int]) -> int:
-        """Entry ``idx``'s counts word: ``counts``, the word the calling
-        operation holds (it read or stored it, and no store has flushed
-        the line since), else one NVM read."""
-        if counts is None:
-            return self._read_u64(idx, _OFF_COUNTS)
-        return counts
+    def read_counts(self, idx: int) -> int:
+        """Entry ``idx``'s counts word, one 8-byte NVM read (a transaction
+        reads it through :meth:`FactTxn.word`)."""
+        return self._read_u64(idx, _OFF_COUNTS)
 
     # ------------------------------------------------------------ prefix / chains
 
@@ -340,14 +336,14 @@ class FACT:
 
     # ------------------------------------------------------------ lookup / insert
 
-    def lookup(self, fp: bytes, words: Optional[dict] = None
+    def lookup(self, fp: bytes, held: Optional[dict] = None
                ) -> LookupResult:
         """Find the entry for ``fp`` (§IV-C lookup path).
 
         Cost: one NVM entry read per chain position visited — one read
         when the answer sits in the DAA, more as the chain grows (the
-        motivation for the §IV-E reordering).  ``words`` (a
-        :class:`FactTxn`'s) takes the counts word of every slot the walk
+        motivation for the §IV-E reordering).  ``held`` (a
+        :class:`FactTxn`'s map) takes the line of every slot the walk
         read, with the store number it was read at.
         """
         head_idx = self.head_of(fp)
@@ -364,10 +360,11 @@ class FACT:
         while idx >= 0:
             if steps > total:
                 raise FactCorruption(f"chain at {head_idx} has a cycle")
-            fields = _ENTRY.unpack_from(read(addr(idx), ENTRY))
-            counts, block, _prev, nxt, _delete, entry_fp = fields
-            if words is not None:
-                words[idx] = (counts, self._flushes)
+            raw = read(addr(idx), ENTRY)
+            fields = _ENTRY.unpack_from(raw)
+            _counts, block, _prev, nxt, _delete, entry_fp = fields
+            if held is not None:
+                held[idx] = (self._flushes, raw, 0)
             steps += 1
             tail = idx
             if steps == 1:
@@ -435,17 +432,14 @@ class FACT:
 
     # ------------------------------------------------------------ counts (UC/RFC)
 
-    def inc_uc(self, idx: int, counts: Optional[int] = None,
-               n: int = 1) -> int:
+    def inc_uc(self, idx: int, counts: int, n: int = 1) -> int:
         """Begin ``n`` dedup transactions against this entry (Alg. 1 step
-        3), ``UC += n`` in one atomic store; ``counts`` as in
-        :meth:`_counts`.  Returns the word stored."""
-        counts = self._counts(idx, counts) + n * _UC_UNIT
+        3), ``UC += n`` in one atomic store.  Returns the word stored."""
+        counts += n * _UC_UNIT
         self._write_u64(idx, _OFF_COUNTS, counts)
         return counts
 
-    def commit_uc(self, idx: int, counts: Optional[int] = None,
-                  n: int = 1) -> bool:
+    def commit_uc(self, idx: int, counts: int, n: int = 1) -> bool:
         """``UC -= n, RFC += n`` in one atomic store (Alg. 1 step 6).
 
         At most UC units settle, so a call is exactly ``n`` calls of one:
@@ -454,24 +448,15 @@ class FACT:
         on zero is exactly the paper's idempotence argument.  Returns
         False when nothing settled.
         """
-        counts = self._counts(idx, counts)
         n = min(n, counts >> 32)
         if not n:
             return False
         self._write_u64(idx, _OFF_COUNTS, counts + n - n * _UC_UNIT)
         return True
 
-    def discard_uc(self, idx: int) -> None:
-        """Drop staged UC (failed transaction, §V-C1 handling II)."""
-        counts = self._read_u64(idx, _OFF_COUNTS)
-        if counts >> 32:
-            self._write_u64(idx, _OFF_COUNTS, counts & _RFC_MASK)
-
-    def dec_rfc(self, idx: int, counts: Optional[int] = None,
-                n: int = 1) -> int:
+    def dec_rfc(self, idx: int, counts: int, n: int = 1) -> int:
         """``RFC -= n`` in one atomic store (reclaim: ``n`` displaced
         references to the entry's block); returns the new RFC."""
-        counts = self._counts(idx, counts)
         rfc = counts & _RFC_MASK
         if rfc < n:
             raise FactCorruption(f"FACT[{idx}]: RFC underflow")
@@ -480,14 +465,14 @@ class FACT:
 
     def retire(self, idx: int) -> None:
         """Remove an entry no file references, whatever it counts (§V-C2)."""
-        if self._read_u64(idx, _OFF_COUNTS):
+        if self.read_counts(idx):
             self._write_u64(idx, _OFF_COUNTS, 0)
         self.remove(idx)
 
     # ------------------------------------------------------------ retarget
 
     def retarget_block(self, idx: int, new_block: int,
-                       plan: Optional[DeletePlan] = None) -> int:
+                       txn: Optional[FactTxn] = None) -> int:
         """Move entry ``idx``'s canonical page to ``new_block`` (RevDedup).
 
         The out-of-line relocation pass copies the data first and
@@ -507,7 +492,7 @@ class FACT:
 
         Idempotent: retargeting an entry already at ``new_block`` only
         re-runs the (harmless) pointer writes.  Returns the old block.
-        An open ``plan`` of the old block gives its delete pointer.
+        A ``txn`` that planned the old block gives its delete pointer.
         """
         ent = self.read_entry(idx)
         if not ent.valid:
@@ -521,7 +506,7 @@ class FACT:
             self.set_block_weak(new_block, weak)
         self._write_u64(idx, _OFF_BLOCK, new_block)  # the atomic switch
         if old != new_block:
-            pointer = (plan.pointer(old) if plan is not None
+            pointer = (txn.pointer(old) if txn is not None
                        else self._read_u64(old, _OFF_DELETE))
             if pointer == idx + 1:
                 self.clear_delete(old)
@@ -548,25 +533,10 @@ class FACT:
         raw = read(self.addr(block) + _OFF_DELETE, (n - 1) * ENTRY + 8)
         return np.frombuffer(raw, "<u8")[::ENTRY // 8].tolist()
 
-    @contextmanager
-    def planned(self, blocks: Iterable[int]) -> Iterator[DeletePlan]:
-        """A :class:`DeletePlan` of ``blocks``, kept exact while open."""
-        plan = DeletePlan(self, blocks)
-        self._plans.append(plan)
-        try:
-            yield plan
-        finally:
-            self._plans.remove(plan)
-
-    def _stored(self, idx: int, pointer: Optional[int] = None) -> None:
-        """Slot ``idx``'s line was flushed: an open plan takes the pointer
-        stored there, else reads it again, and what was read of the line
-        before is no longer cached (:meth:`_unflushed`)."""
+    def _stored(self, idx: int) -> None:
+        """Number the store that flushed slot ``idx``'s line."""
         self._flushes += 1
         self._flushed[idx] = self._flushes
-        for plan in self._plans:
-            if idx in plan.pointers:
-                plan.pointers[idx] = pointer
 
     def _unflushed(self, idx: int, since: int) -> bool:
         """No store has flushed slot ``idx``'s line since ``since`` (a
@@ -576,7 +546,7 @@ class FACT:
     def entry_for_block(self, block: int) -> Optional[FactEntry]:
         """The §IV-C reclaim path for one block: an 8-byte pointer read,
         then the entry it names (none when the pointer is empty)."""
-        return DeletePlan(self, (block,)).entry(block)
+        return FactTxn(self).entry(block)
 
     # ------------------------------------------------------------ weak column
 
@@ -878,12 +848,12 @@ class FACT:
 
     def discard_all_uc(self) -> int:
         """§V-C1: leftover UCs are failed transactions — zero them."""
-        counts = self._scan("counts")["counts"]
-        discarded = 0
-        for idx in np.nonzero(counts >> 32)[0]:
-            self.discard_uc(int(idx))
-            discarded += 1
-        return discarded
+        staged = np.flatnonzero(self._scan("counts")["counts"] >> 32).tolist()
+        for idx in staged:
+            counts = self.read_counts(idx)
+            if counts >> 32:
+                self._write_u64(idx, _OFF_COUNTS, counts & _RFC_MASK)
+        return len(staged)
 
     def remove_dead(self) -> int:
         """Remove linked entries with RFC == 0 and UC == 0."""
@@ -954,55 +924,9 @@ class FACT:
                     f"is {int(deletes[block]) - 1}")
 
 
-class DeletePlan:
-    """One operation's delete pointers (docs/CONSISTENCY.md §5), read up
-    front with one request per :func:`neighbourhoods` of their 8 B
-    fields.  A pointer the operation stores is taken as stored; one
-    whose line another store flushed is read again, alone.  An entry
-    whose line a request read, no store having flushed it since, is
-    served from that line."""
-
-    def __init__(self, fact: FACT, blocks: Iterable[int]):
-        self.fact = fact
-        #: block -> pointer (entry index + 1, 0 = none; None = to read)
-        self.pointers: dict[int, Optional[int]] = dict.fromkeys(blocks)
-        #: slots whose line a request read, and when (see FACT._unflushed)
-        self.lines: set[int] = set()
-        self.read_at = fact._flushes
-        todo = sorted(self.pointers)
-        spans = [(at, at + 8) for at in
-                 (block * ENTRY + _OFF_DELETE for block in todo)]
-        for first, last, _lo, _hi in neighbourhoods(fact.dev.model, spans):
-            lo, hi = todo[first], todo[last - 1]
-            run = fact.delete_run(lo, hi - lo + 1)
-            self.pointers.update((b, run[b - lo]) for b in todo[first:last])
-            self.lines.update(range(lo, hi + 1))
-
-    def pointer(self, block: int) -> int:
-        """Block ``block``'s delete pointer (entry index + 1, 0 = none)."""
-        val = self.pointers.get(block)
-        if val is None:
-            val = self.pointers[block] = self.fact.delete_run(block, 1)[0]
-        return val
-
-    def entry(self, block: int) -> Optional[FactEntry]:
-        """Block ``block``'s FACT entry, read now (from the cached line
-        when the plan holds it); None when its pointer is empty or names
-        another block's entry."""
-        val = self.pointer(block)
-        if not val:
-            return None
-        fact = self.fact
-        if val - 1 in self.lines and fact._unflushed(val - 1, self.read_at):
-            ent = fact._decode(val - 1, fact.dev.read_silent(
-                fact.addr(val - 1), ENTRY))
-        else:
-            ent = fact.read_entry(val - 1)
-        return ent if ent.valid and ent.block == block else None
-
-
 class FactTxn:
-    """The counts one dedup operation has staged and not yet settled.
+    """The counts one dedup operation has staged and not yet settled, and
+    the FACT words it uses without reading them.
 
     Algorithm 1's transaction shape, once: stage update counts (the dedup
     daemon then settles its claims, :meth:`settle_claims`), publish the
@@ -1014,46 +938,104 @@ class FactTxn:
     aborts; a simulated power loss does not (no code runs after a crash;
     what was staged is recovery's).  docs/CONSISTENCY.md §4.
 
-    The transaction holds the counts word of every entry its lookups
-    read and its own stores wrote, with FACT's store number at that
-    moment; a count store takes the held word instead of reading it
-    back while no store has flushed the slot since (:meth:`_word`).
+    One map holds what the operation read or stored in each slot, with
+    FACT's store number then; :meth:`held` serves it while no store has
+    flushed the slot since (docs/CONSISTENCY.md §5): the counts words of
+    :meth:`word`, the pointers and entries of :meth:`plan`.
     """
 
     def __init__(self, fact: FACT):
         self.fact = fact
         self._units: dict[int, int] = {}  # idx -> staged UC, first-staged order
         self._claims: list[int] = []      # entries this operation inserted
-        #: idx -> (counts word, FACT._flushes when read or stored)
-        self._words: dict[int, tuple[int, int]] = {}
+        #: slot -> (FACT._flushes when read or stored, the bytes, where
+        #: the slot's byte 0 falls in them)
+        self._held: dict[int, tuple[int, bytes, int]] = {}
 
-    def lookup(self, fp: bytes) -> LookupResult:
-        """:meth:`FACT.lookup`, holding the counts of every slot the walk
-        read: a count store on one of them later reads nothing."""
-        return self.fact.lookup(fp, self._words)
+    # ------------------------------------------------------------ held values
 
-    def _word(self, idx: int) -> Optional[int]:
-        """Entry ``idx``'s counts word as this transaction last read or
-        stored it; None (the FACT method reads it) once any store —
-        another transaction's included — has flushed the slot since."""
-        got = self._words.get(idx)
-        if got is not None and self.fact._unflushed(idx, got[1]):
-            return got[0]
-        return None
+    def held(self, slot: int, off: int, n: int) -> Optional[bytes]:
+        """Bytes ``[off, off + n)`` of slot ``slot`` as this operation read
+        or stored them; None when it holds none, or once any store has
+        flushed the slot since (a condition, not an ``assert``)."""
+        got = self._held.get(slot)
+        if got is None:
+            return None
+        stamp, raw, at = got
+        at += off
+        if at < 0 or at + n > len(raw) \
+                or not self.fact._unflushed(slot, stamp):
+            return None
+        return raw[at:at + n]
+
+    def _keep(self, slot: int, raw: bytes, at: int = 0) -> None:
+        self._held[slot] = (self.fact._flushes, raw, at)
 
     def _hold(self, idx: int, counts: int) -> None:
-        """Hold the counts word the last store to slot ``idx`` left."""
-        self._words[idx] = (counts, self.fact._flushed[idx])
+        self._keep(idx, counts.to_bytes(8, "little"))
 
-    def share(self, idx: int, seen: Optional[FactEntry] = None,
-              n: int = 1) -> None:
+    def word(self, idx: int) -> int:
+        """Entry ``idx``'s counts word: held, else one read, then held."""
+        raw = self.held(idx, _OFF_COUNTS, 8)
+        if raw is not None:
+            return int.from_bytes(raw, "little")
+        counts = self.fact.read_counts(idx)
+        self._hold(idx, counts)
+        return counts
+
+    def plan(self, blocks: Iterable[int]) -> "FactTxn":
+        """Read the delete pointers of ``blocks`` up front, one request per
+        :func:`neighbourhoods` of their 8 B fields, and hold what each read:
+        every pointer in it, and every line it spans whole.  Returns self."""
+        fact = self.fact
+        todo = sorted(set(blocks))
+        spans = [(at, at + 8) for at in
+                 (block * ENTRY + _OFF_DELETE for block in todo)]
+        for first, last, _lo, _hi in neighbourhoods(fact.dev.model, spans):
+            lo, hi = todo[first], todo[last - 1]
+            fact.addr(hi)  # the run's last slot is in range
+            raw = fact.dev.read(fact.addr(lo) + _OFF_DELETE,
+                                (hi - lo) * ENTRY + 8)
+            stamp, held = fact._flushes, self._held
+            for slot in range(lo, hi + 1):
+                held[slot] = (stamp, raw, (slot - lo) * ENTRY - _OFF_DELETE)
+        return self
+
+    def pointer(self, block: int) -> int:
+        """Block ``block``'s delete pointer (entry index + 1, 0 = none):
+        the held one, else a one-block :meth:`plan` (one 8-byte read)."""
+        raw = self.held(block, _OFF_DELETE, 8)
+        if raw is None:
+            raw = self.plan((block,))._held[block][1]
+        return int.from_bytes(raw, "little")
+
+    def entry(self, block: int) -> Optional[FactEntry]:
+        """Block ``block``'s FACT entry (the held line, else one read);
+        None when its pointer is empty or names another block's entry."""
+        val = self.pointer(block)
+        if not val:
+            return None
+        idx = val - 1
+        raw = self.held(idx, 0, _ENTRY.size)
+        if raw is None:
+            raw = self.fact.dev.read(self.fact.addr(idx), ENTRY)
+            self._keep(idx, raw)
+        ent = FACT._decode(idx, raw)
+        return ent if ent.valid and ent.block == block else None
+
+    # ------------------------------------------------------------ counts
+
+    def lookup(self, fp: bytes) -> LookupResult:
+        """:meth:`FACT.lookup`, holding the line of every slot the walk
+        read: a count store on one of them later reads nothing."""
+        return self.fact.lookup(fp, self._held)
+
+    def share(self, idx: int, n: int = 1) -> None:
         """Stage ``n`` more references to an existing entry (``UC += n``,
-        one store); ``seen`` is the entry the caller has just read, if
-        it has and this transaction holds no word for it."""
-        counts = self._word(idx)
-        if counts is None and seen is not None:
-            counts = seen.counts
-        self._hold(idx, self.fact.inc_uc(idx, counts, n))
+        one store); what it holds of the line stays held, with that word."""
+        counts = self.fact.inc_uc(idx, self.word(idx), n)
+        _stamp, raw, at = self._held[idx]  # valid: word() served or read it
+        self._keep(idx, counts.to_bytes(8, "little") + raw[at + 8:at + ENTRY])
         self._units[idx] = self._units.get(idx, 0) + n
 
     def claim(self, fp: bytes, block: int,
@@ -1091,13 +1073,12 @@ class FactTxn:
         once, so no crash or abort after this can leave it uncounted.
 
         It reads each claim's counts itself, the held-value rule's one
-        exception (docs/CONSISTENCY.md §5), and holds the word it
-        stores; the words held stay held for the commit, which uses
-        each only while its store is still the slot's latest."""
+        exception (docs/CONSISTENCY.md §5), and holds the word it stores
+        for the commit, like every word held."""
         fact = self.fact
         claims, self._claims = self._claims, []
         for idx in claims:
-            counts = fact._counts(idx, None)
+            counts = fact.read_counts(idx)
             if fact.commit_uc(idx, counts):
                 self._hold(idx, counts + 1 - _UC_UNIT)
             self._units[idx] -= 1
@@ -1109,8 +1090,8 @@ class FactTxn:
         the order they were first staged."""
         units, self._units, self._claims = self._units, {}, []
         for idx, n in units.items():
-            self.fact.commit_uc(idx, self._word(idx), n)
-        self._words = {}
+            self.fact.commit_uc(idx, self.word(idx), n)
+        self._held = {}
 
     def abort(self) -> None:
         """Drop exactly the units this transaction staged, newest entry
@@ -1132,15 +1113,14 @@ class FactTxn:
         units, self._units, self._claims = self._units, {}, []
         for idx, n in reversed(units.items()):
             claimed = idx in claims
-            counts = fact._counts(idx, self._word(idx)) \
-                - (n - claimed) * _UC_UNIT
+            counts = self.word(idx) - (n - claimed) * _UC_UNIT
             if not claimed:
                 fact._write_u64(idx, _OFF_COUNTS, counts)
             elif counts == _UC_UNIT:
                 fact.remove(idx)
             else:
                 fact._write_u64(idx, _OFF_COUNTS, counts + 1 - _UC_UNIT)
-        self._words = {}
+        self._held = {}
 
     def __enter__(self) -> "FactTxn":
         return self

@@ -51,7 +51,7 @@ from typing import Optional
 from repro.dedup.daemon import DedupDaemon, NodeTask
 from repro.dedup.denova import DeNovaFS
 from repro.dedup.dwq import HINT_REGISTERED, DWQNode
-from repro.dedup.fact import LookupResult
+from repro.dedup.fact import FactTxn, LookupResult
 from repro.nova.entries import (
     DEDUPE_COMPLETE,
     DEDUPE_NEEDED,
@@ -551,20 +551,21 @@ class HybridDeNovaFS(DeNovaFS):
         files = [(ino, sorted(cache.index.mappings()))
                  for ino, cache in sorted(self.caches.items())
                  if cache.inode.itype == ITYPE_FILE]
-        with self.fact.planned(block for _, maps in files
-                               for _, _, block in maps) as plan:
-            for ino, maps in files:
-                rearmed: set[int] = set()
-                for _pgoff, addr, block in maps:
-                    if addr in rearmed or plan.entry(block) is not None:
-                        continue
-                    live_flag = self.read_entry(addr).dedupe_flag
-                    if live_flag != DEDUPE_NEEDED:
-                        self.set_dedupe_flag(addr, DEDUPE_NEEDED)
-                    rearmed.add(addr)
-                    self._pending_pages[addr // PAGE_SIZE] += 1
-                    self.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
-                    requeued += 1
+        txn = FactTxn(self.fact).plan(block for _, maps in files
+                                      for _, _, block in maps)
+        for ino, maps in files:
+            rearmed: set[int] = set()
+            for _pgoff, addr, block in maps:
+                if addr in rearmed or txn.entry(block) is not None:
+                    continue
+                live_flag = self.read_entry(addr).dedupe_flag
+                if live_flag != DEDUPE_NEEDED:
+                    self.set_dedupe_flag(addr, DEDUPE_NEEDED)
+                rearmed.add(addr)
+                self._pending_pages[addr // PAGE_SIZE] += 1
+                self.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr,
+                                         cache=self.caches[ino]))
+                requeued += 1
         return {"requeued": requeued, "drained": DedupDaemon(self).drain()}
 
     # ------------------------------------------------------------ reporting

@@ -41,6 +41,7 @@ from repro.nova.entries import (
 )
 from repro.nova.inode import ITYPE_FILE
 from repro.dedup.dwq import DWQNode
+from repro.dedup.fact import FactTxn
 from repro.dedup.reorder import recover_reorders
 from repro.nova.layout import PAGE_SIZE
 from repro.nova.radix import page_refs
@@ -116,7 +117,8 @@ def dedup_recover(fs, report) -> dict:
         fs._pending_pages.clear()
         for ino, addr in needed:
             fs._pending_pages[addr // PAGE_SIZE] += 1
-            fs.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr))
+            fs.dwq.enqueue(DWQNode(ino=ino, entry_addr=addr,
+                                   cache=fs.caches.raw_get(ino)))
     out["dwq_rebuilt"] = len(needed)
     return out
 
@@ -125,17 +127,18 @@ def _resume_step6(fs, addr: int, entry: WriteEntry) -> None:
     """Complete a dedup transaction from Algorithm 1 step 6.
 
     For each device page the entry references, reach its FACT entry via
-    the delete pointer (the pages' pointers in one plan) and commit one
-    staged UC (idempotent: commit_uc is a no-op at UC == 0 — counts are
-    fungible across the transactions that crashed mid-commit).  Pages without a FACT entry are duplicate
-    pages of a target entry; their canonical UCs are committed by the
-    corresponding ``in_process`` redirect entries.
+    the delete pointer (the pages' pointers in one transaction's plan)
+    and commit one staged UC (idempotent: commit_uc is a no-op at UC ==
+    0 — counts are fungible across the transactions that crashed
+    mid-commit).  Pages without a FACT entry are duplicate pages of a
+    target entry; their canonical UCs are committed by the corresponding
+    ``in_process`` redirect entries.
     """
-    with fs.fact.planned(entry.pages()) as plan:
-        for page in entry.pages():
-            ent = plan.entry(page)
-            if ent is not None:
-                fs.fact.commit_uc(ent.idx, ent.counts)
+    txn = FactTxn(fs.fact).plan(entry.pages())
+    for page in entry.pages():
+        ent = txn.entry(page)
+        if ent is not None:
+            fs.fact.commit_uc(ent.idx, txn.word(ent.idx))
     fs.set_dedupe_flag(addr, DEDUPE_COMPLETE)
 
 

@@ -81,12 +81,12 @@ def reflink(fs, src: str, dst: str, immutable: bool = False) -> int:
               for pgoff in src_cache.index.mapped_offsets]
     refs = Counter(block for _pgoff, block in mapped)
     canonical: dict[int, int] = {}  # source block -> the one dst maps
-    with FactTxn(fs.fact) as txn, fs.fact.planned(refs) as plan:
+    with FactTxn(fs.fact).plan(refs) as txn:
         for block, n in refs.items():
             canonical[block] = block
-            ent = plan.entry(block)
+            ent = txn.entry(block)
             if ent is not None:
-                txn.share(ent.idx, ent, n)
+                txn.share(ent.idx, n)
                 continue
             data = fs.dev.read(block * PAGE_SIZE, PAGE_SIZE)
             fp = fs.fingerprinter.strong(data)

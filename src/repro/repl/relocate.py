@@ -56,6 +56,7 @@ from typing import Optional
 from repro.backup.chain import LAYOUT_REVERSE, chain_table, set_layout
 from repro.dedup.daemon import append_redirects, complete_redirects
 from repro.dedup.denova import DeNovaFS
+from repro.dedup.fact import FactTxn
 from repro.dedup.reflink import REPL_DIR, SNAPSHOT_DIR
 from repro.nova import persist
 from repro.nova.fs import ino_cpu
@@ -151,31 +152,31 @@ def _relocate_file(fs, path: str, placed: set[int], tally: Counter) -> int:
     if not moves:
         fs.allocator.free(newstart, len(blocks), cpu)
         return 0
-    # The plan stays open across the moves: its store notifications keep
-    # each old block's pointer exact for the retarget.
-    with fs.fact.planned(assigned) as plan:
-        for m in moves:
-            ent = plan.entry(m["old"])
-            m["idx"] = ent.idx if ent is not None else None
+    # The retargets take each old block's pointer from the same
+    # transaction: held while no store has flushed its slot.
+    txn = FactTxn(fs.fact).plan(assigned)
+    for m in moves:
+        ent = txn.entry(m["old"])
+        m["idx"] = ent.idx if ent is not None else None
 
-        # Journal the whole batch before touching anything (step 2); the
-        # file write persists through the normal data path, so a crash
-        # mid-journal leaves garbled JSON = a never-started batch.
-        persist.write_state(fs, INTENT_PATH, moves, mkparent=True)
+    # Journal the whole batch before touching anything (step 2); the
+    # file write persists through the normal data path, so a crash
+    # mid-journal leaves garbled JSON = a never-started batch.
+    persist.write_state(fs, INTENT_PATH, moves, mkparent=True)
 
-        refs = _block_refs(fs, {m["old"] for m in moves})
-        runs: list[list[int]] = []      # [old, new, count]: one copy each
-        for m in moves:
-            extend_runs(runs, m["old"], m["new"])
-        for old, new, count in runs:
-            fs.dev.write(new * PAGE_SIZE, fs.dev.read(
-                old * PAGE_SIZE, count * PAGE_SIZE), nt=True)
-        _redirect_refs(fs, {m["old"]: m["new"] for m in moves}, refs)
-        for m in moves:
-            if m["idx"] is not None:
-                fs.fact.retarget_block(m["idx"], m["new"], plan)
-            fs.allocator.free(m["old"], 1, cpu)
-            placed.add(m["new"])
+    refs = _block_refs(fs, {m["old"] for m in moves})
+    runs: list[list[int]] = []      # [old, new, count]: one copy each
+    for m in moves:
+        extend_runs(runs, m["old"], m["new"])
+    for old, new, count in runs:
+        fs.dev.write(new * PAGE_SIZE, fs.dev.read(
+            old * PAGE_SIZE, count * PAGE_SIZE), nt=True)
+    _redirect_refs(fs, {m["old"]: m["new"] for m in moves}, refs)
+    for m in moves:
+        if m["idx"] is not None:
+            fs.fact.retarget_block(m["idx"], m["new"], txn)
+        fs.allocator.free(m["old"], 1, cpu)
+        placed.add(m["new"])
 
     for page in unused:
         fs.allocator.free(page, 1, cpu)

@@ -151,8 +151,8 @@ class TestEntryFromTheWrite:
     """A node enqueued by a write carries the entry that write committed
     and its inode's cache: while that cache is the live one the daemon
     reads no entry, and another cache under the ino makes it stale.  A
-    node restored or rebuilt at mount carries neither and reads its
-    entry once."""
+    node restored or rebuilt at mount carries the mounted cache, not the
+    entry: it reads its entry once, and is stale under a reused ino."""
 
     @staticmethod
     def validate_one(fs):
@@ -210,10 +210,50 @@ class TestEntryFromTheWrite:
         assert fs2.last_recovery.clean is clean
         fs2.caches[ino]         # a clean mount's stub replays its log here
         node, task, reads = self.validate_one(fs2)
-        assert node.entry is None and node.cache is None
+        assert node.entry is None and node.cache is fs2.caches[ino]
         assert [(r.addr, r.n) for r in reads] == [(addr, 64)]
         assert task is not None and task.entry.num_pages == 2
         fs2.daemon.commit_node(task)
+        check_fs_invariants(fs2)
+
+    @pytest.mark.parametrize("written", [False, True])
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_a_node_from_the_mount_is_stale_under_a_reused_ino(
+            self, monkeypatch, clean, written):
+        """``/f``'s node comes back from the mount; ``/f`` is deleted and
+        ``/g`` takes its ino (and, written, its old log slot).  The node
+        is stale: it stores no flag into ``/f``'s freed log page, and
+        ``/g``'s entry is processed once, by ``/g``'s own node."""
+        fs = make_fs()
+        ino = fs.create("/f")
+        fs.write(ino, 0, page_of(1) * 2)
+        (addr,) = [n.entry_addr for n in fs.dwq.snapshot()]
+        if clean:
+            fs.unmount()
+        else:
+            fs.dev.crash()
+            fs.dev.recover_view()
+        fs2 = DeNovaFS.mount(fs.dev)
+        fs2.unlink("/f")
+        assert fs2.create("/g") == ino
+        if written:
+            fs2.write(ino, 0, page_of(2) * 2)
+            assert [n.entry_addr for n in fs2.dwq.snapshot()] == [addr] * 2
+        counter = fs2.obs.registry.counter
+        stale = counter("daemon.nodes_stale_total").value
+        flags, real = [], DeNovaFS.set_dedupe_flag
+
+        def set_flag(self, at, flag):
+            flags.append(self.allocator.is_free(at // PAGE_SIZE))
+            real(self, at, flag)
+
+        monkeypatch.setattr(DeNovaFS, "set_dedupe_flag", set_flag)
+        fs2.daemon.drain()
+        assert counter("daemon.nodes_stale_total").value == stale + 1
+        assert counter("daemon.nodes_processed_total").value == written
+        assert bool(flags) == written and not any(flags)
+        assert fs2.read(ino, 0, 2 * PAGE_SIZE) \
+            == (page_of(2) * 2 if written else b"")
         check_fs_invariants(fs2)
 
 

@@ -162,9 +162,9 @@ class TestClaimsSettleBeforeRedirects:
         real_commit_uc = FACT.commit_uc
         real_tail = LogManager.commit
 
-        def commit_uc(fact, idx, seen=None, n=1):
+        def commit_uc(fact, idx, counts, n=1):
             log.append(("commit_uc", idx, n))
-            return real_commit_uc(fact, idx, seen, n)
+            return real_commit_uc(fact, idx, counts, n)
 
         def tail(logs, ino, new_tail):
             log.append("tail")
@@ -331,7 +331,8 @@ class TestRecoveryReports:
         fs.write(a, 0, page_of(1))
         fs.daemon.drain()
         (idx, _), = fs.fact.live_entries().items()
-        fs.fact.inc_uc(idx)  # a transaction that will never commit
+        # a transaction that will never commit
+        fs.fact.inc_uc(idx, fs.fact.read_counts(idx))
         dev.crash()
         dev.recover_view()
         fs2 = DeNovaFS.mount(dev)
@@ -465,9 +466,9 @@ class TestRecoveryReadsFactOnce:
             for salt, rfc in enumerate((1, 5, 2, 8, 3)):
                 idx = fact.insert(self.fp(salt), 60 + salt)
                 for _ in range(rfc):
-                    fact.commit_uc(idx)
-                    fact.inc_uc(idx)
-                fact.discard_uc(idx)
+                    fact.commit_uc(idx, fact.read_counts(idx))
+                    fact.inc_uc(idx, fact.read_counts(idx))
+                fact.discard_all_uc()
 
             def scenario():
                 assert reorder_chain(fact, self.PREFIX)
@@ -494,7 +495,8 @@ class TestRecoveryReadsFactOnce:
         dev = PMDevice(1024 * PAGE_SIZE, model=DRAM, clock=SimClock())
         fs = DeNovaFS.mkfs(dev, max_inodes=64, fact_prefix_bits=self.BITS)
         for salt in range(3):                     # the head, IAA slots 0, 1
-            fs.fact.commit_uc(fs.fact.insert(self.fp(salt), 60 + salt))
+            idx = fs.fact.insert(self.fp(salt), 60 + salt)
+            fs.fact.commit_uc(idx, fs.fact.read_counts(idx))
         fs.unmount()
         fact = fs.fact
         lo, hi = fact.base, fact.base + fact.total * ENTRY

@@ -233,8 +233,9 @@ class TestScrub:
         fs.write(a, 0, page_of(1))
         fs.daemon.drain()
         (idx, ent), = fs.fact.live_entries().items()
-        fs.fact.inc_uc(idx)        # forge an over-increment
-        fs.fact.commit_uc(idx)     # RFC = 2 with only one reference
+        # forge an over-increment: RFC = 2 with only one reference
+        fs.fact.inc_uc(idx, fs.fact.read_counts(idx))
+        fs.fact.commit_uc(idx, fs.fact.read_counts(idx))
         fs.unlink("/a")            # dec to 1 -> page leaked, entry alive
         assert fs.fact.live_entries()
         rep = fs.scrub()
@@ -249,8 +250,8 @@ class TestScrub:
         fs.write(a, 0, page_of(1))
         fs.daemon.drain()
         (idx, _), = fs.fact.live_entries().items()
-        fs.fact.inc_uc(idx)
-        fs.fact.commit_uc(idx)  # RFC 2, actual 1
+        fs.fact.inc_uc(idx, fs.fact.read_counts(idx))
+        fs.fact.commit_uc(idx, fs.fact.read_counts(idx))  # RFC 2, actual 1
         rep = fs.scrub()
         assert rep["overcounted_remaining"] == 1
         assert fs.read(a, 0, PAGE_SIZE) == page_of(1)

@@ -98,9 +98,9 @@ class TestLookupInsert:
         fp1, fp2 = mkfp(4, 1), mkfp(4, 2)
         i1 = fact.insert(fp1, 100)
         i2 = fact.insert(fp2, 101)
-        fact.inc_uc(i1)
-        fact.commit_uc(i1)
-        assert fact.dec_rfc(i1) == 0
+        fact.inc_uc(i1, fact.read_counts(i1))
+        fact.commit_uc(i1, fact.read_counts(i1))
+        assert fact.dec_rfc(i1, fact.read_counts(i1)) == 0
         fact.remove(i1)
         res = fact.lookup(fp2)
         assert res.found.idx == i2
@@ -116,25 +116,26 @@ class TestCounts:
     def test_uc_rfc_lifecycle(self, fact):
         idx = fact.insert(mkfp(6), 100)
         assert fact.read_entry(idx).update_count == 1
-        fact.inc_uc(idx)
+        fact.inc_uc(idx, fact.read_counts(idx))
         ent = fact.read_entry(idx)
         assert ent.update_count == 2
-        assert fact.commit_uc(idx)
-        assert fact.commit_uc(idx)
+        assert fact.commit_uc(idx, fact.read_counts(idx))
+        assert fact.commit_uc(idx, fact.read_counts(idx))
         ent = fact.read_entry(idx)
         assert ent.update_count == 0
         assert ent.refcount == 2
 
     def test_commit_uc_idempotent_at_zero(self, fact):
         idx = fact.insert(mkfp(6), 100)
-        assert fact.commit_uc(idx)
-        assert not fact.commit_uc(idx)  # UC exhausted -> no-op
+        assert fact.commit_uc(idx, fact.read_counts(idx))
+        # UC exhausted -> no-op
+        assert not fact.commit_uc(idx, fact.read_counts(idx))
         assert fact.read_entry(idx).refcount == 1
 
     def test_discard_uc(self, fact):
         idx = fact.insert(mkfp(6), 100)
-        fact.inc_uc(idx)
-        fact.discard_uc(idx)
+        fact.inc_uc(idx, fact.read_counts(idx))
+        fact.discard_all_uc()
         ent = fact.read_entry(idx)
         assert ent.update_count == 0
         assert ent.refcount == 0
@@ -142,14 +143,14 @@ class TestCounts:
     def test_dec_rfc_underflow_raises(self, fact):
         idx = fact.insert(mkfp(6), 100)
         with pytest.raises(FactCorruption):
-            fact.dec_rfc(idx)
+            fact.dec_rfc(idx, fact.read_counts(idx))
 
     def test_counts_share_one_atomic_word(self, fact):
         """UC-1/RFC+1 must be a single 8-byte store (the paper's core
         consistency trick) — verify via the device write counter."""
         idx = fact.insert(mkfp(6), 100)
         before = fact.dev.stats.writes
-        fact.commit_uc(idx)
+        fact.commit_uc(idx, fact.read_counts(idx))
         assert fact.dev.stats.writes == before + 1
 
 
@@ -174,16 +175,16 @@ class TestDeletePointers:
         assert idx_b == 10
         assert fact.entry_for_block(10).idx == idx_a  # still resolves
         # Remove the entry living in slot 10; mapping for block 10 stays.
-        fact.commit_uc(idx_b)
-        assert fact.dec_rfc(idx_b) == 0
+        fact.commit_uc(idx_b, fact.read_counts(idx_b))
+        assert fact.dec_rfc(idx_b, fact.read_counts(idx_b)) == 0
         fact.remove(idx_b)
         assert fact.entry_for_block(10).idx == idx_a
         assert fact.entry_for_block(90) is None
 
     def test_remove_clears_own_block_mapping(self, fact):
         idx = fact.insert(mkfp(3), 55)
-        fact.commit_uc(idx)
-        assert fact.dec_rfc(idx) == 0
+        fact.commit_uc(idx, fact.read_counts(idx))
+        assert fact.dec_rfc(idx, fact.read_counts(idx)) == 0
         fact.remove(idx)
         assert fact.entry_for_block(55) is None
 
@@ -193,13 +194,13 @@ class TestRemove:
         idxs = []
         for s in range(n):
             idx = fact.insert(mkfp(prefix, s), 60 + s)
-            fact.commit_uc(idx)
+            fact.commit_uc(idx, fact.read_counts(idx))
             idxs.append(idx)
         return idxs
 
     def test_remove_middle_of_chain(self, fact):
         idxs = self._mk_chain(fact, 20, 4)
-        assert fact.dec_rfc(idxs[2]) == 0
+        assert fact.dec_rfc(idxs[2], fact.read_counts(idxs[2])) == 0
         fact.remove(idxs[2])
         fact.check_chains()
         assert fact.lookup(mkfp(20, 1)).found is not None
@@ -208,14 +209,14 @@ class TestRemove:
 
     def test_remove_tail_of_chain(self, fact):
         idxs = self._mk_chain(fact, 21, 3)
-        assert fact.dec_rfc(idxs[-1]) == 0
+        assert fact.dec_rfc(idxs[-1], fact.read_counts(idxs[-1])) == 0
         fact.remove(idxs[-1])
         fact.check_chains()
         assert fact.lookup(mkfp(21, 2)).found is None
 
     def test_removed_iaa_slot_is_reusable(self, fact):
         idxs = self._mk_chain(fact, 22, 2)
-        assert fact.dec_rfc(idxs[1]) == 0
+        assert fact.dec_rfc(idxs[1], fact.read_counts(idxs[1])) == 0
         fact.remove(idxs[1])
         new_idx = fact.insert(mkfp(23, 0), 95)
         assert new_idx == 23  # DAA
@@ -254,7 +255,7 @@ class TestOccupancyAndScan:
         none of them a window on the table or on the device."""
         i1 = fact.insert(mkfp(1, 0), 100)
         i2 = fact.insert(mkfp(1, 1), 101)       # IAA, linked behind i1
-        fact.inc_uc(i2)
+        fact.inc_uc(i2, fact.read_counts(i2))
         stats, dev = fact.dev.stats, fact.dev
         reads, bytes_read = stats.reads, stats.bytes_read
         charged = dev.clock.charged_fs
@@ -272,7 +273,7 @@ class TestOccupancyAndScan:
             assert col.flags.c_contiguous and len(col) == fact.total
             assert col.nbytes == fact.total * 8 < fact.total * ENTRY
         before = {name: col.copy() for name, col in cols.items()}
-        fact.commit_uc(i2)
+        fact.commit_uc(i2, fact.read_counts(i2))
         fact.remove(i1)
         fact.insert(mkfp(9), 110)
         for name, col in cols.items():
@@ -314,7 +315,7 @@ class TestOccupancyAndScan:
                     hi - lo)) for lo, hi in spans))
             assert not any(fact._dram[used:])
             i2 = fact.insert(mkfp(1, 1), 101)           # fields + u64s
-            fact.commit_uc(i2)
+            fact.commit_uc(i2, fact.read_counts(i2))
             fact.set_block_weak(101, 0xBEEF)
             fact.retarget_block(i1, 102)
             fact.remove(i1)
@@ -373,8 +374,8 @@ class TestWholeTablePassesSkipOnlyEmptyHeads:
         i2 = fact.insert(mkfp(30, 1), 101)
         i3 = fact.insert(mkfp(30, 2), 102)
         for idx in (head, i2, i3):
-            fact.commit_uc(idx)
-        fact.dec_rfc(head)
+            fact.commit_uc(idx, fact.read_counts(idx))
+        fact.dec_rfc(head, fact.read_counts(head))
         fact.remove(head)                   # block 0, next still set
         fact.check_chains()
         assert fact.occupancy()["max_chain"] == 2
@@ -457,7 +458,7 @@ class TestCrashSafety:
 
     def test_counts_survive_crash_after_persist(self, fact):
         idx = fact.insert(mkfp(7), 100)
-        fact.commit_uc(idx)
+        fact.commit_uc(idx, fact.read_counts(idx))
         fact.dev.crash()
         fact.dev.recover_view()
         ent = fact.read_entry(idx)

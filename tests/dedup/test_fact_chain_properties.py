@@ -97,9 +97,9 @@ def random_interleaving(fact, rng, steps, shadow, salt_counter,
             idx = fact.insert(fp, block)
             # Give entries distinct RFCs so reorders actually permute.
             for _ in range(rng.randrange(4)):
-                fact.inc_uc(idx)
-                fact.commit_uc(idx)
-            fact.discard_uc(idx)
+                fact.inc_uc(idx, fact.read_counts(idx))
+                fact.commit_uc(idx, fact.read_counts(idx))
+            fact.discard_all_uc()
             shadow[fp] = block
         elif roll < 0.85:
             fp = rng.choice(sorted(shadow))
@@ -147,8 +147,8 @@ def test_crash_mid_reorder_at_every_persist_event():
             fp = mkfp(prefix, salt)
             idx = fact.insert(fp, 100 + salt)
             for _ in range(salt % 4):     # distinct RFCs force a permute
-                fact.inc_uc(idx)
-                fact.commit_uc(idx)
+                fact.inc_uc(idx, fact.read_counts(idx))
+                fact.commit_uc(idx, fact.read_counts(idx))
             shadow[fp] = 100 + salt
         return fact, shadow
 

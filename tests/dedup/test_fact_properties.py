@@ -65,7 +65,7 @@ class FactMachine(RuleBasedStateMachine):
         ent = self.model.get(key)
         if ent is None:
             return
-        self.fact.inc_uc(ent[0])
+        self.fact.inc_uc(ent[0], self.fact.read_counts(ent[0]))
         ent[2] += 1
 
     @rule(key=st.integers(0, 24))
@@ -73,7 +73,7 @@ class FactMachine(RuleBasedStateMachine):
         ent = self.model.get(key)
         if ent is None:
             return
-        committed = self.fact.commit_uc(ent[0])
+        committed = self.fact.commit_uc(ent[0], self.fact.read_counts(ent[0]))
         assert committed == (ent[2] > 0)
         if committed:
             ent[2] -= 1
@@ -84,15 +84,16 @@ class FactMachine(RuleBasedStateMachine):
         ent = self.model.get(key)
         if ent is None:
             return
-        self.fact.discard_uc(ent[0])
-        ent[2] = 0
+        self.fact.discard_all_uc()      # every entry's staged UC
+        for staged in self.model.values():
+            staged[2] = 0
 
     @rule(key=st.integers(0, 24))
     def dec_and_maybe_remove(self, key):
         ent = self.model.get(key)
         if ent is None or ent[1] == 0:
             return
-        new_rfc = self.fact.dec_rfc(ent[0])
+        new_rfc = self.fact.dec_rfc(ent[0], self.fact.read_counts(ent[0]))
         ent[1] -= 1
         assert new_rfc == ent[1]
         if new_rfc == 0 and ent[2] == 0:

@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.backup.diff import diff_snapshots
 from repro.dedup import DeNovaFS, InlineDedupFS, recovery
 from repro.dedup.daemon import DedupDaemon
 from repro.dedup.fact import ENTRY, FACT, FactTxn
@@ -28,10 +29,12 @@ from repro.fuzz import FuzzConfig, FuzzRunner
 from repro.nova import PAGE_SIZE
 from repro.nova.entries import DEDUPE_IN_PROCESS
 from repro.pm import DRAM, CrashRequested, PMDevice, SimClock
+from repro.repl.relocate import relocate_latest
 from tests._ledger import READS, Ledger
 from tests.conc.test_fact_locking import four_clients_share_claims
 from tests.dedup import test_count_merge as count_merge
 from tests.dedup.test_fact_map import map_requests
+from tests.repl.util import page_of
 
 
 def make_fs(cls=DeNovaFS, pages=256):
@@ -203,24 +206,45 @@ def fact_reads(led, fact):
         fact.base, fact.base + fact.total * ENTRY))]
 
 
+#: What a caller asks a transaction's held map for: ``(offset, size)``
+#: in the slot -> the kind of value.
+HELD_KINDS = {(0, 8): "counts", (32, 8): "pointer", (0, 60): "entry"}
+
+
 @pytest.fixture
-def held_words(monkeypatch):
-    """Compare every counts word a caller hands FACT with the one on the
-    media: the returned ``(used, mismatches)`` lists fill as it runs."""
-    used, mismatches = [], []
-    real = FACT._counts
+def held_values(monkeypatch):
+    """Compare every value a transaction's held map serves (a counts word,
+    a delete pointer, an entry) with the bytes on the media.  The
+    returned report fills as it runs: per kind, the values ``used``,
+    those the map held but its guard ``refused`` (a store flushed the
+    slot since), and the ``mismatches``."""
+    report = {kind: {"used": 0, "refused": 0, "mismatches": []}
+              for kind in HELD_KINDS.values()}
+    real = FactTxn.held
 
-    def _counts(self, idx, counts):
-        if counts is not None:
-            media = int.from_bytes(
-                self.dev.read_silent(self.addr(idx), 8), "little")
-            used.append(idx)
-            if counts != media:
-                mismatches.append((idx, counts, media))
-        return real(self, idx, counts)
+    def held(txn, slot, off, n):
+        got = real(txn, slot, off, n)
+        row = report[HELD_KINDS[off, n]]
+        if got is not None:
+            row["used"] += 1
+            media = txn.fact.dev.read_silent(txn.fact.addr(slot) + off, n)
+            if got != media:
+                row["mismatches"].append((slot, off, got, media))
+        elif slot in txn._held:
+            _stamp, raw, at = txn._held[slot]
+            if 0 <= at + off and at + off + n <= len(raw):
+                row["refused"] += 1
+        return got
 
-    monkeypatch.setattr(FACT, "_counts", _counts)
-    return used, mismatches
+    monkeypatch.setattr(FactTxn, "held", held)
+    return report
+
+
+def media_equal(report, *kinds):
+    """Each of ``kinds`` was served at least once, and nothing served
+    differs from the media."""
+    return all(report[kind]["used"] for kind in kinds) and not any(
+        row["mismatches"] for row in report.values())
 
 
 class TestHeldCounts:
@@ -263,10 +287,10 @@ class TestHeldCounts:
         write_file(fs, "/b", x + x)
         reads, real = [], FactTxn.share
 
-        def share(txn, idx, seen=None, n=1):
+        def share(txn, idx, n=1):
             at = fs.fact.addr(idx)
             with Ledger(fs.dev) as led:
-                real(txn, idx, seen, n)
+                real(txn, idx, n)
             reads.append((n, len(led.select(*READS, within=(at, at + 8)))))
 
         monkeypatch.setattr(FactTxn, "share", share)
@@ -303,45 +327,63 @@ class TestHeldCounts:
     @pytest.mark.recovery
     @pytest.mark.parametrize("shape", count_merge.SHAPES)
     def test_every_held_word_is_the_media_word_across_a_crash_sweep(
-            self, held_words, shape):
+            self, held_values, shape):
         count_merge.sweep(shape)
-        used, mismatches = held_words
-        assert used and not mismatches
+        assert media_equal(held_values, "counts")
 
     def test_every_held_word_is_the_media_word_in_an_inline_campaign(
-            self, held_words):
+            self, held_values):
         cfg = FuzzConfig(seed=42, total_ops=48, seq_ops=8, budget=16,
                          dedup_mode="inline")
         res = FuzzRunner(cfg, shrink_failures=False).run()
         assert res.ok, "; ".join(str(f.violation) for f in res.failures)
         assert res.crash_points
-        used, mismatches = held_words
-        assert used and not mismatches
+        assert media_equal(held_values, "counts")
 
+    def test_held_values_match_media_in_relocation_reflink_and_diff(
+            self, held_values):
+        """The pointers and entries the other views serve: two reflinks,
+        a snapshot diff and a relocation of that snapshot, and the
+        reclaims of the overwrite and unlinks after them.  The first
+        reflink's lookup of ``y`` reads ``x``'s line, then its claim links
+        ``y`` behind it: ``x``'s entry, next, is read again."""
+        fs = make_fs(pages=1024)
+        x, y = colliding(fs, 2)
+        ino = fs.create("/x")
+        fs.write(ino, PAGE_SIZE, x)
+        fs.daemon.drain()
+        fs.write(ino, 0, y)                 # no entry yet
+        fs.reflink("/x", "/y")
+        a = [page_of(i) for i in range(1, 9)]
+        b = [a[3], page_of(20), a[0], page_of(21), a[6], a[1], a[0]]
+        write_file(fs, "/a", b"".join(a))
+        write_file(fs, "/b", b"".join(b))
+        fs.daemon.drain()
+        fs.reflink("/a", "/c")
+        fs.snapshot("s1")
+        assert diff_snapshots(fs, "s1").unique_pages == 12
+        assert relocate_latest(fs)["pages_moved"]
+        fs.write(fs.lookup("/a"), 0, page_of(30) * 2)
+        fs.daemon.drain()
+        for path in ("/a", "/b", "/c", "/x", "/y"):
+            fs.unlink(path)
+        check_fs_invariants(fs)
+        assert media_equal(held_values, "counts", "pointer", "entry")
+        assert held_values["entry"]["refused"]
 
     @pytest.mark.conc
     def test_every_held_word_is_the_media_word_under_parallel_workers(
-            self, held_words, monkeypatch):
+            self, held_values):
         """The daemon's held words outlive its ``fact``-locked stage into
         the node's commit, an engine operation later, where another
         worker may have stored to the slot: there the word is refused
         and read again."""
-        refused, real = [], FactTxn._word
-
-        def _word(txn, idx):
-            got = real(txn, idx)
-            if got is None and idx in txn._words:
-                refused.append(idx)
-            return got
-
-        monkeypatch.setattr(FactTxn, "_word", _word)
-
         def check(dev, point, phase):
             check_fs_invariants(DeNovaFS.mount(dev))
 
         assert sweep_crash_points(four_clients_share_claims, check) > 400
-        used, mismatches = held_words
-        assert used and refused and not mismatches
+        assert media_equal(held_values, "counts")
+        assert held_values["counts"]["refused"]
 
 
 @pytest.fixture
@@ -479,7 +521,7 @@ def reach(fs):
 
 class TestDeletePointerRuns:
     """An operation reads its delete pointers first, one request per
-    neighbourhood of slots (``FACT.planned``): the pointers of blocks
+    neighbourhood of slots (``FactTxn.plan``): the pointers of blocks
     ``[b, b + n)`` sit in adjacent 64 B slots, read as ``(n - 1) * 64 + 8``
     bytes at slot ``b``'s delete column, and two planned slots at most
     :func:`reach` apart share a request.  A pointer the operation stored
@@ -524,7 +566,7 @@ class TestDeletePointerRuns:
         r = reach(fs)
         b = fs.allocator.alloc(2 * r + 2, 0)
         with Ledger(fs.dev) as led, \
-                fs.fact.planned([b, b + r, b + 2 * r + 1]) as plan:
+                FactTxn(fs.fact).plan([b, b + r, b + 2 * r + 1]) as plan:
             assert pointer_requests(led, fs.fact) == [
                 (b, r * 64 + 8), (b + 2 * r + 1, 8)]
             assert plan.entry(b + r) is None
@@ -546,25 +588,28 @@ class TestDeletePointerRuns:
 
     def test_a_flushed_planned_line_is_read_again(self):
         """A count store to slot ``b`` (an entry living there) flushes
-        block ``b``'s pointer out of the cache; the pointer stored to
-        ``b + 1`` is the operation's own value, not read back."""
+        block ``b``'s pointer out of the cache, and the pointer stored to
+        ``b + 1`` outside the transaction flushes that one: ``b + 1``'s is
+        read again, alone, and ``b``'s is in the line of the entry read
+        from slot ``b`` after it."""
         fs = make_fs()
         fact, bits = fs.fact, fs.fact.prefix_bits
         b = fs.allocator.alloc(2, 0)
         fp = (b << (64 - bits)).to_bytes(8, "big") + bytes(FP_BYTES - 8)
         assert fact.insert(fp, b) == b          # the DAA slot of block b
-        with Ledger(fs.dev) as led, fact.planned([b, b + 1]) as plan:
+        with Ledger(fs.dev) as led, \
+                FactTxn(fact).plan([b, b + 1]) as plan:
             def reqs():
                 return pointer_requests(led, fact)
             assert reqs() == [(b, 64 + 8)]
-            fact.commit_uc(b)                   # flushes slot b's line
+            fact.commit_uc(b, fact.read_counts(b))  # flushes slot b's line
             fact.set_delete(b + 1, b)
             assert plan.entry(b + 1) is None     # names block b's entry
-            assert reqs() == [(b, 64 + 8)]
+            assert reqs() == [(b, 64 + 8), (b + 1, 8)]
             assert plan.entry(b).refcount == 1
-            assert reqs() == [(b, 64 + 8), (b, 8)]
+            assert reqs() == [(b, 64 + 8), (b + 1, 8)]
             assert plan.entry(b).idx == b
-        assert reqs() == [(b, 64 + 8), (b, 8)]
+        assert reqs() == [(b, 64 + 8), (b + 1, 8)]
 
     def test_a_single_page_is_one_word(self):
         fs = make_fs()
@@ -657,7 +702,8 @@ class TestDeletePointerRuns:
         assert (head_idx, other) == (b + 2, b + 9)
         assert linked >= fact.daa_size
         for idx in (head_idx, linked, other):
-            fact.commit_uc(idx)          # RFC 1 each; block b + 3: none
+            # RFC 1 each; block b + 3: none
+            fact.commit_uc(idx, fact.read_counts(idx))
         with Ledger(fs.dev) as led:
             fs.reclaim_extents([(b, 4)], 0)
         # The unlink's store to the head's ``next`` flushed slot b + 2.

@@ -1,7 +1,7 @@
 """``FactTxn`` on a bare FACT: stage → commit | abort of update counts.
 
 The interleaving tests are the reason ``abort`` drops *its own units*
-instead of zeroing the entry's UC the way recovery's ``discard_uc``
+instead of zeroing the entry's UC the way recovery's ``discard_all_uc``
 does: with two transactions on one entry, zero-everything takes the
 other side's unit too and its commit then under-counts a live page.
 """

@@ -48,8 +48,9 @@ def leak_pages(fs, nfiles: int) -> dict[int, int]:
         fs.write(ino, 0, page_of(i + 1), cpu=i % fs.cpus)
     fs.daemon.drain()
     for idx in list(fs.fact.live_entries()):
-        fs.fact.inc_uc(idx)
-        fs.fact.commit_uc(idx)  # RFC = 2 with one real reference
+        fs.fact.inc_uc(idx, fs.fact.read_counts(idx))
+        # RFC = 2 with one real reference
+        fs.fact.commit_uc(idx, fs.fact.read_counts(idx))
     for i in range(nfiles):
         fs.unlink(f"/leak{i}")  # dec to 1 -> page leaked, entry alive
     return {idx: ent.block

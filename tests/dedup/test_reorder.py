@@ -33,10 +33,10 @@ def build_chain(fact, rfcs):
     idxs = []
     for s, rfc in enumerate(rfcs):
         idx = fact.insert(mkfp(s), 60 + s)
-        fact.commit_uc(idx)          # RFC 1
+        fact.commit_uc(idx, fact.read_counts(idx))          # RFC 1
         for _ in range(rfc - 1):
-            fact.inc_uc(idx)
-            fact.commit_uc(idx)
+            fact.inc_uc(idx, fact.read_counts(idx))
+            fact.commit_uc(idx, fact.read_counts(idx))
         idxs.append(idx)
     return idxs
 

@@ -5,7 +5,8 @@ Update counts are staged, settled and dropped by ``FactTxn``
 ``nova/radix.py::page_refs``; FACT's words are FACT's.  These checks
 fail when a deleted copy — ``reflink``'s ``fs.fact.inc_uc(idx);
 staged.append(idx)``, recv's ``discard_uc`` loop, the hybrid daemon's
-``settle_mode`` fork, a ``cache.index._slots`` loop — is pasted back.
+``settle_mode`` fork, a ``cache.index._slots`` loop, a second map of
+held FACT words — is pasted back.
 """
 
 import ast
@@ -61,6 +62,36 @@ def test_counts_are_staged_and_dropped_only_by_the_transaction():
             # crash, so this one caller settles counts directly.
             assert (rel, fn) == ("dedup/recovery.py", "_resume_step6"), \
                 f"{where} settles a count by hand: use FactTxn.commit"
+
+
+def test_counts_words_come_from_the_transaction():
+    """A count primitive takes its word from ``FactTxn.word`` (held, or
+    read once and held), never from a decoded ``FactEntry.counts``."""
+    for rel, fn, node in _functions():
+        if (rel == _FACT or not isinstance(node, ast.Call)
+                or not isinstance(node.func, ast.Attribute)
+                or node.func.attr not in ("inc_uc", "commit_uc", "dec_rfc")):
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            assert not any(isinstance(sub, ast.Attribute)
+                           and sub.attr == "counts"
+                           for sub in ast.walk(arg)), \
+                f"{rel}::{fn} hands an entry's counts to .{node.func.attr}()"
+
+
+def test_one_held_value_map():
+    """What an operation uses of FACT without reading it lives in its
+    ``FactTxn``: FACT keeps no plan of its own, and one guard —
+    ``FactTxn.held`` — asks whether a store flushed a held slot."""
+    assert not {"planned", "_plans", "DeletePlan"} & set(vars(FACT))
+    for rel, fn, node in _functions():
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            assert name not in ("planned", "_plans", "DeletePlan"), \
+                f"{rel}::{fn} names {name}"
+    callers = [(rel, fn) for rel, fn, func in _method_calls()
+               if func.attr == "_unflushed"]
+    assert callers == [(_FACT, "held")], callers
 
 
 def test_fact_full_is_handled_in_one_place():

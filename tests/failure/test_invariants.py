@@ -178,7 +178,7 @@ class TestFactInvariants:
     def test_stale_uc(self):
         fs = make_denova()
         idx, _ = shared_entry(fs)
-        fs.fact.inc_uc(idx)
+        fs.fact.inc_uc(idx, fs.fact.read_counts(idx))
         with pytest.raises(InvariantViolation, match="UC="):
             check_fs_invariants(fs)
 
